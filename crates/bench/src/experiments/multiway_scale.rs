@@ -9,15 +9,16 @@
 //! every measurement starts from identical cold trees):
 //!
 //! * **batched** (the default configuration: [`MultiwayProbe::Batched`],
-//!   cost-based driver, running-intersection pruning) vs **per-tuple**
+//!   cost-based driver, bbox-disjoint narrowing skips) vs **per-tuple**
 //!   ([`MultiwayProbe::PerTuple`] baseline): batching must cut page
 //!   accesses and filter points-examined with an identical tuple set.
 //! * **batched T=4**: the parallel-execution contract — tuples (set *and*
 //!   order), [`MultiwayCounters`] and page accesses identical to T=1.
-//! * **unpruned** (cost-based driver, running-intersection pruning off):
-//!   isolates the pruning contribution at a fixed plan — identical tuples,
-//!   probes, points examined and page accesses, strictly more bisector
-//!   clip operations.
+//! * **unpruned** (cost-based driver, `multiway_prune` off): isolates the
+//!   knob's contribution at a fixed plan — identical tuples and identical
+//!   [`MultiwayCounters`] (probes, points examined, clip ops: the filter
+//!   bounds its cell seeds either way) and page accesses, except that no
+//!   bbox-disjoint candidate×partial narrowing is skipped.
 //! * **pr4-baseline** ([`MultiwayDriver::Fixed`]`(0)` + pruning off — the
 //!   hard-coded plan before cost-driven planning): the planned run must
 //!   produce the same tuple set with strictly fewer conditional-filter
@@ -77,6 +78,7 @@ pub fn run(args: &Args) {
             "filter calls",
             "points examined",
             "clip ops",
+            "narrowings skipped",
             "tuples",
             "parity T=4 vs T=1",
         ],
@@ -93,11 +95,10 @@ pub fn run(args: &Args) {
         let (per_tuple, per_tuple_wall) =
             measure(&sets, &base.with_multiway_probe(MultiwayProbe::PerTuple), 1);
         let (parallel, parallel_wall) = measure(&sets, &base, 4);
-        // Same plan, pruning off: isolates the clip-op saving of the
-        // running-intersection bbox.
+        // Same plan, pruning off: isolates the bbox-disjoint narrowing skips.
         let (unpruned, unpruned_wall) = measure(&sets, &base.with_multiway_prune(false), 1);
         // The plan the engine hard-coded before cost-driven planning:
-        // drive with set 0, no running-intersection pruning.
+        // drive with set 0, no narrowing skips.
         let (baseline, baseline_wall) = measure(
             &sets,
             &base
@@ -138,6 +139,7 @@ pub fn run(args: &Args) {
                 outcome.counters.filter_probes.to_string(),
                 outcome.counters.filter_points_examined.to_string(),
                 outcome.counters.filter_clip_ops.to_string(),
+                outcome.counters.narrowings_skipped.to_string(),
                 outcome.tuples.len().to_string(),
                 parity.to_string(),
             ]);
@@ -170,17 +172,19 @@ pub fn run(args: &Args) {
         if batched.sorted_ids() != unpruned.sorted_ids() {
             violations.push(format!("k={k}: pruning changed the tuple set"));
         }
-        if batched.counters.filter_points_examined != unpruned.counters.filter_points_examined
+        let mut unpruned_plus_skips = unpruned.counters.clone();
+        unpruned_plus_skips.narrowings_skipped = batched.counters.narrowings_skipped;
+        if batched.counters != unpruned_plus_skips
             || batched.page_accesses != unpruned.page_accesses
         {
             violations.push(format!(
-                "k={k}: pruning must not change the filter traversal or I/O"
+                "k={k}: pruning must change no counter but the narrowing skips, and no I/O"
             ));
         }
-        if batched.counters.filter_clip_ops >= unpruned.counters.filter_clip_ops {
+        if batched.counters.narrowings_skipped == 0 || unpruned.counters.narrowings_skipped != 0 {
             violations.push(format!(
-                "k={k}: running-intersection pruning did not reduce clip ops ({} vs {})",
-                batched.counters.filter_clip_ops, unpruned.counters.filter_clip_ops
+                "k={k}: pruning must skip bbox-disjoint narrowings, and only when on ({} vs {})",
+                batched.counters.narrowings_skipped, unpruned.counters.narrowings_skipped
             ));
         }
     }
@@ -188,8 +192,8 @@ pub fn run(args: &Args) {
     println!(
         "shape check: per k, batched must beat per-tuple on page accesses and points \
          examined, the planned run must beat the pr4-baseline on filter calls, pruning \
-         must cut clip ops at unchanged traversal, all with identical tuple sets, and \
-         the T=4 parity column must read `exact`"
+         must skip bbox-disjoint narrowings and move no other counter, all with \
+         identical tuple sets, and the T=4 parity column must read `exact`"
     );
     assert!(
         violations.is_empty(),

@@ -11,7 +11,8 @@
 //! of C++, synthetic stand-ins for the USGS datasets, scaled-down default
 //! sizes), but the *shape* of every result — which algorithm wins, by what
 //! factor, how curves move with each parameter — is what the harness
-//! reproduces. EXPERIMENTS.md records paper-vs-measured values.
+//! reproduces; every experiment prints its own `shape check (paper)` line
+//! and the `BENCH_<n>.json` snapshots below record the measured values.
 //!
 //! # The persisted bench trajectory (`BENCH_<n>.json`)
 //!

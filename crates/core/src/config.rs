@@ -248,12 +248,11 @@ pub struct CijConfig {
     /// [`LeafLayout::Soa`]: cij_rtree::LeafLayout::Soa
     /// [`LeafLayout::Aos`]: cij_rtree::LeafLayout::Aos
     pub leaf_layout: LeafLayout,
-    /// Whether the multiway CIJ prunes each extension round with the
-    /// running intersections' bounding box: batch probes seed every
-    /// examined point's approximate cell from the probe regions' union bbox
-    /// (provably decision-preserving, since a cell can only matter where a
-    /// probe region is), and candidate×partial narrowing skips bbox-disjoint
-    /// combinations. On by default; disable to reproduce the PR-4 baseline.
+    /// Whether the multiway CIJ's candidate×partial narrowing skips
+    /// combinations whose bounding boxes are disjoint (their polygon
+    /// intersection would be empty anyway; counted in
+    /// [`MultiwayCounters::narrowings_skipped`](crate::stats::MultiwayCounters::narrowings_skipped)).
+    /// On by default; disable to pay for every intersection.
     pub multiway_prune: bool,
     /// Execution path of the streaming executors (see [`ExecMode`]):
     /// [`ExecMode::Metered`] (the default) is the byte-exact counted
@@ -367,8 +366,8 @@ impl CijConfig {
         self
     }
 
-    /// Enables or disables the multiway running-intersection bbox pruning
-    /// (see [`CijConfig::multiway_prune`]).
+    /// Enables or disables the multiway bbox-disjoint narrowing skips (see
+    /// [`CijConfig::multiway_prune`]).
     pub fn with_multiway_prune(mut self, prune: bool) -> Self {
         self.multiway_prune = prune;
         self

@@ -38,28 +38,62 @@
 //!   nearest-first by expanding grid rings, and each polygon test touches
 //!   only the polygons whose bbox can overlap the query.
 //!
-//! **Why bounded clipping is sufficient.** Let `R` be the *reach* of the
-//! current approximate cell from the examined point `p` — the maximum
-//! distance from `p` to a cell vertex ([`cij_voronoi::cell_reach_sq`]). The
-//! convex cell lies inside the circle of radius `R` around `p`. Every
-//! location the bisector `⊥(p, c)` removes is closer to `c` than to `p`, so
-//! by the triangle inequality it lies at least `dist(p, c) / 2` from `p`.
-//! Hence a candidate with `dist(p, c) > 2R` cannot shrink the cell at all,
-//! and once a grid ring's minimum distance exceeds `2R` **no remaining
-//! candidate in that ring or beyond can either** — the enumeration stops.
-//! Clipping near candidates first shrinks `R` as fast as possible, which is
-//! what makes the cutoff bite early. Skipped clips are provably no-ops, so
-//! both kernels return the **same candidate set** (asserted by the
-//! `filter_kernel` experiment and a kernel-equivalence proptest); only the
-//! [`FilterStats::clip_ops`] and [`FilterStats::poly_tests_skipped`]
+//! # Why bounded clipping is sufficient
+//!
+//! Let `R` be the *reach* of the current approximate cell from the examined
+//! point `p` — the maximum distance from `p` to a cell vertex
+//! ([`cij_voronoi::cell_reach_sq`]). The convex cell lies inside the circle
+//! of radius `R` around `p` (a convex function peaks at a vertex, whether
+//! or not `p` itself is in the cell). Every location the bisector `⊥(p, c)`
+//! removes is closer to `c` than to `p`, so by the triangle inequality it
+//! lies at least `dist(p, c) / 2` from `p`. Hence a candidate with
+//! `dist(p, c) > 2R` cannot shrink the cell at all, and once a grid ring's
+//! minimum distance exceeds `2R` **no remaining candidate in that ring or
+//! beyond can either** — the enumeration stops. Skipped clips are provably
+//! no-ops, so both kernels return the **same candidate set** (asserted by
+//! the `filter_kernel` experiment and a kernel-equivalence proptest); only
+//! the [`FilterStats::clip_ops`] and [`FilterStats::poly_tests_skipped`]
 //! counters differ.
+//!
+//! The cutoff only bites when `R` is small from the start and the rings
+//! really are nearest-first. Three invariants make that so, and each leaves
+//! every decision of the traversal where it was:
+//!
+//! 1. **Bounded seed.** Every approximate cell starts from `B`, the union
+//!    bounding box of the probe polygons, padded by a tolerance-sized margin
+//!    and cut to the domain — not from the whole domain. A cell is only
+//!    ever asked whether it meets a probe polygon `T`, every `T` lies in
+//!    the padded box and every cell in the domain, so `(cell ∩ B) ∩ T =
+//!    cell ∩ T`: the answer is the same, while the reach is group-sized
+//!    from the first clip and the cell of a far point empties after a few.
+//!    (The candidates all sit around the probe group, so a domain-seeded
+//!    cell stays open on its far side, its reach stays domain-sized and the
+//!    cutoff never fires.)
+//! 2. **Clamped local frame.** The candidate grid is framed on the same
+//!    `B`, so its buckets divide the region the candidates actually occupy.
+//!    Candidates and examined points outside `B` clamp to border buckets;
+//!    [`cij_geom::grid`] argues why the ring bound and the reported bucket
+//!    extent stay lower bounds for them. The grid only orders and skips
+//!    clips that the reach argument already proved to be no-ops.
+//! 3. **Convexity of the tolerant Φ set.** Ingredient 3 accepts a vertex
+//!    `b` when `dist²(b, p) − mindist²(L, b) ≤ EPS`. The left side is
+//!    `max over l ∈ L of (|b − p|² − |b − l|²)`, a maximum of functions
+//!    affine in `b`, hence convex, so the accepted set is convex. If the
+//!    four corners of the probe polygons' union bounding box are accepted
+//!    for all four sides of an entry under one candidate, every vertex of
+//!    every polygon is, and the per-polygon rule would have pruned the
+//!    entry too. The group-level test therefore only ever answers `true`
+//!    where the per-polygon loop does and falls through to it otherwise
+//!    (the corners are held to a slightly stricter bound than the vertices,
+//!    so that rounding cannot turn the implication around):
+//!    [`FilterStats::entries_pruned`] and the traversal are unchanged.
 //!
 //! [`FilterKernel`]: crate::config::FilterKernel
 //! [`FilterKernel::Scan`]: crate::config::FilterKernel::Scan
 //! [`FilterKernel::Indexed`]: crate::config::FilterKernel::Indexed
 
 use crate::config::FilterKernel;
-use cij_geom::{ClipScratch, ConvexPolygon, Point, PointGrid, Rect, RectGrid};
+use cij_geom::{ClipScratch, ConvexPolygon, Point, PointGrid, Rect, RectGrid, Segment};
 use cij_pagestore::PageId;
 use cij_rtree::{LeafLayout, MinDistHeap, MinHeapItem, Node, NodeArena, NodeReader, PointObject};
 use cij_voronoi::{bisector_cuts, cell_reach_sq};
@@ -114,14 +148,6 @@ pub struct FilterOptions {
     /// 8×8, double when the average bucket load exceeds ~3). Ignored by the
     /// scan kernel.
     pub grid_resolution: usize,
-    /// Seed every examined point's approximate cell from the probe
-    /// polygons' (padded) union bounding box instead of the whole domain —
-    /// the multiway join's running-intersection pruning. Decision
-    /// preserving: for every probe polygon `T ⊆ B`, `(cell ∩ B) ∩ T =
-    /// cell ∩ T`, so the same candidates are returned while cells start
-    /// small (small reach ⇒ early clip cutoff) and far points' cells empty
-    /// out immediately. Off by default.
-    pub bound_cells: bool,
     /// Memory layout of the node reads and approximate-cell clipping (see
     /// [`LeafLayout`]): SoA (the default) decodes nodes into the caller's
     /// [`FilterScratch`] arena and clips cells in place; AoS is the
@@ -131,19 +157,13 @@ pub struct FilterOptions {
 }
 
 impl FilterOptions {
-    /// Options running the given kernel with the default grid policy and no
-    /// cell bounding.
+    /// Options running the given kernel with the default grid policy and
+    /// layout.
     pub fn for_kernel(kernel: FilterKernel) -> Self {
         FilterOptions {
             kernel,
             ..Default::default()
         }
-    }
-
-    /// Returns the options with [`FilterOptions::bound_cells`] set.
-    pub fn with_bound_cells(mut self, bound: bool) -> Self {
-        self.bound_cells = bound;
-        self
     }
 
     /// Returns the options with the given [`FilterOptions::layout`].
@@ -211,8 +231,7 @@ pub fn batch_conditional_filter<T: NodeReader<PointObject>>(
 }
 
 /// [`batch_conditional_filter`] with explicit [`FilterOptions`] (kernel
-/// choice, candidate-grid resolution, probe-bbox cell bounding, leaf
-/// layout). Allocates a fresh [`FilterScratch`] per call; hot callers use
+/// choice, candidate-grid resolution, leaf layout). Allocates a fresh [`FilterScratch`] per call; hot callers use
 /// [`batch_conditional_filter_scratch`] to reuse one across invocations.
 ///
 /// The candidate set is independent of the options — they trade CPU
@@ -258,34 +277,28 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
     // test that forbids pruning.
     let poly_bboxes: Vec<Rect> = usable.iter().map(|t| t.bbox()).collect();
 
-    // Seed polygon of every approximate cell: the whole domain, or — with
-    // `bound_cells` — the padded union bbox of the probe polygons (every
-    // polygon is inside it, so intersect decisions are unchanged while the
-    // cells start with a small reach).
-    let seed = if options.bound_cells {
-        let union = poly_bboxes
-            .iter()
-            .fold(Rect::empty(), |acc, bb| acc.union(bb));
-        let pad = cij_geom::EPS * (1.0 + union.width() + union.height());
-        let padded = Rect::from_coords(
-            union.lo.x - pad,
-            union.lo.y - pad,
-            union.hi.x + pad,
-            union.hi.y + pad,
-        );
-        match domain.intersection(&padded) {
-            Some(bound) => ConvexPolygon::from_rect(&bound),
-            None => ConvexPolygon::from_rect(domain),
-        }
-    } else {
-        ConvexPolygon::from_rect(domain)
-    };
+    // The probe group's bounds `B`: the polygons' union bbox, padded and
+    // cut to the domain. Every approximate cell is seeded from it and the
+    // candidate grid is framed on it (module docs, invariants 1 and 2).
+    let group_bbox = poly_bboxes
+        .iter()
+        .fold(Rect::empty(), |acc, bb| acc.union(bb));
+    let pad = cij_geom::EPS * (1.0 + group_bbox.width() + group_bbox.height());
+    let padded = Rect::from_coords(
+        group_bbox.lo.x - pad,
+        group_bbox.lo.y - pad,
+        group_bbox.hi.x + pad,
+        group_bbox.hi.y + pad,
+    );
+    let bound = domain.intersection(&padded).unwrap_or(*domain);
+    let seed = ConvexPolygon::from_rect(&bound);
+    let group_corners = group_bbox.corners();
 
     let mut kernel = match options.kernel {
         FilterKernel::Scan => KernelState::Scan,
         FilterKernel::Indexed => KernelState::Indexed {
             grid: PointGrid::new(
-                domain,
+                &bound,
                 if options.grid_resolution == 0 {
                     ADAPTIVE_GRID_START
                 } else {
@@ -388,7 +401,7 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
                         })
                     }
                 };
-                if !touches_some_poly && is_shielded(&mbr, &usable, &candidates) {
+                if !touches_some_poly && is_shielded(&mbr, &group_corners, &usable, &candidates) {
                     stats.entries_pruned += 1;
                     continue;
                 }
@@ -644,14 +657,59 @@ fn any_indexed(
     hit
 }
 
+/// Relative guard of the group-level shield test: a corner `b` counts as
+/// inside `Φ(L, p)` only when `dist²(b, p)` undercuts `mindist²(L, b)` by
+/// this share of the magnitudes involved. It is orders of magnitude above
+/// the rounding error of either term and orders below any geometric scale,
+/// so a corner set that passes leaves every polygon vertex inside the
+/// [`cij_geom::EPS`]-tolerant rule of [`cij_geom::phi_contains_point`] as
+/// *evaluated*, not just as defined.
+const SHIELD_CORNER_GUARD: f64 = 1e-9;
+
 /// Whether every polygon is shielded from the entry `mbr` by some candidate:
 /// for each polygon `T` there is a `p ∈ candidates` such that `T` falls in
 /// `Φ(L, p)` for every side `L` of the entry (Lemma 3 applied per side).
-fn is_shielded(mbr: &Rect, polys: &[&ConvexPolygon], candidates: &[PointObject]) -> bool {
+///
+/// `group_corners` are the corners of the polygons' union bounding box. One
+/// candidate whose four Φ regions hold all four corners shields the whole
+/// group at once (module docs, invariant 3) — the common case for entries
+/// far from the group; otherwise the per-polygon rule decides.
+fn is_shielded(
+    mbr: &Rect,
+    group_corners: &[Point; 4],
+    polys: &[&ConvexPolygon],
+    candidates: &[PointObject],
+) -> bool {
     if candidates.is_empty() {
         return false;
     }
     let sides = mbr.sides();
+    // A corner is in Φ(L, p) for all four sides iff it is as close to `p`
+    // as to the nearest side, so one squared distance per corner — the
+    // same for every candidate — stands for the four.
+    let to_entry = group_corners.map(|b| {
+        sides
+            .iter()
+            .map(|l| l.mindist_point_sq(&b))
+            .fold(f64::INFINITY, f64::min)
+    });
+    let group_shielded = candidates.iter().any(|p| {
+        group_corners.iter().zip(&to_entry).all(|(b, &m)| {
+            let d = b.dist_sq(&p.point);
+            d + SHIELD_CORNER_GUARD * (1.0 + d + m) <= m
+        })
+    });
+    group_shielded || is_shielded_per_polygon(&sides, polys, candidates)
+}
+
+/// The per-polygon shield rule [`is_shielded`] falls through to (and its
+/// reference in tests): every polygon has *some* candidate, not necessarily
+/// the same one, whose Φ regions of all `sides` contain it.
+fn is_shielded_per_polygon(
+    sides: &[Segment; 4],
+    polys: &[&ConvexPolygon],
+    candidates: &[PointObject],
+) -> bool {
     polys.iter().all(|t| {
         candidates.iter().any(|p| {
             sides
@@ -667,6 +725,7 @@ mod tests {
     use cij_geom::Rect;
     use cij_rtree::{RTree, RTreeConfig};
     use cij_voronoi::{brute_force_cell, brute_force_diagram};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -815,9 +874,134 @@ mod tests {
     fn shield_test_requires_candidates() {
         let mbr = Rect::from_coords(9_000.0, 9_000.0, 9_100.0, 9_100.0);
         let t = ConvexPolygon::from_rect(&Rect::from_coords(0.0, 0.0, 100.0, 100.0));
-        assert!(!is_shielded(&mbr, &[&t], &[]));
+        let corners = t.bbox().corners();
+        assert!(!is_shielded(&mbr, &corners, &[&t], &[]));
         let shield = PointObject::new(0, Point::new(4_000.0, 4_000.0));
-        assert!(is_shielded(&mbr, &[&t], &[shield]));
+        assert!(is_shielded(&mbr, &corners, &[&t], &[shield]));
+    }
+
+    /// A random shield-test instance: a group of convex polygons inside a
+    /// box, an entry placed far from / edge-to-edge with / corner-to-corner
+    /// with / across the group's union bbox, and candidates scattered
+    /// around the group, between group and entry, and on the bbox corners
+    /// themselves. Coordinates are partly snapped to integers so exact Φ
+    /// boundary contacts occur.
+    fn shield_instance(
+        seed: u64,
+        n_polys: usize,
+        n_cands: usize,
+        placement: usize,
+    ) -> (Rect, Vec<ConvexPolygon>, Vec<PointObject>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let snap = |v: f64, on: bool| if on { v.round() } else { v };
+        let origin = Point::new(
+            rng.gen_range(1_000.0..8_000.0f64).round(),
+            rng.gen_range(1_000.0..8_000.0f64).round(),
+        );
+        let size = rng.gen_range(40.0..600.0f64).round();
+        let mut polys = Vec::new();
+        while polys.len() < n_polys {
+            let integral = rng.gen_range(0..2) == 0;
+            let mut coord = |lo: f64| snap(lo + rng.gen_range(0.0..size), integral);
+            let (ax, ay, bx, by) = (
+                coord(origin.x),
+                coord(origin.y),
+                coord(origin.x),
+                coord(origin.y),
+            );
+            let mut poly = ConvexPolygon::from_rect(&Rect::from_coords(ax, ay, bx, by));
+            let bb = poly.bbox();
+            for _ in 0..rng.gen_range(0..4) {
+                let inside = |rng: &mut StdRng| {
+                    Point::new(
+                        rng.gen_range(bb.lo.x..=bb.hi.x),
+                        rng.gen_range(bb.lo.y..=bb.hi.y),
+                    )
+                };
+                let (a, b) = (inside(&mut rng), inside(&mut rng));
+                let clipped = poly.clip_bisector(&a, &b);
+                if !clipped.is_empty() {
+                    poly = clipped;
+                }
+            }
+            if !poly.is_empty() {
+                polys.push(poly);
+            }
+        }
+        let group = polys
+            .iter()
+            .fold(Rect::empty(), |acc, t| acc.union(&t.bbox()));
+        let (w, h) = (
+            rng.gen_range(1.0..900.0f64).round(),
+            rng.gen_range(1.0..900.0f64).round(),
+        );
+        let mbr = match placement {
+            // Anywhere in the domain.
+            0 => {
+                let x = rng.gen_range(0.0..9_000.0f64).round();
+                let y = rng.gen_range(0.0..9_000.0f64).round();
+                Rect::from_coords(x, y, x + w, y + h)
+            }
+            // Sharing (part of) an edge with the group's bbox.
+            1 => {
+                let y = group.lo.y + rng.gen_range(-h..group.height().max(1.0));
+                Rect::from_coords(group.hi.x, y, group.hi.x + w, y + h)
+            }
+            // Touching the group's bbox in one corner only.
+            2 => Rect::from_coords(group.lo.x - w, group.hi.y, group.lo.x, group.hi.y + h),
+            // Straddling the bbox border.
+            _ => {
+                let x = group.lo.x - rng.gen_range(0.0..w);
+                let y = group.hi.y - rng.gen_range(0.0..h);
+                Rect::from_coords(x, y, x + w, y + h)
+            }
+        };
+        let (gc, ec) = (group.center(), mbr.center());
+        let candidates = (0..n_cands)
+            .map(|i| {
+                let integral = rng.gen_range(0..2) == 0;
+                let point = match rng.gen_range(0..4) {
+                    0 => group.corners()[rng.gen_range(0..4usize)],
+                    1 => {
+                        let t = rng.gen_range(0.0..1.0);
+                        let jitter = rng.gen_range(-size..size) * 0.2;
+                        Point::new(
+                            snap(gc.x + t * (ec.x - gc.x) + jitter, integral),
+                            snap(gc.y + t * (ec.y - gc.y) - jitter, integral),
+                        )
+                    }
+                    _ => Point::new(
+                        snap(gc.x + rng.gen_range(-2.0..2.0) * size, integral),
+                        snap(gc.y + rng.gen_range(-2.0..2.0) * size, integral),
+                    ),
+                };
+                PointObject::new(i as u64, point)
+            })
+            .collect();
+        (mbr, polys, candidates)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The group-level fast path never changes the shield decision: with
+        /// it, `is_shielded` equals the plain per-polygon rule on random
+        /// entries, polygon groups and candidate lists — entries touching
+        /// and crossing the group's union bbox included.
+        #[test]
+        fn group_shield_test_equals_the_per_polygon_rule(
+            seed in 0u64..1_000_000,
+            n_polys in 1usize..9,
+            n_cands in 0usize..14,
+            placement in 0usize..4,
+        ) {
+            let (mbr, polys, candidates) = shield_instance(seed, n_polys, n_cands, placement);
+            let usable: Vec<&ConvexPolygon> = polys.iter().collect();
+            let group = polys.iter().fold(Rect::empty(), |acc, t| acc.union(&t.bbox()));
+            let with_fast_path = is_shielded(&mbr, &group.corners(), &usable, &candidates);
+            let plain = is_shielded_per_polygon(&mbr.sides(), &usable, &candidates);
+            prop_assert_eq!(with_fast_path, plain);
+        }
     }
 
     #[test]
@@ -851,18 +1035,14 @@ mod tests {
     }
 
     /// Runs both kernels over the same probe and returns the two outcomes.
-    fn both_kernels(
-        p: &[Point],
-        polys: &[ConvexPolygon],
-        bound_cells: bool,
-    ) -> [(Vec<PointObject>, FilterStats); 2] {
+    fn both_kernels(p: &[Point], polys: &[ConvexPolygon]) -> [(Vec<PointObject>, FilterStats); 2] {
         [FilterKernel::Indexed, FilterKernel::Scan].map(|kernel| {
             let mut rp = RTree::bulk_load(config(), PointObject::from_points(p));
             batch_conditional_filter_with(
                 &mut rp,
                 polys,
                 &Rect::DOMAIN,
-                &FilterOptions::for_kernel(kernel).with_bound_cells(bound_cells),
+                &FilterOptions::for_kernel(kernel),
             )
         })
     }
@@ -873,7 +1053,7 @@ mod tests {
         let q = random_points(1_500, 96);
         let q_cells = brute_force_diagram(&q[..200], &Rect::DOMAIN);
         let group: Vec<ConvexPolygon> = q_cells[50..70].to_vec();
-        let [(ind_cands, ind_stats), (scan_cands, scan_stats)] = both_kernels(&p, &group, false);
+        let [(ind_cands, ind_stats), (scan_cands, scan_stats)] = both_kernels(&p, &group);
         assert_eq!(ind_cands, scan_cands, "kernels must agree on candidates");
         assert_eq!(ind_stats.points_examined, scan_stats.points_examined);
         assert_eq!(ind_stats.entries_pruned, scan_stats.entries_pruned);
@@ -885,22 +1065,6 @@ mod tests {
         );
         assert!(ind_stats.poly_tests_skipped > 0);
         assert_eq!(scan_stats.poly_tests_skipped, 0);
-    }
-
-    #[test]
-    fn bound_cells_preserves_candidates_in_both_kernels() {
-        let p = random_points(800, 97);
-        let q = random_points(800, 98);
-        let q_cells = brute_force_diagram(&q[..150], &Rect::DOMAIN);
-        let group: Vec<ConvexPolygon> = q_cells[10..26].to_vec();
-        let [(ind_b, ind_b_stats), (scan_b, scan_b_stats)] = both_kernels(&p, &group, true);
-        let [(ind, ind_stats), (scan, scan_stats)] = both_kernels(&p, &group, false);
-        assert_eq!(ind, scan);
-        assert_eq!(ind_b, ind, "bound_cells must not change the candidate set");
-        assert_eq!(scan_b, scan);
-        // Bounded seeds can only reduce clip work.
-        assert!(ind_b_stats.clip_ops <= ind_stats.clip_ops);
-        assert!(scan_b_stats.clip_ops <= scan_stats.clip_ops);
     }
 
     #[test]

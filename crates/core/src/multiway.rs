@@ -41,14 +41,12 @@
 //!   [`CellCache`] and each partial region is narrowed by polygon
 //!   intersection; empty intersections drop the candidate tuple.
 //!
-//! With [`CijConfig::multiway_prune`] (on by default) every extension round
-//! is additionally pruned by the **running intersections' bounding box**:
-//! the batch probe seeds each examined point's approximate cell from the
-//! probe regions' union bbox (decision-preserving — see
-//! [`FilterOptions::bound_cells`](crate::filter::FilterOptions::bound_cells)
-//! — and a large cut in bisector clip work, observable as
-//! [`MultiwayCounters::filter_clip_ops`]), and the candidate×partial
-//! narrowing skips bbox-disjoint combinations outright.
+//! With [`CijConfig::multiway_prune`] (on by default) the candidate×partial
+//! narrowing of every extension round skips **bbox-disjoint** combinations
+//! outright — their polygon intersection would be empty anyway — observable
+//! as [`MultiwayCounters::narrowings_skipped`]. (The batch probe itself
+//! always seeds its approximate cells from the probe regions' union bbox,
+//! like every conditional-filter call; see [`crate::filter`].)
 //!
 //! The partial tuples of one leaf stay spatially close through every round
 //! (they are intersections of neighbouring cells), which is what makes the
@@ -604,9 +602,8 @@ impl<'a> TupleStream<'a> {
         let driver = self.eval_order[0];
         let mode = self.mode;
         let layout = self.config.leaf_layout;
-        let filter_options = FilterOptions::for_kernel(self.config.filter_kernel)
-            .with_bound_cells(self.config.multiway_prune)
-            .with_layout(layout);
+        let filter_options =
+            FilterOptions::for_kernel(self.config.filter_kernel).with_layout(layout);
         let prune = self.config.multiway_prune;
         let budget = self.source.tree(driver).config().node_byte_budget();
 
@@ -627,6 +624,7 @@ impl<'a> TupleStream<'a> {
         let mut evictions_after = vec![vec![0u64; k]; n];
         let mut probes = vec![0u64; n];
         let mut fstats = vec![FilterStats::default(); n];
+        let mut narrowings_skipped = vec![0u64; n];
 
         // Scan (parallel): read each chunk leaf of the driving tree against
         // the immutable snapshot, recording the page trace (metered) or
@@ -922,7 +920,7 @@ impl<'a> TupleStream<'a> {
             // their polygon intersection would be empty anyway (touching
             // bboxes still intersect, so degenerate contacts take the exact
             // path).
-            let extensions: Vec<Vec<MultiwayTuple>> = {
+            let extensions: Vec<(Vec<MultiwayTuple>, u64)> = {
                 let partials = &partials;
                 let cell_bboxes: Vec<Vec<Rect>> = aligned_cells
                     .iter()
@@ -931,6 +929,7 @@ impl<'a> TupleStream<'a> {
                 run_ordered(workers, units.len(), |u| {
                     let (leaf, range) = &units[u];
                     let mut out = Vec::new();
+                    let mut skipped = 0u64;
                     for partial in &partials[*leaf][range.clone()] {
                         let partial_bbox = partial.region.bbox();
                         for ((cand, cell), cell_bbox) in candidates[u]
@@ -939,6 +938,7 @@ impl<'a> TupleStream<'a> {
                             .zip(&cell_bboxes[u])
                         {
                             if prune && !partial_bbox.intersects(cell_bbox) {
+                                skipped += 1;
                                 continue;
                             }
                             let region = partial.region.intersection(cell);
@@ -949,14 +949,15 @@ impl<'a> TupleStream<'a> {
                             }
                         }
                     }
-                    out
+                    (out, skipped)
                 })
             };
 
             // Reassemble (unit order is leaf-major, so this is leaf order).
             let mut next: Vec<Vec<MultiwayTuple>> = vec![Vec::new(); n];
-            for ((leaf, _), ext) in units.iter().zip(extensions) {
+            for ((leaf, _), (ext, skipped)) in units.iter().zip(extensions) {
                 next[*leaf].extend(ext);
+                narrowings_skipped[*leaf] += skipped;
             }
             partials = next;
         }
@@ -990,6 +991,7 @@ impl<'a> TupleStream<'a> {
             self.counters.filter_entries_pruned += fstats[i].entries_pruned;
             self.counters.filter_clip_ops += fstats[i].clip_ops;
             self.counters.filter_poly_tests_skipped += fstats[i].poly_tests_skipped;
+            self.counters.narrowings_skipped += narrowings_skipped[i];
             let leaf_tuples: Vec<MultiwayTuple> = if identity_order {
                 leaf_tuples
             } else {
@@ -1339,7 +1341,7 @@ mod tests {
     }
 
     #[test]
-    fn pruning_changes_no_results_but_cuts_clip_work() {
+    fn pruning_changes_no_results_and_only_skips_disjoint_narrowings() {
         let config = small_config();
         let sets = vec![
             random_points(120, 261),
@@ -1349,17 +1351,17 @@ mod tests {
         let pruned = multiway_cij(&sets, &config);
         let unpruned = multiway_cij(&sets, &config.with_multiway_prune(false));
         assert_eq!(pruned.sorted_ids(), unpruned.sorted_ids());
-        assert_eq!(
-            pruned.counters.filter_points_examined, unpruned.counters.filter_points_examined,
-            "bbox bounding must not change the filter traversal"
-        );
         assert_eq!(pruned.page_accesses, unpruned.page_accesses);
+        // The knob no longer reaches the filter (which always bounds its
+        // seeds): everything but the narrowing skips is identical.
         assert!(
-            pruned.counters.filter_clip_ops < unpruned.counters.filter_clip_ops,
-            "running-intersection bounding must cut clip work ({} vs {})",
-            pruned.counters.filter_clip_ops,
-            unpruned.counters.filter_clip_ops
+            pruned.counters.narrowings_skipped > 0,
+            "bbox-disjoint narrowings must be skipped"
         );
+        assert_eq!(unpruned.counters.narrowings_skipped, 0);
+        let mut expected = unpruned.counters.clone();
+        expected.narrowings_skipped = pruned.counters.narrowings_skipped;
+        assert_eq!(pruned.counters, expected);
     }
 
     #[test]

@@ -161,6 +161,11 @@ pub struct MultiwayCounters {
     /// Probe-polygon tests the indexed filter kernel's bbox index avoided
     /// across all filter invocations (0 under the scan kernel).
     pub filter_poly_tests_skipped: u64,
+    /// Candidate×partial narrowings skipped because the two bounding boxes
+    /// are disjoint (their polygon intersection would be empty) — the work
+    /// [`CijConfig::multiway_prune`](crate::config::CijConfig::multiway_prune)
+    /// saves; 0 with the knob off.
+    pub narrowings_skipped: u64,
     /// Result tuples produced so far (equals the final tuple count once the
     /// stream is drained; mid-stream it runs ahead of what the consumer has
     /// pulled by the buffered tuples).

@@ -133,8 +133,8 @@ impl RealDataset {
     }
 
     /// Generates the stand-in dataset scaled to `scale * cardinality` points
-    /// (the experiment harness uses scales < 1 for quick runs and records the
-    /// actual sizes in EXPERIMENTS.md).
+    /// (the experiment harness uses scales < 1 for quick runs and prints the
+    /// actual sizes in its tables).
     pub fn generate_scaled(&self, scale: f64) -> Vec<Point> {
         let n = ((self.cardinality() as f64) * scale).round().max(1.0) as usize;
         clustered_points(&self.spec(n), &Rect::DOMAIN, self.seed())

@@ -19,6 +19,32 @@
 //! answer a geometric predicate themselves — callers re-check exact
 //! conditions on the returned item indices, so replacing a linear scan with
 //! a grid query can never change a decision.
+//!
+//! # Points outside the frame
+//!
+//! A frame need not cover its items: the conditional filter frames its
+//! candidate grid on the probe group's bounding box, and most candidates
+//! and examined points lie around that box, not in it. [`GridFrame::bucket_of`]
+//! clamps such a coordinate to the border row/column, so along each axis
+//! column `0` holds everything below `lo + w`, column `res − 1` everything
+//! from `lo + (res − 1)·w` upwards, and a zero-width axis sends every
+//! coordinate to column `0`. Both distance bounds of [`PointGrid`] are
+//! stated over that clamped mapping:
+//!
+//! * [`GridFrame::bucket_rect`] returns the **preimage** of a bucket under
+//!   `bucket_of` — border buckets extend to infinity on their outward
+//!   sides — so `bucket_rect(i, j).mindist_point_sq(p)` is a lower bound on
+//!   the distance from `p` to every item stored in the bucket, clamped or
+//!   not.
+//! * [`PointGrid::ring_mindist`] holds for a clamped query point too: if
+//!   the query maps to column `i` and an item to column `i'` with
+//!   `|i' − i| = r`, the `r − 1` columns strictly between them are interior
+//!   (their indices lie strictly between two valid indices), hence exactly
+//!   one bucket width each, and the query and the item lie on opposite
+//!   sides of that strip however far outside the frame either is. The same
+//!   holds per row, and a Chebyshev ring `r` bucket differs by `r` in at
+//!   least one axis. (On a zero-width axis every index is `0`, the step is
+//!   `0` and the bound degenerates to the trivially valid `0`.)
 
 use crate::point::Point;
 use crate::rect::Rect;
@@ -95,13 +121,34 @@ impl GridFrame {
         Some((i0, j0, i1, j1))
     }
 
-    /// The spatial extent of bucket `(i, j)`.
+    /// The span of coordinates [`GridFrame::axis_bucket`] maps to `idx`:
+    /// one bucket extent for interior indices, open to infinity on the
+    /// outward side of the two border indices (which receive the clamped
+    /// coordinates), and the whole axis when the extent is zero.
+    fn axis_span(&self, idx: usize, lo: f64, extent: f64) -> (f64, f64) {
+        if extent <= 0.0 {
+            return (f64::NEG_INFINITY, f64::INFINITY);
+        }
+        let from = if idx == 0 {
+            f64::NEG_INFINITY
+        } else {
+            lo + idx as f64 * extent
+        };
+        let to = if idx + 1 == self.res {
+            f64::INFINITY
+        } else {
+            lo + (idx + 1) as f64 * extent
+        };
+        (from, to)
+    }
+
+    /// The region of the plane [`GridFrame::bucket_of`] maps to bucket
+    /// `(i, j)`: its cell of the frame, extended to infinity on the outward
+    /// sides of border buckets (see the module docs).
     pub fn bucket_rect(&self, i: usize, j: usize) -> Rect {
-        let lo = Point::new(
-            self.bounds.lo.x + i as f64 * self.bucket_w,
-            self.bounds.lo.y + j as f64 * self.bucket_h,
-        );
-        Rect::from_coords(lo.x, lo.y, lo.x + self.bucket_w, lo.y + self.bucket_h)
+        let (x0, x1) = self.axis_span(i, self.bounds.lo.x, self.bucket_w);
+        let (y0, y1) = self.axis_span(j, self.bounds.lo.y, self.bucket_h);
+        Rect::from_coords(x0, y0, x1, y1)
     }
 
     fn bucket_index(&self, i: usize, j: usize) -> usize {
@@ -174,16 +221,18 @@ impl PointGrid {
         next
     }
 
-    /// Lower bound on the distance from a point in the center bucket to any
-    /// point of a bucket on Chebyshev ring `ring`: a bucket `ring` steps
-    /// away is separated from the query point by at least `ring − 1` full
-    /// bucket extents. Rings 0 and 1 may touch the query point itself.
+    /// Lower bound on the distance from a point mapped to the center bucket
+    /// to any item of a bucket on Chebyshev ring `ring`: a bucket `ring`
+    /// steps away is separated from the query point by at least `ring − 1`
+    /// full bucket extents, wherever outside the frame the point or the item
+    /// lies (see the module docs). Rings 0 and 1 may touch the query point
+    /// itself.
     pub fn ring_mindist(&self, ring: usize) -> f64 {
         ring.saturating_sub(1) as f64 * self.frame.min_bucket_extent()
     }
 
     /// Visits every in-bounds bucket of Chebyshev ring `ring` around
-    /// `center` with its spatial extent and item slice. Returns `false` when
+    /// `center` with its extent ([`GridFrame::bucket_rect`]) and item slice. Returns `false` when
     /// the whole ring lies outside the grid — no larger ring can contain
     /// anything either, so callers stop expanding.
     pub fn for_each_ring_bucket(
@@ -337,56 +386,141 @@ mod tests {
         assert_eq!(frame.min_bucket_extent(), 0.0);
     }
 
-    #[test]
-    fn point_grid_ring_visits_cover_everything_once() {
-        let bounds = Rect::from_coords(0.0, 0.0, 100.0, 100.0);
-        let mut grid = PointGrid::new(&bounds, 8);
-        let points: Vec<Point> = (0..50)
-            .map(|i| Point::new((i * 13 % 100) as f64, (i * 31 % 100) as f64))
-            .collect();
-        for (i, p) in points.iter().enumerate() {
-            grid.insert(p, i as u32);
-        }
-        assert_eq!(grid.len(), 50);
-        let center = grid.frame().bucket_of(&Point::new(50.0, 50.0));
+    /// A spread of items and query points of which most lie outside a frame
+    /// of `bounds` (they clamp to border buckets).
+    fn scattered(n: usize, bounds: &Rect) -> Vec<Point> {
+        let c = bounds.center();
+        let (w, h) = (bounds.width().max(1.0), bounds.height().max(1.0));
+        (0..n)
+            .map(|i| {
+                let fx = ((i * 37 % 101) as f64 / 100.0 - 0.5) * 5.0;
+                let fy = ((i * 59 % 103) as f64 / 102.0 - 0.5) * 5.0;
+                Point::new(c.x + fx * w, c.y + fy * h)
+            })
+            .collect()
+    }
+
+    /// Walks every ring around `from` and checks the three contracts the
+    /// filter's cutoff relies on: the rings partition the items, and both
+    /// the ring bound and the reported bucket extent are lower bounds on
+    /// the distance to every item they cover.
+    fn assert_ring_contracts(grid: &PointGrid, points: &[Point], from: &Point) {
+        let center = grid.frame().bucket_of(from);
         let mut seen = Vec::new();
         let mut ring = 0;
-        while grid.for_each_ring_bucket(center, ring, |_, items| seen.extend_from_slice(items)) {
+        loop {
+            let lb = grid.ring_mindist(ring);
+            let in_range = grid.for_each_ring_bucket(center, ring, |bucket, items| {
+                for &idx in items {
+                    let item = &points[idx as usize];
+                    assert!(
+                        item.dist(from) >= lb,
+                        "ring {ring} holds {item} closer to {from} than its bound {lb}"
+                    );
+                    assert!(
+                        bucket.mindist_point_sq(from) <= item.dist_sq(from),
+                        "bucket extent {bucket:?} is no lower bound for {item} from {from}"
+                    );
+                    assert!(
+                        bucket.contains_point(item),
+                        "bucket extent {bucket:?} misses its own item {item}"
+                    );
+                }
+                seen.extend_from_slice(items);
+            });
+            if !in_range {
+                break;
+            }
             ring += 1;
         }
         seen.sort_unstable();
-        let expected: Vec<u32> = (0..50).collect();
-        assert_eq!(seen, expected, "rings must partition the grid");
+        let expected: Vec<u32> = (0..points.len() as u32).collect();
+        assert_eq!(seen, expected, "rings must partition the items");
     }
 
     #[test]
-    fn ring_mindist_is_a_valid_lower_bound() {
+    fn items_and_queries_inside_the_frame_keep_every_ring_contract() {
         let bounds = Rect::from_coords(0.0, 0.0, 100.0, 100.0);
-        let mut grid = PointGrid::new(&bounds, 10);
         let points: Vec<Point> = (0..80)
             .map(|i| Point::new((i * 7 % 100) as f64, (i * 53 % 100) as f64))
             .collect();
-        for (i, p) in points.iter().enumerate() {
-            grid.insert(p, i as u32);
+        for res in [8usize, 10] {
+            let mut grid = PointGrid::new(&bounds, res);
+            for (i, p) in points.iter().enumerate() {
+                grid.insert(p, i as u32);
+            }
+            assert_eq!(grid.len(), points.len());
+            for from in [
+                Point::new(50.0, 50.0),
+                Point::new(3.0, 97.0),
+                Point::new(55.0, 42.0),
+            ] {
+                assert_ring_contracts(&grid, &points, &from);
+            }
         }
-        for from in [Point::new(3.0, 97.0), Point::new(55.0, 42.0)] {
-            let center = grid.frame().bucket_of(&from);
-            let mut ring = 0;
-            loop {
-                let lb = grid.ring_mindist(ring);
-                let mut ok = true;
-                let in_range = grid.for_each_ring_bucket(center, ring, |_, items| {
-                    for &idx in items {
-                        if points[idx as usize].dist(&from) < lb {
-                            ok = false;
-                        }
-                    }
-                });
-                assert!(ok, "ring {ring} contains a point closer than its bound");
-                if !in_range {
-                    break;
-                }
-                ring += 1;
+    }
+
+    #[test]
+    fn items_and_queries_outside_the_frame_keep_every_ring_contract() {
+        let bounds = Rect::from_coords(40.0, 40.0, 60.0, 50.0);
+        let points = scattered(120, &bounds);
+        assert!(
+            points.iter().filter(|p| !bounds.contains_point(p)).count() > points.len() / 2,
+            "the fixture must mostly lie outside the frame"
+        );
+        for res in [1usize, 2, 5, 16] {
+            let mut grid = PointGrid::new(&bounds, res);
+            for (i, p) in points.iter().enumerate() {
+                grid.insert(p, i as u32);
+            }
+            for from in scattered(40, &bounds) {
+                assert_ring_contracts(&grid, &points, &from);
+            }
+            // Growth keeps the frame, so the contracts survive a rebuild.
+            let grown = grid.grown(|i| points[i as usize]);
+            assert_eq!(grown.frame().bounds(), grid.frame().bounds());
+            assert_ring_contracts(&grown, &points, &Point::new(-500.0, 47.0));
+        }
+    }
+
+    #[test]
+    fn border_buckets_extend_to_infinity_and_interior_ones_do_not() {
+        let frame = GridFrame::new(&Rect::from_coords(0.0, 0.0, 30.0, 30.0), 3);
+        let corner = frame.bucket_rect(0, 2);
+        assert_eq!(corner.lo.x, f64::NEG_INFINITY);
+        assert_eq!(corner.hi.x, 10.0);
+        assert_eq!(corner.lo.y, 20.0);
+        assert_eq!(corner.hi.y, f64::INFINITY);
+        assert_eq!(
+            frame.bucket_rect(1, 1),
+            Rect::from_coords(10.0, 10.0, 20.0, 20.0)
+        );
+        // A far-away clamped item is at distance 0 from its own bucket, and
+        // the bucket is still a finite distance from points on the far side.
+        let far = Point::new(-1.0e6, 1.0e6);
+        assert_eq!(frame.bucket_of(&far), (0, 2));
+        assert_eq!(corner.mindist_point_sq(&far), 0.0);
+        assert_eq!(corner.mindist_point_sq(&Point::new(25.0, 5.0)), 450.0);
+        // One bucket per axis: the single bucket is the whole plane.
+        let whole = GridFrame::new(&Rect::from_coords(0.0, 0.0, 1.0, 1.0), 1).bucket_rect(0, 0);
+        assert_eq!(whole.mindist_point_sq(&far), 0.0);
+    }
+
+    #[test]
+    fn degenerate_frames_keep_every_ring_contract() {
+        for bounds in [
+            Rect::from_coords(5.0, 0.0, 5.0, 10.0),
+            Rect::from_coords(0.0, 7.0, 10.0, 7.0),
+            Rect::from_point(Point::new(3.0, 3.0)),
+        ] {
+            let points = scattered(60, &Rect::from_coords(-5.0, -5.0, 15.0, 15.0));
+            let mut grid = PointGrid::new(&bounds, 4);
+            for (i, p) in points.iter().enumerate() {
+                grid.insert(p, i as u32);
+            }
+            assert_eq!(grid.ring_mindist(3), 0.0, "no step on a zero-width axis");
+            for from in [Point::new(5.0, 5.0), Point::new(-40.0, 90.0)] {
+                assert_ring_contracts(&grid, &points, &from);
             }
         }
     }
