@@ -55,6 +55,12 @@
 //! the [`FilterStats::clip_ops`] and [`FilterStats::poly_tests_skipped`]
 //! counters differ.
 //!
+//! This `2R` bound is the one bound of both crates: [`cij_voronoi::batch`]
+//! applies it to the exact cells of BatchVoronoi — as a per-member gate in
+//! front of the Lemma-1/Lemma-2 vertex loops and as the stop rule of its
+//! nearest-first seeding — and states the rectangle (Lemma 2) form of the
+//! argument there.
+//!
 //! The cutoff only bites when `R` is small from the start and the rings
 //! really are nearest-first. Three invariants make that so, and each leaves
 //! every decision of the traversal where it was:
@@ -173,9 +179,10 @@ impl FilterOptions {
     }
 }
 
-/// Reusable per-worker scratch of the SoA filter path: the node decode
-/// arena, the polygon clipping ping-pong buffers and the approximate-cell
-/// working polygon. Allocate one per worker, reuse it across every filter
+/// Reusable per-worker scratch of the filter: the node decode arena, the
+/// polygon clipping ping-pong buffers and the approximate-cell working
+/// polygon of the SoA path, and the indexed kernel's candidate grid (either
+/// layout). Allocate one per worker, reuse it across every filter
 /// invocation the worker issues; contents between calls are unspecified.
 #[derive(Debug, Default)]
 pub struct FilterScratch {
@@ -185,6 +192,10 @@ pub struct FilterScratch {
     pub clip: ClipScratch,
     /// The working approximate cell of the currently examined point.
     pub cell: ConvexPolygon,
+    /// The indexed kernel's candidate grid: re-framed and emptied per call
+    /// ([`PointGrid::reset`]), so its buckets are allocated once per worker
+    /// rather than once per invocation.
+    pub grid: PointGrid,
 }
 
 impl FilterScratch {
@@ -199,15 +210,12 @@ impl FilterScratch {
     }
 }
 
-/// The per-kernel state of one filter invocation. The indexed payload is
-/// boxed-by-construction in its two growable indexes, so the bare `Scan`
-/// variant costing nothing extra is fine.
-#[allow(clippy::large_enum_variant)]
+/// The per-kernel state of one filter invocation. The indexed kernel's
+/// other index — accepted candidates, bucketed by position for ring
+/// queries — is [`FilterScratch::grid`].
 enum KernelState {
     Scan,
     Indexed {
-        /// Accepted candidates, bucketed by position for ring queries.
-        grid: PointGrid,
         /// Probe-polygon bboxes, bucketed for overlap queries.
         polyidx: RectGrid,
         /// Whether the candidate grid doubles its resolution under load.
@@ -296,18 +304,21 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
 
     let mut kernel = match options.kernel {
         FilterKernel::Scan => KernelState::Scan,
-        FilterKernel::Indexed => KernelState::Indexed {
-            grid: PointGrid::new(
+        FilterKernel::Indexed => {
+            let adaptive = options.grid_resolution == 0;
+            scratch.grid.reset(
                 &bound,
-                if options.grid_resolution == 0 {
+                if adaptive {
                     ADAPTIVE_GRID_START
                 } else {
                     options.grid_resolution
                 },
-            ),
-            polyidx: RectGrid::build(&poly_bboxes),
-            adaptive: options.grid_resolution == 0,
-        },
+            );
+            KernelState::Indexed {
+                polyidx: RectGrid::build(&poly_bboxes),
+                adaptive,
+            }
+        }
     };
 
     let mut heap: MinDistHeap<HeapEntry> = MinDistHeap::new();
@@ -336,9 +347,13 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
                             KernelState::Scan => {
                                 approx_cell_scan(&seed, &p, &candidates, &mut stats)
                             }
-                            KernelState::Indexed { grid, .. } => {
-                                approx_cell_indexed(&seed, &p, &candidates, grid, &mut stats)
-                            }
+                            KernelState::Indexed { .. } => approx_cell_indexed(
+                                &seed,
+                                &p,
+                                &candidates,
+                                &scratch.grid,
+                                &mut stats,
+                            ),
                         };
                         &cell_owned
                     }
@@ -352,11 +367,11 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
                                 &mut scratch.cell,
                                 &mut scratch.clip,
                             ),
-                            KernelState::Indexed { grid, .. } => approx_cell_indexed_into(
+                            KernelState::Indexed { .. } => approx_cell_indexed_into(
                                 &seed,
                                 &p,
                                 &candidates,
-                                grid,
+                                &scratch.grid,
                                 &mut stats,
                                 &mut scratch.cell,
                                 &mut scratch.clip,
@@ -379,10 +394,11 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
                 };
                 if joins {
                     candidates.push(p);
-                    if let KernelState::Indexed { grid, adaptive, .. } = &mut kernel {
+                    if let KernelState::Indexed { adaptive, .. } = &kernel {
+                        let grid = &mut scratch.grid;
                         grid.insert(&p.point, candidates.len() as u32 - 1);
                         if *adaptive && grid.needs_growth() {
-                            *grid = grid.grown(|i| candidates[i as usize].point);
+                            grid.grow(|i| candidates[i as usize].point);
                         }
                     }
                 }

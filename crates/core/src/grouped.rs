@@ -13,8 +13,8 @@ use crate::config::CijConfig;
 use crate::nm::nm_cij_keep_cache;
 use crate::workload::Workload;
 use cij_geom::{hilbert, ConvexPolygon, Point, Rect};
-use cij_rtree::{NodeReader, PointObject};
-use cij_voronoi::{batch_voronoi_cached, nearest_index, CellStore, NoCache};
+use cij_rtree::{LeafLayout, NodeReader, PointObject};
+use cij_voronoi::{batch_voronoi_cached_with, nearest_index, CellStore, NoCache, VorScratch};
 use std::collections::HashMap;
 
 /// Group size for batched exact-cell computation: roughly one R-tree leaf's
@@ -43,8 +43,16 @@ pub(crate) fn cells_by_id<R: NodeReader<PointObject>, C: CellStore>(
     let mut members: Vec<PointObject> = unique.iter().map(|&i| objects[i as usize]).collect();
     members.sort_by_key(|o| hilbert::hilbert_value(&o.point, domain));
     let mut out = HashMap::with_capacity(members.len());
+    let mut scratch = VorScratch::default();
     for group in members.chunks(CELL_BATCH) {
-        let cells = batch_voronoi_cached(tree, group, domain, cache);
+        let cells = batch_voronoi_cached_with(
+            tree,
+            group,
+            domain,
+            cache,
+            LeafLayout::default(),
+            &mut scratch,
+        );
         for (obj, cell) in group.iter().zip(cells) {
             out.insert(obj.id.0, cell);
         }

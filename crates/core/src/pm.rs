@@ -13,7 +13,8 @@ use crate::stats::{CijOutcome, CostBreakdown, ProgressSample};
 use crate::vor_rtree::materialize_voronoi_rtree;
 use crate::workload::Workload;
 use cij_geom::Rect;
-use cij_voronoi::{batch_voronoi_cached, NoCache};
+use cij_rtree::LeafLayout;
+use cij_voronoi::{batch_voronoi_cached_with, NoCache, VorScratch};
 use std::time::Instant;
 
 /// Runs PM-CIJ on a workload, returning the result pairs and the MAT/JOIN
@@ -51,6 +52,7 @@ pub(crate) fn pm_cij_eager(workload: &mut Workload, config: &CijConfig) -> CijOu
     // recording structurally-unavoidable computations as reuse-buffer
     // misses.
     let mut cell_cache = NoCache;
+    let mut scratch = VorScratch::for_budget(workload.rq.config().node_byte_budget());
 
     let leaves = workload.rq.leaf_pages_hilbert_order(&config.domain);
     for leaf in leaves {
@@ -58,8 +60,14 @@ pub(crate) fn pm_cij_eager(workload: &mut Workload, config: &CijConfig) -> CijOu
         if group.is_empty() {
             continue;
         }
-        let cells_q =
-            batch_voronoi_cached(&mut workload.rq, &group, &config.domain, &mut cell_cache);
+        let cells_q = batch_voronoi_cached_with(
+            &mut workload.rq,
+            &group,
+            &config.domain,
+            &mut cell_cache,
+            LeafLayout::default(),
+            &mut scratch,
+        );
 
         // One batched range probe covering every cell of the group.
         let mut probe = Rect::empty();

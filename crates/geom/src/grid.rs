@@ -160,11 +160,26 @@ impl GridFrame {
 ///
 /// Items are external: the grid stores only `u32` indices (plus the point
 /// used for bucketing), so the caller keeps the authoritative item storage.
+///
+/// A grid is meant to live in a per-worker scratch: [`PointGrid::reset`]
+/// re-frames it and empties the buckets while keeping every bucket's
+/// allocation, so a warm grid indexes a new item set without allocating.
 #[derive(Debug, Clone)]
 pub struct PointGrid {
     frame: GridFrame,
+    /// At least `res × res` buckets; a grid re-framed to a lower resolution
+    /// keeps the surplus (empty) buckets and their capacity for later.
     buckets: Vec<Vec<u32>>,
+    /// Item order of the grid being rebuilt by [`PointGrid::grow`].
+    spill: Vec<u32>,
     len: usize,
+}
+
+impl Default for PointGrid {
+    /// An empty one-bucket grid; [`PointGrid::reset`] frames it for use.
+    fn default() -> Self {
+        PointGrid::new(&Rect::from_coords(0.0, 0.0, 1.0, 1.0), 1)
+    }
 }
 
 impl PointGrid {
@@ -175,8 +190,25 @@ impl PointGrid {
         PointGrid {
             frame,
             buckets: vec![Vec::new(); n],
+            spill: Vec::new(),
             len: 0,
         }
+    }
+
+    /// Empties the grid and re-frames it over `bounds` with `res × res`
+    /// buckets, keeping the bucket allocations.
+    pub fn reset(&mut self, bounds: &Rect, res: usize) {
+        // Only the buckets of the outgoing frame can hold items.
+        let used = self.frame.res() * self.frame.res();
+        for bucket in &mut self.buckets[..used] {
+            bucket.clear();
+        }
+        self.frame = GridFrame::new(bounds, res);
+        let n = self.frame.res() * self.frame.res();
+        if self.buckets.len() < n {
+            self.buckets.resize_with(n, Vec::new);
+        }
+        self.len = 0;
     }
 
     /// The coordinate frame (for [`GridFrame::bucket_of`] etc.).
@@ -203,22 +235,28 @@ impl PointGrid {
     }
 
     /// Whether the grid has outgrown its resolution (average bucket load
-    /// above ~3) and a [`PointGrid::grown`] rebuild would pay off.
+    /// above ~3) and a [`PointGrid::grow`] rebuild would pay off.
     pub fn needs_growth(&self) -> bool {
         let res = self.frame.res();
         res < MAX_GRID_RESOLUTION && self.len > 3 * res * res
     }
 
-    /// Rebuilds the grid at twice the resolution; `position_of` resolves an
-    /// item index back to its point (the grid does not store positions).
-    pub fn grown(&self, position_of: impl Fn(u32) -> Point) -> PointGrid {
-        let mut next = PointGrid::new(self.frame.bounds(), self.frame.res() * 2);
+    /// Rebuilds the grid in place at twice the resolution over the same
+    /// bounds; `position_of` resolves an item index back to its point (the
+    /// grid does not store positions). Items are re-inserted in bucket
+    /// order, so the rebuilt buckets list them in a deterministic order.
+    pub fn grow(&mut self, position_of: impl Fn(u32) -> Point) {
+        let mut spill = std::mem::take(&mut self.spill);
+        spill.clear();
         for bucket in &self.buckets {
-            for &idx in bucket {
-                next.insert(&position_of(idx), idx);
-            }
+            spill.extend_from_slice(bucket);
         }
-        next
+        let bounds = *self.frame.bounds();
+        self.reset(&bounds, self.frame.res() * 2);
+        for &idx in &spill {
+            self.insert(&position_of(idx), idx);
+        }
+        self.spill = spill;
     }
 
     /// Lower bound on the distance from a point mapped to the center bucket
@@ -477,7 +515,8 @@ mod tests {
                 assert_ring_contracts(&grid, &points, &from);
             }
             // Growth keeps the frame, so the contracts survive a rebuild.
-            let grown = grid.grown(|i| points[i as usize]);
+            let mut grown = grid.clone();
+            grown.grow(|i| points[i as usize]);
             assert_eq!(grown.frame().bounds(), grid.frame().bounds());
             assert_ring_contracts(&grown, &points, &Point::new(-500.0, 47.0));
         }
@@ -536,7 +575,8 @@ mod tests {
             grid.insert(p, i as u32);
         }
         assert!(grid.needs_growth());
-        let grown = grid.grown(|i| points[i as usize]);
+        let mut grown = grid.clone();
+        grown.grow(|i| points[i as usize]);
         assert_eq!(grown.frame().res(), 4);
         assert_eq!(grown.len(), grid.len());
         let mut seen = 0usize;
@@ -545,6 +585,35 @@ mod tests {
             ring += 1;
         }
         assert_eq!(seen, 40);
+    }
+
+    #[test]
+    fn reset_reframes_an_emptied_grid_and_keeps_every_ring_contract() {
+        let first = Rect::from_coords(0.0, 0.0, 100.0, 100.0);
+        let mut grid = PointGrid::default();
+        assert!(grid.is_empty());
+        grid.reset(&first, 9);
+        for (i, p) in scattered(90, &first).iter().enumerate() {
+            grid.insert(p, i as u32);
+        }
+        // Down to a coarser frame elsewhere: nothing of the first item set
+        // may survive in the buckets the new frame uses (or in the surplus).
+        let second = Rect::from_coords(40.0, 40.0, 60.0, 50.0);
+        let points = scattered(30, &second);
+        grid.reset(&second, 3);
+        assert!(grid.is_empty());
+        assert_eq!(grid.frame().res(), 3);
+        assert_eq!(grid.frame().bounds(), &second);
+        for (i, p) in points.iter().enumerate() {
+            grid.insert(p, i as u32);
+        }
+        assert_ring_contracts(&grid, &points, &Point::new(47.0, 44.0));
+        // And back up, through growth, past the first resolution.
+        grid.grow(|i| points[i as usize]);
+        grid.grow(|i| points[i as usize]);
+        assert_eq!(grid.frame().res(), 12);
+        assert_eq!(grid.len(), points.len());
+        assert_ring_contracts(&grid, &points, &Point::new(-3.0, 90.0));
     }
 
     #[test]

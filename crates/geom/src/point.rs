@@ -81,17 +81,22 @@ impl Point {
     /// and the BatchConditionalFilter, which order R-tree traversal by
     /// distance from the group centroid.
     pub fn centroid(points: &[Point]) -> Option<Point> {
-        if points.is_empty() {
-            return None;
-        }
+        Point::centroid_of(points.iter().copied())
+    }
+
+    /// [`Point::centroid`] over any sequence of points (the one summation
+    /// behind both, so callers holding their points in another shape get
+    /// the bitwise-same centroid).
+    pub fn centroid_of(points: impl IntoIterator<Item = Point>) -> Option<Point> {
         let mut sx = 0.0;
         let mut sy = 0.0;
+        let mut n = 0usize;
         for p in points {
             sx += p.x;
             sy += p.y;
+            n += 1;
         }
-        let n = points.len() as f64;
-        Some(Point::new(sx / n, sy / n))
+        (n > 0).then(|| Point::new(sx / n as f64, sy / n as f64))
     }
 
     /// Returns `true` when both coordinates are finite.

@@ -1602,8 +1602,9 @@ mod tests {
     #[test]
     fn exhausted_retry_budget_surfaces_a_transient_error() {
         use crate::fault::FaultSpec;
-        let mut s: PageStore<u32> =
-            PageStore::new(PageStoreConfig::default().with_fault(FaultSpec::transient(0x0BAD_5EED)));
+        let mut s: PageStore<u32> = PageStore::new(
+            PageStoreConfig::default().with_fault(FaultSpec::transient(0x0BAD_5EED)),
+        );
         s.set_retry_policy(RetryPolicy {
             max_attempts: 1,
             backoff_base_ticks: 1,

@@ -1,15 +1,86 @@
 //! BatchVoronoi: concurrent Voronoi-cell computation for a group of nearby
-//! points (Algorithm 2 of the paper).
+//! points (Algorithm 2 of the paper), with **reach-bounded refinement**.
 //!
 //! Computing the cells of all points in one R-tree leaf with repeated calls
 //! to Algorithm 1 would re-read the same neighbourhood of the tree over and
 //! over. Algorithm 2 shares a single traversal among the whole group `G`:
 //! entries are browsed in ascending `mindist` from the centroid of `G`, an
-//! entry is pruned only when it can refine **no** group member's cell, and a
-//! discovered point refines only the cells it can actually refine.
+//! entry is pruned only when it can refine **no** group member's cell
+//! (Lemma 2 lifted to the group), and a discovered point refines only the
+//! cells it can actually refine (Lemma 1 per member).
+//!
+//! Read literally, both rules walk the vertices of *every* member's cell
+//! for *every* entry and every discovered point, although a point is a
+//! Voronoi neighbour of a handful of members at most. This module decides
+//! the same rules, member by member, after an O(1) rejection of the
+//! members the entry provably cannot concern.
+//!
+//! # Why reach-bounded refinement is sufficient
+//!
+//! Let `sᵢ` be member `i`'s site, `Cᵢ` its current (conservative) cell and
+//! `Rᵢ` the cell's *reach* — the largest distance from `sᵢ` to a vertex of
+//! `Cᵢ` ([`cell_reach_sq`] is `Rᵢ²`). The distance to `sᵢ` is convex, so over
+//! the convex cell it peaks at a vertex: `Cᵢ` lies in the disc of radius
+//! `Rᵢ` around `sᵢ`. The per-group tables of [`VorScratch`] keep the sites
+//! as flat coordinate arrays next to each member's *gate*
+//! `4·Rᵢ²·(1 + 1e-9)`, recomputed only when member `i` is clipped.
+//!
+//! * **Points (triangle inequality).** Lemma 1 lets a point `p` refine `Cᵢ`
+//!   iff some vertex `γ` is strictly closer to `p` than to `sᵢ`
+//!   ([`bisector_cuts`]). Then `dist(sᵢ, p) ≤ dist(sᵢ, γ) + dist(γ, p) <
+//!   2·dist(sᵢ, γ) ≤ 2·Rᵢ`. A point with `dist²(sᵢ, p)` above the gate
+//!   therefore fails Lemma 1 for member `i` without looking at a vertex.
+//! * **Rectangles (Lipschitz).** Lemma 2 lets an entry with MBR `e` possibly
+//!   refine `Cᵢ` iff some vertex `γ` has `mindist(e, γ) < dist(γ, sᵢ)`
+//!   ([`can_refine`]). The distance to a rectangle is 1-Lipschitz, so
+//!   `mindist(e, γ) ≥ mindist(e, sᵢ) − dist(sᵢ, γ) ≥ mindist(e, sᵢ) − Rᵢ`,
+//!   and once `mindist(e, sᵢ) > 2·Rᵢ` every vertex has `mindist(e, γ) > Rᵢ ≥
+//!   dist(γ, sᵢ)`: Lemma 2 says no. A point entry is a degenerate
+//!   rectangle, which makes the first bullet a special case of this one.
+//! * **The guard.** Both implications are strict in exact arithmetic, and
+//!   the two sides of each are rounded independently. The gate is widened
+//!   by a relative `1e-9` — many orders above the rounding error of a
+//!   squared distance, many below any geometric scale — so a member the
+//!   vertex rule would accept is never rejected by the gate *as evaluated*.
+//!   Members inside the gate run the unchanged vertex rule, so the gate
+//!   never accepts anything either: same refinements, same clips in the
+//!   same order, same node reads as the ungated loops.
+//! * **No second test at pop time.** Algorithm 2 re-checks a dequeued point
+//!   against the group before refining with it. For a point entry Lemma 2
+//!   *is* Lemma 1 — `mindist_point_sq` of a degenerate rectangle equals
+//!   `dist_sq` bitwise — and the refinement step applies exactly that test
+//!   member by member, so it does nothing precisely when the re-check would
+//!   have said no. The re-check is not run separately.
+//!
+//! # Nearest-first seeding
+//!
+//! The members are data points of `P` like any other and are known before
+//! the first node read, so every cell is first clipped with the *other
+//! members*: nearest first, from expanding ring queries over a
+//! [`PointGrid`] of the group, each ring sorted by distance, stopping at
+//! the first member beyond the gate — the safety-radius stop of a meshless
+//! Voronoi cell construction, and the same bound the conditional filter of
+//! `cij-core` applies to its approximate cells. Near bisectors shrink the
+//! reach at once, so the far members (all of them no-ops by the bullets
+//! above) are never enumerated and the pass costs O(|G|·k) rather than
+//! |G|² vertex loops — which matters for the several-hundred-point groups
+//! of a filter candidate set or a multiway extension unit.
+//!
+//! What this may and may not change, compared with clipping in storage
+//! order: every clip applied is a bisector of two data points and every
+//! clip skipped is a proven no-op, so each seeded cell is the same *set* —
+//! the cell of its site within `G` — and the final cells are the exact
+//! Voronoi cells. The *order* in which a cell's bisectors are applied
+//! differs, and a vertex computed through different intermediate outlines
+//! may differ in its last bits. The traversal itself — heap keys, the
+//! Lemma-2 gate before each node read — is untouched, but its gates compare
+//! against those vertices, so a borderline gate could in principle flip
+//! and cost or save a node read; none has been observed (page accesses
+//! equal the storage-order seeding's on every benchmark seed). The join
+//! pairs cannot change: they are decided on exact cells.
 
 use crate::single::can_refine;
-use cij_geom::{ClipScratch, ConvexPolygon, Point, Rect};
+use cij_geom::{ClipScratch, ConvexPolygon, Point, PointGrid, Rect};
 use cij_pagestore::PageId;
 use cij_rtree::{
     LeafLayout, MinDistHeap, MinHeapItem, NodeArena, NodeReader, PointObject, RTreeObject,
@@ -17,13 +88,14 @@ use cij_rtree::{
 
 /// Reusable per-worker scratch for batch-Voronoi traversals.
 ///
-/// The SoA ([`LeafLayout::Soa`]) path of [`batch_voronoi_with`] performs all
-/// its transient work inside this struct: nodes decode into the
-/// [`NodeArena`], cell refinement ping-pongs through the [`ClipScratch`],
-/// and per-leaf centroid distances land in `dists`. Allocate one per worker
-/// thread, reuse it across every group the worker processes; after the
-/// buffers reach their high-water size the traversal allocates only for the
-/// returned cells themselves.
+/// [`batch_voronoi_with`] performs all its transient work inside this
+/// struct: nodes decode into the [`NodeArena`] (SoA layout), cell refinement
+/// ping-pongs through the [`ClipScratch`], per-leaf centroid distances land
+/// in `dists`, and the per-group tables (member sites, reach gates, the
+/// seeding grid) are rebuilt in place for every group. Allocate one per
+/// worker thread, reuse it across every group the worker processes; after
+/// the buffers reach their high-water size the traversal allocates only for
+/// the returned cells themselves.
 #[derive(Debug, Default)]
 pub struct VorScratch {
     /// SoA node decode target.
@@ -32,6 +104,15 @@ pub struct VorScratch {
     pub clip: ClipScratch,
     /// Batched point-to-centroid distances of one leaf.
     pub dists: Vec<f64>,
+    /// Work counter: bisector clips applied, over every call so far.
+    pub clips: u64,
+    /// Work counter: per-member vertex loops run ([`bisector_cuts`] /
+    /// [`can_refine`] evaluations that survived the reach gate).
+    pub vertex_loops: u64,
+    /// Work counter: refinement passes — one per discovered point offered to
+    /// the group, one per member seeded against the rest of the group.
+    pub refine_calls: u64,
+    tables: GroupTables,
 }
 
 impl VorScratch {
@@ -44,6 +125,37 @@ impl VorScratch {
             ..VorScratch::default()
         }
     }
+}
+
+/// The per-group tables behind the reach gate and the seeding pass (module
+/// docs): `xs`/`ys`/`gate` are parallel to the group.
+#[derive(Debug, Default)]
+struct GroupTables {
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    /// `4 · reach² · (1 + REACH_GUARD)` of each member's current cell.
+    gate: Vec<f64>,
+    /// Members that passed the gate for the point being applied.
+    near: Vec<u32>,
+    /// The group's sites, bucketed for the seeding pass's ring queries.
+    grid: PointGrid,
+    /// One ring's members as `(dist² to the seeded site, index)`.
+    ring: Vec<(f64, u32)>,
+}
+
+/// Relative widening of the reach gate, so that rounding can never make it
+/// reject a member the vertex rule would accept (module docs).
+const REACH_GUARD: f64 = 1e-9;
+
+/// Average number of members per bucket the seeding grid aims for.
+const SEED_BUCKET_LOAD: f64 = 2.0;
+
+/// The gate of a cell: no point farther than this (squared) from `site`,
+/// and no rectangle whose `mindist²` to `site` exceeds it, can refine
+/// `cell`.
+#[inline]
+fn reach_gate(site: &Point, cell: &ConvexPolygon) -> f64 {
+    4.0 * cell_reach_sq(site, cell) * (1.0 + REACH_GUARD)
 }
 
 enum HeapEntry {
@@ -114,7 +226,8 @@ impl CellStore for NoCache {
 /// into the cache.
 ///
 /// The returned vector is aligned with `group`, exactly like
-/// [`batch_voronoi`].
+/// [`batch_voronoi`]. Allocates a fresh [`VorScratch`] per call; callers
+/// looping over groups keep one and use [`batch_voronoi_cached_with`].
 pub fn batch_voronoi_cached<T: NodeReader<PointObject>, C: CellStore>(
     tree: &mut T,
     group: &[PointObject],
@@ -126,7 +239,7 @@ pub fn batch_voronoi_cached<T: NodeReader<PointObject>, C: CellStore>(
         group,
         domain,
         cache,
-        LeafLayout::Aos,
+        LeafLayout::default(),
         &mut VorScratch::default(),
     )
 }
@@ -184,6 +297,9 @@ pub fn batch_voronoi_cached_with<T: NodeReader<PointObject>, C: CellStore>(
 /// (`&mut RTree`) and in the traced snapshot mode of the parallel NM-CIJ
 /// path ([`cij_rtree::TracedReader`]); the traversal logic — and therefore
 /// the computed cells and the page-access sequence — is identical in both.
+///
+/// Runs the default [`LeafLayout`] through a fresh [`VorScratch`]; callers
+/// looping over groups keep one scratch and use [`batch_voronoi_with`].
 pub fn batch_voronoi<T: NodeReader<PointObject>>(
     tree: &mut T,
     group: &[PointObject],
@@ -193,9 +309,187 @@ pub fn batch_voronoi<T: NodeReader<PointObject>>(
         tree,
         group,
         domain,
-        LeafLayout::Aos,
+        LeafLayout::default(),
         &mut VorScratch::default(),
     )
+}
+
+/// The cells of one group under refinement, with the group's reach-gate
+/// tables: the member-side half of Algorithm 2 (which members an entry or a
+/// discovered point concerns), separate from the tree traversal.
+struct GroupCells<'a> {
+    group: &'a [PointObject],
+    layout: LeafLayout,
+    cells: Vec<ConvexPolygon>,
+    clip: &'a mut ClipScratch,
+    tables: &'a mut GroupTables,
+    clips: u64,
+    vertex_loops: u64,
+    refine_calls: u64,
+}
+
+impl<'a> GroupCells<'a> {
+    /// Every member starts from the whole `domain`.
+    fn new(
+        group: &'a [PointObject],
+        domain: &Rect,
+        layout: LeafLayout,
+        clip: &'a mut ClipScratch,
+        tables: &'a mut GroupTables,
+    ) -> Self {
+        let cells: Vec<ConvexPolygon> = group
+            .iter()
+            .map(|_| ConvexPolygon::from_rect(domain))
+            .collect();
+        tables.xs.clear();
+        tables.ys.clear();
+        tables.gate.clear();
+        tables.xs.extend(group.iter().map(|o| o.point.x));
+        tables.ys.extend(group.iter().map(|o| o.point.y));
+        tables.gate.extend(
+            group
+                .iter()
+                .zip(&cells)
+                .map(|(o, cell)| reach_gate(&o.point, cell)),
+        );
+        GroupCells {
+            group,
+            layout,
+            cells,
+            clip,
+            tables,
+            clips: 0,
+            vertex_loops: 0,
+            refine_calls: 0,
+        }
+    }
+
+    /// Clips member `i`'s cell with the bisector against `other` (which the
+    /// caller found to cut it) and refreshes the member's gate. The two
+    /// layout arms compute the same clip; SoA reuses the scratch buffers
+    /// instead of allocating a fresh polygon per bisector.
+    fn clip_member(&mut self, i: usize, other: &Point) {
+        let site = &self.group[i].point;
+        match self.layout {
+            LeafLayout::Aos => self.cells[i] = self.cells[i].clip_bisector(site, other),
+            LeafLayout::Soa => self.cells[i].clip_bisector_in_place(site, other, self.clip),
+        }
+        self.tables.gate[i] = reach_gate(site, &self.cells[i]);
+        self.clips += 1;
+    }
+
+    /// Lemma 1 for member `i` and the data point `other`, then the clip.
+    fn refine_member(&mut self, i: usize, other: &Point) {
+        self.vertex_loops += 1;
+        if bisector_cuts(self.cells[i].vertices(), &self.group[i].point, other) {
+            self.clip_member(i, other);
+        }
+    }
+
+    /// Refines the cells with a discovered point `pj`: Lemma 1 per member,
+    /// evaluated only for the members whose gate `pj` is inside. A point
+    /// that can refine no member changes nothing, so this is also the
+    /// re-check of a dequeued point (module docs).
+    fn refine_with(&mut self, pj: &PointObject) {
+        self.refine_calls += 1;
+        let GroupTables {
+            xs, ys, gate, near, ..
+        } = &mut *self.tables;
+        near.clear();
+        let (px, py) = (pj.point.x, pj.point.y);
+        for (i, ((&x, &y), &limit)) in xs.iter().zip(ys.iter()).zip(gate.iter()).enumerate() {
+            let dx = x - px;
+            let dy = y - py;
+            if dx * dx + dy * dy <= limit {
+                near.push(i as u32);
+            }
+        }
+        // Index loop: refining member `i` rewrites `gate[i]` only, never
+        // the list being walked.
+        for k in 0..self.tables.near.len() {
+            let i = self.tables.near[k] as usize;
+            if self.group[i].id != pj.id {
+                self.refine_member(i, &pj.point);
+            }
+        }
+    }
+
+    /// Lemma-2 test lifted to the group: an entry survives if it can refine
+    /// the cell of at least one member. Members whose gate the entry lies
+    /// outside are rejected without a vertex loop.
+    fn any_can_refine(&mut self, mbr: &Rect) -> bool {
+        let t = &*self.tables;
+        for (i, ((&x, &y), &limit)) in t.xs.iter().zip(&t.ys).zip(&t.gate).enumerate() {
+            if mbr.mindist_point_sq(&Point::new(x, y)) <= limit {
+                self.vertex_loops += 1;
+                if can_refine(mbr, self.cells[i].vertices(), &self.group[i].point) {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// Clips every member's cell with the other members, nearest first,
+    /// until the gate proves the rest irrelevant (module docs, "Nearest-first
+    /// seeding"). Pure optimisation — the traversal would rediscover the
+    /// members anyway — but it starts the traversal from tight cells.
+    fn seed(&mut self) {
+        let n = self.group.len();
+        if n < 2 {
+            return;
+        }
+        let bounds = self.group.iter().fold(Rect::empty(), |acc, o| {
+            acc.union(&Rect::from_point(o.point))
+        });
+        let res = (n as f64 / SEED_BUCKET_LOAD).sqrt().ceil() as usize;
+        self.tables.grid.reset(&bounds, res);
+        for (i, o) in self.group.iter().enumerate() {
+            self.tables.grid.insert(&o.point, i as u32);
+        }
+        for i in 0..n {
+            self.refine_calls += 1;
+            let me = self.group[i];
+            let center = self.tables.grid.frame().bucket_of(&me.point);
+            let mut ring_no = 0usize;
+            loop {
+                let GroupTables {
+                    gate, grid, ring, ..
+                } = &mut *self.tables;
+                let gate_i = gate[i];
+                let lb = grid.ring_mindist(ring_no);
+                // Rings only get farther: nothing left can cut the cell.
+                if lb * lb > gate_i {
+                    break;
+                }
+                ring.clear();
+                let in_range = grid.for_each_ring_bucket(center, ring_no, |bucket, items| {
+                    if items.is_empty() || bucket.mindist_point_sq(&me.point) > gate_i {
+                        return;
+                    }
+                    for &j in items {
+                        let other = &self.group[j as usize];
+                        if other.id != me.id {
+                            ring.push((other.point.dist_sq(&me.point), j));
+                        }
+                    }
+                });
+                if !in_range {
+                    break;
+                }
+                ring.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                for k in 0..self.tables.ring.len() {
+                    let (d, j) = self.tables.ring[k];
+                    // Sorted: the rest of the ring is at least as far.
+                    if d > self.tables.gate[i] {
+                        break;
+                    }
+                    self.refine_member(i, &self.group[j as usize].point);
+                }
+                ring_no += 1;
+            }
+        }
+    }
 }
 
 /// [`batch_voronoi`] parameterized over the leaf [`LeafLayout`] and a
@@ -220,46 +514,21 @@ pub fn batch_voronoi_with<T: NodeReader<PointObject>>(
     layout: LeafLayout,
     scratch: &mut VorScratch,
 ) -> Vec<ConvexPolygon> {
-    let mut cells: Vec<ConvexPolygon> = group
-        .iter()
-        .map(|_| ConvexPolygon::from_rect(domain))
-        .collect();
+    let VorScratch {
+        arena,
+        clip,
+        dists,
+        clips,
+        vertex_loops,
+        refine_calls,
+        tables,
+    } = scratch;
+    let mut g = GroupCells::new(group, domain, layout, clip, tables);
     if group.is_empty() || tree.is_empty() {
-        return cells;
+        return g.cells;
     }
-    let VorScratch { arena, clip, dists } = scratch;
-    let sites: Vec<Point> = group.iter().map(|o| o.point).collect();
-    let centroid = Point::centroid(&sites).expect("non-empty group");
-
-    // A point pj discovered by the traversal refines member i's cell exactly
-    // under the Lemma-1 test; group members refine each other here as well,
-    // because they are data points of P like any other. The two layout arms
-    // compute the same clip; SoA reuses the scratch buffers instead of
-    // allocating a fresh polygon per bisector.
-    let mut refine_with = |cells: &mut [ConvexPolygon], pj: &PointObject| {
-        for (i, member) in group.iter().enumerate() {
-            if member.id == pj.id {
-                continue;
-            }
-            if bisector_cuts(cells[i].vertices(), &member.point, &pj.point) {
-                match layout {
-                    LeafLayout::Aos => {
-                        cells[i] = cells[i].clip_bisector(&member.point, &pj.point);
-                    }
-                    LeafLayout::Soa => {
-                        cells[i].clip_bisector_in_place(&member.point, &pj.point, clip);
-                    }
-                }
-            }
-        }
-    };
-
-    // Group members are known up front; refine with them immediately so the
-    // traversal starts from tight cells (pure optimisation — the traversal
-    // would rediscover them anyway).
-    for pj in group {
-        refine_with(&mut cells, pj);
-    }
+    let centroid = Point::centroid_of(group.iter().map(|o| o.point)).expect("non-empty group");
+    g.seed();
 
     let mut heap: MinDistHeap<HeapEntry> = MinDistHeap::new();
     heap.push(MinHeapItem::new(
@@ -270,27 +539,15 @@ pub fn batch_voronoi_with<T: NodeReader<PointObject>>(
         },
     ));
 
-    // Lemma-2 test lifted to the group: an entry survives if it can refine
-    // the cell of at least one member.
-    let any_can_refine = |mbr: &Rect, cells: &[ConvexPolygon]| {
-        group
-            .iter()
-            .zip(cells.iter())
-            .any(|(member, cell)| can_refine(mbr, cell.vertices(), &member.point))
-    };
-
     while let Some(MinHeapItem { item, .. }) = heap.pop() {
         match item {
-            HeapEntry::Point(pj) => {
-                // Re-checked at deheap time (line 9 of Algorithm 2): the
-                // cells may have shrunk since this point was pushed.
-                if any_can_refine(&pj.mbr(), &cells) {
-                    refine_with(&mut cells, &pj);
-                }
-            }
+            // Line 9 of Algorithm 2 at deheap time — the cells may have
+            // shrunk since this point was pushed — is the per-member test
+            // inside `refine_with`.
+            HeapEntry::Point(pj) => g.refine_with(&pj),
             HeapEntry::Node { page, mbr } => {
                 // Line 9 of Algorithm 2 applied before reading the child.
-                if !any_can_refine(&mbr, &cells) {
+                if !g.any_can_refine(&mbr) {
                     continue;
                 }
                 match layout {
@@ -298,14 +555,14 @@ pub fn batch_voronoi_with<T: NodeReader<PointObject>>(
                         let node = tree.read(page);
                         if node.is_leaf() {
                             for o in node.objects {
-                                if any_can_refine(&o.mbr(), &cells) {
+                                if g.any_can_refine(&o.mbr()) {
                                     let d = o.point.dist(&centroid);
                                     heap.push(MinHeapItem::new(d, HeapEntry::Point(o)));
                                 }
                             }
                         } else {
                             for c in node.children {
-                                if any_can_refine(&c.mbr, &cells) {
+                                if g.any_can_refine(&c.mbr) {
                                     let d = c.mbr.mindist_point(&centroid);
                                     heap.push(MinHeapItem::new(
                                         d,
@@ -336,13 +593,13 @@ pub fn batch_voronoi_with<T: NodeReader<PointObject>>(
                             }
                             for (i, &d) in dists.iter().enumerate() {
                                 let o = arena.object(i);
-                                if any_can_refine(&o.mbr(), &cells) {
+                                if g.any_can_refine(&o.mbr()) {
                                     heap.push(MinHeapItem::new(d, HeapEntry::Point(o)));
                                 }
                             }
                         } else {
                             for c in arena.children() {
-                                if any_can_refine(&c.mbr, &cells) {
+                                if g.any_can_refine(&c.mbr) {
                                     let d = c.mbr.mindist_point(&centroid);
                                     heap.push(MinHeapItem::new(
                                         d,
@@ -359,7 +616,10 @@ pub fn batch_voronoi_with<T: NodeReader<PointObject>>(
             }
         }
     }
-    cells
+    *clips += g.clips;
+    *vertex_loops += g.vertex_loops;
+    *refine_calls += g.refine_calls;
+    g.cells
 }
 
 #[cfg(test)]
@@ -368,6 +628,7 @@ mod tests {
     use crate::brute::brute_force_cell;
     use crate::single::single_voronoi;
     use cij_rtree::{RTree, RTreeConfig};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -628,5 +889,364 @@ mod tests {
         for c in &cells {
             assert!((c.area() - Rect::DOMAIN.area() / 2.0).abs() < 1e-3);
         }
+    }
+
+    /// Signed distance by which `v` lies outside the convex outline of
+    /// `poly` (≤ 0 inside): the largest outward offset from an edge line.
+    fn outside_by(poly: &ConvexPolygon, v: &Point) -> f64 {
+        let vs = poly.vertices();
+        if vs.len() < 3 {
+            return vs.iter().map(|w| w.dist(v)).fold(f64::INFINITY, f64::min);
+        }
+        (0..vs.len())
+            .map(|i| {
+                let (a, b) = (vs[i], vs[(i + 1) % vs.len()]);
+                -(b - a).cross(&(*v - a)) / a.dist(&b).max(f64::MIN_POSITIVE)
+            })
+            .fold(f64::NEG_INFINITY, f64::max)
+    }
+
+    /// Equality of two cells as sets, up to the clipping tolerance: areas
+    /// within 1e-6 relative, each within 1e-6 of containing the other's
+    /// vertices.
+    fn assert_same_cell(got: &ConvexPolygon, expected: &ConvexPolygon, what: &str) {
+        let (a, b) = (got.area(), expected.area());
+        assert!(
+            (a - b).abs() <= 1e-6 * a.max(b).max(1.0),
+            "{what}: area {a} vs {b}"
+        );
+        for (from, to) in [(got, expected), (expected, got)] {
+            for v in from.vertices() {
+                let off = outside_by(to, v);
+                assert!(off <= 1e-6, "{what}: vertex {v} lies {off} outside");
+            }
+        }
+    }
+
+    /// Twenty integer points on the circle of radius 25 around the origin.
+    const ON_CIRCLE: [(f64, f64); 20] = [
+        (25.0, 0.0),
+        (24.0, 7.0),
+        (20.0, 15.0),
+        (15.0, 20.0),
+        (7.0, 24.0),
+        (0.0, 25.0),
+        (-7.0, 24.0),
+        (-15.0, 20.0),
+        (-20.0, 15.0),
+        (-24.0, 7.0),
+        (-25.0, 0.0),
+        (-24.0, -7.0),
+        (-20.0, -15.0),
+        (-15.0, -20.0),
+        (-7.0, -24.0),
+        (0.0, -25.0),
+        (7.0, -24.0),
+        (15.0, -20.0),
+        (20.0, -15.0),
+        (24.0, -7.0),
+    ];
+
+    /// A group built to stress the reach gate and the seeding order.
+    /// `shape`: 0 scattered (partly integer-snapped), 1 collinear,
+    /// 2 cocircular, 3 on the domain boundary, 4 a mix of all of them; every
+    /// shape but the first two also repeats some sites under fresh ids.
+    fn adversarial_group(seed: u64, shape: usize, n: usize) -> Vec<PointObject> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let origin = Point::new(
+            rng.gen_range(500.0..6_000.0f64).round(),
+            rng.gen_range(500.0..6_000.0f64).round(),
+        );
+        let size = rng.gen_range(60.0..3_000.0f64).round();
+        let scattered = |rng: &mut StdRng| {
+            let p = Point::new(
+                origin.x + rng.gen_range(0.0..size),
+                origin.y + rng.gen_range(0.0..size),
+            );
+            if rng.gen_range(0..2) == 0 {
+                Point::new(p.x.round(), p.y.round())
+            } else {
+                p
+            }
+        };
+        let collinear = |rng: &mut StdRng, k: usize| {
+            let t = rng.gen_range(0..(size as usize)) as f64;
+            match k % 3 {
+                0 => Point::new(origin.x + t, origin.y),
+                1 => Point::new(origin.x, origin.y + t),
+                _ => Point::new(origin.x + t, origin.y + t),
+            }
+        };
+        let cocircular = |rng: &mut StdRng| {
+            let (dx, dy) = ON_CIRCLE[rng.gen_range(0..ON_CIRCLE.len())];
+            Point::new(origin.x + 40.0 + dx, origin.y + 40.0 + dy)
+        };
+        let on_boundary = |rng: &mut StdRng| {
+            let t = rng.gen_range(0.0..=10_000.0f64).round();
+            match rng.gen_range(0..6) {
+                0 => Point::new(0.0, t),
+                1 => Point::new(10_000.0, t),
+                2 => Point::new(t, 0.0),
+                3 => Point::new(t, 10_000.0),
+                4 => Point::new(0.0, 0.0),
+                _ => Point::new(10_000.0, 10_000.0),
+            }
+        };
+        let line = rng.gen_range(0..3usize);
+        let mut points: Vec<Point> = Vec::with_capacity(n);
+        for k in 0..n {
+            let repeat = shape >= 2 && !points.is_empty() && rng.gen_range(0..6) == 0;
+            let p = if repeat {
+                points[rng.gen_range(0..points.len())]
+            } else {
+                match if shape == 4 {
+                    rng.gen_range(0..4)
+                } else {
+                    shape
+                } {
+                    0 => scattered(&mut rng),
+                    1 => collinear(&mut rng, if shape == 4 { k } else { line }),
+                    2 => cocircular(&mut rng),
+                    _ => on_boundary(&mut rng),
+                }
+            };
+            points.push(p);
+        }
+        PointObject::from_points(&points)
+    }
+
+    /// The plain Lemma-2 rule lifted to the group, without the reach gate.
+    fn plain_any_can_refine(group: &[PointObject], cells: &[ConvexPolygon], mbr: &Rect) -> bool {
+        group
+            .iter()
+            .zip(cells)
+            .any(|(m, cell)| can_refine(mbr, cell.vertices(), &m.point))
+    }
+
+    /// The plain Lemma-1 refinement with `pj`, without the reach gate;
+    /// returns the members it clipped.
+    fn plain_refine_with(
+        group: &[PointObject],
+        cells: &mut [ConvexPolygon],
+        pj: &PointObject,
+    ) -> Vec<usize> {
+        let mut clipped = Vec::new();
+        for (i, member) in group.iter().enumerate() {
+            if member.id != pj.id && bisector_cuts(cells[i].vertices(), &member.point, &pj.point) {
+                cells[i] = cells[i].clip_bisector(&member.point, &pj.point);
+                clipped.push(i);
+            }
+        }
+        clipped
+    }
+
+    /// Entries aimed at the group: rectangles and points anywhere, near the
+    /// group, touching a cell vertex, on the Lemma-1 boundary of a member
+    /// (the site mirrored in a vertex: equidistant from it, exactly twice
+    /// the reach away when the vertex is the farthest) and on top of sites.
+    fn adversarial_entry(
+        rng: &mut StdRng,
+        group: &[PointObject],
+        cells: &[ConvexPolygon],
+    ) -> (Rect, Option<PointObject>) {
+        let i = rng.gen_range(0..group.len());
+        let site = group[i].point;
+        let vs = cells[i].vertices();
+        let gamma = if vs.is_empty() {
+            site
+        } else {
+            vs[rng.gen_range(0..vs.len())]
+        };
+        let fresh_id = 1_000_000 + rng.gen_range(0..1_000u64);
+        let anywhere = |rng: &mut StdRng| {
+            Point::new(
+                rng.gen_range(0.0..=10_000.0f64),
+                rng.gen_range(0.0..=10_000.0f64),
+            )
+        };
+        let near = |rng: &mut StdRng| {
+            let r = 3.0 * site.dist(&gamma).max(1.0);
+            Point::new(site.x + rng.gen_range(-r..r), site.y + rng.gen_range(-r..r))
+        };
+        let point = match rng.gen_range(0..8) {
+            0 => Some(anywhere(rng)),
+            1 => Some(near(rng)),
+            2 => Some(gamma),
+            3 => Some(Point::new(2.0 * gamma.x - site.x, 2.0 * gamma.y - site.y)),
+            4 => Some(site),
+            _ => None,
+        };
+        if let Some(p) = point {
+            // Sometimes under a member's own id (a member rediscovered by
+            // the traversal), otherwise as a foreign data point.
+            let id = if rng.gen_range(0..4) == 0 {
+                group[i].id.0
+            } else {
+                fresh_id
+            };
+            let o = PointObject::new(id, p);
+            return (o.mbr(), Some(o));
+        }
+        let (w, h) = (rng.gen_range(0.0..800.0f64), rng.gen_range(0.0..800.0f64));
+        let mbr = match rng.gen_range(0..4) {
+            0 => {
+                let c = anywhere(rng);
+                Rect::from_coords(c.x, c.y, c.x + w, c.y + h)
+            }
+            1 => {
+                let c = near(rng);
+                Rect::from_coords(c.x, c.y, c.x + w, c.y + h)
+            }
+            // One corner on a cell vertex, extending away from the site.
+            2 => {
+                let (sx, sy) = ((gamma.x - site.x).signum(), (gamma.y - site.y).signum());
+                Rect::from_coords(
+                    gamma.x.min(gamma.x + sx * w),
+                    gamma.y.min(gamma.y + sy * h),
+                    gamma.x.max(gamma.x + sx * w),
+                    gamma.y.max(gamma.y + sy * h),
+                )
+            }
+            // Starting exactly twice the vertex distance from the site.
+            _ => {
+                let far = Point::new(2.0 * gamma.x - site.x, 2.0 * gamma.y - site.y);
+                Rect::from_coords(far.x, far.y, far.x + w, far.y + h)
+            }
+        };
+        (mbr, None)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The reach gate never changes a decision: on adversarial groups
+        /// and entries, the gated group test equals the plain Lemma-2 rule
+        /// and the gated refinement clips exactly the members the plain
+        /// Lemma-1 rule clips, leaving bitwise-equal cells.
+        #[test]
+        fn reach_gate_equals_the_plain_lemma_rules(
+            seed in 0u64..1_000_000,
+            shape in 0usize..5,
+            n in 1usize..30,
+            seeded in 0usize..4,
+        ) {
+            let group = adversarial_group(seed, shape, n);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
+            let (mut clip, mut tables) = (ClipScratch::default(), GroupTables::default());
+            let mut g = GroupCells::new(&group, &Rect::DOMAIN, LeafLayout::Soa, &mut clip, &mut tables);
+            // Mostly from seeded (tight) cells, sometimes from the domain.
+            if seeded > 0 {
+                g.seed();
+            }
+            for _ in 0..40 {
+                let (mbr, point) = adversarial_entry(&mut rng, &group, &g.cells);
+                prop_assert_eq!(
+                    g.any_can_refine(&mbr),
+                    plain_any_can_refine(&group, &g.cells, &mbr),
+                    "Lemma 2 diverged for {:?}", mbr
+                );
+                if let Some(pj) = point {
+                    let mut expected = g.cells.clone();
+                    let clipped = plain_refine_with(&group, &mut expected, &pj);
+                    let before = g.clips;
+                    g.refine_with(&pj);
+                    prop_assert_eq!(g.clips - before, clipped.len() as u64);
+                    prop_assert_eq!(&g.cells, &expected, "Lemma 1 diverged for {:?}", pj);
+                }
+            }
+        }
+
+        /// Nearest-first seeding yields each member's cell within the group,
+        /// and the full traversal the exact cell, on adversarial groups.
+        #[test]
+        fn seeded_and_final_cells_match_brute_force_on_adversarial_groups(
+            seed in 0u64..1_000_000,
+            shape in 0usize..5,
+            n in 1usize..48,
+        ) {
+            let group = adversarial_group(seed, shape, n);
+            let points: Vec<Point> = group.iter().map(|o| o.point).collect();
+            assert_seeding_matches_brute_force(&group);
+            // The group as the whole dataset: final cells = seeded cells.
+            let mut tree = RTree::bulk_load(config(), group.clone());
+            let soa = batch_voronoi(&mut tree, &group, &Rect::DOMAIN);
+            let aos = batch_voronoi_with(
+                &mut tree,
+                &group,
+                &Rect::DOMAIN,
+                LeafLayout::Aos,
+                &mut VorScratch::default(),
+            );
+            prop_assert_eq!(&soa, &aos);
+            for (i, cell) in soa.iter().enumerate() {
+                let expected = brute_force_cell(&points, i, &Rect::DOMAIN);
+                assert_same_cell(cell, &expected, &format!("final cell {i} of {n} (shape {shape})"));
+            }
+        }
+    }
+
+    fn assert_seeding_matches_brute_force(group: &[PointObject]) {
+        let points: Vec<Point> = group.iter().map(|o| o.point).collect();
+        let (mut clip, mut tables) = (ClipScratch::default(), GroupTables::default());
+        let mut g = GroupCells::new(
+            group,
+            &Rect::DOMAIN,
+            LeafLayout::Soa,
+            &mut clip,
+            &mut tables,
+        );
+        g.seed();
+        for (i, cell) in g.cells.iter().enumerate() {
+            let expected = brute_force_cell(&points, i, &Rect::DOMAIN);
+            assert_same_cell(
+                cell,
+                &expected,
+                &format!("seeded cell {i} of {}", group.len()),
+            );
+        }
+    }
+
+    #[test]
+    fn seeding_matches_brute_force_from_one_member_to_four_hundred() {
+        for (n, seed) in [(1usize, 3u64), (2, 4), (41, 5), (400, 6)] {
+            let uniform = PointObject::from_points(&random_points(n, seed));
+            assert_seeding_matches_brute_force(&uniform);
+            for shape in 0..5 {
+                assert_seeding_matches_brute_force(&adversarial_group(seed, shape, n));
+            }
+        }
+    }
+
+    /// Work guard on a fixed uniform 20 k tree walked leaf by leaf (the
+    /// Q-cell step of NM-CIJ): nearest-first seeding keeps the clips per
+    /// cell near the ~6 a planar cell needs, and the reach gate keeps the
+    /// members that run a vertex loop per refinement pass to the handful
+    /// the point can concern. (26 clips per cell and 46 loops per pass
+    /// before either existed; 11.6 and 10.6 now.)
+    #[test]
+    fn seeding_and_reach_gate_bound_the_work_per_cell() {
+        let objects = PointObject::from_points(&random_points(20_000, 20));
+        let mut tree = RTree::bulk_load(RTreeConfig::default(), objects);
+        let mut scratch = VorScratch::for_budget(tree.config().node_byte_budget());
+        let mut cells = 0u64;
+        for leaf in tree.leaf_pages_hilbert_order(&Rect::DOMAIN) {
+            let group = tree.read_node(leaf).objects;
+            cells += group.len() as u64;
+            batch_voronoi_with(
+                &mut tree,
+                &group,
+                &Rect::DOMAIN,
+                LeafLayout::Soa,
+                &mut scratch,
+            );
+        }
+        assert_eq!(cells, 20_000);
+        let clips_per_cell = scratch.clips as f64 / cells as f64;
+        let loops_per_call = scratch.vertex_loops as f64 / scratch.refine_calls as f64;
+        assert!(clips_per_cell <= 16.0, "{clips_per_cell} clips per cell");
+        assert!(
+            loops_per_call <= 12.0,
+            "{loops_per_call} member vertex loops per refinement pass"
+        );
     }
 }

@@ -8,11 +8,11 @@
 //! lower bound for any diagram-computation (and CIJ) method, since every
 //! point participates in the result.
 
-use crate::batch::batch_voronoi;
+use crate::batch::{batch_voronoi_with, VorScratch};
 use crate::single::single_voronoi;
 use cij_geom::Rect;
 use cij_pagestore::IoSnapshot;
-use cij_rtree::{CellObject, PointObject, RTree};
+use cij_rtree::{CellObject, LeafLayout, PointObject, RTree};
 use std::time::{Duration, Instant};
 
 /// Which per-leaf strategy a diagram computation uses.
@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 pub enum DiagramMethod {
     /// One [`single_voronoi`] traversal per point (ITER).
     Iter,
-    /// One [`batch_voronoi`] traversal per leaf (BATCH).
+    /// One [`batch_voronoi`](crate::batch_voronoi) traversal per leaf (BATCH).
     Batch,
 }
 
@@ -48,6 +48,7 @@ pub fn compute_diagram(
     let start = Instant::now();
     let mut cells = Vec::with_capacity(tree.len());
     let leaves = tree.leaf_pages_hilbert_order(domain);
+    let mut scratch = VorScratch::for_budget(tree.config().node_byte_budget());
     for leaf in leaves {
         let node = tree.read_node(leaf);
         let group = node.objects;
@@ -59,7 +60,8 @@ pub fn compute_diagram(
                 }
             }
             DiagramMethod::Batch => {
-                let group_cells = batch_voronoi(tree, &group, domain);
+                let group_cells =
+                    batch_voronoi_with(tree, &group, domain, LeafLayout::default(), &mut scratch);
                 for (member, cell) in group.iter().zip(group_cells) {
                     cells.push(CellObject::new(member.id.0, member.point, cell));
                 }
