@@ -29,6 +29,7 @@ use cij_core::{
 use cij_datagen::uniform_points;
 use cij_geom::Rect;
 use cij_pagestore::{FaultKind, FaultSpec, FaultStats};
+use cij_rtree::SnapshotReader;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -142,9 +143,8 @@ pub fn run(args: &Args) {
         engine.run(&mut w, Algorithm::NmCij).sorted_pairs()
     };
     let mut snapshot = EngineSnapshot::build(&sets, &paper_config());
-    let (leaves, _) = snapshot
-        .tree(1)
-        .leaf_pages_hilbert_order_peek(&paper_config().domain);
+    let leaves =
+        SnapshotReader::new(snapshot.tree(1)).leaf_pages_hilbert_order(&paper_config().domain);
     let target = leaves[leaves.len() / 2];
     {
         let tree = snapshot.tree_mut(1);

@@ -1,19 +1,18 @@
-//! Multiway-CIJ scaling experiment: leaf-batched vs per-tuple probing,
-//! cost-driven planning vs the PR-4 fixed-driver baseline, and thread
-//! parity over k ∈ {2, 3, 4} clustered pointsets of *asymmetric* sizes
-//! (set `i` holds `n / (i + 1)` points, so driver choice genuinely
-//! matters).
+//! Multiway-CIJ scaling experiment: cost-driven planning vs the PR-4
+//! fixed-driver baseline, and thread parity over k ∈ {2, 3, 4} clustered
+//! pointsets of *asymmetric* sizes (set `i` holds `n / (i + 1)` points, so
+//! driver choice genuinely matters).
 //!
 //! For every k this experiment runs the multiway join several times over
 //! the same pointsets (each run builds its own [`MultiwayWorkload`], so
 //! every measurement starts from identical cold trees):
 //!
-//! * **batched** (the default configuration: [`MultiwayProbe::Batched`],
-//!   cost-based driver, bbox-disjoint narrowing skips) vs **per-tuple**
-//!   ([`MultiwayProbe::PerTuple`] baseline): batching must cut page
-//!   accesses and filter points-examined with an identical tuple set.
-//! * **batched T=4**: the parallel-execution contract — tuples (set *and*
-//!   order), [`MultiwayCounters`] and page accesses identical to T=1.
+//! * **batched** (the default configuration: one filter call per leaf and
+//!   round, cost-based driver, bbox-disjoint narrowing skips) vs **batched
+//!   T=4**: the parallel-execution contract — tuples (set *and* order),
+//!   [`MultiwayCounters`] and page accesses identical to T=1. (The
+//!   per-tuple probing baseline this row used to be compared against was
+//!   retired; its last measured delta is in CHANGES.md.)
 //! * **unpruned** (cost-based driver, `multiway_prune` off): isolates the
 //!   knob's contribution at a fixed plan — identical tuples and identical
 //!   [`MultiwayCounters`] (probes, points examined, clip ops: the filter
@@ -28,16 +27,14 @@
 //!   the unpruned variant is for.
 //!
 //! Any violated shape check panics, so the CI smoke run fails on a
-//! batching, planning or parity regression.
+//! planning, pruning or parity regression.
 //!
 //! [`MultiwayCounters`]: cij_core::MultiwayCounters
 //! [`MultiwayDriver::Fixed`]: cij_core::MultiwayDriver::Fixed
-//! [`MultiwayProbe::Batched`]: cij_core::MultiwayProbe::Batched
-//! [`MultiwayProbe::PerTuple`]: cij_core::MultiwayProbe::PerTuple
 //! [`MultiwayWorkload`]: cij_core::MultiwayWorkload
 
 use crate::util::{paper_config, print_header, print_row, scaled, secs, Args};
-use cij_core::{CijConfig, MultiwayDriver, MultiwayOutcome, MultiwayProbe, QueryEngine};
+use cij_core::{CijConfig, MultiwayDriver, MultiwayOutcome, QueryEngine};
 use cij_datagen::{clustered_points, ClusterSpec};
 use cij_geom::{Point, Rect};
 use std::time::Instant;
@@ -67,7 +64,7 @@ pub fn run(args: &Args) {
 
     print_header(
         &format!(
-            "Multiway CIJ: probing and planning, k clustered sets of n/(i+1) points (n = {n})"
+            "Multiway CIJ: planning and pruning, k clustered sets of n/(i+1) points (n = {n})"
         ),
         &[
             "k",
@@ -92,8 +89,6 @@ pub fn run(args: &Args) {
         let base = paper_config().with_min_buffer_pages(1);
 
         let (batched, batched_wall) = measure(&sets, &base, 1);
-        let (per_tuple, per_tuple_wall) =
-            measure(&sets, &base.with_multiway_probe(MultiwayProbe::PerTuple), 1);
         let (parallel, parallel_wall) = measure(&sets, &base, 4);
         // Same plan, pruning off: isolates the bbox-disjoint narrowing skips.
         let (unpruned, unpruned_wall) = measure(&sets, &base.with_multiway_prune(false), 1);
@@ -125,7 +120,6 @@ pub fn run(args: &Args) {
 
         for (outcome, wall, variant, parity) in [
             (&batched, batched_wall, "batched", parity.as_str()),
-            (&per_tuple, per_tuple_wall, "per-tuple", "-"),
             (&parallel, parallel_wall, "batched T=4", "see above"),
             (&unpruned, unpruned_wall, "unpruned", "-"),
             (&baseline, baseline_wall, "pr4-baseline", "-"),
@@ -145,21 +139,6 @@ pub fn run(args: &Args) {
             ]);
         }
 
-        if batched.sorted_ids() != per_tuple.sorted_ids() {
-            violations.push(format!("k={k}: probe modes produced different tuple sets"));
-        }
-        if batched.page_accesses >= per_tuple.page_accesses {
-            violations.push(format!(
-                "k={k}: batched probing did not reduce page accesses ({} vs {})",
-                batched.page_accesses, per_tuple.page_accesses
-            ));
-        }
-        if batched.counters.filter_points_examined >= per_tuple.counters.filter_points_examined {
-            violations.push(format!(
-                "k={k}: batched probing did not reduce filter points examined ({} vs {})",
-                batched.counters.filter_points_examined, per_tuple.counters.filter_points_examined
-            ));
-        }
         if batched.sorted_ids() != baseline.sorted_ids() {
             violations.push(format!("k={k}: cost-driven planning changed the tuple set"));
         }
@@ -190,23 +169,22 @@ pub fn run(args: &Args) {
     }
 
     println!(
-        "shape check: per k, batched must beat per-tuple on page accesses and points \
-         examined, the planned run must beat the pr4-baseline on filter calls, pruning \
-         must skip bbox-disjoint narrowings and move no other counter, all with \
+        "shape check: per k, the planned run must beat the pr4-baseline on filter calls, \
+         pruning must skip bbox-disjoint narrowings and move no other counter, all with \
          identical tuple sets, and the T=4 parity column must read `exact`"
     );
     assert!(
         violations.is_empty(),
-        "multiway batching/planning/parity contract violated: {violations:?}"
+        "multiway planning/pruning/parity contract violated: {violations:?}"
     );
 }
 
 fn measure(sets: &[Vec<Point>], config: &CijConfig, threads: usize) -> (MultiwayOutcome, f64) {
     // The paper's proportional 2 % buffer without the small-scale absolute
     // floor (like the Fig. 8a sweep): with the floor, reduced-scale trees
-    // fit entirely in the buffer and every probe strategy pays exactly one
-    // physical read per page — the redundant traversals batching removes
-    // would be invisible in the page-access column.
+    // fit entirely in the buffer and every plan pays exactly one physical
+    // read per page — the traversals a cheaper driver saves would be
+    // invisible in the page-access column.
     let engine = QueryEngine::new(config.with_worker_threads(threads));
     let mut w = engine.multiway_workload(sets);
     let start = Instant::now();

@@ -1,0 +1,772 @@
+//! The chunk protocol: what the binary NM-CIJ stream ([`crate::nm`]) and the
+//! multiway tuple stream ([`crate::multiway`]) share.
+//!
+//! Both streams walk the Hilbert-ordered leaves of a driving tree and turn
+//! each leaf into result rows through tree traversals (BatchVoronoi, the
+//! batch conditional filter) and lookups in a bounded [`CellCache`]. Leaf
+//! units are independent given read access to the trees, so a stream runs
+//! them in bounded **chunks** on a [`std::thread::scope`] worker pool —
+//! **without changing any observable result**. This module owns the parts
+//! of that protocol that do not care whether a unit reports pairs or
+//! extends tuples; the streams keep only their unit-specific work.
+//!
+//! # Phases of one chunk
+//!
+//! 1. **Scan** (parallel, per leaf) — read the leaf and run the traversals
+//!    that need no cache (nm: Q cells + conditional filter; multiway: the
+//!    leaf read, then per extension round one filter call per leaf).
+//! 2. **Cache policy** (coordinator, leaf order) — [`policy_pass`] decides
+//!    every hit, miss and eviction on the real [`CellCache`] from the
+//!    candidate *ids* alone, which fixes the exact set of cells each leaf
+//!    must compute.
+//! 3. **Refine** (parallel) — [`refine_missing`] computes those cells.
+//! 4. **Resolve** (coordinator, leaf order) — [`resolve_unit`] aligns each
+//!    leaf's candidate cells (hits from the cache payloads, misses from the
+//!    leaf's own refinement) and applies the deferred payload updates.
+//!    [`refine_through_cache`] is phases 2–4 as one stage.
+//! 5. **Report** (parallel) — the stream's own kernel (pair reporting,
+//!    tuple extension).
+//! 6. **Settle + emit** (coordinator, leaf order) — each leaf's deferred
+//!    read accounting is settled ([`Accounting::settle`]), its counters
+//!    folded, its watermark recorded and its rows enqueued.
+//!
+//! Chunk widths ramp `1 → workers → workers × 4` ([`LeafCursor`]), so the
+//! first rows cost exactly one leaf's page accesses — the non-blocking
+//! contract — while later chunks amortise the per-chunk barriers.
+//!
+//! # Why the result cannot depend on the schedule
+//!
+//! Naive concurrency would perturb three kinds of sequential state: the LRU
+//! page buffers (physical reads depend on access order), the cell reuse
+//! buffer (hits depend on which leaf ran first) and the emission order. The
+//! protocol decouples *computation* from *accounting*:
+//!
+//! * **Workers never touch a buffer.** During a join the trees are
+//!   read-only, so every parallel phase reads through a
+//!   [`SnapshotReader`] handed out by [`Accounting::reader`] and returns a
+//!   [`ReadLog`]. What the log is worth is decided once, at stream
+//!   construction: [`Accounting::Metered`] readers record the page trace
+//!   and the coordinator **replays** it through the real buffer + shared
+//!   [`IoStats`] in leaf order — the exact access sequence of a one-leaf-
+//!   at-a-time run, hence identical page-access totals, buffer state and
+//!   per-leaf samples at any worker count; [`Accounting::Fast`] readers
+//!   only count, and the coordinator adds the count to a per-query-local
+//!   counter — no trace, no replay, no shared-counter traffic, and only
+//!   `&RTree` needed, which is what lets concurrent queries share one
+//!   snapshot ([`crate::service`]). Rows, their order and every counter are
+//!   identical in both states; only the currency of "page accesses" differs
+//!   (buffer-simulated physical accesses vs logical snapshot reads).
+//! * **Cache policy is sequential on ids, payloads are computed in
+//!   parallel.** Which candidates hit depends only on the id sequence in
+//!   leaf order, never on the polygons, so phase 2 reproduces the
+//!   sequential hit/miss/evict sequence and phase 3 computes the same cells
+//!   (through the same traversals, hence the same logs) a sequential run
+//!   would.
+//! * **Ordered reassembly.** [`run_ordered_scratch`] returns results in
+//!   unit order and phase 6 walks leaves in order.
+//!
+//! # Fail-stop gates
+//!
+//! Readers never return errors: a failed read latches into the reader's
+//! log and serves an empty leaf, so whatever the traversal computed after
+//! it is garbage. Every parallel phase is therefore followed by a gate
+//! ([`gate`], built into [`refine_missing`]) that turns the first latched
+//! error in leaf order into `Err` *before* its outputs feed the next
+//! phase; settling a log can fail too (a replayed miss is a real transfer).
+//! On `Err` the stream latches the error, abandons its remaining leaves
+//! and ends: everything emitted is covered by a watermark, nothing of the
+//! failing leaf (or, for a phase failure, of the failing chunk) was
+//! emitted, and the reuse buffer — whose policy state may have advanced
+//! past payloads that were never filled — is never handed on. The
+//! leaf-order walk at construction goes through the same latch
+//! ([`Accounting::leaf_order`]), so a stream whose walk fails is born
+//! fail-stopped instead of panicking.
+//!
+//! Relaxed-consistency contract: the one atomic in this module is the
+//! work-stealing unit cursor inside [`run_ordered_scratch`] — workers claim
+//! unit indices with `fetch_add(1, Ordering::Relaxed)`, which is sound
+//! because the read-modify-write's modification order already hands each
+//! index to exactly one worker, and unit *inputs* are published to workers
+//! before the scope spawns (the scope's own synchronization), not through
+//! the cursor. Completed results are handed back through the join, which
+//! carries the release/acquire edge.
+
+use crate::cell_cache::CellCache;
+use crate::config::{CijConfig, ExecMode};
+use crate::filter::{FilterOptions, FilterScratch};
+use cij_geom::{ConvexPolygon, Rect};
+use cij_pagestore::{IoSnapshot, IoStats, PageId, PageIoError};
+use cij_rtree::reader::leaf_pages_hilbert_order;
+use cij_rtree::{LeafLayout, NodeReader, PointObject, RTree, ReadLog, SnapshotReader};
+use cij_voronoi::{batch_voronoi_with, VorScratch};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Steady-state chunk width, as a multiple of the worker count (see
+/// [`LeafCursor::next_chunk`]).
+const CHUNK_RAMP: usize = 4;
+
+/// How a stream's tree reads are paid for — chosen once, at stream
+/// construction, together with the access to the trees that choice needs.
+pub(crate) enum Accounting<'a> {
+    /// Byte-exact: parallel phases record page traces which
+    /// [`settle`](Accounting::settle) replays through the real LRU buffers
+    /// and the shared [`IoStats`]. Needs the trees exclusively.
+    Metered {
+        trees: Vec<&'a mut RTree<PointObject>>,
+        stats: IoStats,
+        /// `stats` as of stream construction: the stream's cost is the
+        /// delta since.
+        start: IoSnapshot,
+    },
+    /// Lock-light: readers only count, `settle` adds the count to the
+    /// per-query-local `reads`; no shared counter or buffer is touched, so
+    /// shared trees suffice.
+    Fast {
+        trees: Vec<&'a RTree<PointObject>>,
+        reads: u64,
+    },
+}
+
+impl<'a> Accounting<'a> {
+    /// Accounting over exclusively held `trees` in the configured `mode`;
+    /// `stats` is the [`IoStats`] the trees' stores report into.
+    pub(crate) fn exclusive(
+        mode: ExecMode,
+        trees: Vec<&'a mut RTree<PointObject>>,
+        stats: &IoStats,
+    ) -> Self {
+        match mode {
+            ExecMode::Metered => Accounting::Metered {
+                trees,
+                stats: stats.clone(),
+                start: stats.snapshot(),
+            },
+            ExecMode::Fast => Accounting::shared(trees.into_iter().map(|t| &*t).collect(), 0),
+        }
+    }
+
+    /// Fast accounting over shared `trees`, the local counter starting at
+    /// `reads` (what a precomputed leaf order cost).
+    pub(crate) fn shared(trees: Vec<&'a RTree<PointObject>>, reads: u64) -> Self {
+        Accounting::Fast { trees, reads }
+    }
+
+    /// Tree `i`, for reading.
+    pub(crate) fn tree(&self, i: usize) -> &RTree<PointObject> {
+        match self {
+            Accounting::Metered { trees, .. } => &*trees[i],
+            Accounting::Fast { trees, .. } => trees[i],
+        }
+    }
+
+    /// Number of trees.
+    pub(crate) fn k(&self) -> usize {
+        match self {
+            Accounting::Metered { trees, .. } => trees.len(),
+            Accounting::Fast { trees, .. } => trees.len(),
+        }
+    }
+
+    /// The first two trees for direct counted reads through their buffers —
+    /// `Some` only under metered accounting (nm's sequential leaf loop).
+    pub(crate) fn counted_pair(
+        &mut self,
+    ) -> Option<(&mut RTree<PointObject>, &mut RTree<PointObject>)> {
+        match self {
+            Accounting::Metered { trees, .. } => match &mut trees[..] {
+                [a, b, ..] => Some((&mut **a, &mut **b)),
+                _ => None,
+            },
+            Accounting::Fast { .. } => None,
+        }
+    }
+
+    /// A snapshot reader over tree `i` whose finished [`ReadLog`] carries
+    /// what [`settle`](Accounting::settle) needs: the page trace (metered)
+    /// or just the count (fast).
+    pub(crate) fn reader(&self, i: usize) -> SnapshotReader<'_, PointObject> {
+        match self {
+            Accounting::Metered { trees, .. } => SnapshotReader::traced(&*trees[i]),
+            Accounting::Fast { trees, .. } => SnapshotReader::new(trees[i]),
+        }
+    }
+
+    /// Settles the deferred accounting of one finished reader over tree
+    /// `i`: replays the trace through the tree's real buffer (metered — a
+    /// replayed miss is a metered transfer and can fail), or adds the read
+    /// count to the local counter (fast — infallible).
+    pub(crate) fn settle(&mut self, i: usize, log: &ReadLog) -> Result<(), PageIoError> {
+        match self {
+            Accounting::Metered { trees, .. } => log
+                .trace
+                .iter()
+                .try_for_each(|&page| trees[i].replay_read(page)),
+            Accounting::Fast { reads, .. } => {
+                *reads += log.reads;
+                Ok(())
+            }
+        }
+    }
+
+    /// The Hilbert leaf order of tree `i`, paid for in this accounting's
+    /// currency — counted reads through the buffer (metered) or snapshot
+    /// reads charged to the local counter (fast) — over the one walk body
+    /// [`leaf_pages_hilbert_order`]. A failed non-leaf read is an `Err`,
+    /// not a panic.
+    pub(crate) fn leaf_order(
+        &mut self,
+        i: usize,
+        domain: &Rect,
+    ) -> Result<Vec<PageId>, PageIoError> {
+        let (leaves, error) = match self {
+            Accounting::Metered { trees, .. } => {
+                let tree = &mut *trees[i];
+                let root_level = tree.root_level();
+                let leaves = leaf_pages_hilbert_order(tree, root_level, domain);
+                (leaves, tree.take_error())
+            }
+            Accounting::Fast { trees, reads } => {
+                let mut reader = SnapshotReader::new(trees[i]);
+                let leaves = reader.leaf_pages_hilbert_order(domain);
+                let log = reader.finish();
+                *reads += log.reads;
+                (leaves, log.error)
+            }
+        };
+        error.map_or(Ok(leaves), Err)
+    }
+
+    /// The stream's I/O so far: the shared-stats delta since construction
+    /// (metered), or the local read count reported as physical + logical
+    /// reads (fast) — so [`page_accesses`](Accounting::page_accesses), the
+    /// watermarks and a cost breakdown built from this agree on one figure.
+    pub(crate) fn join_io(&self) -> IoSnapshot {
+        match self {
+            Accounting::Metered { stats, start, .. } => stats.snapshot().since(start),
+            Accounting::Fast { reads, .. } => IoSnapshot {
+                physical_reads: *reads,
+                logical_reads: *reads,
+                ..IoSnapshot::default()
+            },
+        }
+    }
+
+    /// The stream's cumulative cost so far in this accounting's currency:
+    /// buffer-simulated physical page accesses (metered) or logical
+    /// snapshot reads (fast).
+    pub(crate) fn page_accesses(&self) -> u64 {
+        self.join_io().page_accesses()
+    }
+}
+
+/// The per-stream constants every unit needs, derived from the config once
+/// at construction.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct UnitEnv {
+    /// Worker pool width ([`CijConfig::effective_worker_threads`]).
+    pub(crate) workers: usize,
+    pub(crate) domain: Rect,
+    pub(crate) layout: LeafLayout,
+    pub(crate) filter_options: FilterOptions,
+    /// Node byte budget the per-worker scratches are pre-sized for.
+    pub(crate) budget: usize,
+}
+
+impl UnitEnv {
+    pub(crate) fn new(config: &CijConfig, budget: usize) -> Self {
+        UnitEnv {
+            workers: config.effective_worker_threads(),
+            domain: config.domain,
+            layout: config.leaf_layout,
+            filter_options: FilterOptions::for_kernel(config.filter_kernel)
+                .with_layout(config.leaf_layout),
+            budget,
+        }
+    }
+}
+
+/// A stream's position in its Hilbert leaf order, and the chunk ramp.
+#[derive(Debug, Default)]
+pub(crate) struct LeafCursor {
+    leaves: Vec<PageId>,
+    next: usize,
+    chunks_done: usize,
+}
+
+impl LeafCursor {
+    pub(crate) fn new(leaves: Vec<PageId>) -> Self {
+        LeafCursor {
+            leaves,
+            next: 0,
+            chunks_done: 0,
+        }
+    }
+
+    /// Whether every leaf has been handed out (or abandoned).
+    pub(crate) fn is_exhausted(&self) -> bool {
+        self.next >= self.leaves.len()
+    }
+
+    /// Hands out the next bounded chunk as `(index of its first leaf, its
+    /// leaf pages)`. Widths ramp 1 → `workers` → `workers * CHUNK_RAMP`:
+    /// the first chunk covers a single leaf so the first row costs exactly
+    /// the page accesses a sequential run pays for it, later chunks widen
+    /// to amortise the per-chunk barriers, and in-flight leaves stay
+    /// bounded by `workers * CHUNK_RAMP`.
+    pub(crate) fn next_chunk(&mut self, workers: usize) -> (usize, Vec<PageId>) {
+        let width = match self.chunks_done {
+            0 => 1,
+            1 => workers,
+            _ => workers * CHUNK_RAMP,
+        };
+        let first = self.next;
+        self.next = (first + width).min(self.leaves.len());
+        self.chunks_done += 1;
+        (first, self.leaves[first..self.next].to_vec())
+    }
+
+    /// Hands out the next single leaf as `(its index, its page)` — nm's
+    /// sequential loop. The cursor must not be exhausted.
+    pub(crate) fn next_leaf(&mut self) -> (usize, PageId) {
+        let index = self.next;
+        self.next += 1;
+        (index, self.leaves[index])
+    }
+
+    /// Abandons every leaf not handed out yet (fail-stop).
+    pub(crate) fn abandon(&mut self) {
+        self.next = self.leaves.len();
+    }
+}
+
+/// The per-worker scratch of one join unit: the Voronoi traversal's decode
+/// arena + clip buffers and the conditional filter's. Allocated **once per
+/// worker** (or once per stream on nm's sequential path) and reused across
+/// every unit the worker processes, so the SoA hot loops run
+/// allocation-free at steady state.
+#[derive(Debug, Default)]
+pub(crate) struct UnitScratch {
+    pub(crate) vor: VorScratch,
+    pub(crate) filter: FilterScratch,
+}
+
+impl UnitScratch {
+    /// Scratch pre-sized for nodes of the given byte budget.
+    pub(crate) fn for_budget(node_byte_budget: usize) -> Self {
+        UnitScratch {
+            vor: VorScratch::for_budget(node_byte_budget),
+            filter: FilterScratch::for_budget(node_byte_budget),
+        }
+    }
+}
+
+/// Runs `f(0..n)` on a scoped pool of at most `workers` threads and returns
+/// the results in index order. Work is handed out through a shared atomic
+/// cursor, so uneven units balance across the pool. Worker panics propagate
+/// to the caller.
+pub(crate) fn run_ordered<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    run_ordered_scratch(workers, n, || (), |i, ()| f(i))
+}
+
+/// [`run_ordered`] with a per-worker scratch value: `mk` runs **once per
+/// worker thread** (not per unit) and the resulting scratch is handed to
+/// every `f(i, scratch)` call that thread executes — the per-unit arena
+/// reuse that keeps the SoA hot loops allocation-free. At one worker (or
+/// one unit) the pool degenerates to inline calls.
+pub(crate) fn run_ordered_scratch<T, S, M, F>(workers: usize, n: usize, mk: M, f: F) -> Vec<T>
+where
+    T: Send,
+    M: Fn() -> S + Sync,
+    F: Fn(usize, &mut S) -> T + Sync,
+{
+    if n == 0 {
+        return Vec::new();
+    }
+    let threads = workers.min(n);
+    if threads <= 1 {
+        let mut scratch = mk();
+        return (0..n).map(|i| f(i, &mut scratch)).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
+    slots.resize_with(n, || None);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut scratch = mk();
+                    let mut produced: Vec<(usize, T)> = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        produced.push((i, f(i, &mut scratch)));
+                    }
+                    produced
+                })
+            })
+            .collect();
+        for handle in handles {
+            for (i, value) in handle.join().expect("chunk worker panicked") {
+                slots[i] = Some(value);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every unit produces a result"))
+        .collect()
+}
+
+/// The fail-stop gate after a parallel phase: the first error latched in
+/// any of the phase's logs (in the given — leaf — order), as `Err`.
+pub(crate) fn gate<'l>(logs: impl IntoIterator<Item = &'l ReadLog>) -> Result<(), PageIoError> {
+    logs.into_iter()
+        .find_map(|log| log.error.clone())
+        .map_or(Ok(()), Err)
+}
+
+/// What one unit's candidates did to a reuse buffer.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct CacheTally {
+    /// Cache hits attributed to the unit.
+    pub(crate) reused: u64,
+    /// Cache misses attributed to the unit (cells it computes).
+    pub(crate) computed: u64,
+    /// The cache's total evictions as of the end of the unit.
+    pub(crate) evictions_after: u64,
+}
+
+/// The coordinator's replacement-policy verdict for one unit: which
+/// candidates hit the reuse buffer, which must be computed (`missing`, in
+/// candidate order — exactly the cells a one-unit-at-a-time run would
+/// compute), and the deferred payload bookkeeping of the puts.
+#[derive(Default)]
+struct UnitPlan {
+    /// Aligned with the unit's candidates: `true` when the cell was a hit.
+    hit: Vec<bool>,
+    /// Candidates whose exact cells this unit computes, in candidate order.
+    missing: Vec<PointObject>,
+    /// One entry per `missing` member: `(id, evicted victim)`.
+    puts: Vec<(u64, Option<u64>)>,
+    tally: CacheTally,
+}
+
+/// Phase 2: runs the replacement policy of one unit over `candidates` on
+/// the real cache (coordinator only, unit order) — the exact
+/// hit/miss/eviction sequence a one-unit-at-a-time run would produce.
+fn policy_pass(cache: &mut CellCache, candidates: &[PointObject]) -> UnitPlan {
+    let mut plan = UnitPlan::default();
+    for cand in candidates {
+        let hit = cache.policy_get(cand.id.0);
+        plan.hit.push(hit);
+        if hit {
+            plan.tally.reused += 1;
+        } else {
+            plan.tally.computed += 1;
+            plan.missing.push(*cand);
+        }
+    }
+    for m in &plan.missing {
+        plan.puts.push((m.id.0, cache.policy_put(m.id.0)));
+    }
+    plan.tally.evictions_after = cache.evictions();
+    plan
+}
+
+/// Phase 3: the exact cells of every unit's `missing` candidates, computed
+/// in parallel over snapshot readers of tree `tree` (each worker reusing
+/// one Voronoi scratch), with the phase's fail-stop gate: cells refined
+/// from an error-empty read would be geometrically wrong, so any latched
+/// error fails the whole phase.
+fn refine_missing(
+    acct: &Accounting<'_>,
+    tree: usize,
+    plans: &[UnitPlan],
+    env: &UnitEnv,
+) -> Result<Vec<(Vec<ConvexPolygon>, ReadLog)>, PageIoError> {
+    let refined = run_ordered_scratch(
+        env.workers,
+        plans.len(),
+        || VorScratch::for_budget(env.budget),
+        |u, vor| {
+            let missing = &plans[u].missing;
+            if missing.is_empty() {
+                return (Vec::new(), ReadLog::default());
+            }
+            let mut reader = acct.reader(tree);
+            let cells = batch_voronoi_with(&mut reader, missing, &env.domain, env.layout, vor);
+            (cells, reader.finish())
+        },
+    );
+    gate(refined.iter().map(|(_, log)| log))?;
+    Ok(refined)
+}
+
+/// Phase 4: resolves one unit's aligned candidate cells — hits from the
+/// cache payloads, misses from the unit's freshly refined cells — applying
+/// the deferred payload updates of the unit's puts (coordinator only, unit
+/// order).
+fn resolve_unit(
+    cache: &mut CellCache,
+    candidates: &[PointObject],
+    plan: &UnitPlan,
+    refined: Vec<ConvexPolygon>,
+) -> Vec<ConvexPolygon> {
+    // Hits first: sequential gets all happen before any put, so a payload
+    // this unit's own puts evict must still serve the hits recorded before
+    // them.
+    let mut aligned: Vec<Option<ConvexPolygon>> = candidates
+        .iter()
+        .zip(&plan.hit)
+        .map(|(cand, hit)| hit.then(|| cache.resolved_payload(cand.id.0)))
+        .collect();
+    // Apply the puts in order (victim payload drops were deferred by the
+    // policy pass), then move — not clone — each fresh cell into its slot:
+    // the cache holds the only other copy.
+    let mut fresh = refined.into_iter();
+    let mut puts = plan.puts.iter();
+    for slot in aligned.iter_mut() {
+        if slot.is_none() {
+            let cell = fresh
+                .next()
+                .expect("one refined cell per missing candidate");
+            let (id, victim) = puts.next().expect("one put per missing candidate");
+            if let Some(v) = victim {
+                cache.drop_payload(*v);
+            }
+            cache.fill_payload(*id, &cell);
+            *slot = Some(cell);
+        }
+    }
+    aligned
+        .into_iter()
+        .map(|cell| cell.expect("every slot filled"))
+        .collect()
+}
+
+/// One unit's outcome of [`refine_through_cache`].
+pub(crate) struct UnitCells {
+    /// Exact cells, aligned with the unit's candidates.
+    pub(crate) cells: Vec<ConvexPolygon>,
+    /// Deferred read accounting of the unit's refinement.
+    pub(crate) log: ReadLog,
+    pub(crate) tally: CacheTally,
+}
+
+/// Phases 2–4 for one tree and its cache: the exact cells of every unit's
+/// candidates (`units` in leaf order), served through `cache` with the
+/// hit/miss/eviction sequence — and therefore the set of cells actually
+/// computed — of a one-unit-at-a-time run.
+pub(crate) fn refine_through_cache(
+    acct: &Accounting<'_>,
+    tree: usize,
+    cache: &mut CellCache,
+    units: &[&[PointObject]],
+    env: &UnitEnv,
+) -> Result<Vec<UnitCells>, PageIoError> {
+    let plans: Vec<UnitPlan> = units.iter().map(|c| policy_pass(cache, c)).collect();
+    let refined = refine_missing(acct, tree, &plans, env)?;
+    Ok(units
+        .iter()
+        .zip(plans)
+        .zip(refined)
+        .map(|((candidates, plan), (fresh, log))| UnitCells {
+            cells: resolve_unit(cache, candidates, &plan, fresh),
+            log,
+            tally: plan.tally,
+        })
+        .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workload::MultiwayWorkload;
+    use cij_geom::Point;
+    use cij_pagestore::{FaultKind, FaultSpec};
+    use cij_rtree::RTreeConfig;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn config() -> CijConfig {
+        CijConfig::default().with_rtree(RTreeConfig {
+            page_size: 256,
+            min_fill: 0.4,
+            max_entries: 64,
+        })
+    }
+
+    /// A one-tree workload over 400 seeded points, cold, with a 4-page
+    /// buffer (so the access pattern below both hits and evicts).
+    fn workload() -> MultiwayWorkload {
+        let mut rng = StdRng::seed_from_u64(77);
+        let points: Vec<Point> = (0..400)
+            .map(|_| Point::new(rng.gen_range(0.0..10_000.0), rng.gen_range(0.0..10_000.0)))
+            .collect();
+        let mut w = MultiwayWorkload::build(&[points], &config());
+        w.trees[0].flush();
+        w.trees[0].set_buffer_pages(4);
+        w.reset_measurement();
+        w
+    }
+
+    /// Root, the first leaves, the root again, the same leaves backwards.
+    fn access_pattern(tree: &RTree<PointObject>) -> Vec<PageId> {
+        let root = tree.root_page();
+        let leaves = SnapshotReader::new(tree).leaf_pages_hilbert_order(&config().domain);
+        assert!(leaves.len() > 8, "the pattern must overflow the buffer");
+        let mut pattern = vec![root];
+        pattern.extend(&leaves[..8]);
+        pattern.push(root);
+        pattern.extend(leaves[..8].iter().rev());
+        pattern
+    }
+
+    #[test]
+    fn metered_settle_equals_performing_the_reads_directly() {
+        let mut live = workload();
+        let mut deferred = workload();
+        let pattern = access_pattern(&live.trees[0]);
+        for &page in &pattern {
+            live.trees[0].try_read_node(page).unwrap();
+        }
+
+        let stats = deferred.stats.clone();
+        let trees = deferred.trees.iter_mut().collect();
+        let mut acct = Accounting::exclusive(ExecMode::Metered, trees, &stats);
+        let mut reader = acct.reader(0);
+        for &page in &pattern {
+            reader.visit(page, &mut |_| {});
+        }
+        let log = reader.finish();
+        assert_eq!(log.trace, pattern);
+        assert_eq!(acct.page_accesses(), 0, "nothing is paid before settling");
+        acct.settle(0, &log).unwrap();
+
+        assert_eq!(live.stats.snapshot(), stats.snapshot());
+        assert_eq!(acct.join_io(), stats.snapshot());
+        assert_eq!(acct.page_accesses(), live.stats.snapshot().page_accesses());
+        // Metered backend bytes match; the reader's cold peeks are
+        // unmetered traffic the direct reads never caused.
+        let (a, b) = (live.backend_io(), deferred.backend_io());
+        assert_eq!(
+            (a.bytes_read, a.bytes_written),
+            (b.bytes_read, b.bytes_written)
+        );
+        // Buffer MRU order, observed: the same follow-up hits and evicts
+        // identically, step by step.
+        for &page in pattern.iter().rev() {
+            live.trees[0].try_read_node(page).unwrap();
+            deferred.trees[0].try_read_node(page).unwrap();
+            assert_eq!(live.stats.snapshot(), deferred.stats.snapshot());
+        }
+    }
+
+    #[test]
+    fn fast_settle_adds_to_the_local_counter_and_touches_no_io_stats() {
+        let mut w = workload();
+        let pattern = access_pattern(&w.trees[0]);
+        let stats = w.stats.clone();
+        // Exclusive trees in fast mode and shared trees account alike.
+        for shared in [false, true] {
+            let mut acct = if shared {
+                Accounting::shared(w.trees.iter().collect(), 5)
+            } else {
+                Accounting::exclusive(ExecMode::Fast, w.trees.iter_mut().collect(), &stats)
+            };
+            assert!(acct.counted_pair().is_none());
+            let mut reader = acct.reader(0);
+            for &page in &pattern {
+                reader.visit(page, &mut |_| {});
+            }
+            let log = reader.finish();
+            assert!(log.trace.is_empty(), "fast readers record no trace");
+            acct.settle(0, &log).unwrap();
+            let expected = pattern.len() as u64 + if shared { 5 } else { 0 };
+            assert_eq!(acct.page_accesses(), expected);
+            assert_eq!(acct.join_io().logical_reads, expected);
+            assert_eq!(stats.snapshot(), Default::default());
+        }
+    }
+
+    #[test]
+    fn leaf_order_is_one_walk_in_both_currencies() {
+        let domain = config().domain;
+        let mut metered = workload();
+        let stats = metered.stats.clone();
+        let trees = metered.trees.iter_mut().collect();
+        let mut acct = Accounting::exclusive(ExecMode::Metered, trees, &stats);
+        let counted = acct.leaf_order(0, &domain).unwrap();
+        assert!(counted.len() > 4);
+        let counted_reads = stats.snapshot().logical_reads;
+        assert_eq!(acct.join_io().logical_reads, counted_reads);
+
+        let fast = workload();
+        let mut acct = Accounting::shared(fast.trees.iter().collect(), 0);
+        assert_eq!(acct.leaf_order(0, &domain).unwrap(), counted);
+        assert_eq!(acct.page_accesses(), counted_reads);
+        assert_eq!(fast.stats.snapshot(), Default::default());
+    }
+
+    #[test]
+    fn settle_and_leaf_order_surface_storage_errors_instead_of_panicking() {
+        let domain = config().domain;
+        let mut w = workload();
+        let root = w.trees[0].root_page();
+        let stats = w.stats.clone();
+        // The reader still gets the page; by replay time its frame rots.
+        let log = {
+            let acct = Accounting::shared(w.trees.iter().collect(), 0);
+            let mut reader = SnapshotReader::traced(acct.tree(0));
+            reader.visit(root, &mut |_| {});
+            reader.finish()
+        };
+        assert_eq!((log.reads, &log.error), (1, &None));
+        w.trees[0].inject_fault(FaultSpec::corrupt_frame(root.0));
+        let trees = w.trees.iter_mut().collect();
+        let mut acct = Accounting::exclusive(ExecMode::Metered, trees, &stats);
+        let err = acct.settle(0, &log).unwrap_err();
+        assert_eq!((err.kind, err.page), (FaultKind::Corrupt, Some(root.0)));
+        let err = acct.leaf_order(0, &domain).unwrap_err();
+        assert_eq!(err.kind, FaultKind::Corrupt);
+        // Same walk, fast currency.
+        let mut acct = Accounting::shared(w.trees.iter().collect(), 0);
+        assert_eq!(
+            acct.leaf_order(0, &domain).unwrap_err().kind,
+            FaultKind::Corrupt
+        );
+        // And the gate reports the first latched error in log order.
+        let failed = ReadLog {
+            error: Some(err.clone()),
+            ..ReadLog::default()
+        };
+        assert_eq!(gate([&log, &failed, &log]), Err(err));
+        assert_eq!(gate([&log, &log]), Ok(()));
+    }
+
+    #[test]
+    fn chunk_widths_ramp_and_cover_every_leaf_once() {
+        let leaves: Vec<PageId> = (0..30).map(PageId).collect();
+        let mut cursor = LeafCursor::new(leaves.clone());
+        let mut seen = Vec::new();
+        let mut widths = Vec::new();
+        while !cursor.is_exhausted() {
+            let (first, chunk) = cursor.next_chunk(3);
+            assert_eq!(first, seen.len());
+            widths.push(chunk.len());
+            seen.extend(chunk);
+        }
+        assert_eq!(seen, leaves);
+        assert_eq!(widths, [1, 3, 12, 12, 2]);
+        let mut cursor = LeafCursor::new(leaves);
+        assert_eq!(cursor.next_leaf(), (0, PageId(0)));
+        cursor.abandon();
+        assert!(cursor.is_exhausted());
+    }
+}

@@ -4,33 +4,6 @@ use cij_geom::Rect;
 use cij_pagestore::StorageBackend;
 use cij_rtree::{LeafLayout, RTreeConfig};
 
-/// How the multiway CIJ probes the next set's tree with the regions of its
-/// live partial tuples (the filter phase of every extension round).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MultiwayProbe {
-    /// One [`batch_conditional_filter`](crate::filter::batch_conditional_filter)
-    /// call per leaf unit, probing all live partial regions of the unit at
-    /// once — the same redundant-traversal cut binary NM-CIJ gets from
-    /// batching the cells of one `RQ` leaf. The default.
-    #[default]
-    Batched,
-    /// One filter call per partial tuple — the historical baseline the
-    /// `multiway_scale` experiment compares against. Results are identical
-    /// to [`MultiwayProbe::Batched`]; page accesses and filter
-    /// points-examined are strictly higher on non-trivial workloads.
-    PerTuple,
-}
-
-impl MultiwayProbe {
-    /// Short label used by benches and tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            MultiwayProbe::Batched => "batched",
-            MultiwayProbe::PerTuple => "per-tuple",
-        }
-    }
-}
-
 /// Which conditional-filter kernel
 /// [`batch_conditional_filter`](crate::filter::batch_conditional_filter)
 /// runs — the strategy for computing each examined point's approximate cell
@@ -105,28 +78,31 @@ impl MultiwayDriver {
     }
 }
 
-/// Which execution path a [`CijExecutor`](crate::engine::CijExecutor)
-/// stream runs — the trade between exact cost accounting and per-query
-/// overhead.
+/// How a streaming executor pays for its tree reads — the trade between
+/// exact cost accounting and per-query overhead. The mode is resolved
+/// **once**, when a stream is constructed, into the accounting value the
+/// chunk protocol runs on; no phase of a join branches on it afterwards,
+/// and both modes run the same kernels over the same snapshot reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// The byte-exact counted path: every page access flows through the
-    /// real LRU buffer and the shared [`cij_pagestore::IoStats`], and the
-    /// parallel protocol records [`cij_rtree::TracedReader`] page traces
-    /// which the coordinator replays in Hilbert leaf order. This is the
-    /// correctness *and* accounting oracle — tests and the paper-figure
-    /// benches run it. The default.
+    /// The byte-exact counted path: every page access lands in the real
+    /// LRU buffers and the shared [`cij_pagestore::IoStats`] — directly in
+    /// the sequential NM-CIJ leaf loop, and in the chunked protocol through
+    /// traced [`cij_rtree::SnapshotReader`]s whose page traces the
+    /// coordinator replays in Hilbert leaf order. This is the correctness
+    /// *and* accounting oracle — tests and the paper-figure benches run it.
+    /// Needs the workload exclusively. The default.
     #[default]
     Metered,
-    /// The lock-light serving path: queries traverse the tree pages as an
-    /// immutable snapshot (`peek`-based reads that never touch the shared
-    /// buffer or its mutex-free but contended counters), skip trace
-    /// recording and coordinator replay entirely, and count I/O in a
-    /// per-query-local counter. Results — pairs, tuples, set *and* order —
-    /// are identical to [`ExecMode::Metered`]; only the cost accounting
-    /// changes meaning (logical snapshot reads instead of buffer-simulated
-    /// physical accesses). Many simultaneous queries can share one
-    /// `Arc`-snapshotted tree pair; see [`crate::service`].
+    /// The lock-light serving path: the same snapshot reads, only
+    /// *counted* — no trace is recorded, nothing is replayed, no shared
+    /// buffer or counter is touched, and I/O is reported from a
+    /// per-query-local counter. Results — pairs, tuples, set *and* order,
+    /// every NM/multiway counter — are identical to [`ExecMode::Metered`];
+    /// only the cost accounting changes meaning (logical snapshot reads
+    /// instead of buffer-simulated physical accesses). Needs only shared
+    /// tree access, so many simultaneous queries can run over one
+    /// `Arc`-snapshotted tree set; see [`crate::service`].
     Fast,
 }
 
@@ -216,7 +192,8 @@ pub struct CijConfig {
     /// page-access totals are identical to the sequential run — workers
     /// compute against the trees as immutable snapshots and the coordinator
     /// replays each leaf's page-access trace through the real LRU buffer in
-    /// leaf order (see [`crate::nm`] for the full protocol). The stream
+    /// leaf order (the chunk protocol; [`crate::nm`] points to its
+    /// description). The stream
     /// stays lazy: at most a small multiple of `worker_threads` leaves are
     /// in flight, so first pairs never wait for the whole join.
     ///
@@ -224,9 +201,6 @@ pub struct CijConfig {
     /// the same knob with the same exact-parity guarantee over its leaf
     /// units.
     pub worker_threads: usize,
-    /// Probe strategy of the multiway CIJ's extension rounds (see
-    /// [`MultiwayProbe`]); [`MultiwayProbe::Batched`] by default.
-    pub multiway_probe: MultiwayProbe,
     /// Conditional-filter kernel every algorithm's filter phase runs (see
     /// [`FilterKernel`]); [`FilterKernel::Indexed`] by default, with
     /// [`FilterKernel::Scan`] as the historical quadratic baseline. Both
@@ -275,7 +249,6 @@ impl Default for CijConfig {
             cell_cache_capacity: 1024,
             progress_sample_pairs: 1_000,
             worker_threads: 1,
-            multiway_probe: MultiwayProbe::Batched,
             filter_kernel: FilterKernel::Indexed,
             multiway_driver: MultiwayDriver::CostBased,
             leaf_layout: LeafLayout::Soa,
@@ -339,12 +312,6 @@ impl CijConfig {
     /// [`CijConfig::worker_threads`]; `0` and `1` both mean sequential).
     pub fn with_worker_threads(mut self, threads: usize) -> Self {
         self.worker_threads = threads;
-        self
-    }
-
-    /// Sets the multiway probe strategy (see [`MultiwayProbe`]).
-    pub fn with_multiway_probe(mut self, probe: MultiwayProbe) -> Self {
-        self.multiway_probe = probe;
         self
     }
 
@@ -507,16 +474,6 @@ mod tests {
         );
         let c = c.with_storage_backend(StorageBackend::File);
         assert_eq!(c.storage_backend, StorageBackend::File);
-    }
-
-    #[test]
-    fn multiway_probe_default_and_builder() {
-        let c = CijConfig::default();
-        assert_eq!(c.multiway_probe, MultiwayProbe::Batched);
-        assert_eq!(c.multiway_probe.name(), "batched");
-        let c = c.with_multiway_probe(MultiwayProbe::PerTuple);
-        assert_eq!(c.multiway_probe, MultiwayProbe::PerTuple);
-        assert_eq!(c.multiway_probe.name(), "per-tuple");
     }
 
     #[test]

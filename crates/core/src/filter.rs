@@ -244,8 +244,8 @@ pub fn batch_conditional_filter<T: NodeReader<PointObject>>(
 ///
 /// The candidate set is independent of the options — they trade CPU
 /// strategies, never results. Generic over [`NodeReader`], so the same
-/// traversal runs in counted mode (`&mut RTree`) and in the traced snapshot
-/// mode used by parallel workers ([`cij_rtree::TracedReader`]).
+/// traversal runs in counted mode (`&mut RTree`) and over the snapshot
+/// readers chunk workers use ([`cij_rtree::SnapshotReader`]).
 pub fn batch_conditional_filter_with<T: NodeReader<PointObject>>(
     rp: &mut T,
     polys: &[ConvexPolygon],

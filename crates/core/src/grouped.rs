@@ -27,9 +27,9 @@ const CELL_BATCH: usize = 24;
 /// batch is spatially compact, and computed through the cache in
 /// leaf-sized groups.
 ///
-/// Generic over the [`NodeReader`] so the metered path can pass the counted
-/// `&mut RTree` and the fast/service path a
-/// [`SnapshotReader`](cij_rtree::SnapshotReader) over a shared snapshot.
+/// Generic over the [`NodeReader`] so the workload-owning plan can pass the
+/// counted `&mut RTree` and the service a counting
+/// [`SnapshotReader`](cij_rtree::SnapshotReader) over its shared snapshot.
 pub(crate) fn cells_by_id<R: NodeReader<PointObject>, C: CellStore>(
     tree: &mut R,
     objects: &[PointObject],

@@ -91,6 +91,7 @@
 
 pub mod brute;
 pub mod cell_cache;
+mod chunk;
 pub mod config;
 pub mod engine;
 pub mod filter;
@@ -108,7 +109,7 @@ pub use brute::brute_force_cij;
 pub use cell_cache::{CacheBudget, CacheLease, CellCache};
 pub use cij_pagestore::StorageBackend;
 pub use cij_rtree::LeafLayout;
-pub use config::{CijConfig, ExecMode, FilterKernel, MultiwayDriver, MultiwayProbe};
+pub use config::{CijConfig, ExecMode, FilterKernel, MultiwayDriver};
 pub use engine::{CijExecutor, FmExecutor, NmExecutor, PairStream, PmExecutor, QueryEngine};
 pub use filter::{
     batch_conditional_filter, batch_conditional_filter_scratch, batch_conditional_filter_with,

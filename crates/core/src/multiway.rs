@@ -29,17 +29,14 @@
 //!   `cells_computed[i]` has the same meaning ("exact cells computed",
 //!   i.e. cache misses) for every slot and duplicate seed work would be
 //!   served from the buffer.
-//! * **Extend (rounds 1 … k−1)**: the unit's live partial tuples are grouped
-//!   into **probe units** and each probe unit issues *one*
-//!   [`batch_conditional_filter`] call carrying all of its partial regions
-//!   ([`MultiwayProbe::Batched`], the default) — the same redundant-traversal
-//!   cut that batching the cells of one `RQ` leaf gives binary NM-CIJ,
-//!   observable as a drop in page accesses and filter points-examined
-//!   (measured by the `multiway_scale` bench experiment against the
-//!   [`MultiwayProbe::PerTuple`] baseline, which probes once per partial
-//!   tuple). Candidate cells are then resolved through the set's
-//!   [`CellCache`] and each partial region is narrowed by polygon
-//!   intersection; empty intersections drop the candidate tuple.
+//! * **Extend (rounds 1 … k−1)**: each leaf with live partial tuples issues
+//!   *one* [`batch_conditional_filter`] call carrying all of its partial
+//!   regions — the same redundant-traversal cut that batching the cells of
+//!   one `RQ` leaf gives binary NM-CIJ (probing once per partial tuple
+//!   instead cost 8–44× the page accesses at k = 2…4; the retired baseline's
+//!   last numbers are in CHANGES.md). Candidate cells are then resolved
+//!   through the set's [`CellCache`] and each partial region is narrowed by
+//!   polygon intersection; empty intersections drop the candidate tuple.
 //!
 //! With [`CijConfig::multiway_prune`] (on by default) the candidate×partial
 //! narrowing of every extension round skips **bbox-disjoint** combinations
@@ -65,68 +62,47 @@
 //! [`QueryEngine::multiway_stream`](crate::engine::QueryEngine::multiway_stream)
 //! exposes the stream directly.
 //!
-//! # Parallelism with exact parity
+//! # One execution path
 //!
-//! With [`CijConfig::worker_threads`] > 1 the leaf units of a bounded chunk
-//! run on a [`std::thread::scope`] worker pool using the same
-//! determinism protocol as parallel NM-CIJ (see [`crate::nm`]), generalised
-//! to `k` trees and `k` caches:
-//!
-//! * workers traverse the trees as immutable snapshots through
-//!   [`cij_rtree::TracedReader`], recording per-unit page traces;
-//! * the coordinator decides every [`CellCache`] hit/miss/eviction on id
-//!   sequences in leaf order (policy/payload split) and later replays each
-//!   leaf's traces through the real LRU buffers in the exact sequential
-//!   interleaving;
-//! * tuples are reassembled in leaf order.
-//!
-//! In fact there is only **one** execution path: the sequential run is the
-//! chunked protocol at worker count 1 (the worker pool degenerates to
-//! inline calls), so tuples (set *and* order), all [`MultiwayCounters`],
-//! page-access totals, progress samples and watermarks are identical at any
-//! thread count by construction — and asserted by `tests/multiway.rs` and
-//! the `multiway_scale` parity column.
-//!
-//! # Fast mode
-//!
-//! Under [`CijConfig::exec_mode`](crate::config::CijConfig::exec_mode) =
-//! [`ExecMode::Fast`], the same chunked
-//! protocol runs with [`cij_rtree::SnapshotReader`] in every parallel
-//! phase: no page traces are recorded, the emit phase replays nothing
-//! through the LRU buffers, and "page accesses" become per-query-local
-//! logical snapshot reads. Tuples (set and order) and every
-//! [`MultiwayCounters`] field are still identical to the metered run —
-//! only the I/O accounting semantics change. A fast stream over a shared
-//! tree slice (no exclusive workload at all) backs the concurrent request
-//! server in [`crate::service`].
+//! Every run — any [`CijConfig::worker_threads`], either
+//! [`CijConfig::exec_mode`](crate::config::CijConfig::exec_mode) — is the
+//! chunk protocol of the crate-private `chunk` module (described once, in
+//! `crates/core/src/chunk.rs`), generalised to `k` trees and `k` caches: a
+//! leaf unit's scan is the driver-leaf read, and each of its `k` rounds is
+//! one cache-policy / refine / resolve stage (preceded, in extension
+//! rounds, by the per-leaf filter phase and followed by the per-leaf
+//! narrowing), with every read's deferred accounting settled leaf-major at
+//! emit time. The sequential run is that protocol at worker
+//! count 1 (the pool degenerates to inline calls), so tuples (set *and*
+//! order), all [`MultiwayCounters`], page-access totals, progress samples
+//! and watermarks are identical at any thread count by construction — and
+//! asserted by `tests/multiway.rs` and the `multiway_scale` parity column.
+//! The determinism argument, the fail-stop gates and what the two
+//! accounting states mean for "page accesses" are described there; a fast
+//! stream over a shared tree slice (no exclusive workload at all) backs the
+//! concurrent request server in [`crate::service`].
 //!
 //! [`batch_conditional_filter`]: crate::filter::batch_conditional_filter
 //! [`CellCache`]: crate::cell_cache::CellCache
 //! [`CijConfig::worker_threads`]: crate::config::CijConfig::worker_threads
 //! [`CijConfig::multiway_driver`]: crate::config::CijConfig::multiway_driver
 //! [`CijConfig::multiway_prune`]: crate::config::CijConfig::multiway_prune
-//! [`MultiwayProbe::Batched`]: crate::config::MultiwayProbe::Batched
-//! [`MultiwayProbe::PerTuple`]: crate::config::MultiwayProbe::PerTuple
 //! [`MultiwayWorkload::estimated_driver_cost`]: crate::workload::MultiwayWorkload::estimated_driver_cost
 
 use crate::cell_cache::CellCache;
-use crate::config::{CijConfig, ExecMode, MultiwayDriver, MultiwayProbe};
-use crate::filter::{batch_conditional_filter_scratch, FilterOptions, FilterStats};
-use crate::nm::{run_ordered, run_ordered_scratch, UnitScratch};
+use crate::chunk::{
+    gate, refine_through_cache, run_ordered, run_ordered_scratch, Accounting, CacheTally,
+    LeafCursor, UnitEnv,
+};
+use crate::config::{CijConfig, MultiwayDriver};
+use crate::filter::{batch_conditional_filter_scratch, FilterScratch, FilterStats};
 use crate::stats::{LeafWatermark, MultiwayCounters, ProgressSample};
 use crate::workload::{pick_driver, MultiwayWorkload};
 use cij_geom::{ConvexPolygon, Point, Rect};
-use cij_pagestore::{IoSnapshot, IoStats, PageId, PageIoError};
-use cij_rtree::{NodeReader, PointObject, RTree, SnapshotReader, TracedReader};
-use cij_voronoi::{batch_voronoi_with, brute_force_diagram, VorScratch};
+use cij_pagestore::PageIoError;
+use cij_rtree::{NodeReader, PointObject, RTree, ReadLog};
+use cij_voronoi::brute_force_diagram;
 use std::collections::VecDeque;
-use std::ops::Range;
-
-/// Steady-state chunk width as a multiple of the worker count; chunks ramp
-/// `1 → workers → workers * CHUNK_RAMP` so the first tuples cost only one
-/// leaf unit's page accesses (the streaming contract) while later chunks
-/// amortise the per-chunk synchronisation barriers.
-const CHUNK_RAMP: usize = 4;
 
 /// One result tuple of a multiway CIJ: the ids of the joined points (one per
 /// input set, in input order) and the common influence region they share.
@@ -182,123 +158,6 @@ impl MultiwayOutcome {
     }
 }
 
-/// The coordinator's replacement-policy verdict for one probe unit: which
-/// candidates hit the set's reuse buffer, which must be computed
-/// (`missing`, in candidate order — exactly the cells a width-1 run would
-/// compute), and the deferred payload bookkeeping of the puts.
-#[derive(Default)]
-struct ProbePlan {
-    /// Aligned with the unit's candidates: `true` when the cell was a hit.
-    hit: Vec<bool>,
-    /// Candidates whose exact cells this unit computes, in candidate order.
-    missing: Vec<PointObject>,
-    /// One entry per `missing` member: `(id, evicted victim)`.
-    puts: Vec<(u64, Option<u64>)>,
-    /// Cache hits attributed to this unit.
-    reused: u64,
-    /// Cache misses attributed to this unit.
-    computed: u64,
-}
-
-/// Runs the replacement policy of one probe unit over `candidates` on the
-/// real cache (coordinator only, unit order) — the exact hit/miss/eviction
-/// sequence a width-1 run would produce.
-fn policy_pass(cache: &mut CellCache, candidates: &[PointObject]) -> ProbePlan {
-    let mut plan = ProbePlan::default();
-    for cand in candidates {
-        if cache.policy_get(cand.id.0) {
-            plan.hit.push(true);
-            plan.reused += 1;
-        } else {
-            plan.hit.push(false);
-            plan.computed += 1;
-            plan.missing.push(*cand);
-        }
-    }
-    for m in &plan.missing {
-        plan.puts.push((m.id.0, cache.policy_put(m.id.0)));
-    }
-    plan
-}
-
-/// Resolves one probe unit's aligned candidate cells: hits from the cache
-/// payloads, misses from the unit's freshly refined cells, applying the
-/// deferred payload updates of the unit's puts (coordinator only, unit
-/// order — hits recorded before a put must still see the victim's payload).
-fn resolve_unit(
-    cache: &mut CellCache,
-    candidates: &[PointObject],
-    plan: &ProbePlan,
-    refined: Vec<ConvexPolygon>,
-) -> Vec<ConvexPolygon> {
-    let mut aligned: Vec<Option<ConvexPolygon>> = candidates
-        .iter()
-        .zip(&plan.hit)
-        .map(|(cand, hit)| hit.then(|| cache.resolved_payload(cand.id.0)))
-        .collect();
-    let mut fresh = refined.into_iter();
-    let mut puts = plan.puts.iter();
-    for slot in aligned.iter_mut() {
-        if slot.is_none() {
-            let cell = fresh
-                .next()
-                .expect("one refined cell per missing candidate");
-            let (id, victim) = puts.next().expect("one put per missing candidate");
-            if let Some(v) = victim {
-                cache.drop_payload(*v);
-            }
-            cache.fill_payload(*id, &cell);
-            *slot = Some(cell);
-        }
-    }
-    aligned
-        .into_iter()
-        .map(|cell| cell.expect("every slot filled"))
-        .collect()
-}
-
-/// Where a [`TupleStream`] gets its trees from.
-///
-/// The metered path owns an exclusive `&mut MultiwayWorkload` (it must
-/// replay page traces through the real LRU buffers); the fast path can run
-/// over a plain shared slice of trees — that is what lets many concurrent
-/// queries evaluate against one snapshot.
-pub(crate) enum MultiwaySource<'a> {
-    /// Exclusive workload: both modes work; metered accounting possible.
-    Workload(&'a mut MultiwayWorkload),
-    /// Shared read-only trees: fast mode only. Borrowed individually so a
-    /// request can join any subset of a snapshot's sets, in any order.
-    Snapshot {
-        /// One tree per input set, in input order.
-        trees: Vec<&'a RTree<PointObject>>,
-    },
-}
-
-impl MultiwaySource<'_> {
-    fn k(&self) -> usize {
-        match self {
-            MultiwaySource::Workload(w) => w.k(),
-            MultiwaySource::Snapshot { trees } => trees.len(),
-        }
-    }
-
-    fn tree(&self, i: usize) -> &RTree<PointObject> {
-        match self {
-            MultiwaySource::Workload(w) => &w.trees[i],
-            MultiwaySource::Snapshot { trees } => trees[i],
-        }
-    }
-
-    fn tree_mut(&mut self, i: usize) -> &mut RTree<PointObject> {
-        match self {
-            MultiwaySource::Workload(w) => &mut w.trees[i],
-            MultiwaySource::Snapshot { .. } => {
-                unreachable!("metered execution requires an exclusive workload")
-            }
-        }
-    }
-}
-
 /// Resolves the driver choice of `config` against `trees` — the shared
 /// logic of both [`TupleStream`] constructors.
 fn choose_driver(trees_k: usize, cost_pick: impl FnOnce() -> usize, config: &CijConfig) -> usize {
@@ -310,6 +169,36 @@ fn choose_driver(trees_k: usize, cost_pick: impl FnOnce() -> usize, config: &Cij
                 "fixed multiway driver {d} out of range for {trees_k} sets"
             );
             d
+        }
+    }
+}
+
+/// What one leaf unit accumulates on its way through the rounds, folded
+/// into the stream at the leaf's sequential emit position (so
+/// `counters_so_far` and the watermarks are leaf-exact).
+struct LeafLedger {
+    /// The unit's deferred read accounting, `(tree index, log)` in the
+    /// sequential interleaving: scan, seed refine, then per round filter
+    /// and refine. Settled leaf-major, so every tree's buffer sees the
+    /// access sequence of a width-1 run (buffers are per-tree; the per-tree
+    /// subsequence is what matters).
+    logs: Vec<(usize, ReadLog)>,
+    /// Per input set (each is visited in exactly one round): what the
+    /// leaf's candidates did to the set's reuse buffer.
+    cache: Vec<CacheTally>,
+    probes: u64,
+    fstats: FilterStats,
+    narrowings_skipped: u64,
+}
+
+impl LeafLedger {
+    fn new(k: usize) -> Self {
+        LeafLedger {
+            logs: Vec::new(),
+            cache: vec![CacheTally::default(); k],
+            probes: 0,
+            fstats: FilterStats::default(),
+            narrowings_skipped: 0,
         }
     }
 }
@@ -327,26 +216,21 @@ fn choose_driver(trees_k: usize, cost_pick: impl FnOnce() -> usize, config: &Cij
 /// expose the incremental measurements, and [`TupleStream::into_outcome`]
 /// drains the remainder into the blocking [`MultiwayOutcome`].
 pub struct TupleStream<'a> {
-    source: MultiwaySource<'a>,
-    /// Execution mode, fixed at construction (from
-    /// [`CijConfig::exec_mode`], or forced to `Fast` for snapshot sources).
-    mode: ExecMode,
-    /// Fast-mode logical snapshot reads (the per-query-local I/O counter);
-    /// stays 0 in metered mode, where the shared [`IoStats`] is the truth.
-    local_reads: u64,
-    config: CijConfig,
+    /// The `k` trees (input order) and how their reads are paid for —
+    /// fixed at construction (a snapshot source is always fast).
+    acct: Accounting<'a>,
+    env: UnitEnv,
+    /// Whether extension rounds skip bbox-disjoint narrowings.
+    prune: bool,
     /// Evaluation order of the input sets: the driver first, then the
     /// extension sets in input order. Tuple ids are permuted back to input
     /// order on emission.
     eval_order: Vec<usize>,
-    leaves: Vec<PageId>,
-    next_leaf: usize,
+    cursor: LeafCursor,
     /// One reuse buffer per input set (the driver included: seeding goes
     /// through the cache like every extension round).
     caches: Vec<CellCache>,
     pending: VecDeque<MultiwayTuple>,
-    stats: IoStats,
-    start_io: IoSnapshot,
     counters: MultiwayCounters,
     progress: Vec<ProgressSample>,
     watermarks: Vec<LeafWatermark>,
@@ -355,10 +239,10 @@ pub struct TupleStream<'a> {
     produced: u64,
     /// Tuples pulled by the consumer so far.
     emitted: u64,
-    chunks_done: usize,
     /// First storage error hit, if any. Once set the stream is
     /// fail-stopped: everything emitted up to the last watermark is valid,
-    /// nothing from the failing chunk was emitted, no further leaves run.
+    /// nothing from the failing leaf or chunk was emitted, no further
+    /// leaves run.
     error: Option<PageIoError>,
     /// Debug-build guard: every emitted id tuple must be unique.
     /// Membership-only (the `insert` return value is the whole check; never
@@ -370,64 +254,31 @@ pub struct TupleStream<'a> {
 impl std::fmt::Debug for TupleStream<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TupleStream")
-            .field("k", &self.source.k())
+            .field("k", &self.acct.k())
             .field("emitted", &self.emitted)
             .finish_non_exhaustive()
     }
 }
 
 impl<'a> TupleStream<'a> {
+    /// Stream over an exclusive workload, in the configured execution mode.
+    /// Cell-cache hit/miss/eviction events are CPU-side bookkeeping, not
+    /// page I/O — both modes mirror them into the workload's shared stats
+    /// so cache behaviour stays harness-observable.
     pub(crate) fn new(workload: &'a mut MultiwayWorkload, config: CijConfig) -> Self {
-        let stats = workload.stats.clone();
-        let start_io = stats.snapshot();
-        let mode = config.exec_mode;
         let driver = choose_driver(workload.k(), || workload.pick_driver(), &config);
-        let mut eval_order = vec![driver];
-        eval_order.extend((0..workload.k()).filter(|&s| s != driver));
-        // The fast mode must not touch the shared buffer/counters even for
-        // the initial leaf-order walk: it uses the peeking variant and seeds
-        // its local counter with the walk's reads.
-        let (leaves, local_reads) = match mode {
-            ExecMode::Metered => (
-                workload.trees[driver].leaf_pages_hilbert_order(&config.domain),
-                0,
-            ),
-            ExecMode::Fast => workload.trees[driver].leaf_pages_hilbert_order_peek(&config.domain),
-        };
         let capacity = if config.reuse_cells {
             config.cell_cache_capacity
         } else {
             0
         };
-        // Cell-cache hit/miss/eviction events are CPU-side bookkeeping, not
-        // page I/O — both modes mirror them into the shared stats so cache
-        // behaviour stays harness-observable.
+        let stats = workload.stats.clone();
         let caches = (0..workload.k())
             .map(|_| CellCache::with_stats(capacity, stats.clone()))
             .collect();
-        let counters = MultiwayCounters::for_sets(workload.k());
-        TupleStream {
-            source: MultiwaySource::Workload(workload),
-            mode,
-            local_reads,
-            config,
-            eval_order,
-            leaves,
-            next_leaf: 0,
-            caches,
-            pending: VecDeque::new(),
-            stats,
-            start_io,
-            counters,
-            progress: Vec::new(),
-            watermarks: Vec::new(),
-            produced: 0,
-            emitted: 0,
-            chunks_done: 0,
-            error: None,
-            #[cfg(debug_assertions)]
-            seen_ids: std::collections::HashSet::new(),
-        }
+        let trees = workload.trees.iter_mut().collect();
+        let acct = Accounting::exclusive(config.exec_mode, trees, &stats);
+        Self::start(acct, driver, caches, &config)
     }
 
     /// Fast-mode stream over shared read-only `trees` — the constructor the
@@ -436,8 +287,8 @@ impl<'a> TupleStream<'a> {
     /// per input set (typically carved from a
     /// [`CacheBudget`](crate::cell_cache::CacheBudget) lease).
     ///
-    /// The mode is forced to [`ExecMode::Fast`] regardless of
-    /// `config.exec_mode`: metered accounting needs exclusive tree access.
+    /// Accounting is fast regardless of `config.exec_mode`: metered
+    /// accounting needs exclusive tree access.
     ///
     /// # Panics
     ///
@@ -452,44 +303,42 @@ impl<'a> TupleStream<'a> {
             "multiway CIJ needs at least one pointset"
         );
         assert_eq!(caches.len(), trees.len(), "one cell cache per input set");
-        let config = config.with_exec_mode(ExecMode::Fast);
         let driver = choose_driver(trees.len(), || pick_driver(&trees), &config);
+        Self::start(Accounting::shared(trees, 0), driver, caches, &config)
+    }
+
+    /// The one constructor body: walks the driver's leaf order in the
+    /// accounting's currency. A failed walk yields a stream that is born
+    /// fail-stopped: no leaves, the error latched.
+    fn start(
+        mut acct: Accounting<'a>,
+        driver: usize,
+        caches: Vec<CellCache>,
+        config: &CijConfig,
+    ) -> Self {
+        let k = acct.k();
         let mut eval_order = vec![driver];
-        eval_order.extend((0..trees.len()).filter(|&s| s != driver));
-        let (leaves, local_reads) = trees[driver].leaf_pages_hilbert_order_peek(&config.domain);
-        let counters = MultiwayCounters::for_sets(trees.len());
+        eval_order.extend((0..k).filter(|&s| s != driver));
+        let (leaves, error) = match acct.leaf_order(driver, &config.domain) {
+            Ok(leaves) => (leaves, None),
+            Err(e) => (Vec::new(), Some(e)),
+        };
         TupleStream {
-            source: MultiwaySource::Snapshot { trees },
-            mode: ExecMode::Fast,
-            local_reads,
-            config,
+            env: UnitEnv::new(config, acct.tree(driver).config().node_byte_budget()),
+            acct,
+            prune: config.multiway_prune,
             eval_order,
-            leaves,
-            next_leaf: 0,
+            cursor: LeafCursor::new(leaves),
             caches,
             pending: VecDeque::new(),
-            // Dummy stats: a snapshot stream never touches shared counters.
-            stats: IoStats::new(),
-            start_io: IoSnapshot::default(),
-            counters,
+            counters: MultiwayCounters::for_sets(k),
             progress: Vec::new(),
             watermarks: Vec::new(),
             produced: 0,
             emitted: 0,
-            chunks_done: 0,
-            error: None,
+            error,
             #[cfg(debug_assertions)]
             seen_ids: std::collections::HashSet::new(),
-        }
-    }
-
-    /// Page accesses attributable to this stream so far: the shared-stats
-    /// delta in metered mode, the local logical snapshot-read count in fast
-    /// mode.
-    fn current_page_accesses(&self) -> u64 {
-        match self.mode {
-            ExecMode::Metered => self.stats.snapshot().since(&self.start_io).page_accesses(),
-            ExecMode::Fast => self.local_reads,
         }
     }
 
@@ -536,16 +385,6 @@ impl<'a> TupleStream<'a> {
         self.error.clone()
     }
 
-    /// Fail-stops the stream: latches the first error and abandons every
-    /// unprocessed leaf. Tuples already emitted (all watermarked) stay
-    /// valid.
-    fn fail(&mut self, error: PageIoError) {
-        if self.error.is_none() {
-            self.error = Some(error);
-        }
-        self.next_leaf = self.leaves.len();
-    }
-
     /// Drains the remaining tuples and packages everything into the
     /// blocking [`MultiwayOutcome`] (tuples already pulled through the
     /// iterator are *not* replayed — call this immediately for the classic
@@ -576,422 +415,137 @@ impl<'a> TupleStream<'a> {
             counters: self.counters.clone(),
             progress: self.progress.clone(),
             watermarks: self.watermarks.clone(),
-            page_accesses: self.current_page_accesses(),
+            page_accesses: self.acct.page_accesses(),
             driver: self.eval_order[0],
         })
     }
 
-    /// Processes the next bounded chunk of leaf units — every phase of the
-    /// determinism protocol described in the module docs — and appends the
-    /// resulting tuples to `pending` in leaf order.
-    fn process_chunk(&mut self) {
-        let workers = self.config.effective_worker_threads();
-        let width = match self.chunks_done {
-            0 => 1,
-            1 => workers,
-            _ => workers * CHUNK_RAMP,
-        };
-        let upto = (self.next_leaf + width).min(self.leaves.len());
-        let chunk: Vec<PageId> = self.leaves[self.next_leaf..upto].to_vec();
-        let first_leaf_index = self.next_leaf;
-        self.next_leaf = upto;
-        self.chunks_done += 1;
-        let domain = self.config.domain;
-        let k = self.source.k();
+    /// Processes the next bounded chunk of leaf units — the phases of
+    /// [`crate::chunk`], once per round — and appends the resulting tuples
+    /// to `pending` in leaf order. `Err` fail-stops the stream.
+    fn run_chunk(&mut self) -> Result<(), PageIoError> {
+        let env = self.env;
+        let (first_leaf_index, chunk) = self.cursor.next_chunk(env.workers);
+        let k = self.acct.k();
         let n = chunk.len();
         let driver = self.eval_order[0];
-        let mode = self.mode;
-        let layout = self.config.leaf_layout;
-        let filter_options =
-            FilterOptions::for_kernel(self.config.filter_kernel).with_layout(layout);
-        let prune = self.config.multiway_prune;
-        let budget = self.source.tree(driver).config().node_byte_budget();
+        let prune = self.prune;
+        let acct = &self.acct;
+        let mut ledgers: Vec<LeafLedger> = (0..n).map(|_| LeafLedger::new(k)).collect();
 
-        // Ordered replay segments per leaf: (tree index, page trace). The
-        // coordinator replays them leaf-major at the end of the chunk, so
-        // every tree's buffer sees the exact access sequence of a width-1
-        // run (buffers are per-tree; the per-tree subsequence is what
-        // matters). Fast mode records no traces: its parallel phases count
-        // snapshot reads into `leaf_reads` instead, folded into the local
-        // counter at the leaf's sequential emit position (so watermarks are
-        // leaf-exact in both modes).
-        let mut replays: Vec<Vec<(usize, Vec<PageId>)>> = vec![Vec::new(); n];
-        let mut leaf_reads = vec![0u64; n];
-        // Per-leaf counter deltas, folded into the shared counters at emit
-        // time so `counters_so_far` is exact at every leaf boundary.
-        let mut reused = vec![vec![0u64; k]; n];
-        let mut computed = vec![vec![0u64; k]; n];
-        let mut evictions_after = vec![vec![0u64; k]; n];
-        let mut probes = vec![0u64; n];
-        let mut fstats = vec![FilterStats::default(); n];
-        let mut narrowings_skipped = vec![0u64; n];
+        // Scan (parallel): read each chunk leaf of the driving tree. The
+        // gate discards the chunk before any cache state advances.
+        let scans: Vec<(Vec<PointObject>, ReadLog)> = run_ordered(env.workers, n, |i| {
+            let mut reader = acct.reader(driver);
+            (reader.read(chunk[i]).objects, reader.finish())
+        });
+        gate(scans.iter().map(|(_, log)| log))?;
+        let groups: Vec<Vec<PointObject>> = scans
+            .into_iter()
+            .zip(&mut ledgers)
+            .map(|((group, log), ledger)| {
+                ledger.logs.push((driver, log));
+                group
+            })
+            .collect();
 
-        // Scan (parallel): read each chunk leaf of the driving tree against
-        // the immutable snapshot, recording the page trace (metered) or
-        // counting the read locally (fast).
-        let groups: Vec<Vec<PointObject>> = {
-            let tree = self.source.tree(driver);
-            let scans = run_ordered(workers, n, |i| match mode {
-                ExecMode::Metered => {
-                    let mut reader = TracedReader::new(tree);
-                    let group = reader.read(chunk[i]).objects;
-                    let error = reader.take_error();
-                    (group, reader.into_trace(), 0u64, error)
-                }
-                ExecMode::Fast => {
-                    let mut reader = SnapshotReader::new(tree);
-                    let group = reader.read(chunk[i]).objects;
-                    let error = reader.take_error();
-                    (group, Vec::new(), reader.into_reads(), error)
-                }
-            });
-            // Fail-stop gate: a scan-phase read failure discards the whole
-            // chunk before any cache state advances (first error in leaf
-            // order wins).
-            if let Some(e) = scans.iter().find_map(|s| s.3.clone()) {
-                self.fail(e);
-                return;
-            }
-            scans
-                .into_iter()
-                .enumerate()
-                .map(|(i, (group, trace, reads, _))| {
-                    replays[i].push((driver, trace));
-                    leaf_reads[i] += reads;
-                    group
-                })
-                .collect()
-        };
-
-        // Seed (round 0): the leaf's own cells through the driver's cache.
-        // One probe unit per leaf whose candidates are the leaf's points.
-        let mut partials: Vec<Vec<MultiwayTuple>> = {
-            // Policy (coordinator, leaf order).
-            let plans: Vec<ProbePlan> = groups
-                .iter()
-                .enumerate()
-                .map(|(i, group)| {
-                    let plan = policy_pass(&mut self.caches[driver], group);
-                    reused[i][driver] += plan.reused;
-                    computed[i][driver] += plan.computed;
-                    evictions_after[i][driver] = self.caches[driver].evictions();
-                    plan
-                })
-                .collect();
-            // Refine (parallel): exact cells of each leaf's missing points,
-            // each worker reusing one Voronoi scratch across its leaves.
-            type Refined = (Vec<ConvexPolygon>, Vec<PageId>, u64, Option<PageIoError>);
-            let refined: Vec<Refined> = {
-                let tree = self.source.tree(driver);
-                run_ordered_scratch(
-                    workers,
-                    n,
-                    || VorScratch::for_budget(budget),
-                    |i, vor| {
-                        let missing = &plans[i].missing;
-                        if missing.is_empty() {
-                            (Vec::new(), Vec::new(), 0, None)
-                        } else {
-                            match mode {
-                                ExecMode::Metered => {
-                                    let mut reader = TracedReader::new(tree);
-                                    let cells = batch_voronoi_with(
-                                        &mut reader,
-                                        missing,
-                                        &domain,
-                                        layout,
-                                        vor,
-                                    );
-                                    let error = reader.take_error();
-                                    (cells, reader.into_trace(), 0, error)
-                                }
-                                ExecMode::Fast => {
-                                    let mut reader = SnapshotReader::new(tree);
-                                    let cells = batch_voronoi_with(
-                                        &mut reader,
-                                        missing,
-                                        &domain,
-                                        layout,
-                                        vor,
-                                    );
-                                    let error = reader.take_error();
-                                    (cells, Vec::new(), reader.into_reads(), error)
-                                }
-                            }
-                        }
-                    },
-                )
-            };
-            // Fail-stop gate: cells refined from an error-empty read would
-            // be geometrically wrong, so the chunk dies before resolving.
-            if let Some(e) = refined.iter().find_map(|r| r.3.clone()) {
-                self.fail(e);
-                return;
-            }
-            // Resolve (coordinator, leaf order) and seed the partials.
-            groups
-                .iter()
-                .zip(plans)
-                .zip(refined)
-                .enumerate()
-                .map(|(i, ((group, plan), (cells, trace, reads, _)))| {
-                    replays[i].push((driver, trace));
-                    leaf_reads[i] += reads;
-                    let aligned = resolve_unit(&mut self.caches[driver], group, &plan, cells);
-                    group
-                        .iter()
-                        .zip(aligned)
-                        .map(|(obj, cell)| MultiwayTuple {
-                            ids: vec![obj.id.0],
-                            region: cell,
-                        })
-                        .collect()
-                })
-                .collect()
-        };
+        // Seed (round 0): the leaf's own cells through the driver's cache —
+        // one unit per leaf whose candidates are the leaf's points.
+        let units: Vec<&[PointObject]> = groups.iter().map(|g| &g[..]).collect();
+        let seeded = refine_through_cache(acct, driver, &mut self.caches[driver], &units, &env)?;
+        let mut partials: Vec<Vec<MultiwayTuple>> = groups
+            .iter()
+            .zip(seeded)
+            .zip(&mut ledgers)
+            .map(|((group, unit), ledger)| {
+                ledger.cache[driver] = unit.tally;
+                ledger.logs.push((driver, unit.log));
+                let seed = |(obj, cell): (&PointObject, ConvexPolygon)| MultiwayTuple {
+                    ids: vec![obj.id.0],
+                    region: cell,
+                };
+                group.iter().zip(unit.cells).map(seed).collect()
+            })
+            .collect();
 
         // Extension rounds: one per remaining set, in evaluation order.
-        for round in 1..k {
-            let set_idx = self.eval_order[round];
-            // Probe units: `(leaf, range of partial indices)`, leaf-major.
-            // Batched probing forms one unit per leaf; the per-tuple
-            // baseline forms one per live partial.
-            let units: Vec<(usize, Range<usize>)> = partials
-                .iter()
-                .enumerate()
-                .filter(|(_, parts)| !parts.is_empty())
-                .flat_map(|(i, parts)| -> Vec<(usize, Range<usize>)> {
-                    match self.config.multiway_probe {
-                        MultiwayProbe::Batched => vec![(i, 0..parts.len())],
-                        MultiwayProbe::PerTuple => {
-                            (0..parts.len()).map(|j| (i, j..j + 1)).collect()
-                        }
+        for &set_idx in &self.eval_order[1..] {
+            // Filter (parallel, per leaf with live partials): ONE
+            // batch_conditional_filter call carrying every region of the
+            // leaf, each worker reusing one filter scratch. The gate keeps
+            // a failed pass's partial candidate lists out of the policy.
+            let filtered: Vec<(Vec<PointObject>, FilterStats, ReadLog)> = run_ordered_scratch(
+                env.workers,
+                n,
+                || FilterScratch::for_budget(env.budget),
+                |i, scratch| {
+                    if partials[i].is_empty() {
+                        return Default::default();
                     }
-                })
-                .collect();
-
-            // Filter (parallel, per unit): ONE batch_conditional_filter
-            // call carrying every region of the unit, each worker reusing
-            // one filter scratch across its units.
-            type Filtered = (
-                Vec<PointObject>,
-                FilterStats,
-                Vec<PageId>,
-                u64,
-                Option<PageIoError>,
+                    let regions: Vec<ConvexPolygon> =
+                        partials[i].iter().map(|t| t.region.clone()).collect();
+                    let mut reader = acct.reader(set_idx);
+                    let (candidates, stats) = batch_conditional_filter_scratch(
+                        &mut reader,
+                        &regions,
+                        &env.domain,
+                        &env.filter_options,
+                        scratch,
+                    );
+                    (candidates, stats, reader.finish())
+                },
             );
-            let filtered: Vec<Filtered> = {
-                let tree = self.source.tree(set_idx);
-                let partials = &partials;
-                run_ordered_scratch(
-                    workers,
-                    units.len(),
-                    || UnitScratch::for_budget(budget),
-                    |u, scratch| {
-                        let (leaf, range) = &units[u];
-                        let regions: Vec<ConvexPolygon> = partials[*leaf][range.clone()]
-                            .iter()
-                            .map(|t| t.region.clone())
-                            .collect();
-                        match mode {
-                            ExecMode::Metered => {
-                                let mut reader = TracedReader::new(tree);
-                                let (candidates, stats) = batch_conditional_filter_scratch(
-                                    &mut reader,
-                                    &regions,
-                                    &domain,
-                                    &filter_options,
-                                    &mut scratch.filter,
-                                );
-                                let error = reader.take_error();
-                                (candidates, stats, reader.into_trace(), 0, error)
-                            }
-                            ExecMode::Fast => {
-                                let mut reader = SnapshotReader::new(tree);
-                                let (candidates, stats) = batch_conditional_filter_scratch(
-                                    &mut reader,
-                                    &regions,
-                                    &domain,
-                                    &filter_options,
-                                    &mut scratch.filter,
-                                );
-                                let error = reader.take_error();
-                                (candidates, stats, Vec::new(), reader.into_reads(), error)
-                            }
-                        }
-                    },
-                )
-            };
-            // Fail-stop gate before the policy walk: a failed filter pass
-            // must not feed partial candidate lists into the cache policy.
-            if let Some(e) = filtered.iter().find_map(|f| f.4.clone()) {
-                self.fail(e);
-                return;
-            }
+            gate(filtered.iter().map(|(_, _, log)| log))?;
 
-            // Policy (coordinator, unit order). Walk leaves and units
-            // together so each leaf's eviction watermark is captured at its
-            // sequential position even when the leaf has no unit this round.
-            let mut plans: Vec<ProbePlan> = Vec::with_capacity(units.len());
+            // Cache policy → refine → resolve on the set's cache. A leaf
+            // with no live partials has no candidates: its unit is a no-op
+            // that still captures the eviction count at its position.
+            let units: Vec<&[PointObject]> = filtered.iter().map(|f| &f.0[..]).collect();
+            let cells =
+                refine_through_cache(acct, set_idx, &mut self.caches[set_idx], &units, &env)?;
+
+            // Extend (parallel, per leaf): narrow each partial region by
+            // every candidate cell, dropping empty intersections.
+            let extensions: Vec<(Vec<MultiwayTuple>, u64)> = run_ordered(env.workers, n, |i| {
+                extend_partials(&partials[i], units[i], &cells[i].cells, prune)
+            });
+
+            // Fold the round into the ledgers, filter before refine.
+            let mut next: Vec<Vec<MultiwayTuple>> = Vec::with_capacity(n);
+            for (i, (((_, fstats, flog), unit), (extended, skipped))) in
+                filtered.into_iter().zip(cells).zip(extensions).enumerate()
             {
-                let mut u = 0;
-                for i in 0..n {
-                    while u < units.len() && units[u].0 == i {
-                        let plan = policy_pass(&mut self.caches[set_idx], &filtered[u].0);
-                        reused[i][set_idx] += plan.reused;
-                        computed[i][set_idx] += plan.computed;
-                        probes[i] += 1;
-                        fstats[i].absorb(&filtered[u].1);
-                        plans.push(plan);
-                        u += 1;
-                    }
-                    evictions_after[i][set_idx] = self.caches[set_idx].evictions();
-                }
-            }
-
-            // Refine (parallel, per unit): exact cells of the unit's
-            // missing candidates, again with per-worker Voronoi scratches.
-            type Refined = (Vec<ConvexPolygon>, Vec<PageId>, u64, Option<PageIoError>);
-            let refined: Vec<Refined> = {
-                let tree = self.source.tree(set_idx);
-                run_ordered_scratch(
-                    workers,
-                    units.len(),
-                    || VorScratch::for_budget(budget),
-                    |u, vor| {
-                        let missing = &plans[u].missing;
-                        if missing.is_empty() {
-                            (Vec::new(), Vec::new(), 0, None)
-                        } else {
-                            match mode {
-                                ExecMode::Metered => {
-                                    let mut reader = TracedReader::new(tree);
-                                    let cells = batch_voronoi_with(
-                                        &mut reader,
-                                        missing,
-                                        &domain,
-                                        layout,
-                                        vor,
-                                    );
-                                    let error = reader.take_error();
-                                    (cells, reader.into_trace(), 0, error)
-                                }
-                                ExecMode::Fast => {
-                                    let mut reader = SnapshotReader::new(tree);
-                                    let cells = batch_voronoi_with(
-                                        &mut reader,
-                                        missing,
-                                        &domain,
-                                        layout,
-                                        vor,
-                                    );
-                                    let error = reader.take_error();
-                                    (cells, Vec::new(), reader.into_reads(), error)
-                                }
-                            }
-                        }
-                    },
-                )
-            };
-            // Fail-stop gate: same contract as the seed refine above.
-            if let Some(e) = refined.iter().find_map(|r| r.3.clone()) {
-                self.fail(e);
-                return;
-            }
-
-            // Resolve (coordinator, unit order) + record each unit's replay
-            // segments in the sequential interleaving (filter, then refine).
-            let mut aligned_cells: Vec<Vec<ConvexPolygon>> = Vec::with_capacity(units.len());
-            let mut candidates: Vec<Vec<PointObject>> = Vec::with_capacity(units.len());
-            for (((leaf_range, plan), (cands, _, ftrace, freads, _)), (cells, rtrace, rreads, _)) in
-                units.iter().zip(&plans).zip(filtered).zip(refined)
-            {
-                let leaf = leaf_range.0;
-                replays[leaf].push((set_idx, ftrace));
-                replays[leaf].push((set_idx, rtrace));
-                leaf_reads[leaf] += freads + rreads;
-                aligned_cells.push(resolve_unit(&mut self.caches[set_idx], &cands, plan, cells));
-                candidates.push(cands);
-            }
-
-            // Extend (parallel, per unit): narrow each partial region by
-            // every candidate cell, dropping empty intersections. With
-            // pruning on, bbox-disjoint combinations are skipped outright —
-            // their polygon intersection would be empty anyway (touching
-            // bboxes still intersect, so degenerate contacts take the exact
-            // path).
-            let extensions: Vec<(Vec<MultiwayTuple>, u64)> = {
-                let partials = &partials;
-                let cell_bboxes: Vec<Vec<Rect>> = aligned_cells
-                    .iter()
-                    .map(|cells| cells.iter().map(|c| c.bbox()).collect())
-                    .collect();
-                run_ordered(workers, units.len(), |u| {
-                    let (leaf, range) = &units[u];
-                    let mut out = Vec::new();
-                    let mut skipped = 0u64;
-                    for partial in &partials[*leaf][range.clone()] {
-                        let partial_bbox = partial.region.bbox();
-                        for ((cand, cell), cell_bbox) in candidates[u]
-                            .iter()
-                            .zip(&aligned_cells[u])
-                            .zip(&cell_bboxes[u])
-                        {
-                            if prune && !partial_bbox.intersects(cell_bbox) {
-                                skipped += 1;
-                                continue;
-                            }
-                            let region = partial.region.intersection(cell);
-                            if !region.is_empty() {
-                                let mut ids = partial.ids.clone();
-                                ids.push(cand.id.0);
-                                out.push(MultiwayTuple { ids, region });
-                            }
-                        }
-                    }
-                    (out, skipped)
-                })
-            };
-
-            // Reassemble (unit order is leaf-major, so this is leaf order).
-            let mut next: Vec<Vec<MultiwayTuple>> = vec![Vec::new(); n];
-            for ((leaf, _), (ext, skipped)) in units.iter().zip(extensions) {
-                next[*leaf].extend(ext);
-                narrowings_skipped[*leaf] += skipped;
+                let ledger = &mut ledgers[i];
+                ledger.probes += u64::from(!partials[i].is_empty());
+                ledger.fstats.absorb(&fstats);
+                ledger.narrowings_skipped += skipped;
+                ledger.cache[set_idx] = unit.tally;
+                ledger.logs.push((set_idx, flog));
+                ledger.logs.push((set_idx, unit.log));
+                next.push(extended);
             }
             partials = next;
         }
 
-        // Emit (coordinator, leaf order): replay every leaf's page traces
-        // through the real buffers, fold in the leaf's counter deltas,
-        // record progress + watermark, permute the tuple ids back to
-        // input-set order and enqueue the tuples.
+        // Emit (coordinator, leaf order): settle the leaf's logs, fold in
+        // its counter deltas, record progress + watermark, permute the
+        // tuple ids back to input-set order and enqueue the tuples.
         let identity_order = self.eval_order.iter().enumerate().all(|(r, &set)| r == set);
-        for (i, leaf_tuples) in partials.into_iter().enumerate() {
-            match mode {
-                ExecMode::Metered => {
-                    for (tree_idx, trace) in &replays[i] {
-                        for &page in trace {
-                            self.source.tree_mut(*tree_idx).replay_read(page);
-                        }
-                    }
-                }
-                // Fast: no traces were recorded and nothing is replayed —
-                // the leaf's snapshot reads land on the local counter at
-                // its sequential position instead.
-                ExecMode::Fast => self.local_reads += leaf_reads[i],
+        for (i, (leaf_tuples, ledger)) in partials.into_iter().zip(ledgers).enumerate() {
+            for (tree, log) in &ledger.logs {
+                self.acct.settle(*tree, log)?;
             }
-            for s in 0..k {
-                self.counters.cells_reused[s] += reused[i][s];
-                self.counters.cells_computed[s] += computed[i][s];
-                self.counters.cell_cache_evictions[s] = evictions_after[i][s];
+            for (s, tally) in ledger.cache.iter().enumerate() {
+                self.counters.cells_reused[s] += tally.reused;
+                self.counters.cells_computed[s] += tally.computed;
+                self.counters.cell_cache_evictions[s] = tally.evictions_after;
             }
-            self.counters.filter_probes += probes[i];
-            self.counters.filter_points_examined += fstats[i].points_examined;
-            self.counters.filter_entries_pruned += fstats[i].entries_pruned;
-            self.counters.filter_clip_ops += fstats[i].clip_ops;
-            self.counters.filter_poly_tests_skipped += fstats[i].poly_tests_skipped;
-            self.counters.narrowings_skipped += narrowings_skipped[i];
+            self.counters.filter_probes += ledger.probes;
+            self.counters.filter_points_examined += ledger.fstats.points_examined;
+            self.counters.filter_entries_pruned += ledger.fstats.entries_pruned;
+            self.counters.filter_clip_ops += ledger.fstats.clip_ops;
+            self.counters.filter_poly_tests_skipped += ledger.fstats.poly_tests_skipped;
+            self.counters.narrowings_skipped += ledger.narrowings_skipped;
             let leaf_tuples: Vec<MultiwayTuple> = if identity_order {
                 leaf_tuples
             } else {
@@ -1011,7 +565,7 @@ impl<'a> TupleStream<'a> {
             };
             self.produced += leaf_tuples.len() as u64;
             self.counters.tuples_produced = self.produced;
-            let page_accesses = self.current_page_accesses();
+            let page_accesses = self.acct.page_accesses();
             if !groups[i].is_empty() {
                 self.progress.push(ProgressSample {
                     page_accesses,
@@ -1033,7 +587,41 @@ impl<'a> TupleStream<'a> {
             }
             self.pending.extend(leaf_tuples);
         }
+        Ok(())
     }
+}
+
+/// One leaf's extension step: narrows each partial region by every
+/// candidate cell (`cells` aligned with `candidates`), dropping empty
+/// intersections; returns the extended tuples and the number of narrowings
+/// skipped. With `prune`, bbox-disjoint combinations are skipped outright —
+/// their polygon intersection would be empty anyway (touching bboxes still
+/// intersect, so degenerate contacts take the exact path).
+fn extend_partials(
+    partials: &[MultiwayTuple],
+    candidates: &[PointObject],
+    cells: &[ConvexPolygon],
+    prune: bool,
+) -> (Vec<MultiwayTuple>, u64) {
+    let cell_bboxes: Vec<Rect> = cells.iter().map(|c| c.bbox()).collect();
+    let mut out = Vec::new();
+    let mut skipped = 0u64;
+    for partial in partials {
+        let partial_bbox = partial.region.bbox();
+        for ((cand, cell), cell_bbox) in candidates.iter().zip(cells).zip(&cell_bboxes) {
+            if prune && !partial_bbox.intersects(cell_bbox) {
+                skipped += 1;
+                continue;
+            }
+            let region = partial.region.intersection(cell);
+            if !region.is_empty() {
+                let mut ids = partial.ids.clone();
+                ids.push(cand.id.0);
+                out.push(MultiwayTuple { ids, region });
+            }
+        }
+    }
+    (out, skipped)
 }
 
 impl Iterator for TupleStream<'_> {
@@ -1045,10 +633,16 @@ impl Iterator for TupleStream<'_> {
                 self.emitted += 1;
                 return Some(tuple);
             }
-            if self.next_leaf >= self.leaves.len() {
+            if self.cursor.is_exhausted() {
                 return None;
             }
-            self.process_chunk();
+            if let Err(error) = self.run_chunk() {
+                // Fail-stop: latch the first error and abandon every
+                // unprocessed leaf. Tuples already emitted (all
+                // watermarked) stay valid.
+                self.error.get_or_insert(error);
+                self.cursor.abandon();
+            }
         }
     }
 }
@@ -1107,7 +701,8 @@ pub fn brute_force_multiway_cij(sets: &[Vec<Point>], domain: &Rect) -> Vec<Vec<u
 mod tests {
     use super::*;
     use crate::brute::brute_force_cij;
-    use cij_rtree::RTreeConfig;
+    use crate::config::ExecMode;
+    use cij_rtree::{RTreeConfig, SnapshotReader};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1151,29 +746,6 @@ mod tests {
         let oracle = brute_force_multiway_cij(&sets, &config.domain);
         assert_eq!(outcome.sorted_ids(), oracle);
         assert!(!outcome.tuples.is_empty());
-    }
-
-    #[test]
-    fn probe_modes_agree_and_batching_probes_less() {
-        let config = small_config();
-        let sets = vec![
-            random_points(60, 214),
-            random_points(60, 215),
-            random_points(60, 216),
-        ];
-        let batched = multiway_cij(&sets, &config);
-        let per_tuple = multiway_cij(&sets, &config.with_multiway_probe(MultiwayProbe::PerTuple));
-        assert_eq!(batched.sorted_ids(), per_tuple.sorted_ids());
-        assert!(
-            batched.counters.filter_probes < per_tuple.counters.filter_probes,
-            "batched mode must issue fewer filter calls ({} vs {})",
-            batched.counters.filter_probes,
-            per_tuple.counters.filter_probes
-        );
-        assert!(
-            batched.counters.filter_points_examined <= per_tuple.counters.filter_points_examined
-        );
-        assert!(batched.page_accesses <= per_tuple.page_accesses);
     }
 
     #[test]
@@ -1440,7 +1012,7 @@ mod tests {
         let mut w = MultiwayWorkload::build(&sets, &config);
         // Corrupt a mid-run driver leaf so some tuples flow before the
         // failure.
-        let (leaves, _) = w.trees[0].leaf_pages_hilbert_order_peek(&config.domain);
+        let leaves = SnapshotReader::new(&w.trees[0]).leaf_pages_hilbert_order(&config.domain);
         let target = leaves[leaves.len() / 2];
         w.trees[0].flush();
         w.trees[0].drop_buffer();

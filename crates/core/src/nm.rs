@@ -23,87 +23,51 @@
 //! observable by pulling a [`PairStream`] obtained from
 //! [`QueryEngine::stream`](crate::engine::QueryEngine::stream).
 //!
-//! # Parallel leaf processing
+//! # Two ways through a leaf
 //!
-//! Leaf units are independent given read access to the two input trees, so
-//! with [`CijConfig::worker_threads`] > 1 the iterator executes them on a
-//! [`std::thread::scope`] worker pool — **without changing any observable
-//! result**. The design problem is that naive concurrency would perturb
-//! three kinds of shared sequential state: the LRU page buffers (physical
-//! read counts depend on access order), the cell reuse buffer (hits and
-//! misses depend on which leaf ran first) and the emission order of pairs.
-//! The parallel path therefore decouples *computation* from *accounting*:
+//! * **The sequential leaf loop** (`run_leaf`) is Algorithm 6 verbatim:
+//!   steps 1–4 through counted reads of the two trees' LRU buffers. It runs
+//!   under metered accounting at one worker, and is the reference every
+//!   parity test compares the chunked path against.
+//! * **The chunked path** (`run_chunk`) runs the same four steps as the
+//!   phases of the chunk protocol — described once, in the crate-private
+//!   `chunk` module (`crates/core/src/chunk.rs`); steps 1–2 are its scan,
+//!   step 3 its cache-policy / refine / resolve stage, step 4 its report —
+//!   for [`CijConfig::worker_threads`] > 1 and for every fast-mode run
+//!   (whose phases never touch a buffer, so there is nothing for a
+//!   sequential loop to meter differently). Pairs, their order, the
+//!   NM counters and — under metered accounting — page accesses and
+//!   per-leaf [`ProgressSample`]s are identical to the sequential loop; the
+//!   determinism argument, the fail-stop gates and the accounting states
+//!   live there. What is specific to pairs is the unit itself: one `RQ`
+//!   leaf, two trees, one cache, and the false-hit bookkeeping of
+//!   Figure 10.
 //!
-//! * **Workers never touch the buffers.** During a join the trees are
-//!   read-only, so workers traverse them as immutable snapshots through
-//!   [`cij_rtree::TracedReader`], which serves nodes without accounting and
-//!   records the page-id sequence each traversal touches. The coordinator
-//!   later **replays** every leaf's trace through the real buffer + stats
-//!   ([`cij_rtree::RTree::replay_read`]) in Hilbert leaf order — the exact
-//!   access sequence of a sequential run, hence identical page-access
-//!   totals, buffer state and per-leaf [`ProgressSample`]s.
-//! * **Cache policy is decided sequentially on ids, payloads are computed in
-//!   parallel.** Which candidates hit the reuse buffer depends only on the
-//!   candidate-id sequence in leaf order, never on the polygons themselves.
-//!   The coordinator runs the LRU policy (`policy_get`/`policy_put` on the
-//!   real [`CellCache`], keeping hit/miss/evict counters exact) over each
-//!   leaf's candidates in order, which also tells every leaf precisely which
-//!   cells it must compute — the same set the sequential run would compute,
-//!   so the refinement traversals (and their traces) are identical too.
-//! * **Ordered reassembly.** Per-leaf pair buffers are appended to the
-//!   output queue in Hilbert leaf order, so the stream yields the same pairs
-//!   in the same order as `worker_threads = 1`.
-//!
-//! Execution proceeds in bounded chunks of leaves — scan (parallel) →
-//! cache policy (coordinator) → refine (parallel) → payload resolution
-//! (coordinator) → pair reporting (parallel) → replay + emit (coordinator) —
-//! so the non-blocking contract is preserved: chunk widths ramp from a
-//! single leaf up to a small multiple of `worker_threads`, and first pairs
-//! arrive after the same handful of page accesses a sequential run needs
-//! rather than after the whole join.
-//!
-//! # Fast mode
-//!
-//! With [`CijConfig::exec_mode`] = [`ExecMode::Fast`] the same chunked
-//! protocol runs with the parity machinery stripped: workers read through
-//! [`cij_rtree::SnapshotReader`] (per-query-local read counts instead of
-//! recorded traces), the coordinator replays nothing, and no shared page
-//! counter is touched — pairs, order and NM counters are still identical
-//! to metered (same kernels, same cache-policy sequence), but the reported
-//! "page accesses" are logical snapshot reads from the local counter. This
-//! is the serving path: it needs only `&RTree`, so many concurrent queries
-//! can share one tree-pair snapshot (`NmPairIter::over_snapshot`, driven
-//! by [`crate::service`]).
-//!
-//! Relaxed-consistency contract: the one atomic in this module is the
-//! work-stealing unit cursor inside `run_ordered_scratch` — workers claim
-//! unit indices with `fetch_add(1, Ordering::Relaxed)`, which is sound
-//! because the read-modify-write's modification order already hands each
-//! index to exactly one worker, and unit *inputs* are published to workers
-//! before the scope spawns (the scope's own synchronization), not through
-//! the cursor. Completed results are handed back through a `Mutex`, which
-//! carries the release/acquire edge.
+//! The fast accounting state needs only `&RTree`, so many concurrent
+//! queries can share one tree-pair snapshot (`NmPairIter::over_snapshot`,
+//! driven by [`crate::service`]).
 //!
 //! [`CellCache`]: crate::cell_cache::CellCache
 //! [`CijConfig::worker_threads`]: crate::config::CijConfig::worker_threads
-//! [`CijConfig::exec_mode`]: crate::config::CijConfig::exec_mode
-//! [`ExecMode::Fast`]: crate::config::ExecMode::Fast
 //! [`PairStream`]: crate::engine::PairStream
 //! [`PairStream::into_outcome`]: crate::engine::PairStream::into_outcome
 
 use crate::cell_cache::CellCache;
-use crate::config::{CijConfig, ExecMode};
+use crate::chunk::{
+    gate, refine_through_cache, run_ordered, run_ordered_scratch, Accounting, CacheTally,
+    LeafCursor, UnitEnv, UnitScratch,
+};
+use crate::config::CijConfig;
 use crate::engine::{CijExecutor, NmExecutor, SharedStreamState};
-use crate::filter::{batch_conditional_filter_scratch, FilterOptions, FilterScratch, FilterStats};
+use crate::filter::{batch_conditional_filter_scratch, FilterStats};
 use crate::stats::CijOutcome;
 use crate::stats::{LeafWatermark, ProgressSample};
 use crate::workload::Workload;
-use cij_geom::{ConvexPolygon, Rect};
-use cij_pagestore::{IoSnapshot, IoStats, PageId, PageIoError};
-use cij_rtree::{LeafLayout, NodeReader, PointObject, RTree, SnapshotReader, TracedReader};
-use cij_voronoi::{batch_voronoi_cached_with, batch_voronoi_with, VorScratch};
+use cij_geom::ConvexPolygon;
+use cij_pagestore::{PageId, PageIoError};
+use cij_rtree::{NodeReader, PointObject, RTree, ReadLog};
+use cij_voronoi::{batch_voronoi_cached_with, batch_voronoi_with};
 use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -113,13 +77,11 @@ use std::time::Instant;
 /// own.
 pub(crate) type CacheSlot = Arc<Mutex<Option<CellCache>>>;
 
-/// Steady-state chunk width, as a multiple of the worker count. Chunks ramp
-/// 1 → `worker_threads` → `worker_threads * CHUNK_RAMP`: the first chunk
-/// covers a single leaf so the first pair costs exactly the page accesses a
-/// sequential run pays for it (the non-blocking budget), and later chunks
-/// widen to amortise the per-chunk synchronisation barriers. In-flight
-/// leaves stay bounded by `worker_threads * CHUNK_RAMP`.
-const CHUNK_RAMP: usize = 4;
+/// Index of the `P` tree (filter + refinement side) in the iterator's
+/// [`Accounting`].
+const P: usize = 0;
+/// Index of the `Q` tree (driving side).
+const Q: usize = 1;
 
 /// Runs NM-CIJ on a workload to completion, returning the result pairs, the
 /// cost breakdown (all cost is JOIN cost — there is no materialisation
@@ -156,143 +118,45 @@ pub(crate) fn nm_cij_keep_cache(
     (outcome, cache)
 }
 
-/// The per-worker scratch of one join unit: the Voronoi traversal's decode
-/// arena + clip buffers and the conditional filter's. Allocated **once per
-/// worker** (or once per stream on the sequential path) and reused across
-/// every leaf/probe unit the worker processes, so the SoA hot loops run
-/// allocation-free at steady state. Shared with the multiway
-/// [`TupleStream`](crate::multiway::TupleStream).
-#[derive(Debug, Default)]
-pub(crate) struct UnitScratch {
-    pub(crate) vor: VorScratch,
-    pub(crate) filter: FilterScratch,
-}
-
-impl UnitScratch {
-    /// Scratch pre-sized for nodes of the given byte budget.
-    pub(crate) fn for_budget(node_byte_budget: usize) -> Self {
-        UnitScratch {
-            vor: VorScratch::for_budget(node_byte_budget),
-            filter: FilterScratch::for_budget(node_byte_budget),
-        }
-    }
-}
-
-/// Everything a parallel scan of one `RQ` leaf produces: the leaf's points,
-/// their Voronoi cells, the filter's candidate set, and the read
-/// accounting — page-access traces of the two trees in metered mode
-/// (replayed later by the coordinator), a plain read count in fast mode.
+/// Everything the scan of one `RQ` leaf produces: the leaf's points, their
+/// Voronoi cells, the filter's candidate set, and the deferred read
+/// accounting of the two trees (an error latched in either log means the
+/// scan produced garbage — the chunk's gate discards it).
 struct LeafScan {
     group: Vec<PointObject>,
     cells_q: Vec<ConvexPolygon>,
     candidates: Vec<PointObject>,
     fstats: FilterStats,
-    trace_rq: Vec<PageId>,
-    trace_rp: Vec<PageId>,
-    /// Fast-mode accounting: total snapshot reads of this leaf's scan
-    /// (always zero in metered mode, where the traces carry the reads).
-    snapshot_reads: u64,
-    /// First storage error either reader latched during the scan. A scan
-    /// that carries an error produced garbage (failed reads serve empty
-    /// leaves) — the coordinator discards the whole chunk and fail-stops.
-    error: Option<PageIoError>,
+    log_rq: ReadLog,
+    log_rp: ReadLog,
 }
 
-/// Where an [`NmPairIter`] reads its trees from.
-///
-/// The metered mode owns a [`Workload`] exclusively (it mutates the LRU
-/// page buffers and the shared stats); the fast mode only ever needs shared
-/// references, so many concurrent queries can run over one `Arc`-held
-/// snapshot of the same tree pair (see [`crate::service`]).
-pub(crate) enum JoinSource<'a> {
-    /// Exclusive workload — both execution modes accept it.
-    Workload(&'a mut Workload),
-    /// Shared immutable tree pair — fast mode only.
-    Snapshot {
-        /// The `P` tree (filter + refinement side).
-        rp: &'a RTree<PointObject>,
-        /// The `Q` tree (driving side).
-        rq: &'a RTree<PointObject>,
-    },
-}
-
-impl JoinSource<'_> {
-    fn rp(&self) -> &RTree<PointObject> {
-        match self {
-            JoinSource::Workload(w) => &w.rp,
-            JoinSource::Snapshot { rp, .. } => rp,
-        }
-    }
-
-    fn rq(&self) -> &RTree<PointObject> {
-        match self {
-            JoinSource::Workload(w) => &w.rq,
-            JoinSource::Snapshot { rq, .. } => rq,
-        }
-    }
-
-    /// Exclusive access to both trees — the metered path's buffer/replay
-    /// entry point. A snapshot source never executes metered (enforced at
-    /// construction), so this cannot be reached for one.
-    fn trees_mut(&mut self) -> (&mut RTree<PointObject>, &mut RTree<PointObject>) {
-        match self {
-            JoinSource::Workload(w) => (&mut w.rp, &mut w.rq),
-            JoinSource::Snapshot { .. } => {
-                unreachable!("metered execution requires an exclusive workload")
-            }
-        }
-    }
-}
-
-/// The coordinator's replacement-policy verdict for one leaf: which
-/// candidates hit the reuse buffer, which must be computed (`missing`, in
-/// candidate order — exactly the group the sequential run would refine),
-/// and the deferred payload bookkeeping of the puts.
-#[derive(Default)]
-struct LeafPlan {
-    /// Aligned with the leaf's candidates: `true` when the cell was a cache
-    /// hit.
-    hit: Vec<bool>,
-    /// Candidates whose exact cells this leaf computes, in candidate order.
-    missing: Vec<PointObject>,
-    /// One entry per `missing` member: `(id, evicted victim)`.
-    puts: Vec<(u64, Option<u64>)>,
-    /// Cache hits attributed to this leaf (`p_cells_reused` delta).
-    reused: u64,
-    /// Cache misses attributed to this leaf (`p_cells_computed` delta).
-    computed: u64,
-    /// Total cache evictions as of the end of this leaf (the sequential
-    /// per-leaf value of `NmCounters::cell_cache_evictions`).
-    evictions_after: u64,
+/// One productive leaf's contribution to the NM counters.
+struct LeafTally {
+    q_cells: u64,
+    candidates: u64,
+    true_hits: u64,
+    cache: CacheTally,
+    fstats: FilterStats,
 }
 
 /// The lazy leaf-by-leaf pair producer behind the NM-CIJ stream.
 ///
 /// Each call to [`Iterator::next`] first serves pairs buffered from already
-/// processed leaves of `RQ`; when that buffer runs dry, the next leaf (or,
-/// with [`CijConfig::worker_threads`] > 1, the next bounded chunk of
-/// leaves) is processed — steps 1–4 of Algorithm 6. Page accesses therefore
-/// happen only as the consumer demands pairs.
+/// processed leaves of `RQ`; when that buffer runs dry, the next leaf (or
+/// the next bounded chunk of leaves) is processed — steps 1–4 of
+/// Algorithm 6. Page accesses therefore happen only as the consumer demands
+/// pairs.
 pub(crate) struct NmPairIter<'a> {
-    source: JoinSource<'a>,
-    config: CijConfig,
-    /// Execution mode resolved at construction (a snapshot source is always
-    /// fast).
-    mode: ExecMode,
-    /// Filter execution options derived from the config (kernel choice).
-    filter_options: FilterOptions,
-    leaves: Vec<PageId>,
-    next_leaf: usize,
+    /// The two trees (`[P, Q]`) and how their reads are paid for — fixed at
+    /// construction (a snapshot source is always fast).
+    acct: Accounting<'a>,
+    env: UnitEnv,
+    cursor: LeafCursor,
     cache: CellCache,
     pending: VecDeque<(u64, u64)>,
     state: SharedStreamState,
-    stats: IoStats,
-    start_io: IoSnapshot,
-    /// Fast-mode accounting: cumulative logical snapshot reads of this
-    /// query (the per-query-local I/O counter; unused in metered mode).
-    local_reads: u64,
     pairs_produced: u64,
-    chunks_done: usize,
     finished: bool,
     /// Scratch set for the per-leaf true-hit count, reused across leaves so
     /// the hot loop never reallocates (the pending `VecDeque` is likewise
@@ -307,53 +171,27 @@ pub(crate) struct NmPairIter<'a> {
 }
 
 impl<'a> NmPairIter<'a> {
+    /// Builds the iterator over an exclusive workload, in the configured
+    /// execution mode. The reuse buffer mirrors its hit/miss/eviction
+    /// events into the workload's shared stats in both modes: cache traffic
+    /// is a CPU-side resource, not page I/O, so it stays harness-visible
+    /// without touching any buffer.
     pub(crate) fn new(
         workload: &'a mut Workload,
         config: CijConfig,
         state: SharedStreamState,
     ) -> Self {
         let stats = workload.stats.clone();
-        let start_io = stats.snapshot();
-        // Metered runs pay (and count) the leaf-order traversal through the
-        // buffer; fast runs take it from the snapshot and charge the local
-        // counter instead.
-        let (leaves, order_reads) = match config.exec_mode {
-            ExecMode::Metered => (workload.rq.leaf_pages_hilbert_order(&config.domain), 0),
-            ExecMode::Fast => workload.rq.leaf_pages_hilbert_order_peek(&config.domain),
-        };
         let cache_capacity = if config.reuse_cells {
             config.cell_cache_capacity
         } else {
             0
         };
-        // Both modes mirror cell-cache events into the workload's shared
-        // stats: cache traffic is a CPU-side resource, not page I/O, so the
-        // fast path can keep the harness-visible counters without touching
-        // any buffer.
         let cache = CellCache::with_stats(cache_capacity, stats.clone());
-        let filter_options =
-            FilterOptions::for_kernel(config.filter_kernel).with_layout(config.leaf_layout);
-        let scratch = UnitScratch::for_budget(workload.rp.config().node_byte_budget());
-        NmPairIter {
-            source: JoinSource::Workload(workload),
-            config,
-            mode: config.exec_mode,
-            filter_options,
-            leaves,
-            next_leaf: 0,
-            cache,
-            pending: VecDeque::new(),
-            state,
-            stats,
-            start_io,
-            local_reads: order_reads,
-            pairs_produced: 0,
-            chunks_done: 0,
-            finished: false,
-            true_hits: HashSet::new(),
-            scratch,
-            cache_slot: None,
-        }
+        let trees = vec![&mut workload.rp, &mut workload.rq];
+        let mut acct = Accounting::exclusive(config.exec_mode, trees, &stats);
+        let leaves = acct.leaf_order(Q, &config.domain);
+        Self::start(acct, leaves, cache, &config, state)
     }
 
     /// Builds a fast-mode iterator over a shared tree-pair snapshot: no
@@ -372,29 +210,38 @@ impl<'a> NmPairIter<'a> {
         config: CijConfig,
         state: SharedStreamState,
     ) -> Self {
-        let filter_options =
-            FilterOptions::for_kernel(config.filter_kernel).with_layout(config.leaf_layout);
-        let scratch = UnitScratch::for_budget(rp.config().node_byte_budget());
-        NmPairIter {
-            source: JoinSource::Snapshot { rp, rq },
-            config: config.with_exec_mode(ExecMode::Fast),
-            mode: ExecMode::Fast,
-            filter_options,
-            leaves,
-            next_leaf: 0,
+        let acct = Accounting::shared(vec![rp, rq], order_reads);
+        Self::start(acct, Ok(leaves), cache, &config, state)
+    }
+
+    /// The one constructor body. A failed leaf-order walk yields a stream
+    /// that is born fail-stopped: no leaves, the error latched.
+    fn start(
+        acct: Accounting<'a>,
+        leaves: Result<Vec<PageId>, PageIoError>,
+        cache: CellCache,
+        config: &CijConfig,
+        state: SharedStreamState,
+    ) -> Self {
+        let env = UnitEnv::new(config, acct.tree(P).config().node_byte_budget());
+        let mut iter = NmPairIter {
+            acct,
+            env,
+            cursor: LeafCursor::default(),
             cache,
             pending: VecDeque::new(),
             state,
-            stats: IoStats::new(),
-            start_io: IoSnapshot::default(),
-            local_reads: order_reads,
             pairs_produced: 0,
-            chunks_done: 0,
             finished: false,
             true_hits: HashSet::new(),
-            scratch,
+            scratch: UnitScratch::for_budget(env.budget),
             cache_slot: None,
+        };
+        match leaves {
+            Ok(leaves) => iter.cursor = LeafCursor::new(leaves),
+            Err(e) => iter.fail(e),
         }
+        iter
     }
 
     /// Attaches the slot the iterator deposits its reuse buffer into when
@@ -419,73 +266,96 @@ impl<'a> NmPairIter<'a> {
     /// Fail-stops the stream on a storage error: latches the first error
     /// into the shared state, abandons every unprocessed leaf and ends the
     /// stream. Pairs already emitted (all covered by a watermark) stay
-    /// valid; nothing from the failing chunk was emitted. The reuse buffer
-    /// is **not** deposited — cells refined against an error-serving empty
-    /// read could be wrong, and must not leak into a later consumer.
+    /// valid; nothing from the failing leaf or chunk was emitted. The reuse
+    /// buffer is **not** deposited — cells refined against an error-serving
+    /// empty read could be wrong, and must not leak into a later consumer.
     fn fail(&mut self, error: PageIoError) {
-        {
-            let mut state = self.state.lock().unwrap();
-            if state.error.is_none() {
-                state.error = Some(error);
-            }
-        }
-        self.next_leaf = self.leaves.len();
+        self.state.lock().unwrap().error.get_or_insert(error);
+        self.cursor.abandon();
         self.cache_slot = None;
         self.finish();
     }
 
-    // ------------------------------------------------------------------
-    // Sequential path (worker_threads <= 1) — the classic leaf loop.
-    // ------------------------------------------------------------------
-
-    /// The stream's cumulative cost so far, in the active mode's currency:
-    /// buffer-simulated physical page accesses (metered) or logical
-    /// snapshot reads (fast). Watermarks, progress samples and the cost
-    /// breakdown all draw from this one figure, so they stay mutually
-    /// consistent within a run.
-    fn current_page_accesses(&self) -> u64 {
-        match self.mode {
-            ExecMode::Metered => self.stats.snapshot().since(&self.start_io).page_accesses(),
-            ExecMode::Fast => self.local_reads,
+    /// Folds one processed leaf into the shared state at its sequential
+    /// position: the NM counters and a progress sample when the leaf was
+    /// productive (`tally`), and always the per-leaf checkpoint —
+    /// everything emitted up to here is final. One watermark per leaf of
+    /// `RQ`, empty leaves included, so `leaf_index` is dense. Counters,
+    /// sample and watermark all draw their page accesses from the one
+    /// [`Accounting::page_accesses`] figure.
+    fn record_leaf(&mut self, leaf_index: usize, tally: Option<LeafTally>) {
+        let page_accesses = self.acct.page_accesses();
+        let mut state = self.state.lock().unwrap();
+        if let Some(t) = tally {
+            state.nm.q_cells_computed += t.q_cells;
+            state.nm.filter_candidates += t.candidates;
+            state.nm.filter_true_hits += t.true_hits;
+            state.nm.p_cells_reused += t.cache.reused;
+            state.nm.p_cells_computed += t.cache.computed;
+            state.nm.cell_cache_evictions = t.cache.evictions_after;
+            state.nm.filter_points_examined += t.fstats.points_examined;
+            state.nm.filter_entries_pruned += t.fstats.entries_pruned;
+            state.nm.filter_clip_ops += t.fstats.clip_ops;
+            state.nm.filter_poly_tests_skipped += t.fstats.poly_tests_skipped;
+            state.progress.push(ProgressSample {
+                page_accesses,
+                pairs: self.pairs_produced,
+            });
         }
-    }
-
-    /// Records the per-leaf checkpoint: everything emitted up to here is
-    /// final (the watermark API ported back from the multiway
-    /// [`TupleStream`](crate::multiway::TupleStream)). One watermark per
-    /// leaf of `RQ`, empty leaves included, so `leaf_index` is dense.
-    fn record_watermark(&mut self, leaf_index: usize) {
-        let page_accesses = self.current_page_accesses();
-        self.state.lock().unwrap().watermarks.push(LeafWatermark {
+        state.watermarks.push(LeafWatermark {
             leaf_index,
             rows: self.pairs_produced,
             page_accesses,
         });
     }
 
-    /// Processes one leaf of `RQ`, pushing its result pairs into `pending`
-    /// and updating counters, progress, watermark and cost attribution.
-    fn process_leaf(&mut self, leaf: PageId, leaf_index: usize) {
+    /// Processes the next leaf (sequential loop) or chunk of leaves,
+    /// fail-stopping on a storage error, and folds the elapsed CPU time and
+    /// the I/O so far into the shared cost breakdown (NM has no
+    /// materialisation phase, so all cost is JOIN cost).
+    fn step(&mut self) {
         // Wall-clock feeds `CijOutcome` elapsed-time stats only, never
         // pairs or counters (allowlisted CIJ-D101).
         let start = Instant::now();
-        let domain = self.config.domain;
-        let layout = self.config.leaf_layout;
-        let (rp, rq) = self.source.trees_mut();
+        let sequential = self.env.workers <= 1 && self.acct.counted_pair().is_some();
+        let done = if sequential {
+            self.run_leaf()
+        } else {
+            self.run_chunk()
+        };
+        if let Err(e) = done {
+            self.fail(e);
+        }
+        let mut state = self.state.lock().unwrap();
+        state.breakdown.join_cpu += start.elapsed();
+        state.breakdown.join_io = self.acct.join_io();
+    }
+
+    // ------------------------------------------------------------------
+    // Sequential path (metered, worker_threads <= 1) — the classic leaf
+    // loop, Algorithm 6 verbatim.
+    // ------------------------------------------------------------------
+
+    /// Processes one leaf of `RQ` through counted reads, pushing its result
+    /// pairs into `pending` and recording counters, progress and watermark.
+    fn run_leaf(&mut self) -> Result<(), PageIoError> {
+        let (leaf_index, leaf) = self.cursor.next_leaf();
+        let UnitEnv { domain, layout, .. } = self.env;
+        let (rp, rq) = self
+            .acct
+            .counted_pair()
+            .expect("the sequential leaf loop runs under metered accounting");
         // Reads go through the latching `NodeReader` impl (a failed read
         // serves an empty leaf and records the error on the tree), so one
         // poll per phase group suffices to fail-stop before anything wrong
         // is emitted.
         let group = NodeReader::read(rq, leaf).objects;
         if let Some(e) = rq.take_error() {
-            self.fail(e);
-            self.account(start);
-            return;
+            return Err(e);
         }
         if group.is_empty() {
-            self.record_watermark(leaf_index);
-            self.account(start);
-            return;
+            self.record_leaf(leaf_index, None);
+            return Ok(());
         }
 
         // (1) Voronoi cells of the leaf's Q points.
@@ -496,7 +366,7 @@ impl<'a> NmPairIter<'a> {
             rp,
             &cells_q,
             &domain,
-            &self.filter_options,
+            &self.env.filter_options,
             &mut self.scratch.filter,
         );
 
@@ -519,9 +389,7 @@ impl<'a> NmPairIter<'a> {
         // above produced cells from empty-leaf fallbacks — emit nothing
         // from this leaf.
         if let Some(e) = rq.take_error().or_else(|| rp.take_error()) {
-            self.fail(e);
-            self.account(start);
-            return;
+            return Err(e);
         }
 
         // (4) Report intersecting pairs; track which candidates were true
@@ -541,245 +409,54 @@ impl<'a> NmPairIter<'a> {
                 self.pairs_produced += 1;
             },
         );
-
-        {
-            let page_accesses = self.current_page_accesses();
-            let mut state = self.state.lock().unwrap();
-            state.nm.q_cells_computed += group.len() as u64;
-            state.nm.filter_candidates += candidates.len() as u64;
-            state.nm.filter_true_hits += true_hits.len() as u64;
-            state.nm.p_cells_reused += self.cache.hits() - hits_before;
-            state.nm.p_cells_computed += self.cache.misses() - misses_before;
-            state.nm.cell_cache_evictions = self.cache.evictions();
-            state.nm.filter_points_examined += fstats.points_examined;
-            state.nm.filter_entries_pruned += fstats.entries_pruned;
-            state.nm.filter_clip_ops += fstats.clip_ops;
-            state.nm.filter_poly_tests_skipped += fstats.poly_tests_skipped;
-            state.progress.push(ProgressSample {
-                page_accesses,
-                pairs: self.pairs_produced,
-            });
-            state.watermarks.push(LeafWatermark {
-                leaf_index,
-                rows: self.pairs_produced,
-                page_accesses,
-            });
-        }
-        self.true_hits = true_hits;
-        self.account(start);
-    }
-
-    /// Folds the leaf's elapsed CPU time and the I/O delta so far into the
-    /// shared cost breakdown (NM has no materialisation phase, so all cost
-    /// is JOIN cost). In fast mode the breakdown carries the local read
-    /// count as physical+logical reads, so `CijOutcome::page_accesses()`
-    /// and the final watermark agree on one figure.
-    fn account(&mut self, start: Instant) {
-        let join_io = match self.mode {
-            ExecMode::Metered => self.stats.snapshot().since(&self.start_io),
-            ExecMode::Fast => IoSnapshot {
-                physical_reads: self.local_reads,
-                logical_reads: self.local_reads,
-                ..IoSnapshot::default()
+        let tally = LeafTally {
+            q_cells: group.len() as u64,
+            candidates: candidates.len() as u64,
+            true_hits: true_hits.len() as u64,
+            cache: CacheTally {
+                reused: self.cache.hits() - hits_before,
+                computed: self.cache.misses() - misses_before,
+                evictions_after: self.cache.evictions(),
             },
+            fstats,
         };
-        let mut state = self.state.lock().unwrap();
-        state.breakdown.join_cpu += start.elapsed();
-        state.breakdown.join_io = join_io;
+        self.true_hits = true_hits;
+        self.record_leaf(leaf_index, Some(tally));
+        Ok(())
     }
 
     // ------------------------------------------------------------------
-    // Chunked path (worker_threads > 1, and every fast-mode run) — see the
-    // module docs for the determinism protocol.
+    // Chunked path (worker_threads > 1, and every fast-mode run) — the
+    // phases of `crate::chunk`.
     // ------------------------------------------------------------------
 
     /// Processes the next bounded chunk of leaves on the worker pool and
     /// appends their pairs to `pending` in Hilbert leaf order.
-    fn process_chunk(&mut self) {
-        // Chunk wall-clock: elapsed-time attribution only (allowlisted
-        // CIJ-D101).
-        let start = Instant::now();
-        let workers = self.config.effective_worker_threads();
-        let width = match self.chunks_done {
-            0 => 1,
-            1 => workers,
-            _ => workers * CHUNK_RAMP,
-        };
-        let upto = (self.next_leaf + width).min(self.leaves.len());
-        let chunk: Vec<PageId> = self.leaves[self.next_leaf..upto].to_vec();
-        let first_leaf_index = self.next_leaf;
-        self.next_leaf = upto;
-        self.chunks_done += 1;
-        let domain = self.config.domain;
-        let layout = self.config.leaf_layout;
-        let filter_options = self.filter_options;
-        let mode = self.mode;
-        let budget = self.source.rp().config().node_byte_budget();
+    fn run_chunk(&mut self) -> Result<(), PageIoError> {
+        let env = self.env;
+        let (first_leaf_index, chunk) = self.cursor.next_chunk(env.workers);
 
-        // Phase 1 (parallel): scan — leaf read, Q cells, conditional filter,
-        // all against immutable tree snapshots. Metered mode records traced
-        // page accesses for later replay; fast mode only counts them. Each
-        // worker allocates its unit scratch once and reuses it across every
-        // leaf it picks up.
-        let scans: Vec<LeafScan> = {
-            let rp = self.source.rp();
-            let rq = self.source.rq();
-            run_ordered_scratch(
-                workers,
-                chunk.len(),
-                || UnitScratch::for_budget(budget),
-                |i, scratch| {
-                    scan_leaf(
-                        rp,
-                        rq,
-                        chunk[i],
-                        &domain,
-                        layout,
-                        &filter_options,
-                        scratch,
-                        mode,
-                    )
-                },
-            )
-        };
+        // Scan (parallel): leaf read, Q cells, conditional filter, each
+        // worker reusing one unit scratch across the leaves it picks up.
+        // The gate keeps the cache policy off a failed scan's garbage
+        // candidates.
+        let acct = &self.acct;
+        let scans: Vec<LeafScan> = run_ordered_scratch(
+            env.workers,
+            chunk.len(),
+            || UnitScratch::for_budget(env.budget),
+            |i, scratch| scan_leaf(acct, chunk[i], &env, scratch),
+        );
+        gate(scans.iter().flat_map(|s| [&s.log_rq, &s.log_rp]))?;
 
-        // Fail-stop gate: if any leaf's scan hit a storage error, nothing
-        // from this chunk is emitted (first error in leaf order wins) and
-        // the cache policy below never runs on the garbage candidates.
-        if let Some(e) = scans.iter().find_map(|s| s.error.clone()) {
-            self.fail(e);
-            self.account(start);
-            return;
-        }
+        // Cache policy → refine → resolve: each leaf's aligned exact
+        // candidate cells through the reuse buffer.
+        let candidates: Vec<&[PointObject]> = scans.iter().map(|s| &s.candidates[..]).collect();
+        let refined = refine_through_cache(acct, P, &mut self.cache, &candidates, &env)?;
 
-        // Phase 2 (coordinator, leaf order): replacement-policy decisions on
-        // the real cache — identical hit/miss/evict sequence to a
-        // sequential run, and it fixes each leaf's `missing` set.
-        let plans: Vec<LeafPlan> = scans
-            .iter()
-            .map(|scan| {
-                let mut plan = LeafPlan::default();
-                for cand in &scan.candidates {
-                    if self.cache.policy_get(cand.id.0) {
-                        plan.hit.push(true);
-                        plan.reused += 1;
-                    } else {
-                        plan.hit.push(false);
-                        plan.computed += 1;
-                        plan.missing.push(*cand);
-                    }
-                }
-                for m in &plan.missing {
-                    let victim = self.cache.policy_put(m.id.0);
-                    plan.puts.push((m.id.0, victim));
-                }
-                plan.evictions_after = self.cache.evictions();
-                plan
-            })
-            .collect();
-
-        // Phase 3 (parallel): refine — exact cells of each leaf's missing
-        // candidates, again against the snapshot (traced or counted per the
-        // mode).
-        type Refined = (Vec<ConvexPolygon>, Vec<PageId>, u64, Option<PageIoError>);
-        let refined: Vec<Refined> = {
-            let rp = self.source.rp();
-            run_ordered_scratch(
-                workers,
-                plans.len(),
-                || VorScratch::for_budget(budget),
-                |i, vor| {
-                    let missing = &plans[i].missing;
-                    if missing.is_empty() {
-                        (Vec::new(), Vec::new(), 0, None)
-                    } else {
-                        match mode {
-                            ExecMode::Metered => {
-                                let mut reader = TracedReader::new(rp);
-                                let cells =
-                                    batch_voronoi_with(&mut reader, missing, &domain, layout, vor);
-                                let error = reader.take_error();
-                                (cells, reader.into_trace(), 0, error)
-                            }
-                            ExecMode::Fast => {
-                                let mut reader = SnapshotReader::new(rp);
-                                let cells =
-                                    batch_voronoi_with(&mut reader, missing, &domain, layout, vor);
-                                let error = reader.take_error();
-                                (cells, Vec::new(), reader.into_reads(), error)
-                            }
-                        }
-                    }
-                },
-            )
-        };
-        // Second fail-stop gate: a refine-phase read failure also discards
-        // the whole chunk. The cache's policy state already advanced, but
-        // the stream ends here and never deposits the buffer, so the
-        // inconsistency cannot escape.
-        if let Some(e) = refined.iter().find_map(|r| r.3.clone()) {
-            self.fail(e);
-            self.account(start);
-            return;
-        }
-        let mut traces_refined: Vec<Vec<PageId>> = Vec::with_capacity(refined.len());
-        let mut reads_refined: Vec<u64> = Vec::with_capacity(refined.len());
-        let cells_refined: Vec<Vec<ConvexPolygon>> = refined
-            .into_iter()
-            .map(|(cells, trace, reads, _)| {
-                traces_refined.push(trace);
-                reads_refined.push(reads);
-                cells
-            })
-            .collect();
-
-        // Phase 4 (coordinator, leaf order): resolve each leaf's aligned
-        // candidate cells — hits from the cache (the payload the sequential
-        // run would have served), misses from the leaf's own refinement —
-        // then apply the deferred payload updates of the leaf's puts.
-        let resolved: Vec<Vec<ConvexPolygon>> = plans
-            .iter()
-            .zip(&scans)
-            .zip(cells_refined)
-            .map(|((plan, scan), cells_m)| {
-                // Hits first: sequential gets all happen before any put, so
-                // a payload this leaf's own puts evict must still serve the
-                // hits recorded before them.
-                let mut aligned: Vec<Option<ConvexPolygon>> = scan
-                    .candidates
-                    .iter()
-                    .zip(&plan.hit)
-                    .map(|(cand, hit)| hit.then(|| self.cache.resolved_payload(cand.id.0)))
-                    .collect();
-                // Apply the puts in order (victim payload drops were
-                // deferred by the policy pass), then move — not clone —
-                // each fresh cell into its slot: like the sequential path,
-                // the cache holds the only other copy.
-                let mut fresh = cells_m.into_iter();
-                let mut puts = plan.puts.iter();
-                for slot in aligned.iter_mut() {
-                    if slot.is_none() {
-                        let cell = fresh
-                            .next()
-                            .expect("one refined cell per missing candidate");
-                        let (id, victim) = puts.next().expect("one put per missing candidate");
-                        if let Some(v) = victim {
-                            self.cache.drop_payload(*v);
-                        }
-                        self.cache.fill_payload(*id, &cell);
-                        *slot = Some(cell);
-                    }
-                }
-                aligned
-                    .into_iter()
-                    .map(|cell| cell.expect("every slot filled"))
-                    .collect()
-            })
-            .collect();
-
-        // Phase 5 (parallel): pair reporting — the same kernel as the
-        // sequential path, so per-leaf pair order is identical.
-        let reported: Vec<(Vec<(u64, u64)>, u64)> = run_ordered(workers, scans.len(), |i| {
+        // Report (parallel): the same kernel as the sequential path, so
+        // per-leaf pair order is identical.
+        let reported: Vec<(Vec<(u64, u64)>, u64)> = run_ordered(env.workers, scans.len(), |i| {
             let scan = &scans[i];
             let mut pairs: Vec<(u64, u64)> = Vec::new();
             let mut true_hits: HashSet<u64> = HashSet::new();
@@ -787,68 +464,33 @@ impl<'a> NmPairIter<'a> {
                 &scan.group,
                 &scan.cells_q,
                 &scan.candidates,
-                &resolved[i],
+                &refined[i].cells,
                 &mut true_hits,
                 |p, q| pairs.push((p, q)),
             );
             (pairs, true_hits.len() as u64)
         });
 
-        // Phase 6 (coordinator, leaf order): settle each leaf's deferred
-        // read accounting — metered replays the page-access traces through
-        // the real buffers, fast adds the snapshot-read counts to the local
-        // counter — then fold in the counters and emit the pairs: ordered
-        // reassembly.
-        for (i, scan) in scans.iter().enumerate() {
-            match self.mode {
-                ExecMode::Metered => {
-                    let (rp, rq) = self.source.trees_mut();
-                    for &page in &scan.trace_rq {
-                        rq.replay_read(page);
-                    }
-                    for &page in &scan.trace_rp {
-                        rp.replay_read(page);
-                    }
-                    for &page in &traces_refined[i] {
-                        rp.replay_read(page);
-                    }
-                }
-                ExecMode::Fast => {
-                    self.local_reads += scan.snapshot_reads + reads_refined[i];
-                }
-            }
-            if scan.group.is_empty() {
-                self.record_watermark(first_leaf_index + i);
-                continue;
-            }
-            let (pairs, true_hit_count) = &reported[i];
+        // Settle + emit (coordinator, leaf order), in the sequential
+        // interleaving of the leaf's reads: Q scan, P filter, P refine.
+        for (i, ((scan, unit), (pairs, true_hits))) in
+            scans.iter().zip(&refined).zip(reported).enumerate()
+        {
+            self.acct.settle(Q, &scan.log_rq)?;
+            self.acct.settle(P, &scan.log_rp)?;
+            self.acct.settle(P, &unit.log)?;
             self.pairs_produced += pairs.len() as u64;
-            {
-                let page_accesses = self.current_page_accesses();
-                let mut state = self.state.lock().unwrap();
-                state.nm.q_cells_computed += scan.group.len() as u64;
-                state.nm.filter_candidates += scan.candidates.len() as u64;
-                state.nm.filter_true_hits += true_hit_count;
-                state.nm.p_cells_reused += plans[i].reused;
-                state.nm.p_cells_computed += plans[i].computed;
-                state.nm.cell_cache_evictions = plans[i].evictions_after;
-                state.nm.filter_points_examined += scan.fstats.points_examined;
-                state.nm.filter_entries_pruned += scan.fstats.entries_pruned;
-                state.nm.filter_clip_ops += scan.fstats.clip_ops;
-                state.nm.filter_poly_tests_skipped += scan.fstats.poly_tests_skipped;
-                state.progress.push(ProgressSample {
-                    page_accesses,
-                    pairs: self.pairs_produced,
-                });
-                state.watermarks.push(LeafWatermark {
-                    leaf_index: first_leaf_index + i,
-                    rows: self.pairs_produced,
-                    page_accesses,
-                });
-            }
-            self.pending.extend(pairs.iter().copied());
+            let tally = (!scan.group.is_empty()).then_some(LeafTally {
+                q_cells: scan.group.len() as u64,
+                candidates: scan.candidates.len() as u64,
+                true_hits,
+                cache: unit.tally,
+                fstats: scan.fstats,
+            });
+            self.record_leaf(first_leaf_index + i, tally);
+            self.pending.extend(pairs);
         }
-        self.account(start);
+        Ok(())
     }
 }
 
@@ -877,173 +519,41 @@ fn report_leaf_pairs(
     }
 }
 
-/// The parallel scan of one leaf: read the leaf node, compute its points'
-/// Voronoi cells, run the conditional filter — all through snapshot
-/// readers. In metered mode the readers record page traces (so the
-/// sequences match what a sequential run would access for this leaf); in
-/// fast mode they only count.
-#[allow(clippy::too_many_arguments)]
+/// The scan of one leaf — steps 1–2 of Algorithm 6 through snapshot readers
+/// (so the page sequences match what a sequential run would access for this
+/// leaf): read the leaf node, compute its points' Voronoi cells, run the
+/// conditional filter.
 fn scan_leaf(
-    rp: &RTree<PointObject>,
-    rq: &RTree<PointObject>,
+    acct: &Accounting<'_>,
     leaf: PageId,
-    domain: &Rect,
-    layout: LeafLayout,
-    filter_options: &FilterOptions,
+    env: &UnitEnv,
     scratch: &mut UnitScratch,
-    mode: ExecMode,
 ) -> LeafScan {
-    match mode {
-        ExecMode::Metered => {
-            let mut rq_reader = TracedReader::new(rq);
-            let mut rp_reader = TracedReader::new(rp);
-            let (group, cells_q, candidates, fstats) = scan_leaf_with(
-                &mut rq_reader,
-                &mut rp_reader,
-                leaf,
-                domain,
-                layout,
-                filter_options,
-                scratch,
-            );
-            let error = rq_reader.take_error().or_else(|| rp_reader.take_error());
-            LeafScan {
-                group,
-                cells_q,
-                candidates,
-                fstats,
-                trace_rq: rq_reader.into_trace(),
-                trace_rp: rp_reader.into_trace(),
-                snapshot_reads: 0,
-                error,
-            }
-        }
-        ExecMode::Fast => {
-            let mut rq_reader = SnapshotReader::new(rq);
-            let mut rp_reader = SnapshotReader::new(rp);
-            let (group, cells_q, candidates, fstats) = scan_leaf_with(
-                &mut rq_reader,
-                &mut rp_reader,
-                leaf,
-                domain,
-                layout,
-                filter_options,
-                scratch,
-            );
-            let error = rq_reader.take_error().or_else(|| rp_reader.take_error());
-            LeafScan {
-                group,
-                cells_q,
-                candidates,
-                fstats,
-                trace_rq: Vec::new(),
-                trace_rp: Vec::new(),
-                snapshot_reads: rq_reader.into_reads() + rp_reader.into_reads(),
-                error,
-            }
-        }
+    let mut rq = acct.reader(Q);
+    let mut rp = acct.reader(P);
+    let group = rq.read(leaf).objects;
+    let (cells_q, (candidates, fstats)) = if group.is_empty() {
+        Default::default()
+    } else {
+        let cells_q =
+            batch_voronoi_with(&mut rq, &group, &env.domain, env.layout, &mut scratch.vor);
+        let filtered = batch_conditional_filter_scratch(
+            &mut rp,
+            &cells_q,
+            &env.domain,
+            &env.filter_options,
+            &mut scratch.filter,
+        );
+        (cells_q, filtered)
+    };
+    LeafScan {
+        group,
+        cells_q,
+        candidates,
+        fstats,
+        log_rq: rq.finish(),
+        log_rp: rp.finish(),
     }
-}
-
-/// The reader-generic body of [`scan_leaf`]: one implementation, so the two
-/// modes cannot drift apart in traversal order or results.
-fn scan_leaf_with<RQ, RP>(
-    rq_reader: &mut RQ,
-    rp_reader: &mut RP,
-    leaf: PageId,
-    domain: &Rect,
-    layout: LeafLayout,
-    filter_options: &FilterOptions,
-    scratch: &mut UnitScratch,
-) -> (
-    Vec<PointObject>,
-    Vec<ConvexPolygon>,
-    Vec<PointObject>,
-    FilterStats,
-)
-where
-    RQ: NodeReader<PointObject>,
-    RP: NodeReader<PointObject>,
-{
-    let group = rq_reader.read(leaf).objects;
-    if group.is_empty() {
-        return (group, Vec::new(), Vec::new(), FilterStats::default());
-    }
-    let cells_q = batch_voronoi_with(rq_reader, &group, domain, layout, &mut scratch.vor);
-    let (candidates, fstats) = batch_conditional_filter_scratch(
-        rp_reader,
-        &cells_q,
-        domain,
-        filter_options,
-        &mut scratch.filter,
-    );
-    (group, cells_q, candidates, fstats)
-}
-
-/// Runs `f(0..n)` on a scoped pool of at most `workers` threads and returns
-/// the results in index order. Work is handed out through a shared atomic
-/// cursor, so uneven leaf units balance across the pool. Worker panics
-/// propagate to the caller.
-///
-/// Shared with the multiway [`TupleStream`](crate::multiway::TupleStream),
-/// whose parallel phases use the same scheduling.
-pub(crate) fn run_ordered<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_ordered_scratch(workers, n, || (), |i, ()| f(i))
-}
-
-/// [`run_ordered`] with a per-worker scratch value: `mk` runs **once per
-/// worker thread** (not per unit) and the resulting scratch is handed to
-/// every `f(i, scratch)` call that thread executes — the per-unit arena
-/// reuse that keeps the SoA hot loops allocation-free. Scheduling, ordering
-/// and panic behaviour are exactly those of [`run_ordered`].
-pub(crate) fn run_ordered_scratch<T, S, M, F>(workers: usize, n: usize, mk: M, f: F) -> Vec<T>
-where
-    T: Send,
-    M: Fn() -> S + Sync,
-    F: Fn(usize, &mut S) -> T + Sync,
-{
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = workers.min(n);
-    if threads <= 1 {
-        let mut scratch = mk();
-        return (0..n).map(|i| f(i, &mut scratch)).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut scratch = mk();
-                    let mut produced: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        produced.push((i, f(i, &mut scratch)));
-                    }
-                    produced
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, value) in handle.join().expect("NM-CIJ worker panicked") {
-                slots[i] = Some(value);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every leaf unit produces a result"))
-        .collect()
 }
 
 impl Iterator for NmPairIter<'_> {
@@ -1054,22 +564,11 @@ impl Iterator for NmPairIter<'_> {
             if let Some(pair) = self.pending.pop_front() {
                 return Some(pair);
             }
-            if self.next_leaf >= self.leaves.len() {
+            if self.cursor.is_exhausted() {
                 self.finish();
                 return None;
             }
-            // Fast mode always runs the chunked protocol (its phases never
-            // touch a buffer, so there is nothing for a sequential loop to
-            // meter differently); metered mode keeps the classic leaf loop
-            // at one worker.
-            if self.mode == ExecMode::Fast || self.config.effective_worker_threads() > 1 {
-                self.process_chunk();
-            } else {
-                let leaf = self.leaves[self.next_leaf];
-                let leaf_index = self.next_leaf;
-                self.next_leaf += 1;
-                self.process_leaf(leaf, leaf_index);
-            }
+            self.step();
         }
     }
 }
@@ -1078,10 +577,11 @@ impl Iterator for NmPairIter<'_> {
 mod tests {
     use super::*;
     use crate::brute::brute_force_cij;
+    use crate::config::ExecMode;
     use crate::fm::fm_cij;
     use crate::pm::pm_cij;
     use cij_geom::Point;
-    use cij_rtree::RTreeConfig;
+    use cij_rtree::{RTreeConfig, SnapshotReader};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1409,7 +909,7 @@ mod tests {
         let q = random_points(300, 116);
         let mut w = Workload::build(&p, &q, &config);
         // Corrupt a mid-run Q leaf so some pairs flow before the failure.
-        let (leaves, _) = w.rq.leaf_pages_hilbert_order_peek(&config.domain);
+        let leaves = SnapshotReader::new(&w.rq).leaf_pages_hilbert_order(&config.domain);
         let target = leaves[leaves.len() / 2];
         w.rq.flush();
         w.rq.drop_buffer();
@@ -1430,6 +930,39 @@ mod tests {
             "every emitted pair is watermark-covered: failed chunks emit nothing"
         );
         assert!(stream.try_into_outcome().is_err());
+    }
+
+    #[test]
+    fn a_fail_stopped_stream_never_deposits_its_reuse_buffer() {
+        use cij_pagestore::{FaultSpec, RetryPolicy};
+        let config = small_config().with_worker_threads(2);
+        let p = random_points(300, 127);
+        let q = random_points(300, 128);
+        let mut failed_midway = 0;
+        for seed in 0..16u64 {
+            let mut w = Workload::build(&p, &q, &config);
+            // Warm buffers a little smaller than the trees: reads miss only
+            // now and then, so the unretried faults below strike mid-run —
+            // in worker reads and in the coordinator's replays alike.
+            nm_cij(&mut w, &config);
+            for (tree, seed) in [(&mut w.rp, seed), (&mut w.rq, seed + 100)] {
+                tree.set_buffer_pages(tree.num_pages() - 2);
+                tree.set_retry_policy(RetryPolicy {
+                    max_attempts: 1,
+                    ..RetryPolicy::default()
+                });
+                tree.inject_fault(FaultSpec::transient(seed));
+            }
+            let (mut stream, slot) = NmExecutor::stream_with_cache_slot(&mut w, &config);
+            let rows = stream.by_ref().count();
+            assert_eq!(
+                stream.io_error().is_some(),
+                slot.lock().unwrap().is_none(),
+                "seed {seed}: the buffer is deposited exactly when the stream completes"
+            );
+            failed_midway += usize::from(stream.io_error().is_some() && rows > 0);
+        }
+        assert!(failed_midway > 0, "no seed failed after emitting pairs");
     }
 
     #[test]

@@ -128,9 +128,19 @@ impl EngineSnapshot {
     pub fn build(sets: &[Vec<Point>], config: &CijConfig) -> Self {
         let workload = MultiwayWorkload::build(sets, config);
         let trees = workload.trees;
+        // Start-up precompute, before any query exists to fail: a storage
+        // error here unwraps at the edge.
         let leaf_orders = trees
             .iter()
-            .map(|t| t.leaf_pages_hilbert_order_peek(&config.domain))
+            .map(|t| {
+                let mut reader = SnapshotReader::new(t);
+                let leaves = reader.leaf_pages_hilbert_order(&config.domain);
+                let log = reader.finish();
+                if let Some(e) = log.error {
+                    panic!("{e}");
+                }
+                (leaves, log.reads)
+            })
             .collect();
         let objects = sets.iter().map(|s| PointObject::from_points(s)).collect();
         EngineSnapshot {
@@ -1284,9 +1294,8 @@ mod tests {
         ];
         let oracle = brute_force_cij(&sets[2], &sets[3], &small_config().domain);
         let mut snapshot = EngineSnapshot::build(&sets, &small_config());
-        let (leaves, _) = snapshot
-            .tree(1)
-            .leaf_pages_hilbert_order_peek(&small_config().domain);
+        let leaves =
+            SnapshotReader::new(snapshot.tree(1)).leaf_pages_hilbert_order(&small_config().domain);
         let target = leaves[leaves.len() / 2];
         // Arm the fault before sharing the snapshot: cold reads of the
         // target frame now fail their checksum.
@@ -1328,6 +1337,39 @@ mod tests {
         pairs.dedup();
         assert_eq!(pairs, oracle);
         assert!(!clean_completion.failed);
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_failed_leaf_order_walk_is_a_storage_error_not_a_worker_panic() {
+        use crate::config::MultiwayDriver;
+        use cij_pagestore::{FaultKind, FaultSpec};
+        let config = small_config().with_multiway_driver(MultiwayDriver::Fixed(0));
+        let sets = vec![random_points(120, 619), random_points(110, 620)];
+        let mut snapshot = EngineSnapshot::build(&sets, &config);
+        // Rot the driver tree's (non-leaf) root after the snapshot's own
+        // start-up walk: the query's leaf-order walk is the first to see it.
+        let root = snapshot.tree(0).root_page();
+        assert!(snapshot.tree(0).root_level() > 0);
+        {
+            let tree = snapshot.tree_mut(0);
+            tree.flush();
+            tree.drop_buffer();
+            tree.inject_fault(FaultSpec::corrupt_frame(root.0));
+        }
+        let service = CijService::start(Arc::new(snapshot), ServiceConfig::default());
+        let doomed = service
+            .submit(Request::Multiway { sets: vec![0, 1] })
+            .unwrap();
+        let completion = doomed.completion();
+        assert!(completion.failed);
+        assert_eq!(completion.rows, 0);
+        match completion.error.expect("a structured failure reason") {
+            QueryError::Storage(e) => {
+                assert_eq!((e.kind, e.page), (FaultKind::Corrupt, Some(root.0)));
+            }
+            other => panic!("expected a storage error, got {other:?}"),
+        }
         service.shutdown();
     }
 }

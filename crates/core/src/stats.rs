@@ -145,11 +145,7 @@ pub struct MultiwayCounters {
     /// Cells evicted from each set's bounded reuse buffer.
     pub cell_cache_evictions: Vec<u64>,
     /// Conditional-filter invocations across all extension rounds (one per
-    /// probe unit — per leaf with [`MultiwayProbe::Batched`], per partial
-    /// tuple with [`MultiwayProbe::PerTuple`]).
-    ///
-    /// [`MultiwayProbe::Batched`]: crate::config::MultiwayProbe::Batched
-    /// [`MultiwayProbe::PerTuple`]: crate::config::MultiwayProbe::PerTuple
+    /// round and leaf unit that still has live partial tuples).
     pub filter_probes: u64,
     /// Points examined (heap pops) across all filter invocations.
     pub filter_points_examined: u64,

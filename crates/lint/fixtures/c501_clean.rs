@@ -1,6 +1,6 @@
-//@ path: crates/core/src/nm.rs
-//! Fixture: `core::nm` hosts the scoped worker pool, so spawning there is
-//! sanctioned.
+//@ path: crates/core/src/chunk.rs
+//! Fixture: `core::chunk` hosts the scoped worker pool, so spawning there
+//! is sanctioned.
 
 pub fn run_ordered_scratch() {
     std::thread::scope(|scope| {

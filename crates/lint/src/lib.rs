@@ -23,13 +23,13 @@
 //! | ID | Protects | Introduced by |
 //! |----|----------|---------------|
 //! | `CIJ-D101` | **Determinism — entropy sources.** `SystemTime::now`, `Instant::now` and `thread_rng` are forbidden outside `crates/bench`, `crates/datagen` and test code. Result paths must be a pure function of inputs + config; a clock read that leaks into emission or counters breaks the replay parity the whole evaluation rests on. | PR 2 (trace/replay parity) |
-//! | `CIJ-D102` | **Determinism — iteration order.** `HashMap`/`HashSet` are forbidden in the result-emitting modules (`core::{engine,nm,multiway,filter,service}`, `cij_voronoi`): anything iterated there must have deterministic order (`BTreeMap`, sorted `Vec`). Membership-only uses (never iterated) may be allowlisted with a reason. | PR 1–4 (ordered streams) |
+//! | `CIJ-D102` | **Determinism — iteration order.** `HashMap`/`HashSet` are forbidden in the result-emitting modules (`core::{engine,chunk,nm,multiway,filter,service}`, `cij_voronoi`): anything iterated there must have deterministic order (`BTreeMap`, sorted `Vec`). Membership-only uses (never iterated) may be allowlisted with a reason. | PR 1–4 (ordered streams) |
 //! | `CIJ-U201` | **Unsafe audit — justification.** Every `unsafe` block/fn/impl must be immediately preceded by a `// SAFETY:` comment stating the invariant that makes it sound (contiguous comment/attribute lines above it are searched). | PR 8 (raw `mmap` bindings) |
 //! | `CIJ-U202` | **Unsafe audit — budget.** Every `unsafe` occurrence must be covered by an exact per-file count in `lint.toml`, so any new unsafe (or removed unsafe that leaves the budget stale) shows up as a reviewable `lint.toml` diff. | PR 8 |
 //! | `CIJ-I301` | **I/O accounting.** Every `PageBackend::read`/`write` call site (and every `write_back` call) must pass a *literal* `IoClass::Metered`/`IoClass::Unmetered` — classifying through a variable would let a call site launder metered traffic past review. | PR 8 (`BackendIo` metered/unmetered split) |
 //! | `CIJ-I302` | **I/O accounting.** `PageStore::drop_buffer` is the measurement-reset path: every transfer inside it must stay `Unmetered` (the PR-3 "uncounted-but-real" hole, machine-closed). | PR 8 |
 //! | `CIJ-A401` | **Atomics.** A file using `Ordering::Relaxed` must declare the contract making relaxed ordering sound in its `//!` module docs (the phrase "relaxed-consistency contract"). | PR 7 (`IoStats::snapshot` consistency contract) |
-//! | `CIJ-C501` | **Concurrency discipline.** `thread::spawn` is forbidden outside the scoped worker pool (`run_ordered_scratch`, `core::nm`) and the `service` worker pool — free threads bypass both the determinism protocol and panic isolation. | PR 2 / PR 7 |
+//! | `CIJ-C501` | **Concurrency discipline.** `thread::spawn` is forbidden outside the scoped worker pool (`run_ordered_scratch`, `core::chunk`) and the `service` worker pool — free threads bypass both the determinism protocol and panic isolation. | PR 2 / PR 7 |
 //! | `CIJ-C502` | **Concurrency discipline.** `unwrap()`/`expect()` are forbidden in non-test `core::service` code: worker paths must stay `catch_unwind`-recoverable, and a poisoned lock must not cascade panics across workers (use the poison-recovering lock helpers). | PR 7 (worker isolation) |
 //! | `CIJ-X901` | **Meta.** An allowlist entry whose count does not exactly match the diagnostics it suppresses — stale suppressions (zero matches) and out-of-date budgets both fail, so `lint.toml` can never rot. Not allowlistable. | this PR |
 //!
@@ -50,7 +50,7 @@
 //! [[allow]]
 //! rule = "CIJ-D102"
 //! path = "crates/core/src/nm.rs"
-//! count = 7
+//! count = 6
 //! reason = "true-hit dedup is membership-only (insert/len/clear); never iterated"
 //! ```
 //!

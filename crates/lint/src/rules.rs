@@ -65,8 +65,9 @@ const D101_EXEMPT_PREFIXES: [&str; 2] = ["crates/bench/", "crates/datagen/"];
 
 /// The result-emitting modules (paths) where pair/tuple/counter emission
 /// order must never depend on hash-map iteration order.
-const EMISSION_MODULES: [&str; 5] = [
+const EMISSION_MODULES: [&str; 6] = [
     "crates/core/src/engine.rs",
+    "crates/core/src/chunk.rs",
     "crates/core/src/nm.rs",
     "crates/core/src/multiway.rs",
     "crates/core/src/filter.rs",
@@ -75,7 +76,7 @@ const EMISSION_MODULES: [&str; 5] = [
 
 /// Modules allowed to spawn OS threads: the scoped worker pool
 /// (`run_ordered_scratch`) and the service worker pool.
-const SPAWN_MODULES: [&str; 2] = ["crates/core/src/nm.rs", "crates/core/src/service.rs"];
+const SPAWN_MODULES: [&str; 2] = ["crates/core/src/chunk.rs", "crates/core/src/service.rs"];
 
 /// The service module, whose worker paths must stay
 /// `catch_unwind`-recoverable.
@@ -406,7 +407,7 @@ fn rule_a401(path: &str, scan: &FileScan, out: &mut Vec<Diagnostic>) {
 }
 
 /// CIJ-C501: `thread::spawn` is forbidden outside the scoped worker pool
-/// (`run_ordered_scratch` in `core::nm`) and the `service` worker pool —
+/// (`run_ordered_scratch` in `core::chunk`) and the `service` worker pool —
 /// free-floating threads bypass the determinism protocol and the panic
 /// isolation both pools provide.
 fn rule_c501(path: &str, scan: &FileScan, out: &mut Vec<Diagnostic>) {
@@ -424,7 +425,7 @@ fn rule_c501(path: &str, scan: &FileScan, out: &mut Vec<Diagnostic>) {
                 path,
                 scan.tokens[i].line,
                 "thread::spawn outside the sanctioned pools — route work \
-                 through run_ordered_scratch (core::nm) or the service worker \
+                 through run_ordered_scratch (core::chunk) or the service worker \
                  pool"
                     .to_string(),
             );

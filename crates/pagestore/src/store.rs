@@ -535,19 +535,15 @@ impl<T: PagePayload> PageStore<T> {
     /// payload, the transferred frame is compared against its re-encoding —
     /// catching trace/snapshot drift at the first diverging page.
     ///
+    /// A replayed miss is a real metered transfer, so it can fail like any
+    /// read — error contract of [`PageStore::try_read`].
+    ///
     /// # Panics
     ///
-    /// Panics if the replayed page id does not exist (trace drift), like
-    /// [`PageStore::read`].
-    pub fn note_read(&mut self, id: PageId) {
-        self.try_note_read(id).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`PageStore::note_read`] — error contract of
-    /// [`PageStore::try_read`].
-    pub fn try_note_read(&mut self, id: PageId) -> Result<(), PageIoError> {
-        let _ = self.lock().try_read_arc(id)?;
-        Ok(())
+    /// Panics if the replayed page id does not exist: that is trace drift,
+    /// a logic error like a dangling id in [`PageStore::read`], not I/O.
+    pub fn note_read(&mut self, id: PageId) -> Result<(), PageIoError> {
+        self.lock().try_read_arc(id).map(drop)
     }
 
     /// Reads a page **without** touching the buffer recency, the metered
@@ -1098,7 +1094,7 @@ mod tests {
                 let _ = live.read(id);
             }
             for &id in &trace {
-                replay.note_read(id);
+                replay.note_read(id).unwrap();
             }
             assert_eq!(live.stats().snapshot(), replay.stats().snapshot());
             assert_eq!(
@@ -1142,7 +1138,7 @@ mod tests {
     fn note_read_of_unallocated_page_panics() {
         let mut s = store(2);
         let a = s.allocate(1);
-        s.note_read(PageId(a.0 + 9));
+        let _ = s.note_read(PageId(a.0 + 9));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! Loading goes through [`NodeReader::visit`](crate::reader::NodeReader::visit),
 //! which serves the decoded node **by reference** — from the page store's
 //! in-memory image ([`PageStore::read_with`](cij_pagestore::PageStore)) or a
-//! traced snapshot — so filling the arena performs no intermediate payload
+//! pinned snapshot — so filling the arena performs no intermediate payload
 //! clone and no allocation after the buffers reach their high-water mark.
 //!
 //! [`LeafLayout`] is the engine-level knob selecting between this SoA path
@@ -108,7 +108,7 @@ impl NodeArena {
     }
 
     /// Decodes the node at `page` into the arena through a [`NodeReader`],
-    /// with the reader's usual accounting (counted read, or traced snapshot
+    /// with the reader's usual accounting (counted read, or logged snapshot
     /// read). The node payload is visited by reference, so nothing is cloned
     /// and — once the buffers have grown to the stride — nothing allocates.
     pub fn load<R: NodeReader<PointObject>>(&mut self, reader: &mut R, page: PageId) {
@@ -289,15 +289,16 @@ mod tests {
 
     #[test]
     fn traced_arena_loads_record_the_trace() {
+        let _probes = crate::reader::tests::probe_guard();
         let tree = sample_tree();
         tree.stats().reset();
         let root = tree.root_page();
-        let mut traced = crate::reader::TracedReader::new(&tree);
+        let mut traced = crate::reader::SnapshotReader::traced(&tree);
         let mut arena = NodeArena::for_budget(tree.config().node_byte_budget());
         arena.load(&mut traced, root);
         let first_child = arena.children()[0].page;
         arena.load(&mut traced, first_child);
-        assert_eq!(traced.trace(), &[root, first_child]);
+        assert_eq!(traced.finish().trace, [root, first_child]);
         assert_eq!(tree.stats().snapshot().logical_reads, 0);
     }
 }

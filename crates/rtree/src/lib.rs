@@ -48,5 +48,5 @@ pub use join::{distance_join, intersection_join, intersection_join_pairs, IdPair
 pub use nn::{MinDistHeap, MinHeapItem, NearestNeighbourIter};
 pub use node::{ChildEntry, Node};
 pub use object::{CellObject, ObjectId, PointObject, RTreeObject};
-pub use reader::{probe, NodeReader, SnapshotReader, TracedReader};
+pub use reader::{probe, NodeReader, ReadLog, SnapshotReader};
 pub use tree::{RTree, RTreeConfig};

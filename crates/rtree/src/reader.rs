@@ -1,23 +1,31 @@
-//! Node-read access abstraction: counted reads vs traced snapshot reads.
+//! Node-read access abstraction: counted reads vs snapshot reads.
 //!
-//! The tree-traversal algorithms (BatchVoronoi, the conditional filter, …)
-//! only ever *read* nodes. [`NodeReader`] abstracts over **how** a read is
-//! accounted, so one traversal implementation serves two execution modes:
+//! The tree-traversal algorithms (BatchVoronoi, the conditional filter, the
+//! Hilbert leaf-order walk, …) only ever *read* nodes. [`NodeReader`]
+//! abstracts over **how** a read is accounted, so one traversal
+//! implementation serves every execution mode:
 //!
-//! * [`RTree`] itself implements the trait with [`RTree::read_node`] — the
-//!   classic counted read through the LRU buffer, used by the sequential
-//!   algorithms.
-//! * [`TracedReader`] wraps a shared `&RTree` and serves reads from the
-//!   in-memory snapshot ([`RTree::peek_node`]) while recording the sequence
-//!   of page ids touched. Parallel NM-CIJ workers use this: several workers
-//!   can traverse the same (read-only during a join) tree concurrently, and
-//!   the coordinator later **replays** each trace through the real buffer in
-//!   the sequential leaf order via [`RTree::replay_read`], reproducing the
-//!   single-threaded buffer behaviour and page-access counts exactly.
-//! * [`SnapshotReader`] serves the same snapshot reads but records nothing
-//!   and shares nothing — it keeps a per-query-local read count. This is
-//!   the fast execution mode's reader; the [`probe`] counters let harnesses
-//!   verify that a fast run really recorded and replayed zero traces.
+//! * [`RTree`] itself implements the trait with the classic counted read
+//!   through the LRU buffer ([`RTree::try_read_node`]) — the sequential
+//!   algorithms' reader.
+//! * [`SnapshotReader`] wraps a shared `&RTree` and serves reads from the
+//!   pinned in-memory snapshot ([`RTree::try_peek_node`]) — no buffer
+//!   touch, no shared counter — so any number of workers and queries can
+//!   traverse one (read-only during a join) tree concurrently. It always
+//!   *counts* its reads in a local integer; built with
+//!   [`SnapshotReader::traced`] it also *records* the page-id sequence.
+//!   Either way it finishes into one [`ReadLog`], and what happens to the
+//!   log is the caller's accounting decision: **replay** the trace through
+//!   the real buffer in sequential order via [`RTree::replay_read`]
+//!   (reproducing the single-threaded buffer behaviour and page-access
+//!   counts exactly), or just add the count to a per-query-local counter.
+//!
+//! Every reader **latches** the first storage error instead of returning
+//! it, serving an empty leaf in the failed node's place; see
+//! [`NodeReader::take_error`].
+//!
+//! The [`probe`] counters let harnesses verify that an untraced run really
+//! recorded and replayed zero traces.
 //!
 //! Relaxed-consistency contract: the [`probe`] counters are monotone event
 //! counts read only as deltas around quiescent regions; they gate no
@@ -28,11 +36,12 @@
 use crate::node::Node;
 use crate::object::RTreeObject;
 use crate::tree::RTree;
-use cij_pagestore::{PageId, PageIoError};
+use cij_geom::{hilbert, Rect};
+use cij_pagestore::{PageId, PageIoError, PageRef};
 
 /// Process-wide probes counting the parity machinery's events — how many
-/// page reads were *trace-recorded* by a [`TracedReader`] and how many were
-/// *replayed* through [`RTree::replay_read`].
+/// page reads were *trace-recorded* by a [`SnapshotReader::traced`] reader
+/// and how many were *replayed* through [`RTree::replay_read`].
 ///
 /// These exist so the fast execution path can be **counter-verified**: a
 /// run that claims to skip trace recording and coordinator replay proves it
@@ -47,8 +56,8 @@ pub mod probe {
     static TRACE_RECORDS: AtomicU64 = AtomicU64::new(0);
     static REPLAYS: AtomicU64 = AtomicU64::new(0);
 
-    /// Total page reads recorded into [`TracedReader`](super::TracedReader)
-    /// traces since process start.
+    /// Total page reads recorded into traced
+    /// [`SnapshotReader`](super::SnapshotReader) logs since process start.
     pub fn trace_records() -> u64 {
         TRACE_RECORDS.load(Ordering::Relaxed)
     }
@@ -71,7 +80,7 @@ pub mod probe {
 /// Read access to the nodes of an R-tree, abstracting over accounting.
 ///
 /// Traversals written against this trait run unchanged in counted mode
-/// (`&mut RTree`) and in traced snapshot mode ([`TracedReader`]).
+/// (`&mut RTree`) and in snapshot mode ([`SnapshotReader`]).
 pub trait NodeReader<D: RTreeObject> {
     /// Page id of the root node.
     fn root_page(&self) -> PageId;
@@ -142,125 +151,138 @@ impl<D: RTreeObject> NodeReader<D> for RTree<D> {
     }
 }
 
-/// A [`NodeReader`] over a shared tree snapshot that records the page-id
-/// trace instead of touching the buffer or the counters.
+/// Leaf page ids in the Hilbert-ordered depth-first traversal of
+/// Section III-C: at every non-leaf node, children are visited in ascending
+/// Hilbert value of their MBR centroid, so that consecutive leaves are
+/// spatially close and buffer locality is maximised.
 ///
-/// Requires only `&RTree`, so any number of traced readers can traverse one
-/// tree concurrently. The recorded trace preserves the exact access order of
-/// the traversal; replaying it through [`RTree::replay_read`] performs the
-/// deferred accounting.
-#[derive(Debug)]
-pub struct TracedReader<'a, D: RTreeObject> {
-    tree: &'a RTree<D>,
-    trace: Vec<PageId>,
-    error: Option<PageIoError>,
+/// The one walk body behind [`RTree::leaf_pages_hilbert_order`] (counted)
+/// and [`SnapshotReader::leaf_pages_hilbert_order`] (snapshot): it reads
+/// every *non-leaf* node once through `reader` — leaf pages themselves are
+/// not read here; callers read them when processing. A failed read latches
+/// in the reader like any other (the failed node contributes no children),
+/// so callers must poll [`NodeReader::take_error`] before trusting the
+/// order.
+pub fn leaf_pages_hilbert_order<D, R>(reader: &mut R, root_level: u32, domain: &Rect) -> Vec<PageId>
+where
+    D: RTreeObject,
+    R: NodeReader<D>,
+{
+    let mut out = Vec::new();
+    // (page, level) stack; children pushed in descending Hilbert order so
+    // the smallest is popped first.
+    let mut stack = vec![(reader.root_page(), root_level)];
+    let mut kids: Vec<(u64, PageId)> = Vec::new();
+    while let Some((page, level)) = stack.pop() {
+        if level == 0 {
+            out.push(page);
+            continue;
+        }
+        reader.visit(page, &mut |node| {
+            kids.clear();
+            kids.extend(
+                node.children
+                    .iter()
+                    .map(|c| (hilbert::hilbert_value(&c.mbr.center(), domain), c.page)),
+            );
+        });
+        // Stable, like the walk it replaces: equal keys keep child order.
+        kids.sort_by_key(|&(h, _)| std::cmp::Reverse(h));
+        stack.extend(kids.iter().map(|&(_, child)| (child, level - 1)));
+    }
+    out
 }
 
-impl<'a, D: RTreeObject> TracedReader<'a, D> {
-    /// Creates a traced reader over `tree` with an empty trace.
-    pub fn new(tree: &'a RTree<D>) -> Self {
-        TracedReader {
-            tree,
-            trace: Vec::new(),
-            error: None,
-        }
-    }
-
-    /// The page ids read so far, in access order.
-    pub fn trace(&self) -> &[PageId] {
-        &self.trace
-    }
-
-    /// Consumes the reader, returning the recorded access trace.
-    pub fn into_trace(self) -> Vec<PageId> {
-        self.trace
-    }
+/// What a finished [`SnapshotReader`] hands back: the deferred accounting
+/// of every read it served.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ReadLog {
+    /// Number of successful node reads (failed reads are not counted).
+    pub reads: u64,
+    /// The page ids read, in access order — filled only by a
+    /// [`SnapshotReader::traced`] reader (then `trace.len() == reads`),
+    /// empty otherwise.
+    pub trace: Vec<PageId>,
+    /// The first storage error the reader latched and nobody
+    /// [took](NodeReader::take_error), if any. A log that carries an error
+    /// describes a traversal that produced garbage (failed reads serve
+    /// empty leaves): discard its outputs.
+    pub error: Option<PageIoError>,
 }
 
-impl<D: RTreeObject> NodeReader<D> for TracedReader<'_, D> {
-    fn root_page(&self) -> PageId {
-        self.tree.root_page()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.tree.is_empty()
-    }
-
-    // A failed snapshot read latches the error and records *no* trace entry:
-    // replaying it would either re-fail or drift from the counted run, and
-    // the executor discards the whole failed chunk (trace included) anyway.
-
-    fn read(&mut self, page: PageId) -> Node<D> {
-        match self.tree.try_peek_node(page) {
-            Ok(guard) => {
-                probe::note_trace_record();
-                self.trace.push(page);
-                guard.clone()
-            }
-            Err(e) => {
-                if self.error.is_none() {
-                    self.error = Some(e);
-                }
-                Node::new_leaf()
-            }
-        }
-    }
-
-    fn visit(&mut self, page: PageId, f: &mut dyn FnMut(&Node<D>)) {
-        match self.tree.try_peek_node(page) {
-            Ok(guard) => {
-                probe::note_trace_record();
-                self.trace.push(page);
-                f(&guard);
-            }
-            Err(e) => {
-                if self.error.is_none() {
-                    self.error = Some(e);
-                }
-                f(&Node::new_leaf());
-            }
-        }
-    }
-
-    fn take_error(&mut self) -> Option<PageIoError> {
-        self.error.take()
-    }
-}
-
-/// A [`NodeReader`] over a shared tree snapshot that only *counts* reads in
-/// a local integer — the fast execution mode's reader.
+/// A [`NodeReader`] over a shared tree snapshot: reads touch neither the
+/// buffer nor any shared counter, are **counted** in a local integer and —
+/// when the reader was built [`traced`](SnapshotReader::traced) — also
+/// **recorded** as a page-id trace that preserves the exact access order of
+/// the traversal.
 ///
-/// Like [`TracedReader`] it requires only `&RTree`, so any number of
-/// concurrent queries can traverse one tree; unlike it, nothing is recorded
-/// for replay and nothing is shared — the read count is a plain per-query
-/// `u64` (the "per-query-local I/O counter" of the fast mode). The count is
-/// the number of *logical snapshot reads*: with no buffer in the loop there
-/// is no hit/miss distinction to simulate.
+/// Requires only `&RTree`, so any number of readers can traverse one tree
+/// concurrently. The count is the number of *logical snapshot reads*: with
+/// no buffer in the loop there is no hit/miss distinction to simulate;
+/// replaying a recorded trace through [`RTree::replay_read`] performs that
+/// simulation after the fact.
 #[derive(Debug)]
 pub struct SnapshotReader<'a, D: RTreeObject> {
     tree: &'a RTree<D>,
-    reads: u64,
-    error: Option<PageIoError>,
+    traced: bool,
+    log: ReadLog,
 }
 
 impl<'a, D: RTreeObject> SnapshotReader<'a, D> {
-    /// Creates a counting snapshot reader over `tree`.
+    /// Creates a counting snapshot reader over `tree` (no trace).
     pub fn new(tree: &'a RTree<D>) -> Self {
         SnapshotReader {
             tree,
-            reads: 0,
-            error: None,
+            traced: false,
+            log: ReadLog::default(),
+        }
+    }
+
+    /// Creates a snapshot reader over `tree` that also records the page-id
+    /// trace of its reads for a later [`RTree::replay_read`].
+    pub fn traced(tree: &'a RTree<D>) -> Self {
+        SnapshotReader {
+            traced: true,
+            ..SnapshotReader::new(tree)
         }
     }
 
     /// Number of node reads performed so far.
     pub fn reads(&self) -> u64 {
-        self.reads
+        self.log.reads
     }
 
-    /// Consumes the reader, returning the read count.
-    pub fn into_reads(self) -> u64 {
-        self.reads
+    /// Consumes the reader, returning its [`ReadLog`].
+    pub fn finish(self) -> ReadLog {
+        self.log
+    }
+
+    /// The tree's Hilbert leaf order walked over the snapshot (see
+    /// [`leaf_pages_hilbert_order`]): the non-leaf reads land in this
+    /// reader's log, a failed one in its error latch.
+    pub fn leaf_pages_hilbert_order(&mut self, domain: &Rect) -> Vec<PageId> {
+        leaf_pages_hilbert_order(self, self.tree.root_level(), domain)
+    }
+
+    /// The one read path: pin the page, account for it, or latch the
+    /// error. A failed read is neither counted nor traced — replaying it
+    /// would either re-fail or drift from the counted run, and the executor
+    /// discards the whole failed chunk (log included) anyway.
+    fn peek(&mut self, page: PageId) -> Option<PageRef<Node<D>>> {
+        match self.tree.try_peek_node(page) {
+            Ok(guard) => {
+                self.log.reads += 1;
+                if self.traced {
+                    probe::note_trace_record();
+                    self.log.trace.push(page);
+                }
+                Some(guard)
+            }
+            Err(e) => {
+                self.log.error.get_or_insert(e);
+                None
+            }
+        }
     }
 }
 
@@ -273,50 +295,38 @@ impl<D: RTreeObject> NodeReader<D> for SnapshotReader<'_, D> {
         self.tree.is_empty()
     }
 
-    // Like the traced reader, a failed snapshot read latches the error and
-    // counts nothing — the failed query's counters are discarded with it.
-
     fn read(&mut self, page: PageId) -> Node<D> {
-        match self.tree.try_peek_node(page) {
-            Ok(guard) => {
-                self.reads += 1;
-                guard.clone()
-            }
-            Err(e) => {
-                if self.error.is_none() {
-                    self.error = Some(e);
-                }
-                Node::new_leaf()
-            }
-        }
+        self.peek(page)
+            .map_or_else(Node::new_leaf, |guard| guard.clone())
     }
 
     fn visit(&mut self, page: PageId, f: &mut dyn FnMut(&Node<D>)) {
-        match self.tree.try_peek_node(page) {
-            Ok(guard) => {
-                self.reads += 1;
-                f(&guard);
-            }
-            Err(e) => {
-                if self.error.is_none() {
-                    self.error = Some(e);
-                }
-                f(&Node::new_leaf());
-            }
+        match self.peek(page) {
+            Some(guard) => f(&guard),
+            None => f(&Node::new_leaf()),
         }
     }
 
     fn take_error(&mut self) -> Option<PageIoError> {
-        self.error.take()
+        self.log.error.take()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::object::PointObject;
     use crate::tree::RTreeConfig;
     use cij_geom::Point;
+    use cij_pagestore::{FaultKind, FaultSpec};
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// The probes are process-wide: tests that assert on their deltas (here
+    /// and in `arena`) hold this lock so no other traced read interleaves.
+    pub(crate) fn probe_guard() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     fn sample_tree() -> RTree<PointObject> {
         let mut tree = RTree::new(RTreeConfig {
@@ -331,69 +341,109 @@ mod tests {
         tree
     }
 
-    #[test]
-    fn traced_reads_match_counted_reads_without_accounting() {
-        let mut tree = sample_tree();
-        tree.drop_buffer();
-        tree.stats().reset();
+    /// Root, every child of it, then the root again (a buffer hit).
+    fn access_pattern(tree: &RTree<PointObject>) -> Vec<PageId> {
         let root = tree.root_page();
-
-        let mut traced = TracedReader::new(&tree);
-        let node = traced.read(root);
-        assert_eq!(traced.trace(), &[root]);
-        // Snapshot reads are free: no counter moved.
-        assert_eq!(tree.stats().snapshot().logical_reads, 0);
-
-        // Same payload as a counted read.
-        let counted = tree.read_node(root);
-        assert_eq!(node, counted);
-        assert_eq!(tree.stats().snapshot().logical_reads, 1);
+        let mut pattern = vec![root];
+        pattern.extend(tree.peek_node(root).children.iter().map(|c| c.page));
+        pattern.push(root);
+        pattern
     }
 
     #[test]
-    fn snapshot_reader_counts_locally_and_records_nothing() {
+    fn untraced_reader_counts_locally_and_moves_nothing_shared() {
+        let _probes = probe_guard();
         let mut tree = sample_tree();
         tree.drop_buffer();
         tree.stats().reset();
         let root = tree.root_page();
+        let (traces, replays) = (probe::trace_records(), probe::replays());
 
-        let traces_before = probe::trace_records();
-        let replays_before = probe::replays();
         let mut reader = SnapshotReader::new(&tree);
         let node = NodeReader::read(&mut reader, root);
         let mut visited = 0usize;
-        reader.visit(root, &mut |n| {
-            visited = n.children.len();
-        });
+        reader.visit(root, &mut |n| visited = n.children.len());
         assert_eq!(reader.reads(), 2, "both accesses counted locally");
-        assert_eq!(reader.into_reads(), 2);
-        // No shared counter moved, and the parity probes are untouched —
-        // this is what the fast path's "zero trace records / zero replays"
-        // verification leans on. (Other test threads may bump the probes
-        // concurrently; a traced/replayed access from *this* reader would
-        // have to raise them, so equality is only asserted when no other
-        // thread intervened.)
-        assert_eq!(tree.stats().snapshot().logical_reads, 0);
-        let _ = (traces_before, replays_before);
-        assert_eq!(node, *tree.peek_node(root));
+        let log = reader.finish();
+        assert_eq!((log.reads, log.trace.len(), log.error), (2, 0, None));
+        // No shared counter and neither parity probe moved — what the fast
+        // path's "zero trace records / zero replays" verification leans on.
+        assert_eq!(tree.stats().snapshot(), Default::default());
+        assert_eq!(
+            (probe::trace_records(), probe::replays()),
+            (traces, replays)
+        );
+        // Same payload as a counted read.
+        assert_eq!(node, tree.try_read_node(root).unwrap());
+        assert_eq!(tree.stats().snapshot().logical_reads, 1);
         assert!(visited > 0);
     }
 
     #[test]
-    fn traced_reads_raise_the_trace_probe_and_replays_the_replay_probe() {
+    fn replaying_a_traced_log_reproduces_the_counted_run() {
+        // The same access pattern through counted reads on one tree and
+        // through trace + replay on an identical one: counters and buffer
+        // state must agree exactly.
+        let _probes = probe_guard();
+        let mut live = sample_tree();
+        let mut replayed = sample_tree();
+        for t in [&mut live, &mut replayed] {
+            t.set_buffer_pages(4);
+            t.drop_buffer();
+            t.stats().reset();
+        }
+        let pattern = access_pattern(&live);
+        for &page in &pattern {
+            live.try_read_node(page).unwrap();
+        }
+
+        let (traces, replays) = (probe::trace_records(), probe::replays());
+        let mut traced = SnapshotReader::traced(&replayed);
+        for (i, &page) in pattern.iter().enumerate() {
+            // `read` and `visit` account alike.
+            if i % 2 == 0 {
+                let _ = NodeReader::read(&mut traced, page);
+            } else {
+                traced.visit(page, &mut |_| {});
+            }
+        }
+        let log = traced.finish();
+        assert_eq!(log.trace, pattern);
+        assert_eq!(log.reads, pattern.len() as u64);
+        assert_eq!(replayed.stats().snapshot(), Default::default());
+        for &page in &log.trace {
+            replayed.replay_read(page).unwrap();
+        }
+        let n = pattern.len() as u64;
+        assert_eq!(probe::trace_records(), traces + n);
+        assert_eq!(probe::replays(), replays + n);
+        assert_eq!(live.stats().snapshot(), replayed.stats().snapshot());
+        // Buffer order, observed: a follow-up that re-reads the pattern
+        // backwards through the 4-page buffer hits and evicts identically.
+        for &page in pattern.iter().rev() {
+            live.try_read_node(page).unwrap();
+            replayed.try_read_node(page).unwrap();
+            assert_eq!(live.stats().snapshot(), replayed.stats().snapshot());
+        }
+    }
+
+    #[test]
+    fn leaf_order_walk_is_one_body_counted_and_snapshot() {
         let mut tree = sample_tree();
-        let root = tree.root_page();
-        let before = probe::trace_records();
-        let mut traced = TracedReader::new(&tree);
-        let _ = NodeReader::read(&mut traced, root);
-        traced.visit(root, &mut |_| {});
-        assert!(
-            probe::trace_records() >= before + 2,
-            "read + visit each record one trace entry"
-        );
-        let before = probe::replays();
-        tree.replay_read(root);
-        assert!(probe::replays() > before);
+        tree.drop_buffer();
+        tree.stats().reset();
+        let domain = Rect::from_coords(0.0, 0.0, 200.0, 200.0);
+        let mut reader = SnapshotReader::traced(&tree);
+        let snapshot_order = reader.leaf_pages_hilbert_order(&domain);
+        let log = reader.finish();
+        assert_eq!(tree.stats().snapshot().logical_reads, 0);
+        let counted_order = tree.leaf_pages_hilbert_order(&domain);
+        assert_eq!(snapshot_order, counted_order);
+        assert!(counted_order.len() > 1);
+        // Same non-leaf reads, in number and (via the trace) in order.
+        assert_eq!(tree.stats().snapshot().logical_reads, log.reads);
+        assert_eq!(log.trace[0], tree.root_page());
+        assert_eq!(log.error, None);
     }
 
     #[test]
@@ -402,7 +452,7 @@ mod tests {
         tree.flush();
         tree.drop_buffer();
         let root = tree.root_page();
-        tree.inject_fault(cij_pagestore::FaultSpec::corrupt_frame(root.0));
+        tree.inject_fault(FaultSpec::corrupt_frame(root.0));
 
         let node = NodeReader::read(&mut tree, root);
         assert!(
@@ -410,7 +460,7 @@ mod tests {
             "failed read must serve an empty leaf, not stale or garbage data"
         );
         let err = NodeReader::take_error(&mut tree).expect("error must latch");
-        assert_eq!(err.kind, cij_pagestore::FaultKind::Corrupt);
+        assert_eq!(err.kind, FaultKind::Corrupt);
         assert_eq!(err.page, Some(root.0));
         assert!(
             NodeReader::take_error(&mut tree).is_none(),
@@ -420,81 +470,39 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_reader_latches_errors_and_counts_nothing_for_them() {
+    fn failed_snapshot_reads_are_neither_counted_nor_traced() {
         let mut tree = sample_tree();
         tree.flush();
         tree.drop_buffer();
         let root = tree.root_page();
-        tree.inject_fault(cij_pagestore::FaultSpec::corrupt_frame(root.0));
+        tree.inject_fault(FaultSpec::corrupt_frame(root.0));
 
+        for traced in [false, true] {
+            let mut reader = if traced {
+                SnapshotReader::traced(&tree)
+            } else {
+                SnapshotReader::new(&tree)
+            };
+            let node = NodeReader::read(&mut reader, root);
+            assert!(node.is_leaf() && node.is_empty());
+            let mut visited_len = usize::MAX;
+            reader.visit(root, &mut |n| visited_len = n.len());
+            assert_eq!(visited_len, 0, "visit still runs the callback (empty leaf)");
+            assert_eq!(reader.reads(), 0, "failed reads are not counted");
+            // The walk latches too: no children, no panic.
+            let order = reader.leaf_pages_hilbert_order(&Rect::from_coords(0.0, 0.0, 1.0, 1.0));
+            assert!(order.is_empty());
+
+            let log = reader.finish();
+            assert!(log.trace.is_empty(), "failed reads must not be replayed");
+            let err = log.error.expect("first error latched into the log");
+            assert_eq!(err.kind, FaultKind::Corrupt);
+        }
+        // `take_error` drains the latch before the log sees it.
         let mut reader = SnapshotReader::new(&tree);
-        let node = NodeReader::read(&mut reader, root);
-        assert!(node.is_leaf() && node.is_empty());
-        assert_eq!(reader.reads(), 0, "failed reads are not counted");
-        let mut visited_len = usize::MAX;
-        reader.visit(root, &mut |n| visited_len = n.len());
-        assert_eq!(visited_len, 0, "visit still runs the callback (empty leaf)");
-        let err = reader.take_error().expect("first error latched");
-        assert_eq!(err.kind, cij_pagestore::FaultKind::Corrupt);
+        let _ = NodeReader::read(&mut reader, root);
+        assert!(reader.take_error().is_some());
         assert!(reader.take_error().is_none());
-    }
-
-    #[test]
-    fn traced_reader_records_no_trace_entry_for_failed_reads() {
-        let mut tree = sample_tree();
-        tree.flush();
-        tree.drop_buffer();
-        let root = tree.root_page();
-        tree.inject_fault(cij_pagestore::FaultSpec::corrupt_frame(root.0));
-
-        let mut traced = TracedReader::new(&tree);
-        let _ = NodeReader::read(&mut traced, root);
-        traced.visit(root, &mut |_| {});
-        assert!(
-            traced.trace().is_empty(),
-            "failed reads must not be replayed"
-        );
-        assert!(traced.take_error().is_some());
-        assert!(traced.into_trace().is_empty());
-    }
-
-    #[test]
-    fn replaying_a_trace_reproduces_the_counted_run() {
-        // Perform a traversal through counted reads on one tree and through
-        // trace + replay on an identical tree: counters must agree exactly.
-        let mut live = sample_tree();
-        let mut replayed = sample_tree();
-        for t in [&mut live, &mut replayed] {
-            t.set_buffer_pages(4);
-            t.drop_buffer();
-            t.stats().reset();
-        }
-
-        // A small multi-node access pattern: root, then every child of it.
-        let root = live.root_page();
-        let children: Vec<PageId> = live
-            .peek_node(root)
-            .children
-            .iter()
-            .map(|c| c.page)
-            .collect();
-        let mut pattern = vec![root];
-        pattern.extend(&children);
-        pattern.push(root); // re-read to exercise buffer hits
-
-        for &page in &pattern {
-            let _ = live.read_node(page);
-        }
-
-        let mut traced = TracedReader::new(&replayed);
-        for &page in &pattern {
-            let _ = NodeReader::read(&mut traced, page);
-        }
-        let trace = traced.into_trace();
-        assert_eq!(trace, pattern);
-        for page in trace {
-            replayed.replay_read(page);
-        }
-        assert_eq!(live.stats().snapshot(), replayed.stats().snapshot());
+        assert_eq!(reader.finish().error, None);
     }
 }

@@ -3,7 +3,7 @@
 use crate::codec::NODE_HEADER_BYTES;
 use crate::node::{ChildEntry, Node};
 use crate::object::RTreeObject;
-use cij_geom::{hilbert, Rect};
+use cij_geom::Rect;
 use cij_pagestore::{
     BackendIo, FaultSpec, FaultStats, IoStats, PageId, PageIoError, PageRef, PageStore,
     PageStoreConfig, RetryPolicy, StorageBackend, FRAME_TRAILER_BYTES,
@@ -169,7 +169,7 @@ impl<D: RTreeObject> RTree<D> {
     }
 
     /// Reads a node without counting the access (oracles/tests only, and
-    /// the snapshot reads of [`TracedReader`](crate::reader::TracedReader)
+    /// the snapshot reads of [`SnapshotReader`](crate::reader::SnapshotReader)
     /// whose accounting is deferred to [`RTree::replay_read`]).
     ///
     /// Returns a [`PageRef`] guard that **pins** the page in the store for
@@ -185,14 +185,16 @@ impl<D: RTreeObject> RTree<D> {
     /// of the accounting (buffer touch, hit/miss recording, backend frame
     /// transfer on a miss, and the debug-build trace-drift assertion).
     ///
-    /// Replays the access traces recorded by
-    /// [`TracedReader`](crate::reader::TracedReader) in sequential order, so
-    /// the parallel NM-CIJ path reports the same page accesses and leaves
-    /// the same buffer state as a single-threaded run. A replayed id that
-    /// does not exist (trace drift) panics.
-    pub fn replay_read(&mut self, page: PageId) {
+    /// Replays the access traces recorded by a traced
+    /// [`SnapshotReader`](crate::reader::SnapshotReader) in sequential
+    /// order, so the chunked execution path reports the same page accesses
+    /// and leaves the same buffer state as a single-threaded run. The
+    /// replayed miss is a real metered transfer and can fail like any read
+    /// (error contract of [`RTree::try_read_node`]); a replayed id that
+    /// does not exist is trace drift, not I/O, and panics.
+    pub fn replay_read(&mut self, page: PageId) -> Result<(), PageIoError> {
         crate::reader::probe::note_replay();
-        self.store.note_read(page);
+        self.store.note_read(page)
     }
 
     // ------------------------------------------------------------------
@@ -220,12 +222,6 @@ impl<D: RTreeObject> RTree<D> {
     /// Fallible variant of [`RTree::peek_node`].
     pub fn try_peek_node(&self, page: PageId) -> Result<PageRef<Node<D>>, PageIoError> {
         self.store.try_peek(page)
-    }
-
-    /// Fallible variant of [`RTree::replay_read`].
-    pub fn try_replay_read(&mut self, page: PageId) -> Result<(), PageIoError> {
-        crate::reader::probe::note_replay();
-        self.store.try_note_read(page)
     }
 
     /// Takes the storage error latched by the [`NodeReader`]
@@ -484,60 +480,24 @@ impl<D: RTreeObject> RTree<D> {
     }
 
     /// Leaf page ids in the Hilbert-ordered depth-first traversal of
-    /// Section III-C: at every non-leaf node, children are visited in
-    /// ascending Hilbert value of their MBR centroid, so that consecutive
-    /// leaves are spatially close and buffer locality is maximised.
+    /// Section III-C, walked through **counted** reads (every non-leaf node
+    /// once; leaf pages are read by the caller when it processes them) —
+    /// the reader-generic
+    /// [`leaf_pages_hilbert_order`](crate::reader::leaf_pages_hilbert_order)
+    /// with this tree as its own reader.
     ///
-    /// The traversal reads every *non-leaf* node once (counted); leaf pages
-    /// themselves are not read here — callers read them when processing.
+    /// # Panics
+    ///
+    /// Panics on storage failure: this is the edge for build, oracle and
+    /// blocking callers. Fail-stop callers run the generic walk themselves
+    /// and poll the reader's error latch.
     pub fn leaf_pages_hilbert_order(&mut self, domain: &Rect) -> Vec<PageId> {
-        let mut out = Vec::new();
-        // (page, level) stack; children pushed in descending Hilbert order so
-        // the smallest is popped first.
-        let mut stack = vec![(self.root, self.root_level)];
-        while let Some((page, level)) = stack.pop() {
-            if level == 0 {
-                out.push(page);
-                continue;
-            }
-            let node = self.store.read(page);
-            let mut kids: Vec<&ChildEntry> = node.children.iter().collect();
-            kids.sort_by_key(|c| {
-                std::cmp::Reverse(hilbert::hilbert_value(&c.mbr.center(), domain))
-            });
-            for c in kids {
-                stack.push((c.page, level - 1));
-            }
+        let root_level = self.root_level;
+        let leaves = crate::reader::leaf_pages_hilbert_order(self, root_level, domain);
+        if let Some(e) = self.take_io_error() {
+            panic!("{e}");
         }
-        out
-    }
-
-    /// [`RTree::leaf_pages_hilbert_order`] over the in-memory snapshot:
-    /// identical leaf order, but the non-leaf reads go through
-    /// [`RTree::peek_node`] — no buffer touch, no shared counters. Returns
-    /// the order together with the number of non-leaf nodes read, so fast
-    /// (snapshot-mode) executions can charge the traversal to their local
-    /// read counter instead.
-    pub fn leaf_pages_hilbert_order_peek(&self, domain: &Rect) -> (Vec<PageId>, u64) {
-        let mut out = Vec::new();
-        let mut reads = 0u64;
-        let mut stack = vec![(self.root, self.root_level)];
-        while let Some((page, level)) = stack.pop() {
-            if level == 0 {
-                out.push(page);
-                continue;
-            }
-            reads += 1;
-            let node = self.store.peek(page);
-            let mut kids: Vec<&ChildEntry> = node.children.iter().collect();
-            kids.sort_by_key(|c| {
-                std::cmp::Reverse(hilbert::hilbert_value(&c.mbr.center(), domain))
-            });
-            for c in kids {
-                stack.push((c.page, level - 1));
-            }
-        }
-        (out, reads)
+        leaves
     }
 
     /// Verifies structural invariants of the tree (every child MBR contains

@@ -294,9 +294,10 @@ pub fn batch_voronoi_cached_with<T: NodeReader<PointObject>, C: CellStore>(
 /// each other (they are part of `P`); a member never constrains itself.
 ///
 /// Generic over [`NodeReader`], so the same traversal runs in counted mode
-/// (`&mut RTree`) and in the traced snapshot mode of the parallel NM-CIJ
-/// path ([`cij_rtree::TracedReader`]); the traversal logic — and therefore
-/// the computed cells and the page-access sequence — is identical in both.
+/// (`&mut RTree`) and over the snapshot readers of the chunked execution
+/// path ([`cij_rtree::SnapshotReader`], traced or merely counting); the
+/// traversal logic — and therefore the computed cells and the page-access
+/// sequence — is identical in all of them.
 ///
 /// Runs the default [`LeafLayout`] through a fresh [`VorScratch`]; callers
 /// looping over groups keep one scratch and use [`batch_voronoi_with`].

@@ -83,9 +83,9 @@ pub mod prelude {
         CacheBudget, CacheLease, CellCache, CijConfig, CijExecutor, CijOutcome, CijService,
         Completion, EngineSnapshot, ExecMode, FilterKernel, FilterOptions, FilterStats, LeafLayout,
         LeafWatermark, ManualClock, MultiwayCounters, MultiwayDriver, MultiwayOutcome,
-        MultiwayProbe, MultiwayTuple, MultiwayWorkload, PairStream, QueryEngine, QueryError,
-        QueueFull, Request, ResponseHandle, ServiceClock, ServiceConfig, StorageBackend,
-        SystemClock, TupleStream, Workload,
+        MultiwayTuple, MultiwayWorkload, PairStream, QueryEngine, QueryError, QueueFull, Request,
+        ResponseHandle, ServiceClock, ServiceConfig, StorageBackend, SystemClock, TupleStream,
+        Workload,
     };
     pub use cij_datagen::{clustered_points, uniform_points, ClusterSpec, RealDataset};
     pub use cij_geom::{ConvexPolygon, Point, Rect};

@@ -1,0 +1,177 @@
+//! Seed-sweep fault test of the chunked metered path: with retries switched
+//! off (`max_attempts: 1`) a seeded transient-fault schedule on every tree
+//! makes one backend read in 16 fail — in the leaf-order walk at stream
+//! construction, in a worker's snapshot read, in the coordinator's trace
+//! replay. Whatever the point, the stream must **fail-stop**: either it
+//! completes equal to the clean run, or it ends with `io_error()` set and
+//! exactly the rows of its last watermark emitted (a prefix of the clean
+//! run). It must never panic.
+//!
+//! Each seed runs in two regimes. *Cold* trees send every first touch to the
+//! backend, so streams die at construction or in their first chunks; trees
+//! *warmed* by a clean join whose buffers are then shrunk just below the
+//! tree size only miss now and then, so the failure point moves through the
+//! run — including into replays of pages a worker could still read.
+
+use cij::prelude::*;
+use cij::rtree::RTreeConfig;
+
+const SEEDS: std::ops::Range<u64> = 0..64;
+
+/// Metered accounting on two workers — the trace/replay protocol — on
+/// whatever storage backend the environment selects.
+fn sweep_config() -> CijConfig {
+    CijConfig::default()
+        .with_rtree(RTreeConfig {
+            page_size: 512,
+            min_fill: 0.4,
+            max_entries: 64,
+        })
+        .with_env_overrides()
+        .with_exec_mode(ExecMode::Metered)
+        .with_worker_threads(2)
+}
+
+/// Arms `tree` with the seed's transient schedule and no retries; a `warm`
+/// tree keeps (all but two pages of) what the warm-up join left resident.
+fn arm(tree: &mut RTree<PointObject>, seed: u64, warm: bool) {
+    if warm {
+        tree.set_buffer_pages(tree.num_pages() - 2);
+    } else {
+        tree.drop_buffer();
+    }
+    tree.set_retry_policy(RetryPolicy {
+        max_attempts: 1,
+        ..RetryPolicy::default()
+    });
+    tree.inject_fault(FaultSpec::transient(seed));
+}
+
+/// How the sweep's streams ended.
+#[derive(Debug, Default)]
+struct Tally {
+    completed: usize,
+    /// Failed with nothing emitted.
+    failed_empty: usize,
+    /// Failed after emitting watermark-covered rows.
+    failed_midway: usize,
+}
+
+impl Tally {
+    /// Checks the fail-stop contract of one drained stream against the
+    /// clean run's rows and records how it ended.
+    fn check<T: PartialEq + std::fmt::Debug>(
+        &mut self,
+        label: &str,
+        drained: &[T],
+        clean: &[T],
+        error: Option<PageIoError>,
+        watermarks: &[LeafWatermark],
+    ) {
+        let Some(error) = error else {
+            assert_eq!(drained, clean, "{label}: completed but diverged");
+            self.completed += 1;
+            return;
+        };
+        let covered = watermarks.last().map_or(0, |w| w.rows) as usize;
+        assert_eq!(
+            covered,
+            drained.len(),
+            "{label}: rows past the last watermark were emitted before {error}"
+        );
+        assert_eq!(
+            drained,
+            &clean[..covered],
+            "{label}: the emitted prefix diverged"
+        );
+        if covered == 0 {
+            self.failed_empty += 1;
+        } else {
+            self.failed_midway += 1;
+        }
+    }
+
+    /// The sweep must have failed streams both at the start and midway —
+    /// unless `CIJ_FAULT_PROFILE` put a second, fixed-seed fault layer under
+    /// every store: with no retries its first fault ends every stream at
+    /// the same early read, whatever our seed.
+    fn assert_exercised(&self) {
+        assert!(self.failed_empty > 0, "no stream failed: {self:?}");
+        if FaultSpec::from_env().is_none() {
+            assert!(self.failed_midway > 0, "no stream failed midway: {self:?}");
+        }
+    }
+}
+
+#[test]
+fn nm_fail_stops_at_a_watermark_for_every_transient_seed() {
+    let engine = QueryEngine::new(sweep_config());
+    let p = uniform_points(400, &Rect::DOMAIN, 9_101);
+    let q = uniform_points(400, &Rect::DOMAIN, 9_102);
+    let clean = engine.join(&p, &q, Algorithm::NmCij).pairs;
+    assert!(!clean.is_empty());
+
+    let mut tally = Tally::default();
+    for seed in SEEDS {
+        for warm in [false, true] {
+            let mut w = engine.build_workload(&p, &q);
+            if warm {
+                assert_eq!(engine.run(&mut w, Algorithm::NmCij).pairs, clean);
+            }
+            arm(&mut w.rp, seed, warm);
+            arm(&mut w.rq, seed ^ 0x5EED, warm);
+            let mut stream = engine.stream(&mut w, Algorithm::NmCij);
+            let drained: Vec<(u64, u64)> = stream.by_ref().collect();
+            let error = stream.io_error();
+            let label = format!("seed {seed}, warm {warm}");
+            tally.check(
+                &label,
+                &drained,
+                &clean,
+                error.clone(),
+                &stream.watermarks_so_far(),
+            );
+            assert_eq!(stream.try_into_outcome().err(), error, "{label}");
+        }
+    }
+    tally.assert_exercised();
+}
+
+#[test]
+fn multiway_fail_stops_at_a_watermark_for_every_transient_seed() {
+    let engine = QueryEngine::new(sweep_config());
+    let sets = vec![
+        uniform_points(260, &Rect::DOMAIN, 9_103),
+        uniform_points(240, &Rect::DOMAIN, 9_104),
+        uniform_points(220, &Rect::DOMAIN, 9_105),
+    ];
+    let ids = |tuples: &[MultiwayTuple]| -> Vec<Vec<u64>> {
+        tuples.iter().map(|t| t.ids.clone()).collect()
+    };
+    let clean = ids(&engine.multiway(&sets).tuples);
+    assert!(!clean.is_empty());
+
+    let mut tally = Tally::default();
+    for seed in SEEDS {
+        for warm in [false, true] {
+            let mut w = engine.multiway_workload(&sets);
+            if warm {
+                let warm_up = engine.multiway_stream(&mut w).into_outcome();
+                assert_eq!(ids(&warm_up.tuples), clean);
+            }
+            for (i, tree) in w.trees.iter_mut().enumerate() {
+                arm(tree, seed.wrapping_mul(3) + i as u64, warm);
+            }
+            let mut stream = engine.multiway_stream(&mut w);
+            let drained: Vec<MultiwayTuple> = stream.by_ref().collect();
+            tally.check(
+                &format!("seed {seed}, warm {warm}"),
+                &ids(&drained),
+                &clean,
+                stream.io_error(),
+                &stream.watermarks_so_far(),
+            );
+        }
+    }
+    tally.assert_exercised();
+}

@@ -1,8 +1,8 @@
 //! Integration tests for the leaf-batched, streaming, parallel multiway
-//! CIJ: oracle parity on uniform and clustered data, batched-vs-per-tuple
-//! probe equality, cost-driven vs fixed driver-tree selection, exact thread
-//! parity at `worker_threads` ∈ {1, 4}, heap-vs-file storage parity,
-//! streaming laziness/watermarks, and a proptest over random workloads.
+//! CIJ: oracle parity on uniform and clustered data, cost-driven vs fixed
+//! driver-tree selection, exact thread parity at `worker_threads` ∈ {1, 4},
+//! heap-vs-file storage parity, streaming laziness/watermarks, and a
+//! proptest over random workloads.
 
 use cij::prelude::*;
 use cij::rtree::RTreeConfig;
@@ -91,24 +91,6 @@ fn three_way_matches_the_oracle_on_clustered_data() {
 }
 
 #[test]
-fn batched_and_per_tuple_probes_produce_identical_results() {
-    let config = test_config();
-    let sets = vec![
-        clustered(150, 15_007),
-        clustered(150, 15_008),
-        clustered(150, 15_009),
-    ];
-    let batched = run_multiway(&sets, &config);
-    let per_tuple = run_multiway(&sets, &config.with_multiway_probe(MultiwayProbe::PerTuple));
-    assert_eq!(batched.sorted_ids(), per_tuple.sorted_ids());
-    assert!(batched.counters.cells_computed.iter().sum::<u64>() > 0);
-    // Identical tuples, but strictly fewer filter invocations and examined
-    // points.
-    assert!(batched.counters.filter_probes < per_tuple.counters.filter_probes);
-    assert!(batched.counters.filter_points_examined <= per_tuple.counters.filter_points_examined);
-}
-
-#[test]
 fn thread_parity_is_exact_at_one_and_four_workers() {
     let base = test_config();
     let sets = vec![
@@ -125,11 +107,6 @@ fn thread_parity_is_exact_at_one_and_four_workers() {
             &format!("clustered k=3, T={threads}"),
         );
     }
-    // The per-tuple baseline honours the same contract.
-    let base = base.with_multiway_probe(MultiwayProbe::PerTuple);
-    let sequential = run_multiway(&sets, &base.with_worker_threads(1));
-    let parallel = run_multiway(&sets, &base.with_worker_threads(4));
-    assert_parity(&parallel, &sequential, "per-tuple k=3, T=4");
 }
 
 #[test]
@@ -305,8 +282,8 @@ fn stream_is_lazy_and_watermarks_are_final() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// For random clustered/uniform workloads and random k, probe mode,
-    /// driver choice, thread count and cache pressure: the engine agrees
+    /// For random clustered/uniform workloads and random k, driver choice,
+    /// thread count and cache pressure: the engine agrees
     /// with the brute-force oracle and the parallel run agrees with the
     /// sequential one on every observable.
     #[test]
@@ -315,7 +292,6 @@ proptest! {
         k in 2usize..4,
         capacity in 4usize..64,
         threads in 2usize..5,
-        probe_pick in 0usize..2,
         driver_pick in 0usize..4,
     ) {
         let sets: Vec<Vec<Point>> = (0..k)
@@ -328,7 +304,6 @@ proptest! {
                 }
             })
             .collect();
-        let probe = if probe_pick == 1 { MultiwayProbe::PerTuple } else { MultiwayProbe::Batched };
         let driver = if driver_pick >= k {
             MultiwayDriver::CostBased
         } else {
@@ -336,7 +311,6 @@ proptest! {
         };
         let config = test_config()
             .with_cell_cache_capacity(capacity)
-            .with_multiway_probe(probe)
             .with_multiway_driver(driver);
         let sequential = run_multiway(&sets, &config.with_worker_threads(1));
         prop_assert_eq!(
