@@ -41,7 +41,7 @@ pub(crate) fn cells_by_id<R: NodeReader<PointObject>, C: CellStore>(
     unique.sort_unstable();
     unique.dedup();
     let mut members: Vec<PointObject> = unique.iter().map(|&i| objects[i as usize]).collect();
-    members.sort_by_key(|o| hilbert::hilbert_value(&o.point, domain));
+    members.sort_by_cached_key(|o| hilbert::hilbert_value(&o.point, domain));
     let mut out = HashMap::with_capacity(members.len());
     let mut scratch = VorScratch::default();
     for group in members.chunks(CELL_BATCH) {

@@ -318,7 +318,7 @@ mod tests {
             assert_eq!(out, frame, "frame {i} corrupted by a transient fault");
             digest = digest
                 .wrapping_mul(31)
-                .wrapping_add(crate::frame::fnv1a64(&out));
+                .wrapping_add(crate::frame::xxh64(&out));
         }
         (digest, b.fault_stats())
     }

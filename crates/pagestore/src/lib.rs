@@ -70,7 +70,7 @@
 //!   failed for good; surfaced immediately, never retried.
 //! * **Corrupt** ([`FaultKind::Corrupt`]) — the frame transferred but
 //!   failed its integrity check. Every frame is sealed on write-back with a
-//!   [`FRAME_TRAILER_BYTES`]-byte trailer (payload length + FNV-1a
+//!   [`FRAME_TRAILER_BYTES`]-byte trailer (payload length + XXH64
 //!   checksum, [`frame::seal_frame`]) and verified on every cold decode
 //!   ([`frame::verify_frame`]), so bit-rot surfaces as a structured error
 //!   instead of garbage geometry. A corrupt frame is **quarantined**:

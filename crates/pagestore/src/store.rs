@@ -735,9 +735,12 @@ impl<T: PagePayload> PageStore<T> {
         self.lock().quarantined.iter().copied().collect()
     }
 
-    #[cfg(test)]
-    pub(crate) fn buffer_keys_mru_to_lru(&self) -> Vec<u64> {
-        self.lock().buffer.keys_mru_to_lru()
+    /// Pages currently admitted to the LRU buffer, most recently used
+    /// first — the buffer state that accounting-parity tests compare
+    /// between two read paths. Observes only; no recency changes.
+    pub fn buffered_pages_mru_to_lru(&self) -> Vec<PageId> {
+        let keys = self.lock().buffer.keys_mru_to_lru();
+        keys.into_iter().map(|key| PageId(key as u32)).collect()
     }
 }
 
@@ -1098,8 +1101,8 @@ mod tests {
             }
             assert_eq!(live.stats().snapshot(), replay.stats().snapshot());
             assert_eq!(
-                live.buffer_keys_mru_to_lru(),
-                replay.buffer_keys_mru_to_lru()
+                live.buffered_pages_mru_to_lru(),
+                replay.buffered_pages_mru_to_lru()
             );
             assert_eq!(live.backend_io(), replay.backend_io());
         }
@@ -1126,8 +1129,8 @@ mod tests {
             }
             assert_eq!(by_value.stats().snapshot(), by_ref.stats().snapshot());
             assert_eq!(
-                by_value.buffer_keys_mru_to_lru(),
-                by_ref.buffer_keys_mru_to_lru()
+                by_value.buffered_pages_mru_to_lru(),
+                by_ref.buffered_pages_mru_to_lru()
             );
             assert_eq!(by_value.backend_io(), by_ref.backend_io());
         }
@@ -1306,7 +1309,10 @@ mod tests {
             s.flush();
         }
         assert_eq!(heap.stats().snapshot(), file.stats().snapshot());
-        assert_eq!(heap.buffer_keys_mru_to_lru(), file.buffer_keys_mru_to_lru());
+        assert_eq!(
+            heap.buffered_pages_mru_to_lru(),
+            file.buffered_pages_mru_to_lru()
+        );
         assert_eq!(heap.num_pages(), file.num_pages());
         assert_eq!(heap.backend_io(), file.backend_io());
         for i in 0..8u32 {
@@ -1427,7 +1433,7 @@ mod tests {
             let _ = s.read(ids[0]);
             let _ = s.read(ids[1]);
             let counters = s.stats().snapshot();
-            let buffer = s.buffer_keys_mru_to_lru();
+            let buffer = s.buffered_pages_mru_to_lru();
             let metered = (s.backend_io().bytes_read, s.backend_io().bytes_written);
             // Peek resident and cold pages alike: nothing measured moves.
             {
@@ -1436,7 +1442,7 @@ mod tests {
                 assert_eq!((*g0, *g4), (100, 104));
             }
             assert_eq!(s.stats().snapshot(), counters);
-            assert_eq!(s.buffer_keys_mru_to_lru(), buffer);
+            assert_eq!(s.buffered_pages_mru_to_lru(), buffer);
             assert_eq!(
                 (s.backend_io().bytes_read, s.backend_io().bytes_written),
                 metered

@@ -16,16 +16,24 @@
 //!   of the same [`StorageBackend`] kind, then k-way-merges the runs
 //!   straight into the leaf packer. Tree construction never materialises
 //!   the full dataset: at most `run_capacity` objects plus one spill frame
-//!   per run are decoded at any moment. The merge is ordered by
+//!   per run are decoded at any moment (and, while a run is being sorted,
+//!   one `(key, index)` pair per object of that run). The merge is ordered by
 //!   `(hilbert key, run index)` and the runs are contiguous input chunks,
 //!   so the merged order equals the in-memory stable sort — the two loaders
 //!   produce **byte-identical trees**. Spill traffic goes through a scratch
 //!   backend instance (unmetered), never the tree's own store, so the
 //!   "construction writes every page exactly once and reads none" property
 //!   is preserved.
+//!
+//! Both loaders sort with `sort_by_cached_key`: the Hilbert key of an object
+//! is computed **once** rather than twice per comparison, at the price of
+//! one `(u64 key, index)` pair per object being sorted — the whole input for
+//! the in-memory loader, one run for the external one, so its
+//! O(`run_capacity`) bound stands. The sort is stable, like the merge
+//! tie-break above, which is what keeps the two loaders byte-identical.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::node::{ChildEntry, Node};
 use crate::object::RTreeObject;
@@ -84,7 +92,7 @@ impl<D: RTreeObject> RTree<D> {
         let domain = objects
             .iter()
             .fold(Rect::empty(), |acc, o| acc.union(&o.mbr()));
-        objects.sort_by_key(|o| hilbert::hilbert_value(&o.mbr().center(), &domain));
+        objects.sort_by_cached_key(|o| hilbert::hilbert_value(&o.mbr().center(), &domain));
         pack_sorted(&mut tree, objects.into_iter(), fill);
         tree
     }
@@ -172,7 +180,7 @@ impl<D: RTreeObject> RTree<D> {
             if chunk.is_empty() {
                 break;
             }
-            chunk.sort_by_key(|o| hilbert::hilbert_value(&o.mbr().center(), &domain));
+            chunk.sort_by_cached_key(|o| hilbert::hilbert_value(&o.mbr().center(), &domain));
             let mut writer = SpillWriter::new(&mut *scratch);
             for o in &chunk {
                 writer.push(o);
@@ -285,6 +293,9 @@ fn pack_sorted<D: RTreeObject>(
     total
 }
 
+/// Bytes of the `u32` entry count that opens every spill frame.
+const SPILL_HEADER_BYTES: usize = 4;
+
 /// Appends self-delimiting object entries to spill frames of the scratch
 /// backend: `[u32 count][entries back-to-back]`, zero-padded to the frame
 /// size, entries never spanning frames. All traffic is
@@ -292,50 +303,48 @@ fn pack_sorted<D: RTreeObject>(
 /// access.
 struct SpillWriter<'a> {
     backend: &'a mut dyn PageBackend,
-    /// Byte capacity left for entries after the count header.
-    capacity: usize,
-    body: FrameWriter,
+    /// The frame under assembly, reused across flushes: the count header
+    /// (patched in on flush) followed by the entries pushed so far.
+    frame: FrameWriter,
     count: u32,
     frames: Vec<u32>,
 }
 
 impl<'a> SpillWriter<'a> {
     fn new(backend: &'a mut dyn PageBackend) -> Self {
-        let capacity = backend
-            .frame_size()
-            .checked_sub(4)
-            .expect("spill frames need room for the count header");
+        assert!(
+            backend.frame_size() >= SPILL_HEADER_BYTES,
+            "spill frames need room for the count header"
+        );
+        let mut frame = FrameWriter::with_capacity(backend.frame_size());
+        frame.put_u32(0);
         SpillWriter {
             backend,
-            capacity,
-            body: FrameWriter::with_capacity(capacity),
+            frame,
             count: 0,
             frames: Vec::new(),
         }
     }
 
     fn push<D: RTreeObject>(&mut self, object: &D) {
+        let frame_size = self.backend.frame_size();
         let bytes = object.entry_bytes();
         assert!(
-            bytes <= self.capacity,
+            SPILL_HEADER_BYTES + bytes <= frame_size,
             "object entry ({bytes} B) exceeds a spill frame ({} B)",
-            self.capacity
+            frame_size - SPILL_HEADER_BYTES
         );
-        if self.count > 0 && self.body.len() + bytes > self.capacity {
+        if self.count > 0 && self.frame.len() + bytes > frame_size {
             self.flush_frame();
         }
-        object.encode_entry(&mut self.body);
+        object.encode_entry(&mut self.frame);
         self.count += 1;
     }
 
     fn flush_frame(&mut self) {
-        let frame_size = self.backend.frame_size();
-        let body = std::mem::replace(&mut self.body, FrameWriter::with_capacity(self.capacity));
-        let mut frame = FrameWriter::with_capacity(frame_size);
-        frame.put_u32(self.count);
-        let mut bytes = frame.into_bytes();
-        bytes.extend_from_slice(&body.into_bytes());
-        bytes.resize(frame_size, 0);
+        let mut bytes = std::mem::take(&mut self.frame).into_bytes();
+        bytes[..SPILL_HEADER_BYTES].copy_from_slice(&self.count.to_le_bytes());
+        bytes.resize(self.backend.frame_size(), 0);
         let index = self.backend.allocate();
         // The scratch backend is never fault-wrapped; a spill failure is a
         // genuine medium failure, service-fatal during construction.
@@ -343,6 +352,9 @@ impl<'a> SpillWriter<'a> {
             .write(index, &bytes, IoClass::Unmetered)
             .unwrap_or_else(|e| panic!("bulk-load spill write failed: {e}"));
         self.frames.push(index);
+        bytes.clear();
+        self.frame = FrameWriter::over(bytes);
+        self.frame.put_u32(0);
         self.count = 0;
     }
 
@@ -357,24 +369,25 @@ impl<'a> SpillWriter<'a> {
 }
 
 /// Streams the objects of one spilled run back, decoding one frame at a
-/// time (the per-run memory bound of the merge) and freeing each frame
-/// after its single read.
+/// time (the per-run memory bound of the merge) into a pending queue whose
+/// allocation is reused from frame to frame, and freeing each frame after
+/// its single read.
 struct RunCursor<D: RTreeObject> {
     frames: std::vec::IntoIter<u32>,
-    pending: std::vec::IntoIter<D>,
+    pending: VecDeque<D>,
 }
 
 impl<D: RTreeObject> RunCursor<D> {
     fn new(frames: Vec<u32>) -> Self {
         RunCursor {
             frames: frames.into_iter(),
-            pending: Vec::new().into_iter(),
+            pending: VecDeque::new(),
         }
     }
 
     fn next(&mut self, backend: &mut dyn PageBackend, frame_buf: &mut Vec<u8>) -> Option<D> {
         loop {
-            if let Some(o) = self.pending.next() {
+            if let Some(o) = self.pending.pop_front() {
                 return Some(o);
             }
             let frame = self.frames.next()?;
@@ -385,8 +398,8 @@ impl<D: RTreeObject> RunCursor<D> {
             backend.free(frame);
             let mut r = FrameReader::new(frame_buf);
             let count = r.take_u32();
-            let objects: Vec<D> = (0..count).map(|_| D::decode_entry(&mut r)).collect();
-            self.pending = objects.into_iter();
+            self.pending
+                .extend((0..count).map(|_| D::decode_entry(&mut r)));
         }
     }
 }
@@ -394,10 +407,11 @@ impl<D: RTreeObject> RunCursor<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object::{CellObject, PointObject, RTreeObject};
+    use crate::object::{CellObject, ObjectId, PointObject, RTreeObject};
     use cij_geom::{ConvexPolygon, Point};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::cell::Cell;
 
     fn config() -> RTreeConfig {
         RTreeConfig {
@@ -416,7 +430,10 @@ mod tests {
 
     /// Structural equality of two trees, page by page: identical allocation
     /// order makes the page numbering itself part of the contract.
-    fn assert_trees_identical(a: &mut RTree<PointObject>, b: &mut RTree<PointObject>) {
+    fn assert_trees_identical<D: RTreeObject + PartialEq + std::fmt::Debug>(
+        a: &mut RTree<D>,
+        b: &mut RTree<D>,
+    ) {
         assert_eq!(a.root_page(), b.root_page());
         assert_eq!(a.root_level(), b.root_level());
         assert_eq!(a.len(), b.len());
@@ -740,8 +757,33 @@ mod tests {
         }
         let frames = writer.finish();
         assert!(frames.len() > 1, "spill should span frames");
-        let mut cursor: RunCursor<CellObject> = RunCursor::new(frames);
+
+        // The frame layout, assembled independently: count header, entries
+        // back to back while the next one still fits, zero padding.
         let mut buf = Vec::new();
+        let mut rest = &cells[..];
+        for &frame in &frames {
+            let mut expected = FrameWriter::with_capacity(512);
+            expected.put_u32(0);
+            let mut count = 0u32;
+            while let Some((c, tail)) = rest.split_first() {
+                if count > 0 && expected.len() + c.entry_bytes() > 512 {
+                    break;
+                }
+                c.encode_entry(&mut expected);
+                count += 1;
+                rest = tail;
+            }
+            let mut expected = expected.into_bytes();
+            expected[..4].copy_from_slice(&count.to_le_bytes());
+            expected.resize(512, 0);
+            buf.resize(512, 0);
+            backend.read(frame, &mut buf, IoClass::Unmetered).unwrap();
+            assert_eq!(buf, expected, "spill frame {frame} layout changed");
+        }
+        assert!(rest.is_empty());
+
+        let mut cursor: RunCursor<CellObject> = RunCursor::new(frames);
         let mut read_back = Vec::new();
         while let Some(c) = cursor.next(&mut *backend, &mut buf) {
             read_back.push(c);
@@ -750,6 +792,115 @@ mod tests {
         for (a, b) in read_back.iter().zip(&cells) {
             assert_eq!(a.id(), b.id());
             assert_eq!(a.mbr(), b.mbr());
+        }
+    }
+
+    thread_local! {
+        static MBR_CALLS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// A point object that counts its `mbr()` calls — the loaders' unit of
+    /// key work (domain fold, Hilbert key, leaf MBR), observed without any
+    /// instrumentation in the product.
+    #[derive(Debug, Clone, PartialEq)]
+    struct CountedPoint(PointObject);
+
+    impl RTreeObject for CountedPoint {
+        fn mbr(&self) -> Rect {
+            MBR_CALLS.with(|c| c.set(c.get() + 1));
+            self.0.mbr()
+        }
+        fn entry_bytes(&self) -> usize {
+            self.0.entry_bytes()
+        }
+        fn id(&self) -> ObjectId {
+            self.0.id()
+        }
+        fn encode_entry(&self, w: &mut FrameWriter) {
+            self.0.encode_entry(w)
+        }
+        fn decode_entry(r: &mut FrameReader<'_>) -> Self {
+            CountedPoint(PointObject::decode_entry(r))
+        }
+    }
+
+    fn counted(points: &[Point]) -> Vec<CountedPoint> {
+        PointObject::from_points(points)
+            .into_iter()
+            .map(CountedPoint)
+            .collect()
+    }
+
+    #[test]
+    fn loaders_compute_each_hilbert_key_once() {
+        // 3·n (in memory) or 4·n (external) `mbr()` calls: domain fold,
+        // one sort key, one merge key, the leaf MBR. A key function that
+        // runs per comparison costs 2·n·log2(n) ≈ 28·n here.
+        let n = 20_000;
+        let pts = random_points(n, 53);
+        let calls_of = |load: &dyn Fn(Vec<CountedPoint>) -> RTree<CountedPoint>| {
+            let objects = counted(&pts);
+            MBR_CALLS.with(|c| c.set(0));
+            let tree = load(objects);
+            let calls = MBR_CALLS.with(|c| c.get());
+            assert_eq!(tree.len(), n);
+            calls
+        };
+        let in_memory = calls_of(&|o| RTree::bulk_load(config(), o));
+        assert!(
+            in_memory <= 8 * n,
+            "in-memory load: {in_memory} mbr() calls"
+        );
+        for run_capacity in [1, 7, n / 10, n] {
+            let external = calls_of(&|o| RTree::bulk_load_external(config(), o, run_capacity));
+            assert!(
+                external <= 8 * n,
+                "external load, runs of {run_capacity}: {external} mbr() calls"
+            );
+        }
+    }
+
+    #[test]
+    fn tied_hilbert_keys_keep_their_input_order() {
+        // Thousands of objects on five locations: almost every comparison
+        // is a tie, so the packed order *is* the stability of the sort. The
+        // reference sorts with the plain stable `sort_by_key`.
+        let spots = random_points(5, 59);
+        let mut rng = StdRng::seed_from_u64(61);
+        let pts: Vec<Point> = (0..6_000)
+            .map(|_| spots[rng.gen_range(0..5usize)])
+            .collect();
+        let reference = |storage: StorageBackend| {
+            let mut objects = counted(&pts);
+            let domain = objects
+                .iter()
+                .fold(Rect::empty(), |acc, o| acc.union(&o.mbr()));
+            objects.sort_by_key(|o| hilbert::hilbert_value(&o.mbr().center(), &domain));
+            let mut tree = RTree::with_stats_on(config(), IoStats::new(), storage);
+            pack_sorted(&mut tree, objects.into_iter(), DEFAULT_FILL);
+            tree
+        };
+        for storage in StorageBackend::ALL {
+            let mut expected = reference(storage);
+            let mut in_memory = RTree::bulk_load_with_stats_on(
+                config(),
+                IoStats::new(),
+                counted(&pts),
+                DEFAULT_FILL,
+                storage,
+            );
+            assert_trees_identical(&mut expected, &mut in_memory);
+            for run_capacity in [1, 7, 600, 6_000] {
+                let mut external = RTree::bulk_load_external_on(
+                    config(),
+                    IoStats::new(),
+                    counted(&pts),
+                    DEFAULT_FILL,
+                    storage,
+                    run_capacity,
+                );
+                assert_trees_identical(&mut expected, &mut external);
+            }
         }
     }
 }

@@ -97,18 +97,20 @@ impl<'a, D: RTreeObject> Iterator for NearestNeighbourIter<'a, D> {
             match item {
                 HeapEntry::Object(o) => return Some((dist, o)),
                 HeapEntry::Node(page) => {
-                    let node = self.tree.read_node(page);
-                    if node.is_leaf() {
-                        for o in node.objects {
-                            let d = o.mbr().mindist_point(&self.query);
-                            self.heap.push(MinHeapItem::new(d, HeapEntry::Object(o)));
+                    let (query, heap) = (&self.query, &mut self.heap);
+                    self.tree.visit_node(page, &mut |node| {
+                        if node.is_leaf() {
+                            for o in &node.objects {
+                                let d = o.mbr().mindist_point(query);
+                                heap.push(MinHeapItem::new(d, HeapEntry::Object(o.clone())));
+                            }
+                        } else {
+                            for c in &node.children {
+                                let d = c.mbr.mindist_point(query);
+                                heap.push(MinHeapItem::new(d, HeapEntry::Node(c.page)));
+                            }
                         }
-                    } else {
-                        for c in node.children {
-                            let d = c.mbr.mindist_point(&self.query);
-                            self.heap.push(MinHeapItem::new(d, HeapEntry::Node(c.page)));
-                        }
-                    }
+                    });
                 }
             }
         }
@@ -245,6 +247,77 @@ mod tests {
         assert_eq!(
             tree.stats().snapshot().physical_reads as usize,
             tree.num_pages()
+        );
+    }
+
+    /// `k_nearest` as it ran before nodes were visited by reference: every
+    /// popped node is read **owned** and its entries moved into the heap.
+    fn owned_k_nearest(
+        tree: &mut RTree<PointObject>,
+        query: Point,
+        k: usize,
+    ) -> Vec<(f64, PointObject)> {
+        let mut heap: MinDistHeap<HeapEntry<PointObject>> = BinaryHeap::new();
+        heap.push(MinHeapItem::new(0.0, HeapEntry::Node(tree.root_page())));
+        let mut out = Vec::new();
+        while out.len() < k {
+            let Some(MinHeapItem { dist, item }) = heap.pop() else {
+                break;
+            };
+            match item {
+                HeapEntry::Object(o) => out.push((dist, o)),
+                HeapEntry::Node(page) => {
+                    let node = tree.read_node(page);
+                    for o in node.objects {
+                        let d = o.mbr().mindist_point(&query);
+                        heap.push(MinHeapItem::new(d, HeapEntry::Object(o)));
+                    }
+                    for c in node.children {
+                        let d = c.mbr.mindist_point(&query);
+                        heap.push(MinHeapItem::new(d, HeapEntry::Node(c.page)));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn tied_distances_pop_in_the_owned_walks_order() {
+        // A lattice probed at lattice points and cell centres: the 4, 8, …
+        // nearest neighbours tie exactly, and so do node mindists, so the
+        // answer depends on the push order into the heap. Both walks must
+        // agree on it — and on every counter and the buffer's final order.
+        let lattice: Vec<Point> = (0..40 * 40)
+            .map(|i| Point::new((i / 40) as f64 * 25.0, (i % 40) as f64 * 25.0))
+            .collect();
+        let build = || {
+            let mut tree = RTree::bulk_load(tiny_config(), PointObject::from_points(&lattice));
+            tree.set_buffer_pages(tree.num_pages() / 8);
+            tree.flush();
+            tree.stats().reset();
+            tree
+        };
+        let (mut by_ref, mut owned) = (build(), build());
+        let mut rng = StdRng::seed_from_u64(29);
+        for _ in 0..100 {
+            let half = rng.gen_range(0..2) as f64 * 12.5;
+            let q = Point::new(
+                rng.gen_range(0..40) as f64 * 25.0 + half,
+                rng.gen_range(0..40) as f64 * 25.0 + half,
+            );
+            let got = by_ref.k_nearest(q, 8);
+            let expected = owned_k_nearest(&mut owned, q, 8);
+            assert_eq!(got.len(), 8);
+            for ((gd, go), (ed, eo)) in got.iter().zip(&expected) {
+                assert_eq!((gd.to_bits(), go), (ed.to_bits(), eo), "probe {q:?}");
+            }
+        }
+        assert_eq!(by_ref.stats().snapshot(), owned.stats().snapshot());
+        assert_eq!(by_ref.backend_io(), owned.backend_io());
+        assert_eq!(
+            by_ref.buffered_pages_mru_to_lru(),
+            owned.buffered_pages_mru_to_lru()
         );
     }
 }

@@ -20,6 +20,21 @@
 //! [`LeafLayout::Aos`](crate::arena::LeafLayout) knob as the parity and
 //! benchmark baseline; both layouts decode from the same page bytes and
 //! produce byte-identical results.
+//!
+//! The index queries follow the same rule: [`RTree::range_query`] (hence
+//! `scan_all`), `bounding_rect` and the best-first
+//! [`NearestNeighbourIter`](crate::nn::NearestNeighbourIter) visit each node
+//! **by reference** ([`RTree::visit_node`] → `PageStore::read_with`) and
+//! copy out only the objects they return. The owned
+//! [`RTree::read_node`] — which clones a buffered node on every call — is
+//! for construction (insertion rewrites the node it read), callers that
+//! keep the node's entries (the paired-node joins, the FM/PM leaf groups),
+//! oracles and tests; both touch the buffer and count hits, misses and
+//! bytes alike.
+//!
+//! [`RTree::range_query`]: crate::tree::RTree::range_query
+//! [`RTree::visit_node`]: crate::tree::RTree::visit_node
+//! [`RTree::read_node`]: crate::tree::RTree::read_node
 
 use crate::object::RTreeObject;
 use cij_geom::Rect;

@@ -153,7 +153,10 @@ impl<D: RTreeObject> RTree<D> {
         self.store.num_pages()
     }
 
-    /// Reads a node, going through the buffer and counting the access.
+    /// Reads a node, going through the buffer and counting the access —
+    /// the **owned** read: it clones a buffered node. For callers that keep
+    /// or rewrite the node; queries visit by reference
+    /// ([`RTree::visit_node`]).
     pub fn read_node(&mut self, page: PageId) -> Node<D> {
         self.store.read(page)
     }
@@ -275,6 +278,12 @@ impl<D: RTreeObject> RTree<D> {
     /// Current buffer capacity in pages.
     pub fn buffer_pages(&self) -> usize {
         self.store.buffer_pages()
+    }
+
+    /// Pages currently in the LRU buffer, most recently used first (thin
+    /// wrapper over [`PageStore::buffered_pages_mru_to_lru`]).
+    pub fn buffered_pages_mru_to_lru(&self) -> Vec<PageId> {
+        self.store.buffered_pages_mru_to_lru()
     }
 
     /// Pages currently holding a decoded payload (buffer members + pinned).
@@ -441,24 +450,29 @@ impl<D: RTreeObject> RTree<D> {
     // ------------------------------------------------------------------
 
     /// Returns every object whose MBR intersects the query rectangle.
+    ///
+    /// Nodes are visited by reference ([`PageStore::read_with`]): the
+    /// buffer touch and hit/miss accounting of [`RTree::read_node`] without
+    /// its clone of the node — only matching objects are copied out.
     pub fn range_query(&mut self, query: &Rect) -> Vec<D> {
         let mut out = Vec::new();
         let mut stack = vec![self.root];
         while let Some(page) = stack.pop() {
-            let node = self.store.read(page);
-            if node.is_leaf() {
-                for o in &node.objects {
-                    if o.mbr().intersects(query) {
-                        out.push(o.clone());
+            self.store.read_with(page, |node| {
+                if node.is_leaf() {
+                    for o in &node.objects {
+                        if o.mbr().intersects(query) {
+                            out.push(o.clone());
+                        }
+                    }
+                } else {
+                    for c in &node.children {
+                        if c.mbr.intersects(query) {
+                            stack.push(c.page);
+                        }
                     }
                 }
-            } else {
-                for c in &node.children {
-                    if c.mbr.intersects(query) {
-                        stack.push(c.page);
-                    }
-                }
-            }
+            });
         }
         out
     }
@@ -475,8 +489,7 @@ impl<D: RTreeObject> RTree<D> {
 
     /// MBR of the whole dataset (reads only the root node).
     pub fn bounding_rect(&mut self) -> Rect {
-        let node = self.store.read(self.root);
-        node.mbr()
+        self.store.read_with(self.root, |node| node.mbr())
     }
 
     /// Leaf page ids in the Hilbert-ordered depth-first traversal of
@@ -901,6 +914,55 @@ mod tests {
             tree.range_query(&Rect::from_point(Point::new(1.0, 1.0)))
                 .len(),
             50
+        );
+    }
+
+    #[test]
+    fn by_reference_range_queries_account_like_owned_reads() {
+        // The walk of `range_query` with every node read owned: same
+        // objects in the same order, same counters, same buffer order.
+        fn owned_range_query(tree: &mut RTree<PointObject>, query: &Rect) -> Vec<PointObject> {
+            let mut out = Vec::new();
+            let mut stack = vec![tree.root_page()];
+            while let Some(page) = stack.pop() {
+                let node = tree.read_node(page);
+                out.extend(node.objects.iter().filter(|o| o.mbr().intersects(query)));
+                stack.extend(
+                    node.children
+                        .iter()
+                        .filter(|c| c.mbr.intersects(query))
+                        .map(|c| c.page),
+                );
+            }
+            out
+        }
+        let build = || {
+            let mut tree = RTree::bulk_load(small_config(), grid_points(30, 30, 1.0));
+            tree.set_buffer_pages(tree.num_pages() / 8);
+            tree.flush();
+            tree.stats().reset();
+            tree
+        };
+        let (mut by_ref, mut owned) = (build(), build());
+        let root = owned.root_page();
+        assert_eq!(by_ref.bounding_rect(), owned.read_node(root).mbr());
+        let everything = Rect::from_coords(-1.0, -1.0, 30.0, 30.0);
+        assert_eq!(
+            by_ref.scan_all(),
+            owned_range_query(&mut owned, &everything)
+        );
+        for i in 0..60 {
+            let (x, y) = ((i * 7 % 29) as f64, (i * 11 % 29) as f64);
+            let window = Rect::from_coords(x, y, x + (i % 5) as f64, y + (i % 3) as f64);
+            let got = by_ref.range_query(&window);
+            assert!(!got.is_empty());
+            assert_eq!(got, owned_range_query(&mut owned, &window));
+        }
+        assert_eq!(by_ref.stats().snapshot(), owned.stats().snapshot());
+        assert_eq!(by_ref.backend_io(), owned.backend_io());
+        assert_eq!(
+            by_ref.buffered_pages_mru_to_lru(),
+            owned.buffered_pages_mru_to_lru()
         );
     }
 }

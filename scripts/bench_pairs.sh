@@ -1,0 +1,93 @@
+#!/usr/bin/env bash
+# Alternating parent/change pairs of the repo benchmark (BENCHMARK.json).
+#
+#   scripts/bench_pairs.sh <parent-ref> [--pairs 10] [--workloads a,b,...]
+#
+# `git archive`s <parent-ref> into a temporary directory (under $TMPDIR),
+# builds its cij_benchmark and the working tree's with separate
+# CARGO_TARGET_DIRs, then runs both executables on seeds 11, 12, ... — one
+# pair per seed, the side that goes first flipping each pair — and prints,
+# per workload x end-to-end metric, both medians, the parent's quartiles and
+# how many pairs the change won (ties count for neither side). Workloads,
+# metrics, their better-direction and the run length come from BENCHMARK.json.
+set -euo pipefail
+
+usage() {
+    sed -n '2,12p' "$0" | sed 's/^# \{0,1\}//'
+    exit 2
+}
+
+[ $# -ge 1 ] || usage
+parent_ref=$1
+shift
+pairs=10
+workloads=
+while [ $# -gt 0 ]; do
+    case $1 in
+    --pairs) pairs=$2 ;;
+    --workloads) workloads=$2 ;;
+    *) usage ;;
+    esac
+    shift 2
+done
+
+repo=$(git rev-parse --show-toplevel)
+cd "$repo"
+work=$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs.XXXXXX")
+trap 'rm -rf "$work"' EXIT
+
+mkdir "$work/parent"
+git archive "$parent_ref" | tar -x -C "$work/parent"
+build() { # <checkout> <target dir>
+    (cd "$1" && CARGO_TARGET_DIR=$2 cargo build --release --quiet --offline \
+        --manifest-path cij_benchmark/Cargo.toml)
+}
+echo "building $parent_ref and the working tree ..." >&2
+build "$work/parent" "$work/parent-target"
+build "$repo" "$work/change-target"
+
+seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
+if [ -z "$workloads" ]; then
+    workloads=$(python3 -c 'import json; print(",".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+fi
+
+run() { # <side> <workload> <seed>: appends the run's JSON line to its log
+    "$work/$1-target/release/cij_benchmark" --workload "$2" --seed "$3" \
+        --seconds "$seconds" --trace 0 | tail -n 1 >>"$work/$2.$1.jsonl"
+}
+for workload in ${workloads//,/ }; do
+    for ((i = 0; i < pairs; i++)); do
+        seed=$((11 + i))
+        echo "$workload: pair $((i + 1))/$pairs (seed $seed)" >&2
+        if ((i % 2 == 0)); then order="parent change"; else order="change parent"; fi
+        for side in $order; do run "$side" "$workload" "$seed"; done
+    done
+done
+
+python3 - "$work" "$workloads" <<'EOF'
+import json, statistics, sys
+
+work, workloads = sys.argv[1], sys.argv[2].split(",")
+better = {m["name"]: m["better"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
+
+def load(workload, side):
+    return [json.loads(line) for line in open(f"{work}/{workload}.{side}.jsonl")]
+
+print(f"{'workload':<14} {'metric':<21} {'parent p50':>11} {'[q1':>11} {'q3]':>11} "
+      f"{'change p50':>11} {'delta':>8}  wins  failed p/c")
+for workload in workloads:
+    parent, change = load(workload, "parent"), load(workload, "change")
+    failed = "/".join(str(sum(r["failed"] + (not r["correct"]) for r in runs))
+                      for runs in (parent, change))
+    for metric, direction in better.items():
+        p = [r["metrics"][metric]["value"] for r in parent]
+        c = [r["metrics"][metric]["value"] for r in change]
+        sign = -1 if direction == "lower" else 1
+        wins = sum(sign * (cv - pv) > 0 for pv, cv in zip(p, c))
+        ties = sum(cv == pv for pv, cv in zip(p, c))
+        q1, _, q3 = statistics.quantiles(p, n=4) if len(p) > 1 else (p[0], p[0], p[0])
+        pm, cm = statistics.median(p), statistics.median(c)
+        delta = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
+        print(f"{workload:<14} {metric:<21} {pm:>11.5g} {q1:>11.5g} {q3:>11.5g} "
+              f"{cm:>11.5g} {delta:>8}  {wins}/{len(p) - ties}  {failed}")
+EOF

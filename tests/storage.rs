@@ -6,9 +6,12 @@
 //! under cache pressure, and the `PagePayload` node codec must round-trip
 //! losslessly while rejecting frames that exceed the page size.
 
-use cij::pagestore::{Admission, BackendIo, LruBuffer, PagePayload};
+use cij::pagestore::{Admission, BackendIo, LruBuffer, PageId, PagePayload};
 use cij::prelude::*;
-use cij::rtree::{CellObject, Node, PointObject, RTree, RTreeConfig, NODE_HEADER_BYTES};
+use cij::rtree::{
+    CellObject, MinDistHeap, MinHeapItem, Node, PointObject, RTree, RTreeConfig, RTreeObject,
+    NODE_HEADER_BYTES,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -163,6 +166,145 @@ fn insert_built_trees_agree_across_backends() {
     }
     assert_eq!(heap.stats().snapshot(), file.stats().snapshot());
     assert_eq!(heap.backend_io(), file.backend_io());
+}
+
+/// `RTree::range_query` with every node read **owned** (`read_node`, which
+/// clones a buffered node) — the read path queries used before they visited
+/// nodes by reference, kept here as the accounting oracle.
+fn owned_range_query(tree: &mut RTree<PointObject>, query: &Rect) -> Vec<PointObject> {
+    let mut out = Vec::new();
+    let mut stack = vec![tree.root_page()];
+    while let Some(page) = stack.pop() {
+        let node = tree.read_node(page);
+        out.extend(node.objects.iter().filter(|o| o.mbr().intersects(query)));
+        let hits = node.children.iter().filter(|c| c.mbr.intersects(query));
+        stack.extend(hits.map(|c| c.page));
+    }
+    out
+}
+
+enum Browse {
+    Node(PageId),
+    Object(PointObject),
+}
+
+/// `RTree::k_nearest` over owned node reads, entries moved into the heap in
+/// storage order — see [`owned_range_query`].
+fn owned_k_nearest(
+    tree: &mut RTree<PointObject>,
+    query: Point,
+    k: usize,
+) -> Vec<(f64, PointObject)> {
+    let mut heap: MinDistHeap<Browse> = MinDistHeap::new();
+    heap.push(MinHeapItem::new(0.0, Browse::Node(tree.root_page())));
+    let mut out = Vec::new();
+    while out.len() < k {
+        let Some(MinHeapItem { dist, item }) = heap.pop() else {
+            break;
+        };
+        match item {
+            Browse::Object(o) => out.push((dist, o)),
+            Browse::Node(page) => {
+                let node = tree.read_node(page);
+                for o in node.objects {
+                    let d = o.mbr().mindist_point(&query);
+                    heap.push(MinHeapItem::new(d, Browse::Object(o)));
+                }
+                for c in node.children {
+                    let d = c.mbr.mindist_point(&query);
+                    heap.push(MinHeapItem::new(d, Browse::Node(c.page)));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Visiting nodes by reference changes nothing observable: over every
+/// backend and a buffer of none, an eighth and all of the tree, a cold scan,
+/// 200 windows and 200 8-NN probes return the owned walk's object sequences
+/// and leave its `IoStats`, its backend byte counts and its buffer order —
+/// on uniform data and on a lattice where neighbours tie on distance, so the
+/// k-NN answer depends on the push order into the heap.
+#[test]
+fn by_reference_queries_account_exactly_like_the_owned_walk() {
+    const SIDE: usize = 48;
+    let step = 10_000.0 / SIDE as f64;
+    let lattice: Vec<Point> = (0..SIDE * SIDE)
+        .map(|i| Point::new((i / SIDE) as f64 * step, (i % SIDE) as f64 * step))
+        .collect();
+    let uniform = uniform_points(2_500, &Rect::DOMAIN, 9411);
+    let rtree = test_config().rtree;
+    for (name, points) in [("uniform", &uniform), ("lattice", &lattice)] {
+        for storage in StorageBackend::ALL {
+            for buffer_fraction in [0.0, 0.125, 1.0] {
+                let build = || {
+                    let mut tree = RTree::bulk_load_with_stats_on(
+                        rtree,
+                        IoStats::new(),
+                        PointObject::from_points(points),
+                        1.0,
+                        storage,
+                    );
+                    tree.set_buffer_fraction(buffer_fraction);
+                    tree.flush();
+                    tree.stats().reset();
+                    tree
+                };
+                let (mut by_ref, mut owned) = (build(), build());
+                let io_before = (by_ref.backend_io(), owned.backend_io());
+                let case = format!("{name}, {storage:?}, buffer {buffer_fraction}");
+
+                let everything = Rect::from_coords(
+                    f64::NEG_INFINITY,
+                    f64::NEG_INFINITY,
+                    f64::INFINITY,
+                    f64::INFINITY,
+                );
+                let scanned = by_ref.scan_all();
+                assert_eq!(scanned.len(), points.len(), "{case}");
+                assert_eq!(
+                    scanned,
+                    owned_range_query(&mut owned, &everything),
+                    "{case}"
+                );
+
+                let mut rng = StdRng::seed_from_u64(9412);
+                for _ in 0..200 {
+                    // Lattice-aligned corners and probes (cell corners and
+                    // centres): on the lattice data both tie constantly.
+                    let mut snap = || rng.gen_range(0..2 * SIDE) as f64 * step / 2.0;
+                    let lo = Point::new(snap(), snap());
+                    let window = Rect::from_coords(lo.x, lo.y, lo.x + 3.0 * step, lo.y + step);
+                    let hits = by_ref.range_query(&window);
+                    assert_eq!(hits, owned_range_query(&mut owned, &window), "{case}");
+
+                    let probe = Point::new(snap(), snap());
+                    let got = by_ref.k_nearest(probe, 8);
+                    let expected = owned_k_nearest(&mut owned, probe, 8);
+                    assert_eq!(got.len(), 8, "{case}");
+                    for ((gd, go), (ed, eo)) in got.iter().zip(&expected) {
+                        assert_eq!((gd.to_bits(), go), (ed.to_bits(), eo), "{case}, {probe:?}");
+                    }
+                }
+
+                let snap = by_ref.stats().snapshot();
+                assert_eq!(snap, owned.stats().snapshot(), "{case}");
+                let io = by_ref.backend_io().since(&io_before.0);
+                assert_eq!(io, owned.backend_io().since(&io_before.1), "{case}");
+                assert_eq!(
+                    io.bytes_read,
+                    snap.physical_reads * rtree.page_size as u64,
+                    "{case}"
+                );
+                assert_eq!(
+                    by_ref.buffered_pages_mru_to_lru(),
+                    owned.buffered_pages_mru_to_lru(),
+                    "{case}"
+                );
+            }
+        }
+    }
 }
 
 fn arbitrary_point_node(seed: u64, entries: usize, inner: bool) -> Node<PointObject> {
