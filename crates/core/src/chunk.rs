@@ -62,7 +62,7 @@
 //!   sequential hit/miss/evict sequence and phase 3 computes the same cells
 //!   (through the same traversals, hence the same logs) a sequential run
 //!   would.
-//! * **Ordered reassembly.** [`run_ordered_scratch`] returns results in
+//! * **Ordered reassembly.** [`run_ordered_units`] returns results in
 //!   unit order and phase 6 walks leaves in order.
 //!
 //! # Fail-stop gates
@@ -82,24 +82,30 @@
 //! ([`Accounting::leaf_order`]), so a stream whose walk fails is born
 //! fail-stopped instead of panicking.
 //!
-//! Relaxed-consistency contract: the one atomic in this module is the
-//! work-stealing unit cursor inside [`run_ordered_scratch`] — workers claim
-//! unit indices with `fetch_add(1, Ordering::Relaxed)`, which is sound
-//! because the read-modify-write's modification order already hands each
-//! index to exactly one worker, and unit *inputs* are published to workers
-//! before the scope spawns (the scope's own synchronization), not through
-//! the cursor. Completed results are handed back through the join, which
-//! carries the release/acquire edge.
+//! # Per-worker scratch
+//!
+//! A stream owns one [`UnitScratch`] per pool worker for its whole life and
+//! lends the set to every parallel phase ([`run_ordered_units`]): decode
+//! arenas, clip buffers, the filter's traversal heap and grids grow to their
+//! high-water mark during the first leaves and are then reused by every
+//! later phase, round and chunk. A scratch carries no information from one
+//! unit to the next — contents between calls are unspecified — so which
+//! worker picks up which unit stays unobservable.
+//!
+//! Units are handed out through a mutex-guarded iterator (one lock per
+//! unit, released before the unit runs), which is also what lets a unit
+//! carry its own `&mut` slot into the phase; completed results are handed
+//! back through the join.
 
 use crate::cell_cache::CellCache;
 use crate::config::{CijConfig, ExecMode};
 use crate::filter::{FilterOptions, FilterScratch};
-use cij_geom::{ConvexPolygon, Rect};
+use cij_geom::{ClipScratch, ConvexPolygon, Rect};
 use cij_pagestore::{IoSnapshot, IoStats, PageId, PageIoError};
 use cij_rtree::reader::leaf_pages_hilbert_order;
 use cij_rtree::{LeafLayout, NodeReader, PointObject, RTree, ReadLog, SnapshotReader};
 use cij_voronoi::{batch_voronoi_with, VorScratch};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Steady-state chunk width, as a multiple of the worker count (see
 /// [`LeafCursor::next_chunk`]).
@@ -340,14 +346,16 @@ impl LeafCursor {
 }
 
 /// The per-worker scratch of one join unit: the Voronoi traversal's decode
-/// arena + clip buffers and the conditional filter's. Allocated **once per
-/// worker** (or once per stream on nm's sequential path) and reused across
-/// every unit the worker processes, so the SoA hot loops run
-/// allocation-free at steady state.
+/// arena + clip buffers, the conditional filter's, and the clip buffers of
+/// the unit's own polygon work (multiway narrowing). A stream allocates
+/// **one per pool worker at construction** ([`UnitScratch::per_worker`])
+/// and lends them to every parallel phase (nm's sequential leaf loop uses
+/// the first), so the SoA hot loops run allocation-free at steady state.
 #[derive(Debug, Default)]
 pub(crate) struct UnitScratch {
     pub(crate) vor: VorScratch,
     pub(crate) filter: FilterScratch,
+    pub(crate) clip: ClipScratch,
 }
 
 impl UnitScratch {
@@ -356,56 +364,93 @@ impl UnitScratch {
         UnitScratch {
             vor: VorScratch::for_budget(node_byte_budget),
             filter: FilterScratch::for_budget(node_byte_budget),
+            clip: ClipScratch::new(),
         }
+    }
+
+    /// One scratch per pool worker of `env`.
+    pub(crate) fn per_worker(env: &UnitEnv) -> Vec<Self> {
+        (0..env.workers)
+            .map(|_| UnitScratch::for_budget(env.budget))
+            .collect()
     }
 }
 
 /// Runs `f(0..n)` on a scoped pool of at most `workers` threads and returns
-/// the results in index order. Work is handed out through a shared atomic
-/// cursor, so uneven units balance across the pool. Worker panics propagate
-/// to the caller.
+/// the results in index order — [`run_ordered_scratch`] for phases that
+/// need no scratch.
 pub(crate) fn run_ordered<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_ordered_scratch(workers, n, || (), |i, ()| f(i))
+    // Zero-sized elements: the vector does not allocate.
+    run_ordered_scratch(&mut vec![(); workers.max(1)], n, |i, ()| f(i))
 }
 
-/// [`run_ordered`] with a per-worker scratch value: `mk` runs **once per
-/// worker thread** (not per unit) and the resulting scratch is handed to
-/// every `f(i, scratch)` call that thread executes — the per-unit arena
-/// reuse that keeps the SoA hot loops allocation-free. At one worker (or
-/// one unit) the pool degenerates to inline calls.
-pub(crate) fn run_ordered_scratch<T, S, M, F>(workers: usize, n: usize, mk: M, f: F) -> Vec<T>
+/// Runs `f(i, scratch)` for `i` in `0..n` on a scoped pool of at most
+/// `scratches.len()` threads and returns the results in index order —
+/// [`run_ordered_units`] for phases whose units carry no slot of their own.
+pub(crate) fn run_ordered_scratch<S, T, F>(scratches: &mut [S], n: usize, f: F) -> Vec<T>
 where
+    S: Send,
     T: Send,
-    M: Fn() -> S + Sync,
     F: Fn(usize, &mut S) -> T + Sync,
 {
+    run_ordered_units(scratches, &mut vec![(); n], |i, (), scratch| f(i, scratch))
+}
+
+/// Runs `f(i, &mut units[i], scratch)` for every unit on a scoped pool of
+/// at most `scratches.len()` threads and returns the results in unit order.
+/// Each pool thread owns one of the caller's scratches for the whole call
+/// (the per-worker reuse that keeps the SoA hot loops allocation-free — the
+/// caller keeps the scratches alive across calls); units are handed out
+/// one at a time from a shared queue, so uneven units balance across the
+/// pool, and each unit's `&mut` slot goes to exactly the thread that runs
+/// it. At one scratch (or one unit) the pool degenerates to inline calls.
+/// Worker panics propagate to the caller.
+///
+/// # Panics
+///
+/// Panics if `scratches` is empty while `units` is not.
+pub(crate) fn run_ordered_units<U, S, T, F>(scratches: &mut [S], units: &mut [U], f: F) -> Vec<T>
+where
+    U: Send,
+    S: Send,
+    T: Send,
+    F: Fn(usize, &mut U, &mut S) -> T + Sync,
+{
+    let n = units.len();
     if n == 0 {
         return Vec::new();
     }
-    let threads = workers.min(n);
+    let threads = scratches.len().min(n);
     if threads <= 1 {
-        let mut scratch = mk();
-        return (0..n).map(|i| f(i, &mut scratch)).collect();
+        let scratch = scratches.first_mut().expect("one scratch per pool worker");
+        return units
+            .iter_mut()
+            .enumerate()
+            .map(|(i, unit)| f(i, unit, scratch))
+            .collect();
     }
-    let cursor = AtomicUsize::new(0);
+    let queue = Mutex::new(units.iter_mut().enumerate());
     let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut scratch = mk();
+        let (queue, f) = (&queue, &f);
+        let handles: Vec<_> = scratches[..threads]
+            .iter_mut()
+            .map(|scratch| {
+                scope.spawn(move || {
                     let mut produced: Vec<(usize, T)> = Vec::new();
                     loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
+                        // Only the hand-out runs under the lock; it cannot
+                        // panic, so the lock is never poisoned.
+                        let next = queue.lock().expect("unit queue lock").next();
+                        let Some((i, unit)) = next else {
                             break;
-                        }
-                        produced.push((i, f(i, &mut scratch)));
+                        };
+                        produced.push((i, f(i, unit, scratch)));
                     }
                     produced
                 })
@@ -480,8 +525,8 @@ fn policy_pass(cache: &mut CellCache, candidates: &[PointObject]) -> UnitPlan {
 }
 
 /// Phase 3: the exact cells of every unit's `missing` candidates, computed
-/// in parallel over snapshot readers of tree `tree` (each worker reusing
-/// one Voronoi scratch), with the phase's fail-stop gate: cells refined
+/// in parallel over snapshot readers of tree `tree` (each worker on its own
+/// Voronoi scratch), with the phase's fail-stop gate: cells refined
 /// from an error-empty read would be geometrically wrong, so any latched
 /// error fails the whole phase.
 fn refine_missing(
@@ -489,21 +534,18 @@ fn refine_missing(
     tree: usize,
     plans: &[UnitPlan],
     env: &UnitEnv,
+    scratches: &mut [UnitScratch],
 ) -> Result<Vec<(Vec<ConvexPolygon>, ReadLog)>, PageIoError> {
-    let refined = run_ordered_scratch(
-        env.workers,
-        plans.len(),
-        || VorScratch::for_budget(env.budget),
-        |u, vor| {
-            let missing = &plans[u].missing;
-            if missing.is_empty() {
-                return (Vec::new(), ReadLog::default());
-            }
-            let mut reader = acct.reader(tree);
-            let cells = batch_voronoi_with(&mut reader, missing, &env.domain, env.layout, vor);
-            (cells, reader.finish())
-        },
-    );
+    let refined = run_ordered_scratch(scratches, plans.len(), |u, scratch| {
+        let missing = &plans[u].missing;
+        if missing.is_empty() {
+            return (Vec::new(), ReadLog::default());
+        }
+        let mut reader = acct.reader(tree);
+        let vor = &mut scratch.vor;
+        let cells = batch_voronoi_with(&mut reader, missing, &env.domain, env.layout, vor);
+        (cells, reader.finish())
+    });
     gate(refined.iter().map(|(_, log)| log))?;
     Ok(refined)
 }
@@ -569,9 +611,10 @@ pub(crate) fn refine_through_cache(
     cache: &mut CellCache,
     units: &[&[PointObject]],
     env: &UnitEnv,
+    scratches: &mut [UnitScratch],
 ) -> Result<Vec<UnitCells>, PageIoError> {
     let plans: Vec<UnitPlan> = units.iter().map(|c| policy_pass(cache, c)).collect();
-    let refined = refine_missing(acct, tree, &plans, env)?;
+    let refined = refine_missing(acct, tree, &plans, env, scratches)?;
     Ok(units
         .iter()
         .zip(plans)

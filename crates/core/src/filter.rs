@@ -81,18 +81,36 @@
 //!    [`cij_geom::grid`] argues why the ring bound and the reported bucket
 //!    extent stay lower bounds for them. The grid only orders and skips
 //!    clips that the reach argument already proved to be no-ops.
-//! 3. **Convexity of the tolerant Φ set.** Ingredient 3 accepts a vertex
-//!    `b` when `dist²(b, p) − mindist²(L, b) ≤ EPS`. The left side is
-//!    `max over l ∈ L of (|b − p|² − |b − l|²)`, a maximum of functions
-//!    affine in `b`, hence convex, so the accepted set is convex. If the
-//!    four corners of the probe polygons' union bounding box are accepted
-//!    for all four sides of an entry under one candidate, every vertex of
-//!    every polygon is, and the per-polygon rule would have pruned the
-//!    entry too. The group-level test therefore only ever answers `true`
-//!    where the per-polygon loop does and falls through to it otherwise
-//!    (the corners are held to a slightly stricter bound than the vertices,
-//!    so that rounding cannot turn the implication around):
-//!    [`FilterStats::entries_pruned`] and the traversal are unchanged.
+//! 3. **One shield decision, priced once per entry.** Ingredient 3 accepts a
+//!    vertex `b` of `T` for side `L` and candidate `p` when
+//!    `dist²(b, p) ≤ fl(mindist²(L, b) + EPS)`, and prunes an entry when
+//!    every polygon has some candidate accepting all its vertices for all
+//!    four sides. Two observations let the test cost less than
+//!    polygons × candidates × sides × vertices without moving a decision:
+//!    * *Convexity of the tolerant Φ set.* `dist²(b, p) − mindist²(L, b)`
+//!      is `max over l ∈ L of (|b − p|² − |b − l|²)`, a maximum of
+//!      functions affine in `b`, hence convex, so the accepted set is
+//!      convex. If the four corners of the probe polygons' union bounding
+//!      box are accepted for all four sides of an entry under one
+//!      candidate, every vertex of every polygon is, and the per-polygon
+//!      rule would have pruned the entry too. The group-level test
+//!      therefore only ever answers `true` where the per-polygon rule does
+//!      and falls through to it otherwise (the corners are held to a
+//!      slightly stricter bound than the vertices, so that rounding cannot
+//!      turn the implication around).
+//!    * *Monotone rounding.* "Accepted for all four sides" is
+//!      `dist²(b, p) ≤ min over L of fl(m_L + EPS)` with
+//!      `m_L = mindist²(L, b)`. Rounding is monotone — `x ≤ y` implies
+//!      `fl(x + EPS) ≤ fl(y + EPS)` — so the minimum commutes with it:
+//!      `min_L fl(m_L + EPS) = fl(min_L m_L + EPS)`, evaluated bit for bit.
+//!      The right-hand side does not mention the candidate, so the
+//!      per-polygon rule computes it once per entry and polygon vertex (the
+//!      bound table) and each candidate costs one squared distance per
+//!      vertex instead of four segment distances.
+//!
+//!    [`FilterStats::entries_pruned`] and the traversal are unchanged by
+//!    both; the four-sided rule survives as the reference the tests compare
+//!    against.
 //!
 //! [`FilterKernel`]: crate::config::FilterKernel
 //! [`FilterKernel::Scan`]: crate::config::FilterKernel::Scan
@@ -104,6 +122,7 @@ use cij_pagestore::PageId;
 use cij_rtree::{LeafLayout, MinDistHeap, MinHeapItem, Node, NodeArena, NodeReader, PointObject};
 use cij_voronoi::{bisector_cuts, cell_reach_sq};
 
+#[derive(Debug)]
 enum HeapEntry {
     Node { page: PageId, mbr: Rect },
     Point(PointObject),
@@ -181,9 +200,11 @@ impl FilterOptions {
 
 /// Reusable per-worker scratch of the filter: the node decode arena, the
 /// polygon clipping ping-pong buffers and the approximate-cell working
-/// polygon of the SoA path, and the indexed kernel's candidate grid (either
-/// layout). Allocate one per worker, reuse it across every filter
-/// invocation the worker issues; contents between calls are unspecified.
+/// polygon of the SoA path, the indexed kernel's two grids, and the
+/// traversal's own working storage (either layout). Allocate one per
+/// worker, reuse it across every filter invocation the worker issues: each
+/// call clears what it uses instead of rebuilding it. Contents between
+/// calls are unspecified.
 #[derive(Debug, Default)]
 pub struct FilterScratch {
     /// SoA node decode target.
@@ -196,6 +217,18 @@ pub struct FilterScratch {
     /// ([`PointGrid::reset`]), so its buckets are allocated once per worker
     /// rather than once per invocation.
     pub grid: PointGrid,
+    /// The best-first traversal queue (every call drains it).
+    heap: MinDistHeap<HeapEntry>,
+    /// Positions, in the call's polygon slice, of its non-empty polygons.
+    usable: Vec<u32>,
+    /// Their centroids and bounding boxes.
+    centers: Vec<Point>,
+    poly_bboxes: Vec<Rect>,
+    /// The indexed kernel's overlap index of `poly_bboxes`
+    /// ([`RectGrid::rebuild`]).
+    polyidx: RectGrid,
+    /// The shield test's bound table for the polygon under test.
+    shield_bounds: Vec<f64>,
 }
 
 impl FilterScratch {
@@ -210,17 +243,35 @@ impl FilterScratch {
     }
 }
 
-/// The per-kernel state of one filter invocation. The indexed kernel's
-/// other index — accepted candidates, bucketed by position for ring
-/// queries — is [`FilterScratch::grid`].
+/// The kernel of one filter invocation. The indexed kernel's two indexes —
+/// accepted candidates bucketed by position for ring queries, probe-polygon
+/// bboxes bucketed for overlap queries — live in the [`FilterScratch`].
+#[derive(Clone, Copy)]
 enum KernelState {
     Scan,
     Indexed {
-        /// Probe-polygon bboxes, bucketed for overlap queries.
-        polyidx: RectGrid,
         /// Whether the candidate grid doubles its resolution under load.
         adaptive: bool,
     },
+}
+
+/// The non-empty probe polygons of one call: the caller's slice seen
+/// through the positions of its usable members.
+#[derive(Clone, Copy)]
+struct Probes<'a> {
+    polys: &'a [ConvexPolygon],
+    usable: &'a [u32],
+}
+
+impl<'a> Probes<'a> {
+    fn get(&self, i: usize) -> &'a ConvexPolygon {
+        &self.polys[self.usable[i] as usize]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &'a ConvexPolygon> + 'a {
+        let polys = self.polys;
+        self.usable.iter().map(move |&i| &polys[i as usize])
+    }
 }
 
 /// Runs the (batch) conditional filter under default options: returns every
@@ -256,12 +307,14 @@ pub fn batch_conditional_filter_with<T: NodeReader<PointObject>>(
 }
 
 /// [`batch_conditional_filter_with`] writing through a caller-owned
-/// [`FilterScratch`]: the SoA layout decodes nodes into `scratch.arena` and
-/// computes approximate cells in `scratch.cell` via the in-place clipping
-/// kernels, so a worker that keeps one scratch alive performs no per-unit
-/// allocation in this function's hot loop. The AoS layout ignores the
-/// scratch and runs the historical owned-node/allocating path; results and
-/// page accesses are byte-identical either way.
+/// [`FilterScratch`]: the traversal queue, the polygon tables and both
+/// grids are the scratch's, cleared and refilled per call, and the SoA
+/// layout also decodes nodes into `scratch.arena` and computes approximate
+/// cells in `scratch.cell` via the in-place clipping kernels — so a worker
+/// that keeps one scratch alive allocates only the four-vertex seed box and
+/// the candidate list it returns. The AoS layout leaves the arena and the cell alone and
+/// reads owned nodes and clips into fresh polygons, as it always did;
+/// results and page accesses are byte-identical either way.
 pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
     rp: &mut T,
     polys: &[ConvexPolygon],
@@ -271,19 +324,36 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
 ) -> (Vec<PointObject>, FilterStats) {
     let mut stats = FilterStats::default();
     let mut candidates: Vec<PointObject> = Vec::new();
-    let usable: Vec<&ConvexPolygon> = polys.iter().filter(|t| !t.is_empty()).collect();
+    let FilterScratch {
+        arena,
+        clip,
+        cell: scratch_cell,
+        grid,
+        heap,
+        usable,
+        centers,
+        poly_bboxes,
+        polyidx,
+        shield_bounds,
+    } = scratch;
+    usable.clear();
+    usable.extend((0..polys.len() as u32).filter(|&i| !polys[i as usize].is_empty()));
     if rp.is_empty() || usable.is_empty() {
         return (candidates, stats);
     }
+    let probes = Probes { polys, usable };
 
     // Reference point for the traversal order: centroid of the polygons'
     // centroids.
-    let centers: Vec<Point> = usable.iter().filter_map(|t| t.centroid()).collect();
-    let centroid = Point::centroid(&centers).unwrap_or_else(|| domain.center());
+    centers.clear();
+    centers.extend(probes.iter().filter_map(|t| t.centroid()));
+    let centroid = Point::centroid(centers).unwrap_or_else(|| domain.center());
 
     // Bounding boxes of the polygons, for the cheap "does e intersect some T"
     // test that forbids pruning.
-    let poly_bboxes: Vec<Rect> = usable.iter().map(|t| t.bbox()).collect();
+    poly_bboxes.clear();
+    poly_bboxes.extend(probes.iter().map(|t| t.bbox()));
+    let poly_bboxes = &poly_bboxes[..];
 
     // The probe group's bounds `B`: the polygons' union bbox, padded and
     // cut to the domain. Every approximate cell is seeded from it and the
@@ -302,11 +372,11 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
     let seed = ConvexPolygon::from_rect(&bound);
     let group_corners = group_bbox.corners();
 
-    let mut kernel = match options.kernel {
+    let kernel = match options.kernel {
         FilterKernel::Scan => KernelState::Scan,
         FilterKernel::Indexed => {
             let adaptive = options.grid_resolution == 0;
-            scratch.grid.reset(
+            grid.reset(
                 &bound,
                 if adaptive {
                     ADAPTIVE_GRID_START
@@ -314,21 +384,19 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
                     options.grid_resolution
                 },
             );
-            KernelState::Indexed {
-                polyidx: RectGrid::build(&poly_bboxes),
-                adaptive,
-            }
+            polyidx.rebuild(poly_bboxes);
+            KernelState::Indexed { adaptive }
         }
     };
 
-    let mut heap: MinDistHeap<HeapEntry> = MinDistHeap::new();
+    heap.clear();
     // The root is read up front (Algorithm 5, line 4) and its entries seeded.
     let root = rp.root_page();
     match options.layout {
-        LeafLayout::Aos => enqueue_node(&mut heap, &centroid, rp.read(root)),
+        LeafLayout::Aos => enqueue_node(heap, &centroid, rp.read(root)),
         LeafLayout::Soa => {
-            scratch.arena.load(&mut *rp, root);
-            enqueue_arena(&mut heap, &centroid, &scratch.arena);
+            arena.load(&mut *rp, root);
+            enqueue_arena(heap, &centroid, arena);
         }
     }
 
@@ -343,61 +411,56 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
                 let cell_owned;
                 let cell: &ConvexPolygon = match options.layout {
                     LeafLayout::Aos => {
-                        cell_owned = match &mut kernel {
+                        cell_owned = match kernel {
                             KernelState::Scan => {
                                 approx_cell_scan(&seed, &p, &candidates, &mut stats)
                             }
-                            KernelState::Indexed { .. } => approx_cell_indexed(
-                                &seed,
-                                &p,
-                                &candidates,
-                                &scratch.grid,
-                                &mut stats,
-                            ),
+                            KernelState::Indexed { .. } => {
+                                approx_cell_indexed(&seed, &p, &candidates, grid, &mut stats)
+                            }
                         };
                         &cell_owned
                     }
                     LeafLayout::Soa => {
-                        match &mut kernel {
+                        match kernel {
                             KernelState::Scan => approx_cell_scan_into(
                                 &seed,
                                 &p,
                                 &candidates,
                                 &mut stats,
-                                &mut scratch.cell,
-                                &mut scratch.clip,
+                                scratch_cell,
+                                clip,
                             ),
                             KernelState::Indexed { .. } => approx_cell_indexed_into(
                                 &seed,
                                 &p,
                                 &candidates,
-                                &scratch.grid,
+                                grid,
                                 &mut stats,
-                                &mut scratch.cell,
-                                &mut scratch.clip,
+                                scratch_cell,
+                                clip,
                             ),
                         }
-                        &scratch.cell
+                        scratch_cell
                     }
                 };
-                let joins = match &mut kernel {
-                    KernelState::Scan => usable
+                let joins = match kernel {
+                    KernelState::Scan => probes
                         .iter()
-                        .zip(&poly_bboxes)
+                        .zip(poly_bboxes)
                         .any(|(t, bb)| cell.bbox().intersects(bb) && cell.intersects(t)),
-                    KernelState::Indexed { polyidx, .. } => {
+                    KernelState::Indexed { .. } => {
                         let cbb = cell.bbox();
                         any_indexed(polyidx, &cbb, &mut stats, |i| {
-                            cbb.intersects(&poly_bboxes[i]) && cell.intersects(usable[i])
+                            cbb.intersects(&poly_bboxes[i]) && cell.intersects(probes.get(i))
                         })
                     }
                 };
                 if joins {
                     candidates.push(p);
-                    if let KernelState::Indexed { adaptive, .. } = &kernel {
-                        let grid = &mut scratch.grid;
+                    if let KernelState::Indexed { adaptive } = kernel {
                         grid.insert(&p.point, candidates.len() as u32 - 1);
-                        if *adaptive && grid.needs_growth() {
+                        if adaptive && grid.needs_growth() {
                             grid.grow(|i| candidates[i as usize].point);
                         }
                     }
@@ -406,26 +469,26 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
             HeapEntry::Node { page, mbr } => {
                 // A node whose MBR intersects some polygon may contain points
                 // inside it; it can never be pruned.
-                let touches_some_poly = match &mut kernel {
-                    KernelState::Scan => usable
+                let touches_some_poly = match kernel {
+                    KernelState::Scan => probes
                         .iter()
-                        .zip(&poly_bboxes)
+                        .zip(poly_bboxes)
                         .any(|(t, bb)| mbr.intersects(bb) && t.intersects_rect(&mbr)),
-                    KernelState::Indexed { polyidx, .. } => {
-                        any_indexed(polyidx, &mbr, &mut stats, |i| {
-                            mbr.intersects(&poly_bboxes[i]) && usable[i].intersects_rect(&mbr)
-                        })
-                    }
+                    KernelState::Indexed { .. } => any_indexed(polyidx, &mbr, &mut stats, |i| {
+                        mbr.intersects(&poly_bboxes[i]) && probes.get(i).intersects_rect(&mbr)
+                    }),
                 };
-                if !touches_some_poly && is_shielded(&mbr, &group_corners, &usable, &candidates) {
+                if !touches_some_poly
+                    && is_shielded(&mbr, &group_corners, probes, &candidates, shield_bounds)
+                {
                     stats.entries_pruned += 1;
                     continue;
                 }
                 match options.layout {
-                    LeafLayout::Aos => enqueue_node(&mut heap, &centroid, rp.read(page)),
+                    LeafLayout::Aos => enqueue_node(heap, &centroid, rp.read(page)),
                     LeafLayout::Soa => {
-                        scratch.arena.load(&mut *rp, page);
-                        enqueue_arena(&mut heap, &centroid, &scratch.arena);
+                        arena.load(&mut *rp, page);
+                        enqueue_arena(heap, &centroid, arena);
                     }
                 }
             }
@@ -693,8 +756,9 @@ const SHIELD_CORNER_GUARD: f64 = 1e-9;
 fn is_shielded(
     mbr: &Rect,
     group_corners: &[Point; 4],
-    polys: &[&ConvexPolygon],
+    probes: Probes<'_>,
     candidates: &[PointObject],
+    bounds: &mut Vec<f64>,
 ) -> bool {
     if candidates.is_empty() {
         return false;
@@ -703,25 +767,72 @@ fn is_shielded(
     // A corner is in Φ(L, p) for all four sides iff it is as close to `p`
     // as to the nearest side, so one squared distance per corner — the
     // same for every candidate — stands for the four.
-    let to_entry = group_corners.map(|b| {
-        sides
-            .iter()
-            .map(|l| l.mindist_point_sq(&b))
-            .fold(f64::INFINITY, f64::min)
-    });
+    let to_entry = group_corners.map(|b| entry_mindist_sq(&sides, &b));
     let group_shielded = candidates.iter().any(|p| {
         group_corners.iter().zip(&to_entry).all(|(b, &m)| {
             let d = b.dist_sq(&p.point);
             d + SHIELD_CORNER_GUARD * (1.0 + d + m) <= m
         })
     });
-    group_shielded || is_shielded_per_polygon(&sides, polys, candidates)
+    group_shielded || is_shielded_per_polygon(&sides, probes, candidates, bounds)
 }
 
-/// The per-polygon shield rule [`is_shielded`] falls through to (and its
-/// reference in tests): every polygon has *some* candidate, not necessarily
-/// the same one, whose Φ regions of all `sides` contain it.
+/// `min over the entry's four sides L of mindist²(L, b)`.
+fn entry_mindist_sq(sides: &[Segment; 4], b: &Point) -> f64 {
+    sides
+        .iter()
+        .map(|l| l.mindist_point_sq(b))
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The per-polygon shield rule [`is_shielded`] falls through to: every
+/// polygon has *some* candidate, not necessarily the same one, whose Φ
+/// regions of all `sides` contain it. `bounds` is working storage.
 fn is_shielded_per_polygon(
+    sides: &[Segment; 4],
+    probes: Probes<'_>,
+    candidates: &[PointObject],
+    bounds: &mut Vec<f64>,
+) -> bool {
+    probes
+        .iter()
+        .all(|t| polygon_shielded(sides, t, candidates, bounds))
+}
+
+/// Whether some candidate holds every vertex of `t` in its Φ regions of all
+/// four `sides`: `dist²(v, p) ≤ fl(m(v) + EPS)` with `m(v)` the entry-side
+/// bound [`entry_mindist_sq`], tabulated once per entry in `bounds` — the
+/// four-sided [`cij_geom::polygon_within_phi`] rule, priced per entry
+/// instead of per candidate (module docs, invariant 3).
+fn polygon_shielded(
+    sides: &[Segment; 4],
+    t: &ConvexPolygon,
+    candidates: &[PointObject],
+    bounds: &mut Vec<f64>,
+) -> bool {
+    if t.is_empty() {
+        // An empty region certifies nothing (`polygon_within_phi`).
+        return false;
+    }
+    let vertices = t.vertices();
+    bounds.clear();
+    bounds.extend(
+        vertices
+            .iter()
+            .map(|v| entry_mindist_sq(sides, v) + cij_geom::EPS),
+    );
+    candidates.iter().any(|p| {
+        vertices
+            .iter()
+            .zip(bounds.iter())
+            .all(|(v, &bound)| v.dist_sq(&p.point) <= bound)
+    })
+}
+
+/// The four-sided per-polygon rule as the paper states it — the reference
+/// [`is_shielded_per_polygon`] is tested against.
+#[cfg(test)]
+fn is_shielded_four_sided(
     sides: &[Segment; 4],
     polys: &[&ConvexPolygon],
     candidates: &[PointObject],
@@ -891,9 +1002,55 @@ mod tests {
         let mbr = Rect::from_coords(9_000.0, 9_000.0, 9_100.0, 9_100.0);
         let t = ConvexPolygon::from_rect(&Rect::from_coords(0.0, 0.0, 100.0, 100.0));
         let corners = t.bbox().corners();
-        assert!(!is_shielded(&mbr, &corners, &[&t], &[]));
+        let polys = [t];
+        let probes = all_probes(&polys, &[0]);
+        let bounds = &mut Vec::new();
+        assert!(!is_shielded(&mbr, &corners, probes, &[], bounds));
         let shield = PointObject::new(0, Point::new(4_000.0, 4_000.0));
-        assert!(is_shielded(&mbr, &corners, &[&t], &[shield]));
+        assert!(is_shielded(&mbr, &corners, probes, &[shield], bounds));
+    }
+
+    /// Every polygon of `polys` as a probe, empty ones included (`usable`
+    /// must be `0..polys.len()`).
+    fn all_probes<'a>(polys: &'a [ConvexPolygon], usable: &'a [u32]) -> Probes<'a> {
+        assert!(usable.iter().map(|&i| i as usize).eq(0..polys.len()));
+        Probes { polys, usable }
+    }
+
+    /// A triangle whose apex sits `delta` (in squared-distance units, up to
+    /// rounding) outside the Φ boundary of the left side of `mbr` under the
+    /// candidate `p` — on it for `delta = 0`, inside for negative values —
+    /// while its other two vertices are well inside. `p` must lie left of
+    /// the entry, level with it.
+    fn boundary_triangle(mbr: &Rect, p: &Point, delta: f64) -> ConvexPolygon {
+        let gap = mbr.lo.x - p.x;
+        assert!(gap > 100.0 && p.y >= mbr.lo.y && p.y <= mbr.hi.y);
+        // dist²(v, p) − mindist²(L, v) = (2·v.x − p.x − L.x)·(L.x − p.x)
+        // for a vertex level with `p` between `p` and the side `L`.
+        let apex = Point::new((p.x + mbr.lo.x + delta / gap) / 2.0, p.y);
+        ConvexPolygon::new(vec![
+            Point::new(apex.x - 30.0, apex.y - 10.0),
+            apex,
+            Point::new(apex.x - 30.0, apex.y + 10.0),
+        ])
+    }
+
+    #[test]
+    fn boundary_triangles_straddle_the_phi_tolerance() {
+        let mbr = Rect::from_coords(7_000.0, 3_000.0, 7_300.0, 3_400.0);
+        let p = PointObject::new(0, Point::new(6_100.0, 3_200.0));
+        let sides = mbr.sides();
+        for (steps, expected) in [(-2, true), (0, true), (2, false)] {
+            let polys = [boundary_triangle(
+                &mbr,
+                &p.point,
+                f64::from(steps) * cij_geom::EPS,
+            )];
+            let bounds = &mut Vec::new();
+            let tabled = is_shielded_per_polygon(&sides, all_probes(&polys, &[0]), &[p], bounds);
+            assert_eq!(tabled, expected, "apex {steps} EPS past the boundary");
+            assert_eq!(tabled, is_shielded_four_sided(&sides, &[&polys[0]], &[p]));
+        }
     }
 
     /// A random shield-test instance: a group of convex polygons inside a
@@ -1012,11 +1169,73 @@ mod tests {
             placement in 0usize..4,
         ) {
             let (mbr, polys, candidates) = shield_instance(seed, n_polys, n_cands, placement);
-            let usable: Vec<&ConvexPolygon> = polys.iter().collect();
+            let usable: Vec<u32> = (0..polys.len() as u32).collect();
             let group = polys.iter().fold(Rect::empty(), |acc, t| acc.union(&t.bbox()));
-            let with_fast_path = is_shielded(&mbr, &group.corners(), &usable, &candidates);
-            let plain = is_shielded_per_polygon(&mbr.sides(), &usable, &candidates);
+            let with_fast_path = is_shielded(
+                &mbr,
+                &group.corners(),
+                all_probes(&polys, &usable),
+                &candidates,
+                &mut Vec::new(),
+            );
+            let refs: Vec<&ConvexPolygon> = polys.iter().collect();
+            let plain = is_shielded_four_sided(&mbr.sides(), &refs, &candidates);
             prop_assert_eq!(with_fast_path, plain);
+        }
+
+        /// The bound table never changes the per-polygon decision: over a
+        /// sequence of entries sharing one table — whatever the previous
+        /// entry and polygon left in it — with candidate lists that grow
+        /// and shrink, an empty polygon in the group and apexes within
+        /// ±2 EPS of a Φ boundary, every answer equals the four-sided
+        /// `polygon_within_phi` rule.
+        #[test]
+        fn tabled_shield_test_equals_the_four_sided_rule(
+            seed in 0u64..1_000_000,
+            n_polys in 1usize..7,
+            n_cands in 1usize..14,
+            steps in 2usize..8,
+            with_empty in 0usize..3,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+            let (_, mut polys, mut candidates) = shield_instance(seed, n_polys, n_cands, 0);
+            // One entry/candidate pair with apexes straddling its Φ boundary.
+            let edge_mbr = {
+                let x = rng.gen_range(6_000.0..9_000.0f64).round();
+                let y = rng.gen_range(1_000.0..8_000.0f64).round();
+                Rect::from_coords(x, y, x + 300.0, y + 400.0)
+            };
+            let edge_cand = Point::new(
+                edge_mbr.lo.x - rng.gen_range(200.0..3_000.0f64).round(),
+                edge_mbr.lo.y + rng.gen_range(0.0..400.0f64).round(),
+            );
+            for _ in 0..rng.gen_range(1..4) {
+                let delta = f64::from(rng.gen_range(-2i32..=2)) * cij_geom::EPS;
+                let at = rng.gen_range(0..=polys.len());
+                polys.insert(at, boundary_triangle(&edge_mbr, &edge_cand, delta));
+            }
+            let at = rng.gen_range(0..=candidates.len());
+            candidates.insert(at, PointObject::new(1_000, edge_cand));
+            if with_empty == 0 {
+                let at = rng.gen_range(0..=polys.len());
+                polys.insert(at, ConvexPolygon::empty());
+            }
+            let usable: Vec<u32> = (0..polys.len() as u32).collect();
+            let refs: Vec<&ConvexPolygon> = polys.iter().collect();
+            let mut bounds = vec![f64::NAN; 3];
+            for step in 0..steps {
+                let mbr = if step % 2 == 1 {
+                    edge_mbr
+                } else {
+                    shield_instance(seed + step as u64, n_polys, 0, rng.gen_range(0..4)).0
+                };
+                // Candidate lists grow *and* shrink along the sequence.
+                let cands = &candidates[..rng.gen_range(0..=candidates.len())];
+                let sides = mbr.sides();
+                let probes = all_probes(&polys, &usable);
+                let tabled = is_shielded_per_polygon(&sides, probes, cands, &mut bounds);
+                prop_assert_eq!(tabled, is_shielded_four_sided(&sides, &refs, cands));
+            }
         }
     }
 

@@ -49,6 +49,38 @@
 //! (they are intersections of neighbouring cells), which is what makes the
 //! per-leaf batch probe effective.
 //!
+//! # Partial tuples
+//!
+//! Between two rounds the live partial tuples of one leaf are one
+//! struct-of-arrays table (`Partials`): the ids flat in one `Vec<u64>` with
+//! stride = rounds done, the regions in one `Vec<ConvexPolygon>`. A round
+//! costs per region what it does per region, not per region × use:
+//!
+//! * the filter phase **borrows** the table's regions as the probe slice —
+//!   nothing is cloned to call it;
+//! * narrowing ([`ConvexPolygon::intersection_into`]) clips in the worker's
+//!   [`ClipScratch`] and copies only a non-empty result into the next
+//!   table's next outline buffer, so an attempt that comes out empty costs
+//!   no allocation and no copy, and an outline buffer only ever grows to
+//!   the largest *result* it has held;
+//! * the tables themselves are recycled. The stream owns a free list: a
+//!   round takes its output tables from it, a table goes back — outline
+//!   buffers and all — once the round that read it is done or the consumer
+//!   has pulled its last tuple, trimmed to the buffers its last use filled
+//!   so the list tracks what recent leaves needed rather than the largest
+//!   leaf ever seen. At most two tables per leaf of a chunk are in flight,
+//!   so the list is bounded by the chunk width. Seed tables are the one
+//!   exception: their regions are the exact-size cells refinement returned,
+//!   and they are dropped after round 1.
+//!
+//! An owned [`MultiwayTuple`] — two heap objects by its public shape — is
+//! built in exactly one place, [`Iterator::next`]: a finished leaf queues
+//! its final *table*, and each pull copies one row out (ids permuted back to
+//! input order, the region an exact-size copy of its outline). Tuples the
+//! consumer never pulls are never built, a buffered chunk is held once
+//! rather than once as tables and once as tuples, and the outline buffers
+//! stay with the stream.
+//!
 //! # Streaming
 //!
 //! [`TupleStream`] is the multiway analogue of
@@ -84,6 +116,7 @@
 //!
 //! [`batch_conditional_filter`]: crate::filter::batch_conditional_filter
 //! [`CellCache`]: crate::cell_cache::CellCache
+//! [`ClipScratch`]: cij_geom::ClipScratch
 //! [`CijConfig::worker_threads`]: crate::config::CijConfig::worker_threads
 //! [`CijConfig::multiway_driver`]: crate::config::CijConfig::multiway_driver
 //! [`CijConfig::multiway_prune`]: crate::config::CijConfig::multiway_prune
@@ -91,14 +124,14 @@
 
 use crate::cell_cache::CellCache;
 use crate::chunk::{
-    gate, refine_through_cache, run_ordered, run_ordered_scratch, Accounting, CacheTally,
-    LeafCursor, UnitEnv,
+    gate, refine_through_cache, run_ordered, run_ordered_scratch, run_ordered_units, Accounting,
+    CacheTally, LeafCursor, UnitEnv, UnitScratch,
 };
 use crate::config::{CijConfig, MultiwayDriver};
-use crate::filter::{batch_conditional_filter_scratch, FilterScratch, FilterStats};
+use crate::filter::{batch_conditional_filter_scratch, FilterStats};
 use crate::stats::{LeafWatermark, MultiwayCounters, ProgressSample};
 use crate::workload::{pick_driver, MultiwayWorkload};
-use cij_geom::{ConvexPolygon, Point, Rect};
+use cij_geom::{ClipScratch, ConvexPolygon, Point, Rect};
 use cij_pagestore::PageIoError;
 use cij_rtree::{NodeReader, PointObject, RTree, ReadLog};
 use cij_voronoi::brute_force_diagram;
@@ -203,6 +236,92 @@ impl LeafLedger {
     }
 }
 
+/// The live partial tuples of one leaf between two rounds, as a struct of
+/// arrays (module docs, "Partial tuples"): the filter borrows
+/// [`Partials::regions`] as they are, narrowing writes the next round's
+/// regions into the outline buffers a recycled table brings along, and no
+/// per-tuple heap object exists before emission.
+#[derive(Debug, Default)]
+struct Partials {
+    /// Ids per tuple: the rounds done so far, seeding included.
+    stride: usize,
+    /// Live tuples.
+    len: usize,
+    /// `len × stride` point ids, tuple-major, in evaluation order.
+    ids: Vec<u64>,
+    /// `[..len]` are the live regions; the rest are outline buffers left
+    /// from the table's earlier use, which narrowing overwrites.
+    outlines: Vec<ConvexPolygon>,
+}
+
+impl Partials {
+    /// Round 0: one single-id tuple per point of `group`, its region the
+    /// point's cell (`cells` aligned with `group`).
+    fn seeded(group: &[PointObject], cells: Vec<ConvexPolygon>) -> Self {
+        debug_assert_eq!(group.len(), cells.len());
+        Partials {
+            stride: 1,
+            len: group.len(),
+            ids: group.iter().map(|obj| obj.id.0).collect(),
+            outlines: cells,
+        }
+    }
+
+    /// The live regions, tuple order.
+    fn regions(&self) -> &[ConvexPolygon] {
+        &self.outlines[..self.len]
+    }
+
+    /// The ids of tuple `j`, evaluation order.
+    fn ids_of(&self, j: usize) -> &[u64] {
+        &self.ids[j * self.stride..(j + 1) * self.stride]
+    }
+}
+
+/// One leaf's extension step: narrows each region of `cur` by every
+/// candidate cell (`cells` aligned with `candidates`), keeping the non-empty
+/// intersections as the tuples of `next` — whatever `next` held is
+/// overwritten, its outline buffers reused — and returns the number of
+/// narrowings skipped. With `prune`, bbox-disjoint combinations are skipped
+/// outright — their polygon intersection would be empty anyway (touching
+/// bboxes still intersect, so degenerate contacts take the exact path).
+fn extend_into(
+    cur: &Partials,
+    candidates: &[PointObject],
+    cells: &[ConvexPolygon],
+    prune: bool,
+    clip: &mut ClipScratch,
+    next: &mut Partials,
+) -> u64 {
+    next.stride = cur.stride + 1;
+    next.len = 0;
+    next.ids.clear();
+    let cell_bboxes: Vec<Rect> = cells.iter().map(|c| c.bbox()).collect();
+    let mut skipped = 0u64;
+    for (j, region) in cur.regions().iter().enumerate() {
+        let region_bbox = region.bbox();
+        for ((cand, cell), cell_bbox) in candidates.iter().zip(cells).zip(&cell_bboxes) {
+            if prune && !region_bbox.intersects(cell_bbox) {
+                skipped += 1;
+                continue;
+            }
+            if next.outlines.len() == next.len {
+                next.outlines.push(ConvexPolygon::empty());
+            }
+            // A narrowing that comes out empty leaves its buffer to the
+            // next attempt.
+            let out = &mut next.outlines[next.len];
+            region.intersection_into(cell, clip, out);
+            if !out.is_empty() {
+                next.ids.extend_from_slice(cur.ids_of(j));
+                next.ids.push(cand.id.0);
+                next.len += 1;
+            }
+        }
+    }
+    skipped
+}
+
 /// A lazy pull-based stream of multiway CIJ result tuples — the k-way
 /// analogue of [`PairStream`](crate::engine::PairStream).
 ///
@@ -230,12 +349,24 @@ pub struct TupleStream<'a> {
     /// One reuse buffer per input set (the driver included: seeding goes
     /// through the cache like every extension round).
     caches: Vec<CellCache>,
-    pending: VecDeque<MultiwayTuple>,
+    /// One unit scratch per pool worker, lent to every parallel phase of
+    /// every chunk.
+    scratches: Vec<UnitScratch>,
+    /// Free list of partial-tuple tables: emitted or superseded tables wait
+    /// here, outline buffers and all, for the next extension round. At most
+    /// two tables per leaf of a chunk are ever in flight, so the list stops
+    /// growing after the first full-width chunk.
+    spare: Vec<Partials>,
+    /// The final tables of completed leaves, leaf order; the consumer's
+    /// pulls build the owned tuples off the front one.
+    pending: VecDeque<Partials>,
+    /// Tuples of `pending`'s front table already pulled.
+    pulled: usize,
     counters: MultiwayCounters,
     progress: Vec<ProgressSample>,
     watermarks: Vec<LeafWatermark>,
-    /// Tuples pushed into `pending` so far (cumulative, ahead of `emitted`
-    /// by the buffered tuples).
+    /// Tuples of every table pushed into `pending` so far (cumulative, ahead
+    /// of `emitted` by the buffered tuples).
     produced: u64,
     /// Tuples pulled by the consumer so far.
     emitted: u64,
@@ -323,14 +454,18 @@ impl<'a> TupleStream<'a> {
             Ok(leaves) => (leaves, None),
             Err(e) => (Vec::new(), Some(e)),
         };
+        let env = UnitEnv::new(config, acct.tree(driver).config().node_byte_budget());
         TupleStream {
-            env: UnitEnv::new(config, acct.tree(driver).config().node_byte_budget()),
+            env,
             acct,
             prune: config.multiway_prune,
             eval_order,
             cursor: LeafCursor::new(leaves),
             caches,
+            scratches: UnitScratch::per_worker(&env),
+            spare: Vec::new(),
             pending: VecDeque::new(),
+            pulled: 0,
             counters: MultiwayCounters::for_sets(k),
             progress: Vec::new(),
             watermarks: Vec::new(),
@@ -451,87 +586,97 @@ impl<'a> TupleStream<'a> {
 
         // Seed (round 0): the leaf's own cells through the driver's cache —
         // one unit per leaf whose candidates are the leaf's points.
+        let scratches = &mut self.scratches[..];
         let units: Vec<&[PointObject]> = groups.iter().map(|g| &g[..]).collect();
-        let seeded = refine_through_cache(acct, driver, &mut self.caches[driver], &units, &env)?;
-        let mut partials: Vec<Vec<MultiwayTuple>> = groups
+        let seeded = refine_through_cache(
+            acct,
+            driver,
+            &mut self.caches[driver],
+            &units,
+            &env,
+            scratches,
+        )?;
+        let mut partials: Vec<Partials> = groups
             .iter()
             .zip(seeded)
             .zip(&mut ledgers)
             .map(|((group, unit), ledger)| {
                 ledger.cache[driver] = unit.tally;
                 ledger.logs.push((driver, unit.log));
-                let seed = |(obj, cell): (&PointObject, ConvexPolygon)| MultiwayTuple {
-                    ids: vec![obj.id.0],
-                    region: cell,
-                };
-                group.iter().zip(unit.cells).map(seed).collect()
+                Partials::seeded(group, unit.cells)
             })
             .collect();
 
         // Extension rounds: one per remaining set, in evaluation order.
         for &set_idx in &self.eval_order[1..] {
             // Filter (parallel, per leaf with live partials): ONE
-            // batch_conditional_filter call carrying every region of the
-            // leaf, each worker reusing one filter scratch. The gate keeps
-            // a failed pass's partial candidate lists out of the policy.
-            let filtered: Vec<(Vec<PointObject>, FilterStats, ReadLog)> = run_ordered_scratch(
-                env.workers,
-                n,
-                || FilterScratch::for_budget(env.budget),
-                |i, scratch| {
-                    if partials[i].is_empty() {
+            // batch_conditional_filter call borrowing every region of the
+            // leaf. The gate keeps a failed pass's partial candidate lists
+            // out of the policy.
+            let filtered: Vec<(Vec<PointObject>, FilterStats, ReadLog)> =
+                run_ordered_scratch(scratches, n, |i, scratch| {
+                    let regions = partials[i].regions();
+                    if regions.is_empty() {
                         return Default::default();
                     }
-                    let regions: Vec<ConvexPolygon> =
-                        partials[i].iter().map(|t| t.region.clone()).collect();
                     let mut reader = acct.reader(set_idx);
                     let (candidates, stats) = batch_conditional_filter_scratch(
                         &mut reader,
-                        &regions,
+                        regions,
                         &env.domain,
                         &env.filter_options,
-                        scratch,
+                        &mut scratch.filter,
                     );
                     (candidates, stats, reader.finish())
-                },
-            );
+                });
             gate(filtered.iter().map(|(_, _, log)| log))?;
 
             // Cache policy → refine → resolve on the set's cache. A leaf
             // with no live partials has no candidates: its unit is a no-op
             // that still captures the eviction count at its position.
             let units: Vec<&[PointObject]> = filtered.iter().map(|f| &f.0[..]).collect();
-            let cells =
-                refine_through_cache(acct, set_idx, &mut self.caches[set_idx], &units, &env)?;
+            let cells = refine_through_cache(
+                acct,
+                set_idx,
+                &mut self.caches[set_idx],
+                &units,
+                &env,
+                scratches,
+            )?;
 
             // Extend (parallel, per leaf): narrow each partial region by
-            // every candidate cell, dropping empty intersections.
-            let extensions: Vec<(Vec<MultiwayTuple>, u64)> = run_ordered(env.workers, n, |i| {
-                extend_partials(&partials[i], units[i], &cells[i].cells, prune)
+            // every candidate cell into a table off the free list, dropping
+            // empty intersections.
+            let mut next: Vec<Partials> = (0..n)
+                .map(|_| self.spare.pop().unwrap_or_default())
+                .collect();
+            let skipped: Vec<u64> = run_ordered_units(scratches, &mut next, |i, next, scratch| {
+                let clip = &mut scratch.clip;
+                extend_into(&partials[i], units[i], &cells[i].cells, prune, clip, next)
             });
 
             // Fold the round into the ledgers, filter before refine.
-            let mut next: Vec<Vec<MultiwayTuple>> = Vec::with_capacity(n);
-            for (i, (((_, fstats, flog), unit), (extended, skipped))) in
-                filtered.into_iter().zip(cells).zip(extensions).enumerate()
+            for (i, (((_, fstats, flog), unit), skipped)) in
+                filtered.into_iter().zip(cells).zip(skipped).enumerate()
             {
                 let ledger = &mut ledgers[i];
-                ledger.probes += u64::from(!partials[i].is_empty());
+                ledger.probes += u64::from(partials[i].len > 0);
                 ledger.fstats.absorb(&fstats);
                 ledger.narrowings_skipped += skipped;
                 ledger.cache[set_idx] = unit.tally;
                 ledger.logs.push((set_idx, flog));
                 ledger.logs.push((set_idx, unit.log));
-                next.push(extended);
             }
-            partials = next;
+            // The superseded tables go back on the free list.
+            for table in std::mem::replace(&mut partials, next) {
+                recycle(&mut self.spare, table);
+            }
         }
 
         // Emit (coordinator, leaf order): settle the leaf's logs, fold in
-        // its counter deltas, record progress + watermark, permute the
-        // tuple ids back to input-set order and enqueue the tuples.
-        let identity_order = self.eval_order.iter().enumerate().all(|(r, &set)| r == set);
-        for (i, (leaf_tuples, ledger)) in partials.into_iter().zip(ledgers).enumerate() {
+        // its counter deltas, record progress + watermark and queue the
+        // leaf's final table for the consumer.
+        for (i, (table, ledger)) in partials.into_iter().zip(ledgers).enumerate() {
             for (tree, log) in &ledger.logs {
                 self.acct.settle(*tree, log)?;
             }
@@ -546,24 +691,7 @@ impl<'a> TupleStream<'a> {
             self.counters.filter_clip_ops += ledger.fstats.clip_ops;
             self.counters.filter_poly_tests_skipped += ledger.fstats.poly_tests_skipped;
             self.counters.narrowings_skipped += ledger.narrowings_skipped;
-            let leaf_tuples: Vec<MultiwayTuple> = if identity_order {
-                leaf_tuples
-            } else {
-                leaf_tuples
-                    .into_iter()
-                    .map(|t| {
-                        let mut ids = vec![0u64; k];
-                        for (r, &set) in self.eval_order.iter().enumerate() {
-                            ids[set] = t.ids[r];
-                        }
-                        MultiwayTuple {
-                            ids,
-                            region: t.region,
-                        }
-                    })
-                    .collect()
-            };
-            self.produced += leaf_tuples.len() as u64;
+            self.produced += table.len as u64;
             self.counters.tuples_produced = self.produced;
             let page_accesses = self.acct.page_accesses();
             if !groups[i].is_empty() {
@@ -577,26 +705,42 @@ impl<'a> TupleStream<'a> {
                 rows: self.produced,
                 page_accesses,
             });
-            #[cfg(debug_assertions)]
-            for tuple in &leaf_tuples {
-                debug_assert!(
-                    self.seen_ids.insert(tuple.ids.clone()),
-                    "duplicate multiway tuple emitted: {:?}",
-                    tuple.ids
-                );
-            }
-            self.pending.extend(leaf_tuples);
+            self.pending.push_back(table);
         }
         Ok(())
     }
+
+    /// Builds the owned tuple `j` of `table` — the only place a
+    /// [`MultiwayTuple`] comes into being: ids permuted back to input-set
+    /// order, the region an exact-size copy of its outline.
+    fn tuple_of(&self, table: &Partials, j: usize) -> MultiwayTuple {
+        let row = table.ids_of(j);
+        let mut ids = vec![0u64; row.len()];
+        for (&set, &id) in self.eval_order.iter().zip(row) {
+            ids[set] = id;
+        }
+        MultiwayTuple {
+            ids,
+            region: table.regions()[j].clone(),
+        }
+    }
 }
 
-/// One leaf's extension step: narrows each partial region by every
-/// candidate cell (`cells` aligned with `candidates`), dropping empty
-/// intersections; returns the extended tuples and the number of narrowings
-/// skipped. With `prune`, bbox-disjoint combinations are skipped outright —
-/// their polygon intersection would be empty anyway (touching bboxes still
-/// intersect, so degenerate contacts take the exact path).
+/// Puts a table nobody reads any more on the free list `spare`. Seed tables
+/// (stride 1) are dropped instead: their regions are the refinement's
+/// exact-size cells rather than grown outline buffers, and keeping one per
+/// leaf would grow the list without bound.
+fn recycle(spare: &mut Vec<Partials>, mut table: Partials) {
+    if table.stride > 1 {
+        table.outlines.truncate(table.len);
+        spare.push(table);
+    }
+}
+
+/// The allocating extension step the SoA [`extend_into`] replaced, kept as
+/// its reference in tests: one owned [`MultiwayTuple`] per partial, each
+/// narrowing through [`ConvexPolygon::intersection`].
+#[cfg(test)]
 fn extend_partials(
     partials: &[MultiwayTuple],
     candidates: &[PointObject],
@@ -629,9 +773,23 @@ impl Iterator for TupleStream<'_> {
 
     fn next(&mut self) -> Option<MultiwayTuple> {
         loop {
-            if let Some(tuple) = self.pending.pop_front() {
-                self.emitted += 1;
-                return Some(tuple);
+            if let Some(table) = self.pending.front() {
+                if self.pulled < table.len {
+                    let tuple = self.tuple_of(table, self.pulled);
+                    self.pulled += 1;
+                    self.emitted += 1;
+                    #[cfg(debug_assertions)]
+                    debug_assert!(
+                        self.seen_ids.insert(tuple.ids.clone()),
+                        "duplicate multiway tuple emitted: {:?}",
+                        tuple.ids
+                    );
+                    return Some(tuple);
+                }
+                let drained = self.pending.pop_front().expect("front table exists");
+                self.pulled = 0;
+                recycle(&mut self.spare, drained);
+                continue;
             }
             if self.cursor.is_exhausted() {
                 return None;
@@ -934,6 +1092,67 @@ mod tests {
         let mut expected = unpruned.counters.clone();
         expected.narrowings_skipped = pruned.counters.narrowings_skipped;
         assert_eq!(pruned.counters, expected);
+    }
+
+    #[test]
+    fn soa_extension_equals_the_allocating_reference() {
+        fn bits(region: &ConvexPolygon) -> Vec<(u64, u64)> {
+            let vertex = |v: &Point| (v.x.to_bits(), v.y.to_bits());
+            region.vertices().iter().map(vertex).collect()
+        }
+        let domain = small_config().domain;
+        let sets = [
+            random_points(40, 291),
+            random_points(55, 292),
+            random_points(35, 293),
+        ];
+        let objects: Vec<Vec<PointObject>> =
+            sets.iter().map(|s| PointObject::from_points(s)).collect();
+        let diagrams: Vec<Vec<ConvexPolygon>> = sets
+            .iter()
+            .map(|s| brute_force_diagram(s, &domain))
+            .collect();
+        for prune in [true, false] {
+            let mut reference: Vec<MultiwayTuple> = objects[0]
+                .iter()
+                .zip(&diagrams[0])
+                .map(|(obj, cell)| MultiwayTuple {
+                    ids: vec![obj.id.0],
+                    region: cell.clone(),
+                })
+                .collect();
+            let mut cur = Partials::seeded(&objects[0], diagrams[0].clone());
+            // The output table starts dirty — tuples, ids and outlines of an
+            // unrelated extension — and the two tables swap every round,
+            // like a table coming off the stream's free list.
+            let mut next = Partials::default();
+            let mut clip = ClipScratch::new();
+            extend_into(&cur, &objects[2], &diagrams[2], false, &mut clip, &mut next);
+            assert!(next.len > 0 && next.stride == 2);
+            for round in 1..sets.len() {
+                let (expected, expected_skipped) =
+                    extend_partials(&reference, &objects[round], &diagrams[round], prune);
+                let skipped = extend_into(
+                    &cur,
+                    &objects[round],
+                    &diagrams[round],
+                    prune,
+                    &mut clip,
+                    &mut next,
+                );
+                assert_eq!(skipped, expected_skipped, "round {round}, prune {prune}");
+                assert_eq!(skipped > 0, prune);
+                assert_eq!(next.stride, round + 1);
+                assert_eq!(next.regions().len(), expected.len());
+                assert!(!expected.is_empty());
+                for (j, tuple) in expected.iter().enumerate() {
+                    assert_eq!(next.ids_of(j), &tuple.ids[..]);
+                    assert_eq!(bits(&next.regions()[j]), bits(&tuple.region));
+                }
+                reference = expected;
+                std::mem::swap(&mut cur, &mut next);
+            }
+        }
     }
 
     #[test]

@@ -63,7 +63,7 @@ use crate::filter::{batch_conditional_filter_scratch, FilterStats};
 use crate::stats::CijOutcome;
 use crate::stats::{LeafWatermark, ProgressSample};
 use crate::workload::Workload;
-use cij_geom::ConvexPolygon;
+use cij_geom::{ConvexPolygon, Rect};
 use cij_pagestore::{PageId, PageIoError};
 use cij_rtree::{NodeReader, PointObject, RTree, ReadLog};
 use cij_voronoi::{batch_voronoi_cached_with, batch_voronoi_with};
@@ -164,9 +164,10 @@ pub(crate) struct NmPairIter<'a> {
     /// never iterated — so `HashSet` order cannot leak into results
     /// (allowlisted CIJ-D102).
     true_hits: HashSet<u64>,
-    /// Sequential-path unit scratch (arena + clip buffers), reused across
-    /// leaves. Parallel workers build their own per-thread copies.
-    scratch: UnitScratch,
+    /// One unit scratch (arenas, clip buffers, filter state) per pool
+    /// worker, reused across every leaf and chunk of the stream; the
+    /// sequential leaf loop uses the first.
+    scratches: Vec<UnitScratch>,
     cache_slot: Option<CacheSlot>,
 }
 
@@ -234,7 +235,7 @@ impl<'a> NmPairIter<'a> {
             pairs_produced: 0,
             finished: false,
             true_hits: HashSet::new(),
-            scratch: UnitScratch::for_budget(env.budget),
+            scratches: UnitScratch::per_worker(&env),
             cache_slot: None,
         };
         match leaves {
@@ -359,7 +360,8 @@ impl<'a> NmPairIter<'a> {
         }
 
         // (1) Voronoi cells of the leaf's Q points.
-        let cells_q = batch_voronoi_with(rq, &group, &domain, layout, &mut self.scratch.vor);
+        let scratch = &mut self.scratches[0];
+        let cells_q = batch_voronoi_with(rq, &group, &domain, layout, &mut scratch.vor);
 
         // (2) Filter phase on RP.
         let (candidates, fstats) = batch_conditional_filter_scratch(
@@ -367,7 +369,7 @@ impl<'a> NmPairIter<'a> {
             &cells_q,
             &domain,
             &self.env.filter_options,
-            &mut self.scratch.filter,
+            &mut scratch.filter,
         );
 
         // (3) Refinement phase: exact cells of the candidates through the
@@ -382,7 +384,7 @@ impl<'a> NmPairIter<'a> {
             &domain,
             &mut self.cache,
             layout,
-            &mut self.scratch.vor,
+            &mut scratch.vor,
         );
 
         // Fail-stop before reporting: a read failure inside any kernel
@@ -437,22 +439,19 @@ impl<'a> NmPairIter<'a> {
         let (first_leaf_index, chunk) = self.cursor.next_chunk(env.workers);
 
         // Scan (parallel): leaf read, Q cells, conditional filter, each
-        // worker reusing one unit scratch across the leaves it picks up.
-        // The gate keeps the cache policy off a failed scan's garbage
-        // candidates.
+        // worker on its own unit scratch. The gate keeps the cache policy
+        // off a failed scan's garbage candidates.
         let acct = &self.acct;
-        let scans: Vec<LeafScan> = run_ordered_scratch(
-            env.workers,
-            chunk.len(),
-            || UnitScratch::for_budget(env.budget),
-            |i, scratch| scan_leaf(acct, chunk[i], &env, scratch),
-        );
+        let scratches = &mut self.scratches[..];
+        let scans: Vec<LeafScan> = run_ordered_scratch(scratches, chunk.len(), |i, scratch| {
+            scan_leaf(acct, chunk[i], &env, scratch)
+        });
         gate(scans.iter().flat_map(|s| [&s.log_rq, &s.log_rp]))?;
 
         // Cache policy → refine → resolve: each leaf's aligned exact
         // candidate cells through the reuse buffer.
         let candidates: Vec<&[PointObject]> = scans.iter().map(|s| &s.candidates[..]).collect();
-        let refined = refine_through_cache(acct, P, &mut self.cache, &candidates, &env)?;
+        let refined = refine_through_cache(acct, P, &mut self.cache, &candidates, &env, scratches)?;
 
         // Report (parallel): the same kernel as the sequential path, so
         // per-leaf pair order is identical.
@@ -508,10 +507,11 @@ fn report_leaf_pairs(
     true_hits: &mut HashSet<u64>,
     mut emit: impl FnMut(u64, u64),
 ) {
+    let p_bboxes: Vec<Rect> = cells_p.iter().map(|c| c.bbox()).collect();
     for (q_obj, q_cell) in group.iter().zip(cells_q) {
         let q_bbox = q_cell.bbox();
-        for (p_obj, p_cell) in candidates.iter().zip(cells_p) {
-            if p_cell.bbox().intersects(&q_bbox) && p_cell.intersects(q_cell) {
+        for ((p_obj, p_cell), p_bbox) in candidates.iter().zip(cells_p).zip(&p_bboxes) {
+            if p_bbox.intersects(&q_bbox) && p_cell.intersects(q_cell) {
                 true_hits.insert(p_obj.id.0);
                 emit(p_obj.id.0, q_obj.id.0);
             }

@@ -154,6 +154,22 @@ impl GridFrame {
     fn bucket_index(&self, i: usize, j: usize) -> usize {
         j * self.res + i
     }
+
+    /// Replaces `self` by a frame over `bounds` with `res × res` buckets
+    /// and readies `buckets` for it: the outgoing frame's buckets (the only
+    /// ones that can hold items) are emptied, their allocations kept, and
+    /// the vector grown to the new bucket count if needed — surplus buckets
+    /// of an earlier, finer frame stay behind, empty, for later.
+    fn reframe(&mut self, bounds: &Rect, res: usize, buckets: &mut Vec<Vec<u32>>) {
+        for bucket in &mut buckets[..self.res * self.res] {
+            bucket.clear();
+        }
+        *self = GridFrame::new(bounds, res);
+        let n = self.res * self.res;
+        if buckets.len() < n {
+            buckets.resize_with(n, Vec::new);
+        }
+    }
 }
 
 /// A dynamic uniform-grid index of points, queried by expanding rings.
@@ -198,16 +214,7 @@ impl PointGrid {
     /// Empties the grid and re-frames it over `bounds` with `res × res`
     /// buckets, keeping the bucket allocations.
     pub fn reset(&mut self, bounds: &Rect, res: usize) {
-        // Only the buckets of the outgoing frame can hold items.
-        let used = self.frame.res() * self.frame.res();
-        for bucket in &mut self.buckets[..used] {
-            bucket.clear();
-        }
-        self.frame = GridFrame::new(bounds, res);
-        let n = self.frame.res() * self.frame.res();
-        if self.buckets.len() < n {
-            self.buckets.resize_with(n, Vec::new);
-        }
+        self.frame.reframe(bounds, res, &mut self.buckets);
         self.len = 0;
     }
 
@@ -314,21 +321,47 @@ impl PointGrid {
 
 /// A static uniform-grid index of rectangles with stamp-deduplicated
 /// queries.
+///
+/// Like [`PointGrid`], an index is meant to live in a per-worker scratch:
+/// [`RectGrid::rebuild`] re-frames it over a new rectangle set while keeping
+/// every bucket's allocation.
 #[derive(Debug, Clone)]
 pub struct RectGrid {
     frame: GridFrame,
+    /// At least `res × res` buckets; an index rebuilt at a lower resolution
+    /// keeps the surplus (empty) buckets and their capacity for later.
     buckets: Vec<Vec<u32>>,
     /// Per-item stamp of the last query round that reported the item, so a
     /// rectangle spanning several queried buckets is visited once.
     stamps: Vec<u32>,
     round: u32,
-    n_items: usize,
+}
+
+impl Default for RectGrid {
+    /// An empty one-bucket index; [`RectGrid::rebuild`] fills it.
+    fn default() -> Self {
+        RectGrid {
+            frame: GridFrame::new(&Rect::from_coords(0.0, 0.0, 1.0, 1.0), 1),
+            buckets: vec![Vec::new()],
+            stamps: Vec::new(),
+            round: 0,
+        }
+    }
 }
 
 impl RectGrid {
     /// Builds the index over `rects` (bounds = union of the rectangles,
     /// resolution ≈ `√n` so the average bucket holds O(1) item *origins*).
     pub fn build(rects: &[Rect]) -> RectGrid {
+        let mut grid = RectGrid::default();
+        grid.rebuild(rects);
+        grid
+    }
+
+    /// Re-indexes `rects` in place — the same frame, buckets and item order
+    /// [`RectGrid::build`] produces — keeping the bucket allocations, so a
+    /// warm index takes a new rectangle set without allocating.
+    pub fn rebuild(&mut self, rects: &[Rect]) {
         let bounds = rects
             .iter()
             .filter(|r| !r.is_empty())
@@ -339,34 +372,29 @@ impl RectGrid {
             bounds
         };
         let res = ((rects.len() as f64).sqrt().ceil() as usize).clamp(1, 64);
-        let frame = GridFrame::new(&bounds, res);
-        let mut buckets = vec![Vec::new(); frame.res() * frame.res()];
+        self.frame.reframe(&bounds, res, &mut self.buckets);
         for (idx, r) in rects.iter().enumerate() {
-            if let Some((i0, j0, i1, j1)) = frame.bucket_range(r) {
+            if let Some((i0, j0, i1, j1)) = self.frame.bucket_range(r) {
                 for j in j0..=j1 {
                     for i in i0..=i1 {
-                        buckets[frame.bucket_index(i, j)].push(idx as u32);
+                        self.buckets[self.frame.bucket_index(i, j)].push(idx as u32);
                     }
                 }
             }
         }
-        RectGrid {
-            frame,
-            buckets,
-            stamps: vec![0; rects.len()],
-            round: 0,
-            n_items: rects.len(),
-        }
+        self.stamps.clear();
+        self.stamps.resize(rects.len(), 0);
+        self.round = 0;
     }
 
     /// Number of indexed rectangles.
     pub fn len(&self) -> usize {
-        self.n_items
+        self.stamps.len()
     }
 
     /// Whether the index holds no rectangles.
     pub fn is_empty(&self) -> bool {
-        self.n_items == 0
+        self.stamps.is_empty()
     }
 
     /// Calls `f` with the index of every rectangle whose bucket range
@@ -649,6 +677,48 @@ mod tests {
                         "rect {i} intersects the query but was not reported"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn rebuilt_rect_grid_reports_exactly_what_a_fresh_build_reports() {
+        let set = |n: usize, stride: usize, size: f64| -> Vec<Rect> {
+            (0..n)
+                .map(|i| {
+                    let x = (i * stride % 90) as f64;
+                    let y = (i * (stride + 12) % 90) as f64;
+                    Rect::from_coords(x, y, x + size, y + size * 0.5)
+                })
+                .collect()
+        };
+        // One warm index taken through larger, smaller and empty sets (a
+        // lower resolution leaves surplus buckets behind, and stamps of an
+        // earlier set must not hide items of a later one).
+        let mut warm = RectGrid::default();
+        for rects in [
+            set(40, 17, 12.0),
+            set(3, 29, 30.0),
+            Vec::new(),
+            set(90, 7, 4.0),
+        ] {
+            warm.rebuild(&rects);
+            let mut fresh = RectGrid::build(&rects);
+            assert_eq!(warm.len(), fresh.len());
+            for query in [
+                Rect::from_coords(10.0, 10.0, 30.0, 30.0),
+                Rect::from_coords(0.0, 0.0, 100.0, 100.0),
+                Rect::from_coords(500.0, 500.0, 600.0, 600.0),
+            ] {
+                let report = |grid: &mut RectGrid| {
+                    let mut reported = Vec::new();
+                    grid.for_each_overlapping(&query, |idx| {
+                        reported.push(idx);
+                        true
+                    });
+                    reported
+                };
+                assert_eq!(report(&mut warm), report(&mut fresh));
             }
         }
     }

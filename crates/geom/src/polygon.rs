@@ -22,6 +22,11 @@
 //!   vertices are written through a caller-owned [`ClipScratch`], so a
 //!   steady-state clip performs **zero** heap allocation.
 //!
+//! Polygon intersection follows the same split:
+//! [`ConvexPolygon::intersection`] is the allocating reference,
+//! [`ConvexPolygon::intersection_into`] the same edge-by-edge clipping
+//! through `clip_in_place` into a caller-owned output polygon.
+//!
 //! The scratch contract: a [`ClipScratch`] is owned by the *caller* (one per
 //! worker thread, allocated once and reused across every clip of every
 //! unit), its contents are meaningless between calls, and no polygon ever
@@ -62,15 +67,17 @@ impl Clone for ConvexPolygon {
 /// ([`ConvexPolygon::clip_in_place`], [`ConvexPolygon::clip_into`]).
 ///
 /// Holds the split x/y coordinate arrays and the slack array fed to
-/// [`HalfPlane::signed_distances`], plus the ping-pong vertex buffer the
-/// clipped outline is built in. Allocate one per worker, reuse it across
-/// units; contents between calls are unspecified.
+/// [`HalfPlane::signed_distances`], the ping-pong vertex buffer the
+/// clipped outline is built in, and the working polygon of
+/// [`ConvexPolygon::intersection_into`]. Allocate one per worker, reuse it
+/// across units; contents between calls are unspecified.
 #[derive(Debug, Default)]
 pub struct ClipScratch {
     xs: Vec<f64>,
     ys: Vec<f64>,
     slacks: Vec<f64>,
     out: Vec<Point>,
+    work: ConvexPolygon,
 }
 
 impl ClipScratch {
@@ -449,18 +456,47 @@ impl ConvexPolygon {
         let mut out = self.clone();
         let n = other.vertices.len();
         for i in 0..n {
-            let a = other.vertices[i];
-            let b = other.vertices[(i + 1) % n];
-            let d = b - a;
-            // Interior of a CCW polygon is to the left of each edge:
-            // cross(d, x - a) >= 0  <=>  d.y * x.x - d.x * x.y <= d.y*a.x - d.x*a.y.
-            let hp = HalfPlane::new(Point::new(d.y, -d.x), d.y * a.x - d.x * a.y);
+            let hp = edge_halfplane(&other.vertices[i], &other.vertices[(i + 1) % n]);
             out = out.clip(&hp);
             if out.is_empty() {
                 break;
             }
         }
         out
+    }
+
+    /// [`ConvexPolygon::intersection`] written into `out` (reusing its
+    /// vertex allocation, whatever it held) through a caller-owned
+    /// [`ClipScratch`], leaving `self` untouched. Same edge halfplanes in
+    /// the same order through the bit-identical
+    /// [`ConvexPolygon::clip_in_place`], so `out` ends up vertex-for-vertex
+    /// equal to `self.intersection(other)`. The clipping itself runs in the
+    /// scratch's working polygon and only the final outline is copied into
+    /// `out`, so `out` never grows beyond the results it has held (not to
+    /// the larger intermediate outlines), and with a warm scratch and a
+    /// grown `out` the call performs no heap allocation.
+    pub fn intersection_into(
+        &self,
+        other: &ConvexPolygon,
+        scratch: &mut ClipScratch,
+        out: &mut ConvexPolygon,
+    ) {
+        out.vertices.clear();
+        if self.is_empty() || other.vertices.len() < 3 {
+            return;
+        }
+        let mut work = std::mem::take(&mut scratch.work);
+        work.clone_from(self);
+        let n = other.vertices.len();
+        for i in 0..n {
+            let hp = edge_halfplane(&other.vertices[i], &other.vertices[(i + 1) % n]);
+            work.clip_in_place(&hp, scratch);
+            if work.is_empty() {
+                break;
+            }
+        }
+        out.vertices.extend_from_slice(&work.vertices);
+        scratch.work = work;
     }
 
     /// Clips the polygon to a rectangle (intersects it with all four
@@ -474,6 +510,14 @@ impl ConvexPolygon {
         poly = poly.clip(&HalfPlane::new(Point::new(0.0, 1.0), r.hi.y));
         poly
     }
+}
+
+/// The halfplane left of the directed edge `a → b` — the interior side of a
+/// counter-clockwise polygon's edge:
+/// `cross(d, x - a) >= 0  <=>  d.y * x.x - d.x * x.y <= d.y * a.x - d.x * a.y`.
+fn edge_halfplane(a: &Point, b: &Point) -> HalfPlane {
+    let d = *b - *a;
+    HalfPlane::new(Point::new(d.y, -d.x), d.y * a.x - d.x * a.y)
 }
 
 /// Tests whether any edge normal of `a` separates `a` from `b`.

@@ -199,3 +199,49 @@ fn parallel_nm_parity_holds_under_the_scan_kernel_too() {
         assert_eq!(parallel.watermarks, sequential.watermarks, "{:?}", kernel);
     }
 }
+
+/// The filter's traversal on a fixed 3-way clustered input, pinned from the
+/// commit before the shield test tabulated its entry-side bounds and grew
+/// hints: entries pruned, points examined and the candidate *sequence* are
+/// decisions, and a faster way to reach them must not move one.
+#[test]
+fn shield_decisions_match_the_values_pinned_before_the_bound_table() {
+    let spec = ClusterSpec {
+        n: 600,
+        clusters: 5,
+        sigma_fraction: 0.03,
+        background_fraction: 0.15,
+        size_skew: 0.8,
+    };
+    let sets: Vec<Vec<Point>> = (0..3)
+        .map(|i| clustered_points(&spec, &Rect::DOMAIN, 16_100 + i))
+        .collect();
+    // Fixed configuration (no env overrides): the pins are per plan.
+    let config = CijConfig::default().with_rtree(tree_config());
+    let outcome = QueryEngine::new(config).multiway(&sets);
+    assert_eq!(outcome.counters.filter_entries_pruned, PINNED.0);
+    assert_eq!(outcome.counters.filter_points_examined, PINNED.1);
+    assert_eq!(outcome.tuples.len(), PINNED.2);
+
+    // One direct call per extension set, probing with the cells of a slice
+    // of the driver set: the candidates in the order the traversal accepted
+    // them, folded into an order-sensitive FNV-1a hash.
+    let cells = cij::voronoi::brute_force_diagram(&sets[0], &config.domain);
+    let mut sequence_hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut candidates_seen = 0usize;
+    for set in &sets[1..] {
+        let mut tree = RTree::bulk_load(tree_config(), PointObject::from_points(set));
+        for probe in cells.chunks(60) {
+            let (candidates, _) = batch_conditional_filter(&mut tree, probe, &config.domain);
+            candidates_seen += candidates.len();
+            for byte in candidates.iter().flat_map(|c| c.id.0.to_le_bytes()) {
+                sequence_hash = (sequence_hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!((candidates_seen, sequence_hash), (PINNED.3, PINNED.4));
+}
+
+/// `(entries pruned, points examined, tuples, candidates, candidate-sequence
+/// hash)` of the input above at the parent commit.
+const PINNED: (u64, u64, usize, usize, u64) = (1_217, 4_880, 3_468, 3_986, 0xf297_35dc_a465_bb85);

@@ -39,15 +39,27 @@ fn run_multiway(sets: &[Vec<Point>], config: &CijConfig) -> MultiwayOutcome {
     QueryEngine::new(*config).multiway(sets)
 }
 
+/// The vertices of every tuple's region, as raw bit patterns.
+fn region_bits(outcome: &MultiwayOutcome) -> Vec<Vec<(u64, u64)>> {
+    let vertex = |v: &Point| (v.x.to_bits(), v.y.to_bits());
+    let region = |t: &MultiwayTuple| t.region.vertices().iter().map(vertex).collect();
+    outcome.tuples.iter().map(region).collect()
+}
+
 /// Asserts the full observable-equality contract between two multiway runs:
-/// tuple ids (set *and* order), every counter, page accesses, progress
-/// samples and watermarks.
+/// tuple ids (set *and* order), every region vertex bit for bit, every
+/// counter, page accesses, progress samples and watermarks.
 fn assert_parity(a: &MultiwayOutcome, b: &MultiwayOutcome, label: &str) {
     let a_ids: Vec<&Vec<u64>> = a.tuples.iter().map(|t| &t.ids).collect();
     let b_ids: Vec<&Vec<u64>> = b.tuples.iter().map(|t| &t.ids).collect();
     assert_eq!(
         a_ids, b_ids,
         "{label}: tuple sequence (set or order) diverged"
+    );
+    assert_eq!(
+        region_bits(a),
+        region_bits(b),
+        "{label}: region vertices diverged"
     );
     assert_eq!(a.counters, b.counters, "{label}: counters diverged");
     assert_eq!(
