@@ -2,21 +2,13 @@
 //! suitable for a quick full reproduction pass.
 //!
 //! Pass `--scale <f>` to override the per-experiment default scales with a
-//! single global factor (applied to the paper's dataset sizes). Pass
-//! `--json` to also persist every printed table as `BENCH_<n>.json` in the
-//! current directory (`--bench-id <n>`, default 6) — the machine-readable
-//! bench trajectory described in the crate docs.
+//! single global factor (applied to the paper's dataset sizes).
 
+use cij_bench::experiments;
 use cij_bench::Args;
-use cij_bench::{experiments, report};
 
 fn main() {
     let args = Args::capture();
-    let json = args.has("json");
-    let bench_id: u64 = args.get("bench-id", 6);
-    if json {
-        report::enable();
-    }
     let forward = |default: f64| -> Args {
         let scale = args.get("scale", default);
         Args::from_vec(vec!["--scale".into(), scale.to_string()])
@@ -33,19 +25,7 @@ fn main() {
     experiments::fig11::run(&forward(0.02));
     experiments::table3::run(&forward(0.02));
     experiments::cache_sweep::run(&forward(0.02));
-    experiments::scaling::run(&forward(0.02));
-    experiments::io_validation::run(&forward(0.02));
-    experiments::out_of_core::run(&forward(0.02));
     experiments::multiway_scale::run(&forward(0.01));
-    experiments::filter_kernel::run(&forward(0.02));
-    experiments::kernel_layout::run(&forward(0.02));
-    experiments::concurrent_scale::run(&forward(0.02));
     experiments::fault_storm::run(&forward(0.02));
-    if json {
-        let report = report::take().expect("recording was enabled");
-        let path = format!("BENCH_{bench_id}.json");
-        std::fs::write(&path, report.to_json(bench_id)).expect("write bench snapshot");
-        println!("\nBench snapshot written to {path}.");
-    }
     println!("\nAll experiments completed.");
 }

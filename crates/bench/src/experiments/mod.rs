@@ -12,23 +12,17 @@
 //! | [`fig11`] | Fig. 11 — REUSE vs NO-REUSE Voronoi-cell computations |
 //! | [`table3`] | Table III — result sizes and page accesses on real dataset pairs |
 //!
-//! Beyond the paper's own figures, two engineering experiments cover this
-//! reproduction's extensions:
+//! Beyond the paper's own figures, three engineering experiments cover this
+//! reproduction's extensions; what the repo benchmark (`cij_benchmark/`) or a
+//! tier-1 test measures has no experiment here.
 //!
 //! | Module | Measures |
 //! |---|---|
 //! | [`cache_sweep`] | Fig. 8a-style sweep of the Section IV-B reuse-buffer capacity (`cell_cache_capacity`) |
-//! | [`scaling`] | NM-CIJ thread scaling (`worker_threads` ∈ {1, 2, 4, 8}): speedup + sequential-parity check |
-//! | [`io_validation`] | Heap vs file `StorageBackend`: counted page accesses vs actual bytes read, cold and warm buffer, plus backend parity |
-//! | [`multiway_scale`] | Multiway CIJ over k ∈ {2, 3, 4} sets: leaf-batched vs per-tuple probing, cost-driven planning vs the fixed-driver baseline, thread-parity check |
-//! | [`filter_kernel`] | Conditional-filter kernels: sub-quadratic `Indexed` vs quadratic `Scan` — byte-identical candidates, identical traversal, ≥ 3× fewer clip operations |
-//! | [`kernel_layout`] | Leaf layouts: SoA arena/scratch kernels vs the AoS baseline — byte-identical pairs/tuples/counters/page accesses at any thread count and backend, strictly fewer allocations |
-//! | [`concurrent_scale`] | Fast-mode serving: N ∈ {1, 4, 16} simultaneous NM-CIJ queries over one shared snapshot — metered-identical results, zero traces/replays, budget envelope under quota pressure |
+//! | [`multiway_scale`] | Multiway CIJ over k ∈ {2, 3, 4} sets: cost-driven planning vs the fixed-driver baseline, bbox pruning of narrowings, thread-parity check |
 //! | [`fault_storm`] | Injected I/O faults on every backend: seeded transient storms must be byte-invisible (store-level retry parity), a persistently corrupt frame must fail exactly the touching query with a structured error while concurrent healthy queries stay oracle-identical |
-//! | [`out_of_core`] | External-sorted bulk load + NM-CIJ at data ≥ 4× the buffer: mirror-free residency bound (peak resident ≤ buffer + pinned), `bytes_read == physical_reads × page_size`, backend parity over {heap, file, mmap} |
 
 pub mod cache_sweep;
-pub mod concurrent_scale;
 pub mod fault_storm;
 pub mod fig10;
 pub mod fig11;
@@ -37,11 +31,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod filter_kernel;
-pub mod io_validation;
-pub mod kernel_layout;
 pub mod multiway_scale;
-pub mod out_of_core;
-pub mod scaling;
 pub mod table2;
 pub mod table3;

@@ -11,48 +11,16 @@
 //! of C++, synthetic stand-ins for the USGS datasets, scaled-down default
 //! sizes), but the *shape* of every result — which algorithm wins, by what
 //! factor, how curves move with each parameter — is what the harness
-//! reproduces; every experiment prints its own `shape check (paper)` line
-//! and the `BENCH_<n>.json` snapshots below record the measured values.
-//!
-//! # The persisted bench trajectory (`BENCH_<n>.json`)
-//!
-//! `run_all --json` captures every table any experiment prints (the
-//! [`report`] sink mirrors [`util::print_header`] / [`util::print_row`] —
-//! all experiments share the one writer) and persists the run as
-//! `BENCH_<n>.json` at the repository root, where `n` is the PR number
-//! (`--bench-id`, default 6). One snapshot is committed per PR that touches
-//! performance, so the repo history carries a machine-readable trajectory
-//! of the harness results alongside the code that produced them.
-//!
-//! The schema maps each experiment to rows of named metrics:
-//!
-//! ```json
-//! {
-//!   "bench_id": 6,
-//!   "experiments": [
-//!     {
-//!       "experiment": "NM-CIJ filter kernels, clustered |P| = |Q| = 2000",
-//!       "columns": ["kernel", "wall (s)", "page accesses", "..."],
-//!       "rows": [
-//!         {"kernel": "indexed", "wall (s)": 0.103, "page accesses": 3187}
-//!       ]
-//!     }
-//!   ]
-//! }
-//! ```
-//!
-//! Cells that parse as finite numbers are emitted as JSON numbers (so
-//! trajectory tooling can chart them directly); everything else is a
-//! string. Row objects are keyed by the printed column names, in column
-//! order.
+//! reproduces; every experiment prints its own `shape check (paper)` line.
 //!
 //! # Allocation accounting
 //!
 //! The crate installs [`CountingAlloc`] — a zero-overhead-when-idle wrapper
 //! over the system allocator that counts heap allocations — as the global
-//! allocator of every bench binary. [`allocations`] reads the process-wide
-//! count; the `kernel_layout` experiment uses deltas of it to gate the SoA
-//! layout's "measurably less work" contract.
+//! allocator of every binary that links it. [`allocations`] reads the
+//! process-wide count; the repo benchmark (`cij_benchmark`, which links this
+//! crate for that purpose) takes deltas of it for its
+//! `core.pipeline.allocs_per_op` metric.
 //!
 //! Relaxed-consistency contract: [`ALLOCATIONS`] is a single monotone
 //! counter with no other shared state ordered against it. Increments use
@@ -65,7 +33,6 @@
 #![warn(clippy::all)]
 
 pub mod experiments;
-pub mod report;
 pub mod util;
 
 pub use util::{flag, paper_config, scaled, Args};

@@ -24,21 +24,31 @@ impl Args {
         Args { raw }
     }
 
-    /// Reads `--name <value>` as a parsed value, falling back to `default`.
-    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+    /// Reads `--name <value>` as a parsed value: `default` when the flag is
+    /// absent, an error naming the flag and the offending value when the
+    /// value is missing or does not parse.
+    pub fn parse<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
         let key = format!("--{name}");
-        self.raw
-            .iter()
-            .position(|a| a == &key)
-            .and_then(|i| self.raw.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        let Some(i) = self.raw.iter().position(|a| a == &key) else {
+            return Ok(default);
+        };
+        let value = self
+            .raw
+            .get(i + 1)
+            .ok_or_else(|| format!("{key} needs a value"))?;
+        value
+            .parse()
+            .map_err(|_| format!("{key}: cannot parse `{value}`"))
     }
 
-    /// Whether a bare `--name` flag is present.
-    pub fn has(&self, name: &str) -> bool {
-        let key = format!("--{name}");
-        self.raw.iter().any(|a| a == &key)
+    /// [`Args::parse`] for the experiment binaries: a malformed flag ends
+    /// the process with the message instead of silently running at the
+    /// default size.
+    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+        self.parse(name, default).unwrap_or_else(|message| {
+            eprintln!("error: {message}");
+            std::process::exit(2)
+        })
     }
 }
 
@@ -63,20 +73,15 @@ pub fn secs(d: Duration) -> f64 {
     d.as_secs_f64()
 }
 
-/// Prints a table header followed by a separator line, and records the
-/// table into the [`report`](crate::report) sink when `run_all --json`
-/// enabled it. Every experiment's tabular output goes through this pair —
-/// there is no per-experiment JSON path.
+/// Prints a table header followed by a separator line.
 pub fn print_header(title: &str, columns: &[&str]) {
-    crate::report::record_header(title, columns);
     println!("\n=== {title} ===");
     println!("{}", columns.join("\t"));
     println!("{}", "-".repeat(columns.iter().map(|c| c.len() + 8).sum()));
 }
 
-/// Prints one table row (and records it, see [`print_header`]).
+/// Prints one table row.
 pub fn print_row(cells: &[String]) {
-    crate::report::record_row(cells);
     println!("{}", cells.join("\t"));
 }
 
@@ -91,13 +96,20 @@ mod tests {
             "0.5".into(),
             "--n".into(),
             "1234".into(),
-            "--full".into(),
         ]);
         assert_eq!(args.get("scale", 1.0f64), 0.5);
         assert_eq!(args.get("n", 10usize), 1234);
         assert_eq!(args.get("missing", 7u32), 7);
-        assert!(args.has("full"));
-        assert!(!args.has("quick"));
+
+        let bad = Args::from_vec(vec!["--scale".into(), "0,05".into(), "--n".into()]);
+        assert_eq!(
+            bad.parse("scale", 1.0f64),
+            Err("--scale: cannot parse `0,05`".to_string())
+        );
+        assert_eq!(
+            bad.parse("n", 10usize),
+            Err("--n needs a value".to_string())
+        );
     }
 
     #[test]

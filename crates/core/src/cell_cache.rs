@@ -19,7 +19,7 @@
 //! mirrors the buffer's resident set.
 //!
 //! The cache implements [`cij_voronoi::CellStore`], so it plugs directly
-//! into [`cij_voronoi::batch_voronoi_cached`]. Hit/miss/eviction counts are
+//! into [`cij_voronoi::batch_voronoi_cached_with`]. Hit/miss/eviction counts are
 //! exposed both through the cache itself (and from there through
 //! [`NmCounters`](crate::stats::NmCounters)) and, when constructed with
 //! [`CellCache::with_stats`], through the workload-wide
@@ -88,9 +88,9 @@ impl CacheBudget {
         self.inner.state.lock().unwrap().reserved
     }
 
-    /// The highest reservation level ever reached — the value the
-    /// `concurrent_scale` experiment asserts never exceeds
-    /// [`CacheBudget::total`].
+    /// The highest reservation level ever reached — the value
+    /// `tests/fast_mode.rs::quota_pressure_never_changes_results` asserts
+    /// never exceeds [`CacheBudget::total`].
     pub fn high_water(&self) -> usize {
         self.inner.state.lock().unwrap().high_water
     }

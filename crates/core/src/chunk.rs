@@ -640,7 +640,6 @@ mod tests {
     fn config() -> CijConfig {
         CijConfig::default().with_rtree(RTreeConfig {
             page_size: 256,
-            min_fill: 0.4,
             max_entries: 64,
         })
     }

@@ -5,7 +5,7 @@ use cij_pagestore::StorageBackend;
 use cij_rtree::{LeafLayout, RTreeConfig};
 
 /// Which conditional-filter kernel
-/// [`batch_conditional_filter`](crate::filter::batch_conditional_filter)
+/// [`batch_conditional_filter_scratch`](crate::filter::batch_conditional_filter_scratch)
 /// runs — the strategy for computing each examined point's approximate cell
 /// and for testing cells/entries against the probe polygons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -19,9 +19,9 @@ pub enum FilterKernel {
     Indexed,
     /// The historical quadratic kernel: every examined point clips against
     /// all candidates found so far and every polygon test scans the whole
-    /// batch. Kept as the parity/benchmark baseline (the `filter_kernel`
-    /// experiment asserts identical candidates and counts the clip
-    /// operations the indexed kernel saves).
+    /// batch. Kept as the parity baseline (`tests/filter_kernel.rs` asserts
+    /// identical candidates and bounds the clip operations the indexed
+    /// kernel spends per examined point).
     Scan,
 }
 
@@ -149,8 +149,9 @@ pub struct CijConfig {
     /// memory-maps an unlinked temp file so the kernel manages frame
     /// residency. The choice cannot affect results or page-access counts
     /// (the backend parity guarantee of `cij_pagestore`) — it decides
-    /// whether the counted accesses move real bytes, which the
-    /// `io_validation` bench experiment cross-checks.
+    /// whether the counted accesses move real bytes, which
+    /// `tests/storage.rs::file_bytes_read_match_counted_physical_reads`
+    /// cross-checks.
     pub storage_backend: StorageBackend,
     /// Buffer capacity, as a fraction of each tree's size, applied to trees
     /// the algorithms build themselves (2 % in the paper).
@@ -216,8 +217,8 @@ pub struct CijConfig {
     /// cells in place through scratch buffers; [`LeafLayout::Aos`] is the
     /// historical owned-`Node`/allocating-clip baseline. Both layouts
     /// produce byte-identical pairs, tuples, counters and page accesses —
-    /// the knob trades memory shape, never results (asserted by the
-    /// `kernel_layout` bench experiment and `tests/layout.rs`).
+    /// the knob trades memory shape, never results (asserted by
+    /// `tests/layout.rs`).
     ///
     /// [`LeafLayout::Soa`]: cij_rtree::LeafLayout::Soa
     /// [`LeafLayout::Aos`]: cij_rtree::LeafLayout::Aos

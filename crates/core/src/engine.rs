@@ -1,5 +1,5 @@
-//! The streaming execution core: [`PairStream`], [`CijExecutor`], the
-//! two-mode executor and the unified [`QueryEngine`] entry point.
+//! The streaming execution core: [`PairStream`], the two-mode executor and
+//! the unified [`QueryEngine`] entry point.
 //!
 //! The paper's headline property of NM-CIJ is that it is **non-blocking**:
 //! result pairs start flowing after a handful of page accesses, long before
@@ -11,9 +11,9 @@
 //!   NM-CIJ the stream is genuinely lazy (leaves of `RQ` are processed only
 //!   as pairs are demanded); for the blocking FM/PM algorithms the stream
 //!   replays an eagerly computed result, preserving one uniform API.
-//! * [`CijExecutor`] — the strategy trait tying an [`Algorithm`] to its
-//!   stream construction; the blocking entry points (`fm_cij`, `pm_cij`,
-//!   `nm_cij`) are thin `.into_outcome()` wrappers over it.
+//! * [`Algorithm::stream`] — the one dispatch from an [`Algorithm`] to its
+//!   stream construction; `nm_cij` drains that stream, `fm_cij` and `pm_cij`
+//!   are the eager evaluations it wraps.
 //! * [`QueryEngine`] — the facade-level entry point used by examples, tests
 //!   and the benchmark harness instead of reaching into per-algorithm
 //!   functions.
@@ -54,11 +54,8 @@
 //! [`CijConfig::exec_mode`]: crate::config::CijConfig::exec_mode
 
 use crate::config::CijConfig;
-use crate::fm::fm_cij_eager;
 use crate::grouped::{grouped_nn_via_cij, GroupCounts};
 use crate::multiway::{MultiwayOutcome, TupleStream};
-use crate::nm::{CacheSlot, NmPairIter};
-use crate::pm::pm_cij_eager;
 use crate::service::{CijService, EngineSnapshot, ServiceConfig};
 use crate::stats::{CijOutcome, CostBreakdown, LeafWatermark, NmCounters, ProgressSample};
 use crate::workload::{MultiwayWorkload, Workload};
@@ -91,7 +88,7 @@ pub(crate) type SharedStreamState = Arc<Mutex<StreamState>>;
 
 /// A pull-based stream of CIJ result pairs.
 ///
-/// Obtained from [`QueryEngine::stream`] or [`CijExecutor::stream`]. Pairs
+/// Obtained from [`QueryEngine::stream`] or [`Algorithm::stream`]. Pairs
 /// are produced on demand; [`PairStream::progress_so_far`] and
 /// [`PairStream::counters_so_far`] expose the incremental measurements, and
 /// [`PairStream::into_outcome`] drains the remainder into the classic
@@ -234,116 +231,6 @@ impl Iterator for PairStream<'_> {
     }
 }
 
-/// Strategy trait implemented by the three CIJ evaluation algorithms.
-///
-/// `stream` is the primary operation; the default `run` drains the stream
-/// into a [`CijOutcome`], which is exactly what the classic blocking entry
-/// points do.
-pub trait CijExecutor {
-    /// Which algorithm this executor implements.
-    fn algorithm(&self) -> Algorithm;
-
-    /// Starts the join and returns the (lazy where the algorithm allows it)
-    /// stream of result pairs.
-    fn stream<'a>(&self, workload: &'a mut Workload, config: &CijConfig) -> PairStream<'a>;
-
-    /// Runs the join to completion.
-    fn run(&self, workload: &mut Workload, config: &CijConfig) -> CijOutcome {
-        self.stream(workload, config).into_outcome()
-    }
-}
-
-/// Executor for FM-CIJ (Algorithm 3). Blocking: the stream starts only
-/// after both Voronoi R-trees are materialised.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FmExecutor;
-
-impl CijExecutor for FmExecutor {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::FmCij
-    }
-
-    fn stream<'a>(&self, workload: &'a mut Workload, config: &CijConfig) -> PairStream<'a> {
-        PairStream::from_outcome(Algorithm::FmCij, fm_cij_eager(workload, config))
-    }
-
-    fn run(&self, workload: &mut Workload, config: &CijConfig) -> CijOutcome {
-        // The eager evaluation already is the blocking outcome — skip the
-        // pointless wrap-in-a-stream-and-drain round trip.
-        fm_cij_eager(workload, config)
-    }
-}
-
-/// Executor for PM-CIJ (Algorithm 4). Blocking: the stream starts only
-/// after `R'P` is materialised.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PmExecutor;
-
-impl CijExecutor for PmExecutor {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::PmCij
-    }
-
-    fn stream<'a>(&self, workload: &'a mut Workload, config: &CijConfig) -> PairStream<'a> {
-        PairStream::from_outcome(Algorithm::PmCij, pm_cij_eager(workload, config))
-    }
-
-    fn run(&self, workload: &mut Workload, config: &CijConfig) -> CijOutcome {
-        // See FmExecutor::run — the eager outcome needs no stream round trip.
-        pm_cij_eager(workload, config)
-    }
-}
-
-/// Executor for NM-CIJ (Algorithm 6). Non-blocking: leaves of `RQ` are
-/// processed lazily, so the first pairs are available after a handful of
-/// page accesses.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NmExecutor;
-
-impl NmExecutor {
-    /// The single construction path of every NM-CIJ stream: wires up the
-    /// shared state, the lazy [`NmPairIter`] and a [`CacheSlot`] the
-    /// iterator deposits its reuse buffer into once the stream is drained.
-    ///
-    /// Both [`CijExecutor::stream`] and the grouped-NN keep-the-cache entry
-    /// point go through here, so counters and progress attribution cannot
-    /// drift between the two.
-    pub(crate) fn stream_with_cache_slot<'a>(
-        workload: &'a mut Workload,
-        config: &CijConfig,
-    ) -> (PairStream<'a>, CacheSlot) {
-        let state: SharedStreamState = Arc::default();
-        let slot: CacheSlot = Arc::default();
-        let iter = NmPairIter::new(workload, *config, Arc::clone(&state))
-            .with_cache_slot(Arc::clone(&slot));
-        (
-            PairStream::new(Algorithm::NmCij, Box::new(iter), state),
-            slot,
-        )
-    }
-}
-
-impl CijExecutor for NmExecutor {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::NmCij
-    }
-
-    fn stream<'a>(&self, workload: &'a mut Workload, config: &CijConfig) -> PairStream<'a> {
-        NmExecutor::stream_with_cache_slot(workload, config).0
-    }
-}
-
-impl Algorithm {
-    /// The executor implementing this algorithm.
-    pub fn executor(&self) -> &'static dyn CijExecutor {
-        match self {
-            Algorithm::FmCij => &FmExecutor,
-            Algorithm::PmCij => &PmExecutor,
-            Algorithm::NmCij => &NmExecutor,
-        }
-    }
-}
-
 /// The unified entry point for common-influence joins.
 ///
 /// A `QueryEngine` owns a [`CijConfig`] and exposes every operation of the
@@ -395,12 +282,12 @@ impl QueryEngine {
     /// performs only the page accesses needed for the first productive leaf
     /// of `RQ`.
     pub fn stream<'a>(&self, workload: &'a mut Workload, algorithm: Algorithm) -> PairStream<'a> {
-        algorithm.executor().stream(workload, &self.config)
+        algorithm.stream(workload, &self.config)
     }
 
     /// Runs `algorithm` on `workload` to completion.
     pub fn run(&self, workload: &mut Workload, algorithm: Algorithm) -> CijOutcome {
-        algorithm.executor().run(workload, &self.config)
+        algorithm.run(workload, &self.config)
     }
 
     /// Convenience: builds the workload for `p` and `q` and runs
@@ -466,7 +353,6 @@ mod tests {
     fn small_config() -> CijConfig {
         CijConfig::default().with_rtree(RTreeConfig {
             page_size: 512,
-            min_fill: 0.4,
             max_entries: 64,
         })
     }
@@ -547,20 +433,6 @@ mod tests {
         assert!(outcome.progress.len() >= early.len());
         // Counters flowed through the shared state.
         assert!(outcome.nm.q_cells_computed > 0);
-    }
-
-    #[test]
-    fn executor_trait_objects_dispatch_correctly() {
-        let config = small_config();
-        let p = random_points(60, 509);
-        let q = random_points(60, 510);
-        for alg in Algorithm::ALL {
-            let executor = alg.executor();
-            assert_eq!(executor.algorithm(), alg);
-            let mut w = Workload::build(&p, &q, &config);
-            let outcome = executor.run(&mut w, &config);
-            assert!(!outcome.is_empty());
-        }
     }
 
     #[test]

@@ -51,9 +51,9 @@
 //! minimum distance exceeds `2R` **no remaining candidate in that ring or
 //! beyond can either** — the enumeration stops. Skipped clips are provably
 //! no-ops, so both kernels return the **same candidate set** (asserted by
-//! the `filter_kernel` experiment and a kernel-equivalence proptest); only
-//! the [`FilterStats::clip_ops`] and [`FilterStats::poly_tests_skipped`]
-//! counters differ.
+//! the proptest `tests/filter_kernel.rs::kernels_return_the_same_candidate_set`);
+//! only the [`FilterStats::clip_ops`] and
+//! [`FilterStats::poly_tests_skipped`] counters differ.
 //!
 //! This `2R` bound is the one bound of both crates: [`cij_voronoi::batch`]
 //! applies it to the exact cells of BatchVoronoi — as a per-member gate in
@@ -133,8 +133,8 @@ enum HeapEntry {
 const ADAPTIVE_GRID_START: usize = 8;
 
 /// Statistics of one filter invocation (used for the false-hit-ratio
-/// accounting of Figure 10 and the kernel comparison of the `filter_kernel`
-/// experiment).
+/// accounting of Figure 10 and the kernel comparisons of
+/// `tests/filter_kernel.rs`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FilterStats {
     /// Points of `P` examined (popped from the heap). Identical across
@@ -274,47 +274,26 @@ impl<'a> Probes<'a> {
     }
 }
 
-/// Runs the (batch) conditional filter under default options: returns every
-/// point of `P` whose Voronoi cell may intersect at least one polygon of
-/// `polys`, plus filter statistics.
+/// Runs the (batch) conditional filter: returns every point of `P` whose
+/// Voronoi cell may intersect at least one polygon of `polys`, plus filter
+/// statistics. With a single polygon this is exactly Algorithm 5; with
+/// several it is the BatchConditionalFilter of Section IV-A.
 ///
-/// With a single polygon this is exactly Algorithm 5; with several it is the
-/// BatchConditionalFilter of Section IV-A. See
-/// [`batch_conditional_filter_with`] for kernel selection.
-pub fn batch_conditional_filter<T: NodeReader<PointObject>>(
-    rp: &mut T,
-    polys: &[ConvexPolygon],
-    domain: &Rect,
-) -> (Vec<PointObject>, FilterStats) {
-    batch_conditional_filter_with(rp, polys, domain, &FilterOptions::default())
-}
-
-/// [`batch_conditional_filter`] with explicit [`FilterOptions`] (kernel
-/// choice, candidate-grid resolution, leaf layout). Allocates a fresh [`FilterScratch`] per call; hot callers use
-/// [`batch_conditional_filter_scratch`] to reuse one across invocations.
-///
-/// The candidate set is independent of the options — they trade CPU
+/// The candidate set is independent of the [`FilterOptions`] (kernel
+/// choice, candidate-grid resolution, leaf layout) — they trade CPU
 /// strategies, never results. Generic over [`NodeReader`], so the same
 /// traversal runs in counted mode (`&mut RTree`) and over the snapshot
 /// readers chunk workers use ([`cij_rtree::SnapshotReader`]).
-pub fn batch_conditional_filter_with<T: NodeReader<PointObject>>(
-    rp: &mut T,
-    polys: &[ConvexPolygon],
-    domain: &Rect,
-    options: &FilterOptions,
-) -> (Vec<PointObject>, FilterStats) {
-    batch_conditional_filter_scratch(rp, polys, domain, options, &mut FilterScratch::default())
-}
-
-/// [`batch_conditional_filter_with`] writing through a caller-owned
-/// [`FilterScratch`]: the traversal queue, the polygon tables and both
-/// grids are the scratch's, cleared and refilled per call, and the SoA
-/// layout also decodes nodes into `scratch.arena` and computes approximate
-/// cells in `scratch.cell` via the in-place clipping kernels — so a worker
-/// that keeps one scratch alive allocates only the four-vertex seed box and
-/// the candidate list it returns. The AoS layout leaves the arena and the cell alone and
-/// reads owned nodes and clips into fresh polygons, as it always did;
-/// results and page accesses are byte-identical either way.
+///
+/// Writes through a caller-owned [`FilterScratch`]: the traversal queue, the
+/// polygon tables and both grids are the scratch's, cleared and refilled per
+/// call, and the SoA layout also decodes nodes into `scratch.arena` and
+/// computes approximate cells in `scratch.cell` via the in-place clipping
+/// kernels — so a worker that keeps one scratch alive allocates only the
+/// four-vertex seed box and the candidate list it returns. The AoS layout
+/// leaves the arena and the cell alone and reads owned nodes and clips into
+/// fresh polygons, as it always did; results and page accesses are
+/// byte-identical either way.
 pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
     rp: &mut T,
     polys: &[ConvexPolygon],
@@ -859,7 +838,6 @@ mod tests {
     fn config() -> RTreeConfig {
         RTreeConfig {
             page_size: 256,
-            min_fill: 0.4,
             max_entries: 64,
         }
     }
@@ -869,6 +847,16 @@ mod tests {
         (0..n)
             .map(|_| Point::new(rng.gen_range(0.0..10_000.0), rng.gen_range(0.0..10_000.0)))
             .collect()
+    }
+
+    /// One filter call in the domain under `options`, fresh scratch.
+    fn filter_with(
+        rp: &mut RTree<PointObject>,
+        polys: &[ConvexPolygon],
+        options: &FilterOptions,
+    ) -> (Vec<PointObject>, FilterStats) {
+        let scratch = &mut FilterScratch::default();
+        batch_conditional_filter_scratch(rp, polys, &Rect::DOMAIN, options, scratch)
     }
 
     /// Oracle: ids of P points whose exact Voronoi cell intersects any poly.
@@ -891,7 +879,7 @@ mod tests {
         // Use the cell of one Q point as the probe polygon.
         let t = brute_force_cell(&q, 17, &Rect::DOMAIN);
         let (candidates, _) =
-            batch_conditional_filter(&mut rp, std::slice::from_ref(&t), &Rect::DOMAIN);
+            filter_with(&mut rp, std::slice::from_ref(&t), &FilterOptions::default());
         let candidate_ids: Vec<u64> = candidates.iter().map(|c| c.id.0).collect();
         for joiner in oracle_joiners(&p, &[t]) {
             assert!(
@@ -908,7 +896,7 @@ mod tests {
         let mut rp = RTree::bulk_load(config(), PointObject::from_points(&p));
         let q_cells = brute_force_diagram(&q, &Rect::DOMAIN);
         let group: Vec<ConvexPolygon> = q_cells[40..52].to_vec();
-        let (candidates, stats) = batch_conditional_filter(&mut rp, &group, &Rect::DOMAIN);
+        let (candidates, stats) = filter_with(&mut rp, &group, &FilterOptions::default());
         let candidate_ids: Vec<u64> = candidates.iter().map(|c| c.id.0).collect();
         for joiner in oracle_joiners(&p, &group) {
             assert!(candidate_ids.contains(&joiner));
@@ -924,7 +912,7 @@ mod tests {
         let t = brute_force_cell(&q, 123, &Rect::DOMAIN);
         rp.drop_buffer();
         rp.stats().reset();
-        let (candidates, _) = batch_conditional_filter(&mut rp, &[t], &Rect::DOMAIN);
+        let (candidates, _) = filter_with(&mut rp, &[t], &FilterOptions::default());
         let reads = rp.stats().snapshot().logical_reads as usize;
         assert!(
             reads < rp.num_pages() / 4,
@@ -942,10 +930,13 @@ mod tests {
     fn empty_polygon_list_yields_no_candidates() {
         let p = random_points(100, 61);
         let mut rp = RTree::bulk_load(config(), PointObject::from_points(&p));
-        let (candidates, _) = batch_conditional_filter(&mut rp, &[], &Rect::DOMAIN);
+        let (candidates, _) = filter_with(&mut rp, &[], &FilterOptions::default());
         assert!(candidates.is_empty());
-        let (candidates, _) =
-            batch_conditional_filter(&mut rp, &[ConvexPolygon::empty()], &Rect::DOMAIN);
+        let (candidates, _) = filter_with(
+            &mut rp,
+            &[ConvexPolygon::empty()],
+            &FilterOptions::default(),
+        );
         assert!(candidates.is_empty());
     }
 
@@ -957,7 +948,7 @@ mod tests {
         let p = random_points(120, 71);
         let mut rp = RTree::bulk_load(config(), PointObject::from_points(&p));
         let t = ConvexPolygon::from_rect(&Rect::DOMAIN);
-        let (candidates, _) = batch_conditional_filter(&mut rp, &[t], &Rect::DOMAIN);
+        let (candidates, _) = filter_with(&mut rp, &[t], &FilterOptions::default());
         assert_eq!(candidates.len(), p.len());
     }
 
@@ -967,7 +958,7 @@ mod tests {
         let mut rp = RTree::bulk_load(config(), PointObject::from_points(&p));
         let t = ConvexPolygon::from_rect(&Rect::from_coords(2_000.0, 2_000.0, 5_000.0, 5_000.0));
         let (candidates, _) =
-            batch_conditional_filter(&mut rp, std::slice::from_ref(&t), &Rect::DOMAIN);
+            filter_with(&mut rp, std::slice::from_ref(&t), &FilterOptions::default());
         let ids: Vec<u64> = candidates.iter().map(|c| c.id.0).collect();
         for (i, pt) in p.iter().enumerate() {
             if t.contains_point(pt) {
@@ -1254,7 +1245,7 @@ mod tests {
         let mut rp = RTree::bulk_load(config(), PointObject::from_points(&p));
         let t = ConvexPolygon::from_rect(&Rect::from_coords(9_000.0, 9_000.0, 9_200.0, 9_200.0));
         let (candidates, _) =
-            batch_conditional_filter(&mut rp, std::slice::from_ref(&t), &Rect::DOMAIN);
+            filter_with(&mut rp, std::slice::from_ref(&t), &FilterOptions::default());
         // Only boundary points of the cluster (whose cells extend to the far
         // corner) should survive; certainly not the whole cluster.
         assert!(
@@ -1273,12 +1264,7 @@ mod tests {
     fn both_kernels(p: &[Point], polys: &[ConvexPolygon]) -> [(Vec<PointObject>, FilterStats); 2] {
         [FilterKernel::Indexed, FilterKernel::Scan].map(|kernel| {
             let mut rp = RTree::bulk_load(config(), PointObject::from_points(p));
-            batch_conditional_filter_with(
-                &mut rp,
-                polys,
-                &Rect::DOMAIN,
-                &FilterOptions::for_kernel(kernel),
-            )
+            filter_with(&mut rp, polys, &FilterOptions::for_kernel(kernel))
         })
     }
 
@@ -1341,10 +1327,9 @@ mod tests {
         let group: Vec<ConvexPolygon> = q_cells[30..42].to_vec();
         let scan = {
             let mut rp = RTree::bulk_load(config(), PointObject::from_points(&p));
-            batch_conditional_filter_with(
+            filter_with(
                 &mut rp,
                 &group,
-                &Rect::DOMAIN,
                 &FilterOptions::for_kernel(FilterKernel::Scan),
             )
             .0
@@ -1356,7 +1341,7 @@ mod tests {
                 grid_resolution: resolution,
                 ..FilterOptions::default()
             };
-            let (cands, _) = batch_conditional_filter_with(&mut rp, &group, &Rect::DOMAIN, &opts);
+            let (cands, _) = filter_with(&mut rp, &group, &opts);
             assert_eq!(cands, scan, "resolution {resolution} diverged");
         }
     }

@@ -8,7 +8,6 @@
 //! blocking (no result pair is produced before both trees are built).
 
 use crate::config::CijConfig;
-use crate::engine::{CijExecutor, FmExecutor};
 use crate::stats::{CijOutcome, CostBreakdown, ProgressSample};
 use crate::vor_rtree::materialize_voronoi_rtree;
 use crate::workload::Workload;
@@ -18,15 +17,11 @@ use std::time::Instant;
 /// Runs FM-CIJ on a workload, returning the result pairs and the MAT/JOIN
 /// cost breakdown.
 ///
-/// Thin blocking wrapper over the [`FmExecutor`] stream (FM-CIJ is
-/// inherently blocking — the stream only starts after both Voronoi R-trees
-/// are materialised, which is the point of comparing it against NM-CIJ).
+/// FM-CIJ is inherently blocking — nothing flows before both Voronoi
+/// R-trees are materialised, which is the point of comparing it against
+/// NM-CIJ — so its [`PairStream`](crate::engine::PairStream) replays this
+/// eager outcome.
 pub fn fm_cij(workload: &mut Workload, config: &CijConfig) -> CijOutcome {
-    FmExecutor.run(workload, config)
-}
-
-/// The eager FM-CIJ evaluation backing [`FmExecutor`].
-pub(crate) fn fm_cij_eager(workload: &mut Workload, config: &CijConfig) -> CijOutcome {
     let stats = workload.stats.clone();
     let start_io = stats.snapshot();
 
@@ -95,7 +90,6 @@ mod tests {
     fn small_config() -> CijConfig {
         CijConfig::default().with_rtree(RTreeConfig {
             page_size: 512,
-            min_fill: 0.4,
             max_entries: 64,
         })
     }

@@ -20,8 +20,8 @@
 //!   implemented natively as this stream (one `RQ` leaf is processed per
 //!   demand), which makes the paper's *non-blocking* claim an observable
 //!   property: the first pair costs only a handful of page accesses.
-//! * [`CijExecutor`] — the strategy trait behind [`Algorithm`]; the classic
-//!   blocking functions are thin `.into_outcome()` wrappers over it.
+//! * [`Algorithm::stream`] / [`Algorithm::run`] — the one dispatch from an
+//!   [`Algorithm`] to its evaluation, which `QueryEngine` delegates to.
 //!
 //! NM-CIJ optionally executes leaf units in parallel
 //! ([`CijConfig::worker_threads`]) on a `std::thread::scope` worker pool
@@ -61,7 +61,7 @@
 //! The Section IV-B *reuse buffer* is the bounded LRU
 //! [`CellCache`](cell_cache::CellCache), shared by NM-CIJ, PM-CIJ and the
 //! [`multiway`] / [`grouped`] extensions through the cache-aware
-//! [`cij_voronoi::batch_voronoi_cached`] API. Its capacity is bounded by
+//! [`cij_voronoi::batch_voronoi_cached_with`] API. Its capacity is bounded by
 //! [`CijConfig::cell_cache_capacity`]; hit/miss/eviction counts surface
 //! through [`NmCounters`] and the shared [`cij_pagestore::IoStats`].
 //!
@@ -110,11 +110,8 @@ pub use cell_cache::{CacheBudget, CacheLease, CellCache};
 pub use cij_pagestore::StorageBackend;
 pub use cij_rtree::LeafLayout;
 pub use config::{CijConfig, ExecMode, FilterKernel, MultiwayDriver};
-pub use engine::{CijExecutor, FmExecutor, NmExecutor, PairStream, PmExecutor, QueryEngine};
-pub use filter::{
-    batch_conditional_filter, batch_conditional_filter_scratch, batch_conditional_filter_with,
-    FilterOptions, FilterScratch, FilterStats,
-};
+pub use engine::{PairStream, QueryEngine};
+pub use filter::{batch_conditional_filter_scratch, FilterOptions, FilterScratch, FilterStats};
 pub use fm::fm_cij;
 pub use grouped::{grouped_nn_via_all_nn, grouped_nn_via_cij, GroupCounts};
 pub use multiway::{
@@ -156,10 +153,26 @@ impl Algorithm {
         }
     }
 
-    /// Runs this algorithm on a workload (blocking; delegates to the
-    /// algorithm's [`CijExecutor`]).
+    /// Starts this algorithm on a workload and returns the stream of result
+    /// pairs: lazy for NM-CIJ (leaves of `RQ` are processed as pairs are
+    /// demanded), a replay of the eager outcome for the blocking FM/PM.
+    pub fn stream<'a>(&self, workload: &'a mut Workload, config: &CijConfig) -> PairStream<'a> {
+        match self {
+            Algorithm::FmCij => PairStream::from_outcome(*self, fm_cij(workload, config)),
+            Algorithm::PmCij => PairStream::from_outcome(*self, pm_cij(workload, config)),
+            Algorithm::NmCij => nm::stream_with_cache_slot(workload, config).0,
+        }
+    }
+
+    /// Runs this algorithm on a workload to completion. FM/PM return their
+    /// eager outcome directly instead of wrapping it in a stream and
+    /// draining it again.
     pub fn run(&self, workload: &mut Workload, config: &CijConfig) -> CijOutcome {
-        self.executor().run(workload, config)
+        match self {
+            Algorithm::FmCij => fm_cij(workload, config),
+            Algorithm::PmCij => pm_cij(workload, config),
+            Algorithm::NmCij => nm_cij(workload, config),
+        }
     }
 }
 
@@ -180,7 +193,6 @@ mod tests {
         use cij_geom::Point;
         let config = CijConfig::default().with_rtree(cij_rtree::RTreeConfig {
             page_size: 512,
-            min_fill: 0.4,
             max_entries: 64,
         });
         let p: Vec<Point> = (0..30)

@@ -114,7 +114,7 @@
 //! stream over a shared tree slice (no exclusive workload at all) backs the
 //! concurrent request server in [`crate::service`].
 //!
-//! [`batch_conditional_filter`]: crate::filter::batch_conditional_filter
+//! [`batch_conditional_filter`]: crate::filter::batch_conditional_filter_scratch
 //! [`CellCache`]: crate::cell_cache::CellCache
 //! [`ClipScratch`]: cij_geom::ClipScratch
 //! [`CijConfig::worker_threads`]: crate::config::CijConfig::worker_threads
@@ -867,7 +867,6 @@ mod tests {
     fn small_config() -> CijConfig {
         CijConfig::default().with_rtree(RTreeConfig {
             page_size: 512,
-            min_fill: 0.4,
             max_entries: 64,
         })
     }

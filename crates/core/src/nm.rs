@@ -58,11 +58,12 @@ use crate::chunk::{
     LeafCursor, UnitEnv, UnitScratch,
 };
 use crate::config::CijConfig;
-use crate::engine::{CijExecutor, NmExecutor, SharedStreamState};
+use crate::engine::{PairStream, SharedStreamState};
 use crate::filter::{batch_conditional_filter_scratch, FilterStats};
 use crate::stats::CijOutcome;
 use crate::stats::{LeafWatermark, ProgressSample};
 use crate::workload::Workload;
+use crate::Algorithm;
 use cij_geom::{ConvexPolygon, Rect};
 use cij_pagestore::{PageId, PageIoError};
 use cij_rtree::{NodeReader, PointObject, RTree, ReadLog};
@@ -73,8 +74,7 @@ use std::time::Instant;
 
 /// Slot an [`NmPairIter`] deposits its reuse buffer into when the stream is
 /// exhausted, so callers that need the cache after the join (grouped-NN)
-/// share the executor's stream-construction path instead of wiring their
-/// own.
+/// share [`stream_with_cache_slot`] instead of wiring their own stream.
 pub(crate) type CacheSlot = Arc<Mutex<Option<CellCache>>>;
 
 /// Index of the `P` tree (filter + refinement side) in the iterator's
@@ -87,13 +87,31 @@ const Q: usize = 1;
 /// cost breakdown (all cost is JOIN cost — there is no materialisation
 /// phase) and the NM-specific counters used by Figures 10 and 11.
 ///
-/// This is a thin blocking wrapper: it drains the lazy pair stream of
-/// [`NmExecutor`]. Use [`QueryEngine::stream`] to consume pairs
-/// incrementally instead.
+/// This is a thin blocking wrapper: it drains the lazy pair stream. Use
+/// [`QueryEngine::stream`] to consume pairs incrementally instead.
 ///
 /// [`QueryEngine::stream`]: crate::engine::QueryEngine::stream
 pub fn nm_cij(workload: &mut Workload, config: &CijConfig) -> CijOutcome {
-    NmExecutor.stream(workload, config).into_outcome()
+    stream_with_cache_slot(workload, config).0.into_outcome()
+}
+
+/// The single construction path of every exclusive-workload NM-CIJ stream:
+/// wires up the shared state, the lazy [`NmPairIter`] and a [`CacheSlot`]
+/// the iterator deposits its reuse buffer into once the stream is drained.
+///
+/// Both [`Algorithm::stream`](crate::Algorithm::stream) and the grouped-NN
+/// keep-the-cache entry point go through here, so counters and progress
+/// attribution cannot drift between the two.
+pub(crate) fn stream_with_cache_slot<'a>(
+    workload: &'a mut Workload,
+    config: &CijConfig,
+) -> (PairStream<'a>, CacheSlot) {
+    let state = SharedStreamState::default();
+    let slot = CacheSlot::default();
+    let iter =
+        NmPairIter::new(workload, *config, Arc::clone(&state)).with_cache_slot(Arc::clone(&slot));
+    let stream = PairStream::new(Algorithm::NmCij, Box::new(iter), state);
+    (stream, slot)
 }
 
 /// Like [`nm_cij`], but also hands back the reuse buffer so a caller can
@@ -101,14 +119,14 @@ pub fn nm_cij(workload: &mut Workload, config: &CijConfig) -> CijOutcome {
 /// materialises the common influence regions of the result pairs from the
 /// very cells the join just computed).
 ///
-/// Routed through [`NmExecutor::stream_with_cache_slot`] — the same
-/// stream-construction path as every other NM-CIJ invocation — so counters
-/// and progress attribution cannot drift between the entry points.
+/// Routed through [`stream_with_cache_slot`] — the same stream-construction
+/// path as every other NM-CIJ invocation — so counters and progress
+/// attribution cannot drift between the entry points.
 pub(crate) fn nm_cij_keep_cache(
     workload: &mut Workload,
     config: &CijConfig,
 ) -> (CijOutcome, CellCache) {
-    let (stream, slot) = NmExecutor::stream_with_cache_slot(workload, config);
+    let (stream, slot) = stream_with_cache_slot(workload, config);
     let outcome = stream.into_outcome();
     let cache = slot
         .lock()
@@ -588,7 +606,6 @@ mod tests {
     fn small_config() -> CijConfig {
         CijConfig::default().with_rtree(RTreeConfig {
             page_size: 512,
-            min_fill: 0.4,
             max_entries: 64,
         })
     }
@@ -914,7 +931,7 @@ mod tests {
         w.rq.flush();
         w.rq.drop_buffer();
         w.rq.inject_fault(FaultSpec::corrupt_frame(target.0));
-        let mut stream = NmExecutor.stream(&mut w, &config);
+        let mut stream = stream_with_cache_slot(&mut w, &config).0;
         let drained: Vec<(u64, u64)> = stream.by_ref().collect();
         let error = stream.io_error().expect("corrupt frame surfaces an error");
         assert_eq!(error.kind, FaultKind::Corrupt);
@@ -953,7 +970,7 @@ mod tests {
                 });
                 tree.inject_fault(FaultSpec::transient(seed));
             }
-            let (mut stream, slot) = NmExecutor::stream_with_cache_slot(&mut w, &config);
+            let (mut stream, slot) = stream_with_cache_slot(&mut w, &config);
             let rows = stream.by_ref().count();
             assert_eq!(
                 stream.io_error().is_some(),

@@ -8,7 +8,6 @@
 //! an LRU buffer PM-CIJ is cheaper than FM-CIJ.
 
 use crate::config::CijConfig;
-use crate::engine::{CijExecutor, PmExecutor};
 use crate::stats::{CijOutcome, CostBreakdown, ProgressSample};
 use crate::vor_rtree::materialize_voronoi_rtree;
 use crate::workload::Workload;
@@ -20,14 +19,9 @@ use std::time::Instant;
 /// Runs PM-CIJ on a workload, returning the result pairs and the MAT/JOIN
 /// cost breakdown.
 ///
-/// Thin blocking wrapper over the [`PmExecutor`] stream (PM-CIJ is
-/// blocking — nothing flows before `R'P` is materialised).
+/// PM-CIJ is blocking — nothing flows before `R'P` is materialised — so its
+/// [`PairStream`](crate::engine::PairStream) replays this eager outcome.
 pub fn pm_cij(workload: &mut Workload, config: &CijConfig) -> CijOutcome {
-    PmExecutor.run(workload, config)
-}
-
-/// The eager PM-CIJ evaluation backing [`PmExecutor`].
-pub(crate) fn pm_cij_eager(workload: &mut Workload, config: &CijConfig) -> CijOutcome {
     let stats = workload.stats.clone();
     let start_io = stats.snapshot();
 
@@ -122,7 +116,6 @@ mod tests {
     fn small_config() -> CijConfig {
         CijConfig::default().with_rtree(RTreeConfig {
             page_size: 512,
-            min_fill: 0.4,
             max_entries: 64,
         })
     }

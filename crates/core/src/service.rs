@@ -1033,7 +1033,6 @@ mod tests {
     fn small_config() -> CijConfig {
         CijConfig::default().with_rtree(RTreeConfig {
             page_size: 512,
-            min_fill: 0.4,
             max_entries: 64,
         })
     }

@@ -73,7 +73,6 @@ mod tests {
     fn config() -> CijConfig {
         CijConfig::default().with_rtree(RTreeConfig {
             page_size: 512,
-            min_fill: 0.4,
             max_entries: 64,
         })
     }
@@ -119,11 +118,12 @@ mod tests {
     fn materialisation_io_includes_writing_the_new_tree() {
         let pts = random_points(400, 3);
         let stats = IoStats::new();
-        let mut tree = RTree::bulk_load_with_stats(
+        let mut tree = RTree::bulk_load_with_stats_on(
             config().rtree,
             stats.clone(),
             PointObject::from_points(&pts),
             1.0,
+            config().storage_backend,
         );
         tree.drop_buffer();
         stats.reset();

@@ -252,7 +252,6 @@ mod tests {
     fn build_produces_clean_workload() {
         let config = CijConfig::default().with_rtree(RTreeConfig {
             page_size: 256,
-            min_fill: 0.4,
             max_entries: 64,
         });
         let w = Workload::build(&random_points(500, 1), &random_points(400, 2), &config);
@@ -270,7 +269,6 @@ mod tests {
         let config = CijConfig::default()
             .with_rtree(RTreeConfig {
                 page_size: 256,
-                min_fill: 0.4,
                 max_entries: 64,
             })
             .with_buffer_fraction(0.1);
@@ -291,7 +289,6 @@ mod tests {
         let config = CijConfig::default()
             .with_rtree(RTreeConfig {
                 page_size: 256,
-                min_fill: 0.4,
                 max_entries: 64,
             })
             .with_buffer_fraction(0.01)
@@ -305,7 +302,6 @@ mod tests {
     fn multiway_workload_builds_k_trees_with_shared_accounting() {
         let config = CijConfig::default().with_rtree(RTreeConfig {
             page_size: 256,
-            min_fill: 0.4,
             max_entries: 64,
         });
         let sets = vec![
@@ -341,7 +337,6 @@ mod tests {
     fn driver_cost_model_prefers_the_smallest_tree() {
         let config = CijConfig::default().with_rtree(RTreeConfig {
             page_size: 256,
-            min_fill: 0.4,
             max_entries: 64,
         });
         let sets = vec![
@@ -364,7 +359,6 @@ mod tests {
     fn driver_cost_ties_resolve_to_set_zero() {
         let config = CijConfig::default().with_rtree(RTreeConfig {
             page_size: 256,
-            min_fill: 0.4,
             max_entries: 64,
         });
         // Identical sets → identical costs → lowest index wins (the

@@ -122,14 +122,6 @@ impl Rect {
         self.union(&Rect::from_point(p))
     }
 
-    /// Increase in area caused by enlarging `self` to contain `other`.
-    ///
-    /// This is the Guttman insertion heuristic ("least enlargement").
-    #[inline]
-    pub fn enlargement(&self, other: &Rect) -> f64 {
-        self.union(other).area() - self.area()
-    }
-
     /// Whether the two rectangles intersect (boundaries touching counts).
     #[inline]
     pub fn intersects(&self, other: &Rect) -> bool {
@@ -337,14 +329,6 @@ mod tests {
         assert!((a.mindist_rect(&b) - 5.0).abs() < 1e-12);
         let c = r(0.5, 0.5, 2.0, 2.0);
         assert_eq!(a.mindist_rect(&c), 0.0);
-    }
-
-    #[test]
-    fn enlargement_of_contained_rect_is_zero() {
-        let a = r(0.0, 0.0, 10.0, 10.0);
-        let b = r(2.0, 2.0, 3.0, 3.0);
-        assert_eq!(a.enlargement(&b), 0.0);
-        assert!(b.enlargement(&a) > 0.0);
     }
 
     #[test]

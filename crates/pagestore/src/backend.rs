@@ -22,8 +22,9 @@
 //!   misses, eviction write-backs, [`PageStore::flush`] write-backs and
 //!   replayed reads. For a store whose accounting is intact, `bytes_read ==
 //!   physical_reads × page_size` **and** `bytes_written == physical_writes ×
-//!   page_size` — the two invariants the `io_validation` bench experiment
-//!   and `metered_byte_contract_holds_for_every_backend` check. All three
+//!   page_size` — the two invariants
+//!   `metered_byte_contract_holds_for_every_backend` checks (and, for reads
+//!   under a join, the workspace's `tests/storage.rs`). All three
 //!   backends count metered transfers identically; historically
 //!   `drop_buffer`'s write-backs were "uncounted-but-real" (bytes moved,
 //!   `physical_writes` did not), which broke the written-byte half of the
@@ -155,9 +156,9 @@ pub enum IoClass {
 /// Metered counters advance by exactly one frame size per metered
 /// operation, so for a store whose accounting is intact, `bytes_read ==
 /// physical_reads × page_size` and `bytes_written == physical_writes ×
-/// page_size` — the invariants the `io_validation` and `out_of_core` bench
-/// experiments check. The unmetered counters account every remaining real
-/// transfer (see the [module docs](self)).
+/// page_size` — the invariants `metered_byte_contract_holds_for_every_backend`
+/// checks. The unmetered counters account every remaining real transfer (see
+/// the [module docs](self)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BackendIo {
     /// Bytes read from the backing storage by metered transfers.

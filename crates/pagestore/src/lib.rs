@@ -50,8 +50,8 @@
 //! totals under `CIJ_STORAGE=file` / `CIJ_STORAGE=mmap`) by the workspace's
 //! integration tests — which is what finally lets the paper's counted page
 //! accesses be validated against real I/O (`bytes_read == physical_reads ×
-//! page_size`, see the `io_validation` and `out_of_core` bench
-//! experiments).
+//! page_size`, see `file_bytes_read_match_counted_physical_reads` in the
+//! workspace's `tests/storage.rs`).
 //!
 //! ## The failure model
 //!

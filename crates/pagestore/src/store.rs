@@ -23,8 +23,9 @@
 //! Everything else decodes on miss through the backend and is dropped on
 //! eviction, so peak decoded residency is bounded by `buffer capacity +
 //! pinned pages` (tracked by [`PageStore::peak_resident_pages`] /
-//! [`PageStore::peak_pinned_pages`] and asserted by the `out_of_core` bench
-//! experiment) instead of by the dataset size.
+//! [`PageStore::peak_pinned_pages`] and asserted under a join by
+//! `out_of_core_join_stays_within_buffer_plus_pins` in the workspace's
+//! `tests/storage.rs`) instead of by the dataset size.
 //!
 //! A [`PageRef`] holds its payload through an `Arc`, so a guard stays valid
 //! even if the page is concurrently overwritten (writes *replace* the

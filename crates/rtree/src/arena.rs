@@ -1,6 +1,6 @@
 //! Flat structure-of-arrays node arena for decoded point leaves.
 //!
-//! The AoS [`Node`] representation is convenient for building and splitting,
+//! The AoS [`Node`] representation is convenient for building and encoding,
 //! but in join hot loops it makes every leaf scan walk a `Vec<PointObject>`
 //! of interleaved `(id, x, y)` structs. [`NodeArena`] is the SoA counterpart
 //! used by those hot loops: one node at a time is decoded into separate
@@ -33,8 +33,7 @@ use cij_pagestore::PageId;
 ///
 /// Mirrors the `FilterKernel` knob of `cij-core`: both layouts produce
 /// byte-identical pairs, tuples, counters and page accesses; the AoS
-/// baseline survives as the parity/benchmark reference for the
-/// `kernel_layout` experiment.
+/// baseline survives as the parity reference of `tests/layout.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LeafLayout {
     /// Structure-of-arrays: nodes are decoded into a reusable [`NodeArena`]
@@ -203,16 +202,13 @@ mod tests {
     use crate::tree::{RTree, RTreeConfig};
 
     fn sample_tree() -> RTree<PointObject> {
-        let mut tree = RTree::new(RTreeConfig {
+        let config = RTreeConfig {
             page_size: 256,
-            min_fill: 0.4,
             max_entries: 64,
-        });
-        for i in 0..300u64 {
-            let d = i as f64;
-            tree.insert(PointObject::new(i, Point::new((d * 13.0) % 100.0, d)));
-        }
-        tree
+        };
+        let point = |i: u64| Point::new((i as f64 * 13.0) % 100.0, i as f64);
+        let objects = (0..300).map(|i| PointObject::new(i, point(i)));
+        RTree::bulk_load(config, objects.collect())
     }
 
     #[test]

@@ -43,7 +43,7 @@ use cij_pagestore::{FrameReader, FrameWriter, IoClass, IoStats, PageBackend, Sto
 
 /// Packing fill factor for bulk loading (fraction of the page byte budget a
 /// leaf is filled to before a new leaf is started). The paper packs pages
-/// fully; a slightly lower default leaves headroom for later insertions.
+/// fully.
 pub const DEFAULT_FILL: f64 = 1.0;
 
 /// Default in-memory run size of the external sort, in objects. Small
@@ -52,31 +52,26 @@ pub const DEFAULT_FILL: f64 = 1.0;
 pub const DEFAULT_RUN_CAPACITY: usize = 8192;
 
 impl<D: RTreeObject> RTree<D> {
-    /// Bulk-loads a tree from `objects` with fresh statistics counters.
+    /// Bulk-loads a tree from `objects` with fresh statistics counters, on
+    /// the heap backend, packing pages to [`DEFAULT_FILL`].
     pub fn bulk_load(config: RTreeConfig, objects: Vec<D>) -> Self {
-        Self::bulk_load_with_stats(config, IoStats::new(), objects, DEFAULT_FILL)
+        Self::bulk_load_with_stats_on(
+            config,
+            IoStats::new(),
+            objects,
+            DEFAULT_FILL,
+            StorageBackend::Heap,
+        )
     }
 
     /// Bulk-loads a tree that shares `stats`, packing leaf pages to `fill`
-    /// (in `(0, 1]`) of the page byte budget in Hilbert order. Node frames
-    /// live on the heap backend; use [`RTree::bulk_load_with_stats_on`] to
-    /// choose.
+    /// (in `(0, 1]`) of the page byte budget in Hilbert order, its node
+    /// frames on the given [`StorageBackend`].
     ///
     /// Construction writes every node page exactly once (the logical writes
     /// become physical when the buffer evicts them or on
     /// [`RTree::flush`]), matching the paper's observation that bulk-loading
     /// costs exactly the sequential write of the new tree.
-    pub fn bulk_load_with_stats(
-        config: RTreeConfig,
-        stats: IoStats,
-        objects: Vec<D>,
-        fill: f64,
-    ) -> Self {
-        Self::bulk_load_with_stats_on(config, stats, objects, fill, StorageBackend::Heap)
-    }
-
-    /// [`RTree::bulk_load_with_stats`] with an explicit [`StorageBackend`]
-    /// for the node frames.
     pub fn bulk_load_with_stats_on(
         config: RTreeConfig,
         stats: IoStats,
@@ -95,23 +90,6 @@ impl<D: RTreeObject> RTree<D> {
         objects.sort_by_cached_key(|o| hilbert::hilbert_value(&o.mbr().center(), &domain));
         pack_sorted(&mut tree, objects.into_iter(), fill);
         tree
-    }
-
-    /// Out-of-core bulk load with fresh statistics counters — see
-    /// [`RTree::bulk_load_external_on`].
-    pub fn bulk_load_external(
-        config: RTreeConfig,
-        objects: impl IntoIterator<Item = D>,
-        run_capacity: usize,
-    ) -> Self {
-        Self::bulk_load_external_on(
-            config,
-            IoStats::new(),
-            objects,
-            DEFAULT_FILL,
-            StorageBackend::Heap,
-            run_capacity,
-        )
     }
 
     /// Bulk-loads a tree from an object *stream* in bounded memory: an
@@ -416,7 +394,6 @@ mod tests {
     fn config() -> RTreeConfig {
         RTreeConfig {
             page_size: 256,
-            min_fill: 0.4,
             max_entries: 64,
         }
     }
@@ -477,39 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn bulk_loaded_tree_answers_queries_like_inserted_tree() {
-        let pts = random_points(400, 7);
-        let mut bulk = RTree::bulk_load(config(), PointObject::from_points(&pts));
-        let mut inserted = RTree::new(config());
-        inserted.insert_all(PointObject::from_points(&pts));
-        let query = Rect::from_coords(2000.0, 3000.0, 6000.0, 7000.0);
-        let mut a: Vec<u64> = bulk.range_query(&query).iter().map(|o| o.id().0).collect();
-        let mut b: Vec<u64> = inserted
-            .range_query(&query)
-            .iter()
-            .map(|o| o.id().0)
-            .collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn bulk_load_uses_fewer_pages_than_insertion() {
-        let pts = random_points(2000, 3);
-        let bulk = RTree::bulk_load(config(), PointObject::from_points(&pts));
-        let mut inserted = RTree::new(config());
-        inserted.insert_all(PointObject::from_points(&pts));
-        assert!(
-            bulk.num_pages() <= inserted.num_pages(),
-            "packed tree ({} pages) should not exceed split-built tree ({} pages)",
-            bulk.num_pages(),
-            inserted.num_pages()
-        );
-    }
-
-    #[test]
     fn leaf_pages_respect_byte_budget_for_variable_size_cells() {
         // Build cells with varying vertex counts and check that no leaf page
         // exceeds the page size.
@@ -539,7 +483,6 @@ mod tests {
         }
         let cfg = RTreeConfig {
             page_size: 512,
-            min_fill: 0.4,
             max_entries: 64,
         };
         let mut tree = RTree::bulk_load(cfg, cells);
@@ -583,11 +526,12 @@ mod tests {
     fn construction_io_equals_writing_the_tree_once() {
         let pts = random_points(1000, 5);
         let stats = IoStats::new();
-        let mut tree = RTree::bulk_load_with_stats(
+        let mut tree = RTree::bulk_load_with_stats_on(
             config(),
             stats.clone(),
             PointObject::from_points(&pts),
             1.0,
+            StorageBackend::Heap,
         );
         tree.flush();
         let snap = stats.snapshot();
@@ -660,7 +604,14 @@ mod tests {
         let pts = random_points(300, 23);
         let mut in_memory = RTree::bulk_load(config(), PointObject::from_points(&pts));
         // run_capacity 300 >= input: delegates, still identical.
-        let mut external = RTree::bulk_load_external(config(), PointObject::from_points(&pts), 300);
+        let mut external = RTree::bulk_load_external_on(
+            config(),
+            IoStats::new(),
+            PointObject::from_points(&pts),
+            DEFAULT_FILL,
+            StorageBackend::Heap,
+            300,
+        );
         assert_trees_identical(&mut in_memory, &mut external);
     }
 
@@ -852,7 +803,11 @@ mod tests {
             "in-memory load: {in_memory} mbr() calls"
         );
         for run_capacity in [1, 7, n / 10, n] {
-            let external = calls_of(&|o| RTree::bulk_load_external(config(), o, run_capacity));
+            let external = calls_of(&|o| {
+                let stats = IoStats::new();
+                let heap = StorageBackend::Heap;
+                RTree::bulk_load_external_on(config(), stats, o, DEFAULT_FILL, heap, run_capacity)
+            });
             assert!(
                 external <= 8 * n,
                 "external load, runs of {run_capacity}: {external} mbr() calls"

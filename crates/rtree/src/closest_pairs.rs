@@ -116,7 +116,6 @@ mod tests {
     fn config() -> RTreeConfig {
         RTreeConfig {
             page_size: 256,
-            min_fill: 0.4,
             max_entries: 64,
         }
     }
@@ -189,10 +188,12 @@ mod tests {
         let p = random_points(3_000, 78);
         let q = random_points(3_000, 79);
         let stats = cij_pagestore::IoStats::new();
-        let mut ta =
-            RTree::bulk_load_with_stats(config(), stats.clone(), PointObject::from_points(&p), 1.0);
-        let mut tb =
-            RTree::bulk_load_with_stats(config(), stats.clone(), PointObject::from_points(&q), 1.0);
+        let load = |points: &[Point]| {
+            let objects = PointObject::from_points(points);
+            let heap = cij_pagestore::StorageBackend::Heap;
+            RTree::bulk_load_with_stats_on(config(), stats.clone(), objects, 1.0, heap)
+        };
+        let (mut ta, mut tb) = (load(&p), load(&q));
         stats.reset();
         let _ = k_closest_pairs(&mut ta, &mut tb, 1, |a, b| a.point.dist(&b.point));
         let reads = stats.snapshot().logical_reads as usize;

@@ -8,8 +8,8 @@
 //! disk pages behind an LRU buffer, and measures algorithms by the number of
 //! page accesses. This crate provides that index:
 //!
-//! * [`RTree`] — Guttman R-tree with quadratic-split insertion and
-//!   Hilbert-packed bottom-up bulk loading (Section III-C of the paper),
+//! * [`RTree`] — an R-tree built by Hilbert-packed bottom-up bulk loading
+//!   (Section III-C of the paper), in memory or by external merge sort,
 //!   generic over the leaf payload ([`PointObject`] for the input pointsets,
 //!   [`CellObject`] for materialised Voronoi cells),
 //! * best-first incremental nearest-neighbour browsing ([`RTree::nearest_iter`],

@@ -147,7 +147,6 @@ mod tests {
     fn tiny_config() -> RTreeConfig {
         RTreeConfig {
             page_size: 128,
-            min_fill: 0.4,
             max_entries: 64,
         }
     }
@@ -157,8 +156,7 @@ mod tests {
         let pts: Vec<Point> = (0..n)
             .map(|_| Point::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)))
             .collect();
-        let mut tree = RTree::new(tiny_config());
-        tree.insert_all(PointObject::from_points(&pts));
+        let tree = RTree::bulk_load(tiny_config(), PointObject::from_points(&pts));
         (tree, pts)
     }
 

@@ -3,9 +3,8 @@
 //!
 //! A [`Node`] is the *construction and storage* representation of one disk
 //! page: an array-of-structures `Vec` of [`ChildEntry`]s (non-leaf) or data
-//! objects (leaf). Insertion, splitting, bulk loading and the page codec all
-//! operate on this form, because those paths need owned, growable entry
-//! lists.
+//! objects (leaf). Bulk loading and the page codec operate on this form,
+//! because those paths need owned, growable entry lists.
 //!
 //! The join hot loops do **not** scan this form by default. Leaf scans in
 //! `cij-core` and `cij-voronoi` go through the structure-of-arrays
@@ -27,10 +26,9 @@
 //! **by reference** ([`RTree::visit_node`] → `PageStore::read_with`) and
 //! copy out only the objects they return. The owned
 //! [`RTree::read_node`] — which clones a buffered node on every call — is
-//! for construction (insertion rewrites the node it read), callers that
-//! keep the node's entries (the paired-node joins, the FM/PM leaf groups),
-//! oracles and tests; both touch the buffer and count hits, misses and
-//! bytes alike.
+//! for callers that keep the node's entries (the paired-node joins, the
+//! FM/PM leaf groups), oracles and tests; both touch the buffer and count
+//! hits, misses and bytes alike.
 //!
 //! [`RTree::range_query`]: crate::tree::RTree::range_query
 //! [`RTree::visit_node`]: crate::tree::RTree::visit_node

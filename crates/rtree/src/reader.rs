@@ -45,8 +45,8 @@ use cij_pagestore::{PageId, PageIoError, PageRef};
 ///
 /// These exist so the fast execution path can be **counter-verified**: a
 /// run that claims to skip trace recording and coordinator replay proves it
-/// by showing both probes unchanged across the run (see the
-/// `concurrent_scale` bench experiment). The counters are relaxed-ordering
+/// by showing both probes unchanged across the run (see
+/// `tests/fast_probes.rs`). The counters are relaxed-ordering
 /// monotonic event counts with no synchronisation role; deltas taken around
 /// a single-threaded region are exact, deltas around concurrent regions
 /// count all threads' events.
@@ -329,16 +329,13 @@ pub(crate) mod tests {
     }
 
     fn sample_tree() -> RTree<PointObject> {
-        let mut tree = RTree::new(RTreeConfig {
+        let config = RTreeConfig {
             page_size: 128,
-            min_fill: 0.4,
             max_entries: 64,
-        });
-        for i in 0..200u64 {
-            let d = i as f64;
-            tree.insert(PointObject::new(i, Point::new(d * 7.0 % 100.0, d)));
-        }
-        tree
+        };
+        let point = |i: u64| Point::new(i as f64 * 7.0 % 100.0, i as f64);
+        let objects = (0..200).map(|i| PointObject::new(i, point(i)));
+        RTree::bulk_load(config, objects.collect())
     }
 
     /// Root, every child of it, then the root again (a buffer hit).

@@ -14,8 +14,6 @@ use cij_pagestore::{
 pub struct RTreeConfig {
     /// Disk page size in bytes (1 KB in the paper).
     pub page_size: usize,
-    /// Minimum fill fraction enforced on node splits.
-    pub min_fill: f64,
     /// Hard cap on the number of entries per node, applied in addition to
     /// the byte budget (guards against pathological tiny objects).
     pub max_entries: usize,
@@ -25,7 +23,6 @@ impl Default for RTreeConfig {
     fn default() -> Self {
         RTreeConfig {
             page_size: cij_pagestore::DEFAULT_PAGE_SIZE,
-            min_fill: 0.4,
             max_entries: 256,
         }
     }
@@ -155,8 +152,7 @@ impl<D: RTreeObject> RTree<D> {
 
     /// Reads a node, going through the buffer and counting the access —
     /// the **owned** read: it clones a buffered node. For callers that keep
-    /// or rewrite the node; queries visit by reference
-    /// ([`RTree::visit_node`]).
+    /// the node; queries visit by reference ([`RTree::visit_node`]).
     pub fn read_node(&mut self, page: PageId) -> Node<D> {
         self.store.read(page)
     }
@@ -334,118 +330,6 @@ impl<D: RTreeObject> RTree<D> {
     }
 
     // ------------------------------------------------------------------
-    // Insertion (Guttman, quadratic split)
-    // ------------------------------------------------------------------
-
-    /// Inserts one object, splitting nodes as needed (quadratic split).
-    pub fn insert(&mut self, object: D) {
-        if let Some((left, right)) = self.insert_into(self.root, object) {
-            // Root split: grow the tree by one level.
-            let mut new_root = Node::new_inner(self.root_level + 1);
-            new_root.children.push(left);
-            new_root.children.push(right);
-            self.root = self.store.allocate(new_root);
-            self.root_level += 1;
-        }
-        self.len += 1;
-    }
-
-    /// Inserts every object of an iterator.
-    pub fn insert_all<I: IntoIterator<Item = D>>(&mut self, objects: I) {
-        for o in objects {
-            self.insert(o);
-        }
-    }
-
-    fn leaf_overflows(&self, node: &Node<D>) -> bool {
-        node.objects.len() > 1
-            && (node.payload_bytes() > self.config.node_byte_budget()
-                || node.objects.len() > self.config.max_entries)
-    }
-
-    fn inner_overflows(&self, node: &Node<D>) -> bool {
-        node.children.len() > self.config.max_children()
-    }
-
-    fn insert_into(&mut self, page: PageId, object: D) -> Option<(ChildEntry, ChildEntry)> {
-        let mut node = self.store.read(page);
-        if node.is_leaf() {
-            node.objects.push(object);
-            if self.leaf_overflows(&node) {
-                let min = self.min_count(node.objects.len());
-                let (a, b) = quadratic_split(std::mem::take(&mut node.objects), min, |o| o.mbr());
-                let mut left = Node::new_leaf();
-                left.objects = a;
-                let mut right = Node::new_leaf();
-                right.objects = b;
-                let left_mbr = left.mbr();
-                let right_mbr = right.mbr();
-                self.store.write(page, left);
-                let right_page = self.store.allocate(right);
-                Some((
-                    ChildEntry {
-                        mbr: left_mbr,
-                        page,
-                    },
-                    ChildEntry {
-                        mbr: right_mbr,
-                        page: right_page,
-                    },
-                ))
-            } else {
-                self.store.write(page, node);
-                None
-            }
-        } else {
-            let idx = choose_subtree(&node.children, &object.mbr());
-            let child_page = node.children[idx].page;
-            let object_mbr = object.mbr();
-            match self.insert_into(child_page, object) {
-                None => {
-                    node.children[idx].mbr = node.children[idx].mbr.union(&object_mbr);
-                    self.store.write(page, node);
-                    None
-                }
-                Some((left, right)) => {
-                    node.children[idx] = left;
-                    node.children.push(right);
-                    if self.inner_overflows(&node) {
-                        let min = self.min_count(node.children.len());
-                        let level = node.level;
-                        let (a, b) =
-                            quadratic_split(std::mem::take(&mut node.children), min, |c| c.mbr);
-                        let mut left_node = Node::new_inner(level);
-                        left_node.children = a;
-                        let mut right_node = Node::new_inner(level);
-                        right_node.children = b;
-                        let left_mbr = left_node.mbr();
-                        let right_mbr = right_node.mbr();
-                        self.store.write(page, left_node);
-                        let right_page = self.store.allocate(right_node);
-                        Some((
-                            ChildEntry {
-                                mbr: left_mbr,
-                                page,
-                            },
-                            ChildEntry {
-                                mbr: right_mbr,
-                                page: right_page,
-                            },
-                        ))
-                    } else {
-                        self.store.write(page, node);
-                        None
-                    }
-                }
-            }
-        }
-    }
-
-    fn min_count(&self, total: usize) -> usize {
-        ((total as f64 * self.config.min_fill).floor() as usize).max(1)
-    }
-
-    // ------------------------------------------------------------------
     // Queries
     // ------------------------------------------------------------------
 
@@ -567,119 +451,6 @@ impl<D: RTreeObject> RTree<D> {
     }
 }
 
-/// Guttman's "least enlargement" subtree choice.
-pub(crate) fn choose_subtree(children: &[ChildEntry], mbr: &Rect) -> usize {
-    let mut best = 0;
-    let mut best_enlargement = f64::INFINITY;
-    let mut best_area = f64::INFINITY;
-    for (i, c) in children.iter().enumerate() {
-        let enlargement = c.mbr.enlargement(mbr);
-        let area = c.mbr.area();
-        if enlargement < best_enlargement - f64::EPSILON
-            || ((enlargement - best_enlargement).abs() <= f64::EPSILON && area < best_area)
-        {
-            best = i;
-            best_enlargement = enlargement;
-            best_area = area;
-        }
-    }
-    best
-}
-
-/// Guttman's quadratic split over an arbitrary entry type.
-pub(crate) fn quadratic_split<T, F: Fn(&T) -> Rect>(
-    entries: Vec<T>,
-    min_count: usize,
-    mbr_of: F,
-) -> (Vec<T>, Vec<T>) {
-    debug_assert!(entries.len() >= 2);
-    let n = entries.len();
-    let min_count = min_count.min(n / 2).max(1);
-
-    // Pick the pair of seeds wasting the most area if grouped together.
-    let rects: Vec<Rect> = entries.iter().map(&mbr_of).collect();
-    let (mut seed_a, mut seed_b) = (0usize, 1usize);
-    let mut worst = f64::NEG_INFINITY;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let waste = rects[i].union(&rects[j]).area() - rects[i].area() - rects[j].area();
-            if waste > worst {
-                worst = waste;
-                seed_a = i;
-                seed_b = j;
-            }
-        }
-    }
-
-    let mut group_a: Vec<T> = Vec::with_capacity(n);
-    let mut group_b: Vec<T> = Vec::with_capacity(n);
-    let mut mbr_a = rects[seed_a];
-    let mut mbr_b = rects[seed_b];
-    let mut remaining: Vec<(T, Rect)> = Vec::with_capacity(n);
-    for (idx, (entry, rect)) in entries.into_iter().zip(rects).enumerate() {
-        if idx == seed_a {
-            group_a.push(entry);
-        } else if idx == seed_b {
-            group_b.push(entry);
-        } else {
-            remaining.push((entry, rect));
-        }
-    }
-
-    while let Some(pos) = pick_next(&remaining, &mbr_a, &mbr_b) {
-        let (entry, rect) = remaining.swap_remove(pos);
-        // If one group must take everything left to reach the minimum, do so.
-        let left = remaining.len() + 1;
-        if group_a.len() + left <= min_count {
-            mbr_a = mbr_a.union(&rect);
-            group_a.push(entry);
-            continue;
-        }
-        if group_b.len() + left <= min_count {
-            mbr_b = mbr_b.union(&rect);
-            group_b.push(entry);
-            continue;
-        }
-        let enl_a = mbr_a.enlargement(&rect);
-        let enl_b = mbr_b.enlargement(&rect);
-        let to_a = if (enl_a - enl_b).abs() <= f64::EPSILON {
-            if (mbr_a.area() - mbr_b.area()).abs() <= f64::EPSILON {
-                group_a.len() <= group_b.len()
-            } else {
-                mbr_a.area() < mbr_b.area()
-            }
-        } else {
-            enl_a < enl_b
-        };
-        if to_a {
-            mbr_a = mbr_a.union(&rect);
-            group_a.push(entry);
-        } else {
-            mbr_b = mbr_b.union(&rect);
-            group_b.push(entry);
-        }
-    }
-    (group_a, group_b)
-}
-
-/// Chooses the remaining entry with the greatest preference for one group
-/// (Guttman's PickNext).
-fn pick_next<T>(remaining: &[(T, Rect)], mbr_a: &Rect, mbr_b: &Rect) -> Option<usize> {
-    if remaining.is_empty() {
-        return None;
-    }
-    let mut best = 0;
-    let mut best_diff = f64::NEG_INFINITY;
-    for (i, (_, rect)) in remaining.iter().enumerate() {
-        let diff = (mbr_a.enlargement(rect) - mbr_b.enlargement(rect)).abs();
-        if diff > best_diff {
-            best_diff = diff;
-            best = i;
-        }
-    }
-    Some(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -690,7 +461,6 @@ mod tests {
         // Tiny pages force deep trees even for small datasets.
         RTreeConfig {
             page_size: 128,
-            min_fill: 0.4,
             max_entries: 64,
         }
     }
@@ -709,9 +479,8 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_range_query_small() {
-        let mut tree = RTree::new(small_config());
-        tree.insert_all(grid_points(10, 10, 1.0));
+    fn range_query_small() {
+        let mut tree = RTree::bulk_load(small_config(), grid_points(10, 10, 1.0));
         assert_eq!(tree.len(), 100);
         tree.check_invariants().unwrap();
         let hits = tree.range_query(&Rect::from_coords(2.5, 2.5, 5.5, 4.5));
@@ -721,16 +490,14 @@ mod tests {
 
     #[test]
     fn range_query_boundary_inclusive() {
-        let mut tree = RTree::new(small_config());
-        tree.insert_all(grid_points(5, 5, 1.0));
+        let mut tree = RTree::bulk_load(small_config(), grid_points(5, 5, 1.0));
         let hits = tree.range_query(&Rect::from_coords(1.0, 1.0, 2.0, 2.0));
         assert_eq!(hits.len(), 4);
     }
 
     #[test]
-    fn tree_grows_in_height_and_keeps_invariants() {
-        let mut tree = RTree::new(small_config());
-        tree.insert_all(grid_points(20, 20, 3.0));
+    fn deep_tree_keeps_invariants() {
+        let mut tree = RTree::bulk_load(small_config(), grid_points(20, 20, 3.0));
         assert!(tree.root_level() >= 2, "expected a tree of height >= 3");
         tree.check_invariants().unwrap();
         assert_eq!(tree.scan_all().len(), 400);
@@ -739,9 +506,8 @@ mod tests {
 
     #[test]
     fn scan_all_returns_every_object_once() {
-        let mut tree = RTree::new(small_config());
         let pts = grid_points(13, 7, 2.0);
-        tree.insert_all(pts.clone());
+        let mut tree = RTree::bulk_load(small_config(), pts.clone());
         let mut ids: Vec<u64> = tree.scan_all().iter().map(|o| o.id().0).collect();
         ids.sort_unstable();
         let expected: Vec<u64> = (0..pts.len() as u64).collect();
@@ -758,8 +524,7 @@ mod tests {
 
     #[test]
     fn node_accesses_are_counted() {
-        let mut tree = RTree::new(small_config());
-        tree.insert_all(grid_points(10, 10, 1.0));
+        let mut tree = RTree::bulk_load(small_config(), grid_points(10, 10, 1.0));
         tree.drop_buffer();
         tree.stats().reset();
         let _ = tree.range_query(&Rect::from_coords(0.0, 0.0, 9.0, 9.0));
@@ -771,8 +536,7 @@ mod tests {
 
     #[test]
     fn buffer_reduces_repeated_query_cost() {
-        let mut tree = RTree::new(small_config());
-        tree.insert_all(grid_points(10, 10, 1.0));
+        let mut tree = RTree::bulk_load(small_config(), grid_points(10, 10, 1.0));
         tree.set_buffer_pages(tree.num_pages());
         tree.drop_buffer();
         tree.stats().reset();
@@ -787,8 +551,7 @@ mod tests {
 
     #[test]
     fn hilbert_leaf_order_touches_each_leaf_once() {
-        let mut tree = RTree::new(small_config());
-        tree.insert_all(grid_points(16, 16, 1.0));
+        let mut tree = RTree::bulk_load(small_config(), grid_points(16, 16, 1.0));
         let domain = Rect::from_coords(0.0, 0.0, 16.0, 16.0);
         let leaves = tree.leaf_pages_hilbert_order(&domain);
         // Reading every returned leaf yields every object exactly once.
@@ -800,59 +563,6 @@ mod tests {
         }
         ids.sort_unstable();
         assert_eq!(ids, (0..256u64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn quadratic_split_respects_min_count() {
-        let objs = grid_points(10, 1, 1.0);
-        let (a, b) = quadratic_split(objs, 3, |o| o.mbr());
-        assert!(a.len() >= 3);
-        assert!(b.len() >= 3);
-        assert_eq!(a.len() + b.len(), 10);
-    }
-
-    #[test]
-    fn quadratic_split_separates_two_clusters() {
-        let mut objs = Vec::new();
-        for i in 0..5 {
-            let d = i as f64 * 0.1;
-            objs.push(PointObject::new(i, Point::new(d, d)));
-        }
-        for i in 0..5 {
-            let d = i as f64 * 0.1;
-            objs.push(PointObject::new(
-                100 + i,
-                Point::new(1000.0 + d, 1000.0 + d),
-            ));
-        }
-        let (a, b) = quadratic_split(objs, 2, |o| o.mbr());
-        let a_low = a.iter().all(|o| o.point.x < 500.0);
-        let a_high = a.iter().all(|o| o.point.x > 500.0);
-        assert!(a_low || a_high, "split must separate the clusters");
-        assert_eq!(a.len(), 5);
-        assert_eq!(b.len(), 5);
-    }
-
-    #[test]
-    fn choose_subtree_prefers_containing_child() {
-        let children = vec![
-            ChildEntry {
-                mbr: Rect::from_coords(0.0, 0.0, 10.0, 10.0),
-                page: PageId(1),
-            },
-            ChildEntry {
-                mbr: Rect::from_coords(20.0, 20.0, 30.0, 30.0),
-                page: PageId(2),
-            },
-        ];
-        assert_eq!(
-            choose_subtree(&children, &Rect::from_point(Point::new(5.0, 5.0))),
-            0
-        );
-        assert_eq!(
-            choose_subtree(&children, &Rect::from_point(Point::new(25.0, 25.0))),
-            1
-        );
     }
 
     #[test]
@@ -872,15 +582,15 @@ mod tests {
 
     #[test]
     fn transient_faults_are_invisible_to_queries_and_counters() {
-        let mut clean = RTree::new(small_config());
-        let mut faulty = RTree::new(small_config());
-        for t in [&mut clean, &mut faulty] {
-            t.insert_all(grid_points(12, 12, 1.0));
+        let build = || {
+            let mut t = RTree::bulk_load(small_config(), grid_points(12, 12, 1.0));
             t.set_buffer_pages(8);
             t.flush();
             t.drop_buffer();
             t.stats().reset();
-        }
+            t
+        };
+        let (mut clean, mut faulty) = (build(), build());
         faulty.inject_fault(cij_pagestore::FaultSpec::transient(7));
 
         let q = Rect::from_coords(1.0, 1.0, 9.0, 9.0);
@@ -904,10 +614,8 @@ mod tests {
 
     #[test]
     fn duplicate_points_are_allowed() {
-        let mut tree = RTree::new(small_config());
-        for i in 0..50 {
-            tree.insert(PointObject::new(i, Point::new(1.0, 1.0)));
-        }
+        let same_spot = (0..50).map(|i| PointObject::new(i, Point::new(1.0, 1.0)));
+        let mut tree = RTree::bulk_load(small_config(), same_spot.collect());
         assert_eq!(tree.len(), 50);
         tree.check_invariants().unwrap();
         assert_eq!(

@@ -168,9 +168,9 @@ enum HeapEntry {
 /// `other` than to `site`. This is Lemma 1 specialised to a point entry —
 /// clipping when it returns `false` is a no-op, so callers skip the clip.
 ///
-/// Shared by [`batch_voronoi`]'s refinement step and the conditional-filter
-/// kernels of `cij-core`, which both maintain a conservative cell and must
-/// agree on when a discovered point can shrink it.
+/// Shared by [`batch_voronoi_with`]'s refinement step and the
+/// conditional-filter kernels of `cij-core`, which both maintain a
+/// conservative cell and must agree on when a discovered point can shrink it.
 #[inline]
 pub fn bisector_cuts(cell_vertices: &[Point], site: &Point, other: &Point) -> bool {
     cell_vertices
@@ -196,8 +196,8 @@ pub fn cell_reach_sq(site: &Point, cell: &ConvexPolygon) -> f64 {
 
 /// A store of previously computed exact Voronoi cells, keyed by point id.
 ///
-/// [`batch_voronoi_cached`] consults the store before computing a cell and
-/// deposits every freshly computed cell back into it. The canonical
+/// [`batch_voronoi_cached_with`] consults the store before computing a cell
+/// and deposits every freshly computed cell back into it. The canonical
 /// implementation is the bounded LRU `CellCache` of `cij-core` (the paper's
 /// Section IV-B *reuse buffer*); [`NoCache`] disables reuse.
 pub trait CellStore {
@@ -220,32 +220,11 @@ impl CellStore for NoCache {
     fn put(&mut self, _id: u64, _cell: &ConvexPolygon) {}
 }
 
-/// [`batch_voronoi`] with a reuse buffer: cells already present in `cache`
-/// are served without touching the tree; only the missing group members are
-/// computed (in one shared traversal) and the fresh cells are deposited back
-/// into the cache.
-///
-/// The returned vector is aligned with `group`, exactly like
-/// [`batch_voronoi`]. Allocates a fresh [`VorScratch`] per call; callers
-/// looping over groups keep one and use [`batch_voronoi_cached_with`].
-pub fn batch_voronoi_cached<T: NodeReader<PointObject>, C: CellStore>(
-    tree: &mut T,
-    group: &[PointObject],
-    domain: &Rect,
-    cache: &mut C,
-) -> Vec<ConvexPolygon> {
-    batch_voronoi_cached_with(
-        tree,
-        group,
-        domain,
-        cache,
-        LeafLayout::default(),
-        &mut VorScratch::default(),
-    )
-}
-
-/// [`batch_voronoi_cached`] parameterized over the leaf [`LeafLayout`] and a
-/// caller-owned [`VorScratch`]; cells are identical across layouts.
+/// [`batch_voronoi_with`] behind a reuse buffer: cells already present in
+/// `cache` are served without touching the tree; only the missing group
+/// members are computed (in one shared traversal) and the fresh cells are
+/// deposited back into the cache. The returned vector is aligned with
+/// `group`; cells are identical across layouts.
 pub fn batch_voronoi_cached_with<T: NodeReader<PointObject>, C: CellStore>(
     tree: &mut T,
     group: &[PointObject],
@@ -284,35 +263,6 @@ pub fn batch_voronoi_cached_with<T: NodeReader<PointObject>, C: CellStore>(
         .into_iter()
         .map(|c| c.expect("every slot filled"))
         .collect()
-}
-
-/// Computes the exact Voronoi cells of every point in `group` within the
-/// pointset indexed by `tree`, clipped to `domain`, sharing one best-first
-/// traversal (Algorithm 2, "BatchVoronoi").
-///
-/// The returned vector is aligned with `group`. Group members do constrain
-/// each other (they are part of `P`); a member never constrains itself.
-///
-/// Generic over [`NodeReader`], so the same traversal runs in counted mode
-/// (`&mut RTree`) and over the snapshot readers of the chunked execution
-/// path ([`cij_rtree::SnapshotReader`], traced or merely counting); the
-/// traversal logic — and therefore the computed cells and the page-access
-/// sequence — is identical in all of them.
-///
-/// Runs the default [`LeafLayout`] through a fresh [`VorScratch`]; callers
-/// looping over groups keep one scratch and use [`batch_voronoi_with`].
-pub fn batch_voronoi<T: NodeReader<PointObject>>(
-    tree: &mut T,
-    group: &[PointObject],
-    domain: &Rect,
-) -> Vec<ConvexPolygon> {
-    batch_voronoi_with(
-        tree,
-        group,
-        domain,
-        LeafLayout::default(),
-        &mut VorScratch::default(),
-    )
 }
 
 /// The cells of one group under refinement, with the group's reach-gate
@@ -493,13 +443,25 @@ impl<'a> GroupCells<'a> {
     }
 }
 
-/// [`batch_voronoi`] parameterized over the leaf [`LeafLayout`] and a
-/// caller-owned [`VorScratch`].
+/// Computes the exact Voronoi cells of every point in `group` within the
+/// pointset indexed by `tree`, clipped to `domain`, sharing one best-first
+/// traversal (Algorithm 2, "BatchVoronoi").
 ///
-/// Both layouts run the *same* traversal — same heap keys in the same push
-/// order, same Lemma-1/Lemma-2 tests on the same `f64` values — so the
-/// computed cells and page-access sequences are byte-identical. They differ
-/// only in memory shape:
+/// The returned vector is aligned with `group`. Group members do constrain
+/// each other (they are part of `P`); a member never constrains itself.
+///
+/// Generic over [`NodeReader`], so the same traversal runs in counted mode
+/// (`&mut RTree`) and over the snapshot readers of the chunked execution
+/// path ([`cij_rtree::SnapshotReader`], traced or merely counting); the
+/// traversal logic — and therefore the computed cells and the page-access
+/// sequence — is identical in all of them.
+///
+/// Parameterized over the leaf [`LeafLayout`] and a caller-owned
+/// [`VorScratch`] (callers looping over groups keep one). Both layouts run
+/// the *same* traversal — same heap keys in the same push order, same
+/// Lemma-1/Lemma-2 tests on the same `f64` values — so the computed cells
+/// and page-access sequences are byte-identical. They differ only in memory
+/// shape:
 ///
 /// * [`LeafLayout::Aos`] reads owned [`Node`](cij_rtree::Node)s and clips
 ///   via the allocating [`ConvexPolygon::clip_bisector`] — the historical
@@ -636,7 +598,6 @@ mod tests {
     fn config() -> RTreeConfig {
         RTreeConfig {
             page_size: 256,
-            min_fill: 0.4,
             max_entries: 64,
         }
     }
@@ -650,6 +611,12 @@ mod tests {
 
     fn cells_equal(a: &ConvexPolygon, b: &ConvexPolygon) -> bool {
         (a.area() - b.area()).abs() < 1e-3
+    }
+
+    /// The cells of `group` in the domain, default layout, fresh scratch.
+    fn domain_cells(tree: &mut RTree<PointObject>, group: &[PointObject]) -> Vec<ConvexPolygon> {
+        let scratch = &mut VorScratch::default();
+        batch_voronoi_with(tree, group, &Rect::DOMAIN, LeafLayout::default(), scratch)
     }
 
     #[test]
@@ -668,7 +635,7 @@ mod tests {
                 .unwrap()
         });
         let group: Vec<PointObject> = by_dist[..12].iter().map(|&i| objects[i]).collect();
-        let cells = batch_voronoi(&mut tree, &group, &Rect::DOMAIN);
+        let cells = domain_cells(&mut tree, &group);
         for (member, cell) in group.iter().zip(&cells) {
             let expected = brute_force_cell(&pts, member.id.0 as usize, &Rect::DOMAIN);
             assert!(
@@ -687,7 +654,7 @@ mod tests {
         let objects = PointObject::from_points(&pts);
         let mut tree = RTree::bulk_load(config(), objects.clone());
         let group: Vec<PointObject> = objects[100..110].to_vec();
-        let batch_cells = batch_voronoi(&mut tree, &group, &Rect::DOMAIN);
+        let batch_cells = domain_cells(&mut tree, &group);
         for (member, cell) in group.iter().zip(&batch_cells) {
             let single = single_voronoi(&mut tree, member.point, member.id, &Rect::DOMAIN);
             assert!(
@@ -724,7 +691,7 @@ mod tests {
         let mut tree_b = RTree::bulk_load(config(), objects);
         tree_b.drop_buffer();
         tree_b.stats().reset();
-        let _ = batch_voronoi(&mut tree_b, &group, &Rect::DOMAIN);
+        let _ = domain_cells(&mut tree_b, &group);
         let batched = tree_b.stats().snapshot().logical_reads;
 
         assert!(
@@ -760,13 +727,20 @@ mod tests {
         let mut tree = RTree::bulk_load(config(), objects.clone());
         let group: Vec<PointObject> = objects[40..52].to_vec();
 
-        let uncached = batch_voronoi(&mut tree, &group, &Rect::DOMAIN);
+        let uncached = domain_cells(&mut tree, &group);
         let mut store = MapStore {
             cells: HashMap::new(),
             hits: 0,
         };
         // First pass: all misses, results identical to the uncached call.
-        let first = batch_voronoi_cached(&mut tree, &group, &Rect::DOMAIN, &mut store);
+        let first = batch_voronoi_cached_with(
+            &mut tree,
+            &group,
+            &Rect::DOMAIN,
+            &mut store,
+            LeafLayout::default(),
+            &mut VorScratch::default(),
+        );
         assert_eq!(store.hits, 0);
         for (a, b) in uncached.iter().zip(&first) {
             assert!(cells_equal(a, b));
@@ -774,14 +748,28 @@ mod tests {
         // Second pass: every cell is served from the store, without touching
         // the tree.
         tree.stats().reset();
-        let second = batch_voronoi_cached(&mut tree, &group, &Rect::DOMAIN, &mut store);
+        let second = batch_voronoi_cached_with(
+            &mut tree,
+            &group,
+            &Rect::DOMAIN,
+            &mut store,
+            LeafLayout::default(),
+            &mut VorScratch::default(),
+        );
         assert_eq!(store.hits, group.len());
         assert_eq!(tree.stats().snapshot().logical_reads, 0);
         for (a, b) in first.iter().zip(&second) {
             assert!(cells_equal(a, b));
         }
         // A NoCache store degrades to the plain batch computation.
-        let none = batch_voronoi_cached(&mut tree, &group, &Rect::DOMAIN, &mut NoCache);
+        let none = batch_voronoi_cached_with(
+            &mut tree,
+            &group,
+            &Rect::DOMAIN,
+            &mut NoCache,
+            LeafLayout::default(),
+            &mut VorScratch::default(),
+        );
         for (a, b) in uncached.iter().zip(&none) {
             assert!(cells_equal(a, b));
         }
@@ -793,7 +781,7 @@ mod tests {
         let objects = PointObject::from_points(&pts);
         let mut tree = RTree::bulk_load(config(), objects.clone());
         let group: Vec<PointObject> = objects[10..20].to_vec();
-        let reference = batch_voronoi(&mut tree, &group, &Rect::DOMAIN);
+        let reference = domain_cells(&mut tree, &group);
 
         struct HalfStore(std::collections::HashMap<u64, ConvexPolygon>);
         impl CellStore for HalfStore {
@@ -811,7 +799,14 @@ mod tests {
                 store.0.insert(obj.id.0, cell.clone());
             }
         }
-        let mixed = batch_voronoi_cached(&mut tree, &group, &Rect::DOMAIN, &mut store);
+        let mixed = batch_voronoi_cached_with(
+            &mut tree,
+            &group,
+            &Rect::DOMAIN,
+            &mut store,
+            LeafLayout::default(),
+            &mut VorScratch::default(),
+        );
         for (a, b) in reference.iter().zip(&mixed) {
             assert!(cells_equal(a, b));
         }
@@ -859,7 +854,7 @@ mod tests {
     fn empty_group_returns_no_cells() {
         let pts = random_points(50, 1);
         let mut tree = RTree::bulk_load(config(), PointObject::from_points(&pts));
-        assert!(batch_voronoi(&mut tree, &[], &Rect::DOMAIN).is_empty());
+        assert!(domain_cells(&mut tree, &[]).is_empty());
     }
 
     #[test]
@@ -867,7 +862,7 @@ mod tests {
         let pts = random_points(8, 77);
         let objects = PointObject::from_points(&pts);
         let mut tree = RTree::bulk_load(config(), objects.clone());
-        let cells = batch_voronoi(&mut tree, &objects, &Rect::DOMAIN);
+        let cells = domain_cells(&mut tree, &objects);
         let total: f64 = cells.iter().map(|c| c.area()).sum();
         assert!(
             (total - Rect::DOMAIN.area()).abs() / Rect::DOMAIN.area() < 1e-6,
@@ -885,7 +880,7 @@ mod tests {
         let pts = vec![Point::new(2_000.0, 2_000.0), Point::new(8_000.0, 8_000.0)];
         let objects = PointObject::from_points(&pts);
         let mut tree = RTree::bulk_load(config(), objects.clone());
-        let cells = batch_voronoi(&mut tree, &objects, &Rect::DOMAIN);
+        let cells = domain_cells(&mut tree, &objects);
         // Each cell is half the domain.
         for c in &cells {
             assert!((c.area() - Rect::DOMAIN.area() / 2.0).abs() < 1e-3);
@@ -1170,7 +1165,7 @@ mod tests {
             assert_seeding_matches_brute_force(&group);
             // The group as the whole dataset: final cells = seeded cells.
             let mut tree = RTree::bulk_load(config(), group.clone());
-            let soa = batch_voronoi(&mut tree, &group, &Rect::DOMAIN);
+            let soa = domain_cells(&mut tree, &group);
             let aos = batch_voronoi_with(
                 &mut tree,
                 &group,

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 pub enum DiagramMethod {
     /// One [`single_voronoi`] traversal per point (ITER).
     Iter,
-    /// One [`batch_voronoi`](crate::batch_voronoi) traversal per leaf (BATCH).
+    /// One [`batch_voronoi_with`] traversal per leaf (BATCH).
     Batch,
 }
 
@@ -93,7 +93,6 @@ mod tests {
     fn config() -> RTreeConfig {
         RTreeConfig {
             page_size: 256,
-            min_fill: 0.4,
             max_entries: 64,
         }
     }

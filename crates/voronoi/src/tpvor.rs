@@ -72,7 +72,6 @@ mod tests {
     fn config() -> RTreeConfig {
         RTreeConfig {
             page_size: 256,
-            min_fill: 0.4,
             max_entries: 64,
         }
     }

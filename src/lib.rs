@@ -50,8 +50,8 @@
 //!   bisector halfplanes, Φ regions, Hilbert curve),
 //! * [`pagestore`] — simulated 1 KB disk pages, LRU buffer, I/O statistics
 //!   (including the cell-cache hit/miss/eviction counters),
-//! * [`rtree`] — the disk-based R-tree (insertion, bulk loading, NN search,
-//!   spatial joins),
+//! * [`rtree`] — the disk-based R-tree (bulk loading, NN search, spatial
+//!   joins),
 //! * [`voronoi`] — R-tree based Voronoi cell computation (BF-VOR,
 //!   BatchVoronoi and its cache-aware variant, TP-VOR, diagram builders),
 //! * [`datagen`] — workload generators (uniform, clustered, real-dataset
@@ -72,24 +72,23 @@ pub use cij_rtree as rtree;
 pub use cij_voronoi as voronoi;
 
 pub use cij_core::{
-    Algorithm, CellCache, CijConfig, CijExecutor, ExecMode, PairStream, QueryEngine, StorageBackend,
+    Algorithm, CellCache, CijConfig, ExecMode, PairStream, QueryEngine, StorageBackend,
 };
 
 /// Commonly used items, for `use cij::prelude::*`.
 pub mod prelude {
     pub use cij_core::{
-        batch_conditional_filter, batch_conditional_filter_with, brute_force_cij,
-        brute_force_multiway_cij, fm_cij, multiway_cij, nm_cij, pm_cij, Algorithm, Batch,
-        CacheBudget, CacheLease, CellCache, CijConfig, CijExecutor, CijOutcome, CijService,
-        Completion, EngineSnapshot, ExecMode, FilterKernel, FilterOptions, FilterStats, LeafLayout,
-        LeafWatermark, ManualClock, MultiwayCounters, MultiwayDriver, MultiwayOutcome,
-        MultiwayTuple, MultiwayWorkload, PairStream, QueryEngine, QueryError, QueueFull, Request,
-        ResponseHandle, ServiceClock, ServiceConfig, StorageBackend, SystemClock, TupleStream,
-        Workload,
+        batch_conditional_filter_scratch, brute_force_cij, brute_force_multiway_cij, fm_cij,
+        multiway_cij, nm_cij, pm_cij, Algorithm, Batch, CacheBudget, CacheLease, CellCache,
+        CijConfig, CijOutcome, CijService, Completion, EngineSnapshot, ExecMode, FilterKernel,
+        FilterOptions, FilterScratch, FilterStats, LeafLayout, LeafWatermark, ManualClock,
+        MultiwayCounters, MultiwayDriver, MultiwayOutcome, MultiwayTuple, MultiwayWorkload,
+        PairStream, QueryEngine, QueryError, QueueFull, Request, ResponseHandle, ServiceClock,
+        ServiceConfig, StorageBackend, SystemClock, TupleStream, Workload,
     };
     pub use cij_datagen::{clustered_points, uniform_points, ClusterSpec, RealDataset};
     pub use cij_geom::{ConvexPolygon, Point, Rect};
     pub use cij_pagestore::{FaultKind, FaultSpec, FaultStats, IoStats, PageIoError, RetryPolicy};
     pub use cij_rtree::{PointObject, RTree, RTreeConfig};
-    pub use cij_voronoi::{batch_voronoi, batch_voronoi_cached, single_voronoi, tp_voronoi};
+    pub use cij_voronoi::{single_voronoi, tp_voronoi};
 }

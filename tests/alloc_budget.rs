@@ -1,9 +1,11 @@
-//! The allocation budget of the multiway join, as a tier-1 gate.
+//! The allocation budgets of the multiway and the binary join, as a tier-1
+//! gate.
 //!
 //! `core.pipeline.allocs_per_op` is one of the counters the repo benchmark
 //! reports, but nothing fails when it regresses. This file pins it where a
 //! regression is cheapest to see: heap allocations per emitted tuple of a
-//! fixed 3-way clustered join at one worker. The binary has its own counting
+//! fixed 3-way clustered join, and per emitted pair of a fixed binary
+//! NM-CIJ, each at one worker. The binary has its own counting
 //! `#[global_allocator]` and exactly **one** `#[test]`, so no sibling test's
 //! allocations are ever counted — keep it that way.
 
@@ -58,6 +60,15 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// the allocating extension step it replaced measured 22.9.
 const MAX_ALLOCATIONS_PER_TUPLE: f64 = 10.0;
 
+/// Allocations per emitted pair binary NM-CIJ may spend on its default
+/// (SoA arena, reused scratch) path. The floor is the exact cells
+/// BatchVoronoi returns and the copies the reuse buffer keeps, each filter
+/// call's candidate list and the per-leaf vectors of the chunk stages; no
+/// allocation is per pair. When the bound was set the join measured 2.9
+/// here (debug and `--release` alike); computing just the `Q` cells through
+/// the owned-node, allocating-clip AoS layout measures 6.7.
+const MAX_ALLOCATIONS_PER_PAIR: f64 = 4.0;
+
 #[test]
 fn multiway_join_stays_within_its_allocation_budget() {
     let spec = ClusterSpec {
@@ -93,5 +104,22 @@ fn multiway_join_stays_within_its_allocation_budget() {
         per_tuple <= MAX_ALLOCATIONS_PER_TUPLE,
         "{spent} allocations for {tuples} tuples = {per_tuple:.2} per tuple \
          (budget {MAX_ALLOCATIONS_PER_TUPLE})"
+    );
+
+    // Binary NM-CIJ over the first two sets, same engine.
+    let mut workload = engine.build_workload(&sets[0], &sets[1]);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let mut stream = engine.stream(&mut workload, Algorithm::NmCij);
+    let pairs = stream.by_ref().count();
+    assert!(stream.io_error().is_none());
+    drop(stream);
+    let spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    assert!(pairs > 1_500, "only {pairs} pairs: the input degenerated");
+    let per_pair = spent as f64 / pairs as f64;
+    assert!(
+        per_pair <= MAX_ALLOCATIONS_PER_PAIR,
+        "{spent} allocations for {pairs} pairs = {per_pair:.2} per pair \
+         (budget {MAX_ALLOCATIONS_PER_PAIR})"
     );
 }

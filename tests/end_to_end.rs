@@ -12,7 +12,6 @@ fn test_config() -> CijConfig {
     CijConfig::default()
         .with_rtree(RTreeConfig {
             page_size: 512,
-            min_fill: 0.4,
             max_entries: 64,
         })
         .with_env_overrides()

@@ -17,7 +17,6 @@ fn config_for(backend: StorageBackend, threads: usize, mode: ExecMode) -> CijCon
     CijConfig::default()
         .with_rtree(RTreeConfig {
             page_size: 512,
-            min_fill: 0.4,
             max_entries: 64,
         })
         .with_storage_backend(backend)

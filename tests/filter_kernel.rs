@@ -12,7 +12,6 @@ use proptest::prelude::*;
 fn tree_config() -> RTreeConfig {
     RTreeConfig {
         page_size: 512,
-        min_fill: 0.4,
         max_entries: 64,
     }
 }
@@ -31,7 +30,9 @@ fn run_filter(
     options: &FilterOptions,
 ) -> (Vec<u64>, FilterStats) {
     let mut rp = RTree::bulk_load(tree_config(), PointObject::from_points(p));
-    let (candidates, stats) = batch_conditional_filter_with(&mut rp, polys, domain, options);
+    let scratch = &mut FilterScratch::default();
+    let (candidates, stats) =
+        batch_conditional_filter_scratch(&mut rp, polys, domain, options, scratch);
     let mut ids: Vec<u64> = candidates.iter().map(|c| c.id.0).collect();
     ids.sort_unstable();
     (ids, stats)
@@ -232,7 +233,13 @@ fn shield_decisions_match_the_values_pinned_before_the_bound_table() {
     for set in &sets[1..] {
         let mut tree = RTree::bulk_load(tree_config(), PointObject::from_points(set));
         for probe in cells.chunks(60) {
-            let (candidates, _) = batch_conditional_filter(&mut tree, probe, &config.domain);
+            let (candidates, _) = batch_conditional_filter_scratch(
+                &mut tree,
+                probe,
+                &config.domain,
+                &FilterOptions::default(),
+                &mut FilterScratch::default(),
+            );
             candidates_seen += candidates.len();
             for byte in candidates.iter().flat_map(|c| c.id.0.to_le_bytes()) {
                 sequence_hash = (sequence_hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);

@@ -12,7 +12,6 @@ use proptest::prelude::*;
 fn tree_config() -> RTreeConfig {
     RTreeConfig {
         page_size: 512,
-        min_fill: 0.4,
         max_entries: 64,
     }
 }

@@ -14,7 +14,6 @@ fn test_config() -> CijConfig {
     CijConfig::default()
         .with_rtree(RTreeConfig {
             page_size: 512,
-            min_fill: 0.4,
             max_entries: 64,
         })
         .with_env_overrides()
@@ -64,7 +63,7 @@ fn parallel_equals_sequential_on_uniform_data() {
     let p = uniform_points(600, &Rect::DOMAIN, 9301);
     let q = uniform_points(600, &Rect::DOMAIN, 9302);
     let sequential = run_nm(&p, &q, &base.with_worker_threads(1));
-    for threads in [2usize, 4] {
+    for threads in [2usize, 4, 8] {
         let parallel = run_nm(&p, &q, &base.with_worker_threads(threads));
         assert_parity(&parallel, &sequential, &format!("uniform, T={threads}"));
     }

@@ -20,7 +20,6 @@ use rand::{Rng, SeedableRng};
 fn test_config() -> CijConfig {
     CijConfig::default().with_rtree(RTreeConfig {
         page_size: 512,
-        min_fill: 0.4,
         max_entries: 64,
     })
 }
@@ -109,63 +108,101 @@ fn every_algorithm_is_correct_over_the_file_backend() {
     }
 }
 
-/// Counted physical reads translate 1:1 into frame-sized file transfers.
+/// Counted physical reads translate 1:1 into frame-sized transfers on every
+/// backend, on a cold buffer and on the warm one a second run over the same
+/// workload finds; the warm run misses less, and both phases return the heap
+/// backend's pairs for the heap backend's misses.
 #[test]
 fn file_bytes_read_match_counted_physical_reads() {
-    let config = test_config().with_storage_backend(StorageBackend::File);
-    let engine = QueryEngine::new(config);
     let p = uniform_points(400, &Rect::DOMAIN, 9407);
     let q = uniform_points(400, &Rect::DOMAIN, 9408);
-    let mut w = engine.build_workload(&p, &q);
-    let io_before: BackendIo = w.backend_io();
-    let outcome = engine.run(&mut w, Algorithm::NmCij);
-    assert!(!outcome.pairs.is_empty());
-    let page_size = config.rtree.page_size as u64;
-    let snap = w.stats.snapshot();
-    let io = w.backend_io().since(&io_before);
-    assert_eq!(
-        io.bytes_read,
-        snap.physical_reads * page_size,
-        "every counted miss must move exactly one page-sized frame"
-    );
+    let mut reference = None;
+    for backend in StorageBackend::ALL {
+        let config = test_config().with_storage_backend(backend);
+        let engine = QueryEngine::new(config);
+        let mut w = engine.build_workload(&p, &q);
+        let mut phases = Vec::new();
+        for phase in ["cold", "warm"] {
+            let stats_before = w.stats.snapshot();
+            let io_before: BackendIo = w.backend_io();
+            let outcome = engine.run(&mut w, Algorithm::NmCij);
+            assert!(!outcome.pairs.is_empty());
+            let misses = w.stats.snapshot().since(&stats_before).physical_reads;
+            assert_eq!(
+                w.backend_io().since(&io_before).bytes_read,
+                misses * config.rtree.page_size as u64,
+                "{backend}, {phase}: every counted miss must move exactly one page-sized frame"
+            );
+            phases.push((misses, outcome.pairs));
+        }
+        let (cold, warm) = (phases[0].0, phases[1].0);
+        assert!(
+            warm < cold,
+            "{backend}: the warm run missed {warm} pages, the cold run {cold}"
+        );
+        let heap = reference.get_or_insert_with(|| phases.clone());
+        assert!(phases == *heap, "{backend}: diverged from the heap backend");
+    }
 }
 
-/// A whole tree built page-by-page (insertion path, splits included) on the
-/// file backend answers queries identically to its heap twin, with
-/// identical I/O counters.
+/// NM-CIJ over trees built out of core (external merge sort, a dozen runs)
+/// and joined through buffers an eighth of each tree, sequentially and on
+/// four workers: on every backend the pairs are the heap backend's, and no
+/// tree ever holds more decoded pages than its buffer plus its pins — there
+/// is no mirror for the dataset to hide in.
 #[test]
-fn insert_built_trees_agree_across_backends() {
-    let build = |storage: StorageBackend| {
-        let mut tree: RTree<PointObject> =
-            RTree::with_stats_on(test_config().rtree, cij::pagestore::IoStats::new(), storage);
-        let mut rng = StdRng::seed_from_u64(77);
-        for i in 0..500u64 {
-            tree.insert(PointObject::new(
-                i,
-                Point::new(rng.gen_range(0.0..10_000.0), rng.gen_range(0.0..10_000.0)),
-            ));
+fn out_of_core_join_stays_within_buffer_plus_pins() {
+    let p = uniform_points(1_200, &Rect::DOMAIN, 9413);
+    let q = clustered(1_200, 9414);
+    let mut reference: Option<Vec<(u64, u64)>> = None;
+    for backend in StorageBackend::ALL {
+        for threads in [1, 4] {
+            let config = test_config()
+                .with_storage_backend(backend)
+                .with_worker_threads(threads);
+            let stats = IoStats::new();
+            let build = |points: &[Point]| {
+                let objects = PointObject::from_points(points);
+                let mut tree = RTree::bulk_load_external_on(
+                    config.rtree,
+                    stats.clone(),
+                    objects,
+                    1.0,
+                    backend,
+                    100,
+                );
+                tree.set_buffer_pages(tree.num_pages() / 8);
+                tree.drop_buffer();
+                tree.reset_residency_peaks();
+                tree
+            };
+            let (rp, rq) = (build(&p), build(&q));
+            let mut w = Workload { rp, rq, stats };
+            let (stats_before, io_before) = (w.stats.snapshot(), w.backend_io());
+            let outcome = QueryEngine::new(config).run(&mut w, Algorithm::NmCij);
+            assert_eq!(
+                w.backend_io().since(&io_before).bytes_read,
+                w.stats.snapshot().since(&stats_before).physical_reads
+                    * config.rtree.page_size as u64,
+                "{backend}, T={threads}: a miss under cache pressure moved a partial frame"
+            );
+            for (name, tree) in [("RP", &w.rp), ("RQ", &w.rq)] {
+                let (buffer, pinned) = (tree.buffer_pages(), tree.peak_pinned_pages());
+                assert!(buffer > 0 && 4 * buffer <= tree.num_pages());
+                assert!(
+                    tree.peak_resident_pages() <= buffer + pinned,
+                    "{backend}, T={threads}, {name}: peak resident {} pages exceeds \
+                     buffer {buffer} + pinned {pinned}",
+                    tree.peak_resident_pages()
+                );
+            }
+            let base = reference.get_or_insert_with(|| outcome.pairs.clone());
+            assert_eq!(
+                &outcome.pairs, base,
+                "{backend}, T={threads}: pairs diverged"
+            );
         }
-        tree.set_buffer_pages(8);
-        tree.drop_buffer();
-        tree.stats().reset();
-        tree
-    };
-    let mut heap = build(StorageBackend::Heap);
-    let mut file = build(StorageBackend::File);
-    heap.check_invariants().unwrap();
-    file.check_invariants().unwrap();
-    for query in [
-        Rect::from_coords(0.0, 0.0, 2_500.0, 2_500.0),
-        Rect::from_coords(4_000.0, 1_000.0, 9_000.0, 8_000.0),
-    ] {
-        let mut a: Vec<u64> = heap.range_query(&query).iter().map(|o| o.id.0).collect();
-        let mut b: Vec<u64> = file.range_query(&query).iter().map(|o| o.id.0).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
     }
-    assert_eq!(heap.stats().snapshot(), file.stats().snapshot());
-    assert_eq!(heap.backend_io(), file.backend_io());
 }
 
 /// `RTree::range_query` with every node read **owned** (`read_node`, which
@@ -475,20 +512,15 @@ proptest! {
 }
 
 /// The store enforces the frame check: a single object too large for any
-/// page (which node splitting cannot fix) is rejected with a panic instead
-/// of being silently stored in an unserializable node.
+/// page (which no packing can fix) is rejected with a panic instead of
+/// being silently stored in an unserializable node.
 #[test]
 #[should_panic(expected = "page frame overflow")]
 fn oversized_node_is_rejected_by_the_store() {
-    let mut tree: RTree<CellObject> = RTree::with_stats_on(
-        RTreeConfig {
-            page_size: 128,
-            min_fill: 0.4,
-            max_entries: 64,
-        },
-        cij::pagestore::IoStats::new(),
-        StorageBackend::File,
-    );
+    let config = RTreeConfig {
+        page_size: 128,
+        max_entries: 64,
+    };
     // A 20-vertex cell needs 28 + 20 × 16 = 348 bytes — more than a page.
     let vertices = (0..20)
         .map(|i| {
@@ -497,5 +529,6 @@ fn oversized_node_is_rejected_by_the_store() {
         })
         .collect();
     let cell = ConvexPolygon::new(vertices);
-    tree.insert(CellObject::new(0, Point::new(5_000.0, 5_000.0), cell));
+    let oversized = vec![CellObject::new(0, Point::new(5_000.0, 5_000.0), cell)];
+    RTree::bulk_load_with_stats_on(config, IoStats::new(), oversized, 1.0, StorageBackend::File);
 }
