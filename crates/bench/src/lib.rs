@@ -22,7 +22,7 @@
 //! crate for that purpose) takes deltas of it for its
 //! `core.pipeline.allocs_per_op` metric.
 //!
-//! Relaxed-consistency contract: [`ALLOCATIONS`] is a single monotone
+//! Relaxed-consistency contract: `ALLOCATIONS` is a single monotone
 //! counter with no other shared state ordered against it. Increments use
 //! `Ordering::Relaxed` because only the counter's own modification order
 //! matters — [`allocations`] deltas are taken around single-threaded
@@ -35,7 +35,7 @@
 pub mod experiments;
 pub mod util;
 
-pub use util::{flag, paper_config, scaled, Args};
+pub use util::{paper_config, scaled, Args};
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -52,12 +52,6 @@ impl Args {
     }
 }
 
-/// Reads `--scale` (a multiplier applied to the paper's dataset sizes) with a
-/// default chosen so the whole harness finishes in minutes on a laptop.
-pub fn flag(args: &Args, name: &str, default: f64) -> f64 {
-    args.get(name, default)
-}
-
 /// Applies a scale factor to a paper-size cardinality.
 pub fn scaled(paper_n: usize, scale: f64) -> usize {
     ((paper_n as f64) * scale).round().max(8.0) as usize

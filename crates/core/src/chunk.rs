@@ -28,7 +28,15 @@
 //!    tuple extension).
 //! 6. **Settle + emit** (coordinator, leaf order) — each leaf's deferred
 //!    read accounting is settled ([`Accounting::settle`]), its counters
-//!    folded, its watermark recorded and its rows enqueued.
+//!    folded, its checkpoint recorded ([`StreamLedger::record_leaf`]) and
+//!    its rows enqueued.
+//!
+//! Both streams hold one [`StreamLedger`] by value — progress samples,
+//! watermarks, the fail-stop latch — and `record_leaf` is the one place
+//! every completed leaf of either pipeline passes through: the per-leaf
+//! fold point (where a per-query profile would fold in, too). Consumers
+//! that only need that ledger, like the request server's drive loop, take
+//! either stream as a [`LeafStream`].
 //!
 //! Chunk widths ramp `1 → workers → workers × 4` ([`LeafCursor`]), so the
 //! first rows cost exactly one leaf's page accesses — the non-blocking
@@ -73,14 +81,14 @@
 //! ([`gate`], built into [`refine_missing`]) that turns the first latched
 //! error in leaf order into `Err` *before* its outputs feed the next
 //! phase; settling a log can fail too (a replayed miss is a real transfer).
-//! On `Err` the stream latches the error, abandons its remaining leaves
-//! and ends: everything emitted is covered by a watermark, nothing of the
-//! failing leaf (or, for a phase failure, of the failing chunk) was
-//! emitted, and the reuse buffer — whose policy state may have advanced
-//! past payloads that were never filled — is never handed on. The
-//! leaf-order walk at construction goes through the same latch
-//! ([`Accounting::leaf_order`]), so a stream whose walk fails is born
-//! fail-stopped instead of panicking.
+//! On `Err` the stream latches the error ([`StreamLedger::fail`]), abandons
+//! its remaining leaves and ends: everything emitted is covered by a
+//! watermark, nothing of the failing leaf (or, for a phase failure, of the
+//! failing chunk) was emitted, and the reuse buffer — whose policy state
+//! may have advanced past payloads that were never filled — is never
+//! handed on. The leaf-order walk at construction goes through the same
+//! latch ([`StreamLedger::start`] over [`Accounting::leaf_order`]), so a
+//! stream whose walk fails is born fail-stopped instead of panicking.
 //!
 //! # Per-worker scratch
 //!
@@ -100,6 +108,7 @@
 use crate::cell_cache::CellCache;
 use crate::config::{CijConfig, ExecMode};
 use crate::filter::{FilterOptions, FilterScratch};
+use crate::stats::{LeafWatermark, ProgressSample};
 use cij_geom::{ClipScratch, ConvexPolygon, Rect};
 use cij_pagestore::{IoSnapshot, IoStats, PageId, PageIoError};
 use cij_rtree::reader::leaf_pages_hilbert_order;
@@ -147,14 +156,13 @@ impl<'a> Accounting<'a> {
                 stats: stats.clone(),
                 start: stats.snapshot(),
             },
-            ExecMode::Fast => Accounting::shared(trees.into_iter().map(|t| &*t).collect(), 0),
+            ExecMode::Fast => Accounting::shared(trees.into_iter().map(|t| &*t).collect()),
         }
     }
 
-    /// Fast accounting over shared `trees`, the local counter starting at
-    /// `reads` (what a precomputed leaf order cost).
-    pub(crate) fn shared(trees: Vec<&'a RTree<PointObject>>, reads: u64) -> Self {
-        Accounting::Fast { trees, reads }
+    /// Fast accounting over shared `trees`.
+    pub(crate) fn shared(trees: Vec<&'a RTree<PointObject>>) -> Self {
+        Accounting::Fast { trees, reads: 0 }
     }
 
     /// Tree `i`, for reading.
@@ -343,6 +351,87 @@ impl LeafCursor {
     pub(crate) fn abandon(&mut self) {
         self.next = self.leaves.len();
     }
+}
+
+/// A stream's books on its leaves, kept by value by the pair stream and the
+/// tuple stream alike: the leaves still to come, a progress sample per
+/// productive leaf done, a watermark per leaf done, and the fail-stop latch.
+#[derive(Debug, Default)]
+pub(crate) struct StreamLedger {
+    pub(crate) cursor: LeafCursor,
+    pub(crate) progress: Vec<ProgressSample>,
+    pub(crate) watermarks: Vec<LeafWatermark>,
+    error: Option<PageIoError>,
+}
+
+impl StreamLedger {
+    /// Starts a stream: walks the leaf order of its driving tree `driver` in
+    /// `acct`'s currency. A failed walk yields a stream that is born
+    /// fail-stopped — no leaves, the error latched.
+    pub(crate) fn start(acct: &mut Accounting<'_>, driver: usize, domain: &Rect) -> Self {
+        let mut ledger = StreamLedger::default();
+        match acct.leaf_order(driver, domain) {
+            Ok(leaves) => ledger.cursor = LeafCursor::new(leaves),
+            Err(e) => ledger.fail(e),
+        }
+        ledger
+    }
+
+    /// Checkpoints leaf `leaf_index` at its sequential emit position: with
+    /// it the stream has produced `rows` rows for `page_accesses`, and all
+    /// of them are final. One watermark per leaf, empty ones included, so
+    /// `leaf_index` is dense; a sample only when the leaf was `productive`.
+    pub(crate) fn record_leaf(
+        &mut self,
+        leaf_index: usize,
+        rows: u64,
+        page_accesses: u64,
+        productive: bool,
+    ) {
+        if productive {
+            self.progress.push(ProgressSample {
+                page_accesses,
+                pairs: rows,
+            });
+        }
+        self.watermarks.push(LeafWatermark {
+            leaf_index,
+            rows,
+            page_accesses,
+        });
+    }
+
+    /// Fail-stops the stream: latches the storage error (the first one
+    /// wins) and abandons every leaf not handed out yet. Everything emitted
+    /// is covered by a watermark; the caller emits nothing of the failing
+    /// chunk.
+    pub(crate) fn fail(&mut self, error: PageIoError) {
+        self.error.get_or_insert(error);
+        self.cursor.abandon();
+    }
+
+    /// The error that fail-stopped the stream, if any.
+    pub(crate) fn error(&self) -> Option<&PageIoError> {
+        self.error.as_ref()
+    }
+
+    /// The page-access figure of the last watermark: what the rows emitted
+    /// so far have cost.
+    pub(crate) fn page_accesses(&self) -> u64 {
+        self.watermarks.last().map_or(0, |w| w.page_accesses)
+    }
+
+    /// The samples and watermarks of a drained stream — or the error that
+    /// cut it short.
+    pub(crate) fn finish(self) -> Result<(Vec<ProgressSample>, Vec<LeafWatermark>), PageIoError> {
+        self.error.map_or(Ok((self.progress, self.watermarks)), Err)
+    }
+}
+
+/// A lazy stream of join rows that checkpoints per leaf: what the request
+/// server's drive loop needs from the pair stream and the tuple stream.
+pub(crate) trait LeafStream: Iterator {
+    fn ledger(&self) -> &StreamLedger;
 }
 
 /// The per-worker scratch of one join unit: the Voronoi traversal's decode
@@ -718,7 +807,7 @@ mod tests {
         // Exclusive trees in fast mode and shared trees account alike.
         for shared in [false, true] {
             let mut acct = if shared {
-                Accounting::shared(w.trees.iter().collect(), 5)
+                Accounting::shared(w.trees.iter().collect())
             } else {
                 Accounting::exclusive(ExecMode::Fast, w.trees.iter_mut().collect(), &stats)
             };
@@ -730,7 +819,7 @@ mod tests {
             let log = reader.finish();
             assert!(log.trace.is_empty(), "fast readers record no trace");
             acct.settle(0, &log).unwrap();
-            let expected = pattern.len() as u64 + if shared { 5 } else { 0 };
+            let expected = pattern.len() as u64;
             assert_eq!(acct.page_accesses(), expected);
             assert_eq!(acct.join_io().logical_reads, expected);
             assert_eq!(stats.snapshot(), Default::default());
@@ -750,7 +839,7 @@ mod tests {
         assert_eq!(acct.join_io().logical_reads, counted_reads);
 
         let fast = workload();
-        let mut acct = Accounting::shared(fast.trees.iter().collect(), 0);
+        let mut acct = Accounting::shared(fast.trees.iter().collect());
         assert_eq!(acct.leaf_order(0, &domain).unwrap(), counted);
         assert_eq!(acct.page_accesses(), counted_reads);
         assert_eq!(fast.stats.snapshot(), Default::default());
@@ -764,7 +853,7 @@ mod tests {
         let stats = w.stats.clone();
         // The reader still gets the page; by replay time its frame rots.
         let log = {
-            let acct = Accounting::shared(w.trees.iter().collect(), 0);
+            let acct = Accounting::shared(w.trees.iter().collect());
             let mut reader = SnapshotReader::traced(acct.tree(0));
             reader.visit(root, &mut |_| {});
             reader.finish()
@@ -778,7 +867,7 @@ mod tests {
         let err = acct.leaf_order(0, &domain).unwrap_err();
         assert_eq!(err.kind, FaultKind::Corrupt);
         // Same walk, fast currency.
-        let mut acct = Accounting::shared(w.trees.iter().collect(), 0);
+        let mut acct = Accounting::shared(w.trees.iter().collect());
         assert_eq!(
             acct.leaf_order(0, &domain).unwrap_err().kind,
             FaultKind::Corrupt

@@ -212,7 +212,7 @@ pub struct CijConfig {
     /// cost-based by default.
     pub multiway_driver: MultiwayDriver,
     /// Memory layout of the decoded-node hot paths (see
-    /// [`LeafLayout`](cij_rtree::LeafLayout)): [`LeafLayout::Soa`] (the
+    /// [`LeafLayout`]): [`LeafLayout::Soa`] (the
     /// default) decodes nodes into reusable per-worker SoA arenas and clips
     /// cells in place through scratch buffers; [`LeafLayout::Aos`] is the
     /// historical owned-`Node`/allocating-clip baseline. Both layouts
@@ -260,11 +260,6 @@ impl Default for CijConfig {
 }
 
 impl CijConfig {
-    /// The paper's default setting.
-    pub fn paper_default() -> Self {
-        Self::default()
-    }
-
     /// Sets the space domain.
     pub fn with_domain(mut self, domain: Rect) -> Self {
         self.domain = domain;

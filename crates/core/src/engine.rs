@@ -18,10 +18,11 @@
 //!   and the benchmark harness instead of reaching into per-algorithm
 //!   functions.
 //!
-//! Progress samples ([`ProgressSample`]) and NM counters accumulate in
-//! shared stream state while the consumer pulls, so a caller can observe
-//! "pairs so far vs page accesses so far" mid-join — exactly the
-//! progressiveness measurement of Figure 9b.
+//! Progress samples ([`ProgressSample`]), watermarks and NM counters
+//! accumulate in the stream itself while the consumer pulls (a lazy stream
+//! owns its ledger by value, exactly as the multiway [`TupleStream`] does),
+//! so a caller can observe "pairs so far vs page accesses so far" mid-join —
+//! the progressiveness measurement of Figure 9b.
 //!
 //! # The two execution modes
 //!
@@ -53,38 +54,26 @@
 //!
 //! [`CijConfig::exec_mode`]: crate::config::CijConfig::exec_mode
 
+use crate::chunk::LeafStream;
 use crate::config::CijConfig;
 use crate::grouped::{grouped_nn_via_cij, GroupCounts};
 use crate::multiway::{MultiwayOutcome, TupleStream};
+use crate::nm::NmPairIter;
 use crate::service::{CijService, EngineSnapshot, ServiceConfig};
-use crate::stats::{CijOutcome, CostBreakdown, LeafWatermark, NmCounters, ProgressSample};
+use crate::stats::{CijOutcome, LeafWatermark, NmCounters, ProgressSample};
 use crate::workload::{MultiwayWorkload, Workload};
 use crate::Algorithm;
 use cij_geom::Point;
 use cij_pagestore::PageIoError;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-/// Mutable state shared between a [`PairStream`] and its producing
-/// iterator: cost attribution, progress samples and NM counters fill in as
-/// the stream is consumed.
-#[derive(Debug, Default)]
-pub(crate) struct StreamState {
-    pub progress: Vec<ProgressSample>,
-    pub nm: NmCounters,
-    pub breakdown: CostBreakdown,
-    pub watermarks: Vec<LeafWatermark>,
-    /// First storage error the producing iterator hit, if any. Once set the
-    /// stream is fail-stopped: everything emitted up to the last recorded
-    /// watermark is valid, nothing after it was emitted.
-    pub error: Option<PageIoError>,
+/// Where a [`PairStream`]'s pairs come from.
+enum Source<'a> {
+    /// NM-CIJ: leaves of `RQ` are processed as pairs are demanded.
+    Lazy(Box<NmPairIter<'a>>),
+    /// FM/PM: an eagerly computed outcome, its pairs replayed in order.
+    Eager(Box<CijOutcome>),
 }
-
-/// `Arc<Mutex<…>>` rather than the earlier `Rc<RefCell<…>>`: the parallel
-/// NM-CIJ execution path needs `Send + Sync` state (its producing iterator
-/// crosses a `std::thread::scope`), and together with the `Send` bound on
-/// the stream's inner iterator it makes [`PairStream`] itself `Send`, so a
-/// consumer can move a running stream to another thread.
-pub(crate) type SharedStreamState = Arc<Mutex<StreamState>>;
 
 /// A pull-based stream of CIJ result pairs.
 ///
@@ -92,11 +81,11 @@ pub(crate) type SharedStreamState = Arc<Mutex<StreamState>>;
 /// are produced on demand; [`PairStream::progress_so_far`] and
 /// [`PairStream::counters_so_far`] expose the incremental measurements, and
 /// [`PairStream::into_outcome`] drains the remainder into the classic
-/// blocking [`CijOutcome`].
+/// blocking [`CijOutcome`]. The stream owns its state outright, so it is
+/// `Send`: a consumer can move a running stream to another thread.
 pub struct PairStream<'a> {
     algorithm: Algorithm,
-    inner: Box<dyn Iterator<Item = (u64, u64)> + Send + 'a>,
-    state: SharedStreamState,
+    source: Source<'a>,
     emitted: u64,
 }
 
@@ -110,15 +99,11 @@ impl std::fmt::Debug for PairStream<'_> {
 }
 
 impl<'a> PairStream<'a> {
-    pub(crate) fn new(
-        algorithm: Algorithm,
-        inner: Box<dyn Iterator<Item = (u64, u64)> + Send + 'a>,
-        state: SharedStreamState,
-    ) -> Self {
+    /// The lazy NM-CIJ stream over an exclusive workload.
+    pub(crate) fn nm(workload: &'a mut Workload, config: &CijConfig) -> Self {
         PairStream {
-            algorithm,
-            inner,
-            state,
+            algorithm: Algorithm::NmCij,
+            source: Source::Lazy(Box::new(NmPairIter::new(workload, *config))),
             emitted: 0,
         }
     }
@@ -126,17 +111,9 @@ impl<'a> PairStream<'a> {
     /// Wraps an eagerly computed outcome as a (trivially complete) stream —
     /// the adapter used by the blocking FM/PM algorithms.
     pub(crate) fn from_outcome(algorithm: Algorithm, outcome: CijOutcome) -> PairStream<'static> {
-        let state = Arc::new(Mutex::new(StreamState {
-            progress: outcome.progress,
-            nm: outcome.nm,
-            breakdown: outcome.breakdown,
-            watermarks: outcome.watermarks,
-            error: None,
-        }));
         PairStream {
             algorithm,
-            inner: Box::new(outcome.pairs.into_iter()),
-            state,
+            source: Source::Eager(Box::new(outcome)),
             emitted: 0,
         }
     }
@@ -154,22 +131,30 @@ impl<'a> PairStream<'a> {
     /// The progressive-output samples recorded so far (one per processed
     /// leaf of `RQ` for NM-CIJ; the full eager trace for FM/PM).
     pub fn progress_so_far(&self) -> Vec<ProgressSample> {
-        self.state.lock().unwrap().progress.clone()
+        match &self.source {
+            Source::Lazy(iter) => iter.ledger().progress.clone(),
+            Source::Eager(outcome) => outcome.progress.clone(),
+        }
     }
 
     /// The NM-specific counters accumulated so far (zeroed for FM/PM).
     pub fn counters_so_far(&self) -> NmCounters {
-        self.state.lock().unwrap().nm
+        match &self.source {
+            Source::Lazy(iter) => iter.counters(),
+            Source::Eager(outcome) => outcome.nm,
+        }
     }
 
     /// The per-leaf watermarks recorded so far (one per processed leaf of
     /// `RQ` for the lazy NM-CIJ stream; empty for the blocking FM/PM
     /// streams). Everything emitted up to the last watermark is final: no
     /// later leaf can add or change those pairs — the checkpointing
-    /// contract ported back from the multiway
-    /// [`TupleStream`](crate::multiway::TupleStream).
+    /// contract ported back from the multiway [`TupleStream`].
     pub fn watermarks_so_far(&self) -> Vec<LeafWatermark> {
-        self.state.lock().unwrap().watermarks.clone()
+        match &self.source {
+            Source::Lazy(iter) => iter.ledger().watermarks.clone(),
+            Source::Eager(outcome) => outcome.watermarks.clone(),
+        }
     }
 
     /// The first storage error the producing iterator hit, if any.
@@ -180,7 +165,10 @@ impl<'a> PairStream<'a> {
     /// Everything pulled up to the last watermark is valid; a consumer that
     /// sees the stream end must poll this before trusting completeness.
     pub fn io_error(&self) -> Option<PageIoError> {
-        self.state.lock().unwrap().error.clone()
+        match &self.source {
+            Source::Lazy(iter) => iter.ledger().error().cloned(),
+            Source::Eager(..) => None,
+        }
     }
 
     /// Drains the remaining pairs and packages everything into the blocking
@@ -200,22 +188,14 @@ impl<'a> PairStream<'a> {
 
     /// Drains the remaining pairs like [`PairStream::into_outcome`], but
     /// surfaces a fail-stop storage error as `Err` instead of panicking.
-    pub fn try_into_outcome(mut self) -> Result<CijOutcome, PageIoError> {
-        let mut pairs = Vec::new();
-        for pair in &mut self {
-            pairs.push(pair);
+    pub fn try_into_outcome(self) -> Result<CijOutcome, PageIoError> {
+        match self.source {
+            Source::Lazy(iter) => iter.try_into_outcome().map(|(outcome, _cache)| outcome),
+            Source::Eager(mut outcome) => {
+                outcome.pairs.drain(..self.emitted as usize);
+                Ok(*outcome)
+            }
         }
-        let mut state = self.state.lock().unwrap();
-        if let Some(error) = state.error.take() {
-            return Err(error);
-        }
-        Ok(CijOutcome {
-            pairs,
-            breakdown: state.breakdown,
-            progress: state.progress.clone(),
-            nm: state.nm,
-            watermarks: state.watermarks.clone(),
-        })
     }
 }
 
@@ -223,7 +203,10 @@ impl Iterator for PairStream<'_> {
     type Item = (u64, u64);
 
     fn next(&mut self) -> Option<(u64, u64)> {
-        let next = self.inner.next();
+        let next = match &mut self.source {
+            Source::Lazy(iter) => iter.next(),
+            Source::Eager(outcome) => outcome.pairs.get(self.emitted as usize).copied(),
+        };
         if next.is_some() {
             self.emitted += 1;
         }
@@ -321,7 +304,7 @@ impl QueryEngine {
     }
 
     /// Runs the CIJ-based grouped nearest-neighbour analysis (see
-    /// [`grouped_nn_via_cij`](crate::grouped::grouped_nn_via_cij)).
+    /// [`grouped_nn_via_cij`]).
     pub fn grouped_nn(&self, p: &[Point], q: &[Point], locations: &[Point]) -> GroupCounts {
         grouped_nn_via_cij(p, q, locations, &self.config)
     }
@@ -431,14 +414,14 @@ mod tests {
         assert!(!early.is_empty(), "progress recorded by the first pair");
         let outcome = stream.into_outcome();
         assert!(outcome.progress.len() >= early.len());
-        // Counters flowed through the shared state.
+        // Counters flowed through the stream.
         assert!(outcome.nm.q_cells_computed > 0);
     }
 
     #[test]
     fn pair_streams_are_send() {
-        // A running stream can be handed to another thread: the inner
-        // iterator is `Send` and the shared state is `Arc<Mutex<…>>`.
+        // A running stream can be handed to another thread: it owns its
+        // iterator and ledger by value and both are `Send`.
         fn assert_send<T: Send>() {}
         assert_send::<PairStream<'static>>();
 

@@ -3,7 +3,7 @@
 //! FM-CIJ computes and indexes **both** Voronoi diagrams — `V or(P)` into
 //! `R'P` and `V or(Q)` into `R'Q`, each built by batched cell computation per
 //! leaf and Hilbert-packed bulk loading — and then runs the synchronous
-//! traversal intersection join of [9] between the two Voronoi R-trees. It is
+//! traversal intersection join of \[9\] between the two Voronoi R-trees. It is
 //! the baseline the cheaper PM-CIJ and NM-CIJ are compared against; it is
 //! blocking (no result pair is produced before both trees are built).
 

@@ -9,10 +9,12 @@
 //! first and assigning locations to the common influence regions avoids the
 //! two expensive all-nearest-neighbour joins of the naive plan.
 
+use crate::cell_cache::CellCache;
 use crate::config::CijConfig;
 use crate::nm::nm_cij_keep_cache;
 use crate::workload::Workload;
 use cij_geom::{hilbert, ConvexPolygon, Point, Rect};
+use cij_pagestore::PageIoError;
 use cij_rtree::{LeafLayout, NodeReader, PointObject};
 use cij_voronoi::{batch_voronoi_cached_with, nearest_index, CellStore, NoCache, VorScratch};
 use std::collections::HashMap;
@@ -27,10 +29,9 @@ const CELL_BATCH: usize = 24;
 /// batch is spatially compact, and computed through the cache in
 /// leaf-sized groups.
 ///
-/// Generic over the [`NodeReader`] so the workload-owning plan can pass the
-/// counted `&mut RTree` and the service a counting
-/// [`SnapshotReader`](cij_rtree::SnapshotReader) over its shared snapshot.
-pub(crate) fn cells_by_id<R: NodeReader<PointObject>, C: CellStore>(
+/// A failed read latches in `tree` and serves an empty leaf; the caller
+/// polls ([`region_cells`]).
+fn cells_by_id<R: NodeReader<PointObject>, C: CellStore>(
     tree: &mut R,
     objects: &[PointObject],
     ids: impl Iterator<Item = u64>,
@@ -58,6 +59,33 @@ pub(crate) fn cells_by_id<R: NodeReader<PointObject>, C: CellStore>(
         }
     }
     out
+}
+
+/// The exact cells of every point that takes part in `pairs`, per side —
+/// what materialising the pairs' common influence regions needs — each
+/// unique cell computed exactly once through the input R-trees. The `P`
+/// side is served from `cache_p`, the join's still-warm reuse buffer, where
+/// possible; the `Q` side has no reuse opportunity after deduplication (the
+/// join never caches `Q` cells), so it runs uncached.
+///
+/// Generic over the [`NodeReader`] so the workload-owning plan can pass the
+/// counted `&mut RTree`s and the service counting
+/// [`SnapshotReader`](cij_rtree::SnapshotReader)s over its shared snapshot.
+/// Both readers are polled before the cells are trusted: a storage failure
+/// on either side is an `Err`, never a map built from empty leaves.
+pub(crate) fn region_cells<R: NodeReader<PointObject>>(
+    (rp, objects_p): (&mut R, &[PointObject]),
+    (rq, objects_q): (&mut R, &[PointObject]),
+    pairs: &[(u64, u64)],
+    domain: &Rect,
+    cache_p: &mut CellCache,
+) -> Result<[HashMap<u64, ConvexPolygon>; 2], PageIoError> {
+    let ids_p = pairs.iter().map(|&(a, _)| a);
+    let cells_p = cells_by_id(rp, objects_p, ids_p, domain, cache_p);
+    let ids_q = pairs.iter().map(|&(_, b)| b);
+    let cells_q = cells_by_id(rq, objects_q, ids_q, domain, &mut NoCache);
+    let error = rp.take_error().or_else(|| rq.take_error());
+    error.map_or(Ok([cells_p, cells_q]), Err)
 }
 
 /// Counts per (p, q) pair produced by a grouped-NN analysis.
@@ -98,6 +126,11 @@ pub(crate) fn count_locations_in_regions(
 ///
 /// Locations on a region boundary are assigned to the first matching pair
 /// (ties have measure zero for continuous data).
+///
+/// # Panics
+///
+/// Panics on a storage failure, like [`nm_cij`](crate::nm::nm_cij) — the
+/// blocking API has no partial-result channel.
 pub fn grouped_nn_via_cij(
     p: &[Point],
     q: &[Point],
@@ -110,28 +143,14 @@ pub fn grouped_nn_via_cij(
     // region-materialisation step below needs again.
     let (cij, mut cache_p) = nm_cij_keep_cache(&mut workload, config);
 
-    // Materialise each pair's common influence region through the input
-    // R-trees: the participating ids are deduplicated and their exact cells
-    // computed in shared Hilbert-ordered batch traversals (each unique cell
-    // exactly once). The `P` side is served from the join's cell cache
-    // where possible; the `Q` side has no reuse opportunity after
-    // deduplication (the join never caches `Q` cells), so it runs uncached.
-    let objects_p = PointObject::from_points(p);
-    let objects_q = PointObject::from_points(q);
-    let cells_p = cells_by_id(
-        &mut workload.rp,
-        &objects_p,
-        cij.pairs.iter().map(|&(a, _)| a),
+    let [cells_p, cells_q] = region_cells(
+        (&mut workload.rp, &PointObject::from_points(p)),
+        (&mut workload.rq, &PointObject::from_points(q)),
+        &cij.pairs,
         &config.domain,
         &mut cache_p,
-    );
-    let cells_q = cells_by_id(
-        &mut workload.rq,
-        &objects_q,
-        cij.pairs.iter().map(|&(_, b)| b),
-        &config.domain,
-        &mut NoCache,
-    );
+    )
+    .unwrap_or_else(|e| panic!("CIJ storage failure: {e}"));
     count_locations_in_regions(&cij.pairs, &cells_p, &cells_q, locations)
 }
 
@@ -203,6 +222,35 @@ mod tests {
                 "group {key:?} has houses but is not a CIJ pair"
             );
         }
+    }
+
+    #[test]
+    fn a_storage_failure_during_region_materialisation_is_an_error() {
+        use cij_pagestore::{FaultKind, FaultSpec};
+        use cij_rtree::SnapshotReader;
+        // A tiny reuse buffer, so the `P` side really goes back to the tree.
+        let config = small_config().with_cell_cache_capacity(4);
+        let p = random_points(200, 331);
+        let q = random_points(200, 332);
+        let mut workload = Workload::build(&p, &q, &config);
+        let (cij, mut cache_p) = nm_cij_keep_cache(&mut workload, &config);
+        let leaves = SnapshotReader::new(&workload.rp).leaf_pages_hilbert_order(&config.domain);
+        let target = leaves[leaves.len() / 2];
+        workload.rp.flush();
+        workload.rp.drop_buffer();
+        workload.rp.inject_fault(FaultSpec::corrupt_frame(target.0));
+        let error = region_cells(
+            (&mut workload.rp, &PointObject::from_points(&p)),
+            (&mut workload.rq, &PointObject::from_points(&q)),
+            &cij.pairs,
+            &config.domain,
+            &mut cache_p,
+        )
+        .expect_err("cells computed over an empty leaf must not be handed on");
+        assert_eq!(
+            (error.kind, error.page),
+            (FaultKind::Corrupt, Some(target.0))
+        );
     }
 
     #[test]

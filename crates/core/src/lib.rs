@@ -59,7 +59,7 @@
 //! ## The shared cell cache
 //!
 //! The Section IV-B *reuse buffer* is the bounded LRU
-//! [`CellCache`](cell_cache::CellCache), shared by NM-CIJ, PM-CIJ and the
+//! [`CellCache`], shared by NM-CIJ, PM-CIJ and the
 //! [`multiway`] / [`grouped`] extensions through the cache-aware
 //! [`cij_voronoi::batch_voronoi_cached_with`] API. Its capacity is bounded by
 //! [`CijConfig::cell_cache_capacity`]; hit/miss/eviction counts surface
@@ -160,7 +160,7 @@ impl Algorithm {
         match self {
             Algorithm::FmCij => PairStream::from_outcome(*self, fm_cij(workload, config)),
             Algorithm::PmCij => PairStream::from_outcome(*self, pm_cij(workload, config)),
-            Algorithm::NmCij => nm::stream_with_cache_slot(workload, config).0,
+            Algorithm::NmCij => PairStream::nm(workload, config),
         }
     }
 

@@ -125,7 +125,7 @@
 use crate::cell_cache::CellCache;
 use crate::chunk::{
     gate, refine_through_cache, run_ordered, run_ordered_scratch, run_ordered_units, Accounting,
-    CacheTally, LeafCursor, UnitEnv, UnitScratch,
+    CacheTally, LeafStream, StreamLedger, UnitEnv, UnitScratch,
 };
 use crate::config::{CijConfig, MultiwayDriver};
 use crate::filter::{batch_conditional_filter_scratch, FilterStats};
@@ -345,7 +345,6 @@ pub struct TupleStream<'a> {
     /// extension sets in input order. Tuple ids are permuted back to input
     /// order on emission.
     eval_order: Vec<usize>,
-    cursor: LeafCursor,
     /// One reuse buffer per input set (the driver included: seeding goes
     /// through the cache like every extension round).
     caches: Vec<CellCache>,
@@ -363,18 +362,15 @@ pub struct TupleStream<'a> {
     /// Tuples of `pending`'s front table already pulled.
     pulled: usize,
     counters: MultiwayCounters,
-    progress: Vec<ProgressSample>,
-    watermarks: Vec<LeafWatermark>,
+    /// Leaves to come, progress samples, watermarks and the fail-stop latch:
+    /// once an error is latched no further leaves run, nothing from the
+    /// failing leaf or chunk was emitted, and everything emitted stays valid.
+    ledger: StreamLedger,
     /// Tuples of every table pushed into `pending` so far (cumulative, ahead
     /// of `emitted` by the buffered tuples).
     produced: u64,
     /// Tuples pulled by the consumer so far.
     emitted: u64,
-    /// First storage error hit, if any. Once set the stream is
-    /// fail-stopped: everything emitted up to the last watermark is valid,
-    /// nothing from the failing leaf or chunk was emitted, no further
-    /// leaves run.
-    error: Option<PageIoError>,
     /// Debug-build guard: every emitted id tuple must be unique.
     /// Membership-only (the `insert` return value is the whole check; never
     /// iterated), so `HashSet` order cannot leak (allowlisted CIJ-D102).
@@ -435,7 +431,7 @@ impl<'a> TupleStream<'a> {
         );
         assert_eq!(caches.len(), trees.len(), "one cell cache per input set");
         let driver = choose_driver(trees.len(), || pick_driver(&trees), &config);
-        Self::start(Accounting::shared(trees, 0), driver, caches, &config)
+        Self::start(Accounting::shared(trees), driver, caches, &config)
     }
 
     /// The one constructor body: walks the driver's leaf order in the
@@ -450,28 +446,22 @@ impl<'a> TupleStream<'a> {
         let k = acct.k();
         let mut eval_order = vec![driver];
         eval_order.extend((0..k).filter(|&s| s != driver));
-        let (leaves, error) = match acct.leaf_order(driver, &config.domain) {
-            Ok(leaves) => (leaves, None),
-            Err(e) => (Vec::new(), Some(e)),
-        };
+        let ledger = StreamLedger::start(&mut acct, driver, &config.domain);
         let env = UnitEnv::new(config, acct.tree(driver).config().node_byte_budget());
         TupleStream {
             env,
             acct,
             prune: config.multiway_prune,
             eval_order,
-            cursor: LeafCursor::new(leaves),
             caches,
             scratches: UnitScratch::per_worker(&env),
             spare: Vec::new(),
             pending: VecDeque::new(),
             pulled: 0,
             counters: MultiwayCounters::for_sets(k),
-            progress: Vec::new(),
-            watermarks: Vec::new(),
+            ledger,
             produced: 0,
             emitted: 0,
-            error,
             #[cfg(debug_assertions)]
             seen_ids: std::collections::HashSet::new(),
         }
@@ -490,7 +480,7 @@ impl<'a> TupleStream<'a> {
     /// The progressive-output samples recorded so far (one per productive
     /// leaf of the driving tree; `pairs` counts tuples).
     pub fn progress_so_far(&self) -> Vec<ProgressSample> {
-        self.progress.clone()
+        self.ledger.progress.clone()
     }
 
     /// The multiway counters accumulated so far (exact at leaf boundaries).
@@ -501,14 +491,7 @@ impl<'a> TupleStream<'a> {
     /// The per-leaf watermarks recorded so far. Everything up to the last
     /// watermark is final: no later leaf can add or change those tuples.
     pub fn watermarks_so_far(&self) -> Vec<LeafWatermark> {
-        self.watermarks.clone()
-    }
-
-    /// Number of per-leaf watermarks recorded so far — cheaper than cloning
-    /// [`TupleStream::watermarks_so_far`] when only the count is needed
-    /// (the request server flushes result batches at watermark boundaries).
-    pub fn watermark_count(&self) -> usize {
-        self.watermarks.len()
+        self.ledger.watermarks.clone()
     }
 
     /// The first storage error this stream hit, if any. The stream is
@@ -517,7 +500,7 @@ impl<'a> TupleStream<'a> {
     /// ends. A consumer that sees the stream end must poll this before
     /// trusting completeness.
     pub fn io_error(&self) -> Option<PageIoError> {
-        self.error.clone()
+        self.ledger.error().cloned()
     }
 
     /// Drains the remaining tuples and packages everything into the
@@ -538,18 +521,13 @@ impl<'a> TupleStream<'a> {
     /// Drains the remaining tuples like [`TupleStream::into_outcome`], but
     /// surfaces a fail-stop storage error as `Err` instead of panicking.
     pub fn try_into_outcome(mut self) -> Result<MultiwayOutcome, PageIoError> {
-        let mut tuples = Vec::new();
-        for tuple in &mut self {
-            tuples.push(tuple);
-        }
-        if let Some(error) = self.error.take() {
-            return Err(error);
-        }
+        let tuples = self.by_ref().collect();
+        let (progress, watermarks) = self.ledger.finish()?;
         Ok(MultiwayOutcome {
             tuples,
-            counters: self.counters.clone(),
-            progress: self.progress.clone(),
-            watermarks: self.watermarks.clone(),
+            counters: self.counters,
+            progress,
+            watermarks,
             page_accesses: self.acct.page_accesses(),
             driver: self.eval_order[0],
         })
@@ -560,7 +538,7 @@ impl<'a> TupleStream<'a> {
     /// to `pending` in leaf order. `Err` fail-stops the stream.
     fn run_chunk(&mut self) -> Result<(), PageIoError> {
         let env = self.env;
-        let (first_leaf_index, chunk) = self.cursor.next_chunk(env.workers);
+        let (first_leaf_index, chunk) = self.ledger.cursor.next_chunk(env.workers);
         let k = self.acct.k();
         let n = chunk.len();
         let driver = self.eval_order[0];
@@ -693,18 +671,12 @@ impl<'a> TupleStream<'a> {
             self.counters.narrowings_skipped += ledger.narrowings_skipped;
             self.produced += table.len as u64;
             self.counters.tuples_produced = self.produced;
-            let page_accesses = self.acct.page_accesses();
-            if !groups[i].is_empty() {
-                self.progress.push(ProgressSample {
-                    page_accesses,
-                    pairs: self.produced,
-                });
-            }
-            self.watermarks.push(LeafWatermark {
-                leaf_index: first_leaf_index + i,
-                rows: self.produced,
-                page_accesses,
-            });
+            self.ledger.record_leaf(
+                first_leaf_index + i,
+                self.produced,
+                self.acct.page_accesses(),
+                !groups[i].is_empty(),
+            );
             self.pending.push_back(table);
         }
         Ok(())
@@ -791,17 +763,20 @@ impl Iterator for TupleStream<'_> {
                 recycle(&mut self.spare, drained);
                 continue;
             }
-            if self.cursor.is_exhausted() {
+            if self.ledger.cursor.is_exhausted() {
                 return None;
             }
             if let Err(error) = self.run_chunk() {
-                // Fail-stop: latch the first error and abandon every
-                // unprocessed leaf. Tuples already emitted (all
-                // watermarked) stay valid.
-                self.error.get_or_insert(error);
-                self.cursor.abandon();
+                // Tuples already emitted (all watermarked) stay valid.
+                self.ledger.fail(error);
             }
         }
+    }
+}
+
+impl LeafStream for TupleStream<'_> {
+    fn ledger(&self) -> &StreamLedger {
+        &self.ledger
     }
 }
 

@@ -15,12 +15,14 @@
 //! 4. reports every `(p, q)` whose exact cells intersect.
 //!
 //! The algorithm is implemented as a stream: the crate-internal `NmPairIter`
-//! processes leaves
-//! of `RQ` only when the consumer pulls and the pairs of previous leaves are
-//! exhausted. The classic blocking [`nm_cij`] is a thin collect-wrapper over
-//! that stream (via [`PairStream::into_outcome`]), so the non-blocking
-//! property — result pairs after only a few page accesses — is directly
-//! observable by pulling a [`PairStream`] obtained from
+//! processes leaves of `RQ` only when the consumer pulls and the pairs of
+//! previous leaves are exhausted, and owns everything it has on record —
+//! ledger, counters, cost breakdown, reuse buffer — by value. It is the
+//! single construction path of every binary NM-CIJ evaluation: the public
+//! [`PairStream`] wraps it, the classic blocking [`nm_cij`] drains it, and
+//! [`crate::service`] drives it directly. The non-blocking property —
+//! result pairs after only a few page accesses — is directly observable by
+//! pulling a [`PairStream`] obtained from
 //! [`QueryEngine::stream`](crate::engine::QueryEngine::stream).
 //!
 //! # Two ways through a leaf
@@ -44,38 +46,30 @@
 //!   Figure 10.
 //!
 //! The fast accounting state needs only `&RTree`, so many concurrent
-//! queries can share one tree-pair snapshot (`NmPairIter::over_snapshot`,
-//! driven by [`crate::service`]).
+//! queries can share one tree-pair snapshot: `NmPairIter::over_snapshot`
+//! takes the two trees, a private cache and the config, and walks `RQ`'s
+//! leaf order per query like every other stream.
 //!
 //! [`CellCache`]: crate::cell_cache::CellCache
 //! [`CijConfig::worker_threads`]: crate::config::CijConfig::worker_threads
 //! [`PairStream`]: crate::engine::PairStream
-//! [`PairStream::into_outcome`]: crate::engine::PairStream::into_outcome
+//! [`ProgressSample`]: crate::stats::ProgressSample
 
 use crate::cell_cache::CellCache;
 use crate::chunk::{
     gate, refine_through_cache, run_ordered, run_ordered_scratch, Accounting, CacheTally,
-    LeafCursor, UnitEnv, UnitScratch,
+    LeafStream, StreamLedger, UnitEnv, UnitScratch,
 };
 use crate::config::CijConfig;
-use crate::engine::{PairStream, SharedStreamState};
 use crate::filter::{batch_conditional_filter_scratch, FilterStats};
-use crate::stats::CijOutcome;
-use crate::stats::{LeafWatermark, ProgressSample};
+use crate::stats::{CijOutcome, CostBreakdown, NmCounters};
 use crate::workload::Workload;
-use crate::Algorithm;
 use cij_geom::{ConvexPolygon, Rect};
 use cij_pagestore::{PageId, PageIoError};
 use cij_rtree::{NodeReader, PointObject, RTree, ReadLog};
 use cij_voronoi::{batch_voronoi_cached_with, batch_voronoi_with};
 use std::collections::{HashSet, VecDeque};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Slot an [`NmPairIter`] deposits its reuse buffer into when the stream is
-/// exhausted, so callers that need the cache after the join (grouped-NN)
-/// share [`stream_with_cache_slot`] instead of wiring their own stream.
-pub(crate) type CacheSlot = Arc<Mutex<Option<CellCache>>>;
 
 /// Index of the `P` tree (filter + refinement side) in the iterator's
 /// [`Accounting`].
@@ -90,50 +84,27 @@ const Q: usize = 1;
 /// This is a thin blocking wrapper: it drains the lazy pair stream. Use
 /// [`QueryEngine::stream`] to consume pairs incrementally instead.
 ///
+/// # Panics
+///
+/// Panics if the stream fail-stopped on a storage error — the blocking API
+/// has no partial-result channel.
+///
 /// [`QueryEngine::stream`]: crate::engine::QueryEngine::stream
 pub fn nm_cij(workload: &mut Workload, config: &CijConfig) -> CijOutcome {
-    stream_with_cache_slot(workload, config).0.into_outcome()
-}
-
-/// The single construction path of every exclusive-workload NM-CIJ stream:
-/// wires up the shared state, the lazy [`NmPairIter`] and a [`CacheSlot`]
-/// the iterator deposits its reuse buffer into once the stream is drained.
-///
-/// Both [`Algorithm::stream`](crate::Algorithm::stream) and the grouped-NN
-/// keep-the-cache entry point go through here, so counters and progress
-/// attribution cannot drift between the two.
-pub(crate) fn stream_with_cache_slot<'a>(
-    workload: &'a mut Workload,
-    config: &CijConfig,
-) -> (PairStream<'a>, CacheSlot) {
-    let state = SharedStreamState::default();
-    let slot = CacheSlot::default();
-    let iter =
-        NmPairIter::new(workload, *config, Arc::clone(&state)).with_cache_slot(Arc::clone(&slot));
-    let stream = PairStream::new(Algorithm::NmCij, Box::new(iter), state);
-    (stream, slot)
+    nm_cij_keep_cache(workload, config).0
 }
 
 /// Like [`nm_cij`], but also hands back the reuse buffer so a caller can
 /// keep serving exact `P` cells from it after the join (grouped-NN
 /// materialises the common influence regions of the result pairs from the
 /// very cells the join just computed).
-///
-/// Routed through [`stream_with_cache_slot`] — the same stream-construction
-/// path as every other NM-CIJ invocation — so counters and progress
-/// attribution cannot drift between the entry points.
 pub(crate) fn nm_cij_keep_cache(
     workload: &mut Workload,
     config: &CijConfig,
 ) -> (CijOutcome, CellCache) {
-    let (stream, slot) = stream_with_cache_slot(workload, config);
-    let outcome = stream.into_outcome();
-    let cache = slot
-        .lock()
-        .unwrap()
-        .take()
-        .expect("a drained NM-CIJ stream deposits its reuse buffer");
-    (outcome, cache)
+    NmPairIter::new(workload, *config)
+        .try_into_outcome()
+        .unwrap_or_else(|e| panic!("CIJ storage failure: {e}"))
 }
 
 /// Everything the scan of one `RQ` leaf produces: the leaf's points, their
@@ -170,12 +141,12 @@ pub(crate) struct NmPairIter<'a> {
     /// construction (a snapshot source is always fast).
     acct: Accounting<'a>,
     env: UnitEnv,
-    cursor: LeafCursor,
     cache: CellCache,
     pending: VecDeque<(u64, u64)>,
-    state: SharedStreamState,
+    ledger: StreamLedger,
+    nm: NmCounters,
+    breakdown: CostBreakdown,
     pairs_produced: u64,
-    finished: bool,
     /// Scratch set for the per-leaf true-hit count, reused across leaves so
     /// the hot loop never reallocates (the pending `VecDeque` is likewise
     /// reused for the whole stream). Membership-only — insert/len/clear,
@@ -186,7 +157,6 @@ pub(crate) struct NmPairIter<'a> {
     /// worker, reused across every leaf and chunk of the stream; the
     /// sequential leaf loop uses the first.
     scratches: Vec<UnitScratch>,
-    cache_slot: Option<CacheSlot>,
 }
 
 impl<'a> NmPairIter<'a> {
@@ -195,11 +165,7 @@ impl<'a> NmPairIter<'a> {
     /// events into the workload's shared stats in both modes: cache traffic
     /// is a CPU-side resource, not page I/O, so it stays harness-visible
     /// without touching any buffer.
-    pub(crate) fn new(
-        workload: &'a mut Workload,
-        config: CijConfig,
-        state: SharedStreamState,
-    ) -> Self {
+    pub(crate) fn new(workload: &'a mut Workload, config: CijConfig) -> Self {
         let stats = workload.stats.clone();
         let cache_capacity = if config.reuse_cells {
             config.cell_cache_capacity
@@ -208,130 +174,103 @@ impl<'a> NmPairIter<'a> {
         };
         let cache = CellCache::with_stats(cache_capacity, stats.clone());
         let trees = vec![&mut workload.rp, &mut workload.rq];
-        let mut acct = Accounting::exclusive(config.exec_mode, trees, &stats);
-        let leaves = acct.leaf_order(Q, &config.domain);
-        Self::start(acct, leaves, cache, &config, state)
+        let acct = Accounting::exclusive(config.exec_mode, trees, &stats);
+        Self::start(acct, cache, &config)
     }
 
     /// Builds a fast-mode iterator over a shared tree-pair snapshot: no
     /// workload, no shared stats, a caller-provided private cache (its
     /// capacity is the query's quota from the global
-    /// [`CacheBudget`](crate::cell_cache::CacheBudget)), and a precomputed
-    /// Hilbert leaf order (`order_reads` non-leaf reads were spent
-    /// computing it — charged to this query's local counter). The
+    /// [`CacheBudget`](crate::cell_cache::CacheBudget)). The
     /// [`crate::service`] worker pool is the caller.
     pub(crate) fn over_snapshot(
         rp: &'a RTree<PointObject>,
         rq: &'a RTree<PointObject>,
-        leaves: Vec<PageId>,
-        order_reads: u64,
         cache: CellCache,
         config: CijConfig,
-        state: SharedStreamState,
     ) -> Self {
-        let acct = Accounting::shared(vec![rp, rq], order_reads);
-        Self::start(acct, Ok(leaves), cache, &config, state)
+        Self::start(Accounting::shared(vec![rp, rq]), cache, &config)
     }
 
-    /// The one constructor body. A failed leaf-order walk yields a stream
-    /// that is born fail-stopped: no leaves, the error latched.
-    fn start(
-        acct: Accounting<'a>,
-        leaves: Result<Vec<PageId>, PageIoError>,
-        cache: CellCache,
-        config: &CijConfig,
-        state: SharedStreamState,
-    ) -> Self {
+    /// The one constructor body: walks `RQ`'s leaf order in the accounting's
+    /// currency (a failed walk yields a stream born fail-stopped).
+    fn start(mut acct: Accounting<'a>, cache: CellCache, config: &CijConfig) -> Self {
+        let ledger = StreamLedger::start(&mut acct, Q, &config.domain);
         let env = UnitEnv::new(config, acct.tree(P).config().node_byte_budget());
-        let mut iter = NmPairIter {
+        NmPairIter {
             acct,
             env,
-            cursor: LeafCursor::default(),
             cache,
             pending: VecDeque::new(),
-            state,
+            ledger,
+            nm: NmCounters::default(),
+            breakdown: CostBreakdown::default(),
             pairs_produced: 0,
-            finished: false,
             true_hits: HashSet::new(),
             scratches: UnitScratch::per_worker(&env),
-            cache_slot: None,
+        }
+    }
+
+    /// The NM counters accumulated so far (exact at leaf boundaries).
+    pub(crate) fn counters(&self) -> NmCounters {
+        self.nm
+    }
+
+    /// The reuse buffer of a completely drained stream. `None` for a stream
+    /// with leaves or pairs still to come, and for a fail-stopped one:
+    /// its policy state may have advanced past payloads that were never
+    /// filled, and cells refined against an error-serving empty read could
+    /// be wrong — neither may leak into a later consumer.
+    pub(crate) fn into_cache(self) -> Option<CellCache> {
+        let drained = self.pending.is_empty() && self.ledger.cursor.is_exhausted();
+        (drained && self.ledger.error().is_none()).then_some(self.cache)
+    }
+
+    /// Drains the remaining pairs and packages everything into the blocking
+    /// [`CijOutcome`] plus the reuse buffer; `Err` when the stream
+    /// fail-stopped.
+    pub(crate) fn try_into_outcome(mut self) -> Result<(CijOutcome, CellCache), PageIoError> {
+        let pairs = self.by_ref().collect();
+        let (progress, watermarks) = self.ledger.finish()?;
+        let outcome = CijOutcome {
+            pairs,
+            breakdown: self.breakdown,
+            progress,
+            nm: self.nm,
+            watermarks,
         };
-        match leaves {
-            Ok(leaves) => iter.cursor = LeafCursor::new(leaves),
-            Err(e) => iter.fail(e),
-        }
-        iter
+        Ok((outcome, self.cache))
     }
 
-    /// Attaches the slot the iterator deposits its reuse buffer into when
-    /// the stream is exhausted.
-    pub(crate) fn with_cache_slot(mut self, slot: CacheSlot) -> Self {
-        self.cache_slot = Some(slot);
-        self
-    }
-
-    /// Deposits the reuse buffer into the cache slot (once, on exhaustion).
-    fn finish(&mut self) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
-        if let Some(slot) = &self.cache_slot {
-            let cache = std::mem::replace(&mut self.cache, CellCache::new(0));
-            *slot.lock().unwrap() = Some(cache);
-        }
-    }
-
-    /// Fail-stops the stream on a storage error: latches the first error
-    /// into the shared state, abandons every unprocessed leaf and ends the
-    /// stream. Pairs already emitted (all covered by a watermark) stay
-    /// valid; nothing from the failing leaf or chunk was emitted. The reuse
-    /// buffer is **not** deposited — cells refined against an error-serving
-    /// empty read could be wrong, and must not leak into a later consumer.
-    fn fail(&mut self, error: PageIoError) {
-        self.state.lock().unwrap().error.get_or_insert(error);
-        self.cursor.abandon();
-        self.cache_slot = None;
-        self.finish();
-    }
-
-    /// Folds one processed leaf into the shared state at its sequential
-    /// position: the NM counters and a progress sample when the leaf was
-    /// productive (`tally`), and always the per-leaf checkpoint —
-    /// everything emitted up to here is final. One watermark per leaf of
-    /// `RQ`, empty leaves included, so `leaf_index` is dense. Counters,
-    /// sample and watermark all draw their page accesses from the one
+    /// Folds one processed leaf into the stream's records at its sequential
+    /// position: the NM counters when the leaf was productive (`tally`),
+    /// and always the ledger's checkpoint. Counters, sample and watermark
+    /// all draw their page accesses from the one
     /// [`Accounting::page_accesses`] figure.
     fn record_leaf(&mut self, leaf_index: usize, tally: Option<LeafTally>) {
-        let page_accesses = self.acct.page_accesses();
-        let mut state = self.state.lock().unwrap();
-        if let Some(t) = tally {
-            state.nm.q_cells_computed += t.q_cells;
-            state.nm.filter_candidates += t.candidates;
-            state.nm.filter_true_hits += t.true_hits;
-            state.nm.p_cells_reused += t.cache.reused;
-            state.nm.p_cells_computed += t.cache.computed;
-            state.nm.cell_cache_evictions = t.cache.evictions_after;
-            state.nm.filter_points_examined += t.fstats.points_examined;
-            state.nm.filter_entries_pruned += t.fstats.entries_pruned;
-            state.nm.filter_clip_ops += t.fstats.clip_ops;
-            state.nm.filter_poly_tests_skipped += t.fstats.poly_tests_skipped;
-            state.progress.push(ProgressSample {
-                page_accesses,
-                pairs: self.pairs_produced,
-            });
+        if let Some(t) = &tally {
+            self.nm.q_cells_computed += t.q_cells;
+            self.nm.filter_candidates += t.candidates;
+            self.nm.filter_true_hits += t.true_hits;
+            self.nm.p_cells_reused += t.cache.reused;
+            self.nm.p_cells_computed += t.cache.computed;
+            self.nm.cell_cache_evictions = t.cache.evictions_after;
+            self.nm.filter_points_examined += t.fstats.points_examined;
+            self.nm.filter_entries_pruned += t.fstats.entries_pruned;
+            self.nm.filter_clip_ops += t.fstats.clip_ops;
+            self.nm.filter_poly_tests_skipped += t.fstats.poly_tests_skipped;
         }
-        state.watermarks.push(LeafWatermark {
-            leaf_index,
-            rows: self.pairs_produced,
-            page_accesses,
-        });
+        let (rows, page_accesses) = (self.pairs_produced, self.acct.page_accesses());
+        self.ledger
+            .record_leaf(leaf_index, rows, page_accesses, tally.is_some());
     }
 
-    /// Processes the next leaf (sequential loop) or chunk of leaves,
-    /// fail-stopping on a storage error, and folds the elapsed CPU time and
-    /// the I/O so far into the shared cost breakdown (NM has no
-    /// materialisation phase, so all cost is JOIN cost).
+    /// Processes the next leaf (sequential loop) or chunk of leaves and
+    /// folds the elapsed CPU time and the I/O so far into the cost
+    /// breakdown (NM has no materialisation phase, so all cost is JOIN
+    /// cost). A storage error fail-stops the stream: nothing from the
+    /// failing leaf or chunk is emitted, pairs already emitted (all covered
+    /// by a watermark) stay valid.
     fn step(&mut self) {
         // Wall-clock feeds `CijOutcome` elapsed-time stats only, never
         // pairs or counters (allowlisted CIJ-D101).
@@ -343,11 +282,10 @@ impl<'a> NmPairIter<'a> {
             self.run_chunk()
         };
         if let Err(e) = done {
-            self.fail(e);
+            self.ledger.fail(e);
         }
-        let mut state = self.state.lock().unwrap();
-        state.breakdown.join_cpu += start.elapsed();
-        state.breakdown.join_io = self.acct.join_io();
+        self.breakdown.join_cpu += start.elapsed();
+        self.breakdown.join_io = self.acct.join_io();
     }
 
     // ------------------------------------------------------------------
@@ -358,7 +296,7 @@ impl<'a> NmPairIter<'a> {
     /// Processes one leaf of `RQ` through counted reads, pushing its result
     /// pairs into `pending` and recording counters, progress and watermark.
     fn run_leaf(&mut self) -> Result<(), PageIoError> {
-        let (leaf_index, leaf) = self.cursor.next_leaf();
+        let (leaf_index, leaf) = self.ledger.cursor.next_leaf();
         let UnitEnv { domain, layout, .. } = self.env;
         let (rp, rq) = self
             .acct
@@ -454,7 +392,7 @@ impl<'a> NmPairIter<'a> {
     /// appends their pairs to `pending` in Hilbert leaf order.
     fn run_chunk(&mut self) -> Result<(), PageIoError> {
         let env = self.env;
-        let (first_leaf_index, chunk) = self.cursor.next_chunk(env.workers);
+        let (first_leaf_index, chunk) = self.ledger.cursor.next_chunk(env.workers);
 
         // Scan (parallel): leaf read, Q cells, conditional filter, each
         // worker on its own unit scratch. The gate keeps the cache policy
@@ -582,12 +520,17 @@ impl Iterator for NmPairIter<'_> {
             if let Some(pair) = self.pending.pop_front() {
                 return Some(pair);
             }
-            if self.cursor.is_exhausted() {
-                self.finish();
+            if self.ledger.cursor.is_exhausted() {
                 return None;
             }
             self.step();
         }
+    }
+}
+
+impl LeafStream for NmPairIter<'_> {
+    fn ledger(&self) -> &StreamLedger {
+        &self.ledger
     }
 }
 
@@ -931,7 +874,7 @@ mod tests {
         w.rq.flush();
         w.rq.drop_buffer();
         w.rq.inject_fault(FaultSpec::corrupt_frame(target.0));
-        let mut stream = stream_with_cache_slot(&mut w, &config).0;
+        let mut stream = crate::Algorithm::NmCij.stream(&mut w, &config);
         let drained: Vec<(u64, u64)> = stream.by_ref().collect();
         let error = stream.io_error().expect("corrupt frame surfaces an error");
         assert_eq!(error.kind, FaultKind::Corrupt);
@@ -970,14 +913,15 @@ mod tests {
                 });
                 tree.inject_fault(FaultSpec::transient(seed));
             }
-            let (mut stream, slot) = stream_with_cache_slot(&mut w, &config);
+            let mut stream = NmPairIter::new(&mut w, config);
             let rows = stream.by_ref().count();
+            let failed = stream.ledger().error().is_some();
             assert_eq!(
-                stream.io_error().is_some(),
-                slot.lock().unwrap().is_none(),
-                "seed {seed}: the buffer is deposited exactly when the stream completes"
+                failed,
+                stream.into_cache().is_none(),
+                "seed {seed}: the buffer is handed over exactly when the stream completes"
             );
-            failed_midway += usize::from(stream.io_error().is_some() && rows > 0);
+            failed_midway += usize::from(failed && rows > 0);
         }
         assert!(failed_midway > 0, "no seed failed after emitting pairs");
     }

@@ -9,11 +9,12 @@
 //! trees through read-only snapshot readers with per-query-local I/O
 //! counters — which makes a *serving* topology possible:
 //!
-//! * [`EngineSnapshot`] — `k` pointsets bulk-loaded into R-trees once, plus
-//!   the precomputed Hilbert leaf order of every tree (queries share the
-//!   planning work, not just the pages). Held in an `Arc`; any number of
-//!   in-flight queries read it simultaneously with zero locks on the hot
-//!   path.
+//! * [`EngineSnapshot`] — `k` pointsets bulk-loaded into R-trees once and
+//!   nothing else: every query walks its driving tree's Hilbert leaf order
+//!   itself (a handful of non-leaf reads, charged to the query like every
+//!   other read, and a failed walk fails that query only). Held in an
+//!   `Arc`; any number of in-flight queries read it simultaneously with
+//!   zero locks on the hot path.
 //! * [`CijService`] — a bounded work queue plus a pool of worker threads.
 //!   [`CijService::submit`] enqueues a [`Request`] (binary CIJ, multiway
 //!   CIJ or grouped-NN) and returns immediately with a [`ResponseHandle`];
@@ -29,7 +30,8 @@
 //!   batches cut at the underlying stream's [`LeafWatermark`] boundaries —
 //!   everything in a delivered batch is final, exactly the checkpointing
 //!   contract of [`PairStream`](crate::engine::PairStream) and
-//!   [`TupleStream`].
+//!   [`TupleStream`]. One loop serves every request kind (`drive`, which
+//!   carries the description of the flush / poll / fail-stop sequence).
 //!
 //! # Failure model and graceful degradation
 //!
@@ -64,16 +66,15 @@
 //! [`LeafWatermark`]: crate::stats::LeafWatermark
 
 use crate::cell_cache::{CacheBudget, CellCache};
+use crate::chunk::LeafStream;
 use crate::config::CijConfig;
-use crate::engine::SharedStreamState;
-use crate::grouped::{cells_by_id, count_locations_in_regions, GroupCounts};
+use crate::grouped::{count_locations_in_regions, region_cells, GroupCounts};
 use crate::multiway::{MultiwayTuple, TupleStream};
-use crate::nm::{CacheSlot, NmPairIter};
+use crate::nm::NmPairIter;
 use crate::workload::MultiwayWorkload;
 use cij_geom::Point;
-use cij_pagestore::{PageId, PageIoError};
-use cij_rtree::{NodeReader, PointObject, RTree, SnapshotReader};
-use cij_voronoi::NoCache;
+use cij_pagestore::PageIoError;
+use cij_rtree::{PointObject, RTree, SnapshotReader};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -103,51 +104,28 @@ fn wait_recover<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a,
 /// An immutable, shareable snapshot of `k` indexed pointsets — the data a
 /// [`CijService`] serves queries against.
 ///
-/// Building the snapshot bulk-loads one R-tree per set (through the same
+/// Building the snapshot bulk-loads one R-tree per set through the same
 /// [`MultiwayWorkload`] path as every measured workload, so accounting
-/// rules cannot drift) and precomputes each tree's Hilbert leaf order once;
-/// every query that drives with that tree reuses the order instead of
-/// re-walking the non-leaf levels.
+/// rules cannot drift. Nothing else is precomputed: each query walks its
+/// driving tree's Hilbert leaf order itself (module docs).
 #[derive(Debug)]
 pub struct EngineSnapshot {
     config: CijConfig,
     objects: Vec<Vec<PointObject>>,
     trees: Vec<RTree<PointObject>>,
-    /// Per tree: its Hilbert-ordered leaf pages and the number of non-leaf
-    /// snapshot reads the walk cost (charged to each query that uses it).
-    leaf_orders: Vec<(Vec<PageId>, u64)>,
 }
 
 impl EngineSnapshot {
-    /// Indexes `sets` under `config` and precomputes the per-tree leaf
-    /// orders.
+    /// Indexes `sets` under `config`.
     ///
     /// # Panics
     ///
     /// Panics if `sets` is empty.
     pub fn build(sets: &[Vec<Point>], config: &CijConfig) -> Self {
-        let workload = MultiwayWorkload::build(sets, config);
-        let trees = workload.trees;
-        // Start-up precompute, before any query exists to fail: a storage
-        // error here unwraps at the edge.
-        let leaf_orders = trees
-            .iter()
-            .map(|t| {
-                let mut reader = SnapshotReader::new(t);
-                let leaves = reader.leaf_pages_hilbert_order(&config.domain);
-                let log = reader.finish();
-                if let Some(e) = log.error {
-                    panic!("{e}");
-                }
-                (leaves, log.reads)
-            })
-            .collect();
-        let objects = sets.iter().map(|s| PointObject::from_points(s)).collect();
         EngineSnapshot {
             config: *config,
-            objects,
-            trees,
-            leaf_orders,
+            objects: sets.iter().map(|s| PointObject::from_points(s)).collect(),
+            trees: MultiwayWorkload::build(sets, config).trees,
         }
     }
 
@@ -490,25 +468,16 @@ fn mark_done(shared: &ResponseShared, completion: Completion) {
 }
 
 /// Ends a request with a terminal [`Batch::Error`] frame and a failed
-/// [`Completion`] carrying the same structured reason. `rows`,
-/// `page_accesses` and `watermarks` describe the valid prefix that was
-/// delivered before the failure.
-fn fail_query(
-    shared: &ResponseShared,
-    error: QueryError,
-    rows: u64,
-    page_accesses: u64,
-    watermarks: usize,
-) {
+/// [`Completion`] carrying the same structured reason. `prefix` describes
+/// the valid prefix that was delivered before the failure.
+fn fail_query(shared: &ResponseShared, error: QueryError, prefix: Completion) {
     push_batch(shared, Batch::Error(error.clone()));
     mark_done(
         shared,
         Completion {
-            rows,
-            page_accesses,
-            watermarks,
             failed: true,
             error: Some(error),
+            ..prefix
         },
     );
 }
@@ -527,15 +496,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Polls the two cooperative stop conditions, cancellation first (an
 /// explicit cancel beats a deadline that expired in the same window).
-fn check_interrupt(
-    shared: &ResponseShared,
-    clock: &dyn ServiceClock,
-    deadline: Option<u64>,
-) -> Option<QueryError> {
-    if lock_recover(&shared.state).cancelled {
+fn check_interrupt(job: &Job, clock: &dyn ServiceClock) -> Option<QueryError> {
+    if lock_recover(&job.shared.state).cancelled {
         return Some(QueryError::Cancelled);
     }
-    if let Some(deadline) = deadline {
+    if let Some(deadline) = job.deadline {
         // `>=` so a zero-tick deadline expires immediately — deterministic
         // under a frozen [`ManualClock`].
         if clock.now_ticks() >= deadline {
@@ -766,258 +731,137 @@ fn run_job(
     clock: &dyn ServiceClock,
     job: Job,
 ) {
-    let Job {
-        request,
-        shared,
-        deadline,
-    } = job;
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        execute(snapshot, budget, quota, clock, deadline, request, &shared)
+        execute(snapshot, budget, quota, clock, &job)
     }));
     if let Err(payload) = run {
-        fail_query(&shared, QueryError::Panic(panic_message(payload)), 0, 0, 0);
+        let error = QueryError::Panic(panic_message(payload));
+        fail_query(&job.shared, error, Completion::default());
+    }
+}
+
+/// Drives one join stream to its end — the one loop every request kind
+/// runs. Pull a row; whenever the stream's watermark count grew, everything
+/// buffered before is final: flush it as one batch through `batch` (a
+/// request that delivers no rows incrementally passes `None` and keeps them
+/// buffered), then poll cancellation and the deadline — watermark boundaries
+/// double as the cooperative stop points, so a stopped query never tears a
+/// batch. At the end of the stream flush what is left (a fail-stopped
+/// stream emitted only watermark-covered rows — the valid prefix) and
+/// surface a latched storage error.
+///
+/// Returns the rows still buffered and the stream's summary, or `None` when
+/// the query ended here with its terminal error frame.
+fn drive<T, S: LeafStream<Item = T>>(
+    stream: &mut S,
+    job: &Job,
+    clock: &dyn ServiceClock,
+    batch: Option<fn(Vec<T>) -> Batch>,
+) -> Option<(Vec<T>, Completion)> {
+    let shared = &job.shared;
+    let mut buffered: Vec<T> = Vec::new();
+    let mut rows = 0u64;
+    let mut seen = 0usize;
+    let stopped = loop {
+        let next = stream.next();
+        let ledger = stream.ledger();
+        let boundary = ledger.watermarks.len() > seen;
+        seen = ledger.watermarks.len();
+        if boundary || next.is_none() {
+            if let Some(batch) = batch.filter(|_| !buffered.is_empty()) {
+                rows += buffered.len() as u64;
+                push_batch(shared, batch(std::mem::take(&mut buffered)));
+            }
+        }
+        if boundary {
+            if let Some(error) = check_interrupt(job, clock) {
+                break Some(error);
+            }
+        }
+        match next {
+            Some(row) => buffered.push(row),
+            None => break ledger.error().cloned().map(QueryError::Storage),
+        }
+    };
+    let ledger = stream.ledger();
+    let summary = Completion {
+        rows,
+        page_accesses: ledger.page_accesses(),
+        watermarks: ledger.watermarks.len(),
+        ..Completion::default()
+    };
+    match stopped {
+        Some(error) => {
+            fail_query(shared, error, summary);
+            None
+        }
+        None => Some((buffered, summary)),
     }
 }
 
 /// Executes one request end to end: reserve the cache quota (admission
-/// control — blocks while the budget is exhausted), run the fast-mode
-/// stream, flush batches at watermark boundaries, publish the completion.
-///
-/// Watermark boundaries double as the cooperative stop points: right after
-/// each flush the worker polls cancellation and the deadline, so a stopped
-/// query never tears a batch and everything delivered stays final.
+/// control — blocks while the budget is exhausted), [`drive`] the fast-mode
+/// stream, publish the completion.
 fn execute(
     snapshot: &EngineSnapshot,
     budget: &CacheBudget,
     quota: usize,
     clock: &dyn ServiceClock,
-    deadline: Option<u64>,
-    request: Request,
-    shared: &ResponseShared,
+    job: &Job,
 ) {
     let lease = budget.reserve(quota);
-    match request {
+    let config = snapshot.config;
+    let shared = &job.shared;
+    match &job.request {
         Request::Join { p, q } => {
-            let state: SharedStreamState = Arc::default();
-            let (leaves, order_reads) = snapshot.leaf_orders[q].clone();
-            let mut iter = NmPairIter::over_snapshot(
-                &snapshot.trees[p],
-                &snapshot.trees[q],
-                leaves,
-                order_reads,
-                lease.new_cache(),
-                snapshot.config,
-                Arc::clone(&state),
-            );
-            let mut buffered: Vec<(u64, u64)> = Vec::new();
-            let mut flushed = 0usize;
-            let mut rows = 0u64;
-            loop {
-                let next = iter.next();
-                let watermarks = lock_recover(&state).watermarks.len();
-                // Everything buffered before a new watermark appeared is
-                // final — flush it as one batch.
-                if watermarks > flushed {
-                    flushed = watermarks;
-                    if !buffered.is_empty() {
-                        push_batch(shared, Batch::Pairs(std::mem::take(&mut buffered)));
-                    }
-                    if let Some(err) = check_interrupt(shared, clock, deadline) {
-                        let st = lock_recover(&state);
-                        let accesses = st.watermarks.last().map(|w| w.page_accesses).unwrap_or(0);
-                        drop(st);
-                        fail_query(shared, err, rows, accesses, watermarks);
-                        return;
-                    }
-                }
-                match next {
-                    Some(pair) => {
-                        rows += 1;
-                        buffered.push(pair);
-                    }
-                    None => break,
-                }
+            let (rp, rq) = (&snapshot.trees[*p], &snapshot.trees[*q]);
+            let mut stream = NmPairIter::over_snapshot(rp, rq, lease.new_cache(), config);
+            if let Some((_, done)) = drive(&mut stream, job, clock, Some(Batch::Pairs)) {
+                mark_done(shared, done);
             }
-            // A fail-stopped stream emitted only watermark-covered pairs —
-            // flush that valid prefix, then surface the storage error.
-            if !buffered.is_empty() {
-                push_batch(shared, Batch::Pairs(buffered));
-            }
-            let st = lock_recover(&state);
-            let accesses = st.watermarks.last().map(|w| w.page_accesses).unwrap_or(0);
-            let watermarks = st.watermarks.len();
-            let error = st.error.clone();
-            drop(st);
-            if let Some(e) = error {
-                fail_query(shared, QueryError::Storage(e), rows, accesses, watermarks);
-                return;
-            }
-            mark_done(
-                shared,
-                Completion {
-                    rows,
-                    page_accesses: accesses,
-                    watermarks,
-                    failed: false,
-                    error: None,
-                },
-            );
         }
         Request::Multiway { sets } => {
             let trees: Vec<&RTree<PointObject>> =
                 sets.iter().map(|&s| &snapshot.trees[s]).collect();
             let caches = lease.split_caches(trees.len());
-            let mut stream = TupleStream::over_snapshot(trees, caches, snapshot.config);
-            let mut buffered: Vec<MultiwayTuple> = Vec::new();
-            let mut flushed = 0usize;
-            let mut rows = 0u64;
-            loop {
-                let next = stream.next();
-                let watermarks = stream.watermark_count();
-                if watermarks > flushed {
-                    flushed = watermarks;
-                    if !buffered.is_empty() {
-                        push_batch(shared, Batch::Tuples(std::mem::take(&mut buffered)));
-                    }
-                    if let Some(err) = check_interrupt(shared, clock, deadline) {
-                        let accesses = stream
-                            .watermarks_so_far()
-                            .last()
-                            .map(|w| w.page_accesses)
-                            .unwrap_or(0);
-                        fail_query(shared, err, rows, accesses, watermarks);
-                        return;
-                    }
-                }
-                match next {
-                    Some(tuple) => {
-                        rows += 1;
-                        buffered.push(tuple);
-                    }
-                    None => break,
-                }
+            let mut stream = TupleStream::over_snapshot(trees, caches, config);
+            if let Some((_, done)) = drive(&mut stream, job, clock, Some(Batch::Tuples)) {
+                mark_done(shared, done);
             }
-            if !buffered.is_empty() {
-                push_batch(shared, Batch::Tuples(buffered));
-            }
-            let watermarks = stream.watermarks_so_far();
-            let accesses = watermarks.last().map(|w| w.page_accesses).unwrap_or(0);
-            if let Some(e) = stream.io_error() {
-                fail_query(
-                    shared,
-                    QueryError::Storage(e),
-                    rows,
-                    accesses,
-                    watermarks.len(),
-                );
-                return;
-            }
-            mark_done(
-                shared,
-                Completion {
-                    rows,
-                    page_accesses: accesses,
-                    watermarks: watermarks.len(),
-                    failed: false,
-                    error: None,
-                },
-            );
         }
         Request::GroupedNn { p, q, locations } => {
-            let state: SharedStreamState = Arc::default();
-            let slot: CacheSlot = Arc::default();
-            let (leaves, order_reads) = snapshot.leaf_orders[q].clone();
-            let mut iter = NmPairIter::over_snapshot(
-                &snapshot.trees[p],
-                &snapshot.trees[q],
-                leaves,
-                order_reads,
-                lease.new_cache(),
-                snapshot.config,
-                Arc::clone(&state),
-            )
-            .with_cache_slot(Arc::clone(&slot));
-            let mut pairs: Vec<(u64, u64)> = Vec::new();
-            let mut seen = 0usize;
-            loop {
-                let next = iter.next();
-                let watermarks = lock_recover(&state).watermarks.len();
-                if watermarks > seen {
-                    seen = watermarks;
-                    if let Some(err) = check_interrupt(shared, clock, deadline) {
-                        let st = lock_recover(&state);
-                        let accesses = st.watermarks.last().map(|w| w.page_accesses).unwrap_or(0);
-                        drop(st);
-                        fail_query(shared, err, 0, accesses, watermarks);
-                        return;
-                    }
-                }
-                match next {
-                    Some(pair) => pairs.push(pair),
-                    None => break,
-                }
-            }
-            let st = lock_recover(&state);
-            let join_reads = st.watermarks.last().map(|w| w.page_accesses).unwrap_or(0);
-            let join_watermarks = st.watermarks.len();
-            let join_error = st.error.clone();
-            drop(st);
-            if let Some(e) = join_error {
-                fail_query(
-                    shared,
-                    QueryError::Storage(e),
-                    0,
-                    join_reads,
-                    join_watermarks,
-                );
+            let (rp, rq) = (&snapshot.trees[*p], &snapshot.trees[*q]);
+            let mut stream = NmPairIter::over_snapshot(rp, rq, lease.new_cache(), config);
+            let Some((pairs, join)) = drive(&mut stream, job, clock, None) else {
                 return;
-            }
+            };
             // Reuse the join's still-warm cell cache for the P-side region
             // materialisation, exactly like the workload-owning plan.
-            let mut cache_p = lock_recover(&slot)
-                .take()
-                .unwrap_or_else(|| CellCache::new(0));
-            let mut reader_p = SnapshotReader::new(&snapshot.trees[p]);
-            let cells_p = cells_by_id(
-                &mut reader_p,
-                &snapshot.objects[p],
-                pairs.iter().map(|&(a, _)| a),
-                &snapshot.config.domain,
+            let mut cache_p = stream.into_cache().unwrap_or_else(|| CellCache::new(0));
+            let (mut reader_p, mut reader_q) = (SnapshotReader::new(rp), SnapshotReader::new(rq));
+            let cells = region_cells(
+                (&mut reader_p, &snapshot.objects[*p]),
+                (&mut reader_q, &snapshot.objects[*q]),
+                &pairs,
+                &config.domain,
                 &mut cache_p,
             );
-            let mut reader_q = SnapshotReader::new(&snapshot.trees[q]);
-            let cells_q = cells_by_id(
-                &mut reader_q,
-                &snapshot.objects[q],
-                pairs.iter().map(|&(_, b)| b),
-                &snapshot.config.domain,
-                &mut NoCache,
-            );
-            // The materialisation phase reads pages too — poll its readers
-            // before trusting the cells they produced.
-            if let Some(e) = reader_p.take_error().or_else(|| reader_q.take_error()) {
-                fail_query(
-                    shared,
-                    QueryError::Storage(e),
-                    0,
-                    join_reads + reader_p.reads() + reader_q.reads(),
-                    join_watermarks,
-                );
-                return;
-            }
-            let counts = count_locations_in_regions(&pairs, &cells_p, &cells_q, &locations);
-            let completion = Completion {
-                rows: counts.len() as u64,
-                page_accesses: join_reads + reader_p.reads() + reader_q.reads(),
-                watermarks: join_watermarks,
-                failed: false,
-                error: None,
+            // The materialisation phase reads pages too.
+            let summary = Completion {
+                page_accesses: join.page_accesses + reader_p.reads() + reader_q.reads(),
+                ..join
             };
-            push_batch(shared, Batch::Groups(counts));
-            mark_done(shared, completion);
+            match cells {
+                Err(e) => fail_query(shared, QueryError::Storage(e), summary),
+                Ok([cells_p, cells_q]) => {
+                    let counts = count_locations_in_regions(&pairs, &cells_p, &cells_q, locations);
+                    let rows = counts.len() as u64;
+                    push_batch(shared, Batch::Groups(counts));
+                    mark_done(shared, Completion { rows, ..summary });
+                }
+            }
         }
     }
-    drop(lease);
 }
 
 #[cfg(test)]
@@ -1236,6 +1080,42 @@ mod tests {
         assert!(saw_error_frame, "the terminal Batch::Error frame arrived");
     }
 
+    /// One request of every kind joining sets `p` and `q`, each driven by
+    /// `q`'s tree (under a `Fixed(0)` multiway driver).
+    fn every_kind(p: usize, q: usize) -> [Request; 3] {
+        [
+            Request::Join { p, q },
+            Request::Multiway { sets: vec![q, p] },
+            Request::GroupedNn {
+                p,
+                q,
+                locations: random_points(200, 650),
+            },
+        ]
+    }
+
+    /// Drains a failed request: its completion, after checking that exactly
+    /// one terminal error frame arrived, that it was the last frame, and
+    /// that it carries the completion's error.
+    fn failed_completion(handle: &ResponseHandle) -> Completion {
+        let mut frames = Vec::new();
+        while let Some(batch) = handle.next_batch() {
+            frames.push(batch);
+        }
+        let completion = handle.completion();
+        assert!(completion.failed);
+        let errors: Vec<&QueryError> = frames
+            .iter()
+            .filter_map(|batch| match batch {
+                Batch::Error(error) => Some(error),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(errors, [completion.error.as_ref().expect("a reason")]);
+        assert!(matches!(frames.last(), Some(Batch::Error(_))));
+        completion
+    }
+
     #[test]
     fn zero_deadline_expires_at_the_first_boundary() {
         let sets = vec![random_points(150, 619), random_points(150, 620)];
@@ -1245,18 +1125,19 @@ mod tests {
             ServiceConfig::default(),
             Arc::clone(&clock) as Arc<dyn ServiceClock>,
         );
-        let doomed = service
-            .submit_with_deadline(Request::Join { p: 0, q: 1 }, Some(0))
-            .unwrap();
-        let completion = doomed.completion();
-        assert!(completion.failed);
-        assert_eq!(completion.error, Some(QueryError::DeadlineExceeded));
-        // A roomy deadline on a frozen clock never expires.
-        let fine = service
-            .submit_with_deadline(Request::Join { p: 0, q: 1 }, Some(1_000_000))
-            .unwrap();
-        assert!(!fine.completion().failed);
-        assert!(!fine.collect_pairs().is_empty());
+        for request in every_kind(0, 1) {
+            let doomed = service
+                .submit_with_deadline(request.clone(), Some(0))
+                .unwrap();
+            let completion = failed_completion(&doomed);
+            assert_eq!(completion.error, Some(QueryError::DeadlineExceeded));
+            // A roomy deadline on a frozen clock never expires.
+            let fine = service
+                .submit_with_deadline(request, Some(1_000_000))
+                .unwrap();
+            assert!(!fine.completion().failed);
+            assert!(!matches!(fine.next_batch(), None | Some(Batch::Error(_))));
+        }
         service.shutdown();
     }
 
@@ -1272,13 +1153,14 @@ mod tests {
                 ..ServiceConfig::default()
             },
         );
-        let busy = service.submit(Request::Join { p: 0, q: 1 }).unwrap();
-        let doomed = service.submit(Request::Join { p: 0, q: 1 }).unwrap();
-        doomed.cancel();
-        let completion = doomed.completion();
-        assert!(completion.failed);
-        assert_eq!(completion.error, Some(QueryError::Cancelled));
-        assert!(!busy.completion().failed, "the running query is untouched");
+        for request in every_kind(0, 1) {
+            let busy = service.submit(Request::Join { p: 0, q: 1 }).unwrap();
+            let doomed = service.submit(request).unwrap();
+            doomed.cancel();
+            let completion = failed_completion(&doomed);
+            assert_eq!(completion.error, Some(QueryError::Cancelled));
+            assert!(!busy.completion().failed, "the running query is untouched");
+        }
         service.shutdown();
     }
 
@@ -1311,31 +1193,22 @@ mod tests {
                 ..ServiceConfig::default()
             },
         );
-        let faulty = service.submit(Request::Join { p: 0, q: 1 }).unwrap();
-        let clean = service.submit(Request::Join { p: 2, q: 3 }).unwrap();
-        let mut frame_error = None;
-        while let Some(batch) = faulty.next_batch() {
-            if let Batch::Error(err) = batch {
-                frame_error = Some(err);
+        for request in every_kind(0, 1) {
+            let faulty = service.submit(request).unwrap();
+            let clean = service.submit(Request::Join { p: 2, q: 3 }).unwrap();
+            match failed_completion(&faulty).error {
+                Some(QueryError::Storage(e)) => {
+                    assert_eq!((e.kind, e.page), (FaultKind::Corrupt, Some(target.0)));
+                }
+                other => panic!("expected a storage error, got {other:?}"),
             }
+            // The concurrent clean query is oracle-identical and unaffected.
+            let mut pairs = clean.collect_pairs();
+            pairs.sort_unstable();
+            pairs.dedup();
+            assert_eq!(pairs, oracle);
+            assert!(!clean.completion().failed);
         }
-        let completion = faulty.completion();
-        assert!(completion.failed);
-        assert_eq!(completion.error, frame_error);
-        match frame_error.expect("a terminal storage error frame") {
-            QueryError::Storage(e) => {
-                assert_eq!(e.kind, FaultKind::Corrupt);
-                assert_eq!(e.page, Some(target.0));
-            }
-            other => panic!("expected a storage error, got {other:?}"),
-        }
-        // The concurrent clean query is oracle-identical and unaffected.
-        let mut pairs = clean.collect_pairs();
-        let clean_completion = clean.completion();
-        pairs.sort_unstable();
-        pairs.dedup();
-        assert_eq!(pairs, oracle);
-        assert!(!clean_completion.failed);
         service.shutdown();
     }
 
@@ -1346,8 +1219,8 @@ mod tests {
         let config = small_config().with_multiway_driver(MultiwayDriver::Fixed(0));
         let sets = vec![random_points(120, 619), random_points(110, 620)];
         let mut snapshot = EngineSnapshot::build(&sets, &config);
-        // Rot the driver tree's (non-leaf) root after the snapshot's own
-        // start-up walk: the query's leaf-order walk is the first to see it.
+        // Rot the (non-leaf) root of the tree every request below drives
+        // with: each query's own leaf-order walk is the first read of it.
         let root = snapshot.tree(0).root_page();
         assert!(snapshot.tree(0).root_level() > 0);
         {
@@ -1357,17 +1230,55 @@ mod tests {
             tree.inject_fault(FaultSpec::corrupt_frame(root.0));
         }
         let service = CijService::start(Arc::new(snapshot), ServiceConfig::default());
-        let doomed = service
-            .submit(Request::Multiway { sets: vec![0, 1] })
-            .unwrap();
-        let completion = doomed.completion();
-        assert!(completion.failed);
-        assert_eq!(completion.rows, 0);
-        match completion.error.expect("a structured failure reason") {
-            QueryError::Storage(e) => {
-                assert_eq!((e.kind, e.page), (FaultKind::Corrupt, Some(root.0)));
+        for request in every_kind(1, 0) {
+            let completion = failed_completion(&service.submit(request).unwrap());
+            assert_eq!((completion.rows, completion.watermarks), (0, 0));
+            match completion.error {
+                Some(QueryError::Storage(e)) => {
+                    assert_eq!((e.kind, e.page), (FaultKind::Corrupt, Some(root.0)));
+                }
+                other => panic!("expected a storage error, got {other:?}"),
             }
-            other => panic!("expected a storage error, got {other:?}"),
+        }
+        service.shutdown();
+    }
+
+    #[test]
+    fn served_batches_end_on_watermark_boundaries() {
+        // "Never tears a batch": the rows delivered so far always add up to
+        // a watermark of the stream the worker drives, here rebuilt directly
+        // over the same snapshot.
+        let sets = vec![random_points(400, 625), random_points(400, 626)];
+        let snapshot = Arc::new(EngineSnapshot::build(&sets, &small_config()));
+        let (rp, rq) = (snapshot.tree(0), snapshot.tree(1));
+        let config = *snapshot.config();
+        let mut pairs = NmPairIter::over_snapshot(rp, rq, CellCache::new(64), config);
+        pairs.by_ref().for_each(drop);
+        let caches = vec![CellCache::new(64), CellCache::new(64)];
+        let mut tuples = TupleStream::over_snapshot(vec![rp, rq], caches, config);
+        tuples.by_ref().for_each(drop);
+        let service = CijService::start(Arc::clone(&snapshot), ServiceConfig::default());
+        for (request, ledger) in [
+            (Request::Join { p: 0, q: 1 }, pairs.ledger()),
+            (Request::Multiway { sets: vec![0, 1] }, tuples.ledger()),
+        ] {
+            let boundaries: Vec<u64> = ledger.watermarks.iter().map(|w| w.rows).collect();
+            assert!(boundaries.len() > 8, "a multi-leaf, multi-chunk stream");
+            let handle = service.submit(request).unwrap();
+            let (mut delivered, mut batches) = (0u64, 0usize);
+            while let Some(batch) = handle.next_batch() {
+                delivered += match batch {
+                    Batch::Pairs(rows) => rows.len() as u64,
+                    Batch::Tuples(rows) => rows.len() as u64,
+                    other => panic!("unexpected frame {other:?}"),
+                };
+                batches += 1;
+                assert!(boundaries.contains(&delivered), "torn batch at {delivered}");
+            }
+            assert!(batches > 2, "results streamed incrementally");
+            let completion = handle.completion();
+            assert_eq!(delivered, completion.rows);
+            assert_eq!(completion.watermarks, boundaries.len());
         }
         service.shutdown();
     }

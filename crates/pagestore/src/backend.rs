@@ -278,10 +278,6 @@ pub trait PageBackend: fmt::Debug + Send + Sync {
     fn fault_stats(&self) -> FaultStats {
         FaultStats::default()
     }
-
-    /// An independent copy of this backend with identical contents (used by
-    /// `PageStore::clone`).
-    fn clone_backend(&self) -> Box<dyn PageBackend>;
 }
 
 /// The in-memory backend: frames in a `Vec`, byte-for-byte the simulated
@@ -350,10 +346,6 @@ impl PageBackend for HeapBackend {
 
     fn io(&self) -> BackendIo {
         self.io
-    }
-
-    fn clone_backend(&self) -> Box<dyn PageBackend> {
-        Box::new(self.clone())
     }
 }
 
@@ -538,26 +530,6 @@ impl PageBackend for FileBackend {
     fn io(&self) -> BackendIo {
         self.io
     }
-
-    fn clone_backend(&self) -> Box<dyn PageBackend> {
-        // An independent copy: fresh anonymous file, every valid frame
-        // copied over. The copy is maintenance traffic, not measured I/O,
-        // so the byte counters transfer unchanged instead of growing.
-        let mut copy = FileBackend::anonymous(self.frame_size);
-        let mut frame = vec![0u8; self.frame_size];
-        for (index, &written) in self.written.iter().enumerate() {
-            copy.written.push(false);
-            if written {
-                read_full_at(&self.file, &mut frame, self.offset(index as u32))
-                    .unwrap_or_else(|e| panic!("clone read frame {index}: {e}"));
-                write_full_at(&copy.file, &frame, copy.offset(index as u32))
-                    .unwrap_or_else(|e| panic!("clone write frame {index}: {e}"));
-                copy.written[index] = true;
-            }
-        }
-        copy.io = self.io;
-        Box::new(copy)
-    }
 }
 
 #[cfg(test)]
@@ -693,25 +665,6 @@ mod tests {
         b.free(i);
         let mut out = vec![0u8; 8];
         b.read(i, &mut out, IoClass::Metered).unwrap();
-    }
-
-    #[test]
-    fn clone_backend_is_independent_with_identical_contents() {
-        for kind in StorageBackend::ALL {
-            let mut b = kind.create(8);
-            let i = b.allocate();
-            b.write(i, &[7u8; 8], IoClass::Metered).unwrap();
-            let mut copy = b.clone_backend();
-            assert_eq!(copy.kind(), kind);
-            assert_eq!(copy.io(), b.io());
-            // Divergent writes stay private to each copy.
-            copy.write(i, &[8u8; 8], IoClass::Metered).unwrap();
-            let mut out = vec![0u8; 8];
-            b.read(i, &mut out, IoClass::Metered).unwrap();
-            assert_eq!(out, [7u8; 8], "{kind}: original mutated by clone");
-            copy.read(i, &mut out, IoClass::Metered).unwrap();
-            assert_eq!(out, [8u8; 8], "{kind}: clone lost its write");
-        }
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   or a short write that moved nothing). No bytes are accounted and the
 //!   inner backend is untouched, so the store's one retry performs the one
 //!   real transfer and every byte-level invariant survives. The schedule
-//!   never injects two consecutive faults ([`FaultBackend::just_failed`]
-//!   guard), so a retry budget of two attempts already guarantees progress.
+//!   never injects two consecutive faults (the `just_failed` guard), so a
+//!   retry budget of two attempts already guarantees progress.
 //!   Some operations are additionally charged virtual latency ticks —
 //!   recorded in [`FaultStats::injected_latency_ticks`], never slept.
 //! * [`FaultProfile::CorruptFrame`] — reads of one chosen frame succeed but
@@ -282,17 +282,6 @@ impl PageBackend for FaultBackend {
     fn fault_stats(&self) -> FaultStats {
         self.stats
     }
-
-    fn clone_backend(&self) -> Box<dyn PageBackend> {
-        Box::new(FaultBackend {
-            inner: self.inner.clone_backend(),
-            spec: self.spec,
-            read_ops: self.read_ops,
-            write_ops: self.write_ops,
-            just_failed: self.just_failed,
-            stats: self.stats,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -401,14 +390,5 @@ mod tests {
             b.read(i, &mut out, IoClass::Unmetered).unwrap();
         }
         assert_eq!(b.fault_stats(), FaultStats::default());
-    }
-
-    #[test]
-    fn clone_carries_the_schedule_position() {
-        let mut b = transient_over_heap(42);
-        drive(&mut b);
-        let copy = b.clone_backend();
-        assert_eq!(copy.fault_stats(), b.fault_stats());
-        assert_eq!(copy.kind(), StorageBackend::Heap);
     }
 }

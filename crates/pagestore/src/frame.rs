@@ -203,8 +203,7 @@ impl std::error::Error for FrameOverflow {}
 ///   frame and ignores the zero padding behind it.
 pub trait PagePayload: Clone {
     /// Exact number of bytes [`PagePayload::encode_into`] appends. Must be
-    /// cheap; the store calls it on every allocate/write for overflow
-    /// detection.
+    /// cheap; the store calls it on every allocate for overflow detection.
     fn encoded_len(&self) -> usize;
 
     /// Appends the serialized payload to `out`.

@@ -62,9 +62,9 @@
 //!   operations that may succeed when repeated. Two layers absorb them
 //!   before any caller notices: [`FileBackend`] loops its positioned I/O on
 //!   short transfers and `EINTR`, and [`PageStore`] retries whole frame
-//!   transfers under a bounded [`RetryPolicy`](store::RetryPolicy) with
+//!   transfers under a bounded [`RetryPolicy`] with
 //!   exponential backoff charged to a **virtual clock**
-//!   ([`RetryClock`](store::RetryClock) — deterministic, never a wall
+//!   ([`RetryClock`] — deterministic, never a wall
 //!   clock). Only an exhausted retry budget surfaces a transient error.
 //! * **Persistent** ([`FaultKind::Persistent`]) — the medium or syscall
 //!   failed for good; surfaced immediately, never retried.

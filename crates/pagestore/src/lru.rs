@@ -151,13 +151,6 @@ impl LruBuffer {
         self.peak_pinned
     }
 
-    /// Drops every pin refcount (used when cloning a store: the clone has no
-    /// outstanding page references).
-    pub fn reset_pins(&mut self) {
-        self.pins.clear();
-        self.peak_pinned = 0;
-    }
-
     /// Restarts the pinned high-water mark from the current pin set, so a
     /// new measurement phase tracks its own peak.
     pub fn reset_peak_pinned(&mut self) {
@@ -528,9 +521,6 @@ mod tests {
         // capacity 0: resize evicts members, but 1 is pinned.
         assert!(evicted.is_empty());
         assert!(b.contains(1));
-        b.reset_pins();
-        assert_eq!(b.pinned_pages(), 0);
-        assert_eq!(b.peak_pinned(), 0);
     }
 
     #[test]

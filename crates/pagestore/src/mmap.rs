@@ -1,7 +1,7 @@
 //! The memory-mapped page backend: frames live in `mmap(MAP_SHARED)`
 //! segments of an unlinked temp file.
 //!
-//! [`MmapBackend`] is the third [`PageBackend`](crate::PageBackend): like
+//! [`MmapBackend`] is the third [`PageBackend`]: like
 //! [`FileBackend`](crate::FileBackend) the data lives in a real
 //! (anonymous, already-unlinked) file, but transfers are `memcpy`s against
 //! the kernel page cache instead of `read_at`/`write_at` syscalls, and
@@ -221,27 +221,6 @@ impl PageBackend for MmapBackend {
 
     fn io(&self) -> BackendIo {
         self.io
-    }
-
-    fn clone_backend(&self) -> Box<dyn PageBackend> {
-        // An independent copy: fresh file + mappings, every valid frame
-        // copied over. Maintenance traffic, not measured I/O, so the byte
-        // counters transfer unchanged instead of growing.
-        let mut copy = MmapBackend::anonymous(self.frame_size);
-        for (index, &written) in self.written.iter().enumerate() {
-            copy.written.push(false);
-            if written {
-                let index = index as u32;
-                copy.ensure_segment((index as u64 / copy.frames_per_segment) as usize);
-                let (src, dst) = (self.frame_ptr(index), copy.frame_ptr(index));
-                // SAFETY: both point at frame_size mapped bytes in two
-                // distinct mappings.
-                unsafe { std::ptr::copy_nonoverlapping(src, dst, self.frame_size) };
-                copy.written[index as usize] = true;
-            }
-        }
-        copy.io = self.io;
-        Box::new(copy)
     }
 }
 

@@ -38,7 +38,7 @@
 //! * Logical reads go through the LRU buffer: a **hit** is served from the
 //!   resident payload, a **miss** transfers the frame from the backend
 //!   ([`IoClass::Metered`]) and decodes it.
-//! * Writes are **write-back**: allocate/write dirty the buffered page; the
+//! * Writes are **write-back**: `allocate` dirties the buffered page; the
 //!   frame is encoded and written to the backend when the page is evicted
 //!   or on [`PageStore::flush`] (both metered); [`PageStore::drop_buffer`]
 //!   writes dirty frames back as [`IoClass::Unmetered`] traffic — see the
@@ -65,7 +65,6 @@ use crate::fault::{FaultBackend, FaultSpec, FaultStats};
 use crate::frame::{seal_frame, verify_frame, PagePayload, FRAME_TRAILER_BYTES};
 use crate::lru::{Admission, LruBuffer};
 use crate::stats::IoStats;
-use crate::DEFAULT_PAGE_SIZE;
 
 /// Virtual time source the store's retry backoff "sleeps" against.
 ///
@@ -142,17 +141,18 @@ pub struct PageStoreConfig {
     /// Which storage backend holds the page frames.
     pub backend: StorageBackend,
     /// Optional fault-injection schedule: when set, the created backend is
-    /// wrapped in a [`FaultBackend`](crate::FaultBackend). Both default
-    /// constructors consult [`FaultSpec::from_env`], so
-    /// `CIJ_FAULT_PROFILE=transient` puts every store in the process under
-    /// injected faults (the CI robustness pass).
+    /// wrapped in a [`FaultBackend`]. [`Default`] consults
+    /// [`FaultSpec::from_env`], so `CIJ_FAULT_PROFILE=transient` puts every
+    /// store in the process under injected faults (the CI robustness pass).
     pub fault: Option<FaultSpec>,
 }
 
 impl Default for PageStoreConfig {
     /// A generic default: 4 KB pages (a typical OS page size), no buffer,
-    /// heap frames. The paper's experimental setting is deliberately *not*
-    /// the default — use [`PageStoreConfig::paper_default`] for that.
+    /// heap frames. The paper's experimental setting (1 KB pages,
+    /// [`DEFAULT_PAGE_SIZE`](crate::DEFAULT_PAGE_SIZE)) is deliberately
+    /// *not* the default — `cij-rtree` sets it through
+    /// [`PageStoreConfig::with_page_size`].
     fn default() -> Self {
         PageStoreConfig {
             page_size: 4096,
@@ -164,26 +164,6 @@ impl Default for PageStoreConfig {
 }
 
 impl PageStoreConfig {
-    /// The paper's experimental setting: **1 KB pages**
-    /// ([`DEFAULT_PAGE_SIZE`]), explicitly distinct from the generic
-    /// [`Default`] (4 KB).
-    ///
-    /// The paper sizes the LRU buffer *relative to the data*: "2 % of the
-    /// data size" ([`crate::DEFAULT_BUFFER_FRACTION`]). Since the data size
-    /// is unknown until pages are allocated, `buffer_pages` starts at 0 here
-    /// and the buffer is sized after loading via
-    /// [`PageStore::set_buffer_fraction`] (or
-    /// [`PageStore::set_default_buffer`]) — that call is part of the
-    /// convention, not optional.
-    pub fn paper_default() -> Self {
-        PageStoreConfig {
-            page_size: DEFAULT_PAGE_SIZE,
-            buffer_pages: 0,
-            backend: StorageBackend::Heap,
-            fault: FaultSpec::from_env(),
-        }
-    }
-
     /// Sets the buffer capacity in pages.
     pub fn with_buffer_pages(mut self, pages: usize) -> Self {
         self.buffer_pages = pages;
@@ -254,7 +234,7 @@ struct StoreInner<T: PagePayload> {
 /// Payloads of type `T` (R-tree nodes, in practice) are serialized through
 /// the [`PagePayload`] codec into `page_size`-byte frames held by the
 /// configured [`PageBackend`]; a payload whose encoding exceeds the page
-/// size is rejected at allocate/write time, so fanout budgets cannot be
+/// size is rejected at allocate time, so fanout budgets cannot be
 /// silently violated. [`PageStore::read`] returns owned payloads so that
 /// callers never hold borrows across further store operations (pages can be
 /// evicted under you, exactly like a real buffer pool); [`PageStore::peek`]
@@ -267,48 +247,6 @@ pub struct PageStore<T: PagePayload> {
     stats: IoStats,
     kind: StorageBackend,
     page_size: usize,
-}
-
-impl<T: PagePayload> Clone for PageStore<T> {
-    /// A deep, independent copy: fresh backend with identical frames, the
-    /// same buffer membership/recency, shared [`IoStats`] counters (like
-    /// every other handle copy) — and **no pins**: the clone has no
-    /// outstanding [`PageRef`] guards, so only buffer members carry over
-    /// into its resident map.
-    fn clone(&self) -> Self {
-        let inner = self.lock();
-        let mut buffer = inner.buffer.clone();
-        buffer.reset_pins();
-        let resident: HashMap<u64, Arc<T>> = inner
-            .resident
-            .iter()
-            .filter(|(k, _)| buffer.contains(**k))
-            .map(|(k, v)| (*k, Arc::clone(v)))
-            .collect();
-        let peak_resident = resident.len();
-        PageStore {
-            inner: Arc::new(Mutex::new(StoreInner {
-                resident,
-                allocated: inner.allocated.clone(),
-                backend: inner.backend.clone_backend(),
-                buffer,
-                stats: inner.stats.clone(),
-                frame: vec![0u8; inner.frame.len()],
-                peak_resident,
-                retry: inner.retry,
-                // The clone starts its own virtual timeline (clock state is
-                // diagnostic, not part of the data).
-                clock: Box::new(VirtualClock::default()),
-                quarantined: inner.quarantined.clone(),
-                fault_retries: inner.fault_retries,
-                fault_recoveries: inner.fault_recoveries,
-                fault_write_retries: inner.fault_write_retries,
-            })),
-            stats: self.stats.clone(),
-            kind: self.kind,
-            page_size: self.page_size,
-        }
-    }
 }
 
 impl<T: PagePayload> PageStore<T> {
@@ -498,27 +436,6 @@ impl<T: PagePayload> PageStore<T> {
     ) -> Result<R, PageIoError> {
         let arc = self.lock().try_read_arc(id)?;
         Ok(f(&arc))
-    }
-
-    /// Overwrites the payload of an existing page, going through the buffer.
-    ///
-    /// The resident payload is **replaced**, not mutated: outstanding
-    /// [`PageRef`] guards keep observing the payload they pinned.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unallocated pages and on payloads that exceed the page size
-    /// (see [`PageStore::allocate`]).
-    pub fn write(&mut self, id: PageId, payload: T) {
-        let inner = &mut *self.lock();
-        assert!(inner.is_allocated(id), "write to unallocated page");
-        inner.check_fits(&payload);
-        inner.stats.record_logical_write();
-        let key = id.as_key();
-        inner.resident.insert(key, Arc::new(payload));
-        inner.admit_dirty(key);
-        inner.release_if_unreferenced(key);
-        inner.note_peak();
     }
 
     /// Accounts for a logical read of `id` **without** returning the
@@ -1058,20 +975,6 @@ mod tests {
     }
 
     #[test]
-    fn write_updates_payload() {
-        for backend in StorageBackend::ALL {
-            let mut s = store_on(2, backend);
-            let a = s.allocate(1);
-            s.write(a, 42);
-            assert_eq!(s.read(a), 42);
-            assert_eq!(*s.peek(a), 42);
-            // The overwrite survives eviction and a cold backend read.
-            s.drop_buffer();
-            assert_eq!(s.read(a), 42);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "unallocated")]
     fn reading_unallocated_page_panics() {
         let mut s = store(2);
@@ -1220,13 +1123,14 @@ mod tests {
             }
             s.set_buffer_fraction(0.1);
             assert_eq!(s.buffer_pages(), 15);
-            // Fill the buffer with dirty pages, then shrink: the evicted
-            // dirty pages must be written back and accounted.
-            for i in 0..15u32 {
-                s.write(PageId(i), i * 3);
+            // Fill the buffer with dirty pages (fresh allocations), then
+            // shrink: the evicted dirty pages must be written back and
+            // accounted.
+            for i in 150..165 {
+                s.allocate(i);
             }
             s.stats().reset();
-            s.set_buffer_fraction(0.02); // 150 * 0.02 = 3 pages, shrink by 12
+            s.set_buffer_fraction(0.018); // ceil(165 * 0.018) = 3 pages, shrink by 12
             assert_eq!(s.buffer_pages(), 3);
             assert_eq!(
                 s.stats().snapshot().physical_writes,
@@ -1267,21 +1171,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_default_differs_from_generic_default() {
-        let paper = PageStoreConfig::paper_default();
-        let generic = PageStoreConfig::default();
-        assert_eq!(paper.page_size, DEFAULT_PAGE_SIZE);
-        assert_eq!(paper.page_size, 1024);
-        assert_ne!(
-            paper.page_size, generic.page_size,
-            "paper_default must not silently alias Default"
-        );
-        // Both defer buffer sizing to the fraction convention.
-        assert_eq!(paper.buffer_pages, 0);
-        assert_eq!(paper.backend, StorageBackend::Heap);
-    }
-
-    #[test]
     #[should_panic(expected = "page frame overflow")]
     fn oversized_payload_is_rejected_at_allocate() {
         // A u32 needs 4 bytes; a 3-byte page cannot hold it.
@@ -1297,11 +1186,12 @@ mod tests {
         let mut heap = store_on(3, StorageBackend::Heap);
         let mut file = store_on(3, StorageBackend::File);
         for s in [&mut heap, &mut file] {
-            let ids: Vec<PageId> = (0..8u32).map(|i| s.allocate(i * 11)).collect();
-            s.write(ids[2], 999);
+            let mut ids: Vec<PageId> = (0..8u32).map(|i| s.allocate(i * 11)).collect();
             for &id in &[ids[0], ids[5], ids[2], ids[7], ids[0], ids[2]] {
                 let _ = s.read(id);
             }
+            // A late allocation dirties a page amid the clean reads.
+            ids.push(s.allocate(999));
             s.free(ids[3]);
             s.set_buffer_pages(2);
             for &id in &[ids[6], ids[1], ids[6]] {
@@ -1316,7 +1206,7 @@ mod tests {
         );
         assert_eq!(heap.num_pages(), file.num_pages());
         assert_eq!(heap.backend_io(), file.backend_io());
-        for i in 0..8u32 {
+        for i in 0..9u32 {
             if i == 3 {
                 continue;
             }
@@ -1361,7 +1251,7 @@ mod tests {
             for &id in &[ids[0], ids[4], ids[0], ids[9], ids[2], ids[4]] {
                 let _ = s.read(id);
             }
-            s.write(ids[4], 777);
+            s.allocate(777); // dirty in buffer
             s.set_buffer_pages(1); // shrink: evicts, one dirty write-back
             s.flush();
             let snap = s.stats().snapshot();
@@ -1499,22 +1389,6 @@ mod tests {
     }
 
     #[test]
-    fn cloned_store_diverges_independently() {
-        for backend in StorageBackend::ALL {
-            let mut s = store_on(2, backend);
-            let a = s.allocate(5);
-            s.flush();
-            let mut copy = s.clone();
-            copy.write(a, 6);
-            copy.flush();
-            s.drop_buffer();
-            copy.drop_buffer();
-            assert_eq!(s.read(a), 5, "{backend}: original saw the clone's write");
-            assert_eq!(copy.read(a), 6, "{backend}: clone lost its write");
-        }
-    }
-
-    #[test]
     fn transient_faults_recover_invisibly_on_every_backend() {
         // The tentpole parity property at store level: a seeded transient
         // fault schedule changes no payload, no counter and no metered
@@ -1545,7 +1419,7 @@ mod tests {
                         assert_eq!(s.read(id), id.0 * 13 + 1, "round {round}");
                     }
                 }
-                s.write(ids[3], 999);
+                s.allocate(999);
                 s.flush();
             }
             assert_eq!(
@@ -1631,19 +1505,5 @@ mod tests {
         assert!(saw_error, "schedule never fired in 200 unbuffered reads");
         // The store stays fully usable afterwards.
         assert_eq!(s.read(id), 7);
-    }
-
-    #[test]
-    fn clone_carries_no_pins() {
-        let mut s = store(2);
-        let a = s.allocate(1);
-        s.flush();
-        s.drop_buffer();
-        let guard = s.peek(a);
-        let copy = s.clone();
-        assert_eq!(s.pinned_pages(), 1);
-        assert_eq!(copy.pinned_pages(), 0, "clone has no outstanding guards");
-        assert_eq!(copy.resident_pages(), 0, "pinned-only pages do not carry");
-        drop(guard);
     }
 }

@@ -13,7 +13,7 @@
 //! `ConvexPolygon::clip_in_place`) then run straight over the coordinate
 //! slices with no per-point pointer chasing.
 //!
-//! Loading goes through [`NodeReader::visit`](crate::reader::NodeReader::visit),
+//! Loading goes through [`NodeReader::visit`],
 //! which serves the decoded node **by reference** — from the page store's
 //! in-memory image ([`PageStore::read_with`](cij_pagestore::PageStore)) or a
 //! pinned snapshot — so filling the arena performs no intermediate payload

@@ -262,7 +262,7 @@ fn pack_sorted<D: RTreeObject>(
         level += 1;
     }
 
-    // The empty-leaf root allocated by `with_stats` is replaced by the
+    // The empty-leaf root allocated by `with_stats_on` is replaced by the
     // packed tree; free it so it neither counts towards the tree's page
     // count (the LB of the experiments) nor gets flushed.
     let root_entry = entries[0];

@@ -177,7 +177,7 @@ mod tests {
     fn zero_k_and_empty_trees() {
         let p = random_points(10, 77);
         let mut ta = RTree::bulk_load(config(), PointObject::from_points(&p));
-        let mut tb: RTree<PointObject> = RTree::new(config());
+        let mut tb: RTree<PointObject> = RTree::bulk_load(config(), Vec::new());
         assert!(k_closest_pairs(&mut ta, &mut tb, 5, |a, b| a.point.dist(&b.point)).is_empty());
         let mut tc = RTree::bulk_load(config(), PointObject::from_points(&p));
         assert!(k_closest_pairs(&mut ta, &mut tc, 0, |a, b| a.point.dist(&b.point)).is_empty());

@@ -1,7 +1,7 @@
 //! Synchronous-traversal spatial joins (Brinkhoff, Kriegel & Seeger).
 //!
 //! The paper's FM-CIJ algorithm finishes by running "the intersection join
-//! algorithm of [9]" between the two Voronoi R-trees. [`intersection_join`]
+//! algorithm of \[9\]" between the two Voronoi R-trees. [`intersection_join`]
 //! is that algorithm: both trees are descended simultaneously, following only
 //! entry pairs whose MBRs intersect. A refinement callback decides whether a
 //! candidate leaf pair is an actual result (for Voronoi cells: an exact
@@ -251,7 +251,7 @@ mod tests {
     fn empty_tree_joins_are_empty() {
         let p = random_points(50, 6, 100.0);
         let mut ta = RTree::bulk_load(config(), PointObject::from_points(&p));
-        let mut empty: RTree<PointObject> = RTree::new(config());
+        let mut empty: RTree<PointObject> = RTree::bulk_load(config(), Vec::new());
         assert_eq!(
             intersection_join(&mut ta, &mut empty, |_, _| true, |_, _| {}),
             0

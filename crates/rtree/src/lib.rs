@@ -13,10 +13,10 @@
 //!   generic over the leaf payload ([`PointObject`] for the input pointsets,
 //!   [`CellObject`] for materialised Voronoi cells),
 //! * best-first incremental nearest-neighbour browsing ([`RTree::nearest_iter`],
-//!   Hjaltason & Samet [11]) and the [`MinHeapItem`]/[`MinDistHeap`] helpers
+//!   Hjaltason & Samet \[11\]) and the [`MinHeapItem`]/[`MinDistHeap`] helpers
 //!   reused by BF-VOR and the conditional filter,
 //! * range queries and Hilbert-ordered depth-first leaf traversal,
-//! * the synchronous-traversal [`intersection_join`] of Brinkhoff et al. [9]
+//! * the synchronous-traversal [`intersection_join`] of Brinkhoff et al. \[9\]
 //!   and an ε-[`distance_join`] for comparison,
 //! * page-access statistics via the shared
 //!   [`IoStats`](cij_pagestore::IoStats) of `cij-pagestore`,

@@ -1,7 +1,7 @@
 //! Best-first (incremental) nearest-neighbour search.
 //!
 //! This is the "distance browsing" algorithm of Hjaltason & Samet used by the
-//! paper (reference [11]) as the traversal-order backbone of BF-VOR and of
+//! paper (reference \[11\]) as the traversal-order backbone of BF-VOR and of
 //! the conditional filter: entries are visited in ascending `mindist` from a
 //! query point by means of a min-heap.
 
@@ -214,7 +214,7 @@ mod tests {
 
     #[test]
     fn nearest_on_empty_tree_is_none() {
-        let mut tree: RTree<PointObject> = RTree::new(tiny_config());
+        let mut tree: RTree<PointObject> = RTree::bulk_load(tiny_config(), Vec::new());
         assert!(tree.nearest(Point::new(1.0, 1.0)).is_none());
         assert!(tree.k_nearest(Point::new(1.0, 1.0), 5).is_empty());
     }

@@ -53,35 +53,24 @@ impl RTreeConfig {
 /// access during queries, joins and Voronoi-cell computations goes through
 /// the store's LRU buffer and is recorded in the shared [`IoStats`] — the
 /// cost model of the paper.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RTree<D: RTreeObject> {
     store: PageStore<Node<D>>,
     root: PageId,
     root_level: u32,
     len: usize,
     config: RTreeConfig,
-    /// First storage error latched by the infallible [`NodeReader`]
-    /// (crate::reader::NodeReader) read path; taken via
+    /// First storage error latched by the infallible
+    /// [`NodeReader`](crate::reader::NodeReader) read path; taken via
     /// [`RTree::take_io_error`].
     io_error: Option<PageIoError>,
 }
 
 impl<D: RTreeObject> RTree<D> {
-    /// Creates an empty tree with its own statistics counters.
-    pub fn new(config: RTreeConfig) -> Self {
-        Self::with_stats(config, IoStats::new())
-    }
-
     /// Creates an empty tree whose page store shares the given statistics
     /// counters (so that joint operations over several trees report a single
-    /// page-access figure, as in the paper). Node frames live on the heap
-    /// backend; use [`RTree::with_stats_on`] to choose.
-    pub fn with_stats(config: RTreeConfig, stats: IoStats) -> Self {
-        Self::with_stats_on(config, stats, StorageBackend::Heap)
-    }
-
-    /// Creates an empty tree with shared statistics counters whose node
-    /// frames live on the given [`StorageBackend`].
+    /// page-access figure, as in the paper) and whose node frames live on
+    /// the given [`StorageBackend`] — what every bulk loader starts from.
     pub fn with_stats_on(config: RTreeConfig, stats: IoStats, storage: StorageBackend) -> Self {
         let mut store = PageStore::with_stats(
             PageStoreConfig::default()
@@ -223,10 +212,11 @@ impl<D: RTreeObject> RTree<D> {
         self.store.try_peek(page)
     }
 
-    /// Takes the storage error latched by the [`NodeReader`]
-    /// (crate::reader::NodeReader) impl's infallible read path, if a node
-    /// read failed since the last call. `Some` means every traversal output
-    /// produced since then is suspect and must be discarded.
+    /// Takes the storage error latched by the
+    /// [`NodeReader`](crate::reader::NodeReader) impl's infallible read
+    /// path, if a node read failed since the last call. `Some` means every
+    /// traversal output produced since then is suspect and must be
+    /// discarded.
     pub fn take_io_error(&mut self) -> Option<PageIoError> {
         self.io_error.take()
     }
@@ -516,7 +506,7 @@ mod tests {
 
     #[test]
     fn empty_tree_queries_are_empty() {
-        let mut tree: RTree<PointObject> = RTree::new(small_config());
+        let mut tree: RTree<PointObject> = RTree::bulk_load(small_config(), Vec::new());
         assert!(tree.is_empty());
         assert!(tree.range_query(&Rect::DOMAIN).is_empty());
         tree.check_invariants().unwrap();

@@ -163,7 +163,7 @@ mod tests {
 
     #[test]
     fn empty_tree_gives_empty_diagram() {
-        let mut tree: RTree<PointObject> = RTree::new(config());
+        let mut tree: RTree<PointObject> = RTree::bulk_load(config(), Vec::new());
         let result = compute_diagram(&mut tree, &Rect::DOMAIN, DiagramMethod::Batch);
         assert!(result.cells.is_empty());
     }

@@ -4,7 +4,7 @@
 //! The algorithm maintains a conservative cell approximation `Vc(pi)`
 //! (initially the whole space domain) and browses the R-tree entries in
 //! ascending `mindist` from `pi` (best-first order, like the incremental NN
-//! algorithm of [11]). Each discovered point refines the cell by bisector
+//! algorithm of \[11\]). Each discovered point refines the cell by bisector
 //! clipping; Lemmas 1 and 2 prune points and subtrees that cannot refine the
 //! current cell. Every node is accessed at most once.
 
@@ -191,7 +191,7 @@ mod tests {
 
     #[test]
     fn empty_tree_returns_whole_domain() {
-        let mut tree: RTree<PointObject> = RTree::new(config());
+        let mut tree: RTree<PointObject> = RTree::bulk_load(config(), Vec::new());
         let cell = single_voronoi(&mut tree, Point::new(1.0, 1.0), ObjectId(0), &Rect::DOMAIN);
         assert!((cell.area() - Rect::DOMAIN.area()).abs() < 1e-6);
     }

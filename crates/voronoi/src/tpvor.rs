@@ -1,6 +1,6 @@
-//! TP-VOR: the multi-traversal Voronoi-cell baseline of Zhang et al. [10].
+//! TP-VOR: the multi-traversal Voronoi-cell baseline of Zhang et al. \[10\].
 //!
-//! The method of reference [10] refines a cell approximation by issuing a
+//! The method of reference \[10\] refines a cell approximation by issuing a
 //! time-parameterised NN query *towards each vertex* of the current
 //! approximation; every such query is an independent R-tree traversal, and
 //! the queries cannot be merged because later vertices depend on earlier
@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn empty_tree_returns_domain() {
-        let mut tree: RTree<PointObject> = RTree::new(config());
+        let mut tree: RTree<PointObject> = RTree::bulk_load(config(), Vec::new());
         let cell = tp_voronoi(&mut tree, Point::new(1.0, 1.0), ObjectId(0), &Rect::DOMAIN);
         assert!((cell.area() - Rect::DOMAIN.area()).abs() < 1e-6);
     }
