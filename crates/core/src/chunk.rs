@@ -84,9 +84,10 @@
 //! On `Err` the stream latches the error ([`StreamLedger::fail`]), abandons
 //! its remaining leaves and ends: everything emitted is covered by a
 //! watermark, nothing of the failing leaf (or, for a phase failure, of the
-//! failing chunk) was emitted, and the reuse buffer — whose policy state
-//! may have advanced past payloads that were never filled — is never
-//! handed on. The leaf-order walk at construction goes through the same
+//! failing chunk) was emitted — no row and, in a grouped-NN run, no settled
+//! claim — and the reuse buffer, whose policy state may have advanced past
+//! payloads that were never filled, ends with the stream: nothing hands it
+//! on. The leaf-order walk at construction goes through the same
 //! latch ([`StreamLedger::start`] over [`Accounting::leaf_order`]), so a
 //! stream whose walk fails is born fail-stopped instead of panicking.
 //!

@@ -190,7 +190,7 @@ impl<'a> PairStream<'a> {
     /// surfaces a fail-stop storage error as `Err` instead of panicking.
     pub fn try_into_outcome(self) -> Result<CijOutcome, PageIoError> {
         match self.source {
-            Source::Lazy(iter) => iter.try_into_outcome().map(|(outcome, _cache)| outcome),
+            Source::Lazy(iter) => iter.try_into_outcome(),
             Source::Eager(mut outcome) => {
                 outcome.pairs.drain(..self.emitted as usize);
                 Ok(*outcome)

@@ -5,153 +5,129 @@
 //! the analysis asks, for every (hospital, park) pair, how many locations
 //! have exactly that hospital and that park as their nearest neighbours.
 //! A location `l` contributes to pair `(p, q)` iff `l ∈ V(p, P) ∩ V(q, Q)`,
-//! so only CIJ pairs can receive a non-zero count: computing `CIJ(P, Q)`
-//! first and assigning locations to the common influence regions avoids the
-//! two expensive all-nearest-neighbour joins of the naive plan.
+//! so only CIJ pairs can receive a non-zero count: computing `CIJ(P, Q)` and
+//! assigning the locations to the common influence regions avoids the two
+//! expensive all-nearest-neighbour joins of the naive plan.
+//!
+//! # The plan: count where the join reports
+//!
+//! NM-CIJ materialises nothing, and neither does this plan. When the join
+//! reports a leaf it holds `V(q, Q)` of every leaf point and `V(p, P)` of
+//! every candidate, and `l` lies in `V(p) ∩ V(q)` iff it lies in both cells:
+//! two [`ConvexPolygon::contains_point`] tests (boundary inclusive,
+//! `EPS`-tolerant) stand in for the region polygon, which is never built,
+//! and no cell is computed that the join did not compute anyway. A grouped
+//! run is the join's own stream with a `LocationProbe` attached and reads
+//! exactly the pages of `nm_cij` / `Request::Join` over the same sets.
+//!
+//! * **Claim** (per leaf, on the thread that reports it): the probe's grid
+//!   yields the locations inside each `V(q)`; only where there are any,
+//!   each claims every *reported* `(p, q)` whose `V(p)` holds it too —
+//!   `(location, p, q)`, in the join's report order.
+//! * **Settle** (coordinator, leaf order, past the fail-stop gates, as the
+//!   leaf's pairs are emitted): a location's **first claim wins**, the later
+//!   ones of a location on a shared boundary are dropped. The winner is the
+//!   first matching pair of the join's pair sequence, which no thread
+//!   count, execution mode or backend changes.
+//!
+//! A location outside [`CijConfig::domain`] lies in no cell and is not
+//! counted; a fail-stopped stream hands out no counts at all. Beside the
+//! join this costs `O(|L| + reported pairs)`, where materialised regions
+//! cost a second Voronoi pass and `O(|L| · |CIJ|)` point-in-region tests.
 
-use crate::cell_cache::CellCache;
 use crate::config::CijConfig;
-use crate::nm::nm_cij_keep_cache;
+use crate::nm::NmPairIter;
 use crate::workload::Workload;
-use cij_geom::{hilbert, ConvexPolygon, Point, Rect};
-use cij_pagestore::PageIoError;
-use cij_rtree::{LeafLayout, NodeReader, PointObject};
-use cij_voronoi::{batch_voronoi_cached_with, nearest_index, CellStore, NoCache, VorScratch};
+use cij_geom::{ConvexPolygon, GridFrame, Point, Rect, EPS};
+use cij_voronoi::nearest_index;
 use std::collections::HashMap;
-
-/// Group size for batched exact-cell computation: roughly one R-tree leaf's
-/// worth of spatially adjacent points, the granularity Algorithm 2 is
-/// designed for.
-const CELL_BATCH: usize = 24;
-
-/// Computes the exact Voronoi cells of the given point ids in shared
-/// traversals: ids are deduplicated, ordered along the Hilbert curve so each
-/// batch is spatially compact, and computed through the cache in
-/// leaf-sized groups.
-///
-/// A failed read latches in `tree` and serves an empty leaf; the caller
-/// polls ([`region_cells`]).
-fn cells_by_id<R: NodeReader<PointObject>, C: CellStore>(
-    tree: &mut R,
-    objects: &[PointObject],
-    ids: impl Iterator<Item = u64>,
-    domain: &Rect,
-    cache: &mut C,
-) -> HashMap<u64, ConvexPolygon> {
-    let mut unique: Vec<u64> = ids.collect();
-    unique.sort_unstable();
-    unique.dedup();
-    let mut members: Vec<PointObject> = unique.iter().map(|&i| objects[i as usize]).collect();
-    members.sort_by_cached_key(|o| hilbert::hilbert_value(&o.point, domain));
-    let mut out = HashMap::with_capacity(members.len());
-    let mut scratch = VorScratch::default();
-    for group in members.chunks(CELL_BATCH) {
-        let cells = batch_voronoi_cached_with(
-            tree,
-            group,
-            domain,
-            cache,
-            LeafLayout::default(),
-            &mut scratch,
-        );
-        for (obj, cell) in group.iter().zip(cells) {
-            out.insert(obj.id.0, cell);
-        }
-    }
-    out
-}
-
-/// The exact cells of every point that takes part in `pairs`, per side —
-/// what materialising the pairs' common influence regions needs — each
-/// unique cell computed exactly once through the input R-trees. The `P`
-/// side is served from `cache_p`, the join's still-warm reuse buffer, where
-/// possible; the `Q` side has no reuse opportunity after deduplication (the
-/// join never caches `Q` cells), so it runs uncached.
-///
-/// Generic over the [`NodeReader`] so the workload-owning plan can pass the
-/// counted `&mut RTree`s and the service counting
-/// [`SnapshotReader`](cij_rtree::SnapshotReader)s over its shared snapshot.
-/// Both readers are polled before the cells are trusted: a storage failure
-/// on either side is an `Err`, never a map built from empty leaves.
-pub(crate) fn region_cells<R: NodeReader<PointObject>>(
-    (rp, objects_p): (&mut R, &[PointObject]),
-    (rq, objects_q): (&mut R, &[PointObject]),
-    pairs: &[(u64, u64)],
-    domain: &Rect,
-    cache_p: &mut CellCache,
-) -> Result<[HashMap<u64, ConvexPolygon>; 2], PageIoError> {
-    let ids_p = pairs.iter().map(|&(a, _)| a);
-    let cells_p = cells_by_id(rp, objects_p, ids_p, domain, cache_p);
-    let ids_q = pairs.iter().map(|&(_, b)| b);
-    let cells_q = cells_by_id(rq, objects_q, ids_q, domain, &mut NoCache);
-    let error = rp.take_error().or_else(|| rq.take_error());
-    error.map_or(Ok([cells_p, cells_q]), Err)
-}
 
 /// Counts per (p, q) pair produced by a grouped-NN analysis.
 pub type GroupCounts = HashMap<(u64, u64), u64>;
 
-/// Materialises each pair's common influence region from the per-set cell
-/// maps and counts the locations falling inside each region — the
-/// assignment step shared by the workload-owning plan below and the
-/// snapshot-serving fast path in [`crate::service`].
-///
-/// Locations on a region boundary are assigned to the first matching pair
-/// (ties have measure zero for continuous data).
-pub(crate) fn count_locations_in_regions(
-    pairs: &[(u64, u64)],
-    cells_p: &HashMap<u64, ConvexPolygon>,
-    cells_q: &HashMap<u64, ConvexPolygon>,
-    locations: &[Point],
-) -> GroupCounts {
-    let regions: Vec<((u64, u64), ConvexPolygon)> = pairs
-        .iter()
-        .map(|&(a, b)| ((a, b), cells_p[&a].intersection(&cells_q[&b])))
-        .collect();
-    let mut counts: GroupCounts = HashMap::new();
-    for loc in locations {
-        if let Some((key, _)) = regions
-            .iter()
-            .find(|(_, region)| region.contains_point(loc))
-        {
-            *counts.entry(*key).or_insert(0) += 1;
-        }
-    }
-    counts
+/// The locations of one grouped-NN run, bucketed once in a uniform grid
+/// over the domain (about one per bucket), and what they counted so far.
+pub(crate) struct LocationProbe {
+    frame: GridFrame,
+    /// `(bucket, index in the request, position)` per in-domain location, sorted.
+    slots: Vec<(usize, usize, Point)>,
+    /// Per location of the request: whether a claim was settled for it.
+    assigned: Vec<bool>,
+    counts: GroupCounts,
 }
 
-/// Runs the CIJ-based grouped nearest-neighbour plan: joins `P` and `Q`,
-/// materialises the common influence region of every result pair and counts
-/// the locations of `l` falling inside each region.
-///
-/// Locations on a region boundary are assigned to the first matching pair
-/// (ties have measure zero for continuous data).
+impl LocationProbe {
+    pub(crate) fn new(locations: &[Point], domain: &Rect) -> Self {
+        let frame = GridFrame::new(domain, (locations.len() as f64).sqrt().ceil() as usize);
+        let mut slots: Vec<_> = (locations.iter().enumerate())
+            .filter(|(_, at)| domain.contains_point(at))
+            .map(|(l, at)| {
+                let (i, j) = frame.bucket_of(at);
+                (j * frame.res() + i, l, *at)
+            })
+            .collect();
+        slots.sort_unstable_by_key(|&(bucket, l, _)| (bucket, l));
+        LocationProbe {
+            frame,
+            slots,
+            assigned: vec![false; locations.len()],
+            counts: GroupCounts::new(),
+        }
+    }
+
+    /// The locations [`ConvexPolygon::contains_point`] finds in `cell`, looked
+    /// for in the buckets under its bounding box grown by that test's `EPS`.
+    pub(crate) fn locations_in(&self, cell: &ConvexPolygon) -> Vec<(usize, Point)> {
+        let Rect { lo, hi } = cell.bbox();
+        let (i0, j0) = self.frame.bucket_of(&Point::new(lo.x - EPS, lo.y - EPS));
+        let (i1, j1) = self.frame.bucket_of(&Point::new(hi.x + EPS, hi.y + EPS));
+        let mut held = Vec::new();
+        for row in (j0..=j1).map(|j| j * self.frame.res()) {
+            let from = self.slots.partition_point(|s| s.0 < row + i0);
+            let run = self.slots[from..].iter().take_while(|s| s.0 <= row + i1);
+            held.extend(
+                run.filter(|s| cell.contains_point(&s.2))
+                    .map(|s| (s.1, s.2)),
+            );
+        }
+        held
+    }
+
+    /// Settles the `(location, p, q)` claims of one emitted leaf in the
+    /// order given: a location's first claim counts, later ones are dropped.
+    pub(crate) fn settle(&mut self, claims: &[(usize, u64, u64)]) {
+        for &(l, p, q) in claims {
+            if !std::mem::replace(&mut self.assigned[l], true) {
+                *self.counts.entry((p, q)).or_insert(0) += 1;
+            }
+        }
+    }
+
+    pub(crate) fn into_counts(self) -> GroupCounts {
+        self.counts
+    }
+}
+
+/// Runs the CIJ-based grouped nearest-neighbour plan (module docs): joins
+/// `P` and `Q`, reading exactly the pages of [`nm_cij`](crate::nm::nm_cij),
+/// and counts each location of `l` inside [`CijConfig::domain`] for the
+/// first reported pair whose two cells hold it (ties on a region boundary
+/// have measure zero for continuous data).
 ///
 /// # Panics
 ///
-/// Panics on a storage failure, like [`nm_cij`](crate::nm::nm_cij) — the
-/// blocking API has no partial-result channel.
+/// Panics on a storage failure, like `nm_cij` — the blocking API has no
+/// partial-result channel.
 pub fn grouped_nn_via_cij(
     p: &[Point],
     q: &[Point],
     locations: &[Point],
     config: &CijConfig,
 ) -> GroupCounts {
-    let mut workload = Workload::build(p, q, config);
-    // Keep the join's reuse buffer alive: it already holds the exact cells
-    // of recently refined `P` candidates, which are exactly the cells the
-    // region-materialisation step below needs again.
-    let (cij, mut cache_p) = nm_cij_keep_cache(&mut workload, config);
-
-    let [cells_p, cells_q] = region_cells(
-        (&mut workload.rp, &PointObject::from_points(p)),
-        (&mut workload.rq, &PointObject::from_points(q)),
-        &cij.pairs,
-        &config.domain,
-        &mut cache_p,
-    )
-    .unwrap_or_else(|e| panic!("CIJ storage failure: {e}"));
-    count_locations_in_regions(&cij.pairs, &cells_p, &cells_q, locations)
+    NmPairIter::new(&mut Workload::build(p, q, config), *config)
+        .with_locations(locations)
+        .into_group_counts()
+        .unwrap_or_else(|e| panic!("CIJ storage failure: {e}"))
 }
 
 /// The naive plan: for every location, look up its nearest `P` point and its
@@ -171,6 +147,7 @@ pub fn grouped_nn_via_all_nn(p: &[Point], q: &[Point], locations: &[Point]) -> G
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ExecMode;
     use crate::nm::nm_cij;
     use cij_rtree::RTreeConfig;
     use rand::rngs::StdRng;
@@ -225,32 +202,53 @@ mod tests {
     }
 
     #[test]
-    fn a_storage_failure_during_region_materialisation_is_an_error() {
-        use cij_pagestore::{FaultKind, FaultSpec};
-        use cij_rtree::SnapshotReader;
-        // A tiny reuse buffer, so the `P` side really goes back to the tree.
-        let config = small_config().with_cell_cache_capacity(4);
-        let p = random_points(200, 331);
-        let q = random_points(200, 332);
-        let mut workload = Workload::build(&p, &q, &config);
-        let (cij, mut cache_p) = nm_cij_keep_cache(&mut workload, &config);
-        let leaves = SnapshotReader::new(&workload.rp).leaf_pages_hilbert_order(&config.domain);
-        let target = leaves[leaves.len() / 2];
-        workload.rp.flush();
-        workload.rp.drop_buffer();
-        workload.rp.inject_fault(FaultSpec::corrupt_frame(target.0));
-        let error = region_cells(
-            (&mut workload.rp, &PointObject::from_points(&p)),
-            (&mut workload.rq, &PointObject::from_points(&q)),
-            &cij.pairs,
-            &config.domain,
-            &mut cache_p,
-        )
-        .expect_err("cells computed over an empty leaf must not be handed on");
-        assert_eq!(
-            (error.kind, error.page),
-            (FaultKind::Corrupt, Some(target.0))
-        );
+    fn the_plan_reads_exactly_the_pages_of_the_join() {
+        // Metered, cold, both ways through a leaf: whatever the number of
+        // locations, counting them costs no page beyond `nm_cij`'s.
+        let p = random_points(400, 331);
+        let q = random_points(400, 332);
+        for threads in [1usize, 2] {
+            let config = small_config()
+                .with_exec_mode(ExecMode::Metered)
+                .with_worker_threads(threads);
+            let join = {
+                let mut w = Workload::build(&p, &q, &config);
+                w.reset_measurement();
+                nm_cij(&mut w, &config).page_accesses()
+            };
+            for n in [0usize, 1, 500, 5_000] {
+                let locations = random_points(n, 333);
+                let mut w = Workload::build(&p, &q, &config);
+                w.reset_measurement();
+                let stream = NmPairIter::new(&mut w, config).with_locations(&locations);
+                let counts = stream.into_group_counts().unwrap();
+                assert_eq!(
+                    w.stats.snapshot().page_accesses(),
+                    join,
+                    "{n} locations, {threads} threads"
+                );
+                assert_eq!(counts, grouped_nn_via_all_nn(&p, &q, &locations));
+            }
+        }
+    }
+
+    #[test]
+    fn the_first_claim_wins_and_only_in_domain_locations_are_held() {
+        let inside = Point::new(5.0, 5.0);
+        let locations = [
+            inside,
+            Point::new(-1.0, 5.0),
+            Point::new(f64::NAN, 5.0),
+            inside,
+        ];
+        let mut probe = LocationProbe::new(&locations, &Rect::DOMAIN);
+        let cell = ConvexPolygon::from_rect(&Rect::from_coords(0.0, 0.0, 10.0, 10.0));
+        assert_eq!(probe.locations_in(&cell), [(0, inside), (3, inside)]);
+        assert_eq!(probe.locations_in(&ConvexPolygon::empty()), []);
+        // Duplicates count one by one, each for its own first claim.
+        probe.settle(&[(0, 7, 8), (0, 9, 9), (3, 7, 8)]);
+        probe.settle(&[(3, 1, 1)]);
+        assert_eq!(probe.into_counts(), GroupCounts::from([((7, 8), 2)]));
     }
 
     #[test]

@@ -45,6 +45,13 @@
 //!   leaf, two trees, one cache, and the false-hit bookkeeping of
 //!   Figure 10.
 //!
+//! Either way, a grouped-NN run ([`crate::grouped`]: the same stream
+//! `with_locations`) follows step 4 of each leaf with a **claim pass**
+//! (`claim_leaf_locations`): an ordered list of `(location, p, q)` claims,
+//! computed where the leaf is reported and settled by the coordinator in
+//! leaf order as it emits the leaf's pairs, past every fail-stop gate. A
+//! plain join pays one `Option` check per leaf for it.
+//!
 //! The fast accounting state needs only `&RTree`, so many concurrent
 //! queries can share one tree-pair snapshot: `NmPairIter::over_snapshot`
 //! takes the two trees, a private cache and the config, and walks `RQ`'s
@@ -62,9 +69,10 @@ use crate::chunk::{
 };
 use crate::config::CijConfig;
 use crate::filter::{batch_conditional_filter_scratch, FilterStats};
+use crate::grouped::{GroupCounts, LocationProbe};
 use crate::stats::{CijOutcome, CostBreakdown, NmCounters};
 use crate::workload::Workload;
-use cij_geom::{ConvexPolygon, Rect};
+use cij_geom::{ConvexPolygon, Point, Rect};
 use cij_pagestore::{PageId, PageIoError};
 use cij_rtree::{NodeReader, PointObject, RTree, ReadLog};
 use cij_voronoi::{batch_voronoi_cached_with, batch_voronoi_with};
@@ -91,17 +99,6 @@ const Q: usize = 1;
 ///
 /// [`QueryEngine::stream`]: crate::engine::QueryEngine::stream
 pub fn nm_cij(workload: &mut Workload, config: &CijConfig) -> CijOutcome {
-    nm_cij_keep_cache(workload, config).0
-}
-
-/// Like [`nm_cij`], but also hands back the reuse buffer so a caller can
-/// keep serving exact `P` cells from it after the join (grouped-NN
-/// materialises the common influence regions of the result pairs from the
-/// very cells the join just computed).
-pub(crate) fn nm_cij_keep_cache(
-    workload: &mut Workload,
-    config: &CijConfig,
-) -> (CijOutcome, CellCache) {
     NmPairIter::new(workload, *config)
         .try_into_outcome()
         .unwrap_or_else(|e| panic!("CIJ storage failure: {e}"))
@@ -157,6 +154,8 @@ pub(crate) struct NmPairIter<'a> {
     /// worker, reused across every leaf and chunk of the stream; the
     /// sequential leaf loop uses the first.
     scratches: Vec<UnitScratch>,
+    /// What a grouped-NN run counts ([`crate::grouped`]); `None` in a join.
+    probe: Option<Box<LocationProbe>>,
 }
 
 impl<'a> NmPairIter<'a> {
@@ -208,7 +207,14 @@ impl<'a> NmPairIter<'a> {
             pairs_produced: 0,
             true_hits: HashSet::new(),
             scratches: UnitScratch::per_worker(&env),
+            probe: None,
         }
+    }
+
+    /// Makes this a grouped-NN run ([`crate::grouped`]) over `locations`.
+    pub(crate) fn with_locations(mut self, locations: &[Point]) -> Self {
+        self.probe = Some(Box::new(LocationProbe::new(locations, &self.env.domain)));
+        self
     }
 
     /// The NM counters accumulated so far (exact at leaf boundaries).
@@ -216,30 +222,25 @@ impl<'a> NmPairIter<'a> {
         self.nm
     }
 
-    /// The reuse buffer of a completely drained stream. `None` for a stream
-    /// with leaves or pairs still to come, and for a fail-stopped one:
-    /// its policy state may have advanced past payloads that were never
-    /// filled, and cells refined against an error-serving empty read could
-    /// be wrong — neither may leak into a later consumer.
-    pub(crate) fn into_cache(self) -> Option<CellCache> {
-        let drained = self.pending.is_empty() && self.ledger.cursor.is_exhausted();
-        (drained && self.ledger.error().is_none()).then_some(self.cache)
+    /// Drains the stream: its locations' counts, or `Err` if it fail-stopped.
+    pub(crate) fn into_group_counts(mut self) -> Result<GroupCounts, PageIoError> {
+        self.by_ref().for_each(drop);
+        self.ledger.finish()?;
+        Ok(self.probe.map(|p| p.into_counts()).unwrap_or_default())
     }
 
     /// Drains the remaining pairs and packages everything into the blocking
-    /// [`CijOutcome`] plus the reuse buffer; `Err` when the stream
-    /// fail-stopped.
-    pub(crate) fn try_into_outcome(mut self) -> Result<(CijOutcome, CellCache), PageIoError> {
+    /// [`CijOutcome`]; `Err` when the stream fail-stopped.
+    pub(crate) fn try_into_outcome(mut self) -> Result<CijOutcome, PageIoError> {
         let pairs = self.by_ref().collect();
         let (progress, watermarks) = self.ledger.finish()?;
-        let outcome = CijOutcome {
+        Ok(CijOutcome {
             pairs,
             breakdown: self.breakdown,
             progress,
             nm: self.nm,
             watermarks,
-        };
-        Ok((outcome, self.cache))
+        })
     }
 
     /// Folds one processed leaf into the stream's records at its sequential
@@ -367,6 +368,10 @@ impl<'a> NmPairIter<'a> {
                 self.pairs_produced += 1;
             },
         );
+        if let Some(probe) = &mut self.probe {
+            let claims = claim_leaf_locations(probe, &group, &cells_q, &candidates, &cells_p);
+            probe.settle(&claims);
+        }
         let tally = LeafTally {
             q_cells: group.len() as u64,
             candidates: candidates.len() as u64,
@@ -409,31 +414,38 @@ impl<'a> NmPairIter<'a> {
         let candidates: Vec<&[PointObject]> = scans.iter().map(|s| &s.candidates[..]).collect();
         let refined = refine_through_cache(acct, P, &mut self.cache, &candidates, &env, scratches)?;
 
-        // Report (parallel): the same kernel as the sequential path, so
-        // per-leaf pair order is identical.
-        let reported: Vec<(Vec<(u64, u64)>, u64)> = run_ordered(env.workers, scans.len(), |i| {
-            let scan = &scans[i];
+        // Report (parallel): the same kernels as the sequential path, so
+        // per-leaf pair and claim order is identical.
+        let probe = self.probe.as_deref();
+        let reported = run_ordered(env.workers, scans.len(), |i| {
+            let (scan, cells_p) = (&scans[i], &refined[i].cells);
             let mut pairs: Vec<(u64, u64)> = Vec::new();
             let mut true_hits: HashSet<u64> = HashSet::new();
             report_leaf_pairs(
                 &scan.group,
                 &scan.cells_q,
                 &scan.candidates,
-                &refined[i].cells,
+                cells_p,
                 &mut true_hits,
                 |p, q| pairs.push((p, q)),
             );
-            (pairs, true_hits.len() as u64)
+            let claims = probe.map_or_else(Vec::new, |probe| {
+                claim_leaf_locations(probe, &scan.group, &scan.cells_q, &scan.candidates, cells_p)
+            });
+            (pairs, true_hits.len() as u64, claims)
         });
 
         // Settle + emit (coordinator, leaf order), in the sequential
         // interleaving of the leaf's reads: Q scan, P filter, P refine.
-        for (i, ((scan, unit), (pairs, true_hits))) in
+        for (i, ((scan, unit), (pairs, true_hits, claims))) in
             scans.iter().zip(&refined).zip(reported).enumerate()
         {
             self.acct.settle(Q, &scan.log_rq)?;
             self.acct.settle(P, &scan.log_rp)?;
             self.acct.settle(P, &unit.log)?;
+            if let Some(probe) = &mut self.probe {
+                probe.settle(&claims);
+            }
             self.pairs_produced += pairs.len() as u64;
             let tally = (!scan.group.is_empty()).then_some(LeafTally {
                 q_cells: scan.group.len() as u64,
@@ -473,6 +485,35 @@ fn report_leaf_pairs(
             }
         }
     }
+}
+
+/// The claim pass of a grouped-NN stream, run right after
+/// [`report_leaf_pairs`] over the same aligned slices: every location a `q`
+/// cell holds claims, in report order, each reported `(p, q)` whose `p` cell
+/// holds it too — the report predicate is evaluated again where it matters.
+fn claim_leaf_locations(
+    probe: &LocationProbe,
+    group: &[PointObject],
+    cells_q: &[ConvexPolygon],
+    candidates: &[PointObject],
+    cells_p: &[ConvexPolygon],
+) -> Vec<(usize, u64, u64)> {
+    let p_bboxes: Vec<Rect> = cells_p.iter().map(|c| c.bbox()).collect();
+    let mut claims = Vec::new();
+    for (q_obj, q_cell) in group.iter().zip(cells_q) {
+        let inside = probe.locations_in(q_cell);
+        if inside.is_empty() {
+            continue;
+        }
+        let q_bbox = q_cell.bbox();
+        for ((p_obj, p_cell), p_bbox) in candidates.iter().zip(cells_p).zip(&p_bboxes) {
+            if p_bbox.intersects(&q_bbox) && p_cell.intersects(q_cell) {
+                let held = inside.iter().filter(|(_, at)| p_cell.contains_point(at));
+                claims.extend(held.map(|&(l, _)| (l, p_obj.id.0, q_obj.id.0)));
+            }
+        }
+    }
+    claims
 }
 
 /// The scan of one leaf — steps 1–2 of Algorithm 6 through snapshot readers
@@ -843,25 +884,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_keep_cache_serves_the_same_cells() {
-        let config = small_config().with_worker_threads(4);
-        let p = random_points(120, 121);
-        let q = random_points(120, 122);
-        let mut w = Workload::build(&p, &q, &config);
-        let (outcome, cache) = nm_cij_keep_cache(&mut w, &config);
-        assert!(!outcome.is_empty());
-        assert!(
-            !cache.is_empty(),
-            "the deposited reuse buffer holds the last leaves' cells"
-        );
-        assert_eq!(
-            cache.hits(),
-            outcome.nm.p_cells_reused,
-            "deposited cache counters match the outcome"
-        );
-    }
-
-    #[test]
     fn corrupt_page_fail_stops_the_stream_with_a_structured_error() {
         use cij_pagestore::{FaultKind, FaultSpec};
         let config = small_config();
@@ -893,11 +915,18 @@ mod tests {
     }
 
     #[test]
-    fn a_fail_stopped_stream_never_deposits_its_reuse_buffer() {
+    fn a_fail_stopped_stream_settles_no_claim_of_an_unemitted_leaf() {
         use cij_pagestore::{FaultSpec, RetryPolicy};
         let config = small_config().with_worker_threads(2);
         let p = random_points(300, 127);
         let q = random_points(300, 128);
+        let locations = random_points(2_000, 129);
+        let clean = {
+            let mut w = Workload::build(&p, &q, &config);
+            let stream = NmPairIter::new(&mut w, config).with_locations(&locations);
+            stream.into_group_counts().unwrap()
+        };
+        assert_eq!(clean.values().sum::<u64>(), 2_000);
         let mut failed_midway = 0;
         for seed in 0..16u64 {
             let mut w = Workload::build(&p, &q, &config);
@@ -913,17 +942,26 @@ mod tests {
                 });
                 tree.inject_fault(FaultSpec::transient(seed));
             }
-            let mut stream = NmPairIter::new(&mut w, config);
-            let rows = stream.by_ref().count();
-            let failed = stream.ledger().error().is_some();
-            assert_eq!(
-                failed,
-                stream.into_cache().is_none(),
-                "seed {seed}: the buffer is handed over exactly when the stream completes"
-            );
-            failed_midway += usize::from(failed && rows > 0);
+            let mut stream = NmPairIter::new(&mut w, config).with_locations(&locations);
+            let emitted: HashSet<(u64, u64)> = stream.by_ref().collect();
+            if stream.ledger().error().is_none() {
+                assert_eq!(stream.into_group_counts().unwrap(), clean, "seed {seed}");
+                continue;
+            }
+            // What the probe settled before the failure stays inside the
+            // stream — and covers emitted leaves only, each count a clean one.
+            let settled = stream.probe.take().unwrap().into_counts();
+            for (pair, count) in &settled {
+                assert!(
+                    emitted.contains(pair),
+                    "seed {seed}: {pair:?} was never emitted"
+                );
+                assert!(*count <= clean[pair], "seed {seed}: {pair:?} overcounted");
+            }
+            failed_midway += usize::from(!settled.is_empty());
+            assert!(stream.into_group_counts().is_err(), "seed {seed}");
         }
-        assert!(failed_midway > 0, "no seed failed after emitting pairs");
+        assert!(failed_midway > 0, "no seed failed after settling claims");
     }
 
     #[test]

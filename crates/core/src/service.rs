@@ -65,16 +65,16 @@
 //! [`QueryEngine::run`]: crate::engine::QueryEngine::run
 //! [`LeafWatermark`]: crate::stats::LeafWatermark
 
-use crate::cell_cache::{CacheBudget, CellCache};
+use crate::cell_cache::CacheBudget;
 use crate::chunk::LeafStream;
 use crate::config::CijConfig;
-use crate::grouped::{count_locations_in_regions, region_cells, GroupCounts};
+use crate::grouped::GroupCounts;
 use crate::multiway::{MultiwayTuple, TupleStream};
 use crate::nm::NmPairIter;
 use crate::workload::MultiwayWorkload;
 use cij_geom::Point;
 use cij_pagestore::PageIoError;
-use cij_rtree::{PointObject, RTree, SnapshotReader};
+use cij_rtree::{PointObject, RTree};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -111,7 +111,6 @@ fn wait_recover<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a,
 #[derive(Debug)]
 pub struct EngineSnapshot {
     config: CijConfig,
-    objects: Vec<Vec<PointObject>>,
     trees: Vec<RTree<PointObject>>,
 }
 
@@ -124,7 +123,6 @@ impl EngineSnapshot {
     pub fn build(sets: &[Vec<Point>], config: &CijConfig) -> Self {
         EngineSnapshot {
             config: *config,
-            objects: sets.iter().map(|s| PointObject::from_points(s)).collect(),
             trees: MultiwayWorkload::build(sets, config).trees,
         }
     }
@@ -171,9 +169,9 @@ pub enum Request {
         /// Indices of the participating sets.
         sets: Vec<usize>,
     },
-    /// Grouped nearest-neighbour analysis: joins sets `p` and `q`, then
-    /// counts `locations` per common influence region. Delivers one final
-    /// [`Batch::Groups`].
+    /// Grouped nearest-neighbour analysis: joins sets `p` and `q`, counting
+    /// `locations` per common influence region as the join reports
+    /// ([`crate::grouped`]); one final [`Batch::Groups`], none on failure.
     GroupedNn {
         /// Index of the `P` set.
         p: usize,
@@ -234,7 +232,7 @@ pub struct Completion {
     /// Result rows produced (pairs, tuples, or groups).
     pub rows: u64,
     /// The query's page-access figure: its private logical snapshot-read
-    /// count (fast-mode accounting; no shared counter was touched).
+    /// count (fast-mode accounting); a grouped request's is its join's.
     pub page_accesses: u64,
     /// Leaf watermarks the underlying stream recorded.
     pub watermarks: usize,
@@ -742,22 +740,22 @@ fn run_job(
 
 /// Drives one join stream to its end — the one loop every request kind
 /// runs. Pull a row; whenever the stream's watermark count grew, everything
-/// buffered before is final: flush it as one batch through `batch` (a
-/// request that delivers no rows incrementally passes `None` and keeps them
-/// buffered), then poll cancellation and the deadline — watermark boundaries
-/// double as the cooperative stop points, so a stopped query never tears a
-/// batch. At the end of the stream flush what is left (a fail-stopped
-/// stream emitted only watermark-covered rows — the valid prefix) and
-/// surface a latched storage error.
+/// buffered before is final: flush it as one batch through `batch` (`None`
+/// when the rows are not the answer: they are dropped as they are pulled),
+/// then poll cancellation and the deadline — watermark boundaries double as
+/// the cooperative stop points, so a stopped query never tears a batch. At
+/// the end of the stream flush what is left (a fail-stopped stream emitted
+/// only watermark-covered rows — the valid prefix) and surface a latched
+/// storage error.
 ///
-/// Returns the rows still buffered and the stream's summary, or `None` when
-/// the query ended here with its terminal error frame.
+/// Returns the stream's summary, or `None` when the query ended here with
+/// its terminal error frame.
 fn drive<T, S: LeafStream<Item = T>>(
     stream: &mut S,
     job: &Job,
     clock: &dyn ServiceClock,
     batch: Option<fn(Vec<T>) -> Batch>,
-) -> Option<(Vec<T>, Completion)> {
+) -> Option<Completion> {
     let shared = &job.shared;
     let mut buffered: Vec<T> = Vec::new();
     let mut rows = 0u64;
@@ -779,7 +777,8 @@ fn drive<T, S: LeafStream<Item = T>>(
             }
         }
         match next {
-            Some(row) => buffered.push(row),
+            Some(row) if batch.is_some() => buffered.push(row),
+            Some(_) => {}
             None => break ledger.error().cloned().map(QueryError::Storage),
         }
     };
@@ -795,7 +794,7 @@ fn drive<T, S: LeafStream<Item = T>>(
             fail_query(shared, error, summary);
             None
         }
-        None => Some((buffered, summary)),
+        None => Some(summary),
     }
 }
 
@@ -816,7 +815,7 @@ fn execute(
         Request::Join { p, q } => {
             let (rp, rq) = (&snapshot.trees[*p], &snapshot.trees[*q]);
             let mut stream = NmPairIter::over_snapshot(rp, rq, lease.new_cache(), config);
-            if let Some((_, done)) = drive(&mut stream, job, clock, Some(Batch::Pairs)) {
+            if let Some(done) = drive(&mut stream, job, clock, Some(Batch::Pairs)) {
                 mark_done(shared, done);
             }
         }
@@ -825,39 +824,23 @@ fn execute(
                 sets.iter().map(|&s| &snapshot.trees[s]).collect();
             let caches = lease.split_caches(trees.len());
             let mut stream = TupleStream::over_snapshot(trees, caches, config);
-            if let Some((_, done)) = drive(&mut stream, job, clock, Some(Batch::Tuples)) {
+            if let Some(done) = drive(&mut stream, job, clock, Some(Batch::Tuples)) {
                 mark_done(shared, done);
             }
         }
         Request::GroupedNn { p, q, locations } => {
             let (rp, rq) = (&snapshot.trees[*p], &snapshot.trees[*q]);
-            let mut stream = NmPairIter::over_snapshot(rp, rq, lease.new_cache(), config);
-            let Some((pairs, join)) = drive(&mut stream, job, clock, None) else {
+            let mut stream = NmPairIter::over_snapshot(rp, rq, lease.new_cache(), config)
+                .with_locations(locations);
+            let Some(join) = drive(&mut stream, job, clock, None) else {
                 return;
             };
-            // Reuse the join's still-warm cell cache for the P-side region
-            // materialisation, exactly like the workload-owning plan.
-            let mut cache_p = stream.into_cache().unwrap_or_else(|| CellCache::new(0));
-            let (mut reader_p, mut reader_q) = (SnapshotReader::new(rp), SnapshotReader::new(rq));
-            let cells = region_cells(
-                (&mut reader_p, &snapshot.objects[*p]),
-                (&mut reader_q, &snapshot.objects[*q]),
-                &pairs,
-                &config.domain,
-                &mut cache_p,
-            );
-            // The materialisation phase reads pages too.
-            let summary = Completion {
-                page_accesses: join.page_accesses + reader_p.reads() + reader_q.reads(),
-                ..join
-            };
-            match cells {
-                Err(e) => fail_query(shared, QueryError::Storage(e), summary),
-                Ok([cells_p, cells_q]) => {
-                    let counts = count_locations_in_regions(&pairs, &cells_p, &cells_q, locations);
+            match stream.into_group_counts() {
+                Err(e) => fail_query(shared, QueryError::Storage(e), join),
+                Ok(counts) => {
                     let rows = counts.len() as u64;
                     push_batch(shared, Batch::Groups(counts));
-                    mark_done(shared, Completion { rows, ..summary });
+                    mark_done(shared, Completion { rows, ..join });
                 }
             }
         }
@@ -868,9 +851,10 @@ fn execute(
 mod tests {
     use super::*;
     use crate::brute::brute_force_cij;
+    use crate::cell_cache::CellCache;
     use crate::config::CijConfig;
     use crate::grouped::grouped_nn_via_all_nn;
-    use cij_rtree::RTreeConfig;
+    use cij_rtree::{RTreeConfig, SnapshotReader};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1095,8 +1079,9 @@ mod tests {
     }
 
     /// Drains a failed request: its completion, after checking that exactly
-    /// one terminal error frame arrived, that it was the last frame, and
-    /// that it carries the completion's error.
+    /// one terminal error frame arrived, that it was the last frame, that
+    /// it carries the completion's error — and that no [`Batch::Groups`]
+    /// came before it: counts of a partial join never leave the worker.
     fn failed_completion(handle: &ResponseHandle) -> Completion {
         let mut frames = Vec::new();
         while let Some(batch) = handle.next_batch() {
@@ -1113,6 +1098,7 @@ mod tests {
             .collect();
         assert_eq!(errors, [completion.error.as_ref().expect("a reason")]);
         assert!(matches!(frames.last(), Some(Batch::Error(_))));
+        assert!(!frames.iter().any(|batch| matches!(batch, Batch::Groups(_))));
         completion
     }
 

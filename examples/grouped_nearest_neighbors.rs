@@ -4,10 +4,11 @@
 //! nearest ones.
 //!
 //! The naive plan runs two all-nearest-neighbour joins over the large set
-//! `L`. The CIJ plan computes `CIJ(P, Q)` first: only pairs in the CIJ can
-//! have a non-zero count (a house in `V(p, P) ∩ V(q, Q)` has `p` and `q` as
-//! nearest neighbours), so the GROUP-BY can be restricted to those pairs.
-//! This example runs both plans and checks that they agree.
+//! `L`. The CIJ plan computes `CIJ(P, Q)`: only pairs in the CIJ can have a
+//! non-zero count (a house in `V(p, P) ∩ V(q, Q)` has `p` and `q` as nearest
+//! neighbours), and [`QueryEngine::grouped_nn`] counts the houses while the
+//! join reports those pairs — no region is ever materialised. This example
+//! runs both plans and checks that they agree.
 //!
 //! Run with:
 //! ```text
@@ -15,7 +16,7 @@
 //! ```
 
 use cij::prelude::*;
-use cij::voronoi::{brute_force_diagram, nearest_index};
+use cij::voronoi::nearest_index;
 use std::collections::HashMap;
 
 fn main() {
@@ -33,7 +34,8 @@ fn main() {
         23,
     );
 
-    // CIJ plan: join the two small sets, then assign houses to CIJ regions.
+    // CIJ plan: join the two small sets and count the houses as the join
+    // reports each pair's cells.
     let engine = QueryEngine::new(CijConfig::default());
     let cij = engine.join(&hospitals, &parks, Algorithm::NmCij);
     println!(
@@ -41,35 +43,10 @@ fn main() {
         cij.pairs.len(),
         hospitals.len() * parks.len()
     );
-
-    let cells_h = brute_force_diagram(&hospitals, &Rect::DOMAIN);
-    let cells_p = brute_force_diagram(&parks, &Rect::DOMAIN);
-
-    // Precompute the common influence region of each CIJ pair, then count
-    // the houses falling inside each region.
-    let regions: Vec<((u64, u64), ConvexPolygon)> = cij
-        .pairs
-        .iter()
-        .map(|&(h, p)| {
-            (
-                (h, p),
-                cells_h[h as usize].intersection(&cells_p[p as usize]),
-            )
-        })
-        .collect();
-    let mut counts_cij: HashMap<(u64, u64), u32> = HashMap::new();
-    for house in &houses {
-        // A house lies in exactly one region (up to boundary ties).
-        if let Some(((h, p), _)) = regions
-            .iter()
-            .find(|(_, region)| region.contains_point(house))
-        {
-            *counts_cij.entry((*h, *p)).or_insert(0) += 1;
-        }
-    }
+    let counts_cij = engine.grouped_nn(&hospitals, &parks, &houses);
 
     // Naive plan: two nearest-neighbour lookups per house.
-    let mut counts_naive: HashMap<(u64, u64), u32> = HashMap::new();
+    let mut counts_naive: HashMap<(u64, u64), u64> = HashMap::new();
     for house in &houses {
         let h = nearest_index(&hospitals, house).unwrap() as u64;
         let p = nearest_index(&parks, house).unwrap() as u64;
@@ -77,23 +54,21 @@ fn main() {
     }
 
     // The two plans agree, and every non-empty group is a CIJ pair.
-    let mut mismatches = 0;
-    for (key, count) in &counts_naive {
-        if counts_cij.get(key).copied().unwrap_or(0) != *count {
-            mismatches += 1;
-        }
-        assert!(
-            cij.pairs.contains(key),
-            "group {key:?} found by AllNN is not a CIJ pair"
-        );
+    for key in counts_cij.keys().chain(counts_naive.keys()) {
+        assert!(cij.pairs.contains(key), "group {key:?} is not a CIJ pair");
     }
+    let mismatches = counts_naive
+        .iter()
+        .filter(|(key, count)| counts_cij.get(*key) != Some(*count))
+        .count();
     println!(
         "grouped counts agree for {} groups ({} boundary-tie mismatches)",
         counts_naive.len() - mismatches,
         mismatches
     );
+    assert_eq!(counts_cij, counts_naive, "the two plans disagree");
 
-    let mut top: Vec<((u64, u64), u32)> = counts_naive.into_iter().collect();
+    let mut top: Vec<((u64, u64), u64)> = counts_naive.into_iter().collect();
     top.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
     println!("\nbusiest (hospital, park) pairs:");
     for ((h, p), count) in top.iter().take(5) {

@@ -4,6 +4,7 @@
 //! counts, and concurrent served queries must be isolated from each other
 //! by their private cache quotas.
 
+use cij::core::grouped_nn_via_all_nn;
 use cij::prelude::*;
 use cij::rtree::RTreeConfig;
 use proptest::prelude::*;
@@ -224,4 +225,43 @@ fn raw_snapshot_sharing_without_the_service() {
             });
         }
     });
+}
+
+/// A grouped request is its join's own stream with the locations counted
+/// as the pairs are reported: however many locations it carries, it reads
+/// exactly the pages `Join` over the same sets reads under the same quota
+/// — no second pass over either tree — and counts what the two-lookups-per-
+/// location plan counts.
+#[test]
+fn a_served_grouped_request_reads_exactly_what_its_join_reads() {
+    let engine = QueryEngine::new(config_for(StorageBackend::Heap, 2, ExecMode::Fast));
+    let sets = [
+        uniform_points(600, &Rect::DOMAIN, 9301),
+        uniform_points(600, &Rect::DOMAIN, 9302),
+    ];
+    let service = engine.serve(&sets, ServiceConfig::default());
+    let join = service.submit(Request::Join { p: 0, q: 1 }).unwrap();
+    let pairs = join.collect_pairs();
+    let join = join.completion();
+    assert!(join.page_accesses > 0 && join.rows == pairs.len() as u64);
+    for n in [0usize, 1, 500, 5_000] {
+        let locations = uniform_points(n, &Rect::DOMAIN, 9303);
+        let oracle = grouped_nn_via_all_nn(&sets[0], &sets[1], &locations);
+        let handle = service
+            .submit(Request::GroupedNn {
+                p: 0,
+                q: 1,
+                locations,
+            })
+            .unwrap();
+        let counts = handle.collect_groups();
+        let done = handle.completion();
+        assert!(!done.failed, "{n} locations");
+        assert_eq!(done.page_accesses, join.page_accesses, "{n} locations");
+        assert_eq!(done.watermarks, join.watermarks, "{n} locations");
+        assert_eq!(done.rows, counts.len() as u64, "{n} locations");
+        assert!(counts.keys().all(|pair| pairs.contains(pair)));
+        assert_eq!(counts, oracle, "{n} locations");
+    }
+    service.shutdown();
 }

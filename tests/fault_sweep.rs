@@ -12,9 +12,17 @@
 //! *warmed* by a clean join whose buffers are then shrunk just below the
 //! tree size only miss now and then, so the failure point moves through the
 //! run — including into replays of pages a worker could still read.
+//!
+//! The grouped-NN plan is swept as a served request (fast accounting over a
+//! shared snapshot, the only way the public API hands out its errors): it
+//! answers with the clean run's counts or with a storage error and no counts
+//! at all — never with counts of part of the join. Its third regime leaves
+//! the retries on: the same schedules, absorbed, must not move a count.
 
+use cij::core::grouped_nn_via_cij;
 use cij::prelude::*;
 use cij::rtree::RTreeConfig;
+use std::sync::Arc;
 
 const SEEDS: std::ops::Range<u64> = 0..64;
 
@@ -173,4 +181,78 @@ fn multiway_fail_stops_at_a_watermark_for_every_transient_seed() {
         }
     }
     tally.assert_exercised();
+}
+
+#[test]
+fn served_grouped_nn_answers_with_the_clean_counts_or_none_for_every_transient_seed() {
+    let config = sweep_config();
+    let sets = [
+        uniform_points(400, &Rect::DOMAIN, 9_106),
+        uniform_points(400, &Rect::DOMAIN, 9_107),
+    ];
+    let locations = uniform_points(1_000, &Rect::DOMAIN, 9_108);
+    let clean = grouped_nn_via_cij(&sets[0], &sets[1], &locations, &config);
+    assert_eq!(clean.values().sum::<u64>(), 1_000);
+
+    let (mut completed, mut failed_empty, mut failed_midway) = (0, 0, 0);
+    for seed in SEEDS {
+        for (warm, retried) in [(false, false), (true, false), (false, true)] {
+            let mut snapshot = EngineSnapshot::build(&sets, &config);
+            for (i, seed) in [(0, seed), (1, seed ^ 0x5EED)] {
+                let tree = snapshot.tree_mut(i);
+                if warm {
+                    // Everything resident, the root and one leaf most
+                    // recently used: arming then evicts two other leaves,
+                    // and only reads of those can fail.
+                    tree.set_buffer_pages(tree.num_pages());
+                    tree.scan_all();
+                    tree.range_query(&Rect::from_point(Rect::DOMAIN.center()));
+                }
+                arm(tree, seed, warm);
+                if retried {
+                    tree.set_retry_policy(RetryPolicy::default());
+                }
+            }
+            let service = CijService::start(Arc::new(snapshot), ServiceConfig::default());
+            let request = Request::GroupedNn {
+                p: 0,
+                q: 1,
+                locations: locations.clone(),
+            };
+            let handle = service.submit(request).unwrap();
+            let mut frames = Vec::new();
+            while let Some(batch) = handle.next_batch() {
+                frames.push(batch);
+            }
+            let done = handle.completion();
+            let label = format!("seed {seed}, warm {warm}, retried {retried}");
+            match &frames[..] {
+                [Batch::Groups(counts)] => {
+                    assert!(!done.failed, "{label}");
+                    assert_eq!(counts, &clean, "{label}: completed but diverged");
+                    completed += 1;
+                }
+                [Batch::Error(QueryError::Storage(error))] if !retried => {
+                    assert_eq!(done.error, Some(QueryError::Storage(error.clone())));
+                    assert_eq!(done.rows, 0, "{label}");
+                    if done.watermarks == 0 {
+                        failed_empty += 1;
+                    } else {
+                        failed_midway += 1;
+                    }
+                }
+                other => panic!("{label}: counts of a partial join, or no answer: {other:?}"),
+            }
+            service.shutdown();
+        }
+    }
+    assert!(
+        completed >= SEEDS.count(),
+        "every retried request completes"
+    );
+    assert!(failed_empty > 0, "no request failed at its start");
+    // Same exemption as `Tally::assert_exercised`.
+    if FaultSpec::from_env().is_none() {
+        assert!(failed_midway > 0, "no request failed midway");
+    }
 }

@@ -4,8 +4,10 @@
 //! same page-access totals — on uniform and clustered workloads, under
 //! cache-eviction pressure, and through the streaming interface.
 
+use cij::core::grouped_nn_via_cij;
 use cij::prelude::*;
 use cij::rtree::RTreeConfig;
+use cij::voronoi::brute_force_diagram;
 use proptest::prelude::*;
 
 /// Small pages so even modest datasets produce multi-level trees; honours
@@ -117,6 +119,43 @@ fn parallel_run_agrees_with_the_brute_force_oracle() {
         outcome.sorted_pairs(),
         brute_force_cij(&p, &q, &config.domain)
     );
+}
+
+/// One tie rule in every mode: a location on a shared boundary lies in
+/// several common influence regions and goes to the first reported pair
+/// that holds it. That pair is fixed by the join's pair sequence, so the
+/// grouped counts are one value across metered / fast accounting, worker
+/// counts and storage backends — here over locations that are nothing but
+/// ties (vertices and edge midpoints of both diagrams, duplicated) besides
+/// the ordinary ones.
+#[test]
+fn grouped_counts_are_identical_in_every_mode() {
+    let p = uniform_points(300, &Rect::DOMAIN, 9309);
+    let q = clustered(300, 9310);
+    let mut locations = uniform_points(1_500, &Rect::DOMAIN, 9311);
+    for sites in [&p, &q] {
+        for cell in brute_force_diagram(sites, &Rect::DOMAIN).iter().step_by(3) {
+            let v = cell.vertices();
+            locations.extend([v[0], v[1], v[0].midpoint(&v[1]), v[0]]);
+        }
+    }
+    let reference = grouped_nn_via_cij(&p, &q, &locations, &test_config());
+    assert_eq!(reference.values().sum::<u64>(), locations.len() as u64);
+    for mode in [ExecMode::Metered, ExecMode::Fast] {
+        for threads in [1usize, 2, 4] {
+            for backend in StorageBackend::ALL {
+                let config = test_config()
+                    .with_exec_mode(mode)
+                    .with_worker_threads(threads)
+                    .with_storage_backend(backend);
+                assert_eq!(
+                    grouped_nn_via_cij(&p, &q, &locations, &config),
+                    reference,
+                    "{mode:?}, {threads} threads, {backend:?}"
+                );
+            }
+        }
+    }
 }
 
 proptest! {

@@ -1,8 +1,10 @@
 //! Property-based integration tests: the CIJ invariants must hold for
 //! arbitrary small pointsets, not just the hand-picked ones.
 
+use cij::core::grouped_nn_via_all_nn;
 use cij::prelude::*;
 use cij::rtree::RTreeConfig;
+use cij::voronoi::{brute_force_diagram, nearest_index};
 use proptest::prelude::*;
 
 /// Honours the `CIJ_WORKER_THREADS` / `CIJ_STORAGE` overrides CI uses to
@@ -19,6 +21,44 @@ fn test_config() -> CijConfig {
 fn pointset(max_len: usize) -> impl Strategy<Value = Vec<Point>> {
     proptest::collection::vec((0.0..10_000.0f64, 0.0..10_000.0f64), 1..max_len)
         .prop_map(|v| v.into_iter().map(|(x, y)| Point::new(x, y)).collect())
+}
+
+/// Distance from `l` to the nearest bisector bounding the cell of its
+/// nearest site (infinite for a single site): `l` is a tie of the Voronoi
+/// diagram of `sites` exactly when this is zero.
+fn bisector_gap(sites: &[Point], l: &Point) -> f64 {
+    let a = sites[nearest_index(sites, l).expect("sites")];
+    sites
+        .iter()
+        .filter(|b| **b != a)
+        .map(|b| (b.dist_sq(l) - a.dist_sq(l)) / (2.0 * a.dist(b)))
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// A location picked to sit where point-in-cell decisions are hardest: on a
+/// site, on a vertex or an edge of one of the two (brute-force) diagrams,
+/// on the border or a corner of the domain, outside it — or anywhere.
+fn adversarial_location(
+    (kind, i, j, t): (usize, usize, usize, f64),
+    sites: [&[Point]; 2],
+    diagrams: &[Vec<ConvexPolygon>; 2],
+) -> Point {
+    let (sites, cells) = (sites[i % 2], &diagrams[i % 2]);
+    let cell = cells[(i / 2) % cells.len()].vertices();
+    let (a, b) = (cell[j % cell.len()], cell[(j + 1) % cell.len()]);
+    let side = [0.0, 10_000.0][j % 2];
+    match kind {
+        0 => sites[(i / 2) % sites.len()],
+        1 => a,
+        2 => Point::new(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)),
+        3 => [
+            Point::new(t * 10_000.0, side),
+            Point::new(side, t * 10_000.0),
+        ][i % 2],
+        4 => Point::new(side, [0.0, 10_000.0][i % 2]),
+        5 => Point::new(side + (side - 5_000.0) * (1e-3 + t), t * 10_000.0),
+        _ => Point::new(t * 10_000.0, (i * 7_919 + j * 104_729) as f64 % 10_000.0),
+    }
 }
 
 proptest! {
@@ -99,5 +139,50 @@ proptest! {
         for &(a, b) in &pairs {
             prop_assert!((a as usize) < p.len() && (b as usize) < p.len());
         }
+    }
+
+    #[test]
+    fn grouped_counts_match_the_all_nn_oracle_on_adversarial_locations(
+        p in pointset(30),
+        q in pointset(30),
+        picks in proptest::collection::vec(
+            (0usize..8, 0usize..1_000, 0usize..1_000, 0.0..1.0f64),
+            1..60,
+        ),
+    ) {
+        let engine = QueryEngine::new(test_config());
+        let domain = engine.config().domain;
+        let diagrams = [brute_force_diagram(&p, &domain), brute_force_diagram(&q, &domain)];
+        let mut locations = Vec::new();
+        for pick in picks {
+            let l = adversarial_location(pick, [&p, &q], &diagrams);
+            // Every third location twice: duplicates count independently.
+            locations.extend(std::iter::repeat_n(l, 1 + usize::from(pick.1 % 3 == 0)));
+        }
+        let inside = |l: &Point| domain.contains_point(l);
+        let (clear, tied): (Vec<Point>, Vec<Point>) = locations.iter().partition(|l| {
+            inside(l) && bisector_gap(&p, l) > 1e-6 && bisector_gap(&q, l) > 1e-6
+        });
+
+        // Only CIJ pairs are counted for, and every location inside the
+        // domain exactly once — none outside it.
+        let pairs = engine.join(&p, &q, Algorithm::NmCij).sorted_pairs();
+        let all = engine.grouped_nn(&p, &q, &locations);
+        for key in all.keys() {
+            prop_assert!(pairs.binary_search(key).is_ok(), "{key:?} is not a CIJ pair");
+        }
+        let in_domain = locations.iter().filter(|l| inside(l)).count();
+        prop_assert_eq!(all.values().sum::<u64>(), in_domain as u64);
+
+        // More than 1e-6 from every bisector the groups are the oracle's;
+        // and since locations are counted independently of one another, the
+        // rest — the ties — is all that can make `all` differ from it.
+        let clear_counts = engine.grouped_nn(&p, &q, &clear);
+        prop_assert_eq!(&clear_counts, &grouped_nn_via_all_nn(&p, &q, &clear));
+        let mut sum = clear_counts;
+        for (key, count) in engine.grouped_nn(&p, &q, &tied) {
+            *sum.entry(key).or_insert(0) += count;
+        }
+        prop_assert_eq!(sum, all);
     }
 }
