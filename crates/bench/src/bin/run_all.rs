@@ -25,7 +25,6 @@ fn main() {
     experiments::fig11::run(&forward(0.02));
     experiments::table3::run(&forward(0.02));
     experiments::cache_sweep::run(&forward(0.02));
-    experiments::multiway_scale::run(&forward(0.01));
     experiments::fault_storm::run(&forward(0.02));
     println!("\nAll experiments completed.");
 }

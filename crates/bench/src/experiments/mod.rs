@@ -12,14 +12,13 @@
 //! | [`fig11`] | Fig. 11 — REUSE vs NO-REUSE Voronoi-cell computations |
 //! | [`table3`] | Table III — result sizes and page accesses on real dataset pairs |
 //!
-//! Beyond the paper's own figures, three engineering experiments cover this
+//! Beyond the paper's own figures, two engineering experiments cover this
 //! reproduction's extensions; what the repo benchmark (`cij_benchmark/`) or a
 //! tier-1 test measures has no experiment here.
 //!
 //! | Module | Measures |
 //! |---|---|
 //! | [`cache_sweep`] | Fig. 8a-style sweep of the Section IV-B reuse-buffer capacity (`cell_cache_capacity`) |
-//! | [`multiway_scale`] | Multiway CIJ over k ∈ {2, 3, 4} sets: cost-driven planning vs the fixed-driver baseline, bbox pruning of narrowings, thread-parity check |
 //! | [`fault_storm`] | Injected I/O faults on every backend: seeded transient storms must be byte-invisible (store-level retry parity), a persistently corrupt frame must fail exactly the touching query with a structured error while concurrent healthy queries stay oracle-identical |
 
 pub mod cache_sweep;
@@ -31,6 +30,5 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod multiway_scale;
 pub mod table2;
 pub mod table3;

@@ -108,12 +108,12 @@
 
 use crate::cell_cache::CellCache;
 use crate::config::{CijConfig, ExecMode};
-use crate::filter::{FilterOptions, FilterScratch};
+use crate::filter::FilterScratch;
 use crate::stats::{LeafWatermark, ProgressSample};
 use cij_geom::{ClipScratch, ConvexPolygon, Rect};
 use cij_pagestore::{IoSnapshot, IoStats, PageId, PageIoError};
 use cij_rtree::reader::leaf_pages_hilbert_order;
-use cij_rtree::{LeafLayout, NodeReader, PointObject, RTree, ReadLog, SnapshotReader};
+use cij_rtree::{NodeReader, PointObject, RTree, ReadLog, SnapshotReader};
 use cij_voronoi::{batch_voronoi_with, VorScratch};
 use std::sync::Mutex;
 
@@ -281,8 +281,6 @@ pub(crate) struct UnitEnv {
     /// Worker pool width ([`CijConfig::effective_worker_threads`]).
     pub(crate) workers: usize,
     pub(crate) domain: Rect,
-    pub(crate) layout: LeafLayout,
-    pub(crate) filter_options: FilterOptions,
     /// Node byte budget the per-worker scratches are pre-sized for.
     pub(crate) budget: usize,
 }
@@ -292,9 +290,6 @@ impl UnitEnv {
         UnitEnv {
             workers: config.effective_worker_threads(),
             domain: config.domain,
-            layout: config.leaf_layout,
-            filter_options: FilterOptions::for_kernel(config.filter_kernel)
-                .with_layout(config.leaf_layout),
             budget,
         }
     }
@@ -633,7 +628,7 @@ fn refine_missing(
         }
         let mut reader = acct.reader(tree);
         let vor = &mut scratch.vor;
-        let cells = batch_voronoi_with(&mut reader, missing, &env.domain, env.layout, vor);
+        let cells = batch_voronoi_with(&mut reader, missing, &env.domain, vor);
         (cells, reader.finish())
     });
     gate(refined.iter().map(|(_, log)| log))?;

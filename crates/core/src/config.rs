@@ -4,78 +4,12 @@ use cij_geom::Rect;
 use cij_pagestore::StorageBackend;
 use cij_rtree::{LeafLayout, RTreeConfig};
 
-/// Which conditional-filter kernel
-/// [`batch_conditional_filter_scratch`](crate::filter::batch_conditional_filter_scratch)
-/// runs — the strategy for computing each examined point's approximate cell
-/// and for testing cells/entries against the probe polygons.
+// Inert: `cij_benchmark/src/layers.rs` is its only reader.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FilterKernel {
-    /// The sub-quadratic kernel: candidates live in a uniform-grid spatial
-    /// index queried nearest-first with a sound distance cutoff, and probe
-    /// polygons are bbox-indexed, so per-point clipping touches only *near*
-    /// candidates and the polygon tests stop being linear scans. The
-    /// default; returns the same candidate set as [`FilterKernel::Scan`].
     #[default]
     Indexed,
-    /// The historical quadratic kernel: every examined point clips against
-    /// all candidates found so far and every polygon test scans the whole
-    /// batch. Kept as the parity baseline (`tests/filter_kernel.rs` asserts
-    /// identical candidates and bounds the clip operations the indexed
-    /// kernel spends per examined point).
-    Scan,
-}
-
-impl FilterKernel {
-    /// Short label used by benches and tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            FilterKernel::Indexed => "indexed",
-            FilterKernel::Scan => "scan",
-        }
-    }
-}
-
-impl std::str::FromStr for FilterKernel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "indexed" => Ok(FilterKernel::Indexed),
-            "scan" => Ok(FilterKernel::Scan),
-            other => Err(format!(
-                "unknown filter kernel {other:?} (expected \"indexed\" or \"scan\")"
-            )),
-        }
-    }
-}
-
-/// How the multiway CIJ picks the **driver tree** — the input set whose
-/// Hilbert-ordered leaves drive the leaf units of the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MultiwayDriver {
-    /// Pick the cheapest driver by the cost model of
-    /// [`MultiwayWorkload::estimated_driver_cost`](crate::workload::MultiwayWorkload::estimated_driver_cost)
-    /// (estimated leaf count of the driver × summed fan-out of the extension
-    /// sets, from tree metadata). Ties resolve to the lowest set index, so
-    /// symmetric workloads behave exactly like the historical hard-coded
-    /// choice. The default.
-    #[default]
-    CostBased,
-    /// Always drive with the given set index (PR-4 hard-coded set 0 — the
-    /// baseline the `multiway_scale` experiment compares against, and the
-    /// pin parity tests use: at a fixed driver, results are identical across
-    /// thread counts and storage backends tuple-for-tuple).
-    Fixed(usize),
-}
-
-impl MultiwayDriver {
-    /// Short label used by benches and tables.
-    pub fn name(&self) -> String {
-        match self {
-            MultiwayDriver::CostBased => "cost".to_string(),
-            MultiwayDriver::Fixed(d) => format!("fixed({d})"),
-        }
-    }
 }
 
 /// How a streaming executor pays for its tree reads — the trade between
@@ -143,13 +77,13 @@ pub struct CijConfig {
     /// input trees of a [`Workload`](crate::workload::Workload), the
     /// materialised Voronoi R-trees, the multiway trees.
     ///
-    /// [`StorageBackend::Heap`] (default) keeps page frames in memory, the
-    /// historical simulated disk; [`StorageBackend::File`] keeps them in a
-    /// real file accessed with positioned I/O; [`StorageBackend::Mmap`]
-    /// memory-maps an unlinked temp file so the kernel manages frame
-    /// residency. The choice cannot affect results or page-access counts
-    /// (the backend parity guarantee of `cij_pagestore`) — it decides
-    /// whether the counted accesses move real bytes, which
+    /// [`StorageBackend::Heap`] (default) keeps page frames in memory, a
+    /// simulated disk; [`StorageBackend::File`] keeps them in a real file
+    /// accessed with positioned I/O; [`StorageBackend::Mmap`] memory-maps an
+    /// unlinked temp file so the kernel manages frame residency. The choice
+    /// cannot affect results or page-access counts (the backend parity
+    /// guarantee of `cij_pagestore`) — it decides whether the counted
+    /// accesses move real bytes, which
     /// `tests/storage.rs::file_bytes_read_match_counted_physical_reads`
     /// cross-checks.
     pub storage_backend: StorageBackend,
@@ -173,20 +107,20 @@ pub struct CijConfig {
     /// [`CellCache`](crate::cell_cache::CellCache) used as the Section IV-B
     /// reuse buffer by NM-CIJ and the multiway/grouped extensions.
     ///
-    /// The seed implementation grew an unbounded `HashMap`; the paper's
-    /// buffer experiments (Fig. 8a) show reuse benefit saturating once the
-    /// buffer covers the candidate overlap of neighbouring `RQ` leaves — a
-    /// few leaves' worth of cells. The default (1024) is comfortably above
-    /// that saturation point at the paper's default leaf sizes while keeping
-    /// memory bounded at scale. Zero disables caching.
+    /// The paper's buffer experiments (Fig. 8a) show reuse benefit
+    /// saturating once the buffer covers the candidate overlap of
+    /// neighbouring `RQ` leaves — a few leaves' worth of cells. The default
+    /// (1024) is comfortably above that saturation point at the paper's
+    /// default leaf sizes while keeping memory bounded at scale. Zero
+    /// disables caching.
     pub cell_cache_capacity: usize,
     /// Granularity of the progressive-output trace: a sample is recorded
     /// every this many result pairs (plus one sample per outer-loop step).
     pub progress_sample_pairs: u64,
     /// Number of worker threads NM-CIJ uses to process the leaves of `RQ`.
     ///
-    /// `0` or `1` (the default) runs the classic single-threaded leaf loop,
-    /// byte-for-byte unchanged. Values above `1` execute leaf units
+    /// `0` or `1` (the default) runs the single-threaded leaf loop. Values
+    /// above `1` execute leaf units
     /// `(cells → filter → refine)` on a [`std::thread::scope`] worker pool
     /// and reassemble the per-leaf pair buffers in Hilbert leaf order, so
     /// the emitted pairs (set *and* order), the NM counters and the
@@ -202,33 +136,12 @@ pub struct CijConfig {
     /// the same knob with the same exact-parity guarantee over its leaf
     /// units.
     pub worker_threads: usize,
-    /// Conditional-filter kernel every algorithm's filter phase runs (see
-    /// [`FilterKernel`]); [`FilterKernel::Indexed`] by default, with
-    /// [`FilterKernel::Scan`] as the historical quadratic baseline. Both
-    /// kernels return the same candidate set — the knob trades CPU
-    /// strategies, never results.
+    // Inert: `cij_benchmark/src/layers.rs` is its only reader.
+    #[doc(hidden)]
     pub filter_kernel: FilterKernel,
-    /// Driver-tree selection of the multiway CIJ (see [`MultiwayDriver`]);
-    /// cost-based by default.
-    pub multiway_driver: MultiwayDriver,
-    /// Memory layout of the decoded-node hot paths (see
-    /// [`LeafLayout`]): [`LeafLayout::Soa`] (the
-    /// default) decodes nodes into reusable per-worker SoA arenas and clips
-    /// cells in place through scratch buffers; [`LeafLayout::Aos`] is the
-    /// historical owned-`Node`/allocating-clip baseline. Both layouts
-    /// produce byte-identical pairs, tuples, counters and page accesses —
-    /// the knob trades memory shape, never results (asserted by
-    /// `tests/layout.rs`).
-    ///
-    /// [`LeafLayout::Soa`]: cij_rtree::LeafLayout::Soa
-    /// [`LeafLayout::Aos`]: cij_rtree::LeafLayout::Aos
+    // Inert: `cij_benchmark/src/layers.rs` is its only reader.
+    #[doc(hidden)]
     pub leaf_layout: LeafLayout,
-    /// Whether the multiway CIJ's candidate×partial narrowing skips
-    /// combinations whose bounding boxes are disjoint (their polygon
-    /// intersection would be empty anyway; counted in
-    /// [`MultiwayCounters::narrowings_skipped`](crate::stats::MultiwayCounters::narrowings_skipped)).
-    /// On by default; disable to pay for every intersection.
-    pub multiway_prune: bool,
     /// Execution path of the streaming executors (see [`ExecMode`]):
     /// [`ExecMode::Metered`] (the default) is the byte-exact counted
     /// oracle, [`ExecMode::Fast`] the lock-light serving path with
@@ -251,9 +164,7 @@ impl Default for CijConfig {
             progress_sample_pairs: 1_000,
             worker_threads: 1,
             filter_kernel: FilterKernel::Indexed,
-            multiway_driver: MultiwayDriver::CostBased,
             leaf_layout: LeafLayout::Soa,
-            multiway_prune: true,
             exec_mode: ExecMode::Metered,
         }
     }
@@ -311,31 +222,6 @@ impl CijConfig {
         self
     }
 
-    /// Sets the conditional-filter kernel (see [`FilterKernel`]).
-    pub fn with_filter_kernel(mut self, kernel: FilterKernel) -> Self {
-        self.filter_kernel = kernel;
-        self
-    }
-
-    /// Sets the multiway driver-tree selection (see [`MultiwayDriver`]).
-    pub fn with_multiway_driver(mut self, driver: MultiwayDriver) -> Self {
-        self.multiway_driver = driver;
-        self
-    }
-
-    /// Sets the decoded-node memory layout (see [`CijConfig::leaf_layout`]).
-    pub fn with_leaf_layout(mut self, layout: LeafLayout) -> Self {
-        self.leaf_layout = layout;
-        self
-    }
-
-    /// Enables or disables the multiway bbox-disjoint narrowing skips (see
-    /// [`CijConfig::multiway_prune`]).
-    pub fn with_multiway_prune(mut self, prune: bool) -> Self {
-        self.multiway_prune = prune;
-        self
-    }
-
     /// Sets the execution mode (see [`ExecMode`]).
     pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
         self.exec_mode = mode;
@@ -348,8 +234,6 @@ impl CijConfig {
     /// |---|---|---|
     /// | `CIJ_WORKER_THREADS` | [`CijConfig::worker_threads`] | integer ≥ 1 |
     /// | `CIJ_STORAGE` | [`CijConfig::storage_backend`] | `heap` \| `file` \| `mmap` |
-    /// | `CIJ_FILTER_KERNEL` | [`CijConfig::filter_kernel`] | `indexed` \| `scan` |
-    /// | `CIJ_LEAF_LAYOUT` | [`CijConfig::leaf_layout`] | `soa` \| `aos` |
     /// | `CIJ_EXEC_MODE` | [`CijConfig::exec_mode`] | `metered` \| `fast` |
     ///
     /// Intended for harnesses (CI reruns the whole test suite with
@@ -388,12 +272,6 @@ impl CijConfig {
             }),
             ("CIJ_STORAGE", |c, name, value| {
                 c.storage_backend = parsed(name, value);
-            }),
-            ("CIJ_FILTER_KERNEL", |c, name, value| {
-                c.filter_kernel = parsed(name, value);
-            }),
-            ("CIJ_LEAF_LAYOUT", |c, name, value| {
-                c.leaf_layout = parsed(name, value);
             }),
             ("CIJ_EXEC_MODE", |c, name, value| {
                 c.exec_mode = parsed(name, value);
@@ -473,46 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_kernel_default_builder_and_parsing() {
-        let c = CijConfig::default();
-        assert_eq!(c.filter_kernel, FilterKernel::Indexed);
-        assert_eq!(c.filter_kernel.name(), "indexed");
-        let c = c.with_filter_kernel(FilterKernel::Scan);
-        assert_eq!(c.filter_kernel, FilterKernel::Scan);
-        assert_eq!(c.filter_kernel.name(), "scan");
-        assert_eq!("indexed".parse::<FilterKernel>(), Ok(FilterKernel::Indexed));
-        assert_eq!("Scan".parse::<FilterKernel>(), Ok(FilterKernel::Scan));
-        assert!("grid".parse::<FilterKernel>().is_err());
-    }
-
-    #[test]
-    fn leaf_layout_default_builder_and_parsing() {
-        let c = CijConfig::default();
-        assert_eq!(c.leaf_layout, LeafLayout::Soa, "SoA is the new default");
-        assert_eq!(c.leaf_layout.name(), "soa");
-        let c = c.with_leaf_layout(LeafLayout::Aos);
-        assert_eq!(c.leaf_layout, LeafLayout::Aos);
-        assert_eq!(c.leaf_layout.name(), "aos");
-        assert_eq!("soa".parse::<LeafLayout>(), Ok(LeafLayout::Soa));
-        assert_eq!("AoS".parse::<LeafLayout>(), Ok(LeafLayout::Aos));
-        assert!("columnar".parse::<LeafLayout>().is_err());
-    }
-
-    #[test]
-    fn multiway_planning_defaults_and_builders() {
-        let c = CijConfig::default();
-        assert_eq!(c.multiway_driver, MultiwayDriver::CostBased);
-        assert_eq!(c.multiway_driver.name(), "cost");
-        assert!(c.multiway_prune);
-        let c = c
-            .with_multiway_driver(MultiwayDriver::Fixed(2))
-            .with_multiway_prune(false);
-        assert_eq!(c.multiway_driver, MultiwayDriver::Fixed(2));
-        assert_eq!(c.multiway_driver.name(), "fixed(2)");
-        assert!(!c.multiway_prune);
-    }
-
-    #[test]
     fn exec_mode_default_builder_and_parsing() {
         let c = CijConfig::default();
         assert_eq!(c.exec_mode, ExecMode::Metered, "metered is the oracle");
@@ -541,14 +379,10 @@ mod tests {
         let c = overridden(&[
             ("CIJ_WORKER_THREADS", "4"),
             ("CIJ_STORAGE", "file"),
-            ("CIJ_FILTER_KERNEL", "scan"),
-            ("CIJ_LEAF_LAYOUT", "aos"),
             ("CIJ_EXEC_MODE", "fast"),
         ]);
         assert_eq!(c.worker_threads, 4);
         assert_eq!(c.storage_backend, StorageBackend::File);
-        assert_eq!(c.filter_kernel, FilterKernel::Scan);
-        assert_eq!(c.leaf_layout, LeafLayout::Aos);
         assert_eq!(c.exec_mode, ExecMode::Fast);
         // Every storage backend name round-trips through the knob.
         let m = overridden(&[("CIJ_STORAGE", "mmap")]);
@@ -569,8 +403,6 @@ mod tests {
             ("CIJ_WORKER_THREADS", "0"),
             ("CIJ_WORKER_THREADS", "many"),
             ("CIJ_STORAGE", "tape"),
-            ("CIJ_FILTER_KERNEL", "grid"),
-            ("CIJ_LEAF_LAYOUT", "columnar"),
             ("CIJ_EXEC_MODE", "turbo"),
         ];
         for (name, value) in invalid {

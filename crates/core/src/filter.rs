@@ -1,6 +1,5 @@
 //! The conditional filter of NM-CIJ (Algorithm 5 and its batch variant),
-//! with a sub-quadratic **indexed kernel** as the default execution
-//! strategy.
+//! evaluated sub-quadratically through two grid indexes.
 //!
 //! Given one or more convex polygons `T` (Voronoi cells of points of `Q`,
 //! or running intersections of the multiway join), the filter traverses the
@@ -22,21 +21,14 @@
 //! polygons (best-first), so nearby points enter `CP` early and shield the
 //! rest of the tree.
 //!
-//! # The two kernels
-//!
-//! How ingredient 2 computes the approximate cell — and how the
-//! "intersects some polygon" tests of ingredients 2 and 3 are evaluated —
-//! is the [`FilterKernel`] strategy:
-//!
-//! * [`FilterKernel::Scan`], the historical baseline, is quadratic: every
-//!   examined point clips its cell against **all** candidates found so far,
-//!   and every point/node test linearly scans all probe polygons.
-//! * [`FilterKernel::Indexed`], the default, keeps the candidates in a
-//!   uniform-grid spatial index ([`cij_geom::PointGrid`]) and the probe
-//!   polygons' bounding boxes in an overlap index ([`cij_geom::RectGrid`]).
-//!   Each examined point clips only against *near* candidates,
-//!   nearest-first by expanding grid rings, and each polygon test touches
-//!   only the polygons whose bbox can overlap the query.
+//! Read literally, ingredient 2 clips every examined point's cell against
+//! **all** candidates found so far, and the "intersects some polygon" tests
+//! of ingredients 2 and 3 scan the whole probe batch. The filter keeps the
+//! candidates in a uniform-grid spatial index ([`cij_geom::PointGrid`]) and
+//! the probe polygons' bounding boxes in an overlap index
+//! ([`cij_geom::RectGrid`]) instead: each examined point clips only against
+//! *near* candidates, nearest-first by expanding grid rings, and each
+//! polygon test touches only the polygons whose bbox can overlap the query.
 //!
 //! # Why bounded clipping is sufficient
 //!
@@ -50,10 +42,10 @@
 //! `dist(p, c) > 2R` cannot shrink the cell at all, and once a grid ring's
 //! minimum distance exceeds `2R` **no remaining candidate in that ring or
 //! beyond can either** — the enumeration stops. Skipped clips are provably
-//! no-ops, so both kernels return the **same candidate set** (asserted by
-//! the proptest `tests/filter_kernel.rs::kernels_return_the_same_candidate_set`);
-//! only the [`FilterStats::clip_ops`] and
-//! [`FilterStats::poly_tests_skipped`] counters differ.
+//! no-ops, so the candidate set — and its order, and the traversal — is the
+//! one the literal reading produces (a proptest in this module compares the
+//! two); only [`FilterStats::clip_ops`] and
+//! [`FilterStats::poly_tests_skipped`] tell them apart.
 //!
 //! This `2R` bound is the one bound of both crates: [`cij_voronoi::batch`]
 //! applies it to the exact cells of BatchVoronoi — as a per-member gate in
@@ -109,17 +101,12 @@
 //!      vertex instead of four segment distances.
 //!
 //!    [`FilterStats::entries_pruned`] and the traversal are unchanged by
-//!    both; the four-sided rule survives as the reference the tests compare
-//!    against.
-//!
-//! [`FilterKernel`]: crate::config::FilterKernel
-//! [`FilterKernel::Scan`]: crate::config::FilterKernel::Scan
-//! [`FilterKernel::Indexed`]: crate::config::FilterKernel::Indexed
+//!    both; the four-sided rule is the reference the tests compare against.
 
 use crate::config::FilterKernel;
 use cij_geom::{ClipScratch, ConvexPolygon, Point, PointGrid, Rect, RectGrid, Segment};
 use cij_pagestore::PageId;
-use cij_rtree::{LeafLayout, MinDistHeap, MinHeapItem, Node, NodeArena, NodeReader, PointObject};
+use cij_rtree::{LeafLayout, MinDistHeap, MinHeapItem, NodeArena, NodeReader, PointObject};
 use cij_voronoi::{bisector_cuts, cell_reach_sq};
 
 #[derive(Debug)]
@@ -133,21 +120,18 @@ enum HeapEntry {
 const ADAPTIVE_GRID_START: usize = 8;
 
 /// Statistics of one filter invocation (used for the false-hit-ratio
-/// accounting of Figure 10 and the kernel comparisons of
-/// `tests/filter_kernel.rs`).
+/// accounting of Figure 10 and the work guard of `tests/filter_kernel.rs`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FilterStats {
-    /// Points of `P` examined (popped from the heap). Identical across
-    /// kernels: the traversal itself never depends on the kernel.
+    /// Points of `P` examined (popped from the heap).
     pub points_examined: u64,
-    /// Non-leaf entries pruned by the Φ rule. Identical across kernels.
+    /// Non-leaf entries pruned by the Φ rule.
     pub entries_pruned: u64,
     /// Bisector clip operations performed while computing approximate
-    /// cells — the quadratic term of the scan kernel, the headline saving
-    /// of the indexed kernel.
+    /// cells (quadratic in the candidates under the literal reading).
     pub clip_ops: u64,
-    /// Probe-polygon tests the indexed kernel's bbox index avoided relative
-    /// to scanning the whole polygon batch (always 0 for the scan kernel).
+    /// Probe-polygon tests the bbox index avoided relative to scanning the
+    /// whole polygon batch.
     pub poly_tests_skipped: u64,
 }
 
@@ -166,45 +150,32 @@ impl FilterStats {
 /// Execution options of one (batch) conditional-filter invocation.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FilterOptions {
-    /// The kernel strategy (see [`FilterKernel`]); indexed by default.
-    pub kernel: FilterKernel,
-    /// Fixed resolution of the indexed kernel's candidate grid; `0` (the
-    /// default) selects the adaptive policy (start at
-    /// 8×8, double when the average bucket load exceeds ~3). Ignored by the
-    /// scan kernel.
+    /// Fixed resolution of the candidate grid; `0` (the default) selects
+    /// the adaptive policy (start at 8×8, double when the average bucket
+    /// load exceeds ~3).
     pub grid_resolution: usize,
-    /// Memory layout of the node reads and approximate-cell clipping (see
-    /// [`LeafLayout`]): SoA (the default) decodes nodes into the caller's
-    /// [`FilterScratch`] arena and clips cells in place; AoS is the
-    /// historical owned-node/allocating baseline. The candidate set,
-    /// statistics and page accesses are identical across layouts.
-    pub layout: LeafLayout,
 }
 
 impl FilterOptions {
-    /// Options running the given kernel with the default grid policy and
-    /// layout.
-    pub fn for_kernel(kernel: FilterKernel) -> Self {
-        FilterOptions {
-            kernel,
-            ..Default::default()
-        }
+    // Inert: `cij_benchmark/src/layers.rs` is its only reader.
+    #[doc(hidden)]
+    pub fn for_kernel(_kernel: FilterKernel) -> Self {
+        FilterOptions::default()
     }
 
-    /// Returns the options with the given [`FilterOptions::layout`].
-    pub fn with_layout(mut self, layout: LeafLayout) -> Self {
-        self.layout = layout;
+    // Inert: `cij_benchmark/src/layers.rs` is its only reader.
+    #[doc(hidden)]
+    pub fn with_layout(self, _layout: LeafLayout) -> Self {
         self
     }
 }
 
 /// Reusable per-worker scratch of the filter: the node decode arena, the
-/// polygon clipping ping-pong buffers and the approximate-cell working
-/// polygon of the SoA path, the indexed kernel's two grids, and the
-/// traversal's own working storage (either layout). Allocate one per
-/// worker, reuse it across every filter invocation the worker issues: each
-/// call clears what it uses instead of rebuilding it. Contents between
-/// calls are unspecified.
+/// polygon clipping ping-pong buffers, the approximate-cell working
+/// polygon, the two grids and the traversal's own working storage.
+/// Allocate one per worker, reuse it across every filter invocation the
+/// worker issues: each call clears what it uses instead of rebuilding it.
+/// Contents between calls are unspecified.
 #[derive(Debug, Default)]
 pub struct FilterScratch {
     /// SoA node decode target.
@@ -213,7 +184,7 @@ pub struct FilterScratch {
     pub clip: ClipScratch,
     /// The working approximate cell of the currently examined point.
     pub cell: ConvexPolygon,
-    /// The indexed kernel's candidate grid: re-framed and emptied per call
+    /// The candidate grid: re-framed and emptied per call
     /// ([`PointGrid::reset`]), so its buckets are allocated once per worker
     /// rather than once per invocation.
     pub grid: PointGrid,
@@ -224,8 +195,7 @@ pub struct FilterScratch {
     /// Their centroids and bounding boxes.
     centers: Vec<Point>,
     poly_bboxes: Vec<Rect>,
-    /// The indexed kernel's overlap index of `poly_bboxes`
-    /// ([`RectGrid::rebuild`]).
+    /// The overlap index of `poly_bboxes` ([`RectGrid::rebuild`]).
     polyidx: RectGrid,
     /// The shield test's bound table for the polygon under test.
     shield_bounds: Vec<f64>,
@@ -241,18 +211,6 @@ impl FilterScratch {
             ..FilterScratch::default()
         }
     }
-}
-
-/// The kernel of one filter invocation. The indexed kernel's two indexes —
-/// accepted candidates bucketed by position for ring queries, probe-polygon
-/// bboxes bucketed for overlap queries — live in the [`FilterScratch`].
-#[derive(Clone, Copy)]
-enum KernelState {
-    Scan,
-    Indexed {
-        /// Whether the candidate grid doubles its resolution under load.
-        adaptive: bool,
-    },
 }
 
 /// The non-empty probe polygons of one call: the caller's slice seen
@@ -279,21 +237,17 @@ impl<'a> Probes<'a> {
 /// statistics. With a single polygon this is exactly Algorithm 5; with
 /// several it is the BatchConditionalFilter of Section IV-A.
 ///
-/// The candidate set is independent of the [`FilterOptions`] (kernel
-/// choice, candidate-grid resolution, leaf layout) — they trade CPU
-/// strategies, never results. Generic over [`NodeReader`], so the same
-/// traversal runs in counted mode (`&mut RTree`) and over the snapshot
+/// The candidate set is independent of the [`FilterOptions`] — the grid
+/// resolution trades CPU, never results. Generic over [`NodeReader`], so the
+/// same traversal runs in counted mode (`&mut RTree`) and over the snapshot
 /// readers chunk workers use ([`cij_rtree::SnapshotReader`]).
 ///
 /// Writes through a caller-owned [`FilterScratch`]: the traversal queue, the
 /// polygon tables and both grids are the scratch's, cleared and refilled per
-/// call, and the SoA layout also decodes nodes into `scratch.arena` and
-/// computes approximate cells in `scratch.cell` via the in-place clipping
-/// kernels — so a worker that keeps one scratch alive allocates only the
-/// four-vertex seed box and the candidate list it returns. The AoS layout
-/// leaves the arena and the cell alone and reads owned nodes and clips into
-/// fresh polygons, as it always did; results and page accesses are
-/// byte-identical either way.
+/// call, nodes decode into `scratch.arena` and approximate cells are
+/// computed in `scratch.cell` via the in-place clipping kernels — so a
+/// worker that keeps one scratch alive allocates only the four-vertex seed
+/// box and the candidate list it returns.
 pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
     rp: &mut T,
     polys: &[ConvexPolygon],
@@ -306,7 +260,7 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
     let FilterScratch {
         arena,
         clip,
-        cell: scratch_cell,
+        cell,
         grid,
         heap,
         usable,
@@ -351,33 +305,22 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
     let seed = ConvexPolygon::from_rect(&bound);
     let group_corners = group_bbox.corners();
 
-    let kernel = match options.kernel {
-        FilterKernel::Scan => KernelState::Scan,
-        FilterKernel::Indexed => {
-            let adaptive = options.grid_resolution == 0;
-            grid.reset(
-                &bound,
-                if adaptive {
-                    ADAPTIVE_GRID_START
-                } else {
-                    options.grid_resolution
-                },
-            );
-            polyidx.rebuild(poly_bboxes);
-            KernelState::Indexed { adaptive }
-        }
-    };
+    let adaptive = options.grid_resolution == 0;
+    grid.reset(
+        &bound,
+        if adaptive {
+            ADAPTIVE_GRID_START
+        } else {
+            options.grid_resolution
+        },
+    );
+    polyidx.rebuild(poly_bboxes);
 
     heap.clear();
     // The root is read up front (Algorithm 5, line 4) and its entries seeded.
     let root = rp.root_page();
-    match options.layout {
-        LeafLayout::Aos => enqueue_node(heap, &centroid, rp.read(root)),
-        LeafLayout::Soa => {
-            arena.load(&mut *rp, root);
-            enqueue_arena(heap, &centroid, arena);
-        }
-    }
+    arena.load(&mut *rp, root);
+    enqueue_arena(heap, &centroid, arena);
 
     while let Some(MinHeapItem { item, .. }) = heap.pop() {
         match item {
@@ -385,124 +328,42 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
                 stats.points_examined += 1;
                 // Approximate cell of p from the current candidates only; a
                 // superset of V(p, P) (within the seed), so discarding is
-                // safe. SoA computes it in place in the scratch cell; AoS
-                // allocates one, as it always did.
-                let cell_owned;
-                let cell: &ConvexPolygon = match options.layout {
-                    LeafLayout::Aos => {
-                        cell_owned = match kernel {
-                            KernelState::Scan => {
-                                approx_cell_scan(&seed, &p, &candidates, &mut stats)
-                            }
-                            KernelState::Indexed { .. } => {
-                                approx_cell_indexed(&seed, &p, &candidates, grid, &mut stats)
-                            }
-                        };
-                        &cell_owned
-                    }
-                    LeafLayout::Soa => {
-                        match kernel {
-                            KernelState::Scan => approx_cell_scan_into(
-                                &seed,
-                                &p,
-                                &candidates,
-                                &mut stats,
-                                scratch_cell,
-                                clip,
-                            ),
-                            KernelState::Indexed { .. } => approx_cell_indexed_into(
-                                &seed,
-                                &p,
-                                &candidates,
-                                grid,
-                                &mut stats,
-                                scratch_cell,
-                                clip,
-                            ),
-                        }
-                        scratch_cell
-                    }
-                };
-                let joins = match kernel {
-                    KernelState::Scan => probes
-                        .iter()
-                        .zip(poly_bboxes)
-                        .any(|(t, bb)| cell.bbox().intersects(bb) && cell.intersects(t)),
-                    KernelState::Indexed { .. } => {
-                        let cbb = cell.bbox();
-                        any_indexed(polyidx, &cbb, &mut stats, |i| {
-                            cbb.intersects(&poly_bboxes[i]) && cell.intersects(probes.get(i))
-                        })
-                    }
-                };
+                // safe.
+                approx_cell_into(&seed, &p, &candidates, grid, &mut stats, cell, clip);
+                let cbb = cell.bbox();
+                let joins = any_indexed(polyidx, &cbb, &mut stats, |i| {
+                    cbb.intersects(&poly_bboxes[i]) && cell.intersects(probes.get(i))
+                });
                 if joins {
                     candidates.push(p);
-                    if let KernelState::Indexed { adaptive } = kernel {
-                        grid.insert(&p.point, candidates.len() as u32 - 1);
-                        if adaptive && grid.needs_growth() {
-                            grid.grow(|i| candidates[i as usize].point);
-                        }
+                    grid.insert(&p.point, candidates.len() as u32 - 1);
+                    if adaptive && grid.needs_growth() {
+                        grid.grow(|i| candidates[i as usize].point);
                     }
                 }
             }
             HeapEntry::Node { page, mbr } => {
                 // A node whose MBR intersects some polygon may contain points
                 // inside it; it can never be pruned.
-                let touches_some_poly = match kernel {
-                    KernelState::Scan => probes
-                        .iter()
-                        .zip(poly_bboxes)
-                        .any(|(t, bb)| mbr.intersects(bb) && t.intersects_rect(&mbr)),
-                    KernelState::Indexed { .. } => any_indexed(polyidx, &mbr, &mut stats, |i| {
-                        mbr.intersects(&poly_bboxes[i]) && probes.get(i).intersects_rect(&mbr)
-                    }),
-                };
+                let touches_some_poly = any_indexed(polyidx, &mbr, &mut stats, |i| {
+                    mbr.intersects(&poly_bboxes[i]) && probes.get(i).intersects_rect(&mbr)
+                });
                 if !touches_some_poly
                     && is_shielded(&mbr, &group_corners, probes, &candidates, shield_bounds)
                 {
                     stats.entries_pruned += 1;
                     continue;
                 }
-                match options.layout {
-                    LeafLayout::Aos => enqueue_node(heap, &centroid, rp.read(page)),
-                    LeafLayout::Soa => {
-                        arena.load(&mut *rp, page);
-                        enqueue_arena(heap, &centroid, arena);
-                    }
-                }
+                arena.load(&mut *rp, page);
+                enqueue_arena(heap, &centroid, arena);
             }
         }
     }
     (candidates, stats)
 }
 
-/// Pushes every entry of an owned (AoS) node onto the traversal heap, keyed
-/// by distance from the traversal centroid.
-fn enqueue_node(heap: &mut MinDistHeap<HeapEntry>, centroid: &Point, node: Node<PointObject>) {
-    if node.is_leaf() {
-        for o in node.objects {
-            heap.push(MinHeapItem::new(
-                o.point.dist(centroid),
-                HeapEntry::Point(o),
-            ));
-        }
-    } else {
-        for c in node.children {
-            heap.push(MinHeapItem::new(
-                c.mbr.mindist_point(centroid),
-                HeapEntry::Node {
-                    page: c.page,
-                    mbr: c.mbr,
-                },
-            ));
-        }
-    }
-}
-
-/// [`enqueue_node`] over the SoA decode arena. The distance expressions are
-/// the same as the AoS path's, in the same operand order, so the heap keys —
-/// and therefore the pop order and the candidate set — are bitwise identical
-/// across layouts.
+/// Pushes every entry of the decoded node onto the traversal heap, keyed by
+/// distance from the traversal centroid.
 fn enqueue_arena(heap: &mut MinDistHeap<HeapEntry>, centroid: &Point, arena: &NodeArena) {
     if arena.is_leaf() {
         for i in 0..arena.len() {
@@ -525,118 +386,12 @@ fn enqueue_arena(heap: &mut MinDistHeap<HeapEntry>, centroid: &Point, arena: &No
     }
 }
 
-/// The scan kernel's approximate cell: clip against every candidate found
-/// so far, in candidate order — the historical quadratic inner loop.
-fn approx_cell_scan(
-    seed: &ConvexPolygon,
-    p: &PointObject,
-    candidates: &[PointObject],
-    stats: &mut FilterStats,
-) -> ConvexPolygon {
-    let mut cell = seed.clone();
-    for c in candidates {
-        if c.id == p.id {
-            continue;
-        }
-        cell = cell.clip_bisector(&p.point, &c.point);
-        stats.clip_ops += 1;
-        if cell.is_empty() {
-            break;
-        }
-    }
-    cell
-}
-
-/// [`approx_cell_scan`] writing into a caller-owned cell through the
-/// in-place clipping kernel — no allocation once the scratch buffers reach
-/// their high-water mark. Clip order and accounting are identical, so the
-/// resulting cell is bitwise equal to the allocating variant's.
-fn approx_cell_scan_into(
-    seed: &ConvexPolygon,
-    p: &PointObject,
-    candidates: &[PointObject],
-    stats: &mut FilterStats,
-    cell: &mut ConvexPolygon,
-    scratch: &mut ClipScratch,
-) {
-    cell.clone_from(seed);
-    for c in candidates {
-        if c.id == p.id {
-            continue;
-        }
-        cell.clip_bisector_in_place(&p.point, &c.point, scratch);
-        stats.clip_ops += 1;
-        if cell.is_empty() {
-            break;
-        }
-    }
-}
-
-/// The indexed kernel's approximate cell: visit candidates nearest-first by
-/// expanding grid rings, clip only bisectors that actually cut, and stop as
-/// soon as the remaining rings are provably beyond twice the cell's reach
-/// (see the module docs for the sufficiency argument).
-fn approx_cell_indexed(
-    seed: &ConvexPolygon,
-    p: &PointObject,
-    candidates: &[PointObject],
-    grid: &PointGrid,
-    stats: &mut FilterStats,
-) -> ConvexPolygon {
-    let mut cell = seed.clone();
-    if cell.is_empty() || grid.is_empty() {
-        return cell;
-    }
-    let mut reach_sq = cell_reach_sq(&p.point, &cell);
-    let center = grid.frame().bucket_of(&p.point);
-    let mut emptied = false;
-    let mut ring = 0usize;
-    loop {
-        let lb = grid.ring_mindist(ring);
-        // No candidate at distance > 2·reach can shrink the cell; rings only
-        // get farther, so the whole enumeration can stop here.
-        if lb * lb > 4.0 * reach_sq {
-            break;
-        }
-        let in_range = grid.for_each_ring_bucket(center, ring, |bucket, items| {
-            if emptied || items.is_empty() {
-                return;
-            }
-            if bucket.mindist_point_sq(&p.point) > 4.0 * reach_sq {
-                return;
-            }
-            for &idx in items {
-                let c = &candidates[idx as usize];
-                if c.id == p.id {
-                    continue;
-                }
-                if c.point.dist_sq(&p.point) > 4.0 * reach_sq {
-                    continue;
-                }
-                if !bisector_cuts(cell.vertices(), &p.point, &c.point) {
-                    continue;
-                }
-                cell = cell.clip_bisector(&p.point, &c.point);
-                stats.clip_ops += 1;
-                if cell.is_empty() {
-                    emptied = true;
-                    return;
-                }
-                reach_sq = cell_reach_sq(&p.point, &cell);
-            }
-        });
-        if emptied || !in_range {
-            break;
-        }
-        ring += 1;
-    }
-    cell
-}
-
-/// [`approx_cell_indexed`] writing into a caller-owned cell through the
-/// in-place clipping kernel. Same ring enumeration, same cutoffs, same
-/// accounting — only the destination and the allocation behaviour differ.
-fn approx_cell_indexed_into(
+/// The approximate cell of `p`, written into the caller-owned `cell` through
+/// the in-place clipping kernel: visit candidates nearest-first by expanding
+/// grid rings, clip only bisectors that actually cut, and stop as soon as
+/// the remaining rings are provably beyond twice the cell's reach (see the
+/// module docs for the sufficiency argument).
+fn approx_cell_into(
     seed: &ConvexPolygon,
     p: &PointObject,
     candidates: &[PointObject],
@@ -655,6 +410,8 @@ fn approx_cell_indexed_into(
     let mut ring = 0usize;
     loop {
         let lb = grid.ring_mindist(ring);
+        // No candidate at distance > 2·reach can shrink the cell; rings only
+        // get farther, so the whole enumeration can stop here.
         if lb * lb > 4.0 * reach_sq {
             break;
         }
@@ -692,7 +449,7 @@ fn approx_cell_indexed_into(
     }
 }
 
-/// Indexed "any polygon satisfies `check`" test: only polygons whose bbox
+/// "Any polygon satisfies `check`" test: only polygons whose bbox
 /// bucket range overlaps `query` are examined (each at most once, with
 /// short-circuit on the first hit); the rest count as skipped tests.
 fn any_indexed(
@@ -823,6 +580,93 @@ fn is_shielded_four_sided(
                 .all(|l| cij_geom::polygon_within_phi(l, &p.point, t))
         })
     })
+}
+
+/// Algorithm 5 read literally — the reference
+/// [`batch_conditional_filter_scratch`] is tested against: best-first over
+/// owned nodes, every approximate cell clipped against **every** candidate
+/// found so far with the allocating [`ConvexPolygon::clip_bisector`], linear
+/// scans over the probe polygons, the four-sided shield rule. It shares the
+/// seed box `B` (module docs, invariant 1) and the heap with the product and
+/// none of its indexes, cutoffs or scratch.
+#[cfg(test)]
+fn reference_filter<T: NodeReader<PointObject>>(
+    rp: &mut T,
+    polys: &[ConvexPolygon],
+    domain: &Rect,
+) -> (Vec<PointObject>, FilterStats) {
+    let mut stats = FilterStats::default();
+    let mut candidates: Vec<PointObject> = Vec::new();
+    let probes: Vec<&ConvexPolygon> = polys.iter().filter(|t| !t.is_empty()).collect();
+    if rp.is_empty() || probes.is_empty() {
+        return (candidates, stats);
+    }
+    let centers: Vec<Point> = probes.iter().filter_map(|t| t.centroid()).collect();
+    let centroid = Point::centroid(&centers).unwrap_or_else(|| domain.center());
+    let group = probes
+        .iter()
+        .fold(Rect::empty(), |acc, t| acc.union(&t.bbox()));
+    let pad = cij_geom::EPS * (1.0 + group.width() + group.height());
+    let padded = Rect::from_coords(
+        group.lo.x - pad,
+        group.lo.y - pad,
+        group.hi.x + pad,
+        group.hi.y + pad,
+    );
+    let seed = ConvexPolygon::from_rect(&domain.intersection(&padded).unwrap_or(*domain));
+
+    let mut heap: MinDistHeap<HeapEntry> = MinDistHeap::new();
+    let enqueue = |heap: &mut MinDistHeap<HeapEntry>, node: cij_rtree::Node<PointObject>| {
+        for o in node.objects {
+            heap.push(MinHeapItem::new(
+                o.point.dist(&centroid),
+                HeapEntry::Point(o),
+            ));
+        }
+        for c in node.children {
+            let (page, mbr) = (c.page, c.mbr);
+            heap.push(MinHeapItem::new(
+                mbr.mindist_point(&centroid),
+                HeapEntry::Node { page, mbr },
+            ));
+        }
+    };
+    let root = rp.root_page();
+    enqueue(&mut heap, rp.read(root));
+    while let Some(MinHeapItem { item, .. }) = heap.pop() {
+        match item {
+            HeapEntry::Point(p) => {
+                stats.points_examined += 1;
+                let mut cell = seed.clone();
+                for c in candidates.iter().filter(|c| c.id != p.id) {
+                    cell = cell.clip_bisector(&p.point, &c.point);
+                    stats.clip_ops += 1;
+                    if cell.is_empty() {
+                        break;
+                    }
+                }
+                let cbb = cell.bbox();
+                if probes
+                    .iter()
+                    .any(|t| cbb.intersects(&t.bbox()) && cell.intersects(t))
+                {
+                    candidates.push(p);
+                }
+            }
+            HeapEntry::Node { page, mbr } => {
+                let touches_some_poly = probes
+                    .iter()
+                    .any(|t| mbr.intersects(&t.bbox()) && t.intersects_rect(&mbr));
+                if !touches_some_poly && is_shielded_four_sided(&mbr.sides(), &probes, &candidates)
+                {
+                    stats.entries_pruned += 1;
+                    continue;
+                }
+                enqueue(&mut heap, rp.read(page));
+            }
+        }
+    }
+    (candidates, stats)
 }
 
 #[cfg(test)]
@@ -1260,89 +1104,96 @@ mod tests {
         }
     }
 
-    /// Runs both kernels over the same probe and returns the two outcomes.
-    fn both_kernels(p: &[Point], polys: &[ConvexPolygon]) -> [(Vec<PointObject>, FilterStats); 2] {
-        [FilterKernel::Indexed, FilterKernel::Scan].map(|kernel| {
-            let mut rp = RTree::bulk_load(config(), PointObject::from_points(p));
-            filter_with(&mut rp, polys, &FilterOptions::for_kernel(kernel))
-        })
+    /// Candidate ids in acceptance order.
+    fn ids(candidates: &[PointObject]) -> Vec<u64> {
+        candidates.iter().map(|c| c.id.0).collect()
+    }
+
+    /// The reference's outcome over a fresh tree of `p`.
+    fn reference_over(
+        p: &[Point],
+        polys: &[ConvexPolygon],
+        domain: &Rect,
+    ) -> (Vec<PointObject>, FilterStats) {
+        let mut rp = RTree::bulk_load(config(), PointObject::from_points(p));
+        reference_filter(&mut rp, polys, domain)
     }
 
     #[test]
-    fn kernels_agree_and_indexed_clips_less() {
+    fn every_grid_resolution_agrees_with_the_reference_and_clips_less() {
         let p = random_points(1_500, 95);
         let q = random_points(1_500, 96);
         let q_cells = brute_force_diagram(&q[..200], &Rect::DOMAIN);
         let group: Vec<ConvexPolygon> = q_cells[50..70].to_vec();
-        let [(ind_cands, ind_stats), (scan_cands, scan_stats)] = both_kernels(&p, &group);
-        assert_eq!(ind_cands, scan_cands, "kernels must agree on candidates");
-        assert_eq!(ind_stats.points_examined, scan_stats.points_examined);
-        assert_eq!(ind_stats.entries_pruned, scan_stats.entries_pruned);
-        assert!(
-            ind_stats.clip_ops < scan_stats.clip_ops,
-            "indexed kernel must clip less ({} vs {})",
-            ind_stats.clip_ops,
-            scan_stats.clip_ops
-        );
-        assert!(ind_stats.poly_tests_skipped > 0);
-        assert_eq!(scan_stats.poly_tests_skipped, 0);
-    }
-
-    #[test]
-    fn layouts_agree_bitwise_in_both_kernels() {
-        let p = random_points(900, 101);
-        let q = random_points(900, 102);
-        let q_cells = brute_force_diagram(&q[..150], &Rect::DOMAIN);
-        let group: Vec<ConvexPolygon> = q_cells[20..36].to_vec();
-        for kernel in [FilterKernel::Indexed, FilterKernel::Scan] {
-            let run = |layout: LeafLayout| {
-                let mut rp = RTree::bulk_load(config(), PointObject::from_points(&p));
-                rp.set_buffer_pages(4);
-                rp.drop_buffer();
-                rp.stats().reset();
-                let mut scratch = FilterScratch::for_budget(rp.config().node_byte_budget());
-                let out = batch_conditional_filter_scratch(
-                    &mut rp,
-                    &group,
-                    &Rect::DOMAIN,
-                    &FilterOptions::for_kernel(kernel).with_layout(layout),
-                    &mut scratch,
-                );
-                (out, rp.stats().snapshot(), rp.backend_io())
-            };
-            let ((soa_cands, soa_fstats), soa_stats, soa_io) = run(LeafLayout::Soa);
-            let ((aos_cands, aos_fstats), aos_stats, aos_io) = run(LeafLayout::Aos);
-            assert_eq!(soa_cands, aos_cands, "candidates diverged ({kernel:?})");
-            assert_eq!(soa_fstats, aos_fstats, "filter stats diverged ({kernel:?})");
-            assert_eq!(soa_stats, aos_stats, "page accesses diverged ({kernel:?})");
-            assert_eq!(soa_io, aos_io, "backend IO diverged ({kernel:?})");
+        let (ref_cands, ref_stats) = reference_over(&p, &group, &Rect::DOMAIN);
+        assert_eq!(ref_stats.poly_tests_skipped, 0);
+        for grid_resolution in [0usize, 1, 2, 7, 32, 100] {
+            let mut rp = RTree::bulk_load(config(), PointObject::from_points(&p));
+            let (cands, stats) = filter_with(&mut rp, &group, &FilterOptions { grid_resolution });
+            assert_eq!(
+                ids(&cands),
+                ids(&ref_cands),
+                "resolution {grid_resolution} diverged"
+            );
+            assert_eq!(stats.points_examined, ref_stats.points_examined);
+            assert_eq!(stats.entries_pruned, ref_stats.entries_pruned);
+            assert!(stats.poly_tests_skipped > 0);
+            // A 1×1 grid has one ring: only the cutoffs inside it save clips.
+            assert!(
+                stats.clip_ops < ref_stats.clip_ops,
+                "resolution {grid_resolution}: {} clips vs the literal {}",
+                stats.clip_ops,
+                ref_stats.clip_ops
+            );
         }
     }
 
-    #[test]
-    fn fixed_grid_resolutions_agree_with_the_scan_kernel() {
-        let p = random_points(600, 99);
-        let q = random_points(600, 100);
-        let q_cells = brute_force_diagram(&q[..120], &Rect::DOMAIN);
-        let group: Vec<ConvexPolygon> = q_cells[30..42].to_vec();
-        let scan = {
-            let mut rp = RTree::bulk_load(config(), PointObject::from_points(&p));
-            filter_with(
-                &mut rp,
-                &group,
-                &FilterOptions::for_kernel(FilterKernel::Scan),
-            )
-            .0
-        };
-        for resolution in [1usize, 2, 7, 32, 100] {
-            let mut rp = RTree::bulk_load(config(), PointObject::from_points(&p));
-            let opts = FilterOptions {
-                kernel: FilterKernel::Indexed,
-                grid_resolution: resolution,
-                ..FilterOptions::default()
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The product equals Algorithm 5 read literally — candidates (set
+        /// *and* order), points examined, entries pruned — for random point
+        /// sets, polygon batches, domains and grid resolutions.
+        #[test]
+        fn product_equals_the_literal_algorithm_5(
+            seed in 0u64..10_000,
+            n_p in 40usize..600,
+            n_q in 30usize..120,
+            batch in 1usize..14,
+            resolution_pick in 0usize..5,
+            domain_pick in 0usize..3,
+        ) {
+            let domain = match domain_pick {
+                0 => Rect::DOMAIN,
+                1 => Rect::from_coords(-500.0, -250.0, 700.0, 450.0),
+                _ => Rect::from_coords(2_000.0, 8_000.0, 2_400.0, 11_000.0),
             };
-            let (cands, _) = filter_with(&mut rp, &group, &opts);
-            assert_eq!(cands, scan, "resolution {resolution} diverged");
+            let points_in = |n: usize, seed: u64| -> Vec<Point> {
+                let mut rng = StdRng::seed_from_u64(seed);
+                (0..n)
+                    .map(|_| Point::new(
+                        rng.gen_range(domain.lo.x..domain.hi.x),
+                        rng.gen_range(domain.lo.y..domain.hi.y),
+                    ))
+                    .collect()
+            };
+            let p = points_in(n_p, 18_000 + seed);
+            let q = points_in(n_q, 19_000 + seed);
+            // Probe batch: exact Voronoi cells of a slice of Q — the polygon
+            // shape every caller actually probes with.
+            let cells = brute_force_diagram(&q, &domain);
+            let start = (seed as usize) % (n_q - batch.min(n_q - 1));
+            let polys: Vec<ConvexPolygon> = cells[start..start + batch.min(n_q - start)].to_vec();
+
+            let options = FilterOptions { grid_resolution: [0usize, 1, 2, 9, 40][resolution_pick] };
+            let mut rp = RTree::bulk_load(config(), PointObject::from_points(&p));
+            let scratch = &mut FilterScratch::default();
+            let (cands, stats) =
+                batch_conditional_filter_scratch(&mut rp, &polys, &domain, &options, scratch);
+            let (ref_cands, ref_stats) = reference_over(&p, &polys, &domain);
+            prop_assert_eq!(ids(&cands), ids(&ref_cands));
+            prop_assert_eq!(stats.points_examined, ref_stats.points_examined);
+            prop_assert_eq!(stats.entries_pruned, ref_stats.entries_pruned);
         }
     }
 }

@@ -61,7 +61,7 @@
 //! The Section IV-B *reuse buffer* is the bounded LRU
 //! [`CellCache`], shared by NM-CIJ, PM-CIJ and the
 //! [`multiway`] / [`grouped`] extensions through the cache-aware
-//! [`cij_voronoi::batch_voronoi_cached_with`] API. Its capacity is bounded by
+//! [`cij_voronoi::batch_voronoi_cached`] API. Its capacity is bounded by
 //! [`CijConfig::cell_cache_capacity`]; hit/miss/eviction counts surface
 //! through [`NmCounters`] and the shared [`cij_pagestore::IoStats`].
 //!
@@ -108,8 +108,7 @@ pub mod workload;
 pub use brute::brute_force_cij;
 pub use cell_cache::{CacheBudget, CacheLease, CellCache};
 pub use cij_pagestore::StorageBackend;
-pub use cij_rtree::LeafLayout;
-pub use config::{CijConfig, ExecMode, FilterKernel, MultiwayDriver};
+pub use config::{CijConfig, ExecMode};
 pub use engine::{PairStream, QueryEngine};
 pub use filter::{batch_conditional_filter_scratch, FilterOptions, FilterScratch, FilterStats};
 pub use fm::fm_cij;

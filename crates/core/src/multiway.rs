@@ -17,11 +17,9 @@
 //! walked in Hilbert order exactly like the outer loop of binary NM-CIJ.
 //! The driver is picked by a cost model over tree metadata —
 //! [`MultiwayWorkload::estimated_driver_cost`], estimated leaves of the
-//! driver × summed fan-out of the extension sets — under
-//! [`CijConfig::multiway_driver`] (`CostBased` by default; `Fixed(i)` pins
-//! the historical hard-coded choice, which cost ties also fall back to).
-//! The remaining sets are probed in input order. One leaf unit flows
-//! through `k` rounds:
+//! driver × summed fan-out of the extension sets; cost ties fall to the
+//! lowest set index. The remaining sets are probed in input order. One leaf
+//! unit flows through `k` rounds:
 //!
 //! * **Seed (round 0)**: the Voronoi cells of the leaf's points are computed
 //!   with BatchVoronoi *through the driver set's [`CellCache`]* — the
@@ -33,17 +31,15 @@
 //!   *one* [`batch_conditional_filter`] call carrying all of its partial
 //!   regions — the same redundant-traversal cut that batching the cells of
 //!   one `RQ` leaf gives binary NM-CIJ (probing once per partial tuple
-//!   instead cost 8–44× the page accesses at k = 2…4; the retired baseline's
-//!   last numbers are in CHANGES.md). Candidate cells are then resolved
+//!   instead costs 8–44× the page accesses at k = 2…4). Candidate cells are
+//!   then resolved
 //!   through the set's [`CellCache`] and each partial region is narrowed by
 //!   polygon intersection; empty intersections drop the candidate tuple.
 //!
-//! With [`CijConfig::multiway_prune`] (on by default) the candidate×partial
-//! narrowing of every extension round skips **bbox-disjoint** combinations
-//! outright — their polygon intersection would be empty anyway — observable
-//! as [`MultiwayCounters::narrowings_skipped`]. (The batch probe itself
-//! always seeds its approximate cells from the probe regions' union bbox,
-//! like every conditional-filter call; see [`crate::filter`].)
+//! The candidate×partial narrowing of every extension round skips
+//! **bbox-disjoint** combinations outright — their polygon intersection
+//! would be empty anyway — observable as
+//! [`MultiwayCounters::narrowings_skipped`].
 //!
 //! The partial tuples of one leaf stay spatially close through every round
 //! (they are intersections of neighbouring cells), which is what makes the
@@ -108,7 +104,7 @@
 //! count 1 (the pool degenerates to inline calls), so tuples (set *and*
 //! order), all [`MultiwayCounters`], page-access totals, progress samples
 //! and watermarks are identical at any thread count by construction — and
-//! asserted by `tests/multiway.rs` and the `multiway_scale` parity column.
+//! asserted by `tests/multiway.rs`.
 //! The determinism argument, the fail-stop gates and what the two
 //! accounting states mean for "page accesses" are described there; a fast
 //! stream over a shared tree slice (no exclusive workload at all) backs the
@@ -118,8 +114,6 @@
 //! [`CellCache`]: crate::cell_cache::CellCache
 //! [`ClipScratch`]: cij_geom::ClipScratch
 //! [`CijConfig::worker_threads`]: crate::config::CijConfig::worker_threads
-//! [`CijConfig::multiway_driver`]: crate::config::CijConfig::multiway_driver
-//! [`CijConfig::multiway_prune`]: crate::config::CijConfig::multiway_prune
 //! [`MultiwayWorkload::estimated_driver_cost`]: crate::workload::MultiwayWorkload::estimated_driver_cost
 
 use crate::cell_cache::CellCache;
@@ -127,8 +121,8 @@ use crate::chunk::{
     gate, refine_through_cache, run_ordered, run_ordered_scratch, run_ordered_units, Accounting,
     CacheTally, LeafStream, StreamLedger, UnitEnv, UnitScratch,
 };
-use crate::config::{CijConfig, MultiwayDriver};
-use crate::filter::{batch_conditional_filter_scratch, FilterStats};
+use crate::config::CijConfig;
+use crate::filter::{batch_conditional_filter_scratch, FilterOptions, FilterStats};
 use crate::stats::{LeafWatermark, MultiwayCounters, ProgressSample};
 use crate::workload::{pick_driver, MultiwayWorkload};
 use cij_geom::{ClipScratch, ConvexPolygon, Point, Rect};
@@ -162,7 +156,7 @@ pub struct MultiwayOutcome {
     /// Total physical page accesses of the evaluation.
     pub page_accesses: u64,
     /// The input-set index whose tree drove the evaluation (see
-    /// [`CijConfig::multiway_driver`]).
+    /// [`MultiwayWorkload::pick_driver`]).
     pub driver: usize,
 }
 
@@ -188,21 +182,6 @@ impl MultiwayOutcome {
             "duplicate multiway tuples must never be emitted"
         );
         v
-    }
-}
-
-/// Resolves the driver choice of `config` against `trees` — the shared
-/// logic of both [`TupleStream`] constructors.
-fn choose_driver(trees_k: usize, cost_pick: impl FnOnce() -> usize, config: &CijConfig) -> usize {
-    match config.multiway_driver {
-        MultiwayDriver::CostBased => cost_pick(),
-        MultiwayDriver::Fixed(d) => {
-            assert!(
-                d < trees_k,
-                "fixed multiway driver {d} out of range for {trees_k} sets"
-            );
-            d
-        }
     }
 }
 
@@ -282,14 +261,13 @@ impl Partials {
 /// candidate cell (`cells` aligned with `candidates`), keeping the non-empty
 /// intersections as the tuples of `next` — whatever `next` held is
 /// overwritten, its outline buffers reused — and returns the number of
-/// narrowings skipped. With `prune`, bbox-disjoint combinations are skipped
-/// outright — their polygon intersection would be empty anyway (touching
-/// bboxes still intersect, so degenerate contacts take the exact path).
+/// narrowings skipped: bbox-disjoint combinations, whose polygon
+/// intersection would be empty anyway (touching bboxes still intersect, so
+/// degenerate contacts take the exact path).
 fn extend_into(
     cur: &Partials,
     candidates: &[PointObject],
     cells: &[ConvexPolygon],
-    prune: bool,
     clip: &mut ClipScratch,
     next: &mut Partials,
 ) -> u64 {
@@ -301,7 +279,7 @@ fn extend_into(
     for (j, region) in cur.regions().iter().enumerate() {
         let region_bbox = region.bbox();
         for ((cand, cell), cell_bbox) in candidates.iter().zip(cells).zip(&cell_bboxes) {
-            if prune && !region_bbox.intersects(cell_bbox) {
+            if !region_bbox.intersects(cell_bbox) {
                 skipped += 1;
                 continue;
             }
@@ -327,8 +305,8 @@ fn extend_into(
 ///
 /// Obtained from
 /// [`QueryEngine::multiway_stream`](crate::engine::QueryEngine::multiway_stream).
-/// The driver set is chosen per [`CijConfig::multiway_driver`] when the
-/// stream is created; [`TupleStream::driver`] exposes the choice.
+/// The driver set is chosen by the cost model when the stream is created;
+/// [`TupleStream::driver`] exposes the choice.
 /// Leaf units of the driver set's tree are processed only as tuples are
 /// demanded; [`TupleStream::progress_so_far`],
 /// [`TupleStream::counters_so_far`] and [`TupleStream::watermarks_so_far`]
@@ -339,8 +317,6 @@ pub struct TupleStream<'a> {
     /// fixed at construction (a snapshot source is always fast).
     acct: Accounting<'a>,
     env: UnitEnv,
-    /// Whether extension rounds skip bbox-disjoint narrowings.
-    prune: bool,
     /// Evaluation order of the input sets: the driver first, then the
     /// extension sets in input order. Tuple ids are permuted back to input
     /// order on emission.
@@ -388,12 +364,18 @@ impl std::fmt::Debug for TupleStream<'_> {
 }
 
 impl<'a> TupleStream<'a> {
-    /// Stream over an exclusive workload, in the configured execution mode.
-    /// Cell-cache hit/miss/eviction events are CPU-side bookkeeping, not
-    /// page I/O — both modes mirror them into the workload's shared stats
-    /// so cache behaviour stays harness-observable.
+    /// Stream over an exclusive workload, in the configured execution mode,
+    /// driven by the cost model's pick.
     pub(crate) fn new(workload: &'a mut MultiwayWorkload, config: CijConfig) -> Self {
-        let driver = choose_driver(workload.k(), || workload.pick_driver(), &config);
+        let driver = workload.pick_driver();
+        Self::with_driver(workload, driver, config)
+    }
+
+    /// [`TupleStream::new`] at a given driver set — also the pin for tests
+    /// that compare plans. Cell-cache hit/miss/eviction events are CPU-side
+    /// bookkeeping, not page I/O — both modes mirror them into the
+    /// workload's shared stats so cache behaviour stays harness-observable.
+    fn with_driver(workload: &'a mut MultiwayWorkload, driver: usize, config: CijConfig) -> Self {
         let capacity = if config.reuse_cells {
             config.cell_cache_capacity
         } else {
@@ -430,7 +412,7 @@ impl<'a> TupleStream<'a> {
             "multiway CIJ needs at least one pointset"
         );
         assert_eq!(caches.len(), trees.len(), "one cell cache per input set");
-        let driver = choose_driver(trees.len(), || pick_driver(&trees), &config);
+        let driver = pick_driver(&trees);
         Self::start(Accounting::shared(trees), driver, caches, &config)
     }
 
@@ -451,7 +433,6 @@ impl<'a> TupleStream<'a> {
         TupleStream {
             env,
             acct,
-            prune: config.multiway_prune,
             eval_order,
             caches,
             scratches: UnitScratch::per_worker(&env),
@@ -542,7 +523,6 @@ impl<'a> TupleStream<'a> {
         let k = self.acct.k();
         let n = chunk.len();
         let driver = self.eval_order[0];
-        let prune = self.prune;
         let acct = &self.acct;
         let mut ledgers: Vec<LeafLedger> = (0..n).map(|_| LeafLedger::new(k)).collect();
 
@@ -602,7 +582,7 @@ impl<'a> TupleStream<'a> {
                         &mut reader,
                         regions,
                         &env.domain,
-                        &env.filter_options,
+                        &FilterOptions::default(),
                         &mut scratch.filter,
                     );
                     (candidates, stats, reader.finish())
@@ -630,7 +610,7 @@ impl<'a> TupleStream<'a> {
                 .collect();
             let skipped: Vec<u64> = run_ordered_units(scratches, &mut next, |i, next, scratch| {
                 let clip = &mut scratch.clip;
-                extend_into(&partials[i], units[i], &cells[i].cells, prune, clip, next)
+                extend_into(&partials[i], units[i], &cells[i].cells, clip, next)
             });
 
             // Fold the round into the ledgers, filter before refine.
@@ -709,27 +689,26 @@ fn recycle(spare: &mut Vec<Partials>, mut table: Partials) {
     }
 }
 
-/// The allocating extension step the SoA [`extend_into`] replaced, kept as
-/// its reference in tests: one owned [`MultiwayTuple`] per partial, each
-/// narrowing through [`ConvexPolygon::intersection`].
+/// The literal extension step, the reference [`extend_into`] is tested
+/// against: one owned [`MultiwayTuple`] per partial, **every** combination
+/// narrowed through the allocating [`ConvexPolygon::intersection`]. Also
+/// returns how many combinations were bbox-disjoint, after checking that
+/// each of those came out empty — which is what lets the product skip them.
 #[cfg(test)]
 fn extend_partials(
     partials: &[MultiwayTuple],
     candidates: &[PointObject],
     cells: &[ConvexPolygon],
-    prune: bool,
 ) -> (Vec<MultiwayTuple>, u64) {
-    let cell_bboxes: Vec<Rect> = cells.iter().map(|c| c.bbox()).collect();
     let mut out = Vec::new();
-    let mut skipped = 0u64;
+    let mut disjoint = 0u64;
     for partial in partials {
-        let partial_bbox = partial.region.bbox();
-        for ((cand, cell), cell_bbox) in candidates.iter().zip(cells).zip(&cell_bboxes) {
-            if prune && !partial_bbox.intersects(cell_bbox) {
-                skipped += 1;
-                continue;
-            }
+        for (cand, cell) in candidates.iter().zip(cells) {
             let region = partial.region.intersection(cell);
+            if !partial.region.bbox().intersects(&cell.bbox()) {
+                assert!(region.is_empty(), "a bbox-disjoint narrowing is empty");
+                disjoint += 1;
+            }
             if !region.is_empty() {
                 let mut ids = partial.ids.clone();
                 ids.push(cand.id.0);
@@ -737,7 +716,7 @@ fn extend_partials(
             }
         }
     }
-    (out, skipped)
+    (out, disjoint)
 }
 
 impl Iterator for TupleStream<'_> {
@@ -835,6 +814,7 @@ mod tests {
     use super::*;
     use crate::brute::brute_force_cij;
     use crate::config::ExecMode;
+    use cij_datagen::{clustered_points, ClusterSpec};
     use cij_rtree::{RTreeConfig, SnapshotReader};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -851,6 +831,13 @@ mod tests {
         (0..n)
             .map(|_| Point::new(rng.gen_range(0.0..10_000.0), rng.gen_range(0.0..10_000.0)))
             .collect()
+    }
+
+    /// The join of `sets` driven by set `driver`, whatever the cost model
+    /// would pick.
+    fn pinned(sets: &[Vec<Point>], driver: usize, config: &CijConfig) -> MultiwayOutcome {
+        let mut w = MultiwayWorkload::build(sets, config);
+        TupleStream::with_driver(&mut w, driver, *config).into_outcome()
     }
 
     #[test]
@@ -882,22 +869,23 @@ mod tests {
 
     #[test]
     fn seeding_counts_cells_through_the_cache() {
-        // Pin the driver: the assertion below is about *set 0's* seeding
-        // semantics, and the cost model may legitimately drive with another
-        // set on this asymmetric workload.
-        let config = small_config().with_multiway_driver(MultiwayDriver::Fixed(0));
         let sets = vec![random_points(40, 217), random_points(45, 218)];
-        let outcome = multiway_cij(&sets, &config);
-        assert_eq!(outcome.driver, 0);
-        // Every first-set point lives in exactly one leaf, so with a roomy
+        let outcome = multiway_cij(&sets, &small_config());
+        // The assertions are about the *driver's* seeding semantics,
+        // whichever set the cost model drives with.
+        let (driver, extension) = (outcome.driver, 1 - outcome.driver);
+        // Every driver point lives in exactly one leaf, so with a roomy
         // cache each seed cell is computed exactly once and never re-served:
         // the uniform "exact cells computed = cache misses" semantics.
-        assert_eq!(outcome.counters.cells_computed[0], sets[0].len() as u64);
-        assert_eq!(outcome.counters.cells_reused[0], 0);
+        assert_eq!(
+            outcome.counters.cells_computed[driver],
+            sets[driver].len() as u64
+        );
+        assert_eq!(outcome.counters.cells_reused[driver], 0);
         // The extension set's candidates overlap across leaves, so reuse
         // kicks in there.
-        assert!(outcome.counters.cells_computed[1] > 0);
-        assert!(outcome.counters.cells_reused[1] > 0);
+        assert!(outcome.counters.cells_computed[extension] > 0);
+        assert!(outcome.counters.cells_reused[extension] > 0);
         assert_eq!(
             outcome.counters.tuples_produced,
             outcome.tuples.len() as u64
@@ -1030,10 +1018,7 @@ mod tests {
         ];
         let oracle = brute_force_multiway_cij(&sets, &config.domain);
         for d in 0..sets.len() {
-            let outcome = multiway_cij(
-                &sets,
-                &config.with_multiway_driver(MultiwayDriver::Fixed(d)),
-            );
+            let outcome = pinned(&sets, d, &config);
             assert_eq!(outcome.driver, d);
             assert_eq!(outcome.sorted_ids(), oracle, "driver {d} diverged");
         }
@@ -1044,28 +1029,45 @@ mod tests {
         assert_eq!(cost_based.driver, w.pick_driver());
     }
 
+    /// On asymmetric clustered sets (set `i` holds `n / (i + 1)` points, so
+    /// the driver choice matters) the cost model's plan issues strictly
+    /// fewer filter probes than driving with set 0 for the same tuples,
+    /// extension rounds skip bbox-disjoint narrowings, and four workers
+    /// reproduce one worker's tuples, counters and page accesses exactly.
     #[test]
-    fn pruning_changes_no_results_and_only_skips_disjoint_narrowings() {
+    fn the_planned_driver_probes_less_than_set_zero_with_exact_thread_parity() {
+        let spec = |n| ClusterSpec {
+            n,
+            clusters: 8,
+            sigma_fraction: 0.04,
+            background_fraction: 0.1,
+            size_skew: 0.7,
+        };
         let config = small_config();
-        let sets = vec![
-            random_points(120, 261),
-            random_points(120, 262),
-            random_points(120, 263),
-        ];
-        let pruned = multiway_cij(&sets, &config);
-        let unpruned = multiway_cij(&sets, &config.with_multiway_prune(false));
-        assert_eq!(pruned.sorted_ids(), unpruned.sorted_ids());
-        assert_eq!(pruned.page_accesses, unpruned.page_accesses);
-        // The knob no longer reaches the filter (which always bounds its
-        // seeds): everything but the narrowing skips is identical.
-        assert!(
-            pruned.counters.narrowings_skipped > 0,
-            "bbox-disjoint narrowings must be skipped"
-        );
-        assert_eq!(unpruned.counters.narrowings_skipped, 0);
-        let mut expected = unpruned.counters.clone();
-        expected.narrowings_skipped = pruned.counters.narrowings_skipped;
-        assert_eq!(pruned.counters, expected);
+        for k in [2usize, 3, 4] {
+            let sets: Vec<Vec<Point>> = (0..k)
+                .map(|i| clustered_points(&spec(600 / (i + 1)), &config.domain, 14_001 + i as u64))
+                .collect();
+            let planned = multiway_cij(&sets, &config);
+            let zero = pinned(&sets, 0, &config);
+            assert_ne!(planned.driver, 0, "k = {k}");
+            assert_eq!(planned.sorted_ids(), zero.sorted_ids(), "k = {k}");
+            assert!(
+                planned.counters.filter_probes < zero.counters.filter_probes,
+                "k = {k}: {} probes planned vs {} driving with set 0",
+                planned.counters.filter_probes,
+                zero.counters.filter_probes
+            );
+            assert!(planned.counters.narrowings_skipped > 0, "k = {k}");
+
+            let parallel = multiway_cij(&sets, &config.with_worker_threads(4));
+            let ids = |o: &MultiwayOutcome| -> Vec<Vec<u64>> {
+                o.tuples.iter().map(|t| t.ids.clone()).collect()
+            };
+            assert_eq!(ids(&parallel), ids(&planned), "k = {k}");
+            assert_eq!(parallel.counters, planned.counters, "k = {k}");
+            assert_eq!(parallel.page_accesses, planned.page_accesses, "k = {k}");
+        }
     }
 
     #[test]
@@ -1086,46 +1088,43 @@ mod tests {
             .iter()
             .map(|s| brute_force_diagram(s, &domain))
             .collect();
-        for prune in [true, false] {
-            let mut reference: Vec<MultiwayTuple> = objects[0]
-                .iter()
-                .zip(&diagrams[0])
-                .map(|(obj, cell)| MultiwayTuple {
-                    ids: vec![obj.id.0],
-                    region: cell.clone(),
-                })
-                .collect();
-            let mut cur = Partials::seeded(&objects[0], diagrams[0].clone());
-            // The output table starts dirty — tuples, ids and outlines of an
-            // unrelated extension — and the two tables swap every round,
-            // like a table coming off the stream's free list.
-            let mut next = Partials::default();
-            let mut clip = ClipScratch::new();
-            extend_into(&cur, &objects[2], &diagrams[2], false, &mut clip, &mut next);
-            assert!(next.len > 0 && next.stride == 2);
-            for round in 1..sets.len() {
-                let (expected, expected_skipped) =
-                    extend_partials(&reference, &objects[round], &diagrams[round], prune);
-                let skipped = extend_into(
-                    &cur,
-                    &objects[round],
-                    &diagrams[round],
-                    prune,
-                    &mut clip,
-                    &mut next,
-                );
-                assert_eq!(skipped, expected_skipped, "round {round}, prune {prune}");
-                assert_eq!(skipped > 0, prune);
-                assert_eq!(next.stride, round + 1);
-                assert_eq!(next.regions().len(), expected.len());
-                assert!(!expected.is_empty());
-                for (j, tuple) in expected.iter().enumerate() {
-                    assert_eq!(next.ids_of(j), &tuple.ids[..]);
-                    assert_eq!(bits(&next.regions()[j]), bits(&tuple.region));
-                }
-                reference = expected;
-                std::mem::swap(&mut cur, &mut next);
+        let mut reference: Vec<MultiwayTuple> = objects[0]
+            .iter()
+            .zip(&diagrams[0])
+            .map(|(obj, cell)| MultiwayTuple {
+                ids: vec![obj.id.0],
+                region: cell.clone(),
+            })
+            .collect();
+        let mut cur = Partials::seeded(&objects[0], diagrams[0].clone());
+        // The output table starts dirty — tuples, ids and outlines of an
+        // unrelated extension — and the two tables swap every round, like a
+        // table coming off the stream's free list.
+        let mut next = Partials::default();
+        let mut clip = ClipScratch::new();
+        extend_into(&cur, &objects[2], &diagrams[2], &mut clip, &mut next);
+        assert!(next.len > 0 && next.stride == 2);
+        for round in 1..sets.len() {
+            let (expected, disjoint) =
+                extend_partials(&reference, &objects[round], &diagrams[round]);
+            let skipped = extend_into(
+                &cur,
+                &objects[round],
+                &diagrams[round],
+                &mut clip,
+                &mut next,
+            );
+            assert_eq!(skipped, disjoint, "round {round}");
+            assert!(skipped > 0);
+            assert_eq!(next.stride, round + 1);
+            assert_eq!(next.regions().len(), expected.len());
+            assert!(!expected.is_empty());
+            for (j, tuple) in expected.iter().enumerate() {
+                assert_eq!(next.ids_of(j), &tuple.ids[..]);
+                assert_eq!(bits(&next.regions()[j]), bits(&tuple.region));
             }
+            reference = expected;
+            std::mem::swap(&mut cur, &mut next);
         }
     }
 
@@ -1182,16 +1181,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn fixed_driver_out_of_range_panics() {
-        let sets = vec![random_points(10, 271), random_points(10, 272)];
-        let _ = multiway_cij(
-            &sets,
-            &small_config().with_multiway_driver(MultiwayDriver::Fixed(2)),
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "at least one pointset")]
     fn empty_input_panics() {
         let _ = multiway_cij(&[], &small_config());
@@ -1200,16 +1189,18 @@ mod tests {
     #[test]
     fn corrupt_page_fail_stops_the_tuple_stream() {
         use cij_pagestore::{FaultKind, FaultSpec};
-        let config = small_config().with_multiway_driver(MultiwayDriver::Fixed(0));
+        let config = small_config();
         let sets = vec![random_points(80, 231), random_points(80, 232)];
         let mut w = MultiwayWorkload::build(&sets, &config);
         // Corrupt a mid-run driver leaf so some tuples flow before the
         // failure.
-        let leaves = SnapshotReader::new(&w.trees[0]).leaf_pages_hilbert_order(&config.domain);
+        let driver = w.pick_driver();
+        let driver = &mut w.trees[driver];
+        let leaves = SnapshotReader::new(driver).leaf_pages_hilbert_order(&config.domain);
         let target = leaves[leaves.len() / 2];
-        w.trees[0].flush();
-        w.trees[0].drop_buffer();
-        w.trees[0].inject_fault(FaultSpec::corrupt_frame(target.0));
+        driver.flush();
+        driver.drop_buffer();
+        driver.inject_fault(FaultSpec::corrupt_frame(target.0));
         let mut stream = TupleStream::new(&mut w, config);
         let drained: Vec<MultiwayTuple> = stream.by_ref().collect();
         let error = stream.io_error().expect("corrupt frame surfaces an error");

@@ -68,14 +68,14 @@ use crate::chunk::{
     LeafStream, StreamLedger, UnitEnv, UnitScratch,
 };
 use crate::config::CijConfig;
-use crate::filter::{batch_conditional_filter_scratch, FilterStats};
+use crate::filter::{batch_conditional_filter_scratch, FilterOptions, FilterStats};
 use crate::grouped::{GroupCounts, LocationProbe};
 use crate::stats::{CijOutcome, CostBreakdown, NmCounters};
 use crate::workload::Workload;
 use cij_geom::{ConvexPolygon, Point, Rect};
 use cij_pagestore::{PageId, PageIoError};
 use cij_rtree::{NodeReader, PointObject, RTree, ReadLog};
-use cij_voronoi::{batch_voronoi_cached_with, batch_voronoi_with};
+use cij_voronoi::{batch_voronoi_cached, batch_voronoi_with};
 use std::collections::{HashSet, VecDeque};
 use std::time::Instant;
 
@@ -298,7 +298,7 @@ impl<'a> NmPairIter<'a> {
     /// pairs into `pending` and recording counters, progress and watermark.
     fn run_leaf(&mut self) -> Result<(), PageIoError> {
         let (leaf_index, leaf) = self.ledger.cursor.next_leaf();
-        let UnitEnv { domain, layout, .. } = self.env;
+        let domain = self.env.domain;
         let (rp, rq) = self
             .acct
             .counted_pair()
@@ -318,14 +318,14 @@ impl<'a> NmPairIter<'a> {
 
         // (1) Voronoi cells of the leaf's Q points.
         let scratch = &mut self.scratches[0];
-        let cells_q = batch_voronoi_with(rq, &group, &domain, layout, &mut scratch.vor);
+        let cells_q = batch_voronoi_with(rq, &group, &domain, &mut scratch.vor);
 
         // (2) Filter phase on RP.
         let (candidates, fstats) = batch_conditional_filter_scratch(
             rp,
             &cells_q,
             &domain,
-            &self.env.filter_options,
+            &FilterOptions::default(),
             &mut scratch.filter,
         );
 
@@ -335,14 +335,8 @@ impl<'a> NmPairIter<'a> {
         // and this degrades to one plain batch computation per leaf.
         let hits_before = self.cache.hits();
         let misses_before = self.cache.misses();
-        let cells_p: Vec<ConvexPolygon> = batch_voronoi_cached_with(
-            rp,
-            &candidates,
-            &domain,
-            &mut self.cache,
-            layout,
-            &mut scratch.vor,
-        );
+        let cells_p: Vec<ConvexPolygon> =
+            batch_voronoi_cached(rp, &candidates, &domain, &mut self.cache, &mut scratch.vor);
 
         // Fail-stop before reporting: a read failure inside any kernel
         // above produced cells from empty-leaf fallbacks — emit nothing
@@ -532,13 +526,12 @@ fn scan_leaf(
     let (cells_q, (candidates, fstats)) = if group.is_empty() {
         Default::default()
     } else {
-        let cells_q =
-            batch_voronoi_with(&mut rq, &group, &env.domain, env.layout, &mut scratch.vor);
+        let cells_q = batch_voronoi_with(&mut rq, &group, &env.domain, &mut scratch.vor);
         let filtered = batch_conditional_filter_scratch(
             &mut rp,
             &cells_q,
             &env.domain,
-            &env.filter_options,
+            &FilterOptions::default(),
             &mut scratch.filter,
         );
         (cells_q, filtered)

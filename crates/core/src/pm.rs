@@ -12,8 +12,7 @@ use crate::stats::{CijOutcome, CostBreakdown, ProgressSample};
 use crate::vor_rtree::materialize_voronoi_rtree;
 use crate::workload::Workload;
 use cij_geom::Rect;
-use cij_rtree::LeafLayout;
-use cij_voronoi::{batch_voronoi_cached_with, NoCache, VorScratch};
+use cij_voronoi::{batch_voronoi_cached, NoCache, VorScratch};
 use std::time::Instant;
 
 /// Runs PM-CIJ on a workload, returning the result pairs and the MAT/JOIN
@@ -54,12 +53,11 @@ pub fn pm_cij(workload: &mut Workload, config: &CijConfig) -> CijOutcome {
         if group.is_empty() {
             continue;
         }
-        let cells_q = batch_voronoi_cached_with(
+        let cells_q = batch_voronoi_cached(
             &mut workload.rq,
             &group,
             &config.domain,
             &mut cell_cache,
-            LeafLayout::default(),
             &mut scratch,
         );
 

@@ -1064,8 +1064,8 @@ mod tests {
         assert!(saw_error_frame, "the terminal Batch::Error frame arrived");
     }
 
-    /// One request of every kind joining sets `p` and `q`, each driven by
-    /// `q`'s tree (under a `Fixed(0)` multiway driver).
+    /// One request of every kind joining sets `p` and `q`: the binary kinds
+    /// are driven by `q`'s tree, the multiway one by the cost model's pick.
     fn every_kind(p: usize, q: usize) -> [Request; 3] {
         [
             Request::Join { p, q },
@@ -1200,23 +1200,25 @@ mod tests {
 
     #[test]
     fn a_failed_leaf_order_walk_is_a_storage_error_not_a_worker_panic() {
-        use crate::config::MultiwayDriver;
+        use crate::workload::pick_driver;
         use cij_pagestore::{FaultKind, FaultSpec};
-        let config = small_config().with_multiway_driver(MultiwayDriver::Fixed(0));
-        let sets = vec![random_points(120, 619), random_points(110, 620)];
-        let mut snapshot = EngineSnapshot::build(&sets, &config);
+        let sets = vec![random_points(110, 620), random_points(240, 619)];
+        let mut snapshot = EngineSnapshot::build(&sets, &small_config());
         // Rot the (non-leaf) root of the tree every request below drives
-        // with: each query's own leaf-order walk is the first read of it.
-        let root = snapshot.tree(0).root_page();
-        assert!(snapshot.tree(0).root_level() > 0);
+        // with — `q`'s, which the cost model ranks first for the multiway
+        // kind too: each query's own leaf-order walk is the first read of it.
+        let (p, q) = (1, 0);
+        assert_eq!(pick_driver(&[snapshot.tree(q), snapshot.tree(p)]), 0);
+        let root = snapshot.tree(q).root_page();
+        assert!(snapshot.tree(q).root_level() > 0);
         {
-            let tree = snapshot.tree_mut(0);
+            let tree = snapshot.tree_mut(q);
             tree.flush();
             tree.drop_buffer();
             tree.inject_fault(FaultSpec::corrupt_frame(root.0));
         }
         let service = CijService::start(Arc::new(snapshot), ServiceConfig::default());
-        for request in every_kind(1, 0) {
+        for request in every_kind(p, q) {
             let completion = failed_completion(&service.submit(request).unwrap());
             assert_eq!((completion.rows, completion.watermarks), (0, 0));
             match completion.error {

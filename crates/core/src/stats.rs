@@ -72,11 +72,10 @@ pub struct NmCounters {
     /// Non-leaf entries pruned by the Φ rule across all filter invocations.
     pub filter_entries_pruned: u64,
     /// Bisector clip operations across all filter invocations — the CPU
-    /// term the indexed filter kernel shrinks (see
-    /// [`FilterKernel`](crate::config::FilterKernel)).
+    /// term the filter's candidate grid shrinks (see [`crate::filter`]).
     pub filter_clip_ops: u64,
-    /// Probe-polygon tests the indexed kernel's bbox index avoided across
-    /// all filter invocations (0 under the scan kernel).
+    /// Probe-polygon tests the filter's bbox index avoided across all
+    /// filter invocations.
     pub filter_poly_tests_skipped: u64,
 }
 
@@ -154,13 +153,11 @@ pub struct MultiwayCounters {
     /// Bisector clip operations across all filter invocations (see
     /// [`FilterStats::clip_ops`](crate::filter::FilterStats::clip_ops)).
     pub filter_clip_ops: u64,
-    /// Probe-polygon tests the indexed filter kernel's bbox index avoided
-    /// across all filter invocations (0 under the scan kernel).
+    /// Probe-polygon tests the filter's bbox index avoided across all
+    /// filter invocations.
     pub filter_poly_tests_skipped: u64,
     /// Candidate×partial narrowings skipped because the two bounding boxes
-    /// are disjoint (their polygon intersection would be empty) — the work
-    /// [`CijConfig::multiway_prune`](crate::config::CijConfig::multiway_prune)
-    /// saves; 0 with the knob off.
+    /// are disjoint (their polygon intersection would be empty).
     pub narrowings_skipped: u64,
     /// Result tuples produced so far (equals the final tuple count once the
     /// stream is drained; mid-stream it runs ahead of what the consumer has

@@ -8,7 +8,7 @@
 
 use crate::config::CijConfig;
 use cij_pagestore::IoStats;
-use cij_rtree::{CellObject, LeafLayout, PointObject, RTree};
+use cij_rtree::{CellObject, PointObject, RTree};
 use cij_voronoi::{batch_voronoi_with, VorScratch};
 
 /// Computes the full Voronoi diagram of the points indexed by `tree`
@@ -20,13 +20,7 @@ pub fn compute_all_cells(tree: &mut RTree<PointObject>, config: &CijConfig) -> V
     let mut scratch = VorScratch::for_budget(tree.config().node_byte_budget());
     for leaf in leaves {
         let group = tree.read_node(leaf).objects;
-        let group_cells = batch_voronoi_with(
-            tree,
-            &group,
-            &config.domain,
-            LeafLayout::default(),
-            &mut scratch,
-        );
+        let group_cells = batch_voronoi_with(tree, &group, &config.domain, &mut scratch);
         for (member, cell) in group.iter().zip(group_cells) {
             cells.push(CellObject::new(member.id.0, member.point, cell));
         }

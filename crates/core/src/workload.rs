@@ -104,9 +104,8 @@ fn build_input_tree(points: &[Point], config: &CijConfig, stats: &IoStats) -> RT
 #[derive(Debug)]
 pub struct MultiwayWorkload {
     /// One R-tree per input pointset, in input order. The driver tree —
-    /// picked by [`MultiwayWorkload::pick_driver`] or pinned by
-    /// [`MultiwayDriver::Fixed`](crate::config::MultiwayDriver::Fixed) —
-    /// drives the leaf units of the multiway evaluation.
+    /// picked by [`MultiwayWorkload::pick_driver`] — drives the leaf units
+    /// of the multiway evaluation.
     pub trees: Vec<RTree<PointObject>>,
     /// Shared I/O counters of all trees.
     pub stats: IoStats,
@@ -152,8 +151,7 @@ impl MultiwayWorkload {
 
     /// The cheapest driver under [`MultiwayWorkload::estimated_driver_cost`];
     /// ties resolve to the lowest set index, so symmetric workloads pick
-    /// set 0 — the historical hard-coded choice. Delegates to
-    /// [`pick_driver`].
+    /// set 0. Delegates to [`pick_driver`].
     pub fn pick_driver(&self) -> usize {
         let refs: Vec<&RTree<PointObject>> = self.trees.iter().collect();
         pick_driver(&refs)
@@ -361,8 +359,7 @@ mod tests {
             page_size: 256,
             max_entries: 64,
         });
-        // Identical sets → identical costs → lowest index wins (the
-        // historical hard-coded driver).
+        // Identical sets → identical costs → lowest index wins.
         let points = random_points(400, 24);
         let w = MultiwayWorkload::build(&[points.clone(), points.clone(), points], &config);
         assert_eq!(w.pick_driver(), 0);

@@ -18,10 +18,6 @@
 //! in-memory image ([`PageStore::read_with`](cij_pagestore::PageStore)) or a
 //! pinned snapshot — so filling the arena performs no intermediate payload
 //! clone and no allocation after the buffers reach their high-water mark.
-//!
-//! [`LeafLayout`] is the engine-level knob selecting between this SoA path
-//! (the default) and the historical AoS path, kept as the parity and
-//! benchmark baseline; both produce byte-identical join results.
 
 use crate::node::{ChildEntry, Node};
 use crate::object::{ObjectId, PointObject};
@@ -29,45 +25,12 @@ use crate::reader::NodeReader;
 use cij_geom::Point;
 use cij_pagestore::PageId;
 
-/// Memory layout used by leaf scans in the join hot loops.
-///
-/// Mirrors the `FilterKernel` knob of `cij-core`: both layouts produce
-/// byte-identical pairs, tuples, counters and page accesses; the AoS
-/// baseline survives as the parity reference of `tests/layout.rs`.
+// Inert: `cij_benchmark/src/layers.rs` is its only reader.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LeafLayout {
-    /// Structure-of-arrays: nodes are decoded into a reusable [`NodeArena`]
-    /// and leaf scans iterate contiguous coordinate slices. The default.
     #[default]
     Soa,
-    /// Array-of-structures: the historical path reading owned
-    /// [`Node`]s and iterating `Vec<PointObject>`. Kept as the
-    /// parity/benchmark baseline.
-    Aos,
-}
-
-impl LeafLayout {
-    /// Short label used by benches and tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            LeafLayout::Soa => "soa",
-            LeafLayout::Aos => "aos",
-        }
-    }
-}
-
-impl std::str::FromStr for LeafLayout {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "soa" => Ok(LeafLayout::Soa),
-            "aos" => Ok(LeafLayout::Aos),
-            other => Err(format!(
-                "unknown leaf layout {other:?} (expected \"soa\" or \"aos\")"
-            )),
-        }
-    }
 }
 
 /// Serialized size of one point-leaf entry: x, y coordinates plus the id
@@ -209,16 +172,6 @@ mod tests {
         let point = |i: u64| Point::new((i as f64 * 13.0) % 100.0, i as f64);
         let objects = (0..300).map(|i| PointObject::new(i, point(i)));
         RTree::bulk_load(config, objects.collect())
-    }
-
-    #[test]
-    fn layout_labels_and_parsing() {
-        assert_eq!(LeafLayout::default(), LeafLayout::Soa);
-        assert_eq!(LeafLayout::Soa.name(), "soa");
-        assert_eq!(LeafLayout::Aos.name(), "aos");
-        assert_eq!("SoA".parse::<LeafLayout>(), Ok(LeafLayout::Soa));
-        assert_eq!("aos".parse::<LeafLayout>(), Ok(LeafLayout::Aos));
-        assert!("rowwise".parse::<LeafLayout>().is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! objects (leaf). Bulk loading and the page codec operate on this form,
 //! because those paths need owned, growable entry lists.
 //!
-//! The join hot loops do **not** scan this form by default. Leaf scans in
+//! The join hot loops do **not** scan this form. Leaf scans in
 //! `cij-core` and `cij-voronoi` go through the structure-of-arrays
 //! [`NodeArena`](crate::arena::NodeArena) instead: the decoded node is
 //! visited by reference
@@ -15,10 +15,7 @@
 //! x/y coordinate arrays with a fixed stride derived from
 //! [`node_byte_budget`](crate::tree::RTreeConfig::node_byte_budget). That
 //! keeps per-node work allocation-free after warm-up and lets batch geometry
-//! kernels run over plain `[f64]` slices. The AoS scan survives behind the
-//! [`LeafLayout::Aos`](crate::arena::LeafLayout) knob as the parity and
-//! benchmark baseline; both layouts decode from the same page bytes and
-//! produce byte-identical results.
+//! kernels run over plain `[f64]` slices.
 //!
 //! The index queries follow the same rule: [`RTree::range_query`] (hence
 //! `scan_all`), `bounding_rect` and the best-first

@@ -169,7 +169,7 @@ enum HeapEntry {
 /// clipping when it returns `false` is a no-op, so callers skip the clip.
 ///
 /// Shared by [`batch_voronoi_with`]'s refinement step and the
-/// conditional-filter kernels of `cij-core`, which both maintain a
+/// conditional filter of `cij-core`, which both maintain a
 /// conservative cell and must agree on when a discovered point can shrink it.
 #[inline]
 pub fn bisector_cuts(cell_vertices: &[Point], site: &Point, other: &Point) -> bool {
@@ -196,7 +196,7 @@ pub fn cell_reach_sq(site: &Point, cell: &ConvexPolygon) -> f64 {
 
 /// A store of previously computed exact Voronoi cells, keyed by point id.
 ///
-/// [`batch_voronoi_cached_with`] consults the store before computing a cell
+/// [`batch_voronoi_cached`] consults the store before computing a cell
 /// and deposits every freshly computed cell back into it. The canonical
 /// implementation is the bounded LRU `CellCache` of `cij-core` (the paper's
 /// Section IV-B *reuse buffer*); [`NoCache`] disables reuse.
@@ -224,13 +224,12 @@ impl CellStore for NoCache {
 /// `cache` are served without touching the tree; only the missing group
 /// members are computed (in one shared traversal) and the fresh cells are
 /// deposited back into the cache. The returned vector is aligned with
-/// `group`; cells are identical across layouts.
-pub fn batch_voronoi_cached_with<T: NodeReader<PointObject>, C: CellStore>(
+/// `group`.
+pub fn batch_voronoi_cached<T: NodeReader<PointObject>, C: CellStore>(
     tree: &mut T,
     group: &[PointObject],
     domain: &Rect,
     cache: &mut C,
-    layout: LeafLayout,
     scratch: &mut VorScratch,
 ) -> Vec<ConvexPolygon> {
     // Fast path: nothing to look up.
@@ -249,7 +248,7 @@ pub fn batch_voronoi_cached_with<T: NodeReader<PointObject>, C: CellStore>(
         }
     }
     if !missing.is_empty() {
-        let computed = batch_voronoi_with(tree, &missing, domain, layout, scratch);
+        let computed = batch_voronoi_with(tree, &missing, domain, scratch);
         let mut fresh = missing.iter().zip(computed);
         for slot in cells.iter_mut() {
             if slot.is_none() {
@@ -265,12 +264,24 @@ pub fn batch_voronoi_cached_with<T: NodeReader<PointObject>, C: CellStore>(
         .collect()
 }
 
+// Inert: `cij_benchmark/src/layers.rs` is its only reader.
+#[doc(hidden)]
+pub fn batch_voronoi_cached_with<T: NodeReader<PointObject>, C: CellStore>(
+    tree: &mut T,
+    group: &[PointObject],
+    domain: &Rect,
+    cache: &mut C,
+    _layout: LeafLayout,
+    scratch: &mut VorScratch,
+) -> Vec<ConvexPolygon> {
+    batch_voronoi_cached(tree, group, domain, cache, scratch)
+}
+
 /// The cells of one group under refinement, with the group's reach-gate
 /// tables: the member-side half of Algorithm 2 (which members an entry or a
 /// discovered point concerns), separate from the tree traversal.
 struct GroupCells<'a> {
     group: &'a [PointObject],
-    layout: LeafLayout,
     cells: Vec<ConvexPolygon>,
     clip: &'a mut ClipScratch,
     tables: &'a mut GroupTables,
@@ -284,7 +295,6 @@ impl<'a> GroupCells<'a> {
     fn new(
         group: &'a [PointObject],
         domain: &Rect,
-        layout: LeafLayout,
         clip: &'a mut ClipScratch,
         tables: &'a mut GroupTables,
     ) -> Self {
@@ -305,7 +315,6 @@ impl<'a> GroupCells<'a> {
         );
         GroupCells {
             group,
-            layout,
             cells,
             clip,
             tables,
@@ -315,16 +324,12 @@ impl<'a> GroupCells<'a> {
         }
     }
 
-    /// Clips member `i`'s cell with the bisector against `other` (which the
-    /// caller found to cut it) and refreshes the member's gate. The two
-    /// layout arms compute the same clip; SoA reuses the scratch buffers
-    /// instead of allocating a fresh polygon per bisector.
+    /// Clips member `i`'s cell, in place through the scratch buffers, with
+    /// the bisector against `other` (which the caller found to cut it) and
+    /// refreshes the member's gate.
     fn clip_member(&mut self, i: usize, other: &Point) {
         let site = &self.group[i].point;
-        match self.layout {
-            LeafLayout::Aos => self.cells[i] = self.cells[i].clip_bisector(site, other),
-            LeafLayout::Soa => self.cells[i].clip_bisector_in_place(site, other, self.clip),
-        }
+        self.cells[i].clip_bisector_in_place(site, other, self.clip);
         self.tables.gate[i] = reach_gate(site, &self.cells[i]);
         self.clips += 1;
     }
@@ -456,25 +461,15 @@ impl<'a> GroupCells<'a> {
 /// traversal logic — and therefore the computed cells and the page-access
 /// sequence — is identical in all of them.
 ///
-/// Parameterized over the leaf [`LeafLayout`] and a caller-owned
-/// [`VorScratch`] (callers looping over groups keep one). Both layouts run
-/// the *same* traversal — same heap keys in the same push order, same
-/// Lemma-1/Lemma-2 tests on the same `f64` values — so the computed cells
-/// and page-access sequences are byte-identical. They differ only in memory
-/// shape:
-///
-/// * [`LeafLayout::Aos`] reads owned [`Node`](cij_rtree::Node)s and clips
-///   via the allocating [`ConvexPolygon::clip_bisector`] — the historical
-///   baseline.
-/// * [`LeafLayout::Soa`] decodes nodes into `scratch.arena` by reference,
-///   computes leaf centroid distances as one batched loop over the
-///   coordinate slices, and refines cells in place through `scratch.clip` —
-///   no per-node or per-clip allocation after warm-up.
+/// All transient work happens in the caller-owned [`VorScratch`] (callers
+/// looping over groups keep one): nodes decode into `scratch.arena` by
+/// reference, leaf centroid distances are one batched loop over the
+/// coordinate slices, and cells are refined in place through `scratch.clip`
+/// — no per-node or per-clip allocation after warm-up.
 pub fn batch_voronoi_with<T: NodeReader<PointObject>>(
     tree: &mut T,
     group: &[PointObject],
     domain: &Rect,
-    layout: LeafLayout,
     scratch: &mut VorScratch,
 ) -> Vec<ConvexPolygon> {
     let VorScratch {
@@ -486,7 +481,7 @@ pub fn batch_voronoi_with<T: NodeReader<PointObject>>(
         refine_calls,
         tables,
     } = scratch;
-    let mut g = GroupCells::new(group, domain, layout, clip, tables);
+    let mut g = GroupCells::new(group, domain, clip, tables);
     if group.is_empty() || tree.is_empty() {
         return g.cells;
     }
@@ -513,66 +508,36 @@ pub fn batch_voronoi_with<T: NodeReader<PointObject>>(
                 if !g.any_can_refine(&mbr) {
                     continue;
                 }
-                match layout {
-                    LeafLayout::Aos => {
-                        let node = tree.read(page);
-                        if node.is_leaf() {
-                            for o in node.objects {
-                                if g.any_can_refine(&o.mbr()) {
-                                    let d = o.point.dist(&centroid);
-                                    heap.push(MinHeapItem::new(d, HeapEntry::Point(o)));
-                                }
-                            }
-                        } else {
-                            for c in node.children {
-                                if g.any_can_refine(&c.mbr) {
-                                    let d = c.mbr.mindist_point(&centroid);
-                                    heap.push(MinHeapItem::new(
-                                        d,
-                                        HeapEntry::Node {
-                                            page: c.page,
-                                            mbr: c.mbr,
-                                        },
-                                    ));
-                                }
-                            }
+                arena.load(&mut *tree, page);
+                if arena.is_leaf() {
+                    // Batched centroid distances over the coordinate slices,
+                    // in `Point::dist`'s subtract/multiply/sqrt order.
+                    let n = arena.len();
+                    dists.clear();
+                    dists.resize(n, 0.0);
+                    let (cx, cy) = (centroid.x, centroid.y);
+                    for ((d, &x), &y) in dists.iter_mut().zip(arena.xs()).zip(arena.ys()) {
+                        let dx = x - cx;
+                        let dy = y - cy;
+                        *d = (dx * dx + dy * dy).sqrt();
+                    }
+                    for (i, &d) in dists.iter().enumerate() {
+                        let o = arena.object(i);
+                        if g.any_can_refine(&o.mbr()) {
+                            heap.push(MinHeapItem::new(d, HeapEntry::Point(o)));
                         }
                     }
-                    LeafLayout::Soa => {
-                        arena.load(&mut *tree, page);
-                        if arena.is_leaf() {
-                            // Batched centroid distances over the coordinate
-                            // slices: same subtract/multiply/sqrt order as
-                            // `Point::dist`, so the heap keys are bitwise
-                            // equal to the AoS arm's.
-                            let n = arena.len();
-                            dists.clear();
-                            dists.resize(n, 0.0);
-                            let (cx, cy) = (centroid.x, centroid.y);
-                            for ((d, &x), &y) in dists.iter_mut().zip(arena.xs()).zip(arena.ys()) {
-                                let dx = x - cx;
-                                let dy = y - cy;
-                                *d = (dx * dx + dy * dy).sqrt();
-                            }
-                            for (i, &d) in dists.iter().enumerate() {
-                                let o = arena.object(i);
-                                if g.any_can_refine(&o.mbr()) {
-                                    heap.push(MinHeapItem::new(d, HeapEntry::Point(o)));
-                                }
-                            }
-                        } else {
-                            for c in arena.children() {
-                                if g.any_can_refine(&c.mbr) {
-                                    let d = c.mbr.mindist_point(&centroid);
-                                    heap.push(MinHeapItem::new(
-                                        d,
-                                        HeapEntry::Node {
-                                            page: c.page,
-                                            mbr: c.mbr,
-                                        },
-                                    ));
-                                }
-                            }
+                } else {
+                    for c in arena.children() {
+                        if g.any_can_refine(&c.mbr) {
+                            let d = c.mbr.mindist_point(&centroid);
+                            heap.push(MinHeapItem::new(
+                                d,
+                                HeapEntry::Node {
+                                    page: c.page,
+                                    mbr: c.mbr,
+                                },
+                            ));
                         }
                     }
                 }
@@ -613,10 +578,10 @@ mod tests {
         (a.area() - b.area()).abs() < 1e-3
     }
 
-    /// The cells of `group` in the domain, default layout, fresh scratch.
+    /// The cells of `group` in the domain, fresh scratch.
     fn domain_cells(tree: &mut RTree<PointObject>, group: &[PointObject]) -> Vec<ConvexPolygon> {
         let scratch = &mut VorScratch::default();
-        batch_voronoi_with(tree, group, &Rect::DOMAIN, LeafLayout::default(), scratch)
+        batch_voronoi_with(tree, group, &Rect::DOMAIN, scratch)
     }
 
     #[test]
@@ -733,12 +698,11 @@ mod tests {
             hits: 0,
         };
         // First pass: all misses, results identical to the uncached call.
-        let first = batch_voronoi_cached_with(
+        let first = batch_voronoi_cached(
             &mut tree,
             &group,
             &Rect::DOMAIN,
             &mut store,
-            LeafLayout::default(),
             &mut VorScratch::default(),
         );
         assert_eq!(store.hits, 0);
@@ -748,12 +712,11 @@ mod tests {
         // Second pass: every cell is served from the store, without touching
         // the tree.
         tree.stats().reset();
-        let second = batch_voronoi_cached_with(
+        let second = batch_voronoi_cached(
             &mut tree,
             &group,
             &Rect::DOMAIN,
             &mut store,
-            LeafLayout::default(),
             &mut VorScratch::default(),
         );
         assert_eq!(store.hits, group.len());
@@ -762,12 +725,11 @@ mod tests {
             assert!(cells_equal(a, b));
         }
         // A NoCache store degrades to the plain batch computation.
-        let none = batch_voronoi_cached_with(
+        let none = batch_voronoi_cached(
             &mut tree,
             &group,
             &Rect::DOMAIN,
             &mut NoCache,
-            LeafLayout::default(),
             &mut VorScratch::default(),
         );
         for (a, b) in uncached.iter().zip(&none) {
@@ -799,12 +761,11 @@ mod tests {
                 store.0.insert(obj.id.0, cell.clone());
             }
         }
-        let mixed = batch_voronoi_cached_with(
+        let mixed = batch_voronoi_cached(
             &mut tree,
             &group,
             &Rect::DOMAIN,
             &mut store,
-            LeafLayout::default(),
             &mut VorScratch::default(),
         );
         for (a, b) in reference.iter().zip(&mixed) {
@@ -812,42 +773,6 @@ mod tests {
         }
         // The store now holds all members.
         assert_eq!(store.0.len(), group.len());
-    }
-
-    #[test]
-    fn soa_and_aos_layouts_agree_bitwise() {
-        let pts = random_points(600, 47);
-        let objects = PointObject::from_points(&pts);
-        let mut aos_tree = RTree::bulk_load(config(), objects.clone());
-        let mut soa_tree = RTree::bulk_load(config(), objects.clone());
-        for t in [&mut aos_tree, &mut soa_tree] {
-            t.set_buffer_pages(4);
-            t.drop_buffer();
-            t.stats().reset();
-        }
-        let mut scratch = VorScratch::for_budget(config().node_byte_budget());
-        for lo in [0, 77, 200] {
-            let group: Vec<PointObject> = objects[lo..lo + 10].to_vec();
-            let aos = batch_voronoi_with(
-                &mut aos_tree,
-                &group,
-                &Rect::DOMAIN,
-                LeafLayout::Aos,
-                &mut VorScratch::default(),
-            );
-            let soa = batch_voronoi_with(
-                &mut soa_tree,
-                &group,
-                &Rect::DOMAIN,
-                LeafLayout::Soa,
-                &mut scratch,
-            );
-            // Bitwise, not approximate: the layouts execute the same f64
-            // operations in the same order.
-            assert_eq!(aos, soa);
-        }
-        assert_eq!(aos_tree.stats().snapshot(), soa_tree.stats().snapshot());
-        assert_eq!(aos_tree.backend_io(), soa_tree.backend_io());
     }
 
     #[test]
@@ -1129,7 +1054,7 @@ mod tests {
             let group = adversarial_group(seed, shape, n);
             let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
             let (mut clip, mut tables) = (ClipScratch::default(), GroupTables::default());
-            let mut g = GroupCells::new(&group, &Rect::DOMAIN, LeafLayout::Soa, &mut clip, &mut tables);
+            let mut g = GroupCells::new(&group, &Rect::DOMAIN, &mut clip, &mut tables);
             // Mostly from seeded (tight) cells, sometimes from the domain.
             if seeded > 0 {
                 g.seed();
@@ -1165,16 +1090,7 @@ mod tests {
             assert_seeding_matches_brute_force(&group);
             // The group as the whole dataset: final cells = seeded cells.
             let mut tree = RTree::bulk_load(config(), group.clone());
-            let soa = domain_cells(&mut tree, &group);
-            let aos = batch_voronoi_with(
-                &mut tree,
-                &group,
-                &Rect::DOMAIN,
-                LeafLayout::Aos,
-                &mut VorScratch::default(),
-            );
-            prop_assert_eq!(&soa, &aos);
-            for (i, cell) in soa.iter().enumerate() {
+            for (i, cell) in domain_cells(&mut tree, &group).iter().enumerate() {
                 let expected = brute_force_cell(&points, i, &Rect::DOMAIN);
                 assert_same_cell(cell, &expected, &format!("final cell {i} of {n} (shape {shape})"));
             }
@@ -1184,13 +1100,7 @@ mod tests {
     fn assert_seeding_matches_brute_force(group: &[PointObject]) {
         let points: Vec<Point> = group.iter().map(|o| o.point).collect();
         let (mut clip, mut tables) = (ClipScratch::default(), GroupTables::default());
-        let mut g = GroupCells::new(
-            group,
-            &Rect::DOMAIN,
-            LeafLayout::Soa,
-            &mut clip,
-            &mut tables,
-        );
+        let mut g = GroupCells::new(group, &Rect::DOMAIN, &mut clip, &mut tables);
         g.seed();
         for (i, cell) in g.cells.iter().enumerate() {
             let expected = brute_force_cell(&points, i, &Rect::DOMAIN);
@@ -1228,13 +1138,7 @@ mod tests {
         for leaf in tree.leaf_pages_hilbert_order(&Rect::DOMAIN) {
             let group = tree.read_node(leaf).objects;
             cells += group.len() as u64;
-            batch_voronoi_with(
-                &mut tree,
-                &group,
-                &Rect::DOMAIN,
-                LeafLayout::Soa,
-                &mut scratch,
-            );
+            batch_voronoi_with(&mut tree, &group, &Rect::DOMAIN, &mut scratch);
         }
         assert_eq!(cells, 20_000);
         let clips_per_cell = scratch.clips as f64 / cells as f64;

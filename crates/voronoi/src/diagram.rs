@@ -12,7 +12,7 @@ use crate::batch::{batch_voronoi_with, VorScratch};
 use crate::single::single_voronoi;
 use cij_geom::Rect;
 use cij_pagestore::IoSnapshot;
-use cij_rtree::{CellObject, LeafLayout, PointObject, RTree};
+use cij_rtree::{CellObject, PointObject, RTree};
 use std::time::{Duration, Instant};
 
 /// Which per-leaf strategy a diagram computation uses.
@@ -60,8 +60,7 @@ pub fn compute_diagram(
                 }
             }
             DiagramMethod::Batch => {
-                let group_cells =
-                    batch_voronoi_with(tree, &group, domain, LeafLayout::default(), &mut scratch);
+                let group_cells = batch_voronoi_with(tree, &group, domain, &mut scratch);
                 for (member, cell) in group.iter().zip(group_cells) {
                     cells.push(CellObject::new(member.id.0, member.point, cell));
                 }

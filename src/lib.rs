@@ -80,11 +80,11 @@ pub mod prelude {
     pub use cij_core::{
         batch_conditional_filter_scratch, brute_force_cij, brute_force_multiway_cij, fm_cij,
         multiway_cij, nm_cij, pm_cij, Algorithm, Batch, CacheBudget, CacheLease, CellCache,
-        CijConfig, CijOutcome, CijService, Completion, EngineSnapshot, ExecMode, FilterKernel,
-        FilterOptions, FilterScratch, FilterStats, LeafLayout, LeafWatermark, ManualClock,
-        MultiwayCounters, MultiwayDriver, MultiwayOutcome, MultiwayTuple, MultiwayWorkload,
-        PairStream, QueryEngine, QueryError, QueueFull, Request, ResponseHandle, ServiceClock,
-        ServiceConfig, StorageBackend, SystemClock, TupleStream, Workload,
+        CijConfig, CijOutcome, CijService, Completion, EngineSnapshot, ExecMode, FilterOptions,
+        FilterScratch, FilterStats, LeafWatermark, ManualClock, MultiwayCounters, MultiwayOutcome,
+        MultiwayTuple, MultiwayWorkload, PairStream, QueryEngine, QueryError, QueueFull, Request,
+        ResponseHandle, ServiceClock, ServiceConfig, StorageBackend, SystemClock, TupleStream,
+        Workload,
     };
     pub use cij_datagen::{clustered_points, uniform_points, ClusterSpec, RealDataset};
     pub use cij_geom::{ConvexPolygon, Point, Rect};

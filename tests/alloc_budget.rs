@@ -5,50 +5,13 @@
 //! reports, but nothing fails when it regresses. This file pins it where a
 //! regression is cheapest to see: heap allocations per emitted tuple of a
 //! fixed 3-way clustered join, and per emitted pair of a fixed binary
-//! NM-CIJ, each at one worker. The binary has its own counting
-//! `#[global_allocator]` and exactly **one** `#[test]`, so no sibling test's
-//! allocations are ever counted — keep it that way.
+//! NM-CIJ, each at one worker. The count is `cij_bench::allocations()` —
+//! naming that crate links its counting `#[global_allocator]` into this test
+//! binary — and the binary holds exactly **one** `#[test]`, so no sibling
+//! test's allocations are ever counted — keep it that way.
 
 use cij::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Heap allocations of the process so far (`alloc`, `alloc_zeroed` and
-/// `realloc` calls; frees are not counted).
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAlloc;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a side effect only.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: the caller's `GlobalAlloc::alloc` obligations pass through.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    // SAFETY: `ptr` came from this allocator, i.e. from `System`.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    // SAFETY: same pass-through contract as `alloc`.
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    // SAFETY: `ptr`/`layout` came from this allocator and `new_size` is the
-    // caller's responsibility per `GlobalAlloc::realloc`.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+use cij_bench::allocations;
 
 /// Allocations per emitted tuple the join may spend. Two are structural —
 /// the public `MultiwayTuple { ids: Vec<u64>, region }` owns two heap
@@ -60,13 +23,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// the allocating extension step it replaced measured 22.9.
 const MAX_ALLOCATIONS_PER_TUPLE: f64 = 10.0;
 
-/// Allocations per emitted pair binary NM-CIJ may spend on its default
-/// (SoA arena, reused scratch) path. The floor is the exact cells
-/// BatchVoronoi returns and the copies the reuse buffer keeps, each filter
-/// call's candidate list and the per-leaf vectors of the chunk stages; no
-/// allocation is per pair. When the bound was set the join measured 2.9
-/// here (debug and `--release` alike); computing just the `Q` cells through
-/// the owned-node, allocating-clip AoS layout measures 6.7.
+/// Allocations per emitted pair binary NM-CIJ may spend. The floor is the
+/// exact cells BatchVoronoi returns and the copies the reuse buffer keeps,
+/// each filter call's candidate list and the per-leaf vectors of the chunk
+/// stages; no allocation is per pair. When the bound was set the join
+/// measured 2.9 here (debug and `--release` alike).
 const MAX_ALLOCATIONS_PER_PAIR: f64 = 4.0;
 
 #[test]
@@ -88,12 +49,12 @@ fn multiway_join_stays_within_its_allocation_budget() {
     );
     let mut workload = engine.multiway_workload(&sets);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let mut stream = engine.multiway_stream(&mut workload);
     let tuples = stream.by_ref().count();
     assert!(stream.io_error().is_none());
     drop(stream);
-    let spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let spent = allocations() - before;
 
     assert!(
         tuples > 2_000,
@@ -108,12 +69,12 @@ fn multiway_join_stays_within_its_allocation_budget() {
 
     // Binary NM-CIJ over the first two sets, same engine.
     let mut workload = engine.build_workload(&sets[0], &sets[1]);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let mut stream = engine.stream(&mut workload, Algorithm::NmCij);
     let pairs = stream.by_ref().count();
     assert!(stream.io_error().is_none());
     drop(stream);
-    let spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let spent = allocations() - before;
 
     assert!(pairs > 1_500, "only {pairs} pairs: the input degenerated");
     let per_pair = spent as f64 / pairs as f64;
