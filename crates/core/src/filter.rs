@@ -71,8 +71,12 @@
 //!    `B`, so its buckets divide the region the candidates actually occupy.
 //!    Candidates and examined points outside `B` clamp to border buckets;
 //!    [`cij_geom::grid`] argues why the ring bound and the reported bucket
-//!    extent stay lower bounds for them. The grid only orders and skips
-//!    clips that the reach argument already proved to be no-ops.
+//!    distance stay lower bounds for them. Each ring is walked inside the
+//!    window `4R²` of the reach at its start
+//!    ([`PointGrid::for_each_ring_bucket_within`]), so the rows, columns
+//!    and buckets of a ring that lie beyond `2R` cost no call. The grid
+//!    only orders and skips clips that the reach argument already proved to
+//!    be no-ops.
 //! 3. **One shield decision, priced once per entry.** Ingredient 3 accepts a
 //!    vertex `b` of `T` for side `L` and candidate `p` when
 //!    `dist²(b, p) ≤ fl(mindist²(L, b) + EPS)`, and prunes an entry when
@@ -105,15 +109,8 @@
 
 use crate::config::FilterKernel;
 use cij_geom::{ClipScratch, ConvexPolygon, Point, PointGrid, Rect, RectGrid, Segment};
-use cij_pagestore::PageId;
-use cij_rtree::{LeafLayout, MinDistHeap, MinHeapItem, NodeArena, NodeReader, PointObject};
+use cij_rtree::{LeafLayout, NodeArena, NodeReader, PointObject, TraversalEntry, TraversalQueue};
 use cij_voronoi::{bisector_cuts, cell_reach_sq};
-
-#[derive(Debug)]
-enum HeapEntry {
-    Node { page: PageId, mbr: Rect },
-    Point(PointObject),
-}
 
 /// Initial resolution of the adaptive candidate grid; it doubles whenever
 /// the average bucket load exceeds ~3 ([`PointGrid::needs_growth`]).
@@ -188,8 +185,9 @@ pub struct FilterScratch {
     /// ([`PointGrid::reset`]), so its buckets are allocated once per worker
     /// rather than once per invocation.
     pub grid: PointGrid,
-    /// The best-first traversal queue (every call drains it).
-    heap: MinDistHeap<HeapEntry>,
+    /// The best-first traversal queue: cleared at the start of every call,
+    /// drained by its end, its three allocations kept in between.
+    queue: TraversalQueue,
     /// Positions, in the call's polygon slice, of its non-empty polygons.
     usable: Vec<u32>,
     /// Their centroids and bounding boxes.
@@ -262,7 +260,7 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
         clip,
         cell,
         grid,
-        heap,
+        queue,
         usable,
         centers,
         poly_bboxes,
@@ -316,15 +314,15 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
     );
     polyidx.rebuild(poly_bboxes);
 
-    heap.clear();
+    queue.clear();
     // The root is read up front (Algorithm 5, line 4) and its entries seeded.
     let root = rp.root_page();
     arena.load(&mut *rp, root);
-    enqueue_arena(heap, &centroid, arena);
+    enqueue_arena(queue, &centroid, arena);
 
-    while let Some(MinHeapItem { item, .. }) = heap.pop() {
-        match item {
-            HeapEntry::Point(p) => {
+    while let Some(entry) = queue.pop() {
+        match entry {
+            TraversalEntry::Point(p) => {
                 stats.points_examined += 1;
                 // Approximate cell of p from the current candidates only; a
                 // superset of V(p, P) (within the seed), so discarding is
@@ -342,7 +340,7 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
                     }
                 }
             }
-            HeapEntry::Node { page, mbr } => {
+            TraversalEntry::Node { page, mbr } => {
                 // A node whose MBR intersects some polygon may contain points
                 // inside it; it can never be pruned.
                 let touches_some_poly = any_indexed(polyidx, &mbr, &mut stats, |i| {
@@ -355,42 +353,34 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
                     continue;
                 }
                 arena.load(&mut *rp, page);
-                enqueue_arena(heap, &centroid, arena);
+                enqueue_arena(queue, &centroid, arena);
             }
         }
     }
     (candidates, stats)
 }
 
-/// Pushes every entry of the decoded node onto the traversal heap, keyed by
+/// Pushes every entry of the decoded node onto the traversal queue, keyed by
 /// distance from the traversal centroid.
-fn enqueue_arena(heap: &mut MinDistHeap<HeapEntry>, centroid: &Point, arena: &NodeArena) {
+fn enqueue_arena(queue: &mut TraversalQueue, centroid: &Point, arena: &NodeArena) {
     if arena.is_leaf() {
         for i in 0..arena.len() {
             let o = arena.object(i);
-            heap.push(MinHeapItem::new(
-                o.point.dist(centroid),
-                HeapEntry::Point(o),
-            ));
+            queue.push_point(o.point.dist(centroid), o);
         }
     } else {
         for c in arena.children() {
-            heap.push(MinHeapItem::new(
-                c.mbr.mindist_point(centroid),
-                HeapEntry::Node {
-                    page: c.page,
-                    mbr: c.mbr,
-                },
-            ));
+            queue.push_node(c.mbr.mindist_point(centroid), c.page, c.mbr);
         }
     }
 }
 
 /// The approximate cell of `p`, written into the caller-owned `cell` through
 /// the in-place clipping kernel: visit candidates nearest-first by expanding
-/// grid rings, clip only bisectors that actually cut, and stop as soon as
-/// the remaining rings are provably beyond twice the cell's reach (see the
-/// module docs for the sufficiency argument).
+/// grid rings, each ring windowed to the buckets within twice the cell's
+/// reach, clip only bisectors that actually cut, and stop as soon as the
+/// remaining rings are provably beyond that distance (see the module docs
+/// for the sufficiency argument).
 fn approx_cell_into(
     seed: &ConvexPolygon,
     p: &PointObject,
@@ -412,36 +402,43 @@ fn approx_cell_into(
         let lb = grid.ring_mindist(ring);
         // No candidate at distance > 2·reach can shrink the cell; rings only
         // get farther, so the whole enumeration can stop here.
-        if lb * lb > 4.0 * reach_sq {
+        let window_sq = 4.0 * reach_sq;
+        if lb * lb > window_sq {
             break;
         }
-        let in_range = grid.for_each_ring_bucket(center, ring, |bucket, items| {
-            if emptied || items.is_empty() {
-                return;
-            }
-            if bucket.mindist_point_sq(&p.point) > 4.0 * reach_sq {
-                return;
-            }
-            for &idx in items {
-                let c = &candidates[idx as usize];
-                if c.id == p.id {
-                    continue;
-                }
-                if c.point.dist_sq(&p.point) > 4.0 * reach_sq {
-                    continue;
-                }
-                if !bisector_cuts(cell.vertices(), &p.point, &c.point) {
-                    continue;
-                }
-                cell.clip_bisector_in_place(&p.point, &c.point, scratch);
-                stats.clip_ops += 1;
-                if cell.is_empty() {
-                    emptied = true;
+        // The walk windows the ring by the bound at its start; clips inside
+        // the ring shrink the bound, so each bucket is still held to the
+        // current one.
+        let in_range = grid.for_each_ring_bucket_within(
+            center,
+            &p.point,
+            ring,
+            window_sq,
+            |bucket_sq, items| {
+                if emptied || bucket_sq > 4.0 * reach_sq {
                     return;
                 }
-                reach_sq = cell_reach_sq(&p.point, cell);
-            }
-        });
+                for &idx in items {
+                    let c = &candidates[idx as usize];
+                    if c.id == p.id {
+                        continue;
+                    }
+                    if c.point.dist_sq(&p.point) > 4.0 * reach_sq {
+                        continue;
+                    }
+                    if !bisector_cuts(cell.vertices(), &p.point, &c.point) {
+                        continue;
+                    }
+                    cell.clip_bisector_in_place(&p.point, &c.point, scratch);
+                    stats.clip_ops += 1;
+                    if cell.is_empty() {
+                        emptied = true;
+                        return;
+                    }
+                    reach_sq = cell_reach_sq(&p.point, cell);
+                }
+            },
+        );
         if emptied || !in_range {
             break;
         }
@@ -587,8 +584,8 @@ fn is_shielded_four_sided(
 /// owned nodes, every approximate cell clipped against **every** candidate
 /// found so far with the allocating [`ConvexPolygon::clip_bisector`], linear
 /// scans over the probe polygons, the four-sided shield rule. It shares the
-/// seed box `B` (module docs, invariant 1) and the heap with the product and
-/// none of its indexes, cutoffs or scratch.
+/// seed box `B` (module docs, invariant 1) and the queue type with the
+/// product and none of its indexes, cutoffs or scratch.
 #[cfg(test)]
 fn reference_filter<T: NodeReader<PointObject>>(
     rp: &mut T,
@@ -615,27 +612,20 @@ fn reference_filter<T: NodeReader<PointObject>>(
     );
     let seed = ConvexPolygon::from_rect(&domain.intersection(&padded).unwrap_or(*domain));
 
-    let mut heap: MinDistHeap<HeapEntry> = MinDistHeap::new();
-    let enqueue = |heap: &mut MinDistHeap<HeapEntry>, node: cij_rtree::Node<PointObject>| {
+    let mut queue = TraversalQueue::default();
+    let enqueue = |queue: &mut TraversalQueue, node: cij_rtree::Node<PointObject>| {
         for o in node.objects {
-            heap.push(MinHeapItem::new(
-                o.point.dist(&centroid),
-                HeapEntry::Point(o),
-            ));
+            queue.push_point(o.point.dist(&centroid), o);
         }
         for c in node.children {
-            let (page, mbr) = (c.page, c.mbr);
-            heap.push(MinHeapItem::new(
-                mbr.mindist_point(&centroid),
-                HeapEntry::Node { page, mbr },
-            ));
+            queue.push_node(c.mbr.mindist_point(&centroid), c.page, c.mbr);
         }
     };
     let root = rp.root_page();
-    enqueue(&mut heap, rp.read(root));
-    while let Some(MinHeapItem { item, .. }) = heap.pop() {
-        match item {
-            HeapEntry::Point(p) => {
+    enqueue(&mut queue, rp.read(root));
+    while let Some(entry) = queue.pop() {
+        match entry {
+            TraversalEntry::Point(p) => {
                 stats.points_examined += 1;
                 let mut cell = seed.clone();
                 for c in candidates.iter().filter(|c| c.id != p.id) {
@@ -653,7 +643,7 @@ fn reference_filter<T: NodeReader<PointObject>>(
                     candidates.push(p);
                 }
             }
-            HeapEntry::Node { page, mbr } => {
+            TraversalEntry::Node { page, mbr } => {
                 let touches_some_poly = probes
                     .iter()
                     .any(|t| mbr.intersects(&t.bbox()) && t.intersects_rect(&mbr));
@@ -662,7 +652,7 @@ fn reference_filter<T: NodeReader<PointObject>>(
                     stats.entries_pruned += 1;
                     continue;
                 }
-                enqueue(&mut heap, rp.read(page));
+                enqueue(&mut queue, rp.read(page));
             }
         }
     }

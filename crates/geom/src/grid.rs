@@ -9,7 +9,8 @@
 //!   a query point, so a caller can visit items roughly nearest-first and
 //!   stop as soon as a distance bound proves the remaining rings irrelevant
 //!   ([`PointGrid::ring_mindist`] is the per-ring lower bound that makes the
-//!   early exit sound).
+//!   early exit sound; [`PointGrid::for_each_ring_bucket_within`] walks one
+//!   ring, leaving out the buckets beyond the caller's bound).
 //! * [`RectGrid`] — a *static* index of rectangle items (bounding boxes).
 //!   Each rectangle is registered in every bucket it overlaps; a query
 //!   gathers the items whose buckets overlap a query rectangle, visiting
@@ -35,7 +36,12 @@
 //!   `bucket_of` — border buckets extend to infinity on their outward
 //!   sides — so `bucket_rect(i, j).mindist_point_sq(p)` is a lower bound on
 //!   the distance from `p` to every item stored in the bucket, clamped or
-//!   not.
+//!   not. The preimage is a product of two spans, one per axis, so the
+//!   bound is a sum of two per-axis terms: `dx(i)² + dy(j)²`, with `dx(i)`
+//!   the distance from `p.x` to the span of column `i` (zero inside it, and
+//!   on the open side of a border column) and `dy(j)` likewise for row `j`.
+//!   The ring walk hands out exactly this sum, each term computed once per
+//!   column or row of the ring.
 //! * [`PointGrid::ring_mindist`] holds for a clamped query point too: if
 //!   the query maps to column `i` and an item to column `i'` with
 //!   `|i' − i| = r`, the `r − 1` columns strictly between them are interior
@@ -45,6 +51,23 @@
 //!   holds per row, and a Chebyshev ring `r` bucket differs by `r` in at
 //!   least one axis. (On a zero-width axis every index is `0`, the step is
 //!   `0` and the bound degenerates to the trivially valid `0`.)
+//!
+//! # The reach window
+//!
+//! Both callers of the ring walk hold a squared bound — four times the
+//! squared reach of the cell they are clipping — and have no use for a
+//! bucket whose `mindist²` exceeds it. The walk takes that bound as
+//! `limit_sq` and does not visit such buckets at all: a row with
+//! `dy(j)² > limit_sq` or a column with `dx(i)² > limit_sq` is skipped
+//! whole (either term alone is at most the sum), and within the rest a
+//! bucket with `dx(i)² + dy(j)² > limit_sq`. A caller's bound only shrinks
+//! while a ring is walked (clips shrink the cell), so the value at the
+//! start of the ring is the largest a per-bucket test against the current
+//! bound would compare with: what the window removes, that test rejects. A
+//! caller whose bound can shrink mid-ring keeps that test for the buckets
+//! the window lets through; the order of the remaining buckets is the full
+//! ring's, and the return value does not depend on the limit — the window
+//! changes which closures run, never a decision.
 
 use crate::point::Point;
 use crate::rect::Rect;
@@ -149,6 +172,14 @@ impl GridFrame {
         let (x0, x1) = self.axis_span(i, self.bounds.lo.x, self.bucket_w);
         let (y0, y1) = self.axis_span(j, self.bounds.lo.y, self.bucket_h);
         Rect::from_coords(x0, y0, x1, y1)
+    }
+
+    /// Distance from `coord` to the span of index `idx` along one axis: the
+    /// per-axis term of `bucket_rect(..).mindist_point_sq(..)`, from the
+    /// same [`GridFrame::axis_span`] in the same operation order.
+    fn axis_mindist(&self, idx: usize, lo: f64, extent: f64, coord: f64) -> f64 {
+        let (from, to) = self.axis_span(idx, lo, extent);
+        (from - coord).max(0.0).max(coord - to)
     }
 
     fn bucket_index(&self, i: usize, j: usize) -> usize {
@@ -276,46 +307,76 @@ impl PointGrid {
         ring.saturating_sub(1) as f64 * self.frame.min_bucket_extent()
     }
 
-    /// Visits every in-bounds bucket of Chebyshev ring `ring` around
-    /// `center` with its extent ([`GridFrame::bucket_rect`]) and item slice. Returns `false` when
-    /// the whole ring lies outside the grid — no larger ring can contain
-    /// anything either, so callers stop expanding.
-    pub fn for_each_ring_bucket(
+    /// Visits the buckets of Chebyshev ring `ring` around the bucket
+    /// `center` that lie within `limit_sq` of `p`, handing `f` each bucket's
+    /// `mindist²` from `p` — bit for bit
+    /// `bucket_rect(i, j).mindist_point_sq(p)` — and its item slice. The
+    /// order is fixed: the ring's top and bottom rows interleaved column by
+    /// column, then its left and right columns interleaved row by row. Rows,
+    /// columns and buckets farther than `limit_sq` are skipped without a
+    /// call (module docs, "The reach window"). Returns `false` when the
+    /// whole ring lies outside the grid, whatever the limit — no larger ring
+    /// can contain anything either, so callers stop expanding.
+    pub fn for_each_ring_bucket_within(
         &self,
         center: (usize, usize),
+        p: &Point,
         ring: usize,
-        mut f: impl FnMut(&Rect, &[u32]),
+        limit_sq: f64,
+        mut f: impl FnMut(f64, &[u32]),
     ) -> bool {
-        let res = self.frame.res() as isize;
-        let (ci, cj) = (center.0 as isize, center.1 as isize);
-        let r = ring as isize;
+        let frame = &self.frame;
+        let res = frame.res;
+        let (ci, cj) = center;
+        debug_assert!(ci < res && cj < res, "the centre is a bucket of the grid");
+        let dx_sq = |i: usize| {
+            let d = frame.axis_mindist(i, frame.bounds.lo.x, frame.bucket_w, p.x);
+            d * d
+        };
+        let dy_sq = |j: usize| {
+            let d = frame.axis_mindist(j, frame.bounds.lo.y, frame.bucket_h, p.y);
+            d * d
+        };
+        let beyond = |d_sq: f64| d_sq > limit_sq;
+        let mut visit = |i: usize, j: usize, d_sq: f64| {
+            if !beyond(d_sq) {
+                f(d_sq, &self.buckets[frame.bucket_index(i, j)]);
+            }
+        };
         if ring == 0 {
-            let rect = self.frame.bucket_rect(ci as usize, cj as usize);
-            f(
-                &rect,
-                &self.buckets[self.frame.bucket_index(ci as usize, cj as usize)],
-            );
+            visit(ci, cj, dx_sq(ci) + dy_sq(cj));
             return true;
         }
-        let mut any = false;
-        let mut visit = |i: isize, j: isize, f: &mut dyn FnMut(&Rect, &[u32])| {
-            if i < 0 || j < 0 || i >= res || j >= res {
-                return;
+        // The ring's two rows and two columns; `None` when off the grid.
+        let rows = [cj.checked_sub(ring), Some(cj + ring).filter(|&j| j < res)];
+        let cols = [ci.checked_sub(ring), Some(ci + ring).filter(|&i| i < res)];
+        // Each with its own axis distance², dropped when that alone is
+        // beyond the limit.
+        let [top, bottom] = rows.map(|j| j.map(|j| (j, dy_sq(j))).filter(|e| !beyond(e.1)));
+        if top.is_some() || bottom.is_some() {
+            for i in ci.saturating_sub(ring)..=(ci + ring).min(res - 1) {
+                let dx = dx_sq(i);
+                if beyond(dx) {
+                    continue;
+                }
+                for (j, dy) in [top, bottom].into_iter().flatten() {
+                    visit(i, j, dx + dy);
+                }
             }
-            any = true;
-            let (i, j) = (i as usize, j as usize);
-            let rect = self.frame.bucket_rect(i, j);
-            f(&rect, &self.buckets[self.frame.bucket_index(i, j)]);
-        };
-        for i in (ci - r)..=(ci + r) {
-            visit(i, cj - r, &mut f);
-            visit(i, cj + r, &mut f);
         }
-        for j in (cj - r + 1)..=(cj + r - 1) {
-            visit(ci - r, j, &mut f);
-            visit(ci + r, j, &mut f);
+        let [left, right] = cols.map(|i| i.map(|i| (i, dx_sq(i))).filter(|e| !beyond(e.1)));
+        if left.is_some() || right.is_some() {
+            for j in (cj + 1).saturating_sub(ring)..=(cj + ring - 1).min(res - 1) {
+                let dy = dy_sq(j);
+                if beyond(dy) {
+                    continue;
+                }
+                for (i, dx) in [left, right].into_iter().flatten() {
+                    visit(i, j, dx + dy);
+                }
+            }
         }
-        any
+        rows.iter().chain(&cols).any(Option::is_some)
     }
 }
 
@@ -425,6 +486,46 @@ impl RectGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl PointGrid {
+        /// The full-ring walk [`PointGrid::for_each_ring_bucket_within`]
+        /// replaced, kept as its reference: every in-grid bucket of the ring
+        /// with its extent, a bounds test and a `bucket_rect` per bucket.
+        fn for_each_ring_bucket(
+            &self,
+            center: (usize, usize),
+            ring: usize,
+            mut f: impl FnMut(&Rect, &[u32]),
+        ) -> bool {
+            let res = self.frame.res() as isize;
+            let (ci, cj) = (center.0 as isize, center.1 as isize);
+            let r = ring as isize;
+            let mut any = false;
+            let mut visit = |i: isize, j: isize| {
+                if i < 0 || j < 0 || i >= res || j >= res {
+                    return;
+                }
+                any = true;
+                let (i, j) = (i as usize, j as usize);
+                let rect = self.frame.bucket_rect(i, j);
+                f(&rect, &self.buckets[self.frame.bucket_index(i, j)]);
+            };
+            if ring == 0 {
+                visit(ci, cj);
+                return any;
+            }
+            for i in (ci - r)..=(ci + r) {
+                visit(i, cj - r);
+                visit(i, cj + r);
+            }
+            for j in (cj - r + 1)..=(cj + r - 1) {
+                visit(ci - r, j);
+                visit(ci + r, j);
+            }
+            any
+        }
+    }
 
     #[test]
     fn frame_maps_points_and_rects_to_buckets() {
@@ -466,34 +567,44 @@ mod tests {
             .collect()
     }
 
-    /// Walks every ring around `from` and checks the three contracts the
-    /// filter's cutoff relies on: the rings partition the items, and both
-    /// the ring bound and the reported bucket extent are lower bounds on
-    /// the distance to every item they cover.
+    /// Walks every ring around `from`, unwindowed, and checks the three
+    /// contracts the filter's cutoff relies on: the rings partition the
+    /// items, and both the ring bound and the reported bucket distance are
+    /// lower bounds on the distance to every item they cover.
     fn assert_ring_contracts(grid: &PointGrid, points: &[Point], from: &Point) {
-        let center = grid.frame().bucket_of(from);
+        let frame = grid.frame();
+        for item in points {
+            let (i, j) = frame.bucket_of(item);
+            assert!(
+                frame.bucket_rect(i, j).contains_point(item),
+                "bucket ({i}, {j}) misses its own item {item}"
+            );
+        }
+        let center = frame.bucket_of(from);
         let mut seen = Vec::new();
         let mut ring = 0;
         loop {
             let lb = grid.ring_mindist(ring);
-            let in_range = grid.for_each_ring_bucket(center, ring, |bucket, items| {
-                for &idx in items {
-                    let item = &points[idx as usize];
-                    assert!(
-                        item.dist(from) >= lb,
-                        "ring {ring} holds {item} closer to {from} than its bound {lb}"
-                    );
-                    assert!(
-                        bucket.mindist_point_sq(from) <= item.dist_sq(from),
-                        "bucket extent {bucket:?} is no lower bound for {item} from {from}"
-                    );
-                    assert!(
-                        bucket.contains_point(item),
-                        "bucket extent {bucket:?} misses its own item {item}"
-                    );
-                }
-                seen.extend_from_slice(items);
-            });
+            let in_range = grid.for_each_ring_bucket_within(
+                center,
+                from,
+                ring,
+                f64::INFINITY,
+                |bucket_sq, items| {
+                    for &idx in items {
+                        let item = &points[idx as usize];
+                        assert!(
+                            item.dist(from) >= lb,
+                            "ring {ring} holds {item} closer to {from} than its bound {lb}"
+                        );
+                        assert!(
+                            bucket_sq <= item.dist_sq(from),
+                            "bucket distance² {bucket_sq} is no lower bound for {item} from {from}"
+                        );
+                    }
+                    seen.extend_from_slice(items);
+                },
+            );
             if !in_range {
                 break;
             }
@@ -502,6 +613,80 @@ mod tests {
         seen.sort_unstable();
         let expected: Vec<u32> = (0..points.len() as u32).collect();
         assert_eq!(seen, expected, "rings must partition the items");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The windowed walk reports exactly the full-ring reference's
+        /// buckets within the limit: same order, same buckets, bitwise-equal
+        /// distances, same return value.
+        #[test]
+        fn windowed_walk_reports_the_reference_buckets_within_the_limit(
+            frame_kind in 0usize..4,
+            items_inside in 0usize..2,
+            res_pick in 0usize..5,
+            origin in (-50.0f64..50.0, -50.0f64..50.0),
+            extent in (1.0f64..100.0, 1.0f64..100.0),
+            queries in proptest::collection::vec((-3.0f64..4.0, -3.0f64..4.0), 5..6),
+            far in (-1.0e6f64..1.0e6, -1.0e6f64..1.0e6),
+        ) {
+            // In-frame, zero-width, zero-height and point frames.
+            let (w, h) = match frame_kind {
+                0 => extent,
+                1 => (0.0, extent.1),
+                2 => (extent.0, 0.0),
+                _ => (0.0, 0.0),
+            };
+            let bounds = Rect::from_coords(origin.0, origin.1, origin.0 + w, origin.1 + h);
+            let res = [1usize, 2, 5, 8, 16][res_pick];
+            let at = |f: (f64, f64)| Point::new(origin.0 + f.0 * w.max(1.0), origin.1 + f.1 * h.max(1.0));
+            let points: Vec<Point> = if items_inside == 1 {
+                (0..60).map(|i| at(((i * 37 % 101) as f64 / 101.0, (i * 59 % 103) as f64 / 103.0))).collect()
+            } else {
+                scattered(60, &bounds)
+            };
+            let mut grid = PointGrid::new(&bounds, res);
+            for (i, p) in points.iter().enumerate() {
+                grid.insert(p, i as u32);
+            }
+            // A marker per bucket, so that equal slices mean the same bucket.
+            for (slot, bucket) in grid.buckets.iter_mut().enumerate() {
+                bucket.push(1_000_000 + slot as u32);
+            }
+            // Inside (fractions in 0..1), around and far outside the frame.
+            let mut froms: Vec<Point> = queries.iter().map(|&f| at(f)).collect();
+            froms.push(Point::new(far.0, far.1));
+            froms.push(bounds.lo);
+            for from in &froms {
+                let center = grid.frame().bucket_of(from);
+                let extent_sq = grid.frame().min_bucket_extent().powi(2);
+                let mid_sq = from.dist_sq(&bounds.center()).max(extent_sq) * 0.5;
+                for ring in 0..res + 2 {
+                    let mut reference = Vec::new();
+                    let expected = grid.for_each_ring_bucket(center, ring, |bucket, items| {
+                        reference.push((bucket.mindist_point_sq(from), items.to_vec()));
+                    });
+                    for limit_sq in [0.0, extent_sq, mid_sq, f64::INFINITY] {
+                        let mut reported = Vec::new();
+                        let in_range = grid.for_each_ring_bucket_within(
+                            center, from, ring, limit_sq,
+                            |d_sq, items| reported.push((d_sq.to_bits(), items.to_vec())),
+                        );
+                        let within: Vec<(u64, Vec<u32>)> = reference
+                            .iter()
+                            .filter(|(d_sq, _)| *d_sq <= limit_sq)
+                            .map(|(d_sq, items)| (d_sq.to_bits(), items.clone()))
+                            .collect();
+                        prop_assert_eq!(in_range, expected, "ring {} from {}", ring, from);
+                        prop_assert_eq!(
+                            reported, within,
+                            "ring {} from {} within {}", ring, from, limit_sq
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -609,7 +794,10 @@ mod tests {
         assert_eq!(grown.len(), grid.len());
         let mut seen = 0usize;
         let mut ring = 0;
-        while grown.for_each_ring_bucket((0, 0), ring, |_, items| seen += items.len()) {
+        let origin = Point::new(0.0, 0.0);
+        while grown.for_each_ring_bucket_within((0, 0), &origin, ring, f64::INFINITY, |_, items| {
+            seen += items.len()
+        }) {
             ring += 1;
         }
         assert_eq!(seen, 40);

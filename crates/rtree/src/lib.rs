@@ -13,8 +13,9 @@
 //!   generic over the leaf payload ([`PointObject`] for the input pointsets,
 //!   [`CellObject`] for materialised Voronoi cells),
 //! * best-first incremental nearest-neighbour browsing ([`RTree::nearest_iter`],
-//!   Hjaltason & Samet \[11\]) and the [`MinHeapItem`]/[`MinDistHeap`] helpers
-//!   reused by BF-VOR and the conditional filter,
+//!   Hjaltason & Samet \[11\]), its [`MinHeapItem`]/[`MinDistHeap`] helpers,
+//!   and the [`TraversalQueue`] built on them that BF-VOR, BatchVoronoi and
+//!   the conditional filter all traverse with,
 //! * range queries and Hilbert-ordered depth-first leaf traversal,
 //! * the synchronous-traversal [`intersection_join`] of Brinkhoff et al. \[9\]
 //!   and an ε-[`distance_join`] for comparison,
@@ -45,7 +46,7 @@ pub use bulk::{DEFAULT_FILL, DEFAULT_RUN_CAPACITY};
 pub use closest_pairs::k_closest_pairs;
 pub use codec::NODE_HEADER_BYTES;
 pub use join::{distance_join, intersection_join, intersection_join_pairs, IdPair};
-pub use nn::{MinDistHeap, MinHeapItem, NearestNeighbourIter};
+pub use nn::{MinDistHeap, MinHeapItem, NearestNeighbourIter, TraversalEntry, TraversalQueue};
 pub use node::{ChildEntry, Node};
 pub use object::{CellObject, ObjectId, PointObject, RTreeObject};
 pub use reader::{probe, NodeReader, ReadLog, SnapshotReader};

@@ -5,9 +5,9 @@
 //! the conditional filter: entries are visited in ascending `mindist` from a
 //! query point by means of a min-heap.
 
-use crate::object::RTreeObject;
+use crate::object::{PointObject, RTreeObject};
 use crate::tree::RTree;
-use cij_geom::Point;
+use cij_geom::{Point, Rect};
 use cij_pagestore::PageId;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -62,6 +62,77 @@ impl<T> Ord for MinHeapItem<T> {
 
 /// A convenience alias for a min-heap keyed by distance.
 pub type MinDistHeap<T> = BinaryHeap<MinHeapItem<T>>;
+
+/// One entry of a [`TraversalQueue`]: a subtree still to be read, with the
+/// MBR its parent recorded for it, or a data point.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TraversalEntry {
+    /// A child entry of a non-leaf node.
+    Node {
+        /// The child's page.
+        page: PageId,
+        /// The child's MBR.
+        mbr: Rect,
+    },
+    /// A leaf object.
+    Point(PointObject),
+}
+
+/// The best-first queue of the Voronoi traversals and the conditional
+/// filter: a [`MinDistHeap`] whose items are 16 bytes — the key and a tagged
+/// index — with the entries themselves in two append-only side vectors, so a
+/// sift moves a third of what it would move with the entry inline.
+///
+/// The heap is the same `BinaryHeap` under the same [`MinHeapItem`] order a
+/// `MinDistHeap<TraversalEntry>` would use and the order never looks at the
+/// payload, so both compare the same keys in the same sequence and pop the
+/// same entries, ties and NaN keys included. A queue is meant to live in a
+/// per-worker scratch: [`TraversalQueue::clear`] keeps all three
+/// allocations.
+#[derive(Debug, Default)]
+pub struct TraversalQueue {
+    /// `item` is `index << 1 | kind`: bit 0 set for `points`, clear for
+    /// `nodes`.
+    heap: MinDistHeap<u32>,
+    nodes: Vec<(PageId, Rect)>,
+    points: Vec<PointObject>,
+}
+
+impl TraversalQueue {
+    /// Empties the queue, keeping its allocations. Popped entries stay in
+    /// the side vectors until then, so every traversal starts with this.
+    pub fn clear(&mut self) {
+        self.heap.clear();
+        self.nodes.clear();
+        self.points.clear();
+    }
+
+    /// Queues the subtree at `page` with key `dist`.
+    pub fn push_node(&mut self, dist: f64, page: PageId, mbr: Rect) {
+        let slot = (self.nodes.len() as u32) << 1;
+        self.nodes.push((page, mbr));
+        self.heap.push(MinHeapItem::new(dist, slot));
+    }
+
+    /// Queues the data point `point` with key `dist`.
+    pub fn push_point(&mut self, dist: f64, point: PointObject) {
+        let slot = (self.points.len() as u32) << 1 | 1;
+        self.points.push(point);
+        self.heap.push(MinHeapItem::new(dist, slot));
+    }
+
+    /// Removes and returns the entry with the smallest key.
+    pub fn pop(&mut self) -> Option<TraversalEntry> {
+        let slot = self.heap.pop()?.item;
+        let index = (slot >> 1) as usize;
+        Some(if slot & 1 == 0 {
+            let (page, mbr) = self.nodes[index];
+            TraversalEntry::Node { page, mbr }
+        } else {
+            TraversalEntry::Point(self.points[index])
+        })
+    }
+}
 
 enum HeapEntry<D> {
     Node(PageId),
@@ -140,7 +211,7 @@ mod tests {
     use super::*;
     use crate::object::PointObject;
     use crate::tree::RTreeConfig;
-    use cij_geom::Rect;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -176,6 +247,61 @@ mod tests {
         heap.push(MinHeapItem::new(f64::NAN, 99));
         let order: Vec<u32> = std::iter::from_fn(|| heap.pop().map(|e| e.item)).collect();
         assert_eq!(order, vec![1, 3, 5, 99]);
+    }
+
+    proptest! {
+        /// Fed the same pushes and pops, the slim queue and a heap holding
+        /// the entries inline pop the same entries — keys from four values
+        /// and NaN, so nearly every comparison is a tie.
+        #[test]
+        fn traversal_queue_pops_in_the_inline_heaps_order(
+            ops in proptest::collection::vec((0usize..3, 0usize..5), 1..300),
+        ) {
+            let keys = [0.0, 1.0, 2.5, 7.0, f64::NAN];
+            let mut slim = TraversalQueue::default();
+            let mut fat: MinDistHeap<TraversalEntry> = MinDistHeap::new();
+            for (serial, &(op, key)) in ops.iter().enumerate() {
+                let dist = keys[key];
+                let at = Point::new(serial as f64, -(serial as f64));
+                match op {
+                    0 => {
+                        let (page, mbr) = (PageId(serial as u32), Rect::from_point(at));
+                        slim.push_node(dist, page, mbr);
+                        fat.push(MinHeapItem::new(dist, TraversalEntry::Node { page, mbr }));
+                    }
+                    1 => {
+                        let point = PointObject::new(serial as u64, at);
+                        slim.push_point(dist, point);
+                        fat.push(MinHeapItem::new(dist, TraversalEntry::Point(point)));
+                    }
+                    _ => prop_assert_eq!(slim.pop(), fat.pop().map(|e| e.item)),
+                }
+            }
+            while let Some(entry) = fat.pop() {
+                prop_assert_eq!(slim.pop(), Some(entry.item));
+            }
+            prop_assert_eq!(slim.pop(), None);
+        }
+    }
+
+    #[test]
+    fn clearing_a_traversal_queue_empties_it_and_keeps_its_capacity() {
+        let mut queue = TraversalQueue::default();
+        for i in 0..100u32 {
+            let at = Point::new(f64::from(i), 0.0);
+            queue.push_node(at.x, PageId(i), Rect::from_point(at));
+            queue.push_point(at.x, PointObject::new(u64::from(i), at));
+        }
+        // Popped entries stay in the side vectors until the clear.
+        assert!(queue.pop().is_some());
+        assert_eq!((queue.nodes.len(), queue.points.len()), (100, 100));
+        let capacity =
+            |q: &TraversalQueue| (q.heap.capacity(), q.nodes.capacity(), q.points.capacity());
+        let before = capacity(&queue);
+        queue.clear();
+        assert!(queue.heap.is_empty() && queue.nodes.is_empty() && queue.points.is_empty());
+        assert_eq!(queue.pop(), None);
+        assert_eq!(capacity(&queue), before);
     }
 
     #[test]

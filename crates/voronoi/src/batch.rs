@@ -57,10 +57,13 @@
 //! The members are data points of `P` like any other and are known before
 //! the first node read, so every cell is first clipped with the *other
 //! members*: nearest first, from expanding ring queries over a
-//! [`PointGrid`] of the group, each ring sorted by distance, stopping at
-//! the first member beyond the gate — the safety-radius stop of a meshless
-//! Voronoi cell construction, and the same bound the conditional filter of
-//! `cij-core` applies to its approximate cells. Near bisectors shrink the
+//! [`PointGrid`] of the group, each ring walked inside the window of the
+//! member's gate ([`PointGrid::for_each_ring_bucket_within`] — the gate is
+//! fixed while a ring is collected, so the window is the whole per-bucket
+//! test) and sorted by distance, stopping at the first member beyond the
+//! gate — the safety-radius stop of a meshless Voronoi cell construction,
+//! and the same bound the conditional filter of `cij-core` applies to its
+//! approximate cells. Near bisectors shrink the
 //! reach at once, so the far members (all of them no-ops by the bullets
 //! above) are never enumerated and the pass costs O(|G|·k) rather than
 //! |G|² vertex loops — which matters for the several-hundred-point groups
@@ -81,9 +84,8 @@
 
 use crate::single::can_refine;
 use cij_geom::{ClipScratch, ConvexPolygon, Point, PointGrid, Rect};
-use cij_pagestore::PageId;
 use cij_rtree::{
-    LeafLayout, MinDistHeap, MinHeapItem, NodeArena, NodeReader, PointObject, RTreeObject,
+    LeafLayout, NodeArena, NodeReader, PointObject, RTreeObject, TraversalEntry, TraversalQueue,
 };
 
 /// Reusable per-worker scratch for batch-Voronoi traversals.
@@ -91,11 +93,12 @@ use cij_rtree::{
 /// [`batch_voronoi_with`] performs all its transient work inside this
 /// struct: nodes decode into the [`NodeArena`] (SoA layout), cell refinement
 /// ping-pongs through the [`ClipScratch`], per-leaf centroid distances land
-/// in `dists`, and the per-group tables (member sites, reach gates, the
-/// seeding grid) are rebuilt in place for every group. Allocate one per
-/// worker thread, reuse it across every group the worker processes; after
-/// the buffers reach their high-water size the traversal allocates only for
-/// the returned cells themselves.
+/// in `dists`, the best-first queue and the per-group tables (member sites,
+/// reach gates, the seeding grid) are emptied and refilled in place for
+/// every group. Allocate one per worker thread, reuse it across every group
+/// the worker processes; after the buffers reach their high-water size the
+/// traversal allocates only for the returned cells themselves
+/// (`tests/alloc_budget.rs` counts it).
 #[derive(Debug, Default)]
 pub struct VorScratch {
     /// SoA node decode target.
@@ -113,6 +116,9 @@ pub struct VorScratch {
     /// the group, one per member seeded against the rest of the group.
     pub refine_calls: u64,
     tables: GroupTables,
+    /// The best-first traversal queue: cleared at the start of every call,
+    /// drained by its end, its three allocations kept in between.
+    queue: TraversalQueue,
 }
 
 impl VorScratch {
@@ -135,7 +141,8 @@ struct GroupTables {
     ys: Vec<f64>,
     /// `4 · reach² · (1 + REACH_GUARD)` of each member's current cell.
     gate: Vec<f64>,
-    /// Members that passed the gate for the point being applied.
+    /// Members that passed the gate for the point being applied: a prefix
+    /// of this vector, which is kept as long as the group.
     near: Vec<u32>,
     /// The group's sites, bucketed for the seeding pass's ring queries.
     grid: PointGrid,
@@ -156,11 +163,6 @@ const SEED_BUCKET_LOAD: f64 = 2.0;
 #[inline]
 fn reach_gate(site: &Point, cell: &ConvexPolygon) -> f64 {
     4.0 * cell_reach_sq(site, cell) * (1.0 + REACH_GUARD)
-}
-
-enum HeapEntry {
-    Node { page: PageId, mbr: Rect },
-    Point(PointObject),
 }
 
 /// Whether the bisector `⊥(site, other)` actually cuts the cell whose
@@ -305,6 +307,7 @@ impl<'a> GroupCells<'a> {
         tables.xs.clear();
         tables.ys.clear();
         tables.gate.clear();
+        tables.near.resize(group.len(), 0);
         tables.xs.extend(group.iter().map(|o| o.point.x));
         tables.ys.extend(group.iter().map(|o| o.point.y));
         tables.gate.extend(
@@ -351,18 +354,19 @@ impl<'a> GroupCells<'a> {
         let GroupTables {
             xs, ys, gate, near, ..
         } = &mut *self.tables;
-        near.clear();
+        // Compaction without a data-dependent branch: every member is
+        // written at the cursor, which advances only past those in the gate.
+        let mut passed = 0usize;
         let (px, py) = (pj.point.x, pj.point.y);
         for (i, ((&x, &y), &limit)) in xs.iter().zip(ys.iter()).zip(gate.iter()).enumerate() {
             let dx = x - px;
             let dy = y - py;
-            if dx * dx + dy * dy <= limit {
-                near.push(i as u32);
-            }
+            near[passed] = i as u32;
+            passed += usize::from(dx * dx + dy * dy <= limit);
         }
         // Index loop: refining member `i` rewrites `gate[i]` only, never
         // the list being walked.
-        for k in 0..self.tables.near.len() {
+        for k in 0..passed {
             let i = self.tables.near[k] as usize;
             if self.group[i].id != pj.id {
                 self.refine_member(i, &pj.point);
@@ -419,17 +423,22 @@ impl<'a> GroupCells<'a> {
                     break;
                 }
                 ring.clear();
-                let in_range = grid.for_each_ring_bucket(center, ring_no, |bucket, items| {
-                    if items.is_empty() || bucket.mindist_point_sq(&me.point) > gate_i {
-                        return;
-                    }
-                    for &j in items {
-                        let other = &self.group[j as usize];
-                        if other.id != me.id {
-                            ring.push((other.point.dist_sq(&me.point), j));
+                // The gate is fixed while a ring is collected, so the walk's
+                // own window is the whole per-bucket test.
+                let in_range = grid.for_each_ring_bucket_within(
+                    center,
+                    &me.point,
+                    ring_no,
+                    gate_i,
+                    |_, items| {
+                        for &j in items {
+                            let other = &self.group[j as usize];
+                            if other.id != me.id {
+                                ring.push((other.point.dist_sq(&me.point), j));
+                            }
                         }
-                    }
-                });
+                    },
+                );
                 if !in_range {
                     break;
                 }
@@ -480,6 +489,7 @@ pub fn batch_voronoi_with<T: NodeReader<PointObject>>(
         vertex_loops,
         refine_calls,
         tables,
+        queue,
     } = scratch;
     let mut g = GroupCells::new(group, domain, clip, tables);
     if group.is_empty() || tree.is_empty() {
@@ -488,22 +498,16 @@ pub fn batch_voronoi_with<T: NodeReader<PointObject>>(
     let centroid = Point::centroid_of(group.iter().map(|o| o.point)).expect("non-empty group");
     g.seed();
 
-    let mut heap: MinDistHeap<HeapEntry> = MinDistHeap::new();
-    heap.push(MinHeapItem::new(
-        0.0,
-        HeapEntry::Node {
-            page: tree.root_page(),
-            mbr: *domain,
-        },
-    ));
+    queue.clear();
+    queue.push_node(0.0, tree.root_page(), *domain);
 
-    while let Some(MinHeapItem { item, .. }) = heap.pop() {
-        match item {
+    while let Some(entry) = queue.pop() {
+        match entry {
             // Line 9 of Algorithm 2 at deheap time — the cells may have
             // shrunk since this point was pushed — is the per-member test
             // inside `refine_with`.
-            HeapEntry::Point(pj) => g.refine_with(&pj),
-            HeapEntry::Node { page, mbr } => {
+            TraversalEntry::Point(pj) => g.refine_with(&pj),
+            TraversalEntry::Node { page, mbr } => {
                 // Line 9 of Algorithm 2 applied before reading the child.
                 if !g.any_can_refine(&mbr) {
                     continue;
@@ -524,20 +528,13 @@ pub fn batch_voronoi_with<T: NodeReader<PointObject>>(
                     for (i, &d) in dists.iter().enumerate() {
                         let o = arena.object(i);
                         if g.any_can_refine(&o.mbr()) {
-                            heap.push(MinHeapItem::new(d, HeapEntry::Point(o)));
+                            queue.push_point(d, o);
                         }
                     }
                 } else {
                     for c in arena.children() {
                         if g.any_can_refine(&c.mbr) {
-                            let d = c.mbr.mindist_point(&centroid);
-                            heap.push(MinHeapItem::new(
-                                d,
-                                HeapEntry::Node {
-                                    page: c.page,
-                                    mbr: c.mbr,
-                                },
-                            ));
+                            queue.push_node(c.mbr.mindist_point(&centroid), c.page, c.mbr);
                         }
                     }
                 }

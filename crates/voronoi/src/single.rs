@@ -9,8 +9,7 @@
 //! current cell. Every node is accessed at most once.
 
 use cij_geom::{ConvexPolygon, Point, Rect};
-use cij_pagestore::PageId;
-use cij_rtree::{MinDistHeap, MinHeapItem, ObjectId, PointObject, RTree, RTreeObject};
+use cij_rtree::{ObjectId, PointObject, RTree, RTreeObject, TraversalEntry, TraversalQueue};
 
 /// Pruning test of Lemma 2 (and Lemma 1 for degenerate rectangles): can the
 /// entry with MBR `mbr` possibly contain a point that refines the cell whose
@@ -22,11 +21,6 @@ pub fn can_refine(mbr: &Rect, vertices: &[Point], pi: &Point) -> bool {
     vertices
         .iter()
         .any(|g| mbr.mindist_point_sq(g) < g.dist_sq(pi))
-}
-
-enum HeapEntry {
-    Node { page: PageId, mbr: Rect },
-    Point(PointObject),
 }
 
 /// Computes the exact Voronoi cell `V(pi, P)` of `pi` within the pointset
@@ -46,18 +40,12 @@ pub fn single_voronoi(
     if tree.is_empty() {
         return cell;
     }
-    let mut heap: MinDistHeap<HeapEntry> = MinDistHeap::new();
-    heap.push(MinHeapItem::new(
-        0.0,
-        HeapEntry::Node {
-            page: tree.root_page(),
-            mbr: *domain,
-        },
-    ));
+    let mut queue = TraversalQueue::default();
+    queue.push_node(0.0, tree.root_page(), *domain);
 
-    while let Some(MinHeapItem { item, .. }) = heap.pop() {
-        match item {
-            HeapEntry::Point(pj) => {
+    while let Some(entry) = queue.pop() {
+        match entry {
+            TraversalEntry::Point(pj) => {
                 // Line 7 of Algorithm 1 applied at deheap time: the cell may
                 // have shrunk since this entry was pushed.
                 if pj.id == pi_id || !can_refine(&pj.mbr(), cell.vertices(), &pi) {
@@ -65,7 +53,7 @@ pub fn single_voronoi(
                 }
                 cell = cell.clip_bisector(&pi, &pj.point);
             }
-            HeapEntry::Node { page, mbr } => {
+            TraversalEntry::Node { page, mbr } => {
                 // Line 7 of Algorithm 1: skip (without reading) subtrees that
                 // can no longer refine the current cell.
                 if !can_refine(&mbr, cell.vertices(), &pi) {
@@ -78,21 +66,13 @@ pub fn single_voronoi(
                             continue;
                         }
                         if can_refine(&o.mbr(), cell.vertices(), &pi) {
-                            let d = o.point.dist(&pi);
-                            heap.push(MinHeapItem::new(d, HeapEntry::Point(o)));
+                            queue.push_point(o.point.dist(&pi), o);
                         }
                     }
                 } else {
                     for c in node.children {
                         if can_refine(&c.mbr, cell.vertices(), &pi) {
-                            let d = c.mbr.mindist_point(&pi);
-                            heap.push(MinHeapItem::new(
-                                d,
-                                HeapEntry::Node {
-                                    page: c.page,
-                                    mbr: c.mbr,
-                                },
-                            ));
+                            queue.push_node(c.mbr.mindist_point(&pi), c.page, c.mbr);
                         }
                     }
                 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Alternating parent/change pairs of the repo benchmark (BENCHMARK.json).
 #
-#   scripts/bench_pairs.sh <parent-ref> [--pairs 10] [--workloads a,b,...]
+#   scripts/bench_pairs.sh <parent-ref> [--pairs 10] [--workloads a,b,...] [--out DIR]
 #
 # `git archive`s <parent-ref> into a temporary directory (under $TMPDIR),
 # builds its cij_benchmark and the working tree's with separate
@@ -10,10 +10,16 @@
 # per workload x end-to-end metric, both medians, the parent's quartiles and
 # how many pairs the change won (ties count for neither side). Workloads,
 # metrics, their better-direction and the run length come from BENCHMARK.json.
+#
+# A run that exits non-zero (a wrong output, a crash) does not stop the
+# script: its status is recorded, its pair is left out of the medians, the
+# `failed p/c` column counts it and the script exits 1 after the report.
+# --out DIR keeps every run's result line (<workload>.<side>.jsonl, beside a
+# .status file of `seed exit-status` lines) instead of deleting them.
 set -euo pipefail
 
 usage() {
-    sed -n '2,12p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 }
 
@@ -22,19 +28,28 @@ parent_ref=$1
 shift
 pairs=10
 workloads=
-while [ $# -gt 0 ]; do
+out=
+while [ $# -gt 1 ]; do
     case $1 in
     --pairs) pairs=$2 ;;
     --workloads) workloads=$2 ;;
+    --out) out=$2 ;;
     *) usage ;;
     esac
     shift 2
 done
+[ $# -eq 0 ] || usage
 
 repo=$(git rev-parse --show-toplevel)
 cd "$repo"
 work=$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs.XXXXXX")
 trap 'rm -rf "$work"' EXIT
+logs=$work
+if [ -n "$out" ]; then
+    mkdir -p "$out"
+    logs=$(cd "$out" && pwd)
+    rm -f "$logs"/*.jsonl "$logs"/*.status
+fi
 
 mkdir "$work/parent"
 git archive "$parent_ref" | tar -x -C "$work/parent"
@@ -51,9 +66,14 @@ if [ -z "$workloads" ]; then
     workloads=$(python3 -c 'import json; print(",".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 fi
 
-run() { # <side> <workload> <seed>: appends the run's JSON line to its log
-    "$work/$1-target/release/cij_benchmark" --workload "$2" --seed "$3" \
-        --seconds "$seconds" --trace 0 | tail -n 1 >>"$work/$2.$1.jsonl"
+run() { # <side> <workload> <seed>: appends the run's result line and exit status to its logs
+    local printed status=0
+    printed=$("$work/$1-target/release/cij_benchmark" --workload "$2" --seed "$3" \
+        --seconds "$seconds" --trace 0) || status=$?
+    [ "$status" -eq 0 ] || echo "$2: $1 exited $status on seed $3" >&2
+    # One line per run whatever happened, so the two sides stay aligned.
+    printf '%s\n' "$printed" | tail -n 1 >>"$logs/$2.$1.jsonl"
+    echo "$3 $status" >>"$logs/$2.$1.status"
 }
 for workload in ${workloads//,/ }; do
     for ((i = 0; i < pairs; i++)); do
@@ -64,24 +84,41 @@ for workload in ${workloads//,/ }; do
     done
 done
 
-python3 - "$work" "$workloads" <<'EOF'
+python3 - "$logs" "$workloads" <<'EOF'
 import json, statistics, sys
 
-work, workloads = sys.argv[1], sys.argv[2].split(",")
+logs, workloads = sys.argv[1], sys.argv[2].split(",")
 better = {m["name"]: m["better"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
 
 def load(workload, side):
-    return [json.loads(line) for line in open(f"{work}/{workload}.{side}.jsonl")]
+    """One entry per run: its result object, or None when the run exited
+    non-zero, printed no result line, failed an op or got an output wrong."""
+    runs = []
+    for line, status in zip(open(f"{logs}/{workload}.{side}.jsonl"),
+                            open(f"{logs}/{workload}.{side}.status")):
+        try:
+            result = json.loads(line)
+            ok = status.split()[1] == "0" and not result["failed"] and result["correct"]
+        except (ValueError, KeyError, TypeError):
+            ok = False
+        runs.append(result if ok else None)
+    return runs
 
 print(f"{'workload':<14} {'metric':<21} {'parent p50':>11} {'[q1':>11} {'q3]':>11} "
       f"{'change p50':>11} {'delta':>8}  wins  failed p/c")
+any_failed = False
 for workload in workloads:
     parent, change = load(workload, "parent"), load(workload, "change")
-    failed = "/".join(str(sum(r["failed"] + (not r["correct"]) for r in runs))
-                      for runs in (parent, change))
+    failed = "/".join(str(sum(r is None for r in runs)) for runs in (parent, change))
+    any_failed |= failed != "0/0"
+    # Only pairs of which both runs succeeded are compared.
+    good = [(p, c) for p, c in zip(parent, change) if p and c]
+    if not good:
+        print(f"{workload:<14} no pair of successful runs {'':>51}  {failed}")
+        continue
     for metric, direction in better.items():
-        p = [r["metrics"][metric]["value"] for r in parent]
-        c = [r["metrics"][metric]["value"] for r in change]
+        p = [r["metrics"][metric]["value"] for r, _ in good]
+        c = [r["metrics"][metric]["value"] for _, r in good]
         sign = -1 if direction == "lower" else 1
         wins = sum(sign * (cv - pv) > 0 for pv, cv in zip(p, c))
         ties = sum(cv == pv for pv, cv in zip(p, c))
@@ -90,4 +127,5 @@ for workload in workloads:
         delta = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
         print(f"{workload:<14} {metric:<21} {pm:>11.5g} {q1:>11.5g} {q3:>11.5g} "
               f"{cm:>11.5g} {delta:>8}  {wins}/{len(p) - ties}  {failed}")
+sys.exit(1 if any_failed else 0)
 EOF

@@ -1,16 +1,18 @@
-//! The allocation budgets of the multiway and the binary join, as a tier-1
-//! gate.
+//! The allocation budgets of the multiway join, the binary join and a
+//! warm BatchVoronoi call, as a tier-1 gate.
 //!
 //! `core.pipeline.allocs_per_op` is one of the counters the repo benchmark
 //! reports, but nothing fails when it regresses. This file pins it where a
 //! regression is cheapest to see: heap allocations per emitted tuple of a
-//! fixed 3-way clustered join, and per emitted pair of a fixed binary
-//! NM-CIJ, each at one worker. The count is `cij_bench::allocations()` —
+//! fixed 3-way clustered join, per emitted pair of a fixed binary NM-CIJ,
+//! each at one worker, and for one leaf group's cells on a warm
+//! `VorScratch`. The count is `cij_bench::allocations()` —
 //! naming that crate links its counting `#[global_allocator]` into this test
 //! binary — and the binary holds exactly **one** `#[test]`, so no sibling
 //! test's allocations are ever counted — keep it that way.
 
 use cij::prelude::*;
+use cij::voronoi::{batch_voronoi_with, VorScratch};
 use cij_bench::allocations;
 
 /// Allocations per emitted tuple the join may spend. Two are structural —
@@ -18,17 +20,27 @@ use cij_bench::allocations;
 /// objects — and the rest of the floor is the exact cells BatchVoronoi
 /// returns (and the copies the reuse buffers keep), each filter call's
 /// candidate list, and in debug builds the id clone of the stream's
-/// uniqueness guard. When the bound was set the join measured 6.9 here
-/// (5.9 with `--release`); the per-tuple `Vec`s and per-clip outlines of
-/// the allocating extension step it replaced measured 22.9.
-const MAX_ALLOCATIONS_PER_TUPLE: f64 = 10.0;
+/// uniqueness guard. Re-measured in PR 22 the join spends 6.87 here (5.87
+/// with `--release`, 6.88 under the transient fault profile); the per-tuple
+/// `Vec`s and per-clip outlines of the allocating extension step it
+/// replaced measured 22.9.
+const MAX_ALLOCATIONS_PER_TUPLE: f64 = 8.0;
 
 /// Allocations per emitted pair binary NM-CIJ may spend. The floor is the
 /// exact cells BatchVoronoi returns and the copies the reuse buffer keeps,
 /// each filter call's candidate list and the per-leaf vectors of the chunk
-/// stages; no allocation is per pair. When the bound was set the join
-/// measured 2.9 here (debug and `--release` alike).
-const MAX_ALLOCATIONS_PER_PAIR: f64 = 4.0;
+/// stages; no allocation is per pair. Re-measured in PR 22 the join spends
+/// 2.81 here (debug and `--release` alike, 2.82 under the transient fault
+/// profile; 2.89 while BatchVoronoi still built a heap per group).
+const MAX_ALLOCATIONS_PER_PAIR: f64 = 3.5;
+
+/// Allocations a second `batch_voronoi_with` over one 41-point leaf group
+/// may spend on the scratch the first call warmed: what the returned cells
+/// need and nothing else. Measured 98 — the vector of cells, one seed
+/// outline per member and 56 outline growths, 2.4 per member — and 99 under
+/// the transient fault profile; the traversal heap the call used to build
+/// and regrow for every group made it 105.
+const MAX_WARM_ALLOCATIONS_PER_LEAF_GROUP: u64 = 100;
 
 #[test]
 fn multiway_join_stays_within_its_allocation_budget() {
@@ -82,5 +94,25 @@ fn multiway_join_stays_within_its_allocation_budget() {
         per_pair <= MAX_ALLOCATIONS_PER_PAIR,
         "{spent} allocations for {pairs} pairs = {per_pair:.2} per pair \
          (budget {MAX_ALLOCATIONS_PER_PAIR})"
+    );
+
+    // BatchVoronoi on a warm scratch: `VorScratch` promises that only the
+    // returned cells allocate.
+    let points = uniform_points(2_000, &Rect::DOMAIN, 16_200);
+    let mut tree = RTree::bulk_load(RTreeConfig::default(), PointObject::from_points(&points));
+    let leaf = tree.leaf_pages_hilbert_order(&Rect::DOMAIN)[0];
+    let group = tree.read_node(leaf).objects;
+    assert_eq!(group.len(), 41, "one full default-page leaf");
+    let mut scratch = VorScratch::default();
+    let warm_up = batch_voronoi_with(&mut tree, &group, &Rect::DOMAIN, &mut scratch);
+    let before = allocations();
+    let cells = batch_voronoi_with(&mut tree, &group, &Rect::DOMAIN, &mut scratch);
+    let spent = allocations() - before;
+    assert_eq!(cells, warm_up);
+    assert!(
+        spent <= MAX_WARM_ALLOCATIONS_PER_LEAF_GROUP,
+        "{spent} allocations for the {} cells of a warm call \
+         (budget {MAX_WARM_ALLOCATIONS_PER_LEAF_GROUP})",
+        group.len()
     );
 }
