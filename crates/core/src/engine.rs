@@ -57,7 +57,7 @@
 use crate::chunk::LeafStream;
 use crate::config::CijConfig;
 use crate::grouped::{grouped_nn_via_cij, GroupCounts};
-use crate::multiway::{MultiwayOutcome, TupleStream};
+use crate::multiway::{multiway_cij, MultiwayOutcome, TupleStream};
 use crate::nm::NmPairIter;
 use crate::service::{CijService, EngineSnapshot, ServiceConfig};
 use crate::stats::{CijOutcome, LeafWatermark, NmCounters, ProgressSample};
@@ -80,9 +80,10 @@ enum Source<'a> {
 /// Obtained from [`QueryEngine::stream`] or [`Algorithm::stream`]. Pairs
 /// are produced on demand; [`PairStream::progress_so_far`] and
 /// [`PairStream::counters_so_far`] expose the incremental measurements, and
-/// [`PairStream::into_outcome`] drains the remainder into the classic
-/// blocking [`CijOutcome`]. The stream owns its state outright, so it is
-/// `Send`: a consumer can move a running stream to another thread.
+/// [`PairStream::try_into_outcome`] drains the remainder into a
+/// [`CijOutcome`] or the error that stopped it ([`QueryEngine::run`] is the
+/// collect-all call). The stream owns its state outright, so it is `Send`:
+/// a consumer can move a running stream to another thread.
 pub struct PairStream<'a> {
     algorithm: Algorithm,
     source: Source<'a>,
@@ -171,23 +172,9 @@ impl<'a> PairStream<'a> {
         }
     }
 
-    /// Drains the remaining pairs and packages everything into the blocking
+    /// Drains the remaining pairs and packages everything into a
     /// [`CijOutcome`] (pairs already pulled through the iterator are *not*
-    /// replayed — call this immediately for the classic collect-all
-    /// behaviour).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream fail-stopped on a storage error — the blocking
-    /// API has no partial-result channel. Use
-    /// [`PairStream::try_into_outcome`] to handle the error structurally.
-    pub fn into_outcome(self) -> CijOutcome {
-        self.try_into_outcome()
-            .unwrap_or_else(|e| panic!("CIJ storage failure: {e}"))
-    }
-
-    /// Drains the remaining pairs like [`PairStream::into_outcome`], but
-    /// surfaces a fail-stop storage error as `Err` instead of panicking.
+    /// replayed); `Err` when the stream fail-stopped on a storage error.
     pub fn try_into_outcome(self) -> Result<CijOutcome, PageIoError> {
         match self.source {
             Source::Lazy(iter) => iter.try_into_outcome(),
@@ -243,11 +230,6 @@ impl QueryEngine {
         QueryEngine { config }
     }
 
-    /// Creates an engine with the paper's default configuration.
-    pub fn with_defaults() -> Self {
-        QueryEngine::default()
-    }
-
     /// The engine's configuration.
     pub fn config(&self) -> &CijConfig {
         &self.config
@@ -268,7 +250,8 @@ impl QueryEngine {
         algorithm.stream(workload, &self.config)
     }
 
-    /// Runs `algorithm` on `workload` to completion.
+    /// Runs `algorithm` on `workload` to completion — the collect-all front
+    /// door; a storage failure panics (see [`Algorithm::run`]).
     pub fn run(&self, workload: &mut Workload, algorithm: Algorithm) -> CijOutcome {
         algorithm.run(workload, &self.config)
     }
@@ -295,12 +278,10 @@ impl QueryEngine {
         TupleStream::new(workload, self.config)
     }
 
-    /// Runs the multiway CIJ over `sets` to completion (see
-    /// [`multiway_cij`](crate::multiway::multiway_cij)) — a thin
-    /// drain-the-stream wrapper over [`QueryEngine::multiway_stream`].
+    /// Runs the multiway CIJ over `sets` to completion: [`multiway_cij`]
+    /// under this engine's configuration, blocking panic included.
     pub fn multiway(&self, sets: &[Vec<Point>]) -> MultiwayOutcome {
-        let mut workload = self.multiway_workload(sets);
-        self.multiway_stream(&mut workload).into_outcome()
+        multiway_cij(sets, &self.config)
     }
 
     /// Runs the CIJ-based grouped nearest-neighbour analysis (see
@@ -412,7 +393,7 @@ mod tests {
         let _ = stream.next();
         let early = stream.progress_so_far();
         assert!(!early.is_empty(), "progress recorded by the first pair");
-        let outcome = stream.into_outcome();
+        let outcome = stream.try_into_outcome().unwrap();
         assert!(outcome.progress.len() >= early.len());
         // Counters flowed through the stream.
         assert!(outcome.nm.q_cells_computed > 0);

@@ -21,6 +21,7 @@ use std::time::Instant;
 /// R-trees are materialised, which is the point of comparing it against
 /// NM-CIJ — so its [`PairStream`](crate::engine::PairStream) replays this
 /// eager outcome.
+/// A storage failure panics (see [`Algorithm::run`](crate::Algorithm::run)).
 pub fn fm_cij(workload: &mut Workload, config: &CijConfig) -> CijOutcome {
     let stats = workload.stats.clone();
     let start_io = stats.snapshot();

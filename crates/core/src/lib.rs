@@ -165,7 +165,9 @@ impl Algorithm {
 
     /// Runs this algorithm on a workload to completion. FM/PM return their
     /// eager outcome directly instead of wrapping it in a stream and
-    /// draining it again.
+    /// draining it again. A storage failure panics (`"CIJ storage failure:
+    /// …"`) — none of the three returns past one; to handle it instead, drain
+    /// [`Algorithm::stream`] and poll [`PairStream::io_error`].
     pub fn run(&self, workload: &mut Workload, config: &CijConfig) -> CijOutcome {
         match self {
             Algorithm::FmCij => fm_cij(workload, config),

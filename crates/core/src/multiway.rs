@@ -86,7 +86,7 @@
 //! [`LeafWatermark`] is recorded per completed leaf — everything emitted up
 //! to a watermark is final, so downstream operators can checkpoint at leaf
 //! granularity. The blocking [`multiway_cij`] is a thin
-//! [`TupleStream::into_outcome`] wrapper, and
+//! [`TupleStream::try_into_outcome`] wrapper, and
 //! [`QueryEngine::multiway_stream`](crate::engine::QueryEngine::multiway_stream)
 //! exposes the stream directly.
 //!
@@ -310,8 +310,11 @@ fn extend_into(
 /// Leaf units of the driver set's tree are processed only as tuples are
 /// demanded; [`TupleStream::progress_so_far`],
 /// [`TupleStream::counters_so_far`] and [`TupleStream::watermarks_so_far`]
-/// expose the incremental measurements, and [`TupleStream::into_outcome`]
-/// drains the remainder into the blocking [`MultiwayOutcome`].
+/// expose the incremental measurements, and
+/// [`TupleStream::try_into_outcome`] drains the remainder into a
+/// [`MultiwayOutcome`] or the storage error that stopped it (for the
+/// classic collect-all case call
+/// [`QueryEngine::multiway`](crate::engine::QueryEngine::multiway)).
 pub struct TupleStream<'a> {
     /// The `k` trees (input order) and how their reads are paid for —
     /// fixed at construction (a snapshot source is always fast).
@@ -484,23 +487,9 @@ impl<'a> TupleStream<'a> {
         self.ledger.error().cloned()
     }
 
-    /// Drains the remaining tuples and packages everything into the
-    /// blocking [`MultiwayOutcome`] (tuples already pulled through the
-    /// iterator are *not* replayed — call this immediately for the classic
-    /// collect-all behaviour).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream fail-stopped on a storage error — the blocking
-    /// API has no partial-result channel. Use
-    /// [`TupleStream::try_into_outcome`] to handle the error structurally.
-    pub fn into_outcome(self) -> MultiwayOutcome {
-        self.try_into_outcome()
-            .unwrap_or_else(|e| panic!("multiway CIJ storage failure: {e}"))
-    }
-
-    /// Drains the remaining tuples like [`TupleStream::into_outcome`], but
-    /// surfaces a fail-stop storage error as `Err` instead of panicking.
+    /// Drains the remaining tuples and packages everything into a
+    /// [`MultiwayOutcome`] (tuples already pulled through the iterator are
+    /// *not* replayed); `Err` when the stream fail-stopped.
     pub fn try_into_outcome(mut self) -> Result<MultiwayOutcome, PageIoError> {
         let tuples = self.by_ref().collect();
         let (progress, watermarks) = self.ledger.finish()?;
@@ -769,10 +758,13 @@ impl LeafStream for TupleStream<'_> {
 ///
 /// # Panics
 ///
-/// Panics if `sets` is empty.
+/// Panics if `sets` is empty, and if the stream fail-stopped on a storage
+/// error — the blocking API has no partial-result channel.
 pub fn multiway_cij(sets: &[Vec<Point>], config: &CijConfig) -> MultiwayOutcome {
     let mut workload = MultiwayWorkload::build(sets, config);
-    TupleStream::new(&mut workload, *config).into_outcome()
+    TupleStream::new(&mut workload, *config)
+        .try_into_outcome()
+        .unwrap_or_else(|e| panic!("CIJ storage failure: {e}"))
 }
 
 /// Brute-force multiway CIJ oracle: builds every Voronoi diagram by halfplane
@@ -837,7 +829,9 @@ mod tests {
     /// would pick.
     fn pinned(sets: &[Vec<Point>], driver: usize, config: &CijConfig) -> MultiwayOutcome {
         let mut w = MultiwayWorkload::build(sets, config);
-        TupleStream::with_driver(&mut w, driver, *config).into_outcome()
+        TupleStream::with_driver(&mut w, driver, *config)
+            .try_into_outcome()
+            .unwrap()
     }
 
     #[test]
@@ -1142,7 +1136,9 @@ mod tests {
                 .with_exec_mode(ExecMode::Fast)
                 .with_worker_threads(threads);
             let mut w = MultiwayWorkload::build(&sets, &fast_cfg);
-            let fast = TupleStream::new(&mut w, fast_cfg).into_outcome();
+            let fast = TupleStream::new(&mut w, fast_cfg)
+                .try_into_outcome()
+                .unwrap();
             let fast_ids: Vec<Vec<u64>> = fast.tuples.iter().map(|t| t.ids.clone()).collect();
             let metered_ids: Vec<Vec<u64>> = metered.tuples.iter().map(|t| t.ids.clone()).collect();
             assert_eq!(fast_ids, metered_ids, "tuple set and order must match");
@@ -1170,8 +1166,9 @@ mod tests {
         let caches = (0..w.k())
             .map(|_| CellCache::new(config.cell_cache_capacity))
             .collect();
-        let snap =
-            TupleStream::over_snapshot(w.trees.iter().collect(), caches, config).into_outcome();
+        let snap = TupleStream::over_snapshot(w.trees.iter().collect(), caches, config)
+            .try_into_outcome()
+            .unwrap();
         assert_eq!(snap.sorted_ids(), metered.sorted_ids());
         assert_eq!(
             snap.counters.tuples_produced,
@@ -1233,7 +1230,7 @@ mod tests {
             let clean = {
                 let mut w = MultiwayWorkload::build(&sets, &config);
                 w.reset_measurement();
-                TupleStream::new(&mut w, config).into_outcome()
+                TupleStream::new(&mut w, config).try_into_outcome().unwrap()
             };
             let faulty = {
                 let mut w = MultiwayWorkload::build(&sets, &config);
@@ -1241,7 +1238,7 @@ mod tests {
                 for (i, tree) in w.trees.iter_mut().enumerate() {
                     tree.inject_fault(FaultSpec::transient(0xB00 + i as u64));
                 }
-                TupleStream::new(&mut w, config).into_outcome()
+                TupleStream::new(&mut w, config).try_into_outcome().unwrap()
             };
             assert_eq!(clean.sorted_ids(), faulty.sorted_ids());
             assert_eq!(

@@ -12,6 +12,7 @@ use crate::stats::{CijOutcome, CostBreakdown, ProgressSample};
 use crate::vor_rtree::materialize_voronoi_rtree;
 use crate::workload::Workload;
 use cij_geom::Rect;
+use cij_rtree::NodeReader;
 use cij_voronoi::{batch_voronoi_cached, NoCache, VorScratch};
 use std::time::Instant;
 
@@ -20,6 +21,8 @@ use std::time::Instant;
 ///
 /// PM-CIJ is blocking — nothing flows before `R'P` is materialised — so its
 /// [`PairStream`](crate::engine::PairStream) replays this eager outcome.
+/// A storage failure panics (see [`Algorithm::run`](crate::Algorithm::run)):
+/// the latch of `RQ` is taken per leaf, before the leaf's pairs are kept.
 pub fn pm_cij(workload: &mut Workload, config: &CijConfig) -> CijOutcome {
     let stats = workload.stats.clone();
     let start_io = stats.snapshot();
@@ -49,10 +52,7 @@ pub fn pm_cij(workload: &mut Workload, config: &CijConfig) -> CijOutcome {
 
     let leaves = workload.rq.leaf_pages_hilbert_order(&config.domain);
     for leaf in leaves {
-        let group = workload.rq.read_node(leaf).objects;
-        if group.is_empty() {
-            continue;
-        }
+        let group = NodeReader::read(&mut workload.rq, leaf).objects;
         let cells_q = batch_voronoi_cached(
             &mut workload.rq,
             &group,
@@ -60,6 +60,12 @@ pub fn pm_cij(workload: &mut Workload, config: &CijConfig) -> CijOutcome {
             &mut cell_cache,
             &mut scratch,
         );
+        if let Some(e) = workload.rq.take_io_error() {
+            panic!("CIJ storage failure: {e}");
+        }
+        if group.is_empty() {
+            continue;
+        }
 
         // One batched range probe covering every cell of the group.
         let mut probe = Rect::empty();

@@ -9,23 +9,13 @@
 use crate::config::CijConfig;
 use cij_pagestore::IoStats;
 use cij_rtree::{CellObject, PointObject, RTree};
-use cij_voronoi::{batch_voronoi_with, VorScratch};
+use cij_voronoi::{compute_diagram, DiagramMethod};
 
 /// Computes the full Voronoi diagram of the points indexed by `tree`
 /// (batched per leaf, leaves in Hilbert order) and returns the cells in
-/// traversal order.
+/// traversal order; panics on a storage failure, like [`compute_diagram`].
 pub fn compute_all_cells(tree: &mut RTree<PointObject>, config: &CijConfig) -> Vec<CellObject> {
-    let mut cells = Vec::with_capacity(tree.len());
-    let leaves = tree.leaf_pages_hilbert_order(&config.domain);
-    let mut scratch = VorScratch::for_budget(tree.config().node_byte_budget());
-    for leaf in leaves {
-        let group = tree.read_node(leaf).objects;
-        let group_cells = batch_voronoi_with(tree, &group, &config.domain, &mut scratch);
-        for (member, cell) in group.iter().zip(group_cells) {
-            cells.push(CellObject::new(member.id.0, member.point, cell));
-        }
-    }
-    cells
+    compute_diagram(tree, &config.domain, DiagramMethod::Batch).cells
 }
 
 /// Builds the Voronoi R-tree over `cells` (Hilbert-packed bulk load), flushes

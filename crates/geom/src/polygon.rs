@@ -131,12 +131,6 @@ impl ConvexPolygon {
         self.vertices.is_empty()
     }
 
-    /// Whether the polygon has positive area (at least 3 vertices and
-    /// non-degenerate).
-    pub fn has_area(&self) -> bool {
-        self.area() > EPS
-    }
-
     fn dedup(&mut self) {
         if self.vertices.len() < 2 {
             return;
@@ -498,18 +492,6 @@ impl ConvexPolygon {
         out.vertices.extend_from_slice(&work.vertices);
         scratch.work = work;
     }
-
-    /// Clips the polygon to a rectangle (intersects it with all four
-    /// halfplanes of the rectangle).
-    pub fn clip_to_rect(&self, r: &Rect) -> ConvexPolygon {
-        let mut poly = self.clone();
-        // x >= lo.x  <=>  -x <= -lo.x
-        poly = poly.clip(&HalfPlane::new(Point::new(-1.0, 0.0), -r.lo.x));
-        poly = poly.clip(&HalfPlane::new(Point::new(1.0, 0.0), r.hi.x));
-        poly = poly.clip(&HalfPlane::new(Point::new(0.0, -1.0), -r.lo.y));
-        poly = poly.clip(&HalfPlane::new(Point::new(0.0, 1.0), r.hi.y));
-        poly
-    }
 }
 
 /// The halfplane left of the directed edge `a → b` — the interior side of a
@@ -723,15 +705,6 @@ mod tests {
         let c = sq.centroid().unwrap();
         assert!((c.x - 2.0).abs() < 1e-9);
         assert!((c.y - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn clip_to_rect_restricts_domain() {
-        let sq = ConvexPolygon::from_rect(&Rect::from_coords(0.0, 0.0, 10.0, 10.0));
-        let clipped = sq.clip_to_rect(&Rect::from_coords(2.0, 2.0, 4.0, 6.0));
-        assert!((clipped.area() - 8.0).abs() < 1e-9);
-        assert!(clipped.contains_point(&Point::new(3.0, 4.0)));
-        assert!(!clipped.contains_point(&Point::new(1.0, 1.0)));
     }
 
     #[test]

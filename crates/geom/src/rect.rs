@@ -85,16 +85,6 @@ impl Rect {
         }
     }
 
-    /// Half-perimeter, the classic R-tree "margin" measure.
-    #[inline]
-    pub fn margin(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.width() + self.height()
-        }
-    }
-
     /// Center of the rectangle.
     #[inline]
     pub fn center(&self) -> Point {
@@ -250,10 +240,9 @@ mod tests {
     }
 
     #[test]
-    fn area_and_margin() {
+    fn area() {
         let rect = r(0.0, 0.0, 4.0, 3.0);
         assert_eq!(rect.area(), 12.0);
-        assert_eq!(rect.margin(), 7.0);
         assert_eq!(Rect::from_point(Point::new(1.0, 1.0)).area(), 0.0);
     }
 

@@ -31,7 +31,7 @@
 //!   contract on the file backend.
 //! * [`IoClass::Unmetered`] transfers are real bytes that are deliberately
 //!   *outside* the measured experiment: `drop_buffer` write-backs (the
-//!   measurement-reset path) and cold [`PageStore::peek`] decodes (snapshot
+//!   measurement-reset path) and cold [`PageStore::try_peek`] decodes (snapshot
 //!   reads whose accounting is deferred to trace replay, or skipped
 //!   entirely in fast mode). They land in
 //!   [`BackendIo::unmetered_bytes_read`] / `unmetered_bytes_written`, so no
@@ -45,7 +45,7 @@
 //!
 //! [`IoStats`]: crate::IoStats
 //! [`PageStore::flush`]: crate::PageStore::flush
-//! [`PageStore::peek`]: crate::PageStore::peek
+//! [`PageStore::try_peek`]: crate::PageStore::try_peek
 
 use std::fmt;
 use std::fs::{File, OpenOptions};

@@ -16,7 +16,7 @@
 //!   **only** for buffer members and pinned pages (there is no full
 //!   in-memory mirror), so resident memory is bounded by the buffer, not
 //!   the dataset; [`PageRef`] is the pin guard handed out by
-//!   [`PageStore::peek`] for accounting-free snapshot reads,
+//!   [`PageStore::try_peek`] for accounting-free snapshot reads,
 //! * [`PagePayload`] (+ [`FrameWriter`]/[`FrameReader`]) — the serialization
 //!   contract turning payloads into `page_size`-bounded byte frames, with
 //!   [`FrameOverflow`] rejection so node fanout genuinely respects the page
@@ -62,10 +62,10 @@
 //!   operations that may succeed when repeated. Two layers absorb them
 //!   before any caller notices: [`FileBackend`] loops its positioned I/O on
 //!   short transfers and `EINTR`, and [`PageStore`] retries whole frame
-//!   transfers under a bounded [`RetryPolicy`] with
-//!   exponential backoff charged to a **virtual clock**
-//!   ([`RetryClock`] — deterministic, never a wall
-//!   clock). Only an exhausted retry budget surfaces a transient error.
+//!   transfers under a bounded [`RetryPolicy`] with exponential backoff
+//!   charged in **virtual ticks** ([`PageStore::retry_clock_ticks`] —
+//!   deterministic, never a wall clock, never a sleep). Only an exhausted
+//!   retry budget surfaces a transient error.
 //! * **Persistent** ([`FaultKind::Persistent`]) — the medium or syscall
 //!   failed for good; surfaced immediately, never retried.
 //! * **Corrupt** ([`FaultKind::Corrupt`]) — the frame transferred but
@@ -79,15 +79,17 @@
 //! **Query-fatal vs service-fatal.** Trees are immutable while queries run,
 //! so the two directions fail differently:
 //!
-//! * *Read errors are query-fatal*: the fallible read paths
-//!   ([`PageStore::try_read`], [`PageStore::try_peek`], …) return the error
-//!   to the executor, which fails the one affected query with a structured
-//!   terminal frame while the service keeps serving others.
+//! * *Read errors are query-fatal*: a read ([`PageStore::try_read`],
+//!   [`PageStore::try_read_with`], [`PageStore::try_peek`],
+//!   [`PageStore::note_read`]) is a `Result` and nothing else — no
+//!   panicking twin; it panics only on a `PageId` never allocated, a logic
+//!   error. The executor fails the one affected query with a structured
+//!   terminal frame while the service keeps serving others. Where the
+//!   error may become a panic instead is decided above this crate, at the
+//!   blocking edges the `cij-rtree` crate docs list.
 //! * *Write and flush errors are service-fatal*: write-backs happen during
 //!   build, eviction and flush — losing a frame there corrupts shared
-//!   state, so after retry exhaustion the store panics. The infallible
-//!   wrappers ([`PageStore::read`] & co.) serve exactly those build/oracle
-//!   paths where any storage failure is fatal by construction.
+//!   state, so after retry exhaustion the store panics.
 //!
 //! Per-class [`FaultStats`] counters (injected faults, retries, recoveries,
 //! quarantined frames) are surfaced by [`PageStore::fault_stats`] alongside
@@ -116,9 +118,7 @@ pub use frame::{FrameOverflow, FrameReader, FrameWriter, PagePayload, FRAME_TRAI
 pub use lru::{Admission, LruBuffer};
 pub use mmap::MmapBackend;
 pub use stats::{IoSnapshot, IoStats};
-pub use store::{
-    PageId, PageRef, PageStore, PageStoreConfig, RetryClock, RetryPolicy, VirtualClock,
-};
+pub use store::{PageId, PageRef, PageStore, PageStoreConfig, RetryPolicy};
 
 /// Page size used throughout the paper's experiments: 1 KB.
 pub const DEFAULT_PAGE_SIZE: usize = 1024;

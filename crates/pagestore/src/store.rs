@@ -12,7 +12,7 @@
 //!   their decoded payload is the in-memory image a buffer hit serves, and
 //!   it is dropped when the page is evicted (after a write-back if dirty);
 //! * **pinned pages** — pages with outstanding [`PageRef`] guards from
-//!   [`PageStore::peek`]. A peek pins the page (refcounted on the
+//!   [`PageStore::try_peek`]. A peek pins the page (refcounted on the
 //!   [`LruBuffer`], which exempts it from eviction) **without touching
 //!   recency, membership or any counter**, so snapshot reads leave the
 //!   measured buffer state byte-identical. A peek of a non-resident page
@@ -66,43 +66,16 @@ use crate::frame::{seal_frame, verify_frame, PagePayload, FRAME_TRAILER_BYTES};
 use crate::lru::{Admission, LruBuffer};
 use crate::stats::IoStats;
 
-/// Virtual time source the store's retry backoff "sleeps" against.
-///
-/// The backoff never blocks a thread or consults a wall clock — it *records*
-/// ticks on this trait, keeping retry behavior fully deterministic (and the
-/// workspace `CIJ-D101` clock lint clean). The default [`VirtualClock`]
-/// simply accumulates; a test clock can observe the exact backoff schedule.
-pub trait RetryClock: std::fmt::Debug + Send {
-    /// Charges `ticks` of backoff delay.
-    fn advance(&mut self, ticks: u64);
-    /// Total ticks charged so far.
-    fn ticks(&self) -> u64;
-}
-
-/// The default [`RetryClock`]: a plain accumulator of virtual ticks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VirtualClock {
-    ticks: u64,
-}
-
-impl RetryClock for VirtualClock {
-    fn advance(&mut self, ticks: u64) {
-        self.ticks += ticks;
-    }
-
-    fn ticks(&self) -> u64 {
-        self.ticks
-    }
-}
-
 /// Bounded retry-with-backoff policy for transient backend faults.
 ///
 /// Attempt `k` (1-based) that fails with a transient error charges
 /// `backoff_base_ticks << (k - 1)` virtual ticks and retries, up to
 /// `max_attempts` total attempts; persistent and corrupt errors are never
-/// retried. The default budget of 4 attempts is generous: the injected
-/// fault schedule never fires twice in a row, and real `EINTR`-class
-/// transients are already absorbed inside `FileBackend`.
+/// retried. The ticks are recorded ([`PageStore::retry_clock_ticks`]), never
+/// slept: no thread blocks and no wall clock is read. The default budget of
+/// 4 attempts is generous: the injected fault schedule never fires twice in
+/// a row, and real `EINTR`-class transients are already absorbed inside
+/// `FileBackend`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per operation (first try included). Minimum 1.
@@ -215,8 +188,8 @@ struct StoreInner<T: PagePayload> {
     peak_resident: usize,
     /// Bounded retry-with-backoff policy for transient backend faults.
     retry: RetryPolicy,
-    /// Virtual time the backoff charges its delays against.
-    clock: Box<dyn RetryClock>,
+    /// Virtual backoff ticks charged so far.
+    backoff_ticks: u64,
     /// Frames that failed checksum verification: reads of these fail fast
     /// with a `Corrupt` error instead of re-transferring known-bad bytes.
     /// Ordered set so diagnostics enumerate deterministically.
@@ -235,9 +208,9 @@ struct StoreInner<T: PagePayload> {
 /// the [`PagePayload`] codec into `page_size`-byte frames held by the
 /// configured [`PageBackend`]; a payload whose encoding exceeds the page
 /// size is rejected at allocate time, so fanout budgets cannot be
-/// silently violated. [`PageStore::read`] returns owned payloads so that
+/// silently violated. [`PageStore::try_read`] returns owned payloads so that
 /// callers never hold borrows across further store operations (pages can be
-/// evicted under you, exactly like a real buffer pool); [`PageStore::peek`]
+/// evicted under you, exactly like a real buffer pool); [`PageStore::try_peek`]
 /// returns a pinned [`PageRef`] guard instead. See the [module docs](self)
 /// for the residency and pin/unpin contract.
 #[derive(Debug)]
@@ -277,7 +250,7 @@ impl<T: PagePayload> PageStore<T> {
                 frame: vec![0u8; config.page_size],
                 peak_resident: 0,
                 retry: RetryPolicy::default(),
-                clock: Box::new(VirtualClock::default()),
+                backoff_ticks: 0,
                 quarantined: BTreeSet::new(),
                 fault_retries: 0,
                 fault_recoveries: 0,
@@ -387,48 +360,37 @@ impl<T: PagePayload> PageStore<T> {
     /// transfers the frame from the backend ([`IoClass::Metered`]) and
     /// decodes it; a hit is served from the resident payload.
     ///
+    /// Transient backend faults are retried under the store's
+    /// [`RetryPolicy`]; exhausted transients, persistent failures and
+    /// checksum mismatches come back as a structured [`PageIoError`].
+    /// Corrupt frames are quarantined — later reads fail fast without
+    /// re-transferring known-bad bytes.
+    ///
     /// # Panics
     ///
     /// Panics if the page does not exist — that is a logic error in the
-    /// caller (dangling `PageId`), not a runtime condition to handle — and
-    /// on storage failure (see [`PageStore::try_read`] for the fallible
-    /// variant; this infallible wrapper serves build/oracle paths where a
-    /// storage error is service-fatal by the crate's failure model).
-    pub fn read(&mut self, id: PageId) -> T {
-        self.try_read(id).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`PageStore::read`]: transient backend faults
-    /// are retried under the store's [`RetryPolicy`]; exhausted transients,
-    /// persistent failures and checksum mismatches come back as a
-    /// structured [`PageIoError`]. Corrupt frames are quarantined — later
-    /// reads fail fast without re-transferring known-bad bytes.
+    /// caller (dangling `PageId`), not a runtime condition to handle.
     pub fn try_read(&mut self, id: PageId) -> Result<T, PageIoError> {
         let arc = self.lock().try_read_arc(id)?;
         Ok(Arc::try_unwrap(arc).unwrap_or_else(|arc| (*arc).clone()))
     }
 
     /// Reads a page by reference, going through the buffer with accounting
-    /// identical to [`PageStore::read`] — but serving the visitor without
-    /// cloning the payload.
+    /// identical to [`PageStore::try_read`] — but serving the visitor
+    /// without cloning the payload.
     ///
     /// On a miss the frame is physically transferred from the backend and
-    /// decoded (so [`PageStore::backend_io`] byte counters match `read`
+    /// decoded (so [`PageStore::backend_io`] byte counters match `try_read`
     /// exactly). This is the zero-copy decode path behind arena-based node
     /// visits in `cij-rtree`: pages land straight in the caller's flat
     /// buffers with no intermediate payload allocation. The callback runs
     /// *outside* the store's internal lock (the payload is kept alive by an
-    /// `Arc`), so it may call back into this or any other store.
+    /// `Arc`), so it may call back into this or any other store; on `Err`
+    /// (error contract of [`PageStore::try_read`]) it never ran.
     ///
     /// # Panics
     ///
-    /// Panics if the page does not exist, like [`PageStore::read`].
-    pub fn read_with<R>(&mut self, id: PageId, f: impl FnOnce(&T) -> R) -> R {
-        self.try_read_with(id, f).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`PageStore::read_with`] — error contract of
-    /// [`PageStore::try_read`].
+    /// Panics if the page does not exist, like [`PageStore::try_read`].
     pub fn try_read_with<R>(
         &mut self,
         id: PageId,
@@ -440,14 +402,14 @@ impl<T: PagePayload> PageStore<T> {
 
     /// Accounts for a logical read of `id` **without** returning the
     /// payload: the buffer is touched and the hit or miss recorded exactly
-    /// as [`PageStore::read`] would — including the physical frame transfer
-    /// on a miss, so backend byte counters replay identically too.
+    /// as [`PageStore::try_read`] would — including the physical frame
+    /// transfer on a miss, so backend byte counters replay identically too.
     ///
     /// This is the deferred-accounting hook of the parallel NM-CIJ path:
-    /// workers read from pinned snapshots ([`PageStore::peek`]) and record
-    /// page ids; the coordinator replays each trace here in sequential leaf
-    /// order (through `RTree::replay_read` in `cij-rtree`, a thin wrapper
-    /// over this method — this doc is the authoritative one).
+    /// workers read from pinned snapshots ([`PageStore::try_peek`]) and
+    /// record page ids; the coordinator replays each trace here in
+    /// sequential leaf order (through `RTree::replay_read` in `cij-rtree`,
+    /// a thin wrapper over this method — this doc is the authoritative one).
     ///
     /// In debug builds, when the replayed page still holds a pinned resident
     /// payload, the transferred frame is compared against its re-encoding —
@@ -459,7 +421,7 @@ impl<T: PagePayload> PageStore<T> {
     /// # Panics
     ///
     /// Panics if the replayed page id does not exist: that is trace drift,
-    /// a logic error like a dangling id in [`PageStore::read`], not I/O.
+    /// a logic error like a dangling id in [`PageStore::try_read`], not I/O.
     pub fn note_read(&mut self, id: PageId) -> Result<(), PageIoError> {
         self.lock().try_read_arc(id).map(drop)
     }
@@ -474,19 +436,11 @@ impl<T: PagePayload> PageStore<T> {
     /// resident map — not admitted to the buffer — until the last guard
     /// drops. Either way the measured buffer state is left byte-identical,
     /// which is what the snapshot readers of the parallel and fast
-    /// execution paths rely on.
+    /// execution paths rely on. Error contract of [`PageStore::try_read`].
     ///
     /// # Panics
     ///
-    /// Panics if the page does not exist, and on storage failure (see
-    /// [`PageStore::try_peek`]).
-    pub fn peek(&self, id: PageId) -> PageRef<T> {
-        self.try_peek(id).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`PageStore::peek`] — error contract of
-    /// [`PageStore::try_read`], with the transfer accounted as
-    /// [`IoClass::Unmetered`] like every peek.
+    /// Panics if the page does not exist, like [`PageStore::try_read`].
     pub fn try_peek(&self, id: PageId) -> Result<PageRef<T>, PageIoError> {
         let mut guard = self.lock();
         let inner = &mut *guard;
@@ -595,11 +549,6 @@ impl<T: PagePayload> PageStore<T> {
         self.set_buffer_pages(pages);
     }
 
-    /// The paper's default buffer: 2 % of the data size.
-    pub fn set_default_buffer(&mut self) {
-        self.set_buffer_fraction(crate::DEFAULT_BUFFER_FRACTION);
-    }
-
     /// Current buffer capacity in pages.
     pub fn buffer_pages(&self) -> usize {
         self.lock().buffer.capacity()
@@ -637,14 +586,9 @@ impl<T: PagePayload> PageStore<T> {
         };
     }
 
-    /// Replaces the virtual clock the retry backoff charges against.
-    pub fn set_retry_clock(&mut self, clock: Box<dyn RetryClock>) {
-        self.lock().clock = clock;
-    }
-
     /// Total virtual backoff ticks charged so far.
     pub fn retry_clock_ticks(&self) -> u64 {
-        self.lock().clock.ticks()
+        self.lock().backoff_ticks
     }
 
     /// Frame indices currently quarantined after checksum failures, in
@@ -707,8 +651,7 @@ impl<T: PagePayload> StoreInner<T> {
                 }
                 Err(e) if e.is_transient() && attempt < self.retry.max_attempts => {
                     self.fault_retries += 1;
-                    self.clock
-                        .advance(self.retry.backoff_base_ticks << (attempt - 1).min(16));
+                    self.backoff_ticks += self.retry.backoff_base_ticks << (attempt - 1).min(16);
                 }
                 Err(e) => return Err(e),
             }
@@ -728,7 +671,7 @@ impl<T: PagePayload> StoreInner<T> {
         }
     }
 
-    /// The shared counted-read path of `read`, `read_with` and `note_read`:
+    /// The shared counted-read path of `try_read`, `try_read_with` and `note_read`:
     /// touch the buffer, record hit/miss, transfer + verify + decode on
     /// miss, keep the residency invariant (resident = members ∪ pinned).
     ///
@@ -843,8 +786,7 @@ impl<T: PagePayload> StoreInner<T> {
                 Ok(()) => break,
                 Err(e) if e.is_transient() && attempt < self.retry.max_attempts => {
                     self.fault_write_retries += 1;
-                    self.clock
-                        .advance(self.retry.backoff_base_ticks << (attempt - 1).min(16));
+                    self.backoff_ticks += self.retry.backoff_base_ticks << (attempt - 1).min(16);
                 }
                 Err(e) => panic!("write-back of frame {key} failed: {e}"),
             }
@@ -854,7 +796,7 @@ impl<T: PagePayload> StoreInner<T> {
 }
 
 /// A pinned reference to a page's decoded payload, returned by
-/// [`PageStore::peek`].
+/// [`PageStore::try_peek`].
 ///
 /// Dereferences to the payload. While any guard for a page is alive the
 /// page is pinned: the LRU buffer will not evict it and the store keeps its
@@ -906,8 +848,8 @@ mod tests {
             let mut s = store_on(4, backend);
             let a = s.allocate(10);
             let b = s.allocate(20);
-            assert_eq!(s.read(a), 10);
-            assert_eq!(s.read(b), 20);
+            assert_eq!(s.try_read(a).unwrap(), 10);
+            assert_eq!(s.try_read(b).unwrap(), 20);
             assert_eq!(s.num_pages(), 2);
             assert_eq!(s.backend_kind(), backend);
         }
@@ -920,9 +862,9 @@ mod tests {
             let a = s.allocate(1);
             s.drop_buffer();
             s.stats().reset();
-            s.read(a);
-            s.read(a);
-            s.read(a);
+            s.try_read(a).unwrap();
+            s.try_read(a).unwrap();
+            s.try_read(a).unwrap();
             let snap = s.stats().snapshot();
             assert_eq!(snap.physical_reads, 1);
             assert_eq!(snap.buffer_hits, 2);
@@ -936,7 +878,7 @@ mod tests {
             let a = s.allocate(1);
             s.stats().reset();
             for _ in 0..5 {
-                assert_eq!(s.read(a), 1);
+                assert_eq!(s.try_read(a).unwrap(), 1);
             }
             assert_eq!(s.stats().snapshot().physical_reads, 5);
         }
@@ -953,7 +895,7 @@ mod tests {
             assert_eq!(snap.logical_writes, 2);
             // Reading a again is a miss served from the backend frame.
             s.stats().reset();
-            assert_eq!(s.read(a), 1);
+            assert_eq!(s.try_read(a).unwrap(), 1);
             assert_eq!(s.stats().snapshot().physical_reads, 1);
         }
     }
@@ -979,7 +921,7 @@ mod tests {
     fn reading_unallocated_page_panics() {
         let mut s = store(2);
         let a = s.allocate(1);
-        let _ = s.read(PageId(a.0 + 7));
+        let _ = s.try_read(PageId(a.0 + 7)).unwrap();
     }
 
     #[test]
@@ -998,7 +940,7 @@ mod tests {
             replay.stats().reset();
             let trace = [ids[0], ids[1], ids[0], ids[2], ids[3], ids[1], ids[0]];
             for &id in &trace {
-                let _ = live.read(id);
+                let _ = live.try_read(id).unwrap();
             }
             for &id in &trace {
                 replay.note_read(id).unwrap();
@@ -1027,8 +969,8 @@ mod tests {
             by_ref.stats().reset();
             let trace = [ids[0], ids[1], ids[0], ids[2], ids[3], ids[1], ids[0]];
             for &id in &trace {
-                let expected = by_value.read(id);
-                let got = by_ref.read_with(id, |v| *v);
+                let expected = by_value.try_read(id).unwrap();
+                let got = by_ref.try_read_with(id, |v| *v).unwrap();
                 assert_eq!(got, expected);
             }
             assert_eq!(by_value.stats().snapshot(), by_ref.stats().snapshot());
@@ -1060,7 +1002,7 @@ mod tests {
             // The freed (dirty) page is not written back on flush.
             s.flush();
             assert_eq!(s.stats().snapshot().physical_writes, 1);
-            assert_eq!(s.read(b), 2);
+            assert_eq!(s.try_read(b).unwrap(), 2);
         }
     }
 
@@ -1085,8 +1027,8 @@ mod tests {
         s.set_buffer_fraction(0.0);
         assert_eq!(s.buffer_pages(), 0);
         s.stats().reset();
-        s.read(a);
-        s.read(a);
+        s.try_read(a).unwrap();
+        s.try_read(a).unwrap();
         // Every read is a miss once the buffer is gone.
         assert_eq!(s.stats().snapshot().physical_reads, 2);
         assert_eq!(s.stats().snapshot().buffer_hits, 0);
@@ -1138,8 +1080,8 @@ mod tests {
                 "shrink must write back exactly the evicted dirty pages"
             );
             // Data survives the churn.
-            assert_eq!(s.read(PageId(0)), 0);
-            assert_eq!(s.read(PageId(149)), 149);
+            assert_eq!(s.try_read(PageId(0)).unwrap(), 0);
+            assert_eq!(s.try_read(PageId(149)).unwrap(), 149);
         }
     }
 
@@ -1152,8 +1094,8 @@ mod tests {
             PageStore::with_stats(PageStoreConfig::default(), stats.clone());
         let a = p.allocate(1);
         let b = q.allocate(2);
-        p.read(a);
-        q.read(b);
+        p.try_read(a).unwrap();
+        q.try_read(b).unwrap();
         assert_eq!(stats.snapshot().physical_reads, 2);
     }
 
@@ -1164,8 +1106,8 @@ mod tests {
         let b = s.allocate(2);
         s.set_buffer_pages(8);
         s.stats().reset();
-        s.read(a);
-        s.read(b);
+        s.try_read(a).unwrap();
+        s.try_read(b).unwrap();
         // Both pages were resident before the grow and must still hit.
         assert_eq!(s.stats().snapshot().buffer_hits, 2);
     }
@@ -1188,14 +1130,14 @@ mod tests {
         for s in [&mut heap, &mut file] {
             let mut ids: Vec<PageId> = (0..8u32).map(|i| s.allocate(i * 11)).collect();
             for &id in &[ids[0], ids[5], ids[2], ids[7], ids[0], ids[2]] {
-                let _ = s.read(id);
+                let _ = s.try_read(id).unwrap();
             }
             // A late allocation dirties a page amid the clean reads.
             ids.push(s.allocate(999));
             s.free(ids[3]);
             s.set_buffer_pages(2);
             for &id in &[ids[6], ids[1], ids[6]] {
-                let _ = s.read(id);
+                let _ = s.try_read(id).unwrap();
             }
             s.flush();
         }
@@ -1210,7 +1152,11 @@ mod tests {
             if i == 3 {
                 continue;
             }
-            assert_eq!(heap.read(PageId(i)), file.read(PageId(i)), "page {i}");
+            assert_eq!(
+                heap.try_read(PageId(i)).unwrap(),
+                file.try_read(PageId(i)).unwrap(),
+                "page {i}"
+            );
         }
     }
 
@@ -1224,7 +1170,7 @@ mod tests {
         s.drop_buffer();
         s.stats().reset();
         for (i, &id) in ids.iter().enumerate() {
-            assert_eq!(s.read(id), i as u32 * 7 + 1);
+            assert_eq!(s.try_read(id).unwrap(), i as u32 * 7 + 1);
         }
         let snap = s.stats().snapshot();
         let io = s.backend_io().since(&io_flushed);
@@ -1249,7 +1195,7 @@ mod tests {
             s.stats().reset();
             let before = s.backend_io();
             for &id in &[ids[0], ids[4], ids[0], ids[9], ids[2], ids[4]] {
-                let _ = s.read(id);
+                let _ = s.try_read(id).unwrap();
             }
             s.allocate(777); // dirty in buffer
             s.set_buffer_pages(1); // shrink: evicts, one dirty write-back
@@ -1284,7 +1230,7 @@ mod tests {
             );
             assert_eq!(s.stats().snapshot().physical_writes, 0);
             // And the data survives the cold restart.
-            assert_eq!(s.read(a), 31);
+            assert_eq!(s.try_read(a).unwrap(), 31);
         }
     }
 
@@ -1294,14 +1240,14 @@ mod tests {
             let mut s = store_on(2, backend);
             let ids: Vec<PageId> = (0..6u32).map(|i| s.allocate(i * 5)).collect();
             s.flush();
-            let guard = s.peek(ids[0]);
+            let guard = s.try_peek(ids[0]).unwrap();
             assert_eq!(*guard, 0);
             assert_eq!(s.pinned_pages(), 1);
             // Thrash the buffer: the pinned page must keep its payload and
             // stay exempt from eviction throughout.
             for round in 0..3 {
                 for &id in &ids[1..] {
-                    let _ = s.read(id);
+                    let _ = s.try_read(id).unwrap();
                 }
                 assert_eq!(*guard, 0, "round {round}");
             }
@@ -1321,15 +1267,15 @@ mod tests {
             s.flush();
             s.drop_buffer();
             s.stats().reset();
-            let _ = s.read(ids[0]);
-            let _ = s.read(ids[1]);
+            let _ = s.try_read(ids[0]).unwrap();
+            let _ = s.try_read(ids[1]).unwrap();
             let counters = s.stats().snapshot();
             let buffer = s.buffered_pages_mru_to_lru();
             let metered = (s.backend_io().bytes_read, s.backend_io().bytes_written);
             // Peek resident and cold pages alike: nothing measured moves.
             {
-                let g0 = s.peek(ids[0]); // buffer member
-                let g4 = s.peek(ids[4]); // cold page -> unmetered decode
+                let g0 = s.try_peek(ids[0]).unwrap(); // buffer member
+                let g4 = s.try_peek(ids[4]).unwrap(); // cold page -> unmetered decode
                 assert_eq!((*g0, *g4), (100, 104));
             }
             assert_eq!(s.stats().snapshot(), counters);
@@ -1350,10 +1296,11 @@ mod tests {
             let ids: Vec<PageId> = (0..64u32).map(|i| s.allocate(i)).collect();
             s.flush();
             // Hold a few pins while scanning everything repeatedly.
-            let guards: Vec<PageRef<u32>> = ids[..3].iter().map(|&id| s.peek(id)).collect();
+            let guards: Vec<PageRef<u32>> =
+                ids[..3].iter().map(|&id| s.try_peek(id).unwrap()).collect();
             for _ in 0..2 {
                 for &id in &ids {
-                    let _ = s.read(id);
+                    let _ = s.try_read(id).unwrap();
                 }
             }
             assert!(
@@ -1376,8 +1323,8 @@ mod tests {
         let a = s.allocate(9);
         s.flush();
         s.drop_buffer();
-        let g1 = s.peek(a);
-        let g2 = s.peek(a);
+        let g1 = s.try_peek(a).unwrap();
+        let g2 = s.try_peek(a).unwrap();
         assert_eq!((*g1, *g2), (9, 9));
         assert_eq!(s.pinned_pages(), 1, "refcounted, not duplicated");
         assert_eq!(s.resident_pages(), 1);
@@ -1416,7 +1363,7 @@ mod tests {
                 s.stats().reset();
                 for round in 0..4 {
                     for &id in &ids {
-                        assert_eq!(s.read(id), id.0 * 13 + 1, "round {round}");
+                        assert_eq!(s.try_read(id).unwrap(), id.0 * 13 + 1, "round {round}");
                     }
                 }
                 s.allocate(999);
@@ -1504,6 +1451,6 @@ mod tests {
         }
         assert!(saw_error, "schedule never fired in 200 unbuffered reads");
         // The store stays fully usable afterwards.
-        assert_eq!(s.read(id), 7);
+        assert_eq!(s.try_read(id).unwrap(), 7);
     }
 }

@@ -15,7 +15,7 @@
 //!
 //! Loading goes through [`NodeReader::visit`],
 //! which serves the decoded node **by reference** — from the page store's
-//! in-memory image ([`PageStore::read_with`](cij_pagestore::PageStore)) or a
+//! in-memory image ([`PageStore::try_read_with`](cij_pagestore::PageStore)) or a
 //! pinned snapshot — so filling the arena performs no intermediate payload
 //! clone and no allocation after the buffers reach their high-water mark.
 
@@ -182,7 +182,7 @@ mod tests {
         let mut stack = vec![tree.root_page()];
         let mut seen = 0usize;
         while let Some(page) = stack.pop() {
-            let node = tree.peek_node(page).clone();
+            let node = tree.try_peek_node(page).unwrap().clone();
             arena.load(&mut tree, page);
             assert_eq!(arena.level(), node.level);
             assert_eq!(arena.is_leaf(), node.is_leaf());
@@ -214,7 +214,8 @@ mod tests {
         }
         let root = by_node.root_page();
         let children: Vec<PageId> = by_node
-            .peek_node(root)
+            .try_peek_node(root)
+            .unwrap()
             .children
             .iter()
             .map(|c| c.page)
@@ -225,7 +226,7 @@ mod tests {
 
         let mut arena = NodeArena::for_budget(by_arena.config().node_byte_budget());
         for &page in &pattern {
-            let _ = by_node.read_node(page);
+            let _ = by_node.try_read_node(page).unwrap();
             arena.load(&mut by_arena, page);
         }
         assert_eq!(by_node.stats().snapshot(), by_arena.stats().snapshot());

@@ -417,8 +417,8 @@ mod tests {
         assert_eq!(a.num_pages(), b.num_pages());
         let mut stack = vec![a.root_page()];
         while let Some(page) = stack.pop() {
-            let na = a.read_node(page);
-            let nb = b.read_node(page);
+            let na = a.try_read_node(page).unwrap();
+            let nb = b.try_read_node(page).unwrap();
             assert_eq!(na, nb, "page {page:?} differs");
             if !na.is_leaf() {
                 stack.extend(na.children.iter().map(|c| c.page));
@@ -490,7 +490,7 @@ mod tests {
         let root = tree.root_page();
         let mut stack = vec![root];
         while let Some(page) = stack.pop() {
-            let node = tree.read_node(page);
+            let node = tree.try_read_node(page).unwrap();
             if node.is_leaf() {
                 assert!(
                     node.objects.len() == 1 || node.payload_bytes() <= 512,
@@ -514,7 +514,7 @@ mod tests {
         let mut stack = vec![tree.root_page()];
         while let Some(page) = stack.pop() {
             reachable += 1;
-            let node = tree.read_node(page);
+            let node = tree.try_read_node(page).unwrap();
             if !node.is_leaf() {
                 stack.extend(node.children.iter().map(|c| c.page));
             }
@@ -557,7 +557,7 @@ mod tests {
         let leaves = tree.leaf_pages_hilbert_order(&domain);
         let mut centers = Vec::new();
         for page in leaves {
-            let node = tree.read_node(page);
+            let node = tree.try_read_node(page).unwrap();
             centers.push(node.mbr().center());
         }
         let mut total = 0.0;

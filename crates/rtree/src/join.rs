@@ -12,11 +12,8 @@
 //! CIJ with traditional distance joins.
 
 use crate::object::{ObjectId, RTreeObject};
-use crate::tree::RTree;
+use crate::tree::{expect_read, RTree};
 use cij_pagestore::PageId;
-
-/// Result pair of a join: the ids of the two joined objects.
-pub type IdPair = (ObjectId, ObjectId);
 
 /// Synchronous-traversal intersection join between two R-trees.
 ///
@@ -24,7 +21,8 @@ pub type IdPair = (ObjectId, ObjectId);
 /// must return `true` for actual results — e.g. an exact geometry test. Every
 /// emitted pair is passed to `on_result`.
 ///
-/// Returns the number of result pairs.
+/// Returns the number of result pairs. Panics on storage failure (a
+/// blocking edge, see the [crate docs](crate)).
 pub fn intersection_join<A, B, R, F>(
     tree_a: &mut RTree<A>,
     tree_b: &mut RTree<B>,
@@ -43,8 +41,8 @@ where
     let mut count = 0u64;
     let mut stack: Vec<(PageId, PageId)> = vec![(tree_a.root_page(), tree_b.root_page())];
     while let Some((pa, pb)) = stack.pop() {
-        let na = tree_a.read_node(pa);
-        let nb = tree_b.read_node(pb);
+        let na = expect_read(tree_a.try_read_node(pa));
+        let nb = expect_read(tree_b.try_read_node(pb));
         match (na.is_leaf(), nb.is_leaf()) {
             (true, true) => {
                 for oa in &na.objects {
@@ -87,31 +85,15 @@ where
     count
 }
 
-/// Convenience wrapper collecting the id pairs of an intersection join.
-pub fn intersection_join_pairs<A, B, R>(
-    tree_a: &mut RTree<A>,
-    tree_b: &mut RTree<B>,
-    refine: R,
-) -> Vec<IdPair>
-where
-    A: RTreeObject,
-    B: RTreeObject,
-    R: FnMut(&A, &B) -> bool,
-{
-    let mut out = Vec::new();
-    intersection_join(tree_a, tree_b, refine, |a, b| out.push((a.id(), b.id())));
-    out
-}
-
 /// ε-distance join between two point trees: every pair of objects whose MBR
 /// mindist is at most `eps` and whose exact distance (via `dist`) is at most
-/// `eps`.
+/// `eps`. Panics on storage failure, like [`intersection_join`].
 pub fn distance_join<A, B, D>(
     tree_a: &mut RTree<A>,
     tree_b: &mut RTree<B>,
     eps: f64,
     mut dist: D,
-) -> Vec<IdPair>
+) -> Vec<(ObjectId, ObjectId)>
 where
     A: RTreeObject,
     B: RTreeObject,
@@ -123,8 +105,8 @@ where
     }
     let mut stack: Vec<(PageId, PageId)> = vec![(tree_a.root_page(), tree_b.root_page())];
     while let Some((pa, pb)) = stack.pop() {
-        let na = tree_a.read_node(pa);
-        let nb = tree_b.read_node(pb);
+        let na = expect_read(tree_a.try_read_node(pa));
+        let nb = expect_read(tree_b.try_read_node(pb));
         match (na.is_leaf(), nb.is_leaf()) {
             (true, true) => {
                 for oa in &na.objects {
@@ -226,7 +208,11 @@ mod tests {
         let p = random_points(200, 3, 1000.0);
         let mut ta = RTree::bulk_load(config(), PointObject::from_points(&p));
         let mut tb = RTree::bulk_load(config(), PointObject::from_points(&p));
-        let pairs = intersection_join_pairs(&mut ta, &mut tb, |a, b| a.point == b.point);
+        let mut pairs = Vec::new();
+        let same_point = |a: &PointObject, b: &PointObject| a.point == b.point;
+        intersection_join(&mut ta, &mut tb, same_point, |a, b| {
+            pairs.push((a.id, b.id))
+        });
         assert_eq!(pairs.len(), p.len());
         for (a, b) in pairs {
             assert_eq!(a, b);
@@ -242,8 +228,10 @@ mod tests {
             .collect();
         let mut ta = RTree::bulk_load(config(), PointObject::from_points(&p));
         let mut tb = RTree::bulk_load(config(), PointObject::from_points(&q));
-        let pairs = intersection_join_pairs(&mut ta, &mut tb, |_, _| true);
-        assert!(pairs.is_empty());
+        assert_eq!(
+            intersection_join(&mut ta, &mut tb, |_, _| true, |_, _| {}),
+            0
+        );
         assert!(distance_join(&mut ta, &mut tb, 50.0, |a, b| a.point.dist(&b.point)).is_empty());
     }
 

@@ -26,13 +26,36 @@
 //!   one page frame, so trees run unchanged on the heap or the real-file
 //!   [`PageBackend`](cij_pagestore::PageBackend) (pick one with
 //!   [`RTree::with_stats_on`] / [`RTree::bulk_load_with_stats_on`]).
+//!
+//! ## Reading nodes: two contracts, one rule
+//!
+//! A storage failure reaches a caller in one of two forms. **`Result`**:
+//! [`RTree::try_read_node`], [`RTree::try_visit_node`],
+//! [`RTree::try_peek_node`] and [`RTree::replay_read`] return it — no
+//! panicking twin; a read panics only on a page id that does not exist.
+//! **The latch**: traversal kernels (BatchVoronoi, the conditional filter,
+//! the leaf-order walk) read through [`NodeReader`], whose failed read
+//! serves an empty leaf and keeps its error until
+//! [`NodeReader::take_error`]. The rule: **whoever hands a tree to a
+//! latching kernel takes its error before it reports.**
+//!
+//! A storage failure becomes a *panic* only at a **blocking edge**, an
+//! operation whose return type has no error channel: the standalone
+//! operators here ([`RTree::range_query`] / `scan_all` / `bounding_rect`,
+//! [`RTree::nearest_iter`] / `k_nearest` / `nearest`,
+//! [`RTree::leaf_pages_hilbert_order`], [`RTree::check_invariants`],
+//! [`intersection_join`], [`distance_join`]), `cij-voronoi`'s
+//! `single_voronoi` and `compute_diagram`, and `cij-core`'s collect-all
+//! front doors (`QueryEngine::{run, join, multiway, grouped_nn}`,
+//! `Algorithm::run`, `nm_cij`, `multiway_cij`, `grouped_nn_via_cij`,
+//! `fm_cij`, `pm_cij`: `"CIJ storage failure: …"`). Streams and the request
+//! server fail-stop with the error in hand.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
 pub mod arena;
 pub mod bulk;
-pub mod closest_pairs;
 pub mod codec;
 pub mod join;
 pub mod nn;
@@ -43,9 +66,8 @@ pub mod tree;
 
 pub use arena::{LeafLayout, NodeArena};
 pub use bulk::{DEFAULT_FILL, DEFAULT_RUN_CAPACITY};
-pub use closest_pairs::k_closest_pairs;
 pub use codec::NODE_HEADER_BYTES;
-pub use join::{distance_join, intersection_join, intersection_join_pairs, IdPair};
+pub use join::{distance_join, intersection_join};
 pub use nn::{MinDistHeap, MinHeapItem, NearestNeighbourIter, TraversalEntry, TraversalQueue};
 pub use node::{ChildEntry, Node};
 pub use object::{CellObject, ObjectId, PointObject, RTreeObject};

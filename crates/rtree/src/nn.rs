@@ -6,7 +6,7 @@
 //! query point by means of a min-heap.
 
 use crate::object::{PointObject, RTreeObject};
-use crate::tree::RTree;
+use crate::tree::{expect_read, RTree};
 use cij_geom::{Point, Rect};
 use cij_pagestore::PageId;
 use std::cmp::Ordering;
@@ -143,7 +143,8 @@ enum HeapEntry<D> {
 ///
 /// Produces objects in ascending distance from the query point; the caller
 /// can stop at any time, which is what makes the traversal usable as a
-/// building block for k-NN, BF-VOR and the conditional filter.
+/// building block for k-NN, BF-VOR and the conditional filter. Pulling is a
+/// blocking edge ([crate docs](crate)): a storage failure panics.
 pub struct NearestNeighbourIter<'a, D: RTreeObject> {
     tree: &'a mut RTree<D>,
     query: Point,
@@ -169,7 +170,7 @@ impl<'a, D: RTreeObject> Iterator for NearestNeighbourIter<'a, D> {
                 HeapEntry::Object(o) => return Some((dist, o)),
                 HeapEntry::Node(page) => {
                     let (query, heap) = (&self.query, &mut self.heap);
-                    self.tree.visit_node(page, &mut |node| {
+                    expect_read(self.tree.try_visit_node(page, &mut |node| {
                         if node.is_leaf() {
                             for o in &node.objects {
                                 let d = o.mbr().mindist_point(query);
@@ -181,7 +182,7 @@ impl<'a, D: RTreeObject> Iterator for NearestNeighbourIter<'a, D> {
                                 heap.push(MinHeapItem::new(d, HeapEntry::Node(c.page)));
                             }
                         }
-                    });
+                    }));
                 }
             }
         }
@@ -391,7 +392,7 @@ mod tests {
             match item {
                 HeapEntry::Object(o) => out.push((dist, o)),
                 HeapEntry::Node(page) => {
-                    let node = tree.read_node(page);
+                    let node = tree.try_read_node(page).unwrap();
                     for o in node.objects {
                         let d = o.mbr().mindist_point(&query);
                         heap.push(MinHeapItem::new(d, HeapEntry::Object(o)));

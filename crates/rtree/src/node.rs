@@ -11,7 +11,7 @@
 //! [`NodeArena`](crate::arena::NodeArena) instead: the decoded node is
 //! visited by reference
 //! ([`NodeReader::visit`](crate::reader::NodeReader::visit) →
-//! `PageStore::read_with`) and its entries are transposed into contiguous
+//! `PageStore::try_read_with`) and its entries are transposed into contiguous
 //! x/y coordinate arrays with a fixed stride derived from
 //! [`node_byte_budget`](crate::tree::RTreeConfig::node_byte_budget). That
 //! keeps per-node work allocation-free after warm-up and lets batch geometry
@@ -20,16 +20,16 @@
 //! The index queries follow the same rule: [`RTree::range_query`] (hence
 //! `scan_all`), `bounding_rect` and the best-first
 //! [`NearestNeighbourIter`](crate::nn::NearestNeighbourIter) visit each node
-//! **by reference** ([`RTree::visit_node`] → `PageStore::read_with`) and
-//! copy out only the objects they return. The owned
-//! [`RTree::read_node`] — which clones a buffered node on every call — is
-//! for callers that keep the node's entries (the paired-node joins, the
-//! FM/PM leaf groups), oracles and tests; both touch the buffer and count
+//! **by reference** ([`RTree::try_visit_node`] →
+//! `PageStore::try_read_with`) and copy out only the objects they return.
+//! The owned [`RTree::try_read_node`] — which clones a buffered node on
+//! every call — is for callers that keep the node's entries (the
+//! paired-node joins), oracles and tests; both touch the buffer and count
 //! hits, misses and bytes alike.
 //!
 //! [`RTree::range_query`]: crate::tree::RTree::range_query
-//! [`RTree::visit_node`]: crate::tree::RTree::visit_node
-//! [`RTree::read_node`]: crate::tree::RTree::read_node
+//! [`RTree::try_visit_node`]: crate::tree::RTree::try_visit_node
+//! [`RTree::try_read_node`]: crate::tree::RTree::try_read_node
 
 use crate::object::RTreeObject;
 use cij_geom::Rect;

@@ -110,11 +110,13 @@ pub trait NodeReader<D: RTreeObject> {
     /// stays straight-line; a storage failure instead **latches** the
     /// structured error here and serves an **empty leaf** in its place
     /// (visit callbacks still run, so arenas are never left holding a stale
-    /// node). Executors poll this at chunk boundaries: `Some` means every
-    /// output produced since the previous poll is suspect and the chunk must
-    /// be discarded wholesale — the query fails with the latched error while
-    /// the service keeps serving others. The default is the infallible
-    /// case: no error source, always `None`.
+    /// node). The rule ([crate docs](crate)): **whoever hands a reader to a
+    /// latching kernel takes its error before it reports** — `Some` means
+    /// every output produced since the previous poll is suspect and must be
+    /// discarded wholesale. Streams poll at chunk boundaries and fail the one
+    /// query; blocking callers (`fm_cij`, `pm_cij`, `compute_diagram`,
+    /// [`RTree::leaf_pages_hilbert_order`]) poll per kernel call and panic.
+    /// The default is the infallible case: no error source, always `None`.
     fn take_error(&mut self) -> Option<PageIoError> {
         None
     }
@@ -342,7 +344,13 @@ pub(crate) mod tests {
     fn access_pattern(tree: &RTree<PointObject>) -> Vec<PageId> {
         let root = tree.root_page();
         let mut pattern = vec![root];
-        pattern.extend(tree.peek_node(root).children.iter().map(|c| c.page));
+        pattern.extend(
+            tree.try_peek_node(root)
+                .unwrap()
+                .children
+                .iter()
+                .map(|c| c.page),
+        );
         pattern.push(root);
         pattern
     }

@@ -141,19 +141,26 @@ impl<D: RTreeObject> RTree<D> {
 
     /// Reads a node, going through the buffer and counting the access —
     /// the **owned** read: it clones a buffered node. For callers that keep
-    /// the node; queries visit by reference ([`RTree::visit_node`]).
-    pub fn read_node(&mut self, page: PageId) -> Node<D> {
-        self.store.read(page)
+    /// the node; queries visit by reference ([`RTree::try_visit_node`]).
+    /// Transient faults are retried by the store; exhausted transients,
+    /// persistent failures and checksum mismatches come back as a
+    /// structured [`PageIoError`]. A page id that does not exist panics.
+    pub fn try_read_node(&mut self, page: PageId) -> Result<Node<D>, PageIoError> {
+        self.store.try_read(page)
     }
 
     /// Visits a node by reference with full read accounting, without cloning
-    /// the payload: thin wrapper over
-    /// [`PageStore::read_with`](cij_pagestore::PageStore::read_with). Buffer
+    /// the payload: thin wrapper over [`PageStore::try_read_with`]. Buffer
     /// state, hit/miss counters and backend byte transfers are identical to
-    /// [`RTree::read_node`]; this is the decode path of the SoA
-    /// [`NodeArena`](crate::arena::NodeArena).
-    pub fn visit_node(&mut self, page: PageId, f: &mut dyn FnMut(&Node<D>)) {
-        self.store.read_with(page, |node| f(node));
+    /// [`RTree::try_read_node`], and so is the error contract; this is the
+    /// decode path of the SoA [`NodeArena`](crate::arena::NodeArena). On
+    /// `Err` the callback was never invoked.
+    pub fn try_visit_node(
+        &mut self,
+        page: PageId,
+        f: &mut dyn FnMut(&Node<D>),
+    ) -> Result<(), PageIoError> {
+        self.store.try_read_with(page, |node| f(node))
     }
 
     /// Reads a node without counting the access (oracles/tests only, and
@@ -164,8 +171,8 @@ impl<D: RTreeObject> RTree<D> {
     /// its lifetime: the LRU buffer will not evict it, and a non-resident
     /// page is decoded through the backend as unmetered traffic — no
     /// counter, recency or membership the metered runs observe changes.
-    pub fn peek_node(&self, page: PageId) -> PageRef<Node<D>> {
-        self.store.peek(page)
+    pub fn try_peek_node(&self, page: PageId) -> Result<PageRef<Node<D>>, PageIoError> {
+        self.store.try_peek(page)
     }
 
     /// Replays one recorded page access: thin wrapper over
@@ -185,38 +192,12 @@ impl<D: RTreeObject> RTree<D> {
         self.store.note_read(page)
     }
 
-    // ------------------------------------------------------------------
-    // Fallible reads and fault plumbing (see the failure model in the
-    // `cij-pagestore` crate docs)
-    // ------------------------------------------------------------------
-
-    /// Fallible variant of [`RTree::read_node`]: transient faults are
-    /// retried by the store; exhausted transients, persistent failures and
-    /// checksum mismatches come back as a structured [`PageIoError`].
-    pub fn try_read_node(&mut self, page: PageId) -> Result<Node<D>, PageIoError> {
-        self.store.try_read(page)
-    }
-
-    /// Fallible variant of [`RTree::visit_node`]. On `Err` the callback was
-    /// never invoked.
-    pub fn try_visit_node(
-        &mut self,
-        page: PageId,
-        f: &mut dyn FnMut(&Node<D>),
-    ) -> Result<(), PageIoError> {
-        self.store.try_read_with(page, |node| f(node))
-    }
-
-    /// Fallible variant of [`RTree::peek_node`].
-    pub fn try_peek_node(&self, page: PageId) -> Result<PageRef<Node<D>>, PageIoError> {
-        self.store.try_peek(page)
-    }
-
     /// Takes the storage error latched by the
     /// [`NodeReader`](crate::reader::NodeReader) impl's infallible read
     /// path, if a node read failed since the last call. `Some` means every
     /// traversal output produced since then is suspect and must be
-    /// discarded.
+    /// discarded: whoever hands this tree to a latching kernel calls this
+    /// before it reports.
     pub fn take_io_error(&mut self) -> Option<PageIoError> {
         self.io_error.take()
     }
@@ -283,7 +264,7 @@ impl<D: RTreeObject> RTree<D> {
         self.store.peak_resident_pages()
     }
 
-    /// Pages currently pinned by [`RTree::peek_node`] guards.
+    /// Pages currently pinned by [`RTree::try_peek_node`] guards.
     pub fn pinned_pages(&self) -> usize {
         self.store.pinned_pages()
     }
@@ -325,14 +306,15 @@ impl<D: RTreeObject> RTree<D> {
 
     /// Returns every object whose MBR intersects the query rectangle.
     ///
-    /// Nodes are visited by reference ([`PageStore::read_with`]): the
-    /// buffer touch and hit/miss accounting of [`RTree::read_node`] without
-    /// its clone of the node — only matching objects are copied out.
+    /// Nodes are visited by reference ([`PageStore::try_read_with`]): the
+    /// buffer touch and hit/miss accounting of [`RTree::try_read_node`]
+    /// without its clone of the node — only matching objects are copied out.
+    /// Panics on storage failure (a blocking edge, see the [crate docs](crate)).
     pub fn range_query(&mut self, query: &Rect) -> Vec<D> {
         let mut out = Vec::new();
         let mut stack = vec![self.root];
         while let Some(page) = stack.pop() {
-            self.store.read_with(page, |node| {
+            expect_read(self.store.try_read_with(page, |node| {
                 if node.is_leaf() {
                     for o in &node.objects {
                         if o.mbr().intersects(query) {
@@ -346,7 +328,7 @@ impl<D: RTreeObject> RTree<D> {
                         }
                     }
                 }
-            });
+            }));
         }
         out
     }
@@ -363,7 +345,7 @@ impl<D: RTreeObject> RTree<D> {
 
     /// MBR of the whole dataset (reads only the root node).
     pub fn bounding_rect(&mut self) -> Rect {
-        self.store.read_with(self.root, |node| node.mbr())
+        expect_read(self.store.try_read_with(self.root, |node| node.mbr()))
     }
 
     /// Leaf page ids in the Hilbert-ordered depth-first traversal of
@@ -389,7 +371,7 @@ impl<D: RTreeObject> RTree<D> {
 
     /// Verifies structural invariants of the tree (every child MBR contains
     /// its subtree, levels decrease by one, object count matches `len`).
-    /// Intended for tests; does not count I/O.
+    /// Intended for tests; does not count I/O, and panics on storage failure.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut count = 0usize;
         self.check_node(self.root, self.root_level, None, &mut count)?;
@@ -406,7 +388,7 @@ impl<D: RTreeObject> RTree<D> {
         expected_mbr: Option<Rect>,
         count: &mut usize,
     ) -> Result<(), String> {
-        let node = self.store.peek(page);
+        let node = expect_read(self.store.try_peek(page));
         if node.level != expected_level {
             return Err(format!(
                 "node {page:?} has level {} but expected {expected_level}",
@@ -439,6 +421,12 @@ impl<D: RTreeObject> RTree<D> {
         }
         Ok(())
     }
+}
+
+/// The blocking edge of the standalone tree operators: their return types
+/// have no error channel, so a storage failure of the read just made panics.
+pub(crate) fn expect_read<T>(read: Result<T, PageIoError>) -> T {
+    read.unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -547,7 +535,7 @@ mod tests {
         // Reading every returned leaf yields every object exactly once.
         let mut ids = Vec::new();
         for page in &leaves {
-            let node = tree.read_node(*page);
+            let node = tree.try_read_node(*page).unwrap();
             assert!(node.is_leaf());
             ids.extend(node.objects.iter().map(|o| o.id().0));
         }
@@ -623,7 +611,7 @@ mod tests {
             let mut out = Vec::new();
             let mut stack = vec![tree.root_page()];
             while let Some(page) = stack.pop() {
-                let node = tree.read_node(page);
+                let node = tree.try_read_node(page).unwrap();
                 out.extend(node.objects.iter().filter(|o| o.mbr().intersects(query)));
                 stack.extend(
                     node.children
@@ -643,7 +631,10 @@ mod tests {
         };
         let (mut by_ref, mut owned) = (build(), build());
         let root = owned.root_page();
-        assert_eq!(by_ref.bounding_rect(), owned.read_node(root).mbr());
+        assert_eq!(
+            by_ref.bounding_rect(),
+            owned.try_read_node(root).unwrap().mbr()
+        );
         let everything = Rect::from_coords(-1.0, -1.0, 30.0, 30.0);
         assert_eq!(
             by_ref.scan_all(),

@@ -640,7 +640,7 @@ mod tests {
             // Use one actual leaf node as the group, as FM-CIJ does.
             let domain = Rect::DOMAIN;
             let leaf = tree_a.leaf_pages_hilbert_order(&domain)[0];
-            tree_a.read_node(leaf).objects
+            tree_a.try_read_node(leaf).unwrap().objects
         };
         tree_a.drop_buffer();
         tree_a.stats().reset();
@@ -1133,7 +1133,7 @@ mod tests {
         let mut scratch = VorScratch::for_budget(tree.config().node_byte_budget());
         let mut cells = 0u64;
         for leaf in tree.leaf_pages_hilbert_order(&Rect::DOMAIN) {
-            let group = tree.read_node(leaf).objects;
+            let group = tree.try_read_node(leaf).unwrap().objects;
             cells += group.len() as u64;
             batch_voronoi_with(&mut tree, &group, &Rect::DOMAIN, &mut scratch);
         }

@@ -12,7 +12,7 @@ use crate::batch::{batch_voronoi_with, VorScratch};
 use crate::single::single_voronoi;
 use cij_geom::Rect;
 use cij_pagestore::IoSnapshot;
-use cij_rtree::{CellObject, PointObject, RTree};
+use cij_rtree::{CellObject, NodeReader, PointObject, RTree};
 use std::time::{Duration, Instant};
 
 /// Which per-leaf strategy a diagram computation uses.
@@ -36,7 +36,9 @@ pub struct DiagramResult {
 }
 
 /// Computes the Voronoi cells of every point indexed by `tree`, walking
-/// leaves in Hilbert order and using `method` per leaf.
+/// leaves in Hilbert order and using `method` per leaf. A storage failure
+/// panics (`"CIJ storage failure: …"`): the tree's [`NodeReader`] latch is
+/// taken per leaf, before the group's cells are kept.
 pub fn compute_diagram(
     tree: &mut RTree<PointObject>,
     domain: &Rect,
@@ -50,21 +52,19 @@ pub fn compute_diagram(
     let leaves = tree.leaf_pages_hilbert_order(domain);
     let mut scratch = VorScratch::for_budget(tree.config().node_byte_budget());
     for leaf in leaves {
-        let node = tree.read_node(leaf);
-        let group = node.objects;
-        match method {
-            DiagramMethod::Iter => {
-                for member in &group {
-                    let cell = single_voronoi(tree, member.point, member.id, domain);
-                    cells.push(CellObject::new(member.id.0, member.point, cell));
-                }
-            }
-            DiagramMethod::Batch => {
-                let group_cells = batch_voronoi_with(tree, &group, domain, &mut scratch);
-                for (member, cell) in group.iter().zip(group_cells) {
-                    cells.push(CellObject::new(member.id.0, member.point, cell));
-                }
-            }
+        let group = NodeReader::read(tree, leaf).objects;
+        let group_cells = match method {
+            DiagramMethod::Iter => group
+                .iter()
+                .map(|member| single_voronoi(tree, member.point, member.id, domain))
+                .collect(),
+            DiagramMethod::Batch => batch_voronoi_with(tree, &group, domain, &mut scratch),
+        };
+        if let Some(e) = tree.take_io_error() {
+            panic!("CIJ storage failure: {e}");
+        }
+        for (member, cell) in group.iter().zip(group_cells) {
+            cells.push(CellObject::new(member.id.0, member.point, cell));
         }
     }
     DiagramResult {
@@ -121,6 +121,54 @@ mod tests {
                     cell.cell.area()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_batch_diagram_is_the_oracles_or_a_storage_panic_for_every_transient_seed() {
+        // No retries, one backend read in 16 failing, a cold buffer the size
+        // of the tree: the diagram either equals the oracle's with no error
+        // left latched, or dies naming the failed read — never a diagram
+        // computed past a failed read (the poll rule of
+        // `NodeReader::take_error`).
+        use cij_pagestore::{FaultSpec, RetryPolicy};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let pts = random_points(150, 33);
+        let oracle = brute_force_diagram(&pts, &Rect::DOMAIN);
+        let (mut completed, mut panicked) = (0, 0);
+        for seed in 0..64 {
+            let mut tree = RTree::bulk_load(config(), PointObject::from_points(&pts));
+            tree.set_buffer_pages(tree.num_pages());
+            tree.flush();
+            tree.set_retry_policy(RetryPolicy {
+                max_attempts: 1,
+                ..RetryPolicy::default()
+            });
+            tree.inject_fault(FaultSpec::transient(seed));
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                compute_diagram(&mut tree, &Rect::DOMAIN, DiagramMethod::Batch)
+            }));
+            match run {
+                Ok(result) => {
+                    assert_eq!(tree.take_io_error(), None, "seed {seed}: returned past");
+                    assert_eq!(result.cells.len(), pts.len(), "seed {seed}");
+                    for cell in &result.cells {
+                        let expected = oracle[cell.id.0 as usize].area();
+                        assert!((expected - cell.cell.area()).abs() < 1e-3, "seed {seed}");
+                    }
+                    completed += 1;
+                }
+                Err(payload) => {
+                    let message = payload.downcast_ref::<String>().expect("a formatted panic");
+                    assert!(message.contains("read error"), "seed {seed}: {message}");
+                    panicked += 1;
+                }
+            }
+        }
+        // A fixed-seed fault layer from `CIJ_FAULT_PROFILE` under the store
+        // ends every run at the same early read, whatever our seed.
+        if FaultSpec::from_env().is_none() {
+            assert!(completed > 0 && panicked > 0, "{completed} / {panicked}");
         }
     }
 

@@ -25,7 +25,7 @@ pub fn can_refine(mbr: &Rect, vertices: &[Point], pi: &Point) -> bool {
 
 /// Computes the exact Voronoi cell `V(pi, P)` of `pi` within the pointset
 /// indexed by `tree`, clipped to `domain`, using a single best-first
-/// traversal (Algorithm 1, "BF-VOR").
+/// traversal (Algorithm 1, "BF-VOR"); panics on storage failure.
 ///
 /// `pi_id` identifies `pi` inside the tree so the point does not constrain
 /// itself; pass [`ObjectId`]`(u64::MAX)` for a query point that is not part
@@ -59,7 +59,7 @@ pub fn single_voronoi(
                 if !can_refine(&mbr, cell.vertices(), &pi) {
                     continue;
                 }
-                let node = tree.read_node(page);
+                let node = tree.try_read_node(page).unwrap_or_else(|e| panic!("{e}"));
                 if node.is_leaf() {
                     for o in node.objects {
                         if o.id == pi_id {

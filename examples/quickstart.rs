@@ -47,8 +47,12 @@ fn main() {
         );
     }
 
-    // --- Blocking: drain the rest of the stream into the classic outcome. ---
-    let result = stream.into_outcome();
+    // --- Drain the rest of the stream into the classic outcome. A stream
+    // hands a storage failure out as `Err` (only `engine.run` panics on
+    // one); this in-memory demo has no way to meet it. ---
+    let result = stream
+        .try_into_outcome()
+        .expect("an in-memory workload cannot fail a read");
     let total_pairs = first.len() + result.pairs.len();
     println!(
         "\nNM-CIJ produced {} pairs with {} page accesses (lower bound {})",

@@ -101,7 +101,7 @@ fn multiway_join_stays_within_its_allocation_budget() {
     let points = uniform_points(2_000, &Rect::DOMAIN, 16_200);
     let mut tree = RTree::bulk_load(RTreeConfig::default(), PointObject::from_points(&points));
     let leaf = tree.leaf_pages_hilbert_order(&Rect::DOMAIN)[0];
-    let group = tree.read_node(leaf).objects;
+    let group = tree.try_read_node(leaf).unwrap().objects;
     assert_eq!(group.len(), 41, "one full default-page leaf");
     let mut scratch = VorScratch::default();
     let warm_up = batch_voronoi_with(&mut tree, &group, &Rect::DOMAIN, &mut scratch);

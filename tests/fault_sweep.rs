@@ -18,10 +18,18 @@
 //! answers with the clean run's counts or with a storage error and no counts
 //! at all — never with counts of part of the join. Its third regime leaves
 //! the retries on: the same schedules, absorbed, must not move a count.
+//!
+//! The blocking baselines FM-CIJ and PM-CIJ have no error channel, so their
+//! sweep runs them under `catch_unwind`: a run returns exactly the clean
+//! pairs with no error left latched on either input tree, or it panics
+//! naming the failed read. Returning anything else is returning *past* a
+//! storage failure — what a caller of a latching kernel does when it skips
+//! the poll (`NodeReader::take_error`).
 
 use cij::core::grouped_nn_via_cij;
 use cij::prelude::*;
 use cij::rtree::RTreeConfig;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 const SEEDS: std::ops::Range<u64> = 0..64;
@@ -163,7 +171,7 @@ fn multiway_fail_stops_at_a_watermark_for_every_transient_seed() {
         for warm in [false, true] {
             let mut w = engine.multiway_workload(&sets);
             if warm {
-                let warm_up = engine.multiway_stream(&mut w).into_outcome();
+                let warm_up = engine.multiway_stream(&mut w).try_into_outcome().unwrap();
                 assert_eq!(ids(&warm_up.tuples), clean);
             }
             for (i, tree) in w.trees.iter_mut().enumerate() {
@@ -181,6 +189,50 @@ fn multiway_fail_stops_at_a_watermark_for_every_transient_seed() {
         }
     }
     tally.assert_exercised();
+}
+
+#[test]
+fn fm_and_pm_return_the_clean_pairs_or_panic_for_every_transient_seed() {
+    let engine = QueryEngine::new(sweep_config());
+    let p = uniform_points(100, &Rect::DOMAIN, 9_109);
+    let q = uniform_points(100, &Rect::DOMAIN, 9_110);
+    for algorithm in [Algorithm::FmCij, Algorithm::PmCij] {
+        let clean = engine.join(&p, &q, algorithm).pairs;
+        assert!(!clean.is_empty());
+
+        let (mut returned, mut panicked) = (0, 0);
+        for seed in SEEDS {
+            for warm in [false, true] {
+                let mut w = engine.build_workload(&p, &q);
+                if warm {
+                    assert_eq!(engine.run(&mut w, algorithm).pairs, clean);
+                }
+                arm(&mut w.rp, seed, warm);
+                arm(&mut w.rq, seed ^ 0x5EED, warm);
+                let label = format!("{}, seed {seed}, warm {warm}", algorithm.name());
+                match catch_unwind(AssertUnwindSafe(|| engine.run(&mut w, algorithm))) {
+                    Ok(outcome) => {
+                        // (Not `assert_eq!`: a divergence would print both sets.)
+                        assert!(outcome.pairs == clean, "{label}: returned but diverged");
+                        let latched = (w.rp.take_io_error(), w.rq.take_io_error());
+                        assert_eq!(latched, (None, None), "{label}: returned past an error");
+                        returned += 1;
+                    }
+                    Err(payload) => {
+                        let message = payload.downcast_ref::<String>().expect("a formatted panic");
+                        assert!(message.contains("read error"), "{label}: {message}");
+                        panicked += 1;
+                    }
+                }
+            }
+        }
+        // Same exemption as `Tally::assert_exercised`.
+        if FaultSpec::from_env().is_none() {
+            let name = algorithm.name();
+            assert!(returned > 0, "{name}: no run completed");
+            assert!(panicked > 0, "{name}: no run met a failed read");
+        }
+    }
 }
 
 #[test]

@@ -205,14 +205,14 @@ fn out_of_core_join_stays_within_buffer_plus_pins() {
     }
 }
 
-/// `RTree::range_query` with every node read **owned** (`read_node`, which
+/// `RTree::range_query` with every node read **owned** (`try_read_node`, which
 /// clones a buffered node) — the read path queries used before they visited
 /// nodes by reference, kept here as the accounting oracle.
 fn owned_range_query(tree: &mut RTree<PointObject>, query: &Rect) -> Vec<PointObject> {
     let mut out = Vec::new();
     let mut stack = vec![tree.root_page()];
     while let Some(page) = stack.pop() {
-        let node = tree.read_node(page);
+        let node = tree.try_read_node(page).unwrap();
         out.extend(node.objects.iter().filter(|o| o.mbr().intersects(query)));
         let hits = node.children.iter().filter(|c| c.mbr.intersects(query));
         stack.extend(hits.map(|c| c.page));
@@ -242,7 +242,7 @@ fn owned_k_nearest(
         match item {
             Browse::Object(o) => out.push((dist, o)),
             Browse::Node(page) => {
-                let node = tree.read_node(page);
+                let node = tree.try_read_node(page).unwrap();
                 for o in node.objects {
                     let d = o.mbr().mindist_point(&query);
                     heap.push(MinHeapItem::new(d, Browse::Object(o)));
