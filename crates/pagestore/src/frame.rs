@@ -321,48 +321,74 @@ impl FrameWriter {
 ///
 /// Every `take_*` method panics when the frame is exhausted — a truncated
 /// frame means storage corruption or a codec bug, not a runtime condition.
+/// A decoder of a count-prefixed list takes the list's bytes
+/// ([`FrameReader::take_bytes`]) **before** it allocates for it, so a count
+/// the frame cannot hold ends in that panic and not in an allocation sized
+/// by the count.
 #[derive(Debug)]
 pub struct FrameReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+    /// What is left to read.
+    rest: &'a [u8],
+    /// Length of the whole frame, for [`FrameReader::consumed`] and the
+    /// truncation message.
+    frame_len: usize,
 }
 
 impl<'a> FrameReader<'a> {
     /// Creates a reader positioned at the start of `bytes`.
     pub fn new(bytes: &'a [u8]) -> Self {
-        FrameReader { bytes, pos: 0 }
+        FrameReader {
+            rest: bytes,
+            frame_len: bytes.len(),
+        }
     }
 
     /// Number of bytes consumed so far.
     pub fn consumed(&self) -> usize {
-        self.pos
+        self.frame_len - self.rest.len()
     }
 
-    fn take(&mut self, n: usize) -> &'a [u8] {
-        assert!(
-            self.pos + n <= self.bytes.len(),
+    #[cold]
+    #[inline(never)]
+    fn truncated(&self, needed: usize) -> ! {
+        panic!(
             "truncated page frame: needed {} bytes at offset {} of a {}-byte frame",
-            n,
-            self.pos,
-            self.bytes.len()
-        );
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        out
+            needed,
+            self.consumed(),
+            self.frame_len
+        )
+    }
+
+    /// One fixed-width field: a single length test, no slice in between.
+    fn take_array<const N: usize>(&mut self) -> [u8; N] {
+        match self.rest.split_first_chunk::<N>() {
+            Some((field, rest)) => {
+                self.rest = rest;
+                *field
+            }
+            None => self.truncated(N),
+        }
+    }
+
+    /// Takes the next `n` bytes as one slice — the bulk path of the
+    /// count-prefixed lists (`n = count × entry size`, which the caller
+    /// splits into fixed-width entries).
+    pub fn take_bytes(&mut self, n: usize) -> &'a [u8] {
+        let Some((taken, rest)) = self.rest.split_at_checked(n) else {
+            self.truncated(n)
+        };
+        self.rest = rest;
+        taken
     }
 
     /// Reads the next `u32`.
     pub fn take_u32(&mut self) -> u32 {
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(self.take(4));
-        u32::from_le_bytes(raw)
+        u32::from_le_bytes(self.take_array())
     }
 
     /// Reads the next `u64`.
     pub fn take_u64(&mut self) -> u64 {
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(self.take(8));
-        u64::from_le_bytes(raw)
+        u64::from_le_bytes(self.take_array())
     }
 
     /// Reads the next `f64` (bit-exact inverse of [`FrameWriter::put_f64`]).

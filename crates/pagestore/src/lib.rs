@@ -28,7 +28,8 @@
 //!   temp file in growable segments so the kernel manages frame residency,
 //! * [`LruBuffer`] — an O(1) least-recently-used buffer pool with
 //!   write-back semantics and pin/unpin refcounts (pinned pages are exempt
-//!   from eviction),
+//!   from eviction), indexed by hash for sparse keys or by subscript for
+//!   dense ones such as the store's page ids,
 //! * [`IoStats`] — counters for physical reads/writes, logical accesses and
 //!   buffer hits, with snapshot/delta helpers used by the experiment harness
 //!   to attribute cost to materialisation vs join phases; [`BackendIo`]

@@ -2,7 +2,7 @@
 //!
 //! The buffer tracks which [`PageId`](crate::PageId)s are memory-resident and
 //! whether they are dirty. Page *payloads* live in the
-//! [`PageStore`](crate::PageStore)'s resident map, so the buffer is purely
+//! [`PageStore`](crate::PageStore)'s resident table, so the buffer is purely
 //! the replacement-policy and accounting component, exactly the part the
 //! paper's experiments vary (Figure 8a sweeps the buffer size from 0.5 % to
 //! 10 % of the data size).
@@ -16,13 +16,33 @@
 //! not invalidate outstanding page references. Pinning does **not** touch
 //! recency or membership: peeking at a page leaves the measured buffer state
 //! byte-identical, which is what the parity machinery relies on.
+//!
+//! # Two indexes, one buffer
+//!
+//! The recency list, the eviction scan and the pin rules exist once. What
+//! differs by caller is only how a key finds its list slot and its pin
+//! count — a private two-variant table:
+//!
+//! * [`LruBuffer::new`] — a **hash** table, for keys that are sparse. The
+//!   reuse buffer (`cij_core::CellCache`) keys this buffer by
+//!   caller-assigned object ids, which can be any `u64`.
+//! * [`LruBuffer::with_dense_keys`] — a **vector** indexed by the key
+//!   itself, for keys that are small and dense. The page store uses it:
+//!   page ids are handed out consecutively from 0 by
+//!   `PageBackend::allocate`, so a counted read finds its slot and its pin
+//!   count with two array loads and no hashing. It costs 8 bytes per key up
+//!   to the largest one seen (a `u32` slot and a `u32` pin count), whether
+//!   or not the key is buffered.
+//!
+//! Both keep a live count beside the table, so [`LruBuffer::len`] and
+//! [`LruBuffer::pinned_pages`] are O(1) either way.
 
 use std::collections::HashMap;
 
 /// Slot index inside the intrusive LRU list.
-type SlotIdx = usize;
+type SlotIdx = u32;
 
-const NIL: SlotIdx = usize::MAX;
+const NIL: SlotIdx = u32::MAX;
 
 #[derive(Debug, Clone)]
 struct Slot {
@@ -32,23 +52,93 @@ struct Slot {
     next: SlotIdx,
 }
 
+/// A `key → u32` table: the slot index of a member, or the pin count of a
+/// pinned key. See the [module docs](self) for who uses which variant.
+#[derive(Debug, Clone)]
+enum Table {
+    Hash(HashMap<u64, u32>),
+    /// `cells[key]`, [`ABSENT`] where the key has no entry; `live` counts
+    /// the entries so `len` is not a scan.
+    Dense {
+        cells: Vec<u32>,
+        live: usize,
+    },
+}
+
+/// The dense table's "no entry". No slot index reaches it (`NIL`), and a
+/// pin count would need 2³² − 1 live guards on one page.
+const ABSENT: u32 = u32::MAX;
+
+impl Table {
+    fn len(&self) -> usize {
+        match self {
+            Table::Hash(map) => map.len(),
+            Table::Dense { live, .. } => *live,
+        }
+    }
+
+    fn get(&self, key: u64) -> Option<u32> {
+        match self {
+            Table::Hash(map) => map.get(&key).copied(),
+            Table::Dense { cells, .. } => usize::try_from(key)
+                .ok()
+                .and_then(|at| cells.get(at).copied())
+                .filter(|&value| value != ABSENT),
+        }
+    }
+
+    /// Inserts or overwrites the entry of `key`.
+    fn set(&mut self, key: u64, value: u32) {
+        debug_assert_ne!(value, ABSENT);
+        match self {
+            Table::Hash(map) => {
+                map.insert(key, value);
+            }
+            Table::Dense { cells, live } => {
+                let at = usize::try_from(key).expect("a dense key indexes memory");
+                if at >= cells.len() {
+                    cells.resize(at + 1, ABSENT);
+                }
+                *live += usize::from(cells[at] == ABSENT);
+                cells[at] = value;
+            }
+        }
+    }
+
+    fn remove(&mut self, key: u64) -> Option<u32> {
+        match self {
+            Table::Hash(map) => map.remove(&key),
+            Table::Dense { cells, live } => {
+                let cell = cells.get_mut(usize::try_from(key).ok()?)?;
+                let value = std::mem::replace(cell, ABSENT);
+                (value != ABSENT).then(|| {
+                    *live -= 1;
+                    value
+                })
+            }
+        }
+    }
+}
+
 /// A fixed-capacity LRU buffer with write-back semantics and pin refcounts.
 ///
 /// Keys are raw `u64` page identifiers so the buffer stays independent of the
 /// page-store types. All operations are O(1) except an eviction scan that
-/// has to step over pinned frames (O(pinned members) worst case).
+/// has to step over pinned frames (O(pinned members) worst case), and
+/// [`LruBuffer::clear`], which is O(members).
 #[derive(Debug, Clone)]
 pub struct LruBuffer {
     capacity: usize,
-    map: HashMap<u64, SlotIdx>,
+    /// Slot of every member.
+    index: Table,
     slots: Vec<Slot>,
     free: Vec<SlotIdx>,
     head: SlotIdx, // most recently used
     tail: SlotIdx, // least recently used
-    /// Pin refcounts by key. Pinned keys are exempt from eviction; the map
-    /// is independent of LRU membership (a key can be pinned while not
-    /// resident) and survives `clear`/`resize`.
-    pins: HashMap<u64, u32>,
+    /// Pin refcounts by key. Pinned keys are exempt from eviction; the
+    /// table is independent of LRU membership (a key can be pinned while
+    /// not resident) and survives `clear`/`resize`.
+    pins: Table,
     /// High-water mark of `pins.len()` — the most distinct keys ever pinned
     /// at once.
     peak_pinned: usize,
@@ -68,18 +158,35 @@ pub enum Admission {
 }
 
 impl LruBuffer {
-    /// Creates a buffer holding at most `capacity` pages. A capacity of 0
-    /// disables caching entirely (every access is a miss and nothing is
-    /// retained).
+    /// Creates a buffer holding at most `capacity` pages, indexed by a hash
+    /// table: any `u64` is a fine key. A capacity of 0 disables caching
+    /// entirely (every access is a miss and nothing is retained).
     pub fn new(capacity: usize) -> Self {
+        let index = Table::Hash(HashMap::with_capacity(capacity.min(1 << 20)));
+        Self::over(capacity, index, Table::Hash(HashMap::new()))
+    }
+
+    /// Like [`LruBuffer::new`], indexed by vectors the key subscripts: for
+    /// keys handed out densely from 0, as page ids are. Memory grows with
+    /// the largest key touched or pinned (8 bytes each), not with the
+    /// capacity — see the [module docs](self).
+    pub fn with_dense_keys(capacity: usize) -> Self {
+        let empty = || Table::Dense {
+            cells: Vec::new(),
+            live: 0,
+        };
+        Self::over(capacity, empty(), empty())
+    }
+
+    fn over(capacity: usize, index: Table, pins: Table) -> Self {
         LruBuffer {
             capacity,
-            map: HashMap::with_capacity(capacity.min(1 << 20)),
+            index,
             slots: Vec::with_capacity(capacity.min(1 << 20)),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
-            pins: HashMap::new(),
+            pins,
             peak_pinned: 0,
         }
     }
@@ -94,24 +201,24 @@ impl LruBuffer {
 
     /// Number of currently resident pages.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.index.len()
     }
 
     /// Whether no pages are resident.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
     /// Whether the page is currently resident (does not update recency).
     pub fn contains(&self, key: u64) -> bool {
-        self.map.contains_key(&key)
+        self.index.get(key).is_some()
     }
 
     /// Increments the pin count of `key`, exempting it from eviction until
     /// the matching [`LruBuffer::unpin`]. Recency and membership are not
     /// touched.
     pub fn pin(&mut self, key: u64) {
-        *self.pins.entry(key).or_insert(0) += 1;
+        self.pins.set(key, self.pin_count(key) + 1);
         self.peak_pinned = self.peak_pinned.max(self.pins.len());
     }
 
@@ -123,22 +230,22 @@ impl LruBuffer {
     /// Panics if the key is not pinned — an unpaired unpin means a refcount
     /// bug in the caller.
     pub fn unpin(&mut self, key: u64) -> bool {
-        let count = self
-            .pins
-            .get_mut(&key)
-            .unwrap_or_else(|| panic!("unpin of page {key} that holds no pin"));
-        *count -= 1;
-        if *count == 0 {
-            self.pins.remove(&key);
-            true
-        } else {
-            false
+        match self.pin_count(key) {
+            0 => panic!("unpin of page {key} that holds no pin"),
+            1 => {
+                self.pins.remove(key);
+                true
+            }
+            count => {
+                self.pins.set(key, count - 1);
+                false
+            }
         }
     }
 
     /// Current pin count of `key` (0 when unpinned).
     pub fn pin_count(&self, key: u64) -> u32 {
-        self.pins.get(&key).copied().unwrap_or(0)
+        self.pins.get(key).unwrap_or(0)
     }
 
     /// Number of distinct keys currently pinned.
@@ -173,19 +280,19 @@ impl LruBuffer {
                 evicted: if dirty { Some((key, true)) } else { None },
             };
         }
-        if let Some(&slot) = self.map.get(&key) {
-            self.slots[slot].dirty |= dirty;
+        if let Some(slot) = self.index.get(key) {
+            self.slots[slot as usize].dirty |= dirty;
             self.move_to_front(slot);
             return Admission::Hit;
         }
-        let evicted = if self.map.len() >= self.capacity {
+        let evicted = if self.len() >= self.capacity {
             self.evict_lru()
         } else {
             None
         };
         let slot = self.alloc_slot(key, dirty);
         self.push_front(slot);
-        self.map.insert(key, slot);
+        self.index.set(key, slot);
         Admission::Miss { evicted }
     }
 
@@ -193,7 +300,7 @@ impl LruBuffer {
     /// accounting (used when a page is freed). Returns `true` when the page
     /// was resident.
     pub fn remove(&mut self, key: u64) -> bool {
-        if let Some(slot) = self.map.remove(&key) {
+        if let Some(slot) = self.index.remove(key) {
             self.unlink(slot);
             self.free.push(slot);
             true
@@ -207,14 +314,16 @@ impl LruBuffer {
     /// returning `(key, was_dirty)` for each so the caller can write back
     /// the dirty ones and release the clean ones. Pin refcounts survive.
     pub fn clear(&mut self) -> Vec<(u64, bool)> {
-        let dropped: Vec<(u64, bool)> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|&(i, s)| self.map.get(&s.key) == Some(&i))
+        // A recycled slot still carries its last key: the index tells the
+        // members apart, and forgets each as it is reported.
+        let dropped: Vec<(u64, bool)> = (0..)
+            .zip(&self.slots)
+            .filter(|&(i, s)| self.index.get(s.key) == Some(i))
             .map(|(_, s)| (s.key, s.dirty))
             .collect();
-        self.map.clear();
+        for &(key, _) in &dropped {
+            self.index.remove(key);
+        }
         self.slots.clear();
         self.free.clear();
         self.head = NIL;
@@ -228,7 +337,7 @@ impl LruBuffer {
     pub fn resize(&mut self, capacity: usize) -> Vec<(u64, bool)> {
         self.capacity = capacity;
         let mut evicted = Vec::new();
-        while self.map.len() > self.capacity {
+        while self.len() > self.capacity {
             if let Some(entry) = self.evict_lru() {
                 evicted.push(entry);
             } else {
@@ -241,11 +350,11 @@ impl LruBuffer {
     /// The resident keys ordered from most- to least-recently used.
     /// Intended for tests and diagnostics.
     pub fn keys_mru_to_lru(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.map.len());
+        let mut out = Vec::with_capacity(self.len());
         let mut cur = self.head;
         while cur != NIL {
-            out.push(self.slots[cur].key);
-            cur = self.slots[cur].next;
+            out.push(self.slots[cur as usize].key);
+            cur = self.slots[cur as usize].next;
         }
         out
     }
@@ -258,19 +367,20 @@ impl LruBuffer {
             next: NIL,
         };
         if let Some(idx) = self.free.pop() {
-            self.slots[idx] = slot;
+            self.slots[idx as usize] = slot;
             idx
         } else {
+            assert!(self.slots.len() < NIL as usize, "2^32 buffered pages");
             self.slots.push(slot);
-            self.slots.len() - 1
+            (self.slots.len() - 1) as SlotIdx
         }
     }
 
     fn push_front(&mut self, slot: SlotIdx) {
-        self.slots[slot].prev = NIL;
-        self.slots[slot].next = self.head;
+        self.slots[slot as usize].prev = NIL;
+        self.slots[slot as usize].next = self.head;
         if self.head != NIL {
-            self.slots[self.head].prev = slot;
+            self.slots[self.head as usize].prev = slot;
         }
         self.head = slot;
         if self.tail == NIL {
@@ -279,19 +389,19 @@ impl LruBuffer {
     }
 
     fn unlink(&mut self, slot: SlotIdx) {
-        let (prev, next) = (self.slots[slot].prev, self.slots[slot].next);
+        let Slot { prev, next, .. } = self.slots[slot as usize];
         if prev != NIL {
-            self.slots[prev].next = next;
+            self.slots[prev as usize].next = next;
         } else {
             self.head = next;
         }
         if next != NIL {
-            self.slots[next].prev = prev;
+            self.slots[next as usize].prev = prev;
         } else {
             self.tail = prev;
         }
-        self.slots[slot].prev = NIL;
-        self.slots[slot].next = NIL;
+        self.slots[slot as usize].prev = NIL;
+        self.slots[slot as usize].next = NIL;
     }
 
     fn move_to_front(&mut self, slot: SlotIdx) {
@@ -308,15 +418,16 @@ impl LruBuffer {
     fn evict_lru(&mut self) -> Option<(u64, bool)> {
         let mut cur = self.tail;
         while cur != NIL {
-            if self.pin_count(self.slots[cur].key) == 0 {
-                let key = self.slots[cur].key;
-                let dirty = self.slots[cur].dirty;
+            let Slot {
+                key, dirty, prev, ..
+            } = self.slots[cur as usize];
+            if self.pin_count(key) == 0 {
                 self.unlink(cur);
-                self.map.remove(&key);
+                self.index.remove(key);
                 self.free.push(cur);
                 return Some((key, dirty));
             }
-            cur = self.slots[cur].prev;
+            cur = prev;
         }
         None
     }
@@ -325,6 +436,158 @@ impl LruBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The buffer as its docs describe it, on plain vectors and scans.
+    #[derive(Default)]
+    struct Model {
+        capacity: usize,
+        /// `(key, dirty)`, most recently used first.
+        members: Vec<(u64, bool)>,
+        /// `(key, count)`, counts ≥ 1.
+        pins: Vec<(u64, u32)>,
+        peak_pinned: usize,
+    }
+
+    impl Model {
+        fn pin_count(&self, key: u64) -> u32 {
+            let pin = self.pins.iter().find(|&&(k, _)| k == key);
+            pin.map_or(0, |&(_, count)| count)
+        }
+
+        fn evict_lru(&mut self) -> Option<(u64, bool)> {
+            let victim = self
+                .members
+                .iter()
+                .rposition(|&(k, _)| self.pin_count(k) == 0)?;
+            Some(self.members.remove(victim))
+        }
+
+        fn touch(&mut self, key: u64, dirty: bool) -> Admission {
+            if self.capacity == 0 {
+                return Admission::Miss {
+                    evicted: dirty.then_some((key, true)),
+                };
+            }
+            if let Some(at) = self.members.iter().position(|&(k, _)| k == key) {
+                let (_, was_dirty) = self.members.remove(at);
+                self.members.insert(0, (key, was_dirty | dirty));
+                return Admission::Hit;
+            }
+            let evicted = if self.members.len() >= self.capacity {
+                self.evict_lru()
+            } else {
+                None
+            };
+            self.members.insert(0, (key, dirty));
+            Admission::Miss { evicted }
+        }
+
+        fn pin(&mut self, key: u64) {
+            match self.pins.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, count)) => *count += 1,
+                None => self.pins.push((key, 1)),
+            }
+            self.peak_pinned = self.peak_pinned.max(self.pins.len());
+        }
+
+        fn unpin(&mut self, key: u64) -> bool {
+            let at = self.pins.iter().position(|&(k, _)| k == key).unwrap();
+            self.pins[at].1 -= 1;
+            if self.pins[at].1 == 0 {
+                self.pins.remove(at);
+            }
+            self.pin_count(key) == 0
+        }
+
+        fn resize(&mut self, capacity: usize) -> Vec<(u64, bool)> {
+            self.capacity = capacity;
+            let mut evicted = Vec::new();
+            while self.members.len() > capacity {
+                match self.evict_lru() {
+                    Some(entry) => evicted.push(entry),
+                    None => break,
+                }
+            }
+            evicted
+        }
+    }
+
+    /// What one call answered.
+    #[derive(Debug, PartialEq)]
+    enum Answer {
+        Admission(Admission),
+        Flag(bool),
+        Dropped(Vec<(u64, bool)>),
+        Nothing,
+    }
+
+    proptest! {
+        /// One list, one eviction scan, one set of pin rules behind both
+        /// indexes: fed the same calls, the hash-indexed buffer, the
+        /// dense-indexed one and the vector model answer and end alike.
+        #[test]
+        fn both_indexes_behave_like_the_vector_model(
+            capacity in 0usize..6,
+            ops in proptest::collection::vec((0u8..16, 0u64..12, 0usize..7), 1..400),
+        ) {
+            let mut model = Model { capacity, ..Model::default() };
+            let mut buffers = [LruBuffer::new(capacity), LruBuffer::with_dense_keys(capacity)];
+            for (step, &(op, key, size)) in ops.iter().enumerate() {
+                // An unpin is only legal on a pinned key.
+                let op = if matches!(op, 11 | 12) && model.pin_count(key) == 0 { 9 } else { op };
+                let expected = match op {
+                    // Reads and writes, over half of the calls.
+                    0..=8 => Answer::Admission(model.touch(key, op > 5)),
+                    9 | 10 => {
+                        model.pin(key);
+                        Answer::Nothing
+                    }
+                    11 | 12 => Answer::Flag(model.unpin(key)),
+                    13 => {
+                        let before = model.members.len();
+                        model.members.retain(|&(k, _)| k != key);
+                        Answer::Flag(model.members.len() < before)
+                    }
+                    14 => Answer::Dropped(model.resize(size)),
+                    _ => {
+                        let mut dropped = std::mem::take(&mut model.members);
+                        dropped.sort_unstable();
+                        Answer::Dropped(dropped)
+                    }
+                };
+                let members: Vec<u64> = model.members.iter().map(|&(k, _)| k).collect();
+                for buffer in &mut buffers {
+                    let got = match op {
+                        0..=8 => Answer::Admission(buffer.touch(key, op > 5)),
+                        9 | 10 => {
+                            buffer.pin(key);
+                            Answer::Nothing
+                        }
+                        11 | 12 => Answer::Flag(buffer.unpin(key)),
+                        13 => Answer::Flag(buffer.remove(key)),
+                        14 => Answer::Dropped(buffer.resize(size)),
+                        _ => {
+                            let mut dropped = buffer.clear();
+                            dropped.sort_unstable();
+                            Answer::Dropped(dropped)
+                        }
+                    };
+                    prop_assert_eq!(&got, &expected, "step {}, op {}", step, op);
+                    prop_assert_eq!(buffer.keys_mru_to_lru(), members.clone(), "step {}", step);
+                    prop_assert_eq!(buffer.len(), members.len());
+                    prop_assert_eq!(buffer.is_empty(), members.is_empty());
+                    prop_assert_eq!(buffer.capacity(), model.capacity);
+                    prop_assert_eq!(buffer.pinned_pages(), model.pins.len());
+                    prop_assert_eq!(buffer.peak_pinned(), model.peak_pinned);
+                    for probe in 0..12 {
+                        prop_assert_eq!(buffer.contains(probe), members.contains(&probe));
+                        prop_assert_eq!(buffer.pin_count(probe), model.pin_count(probe));
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn hit_after_admission() {

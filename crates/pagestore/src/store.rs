@@ -5,7 +5,7 @@
 //!
 //! Historically the store kept a decoded in-memory image of *every* page,
 //! which made "cold" reads never actually cold and bounded datasets by RAM.
-//! That mirror is gone. Decoded payloads now live in a **resident map**
+//! That mirror is gone. Decoded payloads now live in a **resident table**
 //! that holds exactly two kinds of pages:
 //!
 //! * **buffer members** — pages currently admitted to the [`LruBuffer`];
@@ -17,7 +17,7 @@
 //!   recency, membership or any counter**, so snapshot reads leave the
 //!   measured buffer state byte-identical. A peek of a non-resident page
 //!   decodes it through the backend as an [`IoClass::Unmetered`] transfer
-//!   and holds it in the resident map — *not* admitted to the buffer —
+//!   and holds it in the resident table — *not* admitted to the buffer —
 //!   until the last guard drops.
 //!
 //! Everything else decodes on miss through the backend and is dropped on
@@ -32,6 +32,22 @@
 //! resident payload — a guard taken before the write keeps observing the
 //! snapshot it pinned; trees are read-only during joins, so this only
 //! matters for exotic interleavings) or freed.
+//!
+//! # The page table
+//!
+//! Page ids are dense: [`PageBackend::allocate`] hands them out
+//! consecutively from 0 and freed ids are not recycled. Everything the
+//! store keeps per page is therefore a vector indexed by the id, never a
+//! map: the allocation flag (1 byte), the resident payload slot (an
+//! `Option<Arc<T>>`, 8 bytes) and, inside the buffer
+//! ([`LruBuffer::with_dense_keys`]), the list slot and the pin count (4
+//! bytes each) — 17 bytes per id ever allocated, whether or not the page is
+//! resident, against a page of `page_size` bytes on the backend. A counted
+//! read reaches its buffer slot, its pin count and its payload by
+//! subscript; [`PageStore::num_pages`], [`PageStore::resident_pages`] and
+//! [`PageStore::pinned_pages`] read counts kept beside the vectors, so none
+//! of them scans. (The hash-indexed [`LruBuffer::new`] stays for callers
+//! whose keys are sparse — the reuse buffer's object ids.)
 //!
 //! # Read/write path and the backend parity guarantee
 //!
@@ -55,7 +71,7 @@
 //! metered operations stay exclusive. Guards never hold the lock; they
 //! re-acquire it briefly on drop to unpin.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::ops::Deref;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -174,10 +190,16 @@ impl PageStoreConfig {
 #[derive(Debug)]
 struct StoreInner<T: PagePayload> {
     /// Decoded payloads of exactly the buffer members and the pinned pages
-    /// — the replacement for the historical full mirror.
-    resident: HashMap<u64, Arc<T>>,
+    /// — the replacement for the historical full mirror. Index = page id,
+    /// one slot per id ever allocated (see "The page table" in the module
+    /// docs).
+    resident: Vec<Option<Arc<T>>>,
+    /// How many slots of `resident` are `Some`.
+    resident_count: usize,
     /// Which page ids are currently allocated (index = page id).
     allocated: Vec<bool>,
+    /// How many flags of `allocated` are set.
+    allocated_count: usize,
     backend: Box<dyn PageBackend>,
     buffer: LruBuffer,
     stats: IoStats,
@@ -242,10 +264,12 @@ impl<T: PagePayload> PageStore<T> {
         }
         PageStore {
             inner: Arc::new(Mutex::new(StoreInner {
-                resident: HashMap::new(),
+                resident: Vec::new(),
+                resident_count: 0,
                 allocated: Vec::new(),
+                allocated_count: 0,
                 backend,
-                buffer: LruBuffer::new(config.buffer_pages),
+                buffer: LruBuffer::with_dense_keys(config.buffer_pages),
                 stats: stats.clone(),
                 frame: vec![0u8; config.page_size],
                 peak_resident: 0,
@@ -285,9 +309,10 @@ impl<T: PagePayload> PageStore<T> {
         self.lock().backend.io()
     }
 
-    /// Number of allocated pages (the data size on disk, in pages).
+    /// Number of allocated pages (the data size on disk, in pages); a
+    /// kept count, not a scan of the page table.
     pub fn num_pages(&self) -> usize {
-        self.lock().allocated.iter().filter(|&&a| a).count()
+        self.lock().allocated_count
     }
 
     /// A handle to the shared statistics counters.
@@ -298,7 +323,7 @@ impl<T: PagePayload> PageStore<T> {
     /// Number of pages currently holding a decoded payload (buffer members
     /// plus pinned pages).
     pub fn resident_pages(&self) -> usize {
-        self.lock().resident.len()
+        self.lock().resident_count
     }
 
     /// High-water mark of [`PageStore::resident_pages`] — with the mirror
@@ -322,7 +347,7 @@ impl<T: PagePayload> PageStore<T> {
     /// measurement phase tracks its own peaks rather than construction's.
     pub fn reset_residency_peaks(&mut self) {
         let mut inner = self.lock();
-        inner.peak_resident = inner.resident.len();
+        inner.peak_resident = inner.resident_count;
         inner.buffer.reset_peak_pinned();
     }
 
@@ -346,10 +371,12 @@ impl<T: PagePayload> PageStore<T> {
             "backend frame index drifted from the page table"
         );
         inner.allocated.push(true);
+        inner.allocated_count += 1;
+        inner.resident.push(None);
         let id = PageId(index);
         inner.stats.record_logical_write();
         let key = id.as_key();
-        inner.resident.insert(key, Arc::new(payload));
+        inner.set_resident(key, Arc::new(payload));
         inner.admit_dirty(key);
         inner.release_if_unreferenced(key);
         inner.note_peak();
@@ -433,7 +460,7 @@ impl<T: PagePayload> PageStore<T> {
     /// A resident page (buffer member or already pinned) is served from its
     /// decoded payload with zero I/O. A cold page is decoded through the
     /// backend as an [`IoClass::Unmetered`] transfer and held in the
-    /// resident map — not admitted to the buffer — until the last guard
+    /// resident table — not admitted to the buffer — until the last guard
     /// drops. Either way the measured buffer state is left byte-identical,
     /// which is what the snapshot readers of the parallel and fast
     /// execution paths rely on. Error contract of [`PageStore::try_read`].
@@ -446,13 +473,13 @@ impl<T: PagePayload> PageStore<T> {
         let inner = &mut *guard;
         assert!(inner.is_allocated(id), "peek of unallocated page");
         let key = id.as_key();
-        let payload = match inner.resident.get(&key) {
+        let payload = match inner.resident(key) {
             Some(arc) => Arc::clone(arc),
             None => {
                 inner.read_frame_retrying(id.0, IoClass::Unmetered)?;
                 inner.verify_or_quarantine(id.0)?;
                 let arc = Arc::new(T::decode(&inner.frame));
-                inner.resident.insert(key, Arc::clone(&arc));
+                inner.set_resident(key, Arc::clone(&arc));
                 arc
             }
         };
@@ -478,8 +505,9 @@ impl<T: PagePayload> PageStore<T> {
         let inner = &mut *self.lock();
         if inner.is_allocated(id) {
             inner.allocated[id.0 as usize] = false;
+            inner.allocated_count -= 1;
             inner.buffer.remove(id.as_key());
-            inner.resident.remove(&id.as_key());
+            inner.drop_resident(id.as_key());
             inner.backend.free(id.0);
         }
     }
@@ -620,8 +648,26 @@ impl<T: PagePayload> StoreInner<T> {
         }
     }
 
+    /// The decoded payload of page `key`, if it is resident.
+    fn resident(&self, key: u64) -> Option<&Arc<T>> {
+        self.resident.get(key as usize)?.as_ref()
+    }
+
+    /// Makes `payload` the resident image of the allocated page `key`.
+    fn set_resident(&mut self, key: u64, payload: Arc<T>) {
+        let slot = &mut self.resident[key as usize];
+        self.resident_count += usize::from(slot.is_none());
+        *slot = Some(payload);
+    }
+
+    fn drop_resident(&mut self, key: u64) {
+        if self.resident[key as usize].take().is_some() {
+            self.resident_count -= 1;
+        }
+    }
+
     fn note_peak(&mut self) {
-        self.peak_resident = self.peak_resident.max(self.resident.len());
+        self.peak_resident = self.peak_resident.max(self.resident_count);
     }
 
     /// Transfers frame `index` into the scratch buffer, retrying transient
@@ -685,8 +731,7 @@ impl<T: PagePayload> StoreInner<T> {
             Admission::Hit => {
                 self.stats.record_hit();
                 Ok(Arc::clone(
-                    self.resident
-                        .get(&key)
+                    self.resident(key)
                         .expect("buffer member without a decoded payload"),
                 ))
             }
@@ -705,7 +750,7 @@ impl<T: PagePayload> StoreInner<T> {
                     return Err(e);
                 }
                 #[cfg(debug_assertions)]
-                if let Some(pinned) = self.resident.get(&key) {
+                if let Some(pinned) = self.resident(key) {
                     // The page still holds a pinned snapshot payload: the
                     // transferred frame must re-encode it exactly, or the
                     // trace/replay machinery has drifted.
@@ -718,7 +763,7 @@ impl<T: PagePayload> StoreInner<T> {
                 }
                 let payload = Arc::new(T::decode(&self.frame));
                 if self.buffer.contains(key) {
-                    self.resident.insert(key, Arc::clone(&payload));
+                    self.set_resident(key, Arc::clone(&payload));
                 }
                 self.note_peak();
                 Ok(payload)
@@ -751,7 +796,7 @@ impl<T: PagePayload> StoreInner<T> {
     /// (resident = members ∪ pinned) is enforced on the release side.
     fn release_if_unreferenced(&mut self, key: u64) {
         if !self.buffer.contains(key) && self.buffer.pin_count(key) == 0 {
-            self.resident.remove(&key);
+            self.drop_resident(key);
         }
     }
 
@@ -772,8 +817,7 @@ impl<T: PagePayload> StoreInner<T> {
         let page_size = self.frame.len();
         let mut frame = std::mem::take(&mut self.frame);
         frame.clear();
-        self.resident
-            .get(&key)
+        self.resident(key)
             .expect("write-back of a page with no decoded payload")
             .encode_into(&mut frame);
         let payload_len = frame.len();

@@ -24,7 +24,7 @@
 //! [`RTreeConfig::node_byte_budget`]: crate::tree::RTreeConfig::node_byte_budget
 
 use crate::node::{ChildEntry, Node};
-use crate::object::RTreeObject;
+use crate::object::{f64_at, RTreeObject};
 use cij_geom::{Point, Rect};
 use cij_pagestore::{FrameReader, FrameWriter, PageId, PagePayload};
 
@@ -66,14 +66,58 @@ impl<D: RTreeObject> PagePayload for Node<D> {
         let level = r.take_u32();
         let child_count = r.take_u32() as usize;
         let object_count = r.take_u32() as usize;
+        // Both lists take their bytes before they allocate: a count the
+        // frame cannot hold is the reader's truncation panic, not a
+        // reservation sized by the count.
+        let (children, _) = r
+            .take_bytes(child_count.saturating_mul(ChildEntry::BYTES))
+            .as_chunks::<{ ChildEntry::BYTES }>();
+        let children = children.iter().map(decode_child).collect();
+        let objects = D::decode_entries(&mut r, object_count);
+        Node {
+            level,
+            children,
+            objects,
+        }
+    }
+}
+
+fn decode_child(raw: &[u8; ChildEntry::BYTES]) -> ChildEntry {
+    let mut page = [0u8; 4];
+    page.copy_from_slice(&raw[32..]);
+    ChildEntry {
+        // Constructed field-by-field (not Rect::new) so the empty MBR of an
+        // empty subtree round-trips bit-exactly.
+        mbr: Rect {
+            lo: Point::new(f64_at(raw, 0), f64_at(raw, 8)),
+            hi: Point::new(f64_at(raw, 16), f64_at(raw, 24)),
+        },
+        page: PageId(u32::from_le_bytes(page)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::object::{CellObject, PointObject};
+    use cij_geom::ConvexPolygon;
+    use proptest::prelude::*;
+    use std::panic::catch_unwind;
+
+    /// `Node::decode` as it was before the lists were taken in bulk: one
+    /// cursor read per field, one `decode_entry` per object. Only for frames
+    /// the encoder wrote — it trusts both counts with an allocation.
+    fn decode_entrywise<D: RTreeObject>(bytes: &[u8]) -> Node<D> {
+        let mut r = FrameReader::new(bytes);
+        let level = r.take_u32();
+        let child_count = r.take_u32() as usize;
+        let object_count = r.take_u32() as usize;
         let mut children = Vec::with_capacity(child_count);
         for _ in 0..child_count {
             let lo = Point::new(r.take_f64(), r.take_f64());
             let hi = Point::new(r.take_f64(), r.take_f64());
             let page = PageId(r.take_u32());
             children.push(ChildEntry {
-                // Constructed field-by-field (not Rect::new) so the empty
-                // MBR of an empty subtree round-trips bit-exactly.
                 mbr: Rect { lo, hi },
                 page,
             });
@@ -85,13 +129,180 @@ impl<D: RTreeObject> PagePayload for Node<D> {
             objects,
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::object::{CellObject, PointObject};
-    use cij_geom::ConvexPolygon;
+    /// Both decoders read `node`'s frame — bare and padded to a page — back
+    /// to `node`, and the bulk decode re-encodes to the same bytes.
+    fn assert_decoders_agree<D>(node: &Node<D>)
+    where
+        D: RTreeObject + PartialEq + std::fmt::Debug,
+    {
+        let bytes = node.encode();
+        let mut padded = bytes.clone();
+        padded.resize(bytes.len().max(1024), 0);
+        for frame in [&bytes, &padded] {
+            let bulk: Node<D> = Node::decode(frame);
+            assert_eq!(bulk, decode_entrywise(frame));
+            assert_eq!(&bulk, node);
+            assert_eq!(bulk.encode(), bytes);
+        }
+    }
+
+    fn coordinate() -> impl Strategy<Value = f64> {
+        const SPECIAL: [f64; 6] = [0.0, -0.0, 1e-320, f64::MAX, f64::INFINITY, -1e300];
+        (0usize..4 * SPECIAL.len(), -1e4f64..1e4)
+            .prop_map(|(pick, drawn)| SPECIAL.get(pick).copied().unwrap_or(drawn))
+    }
+
+    proptest! {
+        #[test]
+        fn bulk_decode_equals_the_entry_by_entry_decode(
+            points in proptest::collection::vec((0u64..u64::MAX, coordinate(), coordinate()), 0..60),
+            cells in proptest::collection::vec(
+                (0u64..u64::MAX, proptest::collection::vec((coordinate(), coordinate()), 0..12)),
+                0..10,
+            ),
+            children in proptest::collection::vec(
+                (0usize..5, coordinate(), coordinate(), coordinate(), coordinate(), 0u32..=u32::MAX),
+                1..40,
+            ),
+            level in 1u32..9,
+        ) {
+            let mut leaf = Node::new_leaf();
+            leaf.objects = points.iter()
+                .map(|&(id, x, y)| PointObject::new(id, Point::new(x, y)))
+                .collect();
+            assert_decoders_agree(&leaf);
+
+            let mut leaf = Node::new_leaf();
+            leaf.objects = cells.iter()
+                .map(|(id, ring)| {
+                    let ring: Vec<Point> = ring.iter().map(|&(x, y)| Point::new(x, y)).collect();
+                    let site = ring.first().copied().unwrap_or(Point::new(1.0, -1.0));
+                    CellObject::new(*id, site, ConvexPolygon::new(ring))
+                })
+                .collect();
+            assert_decoders_agree(&leaf);
+
+            let mut inner: Node<PointObject> = Node::new_inner(level);
+            inner.children = children.iter()
+                .map(|&(kind, a, b, c, d, page)| ChildEntry {
+                    // One in five is the empty MBR of an empty subtree.
+                    mbr: if kind == 0 {
+                        Rect::empty()
+                    } else {
+                        Rect { lo: Point::new(a, b), hi: Point::new(c, d) }
+                    },
+                    page: PageId(page),
+                })
+                .collect();
+            assert_decoders_agree(&inner);
+        }
+    }
+
+    /// The panic message of `decode` on `frame`, `None` if it returned.
+    fn decode_panic<D: RTreeObject>(frame: &[u8]) -> Option<String> {
+        catch_unwind(|| drop(Node::<D>::decode(frame)))
+            .err()
+            .map(|payload| {
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .expect("a formatted panic message")
+            })
+    }
+
+    /// A 1 KB frame with the given header and an otherwise valid body.
+    fn frame_with_header(body: &[u8], child_count: u32, object_count: u32) -> Vec<u8> {
+        let mut frame = body.to_vec();
+        frame.resize(1024, 0);
+        frame[4..8].copy_from_slice(&child_count.to_le_bytes());
+        frame[8..12].copy_from_slice(&object_count.to_le_bytes());
+        frame
+    }
+
+    #[test]
+    fn a_lying_count_is_a_truncation_panic_not_an_allocation() {
+        // Before the lists took their bytes first, `u32::MAX` here was a
+        // 171 GB `Vec::with_capacity` — `handle_alloc_error`, SIGABRT, no
+        // unwinding. Every list, every count that does not fit the page.
+        let points = leaf_with_points(5).encode();
+        for (list, entry_bytes) in [("objects", 24), ("children", ChildEntry::BYTES)] {
+            let header = |count: u32| match list {
+                "objects" => frame_with_header(&points, 0, count),
+                _ => frame_with_header(&points, count, 0),
+            };
+            let capacity = ((1024 - NODE_HEADER_BYTES) / entry_bytes) as u32;
+            for count in [u32::MAX, u32::MAX / 2, capacity + 1] {
+                let message = decode_panic::<PointObject>(&header(count))
+                    .unwrap_or_else(|| panic!("{count} {list} decoded"));
+                assert!(
+                    message.starts_with("truncated page frame: needed")
+                        && message.ends_with("bytes at offset 12 of a 1024-byte frame"),
+                    "{count} {list}: {message}"
+                );
+            }
+            assert!(decode_panic::<PointObject>(&header(capacity)).is_none());
+        }
+
+        // A cell leaf: the object count (entry-by-entry default) and the
+        // vertex count inside the first entry.
+        let mut leaf: Node<CellObject> = Node::new_leaf();
+        let square = ConvexPolygon::from_rect(&Rect::from_coords(0.0, 0.0, 2.0, 2.0));
+        leaf.objects
+            .push(CellObject::new(7, Point::new(1.0, 1.0), square));
+        let cells = leaf.encode();
+        for count in [1024, u32::MAX / 2, u32::MAX] {
+            let message = decode_panic::<CellObject>(&frame_with_header(&cells, 0, count))
+                .unwrap_or_else(|| panic!("cell object_count {count} decoded"));
+            assert!(message.starts_with("truncated page frame"), "{message}");
+            let mut frame = frame_with_header(&cells, 0, 1);
+            let vertex_count = NODE_HEADER_BYTES + 24;
+            frame[vertex_count..vertex_count + 4].copy_from_slice(&count.to_le_bytes());
+            let message = decode_panic::<CellObject>(&frame)
+                .unwrap_or_else(|| panic!("vertex count {count} decoded"));
+            assert!(
+                message.starts_with("truncated page frame: needed")
+                    && message.ends_with("bytes at offset 40 of a 1024-byte frame"),
+                "vertex count {count}: {message}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_frame_is_a_truncation_panic() {
+        let mut inner: Node<PointObject> = Node::new_inner(2);
+        for i in 0..3u32 {
+            inner.children.push(ChildEntry {
+                mbr: Rect::from_coords(0.0, 0.0, f64::from(i), 1.0),
+                page: PageId(i),
+            });
+        }
+        let mut cells: Node<CellObject> = Node::new_leaf();
+        for i in 0..3u64 {
+            let square = ConvexPolygon::from_rect(&Rect::from_coords(0.0, 0.0, 2.0, 2.0));
+            cells
+                .objects
+                .push(CellObject::new(i, Point::new(1.0, 1.0), square));
+        }
+        let check = |name: &str, frame: Vec<u8>, decode: &dyn Fn(&[u8]) -> Option<String>| {
+            assert!(decode(&frame).is_none(), "{name}: the whole frame decodes");
+            for cut in 0..frame.len() {
+                let message = decode(&frame[..cut])
+                    .unwrap_or_else(|| panic!("{name}: {cut} of {} bytes decoded", frame.len()));
+                assert!(
+                    message.starts_with("truncated page frame"),
+                    "{name}, {cut}: {message}"
+                );
+            }
+        };
+        check(
+            "point leaf",
+            leaf_with_points(4).encode(),
+            &decode_panic::<PointObject>,
+        );
+        check("inner", inner.encode(), &decode_panic::<PointObject>);
+        check("cell leaf", cells.encode(), &decode_panic::<CellObject>);
+    }
 
     fn leaf_with_points(n: u64) -> Node<PointObject> {
         let mut node = Node::new_leaf();

@@ -13,9 +13,13 @@
 //!   generic over the leaf payload ([`PointObject`] for the input pointsets,
 //!   [`CellObject`] for materialised Voronoi cells),
 //! * best-first incremental nearest-neighbour browsing ([`RTree::nearest_iter`],
-//!   Hjaltason & Samet \[11\]), its [`MinHeapItem`]/[`MinDistHeap`] helpers,
-//!   and the [`TraversalQueue`] built on them that BF-VOR, BatchVoronoi and
-//!   the conditional filter all traverse with,
+//!   Hjaltason & Samet \[11\]) — entries pop by squared `mindist`, then first
+//!   met, a total order ([`NearestNeighbourIter`]); `RTree::k_nearest(q, k)`
+//!   is that same walk with a bound on what it queues and answers, reads and
+//!   counts exactly as `nearest_iter(q).take(k)` — and the
+//!   [`MinHeapItem`]/[`MinDistHeap`] helpers with the [`TraversalQueue`]
+//!   built on them that BF-VOR, BatchVoronoi and the conditional filter all
+//!   traverse with,
 //! * range queries and Hilbert-ordered depth-first leaf traversal,
 //! * the synchronous-traversal [`intersection_join`] of Brinkhoff et al. \[9\]
 //!   and an ε-[`distance_join`] for comparison,
@@ -25,7 +29,9 @@
 //!   [`PagePayload`](cij_pagestore::PagePayload): every node encodes into
 //!   one page frame, so trees run unchanged on the heap or the real-file
 //!   [`PageBackend`](cij_pagestore::PageBackend) (pick one with
-//!   [`RTree::with_stats_on`] / [`RTree::bulk_load_with_stats_on`]).
+//!   [`RTree::with_stats_on`] / [`RTree::bulk_load_with_stats_on`]); decode
+//!   takes each count-prefixed list's bytes in one piece before it
+//!   allocates, so a count the frame cannot hold is a truncation panic.
 //!
 //! ## Reading nodes: two contracts, one rule
 //!

@@ -4,12 +4,18 @@
 //! paper (reference \[11\]) as the traversal-order backbone of BF-VOR and of
 //! the conditional filter: entries are visited in ascending `mindist` from a
 //! query point by means of a min-heap.
+//!
+//! Two queues live here. [`TraversalQueue`] serves the Voronoi traversals
+//! and the filter and breaks ties as its `BinaryHeap` happens to.
+//! [`NearestNeighbourIter`] — `nearest_iter`, `nearest` and, with a bound,
+//! `k_nearest` — orders by squared key and then by first met, a total order
+//! spelled out on the type.
 
 use crate::object::{PointObject, RTreeObject};
 use crate::tree::{expect_read, RTree};
 use cij_geom::{Point, Rect};
 use cij_pagestore::PageId;
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// An item in a min-heap ordered by a floating-point distance key.
@@ -134,9 +140,109 @@ impl TraversalQueue {
     }
 }
 
+/// The rank of a best-first key: an integer that ascends with the key, so
+/// that integer order *is* the walk's total order — smaller key first, `-0.0`
+/// with `0.0`, NaN keys last.
+fn rank(key: f64) -> u64 {
+    if key.is_nan() {
+        return u64::MAX;
+    }
+    let bits = (key + 0.0).to_bits(); // -0.0 + 0.0 is 0.0
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// The key `rank` was taken from, bit for bit (`0.0` for either zero).
+fn ranked_key(rank: u64) -> f64 {
+    f64::from_bits(if rank >> 63 == 1 {
+        rank & !(1 << 63)
+    } else {
+        !rank
+    })
+}
+
 enum HeapEntry<D> {
     Node(PageId),
     Object(D),
+}
+
+/// What lets `k_nearest` queue less than `nearest_iter`: the `k` smallest
+/// object keys queued so far.
+///
+/// An entry whose key is greater than all `k` of them has `k` objects
+/// ordered strictly before it, so the walk yields its `k`-th answer before
+/// it could pop that entry — and because the queue's order is total,
+/// leaving the entry out cannot reorder what remains. The bounded walk
+/// therefore pops, reads and yields exactly what the unbounded one does up
+/// to the `k`-th answer. (Until `k` objects have been met — the whole
+/// descent to the first leaf — nothing is left out.)
+struct NearestKeys {
+    k: usize,
+    /// Their ranks, largest on top.
+    ranks: BinaryHeap<u64>,
+}
+
+impl NearestKeys {
+    /// Whether an entry of rank `rank` can still pop before the `k`-th
+    /// answer; an admitted object's rank joins the `k` smallest.
+    fn admit(&mut self, rank: u64, is_object: bool) -> bool {
+        if self.ranks.len() < self.k {
+            if is_object {
+                self.ranks.push(rank);
+            }
+            return true;
+        }
+        let Some(mut worst) = self.ranks.peek_mut() else {
+            return false; // k = 0
+        };
+        if rank > *worst {
+            return false;
+        }
+        if is_object {
+            *worst = rank;
+        }
+        true
+    }
+}
+
+/// The walk's queue: 16-byte items `rank << 32 | serial`, smallest first,
+/// the entries themselves in a side vector indexed by serial.
+struct Frontier<D> {
+    queue: BinaryHeap<Reverse<u128>>,
+    /// Every entry ever queued, in the order met; `None` once popped.
+    entries: Vec<Option<HeapEntry<D>>>,
+    /// `Some` under [`RTree::k_nearest`].
+    bound: Option<NearestKeys>,
+}
+
+impl<D> Frontier<D> {
+    /// Queues what `entry` builds under `key`, unless the bound shows it
+    /// could not pop before the last answer.
+    fn push(&mut self, key: f64, is_object: bool, entry: impl FnOnce() -> HeapEntry<D>) {
+        let rank = rank(key);
+        if let Some(bound) = &mut self.bound {
+            if !bound.admit(rank, is_object) {
+                return;
+            }
+        }
+        let serial = u32::try_from(self.entries.len()).expect("fewer than 2^32 queued entries");
+        self.entries.push(Some(entry()));
+        self.queue
+            .push(Reverse(u128::from(rank) << 32 | u128::from(serial)));
+    }
+
+    /// The entry first in the walk's order, with its key.
+    fn pop(&mut self) -> Option<(f64, HeapEntry<D>)> {
+        let Reverse(item) = self.queue.pop()?;
+        let entry = self.entries[item as u32 as usize].take();
+        Some((
+            ranked_key((item >> 32) as u64),
+            entry.expect("a queued entry pops once"),
+        ))
+    }
 }
 
 /// Incremental nearest-neighbour browser over an R-tree.
@@ -145,19 +251,41 @@ enum HeapEntry<D> {
 /// can stop at any time, which is what makes the traversal usable as a
 /// building block for k-NN, BF-VOR and the conditional filter. Pulling is a
 /// blocking edge ([crate docs](crate)): a storage failure panics.
+///
+/// # Order
+///
+/// The queue holds 16-byte items `(key, serial)` packed into one integer:
+/// the key is the **squared** `mindist` of the entry (the square root is
+/// taken only on an object as it is yielded, so a reported distance is bit
+/// for bit [`Rect::mindist_point`]), the serial the entry's index in a side
+/// vector in the order the walk met it — a node's entries in storage order.
+/// Items pop under a total order: smaller key first, then earlier met, NaN
+/// keys last. Among entries at exactly equal distance the first met
+/// therefore pops first, whatever the shape of the heap — which is what
+/// lets [`RTree::k_nearest`] queue fewer entries and still be this walk.
 pub struct NearestNeighbourIter<'a, D: RTreeObject> {
     tree: &'a mut RTree<D>,
     query: Point,
-    heap: MinDistHeap<HeapEntry<D>>,
+    frontier: Frontier<D>,
 }
 
 impl<'a, D: RTreeObject> NearestNeighbourIter<'a, D> {
     /// Starts an incremental NN search from `query`.
     pub fn new(tree: &'a mut RTree<D>, query: Point) -> Self {
-        let mut heap = BinaryHeap::new();
-        let root = tree.root_page();
-        heap.push(MinHeapItem::new(0.0, HeapEntry::Node(root)));
-        NearestNeighbourIter { tree, query, heap }
+        // The descent queues about a node's worth of entries per level;
+        // one reservation of that size spares the doubling steps.
+        let room = (tree.root_level() as usize + 2) * tree.config().max_children();
+        let mut frontier = Frontier {
+            queue: BinaryHeap::with_capacity(room),
+            entries: Vec::with_capacity(room),
+            bound: None,
+        };
+        frontier.push(0.0, false, || HeapEntry::Node(tree.root_page()));
+        NearestNeighbourIter {
+            tree,
+            query,
+            frontier,
+        }
     }
 }
 
@@ -165,22 +293,19 @@ impl<'a, D: RTreeObject> Iterator for NearestNeighbourIter<'a, D> {
     type Item = (f64, D);
 
     fn next(&mut self) -> Option<Self::Item> {
-        while let Some(MinHeapItem { dist, item }) = self.heap.pop() {
-            match item {
-                HeapEntry::Object(o) => return Some((dist, o)),
+        while let Some((key, entry)) = self.frontier.pop() {
+            match entry {
+                HeapEntry::Object(o) => return Some((key.sqrt(), o)),
                 HeapEntry::Node(page) => {
-                    let (query, heap) = (&self.query, &mut self.heap);
+                    let (query, frontier) = (&self.query, &mut self.frontier);
                     expect_read(self.tree.try_visit_node(page, &mut |node| {
-                        if node.is_leaf() {
-                            for o in &node.objects {
-                                let d = o.mbr().mindist_point(query);
-                                heap.push(MinHeapItem::new(d, HeapEntry::Object(o.clone())));
-                            }
-                        } else {
-                            for c in &node.children {
-                                let d = c.mbr.mindist_point(query);
-                                heap.push(MinHeapItem::new(d, HeapEntry::Node(c.page)));
-                            }
+                        for o in &node.objects {
+                            let key = o.mbr().mindist_point_sq(query);
+                            frontier.push(key, true, || HeapEntry::Object(o.clone()));
+                        }
+                        for c in &node.children {
+                            let key = c.mbr.mindist_point_sq(query);
+                            frontier.push(key, false, || HeapEntry::Node(c.page));
                         }
                     }));
                 }
@@ -191,14 +316,28 @@ impl<'a, D: RTreeObject> Iterator for NearestNeighbourIter<'a, D> {
 }
 
 impl<D: RTreeObject> RTree<D> {
-    /// Incremental nearest-neighbour iterator from `query`.
+    /// Incremental nearest-neighbour iterator from `query`; for the order
+    /// among equal distances see [`NearestNeighbourIter`].
     pub fn nearest_iter(&mut self, query: Point) -> NearestNeighbourIter<'_, D> {
         NearestNeighbourIter::new(self, query)
     }
 
-    /// The `k` nearest objects to `query`, closest first.
+    /// The `k` nearest objects to `query`, closest first: exactly
+    /// `nearest_iter(query).take(k)` — results, page reads, counters and
+    /// buffer order — from the same walk, which here leaves out of its
+    /// queue every entry that already has `k` objects ordered before it.
+    /// `k = 0` reads no page; `k` beyond the tree's size returns
+    /// everything and reserves nothing sized by `k`.
     pub fn k_nearest(&mut self, query: Point, k: usize) -> Vec<(f64, D)> {
-        self.nearest_iter(query).take(k).collect()
+        let answers = k.min(self.len());
+        let mut nearest = Vec::with_capacity(answers);
+        let mut walk = self.nearest_iter(query);
+        walk.frontier.bound = Some(NearestKeys {
+            k,
+            ranks: BinaryHeap::with_capacity(answers),
+        });
+        nearest.extend(walk.take(k));
+        nearest
     }
 
     /// The single nearest object to `query`, if the tree is non-empty.
@@ -375,31 +514,40 @@ mod tests {
         );
     }
 
-    /// `k_nearest` as it ran before nodes were visited by reference: every
-    /// popped node is read **owned** and its entries moved into the heap.
+    /// The reference walk: `nearest_iter` as it ran before nodes were
+    /// visited by reference — every popped node read **owned**, its entries
+    /// moved into the queue — under the walk's order (squared key, then
+    /// first met) found by a linear scan, and with **no** bound.
     fn owned_k_nearest(
         tree: &mut RTree<PointObject>,
         query: Point,
         k: usize,
     ) -> Vec<(f64, PointObject)> {
-        let mut heap: MinDistHeap<HeapEntry<PointObject>> = BinaryHeap::new();
-        heap.push(MinHeapItem::new(0.0, HeapEntry::Node(tree.root_page())));
+        let mut queue = vec![(0.0f64, 0usize, HeapEntry::Node(tree.root_page()))];
+        let mut met = 1;
         let mut out = Vec::new();
-        while out.len() < k {
-            let Some(MinHeapItem { dist, item }) = heap.pop() else {
-                break;
-            };
-            match item {
-                HeapEntry::Object(o) => out.push((dist, o)),
-                HeapEntry::Node(page) => {
+        while out.len() < k && !queue.is_empty() {
+            let first = (0..queue.len())
+                .min_by(|&a, &b| {
+                    let (a, b) = (&queue[a], &queue[b]);
+                    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+                })
+                .unwrap();
+            match queue.swap_remove(first) {
+                (key, _, HeapEntry::Object(o)) => out.push((key.sqrt(), o)),
+                (_, _, HeapEntry::Node(page)) => {
                     let node = tree.try_read_node(page).unwrap();
-                    for o in node.objects {
-                        let d = o.mbr().mindist_point(&query);
-                        heap.push(MinHeapItem::new(d, HeapEntry::Object(o)));
-                    }
-                    for c in node.children {
-                        let d = c.mbr.mindist_point(&query);
-                        heap.push(MinHeapItem::new(d, HeapEntry::Node(c.page)));
+                    let objects = node.objects.into_iter().map(|o| {
+                        let key = o.mbr().mindist_point_sq(&query);
+                        (key, HeapEntry::Object(o))
+                    });
+                    let children = node.children.into_iter().map(|c| {
+                        let key = c.mbr.mindist_point_sq(&query);
+                        (key, HeapEntry::Node(c.page))
+                    });
+                    for (key, entry) in objects.chain(children) {
+                        queue.push((key, met, entry));
+                        met += 1;
                     }
                 }
             }
@@ -411,8 +559,9 @@ mod tests {
     fn tied_distances_pop_in_the_owned_walks_order() {
         // A lattice probed at lattice points and cell centres: the 4, 8, …
         // nearest neighbours tie exactly, and so do node mindists, so the
-        // answer depends on the push order into the heap. Both walks must
-        // agree on it — and on every counter and the buffer's final order.
+        // answer depends on the order among equal keys. The bounded walk,
+        // the unbounded one cut at `k` and the owned reference must agree on
+        // it — and on every counter and the buffer's final order.
         let lattice: Vec<Point> = (0..40 * 40)
             .map(|i| Point::new((i / 40) as f64 * 25.0, (i % 40) as f64 * 25.0))
             .collect();
@@ -423,7 +572,7 @@ mod tests {
             tree.stats().reset();
             tree
         };
-        let (mut by_ref, mut owned) = (build(), build());
+        let (mut by_ref, mut owned, mut browsed) = (build(), build(), build());
         let mut rng = StdRng::seed_from_u64(29);
         for _ in 0..100 {
             let half = rng.gen_range(0..2) as f64 * 12.5;
@@ -437,12 +586,110 @@ mod tests {
             for ((gd, go), (ed, eo)) in got.iter().zip(&expected) {
                 assert_eq!((gd.to_bits(), go), (ed.to_bits(), eo), "probe {q:?}");
             }
+            let cut: Vec<_> = browsed.nearest_iter(q).take(8).collect();
+            assert_eq!(got, cut, "probe {q:?}");
         }
-        assert_eq!(by_ref.stats().snapshot(), owned.stats().snapshot());
-        assert_eq!(by_ref.backend_io(), owned.backend_io());
+        for other in [&owned, &browsed] {
+            assert_eq!(by_ref.stats().snapshot(), other.stats().snapshot());
+            assert_eq!(by_ref.backend_io(), other.backend_io());
+            assert_eq!(
+                by_ref.buffered_pages_mru_to_lru(),
+                other.buffered_pages_mru_to_lru()
+            );
+        }
+    }
+
+    #[test]
+    fn k_nearest_is_the_cut_browse_on_uniform_data_too() {
+        let (mut bounded, _) = random_tree(3_000, 41);
+        let (mut browsed, _) = random_tree(3_000, 41);
+        for tree in [&mut bounded, &mut browsed] {
+            tree.set_buffer_pages(tree.num_pages() / 8);
+            tree.flush();
+            tree.stats().reset();
+        }
+        let mut rng = StdRng::seed_from_u64(43);
+        for _ in 0..100 {
+            let q = Point::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0));
+            let k = rng.gen_range(1..20);
+            let cut: Vec<_> = browsed.nearest_iter(q).take(k).collect();
+            assert_eq!(bounded.k_nearest(q, k), cut, "probe {q:?}, k {k}");
+        }
+        assert_eq!(bounded.stats().snapshot(), browsed.stats().snapshot());
         assert_eq!(
-            by_ref.buffered_pages_mru_to_lru(),
-            owned.buffered_pages_mru_to_lru()
+            bounded.buffered_pages_mru_to_lru(),
+            browsed.buffered_pages_mru_to_lru()
         );
+    }
+
+    #[test]
+    fn k_nearest_edge_cases() {
+        let (mut tree, pts) = random_tree(300, 13);
+        tree.drop_buffer();
+        tree.stats().reset();
+        let q = Point::new(250.0, 750.0);
+
+        // k = 0 answers without reading a page.
+        assert!(tree.k_nearest(q, 0).is_empty());
+        assert_eq!(tree.stats().snapshot().logical_reads, 0);
+
+        // k beyond the data returns all of it, nearest first — and reserves
+        // nothing sized by k (usize::MAX slots would be a capacity panic).
+        for k in [pts.len(), pts.len() + 1, usize::MAX] {
+            let all = tree.k_nearest(q, k);
+            assert_eq!(all.len(), pts.len(), "k = {k}");
+            assert!(all.windows(2).all(|w| w[0].0 <= w[1].0), "k = {k}");
+            let expected = brute_force_knn(&pts, &q, pts.len());
+            assert!(all.iter().zip(&expected).all(|((d, _), e)| d == e));
+        }
+
+        // A NaN coordinate is no distance at all on its axis (`max` drops
+        // it), so the probe still gets its k objects.
+        for q in [Point::new(f64::NAN, 500.0), Point::new(f64::NAN, f64::NAN)] {
+            let got = tree.k_nearest(q, 8);
+            assert_eq!(got.len(), 8, "probe {q:?}");
+            let cut: Vec<_> = tree.nearest_iter(q).take(8).collect();
+            assert_eq!(got.len(), cut.len());
+            for ((gd, go), (cd, co)) in got.iter().zip(&cut) {
+                assert_eq!((gd.to_bits(), go), (cd.to_bits(), co), "probe {q:?}");
+            }
+        }
+    }
+
+    proptest! {
+        /// `rank` is the order the walk documents: ascending, the zeros
+        /// together, NaN last — and `ranked_key` undoes it bit for bit.
+        #[test]
+        fn rank_orders_keys_totally(a in key_strategy(), b in key_strategy()) {
+            let expected = match (a.is_nan(), b.is_nan()) {
+                (false, false) => a.partial_cmp(&b).unwrap(),
+                (a_nan, b_nan) => a_nan.cmp(&b_nan),
+            };
+            prop_assert_eq!(rank(a).cmp(&rank(b)), expected, "{} vs {}", a, b);
+            let back = ranked_key(rank(a));
+            if a.is_nan() {
+                prop_assert!(back.is_nan());
+            } else {
+                prop_assert_eq!(back.to_bits(), (a + 0.0).to_bits());
+            }
+        }
+    }
+
+    /// Squared distances, negatives, and the values an order can trip on.
+    fn key_strategy() -> impl Strategy<Value = f64> {
+        const SPECIAL: [f64; 10] = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        (0usize..3 * SPECIAL.len(), -1e6f64..1e12)
+            .prop_map(|(pick, drawn)| SPECIAL.get(pick).copied().unwrap_or(drawn))
     }
 }

@@ -26,6 +26,8 @@ pub struct ObjectId(pub u64);
 /// must consume exactly what `encode_entry` wrote and reconstruct an
 /// observably identical object (floats transfer bit-exactly through the
 /// frame cursors). The workspace round-trip property tests enforce this.
+/// A count or length read from the frame is never trusted with an
+/// allocation: a decoder takes a list's bytes before it reserves for it.
 pub trait RTreeObject: Clone {
     /// Minimum bounding rectangle of the object.
     fn mbr(&self) -> Rect;
@@ -39,6 +41,18 @@ pub trait RTreeObject: Clone {
     /// Deserializes one leaf entry, the inverse of
     /// [`RTreeObject::encode_entry`].
     fn decode_entry(r: &mut FrameReader<'_>) -> Self;
+    /// Deserializes the `count` entries of one leaf, in order — what the
+    /// node codec calls. The provided body decodes entry by entry and grows
+    /// its vector as entries arrive, so a `count` the frame cannot hold
+    /// ends in the reader's truncation panic having reserved nothing;
+    /// fixed-width objects override it with one bulk take.
+    fn decode_entries(r: &mut FrameReader<'_>, count: usize) -> Vec<Self> {
+        let mut entries = Vec::new();
+        for _ in 0..count {
+            entries.push(Self::decode_entry(r));
+        }
+        entries
+    }
 }
 
 /// A point object: a member of one of the joined pointsets.
@@ -69,14 +83,34 @@ impl PointObject {
     }
 }
 
+/// The little-endian `u64` at `raw[at..at + 8]` of a fixed-width entry.
+fn u64_at(raw: &[u8], at: usize) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&raw[at..at + 8]);
+    u64::from_le_bytes(word)
+}
+
+/// The `f64` there, bit for bit.
+pub(crate) fn f64_at(raw: &[u8], at: usize) -> f64 {
+    f64::from_bits(u64_at(raw, at))
+}
+
+impl PointObject {
+    /// Serialized size of a point entry: the object id plus two coordinates.
+    const ENTRY_BYTES: usize = std::mem::size_of::<u64>() + 2 * std::mem::size_of::<f64>();
+
+    fn from_entry(raw: &[u8; Self::ENTRY_BYTES]) -> Self {
+        PointObject::new(u64_at(raw, 0), Point::new(f64_at(raw, 8), f64_at(raw, 16)))
+    }
+}
+
 impl RTreeObject for PointObject {
     fn mbr(&self) -> Rect {
         Rect::from_point(self.point)
     }
 
     fn entry_bytes(&self) -> usize {
-        // x, y coordinates plus the object id.
-        2 * std::mem::size_of::<f64>() + std::mem::size_of::<u64>()
+        Self::ENTRY_BYTES
     }
 
     fn id(&self) -> ObjectId {
@@ -94,6 +128,13 @@ impl RTreeObject for PointObject {
         let x = r.take_f64();
         let y = r.take_f64();
         PointObject::new(id, Point::new(x, y))
+    }
+
+    fn decode_entries(r: &mut FrameReader<'_>, count: usize) -> Vec<Self> {
+        let (entries, _) = r
+            .take_bytes(count.saturating_mul(Self::ENTRY_BYTES))
+            .as_chunks::<{ Self::ENTRY_BYTES }>();
+        entries.iter().map(Self::from_entry).collect()
     }
 }
 
@@ -153,8 +194,10 @@ impl RTreeObject for CellObject {
         let id = r.take_u64();
         let site = Point::new(r.take_f64(), r.take_f64());
         let n = r.take_u32() as usize;
-        let vertices = (0..n)
-            .map(|_| Point::new(r.take_f64(), r.take_f64()))
+        let (vertices, _) = r.take_bytes(n.saturating_mul(16)).as_chunks::<16>();
+        let vertices = vertices
+            .iter()
+            .map(|raw| Point::new(f64_at(raw, 0), f64_at(raw, 8)))
             .collect();
         CellObject {
             id: ObjectId(id),

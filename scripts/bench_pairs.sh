@@ -10,6 +10,9 @@
 # per workload x end-to-end metric, both medians, the parent's quartiles and
 # how many pairs the change won (ties count for neither side). Workloads,
 # metrics, their better-direction and the run length come from BENCHMARK.json.
+# After the table it says, per workload, on how many seeds
+# page_accesses_per_op was identical — the line a decision-preserving claim
+# rests on — or lists the seeds that differ with both values.
 #
 # A run that exits non-zero (a wrong output, a crash) does not stop the
 # script: its status is recorded, its pair is left out of the medians, the
@@ -19,7 +22,7 @@
 set -euo pipefail
 
 usage() {
-    sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,21p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 }
 
@@ -91,31 +94,40 @@ logs, workloads = sys.argv[1], sys.argv[2].split(",")
 better = {m["name"]: m["better"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
 
 def load(workload, side):
-    """One entry per run: its result object, or None when the run exited
+    """One (seed, result) per run; the result is None when the run exited
     non-zero, printed no result line, failed an op or got an output wrong."""
     runs = []
     for line, status in zip(open(f"{logs}/{workload}.{side}.jsonl"),
                             open(f"{logs}/{workload}.{side}.status")):
+        seed, code = status.split()
         try:
             result = json.loads(line)
-            ok = status.split()[1] == "0" and not result["failed"] and result["correct"]
+            ok = code == "0" and not result["failed"] and result["correct"]
         except (ValueError, KeyError, TypeError):
             ok = False
-        runs.append(result if ok else None)
+        runs.append((seed, result if ok else None))
     return runs
 
 print(f"{'workload':<14} {'metric':<21} {'parent p50':>11} {'[q1':>11} {'q3]':>11} "
       f"{'change p50':>11} {'delta':>8}  wins  failed p/c")
 any_failed = False
+accesses = []
 for workload in workloads:
     parent, change = load(workload, "parent"), load(workload, "change")
-    failed = "/".join(str(sum(r is None for r in runs)) for runs in (parent, change))
+    failed = "/".join(str(sum(r is None for _, r in runs)) for runs in (parent, change))
     any_failed |= failed != "0/0"
     # Only pairs of which both runs succeeded are compared.
-    good = [(p, c) for p, c in zip(parent, change) if p and c]
+    good = [(seed, p, c) for (seed, p), (_, c) in zip(parent, change) if p and c]
     if not good:
         print(f"{workload:<14} no pair of successful runs {'':>51}  {failed}")
         continue
+    counts = [(seed, *(r["metrics"]["page_accesses_per_op"]["value"] for r in (p, c)))
+              for seed, p, c in good]
+    differing = [f"seed {seed}: {pv:g} -> {cv:g}" for seed, pv, cv in counts if pv != cv]
+    accesses.append(f"{workload}: page_accesses_per_op " + (
+        f"differs on {len(differing)}/{len(counts)} seeds ({'; '.join(differing)})"
+        if differing else f"identical on {len(counts)}/{len(counts)} seeds"))
+    good = [(p, c) for _, p, c in good]
     for metric, direction in better.items():
         p = [r["metrics"][metric]["value"] for r, _ in good]
         c = [r["metrics"][metric]["value"] for _, r in good]
@@ -127,5 +139,7 @@ for workload in workloads:
         delta = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
         print(f"{workload:<14} {metric:<21} {pm:>11.5g} {q1:>11.5g} {q3:>11.5g} "
               f"{cm:>11.5g} {delta:>8}  {wins}/{len(p) - ties}  {failed}")
+print()
+print("\n".join(accesses))
 sys.exit(1 if any_failed else 0)
 EOF

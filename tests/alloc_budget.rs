@@ -1,12 +1,13 @@
-//! The allocation budgets of the multiway join, the binary join and a
-//! warm BatchVoronoi call, as a tier-1 gate.
+//! The allocation budgets of the multiway join, the binary join, a warm
+//! BatchVoronoi call and the index read path, as a tier-1 gate.
 //!
 //! `core.pipeline.allocs_per_op` is one of the counters the repo benchmark
 //! reports, but nothing fails when it regresses. This file pins it where a
 //! regression is cheapest to see: heap allocations per emitted tuple of a
 //! fixed 3-way clustered join, per emitted pair of a fixed binary NM-CIJ,
-//! each at one worker, and for one leaf group's cells on a warm
-//! `VorScratch`. The count is `cij_bench::allocations()` —
+//! each at one worker, for one leaf group's cells on a warm `VorScratch`,
+//! and per warm 8-NN probe, warm window query and cold counted read of a
+//! point tree. The count is `cij_bench::allocations()` —
 //! naming that crate links its counting `#[global_allocator]` into this test
 //! binary — and the binary holds exactly **one** `#[test]`, so no sibling
 //! test's allocations are ever counted — keep it that way.
@@ -41,6 +42,26 @@ const MAX_ALLOCATIONS_PER_PAIR: f64 = 3.5;
 /// the transient fault profile; the traversal heap the call used to build
 /// and regrow for every group made it 105.
 const MAX_WARM_ALLOCATIONS_PER_LEAF_GROUP: u64 = 100;
+
+/// Allocations a `k_nearest(.., 8)` probe may spend when every page it
+/// reads is a buffer hit: the answer, the walk's queue, its entry vector
+/// and the bound's eight ranks, each reserved once — four — plus a doubling
+/// of queue and entries on the probes that queue more than the
+/// reservation. Measured 4.24 over 500 probes (debug, `--release` and the
+/// transient fault profile alike); the per-probe heap of 40-byte items
+/// that regrew from empty, under a result that grew from empty, made it
+/// 8.73.
+const MAX_ALLOCATIONS_PER_WARM_KNN_PROBE: f64 = 4.5;
+
+/// Allocations a warm 100 × 100 window query may spend: the page stack and
+/// the result, each growing from empty. Measured 2.79.
+const MAX_ALLOCATIONS_PER_WARM_WINDOW: f64 = 3.0;
+
+/// Allocations a counted read that misses the buffer may spend: the
+/// decoded node's `Arc` and its one entry vector, nothing else — 2.00
+/// measured, 2.07 under the transient fault profile (a retried transfer
+/// builds its error).
+const MAX_ALLOCATIONS_PER_COLD_READ: f64 = 2.1;
 
 #[test]
 fn multiway_join_stays_within_its_allocation_budget() {
@@ -114,5 +135,61 @@ fn multiway_join_stays_within_its_allocation_budget() {
         "{spent} allocations for the {} cells of a warm call \
          (budget {MAX_WARM_ALLOCATIONS_PER_LEAF_GROUP})",
         group.len()
+    );
+
+    // The index read path: warm probes and windows (every page a buffer
+    // hit), then counted reads through a one-page buffer, every one cold.
+    let points = uniform_points(20_000, &Rect::DOMAIN, 16_300);
+    let mut tree = RTree::bulk_load(RTreeConfig::default(), PointObject::from_points(&points));
+    tree.set_buffer_pages(tree.num_pages());
+    let probes = uniform_points(500, &Rect::DOMAIN, 16_301);
+    let window = |p: &Point| Rect::from_coords(p.x - 50.0, p.y - 50.0, p.x + 50.0, p.y + 50.0);
+    let run = |tree: &mut RTree<PointObject>| {
+        let before = allocations();
+        let found: usize = probes.iter().map(|p| tree.k_nearest(*p, 8).len()).sum();
+        let knn = allocations() - before;
+        assert_eq!(found, 8 * probes.len());
+        let before = allocations();
+        let hits: usize = probes
+            .iter()
+            .map(|p| tree.range_query(&window(p)).len())
+            .sum();
+        let range = allocations() - before;
+        assert!(hits > probes.len(), "only {hits} window hits");
+        (knn, range)
+    };
+    run(&mut tree);
+    let (knn, range) = run(&mut tree);
+    let per_probe = knn as f64 / probes.len() as f64;
+    assert!(
+        per_probe <= MAX_ALLOCATIONS_PER_WARM_KNN_PROBE,
+        "{knn} allocations for {} warm 8-NN probes = {per_probe:.2} per probe \
+         (budget {MAX_ALLOCATIONS_PER_WARM_KNN_PROBE})",
+        probes.len()
+    );
+    let per_window = range as f64 / probes.len() as f64;
+    assert!(
+        per_window <= MAX_ALLOCATIONS_PER_WARM_WINDOW,
+        "{range} allocations for {} warm windows = {per_window:.2} per window \
+         (budget {MAX_ALLOCATIONS_PER_WARM_WINDOW})",
+        probes.len()
+    );
+
+    let leaves = tree.leaf_pages_hilbert_order(&Rect::DOMAIN);
+    tree.set_buffer_pages(1);
+    let misses_before = tree.stats().snapshot().physical_reads;
+    let before = allocations();
+    for &leaf in &leaves {
+        tree.try_visit_node(leaf, &mut |node| assert!(node.is_leaf()))
+            .unwrap();
+    }
+    let spent = allocations() - before;
+    let misses = tree.stats().snapshot().physical_reads - misses_before;
+    assert_eq!(misses, leaves.len() as u64, "every read was to miss");
+    let per_read = spent as f64 / misses as f64;
+    assert!(
+        per_read <= MAX_ALLOCATIONS_PER_COLD_READ,
+        "{spent} allocations for {misses} cold reads = {per_read:.2} per read \
+         (budget {MAX_ALLOCATIONS_PER_COLD_READ})"
     );
 }

@@ -9,8 +9,7 @@
 use cij::pagestore::{Admission, BackendIo, LruBuffer, PageId, PagePayload};
 use cij::prelude::*;
 use cij::rtree::{
-    CellObject, MinDistHeap, MinHeapItem, Node, PointObject, RTree, RTreeConfig, RTreeObject,
-    NODE_HEADER_BYTES,
+    CellObject, Node, PointObject, RTree, RTreeConfig, RTreeObject, NODE_HEADER_BYTES,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -225,31 +224,40 @@ enum Browse {
     Object(PointObject),
 }
 
-/// `RTree::k_nearest` over owned node reads, entries moved into the heap in
-/// storage order — see [`owned_range_query`].
+/// `RTree::nearest_iter` cut at `k`, over owned node reads — see
+/// [`owned_range_query`]: entries queued in storage order and popped under
+/// the walk's order (squared key, then first met) by a linear scan, with no
+/// bound on what is queued.
 fn owned_k_nearest(
     tree: &mut RTree<PointObject>,
     query: Point,
     k: usize,
 ) -> Vec<(f64, PointObject)> {
-    let mut heap: MinDistHeap<Browse> = MinDistHeap::new();
-    heap.push(MinHeapItem::new(0.0, Browse::Node(tree.root_page())));
+    let mut queue = vec![(0.0f64, 0usize, Browse::Node(tree.root_page()))];
+    let mut met = 1;
     let mut out = Vec::new();
-    while out.len() < k {
-        let Some(MinHeapItem { dist, item }) = heap.pop() else {
-            break;
-        };
-        match item {
-            Browse::Object(o) => out.push((dist, o)),
-            Browse::Node(page) => {
+    while out.len() < k && !queue.is_empty() {
+        let first = (0..queue.len())
+            .min_by(|&a, &b| {
+                let (a, b) = (&queue[a], &queue[b]);
+                a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+            })
+            .unwrap();
+        match queue.swap_remove(first) {
+            (key, _, Browse::Object(o)) => out.push((key.sqrt(), o)),
+            (_, _, Browse::Node(page)) => {
                 let node = tree.try_read_node(page).unwrap();
-                for o in node.objects {
-                    let d = o.mbr().mindist_point(&query);
-                    heap.push(MinHeapItem::new(d, Browse::Object(o)));
-                }
-                for c in node.children {
-                    let d = c.mbr.mindist_point(&query);
-                    heap.push(MinHeapItem::new(d, Browse::Node(c.page)));
+                let objects = node.objects.into_iter().map(|o| {
+                    let key = o.mbr().mindist_point_sq(&query);
+                    (key, Browse::Object(o))
+                });
+                let children = node.children.into_iter().map(|c| {
+                    let key = c.mbr.mindist_point_sq(&query);
+                    (key, Browse::Node(c.page))
+                });
+                for (key, entry) in objects.chain(children) {
+                    queue.push((key, met, entry));
+                    met += 1;
                 }
             }
         }
@@ -262,7 +270,8 @@ fn owned_k_nearest(
 /// 200 windows and 200 8-NN probes return the owned walk's object sequences
 /// and leave its `IoStats`, its backend byte counts and its buffer order —
 /// on uniform data and on a lattice where neighbours tie on distance, so the
-/// k-NN answer depends on the push order into the heap.
+/// k-NN answer depends on the order among equal keys. `k_nearest` bounds
+/// what it queues; the owned walk and `nearest_iter().take(k)` do not.
 #[test]
 fn by_reference_queries_account_exactly_like_the_owned_walk() {
     const SIDE: usize = 48;
@@ -323,6 +332,16 @@ fn by_reference_queries_account_exactly_like_the_owned_walk() {
                     for ((gd, go), (ed, eo)) in got.iter().zip(&expected) {
                         assert_eq!((gd.to_bits(), go), (ed.to_bits(), eo), "{case}, {probe:?}");
                     }
+                    assert_eq!(
+                        by_ref.stats().snapshot(),
+                        owned.stats().snapshot(),
+                        "{case}, {probe:?}"
+                    );
+                    // The law: the unbounded browse cut at k answers and
+                    // accounts alike (the owned tree keeps in step).
+                    let cut: Vec<_> = by_ref.nearest_iter(probe).take(8).collect();
+                    assert_eq!(got, cut, "{case}, {probe:?}");
+                    owned_k_nearest(&mut owned, probe, 8);
                 }
 
                 let snap = by_ref.stats().snapshot();
