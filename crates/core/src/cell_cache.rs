@@ -246,9 +246,10 @@ impl CellCache {
     }
 
     // ------------------------------------------------------------------
-    // Split policy/payload API for the parallel NM-CIJ coordinator.
+    // Split policy/payload API — the one cache policy, used by the chunk
+    // coordinator and, with nothing deferred, by `CellStore`.
     //
-    // The parallel path must reproduce the sequential cache behaviour
+    // The chunk protocol must reproduce the sequential cache behaviour
     // exactly, but at the time the coordinator decides hits and misses (in
     // Hilbert leaf order) the freshly computed cells of the in-flight chunk
     // do not exist yet. The replacement-policy decisions depend only on the
@@ -334,45 +335,19 @@ impl CellCache {
     }
 }
 
+// The sequential protocol is the split one with nothing deferred: a hit's
+// payload is resolved at once, a put's victim dropped before its payload is
+// filled.
 impl CellStore for CellCache {
     fn get(&mut self, id: u64) -> Option<ConvexPolygon> {
-        match self.cells.get(&id) {
-            Some(cell) => {
-                let cell = cell.clone();
-                // Refresh recency; the id is resident, so this is a hit by
-                // construction.
-                let _ = self.lru.touch(id, false);
-                self.hits += 1;
-                if let Some(stats) = &self.stats {
-                    stats.record_cell_cache_hit();
-                }
-                Some(cell)
-            }
-            None => {
-                self.misses += 1;
-                if let Some(stats) = &self.stats {
-                    stats.record_cell_cache_miss();
-                }
-                None
-            }
-        }
+        self.policy_get(id).then(|| self.resolved_payload(id))
     }
 
     fn put(&mut self, id: u64, cell: &ConvexPolygon) {
-        if self.lru.capacity() == 0 {
-            return;
+        if let Some(victim) = self.policy_put(id) {
+            self.drop_payload(victim);
         }
-        if let Admission::Miss {
-            evicted: Some((victim, _)),
-        } = self.lru.touch(id, false)
-        {
-            self.cells.remove(&victim);
-            self.evictions += 1;
-            if let Some(stats) = &self.stats {
-                stats.record_cell_cache_eviction();
-            }
-        }
-        self.cells.insert(id, cell.clone());
+        self.fill_payload(id, cell);
     }
 }
 

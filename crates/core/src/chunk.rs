@@ -182,20 +182,6 @@ impl<'a> Accounting<'a> {
         }
     }
 
-    /// The first two trees for direct counted reads through their buffers —
-    /// `Some` only under metered accounting (nm's sequential leaf loop).
-    pub(crate) fn counted_pair(
-        &mut self,
-    ) -> Option<(&mut RTree<PointObject>, &mut RTree<PointObject>)> {
-        match self {
-            Accounting::Metered { trees, .. } => match &mut trees[..] {
-                [a, b, ..] => Some((&mut **a, &mut **b)),
-                _ => None,
-            },
-            Accounting::Fast { .. } => None,
-        }
-    }
-
     /// A snapshot reader over tree `i` whose finished [`ReadLog`] carries
     /// what [`settle`](Accounting::settle) needs: the page trace (metered)
     /// or just the count (fast).
@@ -335,14 +321,6 @@ impl LeafCursor {
         (first, self.leaves[first..self.next].to_vec())
     }
 
-    /// Hands out the next single leaf as `(its index, its page)` — nm's
-    /// sequential loop. The cursor must not be exhausted.
-    pub(crate) fn next_leaf(&mut self) -> (usize, PageId) {
-        let index = self.next;
-        self.next += 1;
-        (index, self.leaves[index])
-    }
-
     /// Abandons every leaf not handed out yet (fail-stop).
     pub(crate) fn abandon(&mut self) {
         self.next = self.leaves.len();
@@ -434,8 +412,8 @@ pub(crate) trait LeafStream: Iterator {
 /// arena + clip buffers, the conditional filter's, and the clip buffers of
 /// the unit's own polygon work (multiway narrowing). A stream allocates
 /// **one per pool worker at construction** ([`UnitScratch::per_worker`])
-/// and lends them to every parallel phase (nm's sequential leaf loop uses
-/// the first), so the SoA hot loops run allocation-free at steady state.
+/// and lends them to every parallel phase, so the SoA hot loops run
+/// allocation-free at steady state.
 #[derive(Debug, Default)]
 pub(crate) struct UnitScratch {
     pub(crate) vor: VorScratch,
@@ -807,7 +785,6 @@ mod tests {
             } else {
                 Accounting::exclusive(ExecMode::Fast, w.trees.iter_mut().collect(), &stats)
             };
-            assert!(acct.counted_pair().is_none());
             let mut reader = acct.reader(0);
             for &page in &pattern {
                 reader.visit(page, &mut |_| {});
@@ -892,7 +869,7 @@ mod tests {
         assert_eq!(seen, leaves);
         assert_eq!(widths, [1, 3, 12, 12, 2]);
         let mut cursor = LeafCursor::new(leaves);
-        assert_eq!(cursor.next_leaf(), (0, PageId(0)));
+        assert_eq!(cursor.next_chunk(3), (0, vec![PageId(0)]));
         cursor.abandon();
         assert!(cursor.is_exhausted());
     }

@@ -20,12 +20,12 @@ pub enum FilterKernel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// The byte-exact counted path: every page access lands in the real
-    /// LRU buffers and the shared [`cij_pagestore::IoStats`] — directly in
-    /// the sequential NM-CIJ leaf loop, and in the chunked protocol through
-    /// traced [`cij_rtree::SnapshotReader`]s whose page traces the
-    /// coordinator replays in Hilbert leaf order. This is the correctness
-    /// *and* accounting oracle — tests and the paper-figure benches run it.
-    /// Needs the workload exclusively. The default.
+    /// LRU buffers and the shared [`cij_pagestore::IoStats`] — the chunk
+    /// protocol reads through traced [`cij_rtree::SnapshotReader`]s whose
+    /// page traces the coordinator replays in Hilbert leaf order, at any
+    /// worker count. This is the correctness *and* accounting oracle — tests
+    /// and the paper-figure benches run it. Needs the workload exclusively.
+    /// The default.
     #[default]
     Metered,
     /// The lock-light serving path: the same snapshot reads, only
@@ -114,23 +114,20 @@ pub struct CijConfig {
     /// default leaf sizes while keeping memory bounded at scale. Zero
     /// disables caching.
     pub cell_cache_capacity: usize,
-    /// Granularity of the progressive-output trace: a sample is recorded
-    /// every this many result pairs (plus one sample per outer-loop step).
-    pub progress_sample_pairs: u64,
     /// Number of worker threads NM-CIJ uses to process the leaves of `RQ`.
     ///
-    /// `0` or `1` (the default) runs the single-threaded leaf loop. Values
-    /// above `1` execute leaf units
-    /// `(cells → filter → refine)` on a [`std::thread::scope`] worker pool
-    /// and reassemble the per-leaf pair buffers in Hilbert leaf order, so
-    /// the emitted pairs (set *and* order), the NM counters and the
-    /// page-access totals are identical to the sequential run — workers
-    /// compute against the trees as immutable snapshots and the coordinator
-    /// replays each leaf's page-access trace through the real LRU buffer in
-    /// leaf order (the chunk protocol; [`crate::nm`] points to its
-    /// description). The stream
-    /// stays lazy: at most a small multiple of `worker_threads` leaves are
-    /// in flight, so first pairs never wait for the whole join.
+    /// Leaf units `(cells → filter → refine → report)` run on a worker pool
+    /// of this width — `0` and `1` (the default) both mean one worker, at
+    /// which the pool is inline calls on the caller's thread; above `1` it
+    /// is a [`std::thread::scope`] pool. The per-leaf pair buffers are
+    /// reassembled in Hilbert leaf order, so the emitted pairs (set *and*
+    /// order), the NM counters and the page-access totals are identical at
+    /// every width — workers compute against the trees as immutable
+    /// snapshots and the coordinator replays each leaf's page-access trace
+    /// through the real LRU buffer in leaf order (the chunk protocol;
+    /// [`crate::nm`] points to its description). The stream stays lazy: at
+    /// most a small multiple of `worker_threads` leaves are in flight, so
+    /// first pairs never wait for the whole join.
     ///
     /// The multiway [`TupleStream`](crate::multiway::TupleStream) honours
     /// the same knob with the same exact-parity guarantee over its leaf
@@ -161,7 +158,6 @@ impl Default for CijConfig {
             min_buffer_pages: 40,
             reuse_cells: true,
             cell_cache_capacity: 1024,
-            progress_sample_pairs: 1_000,
             worker_threads: 1,
             filter_kernel: FilterKernel::Indexed,
             leaf_layout: LeafLayout::Soa,
@@ -216,7 +212,7 @@ impl CijConfig {
     }
 
     /// Sets the NM-CIJ worker-thread count (see
-    /// [`CijConfig::worker_threads`]; `0` and `1` both mean sequential).
+    /// [`CijConfig::worker_threads`]; `0` and `1` both mean one worker).
     pub fn with_worker_threads(mut self, threads: usize) -> Self {
         self.worker_threads = threads;
         self
@@ -256,9 +252,9 @@ impl CijConfig {
     fn with_overrides_from(mut self, get: impl Fn(&str) -> Option<String>) -> Self {
         // Every knob parses through its type's `FromStr` and panics with a
         // uniform "<VAR>: <err>" message on invalid input; the thread-count
-        // knob additionally rejects 0, which would silently degrade to the
-        // sequential leaf loop (the `with_worker_threads` builder still
-        // accepts 0 for callers who explicitly want sequential).
+        // knob additionally rejects 0, which would silently degrade to one
+        // worker (the `with_worker_threads` builder still accepts 0 for
+        // callers who explicitly want one).
         type Apply = fn(&mut CijConfig, &str, &str);
         fn parsed<T: std::str::FromStr<Err = String>>(name: &str, value: &str) -> T {
             value.parse().unwrap_or_else(|err| panic!("{name}: {err}"))

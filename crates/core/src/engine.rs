@@ -32,9 +32,9 @@
 //! * [`ExecMode::Metered`](crate::config::ExecMode::Metered) — the
 //!   **correctness and measurement oracle**. Every page access runs through
 //!   the LRU buffer simulation and the shared
-//!   [`IoStats`](cij_pagestore::IoStats) counters; parallel runs record
-//!   per-unit page traces and replay them sequentially so counters are
-//!   byte-exact against a width-1 run. All paper experiments, tests and
+//!   [`IoStats`](cij_pagestore::IoStats) counters; every run records
+//!   per-unit page traces and replays them in leaf order, so counters are
+//!   byte-exact at any worker count. All paper experiments, tests and
 //!   benches measure this mode. It requires exclusive workload access.
 //! * [`ExecMode::Fast`](crate::config::ExecMode::Fast) — the **serving
 //!   mode**. The same chunked protocol runs with read-only snapshot readers:

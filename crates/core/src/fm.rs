@@ -14,6 +14,10 @@ use crate::workload::Workload;
 use cij_rtree::intersection_join;
 use std::time::Instant;
 
+/// Granularity of FM-CIJ's progressive-output trace: the join phase records
+/// a sample every this many result pairs, plus one when it ends.
+const PROGRESS_SAMPLE_PAIRS: u64 = 1_000;
+
 /// Runs FM-CIJ on a workload, returning the result pairs and the MAT/JOIN
 /// cost breakdown.
 ///
@@ -40,14 +44,13 @@ pub fn fm_cij(workload: &mut Workload, config: &CijConfig) -> CijOutcome {
     let join_start = Instant::now();
     let mut pairs: Vec<(u64, u64)> = Vec::new();
     let mut progress: Vec<ProgressSample> = Vec::new();
-    let sample_every = config.progress_sample_pairs.max(1);
     intersection_join(
         &mut vor_p,
         &mut vor_q,
         |a, b| a.cell.intersects(&b.cell),
         |a, b| {
             pairs.push((a.id.0, b.id.0));
-            if (pairs.len() as u64).is_multiple_of(sample_every) {
+            if (pairs.len() as u64).is_multiple_of(PROGRESS_SAMPLE_PAIRS) {
                 progress.push(ProgressSample {
                     page_accesses: stats.snapshot().since(&start_io).page_accesses(),
                     pairs: pairs.len() as u64,

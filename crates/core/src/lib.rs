@@ -23,11 +23,11 @@
 //! * [`Algorithm::stream`] / [`Algorithm::run`] — the one dispatch from an
 //!   [`Algorithm`] to its evaluation, which `QueryEngine` delegates to.
 //!
-//! NM-CIJ optionally executes leaf units in parallel
-//! ([`CijConfig::worker_threads`]) on a `std::thread::scope` worker pool
-//! with ordered reassembly — pairs (set and order), counters and
-//! page-access totals stay identical to the sequential run; see the
-//! [`nm`] module docs for the determinism protocol.
+//! NM-CIJ executes leaf units in chunks on a worker pool of
+//! [`CijConfig::worker_threads`] (inline calls at one worker, a
+//! `std::thread::scope` pool above) with ordered reassembly — pairs (set
+//! and order), counters and page-access totals are identical at every
+//! width; see the [`nm`] module docs for the determinism protocol.
 //!
 //! ## The three algorithms
 //!

@@ -25,32 +25,31 @@
 //! pulling a [`PairStream`] obtained from
 //! [`QueryEngine::stream`](crate::engine::QueryEngine::stream).
 //!
-//! # Two ways through a leaf
+//! # One execution path
 //!
-//! * **The sequential leaf loop** (`run_leaf`) is Algorithm 6 verbatim:
-//!   steps 1–4 through counted reads of the two trees' LRU buffers. It runs
-//!   under metered accounting at one worker, and is the reference every
-//!   parity test compares the chunked path against.
-//! * **The chunked path** (`run_chunk`) runs the same four steps as the
-//!   phases of the chunk protocol — described once, in the crate-private
-//!   `chunk` module (`crates/core/src/chunk.rs`); steps 1–2 are its scan,
-//!   step 3 its cache-policy / refine / resolve stage, step 4 its report —
-//!   for [`CijConfig::worker_threads`] > 1 and for every fast-mode run
-//!   (whose phases never touch a buffer, so there is nothing for a
-//!   sequential loop to meter differently). Pairs, their order, the
-//!   NM counters and — under metered accounting — page accesses and
-//!   per-leaf [`ProgressSample`]s are identical to the sequential loop; the
-//!   determinism argument, the fail-stop gates and the accounting states
-//!   live there. What is specific to pairs is the unit itself: one `RQ`
-//!   leaf, two trees, one cache, and the false-hit bookkeeping of
-//!   Figure 10.
+//! Every run — metered or fast, any [`CijConfig::worker_threads`], join or
+//! grouped, over a workload or a shared snapshot — runs the four steps as
+//! the phases of the chunk protocol, described once in the crate-private
+//! `chunk` module (`crates/core/src/chunk.rs`): steps 1–2 are its scan,
+//! step 3 its cache-policy / refine / resolve stage, step 4 its report.
+//! The sequential run is that protocol at worker count 1 (the pool
+//! degenerates to inline calls), so pairs (set *and* order), the NM
+//! counters and — under metered accounting — page accesses and per-leaf
+//! [`ProgressSample`]s are identical at any thread count by construction;
+//! "metered" and "fast" differ only in the chunk module's `Accounting`
+//! value. The determinism argument, the fail-stop gates and the accounting
+//! states live there. What is specific to pairs is the unit itself: one
+//! `RQ` leaf, two trees, one cache, and the false-hit bookkeeping of
+//! Figure 10. Algorithm 6 verbatim — counted reads through the two trees'
+//! LRU buffers, one leaf at a time, cells through the cache's `CellStore`
+//! get/put — lives on in this module's tests as the reference every
+//! configuration is compared against.
 //!
-//! Either way, a grouped-NN run ([`crate::grouped`]: the same stream
-//! `with_locations`) follows step 4 of each leaf with a **claim pass**
-//! (`claim_leaf_locations`): an ordered list of `(location, p, q)` claims,
-//! computed where the leaf is reported and settled by the coordinator in
-//! leaf order as it emits the leaf's pairs, past every fail-stop gate. A
-//! plain join pays one `Option` check per leaf for it.
+//! A grouped-NN run ([`crate::grouped`]: the same stream `with_locations`)
+//! gathers its claims in the same report walk (`report_leaf`): an ordered
+//! list of `(location, p, q)` claims, settled by the coordinator in leaf
+//! order as it emits the leaf's pairs, past every fail-stop gate. A plain
+//! join pays one `Option` check per `q` point for it.
 //!
 //! The fast accounting state needs only `&RTree`, so many concurrent
 //! queries can share one tree-pair snapshot: `NmPairIter::over_snapshot`
@@ -75,8 +74,8 @@ use crate::workload::Workload;
 use cij_geom::{ConvexPolygon, Point, Rect};
 use cij_pagestore::{PageId, PageIoError};
 use cij_rtree::{NodeReader, PointObject, RTree, ReadLog};
-use cij_voronoi::{batch_voronoi_cached, batch_voronoi_with};
-use std::collections::{HashSet, VecDeque};
+use cij_voronoi::batch_voronoi_with;
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Index of the `P` tree (filter + refinement side) in the iterator's
@@ -117,6 +116,15 @@ struct LeafScan {
     log_rp: ReadLog,
 }
 
+/// What step 4 reports for one leaf ([`report_leaf`]).
+struct LeafReport {
+    pairs: Vec<(u64, u64)>,
+    /// Distinct joining `P` ids (the Figure 10 false-hit-ratio numerator).
+    true_hits: u64,
+    /// A grouped-NN run's `(location, p, q)` claims, in report order.
+    claims: Vec<(usize, u64, u64)>,
+}
+
 /// One productive leaf's contribution to the NM counters.
 struct LeafTally {
     q_cells: u64,
@@ -129,10 +137,9 @@ struct LeafTally {
 /// The lazy leaf-by-leaf pair producer behind the NM-CIJ stream.
 ///
 /// Each call to [`Iterator::next`] first serves pairs buffered from already
-/// processed leaves of `RQ`; when that buffer runs dry, the next leaf (or
-/// the next bounded chunk of leaves) is processed — steps 1–4 of
-/// Algorithm 6. Page accesses therefore happen only as the consumer demands
-/// pairs.
+/// processed leaves of `RQ`; when that buffer runs dry, the next bounded
+/// chunk of leaves is processed — steps 1–4 of Algorithm 6. Page accesses
+/// therefore happen only as the consumer demands pairs.
 pub(crate) struct NmPairIter<'a> {
     /// The two trees (`[P, Q]`) and how their reads are paid for — fixed at
     /// construction (a snapshot source is always fast).
@@ -144,15 +151,8 @@ pub(crate) struct NmPairIter<'a> {
     nm: NmCounters,
     breakdown: CostBreakdown,
     pairs_produced: u64,
-    /// Scratch set for the per-leaf true-hit count, reused across leaves so
-    /// the hot loop never reallocates (the pending `VecDeque` is likewise
-    /// reused for the whole stream). Membership-only — insert/len/clear,
-    /// never iterated — so `HashSet` order cannot leak into results
-    /// (allowlisted CIJ-D102).
-    true_hits: HashSet<u64>,
     /// One unit scratch (arenas, clip buffers, filter state) per pool
-    /// worker, reused across every leaf and chunk of the stream; the
-    /// sequential leaf loop uses the first.
+    /// worker, reused across every leaf and chunk of the stream.
     scratches: Vec<UnitScratch>,
     /// What a grouped-NN run counts ([`crate::grouped`]); `None` in a join.
     probe: Option<Box<LocationProbe>>,
@@ -205,7 +205,6 @@ impl<'a> NmPairIter<'a> {
             nm: NmCounters::default(),
             breakdown: CostBreakdown::default(),
             pairs_produced: 0,
-            true_hits: HashSet::new(),
             scratches: UnitScratch::per_worker(&env),
             probe: None,
         }
@@ -266,129 +265,25 @@ impl<'a> NmPairIter<'a> {
             .record_leaf(leaf_index, rows, page_accesses, tally.is_some());
     }
 
-    /// Processes the next leaf (sequential loop) or chunk of leaves and
-    /// folds the elapsed CPU time and the I/O so far into the cost
-    /// breakdown (NM has no materialisation phase, so all cost is JOIN
-    /// cost). A storage error fail-stops the stream: nothing from the
-    /// failing leaf or chunk is emitted, pairs already emitted (all covered
-    /// by a watermark) stay valid.
+    /// Processes the next chunk of leaves and folds the elapsed CPU time and
+    /// the I/O so far into the cost breakdown (NM has no materialisation
+    /// phase, so all cost is JOIN cost). A storage error fail-stops the
+    /// stream: nothing from the failing chunk is emitted, pairs already
+    /// emitted (all covered by a watermark) stay valid.
     fn step(&mut self) {
         // Wall-clock feeds `CijOutcome` elapsed-time stats only, never
         // pairs or counters (allowlisted CIJ-D101).
         let start = Instant::now();
-        let sequential = self.env.workers <= 1 && self.acct.counted_pair().is_some();
-        let done = if sequential {
-            self.run_leaf()
-        } else {
-            self.run_chunk()
-        };
-        if let Err(e) = done {
+        if let Err(e) = self.run_chunk() {
             self.ledger.fail(e);
         }
         self.breakdown.join_cpu += start.elapsed();
         self.breakdown.join_io = self.acct.join_io();
     }
 
-    // ------------------------------------------------------------------
-    // Sequential path (metered, worker_threads <= 1) — the classic leaf
-    // loop, Algorithm 6 verbatim.
-    // ------------------------------------------------------------------
-
-    /// Processes one leaf of `RQ` through counted reads, pushing its result
-    /// pairs into `pending` and recording counters, progress and watermark.
-    fn run_leaf(&mut self) -> Result<(), PageIoError> {
-        let (leaf_index, leaf) = self.ledger.cursor.next_leaf();
-        let domain = self.env.domain;
-        let (rp, rq) = self
-            .acct
-            .counted_pair()
-            .expect("the sequential leaf loop runs under metered accounting");
-        // Reads go through the latching `NodeReader` impl (a failed read
-        // serves an empty leaf and records the error on the tree), so one
-        // poll per phase group suffices to fail-stop before anything wrong
-        // is emitted.
-        let group = NodeReader::read(rq, leaf).objects;
-        if let Some(e) = rq.take_error() {
-            return Err(e);
-        }
-        if group.is_empty() {
-            self.record_leaf(leaf_index, None);
-            return Ok(());
-        }
-
-        // (1) Voronoi cells of the leaf's Q points.
-        let scratch = &mut self.scratches[0];
-        let cells_q = batch_voronoi_with(rq, &group, &domain, &mut scratch.vor);
-
-        // (2) Filter phase on RP.
-        let (candidates, fstats) = batch_conditional_filter_scratch(
-            rp,
-            &cells_q,
-            &domain,
-            &FilterOptions::default(),
-            &mut scratch.filter,
-        );
-
-        // (3) Refinement phase: exact cells of the candidates through the
-        // bounded reuse buffer. With REUSE disabled the cache was built
-        // with capacity zero, so every lookup misses, nothing is stored,
-        // and this degrades to one plain batch computation per leaf.
-        let hits_before = self.cache.hits();
-        let misses_before = self.cache.misses();
-        let cells_p: Vec<ConvexPolygon> =
-            batch_voronoi_cached(rp, &candidates, &domain, &mut self.cache, &mut scratch.vor);
-
-        // Fail-stop before reporting: a read failure inside any kernel
-        // above produced cells from empty-leaf fallbacks — emit nothing
-        // from this leaf.
-        if let Some(e) = rq.take_error().or_else(|| rp.take_error()) {
-            return Err(e);
-        }
-
-        // (4) Report intersecting pairs; track which candidates were true
-        // hits for the false-hit-ratio of Figure 10. (The set is a reused
-        // field, temporarily moved out so the emit closure can borrow the
-        // iterator's queue.)
-        let mut true_hits = std::mem::take(&mut self.true_hits);
-        true_hits.clear();
-        report_leaf_pairs(
-            &group,
-            &cells_q,
-            &candidates,
-            &cells_p,
-            &mut true_hits,
-            |p, q| {
-                self.pending.push_back((p, q));
-                self.pairs_produced += 1;
-            },
-        );
-        if let Some(probe) = &mut self.probe {
-            let claims = claim_leaf_locations(probe, &group, &cells_q, &candidates, &cells_p);
-            probe.settle(&claims);
-        }
-        let tally = LeafTally {
-            q_cells: group.len() as u64,
-            candidates: candidates.len() as u64,
-            true_hits: true_hits.len() as u64,
-            cache: CacheTally {
-                reused: self.cache.hits() - hits_before,
-                computed: self.cache.misses() - misses_before,
-                evictions_after: self.cache.evictions(),
-            },
-            fstats,
-        };
-        self.true_hits = true_hits;
-        self.record_leaf(leaf_index, Some(tally));
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Chunked path (worker_threads > 1, and every fast-mode run) — the
-    // phases of `crate::chunk`.
-    // ------------------------------------------------------------------
-
-    /// Processes the next bounded chunk of leaves on the worker pool and
-    /// appends their pairs to `pending` in Hilbert leaf order.
+    /// Processes the next bounded chunk of leaves — the phases of
+    /// `crate::chunk` — on the worker pool and appends their pairs to
+    /// `pending` in Hilbert leaf order.
     fn run_chunk(&mut self) -> Result<(), PageIoError> {
         let env = self.env;
         let (first_leaf_index, chunk) = self.ledger.cursor.next_chunk(env.workers);
@@ -408,106 +303,74 @@ impl<'a> NmPairIter<'a> {
         let candidates: Vec<&[PointObject]> = scans.iter().map(|s| &s.candidates[..]).collect();
         let refined = refine_through_cache(acct, P, &mut self.cache, &candidates, &env, scratches)?;
 
-        // Report (parallel): the same kernels as the sequential path, so
-        // per-leaf pair and claim order is identical.
+        // Report (parallel): pairs, true hits and claims of each leaf.
         let probe = self.probe.as_deref();
         let reported = run_ordered(env.workers, scans.len(), |i| {
-            let (scan, cells_p) = (&scans[i], &refined[i].cells);
-            let mut pairs: Vec<(u64, u64)> = Vec::new();
-            let mut true_hits: HashSet<u64> = HashSet::new();
-            report_leaf_pairs(
-                &scan.group,
-                &scan.cells_q,
-                &scan.candidates,
-                cells_p,
-                &mut true_hits,
-                |p, q| pairs.push((p, q)),
-            );
-            let claims = probe.map_or_else(Vec::new, |probe| {
-                claim_leaf_locations(probe, &scan.group, &scan.cells_q, &scan.candidates, cells_p)
-            });
-            (pairs, true_hits.len() as u64, claims)
+            let scan = &scans[i];
+            let cells_p = &refined[i].cells;
+            report_leaf(probe, &scan.group, &scan.cells_q, &scan.candidates, cells_p)
         });
 
         // Settle + emit (coordinator, leaf order), in the sequential
         // interleaving of the leaf's reads: Q scan, P filter, P refine.
-        for (i, ((scan, unit), (pairs, true_hits, claims))) in
-            scans.iter().zip(&refined).zip(reported).enumerate()
-        {
+        for (i, ((scan, unit), report)) in scans.iter().zip(&refined).zip(reported).enumerate() {
             self.acct.settle(Q, &scan.log_rq)?;
             self.acct.settle(P, &scan.log_rp)?;
             self.acct.settle(P, &unit.log)?;
             if let Some(probe) = &mut self.probe {
-                probe.settle(&claims);
+                probe.settle(&report.claims);
             }
-            self.pairs_produced += pairs.len() as u64;
+            self.pairs_produced += report.pairs.len() as u64;
             let tally = (!scan.group.is_empty()).then_some(LeafTally {
                 q_cells: scan.group.len() as u64,
                 candidates: scan.candidates.len() as u64,
-                true_hits,
+                true_hits: report.true_hits,
                 cache: unit.tally,
                 fstats: scan.fstats,
             });
             self.record_leaf(first_leaf_index + i, tally);
-            self.pending.extend(pairs);
+            self.pending.extend(report.pairs);
         }
         Ok(())
     }
 }
 
-/// Step 4 of Algorithm 6 — the pair-reporting kernel, shared by the
-/// sequential and the parallel path so the two can never drift apart:
-/// walks `group × candidates` in order, emits every pair whose exact cells
-/// intersect through `emit` and records the distinct joining `P` ids in
-/// `true_hits` (the Figure 10 false-hit-ratio numerator). `cells_q` and
-/// `cells_p` are aligned with `group` and `candidates` respectively.
-fn report_leaf_pairs(
+/// Step 4 of Algorithm 6 for one leaf, in one walk of `group × candidates`
+/// (`cells_q` / `cells_p` aligned with them): every `(p, q)` whose exact
+/// cells intersect, the distinct joining `P` ids and, in a grouped-NN run,
+/// the claims — every location a `q` cell holds claims, in report order,
+/// each reported `(p, q)` whose `p` cell holds it too. One filter call pops
+/// each leaf entry of `RP` once, so a leaf's candidates are distinct and
+/// the distinct true hits are the candidates marked at least once.
+fn report_leaf(
+    probe: Option<&LocationProbe>,
     group: &[PointObject],
     cells_q: &[ConvexPolygon],
     candidates: &[PointObject],
     cells_p: &[ConvexPolygon],
-    true_hits: &mut HashSet<u64>,
-    mut emit: impl FnMut(u64, u64),
-) {
-    let p_bboxes: Vec<Rect> = cells_p.iter().map(|c| c.bbox()).collect();
+) -> LeafReport {
+    // Per candidate: its cell's box and whether it has joined yet.
+    let mut marked: Vec<(Rect, bool)> = cells_p.iter().map(|c| (c.bbox(), false)).collect();
+    let (mut pairs, mut claims) = (Vec::new(), Vec::new());
     for (q_obj, q_cell) in group.iter().zip(cells_q) {
+        let inside = probe.map_or_else(Vec::new, |probe| probe.locations_in(q_cell));
         let q_bbox = q_cell.bbox();
-        for ((p_obj, p_cell), p_bbox) in candidates.iter().zip(cells_p).zip(&p_bboxes) {
+        for ((p_obj, p_cell), (p_bbox, hit)) in candidates.iter().zip(cells_p).zip(&mut marked) {
             if p_bbox.intersects(&q_bbox) && p_cell.intersects(q_cell) {
-                true_hits.insert(p_obj.id.0);
-                emit(p_obj.id.0, q_obj.id.0);
-            }
-        }
-    }
-}
-
-/// The claim pass of a grouped-NN stream, run right after
-/// [`report_leaf_pairs`] over the same aligned slices: every location a `q`
-/// cell holds claims, in report order, each reported `(p, q)` whose `p` cell
-/// holds it too — the report predicate is evaluated again where it matters.
-fn claim_leaf_locations(
-    probe: &LocationProbe,
-    group: &[PointObject],
-    cells_q: &[ConvexPolygon],
-    candidates: &[PointObject],
-    cells_p: &[ConvexPolygon],
-) -> Vec<(usize, u64, u64)> {
-    let p_bboxes: Vec<Rect> = cells_p.iter().map(|c| c.bbox()).collect();
-    let mut claims = Vec::new();
-    for (q_obj, q_cell) in group.iter().zip(cells_q) {
-        let inside = probe.locations_in(q_cell);
-        if inside.is_empty() {
-            continue;
-        }
-        let q_bbox = q_cell.bbox();
-        for ((p_obj, p_cell), p_bbox) in candidates.iter().zip(cells_p).zip(&p_bboxes) {
-            if p_bbox.intersects(&q_bbox) && p_cell.intersects(q_cell) {
+                let (p, q) = (p_obj.id.0, q_obj.id.0);
+                *hit = true;
+                pairs.push((p, q));
                 let held = inside.iter().filter(|(_, at)| p_cell.contains_point(at));
-                claims.extend(held.map(|&(l, _)| (l, p_obj.id.0, q_obj.id.0)));
+                claims.extend(held.map(|&(l, _)| (l, p, q)));
             }
         }
     }
-    claims
+    let true_hits = marked.iter().filter(|(_, hit)| *hit).count() as u64;
+    LeafReport {
+        pairs,
+        true_hits,
+        claims,
+    }
 }
 
 /// The scan of one leaf — steps 1–2 of Algorithm 6 through snapshot readers
@@ -575,10 +438,13 @@ mod tests {
     use crate::config::ExecMode;
     use crate::fm::fm_cij;
     use crate::pm::pm_cij;
+    use crate::stats::ProgressSample;
     use cij_geom::Point;
     use cij_rtree::{RTreeConfig, SnapshotReader};
+    use cij_voronoi::batch_voronoi_cached;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
 
     fn small_config() -> CijConfig {
         CijConfig::default().with_rtree(RTreeConfig {
@@ -984,6 +850,110 @@ mod tests {
                 faulty.page_accesses(),
                 "retried transients recover inside the store and stay invisible"
             );
+        }
+    }
+
+    /// What [`algorithm_6`] returns.
+    struct Reference {
+        pairs: Vec<(u64, u64)>,
+        nm: NmCounters,
+        progress: Vec<ProgressSample>,
+        page_accesses: u64,
+    }
+
+    /// Algorithm 6 verbatim — the reference the chunk protocol is held to:
+    /// the leaves of `RQ` in Hilbert order, one at a time, every read a
+    /// counted read through the tree's LRU buffer (`impl NodeReader for
+    /// RTree`), the exact `P` cells through the cache's sequential
+    /// `CellStore` get/put, the true hits counted by id.
+    fn algorithm_6(w: &mut Workload, config: &CijConfig) -> Reference {
+        let domain = config.domain;
+        let capacity = if config.reuse_cells {
+            config.cell_cache_capacity
+        } else {
+            0
+        };
+        let mut cache = CellCache::new(capacity);
+        let UnitScratch { vor, filter, .. } = &mut UnitScratch::default();
+        let stats = w.stats.clone();
+        let start = stats.snapshot();
+        let page_accesses = || stats.snapshot().since(&start).page_accesses();
+        let mut pairs = Vec::new();
+        let mut nm = NmCounters::default();
+        let mut progress = Vec::new();
+        let leaves = w.rq.leaf_pages_hilbert_order(&domain);
+        let (rp, rq) = (&mut w.rp, &mut w.rq);
+        for leaf in leaves {
+            let group = NodeReader::read(rq, leaf).objects;
+            if group.is_empty() {
+                continue;
+            }
+            // (1) Q cells, (2) filter RP, (3) refine through the cache.
+            let cells_q = batch_voronoi_with(rq, &group, &domain, vor);
+            let options = FilterOptions::default();
+            let (candidates, fstats) =
+                batch_conditional_filter_scratch(rp, &cells_q, &domain, &options, filter);
+            let (hits, misses) = (cache.hits(), cache.misses());
+            let cells_p = batch_voronoi_cached(rp, &candidates, &domain, &mut cache, vor);
+            assert!(rq.take_error().or_else(|| rp.take_error()).is_none());
+            // (4) Report.
+            let mut true_hits = HashSet::new();
+            for (q_obj, q_cell) in group.iter().zip(&cells_q) {
+                for (p_obj, p_cell) in candidates.iter().zip(&cells_p) {
+                    if p_cell.bbox().intersects(&q_cell.bbox()) && p_cell.intersects(q_cell) {
+                        true_hits.insert(p_obj.id.0);
+                        pairs.push((p_obj.id.0, q_obj.id.0));
+                    }
+                }
+            }
+            nm.q_cells_computed += group.len() as u64;
+            nm.filter_candidates += candidates.len() as u64;
+            nm.filter_true_hits += true_hits.len() as u64;
+            nm.p_cells_reused += cache.hits() - hits;
+            nm.p_cells_computed += cache.misses() - misses;
+            nm.cell_cache_evictions = cache.evictions();
+            nm.filter_points_examined += fstats.points_examined;
+            nm.filter_entries_pruned += fstats.entries_pruned;
+            nm.filter_clip_ops += fstats.clip_ops;
+            nm.filter_poly_tests_skipped += fstats.poly_tests_skipped;
+            progress.push(ProgressSample {
+                page_accesses: page_accesses(),
+                pairs: pairs.len() as u64,
+            });
+        }
+        Reference {
+            page_accesses: page_accesses(),
+            pairs,
+            nm,
+            progress,
+        }
+    }
+
+    #[test]
+    fn every_worker_count_and_mode_matches_the_algorithm_6_reference() {
+        let p = random_points(450, 131);
+        let q = random_points(450, 132);
+        // A 4-page buffer per tree, far below either tree: every replay
+        // order mistake moves a physical read.
+        let small = small_config().with_min_buffer_pages(4);
+        for base in [small, small.with_cell_cache_capacity(4)] {
+            let cap = base.cell_cache_capacity;
+            let reference = algorithm_6(&mut Workload::build(&p, &q, &base), &base);
+            assert!(reference.progress.len() > 8, "the chunk ramp must widen");
+            assert_eq!(reference.nm.cell_cache_evictions > 0, cap == 4);
+            for threads in 1..=4 {
+                for mode in [ExecMode::Metered, ExecMode::Fast] {
+                    let config = base.with_worker_threads(threads).with_exec_mode(mode);
+                    let run = nm_cij(&mut Workload::build(&p, &q, &config), &config);
+                    let at = format!("{threads} workers, {}, capacity {cap}", mode.name());
+                    assert_eq!(run.pairs, reference.pairs, "{at}");
+                    assert_eq!(run.nm, reference.nm, "{at}");
+                    if mode == ExecMode::Metered {
+                        assert_eq!(run.progress, reference.progress, "{at}");
+                        assert_eq!(run.page_accesses(), reference.page_accesses, "{at}");
+                    }
+                }
+            }
         }
     }
 }

@@ -4,10 +4,10 @@
 //! `core.pipeline.allocs_per_op` is one of the counters the repo benchmark
 //! reports, but nothing fails when it regresses. This file pins it where a
 //! regression is cheapest to see: heap allocations per emitted tuple of a
-//! fixed 3-way clustered join, per emitted pair of a fixed binary NM-CIJ,
-//! each at one worker, for one leaf group's cells on a warm `VorScratch`,
-//! and per warm 8-NN probe, warm window query and cold counted read of a
-//! point tree. The count is `cij_bench::allocations()` —
+//! fixed 3-way clustered join, per emitted pair of a fixed binary NM-CIJ
+//! (fast and metered), each at one worker, for one leaf group's cells on a
+//! warm `VorScratch`, and per warm 8-NN probe, warm window query and cold
+//! counted read of a point tree. The count is `cij_bench::allocations()` —
 //! naming that crate links its counting `#[global_allocator]` into this test
 //! binary — and the binary holds exactly **one** `#[test]`, so no sibling
 //! test's allocations are ever counted — keep it that way.
@@ -32,8 +32,17 @@ const MAX_ALLOCATIONS_PER_TUPLE: f64 = 8.0;
 /// each filter call's candidate list and the per-leaf vectors of the chunk
 /// stages; no allocation is per pair. Re-measured in PR 22 the join spends
 /// 2.81 here (debug and `--release` alike, 2.82 under the transient fault
-/// profile; 2.89 while BatchVoronoi still built a heap per group).
+/// profile; 2.89 while BatchVoronoi still built a heap per group), and 2.78
+/// since PR 25 dropped the per-leaf true-hit `HashSet`.
 const MAX_ALLOCATIONS_PER_PAIR: f64 = 3.5;
+
+/// Allocations per emitted pair the same binary join may spend metered at
+/// one worker: the fast floor less the cold decodes of pages the buffer
+/// already holds, plus each reader's page trace. Measured in PR 25, when
+/// this run became the chunk protocol too: 2.62 (debug and `--release`
+/// alike, 2.62 under the transient fault profile); the sequential leaf loop
+/// it replaced spent 2.41.
+const MAX_ALLOCATIONS_PER_METERED_PAIR: f64 = 2.65;
 
 /// Allocations a second `batch_voronoi_with` over one 41-point leaf group
 /// may spend on the scratch the first call warmed: what the returned cells
@@ -115,6 +124,25 @@ fn multiway_join_stays_within_its_allocation_budget() {
         per_pair <= MAX_ALLOCATIONS_PER_PAIR,
         "{spent} allocations for {pairs} pairs = {per_pair:.2} per pair \
          (budget {MAX_ALLOCATIONS_PER_PAIR})"
+    );
+
+    // The same binary join metered at one worker: the same chunk protocol,
+    // its readers traced and the traces replayed through the buffers.
+    let engine = QueryEngine::new(CijConfig::default().with_worker_threads(1));
+    let mut workload = engine.build_workload(&sets[0], &sets[1]);
+    let before = allocations();
+    let mut stream = engine.stream(&mut workload, Algorithm::NmCij);
+    let metered_pairs = stream.by_ref().count();
+    assert!(stream.io_error().is_none());
+    drop(stream);
+    let spent = allocations() - before;
+
+    assert_eq!(metered_pairs, pairs, "metered and fast emit the same pairs");
+    let per_pair = spent as f64 / pairs as f64;
+    assert!(
+        per_pair <= MAX_ALLOCATIONS_PER_METERED_PAIR,
+        "{spent} allocations for {pairs} metered pairs = {per_pair:.2} per pair \
+         (budget {MAX_ALLOCATIONS_PER_METERED_PAIR})"
     );
 
     // BatchVoronoi on a warm scratch: `VorScratch` promises that only the
