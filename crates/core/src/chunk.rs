@@ -95,11 +95,12 @@
 //!
 //! A stream owns one [`UnitScratch`] per pool worker for its whole life and
 //! lends the set to every parallel phase ([`run_ordered_units`]): decode
-//! arenas, clip buffers, the filter's traversal heap and grids grow to their
-//! high-water mark during the first leaves and are then reused by every
-//! later phase, round and chunk. A scratch carries no information from one
-//! unit to the next — contents between calls are unspecified — so which
-//! worker picks up which unit stays unobservable.
+//! arenas, clip buffers, the filter's traversal heap and grids, the binary
+//! report's edge tables grow to their high-water mark during the first
+//! leaves and are then reused by every later phase, round and chunk. A
+//! scratch carries no information from one unit to the next — contents
+//! between calls are unspecified — so which worker picks up which unit
+//! stays unobservable.
 //!
 //! Units are handed out through a mutex-guarded iterator (one lock per
 //! unit, released before the unit runs), which is also what lets a unit
@@ -110,7 +111,7 @@ use crate::cell_cache::CellCache;
 use crate::config::{CijConfig, ExecMode};
 use crate::filter::FilterScratch;
 use crate::stats::{LeafWatermark, ProgressSample};
-use cij_geom::{ClipScratch, ConvexPolygon, Rect};
+use cij_geom::{ClipScratch, ConvexPolygon, EdgeTable, Rect};
 use cij_pagestore::{IoSnapshot, IoStats, PageId, PageIoError};
 use cij_rtree::reader::leaf_pages_hilbert_order;
 use cij_rtree::{NodeReader, PointObject, RTree, ReadLog, SnapshotReader};
@@ -409,16 +410,20 @@ pub(crate) trait LeafStream: Iterator {
 }
 
 /// The per-worker scratch of one join unit: the Voronoi traversal's decode
-/// arena + clip buffers, the conditional filter's, and the clip buffers of
-/// the unit's own polygon work (multiway narrowing). A stream allocates
-/// **one per pool worker at construction** ([`UnitScratch::per_worker`])
-/// and lends them to every parallel phase, so the SoA hot loops run
-/// allocation-free at steady state.
+/// arena + clip buffers, the conditional filter's, the clip buffers of the
+/// unit's own polygon work (multiway narrowing), and the binary report's
+/// edge tables and join marks. A stream allocates **one per pool worker at
+/// construction** ([`UnitScratch::per_worker`]) and lends them to every
+/// parallel phase, so the SoA hot loops run allocation-free at steady state.
 #[derive(Debug, Default)]
 pub(crate) struct UnitScratch {
     pub(crate) vor: VorScratch,
     pub(crate) filter: FilterScratch,
     pub(crate) clip: ClipScratch,
+    /// One row per cell of the leaf being reported (`crate::nm`).
+    pub(crate) edges: EdgeTable,
+    /// Per candidate of that leaf: whether it has joined yet.
+    pub(crate) marked: Vec<bool>,
 }
 
 impl UnitScratch {
@@ -428,6 +433,7 @@ impl UnitScratch {
             vor: VorScratch::for_budget(node_byte_budget),
             filter: FilterScratch::for_budget(node_byte_budget),
             clip: ClipScratch::new(),
+            ..UnitScratch::default()
         }
     }
 

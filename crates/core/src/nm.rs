@@ -63,15 +63,15 @@
 
 use crate::cell_cache::CellCache;
 use crate::chunk::{
-    gate, refine_through_cache, run_ordered, run_ordered_scratch, Accounting, CacheTally,
-    LeafStream, StreamLedger, UnitEnv, UnitScratch,
+    gate, refine_through_cache, run_ordered_scratch, Accounting, CacheTally, LeafStream,
+    StreamLedger, UnitEnv, UnitScratch,
 };
 use crate::config::CijConfig;
 use crate::filter::{batch_conditional_filter_scratch, FilterOptions, FilterStats};
 use crate::grouped::{GroupCounts, LocationProbe};
 use crate::stats::{CijOutcome, CostBreakdown, NmCounters};
 use crate::workload::Workload;
-use cij_geom::{ConvexPolygon, Point, Rect};
+use cij_geom::{ConvexPolygon, Point};
 use cij_pagestore::{PageId, PageIoError};
 use cij_rtree::{NodeReader, PointObject, RTree, ReadLog};
 use cij_voronoi::batch_voronoi_with;
@@ -303,12 +303,11 @@ impl<'a> NmPairIter<'a> {
         let candidates: Vec<&[PointObject]> = scans.iter().map(|s| &s.candidates[..]).collect();
         let refined = refine_through_cache(acct, P, &mut self.cache, &candidates, &env, scratches)?;
 
-        // Report (parallel): pairs, true hits and claims of each leaf.
+        // Report (parallel): pairs, true hits and claims of each leaf, each
+        // worker building its edge tables in its own unit scratch.
         let probe = self.probe.as_deref();
-        let reported = run_ordered(env.workers, scans.len(), |i| {
-            let scan = &scans[i];
-            let cells_p = &refined[i].cells;
-            report_leaf(probe, &scan.group, &scan.cells_q, &scan.candidates, cells_p)
+        let reported = run_ordered_scratch(scratches, scans.len(), |i, scratch| {
+            report_leaf(probe, &scans[i], &refined[i].cells, scratch)
         });
 
         // Settle + emit (coordinator, leaf order), in the sequential
@@ -335,28 +334,46 @@ impl<'a> NmPairIter<'a> {
     }
 }
 
-/// Step 4 of Algorithm 6 for one leaf, in one walk of `group × candidates`
-/// (`cells_q` / `cells_p` aligned with them): every `(p, q)` whose exact
-/// cells intersect, the distinct joining `P` ids and, in a grouped-NN run,
-/// the claims — every location a `q` cell holds claims, in report order,
-/// each reported `(p, q)` whose `p` cell holds it too. One filter call pops
-/// each leaf entry of `RP` once, so a leaf's candidates are distinct and
-/// the distinct true hits are the candidates marked at least once.
+/// Step 4 of Algorithm 6 for one leaf, in one walk of the scan's
+/// `group × candidates` (`cells_p` aligned with the candidates): every
+/// `(p, q)` whose exact cells intersect, the distinct joining `P` ids and,
+/// in a grouped-NN run, the claims — every location a `q` cell holds
+/// claims, in report order, each reported `(p, q)` whose `p` cell holds it
+/// too. One filter call pops each leaf entry of `RP` once, so a leaf's
+/// candidates are distinct and the distinct true hits are the candidates
+/// marked at least once.
+///
+/// Each cell's bounding box and edge constraints are computed once per
+/// leaf into the scratch's [`EdgeTable`](cij_geom::EdgeTable) — `q` cells
+/// first, then the candidates' — and every pair is tested against the two
+/// rows, which answers exactly what `ConvexPolygon::intersects` answers.
+/// The table and the marks live in the scratch, so after the first leaves
+/// the walk allocates nothing but what it returns.
 fn report_leaf(
     probe: Option<&LocationProbe>,
-    group: &[PointObject],
-    cells_q: &[ConvexPolygon],
-    candidates: &[PointObject],
+    scan: &LeafScan,
     cells_p: &[ConvexPolygon],
+    scratch: &mut UnitScratch,
 ) -> LeafReport {
-    // Per candidate: its cell's box and whether it has joined yet.
-    let mut marked: Vec<(Rect, bool)> = cells_p.iter().map(|c| (c.bbox(), false)).collect();
+    let LeafScan {
+        group,
+        cells_q,
+        candidates,
+        ..
+    } = scan;
+    let UnitScratch { edges, marked, .. } = scratch;
+    edges.clear();
+    for cell in cells_q.iter().chain(cells_p) {
+        edges.push(cell);
+    }
+    marked.clear();
+    marked.resize(cells_p.len(), false);
     let (mut pairs, mut claims) = (Vec::new(), Vec::new());
-    for (q_obj, q_cell) in group.iter().zip(cells_q) {
+    for (qi, (q_obj, q_cell)) in group.iter().zip(cells_q).enumerate() {
         let inside = probe.map_or_else(Vec::new, |probe| probe.locations_in(q_cell));
-        let q_bbox = q_cell.bbox();
-        for ((p_obj, p_cell), (p_bbox, hit)) in candidates.iter().zip(cells_p).zip(&mut marked) {
-            if p_bbox.intersects(&q_bbox) && p_cell.intersects(q_cell) {
+        let rows = (cells_q.len()..).zip(candidates.iter().zip(cells_p));
+        for ((pi, (p_obj, p_cell)), hit) in rows.zip(marked.iter_mut()) {
+            if edges.intersects(pi, p_cell, qi, q_cell) {
                 let (p, q) = (p_obj.id.0, q_obj.id.0);
                 *hit = true;
                 pairs.push((p, q));
@@ -365,7 +382,7 @@ fn report_leaf(
             }
         }
     }
-    let true_hits = marked.iter().filter(|(_, hit)| *hit).count() as u64;
+    let true_hits = marked.iter().filter(|&&hit| hit).count() as u64;
     LeafReport {
         pairs,
         true_hits,

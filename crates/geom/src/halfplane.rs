@@ -68,24 +68,6 @@ impl HalfPlane {
         self.normal.norm_sq() <= f64::EPSILON
     }
 
-    /// Signed slacks of a batch of points given as parallel coordinate
-    /// slices: `out[i] = offset - (normal.x * xs[i] + normal.y * ys[i])`,
-    /// for `i` up to the shortest of the three slices.
-    ///
-    /// Bit-for-bit identical to calling [`HalfPlane::signed_slack`] on
-    /// `Point::new(xs[i], ys[i])` — it is the same multiply-add in the same
-    /// order — but written over plain `f64` slices with no per-element
-    /// branching, so the loop auto-vectorizes. This is the batch kernel
-    /// behind `ConvexPolygon::clip_in_place`.
-    #[inline]
-    pub fn signed_distances(&self, xs: &[f64], ys: &[f64], out: &mut [f64]) {
-        let n = xs.len().min(ys.len()).min(out.len());
-        let (nx, ny) = (self.normal.x, self.normal.y);
-        for ((o, &x), &y) in out[..n].iter_mut().zip(&xs[..n]).zip(&ys[..n]) {
-            *o = self.offset - (nx * x + ny * y);
-        }
-    }
-
     /// Intersection parameter of the boundary line with the segment `a..b`,
     /// i.e. the `t ∈ ℝ` with `slack(a + t (b - a)) = 0`, or `None` when the
     /// segment is parallel to the boundary.
@@ -164,29 +146,6 @@ mod tests {
         assert!(hp
             .boundary_param(&Point::new(2.0, 0.0), &Point::new(2.0, 5.0))
             .is_none());
-    }
-
-    #[test]
-    fn signed_distances_is_bitwise_equal_to_signed_slack() {
-        let hp = HalfPlane::bisector(&Point::new(3.1, -2.7), &Point::new(8.9, 4.4));
-        let pts = [
-            Point::new(0.0, 0.0),
-            Point::new(1e4, 1e4),
-            Point::new(-17.25, 9_999.75),
-            Point::new(5.999999, 0.850000001),
-        ];
-        let xs: Vec<f64> = pts.iter().map(|p| p.x).collect();
-        let ys: Vec<f64> = pts.iter().map(|p| p.y).collect();
-        let mut out = vec![0.0; pts.len()];
-        hp.signed_distances(&xs, &ys, &mut out);
-        for (p, s) in pts.iter().zip(&out) {
-            assert_eq!(s.to_bits(), hp.signed_slack(p).to_bits());
-        }
-        // Short output slice: only the prefix is written.
-        let mut short = vec![42.0; 2];
-        hp.signed_distances(&xs, &ys, &mut short);
-        assert_eq!(short[0].to_bits(), hp.signed_slack(&pts[0]).to_bits());
-        assert_eq!(short[1].to_bits(), hp.signed_slack(&pts[1]).to_bits());
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! * [`HalfPlane`] perpendicular-bisector halfplanes `⊥p(p, q)` (Eq. 1 of
 //!   the paper),
 //! * [`ConvexPolygon`] convex polygons with halfplane clipping — the
-//!   representation of Voronoi cells (Eq. 2),
+//!   representation of Voronoi cells (Eq. 2) — and [`EdgeTable`], their
+//!   intersection test's per-polygon half built once for a batch,
 //! * the Φ(L, p) region predicate of Section IV-A (Lemma 3),
 //! * a [`hilbert`] space-filling curve used for bulk-loading and for the
 //!   Hilbert-ordered traversals of Section III-C,
@@ -41,7 +42,7 @@ pub use grid::{GridFrame, PointGrid, RectGrid};
 pub use halfplane::HalfPlane;
 pub use phi::{phi_contains_point, polygon_within_phi, rect_within_phi_all_sides};
 pub use point::Point;
-pub use polygon::{ClipScratch, ConvexPolygon};
+pub use polygon::{ClipScratch, ConvexPolygon, EdgeTable};
 pub use rect::Rect;
 pub use segment::Segment;
 

@@ -17,10 +17,11 @@
 //!   the rebuild entirely when no vertex is clipped).
 //! * [`ConvexPolygon::clip_in_place`] / [`ConvexPolygon::clip_into`] /
 //!   [`ConvexPolygon::clip_bisector_in_place`] — the batch form used by the
-//!   hot loops: vertex slacks are computed branch-free over split `[f64]`
-//!   coordinate arrays ([`HalfPlane::signed_distances`]) and the surviving
-//!   vertices are written through a caller-owned [`ClipScratch`], so a
-//!   steady-state clip performs **zero** heap allocation.
+//!   hot loops: one pass over the outline computes every vertex slack (the
+//!   expression [`HalfPlane::signed_slack`] evaluates, so the same bits)
+//!   and whether all of them are inside, and the surviving vertices are
+//!   written through a caller-owned [`ClipScratch`], so a steady-state clip
+//!   performs **zero** heap allocation.
 //!
 //! Polygon intersection follows the same split:
 //! [`ConvexPolygon::intersection`] is the allocating reference,
@@ -33,6 +34,18 @@
 //! borrows from it — after `clip_in_place` returns, the polygon owns its
 //! vertices exactly as if `clip` had been called. Scratch buffers only grow
 //! to the high-water vertex count, then stabilise (ping-pong reuse).
+//!
+//! ## The intersection test and its edge tables
+//!
+//! [`ConvexPolygon::intersects`] is a separating-axis test: each edge of
+//! either polygon yields a constraint — the edge's outward normal and a
+//! threshold just beyond the polygon's own extent along it — and the
+//! polygons are disjoint when the other one lies wholly beyond some
+//! threshold. A constraint depends on its own polygon alone, so a caller
+//! that tests one polygon against many builds it once: an [`EdgeTable`]
+//! holds the constraints and bounding boxes of a batch of polygons, and
+//! [`EdgeTable::intersects`] answers exactly what `intersects` answers.
+//! Both compute a constraint and apply it through the same two functions.
 
 use crate::halfplane::HalfPlane;
 use crate::point::Point;
@@ -66,15 +79,12 @@ impl Clone for ConvexPolygon {
 /// Caller-owned scratch buffers for the in-place clipping APIs
 /// ([`ConvexPolygon::clip_in_place`], [`ConvexPolygon::clip_into`]).
 ///
-/// Holds the split x/y coordinate arrays and the slack array fed to
-/// [`HalfPlane::signed_distances`], the ping-pong vertex buffer the
-/// clipped outline is built in, and the working polygon of
-/// [`ConvexPolygon::intersection_into`]. Allocate one per worker, reuse it
-/// across units; contents between calls are unspecified.
+/// Holds the vertex slacks of the outline being clipped, the ping-pong
+/// vertex buffer the clipped outline is built in, and the working polygon
+/// of [`ConvexPolygon::intersection_into`]. Allocate one per worker, reuse
+/// it across units; contents between calls are unspecified.
 #[derive(Debug, Default)]
 pub struct ClipScratch {
-    xs: Vec<f64>,
-    ys: Vec<f64>,
     slacks: Vec<f64>,
     out: Vec<Point>,
     work: ConvexPolygon,
@@ -204,8 +214,9 @@ impl ConvexPolygon {
     /// In-place variant of [`ConvexPolygon::clip`]: leaves the surviving
     /// outline in `self`, building it through the caller-owned scratch.
     ///
-    /// Vertex slacks are computed in one branch-free batch over split
-    /// coordinate arrays ([`HalfPlane::signed_distances`]); the containment
+    /// One pass computes every vertex slack — `offset - (nx * x + ny * y)`,
+    /// the multiply-add [`HalfPlane::signed_slack`] performs, so the same
+    /// bits — and whether every vertex is inside; the containment
     /// threshold, the crossing parameter and the emitted crossing point are
     /// the exact expressions of the allocating path, so the resulting vertex
     /// set is bit-for-bit identical to `*self = self.clip(hp)`. In steady
@@ -221,27 +232,26 @@ impl ConvexPolygon {
             }
             return;
         }
-        // Split the outline into SoA coordinate arrays and compute every
-        // vertex slack in one pass.
-        scratch.xs.clear();
-        scratch.ys.clear();
-        scratch.xs.extend(self.vertices.iter().map(|v| v.x));
-        scratch.ys.extend(self.vertices.iter().map(|v| v.y));
-        scratch.slacks.clear();
-        scratch.slacks.resize(n, 0.0);
-        hp.signed_distances(&scratch.xs, &scratch.ys, &mut scratch.slacks);
         // The tolerance `HalfPlane::contains` applies, hoisted out of the
-        // loop (the expression is deterministic, so the comparison below is
-        // the same comparison `contains` performs).
+        // loop (the expression is deterministic, so the comparisons below
+        // are the comparisons `contains` performs).
         let tol = -EPS * (1.0 + hp.normal.norm());
-        if scratch.slacks.iter().all(|&s| s >= tol) {
+        let (nx, ny) = (hp.normal.x, hp.normal.y);
+        scratch.slacks.clear();
+        let mut all_inside = true;
+        for v in &self.vertices {
+            let slack = hp.offset - (nx * v.x + ny * v.y);
+            all_inside &= slack >= tol;
+            scratch.slacks.push(slack);
+        }
+        if all_inside {
             // Untouched fast path, mirroring `clip`: only normalize.
             self.dedup();
             return;
         }
         scratch.out.clear();
         for i in 0..n {
-            let j = (i + 1) % n;
+            let j = if i + 1 == n { 0 } else { i + 1 };
             let cur = self.vertices[i];
             let next = self.vertices[j];
             let (sa, sb) = (scratch.slacks[i], scratch.slacks[j]);
@@ -381,7 +391,14 @@ impl ConvexPolygon {
         if other.vertices.len() < 3 {
             return self.touches_low_dim(other);
         }
-        !has_separating_axis(self, other) && !has_separating_axis(other, self)
+        let (va, vb) = (self.vertices(), other.vertices());
+        let separates = |a: &[Point], b: &[Point]| {
+            (0..a.len()).any(|i| {
+                let (normal, limit) = edge_constraint(a, i);
+                separated_by(normal, limit, b)
+            })
+        };
+        !separates(va, vb) && !separates(vb, va)
     }
 
     /// Intersection test against a degenerate (point or segment) polygon.
@@ -502,35 +519,113 @@ fn edge_halfplane(a: &Point, b: &Point) -> HalfPlane {
     HalfPlane::new(Point::new(d.y, -d.x), d.y * a.x - d.x * a.y)
 }
 
-/// Tests whether any edge normal of `a` separates `a` from `b`.
-fn has_separating_axis(a: &ConvexPolygon, b: &ConvexPolygon) -> bool {
-    let va = a.vertices();
-    let vb = b.vertices();
-    let n = va.len();
-    for i in 0..n {
-        let p0 = va[i];
-        let p1 = va[(i + 1) % n];
-        let edge = p1 - p0;
-        // Outward normal for a CCW polygon points to the right of the edge.
-        let normal = Point::new(edge.y, -edge.x);
-        let scale = normal.norm().max(1.0);
-        // Project both polygons onto the normal.
-        let mut max_a = f64::NEG_INFINITY;
-        for v in va {
-            max_a = max_a.max(normal.dot(v));
-        }
-        let mut min_b = f64::INFINITY;
-        for v in vb {
-            min_b = min_b.min(normal.dot(v));
-        }
-        // For a CCW convex polygon every vertex projection is <= the edge's
-        // own projection, so max_a equals the edge offset; b is separated
-        // when it lies strictly beyond it.
-        if min_b > max_a + EPS * scale {
-            return true;
+/// The separating-axis constraint of edge `i` of the counter-clockwise
+/// outline `a`: the edge's outward normal, and the threshold
+/// `max_a + EPS · scale` beyond which a polygon projected onto that normal
+/// lies wholly outside `a` — `max_a` being the largest projection of a
+/// vertex of `a`, `scale` the normal's length (at least 1).
+fn edge_constraint(a: &[Point], i: usize) -> (Point, f64) {
+    let p0 = a[i];
+    let p1 = a[if i + 1 == a.len() { 0 } else { i + 1 }];
+    let edge = p1 - p0;
+    // Outward normal for a CCW polygon points to the right of the edge.
+    let normal = Point::new(edge.y, -edge.x);
+    let scale = normal.norm().max(1.0);
+    // For a CCW convex polygon every vertex projection is <= the edge's
+    // own projection, so max_a equals the edge offset.
+    let mut max_a = f64::NEG_INFINITY;
+    for v in a {
+        max_a = max_a.max(normal.dot(v));
+    }
+    (normal, max_a + EPS * scale)
+}
+
+/// Whether the outline `b` lies strictly beyond the constraint `limit`
+/// along `normal` (see [`edge_constraint`]): its smallest projection
+/// exceeds the threshold.
+fn separated_by(normal: Point, limit: f64, b: &[Point]) -> bool {
+    let mut min_b = f64::INFINITY;
+    for v in b {
+        min_b = min_b.min(normal.dot(v));
+    }
+    min_b > limit
+}
+
+/// The bounding boxes and separating-axis constraints of a batch of convex
+/// polygons, built once so that testing each against many others pays for
+/// neither again — everything [`ConvexPolygon::intersects`] computes about
+/// one polygon without looking at the other.
+///
+/// Rows are numbered in the order their polygons were pushed; the
+/// constraints of every row sit in one flat array, row `k`'s at
+/// `ends[k]..ends[k + 1]`. Meant to live in a per-worker scratch:
+/// [`EdgeTable::clear`] keeps every allocation.
+#[derive(Debug)]
+pub struct EdgeTable {
+    boxes: Vec<Rect>,
+    normals: Vec<Point>,
+    limits: Vec<f64>,
+    /// One more entry than there are rows; starts at `[0]`.
+    ends: Vec<usize>,
+}
+
+impl Default for EdgeTable {
+    fn default() -> Self {
+        EdgeTable {
+            boxes: Vec::new(),
+            normals: Vec::new(),
+            limits: Vec::new(),
+            ends: vec![0],
         }
     }
-    false
+}
+
+impl EdgeTable {
+    /// Removes every row, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.boxes.clear();
+        self.normals.clear();
+        self.limits.clear();
+        self.ends.truncate(1);
+    }
+
+    /// Appends `polygon` as the next row: its bounding box and, when it has
+    /// at least three vertices, one constraint per edge.
+    pub fn push(&mut self, polygon: &ConvexPolygon) {
+        let v = polygon.vertices();
+        self.boxes.push(polygon.bbox());
+        if v.len() >= 3 {
+            for i in 0..v.len() {
+                let (normal, limit) = edge_constraint(v, i);
+                self.normals.push(normal);
+                self.limits.push(limit);
+            }
+        }
+        self.ends.push(self.normals.len());
+    }
+
+    /// Whether `a` (pushed as row `i`) and `b` (row `j`) intersect: exactly
+    /// `a.intersects(b)`, the boxes and edge constraints read from the
+    /// table instead of recomputed.
+    pub fn intersects(&self, i: usize, a: &ConvexPolygon, j: usize, b: &ConvexPolygon) -> bool {
+        if a.is_empty() || b.is_empty() || !self.boxes[i].intersects(&self.boxes[j]) {
+            return false;
+        }
+        if a.vertices.len() < 3 {
+            return b.touches_low_dim(a);
+        }
+        if b.vertices.len() < 3 {
+            return a.touches_low_dim(b);
+        }
+        !self.separates(i, b.vertices()) && !self.separates(j, a.vertices())
+    }
+
+    /// Whether a constraint of row `k` separates the outline `other`.
+    fn separates(&self, k: usize, other: &[Point]) -> bool {
+        let edges = self.ends[k]..self.ends[k + 1];
+        let (normals, limits) = (&self.normals[edges.clone()], &self.limits[edges]);
+        (normals.iter().zip(limits)).any(|(&normal, &limit)| separated_by(normal, limit, other))
+    }
 }
 
 /// Proper or touching intersection test for two segments.
@@ -562,6 +657,7 @@ fn segments_intersect(a: &Point, b: &Point, c: &Point, d: &Point) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn unit_square() -> ConvexPolygon {
         ConvexPolygon::from_rect(&Rect::from_coords(0.0, 0.0, 1.0, 1.0))
@@ -843,5 +939,172 @@ mod tests {
             Point::new(0.0, 0.0),
         ]);
         assert_eq!(p.len(), 3);
+    }
+
+    /// Coordinate scales the equivalence properties run at: the tolerance
+    /// `EPS` is large against the first and below the rounding of the last.
+    const SCALES: [f64; 4] = [1e-6, 1.0, 1e3, 1e9];
+
+    /// An ellipse's center, radii and the turns (fractions of a full turn)
+    /// of up to eight points on it: a convex outline of 0–8 vertices.
+    type OutlineSpec = ((f64, f64), (f64, f64), Vec<f64>);
+
+    fn outline_spec() -> impl Strategy<Value = OutlineSpec> {
+        (
+            (-4.0f64..4.0, -4.0f64..4.0),
+            (0.5f64..3.0, 0.5f64..3.0),
+            proptest::collection::vec(0.0f64..1.0, 0..9),
+        )
+    }
+
+    /// The counter-clockwise outline `spec` describes, every coordinate
+    /// multiplied by `scale`.
+    fn outline(spec: &OutlineSpec, scale: f64) -> ConvexPolygon {
+        let ((cx, cy), (rx, ry), turns) = spec;
+        let mut turns = turns.clone();
+        turns.sort_by(f64::total_cmp);
+        let at = |t: f64| {
+            let a = t * std::f64::consts::TAU;
+            Point::new((cx + rx * a.cos()) * scale, (cy + ry * a.sin()) * scale)
+        };
+        ConvexPolygon::new(turns.into_iter().map(at).collect())
+    }
+
+    /// `p` rotated half a turn about `center`.
+    fn mirrored(p: &ConvexPolygon, center: Point) -> ConvexPolygon {
+        ConvexPolygon::new(
+            p.vertices()
+                .iter()
+                .map(|&v| center + (center - v))
+                .collect(),
+        )
+    }
+
+    /// A site, a direction in radians, a halfplane kind and a vertex pick.
+    fn cut_spec() -> impl Strategy<Value = (f64, f64, f64, usize, usize)> {
+        (
+            -2.0f64..2.0,
+            -2.0f64..2.0,
+            -1.0f64..1.0,
+            0usize..3,
+            0usize..8,
+        )
+    }
+
+    /// A pair of polygons of one of six kinds: unrelated; the two sides of
+    /// one cut (a shared edge); touching at a vertex; facing across an edge
+    /// with a gap of `f` times the tolerance; identical; a polygon against
+    /// a point, a segment or nothing.
+    fn pair(
+        kind: usize,
+        a: ConvexPolygon,
+        b: ConvexPolygon,
+        pick: usize,
+        f: f64,
+    ) -> [ConvexPolygon; 2] {
+        let n = a.len();
+        match kind {
+            1 if n >= 3 => {
+                let centroid = a.centroid().unwrap();
+                let turn = f * std::f64::consts::PI;
+                let normal = Point::new(turn.cos(), turn.sin());
+                let cut = HalfPlane::new(normal, normal.dot(&centroid));
+                let other = HalfPlane::new(Point::new(-normal.x, -normal.y), -cut.offset);
+                [a.clip(&cut), a.clip(&other)]
+            }
+            2 if n >= 1 => {
+                let corner = a.vertices()[pick % n];
+                let b = mirrored(&a, corner);
+                [a, b]
+            }
+            3 if n >= 3 => {
+                let (p0, p1) = (a.vertices()[pick % n], a.vertices()[(pick + 1) % n]);
+                let edge = p1 - p0;
+                let len = edge.norm();
+                let outward = Point::new(edge.y / len, -edge.x / len);
+                let gap = f * EPS * len.max(1.0) / len;
+                let b = mirrored(&a, p0.midpoint(&p1));
+                let shifted = b.vertices().iter().map(|&v| v + outward * gap);
+                [a, ConvexPolygon::new(shifted.collect())]
+            }
+            4 => [a.clone(), a],
+            5 => {
+                let low = b.vertices()[..(pick % 3).min(b.len())].to_vec();
+                [a, ConvexPolygon::new(low)]
+            }
+            _ => [a, b],
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The table path and `intersects` agree as a `bool`, both ways
+        /// round, on rows that do not start at zero.
+        #[test]
+        fn edge_tables_answer_exactly_what_intersects_answers(
+            specs in (outline_spec(), outline_spec(), outline_spec()),
+            kind in 0usize..6,
+            pick in 0usize..16,
+            f in 0.0f64..2.0,
+            scale in 0usize..4,
+        ) {
+            let [a, b, first] = [&specs.0, &specs.1, &specs.2].map(|s| outline(s, SCALES[scale]));
+            let [a, b] = pair(kind, a, b, pick, f);
+            let mut table = EdgeTable::default();
+            table.push(&first);
+            table.clear();
+            for polygon in [&first, &a, &b] {
+                table.push(polygon);
+            }
+            let (ab, ba) = (table.intersects(1, &a, 2, &b), table.intersects(2, &b, 1, &a));
+            prop_assert_eq!(ab, a.intersects(&b), "{:?} vs {:?}", a, b);
+            prop_assert_eq!(ba, b.intersects(&a), "{:?} vs {:?}", b, a);
+        }
+
+        /// Along a chain of clips — cuts, degenerate halfplanes, lines
+        /// through a vertex — `clip_in_place` on one warm scratch stays
+        /// bitwise equal to the allocating `clip`, and every slack it
+        /// computed is `HalfPlane::signed_slack`'s, bit for bit.
+        #[test]
+        fn clip_in_place_is_bitwise_identical_to_clip_on_random_outlines(
+            spec in outline_spec(),
+            scale in 0usize..4,
+            cuts in proptest::collection::vec(cut_spec(), 1..8),
+        ) {
+            let scale = SCALES[scale];
+            let mut allocating = outline(&spec, scale);
+            let mut in_place = allocating.clone();
+            let mut scratch = ClipScratch::new();
+            for (x, y, turn, kind, pick) in cuts {
+                let site = Point::new(x * scale, y * scale);
+                let vertices = allocating.vertices();
+                let hp = match kind {
+                    // A bisector between the outline's centroid and a point
+                    // `site` away from it.
+                    0 => {
+                        let centroid = allocating.centroid().unwrap_or(Point::ORIGIN);
+                        HalfPlane::bisector(&centroid, &(centroid + site))
+                    }
+                    // A degenerate halfplane: it clips nothing.
+                    1 => HalfPlane::bisector(&site, &site),
+                    // A line through a vertex: that vertex's slack is ~0.
+                    _ => {
+                        let on = vertices.get(pick % vertices.len().max(1)).copied();
+                        let normal = Point::new(turn.cos(), turn.sin()) * scale;
+                        HalfPlane::new(normal, normal.dot(&on.unwrap_or(site)))
+                    }
+                };
+                let before = in_place.clone();
+                allocating = allocating.clip(&hp);
+                in_place.clip_in_place(&hp, &mut scratch);
+                prop_assert_eq!(&in_place, &allocating, "{:?} clipped by {:?}", before, hp);
+                if !hp.is_degenerate() && before.len() >= 2 {
+                    for (v, slack) in before.vertices().iter().zip(&scratch.slacks) {
+                        prop_assert_eq!(slack.to_bits(), hp.signed_slack(v).to_bits());
+                    }
+                }
+            }
+        }
     }
 }

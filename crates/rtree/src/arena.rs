@@ -8,10 +8,9 @@
 //! arrays) with a **fixed entry stride** derived from the tree's
 //! [`node_byte_budget`](crate::tree::RTreeConfig::node_byte_budget), so the
 //! buffers are allocated once and reused for every node the traversal
-//! touches. Batch geometry kernels
-//! ([`HalfPlane::signed_distances`](cij_geom::HalfPlane::signed_distances),
-//! `ConvexPolygon::clip_in_place`) then run straight over the coordinate
-//! slices with no per-point pointer chasing.
+//! touches. A leaf scan — BatchVoronoi's batch of a leaf's distances to
+//! the group centroid — then runs straight over the coordinate slices with no
+//! per-point pointer chasing.
 //!
 //! Loading goes through [`NodeReader::visit`],
 //! which serves the decoded node **by reference** — from the page store's

@@ -17,9 +17,8 @@
 //!   met, a total order ([`NearestNeighbourIter`]); `RTree::k_nearest(q, k)`
 //!   is that same walk with a bound on what it queues and answers, reads and
 //!   counts exactly as `nearest_iter(q).take(k)` — and the
-//!   [`MinHeapItem`]/[`MinDistHeap`] helpers with the [`TraversalQueue`]
-//!   built on them that BF-VOR, BatchVoronoi and the conditional filter all
-//!   traverse with,
+//!   [`TraversalQueue`] (integer-ranked keys, ties left to the heap) that
+//!   BF-VOR, BatchVoronoi and the conditional filter all traverse with,
 //! * range queries and Hilbert-ordered depth-first leaf traversal,
 //! * the synchronous-traversal [`intersection_join`] of Brinkhoff et al. \[9\]
 //!   and an ε-[`distance_join`] for comparison,
@@ -74,7 +73,7 @@ pub use arena::{LeafLayout, NodeArena};
 pub use bulk::{DEFAULT_FILL, DEFAULT_RUN_CAPACITY};
 pub use codec::NODE_HEADER_BYTES;
 pub use join::{distance_join, intersection_join};
-pub use nn::{MinDistHeap, MinHeapItem, NearestNeighbourIter, TraversalEntry, TraversalQueue};
+pub use nn::{NearestNeighbourIter, TraversalEntry, TraversalQueue};
 pub use node::{ChildEntry, Node};
 pub use object::{CellObject, ObjectId, PointObject, RTreeObject};
 pub use reader::{probe, NodeReader, ReadLog, SnapshotReader};

@@ -18,57 +18,6 @@ use cij_pagestore::PageId;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-/// An item in a min-heap ordered by a floating-point distance key.
-///
-/// `BinaryHeap` is a max-heap, so the ordering is reversed here; ties compare
-/// equal. NaN keys are treated as +∞ (they sink to the end).
-#[derive(Debug, Clone)]
-pub struct MinHeapItem<T> {
-    /// Distance key (smaller = popped earlier).
-    pub dist: f64,
-    /// Payload.
-    pub item: T,
-}
-
-impl<T> MinHeapItem<T> {
-    /// Creates a heap item.
-    pub fn new(dist: f64, item: T) -> Self {
-        MinHeapItem { dist, item }
-    }
-
-    fn key(&self) -> f64 {
-        if self.dist.is_nan() {
-            f64::INFINITY
-        } else {
-            self.dist
-        }
-    }
-}
-
-impl<T> PartialEq for MinHeapItem<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<T> Eq for MinHeapItem<T> {}
-impl<T> PartialOrd for MinHeapItem<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for MinHeapItem<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: smaller distance = greater priority.
-        other
-            .key()
-            .partial_cmp(&self.key())
-            .unwrap_or(Ordering::Equal)
-    }
-}
-
-/// A convenience alias for a min-heap keyed by distance.
-pub type MinDistHeap<T> = BinaryHeap<MinHeapItem<T>>;
-
 /// One entry of a [`TraversalQueue`]: a subtree still to be read, with the
 /// MBR its parent recorded for it, or a data point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,23 +34,69 @@ pub enum TraversalEntry {
 }
 
 /// The best-first queue of the Voronoi traversals and the conditional
-/// filter: a [`MinDistHeap`] whose items are 16 bytes — the key and a tagged
-/// index — with the entries themselves in two append-only side vectors, so a
-/// sift moves a third of what it would move with the entry inline.
+/// filter: a `BinaryHeap` of 16-byte items — the key's integer rank and a
+/// tagged index — with the entries themselves in two append-only side
+/// vectors, so a sift moves a third of what it would move with the entry
+/// inline and compares two integers.
 ///
-/// The heap is the same `BinaryHeap` under the same [`MinHeapItem`] order a
-/// `MinDistHeap<TraversalEntry>` would use and the order never looks at the
-/// payload, so both compare the same keys in the same sequence and pop the
-/// same entries, ties and NaN keys included. A queue is meant to live in a
-/// per-worker scratch: [`TraversalQueue::clear`] keeps all three
-/// allocations.
+/// Smaller keys pop first; NaN keys rank with +∞ and `-0.0` with `0.0`.
+/// Equal keys are not ordered further: ties pop wherever the heap's shape
+/// puts them. Two items compare equal exactly when their `f64` keys do, so
+/// the heap makes the moves — and pops the entries — a heap of
+/// `(key, entry)` items under float order would, ties and NaN keys
+/// included. A queue is meant to live in a per-worker scratch:
+/// [`TraversalQueue::clear`] keeps all three allocations.
 #[derive(Debug, Default)]
 pub struct TraversalQueue {
-    /// `item` is `index << 1 | kind`: bit 0 set for `points`, clear for
-    /// `nodes`.
-    heap: MinDistHeap<u32>,
+    heap: BinaryHeap<Ranked>,
     nodes: Vec<(PageId, Rect)>,
     points: Vec<PointObject>,
+}
+
+/// A [`TraversalQueue`] item. `BinaryHeap` is a max-heap, so the order is
+/// reversed, and it looks at `rank` alone — every comparison the heap makes
+/// is one integer comparison.
+#[derive(Debug, Clone, Copy)]
+struct Ranked {
+    /// [`queue_rank`] of the entry's key.
+    rank: u64,
+    /// `index << 1 | kind`: bit 0 set for `points`, clear for `nodes`.
+    slot: u32,
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.rank == other.rank
+    }
+}
+impl Eq for Ranked {}
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+    fn lt(&self, other: &Self) -> bool {
+        other.rank < self.rank
+    }
+    fn le(&self, other: &Self) -> bool {
+        other.rank <= self.rank
+    }
+    fn gt(&self, other: &Self) -> bool {
+        other.rank > self.rank
+    }
+    fn ge(&self, other: &Self) -> bool {
+        other.rank >= self.rank
+    }
+}
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.rank.cmp(&self.rank)
+    }
+}
+
+/// The rank a [`TraversalQueue`] sifts by: [`rank`], except that a NaN key
+/// ranks with +∞ instead of after it.
+fn queue_rank(key: f64) -> u64 {
+    rank(key).min(rank(f64::INFINITY))
 }
 
 impl TraversalQueue {
@@ -117,19 +112,21 @@ impl TraversalQueue {
     pub fn push_node(&mut self, dist: f64, page: PageId, mbr: Rect) {
         let slot = (self.nodes.len() as u32) << 1;
         self.nodes.push((page, mbr));
-        self.heap.push(MinHeapItem::new(dist, slot));
+        let rank = queue_rank(dist);
+        self.heap.push(Ranked { rank, slot });
     }
 
     /// Queues the data point `point` with key `dist`.
     pub fn push_point(&mut self, dist: f64, point: PointObject) {
         let slot = (self.points.len() as u32) << 1 | 1;
         self.points.push(point);
-        self.heap.push(MinHeapItem::new(dist, slot));
+        let rank = queue_rank(dist);
+        self.heap.push(Ranked { rank, slot });
     }
 
     /// Removes and returns the entry with the smallest key.
     pub fn pop(&mut self) -> Option<TraversalEntry> {
-        let slot = self.heap.pop()?.item;
+        let slot = self.heap.pop()?.slot;
         let index = (slot >> 1) as usize;
         Some(if slot & 1 == 0 {
             let (page, mbr) = self.nodes[index];
@@ -371,6 +368,54 @@ mod tests {
         (tree, pts)
     }
 
+    /// The order [`TraversalQueue`] must keep: a min-heap item under the
+    /// float order it sifted by before its keys were ranked.
+    ///
+    /// `BinaryHeap` is a max-heap, so the ordering is reversed here; ties
+    /// compare equal. NaN keys are treated as +∞ (they sink to the end).
+    #[derive(Debug, Clone)]
+    struct MinHeapItem<T> {
+        dist: f64,
+        item: T,
+    }
+
+    impl<T> MinHeapItem<T> {
+        fn new(dist: f64, item: T) -> Self {
+            MinHeapItem { dist, item }
+        }
+
+        fn key(&self) -> f64 {
+            if self.dist.is_nan() {
+                f64::INFINITY
+            } else {
+                self.dist
+            }
+        }
+    }
+
+    impl<T> PartialEq for MinHeapItem<T> {
+        fn eq(&self, other: &Self) -> bool {
+            self.key() == other.key()
+        }
+    }
+    impl<T> Eq for MinHeapItem<T> {}
+    impl<T> PartialOrd for MinHeapItem<T> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl<T> Ord for MinHeapItem<T> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Reverse: smaller distance = greater priority.
+            other
+                .key()
+                .partial_cmp(&self.key())
+                .unwrap_or(Ordering::Equal)
+        }
+    }
+
+    type MinDistHeap<T> = BinaryHeap<MinHeapItem<T>>;
+
     fn brute_force_knn(pts: &[Point], q: &Point, k: usize) -> Vec<f64> {
         let mut d: Vec<f64> = pts.iter().map(|p| p.dist(q)).collect();
         d.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -391,13 +436,14 @@ mod tests {
 
     proptest! {
         /// Fed the same pushes and pops, the slim queue and a heap holding
-        /// the entries inline pop the same entries — keys from four values
-        /// and NaN, so nearly every comparison is a tie.
+        /// the entries inline pop the same entries — keys from six values,
+        /// a negative one among them, and the two each equals (`-0.0` and
+        /// `0.0`, NaN and +∞), so nearly every comparison is a tie.
         #[test]
         fn traversal_queue_pops_in_the_inline_heaps_order(
-            ops in proptest::collection::vec((0usize..3, 0usize..5), 1..300),
+            ops in proptest::collection::vec((0usize..3, 0usize..8), 1..300),
         ) {
-            let keys = [0.0, 1.0, 2.5, 7.0, f64::NAN];
+            let keys = [0.0, 1.0, 2.5, 7.0, f64::NAN, -0.0, f64::INFINITY, -3.0];
             let mut slim = TraversalQueue::default();
             let mut fat: MinDistHeap<TraversalEntry> = MinDistHeap::new();
             for (serial, &(op, key)) in ops.iter().enumerate() {

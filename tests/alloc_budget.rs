@@ -34,6 +34,10 @@ const MAX_ALLOCATIONS_PER_TUPLE: f64 = 8.0;
 /// 2.81 here (debug and `--release` alike, 2.82 under the transient fault
 /// profile; 2.89 while BatchVoronoi still built a heap per group), and 2.78
 /// since PR 25 dropped the per-leaf true-hit `HashSet`.
+/// With the report testing pairs against per-worker edge tables it spends
+/// 2.79 (debug and `--release` alike, 2.80 under the transient fault
+/// profile): the tables' and join marks' growth to their high-water mark,
+/// less the per-leaf box vector they replaced, over this run's 15 leaves.
 const MAX_ALLOCATIONS_PER_PAIR: f64 = 3.5;
 
 /// Allocations per emitted pair the same binary join may spend metered at
@@ -42,6 +46,7 @@ const MAX_ALLOCATIONS_PER_PAIR: f64 = 3.5;
 /// this run became the chunk protocol too: 2.62 (debug and `--release`
 /// alike, 2.62 under the transient fault profile); the sequential leaf loop
 /// it replaced spent 2.41.
+/// With the report's edge tables: 2.63 (all three alike).
 const MAX_ALLOCATIONS_PER_METERED_PAIR: f64 = 2.65;
 
 /// Allocations a second `batch_voronoi_with` over one 41-point leaf group
