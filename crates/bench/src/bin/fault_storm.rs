@@ -1,12 +1,7 @@
-//! Standalone runner for the fault-storm experiment (seeded transient I/O
-//! faults must be byte-invisible on every backend; a persistently corrupt
-//! frame fails exactly the touching query with a structured error while
-//! concurrent healthy queries stay oracle-identical; see
-//! [`cij_bench::experiments::fault_storm`]).
-
-use cij_bench::experiments::fault_storm;
-use cij_bench::Args;
+//! Runs [`cij_bench::experiments::fault_storm`] at `--scale` (default
+//! 0.02): seeded transient faults must be byte-invisible on every backend,
+//! and a persistently corrupt frame must fail exactly the query it touches.
 
 fn main() {
-    fault_storm::run(&Args::capture());
+    cij_bench::experiments::fault_storm::run(cij_bench::util::flag("scale", 0.02));
 }

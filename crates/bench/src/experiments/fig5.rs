@@ -4,92 +4,58 @@
 //! The paper uses n = 100 K points and 100 random query points and reports,
 //! per query, the R-tree node accesses (Fig. 5a) and CPU time (Fig. 5b).
 
-use crate::util::{print_header, print_row, scaled, Args};
+use super::SEEDS;
+use crate::util::{row, scaled, Section, Table};
+use cij_core::CijConfig;
 use cij_datagen::uniform_points;
-use cij_geom::Rect;
+use cij_geom::{ConvexPolygon, Point, Rect};
 use cij_rtree::{ObjectId, PointObject, RTree, RTreeConfig};
 use cij_voronoi::{single_voronoi, tp_voronoi};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
-/// Runs the Figure 5 experiment. `--scale` scales the paper's 100 K points;
-/// `--queries` sets the number of query points (paper: 100).
-pub fn run(args: &Args) {
-    let scale: f64 = args.get("scale", 0.1);
+type CellQuery = fn(&mut RTree<PointObject>, Point, ObjectId, &Rect) -> ConvexPolygon;
+
+/// Runs Figure 5 over 100 queries, as the paper does.
+pub fn run(scale: f64) -> Vec<Section> {
     let n = scaled(100_000, scale);
-    let queries: usize = args.get("queries", 100);
-    let domain = Rect::DOMAIN;
-
-    let points = uniform_points(n, &domain, 5_001);
+    let points = uniform_points(n, &Rect::DOMAIN, SEEDS.0);
     let mut tree = RTree::bulk_load(RTreeConfig::default(), PointObject::from_points(&points));
-    // 2 % buffer as in the paper, with the 40-page absolute floor used by
-    // scaled-down runs (see CijConfig::min_buffer_pages).
-    tree.set_buffer_pages(((tree.num_pages() as f64 * 0.02).ceil() as usize).max(40));
-
+    tree.set_buffer_pages(CijConfig::default().buffer_pages_for(tree.num_pages()));
     let mut rng = StdRng::seed_from_u64(5_002);
-    let query_ids: Vec<usize> = (0..queries).map(|_| rng.gen_range(0..n)).collect();
+    let queries: Vec<usize> = (0..100).map(|_| rng.gen_range(0..n)).collect();
 
-    print_header(
-        &format!("Figure 5: single Voronoi-cell queries (n = {n}, {queries} queries)"),
-        &[
-            "query",
-            "TP-VOR accesses",
-            "BF-VOR accesses",
-            "TP-VOR cpu(ms)",
-            "BF-VOR cpu(ms)",
-        ],
-    );
-
-    let mut totals = [0u64, 0, 0, 0]; // tp_acc, bf_acc, tp_us, bf_us
-    for (qi, &idx) in query_ids.iter().enumerate() {
-        let p = points[idx];
-        let id = ObjectId(idx as u64);
-
-        tree.drop_buffer();
-        tree.stats().reset();
-        let t0 = Instant::now();
-        let _ = tp_voronoi(&mut tree, p, id, &domain);
-        let tp_cpu = t0.elapsed();
-        let tp_acc = tree.stats().snapshot().logical_reads;
-
-        tree.drop_buffer();
-        tree.stats().reset();
-        let t1 = Instant::now();
-        let _ = single_voronoi(&mut tree, p, id, &domain);
-        let bf_cpu = t1.elapsed();
-        let bf_acc = tree.stats().snapshot().logical_reads;
-
-        totals[0] += tp_acc;
-        totals[1] += bf_acc;
-        totals[2] += tp_cpu.as_micros() as u64;
-        totals[3] += bf_cpu.as_micros() as u64;
-
-        // Print the first few individual queries (the paper plots all 100).
-        if qi < 10 {
-            print_row(&[
-                format!("q{qi}"),
-                tp_acc.to_string(),
-                bf_acc.to_string(),
-                format!("{:.3}", tp_cpu.as_secs_f64() * 1e3),
-                format!("{:.3}", bf_cpu.as_secs_f64() * 1e3),
-            ]);
+    let methods: [(&str, CellQuery); 2] = [("TP-VOR", tp_voronoi), ("BF-VOR", single_voronoi)];
+    let mut table = Table::new(&["method", "mean", "min", "max", "mean ms"], 1);
+    let (mut accesses, mut ms, mut ranges) = (Vec::new(), Vec::new(), Vec::new());
+    for (name, query) in methods {
+        let (mut reads, mut seconds) = (Vec::new(), 0.0);
+        for &i in &queries {
+            tree.drop_buffer();
+            tree.stats().reset();
+            let start = Instant::now();
+            query(&mut tree, points[i], ObjectId(i as u64), &Rect::DOMAIN);
+            seconds += start.elapsed().as_secs_f64();
+            reads.push(tree.stats().snapshot().logical_reads);
         }
+        let mean = reads.iter().sum::<u64>() as f64 / reads.len() as f64;
+        let (min, max) = (reads.iter().min().unwrap(), reads.iter().max().unwrap());
+        ms.push(seconds * 1e3 / queries.len() as f64);
+        let [mean, mean_ms] = [format!("{mean:.1}"), format!("{:.3}", ms[ms.len() - 1])];
+        table.rows.push(row![name, mean, min, max, mean_ms]);
+        ranges.push(format!("{name} {min}–{max}"));
+        accesses.push(reads);
     }
-    let q = queries as f64;
-    print_row(&[
-        "average".into(),
-        format!("{:.1}", totals[0] as f64 / q),
-        format!("{:.1}", totals[1] as f64 / q),
-        format!("{:.3}", totals[2] as f64 / q / 1e3),
-        format!("{:.3}", totals[3] as f64 / q / 1e3),
-    ]);
-    println!(
-        "shape check (paper): BF-VOR below TP-VOR and stable across queries -> {}",
-        if totals[1] < totals[0] {
-            "REPRODUCED"
-        } else {
-            "NOT reproduced"
-        }
-    );
+    let mut fig5 = Section::new("fig5", "Figure 5: single Voronoi-cell queries", table);
+    let pairs = accesses[0].iter().zip(&accesses[1]);
+    let not_below = pairs.filter(|(tp, bf)| bf >= tp).count();
+    let claim = "BF-VOR reads fewer nodes than TP-VOR on every query";
+    let evidence = format!("queries where it does not: {not_below} of 100");
+    fig5.check(claim, not_below == 0, evidence);
+    let claim = "BF-VOR's node accesses are stable across queries";
+    fig5.unresolved(claim, format!("per-query range: {}", ranges.join(", ")));
+    let claim = "BF-VOR's CPU time per query is below TP-VOR's";
+    fig5.faster(claim, &ms[1..], &ms[..1]);
+    vec![fig5]
 }

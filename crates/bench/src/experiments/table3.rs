@@ -1,66 +1,48 @@
-//! Table III: CIJ result sizes and page accesses of FM/PM/NM-CIJ on pairs of
-//! real datasets (synthetic stand-ins at a configurable scale).
+//! Table III: CIJ result sizes and page accesses of FM-, PM- and NM-CIJ on
+//! pairs of real datasets (the synthetic stand-ins of Table I).
 
-use crate::util::{paper_config, print_header, print_row, Args};
-use cij_core::{Algorithm, QueryEngine};
-use cij_datagen::RealDataset;
+use super::sweeps::{io_table, nm_lowest, run_all};
+use crate::util::{join, Section};
+use cij_core::CijConfig;
+use cij_datagen::RealDataset::{self, *};
 
 /// The dataset pairs of Table III, as (Q, P).
-pub const PAIRS: [(RealDataset, RealDataset); 6] = [
-    (RealDataset::SC, RealDataset::PP),
-    (RealDataset::CE, RealDataset::LO),
-    (RealDataset::CE, RealDataset::SC),
-    (RealDataset::LO, RealDataset::PP),
-    (RealDataset::PA, RealDataset::SC),
-    (RealDataset::PA, RealDataset::PP),
-];
+pub const PAIRS: [(RealDataset, RealDataset); 6] =
+    [(SC, PP), (CE, LO), (CE, SC), (LO, PP), (PA, SC), (PA, PP)];
 
-/// Runs the Table III experiment. `--scale` scales the Table I cardinalities.
-pub fn run(args: &Args) {
-    let scale: f64 = args.get("scale", 0.02);
-    let engine = QueryEngine::new(paper_config());
-
-    print_header(
-        &format!(
-            "Table III: result size and page accesses of CIJ on real dataset pairs (scale {scale})"
-        ),
-        &[
-            "Q",
-            "P",
-            "|Q|",
-            "|P|",
-            "CIJ pairs",
-            "FM-CIJ",
-            "PM-CIJ",
-            "NM-CIJ",
-            "LB",
-        ],
-    );
+/// Runs Table III.
+pub fn run(scale: f64) -> Vec<Section> {
+    let (mut runs, mut nq) = (Vec::new(), Vec::new());
     for (ds_q, ds_p) in PAIRS {
-        let p = ds_p.generate_scaled(scale);
-        let q = ds_q.generate_scaled(scale);
-        let mut row = vec![
-            ds_q.name().to_string(),
-            ds_p.name().to_string(),
-            q.len().to_string(),
-            p.len().to_string(),
-        ];
-        let mut pairs_count = 0usize;
-        let mut io = Vec::new();
-        let mut lb = 0;
-        for alg in Algorithm::ALL {
-            let mut w = engine.build_workload(&p, &q);
-            lb = w.lower_bound_io();
-            let outcome = engine.run(&mut w, alg);
-            pairs_count = outcome.pairs.len();
-            io.push(outcome.page_accesses());
-        }
-        row.push(pairs_count.to_string());
-        for v in io {
-            row.push(v.to_string());
-        }
-        row.push(lb.to_string());
-        print_row(&row);
+        let (p, q) = (ds_p.generate_scaled(scale), ds_q.generate_scaled(scale));
+        let name = format!("{}/{}", ds_q.name(), ds_p.name());
+        runs.push(run_all(name, &p, &q, CijConfig::default()));
+        nq.push(q.len());
     }
-    println!("shape check (paper): NM-CIJ < PM-CIJ < FM-CIJ on every pair; output size comparable to the input size");
+    let title = "Table III: page accesses on real dataset pairs";
+    let mut table3 = Section::new("table3", title, io_table("Q/P", &runs));
+    table3.table.columns.splice(1..1, ["|Q|", "|P|", "pairs"]);
+    for ((row, r), nq) in table3.table.rows.iter_mut().zip(&runs).zip(&nq) {
+        row.splice(1..1, [*nq, r.np, r.pairs].map(|v| v.to_string()));
+    }
+    nm_lowest(
+        &mut table3,
+        "NM-CIJ has the fewest page accesses on every pair",
+        &runs,
+    );
+    let pm_loses = runs.iter().filter(|r| r.io[1] >= r.io[0]);
+    let pm_loses = join(pm_loses.map(|r| format!("{} {}", r.label, r.io[1])), ", ");
+    let claim = "PM-CIJ has fewer page accesses than FM-CIJ on every pair";
+    let holds = pm_loses.is_empty();
+    let evidence = format!("where not, with PM-CIJ's count: [{pm_loses}]");
+    table3.check(claim, holds, evidence);
+    let out = runs
+        .iter()
+        .zip(&nq)
+        .map(|(r, q)| r.pairs as f64 / (r.np + q) as f64);
+    let (lo, hi) = out.fold((f64::MAX, 0.0f64), |(lo, hi), x| (lo.min(x), hi.max(x)));
+    let claim = "the output size is comparable to the input size";
+    let evidence = format!("CIJ pairs ÷ (|P| + |Q|) from {lo:.2} to {hi:.2}");
+    table3.unresolved(claim, evidence);
+    vec![table3]
 }

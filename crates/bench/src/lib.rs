@@ -1,17 +1,11 @@
 //! # cij-bench
 //!
-//! The experiment harness of the CIJ reproduction: one module per table /
-//! figure of the paper's evaluation (Section V), each printing the same rows
-//! or series the paper reports. The `src/bin/*` binaries are thin wrappers
-//! around these modules so that every experiment can be run individually
-//! (`cargo run --release -p cij-bench --bin fig7_breakdown -- --scale 1.0`)
-//! or all together (`--bin run_all`).
-//!
-//! Absolute numbers differ from the paper (different hardware, Rust instead
-//! of C++, synthetic stand-ins for the USGS datasets, scaled-down default
-//! sizes), but the *shape* of every result — which algorithm wins, by what
-//! factor, how curves move with each parameter — is what the harness
-//! reproduces; every experiment prints its own `shape check (paper)` line.
+//! The reproduction of the CIJ paper's evaluation (Section V): per figure
+//! or table, the measured table and a verdict on each of the paper's claims
+//! ([`experiments`]). The `reproduce` binary prints them; the root
+//! package's `tests/reproduction.rs` asserts them in tier-1 and holds the
+//! committed `REPRODUCTION.md` (which also gives the deviations from the
+//! paper) to the generated report.
 //!
 //! # Allocation accounting
 //!
@@ -35,7 +29,7 @@
 pub mod experiments;
 pub mod util;
 
-pub use util::{paper_config, scaled, Args};
+pub use util::scaled;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

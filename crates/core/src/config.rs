@@ -100,12 +100,14 @@ pub struct CijConfig {
     /// absolute buffer comparable to the paper's default; sweeps that want
     /// full control (Figure 8a) set it to 1.
     pub min_buffer_pages: usize,
-    /// Whether NM-CIJ reuses exact Voronoi cells of `P` computed for the
-    /// previous leaf of `RQ` (the REUSE heuristic of Section IV-B).
+    // Inert: `cij_benchmark/src/layers.rs` is its only reader.
+    #[doc(hidden)]
     pub reuse_cells: bool,
     /// Capacity (in cells) of the bounded LRU
     /// [`CellCache`](crate::cell_cache::CellCache) used as the Section IV-B
-    /// reuse buffer by NM-CIJ and the multiway/grouped extensions.
+    /// reuse buffer (the REUSE heuristic: exact Voronoi cells of `P`
+    /// computed for one leaf of `RQ` serve the next ones) by NM-CIJ and the
+    /// multiway/grouped extensions.
     ///
     /// The paper's buffer experiments (Fig. 8a) show reuse benefit
     /// saturating once the buffer covers the candidate overlap of
@@ -189,12 +191,6 @@ impl CijConfig {
     /// Sets the buffer fraction for algorithm-built trees.
     pub fn with_buffer_fraction(mut self, fraction: f64) -> Self {
         self.buffer_fraction = fraction;
-        self
-    }
-
-    /// Enables or disables the NM-CIJ cell-reuse heuristic.
-    pub fn with_reuse(mut self, reuse: bool) -> Self {
-        self.reuse_cells = reuse;
         self
     }
 
@@ -305,7 +301,6 @@ mod tests {
         let c = CijConfig::default();
         assert_eq!(c.domain, Rect::DOMAIN);
         assert!((c.buffer_fraction - 0.02).abs() < 1e-12);
-        assert!(c.reuse_cells);
         assert_eq!(c.rtree.page_size, 1024);
     }
 
@@ -313,11 +308,9 @@ mod tests {
     fn builder_methods_apply() {
         let c = CijConfig::default()
             .with_buffer_fraction(0.1)
-            .with_reuse(false)
             .with_cell_cache_capacity(64)
             .with_domain(Rect::from_coords(0.0, 0.0, 1.0, 1.0));
         assert_eq!(c.buffer_fraction, 0.1);
-        assert!(!c.reuse_cells);
         assert_eq!(c.cell_cache_capacity, 64);
         assert_eq!(c.domain.hi.x, 1.0);
     }

@@ -379,14 +379,9 @@ impl<'a> TupleStream<'a> {
     /// bookkeeping, not page I/O — both modes mirror them into the
     /// workload's shared stats so cache behaviour stays harness-observable.
     fn with_driver(workload: &'a mut MultiwayWorkload, driver: usize, config: CijConfig) -> Self {
-        let capacity = if config.reuse_cells {
-            config.cell_cache_capacity
-        } else {
-            0
-        };
         let stats = workload.stats.clone();
         let caches = (0..workload.k())
-            .map(|_| CellCache::with_stats(capacity, stats.clone()))
+            .map(|_| CellCache::with_stats(config.cell_cache_capacity, stats.clone()))
             .collect();
         let trees = workload.trees.iter_mut().collect();
         let acct = Accounting::exclusive(config.exec_mode, trees, &stats);

@@ -166,12 +166,7 @@ impl<'a> NmPairIter<'a> {
     /// without touching any buffer.
     pub(crate) fn new(workload: &'a mut Workload, config: CijConfig) -> Self {
         let stats = workload.stats.clone();
-        let cache_capacity = if config.reuse_cells {
-            config.cell_cache_capacity
-        } else {
-            0
-        };
-        let cache = CellCache::with_stats(cache_capacity, stats.clone());
+        let cache = CellCache::with_stats(config.cell_cache_capacity, stats.clone());
         let trees = vec![&mut workload.rp, &mut workload.rq];
         let acct = Accounting::exclusive(config.exec_mode, trees, &stats);
         Self::start(acct, cache, &config)
@@ -517,12 +512,12 @@ mod tests {
         let p = random_points(400, 105);
         let q = random_points(400, 106);
         let with_reuse = {
-            let config = small_config().with_reuse(true);
+            let config = small_config();
             let mut w = Workload::build(&p, &q, &config);
             nm_cij(&mut w, &config)
         };
         let without_reuse = {
-            let config = small_config().with_reuse(false);
+            let config = small_config().with_cell_cache_capacity(0);
             let mut w = Workload::build(&p, &q, &config);
             nm_cij(&mut w, &config)
         };
@@ -885,12 +880,7 @@ mod tests {
     /// `CellStore` get/put, the true hits counted by id.
     fn algorithm_6(w: &mut Workload, config: &CijConfig) -> Reference {
         let domain = config.domain;
-        let capacity = if config.reuse_cells {
-            config.cell_cache_capacity
-        } else {
-            0
-        };
-        let mut cache = CellCache::new(capacity);
+        let mut cache = CellCache::new(config.cell_cache_capacity);
         let UnitScratch { vor, filter, .. } = &mut UnitScratch::default();
         let stats = w.stats.clone();
         let start = stats.snapshot();

@@ -119,7 +119,6 @@ fn base() -> CijConfig {
         .with_worker_threads(1)
         .with_buffer_fraction(0.02)
         .with_min_buffer_pages(40)
-        .with_reuse(true)
         .with_cell_cache_capacity(1024)
 }
 
