@@ -3,8 +3,12 @@
 //! Computes `CIJ(P, Q)` straight from the definition: build both Voronoi
 //! diagrams by halfplane intersection and test every pair of cells for
 //! intersection. O(|P|·|Q|) pair tests on top of O(n²) diagram construction —
-//! usable only for small inputs, which is exactly what a correctness oracle
-//! is for.
+//! usable only for small inputs.
+//!
+//! It shares the product's `cij_geom` kernels and tolerance policy, so it
+//! checks the joins' traversals and pruning, not their geometry: on lattice
+//! inputs the truth is the integer oracle of `tests/exact_oracle.rs`, which
+//! holds this function to it too.
 
 use cij_geom::{Point, Rect};
 use cij_voronoi::brute_force_diagram;
@@ -16,9 +20,8 @@ pub fn brute_force_cij(p: &[Point], q: &[Point], domain: &Rect) -> Vec<(u64, u64
     let cells_q = brute_force_diagram(q, domain);
     let mut out = Vec::new();
     for (i, cp) in cells_p.iter().enumerate() {
-        let bbox_p = cp.bbox();
         for (j, cq) in cells_q.iter().enumerate() {
-            if bbox_p.intersects(&cq.bbox()) && cp.intersects(cq) {
+            if cp.intersects(cq) {
                 out.push((i as u64, j as u64));
             }
         }

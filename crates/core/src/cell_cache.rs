@@ -19,7 +19,7 @@
 //! mirrors the buffer's resident set.
 //!
 //! The cache implements [`cij_voronoi::CellStore`], so it plugs directly
-//! into [`cij_voronoi::batch_voronoi_cached`]. Hit/miss/eviction counts are
+//! into [`cij_voronoi::batch_voronoi`]. Hit/miss/eviction counts are
 //! exposed both through the cache itself (and from there through
 //! [`NmCounters`](crate::stats::NmCounters)) and, when constructed with
 //! [`CellCache::with_stats`], through the workload-wide

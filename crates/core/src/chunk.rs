@@ -115,7 +115,7 @@ use cij_geom::{ClipScratch, ConvexPolygon, EdgeTable, Rect};
 use cij_pagestore::{IoSnapshot, IoStats, PageId, PageIoError};
 use cij_rtree::reader::leaf_pages_hilbert_order;
 use cij_rtree::{NodeReader, PointObject, RTree, ReadLog, SnapshotReader};
-use cij_voronoi::{batch_voronoi_with, VorScratch};
+use cij_voronoi::{batch_voronoi, NoCache, VorScratch};
 use std::sync::Mutex;
 
 /// Steady-state chunk width, as a multiple of the worker count (see
@@ -612,7 +612,7 @@ fn refine_missing(
         }
         let mut reader = acct.reader(tree);
         let vor = &mut scratch.vor;
-        let cells = batch_voronoi_with(&mut reader, missing, &env.domain, vor);
+        let cells = batch_voronoi(&mut reader, missing, &env.domain, &mut NoCache, vor);
         (cells, reader.finish())
     });
     gate(refined.iter().map(|(_, log)| log))?;

@@ -58,10 +58,11 @@
 //! every decision of the traversal where it was:
 //!
 //! 1. **Bounded seed.** Every approximate cell starts from `B`, the union
-//!    bounding box of the probe polygons, padded by a tolerance-sized margin
-//!    and cut to the domain — not from the whole domain. A cell is only
-//!    ever asked whether it meets a probe polygon `T`, every `T` lies in
-//!    the padded box and every cell in the domain, so `(cell ∩ B) ∩ T =
+//!    of the probe polygons' bounding boxes, each widened by its distance
+//!    threshold ([`cij_geom::tolerance::widened`]), cut to the domain — not
+//!    from the whole domain. A cell is only ever asked whether it meets a
+//!    probe polygon `T`, every `T` lies in `B` with its tolerance to spare
+//!    and every cell in the domain, so `(cell ∩ B) ∩ T =
 //!    cell ∩ T`: the answer is the same, while the reach is group-sized
 //!    from the first clip and the cell of a far point empties after a few.
 //!    (The candidates all sit around the probe group, so a domain-seeded
@@ -77,12 +78,17 @@
 //!    and buckets of a ring that lie beyond `2R` cost no call. The grid
 //!    only orders and skips clips that the reach argument already proved to
 //!    be no-ops.
-//! 3. **One shield decision, priced once per entry.** Ingredient 3 accepts a
-//!    vertex `b` of `T` for side `L` and candidate `p` when
-//!    `dist²(b, p) ≤ fl(mindist²(L, b) + EPS)`, and prunes an entry when
-//!    every polygon has some candidate accepting all its vertices for all
-//!    four sides. Two observations let the test cost less than
-//!    polygons × candidates × sides × vertices without moving a decision:
+//! 3. **One shield decision, priced once per entry.** Pruning discards, so
+//!    it fires only strictly inside Φ (crate `cij_geom`, "Tolerance
+//!    policy"): ingredient 3 accepts a vertex `b` of `T` for side `L` and
+//!    candidate `p` when `dist²(b, p) < fl(mindist²(L, b) − μ)`, where the
+//!    margin `μ` is [`sq_margin`] of the squared magnitude of the entry and
+//!    the group, computed once per entry. It prunes an entry when every
+//!    polygon has some candidate accepting all its vertices for all four
+//!    sides. A polygon that touches Φ's boundary — a point under the entry
+//!    whose cell would meet it in one location — is never pruned. Two
+//!    observations let the test cost less than polygons × candidates ×
+//!    sides × vertices without moving a decision:
 //!    * *Convexity of the tolerant Φ set.* `dist²(b, p) − mindist²(L, b)`
 //!      is `max over l ∈ L of (|b − p|² − |b − l|²)`, a maximum of
 //!      functions affine in `b`, hence convex, so the accepted set is
@@ -91,14 +97,14 @@
 //!      candidate, every vertex of every polygon is, and the per-polygon
 //!      rule would have pruned the entry too. The group-level test
 //!      therefore only ever answers `true` where the per-polygon rule does
-//!      and falls through to it otherwise (the corners are held to a
-//!      slightly stricter bound than the vertices, so that rounding cannot
-//!      turn the implication around).
+//!      and falls through to it otherwise (the corners are held to `2μ`
+//!      instead of `μ`, which is orders of magnitude above the rounding of
+//!      either side, so that rounding cannot turn the implication around).
 //!    * *Monotone rounding.* "Accepted for all four sides" is
-//!      `dist²(b, p) ≤ min over L of fl(m_L + EPS)` with
+//!      `dist²(b, p) < min over L of fl(m_L − μ)` with
 //!      `m_L = mindist²(L, b)`. Rounding is monotone — `x ≤ y` implies
-//!      `fl(x + EPS) ≤ fl(y + EPS)` — so the minimum commutes with it:
-//!      `min_L fl(m_L + EPS) = fl(min_L m_L + EPS)`, evaluated bit for bit.
+//!      `fl(x − μ) ≤ fl(y − μ)` — so the minimum commutes with it:
+//!      `min_L fl(m_L − μ) = fl(min_L m_L − μ)`, evaluated bit for bit.
 //!      The right-hand side does not mention the candidate, so the
 //!      per-polygon rule computes it once per entry and polygon vertex (the
 //!      bound table) and each candidate costs one squared distance per
@@ -108,9 +114,10 @@
 //!    both; the four-sided rule is the reference the tests compare against.
 
 use crate::config::FilterKernel;
-use cij_geom::{ClipScratch, ConvexPolygon, Point, PointGrid, Rect, RectGrid, Segment};
+use cij_geom::tolerance::{rect_magnitude, sq_margin, widened};
+use cij_geom::{ClipScratch, ConvexPolygon, HalfPlane, Point, PointGrid, Rect, RectGrid, Segment};
 use cij_rtree::{LeafLayout, NodeArena, NodeReader, PointObject, TraversalEntry, TraversalQueue};
-use cij_voronoi::{bisector_cuts, cell_reach_sq};
+use cij_voronoi::cell_reach_sq;
 
 /// Initial resolution of the adaptive candidate grid; it doubles whenever
 /// the average bucket load exceeds ~3 ([`PointGrid::needs_growth`]).
@@ -190,7 +197,7 @@ pub struct FilterScratch {
     queue: TraversalQueue,
     /// Positions, in the call's polygon slice, of its non-empty polygons.
     usable: Vec<u32>,
-    /// Their centroids and bounding boxes.
+    /// Their centroids and widened bounding boxes.
     centers: Vec<Point>,
     poly_bboxes: Vec<Rect>,
     /// The overlap index of `poly_bboxes` ([`RectGrid::rebuild`]).
@@ -280,28 +287,21 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
     centers.extend(probes.iter().filter_map(|t| t.centroid()));
     let centroid = Point::centroid(centers).unwrap_or_else(|| domain.center());
 
-    // Bounding boxes of the polygons, for the cheap "does e intersect some T"
-    // test that forbids pruning.
+    // Widened bounding boxes of the polygons, for the cheap "does e
+    // intersect some T" tests, which must keep every contact the polygon
+    // test keeps.
     poly_bboxes.clear();
-    poly_bboxes.extend(probes.iter().map(|t| t.bbox()));
+    poly_bboxes.extend(probes.iter().map(|t| widened(&t.bbox())));
     let poly_bboxes = &poly_bboxes[..];
 
-    // The probe group's bounds `B`: the polygons' union bbox, padded and
-    // cut to the domain. Every approximate cell is seeded from it and the
-    // candidate grid is framed on it (module docs, invariants 1 and 2).
+    // The probe group's bounds `B`: the union of those boxes, cut to the
+    // domain. Every approximate cell is seeded from it and the candidate
+    // grid is framed on it (module docs, invariants 1 and 2).
     let group_bbox = poly_bboxes
         .iter()
         .fold(Rect::empty(), |acc, bb| acc.union(bb));
-    let pad = cij_geom::EPS * (1.0 + group_bbox.width() + group_bbox.height());
-    let padded = Rect::from_coords(
-        group_bbox.lo.x - pad,
-        group_bbox.lo.y - pad,
-        group_bbox.hi.x + pad,
-        group_bbox.hi.y + pad,
-    );
-    let bound = domain.intersection(&padded).unwrap_or(*domain);
+    let bound = domain.intersection(&group_bbox).unwrap_or(*domain);
     let seed = ConvexPolygon::from_rect(&bound);
-    let group_corners = group_bbox.corners();
 
     let adaptive = options.grid_resolution == 0;
     grid.reset(
@@ -328,7 +328,7 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
                 // superset of V(p, P) (within the seed), so discarding is
                 // safe.
                 approx_cell_into(&seed, &p, &candidates, grid, &mut stats, cell, clip);
-                let cbb = cell.bbox();
+                let cbb = widened(&cell.bbox());
                 let joins = any_indexed(polyidx, &cbb, &mut stats, |i| {
                     cbb.intersects(&poly_bboxes[i]) && cell.intersects(probes.get(i))
                 });
@@ -343,11 +343,12 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
             TraversalEntry::Node { page, mbr } => {
                 // A node whose MBR intersects some polygon may contain points
                 // inside it; it can never be pruned.
-                let touches_some_poly = any_indexed(polyidx, &mbr, &mut stats, |i| {
-                    mbr.intersects(&poly_bboxes[i]) && probes.get(i).intersects_rect(&mbr)
+                let reach = widened(&mbr);
+                let touches_some_poly = any_indexed(polyidx, &reach, &mut stats, |i| {
+                    reach.intersects(&poly_bboxes[i]) && probes.get(i).intersects_rect(&mbr)
                 });
                 if !touches_some_poly
-                    && is_shielded(&mbr, &group_corners, probes, &candidates, shield_bounds)
+                    && is_shielded(&mbr, &group_bbox, probes, &candidates, shield_bounds)
                 {
                     stats.entries_pruned += 1;
                     continue;
@@ -426,10 +427,10 @@ fn approx_cell_into(
                     if c.point.dist_sq(&p.point) > 4.0 * reach_sq {
                         continue;
                     }
-                    if !bisector_cuts(cell.vertices(), &p.point, &c.point) {
+                    let hp = HalfPlane::bisector(&p.point, &c.point);
+                    if !cell.clip_in_place(&hp, scratch) {
                         continue;
                     }
-                    cell.clip_bisector_in_place(&p.point, &c.point, scratch);
                     stats.clip_ops += 1;
                     if cell.is_empty() {
                         emptied = true;
@@ -469,26 +470,19 @@ fn any_indexed(
     hit
 }
 
-/// Relative guard of the group-level shield test: a corner `b` counts as
-/// inside `Φ(L, p)` only when `dist²(b, p)` undercuts `mindist²(L, b)` by
-/// this share of the magnitudes involved. It is orders of magnitude above
-/// the rounding error of either term and orders below any geometric scale,
-/// so a corner set that passes leaves every polygon vertex inside the
-/// [`cij_geom::EPS`]-tolerant rule of [`cij_geom::phi_contains_point`] as
-/// *evaluated*, not just as defined.
-const SHIELD_CORNER_GUARD: f64 = 1e-9;
-
 /// Whether every polygon is shielded from the entry `mbr` by some candidate:
-/// for each polygon `T` there is a `p ∈ candidates` such that `T` falls in
-/// `Φ(L, p)` for every side `L` of the entry (Lemma 3 applied per side).
+/// for each polygon `T` there is a `p ∈ candidates` such that `T` falls
+/// strictly in `Φ(L, p)` for every side `L` of the entry (Lemma 3 applied
+/// per side), by the margin of the entry and the group `group` — a box
+/// holding every polygon, whose magnitude bounds theirs.
 ///
-/// `group_corners` are the corners of the polygons' union bounding box. One
-/// candidate whose four Φ regions hold all four corners shields the whole
-/// group at once (module docs, invariant 3) — the common case for entries
-/// far from the group; otherwise the per-polygon rule decides.
+/// One candidate whose four Φ regions hold all four corners of `group`
+/// shields the whole group at once (module docs, invariant 3) — the common
+/// case for entries far from the group; otherwise the per-polygon rule
+/// decides.
 fn is_shielded(
     mbr: &Rect,
-    group_corners: &[Point; 4],
+    group: &Rect,
     probes: Probes<'_>,
     candidates: &[PointObject],
     bounds: &mut Vec<f64>,
@@ -497,17 +491,23 @@ fn is_shielded(
         return false;
     }
     let sides = mbr.sides();
+    let margin = shield_margin(mbr, group);
     // A corner is in Φ(L, p) for all four sides iff it is as close to `p`
     // as to the nearest side, so one squared distance per corner — the
     // same for every candidate — stands for the four.
-    let to_entry = group_corners.map(|b| entry_mindist_sq(&sides, &b));
-    let group_shielded = candidates.iter().any(|p| {
-        group_corners.iter().zip(&to_entry).all(|(b, &m)| {
-            let d = b.dist_sq(&p.point);
-            d + SHIELD_CORNER_GUARD * (1.0 + d + m) <= m
-        })
-    });
-    group_shielded || is_shielded_per_polygon(&sides, probes, candidates, bounds)
+    let corners = group.corners();
+    let to_entry = corners.map(|b| entry_mindist_sq(&sides, &b) - 2.0 * margin);
+    let group_shielded = candidates
+        .iter()
+        .any(|p| (corners.iter().zip(&to_entry)).all(|(b, &bound)| b.dist_sq(&p.point) < bound));
+    group_shielded || is_shielded_per_polygon(&sides, margin, probes, candidates, bounds)
+}
+
+/// The margin `μ` of the shield decisions about the entry `mbr` and the
+/// polygons inside `group` (module docs, invariant 3).
+fn shield_margin(mbr: &Rect, group: &Rect) -> f64 {
+    let m = rect_magnitude(&mbr.union(group));
+    sq_margin(m * m)
 }
 
 /// `min over the entry's four sides L of mindist²(L, b)`.
@@ -520,25 +520,28 @@ fn entry_mindist_sq(sides: &[Segment; 4], b: &Point) -> f64 {
 
 /// The per-polygon shield rule [`is_shielded`] falls through to: every
 /// polygon has *some* candidate, not necessarily the same one, whose Φ
-/// regions of all `sides` contain it. `bounds` is working storage.
+/// regions of all `sides` contain it by `margin`. `bounds` is working
+/// storage.
 fn is_shielded_per_polygon(
     sides: &[Segment; 4],
+    margin: f64,
     probes: Probes<'_>,
     candidates: &[PointObject],
     bounds: &mut Vec<f64>,
 ) -> bool {
     probes
         .iter()
-        .all(|t| polygon_shielded(sides, t, candidates, bounds))
+        .all(|t| polygon_shielded(sides, margin, t, candidates, bounds))
 }
 
 /// Whether some candidate holds every vertex of `t` in its Φ regions of all
-/// four `sides`: `dist²(v, p) ≤ fl(m(v) + EPS)` with `m(v)` the entry-side
-/// bound [`entry_mindist_sq`], tabulated once per entry in `bounds` — the
-/// four-sided [`cij_geom::polygon_within_phi`] rule, priced per entry
-/// instead of per candidate (module docs, invariant 3).
+/// four `sides`: `dist²(v, p) < fl(m(v) − margin)` with `m(v)` the
+/// entry-side bound [`entry_mindist_sq`], tabulated once per entry in
+/// `bounds` — the four-sided [`cij_geom::polygon_within_phi`] rule, priced
+/// per entry instead of per candidate (module docs, invariant 3).
 fn polygon_shielded(
     sides: &[Segment; 4],
+    margin: f64,
     t: &ConvexPolygon,
     candidates: &[PointObject],
     bounds: &mut Vec<f64>,
@@ -549,16 +552,12 @@ fn polygon_shielded(
     }
     let vertices = t.vertices();
     bounds.clear();
-    bounds.extend(
-        vertices
-            .iter()
-            .map(|v| entry_mindist_sq(sides, v) + cij_geom::EPS),
-    );
+    bounds.extend(vertices.iter().map(|v| entry_mindist_sq(sides, v) - margin));
     candidates.iter().any(|p| {
         vertices
             .iter()
             .zip(bounds.iter())
-            .all(|(v, &bound)| v.dist_sq(&p.point) <= bound)
+            .all(|(v, &bound)| v.dist_sq(&p.point) < bound)
     })
 }
 
@@ -567,6 +566,7 @@ fn polygon_shielded(
 #[cfg(test)]
 fn is_shielded_four_sided(
     sides: &[Segment; 4],
+    margin: f64,
     polys: &[&ConvexPolygon],
     candidates: &[PointObject],
 ) -> bool {
@@ -574,7 +574,7 @@ fn is_shielded_four_sided(
         candidates.iter().any(|p| {
             sides
                 .iter()
-                .all(|l| cij_geom::polygon_within_phi(l, &p.point, t))
+                .all(|l| cij_geom::polygon_within_phi(l, &p.point, t, margin))
         })
     })
 }
@@ -602,15 +602,8 @@ fn reference_filter<T: NodeReader<PointObject>>(
     let centroid = Point::centroid(&centers).unwrap_or_else(|| domain.center());
     let group = probes
         .iter()
-        .fold(Rect::empty(), |acc, t| acc.union(&t.bbox()));
-    let pad = cij_geom::EPS * (1.0 + group.width() + group.height());
-    let padded = Rect::from_coords(
-        group.lo.x - pad,
-        group.lo.y - pad,
-        group.hi.x + pad,
-        group.hi.y + pad,
-    );
-    let seed = ConvexPolygon::from_rect(&domain.intersection(&padded).unwrap_or(*domain));
+        .fold(Rect::empty(), |acc, t| acc.union(&widened(&t.bbox())));
+    let seed = ConvexPolygon::from_rect(&domain.intersection(&group).unwrap_or(*domain));
 
     let mut queue = TraversalQueue::default();
     let enqueue = |queue: &mut TraversalQueue, node: cij_rtree::Node<PointObject>| {
@@ -635,19 +628,15 @@ fn reference_filter<T: NodeReader<PointObject>>(
                         break;
                     }
                 }
-                let cbb = cell.bbox();
-                if probes
-                    .iter()
-                    .any(|t| cbb.intersects(&t.bbox()) && cell.intersects(t))
-                {
+                if probes.iter().any(|t| cell.intersects(t)) {
                     candidates.push(p);
                 }
             }
             TraversalEntry::Node { page, mbr } => {
-                let touches_some_poly = probes
-                    .iter()
-                    .any(|t| mbr.intersects(&t.bbox()) && t.intersects_rect(&mbr));
-                if !touches_some_poly && is_shielded_four_sided(&mbr.sides(), &probes, &candidates)
+                let touches_some_poly = probes.iter().any(|t| t.intersects_rect(&mbr));
+                let margin = shield_margin(&mbr, &group);
+                if !touches_some_poly
+                    && is_shielded_four_sided(&mbr.sides(), margin, &probes, &candidates)
                 {
                     stats.entries_pruned += 1;
                     continue;
@@ -826,13 +815,13 @@ mod tests {
     fn shield_test_requires_candidates() {
         let mbr = Rect::from_coords(9_000.0, 9_000.0, 9_100.0, 9_100.0);
         let t = ConvexPolygon::from_rect(&Rect::from_coords(0.0, 0.0, 100.0, 100.0));
-        let corners = t.bbox().corners();
+        let group = t.bbox();
         let polys = [t];
         let probes = all_probes(&polys, &[0]);
         let bounds = &mut Vec::new();
-        assert!(!is_shielded(&mbr, &corners, probes, &[], bounds));
+        assert!(!is_shielded(&mbr, &group, probes, &[], bounds));
         let shield = PointObject::new(0, Point::new(4_000.0, 4_000.0));
-        assert!(is_shielded(&mbr, &corners, probes, &[shield], bounds));
+        assert!(is_shielded(&mbr, &group, probes, &[shield], bounds));
     }
 
     /// Every polygon of `polys` as a probe, empty ones included (`usable`
@@ -860,21 +849,23 @@ mod tests {
         ])
     }
 
+    /// Pruning discards, so a polygon that touches the Φ boundary is not
+    /// shielded: only one inside it by more than the margin is.
     #[test]
-    fn boundary_triangles_straddle_the_phi_tolerance() {
+    fn boundary_triangles_straddle_the_phi_margin() {
         let mbr = Rect::from_coords(7_000.0, 3_000.0, 7_300.0, 3_400.0);
         let p = PointObject::new(0, Point::new(6_100.0, 3_200.0));
-        let sides = mbr.sides();
-        for (steps, expected) in [(-2, true), (0, true), (2, false)] {
-            let polys = [boundary_triangle(
-                &mbr,
-                &p.point,
-                f64::from(steps) * cij_geom::EPS,
-            )];
+        let (sides, margin) = (mbr.sides(), shield_margin(&mbr, &mbr));
+        for (steps, expected) in [(-2, true), (0, false), (2, false)] {
+            let polys = [boundary_triangle(&mbr, &p.point, f64::from(steps) * margin)];
             let bounds = &mut Vec::new();
-            let tabled = is_shielded_per_polygon(&sides, all_probes(&polys, &[0]), &[p], bounds);
-            assert_eq!(tabled, expected, "apex {steps} EPS past the boundary");
-            assert_eq!(tabled, is_shielded_four_sided(&sides, &[&polys[0]], &[p]));
+            let probes = all_probes(&polys, &[0]);
+            let tabled = is_shielded_per_polygon(&sides, margin, probes, &[p], bounds);
+            assert_eq!(tabled, expected, "apex {steps} margins past the boundary");
+            assert_eq!(
+                tabled,
+                is_shielded_four_sided(&sides, margin, &[&polys[0]], &[p])
+            );
         }
     }
 
@@ -998,13 +989,14 @@ mod tests {
             let group = polys.iter().fold(Rect::empty(), |acc, t| acc.union(&t.bbox()));
             let with_fast_path = is_shielded(
                 &mbr,
-                &group.corners(),
+                &group,
                 all_probes(&polys, &usable),
                 &candidates,
                 &mut Vec::new(),
             );
             let refs: Vec<&ConvexPolygon> = polys.iter().collect();
-            let plain = is_shielded_four_sided(&mbr.sides(), &refs, &candidates);
+            let margin = shield_margin(&mbr, &group);
+            let plain = is_shielded_four_sided(&mbr.sides(), margin, &refs, &candidates);
             prop_assert_eq!(with_fast_path, plain);
         }
 
@@ -1012,7 +1004,7 @@ mod tests {
         /// sequence of entries sharing one table — whatever the previous
         /// entry and polygon left in it — with candidate lists that grow
         /// and shrink, an empty polygon in the group and apexes within
-        /// ±2 EPS of a Φ boundary, every answer equals the four-sided
+        /// ±2 margins of a Φ boundary, every answer equals the four-sided
         /// `polygon_within_phi` rule.
         #[test]
         fn tabled_shield_test_equals_the_four_sided_rule(
@@ -1035,7 +1027,8 @@ mod tests {
                 edge_mbr.lo.y + rng.gen_range(0.0..400.0f64).round(),
             );
             for _ in 0..rng.gen_range(1..4) {
-                let delta = f64::from(rng.gen_range(-2i32..=2)) * cij_geom::EPS;
+                let margin = shield_margin(&edge_mbr, &edge_mbr);
+                let delta = f64::from(rng.gen_range(-2i32..=2)) * margin;
                 let at = rng.gen_range(0..=polys.len());
                 polys.insert(at, boundary_triangle(&edge_mbr, &edge_cand, delta));
             }
@@ -1056,10 +1049,10 @@ mod tests {
                 };
                 // Candidate lists grow *and* shrink along the sequence.
                 let cands = &candidates[..rng.gen_range(0..=candidates.len())];
-                let sides = mbr.sides();
+                let (sides, margin) = (mbr.sides(), shield_margin(&mbr, &mbr));
                 let probes = all_probes(&polys, &usable);
-                let tabled = is_shielded_per_polygon(&sides, probes, cands, &mut bounds);
-                prop_assert_eq!(tabled, is_shielded_four_sided(&sides, &refs, cands));
+                let tabled = is_shielded_per_polygon(&sides, margin, probes, cands, &mut bounds);
+                prop_assert_eq!(tabled, is_shielded_four_sided(&sides, margin, &refs, cands));
             }
         }
     }

@@ -14,8 +14,9 @@
 //! NM-CIJ materialises nothing, and neither does this plan. When the join
 //! reports a leaf it holds `V(q, Q)` of every leaf point and `V(p, P)` of
 //! every candidate, and `l` lies in `V(p) ∩ V(q)` iff it lies in both cells:
-//! two [`ConvexPolygon::contains_point`] tests (boundary inclusive,
-//! `EPS`-tolerant) stand in for the region polygon, which is never built,
+//! two [`ConvexPolygon::contains_point`] tests (boundary inclusive, under
+//! the `cij_geom` tolerance policy) stand in for the region polygon, which
+//! is never built,
 //! and no cell is computed that the join did not compute anyway. A grouped
 //! run is the join's own stream with a `LocationProbe` attached and reads
 //! exactly the pages of `nm_cij` / `Request::Join` over the same sets.
@@ -38,7 +39,8 @@
 use crate::config::CijConfig;
 use crate::nm::NmPairIter;
 use crate::workload::Workload;
-use cij_geom::{ConvexPolygon, GridFrame, Point, Rect, EPS};
+use cij_geom::tolerance::widened;
+use cij_geom::{ConvexPolygon, GridFrame, Point, Rect};
 use cij_voronoi::nearest_index;
 use std::collections::HashMap;
 
@@ -76,11 +78,12 @@ impl LocationProbe {
     }
 
     /// The locations [`ConvexPolygon::contains_point`] finds in `cell`, looked
-    /// for in the buckets under its bounding box grown by that test's `EPS`.
+    /// for in the buckets under its bounding box widened by the tolerance
+    /// that test allows.
     pub(crate) fn locations_in(&self, cell: &ConvexPolygon) -> Vec<(usize, Point)> {
-        let Rect { lo, hi } = cell.bbox();
-        let (i0, j0) = self.frame.bucket_of(&Point::new(lo.x - EPS, lo.y - EPS));
-        let (i1, j1) = self.frame.bucket_of(&Point::new(hi.x + EPS, hi.y + EPS));
+        let Rect { lo, hi } = widened(&cell.bbox());
+        let (i0, j0) = self.frame.bucket_of(&lo);
+        let (i1, j1) = self.frame.bucket_of(&hi);
         let mut held = Vec::new();
         for row in (j0..=j1).map(|j| j * self.frame.res()) {
             let from = self.slots.partition_point(|s| s.0 < row + i0);

@@ -61,7 +61,7 @@
 //! The Section IV-B *reuse buffer* is the bounded LRU
 //! [`CellCache`], shared by NM-CIJ, PM-CIJ and the
 //! [`multiway`] / [`grouped`] extensions through the cache-aware
-//! [`cij_voronoi::batch_voronoi_cached`] API. Its capacity is bounded by
+//! [`cij_voronoi::batch_voronoi`] API. Its capacity is bounded by
 //! [`CijConfig::cell_cache_capacity`]; hit/miss/eviction counts surface
 //! through [`NmCounters`] and the shared [`cij_pagestore::IoStats`].
 //!

@@ -37,7 +37,8 @@
 //!   polygon intersection; empty intersections drop the candidate tuple.
 //!
 //! The candidate×partial narrowing of every extension round skips
-//! **bbox-disjoint** combinations outright — their polygon intersection
+//! **bbox-disjoint** combinations outright — boxes farther apart than their
+//! tolerance ([`cij_geom::tolerance::widened`]), whose polygon intersection
 //! would be empty anyway — observable as
 //! [`MultiwayCounters::narrowings_skipped`].
 //!
@@ -125,6 +126,7 @@ use crate::config::CijConfig;
 use crate::filter::{batch_conditional_filter_scratch, FilterOptions, FilterStats};
 use crate::stats::{LeafWatermark, MultiwayCounters, ProgressSample};
 use crate::workload::{pick_driver, MultiwayWorkload};
+use cij_geom::tolerance::widened;
 use cij_geom::{ClipScratch, ConvexPolygon, Point, Rect};
 use cij_pagestore::PageIoError;
 use cij_rtree::{NodeReader, PointObject, RTree, ReadLog};
@@ -262,8 +264,8 @@ impl Partials {
 /// intersections as the tuples of `next` — whatever `next` held is
 /// overwritten, its outline buffers reused — and returns the number of
 /// narrowings skipped: bbox-disjoint combinations, whose polygon
-/// intersection would be empty anyway (touching bboxes still intersect, so
-/// degenerate contacts take the exact path).
+/// intersection would be empty anyway (the boxes are widened by their
+/// tolerance, so degenerate contacts take the clipping path).
 fn extend_into(
     cur: &Partials,
     candidates: &[PointObject],
@@ -274,10 +276,10 @@ fn extend_into(
     next.stride = cur.stride + 1;
     next.len = 0;
     next.ids.clear();
-    let cell_bboxes: Vec<Rect> = cells.iter().map(|c| c.bbox()).collect();
+    let cell_bboxes: Vec<Rect> = cells.iter().map(|c| widened(&c.bbox())).collect();
     let mut skipped = 0u64;
     for (j, region) in cur.regions().iter().enumerate() {
-        let region_bbox = region.bbox();
+        let region_bbox = widened(&region.bbox());
         for ((cand, cell), cell_bbox) in candidates.iter().zip(cells).zip(&cell_bboxes) {
             if !region_bbox.intersects(cell_bbox) {
                 skipped += 1;
@@ -675,9 +677,9 @@ fn recycle(spare: &mut Vec<Partials>, mut table: Partials) {
 
 /// The literal extension step, the reference [`extend_into`] is tested
 /// against: one owned [`MultiwayTuple`] per partial, **every** combination
-/// narrowed through the allocating [`ConvexPolygon::intersection`]. Also
-/// returns how many combinations were bbox-disjoint, after checking that
-/// each of those came out empty — which is what lets the product skip them.
+/// narrowed through [`ConvexPolygon::intersection`] (held to a plain
+/// Sutherland–Hodgman reference in `cij_geom`). Also returns how many were
+/// bbox-disjoint, after checking each came out empty: the product skips them.
 #[cfg(test)]
 fn extend_partials(
     partials: &[MultiwayTuple],
@@ -689,7 +691,7 @@ fn extend_partials(
     for partial in partials {
         for (cand, cell) in candidates.iter().zip(cells) {
             let region = partial.region.intersection(cell);
-            if !partial.region.bbox().intersects(&cell.bbox()) {
+            if !widened(&partial.region.bbox()).intersects(&widened(&cell.bbox())) {
                 assert!(region.is_empty(), "a bbox-disjoint narrowing is empty");
                 disjoint += 1;
             }

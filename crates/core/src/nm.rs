@@ -74,7 +74,7 @@ use crate::workload::Workload;
 use cij_geom::{ConvexPolygon, Point};
 use cij_pagestore::{PageId, PageIoError};
 use cij_rtree::{NodeReader, PointObject, RTree, ReadLog};
-use cij_voronoi::batch_voronoi_with;
+use cij_voronoi::{batch_voronoi, NoCache};
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -401,7 +401,7 @@ fn scan_leaf(
     let (cells_q, (candidates, fstats)) = if group.is_empty() {
         Default::default()
     } else {
-        let cells_q = batch_voronoi_with(&mut rq, &group, &env.domain, &mut scratch.vor);
+        let cells_q = batch_voronoi(&mut rq, &group, &env.domain, &mut NoCache, &mut scratch.vor);
         let filtered = batch_conditional_filter_scratch(
             &mut rp,
             &cells_q,
@@ -453,7 +453,6 @@ mod tests {
     use crate::stats::ProgressSample;
     use cij_geom::Point;
     use cij_rtree::{RTreeConfig, SnapshotReader};
-    use cij_voronoi::batch_voronoi_cached;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::HashSet;
@@ -896,18 +895,18 @@ mod tests {
                 continue;
             }
             // (1) Q cells, (2) filter RP, (3) refine through the cache.
-            let cells_q = batch_voronoi_with(rq, &group, &domain, vor);
+            let cells_q = batch_voronoi(rq, &group, &domain, &mut NoCache, vor);
             let options = FilterOptions::default();
             let (candidates, fstats) =
                 batch_conditional_filter_scratch(rp, &cells_q, &domain, &options, filter);
             let (hits, misses) = (cache.hits(), cache.misses());
-            let cells_p = batch_voronoi_cached(rp, &candidates, &domain, &mut cache, vor);
+            let cells_p = batch_voronoi(rp, &candidates, &domain, &mut cache, vor);
             assert!(rq.take_error().or_else(|| rp.take_error()).is_none());
             // (4) Report.
             let mut true_hits = HashSet::new();
             for (q_obj, q_cell) in group.iter().zip(&cells_q) {
                 for (p_obj, p_cell) in candidates.iter().zip(&cells_p) {
-                    if p_cell.bbox().intersects(&q_cell.bbox()) && p_cell.intersects(q_cell) {
+                    if p_cell.intersects(q_cell) {
                         true_hits.insert(p_obj.id.0);
                         pairs.push((p_obj.id.0, q_obj.id.0));
                     }

@@ -11,9 +11,9 @@ use crate::config::CijConfig;
 use crate::stats::{CijOutcome, CostBreakdown, ProgressSample};
 use crate::vor_rtree::materialize_voronoi_rtree;
 use crate::workload::Workload;
-use cij_geom::Rect;
+use cij_geom::{tolerance::widened, Rect};
 use cij_rtree::NodeReader;
-use cij_voronoi::{batch_voronoi_cached, NoCache, VorScratch};
+use cij_voronoi::{batch_voronoi, NoCache, VorScratch};
 use std::time::Instant;
 
 /// Runs PM-CIJ on a workload, returning the result pairs and the MAT/JOIN
@@ -53,7 +53,7 @@ pub fn pm_cij(workload: &mut Workload, config: &CijConfig) -> CijOutcome {
     let leaves = workload.rq.leaf_pages_hilbert_order(&config.domain);
     for leaf in leaves {
         let group = NodeReader::read(&mut workload.rq, leaf).objects;
-        let cells_q = batch_voronoi_cached(
+        let cells_q = batch_voronoi(
             &mut workload.rq,
             &group,
             &config.domain,
@@ -67,17 +67,17 @@ pub fn pm_cij(workload: &mut Workload, config: &CijConfig) -> CijOutcome {
             continue;
         }
 
-        // One batched range probe covering every cell of the group.
+        // One batched range probe covering every cell of the group, each
+        // box widened as the intersection test widens it.
         let mut probe = Rect::empty();
         for cell in &cells_q {
-            probe = probe.union(&cell.bbox());
+            probe = probe.union(&widened(&cell.bbox()));
         }
         let candidates = vor_p.range_query(&probe);
 
         for (q_obj, q_cell) in group.iter().zip(&cells_q) {
-            let q_bbox = q_cell.bbox();
             for cand in &candidates {
-                if cand.cell.bbox().intersects(&q_bbox) && cand.cell.intersects(q_cell) {
+                if cand.cell.intersects(q_cell) {
                     pairs.push((cand.id.0, q_obj.id.0));
                 }
             }
@@ -142,6 +142,48 @@ mod tests {
             outcome.sorted_pairs(),
             brute_force_cij(&p, &q, &config.domain)
         );
+    }
+
+    /// Two wedge cells, apex facing apex `1.25·τ·M` apart (`M` the largest
+    /// coordinate): within what the intersection test's two widened boxes
+    /// and its 45° edges accept, beyond one box's widening. PM's range probe
+    /// reaches as far as the test, so PM reports the pair as FM and the
+    /// brute-force join do — with q's leaf holding no cell that reaches the
+    /// apex.
+    #[test]
+    fn a_tolerated_near_miss_is_reported_by_pm_as_by_fm() {
+        let domain = Rect::from_coords(10_000.0, 10_000.0, 20_000.0, 20_000.0);
+        let config = CijConfig::default()
+            .with_domain(domain)
+            .with_rtree(RTreeConfig {
+                page_size: 512,
+                max_entries: 2,
+            });
+        // p's cell: the triangle (10 000, 10 000), (15 000, 15 000),
+        // (10 000, 20 000).
+        let p = [
+            (11_000.0, 15_000.0),
+            (15_000.0, 19_000.0),
+            (15_000.0, 11_000.0),
+        ];
+        // q's cell: its mirror image, the apex moved right by 1.25·τ·M; the
+        // other points of Q lie right of q.
+        let x = 15_000.0 + 1.25 * cij_geom::tolerance::distance(20_000.0);
+        let mut q = vec![(x + 4_000.0, 15_000.0), (x, 19_000.0), (x, 11_000.0)];
+        q.extend((1..8).map(|i| {
+            (
+                19_000.0 + 120.0 * i as f64,
+                15_000.0 + 40.0 * (i % 3) as f64,
+            )
+        }));
+        let points = |s: &[(f64, f64)]| s.iter().map(|&(x, y)| Point::new(x, y)).collect();
+        let (p, q): (Vec<Point>, Vec<Point>) = (points(&p), points(&q));
+        let brute = brute_force_cij(&p, &q, &domain);
+        assert!(brute.contains(&(0, 0)), "the near miss is a pair");
+        let mut w = Workload::build(&p, &q, &config);
+        assert_eq!(fm_cij(&mut w, &config).sorted_pairs(), brute);
+        let mut w = Workload::build(&p, &q, &config);
+        assert_eq!(pm_cij(&mut w, &config).sorted_pairs(), brute);
     }
 
     #[test]

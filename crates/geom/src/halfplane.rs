@@ -6,44 +6,59 @@
 //! polygon with [`HalfPlane`]s.
 
 use crate::point::Point;
-use crate::EPS;
+use crate::tolerance::{self, magnitude};
 
 /// A closed halfplane `{ a | normal · a <= offset }`.
 ///
 /// The *inside* of the halfplane is where the linear functional is at most
 /// `offset`; [`HalfPlane::signed_slack`] is positive strictly inside,
-/// negative strictly outside and ~0 on the boundary line.
+/// negative strictly outside and ~0 on the boundary line. Each halfplane
+/// carries the threshold of its sidedness decisions, computed once at
+/// construction from the magnitude of the points that define it
+/// ([`tolerance::slack`]); [`HalfPlane::contains`] is the one sidedness
+/// test.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HalfPlane {
     /// Normal vector pointing towards the *excluded* side.
     pub normal: Point,
     /// Offset of the boundary line along the normal.
     pub offset: f64,
+    /// How far below zero a slack may fall and still count as inside.
+    pub(crate) tolerance: f64,
 }
 
 impl HalfPlane {
-    /// Constructs the halfplane `{ a | normal · a <= offset }` directly.
+    /// The halfplane left of the directed edge `a → b` — the interior side
+    /// of a counter-clockwise polygon's edge:
+    /// `cross(b − a, x − a) >= 0`.
     #[inline]
-    pub const fn new(normal: Point, offset: f64) -> Self {
-        HalfPlane { normal, offset }
+    pub fn edge(a: &Point, b: &Point) -> Self {
+        let d = *b - *a;
+        let normal = Point::new(d.y, -d.x);
+        HalfPlane {
+            normal,
+            offset: d.y * a.x - d.x * a.y,
+            tolerance: tolerance::slack(&normal, magnitude(a).max(magnitude(b))),
+        }
     }
 
     /// The perpendicular-bisector halfplane `⊥p(p, q)`: all locations closer
     /// to (or equidistant from) `p` than `q` (Eq. 1 of the paper).
     ///
-    /// # Panics
-    ///
-    /// Does not panic, but if `p == q` the resulting halfplane degenerates to
-    /// the whole plane (zero normal), which never refines a cell — matching
-    /// the paper's convention that a point does not constrain itself.
+    /// If `p == q` the halfplane degenerates to the whole plane (zero
+    /// normal), which never refines a cell — the paper's convention that a
+    /// point does not constrain itself.
     #[inline]
     pub fn bisector(p: &Point, q: &Point) -> Self {
         // dist(a, p) <= dist(a, q)
         //   <=>  -2 a·p + |p|^2 <= -2 a·q + |q|^2
         //   <=>  a·(q - p) <= (|q|^2 - |p|^2) / 2
         let normal = *q - *p;
-        let offset = (q.norm_sq() - p.norm_sq()) * 0.5;
-        HalfPlane { normal, offset }
+        HalfPlane {
+            normal,
+            offset: (q.norm_sq() - p.norm_sq()) * 0.5,
+            tolerance: tolerance::slack(&normal, magnitude(p).max(magnitude(q))),
+        }
     }
 
     /// Signed slack of a point: `offset - normal · a`.
@@ -54,32 +69,20 @@ impl HalfPlane {
         self.offset - self.normal.dot(a)
     }
 
-    /// Whether the point lies inside the (closed) halfplane, with a small
-    /// tolerance so that boundary points are included.
+    /// Whether the point lies inside the closed halfplane: its slack is no
+    /// further below zero than the halfplane's threshold, so a point on the
+    /// boundary line is inside.
     #[inline]
     pub fn contains(&self, a: &Point) -> bool {
-        self.signed_slack(a) >= -EPS * (1.0 + self.normal.norm())
+        self.signed_slack(a) >= -self.tolerance
     }
 
-    /// Whether this halfplane is degenerate (zero normal), i.e. covers the
-    /// whole plane and can never refine a Voronoi cell.
+    /// Whether this halfplane is degenerate (zero normal, the bisector of a
+    /// site and itself), i.e. covers the whole plane and can never refine a
+    /// Voronoi cell.
     #[inline]
     pub fn is_degenerate(&self) -> bool {
-        self.normal.norm_sq() <= f64::EPSILON
-    }
-
-    /// Intersection parameter of the boundary line with the segment `a..b`,
-    /// i.e. the `t ∈ ℝ` with `slack(a + t (b - a)) = 0`, or `None` when the
-    /// segment is parallel to the boundary.
-    pub(crate) fn boundary_param(&self, a: &Point, b: &Point) -> Option<f64> {
-        let sa = self.signed_slack(a);
-        let sb = self.signed_slack(b);
-        let denom = sa - sb;
-        if denom.abs() <= f64::EPSILON {
-            None
-        } else {
-            Some(sa / denom)
-        }
+        self.normal.x == 0.0 && self.normal.y == 0.0
     }
 }
 
@@ -132,27 +135,16 @@ mod tests {
         assert!(hp.contains(&Point::new(100.0, -50.0)));
     }
 
+    /// The line `x = 5`, kept side `x <= 5`: a point a few `τ` past it is
+    /// inside, a point a hundred `τ` past it is not — at every scale.
     #[test]
-    fn boundary_param_finds_crossing() {
-        let p = Point::new(0.0, 0.0);
-        let q = Point::new(4.0, 0.0);
-        let hp = HalfPlane::bisector(&p, &q);
-        // Segment from (0,1) to (4,1) crosses the bisector x=2 at t=0.5.
-        let t = hp
-            .boundary_param(&Point::new(0.0, 1.0), &Point::new(4.0, 1.0))
-            .unwrap();
-        assert!((t - 0.5).abs() < 1e-12);
-        // Parallel segment yields None.
-        assert!(hp
-            .boundary_param(&Point::new(2.0, 0.0), &Point::new(2.0, 5.0))
-            .is_none());
-    }
-
-    #[test]
-    fn contains_is_tolerant_near_boundary() {
-        let hp = HalfPlane::new(Point::new(1.0, 0.0), 5.0);
-        assert!(hp.contains(&Point::new(5.0, 3.0)));
-        assert!(hp.contains(&Point::new(5.0 + 1e-9, 3.0)));
-        assert!(!hp.contains(&Point::new(5.1, 3.0)));
+    fn contains_is_tolerant_near_boundary_at_every_scale() {
+        for k in [-40, 0, 30] {
+            let s = 2f64.powi(k);
+            let hp = HalfPlane::edge(&Point::new(5.0 * s, 0.0), &Point::new(5.0 * s, 6.0 * s));
+            assert!(hp.contains(&Point::new(5.0 * s, 3.0 * s)));
+            assert!(hp.contains(&Point::new((5.0 + 3e-11) * s, 3.0 * s)));
+            assert!(!hp.contains(&Point::new((5.0 + 1e-9) * s, 3.0 * s)));
+        }
     }
 }

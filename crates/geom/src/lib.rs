@@ -25,6 +25,42 @@
 //!
 //! All coordinates are `f64`. The paper normalises datasets to the square
 //! `[0, 10000]²`; [`Rect::DOMAIN`] is that default universe.
+//!
+//! # Tolerance policy
+//!
+//! Every geometric decision of the workspace takes its threshold from one
+//! module, [`tolerance`], under one rule, one direction and one contract.
+//!
+//! * **One rule.** A threshold is [`tolerance::TAU`] (`τ = 1e-11`) times the
+//!   magnitude of the operands — the largest absolute coordinate of the
+//!   points the decision is about — in the units of the quantity compared:
+//!   `τ·M` for a distance, `τ·M·‖n‖₁` for the slack of a line with normal
+//!   `n`, `τ·M²` for a difference of squared distances. It is computed once
+//!   per halfplane, edge or entry ([`HalfPlane`] carries its own), never per
+//!   vertex, and it is never absolute: every threshold scales with the
+//!   coordinates, so each decision at scale `2^k` is the decision at scale
+//!   1, bit for bit. At the paper's `[0, 10000]²` a distance threshold is
+//!   `10⁻⁷`.
+//! * **One direction.** Decisions that keep are inclusive — on the line is
+//!   inside: clipping, containment, the join's cell-intersection test (the
+//!   separating-axis "not separated"), the grouped-NN claim. Decisions that
+//!   discard fire only strictly beyond the threshold: Φ pruning, the reach
+//!   gate, a bisector cutting a cell, TP-VOR's re-check. Degeneracy tests are
+//!   exact (a zero normal, a zero-length segment).
+//! * **The contract.** What a join returns:
+//!   - Cells are closed (Eqs. 1–2): two cells that share only a vertex or an
+//!     edge — a contact of measure zero — intersect, so the pair joins.
+//!   - On lattice inputs the result is exact at every power-of-two scale:
+//!     sites and domain corners on a grid at most 64 steps wide, with step
+//!     `2^k`, `|k| ≤ 40`. `tests/exact_oracle.rs` holds every join
+//!     algorithm to an integer oracle on such inputs.
+//!   - Elsewhere a pair whose cells (of three or more vertices) do not touch
+//!     is reported only when the cells are less than `2√2·τ·M` apart, `M`
+//!     the largest coordinate magnitude of the two. The closest points face
+//!     each other across an edge, whose test alone bounds the gap by
+//!     `√2·τ·M`, or tip to tip, where an edge normal or a coordinate axis
+//!     lies within 45° of the gap and its test — an edge's threshold or the
+//!     widened boxes — bounds it by `2√2·τ·M`.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -37,19 +73,12 @@ pub mod point;
 pub mod polygon;
 pub mod rect;
 pub mod segment;
+pub mod tolerance;
 
 pub use grid::{GridFrame, PointGrid, RectGrid};
 pub use halfplane::HalfPlane;
-pub use phi::{phi_contains_point, polygon_within_phi, rect_within_phi_all_sides};
+pub use phi::{phi_contains_point, polygon_within_phi};
 pub use point::Point;
 pub use polygon::{ClipScratch, ConvexPolygon, EdgeTable};
 pub use rect::Rect;
 pub use segment::Segment;
-
-/// Geometric tolerance used for robustness in predicates.
-///
-/// Coordinates in the reproduction live in `[0, 10000]`, so an absolute
-/// epsilon of `1e-7` is roughly a relative error of `1e-11` — far below the
-/// resolution of the generated workloads but large enough to absorb the
-/// rounding introduced by repeated halfplane clipping.
-pub const EPS: f64 = 1e-7;

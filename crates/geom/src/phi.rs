@@ -22,59 +22,73 @@
 
 use crate::point::Point;
 use crate::polygon::ConvexPolygon;
-use crate::rect::Rect;
 use crate::segment::Segment;
-use crate::EPS;
 
-/// Whether location `b` lies in Φ(L, p), i.e. is at least as close to `p` as
-/// to any location of the segment `L`.
+/// Whether location `b` lies in Φ(L, p) with room to spare: strictly closer
+/// to `p` than to every location of the segment `L`, by more than `margin`
+/// in squared-distance units. Pruning on Φ discards, so "on the boundary"
+/// is outside (crate docs, "Tolerance policy"); `margin` is the decision's
+/// [`sq_margin`](crate::tolerance::sq_margin), computed once per entry by
+/// the caller.
 #[inline]
-pub fn phi_contains_point(l: &Segment, p: &Point, b: &Point) -> bool {
-    // dist(p, b) <= mindist(L, b)   (closed region, small tolerance)
-    b.dist_sq(p) <= l.mindist_point_sq(b) + EPS
+pub fn phi_contains_point(l: &Segment, p: &Point, b: &Point, margin: f64) -> bool {
+    b.dist_sq(p) < l.mindist_point_sq(b) - margin
 }
 
-/// Lemma 3: whether the convex polygon `t` lies entirely within Φ(L, p).
+/// Lemma 3: whether the convex polygon `t` lies entirely within Φ(L, p),
+/// every vertex by more than `margin` ([`phi_contains_point`]).
 ///
 /// Returns `false` for an empty polygon (an empty region cannot certify a
 /// prune — the caller should never reach this case, but being conservative
 /// here can only cost extra work, never correctness).
-pub fn polygon_within_phi(l: &Segment, p: &Point, t: &ConvexPolygon) -> bool {
+pub fn polygon_within_phi(l: &Segment, p: &Point, t: &ConvexPolygon, margin: f64) -> bool {
     if t.is_empty() {
         return false;
     }
-    t.vertices().iter().all(|v| phi_contains_point(l, p, v))
-}
-
-/// The full non-leaf pruning rule of Section IV-A: whether the polygon `t`
-/// falls within Φ(L, p) for **every** side `L` of the rectangle `e`.
-///
-/// When this holds for some already-seen candidate point `p`, the Voronoi
-/// cell of any point inside `e` cannot intersect `t`, so the subtree under
-/// `e` can be pruned.
-pub fn rect_within_phi_all_sides(e: &Rect, p: &Point, t: &ConvexPolygon) -> bool {
-    if t.is_empty() || e.is_empty() {
-        return false;
-    }
-    e.sides().iter().all(|l| polygon_within_phi(l, p, t))
+    t.vertices()
+        .iter()
+        .all(|v| phi_contains_point(l, p, v, margin))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rect::Rect;
+    use crate::tolerance::{self, rect_magnitude};
+
+    /// The full non-leaf pruning rule of Section IV-A: whether `t` falls
+    /// within Φ(L, p) for every side `L` of the entry `e`, under the margin
+    /// of their magnitude — the rule the conditional filter tabulates.
+    fn rect_within_phi_all_sides(e: &Rect, p: &Point, t: &ConvexPolygon) -> bool {
+        let m = rect_magnitude(&e.union(&t.bbox()));
+        let margin = tolerance::sq_margin(m * m);
+        e.sides()
+            .iter()
+            .all(|l| polygon_within_phi(l, p, t, margin))
+    }
+
+    /// The margin of operands of magnitude 10: `sq_margin(10²)`.
+    const MARGIN: f64 = tolerance::TAU * 100.0;
 
     #[test]
     fn phi_contains_points_near_p_and_far_from_l() {
         let l = Segment::new(Point::new(10.0, 0.0), Point::new(10.0, 10.0));
         let p = Point::new(0.0, 5.0);
         // Points close to p and far from L are inside Φ.
-        assert!(phi_contains_point(&l, &p, &p));
-        assert!(phi_contains_point(&l, &p, &Point::new(1.0, 5.0)));
-        // The midpoint between p and L is on the boundary (inside, closed).
-        assert!(phi_contains_point(&l, &p, &Point::new(5.0, 5.0)));
+        assert!(phi_contains_point(&l, &p, &p, MARGIN));
+        assert!(phi_contains_point(&l, &p, &Point::new(1.0, 5.0), MARGIN));
+        // The midpoint between p and L is on the boundary: Φ discards, so
+        // the boundary is outside.
+        assert!(!phi_contains_point(&l, &p, &Point::new(5.0, 5.0), MARGIN));
+        assert!(phi_contains_point(
+            &l,
+            &p,
+            &Point::new(5.0 - 1e-9, 5.0),
+            MARGIN
+        ));
         // Points close to L are outside.
-        assert!(!phi_contains_point(&l, &p, &Point::new(9.0, 5.0)));
-        assert!(!phi_contains_point(&l, &p, &Point::new(10.0, 0.0)));
+        assert!(!phi_contains_point(&l, &p, &Point::new(9.0, 5.0), MARGIN));
+        assert!(!phi_contains_point(&l, &p, &Point::new(10.0, 0.0), MARGIN));
     }
 
     #[test]
@@ -87,8 +101,8 @@ mod tests {
         // (10, 1), so locations near x=10 but high up can still be closer to
         // the endpoint than to p... verify against the definition directly.
         let b = Point::new(4.0, 40.0);
-        let expected = b.dist(&p) <= l.mindist_point(&b);
-        assert_eq!(phi_contains_point(&l, &p, &b), expected);
+        let expected = b.dist(&p) < l.mindist_point(&b);
+        assert_eq!(phi_contains_point(&l, &p, &b, MARGIN), expected);
     }
 
     #[test]
@@ -97,9 +111,9 @@ mod tests {
         let p = Point::new(0.0, 5.0);
         let inside = ConvexPolygon::from_rect(&Rect::from_coords(0.0, 4.0, 2.0, 6.0));
         let straddling = ConvexPolygon::from_rect(&Rect::from_coords(3.0, 4.0, 8.0, 6.0));
-        assert!(polygon_within_phi(&l, &p, &inside));
-        assert!(!polygon_within_phi(&l, &p, &straddling));
-        assert!(!polygon_within_phi(&l, &p, &ConvexPolygon::empty()));
+        assert!(polygon_within_phi(&l, &p, &inside, MARGIN));
+        assert!(!polygon_within_phi(&l, &p, &straddling, MARGIN));
+        assert!(!polygon_within_phi(&l, &p, &ConvexPolygon::empty(), MARGIN));
     }
 
     #[test]

@@ -9,24 +9,22 @@
 //!
 //! ## Clipping APIs and the scratch-buffer ownership contract
 //!
-//! Halfplane clipping comes in two forms that produce bit-for-bit identical
-//! vertex sets:
-//!
-//! * [`ConvexPolygon::clip`] / [`ConvexPolygon::clip_bisector`] — the
-//!   allocating form: returns a fresh polygon (with a fast path that skips
-//!   the rebuild entirely when no vertex is clipped).
-//! * [`ConvexPolygon::clip_in_place`] / [`ConvexPolygon::clip_into`] /
-//!   [`ConvexPolygon::clip_bisector_in_place`] — the batch form used by the
-//!   hot loops: one pass over the outline computes every vertex slack (the
-//!   expression [`HalfPlane::signed_slack`] evaluates, so the same bits)
-//!   and whether all of them are inside, and the surviving vertices are
-//!   written through a caller-owned [`ClipScratch`], so a steady-state clip
-//!   performs **zero** heap allocation.
+//! Halfplane clipping has one kernel,
+//! [`ConvexPolygon::clip_in_place`] (with [`ConvexPolygon::clip_into`] and
+//! [`ConvexPolygon::clip_bisector_in_place`] around it), the form the hot
+//! loops use: one pass over the outline computes every vertex slack (the
+//! expression [`HalfPlane::signed_slack`] evaluates, so the same bits) and
+//! whether all of them are inside — the answer it returns, so a caller that
+//! counts cuts needs no pass of its own — and the surviving vertices are
+//! written through a caller-owned [`ClipScratch`], so a steady-state clip
+//! performs **zero** heap allocation. [`ConvexPolygon::clip`] /
+//! [`ConvexPolygon::clip_bisector`] run it on a copy through a fresh scratch;
+//! the tests hold it to a plain Sutherland–Hodgman reference.
 //!
 //! Polygon intersection follows the same split:
-//! [`ConvexPolygon::intersection`] is the allocating reference,
-//! [`ConvexPolygon::intersection_into`] the same edge-by-edge clipping
-//! through `clip_in_place` into a caller-owned output polygon.
+//! [`ConvexPolygon::intersection_into`] clips edge by edge through
+//! `clip_in_place` into a caller-owned output polygon, and
+//! [`ConvexPolygon::intersection`] is it with a fresh scratch.
 //!
 //! The scratch contract: a [`ClipScratch`] is owned by the *caller* (one per
 //! worker thread, allocated once and reused across every clip of every
@@ -38,25 +36,28 @@
 //! ## The intersection test and its edge tables
 //!
 //! [`ConvexPolygon::intersects`] is a separating-axis test: each edge of
-//! either polygon yields a constraint — the edge's outward normal and a
-//! threshold just beyond the polygon's own extent along it — and the
-//! polygons are disjoint when the other one lies wholly beyond some
-//! threshold. A constraint depends on its own polygon alone, so a caller
-//! that tests one polygon against many builds it once: an [`EdgeTable`]
-//! holds the constraints and bounding boxes of a batch of polygons, and
+//! either polygon is a [`HalfPlane`] that keeps the polygon's side
+//! ([`HalfPlane::edge`]), and the polygons are disjoint when some edge of
+//! one holds no vertex of the other — "holds" being the one tolerant
+//! sidedness test, [`HalfPlane::contains`], so touching polygons are never
+//! separated. An edge depends on its own polygon alone, so a caller that
+//! tests one polygon against many builds it once: an [`EdgeTable`] holds the
+//! edges and tolerant bounding boxes of a batch of polygons, and
 //! [`EdgeTable::intersects`] answers exactly what `intersects` answers.
-//! Both compute a constraint and apply it through the same two functions.
 
 use crate::halfplane::HalfPlane;
 use crate::point::Point;
 use crate::rect::Rect;
-use crate::EPS;
+use crate::segment::Segment;
+use crate::tolerance;
 
 /// A convex polygon with vertices in counter-clockwise order.
 ///
 /// The polygon may be *empty* (no vertices) — e.g. after clipping with a
 /// halfplane that excludes it entirely — or degenerate (fewer than three
-/// distinct vertices). Empty polygons intersect nothing and contain nothing.
+/// distinct vertices). No two consecutive vertices coincide
+/// ([`tolerance`]); every constructor and clip keeps it so. Empty polygons
+/// intersect nothing and contain nothing.
 #[derive(Debug, PartialEq, Default)]
 pub struct ConvexPolygon {
     vertices: Vec<Point>,
@@ -113,11 +114,10 @@ impl ConvexPolygon {
         }
     }
 
-    /// The rectangle `r` as a convex polygon (counter-clockwise corners).
+    /// The rectangle `r` as a convex polygon (counter-clockwise corners;
+    /// those of a degenerate rectangle that coincide are merged).
     pub fn from_rect(r: &Rect) -> Self {
-        ConvexPolygon {
-            vertices: r.corners().to_vec(),
-        }
+        ConvexPolygon::new(r.corners().to_vec())
     }
 
     /// The vertices of the polygon in counter-clockwise order.
@@ -145,12 +145,12 @@ impl ConvexPolygon {
         if self.vertices.len() < 2 {
             return;
         }
-        // In-place compaction keeping the first of each run of near-equal
+        // In-place compaction keeping the first of each run of coinciding
         // vertices — same comparisons as a copy-based pass, zero allocation.
         let mut w = 1;
         for r in 1..self.vertices.len() {
             let v = self.vertices[r];
-            if self.vertices[w - 1].dist_sq(&v) > EPS * EPS {
+            if !tolerance::coincide(&self.vertices[w - 1], &v) {
                 self.vertices[w] = v;
                 w += 1;
             }
@@ -158,7 +158,7 @@ impl ConvexPolygon {
         self.vertices.truncate(w);
         // The polygon is cyclic: the last vertex may duplicate the first.
         while self.vertices.len() > 1
-            && self.vertices[0].dist_sq(self.vertices.last().unwrap()) <= EPS * EPS
+            && tolerance::coincide(&self.vertices[0], self.vertices.last().unwrap())
         {
             self.vertices.pop();
         }
@@ -166,107 +166,62 @@ impl ConvexPolygon {
 
     /// Clips the polygon with a halfplane (Sutherland–Hodgman against a
     /// single boundary line), returning the part of the polygon inside the
-    /// halfplane.
+    /// halfplane: [`ConvexPolygon::clip_in_place`] on a copy, through a
+    /// fresh scratch.
     ///
     /// This is the "update `Vc(pi)` by `⊥pi(pi, pj)`" step of Algorithms 1
     /// and 2. Degenerate halfplanes leave the polygon unchanged.
     pub fn clip(&self, hp: &HalfPlane) -> ConvexPolygon {
-        if hp.is_degenerate() || self.is_empty() {
-            return self.clone();
-        }
-        let n = self.vertices.len();
-        if n == 1 {
-            return if hp.contains(&self.vertices[0]) {
-                self.clone()
-            } else {
-                ConvexPolygon::empty()
-            };
-        }
-        // Fast path: no vertex is clipped, so the rebuilt outline would be
-        // exactly the current vertex list — clone it and only normalize
-        // (one allocation instead of the rebuild-plus-dedup pair).
-        if self.vertices.iter().all(|v| hp.contains(v)) {
-            let mut poly = self.clone();
-            poly.dedup();
-            return poly;
-        }
-        let mut out: Vec<Point> = Vec::with_capacity(n + 2);
-        for i in 0..n {
-            let cur = self.vertices[i];
-            let next = self.vertices[(i + 1) % n];
-            let cur_in = hp.contains(&cur);
-            let next_in = hp.contains(&next);
-            if cur_in {
-                out.push(cur);
-            }
-            if cur_in != next_in {
-                if let Some(t) = hp.boundary_param(&cur, &next) {
-                    let t = t.clamp(0.0, 1.0);
-                    out.push(cur + (next - cur) * t);
-                }
-            }
-        }
-        let mut poly = ConvexPolygon { vertices: out };
-        poly.dedup();
+        let mut poly = self.clone();
+        poly.clip_in_place(hp, &mut ClipScratch::new());
         poly
     }
 
     /// In-place variant of [`ConvexPolygon::clip`]: leaves the surviving
-    /// outline in `self`, building it through the caller-owned scratch.
+    /// outline in `self`, building it through the caller-owned scratch, and
+    /// returns whether the halfplane cut the polygon — whether some vertex
+    /// lay strictly outside it. When it returns `false` the outline is
+    /// untouched.
     ///
-    /// One pass computes every vertex slack — `offset - (nx * x + ny * y)`,
-    /// the multiply-add [`HalfPlane::signed_slack`] performs, so the same
-    /// bits — and whether every vertex is inside; the containment
-    /// threshold, the crossing parameter and the emitted crossing point are
-    /// the exact expressions of the allocating path, so the resulting vertex
-    /// set is bit-for-bit identical to `*self = self.clip(hp)`. In steady
-    /// state (warm scratch) the call performs no heap allocation.
-    pub fn clip_in_place(&mut self, hp: &HalfPlane, scratch: &mut ClipScratch) {
-        if hp.is_degenerate() || self.is_empty() {
-            return;
+    /// Every vertex slack is `offset - (nx * x + ny * y)`, the multiply-add
+    /// [`HalfPlane::signed_slack`] performs, so the same bits, compared once
+    /// with the halfplane's threshold, exactly as [`HalfPlane::contains`]
+    /// does. A halfplane that cuts nothing — most of those a caller offers —
+    /// costs one read-only pass. In steady state (warm scratch) the call
+    /// performs no heap allocation, and the result does not depend on what
+    /// the scratch held.
+    #[inline]
+    pub fn clip_in_place(&mut self, hp: &HalfPlane, scratch: &mut ClipScratch) -> bool {
+        // An outline all inside stays as it is: every constructor leaves
+        // consecutive vertices apart.
+        let cut = !self.vertices.iter().all(|v| hp.contains(v));
+        if cut {
+            self.cut(hp, scratch);
         }
-        let n = self.vertices.len();
-        if n == 1 {
-            if !hp.contains(&self.vertices[0]) {
-                self.vertices.clear();
-            }
-            return;
-        }
-        // The tolerance `HalfPlane::contains` applies, hoisted out of the
-        // loop (the expression is deterministic, so the comparisons below
-        // are the comparisons `contains` performs).
-        let tol = -EPS * (1.0 + hp.normal.norm());
+        cut
+    }
+
+    /// The cutting half of [`ConvexPolygon::clip_in_place`], out of line.
+    fn cut(&mut self, hp: &HalfPlane, scratch: &mut ClipScratch) {
+        // The threshold `HalfPlane::contains` applies, read once (so the
+        // comparisons below are the comparisons `contains` performs).
+        let floor = -hp.tolerance;
         let (nx, ny) = (hp.normal.x, hp.normal.y);
+        let slack = |v: &Point| hp.offset - (nx * v.x + ny * v.y);
         scratch.slacks.clear();
-        let mut all_inside = true;
-        for v in &self.vertices {
-            let slack = hp.offset - (nx * v.x + ny * v.y);
-            all_inside &= slack >= tol;
-            scratch.slacks.push(slack);
-        }
-        if all_inside {
-            // Untouched fast path, mirroring `clip`: only normalize.
-            self.dedup();
-            return;
-        }
+        scratch.slacks.extend(self.vertices.iter().map(slack));
+        let n = self.vertices.len();
         scratch.out.clear();
         for i in 0..n {
             let j = if i + 1 == n { 0 } else { i + 1 };
             let cur = self.vertices[i];
-            let next = self.vertices[j];
             let (sa, sb) = (scratch.slacks[i], scratch.slacks[j]);
-            let cur_in = sa >= tol;
-            let next_in = sb >= tol;
+            let cur_in = sa >= floor;
             if cur_in {
                 scratch.out.push(cur);
             }
-            if cur_in != next_in {
-                // `HalfPlane::boundary_param` on the precomputed slacks.
-                let denom = sa - sb;
-                if denom.abs() > f64::EPSILON {
-                    let t = (sa / denom).clamp(0.0, 1.0);
-                    scratch.out.push(cur + (next - cur) * t);
-                }
+            if cur_in != (sb >= floor) {
+                scratch.out.push(crossing(cur, self.vertices[j], sa, sb));
             }
         }
         // Ping-pong: the old outline becomes the next call's build buffer.
@@ -296,29 +251,24 @@ impl ConvexPolygon {
         self.clip_in_place(&HalfPlane::bisector(p, q), scratch);
     }
 
-    /// Whether the polygon contains the point (boundary inclusive).
+    /// Whether the polygon contains the point (boundary inclusive, within
+    /// the tolerance of [`HalfPlane::contains`] on every edge; a point or
+    /// segment polygon holds the points that coincide with it).
     pub fn contains_point(&self, p: &Point) -> bool {
-        let n = self.vertices.len();
-        if n == 0 {
-            return false;
+        match self.vertices.as_slice() {
+            [] => false,
+            [v] => tolerance::coincide(v, p),
+            [a, b] => tolerance::on_segment(&Segment::new(*a, *b), p),
+            _ => self.edges().all(|hp| hp.contains(p)),
         }
-        if n == 1 {
-            return self.vertices[0].dist_sq(p) <= EPS * EPS;
-        }
-        if n == 2 {
-            let seg = crate::segment::Segment::new(self.vertices[0], self.vertices[1]);
-            return seg.mindist_point(p) <= EPS;
-        }
-        // CCW polygon: the point must be on the left of (or on) every edge.
-        for i in 0..n {
-            let a = self.vertices[i];
-            let b = self.vertices[(i + 1) % n];
-            let cross = (b - a).cross(&(*p - a));
-            if cross < -EPS * (1.0 + a.dist(&b)) {
-                return false;
-            }
-        }
-        true
+    }
+
+    /// The halfplane of each edge, interior side kept
+    /// ([`HalfPlane::edge`]), in outline order.
+    fn edges(&self) -> impl Iterator<Item = HalfPlane> + '_ {
+        let v = &self.vertices;
+        (0..v.len())
+            .map(move |i| HalfPlane::edge(&v[i], &v[if i + 1 == v.len() { 0 } else { i + 1 }]))
     }
 
     /// Axis-aligned bounding box of the polygon; [`Rect::empty`] when the
@@ -365,14 +315,17 @@ impl ConvexPolygon {
             cx += (a.x + b.x) * w;
             cy += (a.y + b.y) * w;
         }
-        if area2.abs() <= EPS {
+        if tolerance::flat(area2, &self.bbox()) {
             return Point::centroid(&self.vertices);
         }
         Some(Point::new(cx / (3.0 * area2), cy / (3.0 * area2)))
     }
 
     /// Whether two convex polygons intersect (sharing a boundary point
-    /// counts), using the separating-axis test.
+    /// counts), using the separating-axis test: they are disjoint when some
+    /// edge of either one holds no vertex of the other, each edge deciding
+    /// through [`HalfPlane::contains`]. Boxes farther apart than their
+    /// tolerance ([`tolerance::widened`]) are rejected first.
     ///
     /// This is the intersection predicate of the CIJ definition: `(p, q)` is
     /// a result pair iff `V(p, P)` and `V(q, Q)` intersect.
@@ -380,8 +333,7 @@ impl ConvexPolygon {
         if self.is_empty() || other.is_empty() {
             return false;
         }
-        // Quick reject on bounding boxes.
-        if !self.bbox().intersects(&other.bbox()) {
+        if !tolerance::widened(&self.bbox()).intersects(&tolerance::widened(&other.bbox())) {
             return false;
         }
         // Handle point/segment degeneracies via containment & distance.
@@ -391,52 +343,26 @@ impl ConvexPolygon {
         if other.vertices.len() < 3 {
             return self.touches_low_dim(other);
         }
-        let (va, vb) = (self.vertices(), other.vertices());
-        let separates = |a: &[Point], b: &[Point]| {
-            (0..a.len()).any(|i| {
-                let (normal, limit) = edge_constraint(a, i);
-                separated_by(normal, limit, b)
-            })
-        };
-        !separates(va, vb) && !separates(vb, va)
+        let separates = |a: &ConvexPolygon, b: &[Point]| a.edges().any(|hp| separated(&hp, b));
+        !separates(self, &other.vertices) && !separates(other, &self.vertices)
     }
 
     /// Intersection test against a degenerate (point or segment) polygon.
     fn touches_low_dim(&self, low: &ConvexPolygon) -> bool {
-        match low.vertices.len() {
-            0 => false,
-            1 => self.contains_or_near(&low.vertices[0]),
-            _ => {
-                // Sample the segment endpoints and check edge crossings.
-                let a = low.vertices[0];
-                let b = low.vertices[1];
-                if self.contains_or_near(&a) || self.contains_or_near(&b) {
-                    return true;
-                }
+        match low.vertices.as_slice() {
+            [] => false,
+            [v] => self.contains_point(v),
+            [a, b, ..] => {
                 // The segment may stab the polygon without containing an
-                // endpoint; check whether any polygon edge intersects it.
+                // endpoint; then it touches some edge.
                 let n = self.vertices.len();
-                for i in 0..n {
-                    let c = self.vertices[i];
-                    let d = self.vertices[(i + 1) % n];
-                    if segments_intersect(&a, &b, &c, &d) {
-                        return true;
-                    }
-                }
-                false
+                self.contains_point(a)
+                    || self.contains_point(b)
+                    || (0..n).any(|i| {
+                        let (c, d) = (&self.vertices[i], &self.vertices[(i + 1) % n]);
+                        tolerance::segments_touch(a, b, c, d)
+                    })
             }
-        }
-    }
-
-    fn contains_or_near(&self, p: &Point) -> bool {
-        if self.vertices.len() >= 3 {
-            self.contains_point(p)
-        } else if self.vertices.len() == 2 {
-            crate::segment::Segment::new(self.vertices[0], self.vertices[1]).mindist_point(p) <= EPS
-        } else if self.vertices.len() == 1 {
-            self.vertices[0].dist_sq(p) <= EPS * EPS
-        } else {
-            false
         }
     }
 
@@ -456,32 +382,16 @@ impl ConvexPolygon {
     /// `R(p, q) = V(p, P) ∩ V(q, Q)` of each result pair; this method
     /// computes that region.
     pub fn intersection(&self, other: &ConvexPolygon) -> ConvexPolygon {
-        if self.is_empty() || other.is_empty() {
-            return ConvexPolygon::empty();
-        }
-        if other.vertices.len() < 3 {
-            // Degenerate clip region: the intersection has no area; report
-            // empty (callers use this for area analysis only).
-            return ConvexPolygon::empty();
-        }
-        let mut out = self.clone();
-        let n = other.vertices.len();
-        for i in 0..n {
-            let hp = edge_halfplane(&other.vertices[i], &other.vertices[(i + 1) % n]);
-            out = out.clip(&hp);
-            if out.is_empty() {
-                break;
-            }
-        }
+        let mut out = ConvexPolygon::empty();
+        self.intersection_into(other, &mut ClipScratch::new(), &mut out);
         out
     }
 
     /// [`ConvexPolygon::intersection`] written into `out` (reusing its
     /// vertex allocation, whatever it held) through a caller-owned
-    /// [`ClipScratch`], leaving `self` untouched. Same edge halfplanes in
-    /// the same order through the bit-identical
-    /// [`ConvexPolygon::clip_in_place`], so `out` ends up vertex-for-vertex
-    /// equal to `self.intersection(other)`. The clipping itself runs in the
+    /// [`ClipScratch`], leaving `self` untouched: `self` clipped by each
+    /// edge halfplane of `other` in turn. A point or segment `other` has
+    /// no area to clip to and gives the empty polygon. The clipping itself runs in the
     /// scratch's working polygon and only the final outline is copied into
     /// `out`, so `out` never grows beyond the results it has held (not to
     /// the larger intermediate outlines), and with a warm scratch and a
@@ -498,9 +408,7 @@ impl ConvexPolygon {
         }
         let mut work = std::mem::take(&mut scratch.work);
         work.clone_from(self);
-        let n = other.vertices.len();
-        for i in 0..n {
-            let hp = edge_halfplane(&other.vertices[i], &other.vertices[(i + 1) % n]);
+        for hp in other.edges() {
             work.clip_in_place(&hp, scratch);
             if work.is_empty() {
                 break;
@@ -511,60 +419,33 @@ impl ConvexPolygon {
     }
 }
 
-/// The halfplane left of the directed edge `a → b` — the interior side of a
-/// counter-clockwise polygon's edge:
-/// `cross(d, x - a) >= 0  <=>  d.y * x.x - d.x * x.y <= d.y * a.x - d.x * a.y`.
-fn edge_halfplane(a: &Point, b: &Point) -> HalfPlane {
-    let d = *b - *a;
-    HalfPlane::new(Point::new(d.y, -d.x), d.y * a.x - d.x * a.y)
+/// The edge crossing between `cur` and `next`, whose slacks `sa` and `sb`
+/// lie on opposite sides of the threshold — so `sa != sb`, and the
+/// denominator is never zero.
+#[inline]
+fn crossing(cur: Point, next: Point, sa: f64, sb: f64) -> Point {
+    cur + (next - cur) * (sa / (sa - sb)).clamp(0.0, 1.0)
 }
 
-/// The separating-axis constraint of edge `i` of the counter-clockwise
-/// outline `a`: the edge's outward normal, and the threshold
-/// `max_a + EPS · scale` beyond which a polygon projected onto that normal
-/// lies wholly outside `a` — `max_a` being the largest projection of a
-/// vertex of `a`, `scale` the normal's length (at least 1).
-fn edge_constraint(a: &[Point], i: usize) -> (Point, f64) {
-    let p0 = a[i];
-    let p1 = a[if i + 1 == a.len() { 0 } else { i + 1 }];
-    let edge = p1 - p0;
-    // Outward normal for a CCW polygon points to the right of the edge.
-    let normal = Point::new(edge.y, -edge.x);
-    let scale = normal.norm().max(1.0);
-    // For a CCW convex polygon every vertex projection is <= the edge's
-    // own projection, so max_a equals the edge offset.
-    let mut max_a = f64::NEG_INFINITY;
-    for v in a {
-        max_a = max_a.max(normal.dot(v));
-    }
-    (normal, max_a + EPS * scale)
+/// Whether the edge halfplane `hp` of one polygon holds no vertex of the
+/// outline `b`: a separating axis.
+fn separated(hp: &HalfPlane, b: &[Point]) -> bool {
+    !b.iter().any(|v| hp.contains(v))
 }
 
-/// Whether the outline `b` lies strictly beyond the constraint `limit`
-/// along `normal` (see [`edge_constraint`]): its smallest projection
-/// exceeds the threshold.
-fn separated_by(normal: Point, limit: f64, b: &[Point]) -> bool {
-    let mut min_b = f64::INFINITY;
-    for v in b {
-        min_b = min_b.min(normal.dot(v));
-    }
-    min_b > limit
-}
-
-/// The bounding boxes and separating-axis constraints of a batch of convex
+/// The tolerant bounding boxes and edge halfplanes of a batch of convex
 /// polygons, built once so that testing each against many others pays for
 /// neither again — everything [`ConvexPolygon::intersects`] computes about
 /// one polygon without looking at the other.
 ///
-/// Rows are numbered in the order their polygons were pushed; the
-/// constraints of every row sit in one flat array, row `k`'s at
-/// `ends[k]..ends[k + 1]`. Meant to live in a per-worker scratch:
-/// [`EdgeTable::clear`] keeps every allocation.
+/// Rows are numbered in the order their polygons were pushed; the edges of
+/// every row sit in one flat array, row `k`'s at `ends[k]..ends[k + 1]`.
+/// Meant to live in a per-worker scratch: [`EdgeTable::clear`] keeps every
+/// allocation.
 #[derive(Debug)]
 pub struct EdgeTable {
     boxes: Vec<Rect>,
-    normals: Vec<Point>,
-    limits: Vec<f64>,
+    edges: Vec<HalfPlane>,
     /// One more entry than there are rows; starts at `[0]`.
     ends: Vec<usize>,
 }
@@ -573,8 +454,7 @@ impl Default for EdgeTable {
     fn default() -> Self {
         EdgeTable {
             boxes: Vec::new(),
-            normals: Vec::new(),
-            limits: Vec::new(),
+            edges: Vec::new(),
             ends: vec![0],
         }
     }
@@ -584,29 +464,23 @@ impl EdgeTable {
     /// Removes every row, keeping the allocations.
     pub fn clear(&mut self) {
         self.boxes.clear();
-        self.normals.clear();
-        self.limits.clear();
+        self.edges.clear();
         self.ends.truncate(1);
     }
 
-    /// Appends `polygon` as the next row: its bounding box and, when it has
-    /// at least three vertices, one constraint per edge.
+    /// Appends `polygon` as the next row: its widened bounding box and,
+    /// when it has at least three vertices, the halfplane of each edge.
     pub fn push(&mut self, polygon: &ConvexPolygon) {
-        let v = polygon.vertices();
-        self.boxes.push(polygon.bbox());
-        if v.len() >= 3 {
-            for i in 0..v.len() {
-                let (normal, limit) = edge_constraint(v, i);
-                self.normals.push(normal);
-                self.limits.push(limit);
-            }
+        self.boxes.push(tolerance::widened(&polygon.bbox()));
+        if polygon.len() >= 3 {
+            self.edges.extend(polygon.edges());
         }
-        self.ends.push(self.normals.len());
+        self.ends.push(self.edges.len());
     }
 
     /// Whether `a` (pushed as row `i`) and `b` (row `j`) intersect: exactly
-    /// `a.intersects(b)`, the boxes and edge constraints read from the
-    /// table instead of recomputed.
+    /// `a.intersects(b)`, the boxes and edges read from the table instead
+    /// of recomputed.
     pub fn intersects(&self, i: usize, a: &ConvexPolygon, j: usize, b: &ConvexPolygon) -> bool {
         if a.is_empty() || b.is_empty() || !self.boxes[i].intersects(&self.boxes[j]) {
             return false;
@@ -620,38 +494,11 @@ impl EdgeTable {
         !self.separates(i, b.vertices()) && !self.separates(j, a.vertices())
     }
 
-    /// Whether a constraint of row `k` separates the outline `other`.
+    /// Whether an edge of row `k` separates the outline `other`.
     fn separates(&self, k: usize, other: &[Point]) -> bool {
-        let edges = self.ends[k]..self.ends[k + 1];
-        let (normals, limits) = (&self.normals[edges.clone()], &self.limits[edges]);
-        (normals.iter().zip(limits)).any(|(&normal, &limit)| separated_by(normal, limit, other))
+        let edges = &self.edges[self.ends[k]..self.ends[k + 1]];
+        edges.iter().any(|hp| separated(hp, other))
     }
-}
-
-/// Proper or touching intersection test for two segments.
-fn segments_intersect(a: &Point, b: &Point, c: &Point, d: &Point) -> bool {
-    fn orient(p: &Point, q: &Point, r: &Point) -> f64 {
-        (*q - *p).cross(&(*r - *p))
-    }
-    fn on_segment(p: &Point, q: &Point, r: &Point) -> bool {
-        r.x >= p.x.min(q.x) - EPS
-            && r.x <= p.x.max(q.x) + EPS
-            && r.y >= p.y.min(q.y) - EPS
-            && r.y <= p.y.max(q.y) + EPS
-    }
-    let d1 = orient(c, d, a);
-    let d2 = orient(c, d, b);
-    let d3 = orient(a, b, c);
-    let d4 = orient(a, b, d);
-    if ((d1 > EPS && d2 < -EPS) || (d1 < -EPS && d2 > EPS))
-        && ((d3 > EPS && d4 < -EPS) || (d3 < -EPS && d4 > EPS))
-    {
-        return true;
-    }
-    (d1.abs() <= EPS && on_segment(c, d, a))
-        || (d2.abs() <= EPS && on_segment(c, d, b))
-        || (d3.abs() <= EPS && on_segment(a, b, c))
-        || (d4.abs() <= EPS && on_segment(a, b, d))
 }
 
 #[cfg(test)]
@@ -661,6 +508,36 @@ mod tests {
 
     fn unit_square() -> ConvexPolygon {
         ConvexPolygon::from_rect(&Rect::from_coords(0.0, 0.0, 1.0, 1.0))
+    }
+
+    /// Sutherland–Hodgman written out plainly — the reference the in-place
+    /// kernel is held to: each vertex kept or dropped by
+    /// [`HalfPlane::contains`], each crossing taken between the two signed
+    /// slacks of its edge, coinciding neighbours merged at the end.
+    fn sutherland_hodgman(poly: &ConvexPolygon, hp: &HalfPlane) -> ConvexPolygon {
+        let v = poly.vertices();
+        let mut out = Vec::new();
+        for (i, cur) in v.iter().enumerate() {
+            let next = &v[(i + 1) % v.len()];
+            if hp.contains(cur) {
+                out.push(*cur);
+            }
+            if hp.contains(cur) != hp.contains(next) {
+                let (sa, sb) = (hp.signed_slack(cur), hp.signed_slack(next));
+                out.push(*cur + (*next - *cur) * (sa / (sa - sb)).clamp(0.0, 1.0));
+            }
+        }
+        ConvexPolygon::new(out)
+    }
+
+    /// `a ∩ b` by the reference clip: `a` clipped by each edge of `b`; a
+    /// point or segment `b` has no area to clip to.
+    fn reference_intersection(a: &ConvexPolygon, b: &ConvexPolygon) -> ConvexPolygon {
+        if b.len() < 3 {
+            return ConvexPolygon::empty();
+        }
+        b.edges()
+            .fold(a.clone(), |cell, hp| sutherland_hodgman(&cell, &hp))
     }
 
     #[test]
@@ -866,11 +743,11 @@ mod tests {
     }
 
     #[test]
-    fn clip_in_place_is_bitwise_identical_to_clip() {
-        // Drive both clip forms through an identical random-ish clip
-        // sequence and require *exact* vertex equality at every step —
-        // including empty results, untouched fast paths and degenerate
-        // halfplanes.
+    fn clip_in_place_is_bitwise_identical_to_the_reference_clip() {
+        // Drive the kernel and the reference through one clip sequence
+        // and require *exact* vertex equality at every step — including
+        // empty results, untouched outlines and degenerate halfplanes —
+        // and a `true` exactly when the reference dropped a vertex.
         let domain = Rect::from_coords(0.0, 0.0, 10_000.0, 10_000.0);
         let me = Point::new(4_321.0, 5_678.0);
         let others = [
@@ -885,18 +762,19 @@ mod tests {
         ];
         let mut scratch = ClipScratch::new();
         let mut in_place = ConvexPolygon::from_rect(&domain);
-        let mut allocating = ConvexPolygon::from_rect(&domain);
-        for other in others {
-            allocating = allocating.clip_bisector(&me, &other);
-            in_place.clip_bisector_in_place(&me, &other, &mut scratch);
-            assert_eq!(in_place, allocating, "diverged after clipping vs {other}");
-        }
-        // Clip to empty and keep going: both stay empty.
+        // Then the same halfplane three times over: only the first can cut.
         let far = Point::new(4_321.0, 5_678.5);
-        for _ in 0..3 {
-            allocating = allocating.clip_bisector(&far, &me);
-            in_place.clip_bisector_in_place(&far, &me, &mut scratch);
-            assert_eq!(in_place, allocating);
+        let cuts = others.iter().map(|o| (me, *o)).chain([(far, me); 3]);
+        for (site, other) in cuts {
+            let hp = HalfPlane::bisector(&site, &other);
+            let reference = sutherland_hodgman(&in_place, &hp);
+            let dropped = in_place.vertices().iter().any(|v| !hp.contains(v));
+            assert_eq!(
+                in_place.clip_in_place(&hp, &mut scratch),
+                dropped,
+                "vs {other}"
+            );
+            assert_eq!(in_place, reference, "diverged after clipping vs {other}");
         }
     }
 
@@ -907,26 +785,25 @@ mod tests {
         let mut scratch = ClipScratch::new();
         let mut out = ConvexPolygon::empty();
         sq.clip_into(&hp, &mut scratch, &mut out);
-        assert_eq!(out, sq.clip(&hp));
+        assert_eq!(out, sutherland_hodgman(&sq, &hp));
         assert_eq!(sq.len(), 4, "source polygon must not change");
         // A second clip into the same buffer reuses it.
         sq.clip_into(&hp, &mut scratch, &mut out);
-        assert_eq!(out, sq.clip(&hp));
+        assert_eq!(out, sutherland_hodgman(&sq, &hp));
     }
 
     #[test]
-    fn untouched_clip_still_normalizes_duplicate_vertices() {
-        // `from_rect` of a degenerate rectangle carries duplicate corners;
-        // the historical clip deduped them through `ConvexPolygon::new`, so
-        // the fast path (and the in-place form) must too.
+    fn degenerate_rectangles_are_normalized_before_any_clip() {
+        // An untouched clip leaves the outline as it is, so `from_rect`
+        // merges a degenerate rectangle's coinciding corners itself.
         let degenerate = ConvexPolygon::from_rect(&Rect::from_point(Point::new(5.0, 5.0)));
-        assert_eq!(degenerate.len(), 4);
+        assert_eq!(degenerate.len(), 1);
+        let segment = Rect::from_coords(1.0, 2.0, 7.0, 2.0);
+        assert_eq!(ConvexPolygon::from_rect(&segment).len(), 2);
         let hp = HalfPlane::bisector(&Point::new(5.0, 5.0), &Point::new(9.0, 9.0));
         let clipped = degenerate.clip(&hp);
         assert_eq!(clipped.len(), 1);
-        let mut in_place = ConvexPolygon::from_rect(&Rect::from_point(Point::new(5.0, 5.0)));
-        in_place.clip_in_place(&hp, &mut ClipScratch::new());
-        assert_eq!(in_place, clipped);
+        assert_eq!(clipped, sutherland_hodgman(&degenerate, &hp));
     }
 
     #[test]
@@ -941,8 +818,8 @@ mod tests {
         assert_eq!(p.len(), 3);
     }
 
-    /// Coordinate scales the equivalence properties run at: the tolerance
-    /// `EPS` is large against the first and below the rounding of the last.
+    /// Coordinate scales the equivalence properties run at (every threshold
+    /// scales with them, so each one exercises the same relative band).
     const SCALES: [f64; 4] = [1e-6, 1.0, 1e3, 1e9];
 
     /// An ellipse's center, radii and the turns (fractions of a full turn)
@@ -991,10 +868,13 @@ mod tests {
         )
     }
 
-    /// A pair of polygons of one of six kinds: unrelated; the two sides of
+    /// A pair of polygons of one of eight kinds: unrelated; the two sides of
     /// one cut (a shared edge); touching at a vertex; facing across an edge
     /// with a gap of `f` times the tolerance; identical; a polygon against
-    /// a point, a segment or nothing.
+    /// a point, a segment or nothing; facing vertex to vertex, `0.1` to
+    /// `1000` distance thresholds apart (as `f` runs over `0..2`); two
+    /// slivers facing tip to tip along their common axis, `0.1` to `1000`
+    /// thresholds apart, their half-angle `45°·10^(−2f)`.
     fn pair(
         kind: usize,
         a: ConvexPolygon,
@@ -1007,9 +887,11 @@ mod tests {
             1 if n >= 3 => {
                 let centroid = a.centroid().unwrap();
                 let turn = f * std::f64::consts::PI;
-                let normal = Point::new(turn.cos(), turn.sin());
-                let cut = HalfPlane::new(normal, normal.dot(&centroid));
-                let other = HalfPlane::new(Point::new(-normal.x, -normal.y), -cut.offset);
+                let along = centroid + Point::new(-turn.sin(), turn.cos());
+                let (cut, other) = (
+                    HalfPlane::edge(&centroid, &along),
+                    HalfPlane::edge(&along, &centroid),
+                );
                 [a.clip(&cut), a.clip(&other)]
             }
             2 if n >= 1 => {
@@ -1022,7 +904,8 @@ mod tests {
                 let edge = p1 - p0;
                 let len = edge.norm();
                 let outward = Point::new(edge.y / len, -edge.x / len);
-                let gap = f * EPS * len.max(1.0) / len;
+                let m = tolerance::magnitude(&p0).max(tolerance::magnitude(&p1));
+                let gap = f * tolerance::distance(m) * (edge.x.abs() + edge.y.abs()) / len;
                 let b = mirrored(&a, p0.midpoint(&p1));
                 let shifted = b.vertices().iter().map(|&v| v + outward * gap);
                 [a, ConvexPolygon::new(shifted.collect())]
@@ -1032,8 +915,68 @@ mod tests {
                 let low = b.vertices()[..(pick % 3).min(b.len())].to_vec();
                 [a, ConvexPolygon::new(low)]
             }
+            6 if n >= 3 => {
+                // `a` mirrored in a corner, then moved away from `a` along
+                // a direction within a quarter turn of the corner's own.
+                let corner = a.vertices()[pick % n];
+                let away = corner - a.centroid().unwrap();
+                let turn = ((pick as f64 + f) / 18.0 - 0.5) * std::f64::consts::PI;
+                let dir = Point::new(
+                    away.x * turn.cos() - away.y * turn.sin(),
+                    away.x * turn.sin() + away.y * turn.cos(),
+                ) * (1.0 / away.norm());
+                let gap =
+                    tolerance::distance(tolerance::magnitude(&corner)) * 10f64.powf(2.0 * f - 1.0);
+                let b = mirrored(&a, corner);
+                let shifted = b.vertices().iter().map(|&v| v + dir * gap);
+                [a, ConvexPolygon::new(shifted.collect())]
+            }
+            7 if n >= 3 => {
+                // A sliver with its tip at a corner of `a`, pointing away
+                // from `a`'s centroid, and its mirror image in the tip
+                // moved along the axis: the edge normals barely see the gap.
+                let tip = a.vertices()[pick % n];
+                let axis = tip - a.centroid().unwrap();
+                let (len, u) = (axis.norm(), axis * (1.0 / axis.norm()));
+                let half_angle = std::f64::consts::FRAC_PI_4 * 10f64.powf(-2.0 * f);
+                let side = Point::new(-u.y, u.x) * (len * half_angle.tan());
+                let back = tip - axis;
+                let sliver = ConvexPolygon::new(vec![tip, back + side, back - side]);
+                let gap = tolerance::distance(tolerance::magnitude(&tip))
+                    * 10f64.powi(pick as i32 % 5 - 1);
+                let facing = mirrored(&sliver, tip);
+                let shifted = facing.vertices().iter().map(|&v| v + u * gap);
+                [sliver, ConvexPolygon::new(shifted.collect())]
+            }
             _ => [a, b],
         }
+    }
+
+    /// The Euclidean distance between two convex polygons of at least three
+    /// vertices: zero when no edge of either separates them (by exact
+    /// signs, no tolerance), else the least distance from a vertex of one
+    /// to an edge of the other.
+    fn euclidean_gap(a: &ConvexPolygon, b: &ConvexPolygon) -> f64 {
+        let sides = |p: &ConvexPolygon| {
+            let v = p.vertices().to_vec();
+            (0..v.len()).map(move |i| Segment::new(v[i], v[(i + 1) % v.len()]))
+        };
+        let separates = |p: &ConvexPolygon, q: &ConvexPolygon| {
+            sides(p).any(|s| {
+                q.vertices()
+                    .iter()
+                    .all(|v| (s.b - s.a).cross(&(*v - s.a)) < 0.0)
+            })
+        };
+        if !separates(a, b) && !separates(b, a) {
+            return 0.0;
+        }
+        let one_way = |p: &ConvexPolygon, q: &ConvexPolygon| {
+            sides(p)
+                .flat_map(|s| q.vertices().iter().map(move |v| s.mindist_point(v)))
+                .fold(f64::INFINITY, f64::min)
+        };
+        one_way(a, b).min(one_way(b, a))
     }
 
     proptest! {
@@ -1044,7 +987,7 @@ mod tests {
         #[test]
         fn edge_tables_answer_exactly_what_intersects_answers(
             specs in (outline_spec(), outline_spec(), outline_spec()),
-            kind in 0usize..6,
+            kind in 0usize..8,
             pick in 0usize..16,
             f in 0.0f64..2.0,
             scale in 0usize..4,
@@ -1062,28 +1005,72 @@ mod tests {
             prop_assert_eq!(ba, b.intersects(&a), "{:?} vs {:?}", b, a);
         }
 
+        /// The contract's "elsewhere" clause (crate docs): two polygons
+        /// that `intersects` reports are never more than `2√2·τ·M` apart,
+        /// `M` the largest coordinate magnitude of the two.
+        #[test]
+        fn a_reported_pair_is_within_the_contract_distance(
+            specs in (outline_spec(), outline_spec()),
+            kind in 0usize..8,
+            pick in 0usize..16,
+            f in 0.0f64..2.0,
+            scale in 0usize..4,
+        ) {
+            let [a, b] = [&specs.0, &specs.1].map(|s| outline(s, SCALES[scale]));
+            let [a, b] = pair(kind, a, b, pick, f);
+            prop_assume!(a.len() >= 3 && b.len() >= 3 && a.intersects(&b));
+            let m = tolerance::rect_magnitude(&a.bbox().union(&b.bbox()));
+            let bound = 2.0 * std::f64::consts::SQRT_2 * tolerance::distance(m);
+            let gap = euclidean_gap(&a, &b);
+            // The slack of the float arithmetic: a relative 1e-3 of the bound.
+            prop_assert!(gap <= bound * 1.001, "{:?} and {:?} are {} apart", a, b, gap);
+        }
+
+        /// `intersection_into` equals the reference intersection, vertex
+        /// for vertex and bit for bit, whatever `out` held before and
+        /// however warm the scratch is: one `out` and one scratch serve a
+        /// sequence of pairs (both orders, and each operand against itself).
+        #[test]
+        fn intersection_into_equals_the_reference_intersection(
+            pairs in proptest::collection::vec(
+                (outline_spec(), outline_spec(), 0usize..8, 0usize..16, 0.0f64..2.0, 0usize..4),
+                1..5,
+            ),
+        ) {
+            let mut scratch = ClipScratch::new();
+            let mut out = unit_square();
+            for (sa, sb, kind, pick, f, scale) in &pairs {
+                let [a, b] = [sa, sb].map(|s| outline(s, SCALES[*scale]));
+                let [a, b] = pair(*kind, a, b, *pick, *f);
+                for (x, y) in [(&a, &b), (&b, &a), (&a, &a)] {
+                    x.intersection_into(y, &mut scratch, &mut out);
+                    prop_assert_eq!(&out, &reference_intersection(x, y), "{:?} ∩ {:?}", x, y);
+                }
+            }
+        }
+
         /// Along a chain of clips — cuts, degenerate halfplanes, lines
         /// through a vertex — `clip_in_place` on one warm scratch stays
-        /// bitwise equal to the allocating `clip`, and every slack it
-        /// computed is `HalfPlane::signed_slack`'s, bit for bit.
+        /// bitwise equal to the reference clip and says whether it cut, and
+        /// every slack it computed is `HalfPlane::signed_slack`'s, bit for
+        /// bit.
         #[test]
-        fn clip_in_place_is_bitwise_identical_to_clip_on_random_outlines(
+        fn clip_in_place_is_bitwise_identical_to_the_reference_on_random_outlines(
             spec in outline_spec(),
             scale in 0usize..4,
             cuts in proptest::collection::vec(cut_spec(), 1..8),
         ) {
             let scale = SCALES[scale];
-            let mut allocating = outline(&spec, scale);
-            let mut in_place = allocating.clone();
+            let mut in_place = outline(&spec, scale);
             let mut scratch = ClipScratch::new();
             for (x, y, turn, kind, pick) in cuts {
                 let site = Point::new(x * scale, y * scale);
-                let vertices = allocating.vertices();
+                let vertices = in_place.vertices();
                 let hp = match kind {
                     // A bisector between the outline's centroid and a point
                     // `site` away from it.
                     0 => {
-                        let centroid = allocating.centroid().unwrap_or(Point::ORIGIN);
+                        let centroid = in_place.centroid().unwrap_or(Point::ORIGIN);
                         HalfPlane::bisector(&centroid, &(centroid + site))
                     }
                     // A degenerate halfplane: it clips nothing.
@@ -1091,15 +1078,18 @@ mod tests {
                     // A line through a vertex: that vertex's slack is ~0.
                     _ => {
                         let on = vertices.get(pick % vertices.len().max(1)).copied();
-                        let normal = Point::new(turn.cos(), turn.sin()) * scale;
-                        HalfPlane::new(normal, normal.dot(&on.unwrap_or(site)))
+                        let on = on.unwrap_or(site);
+                        let along = Point::new(-turn.sin(), turn.cos()) * scale;
+                        HalfPlane::edge(&on, &(on + along))
                     }
                 };
                 let before = in_place.clone();
-                allocating = allocating.clip(&hp);
-                in_place.clip_in_place(&hp, &mut scratch);
-                prop_assert_eq!(&in_place, &allocating, "{:?} clipped by {:?}", before, hp);
-                if !hp.is_degenerate() && before.len() >= 2 {
+                let dropped = before.vertices().iter().any(|v| !hp.contains(v));
+                let cut = in_place.clip_in_place(&hp, &mut scratch);
+                prop_assert_eq!(cut, dropped);
+                let reference = sutherland_hodgman(&before, &hp);
+                prop_assert_eq!(&in_place, &reference, "{:?} clipped by {:?}", before, hp);
+                if cut {
                     for (v, slack) in before.vertices().iter().zip(&scratch.slacks) {
                         prop_assert_eq!(slack.to_bits(), hp.signed_slack(v).to_bits());
                     }

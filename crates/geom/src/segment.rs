@@ -35,11 +35,12 @@ impl Segment {
 
     /// The point on the segment closest to `p`.
     ///
-    /// For a degenerate segment (both endpoints equal) this is the endpoint.
+    /// For a degenerate segment (both endpoints equal, so an exactly zero
+    /// length) this is the endpoint.
     pub fn closest_point(&self, p: &Point) -> Point {
         let d = self.b - self.a;
         let len_sq = d.norm_sq();
-        if len_sq <= f64::EPSILON {
+        if len_sq == 0.0 {
             return self.a;
         }
         let t = ((*p - self.a).dot(&d) / len_sq).clamp(0.0, 1.0);

@@ -1,8 +1,9 @@
 //! A comment-, string- and raw-string-aware Rust token scanner.
 //!
 //! This is deliberately **not** a full Rust lexer: the rules in
-//! [`crate::rules`] only need identifier words and single-character
-//! punctuation, reported with accurate line numbers, and they need those
+//! [`crate::rules`] only need identifier words, numeric literals and
+//! single-character punctuation, reported with accurate line numbers, and
+//! they need those
 //! tokens to *exclude* everything that is not code — line comments, nested
 //! block comments, string literals (including escapes), raw strings with any
 //! number of `#` guards, byte strings, character literals and lifetimes.
@@ -18,12 +19,15 @@
 //! tokens, and `CIJ-A401` looks for a relaxed-consistency contract in
 //! module docs.
 
-/// One code token: an identifier/keyword word or a single punctuation
-/// character. Numbers, strings, comments and lifetimes produce no tokens.
+/// One code token: an identifier/keyword word, a numeric literal or a
+/// single punctuation character. Strings, comments and lifetimes produce no
+/// tokens.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TokKind {
     /// An identifier or keyword word (`unsafe`, `HashMap`, `read`, …).
     Ident(String),
+    /// A numeric literal, verbatim (`0..n` is two literals around puncts).
+    Number(String),
     /// A single punctuation character (`:`, `(`, `{`, `#`, …).
     Punct(char),
 }
@@ -69,7 +73,15 @@ impl FileScan {
     pub fn ident(&self, i: usize) -> Option<&str> {
         match &self.tokens.get(i)?.kind {
             TokKind::Ident(w) => Some(w),
-            TokKind::Punct(_) => None,
+            TokKind::Number(_) | TokKind::Punct(_) => None,
+        }
+    }
+
+    /// The text of token `i`, if it is a numeric literal.
+    pub fn number(&self, i: usize) -> Option<&str> {
+        match &self.tokens.get(i)?.kind {
+            TokKind::Number(n) => Some(n),
+            _ => None,
         }
     }
 
@@ -339,18 +351,28 @@ impl Lexer<'_> {
         });
     }
 
-    /// A numeric literal; emits nothing. Consumes digits, `_`, radix/suffix
-    /// letters, and a `.` only when a digit follows (so `0..n` ranges stay
-    /// two separate puncts).
+    /// A numeric literal, emitted verbatim. Consumes digits, `_`,
+    /// radix/suffix letters, a `.` only when a digit follows (so `0..n`
+    /// ranges stay two separate puncts), and the sign of an exponent.
     fn number(&mut self) {
+        let line = self.line;
+        let mut text = String::new();
         while let Some(c) = self.peek(0) {
             let fraction_dot = c == '.' && matches!(self.peek(1), Some(d) if d.is_ascii_digit());
-            if is_ident_continue(c) || fraction_dot {
+            let exponent_sign = matches!(c, '+' | '-')
+                && matches!(text.chars().last(), Some('e' | 'E'))
+                && !text.starts_with("0x");
+            if is_ident_continue(c) || fraction_dot || exponent_sign {
+                text.push(c);
                 self.bump();
             } else {
                 break;
             }
         }
+        self.out.tokens.push(Token {
+            kind: TokKind::Number(text),
+            line,
+        });
     }
 }
 

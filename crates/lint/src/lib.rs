@@ -31,6 +31,7 @@
 //! | `CIJ-A401` | **Atomics.** A file using `Ordering::Relaxed` must declare the contract making relaxed ordering sound in its `//!` module docs (the phrase "relaxed-consistency contract"). | PR 7 (`IoStats::snapshot` consistency contract) |
 //! | `CIJ-C501` | **Concurrency discipline.** `thread::spawn` is forbidden outside the scoped worker pool (`run_ordered_scratch`, `core::chunk`) and the `service` worker pool — free threads bypass both the determinism protocol and panic isolation. | PR 2 / PR 7 |
 //! | `CIJ-C502` | **Concurrency discipline.** `unwrap()`/`expect()` are forbidden in non-test `core::service` code: worker paths must stay `catch_unwind`-recoverable, and a poisoned lock must not cascade panics across workers (use the poison-recovering lock helpers). | PR 7 (worker isolation) |
+//! | `CIJ-G601` | **One tolerance policy.** Every geometric threshold comes from `cij_geom::tolerance` (one constant, scaled with the operands): non-test code elsewhere may not name a tolerance — no non-zero float literal of magnitude ≤ `1e-6`, no `f64::EPSILON` / `f32::EPSILON`. | ROADMAP item 5(b) |
 //! | `CIJ-X901` | **Meta.** An allowlist entry whose count does not exactly match the diagnostics it suppresses — stale suppressions (zero matches) and out-of-date budgets both fail, so `lint.toml` can never rot. Not allowlistable. | this PR |
 //!
 //! # Scope

@@ -52,12 +52,16 @@ pub const A401: &str = "CIJ-A401";
 pub const C501: &str = "CIJ-C501";
 /// Concurrency: `unwrap`/`expect` in service worker paths.
 pub const C502: &str = "CIJ-C502";
+/// Geometry: a tolerance literal outside the tolerance module.
+pub const G601: &str = "CIJ-G601";
 /// Meta: allowlist entry stale or its budget out of date.
 pub const X901: &str = "CIJ-X901";
 
 /// Every real rule ID (everything an allowlist entry may name), plus the
 /// meta rule last.
-pub const ALL_RULES: [&str; 10] = [D101, D102, U201, U202, I301, I302, A401, C501, C502, X901];
+pub const ALL_RULES: [&str; 11] = [
+    D101, D102, U201, U202, I301, I302, A401, C501, C502, G601, X901,
+];
 
 /// Crates whose code is *supposed* to read clocks and RNGs: the bench
 /// harness measures wall time and the data generators are seeded RNG users.
@@ -85,6 +89,14 @@ const SERVICE_MODULE: &str = "crates/core/src/service.rs";
 /// The page store, whose `drop_buffer` path must stay unmetered.
 const STORE_MODULE: &str = "crates/pagestore/src/store.rs";
 
+/// The one module allowed to state a geometric tolerance.
+const TOLERANCE_MODULE: &str = "crates/geom/src/tolerance.rs";
+
+/// The largest float literal `CIJ-G601` takes for a tolerance: every
+/// geometric threshold in the workspace sat at or below it (`1e-7`, `1e-9`,
+/// `1e-6`), every genuine constant (`0.5`, `2.0`, a load factor) above it.
+const TOLERANCE_LITERAL_LIMIT: f64 = 1.0 / 1_000_000.0;
+
 /// The phrase a file using `Ordering::Relaxed` must declare in its `//!`
 /// module docs.
 pub const RELAXED_CONTRACT_PHRASE: &str = "relaxed-consistency contract";
@@ -102,6 +114,7 @@ pub fn scan_file(path: &str, scan: &FileScan) -> Vec<Diagnostic> {
     rule_a401(path, scan, &mut out);
     rule_c501(path, scan, &mut out);
     rule_c502(path, scan, &mut out);
+    rule_g601(path, scan, &mut out);
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out
 }
@@ -461,4 +474,53 @@ fn rule_c502(path: &str, scan: &FileScan, out: &mut Vec<Diagnostic>) {
             }
         }
     }
+}
+
+/// CIJ-G601: a geometric decision takes its threshold from
+/// `cij_geom::tolerance` and nowhere else, so non-test code outside that
+/// module names no tolerance: no non-zero float literal of magnitude at most
+/// [`TOLERANCE_LITERAL_LIMIT`] and no `f64::EPSILON` / `f32::EPSILON`.
+fn rule_g601(path: &str, scan: &FileScan, out: &mut Vec<Diagnostic>) {
+    if path == TOLERANCE_MODULE {
+        return;
+    }
+    for i in 0..scan.tokens.len() {
+        if scan.in_test[i] {
+            continue;
+        }
+        let epsilon = scan.path2(i, "f64", "EPSILON") || scan.path2(i, "f32", "EPSILON");
+        let tiny = scan
+            .number(i)
+            .and_then(float_value)
+            .is_some_and(|v| v != 0.0 && v.abs() <= TOLERANCE_LITERAL_LIMIT);
+        if epsilon || tiny {
+            diag(
+                out,
+                G601,
+                path,
+                scan.tokens[i].line,
+                "tolerance literal outside cij_geom::tolerance — take the \
+                 threshold from that module (one rule, scaled with the \
+                 operands) instead of stating one here"
+                    .to_string(),
+            );
+        }
+    }
+}
+
+/// The value of a float literal (`1e-9`, `0.5_f64`, `2.0`), or `None` for
+/// integer literals (`7`, `0x1e`, `3u8`).
+fn float_value(text: &str) -> Option<f64> {
+    let digits: String = text.chars().filter(|&c| c != '_').collect();
+    if digits.starts_with("0x") || digits.starts_with("0o") || digits.starts_with("0b") {
+        return None;
+    }
+    let body = digits
+        .strip_suffix("f64")
+        .or_else(|| digits.strip_suffix("f32"));
+    let is_float = body.is_some() || digits.contains(['.', 'e', 'E']);
+    if !is_float {
+        return None;
+    }
+    body.unwrap_or(&digits).parse().ok()
 }

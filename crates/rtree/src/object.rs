@@ -162,8 +162,11 @@ impl CellObject {
 }
 
 impl RTreeObject for CellObject {
+    /// The cell's bounding box widened by its tolerance
+    /// ([`cij_geom::tolerance::widened`]), so that an index walk never
+    /// discards a cell the join's tolerant intersection test would keep.
     fn mbr(&self) -> Rect {
-        self.cell.bbox()
+        cij_geom::tolerance::widened(&self.cell.bbox())
     }
 
     fn entry_bytes(&self) -> usize {

@@ -22,14 +22,17 @@
 //! `Cᵢ` ([`cell_reach_sq`] is `Rᵢ²`). The distance to `sᵢ` is convex, so over
 //! the convex cell it peaks at a vertex: `Cᵢ` lies in the disc of radius
 //! `Rᵢ` around `sᵢ`. The per-group tables of [`VorScratch`] keep the sites
-//! as flat coordinate arrays next to each member's *gate*
-//! `4·Rᵢ²·(1 + 1e-9)`, recomputed only when member `i` is clipped.
+//! as flat coordinate arrays next to each member's *gate* — `4·Rᵢ²` widened
+//! by the squared-distance margin of the policy (below) — recomputed only
+//! when member `i` is clipped.
 //!
 //! * **Points (triangle inequality).** Lemma 1 lets a point `p` refine `Cᵢ`
-//!   iff some vertex `γ` is strictly closer to `p` than to `sᵢ`
-//!   ([`bisector_cuts`]). Then `dist(sᵢ, p) ≤ dist(sᵢ, γ) + dist(γ, p) <
-//!   2·dist(sᵢ, γ) ≤ 2·Rᵢ`. A point with `dist²(sᵢ, p)` above the gate
-//!   therefore fails Lemma 1 for member `i` without looking at a vertex.
+//!   iff some vertex `γ` is strictly closer to `p` than to `sᵢ` — strictly
+//!   outside the bisector halfplane (the clip's own sidedness test, whose
+//!   answer [`ConvexPolygon::clip_in_place`] returns). Then `dist(sᵢ, p) ≤
+//!   dist(sᵢ, γ) + dist(γ, p) < 2·dist(sᵢ, γ) ≤ 2·Rᵢ`. A point with
+//!   `dist²(sᵢ, p)` above the gate therefore fails Lemma 1 for member `i`
+//!   without looking at a vertex.
 //! * **Rectangles (Lipschitz).** Lemma 2 lets an entry with MBR `e` possibly
 //!   refine `Cᵢ` iff some vertex `γ` has `mindist(e, γ) < dist(γ, sᵢ)`
 //!   ([`can_refine`]). The distance to a rectangle is 1-Lipschitz, so
@@ -38,13 +41,17 @@
 //!   dist(γ, sᵢ)`: Lemma 2 says no. A point entry is a degenerate
 //!   rectangle, which makes the first bullet a special case of this one.
 //! * **The guard.** Both implications are strict in exact arithmetic, and
-//!   the two sides of each are rounded independently. The gate is widened
-//!   by a relative `1e-9` — many orders above the rounding error of a
-//!   squared distance, many below any geometric scale — so a member the
-//!   vertex rule would accept is never rejected by the gate *as evaluated*.
-//!   Members inside the gate run the unchanged vertex rule, so the gate
-//!   never accepts anything either: same refinements, same clips in the
-//!   same order, same node reads as the ungated loops.
+//!   the two sides of each are rounded independently. The gate discards, so
+//!   it fires only strictly beyond the policy's threshold
+//!   ([`cij_geom::tolerance`]): `4·Rᵢ²` is widened by [`sq_margin`] of the
+//!   squared magnitude of everything the comparison involves — the site,
+//!   and a vertex or an entry within `2·Rᵢ` of it — many orders above the
+//!   rounding error of a squared distance and many below any geometric
+//!   scale. So a member the vertex rule would accept is never rejected by
+//!   the gate *as evaluated*, at any coordinate scale. Members inside the
+//!   gate run the unchanged vertex rule, so the gate never accepts anything
+//!   either: same refinements, same clips in the same order, same node reads
+//!   as the ungated loops.
 //! * **No second test at pop time.** Algorithm 2 re-checks a dequeued point
 //!   against the group before refining with it. For a point entry Lemma 2
 //!   *is* Lemma 1 — `mindist_point_sq` of a degenerate rectangle equals
@@ -83,14 +90,15 @@
 //! pairs cannot change: they are decided on exact cells.
 
 use crate::single::can_refine;
-use cij_geom::{ClipScratch, ConvexPolygon, Point, PointGrid, Rect};
+use cij_geom::tolerance::{magnitude, sq_margin};
+use cij_geom::{ClipScratch, ConvexPolygon, HalfPlane, Point, PointGrid, Rect};
 use cij_rtree::{
     LeafLayout, NodeArena, NodeReader, PointObject, RTreeObject, TraversalEntry, TraversalQueue,
 };
 
 /// Reusable per-worker scratch for batch-Voronoi traversals.
 ///
-/// [`batch_voronoi_with`] performs all its transient work inside this
+/// [`batch_voronoi`] performs all its transient work inside this
 /// struct: nodes decode into the [`NodeArena`] (SoA layout), cell refinement
 /// ping-pongs through the [`ClipScratch`], per-leaf centroid distances land
 /// in `dists`, the best-first queue and the per-group tables (member sites,
@@ -109,7 +117,7 @@ pub struct VorScratch {
     pub dists: Vec<f64>,
     /// Work counter: bisector clips applied, over every call so far.
     pub clips: u64,
-    /// Work counter: per-member vertex loops run ([`bisector_cuts`] /
+    /// Work counter: per-member vertex loops run (clips attempted /
     /// [`can_refine`] evaluations that survived the reach gate).
     pub vertex_loops: u64,
     /// Work counter: refinement passes — one per discovered point offered to
@@ -139,7 +147,7 @@ impl VorScratch {
 struct GroupTables {
     xs: Vec<f64>,
     ys: Vec<f64>,
-    /// `4 · reach² · (1 + REACH_GUARD)` of each member's current cell.
+    /// [`reach_gate`] of each member's current cell.
     gate: Vec<f64>,
     /// Members that passed the gate for the point being applied: a prefix
     /// of this vector, which is kept as long as the group.
@@ -150,34 +158,18 @@ struct GroupTables {
     ring: Vec<(f64, u32)>,
 }
 
-/// Relative widening of the reach gate, so that rounding can never make it
-/// reject a member the vertex rule would accept (module docs).
-const REACH_GUARD: f64 = 1e-9;
-
 /// Average number of members per bucket the seeding grid aims for.
 const SEED_BUCKET_LOAD: f64 = 2.0;
 
 /// The gate of a cell: no point farther than this (squared) from `site`,
 /// and no rectangle whose `mindist²` to `site` exceeds it, can refine
-/// `cell`.
+/// `cell` — `4·reach²`, widened by the squared-distance margin of the site
+/// and the disc of radius `2·reach` around it (module docs, "The guard").
 #[inline]
 fn reach_gate(site: &Point, cell: &ConvexPolygon) -> f64 {
-    4.0 * cell_reach_sq(site, cell) * (1.0 + REACH_GUARD)
-}
-
-/// Whether the bisector `⊥(site, other)` actually cuts the cell whose
-/// vertex set is `cell_vertices`: some vertex must lie strictly closer to
-/// `other` than to `site`. This is Lemma 1 specialised to a point entry —
-/// clipping when it returns `false` is a no-op, so callers skip the clip.
-///
-/// Shared by [`batch_voronoi_with`]'s refinement step and the
-/// conditional filter of `cij-core`, which both maintain a
-/// conservative cell and must agree on when a discovered point can shrink it.
-#[inline]
-pub fn bisector_cuts(cell_vertices: &[Point], site: &Point, other: &Point) -> bool {
-    cell_vertices
-        .iter()
-        .any(|g| g.dist_sq(other) < g.dist_sq(site))
+    let disc = 4.0 * cell_reach_sq(site, cell);
+    let m = magnitude(site);
+    disc + sq_margin(disc + m * m)
 }
 
 /// Squared radius of the smallest circle centred at `site` that contains
@@ -198,7 +190,7 @@ pub fn cell_reach_sq(site: &Point, cell: &ConvexPolygon) -> f64 {
 
 /// A store of previously computed exact Voronoi cells, keyed by point id.
 ///
-/// [`batch_voronoi_cached`] consults the store before computing a cell
+/// [`batch_voronoi`] consults the store before computing a cell
 /// and deposits every freshly computed cell back into it. The canonical
 /// implementation is the bounded LRU `CellCache` of `cij-core` (the paper's
 /// Section IV-B *reuse buffer*); [`NoCache`] disables reuse.
@@ -222,50 +214,6 @@ impl CellStore for NoCache {
     fn put(&mut self, _id: u64, _cell: &ConvexPolygon) {}
 }
 
-/// [`batch_voronoi_with`] behind a reuse buffer: cells already present in
-/// `cache` are served without touching the tree; only the missing group
-/// members are computed (in one shared traversal) and the fresh cells are
-/// deposited back into the cache. The returned vector is aligned with
-/// `group`.
-pub fn batch_voronoi_cached<T: NodeReader<PointObject>, C: CellStore>(
-    tree: &mut T,
-    group: &[PointObject],
-    domain: &Rect,
-    cache: &mut C,
-    scratch: &mut VorScratch,
-) -> Vec<ConvexPolygon> {
-    // Fast path: nothing to look up.
-    if group.is_empty() {
-        return Vec::new();
-    }
-    let mut cells: Vec<Option<ConvexPolygon>> = Vec::with_capacity(group.len());
-    let mut missing: Vec<PointObject> = Vec::new();
-    for member in group {
-        match cache.get(member.id.0) {
-            Some(cell) => cells.push(Some(cell)),
-            None => {
-                cells.push(None);
-                missing.push(*member);
-            }
-        }
-    }
-    if !missing.is_empty() {
-        let computed = batch_voronoi_with(tree, &missing, domain, scratch);
-        let mut fresh = missing.iter().zip(computed);
-        for slot in cells.iter_mut() {
-            if slot.is_none() {
-                let (obj, cell) = fresh.next().expect("one computed cell per missing member");
-                cache.put(obj.id.0, &cell);
-                *slot = Some(cell);
-            }
-        }
-    }
-    cells
-        .into_iter()
-        .map(|c| c.expect("every slot filled"))
-        .collect()
-}
-
 // Inert: `cij_benchmark/src/layers.rs` is its only reader.
 #[doc(hidden)]
 pub fn batch_voronoi_cached_with<T: NodeReader<PointObject>, C: CellStore>(
@@ -276,7 +224,7 @@ pub fn batch_voronoi_cached_with<T: NodeReader<PointObject>, C: CellStore>(
     _layout: LeafLayout,
     scratch: &mut VorScratch,
 ) -> Vec<ConvexPolygon> {
-    batch_voronoi_cached(tree, group, domain, cache, scratch)
+    batch_voronoi(tree, group, domain, cache, scratch)
 }
 
 /// The cells of one group under refinement, with the group's reach-gate
@@ -327,21 +275,16 @@ impl<'a> GroupCells<'a> {
         }
     }
 
-    /// Clips member `i`'s cell, in place through the scratch buffers, with
-    /// the bisector against `other` (which the caller found to cut it) and
+    /// Lemma 1 for member `i` and the data point `other`: clips the cell in
+    /// place through the scratch buffers and, when the bisector cut it,
     /// refreshes the member's gate.
-    fn clip_member(&mut self, i: usize, other: &Point) {
-        let site = &self.group[i].point;
-        self.cells[i].clip_bisector_in_place(site, other, self.clip);
-        self.tables.gate[i] = reach_gate(site, &self.cells[i]);
-        self.clips += 1;
-    }
-
-    /// Lemma 1 for member `i` and the data point `other`, then the clip.
     fn refine_member(&mut self, i: usize, other: &Point) {
         self.vertex_loops += 1;
-        if bisector_cuts(self.cells[i].vertices(), &self.group[i].point, other) {
-            self.clip_member(i, other);
+        let site = &self.group[i].point;
+        let hp = HalfPlane::bisector(site, other);
+        if self.cells[i].clip_in_place(&hp, self.clip) {
+            self.tables.gate[i] = reach_gate(site, &self.cells[i]);
+            self.clips += 1;
         }
     }
 
@@ -459,7 +402,11 @@ impl<'a> GroupCells<'a> {
 
 /// Computes the exact Voronoi cells of every point in `group` within the
 /// pointset indexed by `tree`, clipped to `domain`, sharing one best-first
-/// traversal (Algorithm 2, "BatchVoronoi").
+/// traversal (Algorithm 2, "BatchVoronoi"), behind the reuse buffer `store`:
+/// cells present in it are served without touching the tree, only the
+/// missing members are computed (in one shared traversal), and the fresh
+/// cells are deposited back into it. Callers that want no reuse pass
+/// [`NoCache`].
 ///
 /// The returned vector is aligned with `group`. Group members do constrain
 /// each other (they are part of `P`); a member never constrains itself.
@@ -474,8 +421,48 @@ impl<'a> GroupCells<'a> {
 /// looping over groups keep one): nodes decode into `scratch.arena` by
 /// reference, leaf centroid distances are one batched loop over the
 /// coordinate slices, and cells are refined in place through `scratch.clip`
-/// — no per-node or per-clip allocation after warm-up.
-pub fn batch_voronoi_with<T: NodeReader<PointObject>>(
+/// — no per-node or per-clip allocation after warm-up, and none for the
+/// store when it holds none of the group.
+pub fn batch_voronoi<T: NodeReader<PointObject>, C: CellStore>(
+    tree: &mut T,
+    group: &[PointObject],
+    domain: &Rect,
+    store: &mut C,
+    scratch: &mut VorScratch,
+) -> Vec<ConvexPolygon> {
+    // The stored cells by position; with none (always under `NoCache`) the
+    // group is computed as it is, without a copy.
+    let stored: Vec<(usize, ConvexPolygon)> = (group.iter().enumerate())
+        .filter_map(|(i, member)| store.get(member.id.0).map(|cell| (i, cell)))
+        .collect();
+    if stored.is_empty() {
+        let cells = compute_cells(tree, group, domain, scratch);
+        for (member, cell) in group.iter().zip(&cells) {
+            store.put(member.id.0, cell);
+        }
+        return cells;
+    }
+    let mut hits = stored.iter().map(|&(i, _)| i).peekable();
+    let missing: Vec<PointObject> = (group.iter().enumerate())
+        .filter(|&(i, _)| hits.next_if_eq(&i).is_none())
+        .map(|(_, member)| *member)
+        .collect();
+    let mut fresh = compute_cells(tree, &missing, domain, scratch).into_iter();
+    let mut stored = stored.into_iter().peekable();
+    (group.iter().enumerate())
+        .map(|(i, member)| match stored.next_if(|&(at, _)| at == i) {
+            Some((_, cell)) => cell,
+            None => {
+                let cell = fresh.next().expect("one computed cell per missing member");
+                store.put(member.id.0, &cell);
+                cell
+            }
+        })
+        .collect()
+}
+
+/// The traversal of [`batch_voronoi`] over the members it has to compute.
+fn compute_cells<T: NodeReader<PointObject>>(
     tree: &mut T,
     group: &[PointObject],
     domain: &Rect,
@@ -578,7 +565,7 @@ mod tests {
     /// The cells of `group` in the domain, fresh scratch.
     fn domain_cells(tree: &mut RTree<PointObject>, group: &[PointObject]) -> Vec<ConvexPolygon> {
         let scratch = &mut VorScratch::default();
-        batch_voronoi_with(tree, group, &Rect::DOMAIN, scratch)
+        batch_voronoi(tree, group, &Rect::DOMAIN, &mut NoCache, scratch)
     }
 
     #[test]
@@ -695,7 +682,7 @@ mod tests {
             hits: 0,
         };
         // First pass: all misses, results identical to the uncached call.
-        let first = batch_voronoi_cached(
+        let first = batch_voronoi(
             &mut tree,
             &group,
             &Rect::DOMAIN,
@@ -709,7 +696,7 @@ mod tests {
         // Second pass: every cell is served from the store, without touching
         // the tree.
         tree.stats().reset();
-        let second = batch_voronoi_cached(
+        let second = batch_voronoi(
             &mut tree,
             &group,
             &Rect::DOMAIN,
@@ -722,7 +709,7 @@ mod tests {
             assert!(cells_equal(a, b));
         }
         // A NoCache store degrades to the plain batch computation.
-        let none = batch_voronoi_cached(
+        let none = batch_voronoi(
             &mut tree,
             &group,
             &Rect::DOMAIN,
@@ -758,7 +745,7 @@ mod tests {
                 store.0.insert(obj.id.0, cell.clone());
             }
         }
-        let mixed = batch_voronoi_cached(
+        let mixed = batch_voronoi(
             &mut tree,
             &group,
             &Rect::DOMAIN,
@@ -950,8 +937,8 @@ mod tests {
     ) -> Vec<usize> {
         let mut clipped = Vec::new();
         for (i, member) in group.iter().enumerate() {
-            if member.id != pj.id && bisector_cuts(cells[i].vertices(), &member.point, &pj.point) {
-                cells[i] = cells[i].clip_bisector(&member.point, &pj.point);
+            let hp = HalfPlane::bisector(&member.point, &pj.point);
+            if member.id != pj.id && cells[i].clip_in_place(&hp, &mut ClipScratch::new()) {
                 clipped.push(i);
             }
         }
@@ -1135,7 +1122,7 @@ mod tests {
         for leaf in tree.leaf_pages_hilbert_order(&Rect::DOMAIN) {
             let group = tree.try_read_node(leaf).unwrap().objects;
             cells += group.len() as u64;
-            batch_voronoi_with(&mut tree, &group, &Rect::DOMAIN, &mut scratch);
+            batch_voronoi(&mut tree, &group, &Rect::DOMAIN, &mut NoCache, &mut scratch);
         }
         assert_eq!(cells, 20_000);
         let clips_per_cell = scratch.clips as f64 / cells as f64;

@@ -3,8 +3,13 @@
 //! Equation (2) of the paper: the Voronoi cell of `pi` is the intersection of
 //! the halfplanes `⊥pi(pi, pj)` over every other point `pj`. The functions
 //! here apply that definition literally (O(n) per cell, O(n²) per diagram),
-//! which is far too slow for the experiments but exactly right for verifying
-//! the R-tree based algorithms on small inputs.
+//! which is far too slow for the experiments but right for checking the
+//! R-tree based algorithms' traversals on small inputs.
+//!
+//! They clip with the product's own `cij_geom` kernels under the same
+//! tolerance policy, so they cannot catch a fault in those kernels. The
+//! truth on lattice inputs is the integer oracle of `tests/exact_oracle.rs`,
+//! which shares no arithmetic with them.
 
 use cij_geom::{ConvexPolygon, Point, Rect};
 

@@ -8,7 +8,7 @@
 //! lower bound for any diagram-computation (and CIJ) method, since every
 //! point participates in the result.
 
-use crate::batch::{batch_voronoi_with, VorScratch};
+use crate::batch::{batch_voronoi, NoCache, VorScratch};
 use crate::single::single_voronoi;
 use cij_geom::Rect;
 use cij_pagestore::IoSnapshot;
@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 pub enum DiagramMethod {
     /// One [`single_voronoi`] traversal per point (ITER).
     Iter,
-    /// One [`batch_voronoi_with`] traversal per leaf (BATCH).
+    /// One [`batch_voronoi`] traversal per leaf (BATCH).
     Batch,
 }
 
@@ -58,7 +58,7 @@ pub fn compute_diagram(
                 .iter()
                 .map(|member| single_voronoi(tree, member.point, member.id, domain))
                 .collect(),
-            DiagramMethod::Batch => batch_voronoi_with(tree, &group, domain, &mut scratch),
+            DiagramMethod::Batch => batch_voronoi(tree, &group, domain, &mut NoCache, &mut scratch),
         };
         if let Some(e) = tree.take_io_error() {
             panic!("CIJ storage failure: {e}");

@@ -6,9 +6,9 @@
 //! * [`single_voronoi`] — **BF-VOR** (Algorithm 1): the exact Voronoi cell of
 //!   one point in a single best-first R-tree traversal, with the Lemma-1/2
 //!   pruning rule [`can_refine`].
-//! * [`batch_voronoi_with`] — **BatchVoronoi** (Algorithm 2): the cells of a
+//! * [`batch_voronoi`] — **BatchVoronoi** (Algorithm 2): the cells of a
 //!   group of nearby points (one R-tree leaf, in practice) in one shared
-//!   traversal; [`batch_voronoi_cached`] puts a reuse buffer in front.
+//!   traversal, behind a reuse buffer ([`CellStore`]; [`NoCache`] for none).
 //! * [`tp_voronoi`] — the **TP-VOR** multi-traversal baseline of \[10\], used
 //!   by Figure 5 as the comparison point for BF-VOR.
 //! * [`compute_diagram`] — the ITER / BATCH whole-diagram builders of
@@ -25,8 +25,7 @@ pub mod single;
 pub mod tpvor;
 
 pub use batch::{
-    batch_voronoi_cached, batch_voronoi_cached_with, batch_voronoi_with, bisector_cuts,
-    cell_reach_sq, CellStore, NoCache, VorScratch,
+    batch_voronoi, batch_voronoi_cached_with, cell_reach_sq, CellStore, NoCache, VorScratch,
 };
 pub use brute::{brute_force_cell, brute_force_diagram, nearest_index};
 pub use diagram::{compute_diagram, lower_bound_io, DiagramMethod, DiagramResult};

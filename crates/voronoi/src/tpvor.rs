@@ -11,7 +11,7 @@
 //! independent best-first traversal per active vertex, repeated until the
 //! cell stabilises — which is what produces its higher node-access counts.
 
-use cij_geom::{ConvexPolygon, Point, Rect};
+use cij_geom::{ConvexPolygon, HalfPlane, Point, Rect};
 use cij_rtree::{ObjectId, PointObject, RTree};
 
 /// Computes the exact Voronoi cell of `pi` using the multi-traversal TP-VOR
@@ -31,7 +31,6 @@ pub fn tp_voronoi(
     if tree.is_empty() {
         return cell;
     }
-    const EPS: f64 = 1e-7;
     loop {
         let vertices: Vec<Point> = cell.vertices().to_vec();
         let mut refined = false;
@@ -46,9 +45,12 @@ pub fn tp_voronoi(
                 .nearest_iter(gamma)
                 .find(|(_, o)| o.id != pi_id)
                 .map(|(_, o)| o);
+            // The re-check discards: clip only when the vertex lies strictly
+            // outside the bisector, by the policy's threshold.
             if let Some(pj) = nn {
-                if pj.point.dist(&gamma) + EPS < gamma.dist(&pi) {
-                    cell = cell.clip_bisector(&pi, &pj.point);
+                let hp = HalfPlane::bisector(&pi, &pj.point);
+                if !hp.contains(&gamma) {
+                    cell = cell.clip(&hp);
                     refined = true;
                 }
             }

@@ -13,7 +13,7 @@
 //! test's allocations are ever counted — keep it that way.
 
 use cij::prelude::*;
-use cij::voronoi::{batch_voronoi_with, VorScratch};
+use cij::voronoi::{batch_voronoi, NoCache, VorScratch};
 use cij_bench::allocations;
 
 /// Allocations per emitted tuple the join may spend. Two are structural —
@@ -49,7 +49,7 @@ const MAX_ALLOCATIONS_PER_PAIR: f64 = 3.5;
 /// With the report's edge tables: 2.63 (all three alike).
 const MAX_ALLOCATIONS_PER_METERED_PAIR: f64 = 2.65;
 
-/// Allocations a second `batch_voronoi_with` over one 41-point leaf group
+/// Allocations a second `batch_voronoi` over one 41-point leaf group
 /// may spend on the scratch the first call warmed: what the returned cells
 /// need and nothing else. Measured 98 — the vector of cells, one seed
 /// outline per member and 56 outline growths, 2.4 per member — and 99 under
@@ -158,9 +158,9 @@ fn multiway_join_stays_within_its_allocation_budget() {
     let group = tree.try_read_node(leaf).unwrap().objects;
     assert_eq!(group.len(), 41, "one full default-page leaf");
     let mut scratch = VorScratch::default();
-    let warm_up = batch_voronoi_with(&mut tree, &group, &Rect::DOMAIN, &mut scratch);
+    let warm_up = batch_voronoi(&mut tree, &group, &Rect::DOMAIN, &mut NoCache, &mut scratch);
     let before = allocations();
-    let cells = batch_voronoi_with(&mut tree, &group, &Rect::DOMAIN, &mut scratch);
+    let cells = batch_voronoi(&mut tree, &group, &Rect::DOMAIN, &mut NoCache, &mut scratch);
     let spent = allocations() - before;
     assert_eq!(cells, warm_up);
     assert!(

@@ -1,11 +1,12 @@
 //! Property-based integration tests: the CIJ invariants must hold for
 //! arbitrary small pointsets, not just the hand-picked ones.
 
-use cij::core::grouped_nn_via_all_nn;
+use cij::core::{grouped_nn_via_all_nn, GroupCounts};
 use cij::prelude::*;
 use cij::rtree::RTreeConfig;
 use cij::voronoi::{brute_force_diagram, nearest_index};
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 
 /// Honours the `CIJ_WORKER_THREADS` / `CIJ_STORAGE` overrides CI uses to
 /// rerun this suite over the parallel path and the file storage backend.
@@ -59,6 +60,56 @@ fn adversarial_location(
         5 => Point::new(side + (side - 5_000.0) * (1e-3 + t), t * 10_000.0),
         _ => Point::new(t * 10_000.0, (i * 7_919 + j * 104_729) as f64 % 10_000.0),
     }
+}
+
+/// A lattice pointset: even coordinates in `[0, 32]`, so the midpoint of
+/// any two sites is a lattice point too.
+fn lattice_set() -> impl Strategy<Value = Vec<(i64, i64)>> {
+    proptest::collection::vec((0i64..=16, 0i64..=16), 1..20)
+        .prop_map(|v| v.into_iter().map(|(x, y)| (2 * x, 2 * y)).collect())
+}
+
+/// The indices of the sites nearest to `l`, every tie included, by exact
+/// squared distance.
+fn exact_nearest(sites: &[(i64, i64)], l: (i64, i64)) -> Vec<u64> {
+    let d = |s: &(i64, i64)| i128::from(s.0 - l.0).pow(2) + i128::from(s.1 - l.1).pow(2);
+    let best = sites.iter().map(d).min().expect("sites");
+    (0..sites.len() as u64)
+        .filter(|&i| d(&sites[i as usize]) == best)
+        .collect()
+}
+
+/// Whether each location can be given one of its `admissible` pairs so that
+/// every pair receives exactly its count: a bipartite b-matching, found by
+/// augmenting paths.
+fn assignable(admissible: &[Vec<(u64, u64)>], counts: &GroupCounts) -> bool {
+    fn place(
+        l: usize,
+        admissible: &[Vec<(u64, u64)>],
+        counts: &GroupCounts,
+        held: &mut HashMap<(u64, u64), Vec<usize>>,
+        seen: &mut HashSet<(u64, u64)>,
+    ) -> bool {
+        for &key in &admissible[l] {
+            if !seen.insert(key) {
+                continue;
+            }
+            let holders = held.entry(key).or_default().clone();
+            if (holders.len() as u64) < counts.get(&key).copied().unwrap_or(0) {
+                held.get_mut(&key).unwrap().push(l);
+                return true;
+            }
+            for (slot, h) in holders.into_iter().enumerate() {
+                if place(h, admissible, counts, held, seen) {
+                    held.get_mut(&key).unwrap()[slot] = l;
+                    return true;
+                }
+            }
+        }
+        false
+    }
+    let mut held = HashMap::new();
+    (0..admissible.len()).all(|l| place(l, admissible, counts, &mut held, &mut HashSet::new()))
 }
 
 proptest! {
@@ -120,24 +171,21 @@ proptest! {
 
     #[test]
     fn self_join_includes_the_diagonal_and_neighbours(p in pointset(25)) {
-        // Joining a pointset with itself must relate every point to itself
-        // (its cell trivially intersects itself). Note: full symmetry of the
-        // self-join result is *not* asserted here because in a self-join
-        // three Voronoi cells generically meet at a single vertex, so many
-        // pairs touch at exactly one point — a configuration where the
-        // floating-point intersection predicate may legitimately flip either
-        // way. Cross-algorithm agreement on generic (P, Q) inputs is covered
-        // by the other properties and by the oracle tests.
+        // Joining a pointset with itself relates every point to itself (its
+        // cell trivially intersects itself), and the result is symmetric:
+        // cells are closed, so two cells that touch in a single vertex — as
+        // three cells of a self-join generically do — join both ways round
+        // (`cij_geom`, "Tolerance policy"). `tests/exact_oracle.rs` holds
+        // lattice self-joins to the exact answer at every scale.
         let config = test_config();
         let mut w = Workload::build(&p, &p, &config);
         let pairs = nm_cij(&mut w, &config).sorted_pairs();
         for i in 0..p.len() as u64 {
             prop_assert!(pairs.binary_search(&(i, i)).is_ok(), "missing ({i},{i})");
         }
-        // Every pair relates points whose cells really do intersect under
-        // the same geometric predicate (sanity of the reported ids).
         for &(a, b) in &pairs {
             prop_assert!((a as usize) < p.len() && (b as usize) < p.len());
+            prop_assert!(pairs.binary_search(&(b, a)).is_ok(), "({a},{b}) without ({b},{a})");
         }
     }
 
@@ -184,5 +232,58 @@ proptest! {
             *sum.entry(key).or_insert(0) += count;
         }
         prop_assert_eq!(sum, all);
+    }
+
+    /// The lattice variant of the test above: every location is an integer
+    /// point — a site, the midpoint of two sites (on their bisector), a
+    /// domain corner or anywhere — and every one is checked, tied or not, at
+    /// a power-of-two scale: each location counts for a pair of its exact
+    /// nearest `P` and `Q` sites (first claim wins among ties), only CIJ
+    /// pairs count, and the counts sum to the locations.
+    #[test]
+    fn grouped_counts_match_the_exact_nearest_sites_on_lattice_locations(
+        p in lattice_set(),
+        q in lattice_set(),
+        picks in proptest::collection::vec(
+            (0usize..4, 0usize..1_000, 0usize..1_000, (0i64..=32, 0i64..=32)),
+            1..40,
+        ),
+        k in -40i32..=40,
+    ) {
+        let sites = [&p, &q];
+        let locations: Vec<(i64, i64)> = picks
+            .iter()
+            .map(|&(kind, i, j, at)| {
+                let (a, b) = (sites[i % 2][i / 2 % sites[i % 2].len()], sites[j % 2][j / 2 % sites[j % 2].len()]);
+                match kind {
+                    0 => a,
+                    1 => ((a.0 + b.0) / 2, (a.1 + b.1) / 2),
+                    2 => (32 * (at.0 % 2), 32 * (at.1 % 2)),
+                    _ => at,
+                }
+            })
+            .collect();
+        let s = 2f64.powi(k);
+        let at = |v: &[(i64, i64)]| -> Vec<Point> {
+            v.iter().map(|&(x, y)| Point::new(x as f64 * s, y as f64 * s)).collect()
+        };
+        let domain = Rect::from_coords(0.0, 0.0, 32.0 * s, 32.0 * s);
+        let engine = QueryEngine::new(test_config().with_domain(domain));
+        let (pp, qq) = (at(&p), at(&q));
+        let pairs = engine.join(&pp, &qq, Algorithm::NmCij).sorted_pairs();
+        let counts = engine.grouped_nn(&pp, &qq, &at(&locations));
+        for key in counts.keys() {
+            prop_assert!(pairs.binary_search(key).is_ok(), "{key:?} is not a CIJ pair");
+        }
+        prop_assert_eq!(counts.values().sum::<u64>(), locations.len() as u64);
+        let admissible: Vec<Vec<(u64, u64)>> = locations
+            .iter()
+            .map(|&l| {
+                let np = exact_nearest(&p, l);
+                let nq = exact_nearest(&q, l);
+                np.iter().flat_map(|&a| nq.iter().map(move |&b| (a, b))).collect()
+            })
+            .collect();
+        prop_assert!(assignable(&admissible, &counts), "k = {k}: {counts:?} vs {admissible:?}");
     }
 }
