@@ -7,8 +7,9 @@
 //! guaranteed to contain every point whose Voronoi cell intersects any of
 //! the polygons. Section IV-A's three pruning ingredients are used:
 //!
-//! 1. points inside a polygon `T` always join (they are kept as candidates
-//!    and their cells need not be checked for that polygon),
+//! 1. points inside a polygon `T` always join: a point strictly inside some
+//!    probe polygon becomes a candidate without its approximate cell being
+//!    computed (see "The inside-point rule" below),
 //! 2. a point `p` is discarded when its *approximate* cell `V(p, CP)` —
 //!    computed from the already-found candidates only, a superset of the
 //!    exact cell — misses every polygon,
@@ -29,6 +30,25 @@
 //! ([`cij_geom::RectGrid`]) instead: each examined point clips only against
 //! *near* candidates, nearest-first by expanding grid rings, and each
 //! polygon test touches only the polygons whose bbox can overlap the query.
+//!
+//! # The inside-point rule
+//!
+//! Before it computes a cell, the filter asks the polygon index whether the
+//! examined point `p` lies in the seed `B` (invariant 1 below) and
+//! **strictly** inside some probe polygon `T`
+//! ([`ConvexPolygon::strictly_contains_point`]). If so, `p` joins and its
+//! cell is never computed. The answer is the one the cell would give. The
+//! approximate cell always contains `p`: it is `B` cut by bisectors
+//! `⊥(p, c)`, `p` is on its own side of each of them, and `p` lies in `B`.
+//! So the cell and `T` share `p`, and since `T` holds `p` by more than its
+//! threshold, the tolerant separating-axis test of ingredient 2 can only
+//! answer "intersects". A point within the tolerance band of `T`'s boundary
+//! is not held strictly and falls through to the cell test: there, rounding
+//! in the cell's outline could decide either way, and the rule does not
+//! guess. So every decision is the cell test's own, and the candidates,
+//! their order and the traversal are those of the cell test alone; only
+//! [`FilterStats::clip_ops`] (down) and [`FilterStats::poly_tests_skipped`]
+//! (the containment query's skips) show the rule.
 //!
 //! # Why bounded clipping is sufficient
 //!
@@ -132,10 +152,14 @@ pub struct FilterStats {
     /// Non-leaf entries pruned by the Φ rule.
     pub entries_pruned: u64,
     /// Bisector clip operations performed while computing approximate
-    /// cells (quadratic in the candidates under the literal reading).
+    /// cells (quadratic in the candidates under the literal reading). The
+    /// cells of points strictly inside a probe polygon are not computed
+    /// (module docs, "The inside-point rule"), so they cost none.
     pub clip_ops: u64,
     /// Probe-polygon tests the bbox index avoided relative to scanning the
-    /// whole polygon batch.
+    /// whole polygon batch, counted per index query: the inside-point
+    /// containment query, the cell query and the node query each add the
+    /// polygons they did not examine.
     pub poly_tests_skipped: u64,
 }
 
@@ -324,14 +348,24 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
         match entry {
             TraversalEntry::Point(p) => {
                 stats.points_examined += 1;
-                // Approximate cell of p from the current candidates only; a
-                // superset of V(p, P) (within the seed), so discarding is
-                // safe.
-                approx_cell_into(&seed, &p, &candidates, grid, &mut stats, cell, clip);
-                let cbb = widened(&cell.bbox());
-                let joins = any_indexed(polyidx, &cbb, &mut stats, |i| {
-                    cbb.intersects(&poly_bboxes[i]) && cell.intersects(probes.get(i))
-                });
+                // Ingredient 1: a point of the seed strictly inside some
+                // polygon joins, and its cell would only say so again.
+                let at = &p.point;
+                let inside = bound.contains_point(at)
+                    && any_indexed(polyidx, &Rect::from_point(*at), &mut stats, |i| {
+                        poly_bboxes[i].contains_point(at)
+                            && probes.get(i).strictly_contains_point(at)
+                    });
+                // Otherwise the approximate cell of p from the current
+                // candidates only; a superset of V(p, P) (within the seed),
+                // so discarding is safe.
+                let joins = inside || {
+                    approx_cell_into(&seed, &p, &candidates, grid, &mut stats, cell, clip);
+                    let cbb = widened(&cell.bbox());
+                    any_indexed(polyidx, &cbb, &mut stats, |i| {
+                        cbb.intersects(&poly_bboxes[i]) && cell.intersects(probes.get(i))
+                    })
+                };
                 if joins {
                     candidates.push(p);
                     grid.insert(&p.point, candidates.len() as u32 - 1);
@@ -767,12 +801,17 @@ mod tests {
     fn whole_domain_polygon_keeps_voronoi_neighbours_of_everything() {
         // When the probe polygon is the whole domain, every point of P joins
         // (its cell is inside the domain), so the candidate set must be all
-        // of P.
+        // of P — and every point is strictly inside the probe, so it joins
+        // by the inside-point rule without a single clip.
         let p = random_points(120, 71);
         let mut rp = RTree::bulk_load(config(), PointObject::from_points(&p));
-        let t = ConvexPolygon::from_rect(&Rect::DOMAIN);
-        let (candidates, _) = filter_with(&mut rp, &[t], &FilterOptions::default());
+        let t = [ConvexPolygon::from_rect(&Rect::DOMAIN)];
+        let (candidates, stats) = filter_with(&mut rp, &t, &FilterOptions::default());
         assert_eq!(candidates.len(), p.len());
+        assert_eq!(stats.clip_ops, 0);
+        let (ref_cands, ref_stats) = reference_over(&p, &t, &Rect::DOMAIN);
+        assert_eq!(ids(&candidates), ids(&ref_cands));
+        assert!(ref_stats.clip_ops > 0);
     }
 
     #[test]
@@ -1136,7 +1175,11 @@ mod tests {
 
         /// The product equals Algorithm 5 read literally — candidates (set
         /// *and* order), points examined, entries pruned — for random point
-        /// sets, polygon batches, domains and grid resolutions.
+        /// sets, polygon batches, domains and grid resolutions. Sites may
+        /// sit on a 32 × 32 lattice of the domain, some points of `P` sit
+        /// exactly on probe vertices and edge midpoints, and some repeat a
+        /// site of `P` under a fresh id: the points the inside-point rule
+        /// must leave to the cell test.
         #[test]
         fn product_equals_the_literal_algorithm_5(
             seed in 0u64..10_000,
@@ -1145,28 +1188,53 @@ mod tests {
             batch in 1usize..14,
             resolution_pick in 0usize..5,
             domain_pick in 0usize..3,
+            lattice_pick in 0usize..2,
+            on_probes in 0usize..40,
+            duplicates in 0usize..20,
         ) {
             let domain = match domain_pick {
                 0 => Rect::DOMAIN,
                 1 => Rect::from_coords(-500.0, -250.0, 700.0, 450.0),
                 _ => Rect::from_coords(2_000.0, 8_000.0, 2_400.0, 11_000.0),
             };
+            // Every domain's sides are 32 exactly representable steps.
+            let snap = |v: f64, lo: f64, hi: f64| {
+                let step = (hi - lo) / 32.0;
+                if lattice_pick == 1 { lo + ((v - lo) / step).round() * step } else { v }
+            };
             let points_in = |n: usize, seed: u64| -> Vec<Point> {
                 let mut rng = StdRng::seed_from_u64(seed);
+                let (lo, hi) = (domain.lo, domain.hi);
                 (0..n)
                     .map(|_| Point::new(
-                        rng.gen_range(domain.lo.x..domain.hi.x),
-                        rng.gen_range(domain.lo.y..domain.hi.y),
+                        snap(rng.gen_range(lo.x..hi.x), lo.x, hi.x),
+                        snap(rng.gen_range(lo.y..hi.y), lo.y, hi.y),
                     ))
                     .collect()
             };
-            let p = points_in(n_p, 18_000 + seed);
             let q = points_in(n_q, 19_000 + seed);
             // Probe batch: exact Voronoi cells of a slice of Q — the polygon
             // shape every caller actually probes with.
             let cells = brute_force_diagram(&q, &domain);
             let start = (seed as usize) % (n_q - batch.min(n_q - 1));
             let polys: Vec<ConvexPolygon> = cells[start..start + batch.min(n_q - start)].to_vec();
+            let mut p = points_in(n_p, 18_000 + seed);
+            let on_boundary: Vec<Point> = polys
+                .iter()
+                .flat_map(|t| {
+                    let v = t.vertices();
+                    (0..v.len()).flat_map(move |i| [v[i], v[i].midpoint(&v[(i + 1) % v.len()])])
+                })
+                .collect();
+            let mut rng = StdRng::seed_from_u64(20_000 + seed);
+            let mut pick = |from: &[Point], k: usize| -> Vec<Point> {
+                (0..k).map(|_| from[rng.gen_range(0..from.len())]).collect()
+            };
+            if !on_boundary.is_empty() {
+                p.extend(pick(&on_boundary, on_probes));
+            }
+            let copies = pick(&p, duplicates);
+            p.extend(copies);
 
             let options = FilterOptions { grid_resolution: [0usize, 1, 2, 9, 40][resolution_pick] };
             let mut rp = RTree::bulk_load(config(), PointObject::from_points(&p));

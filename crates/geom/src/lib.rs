@@ -45,8 +45,13 @@
 //!   inside: clipping, containment, the join's cell-intersection test (the
 //!   separating-axis "not separated"), the grouped-NN claim. Decisions that
 //!   discard fire only strictly beyond the threshold: Φ pruning, the reach
-//!   gate, a bisector cutting a cell, TP-VOR's re-check. Degeneracy tests are
-//!   exact (a zero normal, a zero-length segment).
+//!   gate, a bisector cutting a cell, TP-VOR's re-check. A shortcut that
+//!   answers a keep decision without its work fires only strictly inside:
+//!   the conditional filter's inside-point rule asks
+//!   [`ConvexPolygon::strictly_contains_point`], every edge slack above
+//!   `+threshold`, so a point in the tolerance band is left to the decision
+//!   it would skip. Degeneracy tests are exact (a zero normal, a zero-length
+//!   segment).
 //! * **The contract.** What a join returns:
 //!   - Cells are closed (Eqs. 1–2): two cells that share only a vertex or an
 //!     edge — a contact of measure zero — intersect, so the pair joins.

@@ -263,6 +263,16 @@ impl ConvexPolygon {
         }
     }
 
+    /// Whether the polygon holds the point strictly inside: every edge slack
+    /// of `p` is above the edge's threshold, where
+    /// [`ConvexPolygon::contains_point`] asks only that it not fall below
+    /// the threshold's negation. A point within the tolerance band of an
+    /// edge or vertex is not held strictly, and a polygon of fewer than
+    /// three vertices — no interior — holds nothing strictly.
+    pub fn strictly_contains_point(&self, p: &Point) -> bool {
+        self.vertices.len() >= 3 && self.edges().all(|hp| hp.signed_slack(p) > hp.tolerance)
+    }
+
     /// The halfplane of each edge, interior side kept
     /// ([`HalfPlane::edge`]), in outline order.
     fn edges(&self) -> impl Iterator<Item = HalfPlane> + '_ {
@@ -615,6 +625,38 @@ mod tests {
         assert!(sq.contains_point(&Point::new(0.0, 0.0)));
         assert!(sq.contains_point(&Point::new(1.0, 0.5)));
         assert!(!sq.contains_point(&Point::new(1.1, 0.5)));
+    }
+
+    /// The box `[1, 9] × [1, 7]`: its right edge's threshold is `9τ` in
+    /// distance, so a point `1e-9` inside holds strictly while one `3e-11`
+    /// either side of the edge — inside the tolerance band, contained — does
+    /// not. At every scale, as `HalfPlane::contains` is tolerant at every
+    /// scale.
+    #[test]
+    fn strict_containment_excludes_the_tolerance_band_at_every_scale() {
+        for k in [-40, 0, 40] {
+            let s = 2f64.powi(k);
+            let at = |x: f64, y: f64| Point::new(x * s, y * s);
+            let square = ConvexPolygon::from_rect(&Rect::new(at(1.0, 1.0), at(9.0, 7.0)));
+            for inside in [
+                at(5.0, 4.0),
+                at(9.0 - 1e-9, 4.0),
+                at(9.0 - 1e-9, 7.0 - 1e-9),
+            ] {
+                assert!(square.strictly_contains_point(&inside), "k = {k}: {inside}");
+            }
+            let band = [at(9.0 - 3e-11, 4.0), at(9.0 + 3e-11, 4.0)];
+            for held in [at(9.0, 4.0), at(9.0, 7.0), at(1.0, 1.0), band[0], band[1]] {
+                assert!(square.contains_point(&held), "k = {k}: {held}");
+                assert!(!square.strictly_contains_point(&held), "k = {k}: {held}");
+            }
+            let (a, b) = (at(2.0, 3.0), at(6.0, 3.0));
+            let point = ConvexPolygon::new(vec![a]);
+            let segment = ConvexPolygon::new(vec![a, b]);
+            assert!(point.contains_point(&a) && !point.strictly_contains_point(&a));
+            let mid = a.midpoint(&b);
+            assert!(segment.contains_point(&mid) && !segment.strictly_contains_point(&mid));
+        }
     }
 
     #[test]

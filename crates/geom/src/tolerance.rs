@@ -11,7 +11,11 @@
 //! every coordinate by `2^k` — exact in `f64` — scales quantity and
 //! threshold alike and leaves every decision bit for bit as it was. Callers
 //! compute a threshold once per halfplane, edge or entry and state only the
-//! direction: `>= -threshold` to keep, `< -threshold` to discard.
+//! direction: `>= -threshold` to keep, `< -threshold` to discard, and
+//! `> +threshold` for strictly inside, where a shortcut skips the keep
+//! decision's work ([`ConvexPolygon::strictly_contains_point`]).
+//!
+//! [`ConvexPolygon::strictly_contains_point`]: crate::ConvexPolygon::strictly_contains_point
 
 use crate::point::Point;
 use crate::rect::Rect;

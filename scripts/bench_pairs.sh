@@ -2,6 +2,7 @@
 # Alternating parent/change pairs of the repo benchmark (BENCHMARK.json).
 #
 #   scripts/bench_pairs.sh <parent-ref> [--pairs 10] [--workloads a,b,...] [--out DIR]
+#                          [--seconds N]
 #
 # `git archive`s <parent-ref> into a temporary directory (under $TMPDIR),
 # builds its cij_benchmark and the working tree's with separate
@@ -9,7 +10,9 @@
 # pair per seed, the side that goes first flipping each pair — and prints,
 # per workload x end-to-end metric, both medians, the parent's quartiles and
 # how many pairs the change won (ties count for neither side). Workloads,
-# metrics, their better-direction and the run length come from BENCHMARK.json.
+# metrics, their better-direction and the run length come from BENCHMARK.json;
+# --seconds N overrides its run_seconds (short exploratory pairs), and the
+# report header names the run length used.
 # After the table it says, per workload, on how many seeds
 # page_accesses_per_op was identical — the line a decision-preserving claim
 # rests on — or lists the seeds that differ with both values.
@@ -22,7 +25,7 @@
 set -euo pipefail
 
 usage() {
-    sed -n '2,21p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,24p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 }
 
@@ -32,11 +35,13 @@ shift
 pairs=10
 workloads=
 out=
+seconds=
 while [ $# -gt 1 ]; do
     case $1 in
     --pairs) pairs=$2 ;;
     --workloads) workloads=$2 ;;
     --out) out=$2 ;;
+    --seconds) seconds=$2 ;;
     *) usage ;;
     esac
     shift 2
@@ -64,7 +69,9 @@ echo "building $parent_ref and the working tree ..." >&2
 build "$work/parent" "$work/parent-target"
 build "$repo" "$work/change-target"
 
-seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
+if [ -z "$seconds" ]; then
+    seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
+fi
 if [ -z "$workloads" ]; then
     workloads=$(python3 -c 'import json; print(",".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 fi
@@ -87,11 +94,12 @@ for workload in ${workloads//,/ }; do
     done
 done
 
-python3 - "$logs" "$workloads" <<'EOF'
+python3 - "$logs" "$workloads" "$pairs" "$seconds" <<'EOF'
 import json, statistics, sys
 
 logs, workloads = sys.argv[1], sys.argv[2].split(",")
 better = {m["name"]: m["better"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
+print(f"{sys.argv[3]} pairs per workload, {sys.argv[4]} s per run")
 
 def load(workload, side):
     """One (seed, result) per run; the result is None when the run exited
