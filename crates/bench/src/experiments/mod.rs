@@ -1,11 +1,9 @@
 //! The paper's evaluation (Section V) as [`Section`]s, one per figure,
 //! panel or table; figures that are views of the same runs share them, so
-//! one run unit of [`UNITS`] yields several sections. [`fault_storm`] is an
-//! engineering experiment that asserts instead and has its own binary.
+//! one run unit of [`UNITS`] yields several sections.
 
 pub mod default_setting;
 pub mod diagram;
-pub mod fault_storm;
 pub mod fig5;
 pub mod sweeps;
 pub mod table3;

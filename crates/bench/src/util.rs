@@ -1,5 +1,5 @@
 //! What an experiment returns — its table and the verdicts computed from
-//! that table — how both render as Markdown, and the binaries' flags.
+//! that table — how both render as Markdown, and the binary's flags.
 
 use std::str::FromStr;
 

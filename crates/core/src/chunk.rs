@@ -701,7 +701,7 @@ mod tests {
     use super::*;
     use crate::workload::MultiwayWorkload;
     use cij_geom::Point;
-    use cij_pagestore::{FaultKind, FaultSpec};
+    use cij_pagestore::{FaultKind, FaultProfile};
     use cij_rtree::RTreeConfig;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -838,7 +838,7 @@ mod tests {
             reader.finish()
         };
         assert_eq!((log.reads, &log.error), (1, &None));
-        w.trees[0].inject_fault(FaultSpec::corrupt_frame(root.0));
+        w.trees[0].inject_fault(FaultProfile::CorruptFrame(root.0));
         let trees = w.trees.iter_mut().collect();
         let mut acct = Accounting::exclusive(ExecMode::Metered, trees, &stats);
         let err = acct.settle(0, &log).unwrap_err();

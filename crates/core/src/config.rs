@@ -229,9 +229,12 @@ impl CijConfig {
     /// | `CIJ_EXEC_MODE` | [`CijConfig::exec_mode`] | `metered` \| `fast` |
     ///
     /// Intended for harnesses (CI reruns the whole test suite with
-    /// `CIJ_WORKER_THREADS=4`, `CIJ_STORAGE=file` and `CIJ_EXEC_MODE=fast`);
-    /// library behaviour never depends on the environment unless a caller
-    /// opts in through this method.
+    /// `CIJ_WORKER_THREADS=4`, `CIJ_STORAGE=file`, `CIJ_STORAGE=mmap` and
+    /// `CIJ_EXEC_MODE=fast`). These three are the only environment
+    /// variables the workspace reads — page stores read none, and storage
+    /// faults are armed only by tests, through `inject_fault` — so library
+    /// behaviour never depends on the environment unless a caller opts in
+    /// through this method.
     ///
     /// # Panics
     ///

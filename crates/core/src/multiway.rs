@@ -1182,7 +1182,7 @@ mod tests {
 
     #[test]
     fn corrupt_page_fail_stops_the_tuple_stream() {
-        use cij_pagestore::{FaultKind, FaultSpec};
+        use cij_pagestore::{FaultKind, FaultProfile};
         let config = small_config();
         let sets = vec![random_points(80, 231), random_points(80, 232)];
         let mut w = MultiwayWorkload::build(&sets, &config);
@@ -1194,7 +1194,7 @@ mod tests {
         let target = leaves[leaves.len() / 2];
         driver.flush();
         driver.drop_buffer();
-        driver.inject_fault(FaultSpec::corrupt_frame(target.0));
+        driver.inject_fault(FaultProfile::CorruptFrame(target.0));
         let mut stream = TupleStream::new(&mut w, config);
         let drained: Vec<MultiwayTuple> = stream.by_ref().collect();
         let error = stream.io_error().expect("corrupt frame surfaces an error");
@@ -1215,33 +1215,44 @@ mod tests {
 
     #[test]
     fn transient_faults_never_change_the_multiway_result() {
-        use cij_pagestore::FaultSpec;
+        use cij_pagestore::{FaultKind, FaultProfile};
         let sets = vec![
-            random_points(120, 233),
-            random_points(110, 234),
-            random_points(100, 235),
+            random_points(80, 233),
+            random_points(70, 234),
+            random_points(60, 235),
         ];
         for threads in [1usize, 4] {
             let config = small_config().with_worker_threads(threads);
-            // Both workloads start cold so metered physical reads agree.
-            let clean = {
+            // Every workload starts cold so metered physical reads agree.
+            let run = |armed: Option<(usize, FaultProfile)>| {
                 let mut w = MultiwayWorkload::build(&sets, &config);
                 w.reset_measurement();
-                TupleStream::new(&mut w, config).try_into_outcome().unwrap()
-            };
-            let faulty = {
-                let mut w = MultiwayWorkload::build(&sets, &config);
-                w.reset_measurement();
-                for (i, tree) in w.trees.iter_mut().enumerate() {
-                    tree.inject_fault(FaultSpec::transient(0xB00 + i as u64));
+                if let Some((tree, profile)) = armed {
+                    w.trees[tree].inject_fault(profile);
                 }
-                TupleStream::new(&mut w, config).try_into_outcome().unwrap()
+                let outcome = TupleStream::new(&mut w, config).try_into_outcome().unwrap();
+                let recovered: u64 = w.trees.iter().map(|t| t.fault_stats().recoveries).sum();
+                (outcome, recovered)
             };
-            assert_eq!(clean.sorted_ids(), faulty.sorted_ids());
-            assert_eq!(
-                clean.page_accesses, faulty.page_accesses,
-                "retried transients recover inside the store and stay invisible"
-            );
+            let (clean, _) = run(None);
+            // Every read attempt of each tree in turn fails once.
+            for tree in 0..sets.len() {
+                for at in 0.. {
+                    let profile = FaultProfile::fail_read(at, FaultKind::Transient);
+                    let (faulty, recovered) = run(Some((tree, profile)));
+                    let label = format!("{threads} workers, tree {tree}, read {at}");
+                    assert_eq!(clean.sorted_ids(), faulty.sorted_ids(), "{label}");
+                    assert_eq!(clean.counters, faulty.counters, "{label}");
+                    assert_eq!(
+                        clean.page_accesses, faulty.page_accesses,
+                        "{label}: retried transients recover inside the store and stay invisible"
+                    );
+                    if recovered == 0 {
+                        assert!(at > 4, "{label}: the join read too little");
+                        break;
+                    }
+                }
+            }
         }
     }
 }

@@ -755,7 +755,7 @@ mod tests {
 
     #[test]
     fn corrupt_page_fail_stops_the_stream_with_a_structured_error() {
-        use cij_pagestore::{FaultKind, FaultSpec};
+        use cij_pagestore::{FaultKind, FaultProfile};
         let config = small_config();
         let p = random_points(300, 115);
         let q = random_points(300, 116);
@@ -765,7 +765,7 @@ mod tests {
         let target = leaves[leaves.len() / 2];
         w.rq.flush();
         w.rq.drop_buffer();
-        w.rq.inject_fault(FaultSpec::corrupt_frame(target.0));
+        w.rq.inject_fault(FaultProfile::CorruptFrame(target.0));
         let mut stream = crate::Algorithm::NmCij.stream(&mut w, &config);
         let drained: Vec<(u64, u64)> = stream.by_ref().collect();
         let error = stream.io_error().expect("corrupt frame surfaces an error");
@@ -786,81 +786,91 @@ mod tests {
 
     #[test]
     fn a_fail_stopped_stream_settles_no_claim_of_an_unemitted_leaf() {
-        use cij_pagestore::{FaultSpec, RetryPolicy};
+        use cij_pagestore::{FaultKind, FaultProfile};
         let config = small_config().with_worker_threads(2);
-        let p = random_points(300, 127);
-        let q = random_points(300, 128);
-        let locations = random_points(2_000, 129);
+        let p = random_points(150, 127);
+        let q = random_points(150, 128);
+        let locations = random_points(1_000, 129);
         let clean = {
             let mut w = Workload::build(&p, &q, &config);
             let stream = NmPairIter::new(&mut w, config).with_locations(&locations);
             stream.into_group_counts().unwrap()
         };
-        assert_eq!(clean.values().sum::<u64>(), 2_000);
+        assert_eq!(clean.values().sum::<u64>(), 1_000);
         let mut failed_midway = 0;
-        for seed in 0..16u64 {
-            let mut w = Workload::build(&p, &q, &config);
-            // Warm buffers a little smaller than the trees: reads miss only
-            // now and then, so the unretried faults below strike mid-run —
-            // in worker reads and in the coordinator's replays alike.
-            nm_cij(&mut w, &config);
-            for (tree, seed) in [(&mut w.rp, seed), (&mut w.rq, seed + 100)] {
-                tree.set_buffer_pages(tree.num_pages() - 2);
-                tree.set_retry_policy(RetryPolicy {
-                    max_attempts: 1,
-                    ..RetryPolicy::default()
-                });
-                tree.inject_fault(FaultSpec::transient(seed));
+        // Every read attempt of either tree in turn fails for good — in
+        // worker reads and in the coordinator's replays alike — until the
+        // attempt lies past the run's last read.
+        for tree in 0..2 {
+            for at in 0.. {
+                let label = format!("tree {tree}, read {at}");
+                let mut w = Workload::build(&p, &q, &config);
+                let profile = FaultProfile::fail_read(at, FaultKind::Persistent);
+                [&mut w.rp, &mut w.rq][tree].inject_fault(profile);
+                let mut stream = NmPairIter::new(&mut w, config).with_locations(&locations);
+                let emitted: HashSet<(u64, u64)> = stream.by_ref().collect();
+                if stream.ledger().error().is_none() {
+                    assert_eq!(stream.into_group_counts().unwrap(), clean, "{label}");
+                    let faults = [&w.rp, &w.rq][tree].fault_stats();
+                    assert_eq!(faults.injected_read_faults, 0, "{label}: ran past it");
+                    break;
+                }
+                // What the probe settled before the failure stays inside the
+                // stream — and covers emitted leaves only, each count a clean
+                // one.
+                let settled = stream.probe.take().unwrap().into_counts();
+                for (pair, count) in &settled {
+                    assert!(
+                        emitted.contains(pair),
+                        "{label}: {pair:?} was never emitted"
+                    );
+                    assert!(*count <= clean[pair], "{label}: {pair:?} overcounted");
+                }
+                failed_midway += usize::from(!settled.is_empty());
+                assert!(stream.into_group_counts().is_err(), "{label}");
             }
-            let mut stream = NmPairIter::new(&mut w, config).with_locations(&locations);
-            let emitted: HashSet<(u64, u64)> = stream.by_ref().collect();
-            if stream.ledger().error().is_none() {
-                assert_eq!(stream.into_group_counts().unwrap(), clean, "seed {seed}");
-                continue;
-            }
-            // What the probe settled before the failure stays inside the
-            // stream — and covers emitted leaves only, each count a clean one.
-            let settled = stream.probe.take().unwrap().into_counts();
-            for (pair, count) in &settled {
-                assert!(
-                    emitted.contains(pair),
-                    "seed {seed}: {pair:?} was never emitted"
-                );
-                assert!(*count <= clean[pair], "seed {seed}: {pair:?} overcounted");
-            }
-            failed_midway += usize::from(!settled.is_empty());
-            assert!(stream.into_group_counts().is_err(), "seed {seed}");
         }
-        assert!(failed_midway > 0, "no seed failed after settling claims");
+        assert!(failed_midway > 0, "no run failed after settling claims");
     }
 
     #[test]
     fn transient_faults_never_change_the_join_result() {
-        use cij_pagestore::FaultSpec;
-        let p = random_points(400, 117);
-        let q = random_points(400, 118);
+        use cij_pagestore::{FaultKind, FaultProfile};
+        let p = random_points(120, 117);
+        let q = random_points(120, 118);
         for threads in [1usize, 4] {
             let config = small_config().with_worker_threads(threads);
-            // Both workloads start cold so metered physical reads agree.
-            let clean = {
+            // Every workload starts cold so metered physical reads agree.
+            let run = |armed: Option<(usize, FaultProfile)>| {
                 let mut w = Workload::build(&p, &q, &config);
                 w.reset_measurement();
-                nm_cij(&mut w, &config)
+                if let Some((tree, profile)) = armed {
+                    [&mut w.rp, &mut w.rq][tree].inject_fault(profile);
+                }
+                let outcome = nm_cij(&mut w, &config);
+                let recovered = [w.rp.fault_stats(), w.rq.fault_stats()].map(|f| f.recoveries);
+                (outcome, recovered.iter().sum::<u64>())
             };
-            let faulty = {
-                let mut w = Workload::build(&p, &q, &config);
-                w.reset_measurement();
-                w.rp.inject_fault(FaultSpec::transient(0xFA117));
-                w.rq.inject_fault(FaultSpec::transient(0xFA118));
-                nm_cij(&mut w, &config)
-            };
-            assert_eq!(clean.sorted_pairs(), faulty.sorted_pairs());
-            assert_eq!(clean.nm, faulty.nm);
-            assert_eq!(
-                clean.page_accesses(),
-                faulty.page_accesses(),
-                "retried transients recover inside the store and stay invisible"
-            );
+            let (clean, _) = run(None);
+            // Every read attempt of either tree in turn fails once.
+            for tree in 0..2 {
+                for at in 0.. {
+                    let profile = FaultProfile::fail_read(at, FaultKind::Transient);
+                    let (faulty, recovered) = run(Some((tree, profile)));
+                    let label = format!("{threads} workers, tree {tree}, read {at}");
+                    assert_eq!(clean.sorted_pairs(), faulty.sorted_pairs(), "{label}");
+                    assert_eq!(clean.nm, faulty.nm, "{label}");
+                    assert_eq!(
+                        clean.page_accesses(),
+                        faulty.page_accesses(),
+                        "{label}: retried transients recover inside the store and stay invisible"
+                    );
+                    if recovered == 0 {
+                        assert!(at > 8, "{label}: the join read too little");
+                        break;
+                    }
+                }
+            }
         }
     }
 

@@ -1152,7 +1152,7 @@ mod tests {
 
     #[test]
     fn corrupt_page_fails_only_the_affected_query() {
-        use cij_pagestore::{FaultKind, FaultSpec};
+        use cij_pagestore::{FaultKind, FaultProfile};
         let sets = vec![
             random_points(60, 615),
             random_points(70, 616),
@@ -1170,7 +1170,7 @@ mod tests {
             let tree = snapshot.tree_mut(1);
             tree.flush();
             tree.drop_buffer();
-            tree.inject_fault(FaultSpec::corrupt_frame(target.0));
+            tree.inject_fault(FaultProfile::CorruptFrame(target.0));
         }
         let service = CijService::start(
             Arc::new(snapshot),
@@ -1201,7 +1201,7 @@ mod tests {
     #[test]
     fn a_failed_leaf_order_walk_is_a_storage_error_not_a_worker_panic() {
         use crate::workload::pick_driver;
-        use cij_pagestore::{FaultKind, FaultSpec};
+        use cij_pagestore::{FaultKind, FaultProfile};
         let sets = vec![random_points(110, 620), random_points(240, 619)];
         let mut snapshot = EngineSnapshot::build(&sets, &small_config());
         // Rot the (non-leaf) root of the tree every request below drives
@@ -1215,7 +1215,7 @@ mod tests {
             let tree = snapshot.tree_mut(q);
             tree.flush();
             tree.drop_buffer();
-            tree.inject_fault(FaultSpec::corrupt_frame(root.0));
+            tree.inject_fault(FaultProfile::CorruptFrame(root.0));
         }
         let service = CijService::start(Arc::new(snapshot), ServiceConfig::default());
         for request in every_kind(p, q) {

@@ -1,42 +1,28 @@
 //! Deterministic storage fault injection: [`FaultBackend`] wraps any real
-//! [`PageBackend`] and injects failures from a seeded schedule.
+//! [`PageBackend`] and injects failures from one of two schedules
+//! ([`FaultProfile`]):
 //!
-//! The schedule is a pure function of the explicit [`FaultSpec::seed`] and a
-//! per-operation counter — never a clock, never OS randomness — so a faulty
-//! run is exactly reproducible and, because every injected transient fault
-//! is retried successfully by the store, *byte-identical in its results* to
-//! the clean run. That property is what the `fault_storm` bench experiment
-//! hard-asserts.
-//!
-//! Injected faults by profile:
-//!
-//! * [`FaultProfile::Transient`] — before delegating to the inner backend,
-//!   an operation may fail with a transient [`PageIoError`] (a flaky read,
-//!   or a short write that moved nothing). No bytes are accounted and the
-//!   inner backend is untouched, so the store's one retry performs the one
-//!   real transfer and every byte-level invariant survives. The schedule
-//!   never injects two consecutive faults (the `just_failed` guard), so a
-//!   retry budget of two attempts already guarantees progress.
-//!   Some operations are additionally charged virtual latency ticks —
-//!   recorded in [`FaultStats::injected_latency_ticks`], never slept.
+//! * [`FaultProfile::FailAt`] — the `at`-th read (or write) attempt after
+//!   injection, counting from 0, fails with a [`FaultKind::Transient`] or
+//!   [`FaultKind::Persistent`] error before it reaches the inner backend;
+//!   every other operation passes through. No bytes are accounted for the
+//!   failed attempt and the inner backend is untouched, so under a
+//!   transient fault the store's one retry performs the one real transfer
+//!   and every byte-level invariant survives. Sweeping `at = 0, 1, …` until
+//!   the schedule no longer fires reaches every fault point of a run — what
+//!   `tests/fault_sweep.rs` in the workspace does.
 //! * [`FaultProfile::CorruptFrame`] — reads of one chosen frame succeed but
 //!   deliver a flipped bit, simulating bit-rot on the medium. The store's
 //!   checksum verification turns that into a structured
 //!   [`Corrupt`](crate::FaultKind::Corrupt) error and quarantines the frame.
 //!
-//! The wrapper reports the *inner* backend's [`StorageBackend`] kind, so
-//! backend-parity assertions see straight through it.
-//!
-//! # Environment knobs
-//!
-//! [`FaultSpec::from_env`] reads `CIJ_FAULT_PROFILE`
-//! (`off` | `transient` | `corrupt:<frame>`) and `CIJ_FAULT_SEED` (a `u64`).
-//! [`PageStoreConfig::default`](crate::PageStoreConfig) consults it, so
-//! `CIJ_FAULT_PROFILE=transient cargo test` runs the whole suite under
-//! injected faults — the CI robustness pass.
+//! Both are pure functions of the operations the backend sees — never a
+//! clock, never OS randomness. The wrapper reports the *inner* backend's
+//! [`StorageBackend`] kind, so backend-parity assertions see straight
+//! through it.
 
 use crate::backend::{BackendIo, IoClass, PageBackend, StorageBackend};
-use crate::error::{IoOp, PageIoError};
+use crate::error::{FaultKind, IoOp, PageIoError};
 
 /// Counters of injected faults and store-side recovery actions, surfaced by
 /// [`PageStore::fault_stats`](crate::PageStore::fault_stats) alongside
@@ -47,17 +33,13 @@ use crate::error::{IoOp, PageIoError};
 /// `quarantined_frames`) are filled in by the store that drives it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Transient read errors injected before the real transfer.
+    /// Read errors injected before the real transfer.
     pub injected_read_faults: u64,
-    /// Transient write errors (including simulated short writes) injected
-    /// before the real transfer.
+    /// Write errors injected before the real transfer.
     pub injected_write_faults: u64,
     /// Reads that delivered a deliberately flipped bit
     /// ([`FaultProfile::CorruptFrame`]).
     pub injected_bit_flips: u64,
-    /// Virtual latency ticks charged to slow operations (recorded, never
-    /// slept).
-    pub injected_latency_ticks: u64,
     /// Read attempts the store repeated after a transient error.
     pub retries: u64,
     /// Reads that succeeded after at least one retry.
@@ -70,140 +52,85 @@ pub struct FaultStats {
 
 /// Which fault schedule a [`FaultBackend`] runs — see the
 /// [module docs](self).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultProfile {
-    /// No injection; the wrapper is a transparent pass-through.
-    #[default]
-    Off,
-    /// Seeded transient read/write faults plus virtual latency.
-    Transient,
+    /// Attempt `at` (from 0, counted per operation since injection) of
+    /// `op` — [`IoOp::Read`] or [`IoOp::Write`] — fails with `kind`.
+    FailAt {
+        /// The operation whose attempts are counted.
+        op: IoOp,
+        /// The failing attempt.
+        at: u64,
+        /// [`FaultKind::Transient`] or [`FaultKind::Persistent`].
+        kind: FaultKind,
+    },
     /// Every read of the given frame index delivers one flipped bit.
     CorruptFrame(u32),
 }
 
-/// A complete, copyable description of a fault schedule: profile + seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultSpec {
-    /// What to inject.
-    pub profile: FaultProfile,
-    /// Seed of the deterministic schedule (ignored by
-    /// [`FaultProfile::CorruptFrame`], which is unconditional).
-    pub seed: u64,
-}
-
-/// Seed used when `CIJ_FAULT_SEED` is not set.
-pub const DEFAULT_FAULT_SEED: u64 = 0xC1F0_0D5E_ED42_1008;
-
-impl FaultSpec {
-    /// A transient-fault schedule with the given seed.
-    pub fn transient(seed: u64) -> Self {
-        FaultSpec {
-            profile: FaultProfile::Transient,
-            seed,
+impl FaultProfile {
+    /// Read attempt `at` fails with `kind`.
+    pub fn fail_read(at: u64, kind: FaultKind) -> Self {
+        FaultProfile::FailAt {
+            op: IoOp::Read,
+            at,
+            kind,
         }
     }
 
-    /// A bit-rot schedule corrupting every read of `frame`.
-    pub fn corrupt_frame(frame: u32) -> Self {
-        FaultSpec {
-            profile: FaultProfile::CorruptFrame(frame),
-            seed: 0,
-        }
-    }
-
-    /// Reads `CIJ_FAULT_PROFILE` / `CIJ_FAULT_SEED`; `None` when the
-    /// profile is unset, empty or `off`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unparseable profile or seed — a misconfigured
-    /// robustness run should fail loudly, not silently run clean.
-    pub fn from_env() -> Option<Self> {
-        let profile = std::env::var("CIJ_FAULT_PROFILE").unwrap_or_default();
-        let profile = profile.trim().to_ascii_lowercase();
-        let seed = match std::env::var("CIJ_FAULT_SEED") {
-            Ok(raw) => raw
-                .trim()
-                .parse::<u64>()
-                .unwrap_or_else(|e| panic!("CIJ_FAULT_SEED {raw:?}: {e}")),
-            Err(_) => DEFAULT_FAULT_SEED,
-        };
-        match profile.as_str() {
-            "" | "off" | "none" => None,
-            "transient" => Some(FaultSpec::transient(seed)),
-            other => match other.strip_prefix("corrupt:") {
-                Some(frame) => {
-                    let frame = frame
-                        .trim()
-                        .parse::<u32>()
-                        .unwrap_or_else(|e| panic!("CIJ_FAULT_PROFILE {other:?}: {e}"));
-                    Some(FaultSpec::corrupt_frame(frame))
-                }
-                None => panic!(
-                    "CIJ_FAULT_PROFILE {other:?}: expected \"off\", \"transient\" or \"corrupt:<frame>\""
-                ),
-            },
+    /// Write attempt `at` fails with `kind`.
+    pub fn fail_write(at: u64, kind: FaultKind) -> Self {
+        FaultProfile::FailAt {
+            op: IoOp::Write,
+            at,
+            kind,
         }
     }
 }
-
-/// SplitMix64 step: the seeded hash behind the fault schedule. Pure,
-/// platform-independent, dependency-free.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// One injected fault in sixteen scheduled opportunities.
-const FAULT_PERIOD: u64 = 16;
 
 /// The fault-injecting wrapper backend — see the [module docs](self).
 #[derive(Debug)]
 pub struct FaultBackend {
     inner: Box<dyn PageBackend>,
-    spec: FaultSpec,
-    /// Distinct op counters keep the read and write schedules independent.
-    read_ops: u64,
-    write_ops: u64,
-    /// Set after an injected fault, cleared by the next clean operation —
-    /// guarantees no two consecutive injections, so bounded retry always
-    /// converges.
-    just_failed: bool,
+    profile: FaultProfile,
+    /// Read and write attempts seen so far.
+    reads: u64,
+    writes: u64,
     stats: FaultStats,
 }
 
 impl FaultBackend {
     /// Wraps `inner` under the given fault schedule.
-    pub fn new(inner: Box<dyn PageBackend>, spec: FaultSpec) -> Self {
+    pub fn new(inner: Box<dyn PageBackend>, profile: FaultProfile) -> Self {
         FaultBackend {
             inner,
-            spec,
-            read_ops: 0,
-            write_ops: 0,
-            just_failed: false,
+            profile,
+            reads: 0,
+            writes: 0,
             stats: FaultStats::default(),
         }
     }
 
-    /// The schedule hash for the current operation.
-    fn roll(&self, tag: u64, counter: u64) -> u64 {
-        splitmix64(self.spec.seed ^ tag.wrapping_mul(0x517C_C1B7_2722_0A95) ^ counter)
-    }
-
-    /// Whether the transient schedule fires for this roll (respecting the
-    /// no-consecutive-faults guard).
-    fn transient_fires(&self, roll: u64) -> bool {
-        self.spec.profile == FaultProfile::Transient
-            && !self.just_failed
-            && roll.is_multiple_of(FAULT_PERIOD)
-    }
-
-    /// Charges virtual latency for slow-but-successful operations.
-    fn charge_latency(&mut self, roll: u64) {
-        if self.spec.profile == FaultProfile::Transient && roll % 31 == 1 {
-            self.stats.injected_latency_ticks += 1 + (roll >> 8) % 8;
+    /// Counts one attempt of `op` on frame `index` and fails it if the
+    /// schedule names it.
+    fn attempt(&mut self, op: IoOp, index: u32) -> Result<(), PageIoError> {
+        let (attempts, injected) = match op {
+            IoOp::Read => (&mut self.reads, &mut self.stats.injected_read_faults),
+            _ => (&mut self.writes, &mut self.stats.injected_write_faults),
+        };
+        let attempt = *attempts;
+        *attempts += 1;
+        match self.profile {
+            FaultProfile::FailAt { op: o, at, kind } if o == op && at == attempt => {
+                *injected += 1;
+                Err(PageIoError {
+                    kind,
+                    op,
+                    page: Some(index),
+                    detail: format!("injected at {} attempt {at}", op.name()),
+                })
+            }
+            _ => Ok(()),
         }
     }
 }
@@ -224,46 +151,17 @@ impl PageBackend for FaultBackend {
     }
 
     fn read(&mut self, index: u32, frame: &mut [u8], class: IoClass) -> Result<(), PageIoError> {
-        self.read_ops += 1;
-        let roll = self.roll(1, self.read_ops);
-        if self.transient_fires(roll) {
-            self.just_failed = true;
-            self.stats.injected_read_faults += 1;
-            return Err(PageIoError::transient(
-                IoOp::Read,
-                Some(index),
-                "injected transient read fault",
-            ));
-        }
-        self.just_failed = false;
-        self.charge_latency(roll);
+        self.attempt(IoOp::Read, index)?;
         self.inner.read(index, frame, class)?;
-        if let FaultProfile::CorruptFrame(bad) = self.spec.profile {
-            if bad == index && !frame.is_empty() {
-                frame[frame.len() / 2] ^= 0x40;
-                self.stats.injected_bit_flips += 1;
-            }
+        if self.profile == FaultProfile::CorruptFrame(index) && !frame.is_empty() {
+            frame[frame.len() / 2] ^= 0x40;
+            self.stats.injected_bit_flips += 1;
         }
         Ok(())
     }
 
     fn write(&mut self, index: u32, frame: &[u8], class: IoClass) -> Result<(), PageIoError> {
-        self.write_ops += 1;
-        let roll = self.roll(2, self.write_ops);
-        if self.transient_fires(roll) {
-            self.just_failed = true;
-            self.stats.injected_write_faults += 1;
-            // Alternate between a plain flaky write and a simulated short
-            // write; both are transient (nothing reached the medium).
-            let detail = if roll & 0x100 == 0 {
-                format!("injected short write (0 of {} bytes)", frame.len())
-            } else {
-                "injected transient write fault".to_string()
-            };
-            return Err(PageIoError::transient(IoOp::Write, Some(index), detail));
-        }
-        self.just_failed = false;
-        self.charge_latency(roll);
+        self.attempt(IoOp::Write, index)?;
         self.inner.write(index, frame, class)
     }
 
@@ -289,75 +187,76 @@ mod tests {
     use super::*;
     use crate::backend::HeapBackend;
 
-    fn transient_over_heap(seed: u64) -> FaultBackend {
-        FaultBackend::new(Box::new(HeapBackend::new(16)), FaultSpec::transient(seed))
+    fn over_heap(profile: FaultProfile) -> FaultBackend {
+        FaultBackend::new(Box::new(HeapBackend::new(16)), profile)
     }
 
-    /// Drives the same allocate/write/read workload through a backend,
-    /// retrying every transient error, and returns (payload checksum,
-    /// stats).
-    fn drive(b: &mut FaultBackend) -> (u64, FaultStats) {
-        let mut digest = 0u64;
+    /// Writes and reads back 8 frames, repeating each failed attempt once;
+    /// returns the errors of the failed attempts.
+    fn drive(b: &mut FaultBackend) -> Vec<PageIoError> {
+        let mut errors = Vec::new();
         let mut out = [0u8; 16];
-        for i in 0..200u32 {
+        for i in 0..8u32 {
             assert_eq!(b.allocate(), i);
-            let frame = [(i % 251) as u8; 16];
-            while b.write(i, &frame, IoClass::Metered).is_err() {}
-            while b.read(i, &mut out, IoClass::Metered).is_err() {}
-            assert_eq!(out, frame, "frame {i} corrupted by a transient fault");
-            digest = digest
-                .wrapping_mul(31)
-                .wrapping_add(crate::frame::xxh64(&out));
-        }
-        (digest, b.fault_stats())
-    }
-
-    #[test]
-    fn transient_schedule_is_deterministic_and_recoverable() {
-        let (d1, s1) = drive(&mut transient_over_heap(42));
-        let (d2, s2) = drive(&mut transient_over_heap(42));
-        assert_eq!(d1, d2, "same seed, same data");
-        assert_eq!(s1, s2, "same seed, same schedule");
-        assert!(
-            s1.injected_read_faults > 0 && s1.injected_write_faults > 0,
-            "schedule actually fired: {s1:?}"
-        );
-        let (_, other) = drive(&mut transient_over_heap(43));
-        assert_ne!(s1, other, "different seed, different schedule");
-    }
-
-    #[test]
-    fn no_two_consecutive_faults_so_one_retry_always_recovers() {
-        let mut b = transient_over_heap(7);
-        let frame = [3u8; 16];
-        let mut out = [0u8; 16];
-        for i in 0..500u32 {
-            b.allocate();
-            if b.write(i, &frame, IoClass::Metered).is_err() {
-                b.write(i, &frame, IoClass::Metered)
-                    .expect("second write attempt after an injected fault");
+            let frame = [i as u8 + 1; 16];
+            if let Err(e) = b.write(i, &frame, IoClass::Metered) {
+                errors.push(e);
+                b.write(i, &frame, IoClass::Metered).unwrap();
             }
-            if b.read(i, &mut out, IoClass::Metered).is_err() {
-                b.read(i, &mut out, IoClass::Metered)
-                    .expect("second read attempt after an injected fault");
+            if let Err(e) = b.read(i, &mut out, IoClass::Metered) {
+                errors.push(e);
+                b.read(i, &mut out, IoClass::Metered).unwrap();
+            }
+            assert_eq!(out, frame, "frame {i}");
+        }
+        errors
+    }
+
+    #[test]
+    fn the_scheduled_attempt_fails_exactly_once_with_its_kind() {
+        for kind in [FaultKind::Transient, FaultKind::Persistent] {
+            for op in [IoOp::Read, IoOp::Write] {
+                let mut b = over_heap(FaultProfile::FailAt { op, at: 5, kind });
+                let detail = format!("injected at {} attempt 5", op.name());
+                let expected = PageIoError {
+                    kind,
+                    op,
+                    page: Some(5),
+                    detail,
+                };
+                assert_eq!(drive(&mut b), vec![expected]);
+                let stats = b.fault_stats();
+                let counts = (stats.injected_read_faults, stats.injected_write_faults);
+                assert_eq!(counts, if op == IoOp::Read { (1, 0) } else { (0, 1) });
             }
         }
     }
 
     #[test]
     fn injected_faults_move_no_bytes() {
-        let mut b = transient_over_heap(42);
-        let (_, stats) = drive(&mut b);
-        let io = b.io();
-        // Exactly one real transfer per logical op: 200 writes, 200 reads.
-        assert_eq!(io.bytes_written, 200 * 16);
-        assert_eq!(io.bytes_read, 200 * 16);
-        assert!(stats.injected_read_faults + stats.injected_write_faults > 0);
+        for profile in [
+            FaultProfile::fail_read(3, FaultKind::Transient),
+            FaultProfile::fail_write(6, FaultKind::Persistent),
+        ] {
+            let mut b = over_heap(profile);
+            assert_eq!(drive(&mut b).len(), 1);
+            // One real transfer per operation: 8 writes, 8 reads.
+            let io = b.io();
+            assert_eq!((io.bytes_written, io.bytes_read), (8 * 16, 8 * 16));
+        }
+    }
+
+    #[test]
+    fn a_schedule_past_the_last_attempt_never_fires() {
+        let mut b = over_heap(FaultProfile::fail_read(8, FaultKind::Persistent));
+        assert_eq!(drive(&mut b), vec![]);
+        assert_eq!(b.fault_stats(), FaultStats::default());
+        assert_eq!(b.kind(), StorageBackend::Heap);
     }
 
     #[test]
     fn corrupt_profile_flips_one_bit_of_the_target_frame_only() {
-        let mut b = FaultBackend::new(Box::new(HeapBackend::new(16)), FaultSpec::corrupt_frame(1));
+        let mut b = over_heap(FaultProfile::CorruptFrame(1));
         let frame = [0u8; 16];
         let mut out = [7u8; 16];
         for i in 0..3u32 {
@@ -371,24 +270,5 @@ mod tests {
         assert_eq!(b.fault_stats().injected_bit_flips, 1);
         b.read(2, &mut out, IoClass::Metered).unwrap();
         assert_eq!(out, frame, "frame 2 must be intact");
-    }
-
-    #[test]
-    fn off_profile_is_a_transparent_pass_through() {
-        let mut b = FaultBackend::new(
-            Box::new(HeapBackend::new(8)),
-            FaultSpec {
-                profile: FaultProfile::Off,
-                seed: 9,
-            },
-        );
-        assert_eq!(b.kind(), StorageBackend::Heap);
-        let mut out = [0u8; 8];
-        for i in 0..300u32 {
-            b.allocate();
-            b.write(i, &[1u8; 8], IoClass::Unmetered).unwrap();
-            b.read(i, &mut out, IoClass::Unmetered).unwrap();
-        }
-        assert_eq!(b.fault_stats(), FaultStats::default());
     }
 }

@@ -90,15 +90,18 @@
 //!   blocking edges the `cij-rtree` crate docs list.
 //! * *Write and flush errors are service-fatal*: write-backs happen during
 //!   build, eviction and flush — losing a frame there corrupts shared
-//!   state, so after retry exhaustion the store panics.
+//!   state, so a persistent write error, or a transient one after retry
+//!   exhaustion, panics naming the frame.
 //!
 //! Per-class [`FaultStats`] counters (injected faults, retries, recoveries,
 //! quarantined frames) are surfaced by [`PageStore::fault_stats`] alongside
 //! [`BackendIo`]. The whole model is testable deterministically through
-//! [`FaultBackend`], a wrapper backend injecting faults from a seeded
-//! schedule (`CIJ_FAULT_PROFILE` / `CIJ_FAULT_SEED`, see the
-//! [fault module](fault)) — under a transient-only schedule every retry
-//! recovers and results stay byte-identical to a clean run.
+//! [`FaultBackend`], a wrapper backend that fails one chosen read or write
+//! attempt, or bit-rots one frame ([`FaultProfile`], see the
+//! [fault module](fault)); a test arms it with [`PageStore::inject_fault`]
+//! or [`PageStoreConfig::with_fault`], and nothing else does. A transient
+//! fault at any attempt is retried and leaves results byte-identical to a
+//! clean run.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -114,7 +117,7 @@ pub mod store;
 
 pub use backend::{BackendIo, FileBackend, HeapBackend, IoClass, PageBackend, StorageBackend};
 pub use error::{FaultKind, IoOp, PageIoError};
-pub use fault::{FaultBackend, FaultProfile, FaultSpec, FaultStats, DEFAULT_FAULT_SEED};
+pub use fault::{FaultBackend, FaultProfile, FaultStats};
 pub use frame::{FrameOverflow, FrameReader, FrameWriter, PagePayload, FRAME_TRAILER_BYTES};
 pub use lru::{Admission, LruBuffer};
 pub use mmap::MmapBackend;

@@ -77,7 +77,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::backend::{BackendIo, IoClass, PageBackend, StorageBackend};
 use crate::error::{IoOp, PageIoError};
-use crate::fault::{FaultBackend, FaultSpec, FaultStats};
+use crate::fault::{FaultBackend, FaultProfile, FaultStats};
 use crate::frame::{seal_frame, verify_frame, PagePayload, FRAME_TRAILER_BYTES};
 use crate::lru::{Admission, LruBuffer};
 use crate::stats::IoStats;
@@ -89,8 +89,8 @@ use crate::stats::IoStats;
 /// `max_attempts` total attempts; persistent and corrupt errors are never
 /// retried. The ticks are recorded ([`PageStore::retry_clock_ticks`]), never
 /// slept: no thread blocks and no wall clock is read. The default budget of
-/// 4 attempts is generous: the injected fault schedule never fires twice in
-/// a row, and real `EINTR`-class transients are already absorbed inside
+/// 4 attempts is generous: an injected transient fails one attempt only,
+/// and real `EINTR`-class transients are already absorbed inside
 /// `FileBackend`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -130,10 +130,9 @@ pub struct PageStoreConfig {
     /// Which storage backend holds the page frames.
     pub backend: StorageBackend,
     /// Optional fault-injection schedule: when set, the created backend is
-    /// wrapped in a [`FaultBackend`]. [`Default`] consults
-    /// [`FaultSpec::from_env`], so `CIJ_FAULT_PROFILE=transient` puts every
-    /// store in the process under injected faults (the CI robustness pass).
-    pub fault: Option<FaultSpec>,
+    /// wrapped in a [`FaultBackend`]. `None` by default; nothing in the
+    /// environment sets it.
+    pub fault: Option<FaultProfile>,
 }
 
 impl Default for PageStoreConfig {
@@ -147,7 +146,7 @@ impl Default for PageStoreConfig {
             page_size: 4096,
             buffer_pages: 0,
             backend: StorageBackend::Heap,
-            fault: FaultSpec::from_env(),
+            fault: None,
         }
     }
 }
@@ -171,15 +170,15 @@ impl PageStoreConfig {
         self
     }
 
-    /// Sets an explicit fault-injection schedule (overriding whatever the
-    /// environment requested).
-    pub fn with_fault(mut self, spec: FaultSpec) -> Self {
-        self.fault = Some(spec);
+    /// Wraps the store's backend in a [`FaultBackend`] running `profile`
+    /// from the first operation on.
+    pub fn with_fault(mut self, profile: FaultProfile) -> Self {
+        self.fault = Some(profile);
         self
     }
 
-    /// Disables fault injection even when the environment requests it —
-    /// for oracles and parity baselines that must run clean.
+    /// Clears a schedule set by [`with_fault`](Self::with_fault) — the
+    /// store runs clean.
     pub fn without_faults(mut self) -> Self {
         self.fault = None;
         self
@@ -259,8 +258,8 @@ impl<T: PagePayload> PageStore<T> {
     pub fn with_stats(config: PageStoreConfig, stats: IoStats) -> Self {
         assert!(config.page_size > 0, "page size must be positive");
         let mut backend = config.backend.create(config.page_size);
-        if let Some(spec) = config.fault {
-            backend = Box::new(FaultBackend::new(backend, spec));
+        if let Some(profile) = config.fault {
+            backend = Box::new(FaultBackend::new(backend, profile));
         }
         PageStore {
             inner: Arc::new(Mutex::new(StoreInner {
@@ -595,14 +594,14 @@ impl<T: PagePayload> PageStore<T> {
         stats
     }
 
-    /// Wraps the current backend in a [`FaultBackend`] running `spec` —
-    /// the hook the `fault_storm` experiment uses to corrupt frames of an
-    /// already-built tree. Existing frames and byte counters carry over.
-    pub fn inject_fault(&mut self, spec: FaultSpec) {
+    /// Wraps the current backend in a [`FaultBackend`] running `profile`,
+    /// its attempts counted from this call — how fault tests arm an
+    /// already-built store. Existing frames and byte counters carry over.
+    pub fn inject_fault(&mut self, profile: FaultProfile) {
         let inner = &mut *self.lock();
         let placeholder: Box<dyn PageBackend> = Box::new(crate::HeapBackend::new(1));
         let current = std::mem::replace(&mut inner.backend, placeholder);
-        inner.backend = Box::new(FaultBackend::new(current, spec));
+        inner.backend = Box::new(FaultBackend::new(current, profile));
     }
 
     /// Replaces the retry policy (default: 4 attempts, exponential backoff
@@ -1381,71 +1380,74 @@ mod tests {
 
     #[test]
     fn transient_faults_recover_invisibly_on_every_backend() {
-        // The tentpole parity property at store level: a seeded transient
-        // fault schedule changes no payload, no counter and no metered
-        // byte — retries are invisible to results.
-        use crate::fault::FaultSpec;
-        for backend in StorageBackend::ALL {
-            // The baseline is explicitly clean even when the environment
-            // requests a profile (the CI transient pass).
-            let mut clean: PageStore<u32> = PageStore::new(
-                PageStoreConfig::default()
-                    .with_buffer_pages(2)
-                    .with_backend(backend)
-                    .without_faults(),
-            );
-            let mut faulty: PageStore<u32> = PageStore::new(
-                PageStoreConfig::default()
-                    .with_buffer_pages(2)
-                    .with_backend(backend)
-                    .with_fault(FaultSpec::transient(0xFA17)),
-            );
-            for s in [&mut clean, &mut faulty] {
-                let ids: Vec<PageId> = (0..16u32).map(|i| s.allocate(i * 13 + 1)).collect();
-                s.flush();
-                s.drop_buffer();
-                s.stats().reset();
-                for round in 0..4 {
-                    for &id in &ids {
-                        assert_eq!(s.try_read(id).unwrap(), id.0 * 13 + 1, "round {round}");
-                    }
-                }
-                s.allocate(999);
-                s.flush();
+        // The parity property at store level: a transient fault at any read
+        // or write attempt changes no payload, no counter and no metered
+        // byte — the one retry is invisible to results.
+        use crate::error::{FaultKind, IoOp};
+        let run = |backend, fault: Option<FaultProfile>| {
+            let mut config = PageStoreConfig::default()
+                .with_buffer_pages(2)
+                .with_backend(backend);
+            if let Some(profile) = fault {
+                config = config.with_fault(profile);
             }
-            assert_eq!(
-                clean.stats().snapshot(),
-                faulty.stats().snapshot(),
-                "{backend}"
-            );
-            assert_eq!(clean.backend_io(), faulty.backend_io(), "{backend}");
-            let stats = faulty.fault_stats();
-            assert!(
-                stats.injected_read_faults > 0,
-                "{backend}: schedule never fired: {stats:?}"
-            );
-            assert_eq!(
-                stats.retries, stats.injected_read_faults,
-                "{backend}: every injected read fault costs exactly one retry"
-            );
-            assert_eq!(
-                stats.recoveries, stats.injected_read_faults,
-                "{backend}: every retry recovers"
-            );
-            assert!(faulty.retry_clock_ticks() > 0, "{backend}: backoff charged");
-            assert_eq!(clean.fault_stats(), crate::FaultStats::default());
+            let mut s: PageStore<u32> = PageStore::new(config);
+            let ids: Vec<PageId> = (0..16u32).map(|i| s.allocate(i * 13 + 1)).collect();
+            s.flush();
+            s.drop_buffer();
+            s.stats().reset();
+            for round in 0..4 {
+                for &id in &ids {
+                    assert_eq!(s.try_read(id).unwrap(), id.0 * 13 + 1, "round {round}");
+                }
+            }
+            s.allocate(999);
+            s.flush();
+            s
+        };
+        for backend in StorageBackend::ALL {
+            let clean = run(backend, None);
+            assert_eq!(clean.fault_stats(), FaultStats::default());
+            for op in [IoOp::Read, IoOp::Write] {
+                for at in 0.. {
+                    let profile = FaultProfile::FailAt {
+                        op,
+                        at,
+                        kind: FaultKind::Transient,
+                    };
+                    let faulty = run(backend, Some(profile));
+                    let stats = faulty.fault_stats();
+                    if stats.injected_read_faults + stats.injected_write_faults == 0 {
+                        assert!(at > 16, "{backend}: {profile:?} never fired");
+                        break;
+                    }
+                    let label = format!("{backend}, {profile:?}");
+                    assert_eq!(
+                        clean.stats().snapshot(),
+                        faulty.stats().snapshot(),
+                        "{label}"
+                    );
+                    assert_eq!(clean.backend_io(), faulty.backend_io(), "{label}");
+                    let retried = if op == IoOp::Read {
+                        (stats.injected_read_faults, stats.retries, stats.recoveries)
+                    } else {
+                        (stats.injected_write_faults, stats.write_retries, 1)
+                    };
+                    assert_eq!(retried, (1, 1, 1), "{label}: {stats:?}");
+                    assert_eq!(faulty.retry_clock_ticks(), 1, "{label}: one backoff");
+                }
+            }
         }
     }
 
     #[test]
     fn corrupt_frame_quarantines_and_fails_fast() {
         use crate::error::FaultKind;
-        use crate::fault::FaultSpec;
         let mut s = store(0);
         let ids: Vec<PageId> = (0..4u32).map(|i| s.allocate(i + 50)).collect();
         s.flush();
         s.drop_buffer();
-        s.inject_fault(FaultSpec::corrupt_frame(ids[1].0));
+        s.inject_fault(FaultProfile::CorruptFrame(ids[1].0));
         // The affected page surfaces as a structured Corrupt error...
         let err = s.try_read(ids[1]).unwrap_err();
         assert_eq!(err.kind, FaultKind::Corrupt);
@@ -1468,33 +1470,27 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_retry_budget_surfaces_a_transient_error() {
-        use crate::fault::FaultSpec;
-        let mut s: PageStore<u32> = PageStore::new(
-            PageStoreConfig::default().with_fault(FaultSpec::transient(0x0BAD_5EED)),
-        );
-        s.set_retry_policy(RetryPolicy {
-            max_attempts: 1,
-            backoff_base_ticks: 1,
-        });
-        let id = s.allocate(7);
-        s.flush();
-        s.drop_buffer();
-        // With no retries allowed, some unbuffered read eventually hits an
-        // injected fault and must surface it as a transient error.
-        let mut saw_error = false;
-        for _ in 0..200 {
-            match s.try_read(id) {
-                Ok(v) => assert_eq!(v, 7),
-                Err(e) => {
-                    assert!(e.is_transient(), "{e}");
-                    saw_error = true;
-                    break;
-                }
-            }
+    fn exhausted_retries_and_persistent_faults_surface_and_leave_the_store_usable() {
+        use crate::error::FaultKind;
+        let policies = [
+            (FaultKind::Transient, 1), // no retry allowed
+            (FaultKind::Persistent, RetryPolicy::default().max_attempts),
+        ];
+        for (kind, max_attempts) in policies {
+            let mut s: PageStore<u32> = PageStore::new(PageStoreConfig::default());
+            s.set_retry_policy(RetryPolicy {
+                max_attempts,
+                backoff_base_ticks: 1,
+            });
+            let id = s.allocate(7);
+            s.flush();
+            s.drop_buffer();
+            s.inject_fault(FaultProfile::fail_read(1, kind));
+            assert_eq!(s.try_read(id).unwrap(), 7);
+            let err = s.try_read(id).unwrap_err();
+            assert_eq!((err.kind, err.page), (kind, Some(id.0)), "{err}");
+            assert_eq!(s.fault_stats().retries, 0, "{kind:?}: nothing retried");
+            assert_eq!(s.try_read(id).unwrap(), 7, "{kind:?}: usable afterwards");
         }
-        assert!(saw_error, "schedule never fired in 200 unbuffered reads");
-        // The store stays fully usable afterwards.
-        assert_eq!(s.try_read(id).unwrap(), 7);
     }
 }

@@ -523,6 +523,61 @@ mod tests {
     }
 
     #[test]
+    fn a_write_fault_at_every_attempt_of_a_build_is_retried_invisibly_or_panics_naming_the_frame() {
+        use cij_pagestore::{FaultKind, FaultProfile};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let objects = PointObject::from_points(&random_points(300, 77));
+        // Packs through a 4-page buffer, so the build writes pages at
+        // eviction and the flush writes the rest; `fault` is armed on the
+        // empty tree and counts every write of both.
+        let build = |backend, fault: Option<FaultProfile>| {
+            let mut tree = RTree::with_stats_on(config(), IoStats::new(), backend);
+            tree.set_buffer_pages(4);
+            if let Some(profile) = fault {
+                tree.inject_fault(profile);
+            }
+            pack_sorted(&mut tree, objects.iter().cloned(), DEFAULT_FILL);
+            tree.flush();
+            tree
+        };
+        for backend in StorageBackend::ALL {
+            let mut clean = build(backend, None);
+            let (counted, moved) = (clean.stats().snapshot(), clean.backend_io());
+            for at in 0.. {
+                let label = format!("{backend}, write attempt {at}");
+                let profile = FaultProfile::fail_write(at, FaultKind::Transient);
+                let mut faulty = build(backend, Some(profile));
+                let fs = faulty.fault_stats();
+                assert_eq!(faulty.stats().snapshot(), counted, "{label}");
+                assert_eq!(faulty.backend_io(), moved, "{label}");
+                if fs.injected_write_faults == 0 {
+                    assert!(at > 16, "{label}: the build wrote too little");
+                    break;
+                }
+                assert_eq!(fs.write_retries, 1, "{label}");
+                // Cold reads verify every frame's checksum and decode it.
+                clean.drop_buffer();
+                faulty.drop_buffer();
+                assert_trees_identical(&mut clean, &mut faulty);
+
+                let profile = FaultProfile::fail_write(at, FaultKind::Persistent);
+                let payload = catch_unwind(AssertUnwindSafe(|| build(backend, Some(profile))))
+                    .expect_err(&label);
+                let message = payload.downcast_ref::<String>().expect("a formatted panic");
+                let frame = message
+                    .strip_prefix("write-back of frame ")
+                    .and_then(|rest| rest.split(' ').next())
+                    .unwrap_or_else(|| panic!("{label}: {message}"));
+                let expected = format!(
+                    "write-back of frame {frame} failed: persistent write error on frame \
+                     {frame}: injected at write attempt {at}"
+                );
+                assert_eq!(message, &expected, "{label}");
+            }
+        }
+    }
+
+    #[test]
     fn construction_io_equals_writing_the_tree_once() {
         let pts = random_points(1000, 5);
         let stats = IoStats::new();

@@ -320,7 +320,7 @@ pub(crate) mod tests {
     use crate::object::PointObject;
     use crate::tree::RTreeConfig;
     use cij_geom::Point;
-    use cij_pagestore::{FaultKind, FaultSpec};
+    use cij_pagestore::{FaultKind, FaultProfile};
     use std::sync::{Mutex, MutexGuard, PoisonError};
 
     /// The probes are process-wide: tests that assert on their deltas (here
@@ -457,7 +457,7 @@ pub(crate) mod tests {
         tree.flush();
         tree.drop_buffer();
         let root = tree.root_page();
-        tree.inject_fault(FaultSpec::corrupt_frame(root.0));
+        tree.inject_fault(FaultProfile::CorruptFrame(root.0));
 
         let node = NodeReader::read(&mut tree, root);
         assert!(
@@ -480,7 +480,7 @@ pub(crate) mod tests {
         tree.flush();
         tree.drop_buffer();
         let root = tree.root_page();
-        tree.inject_fault(FaultSpec::corrupt_frame(root.0));
+        tree.inject_fault(FaultProfile::CorruptFrame(root.0));
 
         for traced in [false, true] {
             let mut reader = if traced {

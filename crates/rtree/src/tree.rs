@@ -5,8 +5,8 @@ use crate::node::{ChildEntry, Node};
 use crate::object::RTreeObject;
 use cij_geom::Rect;
 use cij_pagestore::{
-    BackendIo, FaultSpec, FaultStats, IoStats, PageId, PageIoError, PageRef, PageStore,
-    PageStoreConfig, RetryPolicy, StorageBackend, FRAME_TRAILER_BYTES,
+    BackendIo, FaultProfile, FaultStats, IoStats, PageId, PageIoError, PageRef, PageStore,
+    PageStoreConfig, StorageBackend, FRAME_TRAILER_BYTES,
 };
 
 /// Configuration of an R-tree.
@@ -215,16 +215,11 @@ impl<D: RTreeObject> RTree<D> {
     }
 
     /// Wraps the tree's current storage in a fault-injecting backend with
-    /// the given deterministic schedule — thin wrapper over
-    /// [`PageStore::inject_fault`]; used by fault tests and the
-    /// `fault_storm` bench experiment.
-    pub fn inject_fault(&mut self, spec: FaultSpec) {
-        self.store.inject_fault(spec);
-    }
-
-    /// Replaces the store's transient-fault retry policy.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.store.set_retry_policy(policy);
+    /// the given deterministic schedule, its attempts counted from this
+    /// call — thin wrapper over [`PageStore::inject_fault`], the one way
+    /// fault tests arm a built tree.
+    pub fn inject_fault(&mut self, profile: FaultProfile) {
+        self.store.inject_fault(profile);
     }
 
     /// Frame indices quarantined after checksum failures, ascending.
@@ -560,34 +555,47 @@ mod tests {
 
     #[test]
     fn transient_faults_are_invisible_to_queries_and_counters() {
-        let build = || {
+        use cij_pagestore::FaultKind;
+        let q = Rect::from_coords(1.0, 1.0, 9.0, 9.0);
+        let query = |fault: Option<FaultProfile>| {
             let mut t = RTree::bulk_load(small_config(), grid_points(12, 12, 1.0));
             t.set_buffer_pages(8);
             t.flush();
             t.drop_buffer();
             t.stats().reset();
-            t
+            if let Some(profile) = fault {
+                t.inject_fault(profile);
+            }
+            let mut ids: Vec<u64> = t.range_query(&q).iter().map(|o| o.id().0).collect();
+            ids.sort_unstable();
+            (ids, t)
         };
-        let (mut clean, mut faulty) = (build(), build());
-        faulty.inject_fault(cij_pagestore::FaultSpec::transient(7));
-
-        let q = Rect::from_coords(1.0, 1.0, 9.0, 9.0);
-        let mut a: Vec<u64> = clean.range_query(&q).iter().map(|o| o.id().0).collect();
-        let mut b: Vec<u64> = faulty.range_query(&q).iter().map(|o| o.id().0).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "retried reads must not change results");
-        assert!(!a.is_empty());
-        assert_eq!(
-            clean.stats().snapshot(),
-            faulty.stats().snapshot(),
-            "fault injection happens below the accounting layer"
-        );
-        let fs = faulty.fault_stats();
-        assert!(fs.injected_read_faults > 0, "schedule must have fired");
-        assert!(fs.recoveries > 0, "every transient fault recovered");
-        assert!(fs.quarantined_frames == 0, "no corruption in this profile");
-        assert!(faulty.take_io_error().is_none(), "no error surfaced");
+        let (clean, clean_tree) = query(None);
+        assert!(!clean.is_empty());
+        // Every read attempt of the query, in turn, fails once.
+        for at in 0.. {
+            let (ids, mut faulty) = query(Some(FaultProfile::fail_read(at, FaultKind::Transient)));
+            let fs = faulty.fault_stats();
+            if fs.injected_read_faults == 0 {
+                assert!(at > 8, "the query read only {at} pages");
+                break;
+            }
+            assert_eq!(
+                ids, clean,
+                "attempt {at}: retried reads must not change results"
+            );
+            assert_eq!(
+                clean_tree.stats().snapshot(),
+                faulty.stats().snapshot(),
+                "attempt {at}: fault injection happens below the accounting layer"
+            );
+            assert_eq!(clean_tree.backend_io(), faulty.backend_io(), "attempt {at}");
+            assert_eq!((fs.retries, fs.recoveries), (1, 1), "attempt {at}");
+            assert!(
+                faulty.take_io_error().is_none(),
+                "attempt {at}: no error surfaced"
+            );
+        }
     }
 
     #[test]

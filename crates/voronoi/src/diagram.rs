@@ -125,50 +125,45 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_diagram_is_the_oracles_or_a_storage_panic_for_every_transient_seed() {
-        // No retries, one backend read in 16 failing, a cold buffer the size
-        // of the tree: the diagram either equals the oracle's with no error
-        // left latched, or dies naming the failed read — never a diagram
-        // computed past a failed read (the poll rule of
-        // `NodeReader::take_error`).
-        use cij_pagestore::{FaultSpec, RetryPolicy};
+    fn a_batch_diagram_is_the_oracles_or_a_storage_panic_at_every_fault_point() {
+        // Read attempt `at` of a cold tree fails for good: the diagram dies
+        // naming that read — never a diagram computed past a failed read
+        // (the poll rule of `NodeReader::take_error`) — until `at` passes
+        // the last read, where it equals the oracle's with no error latched.
+        use cij_pagestore::{FaultKind, FaultProfile};
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let pts = random_points(150, 33);
         let oracle = brute_force_diagram(&pts, &Rect::DOMAIN);
-        let (mut completed, mut panicked) = (0, 0);
-        for seed in 0..64 {
+        for at in 0.. {
             let mut tree = RTree::bulk_load(config(), PointObject::from_points(&pts));
             tree.set_buffer_pages(tree.num_pages());
             tree.flush();
-            tree.set_retry_policy(RetryPolicy {
-                max_attempts: 1,
-                ..RetryPolicy::default()
-            });
-            tree.inject_fault(FaultSpec::transient(seed));
+            tree.inject_fault(FaultProfile::fail_read(at, FaultKind::Persistent));
             let run = catch_unwind(AssertUnwindSafe(|| {
                 compute_diagram(&mut tree, &Rect::DOMAIN, DiagramMethod::Batch)
             }));
             match run {
                 Ok(result) => {
-                    assert_eq!(tree.take_io_error(), None, "seed {seed}: returned past");
-                    assert_eq!(result.cells.len(), pts.len(), "seed {seed}");
+                    assert_eq!(tree.fault_stats().injected_read_faults, 0, "{at}: fired");
+                    assert_eq!(tree.take_io_error(), None, "read {at}: returned past");
+                    assert_eq!(result.cells.len(), pts.len(), "read {at}");
                     for cell in &result.cells {
                         let expected = oracle[cell.id.0 as usize].area();
-                        assert!((expected - cell.cell.area()).abs() < 1e-3, "seed {seed}");
+                        assert!((expected - cell.cell.area()).abs() < 1e-3, "read {at}");
                     }
-                    completed += 1;
+                    assert!(at > 4, "the diagram read only {at} pages");
+                    break;
                 }
                 Err(payload) => {
                     let message = payload.downcast_ref::<String>().expect("a formatted panic");
-                    assert!(message.contains("read error"), "seed {seed}: {message}");
-                    panicked += 1;
+                    let attempt = format!("injected at read attempt {at}");
+                    assert!(
+                        message.contains("persistent read error on frame")
+                            && message.ends_with(&attempt),
+                        "read {at}: {message}"
+                    );
                 }
             }
-        }
-        // A fixed-seed fault layer from `CIJ_FAULT_PROFILE` under the store
-        // ends every run at the same early read, whatever our seed.
-        if FaultSpec::from_env().is_none() {
-            assert!(completed > 0 && panicked > 0, "{completed} / {panicked}");
         }
     }
 

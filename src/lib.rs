@@ -88,7 +88,9 @@ pub mod prelude {
     };
     pub use cij_datagen::{clustered_points, uniform_points, ClusterSpec, RealDataset};
     pub use cij_geom::{ConvexPolygon, Point, Rect};
-    pub use cij_pagestore::{FaultKind, FaultSpec, FaultStats, IoStats, PageIoError, RetryPolicy};
+    pub use cij_pagestore::{
+        FaultKind, FaultProfile, FaultStats, IoStats, PageIoError, RetryPolicy,
+    };
     pub use cij_rtree::{PointObject, RTree, RTreeConfig};
     pub use cij_voronoi::{single_voronoi, tp_voronoi};
 }

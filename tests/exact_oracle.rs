@@ -17,8 +17,7 @@
 //! each check is the sign of an integer expression. A 3-way tuple is the
 //! same test over three constraint sets.
 //!
-//! Every configuration is pinned (backend, mode, workers, pages) and the
-//! fault profile is removed before any store is built, as
+//! Every configuration is pinned (backend, mode, workers, pages), as
 //! `tests/golden_counters.rs` does, so no `CIJ_*` rerun changes a case.
 
 use cij::prelude::*;
@@ -402,10 +401,6 @@ const EDGE_CONTACT_3_WAY: [[Site; 12]; 3] = [
 
 #[test]
 fn every_join_equals_the_exact_oracle_on_lattice_inputs_at_every_scale() {
-    // Stores consult `CIJ_FAULT_PROFILE` when they are built.
-    std::env::remove_var("CIJ_FAULT_PROFILE");
-    assert!(FaultSpec::from_env().is_none());
-
     assert_ok(
         "the asymmetric self-join",
         check_self_join(&ASYMMETRIC_SELF_JOIN, 16),

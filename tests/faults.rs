@@ -1,7 +1,7 @@
 //! Fault-tolerance integration tests: back-pressure at the exact queue
 //! bound, drain-on-shutdown with queries in flight, deadline and
-//! cancellation semantics through the public API, and the property that
-//! seeded transient fault schedules are invisible to every join result.
+//! cancellation semantics through the public API, and the property that a
+//! transient fault at any read of either tree is invisible to the join.
 
 use cij::prelude::*;
 use cij::rtree::RTreeConfig;
@@ -134,14 +134,16 @@ fn deadlines_and_cancellation_through_the_public_api() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Any seeded transient fault schedule must be invisible: the store's
-    /// retry loop absorbs every injected fault, so the faulty run emits the
+    /// A transient fault at any read attempt of either tree must be
+    /// invisible: the store's retry absorbs it, so the faulty run emits the
     /// exact pairs, counters and page accesses of the clean run.
     #[test]
     fn transient_schedules_never_change_the_emitted_pairs(
         seed in 0u64..u64::MAX,
         n in 50usize..150,
         threads in 1usize..4,
+        tree in 0usize..2,
+        at in 0u64..24,
     ) {
         let config = test_config().with_worker_threads(threads);
         let p = uniform_points(n, &Rect::DOMAIN, seed ^ 0x0A11);
@@ -151,13 +153,15 @@ proptest! {
             w.reset_measurement();
             nm_cij(&mut w, &config)
         };
-        let faulty = {
+        let (faulty, faults) = {
             let mut w = Workload::build(&p, &q, &config);
             w.reset_measurement();
-            w.rp.inject_fault(FaultSpec::transient(seed));
-            w.rq.inject_fault(FaultSpec::transient(seed.wrapping_add(1)));
-            nm_cij(&mut w, &config)
+            let profile = FaultProfile::fail_read(at, FaultKind::Transient);
+            [&mut w.rp, &mut w.rq][tree].inject_fault(profile);
+            let outcome = nm_cij(&mut w, &config);
+            (outcome, [&w.rp, &w.rq][tree].fault_stats())
         };
+        prop_assert_eq!(faults.recoveries, faults.injected_read_faults);
         prop_assert_eq!(clean.sorted_pairs(), faulty.sorted_pairs());
         prop_assert_eq!(clean.nm, faulty.nm);
         prop_assert_eq!(clean.page_accesses(), faulty.page_accesses());

@@ -15,8 +15,8 @@
 //!
 //! Every case pins its whole configuration — storage backend, execution
 //! mode, worker count, buffer size, cache capacity — and never reads the
-//! `CIJ_*` overrides, and the fault profile is pinned off before any store
-//! is built, so none of CI's whole-suite reruns can move a line. Only
+//! `CIJ_*` overrides (page stores read no environment at all), so none of
+//! CI's whole-suite reruns can move a line. Only
 //! quantities that repeat exactly are recorded: counts, byte totals, and an
 //! order-sensitive FNV-1a hash of each emitted sequence (pairs, tuples with
 //! their region vertices' bits, progress samples, watermarks, k-NN answers,
@@ -61,11 +61,6 @@ fn bless() {
 
 /// The sorted `case.metric = value` lines of every case.
 fn golden_table() -> String {
-    // Page stores consult `CIJ_FAULT_PROFILE` when they are built; pin it off
-    // so the transient-fault rerun measures the same runs as every other.
-    std::env::remove_var("CIJ_FAULT_PROFILE");
-    assert!(FaultSpec::from_env().is_none());
-
     let mut t = Table::default();
     let p = uniform_points(400, &Rect::DOMAIN, 2_601);
     let q = clustered(400, 2_602);

@@ -3,8 +3,8 @@
 //! under below (a flip either way is red), and the committed
 //! `REPRODUCTION.md` held to the generated report — regenerate it with
 //! `cargo run --release -p cij-bench --bin reproduce -- --report REPRODUCTION.md`.
-//! The experiments pin their configs (no `CIJ_*` override is read) and the
-//! fault profile is removed first, so no CI rerun moves a verdict.
+//! The experiments pin their configs (no `CIJ_*` override is read), so no
+//! CI rerun moves a verdict.
 
 use cij_bench::experiments::{self, TIER};
 use cij_bench::util::Status::{self, *};
@@ -64,9 +64,6 @@ const KNOWN_FAILS: &[(&str, &str)] = &[
 
 #[test]
 fn every_count_verdict_and_the_committed_report_repeat() {
-    // Page stores consult `CIJ_FAULT_PROFILE` when they are built; pin it off
-    // so the transient-fault rerun measures the same runs as every other.
-    std::env::remove_var("CIJ_FAULT_PROFILE");
     let sections = experiments::run(TIER, None, true);
 
     let with = |status: Status| move |claim: &&'static str| (*claim, status);
