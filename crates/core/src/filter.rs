@@ -34,21 +34,22 @@
 //! # The inside-point rule
 //!
 //! Before it computes a cell, the filter asks the polygon index whether the
-//! examined point `p` lies in the seed `B` (invariant 1 below) and
+//! examined point `p` lies in the group's box `B` (invariant 1 below) and
 //! **strictly** inside some probe polygon `T`
 //! ([`ConvexPolygon::strictly_contains_point`]). If so, `p` joins and its
 //! cell is never computed. The answer is the one the cell would give. The
-//! approximate cell always contains `p`: it is `B` cut by bisectors
-//! `⊥(p, c)`, `p` is on its own side of each of them, and `p` lies in `B`.
-//! So the cell and `T` share `p`, and since `T` holds `p` by more than its
-//! threshold, the tolerant separating-axis test of ingredient 2 can only
-//! answer "intersects". A point within the tolerance band of `T`'s boundary
-//! is not held strictly and falls through to the cell test: there, rounding
-//! in the cell's outline could decide either way, and the rule does not
-//! guess. So every decision is the cell test's own, and the candidates,
-//! their order and the traversal are those of the cell test alone; only
-//! [`FilterStats::clip_ops`] (down) and [`FilterStats::poly_tests_skipped`]
-//! (the containment query's skips) show the rule.
+//! approximate cell always contains `p`: it is the seed cut by bisectors
+//! `⊥(p, c)`, `p` is on its own side of each of them, and `p` lies in `B`,
+//! inside the seed. So the cell and `T` share `p`, and since `T` holds `p`
+//! by more than its threshold, the tolerant separating-axis test of
+//! ingredient 2 can only answer "intersects". A point within the tolerance
+//! band of `T`'s boundary is not held strictly and falls through to the
+//! cell test: there, rounding in the cell's outline could decide either
+//! way, and the rule does not guess. So every decision is the cell test's
+//! own, and the candidates, their order and the traversal are those of the
+//! cell test alone; only [`FilterStats::clip_ops`] (down) and
+//! [`FilterStats::poly_tests_skipped`] (the containment query's skips) show
+//! the rule.
 //!
 //! # Why bounded clipping is sufficient
 //!
@@ -77,17 +78,27 @@
 //! really are nearest-first. Three invariants make that so, and each leaves
 //! every decision of the traversal where it was:
 //!
-//! 1. **Bounded seed.** Every approximate cell starts from `B`, the union
-//!    of the probe polygons' bounding boxes, each widened by its distance
-//!    threshold ([`cij_geom::tolerance::widened`]), cut to the domain — not
-//!    from the whole domain. A cell is only ever asked whether it meets a
-//!    probe polygon `T`, every `T` lies in `B` with its tolerance to spare
-//!    and every cell in the domain, so `(cell ∩ B) ∩ T =
-//!    cell ∩ T`: the answer is the same, while the reach is group-sized
-//!    from the first clip and the cell of a far point empties after a few.
-//!    (The candidates all sit around the probe group, so a domain-seeded
-//!    cell stays open on its far side, its reach stays domain-sized and the
-//!    cutoff never fires.)
+//! 1. **Bounded seed.** Every approximate cell starts from the seed: `B`,
+//!    the union of the probe polygons' bounding boxes, each widened by its
+//!    distance threshold ([`cij_geom::tolerance::widened`]), widened once
+//!    more by `B`'s own threshold and cut to the domain — not the whole
+//!    domain. A cell is only ever asked whether it meets a probe polygon
+//!    `T`, every `T` lies in the seed with its tolerance to spare and every
+//!    cell in the domain, so `(cell ∩ seed) ∩ T = cell ∩ T`: the answer is
+//!    the same, while the reach is group-sized from the first clip and the
+//!    cell of a far point empties after a few. (The candidates all sit
+//!    around the probe group, so a domain-seeded cell stays open on its far
+//!    side, its reach stays domain-sized and the cutoff never fires.)
+//!    The second widening keeps a contact at the seed's edge. A side of `T`
+//!    can lie on its box's edge — a Voronoi edge `T` shares with the
+//!    examined point's cell, say — and the cell then meets `T` as a sliver
+//!    between that side and the seed's boundary. Were the sliver only
+//!    `T`'s threshold wide, the clip's merge of coinciding vertices, which
+//!    reaches `τ` times *their* magnitude and so can exceed `T`'s
+//!    threshold, could carry the cell's side out onto the seed's boundary,
+//!    past `T`'s tolerance, and discard a point that joins. `B`'s own
+//!    threshold is at least that merge distance for every vertex in the
+//!    seed, so the sliver outlasts the merge.
 //! 2. **Clamped local frame.** The candidate grid is framed on the same
 //!    `B`, so its buckets divide the region the candidates actually occupy.
 //!    Candidates and examined points outside `B` clamp to border buckets;
@@ -319,13 +330,14 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
     let poly_bboxes = &poly_bboxes[..];
 
     // The probe group's bounds `B`: the union of those boxes, cut to the
-    // domain. Every approximate cell is seeded from it and the candidate
-    // grid is framed on it (module docs, invariants 1 and 2).
+    // domain. The candidate grid is framed on it, and every approximate
+    // cell is seeded from it widened once more (module docs, invariants 1
+    // and 2).
     let group_bbox = poly_bboxes
         .iter()
         .fold(Rect::empty(), |acc, bb| acc.union(bb));
     let bound = domain.intersection(&group_bbox).unwrap_or(*domain);
-    let seed = ConvexPolygon::from_rect(&bound);
+    let seed = ConvexPolygon::from_rect(&seed_box(domain, &group_bbox));
 
     let adaptive = options.grid_resolution == 0;
     grid.reset(
@@ -348,8 +360,8 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
         match entry {
             TraversalEntry::Point(p) => {
                 stats.points_examined += 1;
-                // Ingredient 1: a point of the seed strictly inside some
-                // polygon joins, and its cell would only say so again.
+                // Ingredient 1: a point of `B` strictly inside some polygon
+                // joins, and its cell would only say so again.
                 let at = &p.point;
                 let inside = bound.contains_point(at)
                     && any_indexed(polyidx, &Rect::from_point(*at), &mut stats, |i| {
@@ -393,6 +405,13 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
         }
     }
     (candidates, stats)
+}
+
+/// The seed of every approximate cell: the probe group's box `group`
+/// widened by its own distance threshold, cut to the domain (module docs,
+/// invariant 1).
+fn seed_box(domain: &Rect, group: &Rect) -> Rect {
+    domain.intersection(&widened(group)).unwrap_or(*domain)
 }
 
 /// Pushes every entry of the decoded node onto the traversal queue, keyed by
@@ -618,8 +637,8 @@ fn is_shielded_four_sided(
 /// owned nodes, every approximate cell clipped against **every** candidate
 /// found so far with the allocating [`ConvexPolygon::clip_bisector`], linear
 /// scans over the probe polygons, the four-sided shield rule. It shares the
-/// seed box `B` (module docs, invariant 1) and the queue type with the
-/// product and none of its indexes, cutoffs or scratch.
+/// seed (module docs, invariant 1) and the queue type with the product and
+/// none of its indexes, cutoffs or scratch.
 #[cfg(test)]
 fn reference_filter<T: NodeReader<PointObject>>(
     rp: &mut T,
@@ -637,7 +656,7 @@ fn reference_filter<T: NodeReader<PointObject>>(
     let group = probes
         .iter()
         .fold(Rect::empty(), |acc, t| acc.union(&widened(&t.bbox())));
-    let seed = ConvexPolygon::from_rect(&domain.intersection(&group).unwrap_or(*domain));
+    let seed = ConvexPolygon::from_rect(&seed_box(domain, &group));
 
     let mut queue = TraversalQueue::default();
     let enqueue = |queue: &mut TraversalQueue, node: cij_rtree::Node<PointObject>| {

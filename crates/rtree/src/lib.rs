@@ -14,9 +14,10 @@
 //!   [`CellObject`] for materialised Voronoi cells),
 //! * best-first incremental nearest-neighbour browsing ([`RTree::nearest_iter`],
 //!   Hjaltason & Samet \[11\]) — entries pop by squared `mindist`, then first
-//!   met, a total order ([`NearestNeighbourIter`]); `RTree::k_nearest(q, k)`
-//!   is that same walk with a bound on what it queues and answers, reads and
-//!   counts exactly as `nearest_iter(q).take(k)` — and the
+//!   met, a total order ([`NearestNeighbourIter`]); [`RTree::k_nearest`] walks
+//!   that order over nodes only, its answers in a sorted `k`-slot array and a
+//!   child queued only while it orders before the `k`-th answer, and answers,
+//!   reads and counts exactly as `nearest_iter(q).take(k)` — and the
 //!   [`TraversalQueue`] (integer-ranked keys, ties left to the heap) that
 //!   BF-VOR, BatchVoronoi and the conditional filter all traverse with,
 //! * range queries and Hilbert-ordered depth-first leaf traversal,
@@ -47,7 +48,7 @@
 //! A storage failure becomes a *panic* only at a **blocking edge**, an
 //! operation whose return type has no error channel: the standalone
 //! operators here ([`RTree::range_query`] / `scan_all` / `bounding_rect`,
-//! [`RTree::nearest_iter`] / `k_nearest` / `nearest`,
+//! [`RTree::nearest_iter`] / `k_nearest`,
 //! [`RTree::leaf_pages_hilbert_order`], [`RTree::check_invariants`],
 //! [`intersection_join`], [`distance_join`]), `cij-voronoi`'s
 //! `single_voronoi` and `compute_diagram`, and `cij-core`'s collect-all

@@ -5,11 +5,13 @@
 //! the conditional filter: entries are visited in ascending `mindist` from a
 //! query point by means of a min-heap.
 //!
-//! Two queues live here. [`TraversalQueue`] serves the Voronoi traversals
-//! and the filter and breaks ties as its `BinaryHeap` happens to.
-//! [`NearestNeighbourIter`] — `nearest_iter`, `nearest` and, with a bound,
-//! `k_nearest` — orders by squared key and then by first met, a total order
-//! spelled out on the type.
+//! [`TraversalQueue`] serves the Voronoi traversals and the filter and
+//! breaks ties as its `BinaryHeap` happens to. The two k-NN walks share a
+//! total order instead — squared key, then first met, spelled out on
+//! [`NearestNeighbourIter`]: `nearest_iter` browses every object in it, and
+//! [`RTree::k_nearest`] cuts it at `k`, queueing nodes only and keeping its
+//! answers in a sorted `k`-slot array, and reads exactly the nodes
+//! `nearest_iter(q).take(k)` reads, in the same order.
 
 use crate::object::{PointObject, RTreeObject};
 use crate::tree::{expect_read, RTree};
@@ -166,69 +168,21 @@ enum HeapEntry<D> {
     Object(D),
 }
 
-/// What lets `k_nearest` queue less than `nearest_iter`: the `k` smallest
-/// object keys queued so far.
-///
-/// An entry whose key is greater than all `k` of them has `k` objects
-/// ordered strictly before it, so the walk yields its `k`-th answer before
-/// it could pop that entry — and because the queue's order is total,
-/// leaving the entry out cannot reorder what remains. The bounded walk
-/// therefore pops, reads and yields exactly what the unbounded one does up
-/// to the `k`-th answer. (Until `k` objects have been met — the whole
-/// descent to the first leaf — nothing is left out.)
-struct NearestKeys {
-    k: usize,
-    /// Their ranks, largest on top.
-    ranks: BinaryHeap<u64>,
-}
-
-impl NearestKeys {
-    /// Whether an entry of rank `rank` can still pop before the `k`-th
-    /// answer; an admitted object's rank joins the `k` smallest.
-    fn admit(&mut self, rank: u64, is_object: bool) -> bool {
-        if self.ranks.len() < self.k {
-            if is_object {
-                self.ranks.push(rank);
-            }
-            return true;
-        }
-        let Some(mut worst) = self.ranks.peek_mut() else {
-            return false; // k = 0
-        };
-        if rank > *worst {
-            return false;
-        }
-        if is_object {
-            *worst = rank;
-        }
-        true
-    }
-}
-
 /// The walk's queue: 16-byte items `rank << 32 | serial`, smallest first,
 /// the entries themselves in a side vector indexed by serial.
 struct Frontier<D> {
     queue: BinaryHeap<Reverse<u128>>,
     /// Every entry ever queued, in the order met; `None` once popped.
     entries: Vec<Option<HeapEntry<D>>>,
-    /// `Some` under [`RTree::k_nearest`].
-    bound: Option<NearestKeys>,
 }
 
 impl<D> Frontier<D> {
-    /// Queues what `entry` builds under `key`, unless the bound shows it
-    /// could not pop before the last answer.
-    fn push(&mut self, key: f64, is_object: bool, entry: impl FnOnce() -> HeapEntry<D>) {
-        let rank = rank(key);
-        if let Some(bound) = &mut self.bound {
-            if !bound.admit(rank, is_object) {
-                return;
-            }
-        }
+    /// Queues `entry` under `key`.
+    fn push(&mut self, key: f64, entry: HeapEntry<D>) {
         let serial = u32::try_from(self.entries.len()).expect("fewer than 2^32 queued entries");
-        self.entries.push(Some(entry()));
+        self.entries.push(Some(entry));
         self.queue
-            .push(Reverse(u128::from(rank) << 32 | u128::from(serial)));
+            .push(Reverse(u128::from(rank(key)) << 32 | u128::from(serial)));
     }
 
     /// The entry first in the walk's order, with its key.
@@ -245,8 +199,7 @@ impl<D> Frontier<D> {
 /// Incremental nearest-neighbour browser over an R-tree.
 ///
 /// Produces objects in ascending distance from the query point; the caller
-/// can stop at any time, which is what makes the traversal usable as a
-/// building block for k-NN, BF-VOR and the conditional filter. Pulling is a
+/// can stop at any time, which is what TP-VOR builds on. Pulling is a
 /// blocking edge ([crate docs](crate)): a storage failure panics.
 ///
 /// # Order
@@ -259,7 +212,8 @@ impl<D> Frontier<D> {
 /// Items pop under a total order: smaller key first, then earlier met, NaN
 /// keys last. Among entries at exactly equal distance the first met
 /// therefore pops first, whatever the shape of the heap — which is what
-/// lets [`RTree::k_nearest`] queue fewer entries and still be this walk.
+/// lets [`RTree::k_nearest`] queue far fewer entries and still read what
+/// this walk reads.
 pub struct NearestNeighbourIter<'a, D: RTreeObject> {
     tree: &'a mut RTree<D>,
     query: Point,
@@ -269,15 +223,12 @@ pub struct NearestNeighbourIter<'a, D: RTreeObject> {
 impl<'a, D: RTreeObject> NearestNeighbourIter<'a, D> {
     /// Starts an incremental NN search from `query`.
     pub fn new(tree: &'a mut RTree<D>, query: Point) -> Self {
-        // The descent queues about a node's worth of entries per level;
-        // one reservation of that size spares the doubling steps.
-        let room = (tree.root_level() as usize + 2) * tree.config().max_children();
+        let room = descent_room(tree);
         let mut frontier = Frontier {
             queue: BinaryHeap::with_capacity(room),
             entries: Vec::with_capacity(room),
-            bound: None,
         };
-        frontier.push(0.0, false, || HeapEntry::Node(tree.root_page()));
+        frontier.push(0.0, HeapEntry::Node(tree.root_page()));
         NearestNeighbourIter {
             tree,
             query,
@@ -298,17 +249,79 @@ impl<'a, D: RTreeObject> Iterator for NearestNeighbourIter<'a, D> {
                     expect_read(self.tree.try_visit_node(page, &mut |node| {
                         for o in &node.objects {
                             let key = o.mbr().mindist_point_sq(query);
-                            frontier.push(key, true, || HeapEntry::Object(o.clone()));
+                            frontier.push(key, HeapEntry::Object(o.clone()));
                         }
                         for c in &node.children {
                             let key = c.mbr.mindist_point_sq(query);
-                            frontier.push(key, false, || HeapEntry::Node(c.page));
+                            frontier.push(key, HeapEntry::Node(c.page));
                         }
                     }));
                 }
             }
         }
         None
+    }
+}
+
+/// What a best-first walk's descent queues: about a node's worth of entries
+/// per level. One reservation of that size spares the doubling steps.
+fn descent_room<D: RTreeObject>(tree: &RTree<D>) -> usize {
+    (tree.root_level() as usize + 2) * tree.config().max_children()
+}
+
+/// [`RTree::k_nearest`]'s state: its answers and how many entries it has met.
+///
+/// Nodes and answers share one key, the walk's total order as an integer:
+/// `rank << 64 | serial << 32 | page`, where `serial` counts the entries met
+/// before this one — a node's objects, then its children, in storage order —
+/// and an answer's page bits are zero. Serials are unique, so the page bits
+/// never decide an order; they only carry the page of a queued node.
+struct KNearest<D> {
+    query: Point,
+    k: usize,
+    /// The `k` smallest objects met so far, smallest key first.
+    answers: Vec<(u128, D)>,
+    met: u32,
+}
+
+impl<D: RTreeObject> KNearest<D> {
+    /// The key of the next entry met, at squared distance `key`.
+    fn meet(&mut self, key: f64, page: PageId) -> u128 {
+        let serial = self.met;
+        self.met = serial.checked_add(1).expect("fewer than 2^32 entries met");
+        u128::from(rank(key)) << 64 | u128::from(serial) << 32 | u128::from(page.0)
+    }
+
+    /// Whether an entry of key `key` orders before the current `k`-th
+    /// answer — trivially while there are fewer than `k` answers.
+    fn admits(&self, key: u128) -> bool {
+        match self.answers.get(self.k - 1) {
+            Some((kth, _)) => key < *kth,
+            None => true,
+        }
+    }
+
+    /// Reads the node `item` names, offering its objects to the answers and
+    /// handing `push` each child that orders before the `k`-th answer.
+    fn visit(&mut self, tree: &mut RTree<D>, item: u128, mut push: impl FnMut(Reverse<u128>)) {
+        let page = PageId(item as u32);
+        expect_read(tree.try_visit_node(page, &mut |node| {
+            for o in &node.objects {
+                let key = self.meet(o.mbr().mindist_point_sq(&self.query), PageId(0));
+                if self.admits(key) {
+                    // A full array gives up its `k`-th answer.
+                    self.answers.truncate(self.k - 1);
+                    let at = self.answers.partition_point(|(a, _)| *a < key);
+                    self.answers.insert(at, (key, o.clone()));
+                }
+            }
+            for c in &node.children {
+                let key = self.meet(c.mbr.mindist_point_sq(&self.query), c.page);
+                if self.admits(key) {
+                    push(Reverse(key));
+                }
+            }
+        }));
     }
 }
 
@@ -320,26 +333,65 @@ impl<D: RTreeObject> RTree<D> {
     }
 
     /// The `k` nearest objects to `query`, closest first: exactly
-    /// `nearest_iter(query).take(k)` — results, page reads, counters and
-    /// buffer order — from the same walk, which here leaves out of its
-    /// queue every entry that already has `k` objects ordered before it.
-    /// `k = 0` reads no page; `k` beyond the tree's size returns
-    /// everything and reserves nothing sized by `k`.
+    /// `nearest_iter(query).take(k)` — results, page reads in their order,
+    /// counters and buffer order — from a walk that queues **nodes only**.
+    ///
+    /// Objects go to a sorted `k`-slot answer array and never to a queue.
+    /// Until the first leaf is read there is no bound: the children met on
+    /// the way wait in one unsorted vector (a node's worth per level), and
+    /// the smallest is taken by a scan. At the first leaf that vector is
+    /// filtered by the `k`-th answer — if the leaf held fewer than `k`
+    /// objects nothing is — and heapified in place. From then on a child is
+    /// queued only if it orders before the current `k`-th answer, and the
+    /// walk stops when the queue's first node orders after it.
+    ///
+    /// Why the reads are the browse's: `mindist_point_sq` is monotone under
+    /// rounding, so an object's or a child's key is never below its node's,
+    /// and it is met after its node, so its serial is higher — every entry
+    /// orders after the node it came from, and nodes pop in the walk's
+    /// order. A node the walk pops orders before every object met later, so
+    /// before the final `k`-th answer; a node that orders before the final
+    /// `k`-th answer orders before every `k`-th answer on the way (they only
+    /// shrink), so it is queued and pops before the walk stops. A node is
+    /// therefore read iff it orders before the final `k`-th answer — just
+    /// as under the browse, which pops that answer after every such node
+    /// and before any other.
+    ///
+    /// `k = 0` reads no page; `k` beyond the tree's size returns everything
+    /// and reserves nothing sized by `k`. An answer's insertion shifts the
+    /// larger ones, so the array suits the small `k` of a probe.
     pub fn k_nearest(&mut self, query: Point, k: usize) -> Vec<(f64, D)> {
-        let answers = k.min(self.len());
-        let mut nearest = Vec::with_capacity(answers);
-        let mut walk = self.nearest_iter(query);
-        walk.frontier.bound = Some(NearestKeys {
+        if k == 0 {
+            return Vec::new();
+        }
+        let mut walk = KNearest {
+            query,
             k,
-            ranks: BinaryHeap::with_capacity(answers),
-        });
-        nearest.extend(walk.take(k));
-        nearest
-    }
-
-    /// The single nearest object to `query`, if the tree is non-empty.
-    pub fn nearest(&mut self, query: Point) -> Option<(f64, D)> {
-        self.nearest_iter(query).next()
+            answers: Vec::with_capacity(k.min(self.len())),
+            met: 0,
+        };
+        let mut waiting = Vec::with_capacity(descent_room(self));
+        waiting.push(Reverse(walk.meet(0.0, self.root_page())));
+        // The descent: items are `Reverse`d for the heap, so the smallest
+        // key is the largest item.
+        while walk.answers.is_empty() {
+            let first = waiting.iter().enumerate().max_by_key(|&(_, item)| *item);
+            let Some((at, _)) = first else { break };
+            let Reverse(item) = waiting.swap_remove(at);
+            walk.visit(self, item, |child| waiting.push(child));
+        }
+        waiting.retain(|&Reverse(item)| walk.admits(item));
+        let mut queue = BinaryHeap::from(waiting);
+        while let Some(Reverse(item)) = queue.pop() {
+            if !walk.admits(item) {
+                break;
+            }
+            walk.visit(self, item, |child| queue.push(child));
+        }
+        let answers = walk.answers.into_iter();
+        answers
+            .map(|(key, o)| (ranked_key((key >> 64) as u64).sqrt(), o))
+            .collect()
     }
 }
 
@@ -495,7 +547,7 @@ mod tests {
         let (mut tree, pts) = random_tree(300, 7);
         let q = Point::new(431.0, 612.0);
         let expected = brute_force_knn(&pts, &q, 1)[0];
-        let (d, _) = tree.nearest(q).unwrap();
+        let (d, _) = tree.nearest_iter(q).next().unwrap();
         assert!((d - expected).abs() < 1e-9);
     }
 
@@ -527,7 +579,7 @@ mod tests {
     #[test]
     fn nearest_on_empty_tree_is_none() {
         let mut tree: RTree<PointObject> = RTree::bulk_load(tiny_config(), Vec::new());
-        assert!(tree.nearest(Point::new(1.0, 1.0)).is_none());
+        assert!(tree.nearest_iter(Point::new(1.0, 1.0)).next().is_none());
         assert!(tree.k_nearest(Point::new(1.0, 1.0), 5).is_empty());
     }
 

@@ -23,8 +23,9 @@
 //! **by reference** ([`RTree::try_visit_node`] →
 //! `PageStore::try_read_with`) and copy out only the objects they return —
 //! or, for the best-first walk, the entries it queues: all of a node's
-//! under `nearest_iter`, under `k_nearest` only those that can still pop
-//! before the `k`-th answer.
+//! under `nearest_iter`; under `k_nearest` only the children that order
+//! before the current `k`-th answer, its objects going to the answer array
+//! (each cloned only if it is among the `k` nearest met so far).
 //! The owned [`RTree::try_read_node`] — which clones a buffered node on
 //! every call — is for callers that keep the node's entries (the
 //! paired-node joins), oracles and tests; both touch the buffer and count

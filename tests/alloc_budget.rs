@@ -58,14 +58,15 @@ const MAX_ALLOCATIONS_PER_METERED_PAIR: f64 = 2.65;
 const MAX_WARM_ALLOCATIONS_PER_LEAF_GROUP: u64 = 100;
 
 /// Allocations a `k_nearest(.., 8)` probe may spend when every page it
-/// reads is a buffer hit: the answer, the walk's queue, its entry vector
-/// and the bound's eight ranks, each reserved once — four — plus a doubling
-/// of queue and entries on the probes that queue more than the
-/// reservation. Measured 4.24 over 500 probes (debug, `--release` and the
-/// transient fault profile alike); the per-probe heap of 40-byte items
-/// that regrew from empty, under a result that grew from empty, made it
-/// 8.73.
-const MAX_ALLOCATIONS_PER_WARM_KNN_PROBE: f64 = 4.5;
+/// reads is a buffer hit: the answer array, the vector the descent's
+/// children wait in (heapified in place at the first leaf, and reserved
+/// large enough that the queue does not regrow) and the result — three.
+/// Measured 3.00 over 500 probes; while objects were queued beside the
+/// nodes — a queue, its entry vector and the bound's eight ranks, with a
+/// doubling of queue and entries on the probes that queued more than the
+/// reservation — it was 4.24, and the per-probe heap of 40-byte items that
+/// regrew from empty, under a result that grew from empty, made it 8.73.
+const MAX_ALLOCATIONS_PER_WARM_KNN_PROBE: f64 = 3.0;
 
 /// Allocations a warm 100 × 100 window query may spend: the page stack and
 /// the result, each growing from empty. Measured 2.79.

@@ -98,6 +98,7 @@ fn golden_table() -> String {
     t.put("grouped_nn", "counts_hash", hash(words));
 
     index_case(&mut t);
+    index_wide_k_case(&mut t);
     served_join_case(&mut t, &[p, q], &base());
     t.render()
 }
@@ -209,32 +210,8 @@ fn multiway_case(t: &mut Table, sets: &[Vec<Point>], config: &CijConfig) {
 /// and node key ties, so the order among equal keys shows.
 fn index_case(t: &mut Table) {
     let case = "index_file";
-    let lattice: Vec<Point> = (0..30 * 30)
-        .map(|i| {
-            Point::new(
-                200.0 + (i / 30) as f64 * 300.0,
-                200.0 + (i % 30) as f64 * 300.0,
-            )
-        })
-        .collect();
-    let config = RTreeConfig {
-        page_size: 512,
-        max_entries: 64,
-    };
-    let objects = PointObject::from_points(&lattice);
-    let mut tree =
-        RTree::bulk_load_with_stats_on(config, IoStats::new(), objects, 1.0, StorageBackend::File);
-    tree.set_buffer_pages(tree.num_pages() / 8);
-    tree.flush();
-    tree.stats().reset();
+    let (mut tree, probes) = lattice_index();
     let built = tree.backend_io();
-    let probes: Vec<Point> = (0..100u32)
-        .map(|i| {
-            let half = f64::from(i % 2) * 150.0;
-            let (x, y) = (f64::from(i * 7 % 30), f64::from(i * 13 % 30));
-            Point::new(200.0 + x * 300.0 + half, 200.0 + y * 300.0 + half)
-        })
-        .collect();
     let knn = probes.iter().flat_map(|q| tree.k_nearest(*q, 8));
     let knn: Vec<u64> = knn.flat_map(|(d, o)| [d.to_bits(), o.id.0]).collect();
     t.put(case, "knn_hash", hash(knn));
@@ -254,6 +231,60 @@ fn index_case(t: &mut Table) {
     t.put(case, "bytes_read", io.bytes_read);
     t.put(case, "bytes_written", io.bytes_written);
     t.put(case, "buffer_mru_hash", mru_hash(&tree));
+}
+
+/// The same tree and probes at `k` wider than a leaf: 1, one more than a
+/// leaf's 20 points, and three leaves' worth, in turn. At the two wide
+/// ones the first leaf read holds fewer than `k` objects, so the walk goes
+/// on with nothing yet to bound it.
+fn index_wide_k_case(t: &mut Table) {
+    let case = "index_wide_k";
+    let (mut tree, probes) = lattice_index();
+    let built = tree.backend_io();
+    let widths = [1, 21, 60].into_iter().cycle();
+    let knn = probes
+        .iter()
+        .zip(widths)
+        .flat_map(|(q, k)| tree.k_nearest(*q, k));
+    let knn: Vec<u64> = knn.flat_map(|(d, o)| [d.to_bits(), o.id.0]).collect();
+    t.put(case, "knn_answers", knn.len() / 2);
+    t.put(case, "knn_hash", hash(knn));
+    t.io(case, "knn_io", &tree.stats().snapshot());
+    let io = tree.backend_io().since(&built);
+    t.put(case, "bytes_read", io.bytes_read);
+    t.put(case, "buffer_mru_hash", mru_hash(&tree));
+}
+
+/// A 30 × 30 lattice on the file backend, 512-byte pages (20 points a
+/// leaf), a ⅛ buffer and counters reset — and 100 probes at lattice points
+/// and cell centres.
+fn lattice_index() -> (RTree<PointObject>, Vec<Point>) {
+    let lattice: Vec<Point> = (0..30 * 30)
+        .map(|i| {
+            Point::new(
+                200.0 + (i / 30) as f64 * 300.0,
+                200.0 + (i % 30) as f64 * 300.0,
+            )
+        })
+        .collect();
+    let config = RTreeConfig {
+        page_size: 512,
+        max_entries: 64,
+    };
+    let objects = PointObject::from_points(&lattice);
+    let mut tree =
+        RTree::bulk_load_with_stats_on(config, IoStats::new(), objects, 1.0, StorageBackend::File);
+    tree.set_buffer_pages(tree.num_pages() / 8);
+    tree.flush();
+    tree.stats().reset();
+    let probes: Vec<Point> = (0..100u32)
+        .map(|i| {
+            let half = f64::from(i % 2) * 150.0;
+            let (x, y) = (f64::from(i * 7 % 30), f64::from(i * 13 % 30));
+            Point::new(200.0 + x * 300.0 + half, 200.0 + y * 300.0 + half)
+        })
+        .collect();
+    (tree, probes)
 }
 
 fn served_join_case(t: &mut Table, sets: &[Vec<Point>], config: &CijConfig) {

@@ -267,20 +267,29 @@ fn owned_k_nearest(
 
 /// Visiting nodes by reference changes nothing observable: over every
 /// backend and a buffer of none, an eighth and all of the tree, a cold scan,
-/// 200 windows and 200 8-NN probes return the owned walk's object sequences
-/// and leave its `IoStats`, its backend byte counts and its buffer order —
-/// on uniform data and on a lattice where neighbours tie on distance, so the
+/// 200 windows and 200 probes, each at k = 8, 1, one more than a leaf holds
+/// and three leaves' worth, return the owned walk's object sequences and
+/// leave its `IoStats`, its backend byte counts and its buffer order — on
+/// uniform data and on a lattice where neighbours tie on distance, so the
 /// k-NN answer depends on the order among equal keys. `k_nearest` bounds
-/// what it queues; the owned walk and `nearest_iter().take(k)` do not.
+/// what it queues once its first leaf is read (at the wide k that leaf
+/// holds fewer than k objects); the owned walk and `nearest_iter().take(k)`
+/// bound nothing.
 #[test]
 fn by_reference_queries_account_exactly_like_the_owned_walk() {
     const SIDE: usize = 48;
+    // Points a leaf of `test_config()` holds: 488 bytes of a 512-byte page
+    // over 24-byte entries.
+    const LEAF: usize = 20;
     let step = 10_000.0 / SIDE as f64;
     let lattice: Vec<Point> = (0..SIDE * SIDE)
         .map(|i| Point::new((i / SIDE) as f64 * step, (i % SIDE) as f64 * step))
         .collect();
     let uniform = uniform_points(2_500, &Rect::DOMAIN, 9411);
     let rtree = test_config().rtree;
+    let mut full = RTree::bulk_load(rtree, PointObject::from_points(&uniform));
+    let first_leaf = full.leaf_pages_hilbert_order(&Rect::DOMAIN)[0];
+    assert_eq!(full.try_read_node(first_leaf).unwrap().objects.len(), LEAF);
     for (name, points) in [("uniform", &uniform), ("lattice", &lattice)] {
         for storage in StorageBackend::ALL {
             for buffer_fraction in [0.0, 0.125, 1.0] {
@@ -326,22 +335,28 @@ fn by_reference_queries_account_exactly_like_the_owned_walk() {
                     assert_eq!(hits, owned_range_query(&mut owned, &window), "{case}");
 
                     let probe = Point::new(snap(), snap());
-                    let got = by_ref.k_nearest(probe, 8);
-                    let expected = owned_k_nearest(&mut owned, probe, 8);
-                    assert_eq!(got.len(), 8, "{case}");
-                    for ((gd, go), (ed, eo)) in got.iter().zip(&expected) {
-                        assert_eq!((gd.to_bits(), go), (ed.to_bits(), eo), "{case}, {probe:?}");
+                    for k in [8, 1, LEAF + 1, 3 * LEAF] {
+                        let got = by_ref.k_nearest(probe, k);
+                        let expected = owned_k_nearest(&mut owned, probe, k);
+                        assert_eq!(got.len(), k, "{case}");
+                        for ((gd, go), (ed, eo)) in got.iter().zip(&expected) {
+                            assert_eq!(
+                                (gd.to_bits(), go),
+                                (ed.to_bits(), eo),
+                                "{case}, {probe:?}, k {k}"
+                            );
+                        }
+                        assert_eq!(
+                            by_ref.stats().snapshot(),
+                            owned.stats().snapshot(),
+                            "{case}, {probe:?}, k {k}"
+                        );
+                        // The law: the unbounded browse cut at k answers and
+                        // accounts alike (the owned tree keeps in step).
+                        let cut: Vec<_> = by_ref.nearest_iter(probe).take(k).collect();
+                        assert_eq!(got, cut, "{case}, {probe:?}, k {k}");
+                        owned_k_nearest(&mut owned, probe, k);
                     }
-                    assert_eq!(
-                        by_ref.stats().snapshot(),
-                        owned.stats().snapshot(),
-                        "{case}, {probe:?}"
-                    );
-                    // The law: the unbounded browse cut at k answers and
-                    // accounts alike (the owned tree keeps in step).
-                    let cut: Vec<_> = by_ref.nearest_iter(probe).take(8).collect();
-                    assert_eq!(got, cut, "{case}, {probe:?}");
-                    owned_k_nearest(&mut owned, probe, 8);
                 }
 
                 let snap = by_ref.stats().snapshot();
