@@ -19,10 +19,10 @@
 //! CI's whole-suite reruns can move a line. Only
 //! quantities that repeat exactly are recorded: counts, byte totals, and an
 //! order-sensitive FNV-1a hash of each emitted sequence (pairs, tuples with
-//! their region vertices' bits, progress samples, watermarks, k-NN answers,
-//! the LRU buffers' final most-recent-first order). Quantities a worker
-//! pool's schedule can move — unmetered cold-peek bytes, residency peaks —
-//! are recorded for one-worker runs only.
+//! their region vertices' bits and without them, progress samples,
+//! watermarks, k-NN answers, the LRU buffers' final most-recent-first
+//! order). Quantities a worker pool's schedule can move — unmetered
+//! cold-peek bytes, residency peaks — are recorded for one-worker runs only.
 
 use cij::core::ProgressSample;
 use cij::pagestore::IoSnapshot;
@@ -180,6 +180,13 @@ fn multiway_case(t: &mut Table, sets: &[Vec<Point>], config: &CijConfig) {
         tuple.ids.iter().copied().chain(bits)
     });
     t.put(case, "tuples_hash", hash(words));
+    // The ids alone, in emission order: what the join decides, without the
+    // region vertices' last bits.
+    let ids = out
+        .tuples
+        .iter()
+        .flat_map(|tuple| tuple.ids.iter().copied());
+    t.put(case, "tuple_ids_hash", hash(ids));
     t.put(case, "page_accesses", out.page_accesses);
     t.put(case, "driver", out.driver);
     t.samples(case, &out.progress, &out.watermarks);
