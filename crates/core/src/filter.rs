@@ -70,9 +70,9 @@
 //!
 //! This `2R` bound is the one bound of both crates: [`cij_voronoi::batch`]
 //! applies it to the exact cells of BatchVoronoi — as a per-member gate in
-//! front of the Lemma-1/Lemma-2 vertex loops and as the stop rule of its
-//! nearest-first seeding — and states the rectangle (Lemma 2) form of the
-//! argument there.
+//! front of the Lemma-1/Lemma-2 vertex loops (its seeding needs no bound:
+//! it clips each member with its Delaunay neighbours only) — and states the
+//! rectangle (Lemma 2) form of the argument there.
 //!
 //! The cutoff only bites when `R` is small from the start and the rings
 //! really are nearest-first. Three invariants make that so, and each leaves

@@ -54,12 +54,13 @@
 //!
 //! # The reach window
 //!
-//! Both callers of the ring walk hold a squared bound — four times the
-//! squared reach of the cell they are clipping — and have no use for a
-//! bucket whose `mindist²` exceeds it. The walk takes that bound as
-//! `limit_sq` and does not visit such buckets at all: a row with
-//! `dy(j)² > limit_sq` or a column with `dx(i)² > limit_sq` is skipped
-//! whole (either term alone is at most the sum), and within the rest a
+//! The ring walk's one caller, the conditional filter of `cij-core`, holds
+//! a squared bound — four times the squared reach of the cell it is
+//! clipping — and has no use for a bucket whose `mindist²` exceeds it. The
+//! walk takes that bound as `limit_sq` and does not visit such buckets at
+//! all: a row with `dy(j)² > limit_sq` or a column with
+//! `dx(i)² > limit_sq` is skipped whole (either term alone is at most the
+//! sum), and within the rest a
 //! bucket with `dx(i)² + dy(j)² > limit_sq`. A caller's bound only shrinks
 //! while a ring is walked (clips shrink the cell), so the value at the
 //! start of the ring is the largest a per-bucket test against the current

@@ -77,6 +77,13 @@ impl HalfPlane {
         self.signed_slack(a) >= -self.tolerance
     }
 
+    /// Whether the point lies on the boundary line: its slack is within the
+    /// halfplane's threshold on either side.
+    #[inline]
+    pub fn on_boundary(&self, a: &Point) -> bool {
+        self.signed_slack(a).abs() <= self.tolerance
+    }
+
     /// Whether this halfplane is degenerate (zero normal, the bisector of a
     /// site and itself), i.e. covers the whole plane and can never refine a
     /// Voronoi cell.

@@ -21,7 +21,11 @@
 //!   Hilbert-ordered traversals of Section III-C,
 //! * uniform-[`grid`] spatial bucketing ([`PointGrid`] ring queries,
 //!   [`RectGrid`] overlap queries) — the index structures behind the
-//!   sub-quadratic conditional-filter kernel.
+//!   sub-quadratic conditional-filter kernel,
+//! * exact [`predicates`] ([`orient2d`], [`incircle`]) and the exact
+//!   [`delaunay`] triangulation of a point group ([`Delaunay`]), whose
+//!   neighbour lists name the bisectors BatchVoronoi seeds a group's cells
+//!   with.
 //!
 //! All coordinates are `f64`. The paper normalises datasets to the square
 //! `[0, 10000]²`; [`Rect::DOMAIN`] is that default universe.
@@ -52,6 +56,12 @@
 //!   `+threshold`, so a point in the tolerance band is left to the decision
 //!   it would skip. Degeneracy tests are exact (a zero normal, a zero-length
 //!   segment).
+//! * **Exact predicates carry no threshold.** [`orient2d`] and [`incircle`]
+//!   return exact signs (a float filter whose error bound only decides
+//!   whether an exact expansion is needed), so the [`Delaunay`] neighbour
+//!   lists are those of the inputs as real numbers. They only choose which
+//!   bisectors to apply; every cut is still the tolerant
+//!   [`ConvexPolygon::clip_in_place`], under the rule above.
 //! * **The contract.** What a join returns:
 //!   - Cells are closed (Eqs. 1–2): two cells that share only a vertex or an
 //!     edge — a contact of measure zero — intersect, so the pair joins.
@@ -70,20 +80,24 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
+pub mod delaunay;
 pub mod grid;
 pub mod halfplane;
 pub mod hilbert;
 pub mod phi;
 pub mod point;
 pub mod polygon;
+pub mod predicates;
 pub mod rect;
 pub mod segment;
 pub mod tolerance;
 
+pub use delaunay::Delaunay;
 pub use grid::{GridFrame, PointGrid, RectGrid};
 pub use halfplane::HalfPlane;
 pub use phi::{phi_contains_point, polygon_within_phi};
 pub use point::Point;
 pub use polygon::{ClipScratch, ConvexPolygon, EdgeTable};
+pub use predicates::{incircle, orient2d};
 pub use rect::Rect;
 pub use segment::Segment;

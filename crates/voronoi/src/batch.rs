@@ -95,39 +95,70 @@
 //! node the literal loop prunes is pruned here too, and node reads can
 //! only drop.
 //!
-//! # Nearest-first seeding
+//! # Delaunay seeding
 //!
 //! The members are data points of `P` like any other and are known before
 //! the first node read, so every cell is first clipped with the *other
-//! members*: nearest first, from expanding ring queries over a
-//! [`PointGrid`] of the group, each ring walked inside the window of the
-//! member's gate ([`PointGrid::for_each_ring_bucket_within`] — the gate is
-//! fixed while a ring is collected, so the window is the whole per-bucket
-//! test) and sorted by distance, stopping at the first member beyond the
-//! gate — the safety-radius stop of a meshless Voronoi cell construction,
-//! and the same bound the conditional filter of `cij-core` applies to its
-//! approximate cells. Near bisectors shrink the
-//! reach at once, so the far members (all of them no-ops by the bullets
-//! above) are never enumerated and the pass costs O(|G|·k) rather than
-//! |G|² vertex loops — which matters for the several-hundred-point groups
-//! of a filter candidate set or a multiway extension unit.
+//! members*: those at the locations that share an edge with the member's
+//! own in the Delaunay triangulation of the group's locations
+//! ([`Delaunay`]), nearest first, ties by index. One triangulation per
+//! group — expected O(|G| log |G|), for the several-hundred-point groups of
+//! a multiway extension unit too — replaces a search per member, and a
+//! member meets its handful of neighbours, nearly every one of them a cut.
+//!
+//! * **The same sets.** In exact arithmetic a member's cell within `G` is
+//!   the domain cut by the bisectors of its Delaunay neighbours: every
+//!   Voronoi edge of positive length separates two sites that share a
+//!   Delaunay edge, and any other member's bisector meets the cell at most
+//!   in a vertex, so its clip removes nothing. Every clip applied is a
+//!   bisector of two data points and every clip skipped is a no-op, so each
+//!   seeded cell is the cell of its site within `G`, and the final cells are
+//!   the exact Voronoi cells.
+//! * **Exact predicates, not toleranced ones.** The triangulation decides
+//!   with [`orient2d`](cij_geom::orient2d) and
+//!   [`incircle`](cij_geom::incircle), whose signs are exact, so the
+//!   neighbour lists are exact on every input. Members a relative 1e-15
+//!   apart are distinct locations whose bisector cuts both cells, and a
+//!   float triangulation can lose exactly such an edge. The predicates
+//!   carry no threshold: they only choose which bisectors to apply, and
+//!   every cut is still the tolerant [`ConvexPolygon::clip_in_place`]
+//!   ([`cij_geom::tolerance`]).
+//! * **Bisectors that rounding moved.** The argument takes each bisector
+//!   as the exact line. A computed bisector is off that line by the
+//!   rounding of its offset, `(|q|² − |p|²) / 2`, divided by `|q − p|`: for
+//!   members far apart a few ulps of the coordinates, for near-duplicates
+//!   (1e-15 relative apart, say) more than the whole group. So a neighbour
+//!   `w` whose bisector with the site misses the sites' midpoint by more
+//!   than the bisector's own threshold ([`HalfPlane::on_boundary`]) shields
+//!   nothing it is supposed to: `w`'s neighbours are offered too, and
+//!   theirs behind another such bisector. With that, the seeded cells
+//!   equal the brute-force cells, which apply every member's rounded
+//!   bisector, on every near-degenerate group the tests and the stress
+//!   range draw. The check costs one bisector per neighbour. In the
+//!   benchmark's seed-11 runs it fires only on `mw_clustered`, about 16
+//!   times per op, for members clamped onto the domain's edge a hundredth
+//!   of a unit apart.
+//! * **Repeated locations.** Members at an identical location are one
+//!   vertex of the triangulation (as separate vertices they would make
+//!   triangles of zero area). Their common bisector is degenerate and cuts
+//!   nothing, they share their neighbours, and each of them is clipped with
+//!   every member at a neighbouring location.
+//! * **Degenerate groups.** Two locations neighbour each other; when every
+//!   location lies on one line, the consecutive ones along it do.
 //!
 //! What this may and may not change, compared with clipping in storage
-//! order: every clip applied is a bisector of two data points and every
-//! clip skipped is a proven no-op, so each seeded cell is the same *set* —
-//! the cell of its site within `G` — and the final cells are the exact
-//! Voronoi cells. The *order* in which a cell's bisectors are applied
-//! differs, and a vertex computed through different intermediate outlines
-//! may differ in its last bits. The traversal itself — heap keys, the
-//! Lemma-2 gate before each node read — is untouched, but its gates compare
-//! against those vertices, so a borderline gate could in principle flip
-//! and cost or save a node read; none has been observed (page accesses
-//! equal the storage-order seeding's on every benchmark seed). The join
-//! pairs cannot change: they are decided on exact cells.
+//! order: the *order* in which a cell's bisectors are applied differs, and a
+//! vertex computed through different intermediate outlines may differ in
+//! its last bits. The traversal itself — heap keys, the Lemma-2 gate before
+//! each node read — is untouched, but its gates compare against those
+//! vertices, so a borderline gate could in principle flip and cost or save a
+//! node read; none has been observed (page accesses equal the ring walk's
+//! that seeded before, on every benchmark seed). The join pairs cannot
+//! change: they are decided on exact cells.
 
 use crate::single::can_refine;
 use cij_geom::tolerance::{magnitude, sq_margin};
-use cij_geom::{ClipScratch, ConvexPolygon, HalfPlane, Point, PointGrid, Rect};
+use cij_geom::{ClipScratch, ConvexPolygon, Delaunay, HalfPlane, Point, Rect};
 use cij_rtree::{
     LeafLayout, NodeArena, NodeReader, ObjectId, PointObject, TraversalEntry, TraversalQueue,
 };
@@ -138,11 +169,11 @@ use cij_rtree::{
 /// struct: nodes decode into the [`NodeArena`] (SoA layout), cell refinement
 /// ping-pongs through the [`ClipScratch`], a leaf's points are ordered in
 /// `dists`, the best-first queue of nodes and the per-group tables (member
-/// sites, sorted ids, reach gates, the seeding grid) are emptied and
-/// refilled in place for every group. Allocate one per worker thread, reuse
-/// it across every group the worker processes; after the buffers reach their
-/// high-water size the traversal allocates only for the returned cells
-/// themselves (`tests/alloc_budget.rs` counts it).
+/// sites, sorted ids, reach gates, the group's Delaunay triangulation) are
+/// emptied and refilled in place for every group. Allocate one per worker
+/// thread, reuse it across every group the worker processes; after the
+/// buffers reach their high-water size the traversal allocates only for the
+/// returned cells themselves (`tests/alloc_budget.rs` counts it).
 #[derive(Debug, Default)]
 pub struct VorScratch {
     /// SoA node decode target.
@@ -180,7 +211,8 @@ impl VorScratch {
 }
 
 /// The per-group tables behind the reach gate and the seeding pass (module
-/// docs): `xs`/`ys`/`gate` are parallel to the group.
+/// docs): `xs`/`ys`/`gate` are parallel to the group; the triangulation and
+/// the clip-order list keep their buffers from group to group.
 #[derive(Debug, Default)]
 struct GroupTables {
     xs: Vec<f64>,
@@ -193,14 +225,16 @@ struct GroupTables {
     /// Members whose gate the leaf being applied lies within: a prefix of
     /// this vector, which is kept as long as the group.
     near: Vec<u32>,
-    /// The group's sites, bucketed for the seeding pass's ring queries.
-    grid: PointGrid,
-    /// One ring's members as `(dist² to the seeded site, index)`.
-    ring: Vec<(f64, u32)>,
+    /// The Delaunay triangulation of the group's locations, whose
+    /// neighbour lists name the bisectors seeding applies.
+    delaunay: Delaunay,
+    /// The members at the neighbouring locations of the location being
+    /// seeded, as `(dist² to it, index)`, sorted into clip order.
+    by_distance: Vec<(f64, u32)>,
+    /// The locations whose members seed the location at hand: its
+    /// neighbours, and theirs behind a bisector that rounding moved.
+    reached: Vec<u32>,
 }
-
-/// Average number of members per bucket the seeding grid aims for.
-const SEED_BUCKET_LOAD: f64 = 2.0;
 
 /// The gate of a cell: no point farther than this (squared) from `site`,
 /// and no rectangle whose `mindist²` to `site` exceeds it, can refine
@@ -216,10 +250,10 @@ fn reach_gate(site: &Point, cell: &ConvexPolygon) -> f64 {
 /// Squared radius of the smallest circle centred at `site` that contains
 /// every vertex of `cell` — the cell's *reach* from its site.
 ///
-/// The bound behind nearest-first bounded clipping: every location the
-/// bisector `⊥(site, other)` removes lies at least `dist(site, other) / 2`
-/// from `site` (triangle inequality), and a convex cell is contained in the
-/// vertex circle, so once `dist(site, other)² > 4 × reach²` the bisector
+/// The bound behind the reach gate and the conditional filter's bounded
+/// clipping: every location the bisector `⊥(site, other)` removes lies at
+/// least `dist(site, other) / 2` from `site` (triangle inequality), and a
+/// convex cell is contained in the vertex circle, so once `dist(site, other)² > 4 × reach²` the bisector
 /// provably cannot shrink the cell and all farther points can be skipped.
 #[inline]
 pub fn cell_reach_sq(site: &Point, cell: &ConvexPolygon) -> f64 {
@@ -408,71 +442,56 @@ impl<'a> GroupCells<'a> {
         false
     }
 
-    /// Clips every member's cell with the other members, nearest first,
-    /// until the gate proves the rest irrelevant (module docs, "Nearest-first
-    /// seeding"). The traversal starts from these tight cells, and it never
-    /// offers a member again: this pass is the only one that applies the
-    /// members' bisectors.
+    /// Clips every member's cell with the members at the neighbouring
+    /// locations of the group's Delaunay triangulation, nearest first, ties
+    /// by index (module docs, "Delaunay seeding"). The traversal starts from
+    /// these tight cells, and it never offers a member again: this pass is
+    /// the only one that applies the members' bisectors.
     fn seed(&mut self) {
-        let n = self.group.len();
-        if n < 2 {
+        if self.group.len() < 2 {
             return;
         }
-        let bounds = self.group.iter().fold(Rect::empty(), |acc, o| {
-            acc.union(&Rect::from_point(o.point))
-        });
-        let res = (n as f64 / SEED_BUCKET_LOAD).sqrt().ceil() as usize;
-        self.tables.grid.reset(&bounds, res);
-        for (i, o) in self.group.iter().enumerate() {
-            self.tables.grid.insert(&o.point, i as u32);
-        }
-        for i in 0..n {
-            self.refine_calls += 1;
-            let me = self.group[i];
-            let center = self.tables.grid.frame().bucket_of(&me.point);
-            let mut ring_no = 0usize;
-            loop {
-                let GroupTables {
-                    gate, grid, ring, ..
-                } = &mut *self.tables;
-                let gate_i = gate[i];
-                let lb = grid.ring_mindist(ring_no);
-                // Rings only get farther: nothing left can cut the cell.
-                if lb * lb > gate_i {
-                    break;
-                }
-                ring.clear();
-                // The gate is fixed while a ring is collected, so the walk's
-                // own window is the whole per-bucket test.
-                let in_range = grid.for_each_ring_bucket_within(
-                    center,
-                    &me.point,
-                    ring_no,
-                    gate_i,
-                    |_, items| {
-                        for &j in items {
-                            let other = &self.group[j as usize];
-                            if other.id != me.id {
-                                ring.push((other.point.dist_sq(&me.point), j));
-                            }
+        // Taken out of the tables (no allocation) while the cells are
+        // clipped, and put back for the next group.
+        let mut delaunay = std::mem::take(&mut self.tables.delaunay);
+        let mut by_distance = std::mem::take(&mut self.tables.by_distance);
+        let mut reached = std::mem::take(&mut self.tables.reached);
+        delaunay.triangulate(&self.tables.xs, &self.tables.ys);
+        for v in 0..delaunay.location_count() as u32 {
+            let site = delaunay.location(v);
+            by_distance.clear();
+            reached.clear();
+            reached.extend(delaunay.neighbours(v));
+            let mut k = 0;
+            while k < reached.len() {
+                let w = reached[k];
+                k += 1;
+                let at = delaunay.location(w);
+                let d = at.dist_sq(&site);
+                by_distance.extend(delaunay.members(w).iter().map(|&j| (d, j)));
+                // A bisector rounded off its sites' midpoint does not shield
+                // what lies behind `w`: its neighbours are offered too.
+                if !HalfPlane::bisector(&site, &at).on_boundary(&site.midpoint(&at)) {
+                    for x in delaunay.neighbours(w) {
+                        if x != v && !reached.contains(&x) {
+                            reached.push(x);
                         }
-                    },
-                );
-                if !in_range {
-                    break;
-                }
-                ring.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                for k in 0..self.tables.ring.len() {
-                    let (d, j) = self.tables.ring[k];
-                    // Sorted: the rest of the ring is at least as far.
-                    if d > self.tables.gate[i] {
-                        break;
                     }
-                    self.refine_member(i, &self.group[j as usize].point);
                 }
-                ring_no += 1;
+            }
+            by_distance.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            // Members at one location get the same bisectors in the same
+            // order.
+            for &i in delaunay.members(v) {
+                self.refine_calls += 1;
+                for &(_, j) in &by_distance {
+                    self.refine_member(i as usize, &self.group[j as usize].point);
+                }
             }
         }
+        self.tables.delaunay = delaunay;
+        self.tables.by_distance = by_distance;
+        self.tables.reached = reached;
     }
 }
 
@@ -877,15 +896,21 @@ mod tests {
     /// within 1e-6 relative, each within 1e-6 of containing the other's
     /// vertices.
     fn assert_same_cell(got: &ConvexPolygon, expected: &ConvexPolygon, what: &str) {
+        assert_same_cell_at(got, expected, 1.0, what);
+    }
+
+    /// [`assert_same_cell`] for a domain scaled by `unit`: every length
+    /// bound scales with it.
+    fn assert_same_cell_at(got: &ConvexPolygon, expected: &ConvexPolygon, unit: f64, what: &str) {
         let (a, b) = (got.area(), expected.area());
         assert!(
-            (a - b).abs() <= 1e-6 * a.max(b).max(1.0),
+            (a - b).abs() <= 1e-6 * a.max(b).max(unit * unit),
             "{what}: area {a} vs {b}"
         );
         for (from, to) in [(got, expected), (expected, got)] {
             for v in from.vertices() {
                 let off = outside_by(to, v);
-                assert!(off <= 1e-6, "{what}: vertex {v} lies {off} outside");
+                assert!(off <= 1e-6 * unit, "{what}: vertex {v} lies {off} outside");
             }
         }
     }
@@ -916,8 +941,10 @@ mod tests {
 
     /// A group built to stress the reach gate and the seeding order.
     /// `shape`: 0 scattered (partly integer-snapped), 1 collinear,
-    /// 2 cocircular, 3 on the domain boundary, 4 a mix of all of them; every
-    /// shape but the first two also repeats some sites under fresh ids.
+    /// 2 cocircular, 3 on the domain boundary, 4 a mix of all of them,
+    /// 5 lattice points perturbed by up to 8 ulps (≈ 1e-15 relative), so
+    /// near-duplicates and nearly cocircular quadruples abound; every shape
+    /// but the first two also repeats some sites under fresh ids.
     fn adversarial_group(seed: u64, shape: usize, n: usize) -> Vec<PointObject> {
         let mut rng = StdRng::seed_from_u64(seed);
         let origin = Point::new(
@@ -959,6 +986,19 @@ mod tests {
                 _ => Point::new(10_000.0, 10_000.0),
             }
         };
+        let step = (size / 8.0).round().max(1.0);
+        let perturbed_lattice = |rng: &mut StdRng| {
+            let nudge = |rng: &mut StdRng, v: f64| {
+                f64::from_bits((v.to_bits() as i64 + rng.gen_range(-8..=8i64)) as u64)
+            };
+            let x = origin.x + step * rng.gen_range(0..8) as f64;
+            let y = origin.y + step * rng.gen_range(0..8) as f64;
+            if rng.gen_range(0..3) == 0 {
+                Point::new(x, y)
+            } else {
+                Point::new(nudge(rng, x), nudge(rng, y))
+            }
+        };
         let line = rng.gen_range(0..3usize);
         let mut points: Vec<Point> = Vec::with_capacity(n);
         for k in 0..n {
@@ -974,7 +1014,8 @@ mod tests {
                     0 => scattered(&mut rng),
                     1 => collinear(&mut rng, if shape == 4 { k } else { line }),
                     2 => cocircular(&mut rng),
-                    _ => on_boundary(&mut rng),
+                    3 => on_boundary(&mut rng),
+                    _ => perturbed_lattice(&mut rng),
                 }
             };
             points.push(p);
@@ -1137,7 +1178,7 @@ mod tests {
         #[test]
         fn reach_gate_and_leaf_step_equal_the_plain_lemma_rules(
             seed in 0u64..1_000_000,
-            shape in 0usize..5,
+            shape in 0usize..6,
             n in 1usize..30,
             seeded in 0usize..4,
         ) {
@@ -1181,17 +1222,17 @@ mod tests {
             }
         }
 
-        /// Nearest-first seeding yields each member's cell within the group,
-        /// and the full traversal the exact cell, on adversarial groups.
+        /// Delaunay seeding yields each member's cell within the group, and
+        /// the full traversal the exact cell, on adversarial groups.
         #[test]
         fn seeded_and_final_cells_match_brute_force_on_adversarial_groups(
             seed in 0u64..1_000_000,
-            shape in 0usize..5,
+            shape in 0usize..6,
             n in 1usize..48,
         ) {
             let group = adversarial_group(seed, shape, n);
             let points: Vec<Point> = group.iter().map(|o| o.point).collect();
-            assert_seeding_matches_brute_force(&group);
+            assert_seeding_matches_brute_force(&group, &Rect::DOMAIN);
             // The group as the whole dataset: final cells = seeded cells.
             let mut tree = RTree::bulk_load(config(), group.clone());
             for (i, cell) in domain_cells(&mut tree, &group).iter().enumerate() {
@@ -1201,18 +1242,18 @@ mod tests {
         }
     }
 
-    fn assert_seeding_matches_brute_force(group: &[PointObject]) {
+    /// The seeded cells of `group` in `domain` are the brute-force cells
+    /// within the group, compared at the domain's scale.
+    fn assert_seeding_matches_brute_force(group: &[PointObject], domain: &Rect) {
         let points: Vec<Point> = group.iter().map(|o| o.point).collect();
         let (mut clip, mut tables) = (ClipScratch::default(), GroupTables::default());
-        let mut g = GroupCells::new(group, &Rect::DOMAIN, &mut clip, &mut tables);
+        let mut g = GroupCells::new(group, domain, &mut clip, &mut tables);
         g.seed();
+        let unit = domain.width() / Rect::DOMAIN.width();
         for (i, cell) in g.cells.iter().enumerate() {
-            let expected = brute_force_cell(&points, i, &Rect::DOMAIN);
-            assert_same_cell(
-                cell,
-                &expected,
-                &format!("seeded cell {i} of {}", group.len()),
-            );
+            let expected = brute_force_cell(&points, i, domain);
+            let what = format!("seeded cell {i} of {}", group.len());
+            assert_same_cell_at(cell, &expected, unit, &what);
         }
     }
 
@@ -1220,10 +1261,33 @@ mod tests {
     fn seeding_matches_brute_force_from_one_member_to_four_hundred() {
         for (n, seed) in [(1usize, 3u64), (2, 4), (41, 5), (400, 6)] {
             let uniform = PointObject::from_points(&random_points(n, seed));
-            assert_seeding_matches_brute_force(&uniform);
-            for shape in 0..5 {
-                assert_seeding_matches_brute_force(&adversarial_group(seed, shape, n));
+            assert_seeding_matches_brute_force(&uniform, &Rect::DOMAIN);
+            for shape in 0..6 {
+                let group = adversarial_group(seed, shape, n);
+                assert_seeding_matches_brute_force(&group, &Rect::DOMAIN);
             }
+        }
+    }
+
+    /// Stress range of the seeding, run with `--release -- --ignored`:
+    /// 20 000 near-degenerate groups — collinear, cocircular, on the
+    /// domain boundary, mixed, perturbed lattices — with the group and the
+    /// domain scaled by 1e-6 … 1e9 (inexactly, so exact degeneracies turn
+    /// into near ones), each seeded cell compared with the brute-force cell.
+    #[test]
+    #[ignore = "stress range; run with --release"]
+    fn seeding_matches_brute_force_on_20000_near_degenerate_groups_at_every_scale() {
+        let scales = [1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9];
+        for k in 0..20_000u64 {
+            let s = scales[(k % 6) as usize];
+            let shape = 1 + (k / 6 % 5) as usize;
+            let n = 2 + (k.wrapping_mul(0x9e37_79b9) >> 7) as usize % 47;
+            let group: Vec<PointObject> = adversarial_group(50_000 + k, shape, n)
+                .into_iter()
+                .map(|o| PointObject::new(o.id.0, o.point * s))
+                .collect();
+            let domain = Rect::new(Rect::DOMAIN.lo * s, Rect::DOMAIN.hi * s);
+            assert_seeding_matches_brute_force(&group, &domain);
         }
     }
 
@@ -1311,12 +1375,15 @@ mod tests {
     }
 
     /// Work guard on the uniform 20 k tree walked leaf by leaf (the Q-cell
-    /// step of NM-CIJ): nearest-first seeding keeps the clips per cell near
-    /// the ~6 a planar cell needs, the reach gate keeps the members that
-    /// run a vertex loop per refinement pass — a member seeded, or a leaf
-    /// point offered to the group — to the handful the point can concern,
-    /// and the leaf step offers each point once, in centroid order, and
-    /// members never. (Measured: 9.6 clips per cell, 7.0 loops per pass.)
+    /// step of NM-CIJ). Delaunay seeding clips a member with its Delaunay
+    /// neighbours only — about six, nearly all of them cuts — so a seeded
+    /// member costs a vertex loop per neighbour and no more; the reach gate
+    /// keeps the members that run a vertex loop for a leaf point offered to
+    /// the group to the handful the point can concern, and the leaf step
+    /// offers each point once, in centroid order, and members never.
+    /// Measured: 8.76 clips per cell and 4.65 vertex loops per refinement
+    /// pass (a member seeded, or a leaf point offered); the ring walk that
+    /// seeded before made 9.62 and 6.96, above the loop bound.
     #[test]
     fn seeding_and_reach_gate_bound_the_work_per_cell() {
         let (mut tree, leaves) = uniform_20k();
@@ -1330,9 +1397,9 @@ mod tests {
         assert_eq!(cells, 20_000);
         let clips_per_cell = scratch.clips as f64 / cells as f64;
         let loops_per_call = scratch.vertex_loops as f64 / scratch.refine_calls as f64;
-        assert!(clips_per_cell <= 12.0, "{clips_per_cell} clips per cell");
+        assert!(clips_per_cell <= 10.0, "{clips_per_cell} clips per cell");
         assert!(
-            loops_per_call <= 9.0,
+            loops_per_call <= 6.0,
             "{loops_per_call} member vertex loops per refinement pass"
         );
     }

@@ -7,10 +7,11 @@
 //!   one point in a single best-first R-tree traversal, with the Lemma-1/2
 //!   pruning rule [`can_refine`].
 //! * [`batch_voronoi`] — **BatchVoronoi** (Algorithm 2): the cells of a
-//!   group of nearby points (one R-tree leaf, in practice) in one shared
-//!   traversal of nodes — a leaf's points refine the cells as soon as the
-//!   leaf is read — behind a reuse buffer ([`CellStore`]; [`NoCache`] for
-//!   none).
+//!   group of nearby points (one R-tree leaf, in practice), first clipped
+//!   with each member's neighbours in the group's exact Delaunay
+//!   triangulation, then refined in one shared traversal of nodes — a
+//!   leaf's points refine the cells as soon as the leaf is read — behind a
+//!   reuse buffer ([`CellStore`]; [`NoCache`] for none).
 //! * [`tp_voronoi`] — the **TP-VOR** multi-traversal baseline of \[10\], used
 //!   by Figure 5 as the comparison point for BF-VOR.
 //! * [`compute_diagram`] — the ITER / BATCH whole-diagram builders of

@@ -5,9 +5,9 @@
 //! reports, but nothing fails when it regresses. This file pins it where a
 //! regression is cheapest to see: heap allocations per emitted tuple of a
 //! fixed 3-way clustered join, per emitted pair of a fixed binary NM-CIJ
-//! (fast and metered), each at one worker, for one leaf group's cells on a
-//! warm `VorScratch`, and per warm 8-NN probe, warm window query and cold
-//! counted read of a point tree. The count is `cij_bench::allocations()` —
+//! (fast and metered), each at one worker, for one leaf group's cells and
+//! one 1 000-member clustered group's on a warm `VorScratch`, and per warm
+//! 8-NN probe, warm window query and cold counted read of a point tree. The count is `cij_bench::allocations()` —
 //! naming that crate links its counting `#[global_allocator]` into this test
 //! binary — and the binary holds exactly **one** `#[test]`, so no sibling
 //! test's allocations are ever counted — keep it that way.
@@ -56,6 +56,14 @@ const MAX_ALLOCATIONS_PER_METERED_PAIR: f64 = 2.65;
 /// the transient fault profile; the traversal heap the call used to build
 /// and regrow for every group made it 105.
 const MAX_WARM_ALLOCATIONS_PER_LEAF_GROUP: u64 = 100;
+
+/// Allocations a second `batch_voronoi` over one 1 000-member clustered
+/// group — the size of a multiway extension unit, whose units reach 1 286
+/// members — may spend on the scratch the first call warmed: again only
+/// what the returned cells need, however large the group's triangulation
+/// and tables grew. Measured 2 043 — the vector of cells, one seed outline
+/// per member and the outlines' growths, 2.04 per member.
+const MAX_WARM_ALLOCATIONS_PER_LARGE_GROUP: u64 = 2_100;
 
 /// Allocations a `k_nearest(.., 8)` probe may spend when every page it
 /// reads is a buffer hit: the answer array, the vector the descent's
@@ -168,6 +176,33 @@ fn multiway_join_stays_within_its_allocation_budget() {
         spent <= MAX_WARM_ALLOCATIONS_PER_LEAF_GROUP,
         "{spent} allocations for the {} cells of a warm call \
          (budget {MAX_WARM_ALLOCATIONS_PER_LEAF_GROUP})",
+        group.len()
+    );
+
+    // The same on one large clustered group, the seeding's triangulation
+    // included.
+    let spec = ClusterSpec {
+        n: 4_000,
+        clusters: 4,
+        sigma_fraction: 0.02,
+        background_fraction: 0.1,
+        size_skew: 0.5,
+    };
+    let points = clustered_points(&spec, &Rect::DOMAIN, 16_250);
+    let mut tree = RTree::bulk_load(RTreeConfig::default(), PointObject::from_points(&points));
+    let group: Vec<PointObject> = (tree.k_nearest(points[0], 1_000).into_iter())
+        .map(|(_, o)| o)
+        .collect();
+    let mut scratch = VorScratch::default();
+    let warm_up = batch_voronoi(&mut tree, &group, &Rect::DOMAIN, &mut NoCache, &mut scratch);
+    let before = allocations();
+    let cells = batch_voronoi(&mut tree, &group, &Rect::DOMAIN, &mut NoCache, &mut scratch);
+    let spent = allocations() - before;
+    assert_eq!(cells, warm_up);
+    assert!(
+        spent <= MAX_WARM_ALLOCATIONS_PER_LARGE_GROUP,
+        "{spent} allocations for the {} cells of a warm call \
+         (budget {MAX_WARM_ALLOCATIONS_PER_LARGE_GROUP})",
         group.len()
     );
 
