@@ -1,5 +1,6 @@
 //! The conditional filter of NM-CIJ (Algorithm 5 and its batch variant),
-//! evaluated sub-quadratically through two grid indexes.
+//! evaluated sub-quadratically through an exact triangulation of the
+//! candidates and a grid index of the probes.
 //!
 //! Given one or more convex polygons `T` (Voronoi cells of points of `Q`,
 //! or running intersections of the multiway join), the filter traverses the
@@ -25,10 +26,10 @@
 //! Read literally, ingredient 2 clips every examined point's cell against
 //! **all** candidates found so far, and the "intersects some polygon" tests
 //! of ingredients 2 and 3 scan the whole probe batch. The filter keeps the
-//! candidates in a uniform-grid spatial index ([`cij_geom::PointGrid`]) and
-//! the probe polygons' bounding boxes in an overlap index
-//! ([`cij_geom::RectGrid`]) instead: each examined point clips only against
-//! *near* candidates, nearest-first by expanding grid rings, and each
+//! candidates in an exact Delaunay triangulation ([`cij_geom::Delaunay`]),
+//! grown as they join, and the probe polygons' bounding boxes in an overlap
+//! index ([`cij_geom::RectGrid`]) instead: each examined point clips only
+//! against the candidates it would share a Delaunay edge with, and each
 //! polygon test touches only the polygons whose bbox can overlap the query.
 //!
 //! # The inside-point rule
@@ -47,36 +48,71 @@
 //! cell test: there, rounding in the cell's outline could decide either
 //! way, and the rule does not guess. So every decision is the cell test's
 //! own, and the candidates, their order and the traversal are those of the
-//! cell test alone; only [`FilterStats::clip_ops`] (down) and
+//! cell test alone; only [`FilterStats::clip_ops`] and
+//! [`FilterStats::clip_attempts`] (down) and
 //! [`FilterStats::poly_tests_skipped`] (the containment query's skips) show
 //! the rule.
 //!
-//! # Why bounded clipping is sufficient
+//! # Why the Delaunay neighbours suffice
 //!
-//! Let `R` be the *reach* of the current approximate cell from the examined
-//! point `p` — the maximum distance from `p` to a cell vertex
-//! ([`cij_voronoi::cell_reach_sq`]). The convex cell lies inside the circle
-//! of radius `R` around `p` (a convex function peaks at a vertex, whether
-//! or not `p` itself is in the cell). Every location the bisector `⊥(p, c)`
-//! removes is closer to `c` than to `p`, so by the triangle inequality it
-//! lies at least `dist(p, c) / 2` from `p`. Hence a candidate with
-//! `dist(p, c) > 2R` cannot shrink the cell at all, and once a grid ring's
-//! minimum distance exceeds `2R` **no remaining candidate in that ring or
-//! beyond can either** — the enumeration stops. Skipped clips are provably
-//! no-ops, so the candidate set — and its order, and the traversal — is the
-//! one the literal reading produces (a proptest in this module compares the
-//! two); only [`FilterStats::clip_ops`] and
+//! In exact arithmetic the cell of `p` among `CP ∪ {p}` is the plane cut by
+//! the bisectors of `p`'s neighbours in the Delaunay triangulation
+//! `DT(CP ∪ {p})` alone: every Voronoi edge of positive length separates
+//! two sites that share a Delaunay edge, and any other candidate's bisector
+//! meets the cell at most in a vertex, so its clip removes nothing. That
+//! cell is `V(p, CP)`, the literal reading's — a candidate at `p`'s own
+//! location has a degenerate bisector, which cuts nothing. Those neighbours
+//! are the boundary of the cavity that inserting `p` into `DT(CP)` would
+//! open, and [`Delaunay::dig`] lists them without inserting `p`. The
+//! triangulation's predicates are exact, so the lists are exact on every
+//! input; every cut is still the tolerant
+//! [`ConvexPolygon::clip_in_place`].
+//!
+//! * **Corners first, the cavity only if needed.** The walk that locates
+//!   `p` ([`Delaunay::locate`]) ends at a triangle in conflict with `p`, so
+//!   each of its corners is a neighbour. They are clipped first, nearest
+//!   first. If the cell empties, `p` is rejected and no cavity is dug —
+//!   far points, whose cells leave the seed after a cut or two, are most of
+//!   the points examined. Otherwise the cavity is dug and the other
+//!   neighbours are clipped, nearest first, ties by location number, until
+//!   the cell empties or they run out.
+//! * **A joiner is inserted; a rejected point is not.** A point that joins
+//!   commits the cavity already dug ([`Delaunay::commit`]); a rejected one
+//!   drops it ([`Delaunay::undig`]). A point that joins by the inside-point
+//!   rule is located, dug and committed once.
+//! * **Bisectors that rounding moved.** The argument takes each bisector as
+//!   the exact line; for candidates a relative 1e-15 apart the computed one
+//!   is off it by more than the group. A neighbour whose rounded bisector
+//!   misses the sites' midpoint brings its own neighbours, transitively
+//!   ([`Delaunay::extend_past_moved_bisectors`]) — BatchVoronoi's seeding
+//!   rule, argued in [`cij_voronoi::batch`].
+//! * **Repeated locations.** Candidates at one location are one vertex:
+//!   they share their neighbours, and their bisectors with `p` are one
+//!   line, clipped once. A point at a candidate's location is located as
+//!   that vertex; its cell is cut by the vertex's neighbours, and it is not
+//!   inserted when it joins.
+//! * **Degenerate prefixes.** Until the candidates hold three locations
+//!   that are not collinear there is no triangle, and every candidate is
+//!   clipped — a handful, or a collinear run. The first candidate off the
+//!   line starts the triangulation and the held ones are inserted behind
+//!   it.
+//! * **The walk starts in `p`'s octant.** Points pop in nondecreasing
+//!   distance from the traversal centroid, so every candidate lies within
+//!   `p`'s distance of it, and so does their hull: `p` lies outside it or
+//!   on its boundary, and consecutive pops sit at unrelated angles. A walk
+//!   from the last insertion would cross the triangulation. It starts
+//!   instead from the last triangle located in `p`'s octant around the
+//!   centroid (eight slots, reset per call), a step or two from `p`.
+//!
+//! Skipped clips are no-ops, so the candidate set — and its order, and the
+//! traversal — is the one the literal reading produces (a proptest in this
+//! module compares the two, and an `#[ignore]`d stress range compares it
+//! with the nearest-first ring walk the triangulation replaced); only
+//! [`FilterStats::clip_ops`], [`FilterStats::clip_attempts`] and
 //! [`FilterStats::poly_tests_skipped`] tell them apart.
 //!
-//! This `2R` bound is the one bound of both crates: [`cij_voronoi::batch`]
-//! applies it to the exact cells of BatchVoronoi — as a per-member gate in
-//! front of the Lemma-1/Lemma-2 vertex loops (its seeding needs no bound:
-//! it clips each member with its Delaunay neighbours only) — and states the
-//! rectangle (Lemma 2) form of the argument there.
-//!
-//! The cutoff only bites when `R` is small from the start and the rings
-//! really are nearest-first. Three invariants make that so, and each leaves
-//! every decision of the traversal where it was:
+//! Two invariants keep the cells small and the shield test cheap, and each
+//! leaves every decision of the traversal where it was:
 //!
 //! 1. **Bounded seed.** Every approximate cell starts from the seed: `B`,
 //!    the union of the probe polygons' bounding boxes, each widened by its
@@ -85,10 +121,8 @@
 //!    domain. A cell is only ever asked whether it meets a probe polygon
 //!    `T`, every `T` lies in the seed with its tolerance to spare and every
 //!    cell in the domain, so `(cell ∩ seed) ∩ T = cell ∩ T`: the answer is
-//!    the same, while the reach is group-sized from the first clip and the
-//!    cell of a far point empties after a few. (The candidates all sit
-//!    around the probe group, so a domain-seeded cell stays open on its far
-//!    side, its reach stays domain-sized and the cutoff never fires.)
+//!    the same, while the cell of a far point empties at its first cuts —
+//!    usually the corners of its located triangle, before any cavity.
 //!    The second widening keeps a contact at the seed's edge. A side of `T`
 //!    can lie on its box's edge — a Voronoi edge `T` shares with the
 //!    examined point's cell, say — and the cell then meets `T` as a sliver
@@ -99,17 +133,7 @@
 //!    past `T`'s tolerance, and discard a point that joins. `B`'s own
 //!    threshold is at least that merge distance for every vertex in the
 //!    seed, so the sliver outlasts the merge.
-//! 2. **Clamped local frame.** The candidate grid is framed on the same
-//!    `B`, so its buckets divide the region the candidates actually occupy.
-//!    Candidates and examined points outside `B` clamp to border buckets;
-//!    [`cij_geom::grid`] argues why the ring bound and the reported bucket
-//!    distance stay lower bounds for them. Each ring is walked inside the
-//!    window `4R²` of the reach at its start
-//!    ([`PointGrid::for_each_ring_bucket_within`]), so the rows, columns
-//!    and buckets of a ring that lie beyond `2R` cost no call. The grid
-//!    only orders and skips clips that the reach argument already proved to
-//!    be no-ops.
-//! 3. **One shield decision, priced once per entry.** Pruning discards, so
+//! 2. **One shield decision, priced once per entry.** Pruning discards, so
 //!    it fires only strictly inside Φ (crate `cij_geom`, "Tolerance
 //!    policy"): ingredient 3 accepts a vertex `b` of `T` for side `L` and
 //!    candidate `p` when `dist²(b, p) < fl(mindist²(L, b) − μ)`, where the
@@ -117,7 +141,7 @@
 //!    the group, computed once per entry. It prunes an entry when every
 //!    polygon has some candidate accepting all its vertices for all four
 //!    sides. A polygon that touches Φ's boundary — a point under the entry
-//!    whose cell would meet it in one location — is never pruned. Two
+//!    whose cell would meet it in one location — is never pruned. Three
 //!    observations let the test cost less than polygons × candidates ×
 //!    sides × vertices without moving a decision:
 //!    * *Convexity of the tolerant Φ set.* `dist²(b, p) − mindist²(L, b)`
@@ -141,18 +165,24 @@
 //!      bound table) and each candidate costs one squared distance per
 //!      vertex instead of four segment distances.
 //!
+//!    * *The last shield first.* Each probe polygon remembers the
+//!      candidate that shielded it last, and the per-polygon rule tries
+//!      that one first: consecutive entries are neighbours in the tree, and
+//!      a candidate that shielded a polygon from one usually shields it from
+//!      the next. The rule only asks whether *some* candidate shields, so
+//!      the order of the tries decides nothing.
+//!
 //!    [`FilterStats::entries_pruned`] and the traversal are unchanged by
-//!    both; the four-sided rule is the reference the tests compare against.
+//!    all three; the four-sided rule is the reference the tests compare
+//!    against.
 
 use crate::config::FilterKernel;
 use cij_geom::tolerance::{rect_magnitude, sq_margin, widened};
-use cij_geom::{ClipScratch, ConvexPolygon, HalfPlane, Point, PointGrid, Rect, RectGrid, Segment};
+use cij_geom::{
+    orient2d, ClipScratch, ConvexPolygon, Delaunay, HalfPlane, Point, Rect, RectGrid, Segment,
+};
 use cij_rtree::{LeafLayout, NodeArena, NodeReader, PointObject, TraversalEntry, TraversalQueue};
-use cij_voronoi::cell_reach_sq;
-
-/// Initial resolution of the adaptive candidate grid; it doubles whenever
-/// the average bucket load exceeds ~3 ([`PointGrid::needs_growth`]).
-const ADAPTIVE_GRID_START: usize = 8;
+use std::cell::Cell;
 
 /// Statistics of one filter invocation (used for the false-hit-ratio
 /// accounting of Figure 10 and the work guard of `tests/filter_kernel.rs`).
@@ -167,6 +197,10 @@ pub struct FilterStats {
     /// cells of points strictly inside a probe polygon are not computed
     /// (module docs, "The inside-point rule"), so they cost none.
     pub clip_ops: u64,
+    /// Bisectors offered to approximate cells, whether they cut or not:
+    /// [`clip_ops`](Self::clip_ops) plus the offers that left the cell as
+    /// it was.
+    pub clip_attempts: u64,
     /// Probe-polygon tests the bbox index avoided relative to scanning the
     /// whole polygon batch, counted per index query: the inside-point
     /// containment query, the cell query and the node query each add the
@@ -182,18 +216,15 @@ impl FilterStats {
         self.points_examined += other.points_examined;
         self.entries_pruned += other.entries_pruned;
         self.clip_ops += other.clip_ops;
+        self.clip_attempts += other.clip_attempts;
         self.poly_tests_skipped += other.poly_tests_skipped;
     }
 }
 
-/// Execution options of one (batch) conditional-filter invocation.
+/// Execution options of one (batch) conditional-filter invocation. The
+/// filter has none left; the type keeps the entry point's signature.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FilterOptions {
-    /// Fixed resolution of the candidate grid; `0` (the default) selects
-    /// the adaptive policy (start at 8×8, double when the average bucket
-    /// load exceeds ~3).
-    pub grid_resolution: usize,
-}
+pub struct FilterOptions {}
 
 impl FilterOptions {
     // Inert: `cij_benchmark/src/layers.rs` is its only reader.
@@ -211,10 +242,11 @@ impl FilterOptions {
 
 /// Reusable per-worker scratch of the filter: the node decode arena, the
 /// polygon clipping ping-pong buffers, the approximate-cell working
-/// polygon, the two grids and the traversal's own working storage.
-/// Allocate one per worker, reuse it across every filter invocation the
-/// worker issues: each call clears what it uses instead of rebuilding it.
-/// Contents between calls are unspecified.
+/// polygon, the candidates' triangulation, the probe index and the
+/// traversal's own working storage. Allocate one per worker, reuse it
+/// across every filter invocation the worker issues: each call clears what
+/// it uses instead of rebuilding it. Contents between calls are
+/// unspecified.
 #[derive(Debug, Default)]
 pub struct FilterScratch {
     /// SoA node decode target.
@@ -223,10 +255,8 @@ pub struct FilterScratch {
     pub clip: ClipScratch,
     /// The working approximate cell of the currently examined point.
     pub cell: ConvexPolygon,
-    /// The candidate grid: re-framed and emptied per call
-    /// ([`PointGrid::reset`]), so its buckets are allocated once per worker
-    /// rather than once per invocation.
-    pub grid: PointGrid,
+    /// The candidates' triangulation: emptied per call, its buffers kept.
+    mesh: CandidateMesh,
     /// The best-first traversal queue: cleared at the start of every call,
     /// drained by its end, its three allocations kept in between.
     queue: TraversalQueue,
@@ -239,6 +269,8 @@ pub struct FilterScratch {
     polyidx: RectGrid,
     /// The shield test's bound table for the polygon under test.
     shield_bounds: Vec<f64>,
+    /// Per usable polygon, the candidate that shielded it last.
+    last_shields: Vec<Cell<u32>>,
 }
 
 impl FilterScratch {
@@ -254,11 +286,16 @@ impl FilterScratch {
 }
 
 /// The non-empty probe polygons of one call: the caller's slice seen
-/// through the positions of its usable members.
+/// through the positions of its usable members, with the shield test's
+/// memory of each.
 #[derive(Clone, Copy)]
 struct Probes<'a> {
     polys: &'a [ConvexPolygon],
     usable: &'a [u32],
+    /// Per usable polygon, the index of the candidate that shielded it last
+    /// (module docs, invariant 2); a hint only. The test helpers pass none,
+    /// and each polygon then gets a throwaway one.
+    last_shields: &'a [Cell<u32>],
 }
 
 impl<'a> Probes<'a> {
@@ -277,22 +314,22 @@ impl<'a> Probes<'a> {
 /// statistics. With a single polygon this is exactly Algorithm 5; with
 /// several it is the BatchConditionalFilter of Section IV-A.
 ///
-/// The candidate set is independent of the [`FilterOptions`] — the grid
-/// resolution trades CPU, never results. Generic over [`NodeReader`], so the
+/// [`FilterOptions`] carries no option. Generic over [`NodeReader`], so the
 /// same traversal runs in counted mode (`&mut RTree`) and over the snapshot
 /// readers chunk workers use ([`cij_rtree::SnapshotReader`]).
 ///
 /// Writes through a caller-owned [`FilterScratch`]: the traversal queue, the
-/// polygon tables and both grids are the scratch's, cleared and refilled per
-/// call, nodes decode into `scratch.arena` and approximate cells are
-/// computed in `scratch.cell` via the in-place clipping kernels — so a
-/// worker that keeps one scratch alive allocates only the four-vertex seed
-/// box and the candidate list it returns.
+/// polygon tables, the probe index and the candidates' triangulation are
+/// the scratch's, cleared and refilled per call, nodes decode into
+/// `scratch.arena` and approximate cells are computed in `scratch.cell` via
+/// the in-place clipping kernels — so a worker that keeps one scratch alive
+/// allocates only the four-vertex seed box and the candidate list it
+/// returns.
 pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
     rp: &mut T,
     polys: &[ConvexPolygon],
     domain: &Rect,
-    options: &FilterOptions,
+    _options: &FilterOptions,
     scratch: &mut FilterScratch,
 ) -> (Vec<PointObject>, FilterStats) {
     let mut stats = FilterStats::default();
@@ -301,20 +338,27 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
         arena,
         clip,
         cell,
-        grid,
+        mesh,
         queue,
         usable,
         centers,
         poly_bboxes,
         polyidx,
         shield_bounds,
+        last_shields,
     } = scratch;
     usable.clear();
     usable.extend((0..polys.len() as u32).filter(|&i| !polys[i as usize].is_empty()));
     if rp.is_empty() || usable.is_empty() {
         return (candidates, stats);
     }
-    let probes = Probes { polys, usable };
+    last_shields.clear();
+    last_shields.resize(usable.len(), Cell::new(u32::MAX));
+    let probes = Probes {
+        polys,
+        usable,
+        last_shields,
+    };
 
     // Reference point for the traversal order: centroid of the polygons'
     // centroids.
@@ -330,24 +374,15 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
     let poly_bboxes = &poly_bboxes[..];
 
     // The probe group's bounds `B`: the union of those boxes, cut to the
-    // domain. The candidate grid is framed on it, and every approximate
-    // cell is seeded from it widened once more (module docs, invariants 1
-    // and 2).
+    // domain. Every approximate cell is seeded from it widened once more
+    // (module docs, invariant 1).
     let group_bbox = poly_bboxes
         .iter()
         .fold(Rect::empty(), |acc, bb| acc.union(bb));
     let bound = domain.intersection(&group_bbox).unwrap_or(*domain);
     let seed = ConvexPolygon::from_rect(&seed_box(domain, &group_bbox));
 
-    let adaptive = options.grid_resolution == 0;
-    grid.reset(
-        &bound,
-        if adaptive {
-            ADAPTIVE_GRID_START
-        } else {
-            options.grid_resolution
-        },
-    );
+    mesh.reset(centroid);
     polyidx.rebuild(poly_bboxes);
 
     queue.clear();
@@ -371,8 +406,10 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
                 // Otherwise the approximate cell of p from the current
                 // candidates only; a superset of V(p, P) (within the seed),
                 // so discarding is safe.
+                let mut dug = false;
                 let joins = inside || {
-                    approx_cell_into(&seed, &p, &candidates, grid, &mut stats, cell, clip);
+                    cell.clone_from(&seed);
+                    dug = mesh.cut_cell(at, &candidates, &mut stats, cell, clip);
                     let cbb = widened(&cell.bbox());
                     any_indexed(polyidx, &cbb, &mut stats, |i| {
                         cbb.intersects(&poly_bboxes[i]) && cell.intersects(probes.get(i))
@@ -380,10 +417,9 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
                 };
                 if joins {
                     candidates.push(p);
-                    grid.insert(&p.point, candidates.len() as u32 - 1);
-                    if adaptive && grid.needs_growth() {
-                        grid.grow(|i| candidates[i as usize].point);
-                    }
+                    mesh.join(&candidates, dug);
+                } else if dug {
+                    mesh.delaunay.undig();
                 }
             }
             TraversalEntry::Node { page, mbr } => {
@@ -429,75 +465,170 @@ fn enqueue_arena(queue: &mut TraversalQueue, centroid: &Point, arena: &NodeArena
     }
 }
 
-/// The approximate cell of `p`, written into the caller-owned `cell` through
-/// the in-place clipping kernel: visit candidates nearest-first by expanding
-/// grid rings, each ring windowed to the buckets within twice the cell's
-/// reach, clip only bisectors that actually cut, and stop as soon as the
-/// remaining rings are provably beyond that distance (see the module docs
-/// for the sufficiency argument).
-fn approx_cell_into(
-    seed: &ConvexPolygon,
-    p: &PointObject,
-    candidates: &[PointObject],
-    grid: &PointGrid,
-    stats: &mut FilterStats,
-    cell: &mut ConvexPolygon,
-    scratch: &mut ClipScratch,
-) {
-    cell.clone_from(seed);
-    if cell.is_empty() || grid.is_empty() {
-        return;
+/// The candidates of one call, triangulated as they join, and the working
+/// storage of the approximate cells cut from that triangulation (module
+/// docs, "Why the Delaunay neighbours suffice").
+#[derive(Debug, Default)]
+struct CandidateMesh {
+    /// The candidates' distinct locations; empty until three of them are
+    /// not collinear, and the candidates are held until then.
+    delaunay: Delaunay,
+    /// While held: the first candidate at a location other than the first
+    /// candidate's.
+    second: Option<usize>,
+    /// The traversal centroid, and per octant around it the last triangle
+    /// a walk located.
+    centroid: Point,
+    starts: [u32; 8],
+    /// The locations whose bisectors the cell being computed is offered,
+    /// and those about to be offered with their squared distances.
+    reached: Vec<u32>,
+    by_distance: Vec<(f64, u32)>,
+}
+
+impl CandidateMesh {
+    /// Empties the mesh for a call whose traversal is centred on `centroid`.
+    fn reset(&mut self, centroid: Point) {
+        self.delaunay.clear();
+        self.second = None;
+        self.centroid = centroid;
     }
-    let mut reach_sq = cell_reach_sq(&p.point, cell);
-    let center = grid.frame().bucket_of(&p.point);
-    let mut emptied = false;
-    let mut ring = 0usize;
-    loop {
-        let lb = grid.ring_mindist(ring);
-        // No candidate at distance > 2·reach can shrink the cell; rings only
-        // get farther, so the whole enumeration can stop here.
-        let window_sq = 4.0 * reach_sq;
-        if lb * lb > window_sq {
-            break;
+
+    /// The walk's start for `p`: the last triangle located in `p`'s octant
+    /// around the centroid.
+    fn start(&mut self, p: &Point) -> &mut u32 {
+        let (dx, dy) = (p.x - self.centroid.x, p.y - self.centroid.y);
+        let octant = usize::from(dx < 0.0)
+            | usize::from(dy < 0.0) << 1
+            | usize::from(dx.abs() < dy.abs()) << 2;
+        &mut self.starts[octant]
+    }
+
+    /// Cuts `cell`, holding the seed, down to the approximate cell of `p`
+    /// among `candidates`. Returns whether `p`'s cavity is left dug, for
+    /// [`CandidateMesh::join`] to commit or the caller to undig.
+    fn cut_cell(
+        &mut self,
+        p: &Point,
+        candidates: &[PointObject],
+        stats: &mut FilterStats,
+        cell: &mut ConvexPolygon,
+        clip: &mut ClipScratch,
+    ) -> bool {
+        if cell.is_empty() || candidates.is_empty() {
+            return false;
         }
-        // The walk windows the ring by the bound at its start; clips inside
-        // the ring shrink the bound, so each bucket is still held to the
-        // current one.
-        let in_range = grid.for_each_ring_bucket_within(
-            center,
-            &p.point,
-            ring,
-            window_sq,
-            |bucket_sq, items| {
-                if emptied || bucket_sq > 4.0 * reach_sq {
-                    return;
+        if self.delaunay.location_count() == 0 {
+            // Every candidate, until the cell empties.
+            candidates
+                .iter()
+                .any(|c| offer(cell, p, &c.point, stats, clip));
+            return false;
+        }
+        self.reached.clear();
+        let start = *self.start(p);
+        let (vertex, applied) = match self.delaunay.locate(p, start) {
+            Ok(v) => {
+                self.reached.extend(self.delaunay.neighbours(v));
+                (Some(v), 0)
+            }
+            Err(t) => {
+                *self.start(p) = t;
+                self.reached.extend(self.delaunay.corners(t));
+                if self.clip_nearest_first(0, p, stats, cell, clip) {
+                    return false;
                 }
-                for &idx in items {
-                    let c = &candidates[idx as usize];
-                    if c.id == p.id {
-                        continue;
+                let corners = self.reached.len();
+                for w in self.delaunay.dig(p, t) {
+                    if !self.reached[..corners].contains(&w) {
+                        self.reached.push(w);
                     }
-                    if c.point.dist_sq(&p.point) > 4.0 * reach_sq {
-                        continue;
-                    }
-                    let hp = HalfPlane::bisector(&p.point, &c.point);
-                    if !cell.clip_in_place(&hp, scratch) {
-                        continue;
-                    }
-                    stats.clip_ops += 1;
-                    if cell.is_empty() {
-                        emptied = true;
-                        return;
-                    }
-                    reach_sq = cell_reach_sq(&p.point, cell);
                 }
-            },
+                (None, corners)
+            }
+        };
+        (self.delaunay).extend_past_moved_bisectors(p, vertex, &mut self.reached);
+        self.clip_nearest_first(applied, p, stats, cell, clip);
+        vertex.is_none()
+    }
+
+    /// Clips `cell` with the bisectors of `p` and the locations
+    /// `reached[from..]`, nearest first, ties by location number, until
+    /// the cell empties. Returns whether it did.
+    fn clip_nearest_first(
+        &mut self,
+        from: usize,
+        p: &Point,
+        stats: &mut FilterStats,
+        cell: &mut ConvexPolygon,
+        clip: &mut ClipScratch,
+    ) -> bool {
+        let delaunay = &self.delaunay;
+        self.by_distance.clear();
+        (self.by_distance).extend(
+            self.reached[from..]
+                .iter()
+                .map(|&w| (delaunay.location(w).dist_sq(p), w)),
         );
-        if emptied || !in_range {
-            break;
-        }
-        ring += 1;
+        (self.by_distance).sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        (self.by_distance.iter()).any(|&(_, w)| offer(cell, p, &delaunay.location(w), stats, clip))
     }
+
+    /// Records the last of `candidates`, which just joined; `dug` says
+    /// whether its cavity is dug already.
+    fn join(&mut self, candidates: &[PointObject], dug: bool) {
+        let k = candidates.len() - 1;
+        let at = candidates[k].point;
+        if self.delaunay.location_count() > 0 {
+            self.insert(&at, dug);
+            return;
+        }
+        let first = candidates[0].point;
+        let Some(second) = self.second else {
+            if at != first {
+                self.second = Some(k);
+            }
+            return;
+        };
+        if orient2d(&first, &candidates[second].point, &at) != 0.0 {
+            self.delaunay.begin(first, candidates[second].point, at);
+            self.starts = [0; 8];
+            for c in &candidates[1..k] {
+                self.insert(&c.point, false);
+            }
+        }
+    }
+
+    /// Inserts `p` unless it repeats a location: commits its cavity when
+    /// `dug`, else locates and digs it first.
+    fn insert(&mut self, p: &Point, dug: bool) {
+        if !dug {
+            let start = *self.start(p);
+            let Err(t) = self.delaunay.locate(p, start) else {
+                return;
+            };
+            *self.start(p) = t;
+            self.delaunay.dig(p, t).for_each(drop);
+        }
+        self.delaunay.commit(*p);
+    }
+}
+
+/// Offers the bisector of `p` and `c` to `cell` and returns whether the
+/// cell is now empty.
+fn offer(
+    cell: &mut ConvexPolygon,
+    p: &Point,
+    c: &Point,
+    stats: &mut FilterStats,
+    clip: &mut ClipScratch,
+) -> bool {
+    stats.clip_attempts += 1;
+    if !cell.clip_in_place(&HalfPlane::bisector(p, c), clip) {
+        return false;
+    }
+    stats.clip_ops += 1;
+    cell.is_empty()
 }
 
 /// "Any polygon satisfies `check`" test: only polygons whose bbox
@@ -530,7 +661,7 @@ fn any_indexed(
 /// holding every polygon, whose magnitude bounds theirs.
 ///
 /// One candidate whose four Φ regions hold all four corners of `group`
-/// shields the whole group at once (module docs, invariant 3) — the common
+/// shields the whole group at once (module docs, invariant 2) — the common
 /// case for entries far from the group; otherwise the per-polygon rule
 /// decides.
 fn is_shielded(
@@ -557,7 +688,7 @@ fn is_shielded(
 }
 
 /// The margin `μ` of the shield decisions about the entry `mbr` and the
-/// polygons inside `group` (module docs, invariant 3).
+/// polygons inside `group` (module docs, invariant 2).
 fn shield_margin(mbr: &Rect, group: &Rect) -> f64 {
     let m = rect_magnitude(&mbr.union(group));
     sq_margin(m * m)
@@ -582,22 +713,28 @@ fn is_shielded_per_polygon(
     candidates: &[PointObject],
     bounds: &mut Vec<f64>,
 ) -> bool {
-    probes
-        .iter()
-        .all(|t| polygon_shielded(sides, margin, t, candidates, bounds))
+    // Without a memory slice each polygon gets a throwaway one.
+    let spare = Cell::new(u32::MAX);
+    (probes.iter().enumerate()).all(|(i, t)| {
+        let last = probes.last_shields.get(i).unwrap_or(&spare);
+        polygon_shielded(sides, margin, t, candidates, bounds, last)
+    })
 }
 
 /// Whether some candidate holds every vertex of `t` in its Φ regions of all
 /// four `sides`: `dist²(v, p) < fl(m(v) − margin)` with `m(v)` the
 /// entry-side bound [`entry_mindist_sq`], tabulated once per entry in
 /// `bounds` — the four-sided [`cij_geom::polygon_within_phi`] rule, priced
-/// per entry instead of per candidate (module docs, invariant 3).
+/// per entry instead of per candidate (module docs, invariant 2). The
+/// candidate `last` names, which shielded `t` last, is tried first, and
+/// `last` is set to the one that shields.
 fn polygon_shielded(
     sides: &[Segment; 4],
     margin: f64,
     t: &ConvexPolygon,
     candidates: &[PointObject],
     bounds: &mut Vec<f64>,
+    last: &Cell<u32>,
 ) -> bool {
     if t.is_empty() {
         // An empty region certifies nothing (`polygon_within_phi`).
@@ -606,12 +743,17 @@ fn polygon_shielded(
     let vertices = t.vertices();
     bounds.clear();
     bounds.extend(vertices.iter().map(|v| entry_mindist_sq(sides, v) - margin));
-    candidates.iter().any(|p| {
-        vertices
-            .iter()
-            .zip(bounds.iter())
-            .all(|(v, &bound)| v.dist_sq(&p.point) < bound)
-    })
+    let shields = |p: &PointObject| {
+        (vertices.iter().zip(bounds.iter())).all(|(v, &bound)| v.dist_sq(&p.point) < bound)
+    };
+    if candidates.get(last.get() as usize).is_some_and(shields) {
+        return true;
+    }
+    let found = candidates.iter().position(shields);
+    if let Some(i) = found {
+        last.set(i as u32);
+    }
+    found.is_some()
 }
 
 /// The four-sided per-polygon rule as the paper states it — the reference
@@ -632,18 +774,78 @@ fn is_shielded_four_sided(
     })
 }
 
-/// Algorithm 5 read literally — the reference
-/// [`batch_conditional_filter_scratch`] is tested against: best-first over
-/// owned nodes, every approximate cell clipped against **every** candidate
-/// found so far with the allocating [`ConvexPolygon::clip_bisector`], linear
-/// scans over the probe polygons, the four-sided shield rule. It shares the
-/// seed (module docs, invariant 1) and the queue type with the product and
-/// none of its indexes, cutoffs or scratch.
+/// The references [`batch_conditional_filter_scratch`] is tested against
+/// ([`reference_filter`]).
+#[cfg(test)]
+#[derive(Clone, Copy)]
+enum Reference {
+    /// Algorithm 5 read literally: each examined point's [`literal_cell`].
+    Literal,
+    /// The filter the triangulation replaced: the inside-point rule, then
+    /// the [`ring_walk_cell`].
+    RingWalk,
+}
+
+/// Algorithm 5's approximate cell read literally: clipped against **every**
+/// candidate found so far, in acceptance order, with the allocating
+/// [`ConvexPolygon::clip_bisector`].
+#[cfg(test)]
+fn literal_cell(
+    seed: &ConvexPolygon,
+    p: &PointObject,
+    candidates: &[PointObject],
+    stats: &mut FilterStats,
+) -> ConvexPolygon {
+    let mut cell = seed.clone();
+    for c in candidates.iter().filter(|c| c.id != p.id) {
+        cell = cell.clip_bisector(&p.point, &c.point);
+        stats.clip_ops += 1;
+        if cell.is_empty() {
+            break;
+        }
+    }
+    cell
+}
+
+/// The approximate cell of the ring walk the triangulation replaced,
+/// without its grid: the candidates nearest first (ties in acceptance
+/// order), each bisector clipped in place, until the next candidate lies
+/// beyond twice the cell's reach ([`cij_voronoi::cell_reach_sq`]), past
+/// which no bisector cuts.
+#[cfg(test)]
+fn ring_walk_cell(
+    seed: &ConvexPolygon,
+    p: &PointObject,
+    candidates: &[PointObject],
+    stats: &mut FilterStats,
+) -> ConvexPolygon {
+    let at = &p.point;
+    let mut near: Vec<&PointObject> = candidates.iter().filter(|c| c.id != p.id).collect();
+    near.sort_by(|a, b| a.point.dist_sq(at).total_cmp(&b.point.dist_sq(at)));
+    let mut cell = seed.clone();
+    let scratch = &mut ClipScratch::default();
+    for c in near {
+        let reach_sq = cij_voronoi::cell_reach_sq(at, &cell);
+        if cell.is_empty() || c.point.dist_sq(at) > 4.0 * reach_sq {
+            break;
+        }
+        if cell.clip_in_place(&HalfPlane::bisector(at, &c.point), scratch) {
+            stats.clip_ops += 1;
+        }
+    }
+    cell
+}
+
+/// The filter as a `reference` decides each point: best-first over owned
+/// nodes, linear scans over the probe polygons, the four-sided shield rule.
+/// It shares the seed (module docs, invariant 1) and the queue type with
+/// the product and none of its indexes or scratch.
 #[cfg(test)]
 fn reference_filter<T: NodeReader<PointObject>>(
     rp: &mut T,
     polys: &[ConvexPolygon],
     domain: &Rect,
+    reference: Reference,
 ) -> (Vec<PointObject>, FilterStats) {
     let mut stats = FilterStats::default();
     let mut candidates: Vec<PointObject> = Vec::new();
@@ -673,15 +875,23 @@ fn reference_filter<T: NodeReader<PointObject>>(
         match entry {
             TraversalEntry::Point(p) => {
                 stats.points_examined += 1;
-                let mut cell = seed.clone();
-                for c in candidates.iter().filter(|c| c.id != p.id) {
-                    cell = cell.clip_bisector(&p.point, &c.point);
-                    stats.clip_ops += 1;
-                    if cell.is_empty() {
-                        break;
+                let at = &p.point;
+                let joins = match reference {
+                    Reference::Literal => {
+                        let cell = literal_cell(&seed, &p, &candidates, &mut stats);
+                        probes.iter().any(|t| cell.intersects(t))
                     }
-                }
-                if probes.iter().any(|t| cell.intersects(t)) {
+                    Reference::RingWalk => {
+                        let bound = domain.intersection(&group).unwrap_or(*domain);
+                        (bound.contains_point(at)
+                            && probes.iter().any(|t| t.strictly_contains_point(at)))
+                            || {
+                                let cell = ring_walk_cell(&seed, &p, &candidates, &mut stats);
+                                probes.iter().any(|t| cell.intersects(t))
+                            }
+                    }
+                };
+                if joins {
                     candidates.push(p);
                 }
             }
@@ -855,17 +1065,20 @@ mod tests {
             points_examined: 3,
             entries_pruned: 1,
             clip_ops: 10,
+            clip_attempts: 12,
             poly_tests_skipped: 7,
         });
         total.absorb(&FilterStats {
             points_examined: 5,
             entries_pruned: 2,
             clip_ops: 4,
+            clip_attempts: 9,
             poly_tests_skipped: 1,
         });
         assert_eq!(total.points_examined, 8);
         assert_eq!(total.entries_pruned, 3);
         assert_eq!(total.clip_ops, 14);
+        assert_eq!(total.clip_attempts, 21);
         assert_eq!(total.poly_tests_skipped, 8);
     }
 
@@ -883,10 +1096,14 @@ mod tests {
     }
 
     /// Every polygon of `polys` as a probe, empty ones included (`usable`
-    /// must be `0..polys.len()`).
+    /// must be `0..polys.len()`), with no shield memory.
     fn all_probes<'a>(polys: &'a [ConvexPolygon], usable: &'a [u32]) -> Probes<'a> {
         assert!(usable.iter().map(|&i| i as usize).eq(0..polys.len()));
-        Probes { polys, usable }
+        Probes {
+            polys,
+            usable,
+            last_shields: &[],
+        }
     }
 
     /// A triangle whose apex sits `delta` (in squared-distance units, up to
@@ -1115,6 +1332,47 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The last-shield memory never changes a shield decision: over a
+        /// sequence of entries sharing one memory — whatever earlier
+        /// entries and candidate lists that grow and shrink left in it, and
+        /// garbage to start with — `is_shielded` and the per-polygon rule
+        /// both equal the four-sided rule.
+        #[test]
+        fn remembered_shields_equal_the_four_sided_rule(
+            seed in 0u64..1_000_000,
+            n_polys in 1usize..7,
+            n_cands in 1usize..14,
+            steps in 2usize..10,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x1A57);
+            let (mbr, polys, candidates) = shield_instance(seed, n_polys, n_cands, 0);
+            let usable: Vec<u32> = (0..polys.len() as u32).collect();
+            let last_shields: Vec<Cell<u32>> =
+                polys.iter().map(|_| Cell::new(rng.gen_range(0..20))).collect();
+            let probes = Probes { polys: &polys, usable: &usable, last_shields: &last_shields };
+            let refs: Vec<&ConvexPolygon> = polys.iter().collect();
+            let group = polys.iter().fold(Rect::empty(), |acc, t| acc.union(&t.bbox()));
+            let bounds = &mut Vec::new();
+            for step in 0..steps {
+                // Every other entry is the first again, where the memory
+                // names the candidates that shielded it.
+                let mbr = match step % 2 {
+                    0 => mbr,
+                    _ => shield_instance(seed + step as u64, n_polys, 0, rng.gen_range(0..4)).0,
+                };
+                let cands = &candidates[..rng.gen_range(0..=candidates.len())];
+                let (sides, margin) = (mbr.sides(), shield_margin(&mbr, &group));
+                let plain = is_shielded_four_sided(&sides, margin, &refs, cands);
+                let per_polygon = is_shielded_per_polygon(&sides, margin, probes, cands, bounds);
+                prop_assert_eq!(per_polygon, plain);
+                prop_assert_eq!(is_shielded(&mbr, &group, probes, cands, bounds), plain);
+            }
+        }
+    }
+
     #[test]
     fn query_unrelated_to_dataset_returns_near_empty_candidates() {
         // A probe polygon far away from a tight data cluster: only the
@@ -1150,43 +1408,37 @@ mod tests {
         candidates.iter().map(|c| c.id.0).collect()
     }
 
-    /// The reference's outcome over a fresh tree of `p`.
+    /// The literal reference's outcome over a fresh tree of `p`.
     fn reference_over(
         p: &[Point],
         polys: &[ConvexPolygon],
         domain: &Rect,
     ) -> (Vec<PointObject>, FilterStats) {
         let mut rp = RTree::bulk_load(config(), PointObject::from_points(p));
-        reference_filter(&mut rp, polys, domain)
+        reference_filter(&mut rp, polys, domain, Reference::Literal)
     }
 
     #[test]
-    fn every_grid_resolution_agrees_with_the_reference_and_clips_less() {
+    fn the_product_agrees_with_the_reference_and_clips_less() {
         let p = random_points(1_500, 95);
         let q = random_points(1_500, 96);
         let q_cells = brute_force_diagram(&q[..200], &Rect::DOMAIN);
         let group: Vec<ConvexPolygon> = q_cells[50..70].to_vec();
         let (ref_cands, ref_stats) = reference_over(&p, &group, &Rect::DOMAIN);
         assert_eq!(ref_stats.poly_tests_skipped, 0);
-        for grid_resolution in [0usize, 1, 2, 7, 32, 100] {
-            let mut rp = RTree::bulk_load(config(), PointObject::from_points(&p));
-            let (cands, stats) = filter_with(&mut rp, &group, &FilterOptions { grid_resolution });
-            assert_eq!(
-                ids(&cands),
-                ids(&ref_cands),
-                "resolution {grid_resolution} diverged"
-            );
-            assert_eq!(stats.points_examined, ref_stats.points_examined);
-            assert_eq!(stats.entries_pruned, ref_stats.entries_pruned);
-            assert!(stats.poly_tests_skipped > 0);
-            // A 1×1 grid has one ring: only the cutoffs inside it save clips.
-            assert!(
-                stats.clip_ops < ref_stats.clip_ops,
-                "resolution {grid_resolution}: {} clips vs the literal {}",
-                stats.clip_ops,
-                ref_stats.clip_ops
-            );
-        }
+        let mut rp = RTree::bulk_load(config(), PointObject::from_points(&p));
+        let (cands, stats) = filter_with(&mut rp, &group, &FilterOptions::default());
+        assert_eq!(ids(&cands), ids(&ref_cands));
+        assert_eq!(stats.points_examined, ref_stats.points_examined);
+        assert_eq!(stats.entries_pruned, ref_stats.entries_pruned);
+        assert!(stats.poly_tests_skipped > 0);
+        assert!(stats.clip_ops <= stats.clip_attempts);
+        assert!(
+            stats.clip_attempts < ref_stats.clip_ops,
+            "{} bisectors offered vs the literal {}",
+            stats.clip_attempts,
+            ref_stats.clip_ops
+        );
     }
 
     proptest! {
@@ -1194,7 +1446,7 @@ mod tests {
 
         /// The product equals Algorithm 5 read literally — candidates (set
         /// *and* order), points examined, entries pruned — for random point
-        /// sets, polygon batches, domains and grid resolutions. Sites may
+        /// sets, polygon batches and domains. Sites may
         /// sit on a 32 × 32 lattice of the domain, some points of `P` sit
         /// exactly on probe vertices and edge midpoints, and some repeat a
         /// site of `P` under a fresh id: the points the inside-point rule
@@ -1205,7 +1457,10 @@ mod tests {
             n_p in 40usize..600,
             n_q in 30usize..120,
             batch in 1usize..14,
-            resolution_pick in 0usize..5,
+            // Drawn and unused: it picked the resolution of the candidate
+            // grid the filter no longer has, and keeps the generated cases
+            // those of earlier runs.
+            _resolution_pick in 0usize..5,
             domain_pick in 0usize..3,
             lattice_pick in 0usize..2,
             on_probes in 0usize..40,
@@ -1255,7 +1510,7 @@ mod tests {
             let copies = pick(&p, duplicates);
             p.extend(copies);
 
-            let options = FilterOptions { grid_resolution: [0usize, 1, 2, 9, 40][resolution_pick] };
+            let options = FilterOptions::default();
             let mut rp = RTree::bulk_load(config(), PointObject::from_points(&p));
             let scratch = &mut FilterScratch::default();
             let (cands, stats) =
@@ -1264,6 +1519,89 @@ mod tests {
             prop_assert_eq!(ids(&cands), ids(&ref_cands));
             prop_assert_eq!(stats.points_examined, ref_stats.points_examined);
             prop_assert_eq!(stats.entries_pruned, ref_stats.entries_pruned);
+        }
+    }
+
+    /// A near-degenerate site set at scale `s` over the domain
+    /// `[0, 64·s]²`: lattice sites nudged by a few ulps, and by `kind`
+    /// nothing more (0), repeats of some sites under fresh ids (1), first a
+    /// collinear run through `centre`, some of it repeated (2) — with
+    /// `centre` the probes' centroid, the filter's first candidates — or up
+    /// to four nudged copies of each lattice site (3), whose bisectors
+    /// rounding moves off their sites' midpoints.
+    fn near_degenerate_sites(
+        rng: &mut StdRng,
+        s: f64,
+        n: usize,
+        kind: usize,
+        centre: Point,
+    ) -> Vec<Point> {
+        let nudge = |rng: &mut StdRng, v: f64| match rng.gen_range(0..3) {
+            0 if v != 0.0 => f64::from_bits(v.to_bits() + rng.gen_range(1..4u64)),
+            1 if v != 0.0 => f64::from_bits(v.to_bits() - rng.gen_range(1..4u64)),
+            _ => v,
+        };
+        let lattice = |rng: &mut StdRng| f64::from(rng.gen_range(0..=64u32)) * s;
+        let mut p: Vec<Point> = Vec::with_capacity(n + n / 4);
+        if kind == 2 {
+            let run = rng.gen_range(3..12);
+            p.extend(
+                (0..run).map(|i| Point::new(centre.x + f64::from(i % 5) * 0.25 * s, centre.y)),
+            );
+        }
+        while p.len() < n {
+            let (x, y) = (lattice(rng), lattice(rng));
+            let copies = if kind == 3 { rng.gen_range(1..5) } else { 1 };
+            for _ in 0..copies {
+                p.push(Point::new(nudge(rng, x), nudge(rng, y)));
+            }
+        }
+        if kind == 1 {
+            for _ in 0..n / 4 {
+                p.push(p[rng.gen_range(0..p.len())]);
+            }
+        }
+        p
+    }
+
+    /// The stress range of the triangulated cells: on near-degenerate
+    /// candidate sets at every scale `2^k`, `|k| ≤ 40`, the product accepts
+    /// the candidates the ring walk it replaced accepts, in the same order,
+    /// after the same traversal. A CI step of its own, in release (≈ 3 s):
+    /// `cargo test --release -p cij-core --lib
+    /// the_product_equals_the_ring_walk_on_near_degenerate_candidate_sets_at_every_scale
+    /// -- --ignored`.
+    #[test]
+    #[ignore = "stress range: its own CI step, in release"]
+    fn the_product_equals_the_ring_walk_on_near_degenerate_candidate_sets_at_every_scale() {
+        let scratch = &mut FilterScratch::default();
+        for k in (-40..=40).step_by(5) {
+            let s = 2f64.powi(k);
+            let domain = Rect::from_coords(0.0, 0.0, 64.0 * s, 64.0 * s);
+            for case in 0..160u64 {
+                let rng = &mut StdRng::seed_from_u64(case * 97 + (k + 40) as u64);
+                let kind = (case % 4) as usize;
+                let (n_p, n_q) = (rng.gen_range(60..400), rng.gen_range(20..90));
+                let q = near_degenerate_sites(rng, s, n_q, 0, domain.center());
+                let cells = brute_force_diagram(&q, &domain);
+                let batch = rng.gen_range(1..8usize).min(cells.len());
+                let start = rng.gen_range(0..=cells.len() - batch);
+                let polys = &cells[start..start + batch];
+                let centres: Vec<Point> = polys.iter().filter_map(|t| t.centroid()).collect();
+                let centre = Point::centroid(&centres).unwrap_or_else(|| domain.center());
+                let p = near_degenerate_sites(rng, s, n_p, kind, centre);
+                let mut rp = RTree::bulk_load(config(), PointObject::from_points(&p));
+                let options = FilterOptions::default();
+                let (cands, stats) =
+                    batch_conditional_filter_scratch(&mut rp, polys, &domain, &options, scratch);
+                let mut rp = RTree::bulk_load(config(), PointObject::from_points(&p));
+                let (ring, ring_stats) =
+                    reference_filter(&mut rp, polys, &domain, Reference::RingWalk);
+                let what = format!("k {k}, case {case}, kind {kind}");
+                assert_eq!(ids(&cands), ids(&ring), "{what}: candidates");
+                assert_eq!(stats.points_examined, ring_stats.points_examined, "{what}");
+                assert_eq!(stats.entries_pruned, ring_stats.entries_pruned, "{what}");
+            }
         }
     }
 }

@@ -633,6 +633,7 @@ impl<'a> TupleStream<'a> {
             self.counters.filter_points_examined += ledger.fstats.points_examined;
             self.counters.filter_entries_pruned += ledger.fstats.entries_pruned;
             self.counters.filter_clip_ops += ledger.fstats.clip_ops;
+            self.counters.filter_clip_attempts += ledger.fstats.clip_attempts;
             self.counters.filter_poly_tests_skipped += ledger.fstats.poly_tests_skipped;
             self.counters.narrowings_skipped += ledger.narrowings_skipped;
             self.produced += table.len as u64;

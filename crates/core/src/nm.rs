@@ -253,6 +253,7 @@ impl<'a> NmPairIter<'a> {
             self.nm.filter_points_examined += t.fstats.points_examined;
             self.nm.filter_entries_pruned += t.fstats.entries_pruned;
             self.nm.filter_clip_ops += t.fstats.clip_ops;
+            self.nm.filter_clip_attempts += t.fstats.clip_attempts;
             self.nm.filter_poly_tests_skipped += t.fstats.poly_tests_skipped;
         }
         let (rows, page_accesses) = (self.pairs_produced, self.acct.page_accesses());
@@ -931,6 +932,7 @@ mod tests {
             nm.filter_points_examined += fstats.points_examined;
             nm.filter_entries_pruned += fstats.entries_pruned;
             nm.filter_clip_ops += fstats.clip_ops;
+            nm.filter_clip_attempts += fstats.clip_attempts;
             nm.filter_poly_tests_skipped += fstats.poly_tests_skipped;
             progress.push(ProgressSample {
                 page_accesses: page_accesses(),

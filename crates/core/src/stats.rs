@@ -72,8 +72,13 @@ pub struct NmCounters {
     /// Non-leaf entries pruned by the Φ rule across all filter invocations.
     pub filter_entries_pruned: u64,
     /// Bisector clip operations across all filter invocations — the CPU
-    /// term the filter's candidate grid shrinks (see [`crate::filter`]).
+    /// term the filter's candidate triangulation shrinks (see
+    /// [`crate::filter`]).
     pub filter_clip_ops: u64,
+    /// Bisectors offered to approximate cells across all filter
+    /// invocations, whether they cut or not (see
+    /// [`FilterStats::clip_attempts`](crate::filter::FilterStats::clip_attempts)).
+    pub filter_clip_attempts: u64,
     /// Probe-polygon tests the filter's bbox index avoided across all
     /// filter invocations.
     pub filter_poly_tests_skipped: u64,
@@ -153,6 +158,10 @@ pub struct MultiwayCounters {
     /// Bisector clip operations across all filter invocations (see
     /// [`FilterStats::clip_ops`](crate::filter::FilterStats::clip_ops)).
     pub filter_clip_ops: u64,
+    /// Bisectors offered to approximate cells across all filter
+    /// invocations, whether they cut or not (see
+    /// [`FilterStats::clip_attempts`](crate::filter::FilterStats::clip_attempts)).
+    pub filter_clip_attempts: u64,
     /// Probe-polygon tests the filter's bbox index avoided across all
     /// filter invocations.
     pub filter_poly_tests_skipped: u64,

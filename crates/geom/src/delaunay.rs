@@ -21,6 +21,16 @@
 //!   whose open circumdisk contains it (the *cavity*) are replaced by a fan
 //!   around it. The walk terminates on a Delaunay triangulation, and
 //!   insertion stays Delaunay.
+//! * **Incremental mode.** A caller whose points arrive one at a time and
+//!   are not all kept (the conditional filter of `cij-core`) grows a
+//!   triangulation: [`Delaunay::clear`], [`Delaunay::begin`] with three
+//!   locations not collinear, then per point [`Delaunay::locate`] from a
+//!   start of its choosing (the location the point repeats, or a triangle
+//!   in conflict with it) and [`Delaunay::dig`], which lists the cavity's
+//!   boundary — the point's would-be neighbours — changing no triangle.
+//!   [`Delaunay::commit`] fills that cavity, [`Delaunay::undig`] drops it;
+//!   `triangulate` inserts through the same two halves. A repeated
+//!   location is never committed.
 //! * **Hull.** A symbolic vertex at infinity closes the triangulation: each
 //!   convex-hull edge `a → b` (interior on its right) carries a *ghost*
 //!   triangle `a b ∞`, and a new location conflicts with it when it lies
@@ -33,11 +43,13 @@
 //! * **Storage.** Triangles, their adjacency, one incident triangle per
 //!   location and every scratch buffer are flat arrays in the struct,
 //!   emptied and refilled in place, so a reused `Delaunay` allocates nothing
-//!   once its buffers have reached their high-water size. A location's
+//!   once its buffers have reached their high-water size, and never grows
+//!   one by doubling (`GROWTH_STEP`). A location's
 //!   neighbours are read off the triangles around it
 //!   ([`Delaunay::neighbours`]), which costs no memory of its own — the
 //!   groups of a multiway extension unit reach a thousand points.
 
+use crate::halfplane::HalfPlane;
 use crate::hilbert::hilbert_value_with_order;
 use crate::point::Point;
 use crate::predicates::{incircle, orient2d};
@@ -51,12 +63,21 @@ const GHOST: u32 = u32::MAX;
 /// is large. Points sharing a key are ordered by their coordinates.
 const INSERTION_CURVE_ORDER: u32 = 10;
 
+/// Locations an incremental triangulation's buffers grow by when full,
+/// exactly, with two triangles each ([`Delaunay::commit`]; `triangulate`
+/// reserves its final counts at once): doubling would leave slack that a
+/// long-lived scratch keeps.
+const GROWTH_STEP: usize = 64;
+
 /// A reusable Delaunay triangulation of a point group (module docs).
 ///
 /// Locations are numbered `0..location_count()` in insertion order; inputs
 /// keep the index they had in the slices handed to
-/// [`triangulate`](Self::triangulate).
+/// [`triangulate`](Self::triangulate), whose inputs alone
+/// [`members`](Self::members) lists. In the incremental mode the locations
+/// are numbered as they join.
 #[derive(Debug, Default)]
+#[cfg_attr(test, derive(Clone))]
 pub struct Delaunay {
     /// Input indices sorted into insertion order: those at location `v` are
     /// `order[member_start[v]..member_start[v + 1]]`, ascending.
@@ -102,6 +123,30 @@ impl Delaunay {
             // along their line, and each neighbours the next.
             None => self.sort_into_locations(xs, ys, false),
         }
+    }
+
+    /// Empties the triangulation for the incremental mode (module docs),
+    /// keeping every buffer's allocation: no location exists until
+    /// [`begin`](Self::begin).
+    pub fn clear(&mut self) {
+        self.order.clear();
+        self.member_start.clear();
+        self.locations.clear();
+        self.triangles.clear();
+        self.adjacent.clear();
+        self.corner.clear();
+        self.in_cavity.clear();
+    }
+
+    /// Starts an incremental triangulation (module docs), replacing what the
+    /// struct held, from the triangle of `a`, `b` and `c`, not collinear:
+    /// locations 0, 1 and 2. Later ones are numbered as they are committed.
+    pub fn begin(&mut self, a: Point, b: Point, c: Point) {
+        debug_assert!(orient2d(&a, &b, &c) != 0.0, "the first triangle is proper");
+        self.clear();
+        self.locations.extend([a, b, c]);
+        self.corner.extend([0; 3]);
+        self.first_triangle(0, 1, 2);
     }
 
     /// The number of distinct locations.
@@ -151,6 +196,30 @@ impl Delaunay {
         })
     }
 
+    /// Appends to `reached` the neighbours of each listed location `w`, those
+    /// appended included, whose rounded bisector with `site` misses the
+    /// sites' midpoint ([`HalfPlane::on_boundary`]) and so does not shield
+    /// what lies behind `w`; each once, and never `skip`.
+    pub fn extend_past_moved_bisectors(
+        &self,
+        site: &Point,
+        skip: Option<u32>,
+        reached: &mut Vec<u32>,
+    ) {
+        let mut k = 0;
+        while k < reached.len() {
+            let at = self.location(reached[k]);
+            if !HalfPlane::bisector(site, &at).on_boundary(&site.midpoint(&at)) {
+                for x in self.neighbours(reached[k]) {
+                    if Some(x) != skip && !reached.contains(&x) {
+                        reached.push(x);
+                    }
+                }
+            }
+            k += 1;
+        }
+    }
+
     /// Sorts the inputs into insertion order — along the Hilbert curve of
     /// their bounding box when `by_curve`, else by position alone — and
     /// merges identical locations.
@@ -197,15 +266,6 @@ impl Delaunay {
     /// Starts from the triangle of locations 0, 1 and `third` (not
     /// collinear) and inserts every other location in order.
     fn insert_all(&mut self, third: u32) {
-        let (mut a, mut b, c) = (0, 1, third);
-        if orient2d(
-            &self.locations[0],
-            &self.locations[1],
-            &self.locations[c as usize],
-        ) < 0.0
-        {
-            std::mem::swap(&mut a, &mut b);
-        }
         // m + 1 vertices on the sphere make 2m − 2 triangles, ghosts
         // included, and each insertion adds two: reserved at once.
         let count = 2 * self.locations.len() - 2;
@@ -213,6 +273,30 @@ impl Delaunay {
         self.adjacent.reserve_exact(count);
         self.in_cavity.clear();
         self.in_cavity.reserve_exact(count);
+        self.corner.clear();
+        self.corner.reserve_exact(self.locations.len());
+        self.corner.resize(self.locations.len(), 0);
+        self.first_triangle(0, 1, third);
+        let mut start = 0;
+        for v in 2..self.locations.len() as u32 {
+            if v != third {
+                let p = self.locations[v as usize];
+                let t = self.locate(&p, start).expect_err("locations are distinct");
+                self.flood(&p, t);
+                start = self.fill(v);
+            }
+        }
+    }
+
+    /// Replaces the (empty) triangulation by the triangle of the locations
+    /// `a`, `b` and `c`, not collinear, and the ghosts across its edges;
+    /// each of the three locations takes triangle 0 as its corner.
+    fn first_triangle(&mut self, a: u32, b: u32, c: u32) {
+        let [pa, pb, pc] = [a, b, c].map(|v| self.locations[v as usize]);
+        let (a, b) = match orient2d(&pa, &pb, &pc) < 0.0 {
+            true => (b, a),
+            false => (a, b),
+        };
         // The finite triangle and the ghosts across its edges `b → a`,
         // `c → b` and `a → c`.
         self.triangles
@@ -220,15 +304,6 @@ impl Delaunay {
         self.adjacent
             .extend([[2, 3, 1], [3, 2, 0], [1, 3, 0], [2, 1, 0]]);
         self.in_cavity.resize(4, false);
-        self.corner.clear();
-        self.corner.reserve_exact(self.locations.len());
-        self.corner.resize(self.locations.len(), 0);
-        let mut start = 0;
-        for v in 2..self.locations.len() as u32 {
-            if v != third {
-                start = self.insert(v, start);
-            }
-        }
     }
 
     /// Whether location `p` conflicts with triangle `t`: lies strictly
@@ -244,11 +319,15 @@ impl Delaunay {
         side > 0.0 || (side == 0.0 && strictly_between(pa, pb, p))
     }
 
-    /// A triangle in conflict with `p`, by a visibility walk from `start`:
-    /// step across an edge `p` lies strictly beyond until no such edge is
-    /// left (`p` in the closed triangle) or the walk leaves the hull (`p`
+    /// Where `p` lies, by a visibility walk from triangle `start`: step
+    /// across an edge `p` lies strictly beyond until no such edge is left
+    /// (`p` in the closed triangle) or the walk leaves the hull (`p`
     /// strictly outside a hull edge, whose ghost it then conflicts with).
-    fn locate(&self, p: &Point, start: u32) -> u32 {
+    /// `Ok(v)` when `p` is location `v`; otherwise `Err(t)`, a triangle in
+    /// conflict with `p` — one whose open circumdisk holds it (a point of a
+    /// closed triangle that is not a corner lies in the open disk), or that
+    /// ghost. Every corner of `t` neighbours `p` once `p` is inserted.
+    pub fn locate(&self, p: &Point, start: u32) -> Result<u32, u32> {
         let mut t = start;
         if self.triangles[t as usize][2] == GHOST {
             t = self.adjacent[t as usize][2];
@@ -261,21 +340,64 @@ impl Delaunay {
                 if orient2d(pu, pv, p) < 0.0 {
                     t = self.adjacent[t as usize][i];
                     if self.triangles[t as usize][2] == GHOST {
-                        return t;
+                        return Err(t);
                     }
                     continue 'walk;
                 }
             }
-            return t;
+            return match tri.into_iter().find(|&v| self.locations[v as usize] == *p) {
+                Some(v) => Ok(v),
+                None => Err(t),
+            };
         }
     }
 
-    /// Bowyer–Watson insertion of location `v`, located from `start`:
-    /// removes the cavity and fans its boundary around `v`. Returns a new
-    /// triangle, the next walk's start.
-    fn insert(&mut self, v: u32, start: u32) -> u32 {
-        let p = self.locations[v as usize];
-        let first = self.locate(&p, start);
+    /// The locations at the corners of triangle `t` — two for a ghost.
+    pub fn corners(&self, t: u32) -> impl Iterator<Item = u32> {
+        (self.triangles[t as usize].into_iter()).filter(|&v| v != GHOST)
+    }
+
+    /// Digs the cavity that inserting `p` would open: floods from `t`, a
+    /// triangle [`locate`](Self::locate) found in conflict with `p`, across
+    /// every edge to a conflicting triangle, and lists the locations on the
+    /// cavity's boundary — `p`'s neighbours once it is inserted. The
+    /// triangulation is only marked: [`neighbours`](Self::neighbours) still
+    /// reads the triangulation without `p`, until [`commit`](Self::commit)
+    /// inserts `p` or [`undig`](Self::undig) drops the cavity.
+    pub fn dig(&mut self, p: &Point, t: u32) -> impl Iterator<Item = u32> + '_ {
+        self.flood(p, t);
+        (self.boundary.iter()).filter_map(|&[a, _, _]| (a != GHOST).then_some(a))
+    }
+
+    /// Inserts `p` — the point of the cavity just dug — as a new location,
+    /// fanning the cavity around it, and returns the location's number.
+    pub fn commit(&mut self, p: Point) -> u32 {
+        let full = self.locations.len() == self.locations.capacity();
+        if full || self.triangles.len() + 2 > self.triangles.capacity() {
+            self.locations.reserve_exact(GROWTH_STEP);
+            self.corner.reserve_exact(GROWTH_STEP);
+            self.triangles.reserve_exact(2 * GROWTH_STEP);
+            self.adjacent.reserve_exact(2 * GROWTH_STEP);
+            self.in_cavity.reserve_exact(2 * GROWTH_STEP);
+        }
+        let v = self.locations.len() as u32;
+        self.locations.push(p);
+        self.corner.push(0);
+        self.fill(v);
+        v
+    }
+
+    /// Drops the cavity just dug, leaving the triangulation as it was.
+    pub fn undig(&mut self) {
+        for &t in &self.cavity {
+            self.in_cavity[t as usize] = false;
+        }
+    }
+
+    /// The cavity of `p` from `first`, a triangle in conflict with it: marks
+    /// every triangle in conflict with `p` that is reachable across edges
+    /// of conflicting triangles, and lists the cavity's boundary edges.
+    fn flood(&mut self, p: &Point, first: u32) {
         self.in_cavity[first as usize] = true;
         self.stack.clear();
         self.stack.push(first);
@@ -288,7 +410,7 @@ impl Delaunay {
                 if self.in_cavity[u as usize] {
                     continue;
                 }
-                if self.conflicts(u, &p) {
+                if self.conflicts(u, p) {
                     self.in_cavity[u as usize] = true;
                     self.stack.push(u);
                 } else {
@@ -297,9 +419,15 @@ impl Delaunay {
                 }
             }
         }
-        // A cavity of c triangles has c + 2 boundary edges: its slots are
-        // reused and two are added.
+        // A cavity of c triangles has c + 2 boundary edges.
         debug_assert_eq!(self.boundary.len(), self.cavity.len() + 2);
+    }
+
+    /// Bowyer–Watson's second half: replaces the flooded cavity by a fan
+    /// around location `v`, reusing the cavity's slots and adding two.
+    /// Returns a new triangle, the next walk's start.
+    fn fill(&mut self, v: u32) -> u32 {
+        let first = self.cavity[0];
         // The new triangle whose boundary edge starts at the ghost, set below
         // whenever the boundary passes through the ghost.
         let mut ghost_fan = first;
@@ -323,9 +451,10 @@ impl Delaunay {
             } else if b == GHOST {
                 [v, a, GHOST]
             } else {
-                debug_assert!(
-                    orient2d(&self.locations[a as usize], &self.locations[b as usize], &p) > 0.0
-                );
+                debug_assert!({
+                    let [pa, pb, pv] = [a, b, v].map(|x| self.locations[x as usize]);
+                    orient2d(&pa, &pb, &pv) > 0.0
+                });
                 [a, b, v]
             };
             match a {
@@ -516,9 +645,16 @@ mod tests {
             seen.iter().all(|&s| s),
             "{what}: an input without a location"
         );
-        for v in 1..m as u32 {
-            assert_ne!(d.location(v - 1), d.location(v), "{what}: unmerged");
-        }
+        check_locations(d, what);
+    }
+
+    /// Every invariant of a triangulation of its own, pairwise distinct
+    /// locations — built at once or grown.
+    fn check_locations(d: &Delaunay, what: &str) {
+        let m = d.location_count();
+        let mut sorted: Vec<Point> = d.locations.clone();
+        sorted.sort_by(|a, b| a.x.total_cmp(&b.x).then(a.y.total_cmp(&b.y)));
+        assert!(sorted.windows(2).all(|w| w[0] != w[1]), "{what}: unmerged");
         let mut edges: Vec<(u32, u32)> = (0..m as u32)
             .flat_map(|v| d.neighbours(v).map(move |w| (v, w)))
             .collect();
@@ -627,6 +763,159 @@ mod tests {
         }
     }
 
+    /// Whether the edge `v → w` of `d` can be flipped into another Delaunay
+    /// triangulation: both triangles beside it are finite and their four
+    /// corners cocircular.
+    fn flippable(d: &Delaunay, v: u32, w: u32) -> bool {
+        let (t, i) = (0..d.triangles.len())
+            .flat_map(|t| (0..3).map(move |i| (t, i)))
+            .find(|&(t, i)| d.triangles[t][(i + 1) % 3] == v && d.triangles[t][(i + 2) % 3] == w)
+            .expect("an edge of the triangulation");
+        let tri = d.triangles[t];
+        let far = d.triangles[d.adjacent[t][i] as usize];
+        let opposite = far.into_iter().find(|x| !tri.contains(x)).unwrap();
+        if tri[2] == GHOST || far[2] == GHOST || opposite == GHOST {
+            return false;
+        }
+        let [a, b, c] = tri.map(|x| d.location(x));
+        incircle(&a, &b, &c, &d.location(opposite)) == 0.0
+    }
+
+    /// Grows a triangulation of `points` in the order given, as the
+    /// conditional filter does, and checks every step against a fresh one:
+    /// points are held until three are not collinear; then each is located
+    /// from a random triangle, its dug cavity's boundary must be its
+    /// neighbour set in a fresh triangulation of the locations so far and
+    /// itself, and it is committed — or, one time in three, dropped by
+    /// `undig`, which must leave the triangulation as it found it. After
+    /// every commit every invariant holds.
+    fn grow_and_check(points: &[Point], rng: &mut Rng, what: &str) {
+        let mut d = Delaunay::default();
+        // Leftovers of an earlier triangulation must not leak through clear.
+        triangulate(&mut d, &group(7, 0, 30));
+        d.clear();
+        let mut held: Vec<Point> = Vec::new();
+        let mut fresh = Delaunay::default();
+        for (k, &p) in points.iter().enumerate() {
+            let what = format!("{what}, point {k}");
+            if d.location_count() == 0 {
+                held.push(p);
+                let Some(second) = held.iter().position(|&q| q != held[0]) else {
+                    continue;
+                };
+                if orient2d(&held[0], &held[second], &p) == 0.0 {
+                    continue;
+                }
+                d.begin(held[0], held[second], p);
+                for &q in &held[1..held.len() - 1] {
+                    if let Err(t) = d.locate(&q, 0) {
+                        d.dig(&q, t).for_each(drop);
+                        d.commit(q);
+                    }
+                }
+                check_locations(&d, &what);
+                continue;
+            }
+            let start = rng.below(d.triangles.len() as u64) as u32;
+            let t = match d.locate(&p, start) {
+                Ok(v) => {
+                    assert_eq!(d.location(v), p, "{what}: located at another vertex");
+                    continue;
+                }
+                Err(t) => t,
+            };
+            assert!(
+                d.locations.iter().all(|&q| q != p),
+                "{what}: a repeated location not found"
+            );
+            let before = (d.triangles.clone(), d.adjacent.clone(), d.in_cavity.clone());
+            let dug: Vec<u32> = d.dig(&p, t).collect();
+            // The boundary is `p`'s neighbour list once committed, and a
+            // fresh triangulation's up to flips of cocircular quadruples.
+            let mut committed = d.clone();
+            let v = committed.commit(p);
+            let mut own: Vec<u32> = committed.neighbours(v).collect();
+            own.sort_unstable();
+            let mut sorted = dug.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, own, "{what}: the cavity's boundary");
+            let mut with_p = d.locations.clone();
+            with_p.push(p);
+            triangulate(&mut fresh, &with_p);
+            let at = (0..fresh.location_count() as u32)
+                .find(|&w| fresh.location(w) == p)
+                .unwrap();
+            let theirs: Vec<u32> = fresh.neighbours(at).collect();
+            for &w in &dug {
+                let found = theirs.iter().any(|&x| fresh.location(x) == d.location(w));
+                assert!(
+                    found || flippable(&committed, v, w),
+                    "{what}: {} dug, not a fresh neighbour",
+                    d.location(w)
+                );
+            }
+            for &x in &theirs {
+                let found = dug.iter().any(|&w| d.location(w) == fresh.location(x));
+                assert!(
+                    found || flippable(&fresh, at, x),
+                    "{what}: {} a fresh neighbour, not dug",
+                    fresh.location(x)
+                );
+            }
+            if rng.below(3) == 0 {
+                d.undig();
+                let after = (d.triangles.clone(), d.adjacent.clone(), d.in_cavity.clone());
+                assert!(before == after, "{what}: undig changed the triangulation");
+            } else {
+                d.commit(p);
+                check_locations(&d, &what);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The incremental mode grows an exact Delaunay triangulation, digs
+        /// exactly the would-be neighbours and undigs without a trace, on
+        /// every shape and scale, inserted at random or best-first by
+        /// distance from a random centre (the filter's order), after a
+        /// collinear prefix or not; every shape repeats some locations.
+        #[test]
+        fn incremental_insertion_is_exactly_delaunay(
+            seed in 0u64..1_000_000,
+            shape in 0u64..6,
+            n in 1usize..90,
+            k in -40i32..41,
+            best_first in 0usize..2,
+            prefix in 0usize..2,
+        ) {
+            let mut rng = Rng(seed ^ 0x1D);
+            let mut points = group(seed, shape, n);
+            if prefix == 1 {
+                // A collinear run first, some of it repeated, then the rest.
+                let line: Vec<Point> = (0..2 + rng.below(6))
+                    .map(|i| Point::new(1_000.0 + 3.0 * (i % 4) as f64, 2_000.0 - (i % 4) as f64))
+                    .collect();
+                points.splice(0..0, line);
+            }
+            let s = 2f64.powi(k);
+            let mut points: Vec<Point> = points.iter().map(|p| *p * s).collect();
+            if best_first == 1 {
+                let c = points[rng.below(points.len() as u64) as usize];
+                points.sort_by(|a, b| a.dist_sq(&c).total_cmp(&b.dist_sq(&c)));
+            } else {
+                for i in (1..points.len()).rev() {
+                    points.swap(i, rng.below(i as u64 + 1) as usize);
+                }
+            }
+            let what = format!(
+                "seed {seed}, shape {shape}, n {n}, k {k}, best-first {best_first}, prefix {prefix}"
+            );
+            grow_and_check(&points, &mut rng, &what);
+        }
+    }
+
     #[test]
     fn small_and_degenerate_groups() {
         let p = Point::new;
@@ -651,6 +940,36 @@ mod tests {
         // A negative zero is the location of a positive one.
         triangulate(&mut d, cases[5]);
         assert_eq!(d.location_count(), 3);
+    }
+
+    /// An incremental triangulation's buffers end within one step of their
+    /// length: 600 locations make 1 198 triangles, which doubling would
+    /// hold in 2 048 slots.
+    #[test]
+    fn incremental_buffers_grow_by_the_step_not_by_doubling() {
+        let mut rng = Rng(3);
+        let points: Vec<Point> = (0..600)
+            .map(|_| Point::new(rng.unit() * 1e4, rng.unit() * 1e4))
+            .collect();
+        let mut d = Delaunay::default();
+        d.begin(points[0], points[1], points[2]);
+        for p in &points[3..] {
+            if let Err(t) = d.locate(p, 0) {
+                d.dig(p, t).for_each(drop);
+                d.commit(*p);
+            }
+        }
+        assert_eq!(d.location_count(), 600);
+        let slack = |len: usize, capacity: usize| capacity - len;
+        assert!(slack(d.locations.len(), d.locations.capacity()) < GROWTH_STEP);
+        assert!(slack(d.corner.len(), d.corner.capacity()) < GROWTH_STEP);
+        for capacity in [
+            d.triangles.capacity(),
+            d.adjacent.capacity(),
+            d.in_cavity.capacity(),
+        ] {
+            assert!(slack(d.triangles.len(), capacity) < 2 * GROWTH_STEP);
+        }
     }
 
     /// Insertion stays near-linear on a large clustered group: a reused

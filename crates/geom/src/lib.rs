@@ -19,13 +19,13 @@
 //! * the Φ(L, p) region predicate of Section IV-A (Lemma 3),
 //! * a [`hilbert`] space-filling curve used for bulk-loading and for the
 //!   Hilbert-ordered traversals of Section III-C,
-//! * uniform-[`grid`] spatial bucketing ([`PointGrid`] ring queries,
-//!   [`RectGrid`] overlap queries) — the index structures behind the
-//!   sub-quadratic conditional-filter kernel,
+//! * uniform-[`grid`] spatial bucketing ([`RectGrid`] overlap queries over
+//!   a [`GridFrame`]) — the conditional filter's probe-polygon index,
 //! * exact [`predicates`] ([`orient2d`], [`incircle`]) and the exact
 //!   [`delaunay`] triangulation of a point group ([`Delaunay`]), whose
 //!   neighbour lists name the bisectors BatchVoronoi seeds a group's cells
-//!   with.
+//!   with — built at once for a group, or grown point by point for the
+//!   conditional filter's candidates.
 //!
 //! All coordinates are `f64`. The paper normalises datasets to the square
 //! `[0, 10000]²`; [`Rect::DOMAIN`] is that default universe.
@@ -93,7 +93,7 @@ pub mod segment;
 pub mod tolerance;
 
 pub use delaunay::Delaunay;
-pub use grid::{GridFrame, PointGrid, RectGrid};
+pub use grid::{GridFrame, RectGrid};
 pub use halfplane::HalfPlane;
 pub use phi::{phi_contains_point, polygon_within_phi};
 pub use point::Point;

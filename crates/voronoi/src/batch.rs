@@ -131,7 +131,9 @@
 //!   `w` whose bisector with the site misses the sites' midpoint by more
 //!   than the bisector's own threshold ([`HalfPlane::on_boundary`]) shields
 //!   nothing it is supposed to: `w`'s neighbours are offered too, and
-//!   theirs behind another such bisector. With that, the seeded cells
+//!   theirs behind another such bisector
+//!   ([`Delaunay::extend_past_moved_bisectors`], which the conditional
+//!   filter calls too). With that, the seeded cells
 //!   equal the brute-force cells, which apply every member's rounded
 //!   bisector, on every near-degenerate group the tests and the stress
 //!   range draw. The check costs one bisector per neighbour. In the
@@ -250,11 +252,13 @@ fn reach_gate(site: &Point, cell: &ConvexPolygon) -> f64 {
 /// Squared radius of the smallest circle centred at `site` that contains
 /// every vertex of `cell` — the cell's *reach* from its site.
 ///
-/// The bound behind the reach gate and the conditional filter's bounded
-/// clipping: every location the bisector `⊥(site, other)` removes lies at
+/// This `2R` bound is BatchVoronoi's reach gate (module docs), its one
+/// user since the conditional filter cuts its cells by Delaunay neighbours
+/// instead: every location the bisector `⊥(site, other)` removes lies at
 /// least `dist(site, other) / 2` from `site` (triangle inequality), and a
-/// convex cell is contained in the vertex circle, so once `dist(site, other)² > 4 × reach²` the bisector
-/// provably cannot shrink the cell and all farther points can be skipped.
+/// convex cell is contained in the vertex circle, so once
+/// `dist(site, other)² > 4 × reach²` the bisector provably cannot shrink
+/// the cell and all farther points can be skipped.
 #[inline]
 pub fn cell_reach_sq(site: &Point, cell: &ConvexPolygon) -> f64 {
     cell.vertices()
@@ -462,22 +466,10 @@ impl<'a> GroupCells<'a> {
             by_distance.clear();
             reached.clear();
             reached.extend(delaunay.neighbours(v));
-            let mut k = 0;
-            while k < reached.len() {
-                let w = reached[k];
-                k += 1;
-                let at = delaunay.location(w);
-                let d = at.dist_sq(&site);
+            delaunay.extend_past_moved_bisectors(&site, Some(v), &mut reached);
+            for &w in &reached {
+                let d = delaunay.location(w).dist_sq(&site);
                 by_distance.extend(delaunay.members(w).iter().map(|&j| (d, j)));
-                // A bisector rounded off its sites' midpoint does not shield
-                // what lies behind `w`: its neighbours are offered too.
-                if !HalfPlane::bisector(&site, &at).on_boundary(&site.midpoint(&at)) {
-                    for x in delaunay.neighbours(w) {
-                        if x != v && !reached.contains(&x) {
-                            reached.push(x);
-                        }
-                    }
-                }
             }
             by_distance.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             // Members at one location get the same bisectors in the same

@@ -14,12 +14,21 @@ fn tree_config() -> RTreeConfig {
     }
 }
 
-/// Work-counter guard for the bounded clipping: a Voronoi cell has ~6
-/// neighbours, so an approximate cell that starts from the probe group's
-/// bounds and meets its candidates nearest-first needs a handful of clips.
-/// Cells seeded from the whole domain and a grid framed on it needed 18.5
-/// per examined point on this join (2.8 now); the counter is deterministic,
-/// so the gain cannot silently rot.
+/// Bisectors the filter may offer an approximate cell per examined point,
+/// whether they cut or not. The ring walk over the candidate grid that the
+/// triangulation replaced offered 5.19 per examined point on the uniform
+/// join below and 5.56 on the clustered one; the triangulation offers 2.35
+/// and 2.00.
+const MAX_CLIP_ATTEMPTS_PER_POINT: u64 = 3;
+
+/// Work-counter guard for the triangulated cells: a Voronoi cell has ~6
+/// neighbours, and an approximate cell that starts from the probe group's
+/// bounds is offered the corners of the examined point's located triangle
+/// first and the rest of its would-be Delaunay neighbours only if the
+/// corners leave it open — most far points are rejected by a corner. Cells
+/// seeded from the whole domain and a grid framed on it needed 18.5 clips
+/// per examined point on this join, the ring walk 2.12, the triangulation
+/// 1.75. The counters are deterministic, so the gain cannot silently rot.
 #[test]
 fn indexed_kernel_clips_a_handful_of_bisectors_per_examined_point() {
     let p = uniform_points(4_000, &Rect::DOMAIN, 18_401);
@@ -34,6 +43,42 @@ fn indexed_kernel_clips_a_handful_of_bisectors_per_examined_point() {
         nm.filter_clip_ops,
         nm.filter_points_examined
     );
+    assert!(
+        nm.filter_clip_attempts <= MAX_CLIP_ATTEMPTS_PER_POINT * nm.filter_points_examined,
+        "{} bisectors offered over {} examined points",
+        nm.filter_clip_attempts,
+        nm.filter_points_examined
+    );
+}
+
+/// The same guard on the pinned 3-way clustered input below, whose
+/// clustered buckets overloaded the ring walk's grid.
+#[test]
+fn clustered_multiway_offers_a_handful_of_bisectors_per_examined_point() {
+    let config = CijConfig::default().with_rtree(tree_config());
+    let counters = QueryEngine::new(config).multiway(&pinned_sets()).counters;
+    assert!(counters.filter_points_examined > 0);
+    assert!(
+        counters.filter_clip_attempts
+            <= MAX_CLIP_ATTEMPTS_PER_POINT * counters.filter_points_examined,
+        "{} bisectors offered over {} examined points",
+        counters.filter_clip_attempts,
+        counters.filter_points_examined
+    );
+}
+
+/// The three clustered sets of the pinned 3-way input.
+fn pinned_sets() -> Vec<Vec<Point>> {
+    let spec = ClusterSpec {
+        n: 600,
+        clusters: 5,
+        sigma_fraction: 0.03,
+        background_fraction: 0.15,
+        size_skew: 0.8,
+    };
+    (0..3)
+        .map(|i| clustered_points(&spec, &Rect::DOMAIN, 16_100 + i))
+        .collect()
 }
 
 /// The filter's traversal on a fixed 3-way clustered input, pinned from the
@@ -42,16 +87,7 @@ fn indexed_kernel_clips_a_handful_of_bisectors_per_examined_point() {
 /// decisions, and a faster way to reach them must not move one.
 #[test]
 fn shield_decisions_match_the_values_pinned_before_the_bound_table() {
-    let spec = ClusterSpec {
-        n: 600,
-        clusters: 5,
-        sigma_fraction: 0.03,
-        background_fraction: 0.15,
-        size_skew: 0.8,
-    };
-    let sets: Vec<Vec<Point>> = (0..3)
-        .map(|i| clustered_points(&spec, &Rect::DOMAIN, 16_100 + i))
-        .collect();
+    let sets = pinned_sets();
     // Fixed configuration (no env overrides): the pins are per plan.
     let config = CijConfig::default().with_rtree(tree_config());
     let outcome = QueryEngine::new(config).multiway(&sets);

@@ -160,6 +160,7 @@ fn join_case(t: &mut Table, case: &str, p: &[Point], q: &[Point], c: &CijConfig,
         ("filter_points_examined", nm.filter_points_examined),
         ("filter_entries_pruned", nm.filter_entries_pruned),
         ("filter_clip_ops", nm.filter_clip_ops),
+        ("filter_clip_attempts", nm.filter_clip_attempts),
         ("filter_poly_tests_skipped", nm.filter_poly_tests_skipped),
     ] {
         t.put(case, &format!("nm.{metric}"), value);
@@ -200,6 +201,7 @@ fn multiway_case(t: &mut Table, sets: &[Vec<Point>], config: &CijConfig) {
         ("filter_points_examined", c.filter_points_examined),
         ("filter_entries_pruned", c.filter_entries_pruned),
         ("filter_clip_ops", c.filter_clip_ops),
+        ("filter_clip_attempts", c.filter_clip_attempts),
         ("filter_poly_tests_skipped", c.filter_poly_tests_skipped),
         ("narrowings_skipped", c.narrowings_skipped),
         ("tuples_produced", c.tuples_produced),
