@@ -2,10 +2,15 @@
 //! 100 K uniform points, 2 % buffer), seen two ways: Figure 7, the cost
 //! breakdown into materialisation (MAT) and join, and Figure 9b, output
 //! progressiveness (result pairs produced vs page accesses spent).
+//!
+//! Figure 7 reads each join's [`QueryProfile`](cij_core::QueryProfile):
+//! MAT is its [`Phase::Materialise`] time and I/O, JOIN the rest, and the
+//! release table adds the time of every other phase — where NM-CIJ's JOIN
+//! time goes.
 
 use super::sweeps::sets;
 use crate::util::{row, scaled, Section, Table};
-use cij_core::{Algorithm, CijConfig, CijOutcome, QueryEngine};
+use cij_core::{Algorithm, CijConfig, CijOutcome, Phase, QueryEngine};
 
 /// Runs Figures 7 and 9b.
 pub fn run(scale: f64) -> Vec<Section> {
@@ -14,21 +19,35 @@ pub fn run(scale: f64) -> Vec<Section> {
     let engine = QueryEngine::new(CijConfig::default());
     let [fm, pm, nm] = Algorithm::ALL.map(|alg| engine.join(&p, &q, alg));
     let total = |o: &CijOutcome| o.page_accesses();
-    let mat = |o: &CijOutcome| o.breakdown.mat_io.page_accesses();
+    let mat = |o: &CijOutcome| o.profile.mat_io.page_accesses();
     let first = |o: &CijOutcome| o.progress.first().map_or(0, |s| s.page_accesses);
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
 
     let columns = [
-        "method", "MAT I/O", "JOIN I/O", "total", "MAT ms", "JOIN ms",
+        "method",
+        "MAT I/O",
+        "JOIN I/O",
+        "total",
+        "MAT ms",
+        "JOIN ms",
+        "scan ms",
+        "filter ms",
+        "refine ms",
+        "report ms",
+        "emit ms",
     ];
-    let mut breakdown = Table::new(&columns, 2);
+    let mut breakdown = Table::new(&columns, 7);
     let columns = ["method", "first pair at", "pairs then", "pairs", "samples"];
     let mut progress = Table::new(&columns, 0);
     for (alg, o) in Algorithm::ALL.iter().zip([&fm, &pm, &nm]) {
-        let (b, name, pairs) = (&o.breakdown, alg.name(), o.pairs.len());
-        let [mat_ms, join_ms] = [b.mat_cpu, b.join_cpu].map(|d| format!("{:.1}", ms(d)));
-        let join_io = b.join_io.page_accesses();
-        let row = row![name, mat(o), join_io, total(o), mat_ms, join_ms];
+        let (profile, name, pairs) = (&o.profile, alg.name(), o.pairs.len());
+        let mat_time = profile.elapsed[Phase::Materialise];
+        let join_time = profile.elapsed.total() - mat_time;
+        let join_io = profile.join_io.page_accesses();
+        let mut row = row![name, mat(o), join_io, total(o)];
+        let phases = Phase::ALL[1..].iter().map(|&phase| profile.elapsed[phase]);
+        let times = [mat_time, join_time].into_iter().chain(phases);
+        row.extend(times.map(|d| format!("{:.1}", ms(d))));
         breakdown.rows.push(row);
         let (head, samples) = (o.progress.first().map_or(0, |s| s.pairs), o.progress.len());
         progress
@@ -43,7 +62,7 @@ pub fn run(scale: f64) -> Vec<Section> {
     let holds = total(&nm) < total(&pm) && total(&pm) < total(&fm);
     let evidence = format!("{} < {} < {}", total(&nm), total(&pm), total(&fm));
     fig7.check(claim, holds, evidence);
-    let [fm_cpu, pm_cpu, nm_cpu] = [&fm, &pm, &nm].map(|o| ms(o.breakdown.total_cpu()));
+    let [fm_cpu, pm_cpu, nm_cpu] = [&fm, &pm, &nm].map(|o| ms(o.profile.elapsed.total()));
     let claim = "NM-CIJ's total CPU time is below PM-CIJ's and FM-CIJ's";
     fig7.faster(claim, &[nm_cpu, nm_cpu], &[pm_cpu, fm_cpu]);
 

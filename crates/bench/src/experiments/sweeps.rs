@@ -14,7 +14,7 @@
 
 use super::SEEDS;
 use crate::util::{join, row, scaled, Section, Table};
-use cij_core::{Algorithm, CijConfig, NmCounters, QueryEngine};
+use cij_core::{Algorithm, CijConfig, QueryEngine, QueryProfile};
 use cij_datagen::uniform_points;
 use cij_geom::{Point, Rect};
 
@@ -33,7 +33,8 @@ pub(crate) struct Run {
     pub io: [u64; 3],
     pub lb: u64,
     pub pairs: usize,
-    pub nm: NmCounters,
+    /// NM-CIJ's profile.
+    pub nm: QueryProfile,
     /// Exact `P` cells NM-CIJ computes without the reuse buffer (datasize
     /// and ratio sweeps only).
     pub no_reuse: u64,
@@ -41,13 +42,13 @@ pub(crate) struct Run {
 
 pub(crate) fn run_all(label: String, p: &[Point], q: &[Point], config: CijConfig) -> Run {
     let engine = QueryEngine::new(config);
-    let (mut lb, mut pairs, mut nm) = (0, 0, NmCounters::default());
+    let (mut lb, mut pairs, mut nm) = (0, 0, QueryProfile::default());
     let io = Algorithm::ALL.map(|alg| {
         let mut w = engine.build_workload(p, q);
         lb = w.lower_bound_io();
         let outcome = engine.run(&mut w, alg);
-        (pairs, nm) = (outcome.pairs.len(), outcome.nm);
-        outcome.page_accesses()
+        (pairs, nm) = (outcome.pairs.len(), outcome.profile);
+        nm.page_accesses()
     });
     let (np, no_reuse) = (p.len(), 0);
     Run {
@@ -108,7 +109,7 @@ pub fn buffer(scale: f64) -> Vec<Section> {
 fn point(label: String, np: usize, nq: usize) -> Run {
     let (p, q) = sets(np, nq);
     let no_reuse = QueryEngine::new(CijConfig::default().with_cell_cache_capacity(0));
-    let no_reuse = no_reuse.join(&p, &q, Algorithm::NmCij).nm.p_cells_computed;
+    let no_reuse = no_reuse.join(&p, &q, Algorithm::NmCij).profile.work.cells[0].computed;
     let run = run_all(label, &p, &q, CijConfig::default());
     Run { no_reuse, ..run }
 }
@@ -191,12 +192,12 @@ fn views([io, fhr, cells]: Views, axis: &'static str, runs: &[Run]) -> [Section;
     let (mut worst, mut reuse_holds, mut removed) = (0.0f64, true, Vec::new());
     for r in runs {
         let (nm, np, no) = (&r.nm, r.np as u64, r.no_reuse);
-        let (hits, ratio) = (nm.filter_true_hits, format!("{:.3}", nm.false_hit_ratio()));
+        let (hits, ratio) = (nm.work.true_hits, format!("{:.3}", nm.false_hit_ratio()));
         fhr.table
             .rows
-            .push(row![r.label, nm.filter_candidates, hits, ratio]);
+            .push(row![r.label, nm.work.filter_candidates, hits, ratio]);
         worst = worst.max(nm.false_hit_ratio());
-        let re = nm.p_cells_computed;
+        let re = nm.work.cells[0].computed;
         cells.table.rows.push(row![r.label, no, re, np]);
         // The share of the computations above |P| that REUSE removes.
         let share = no.saturating_sub(re) as f64 / no.saturating_sub(np).max(1) as f64;
@@ -225,11 +226,11 @@ pub fn capacity(scale: f64) -> Vec<Section> {
     for capacity in [0, 8, 32, 128, 512, 1024, 4096] {
         let engine = QueryEngine::new(CijConfig::default().with_cell_cache_capacity(capacity));
         let outcome = engine.join(&p, &q, Algorithm::NmCij);
-        let (io, nm) = (outcome.page_accesses(), outcome.nm);
-        let (computed, evictions) = (nm.p_cells_computed, nm.cell_cache_evictions);
+        let (io, p_cells) = (outcome.page_accesses(), outcome.profile.work.cells[0]);
+        let (computed, evictions) = (p_cells.computed, p_cells.evicted);
         table
             .rows
-            .push(row![capacity, io, computed, nm.p_cells_reused, evictions]);
+            .push(row![capacity, io, computed, p_cells.reused, evictions]);
         runs.push((capacity as u64, computed, evictions));
     }
     let title = "Figure 11, capacity panel: exact P cells vs reuse-buffer capacity";

@@ -20,9 +20,9 @@
 //!
 //! The cache implements [`cij_voronoi::CellStore`], so it plugs directly
 //! into [`cij_voronoi::batch_voronoi`]. Hit/miss/eviction counts are
-//! exposed both through the cache itself (and from there through
-//! [`NmCounters`](crate::stats::NmCounters)) and, when constructed with
-//! [`CellCache::with_stats`], through the workload-wide
+//! exposed both through the cache itself (and from there through the
+//! query's [`QueryProfile`](crate::stats::QueryProfile)) and, when
+//! constructed with [`CellCache::with_stats`], through the workload-wide
 //! [`cij_pagestore::IoStats`] counters.
 
 use cij_geom::ConvexPolygon;

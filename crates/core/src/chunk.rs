@@ -27,16 +27,20 @@
 //! 5. **Report** (parallel) — the stream's own kernel (pair reporting,
 //!    tuple extension).
 //! 6. **Settle + emit** (coordinator, leaf order) — each leaf's deferred
-//!    read accounting is settled ([`Accounting::settle`]), its counters
-//!    folded, its checkpoint recorded ([`StreamLedger::record_leaf`]) and
-//!    its rows enqueued.
+//!    read accounting is settled ([`Accounting::settle`]), its work counts
+//!    folded and its checkpoint recorded ([`StreamLedger::record_leaf`]),
+//!    and its rows enqueued.
 //!
 //! Both streams hold one [`StreamLedger`] by value — progress samples,
-//! watermarks, the fail-stop latch — and `record_leaf` is the one place
-//! every completed leaf of either pipeline passes through: the per-leaf
-//! fold point (where a per-query profile would fold in, too). Consumers
-//! that only need that ledger, like the request server's drive loop, take
-//! either stream as a [`LeafStream`].
+//! watermarks, the query's [`QueryProfile`], the fail-stop latch — and
+//! `record_leaf` is the one place every completed leaf of either pipeline
+//! passes through: the per-leaf fold point of the profile's [`WorkCounts`].
+//! Consumers that only need that ledger, like the request server's drive
+//! loop, take either stream as a [`LeafStream`].
+//!
+//! Each stage's time goes to a [`Phase`] of the profile through a `Lap`:
+//! the coordinator laps its own stages; across a parallel stage it drops
+//! its lap and adds what each unit lapped itself.
 //!
 //! Chunk widths ramp `1 → workers → workers × 4` ([`LeafCursor`]), so the
 //! first rows cost exactly one leaf's page accesses — the non-blocking
@@ -110,13 +114,16 @@
 use crate::cell_cache::CellCache;
 use crate::config::{CijConfig, ExecMode};
 use crate::filter::FilterScratch;
-use crate::stats::{LeafWatermark, ProgressSample};
+use crate::stats::{
+    CellCounts, Lap, LeafWatermark, Phase, ProgressSample, QueryProfile, WorkCounts,
+};
 use cij_geom::{ClipScratch, ConvexPolygon, EdgeTable, Rect};
 use cij_pagestore::{IoSnapshot, IoStats, PageId, PageIoError};
 use cij_rtree::reader::leaf_pages_hilbert_order;
 use cij_rtree::{NodeReader, PointObject, RTree, ReadLog, SnapshotReader};
 use cij_voronoi::{batch_voronoi, NoCache, VorScratch};
 use std::sync::Mutex;
+use std::time::Duration;
 
 /// Steady-state chunk width, as a multiple of the worker count (see
 /// [`LeafCursor::next_chunk`]).
@@ -239,9 +246,8 @@ impl<'a> Accounting<'a> {
     }
 
     /// The stream's I/O so far: the shared-stats delta since construction
-    /// (metered), or the local read count reported as physical + logical
-    /// reads (fast) — so [`page_accesses`](Accounting::page_accesses), the
-    /// watermarks and a cost breakdown built from this agree on one figure.
+    /// (metered: buffer-simulated page accesses), or the local read count as
+    /// physical + logical reads (fast: logical snapshot reads).
     pub(crate) fn join_io(&self) -> IoSnapshot {
         match self {
             Accounting::Metered { stats, start, .. } => stats.snapshot().since(start),
@@ -251,13 +257,6 @@ impl<'a> Accounting<'a> {
                 ..IoSnapshot::default()
             },
         }
-    }
-
-    /// The stream's cumulative cost so far in this accounting's currency:
-    /// buffer-simulated physical page accesses (metered) or logical
-    /// snapshot reads (fast).
-    pub(crate) fn page_accesses(&self) -> u64 {
-        self.join_io().page_accesses()
     }
 }
 
@@ -304,13 +303,13 @@ impl LeafCursor {
         self.next >= self.leaves.len()
     }
 
-    /// Hands out the next bounded chunk as `(index of its first leaf, its
-    /// leaf pages)`. Widths ramp 1 → `workers` → `workers * CHUNK_RAMP`:
+    /// Hands out the leaf pages of the next bounded chunk. Widths ramp 1 →
+    /// `workers` → `workers * CHUNK_RAMP`:
     /// the first chunk covers a single leaf so the first row costs exactly
     /// the page accesses a sequential run pays for it, later chunks widen
     /// to amortise the per-chunk barriers, and in-flight leaves stay
     /// bounded by `workers * CHUNK_RAMP`.
-    pub(crate) fn next_chunk(&mut self, workers: usize) -> (usize, Vec<PageId>) {
+    pub(crate) fn next_chunk(&mut self, workers: usize) -> Vec<PageId> {
         let width = match self.chunks_done {
             0 => 1,
             1 => workers,
@@ -319,7 +318,7 @@ impl LeafCursor {
         let first = self.next;
         self.next = (first + width).min(self.leaves.len());
         self.chunks_done += 1;
-        (first, self.leaves[first..self.next].to_vec())
+        self.leaves[first..self.next].to_vec()
     }
 
     /// Abandons every leaf not handed out yet (fail-stop).
@@ -330,39 +329,46 @@ impl LeafCursor {
 
 /// A stream's books on its leaves, kept by value by the pair stream and the
 /// tuple stream alike: the leaves still to come, a progress sample per
-/// productive leaf done, a watermark per leaf done, and the fail-stop latch.
+/// productive leaf done, a watermark per leaf done, the query's profile and
+/// the fail-stop latch.
 #[derive(Debug, Default)]
 pub(crate) struct StreamLedger {
     pub(crate) cursor: LeafCursor,
     pub(crate) progress: Vec<ProgressSample>,
     pub(crate) watermarks: Vec<LeafWatermark>,
+    /// Work counts and I/O as of the last watermark, and the time charged
+    /// so far.
+    pub(crate) profile: QueryProfile,
     error: Option<PageIoError>,
 }
 
 impl StreamLedger {
     /// Starts a stream: walks the leaf order of its driving tree `driver` in
-    /// `acct`'s currency. A failed walk yields a stream that is born
-    /// fail-stopped — no leaves, the error latched.
+    /// `acct`'s currency (the first of its [`Phase::Scan`] time). A failed
+    /// walk yields a stream that is born fail-stopped — no leaves, the error
+    /// latched.
     pub(crate) fn start(acct: &mut Accounting<'_>, driver: usize, domain: &Rect) -> Self {
+        let mut lap = Lap::start();
         let mut ledger = StreamLedger::default();
+        ledger.profile.work = WorkCounts::for_sets(acct.k());
         match acct.leaf_order(driver, domain) {
             Ok(leaves) => ledger.cursor = LeafCursor::new(leaves),
             Err(e) => ledger.fail(e),
         }
+        lap.charge(Phase::Scan);
+        ledger.profile.elapsed = lap.times;
         ledger
     }
 
-    /// Checkpoints leaf `leaf_index` at its sequential emit position: with
-    /// it the stream has produced `rows` rows for `page_accesses`, and all
-    /// of them are final. One watermark per leaf, empty ones included, so
-    /// `leaf_index` is dense; a sample only when the leaf was `productive`.
-    pub(crate) fn record_leaf(
-        &mut self,
-        leaf_index: usize,
-        rows: u64,
-        page_accesses: u64,
-        productive: bool,
-    ) {
+    /// Checkpoints the next leaf at its sequential emit position: folds its
+    /// work counts `leaf` into the profile, with `join_io` all I/O so far —
+    /// everything the stream has produced is final — and records one
+    /// watermark per leaf, empty ones included, so `leaf_index` is dense; a
+    /// sample only when the leaf was `productive`.
+    pub(crate) fn record_leaf(&mut self, join_io: IoSnapshot, productive: bool, leaf: &WorkCounts) {
+        self.profile.work.absorb(leaf);
+        self.profile.join_io = join_io;
+        let (rows, page_accesses) = (self.profile.work.rows, join_io.page_accesses());
         if productive {
             self.progress.push(ProgressSample {
                 page_accesses,
@@ -370,7 +376,7 @@ impl StreamLedger {
             });
         }
         self.watermarks.push(LeafWatermark {
-            leaf_index,
+            leaf_index: self.watermarks.len(),
             rows,
             page_accesses,
         });
@@ -390,16 +396,13 @@ impl StreamLedger {
         self.error.as_ref()
     }
 
-    /// The page-access figure of the last watermark: what the rows emitted
-    /// so far have cost.
-    pub(crate) fn page_accesses(&self) -> u64 {
-        self.watermarks.last().map_or(0, |w| w.page_accesses)
-    }
-
-    /// The samples and watermarks of a drained stream — or the error that
-    /// cut it short.
-    pub(crate) fn finish(self) -> Result<(Vec<ProgressSample>, Vec<LeafWatermark>), PageIoError> {
-        self.error.map_or(Ok((self.progress, self.watermarks)), Err)
+    /// The samples, watermarks and profile of a drained stream — or the
+    /// error that cut it short.
+    pub(crate) fn finish(
+        self,
+    ) -> Result<(Vec<ProgressSample>, Vec<LeafWatermark>, QueryProfile), PageIoError> {
+        let done = (self.progress, self.watermarks, self.profile);
+        self.error.map_or(Ok(done), Err)
     }
 }
 
@@ -545,17 +548,6 @@ pub(crate) fn gate<'l>(logs: impl IntoIterator<Item = &'l ReadLog>) -> Result<()
         .map_or(Ok(()), Err)
 }
 
-/// What one unit's candidates did to a reuse buffer.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct CacheTally {
-    /// Cache hits attributed to the unit.
-    pub(crate) reused: u64,
-    /// Cache misses attributed to the unit (cells it computes).
-    pub(crate) computed: u64,
-    /// The cache's total evictions as of the end of the unit.
-    pub(crate) evictions_after: u64,
-}
-
 /// The coordinator's replacement-policy verdict for one unit: which
 /// candidates hit the reuse buffer, which must be computed (`missing`, in
 /// candidate order — exactly the cells a one-unit-at-a-time run would
@@ -568,7 +560,8 @@ struct UnitPlan {
     missing: Vec<PointObject>,
     /// One entry per `missing` member: `(id, evicted victim)`.
     puts: Vec<(u64, Option<u64>)>,
-    tally: CacheTally,
+    /// What the unit's candidates did to the cache.
+    counts: CellCounts,
 }
 
 /// Phase 2: runs the replacement policy of one unit over `candidates` on
@@ -576,46 +569,48 @@ struct UnitPlan {
 /// hit/miss/eviction sequence a one-unit-at-a-time run would produce.
 fn policy_pass(cache: &mut CellCache, candidates: &[PointObject]) -> UnitPlan {
     let mut plan = UnitPlan::default();
+    let evictions = cache.evictions();
     for cand in candidates {
         let hit = cache.policy_get(cand.id.0);
         plan.hit.push(hit);
         if hit {
-            plan.tally.reused += 1;
+            plan.counts.reused += 1;
         } else {
-            plan.tally.computed += 1;
+            plan.counts.computed += 1;
             plan.missing.push(*cand);
         }
     }
     for m in &plan.missing {
         plan.puts.push((m.id.0, cache.policy_put(m.id.0)));
     }
-    plan.tally.evictions_after = cache.evictions();
+    plan.counts.evicted = cache.evictions() - evictions;
     plan
 }
 
 /// Phase 3: the exact cells of every unit's `missing` candidates, computed
 /// in parallel over snapshot readers of tree `tree` (each worker on its own
-/// Voronoi scratch), with the phase's fail-stop gate: cells refined
-/// from an error-empty read would be geometrically wrong, so any latched
-/// error fails the whole phase.
+/// Voronoi scratch), each with the unit's time, and the phase's fail-stop
+/// gate: cells refined from an error-empty read would be geometrically
+/// wrong, so any latched error fails the whole phase.
 fn refine_missing(
     acct: &Accounting<'_>,
     tree: usize,
     plans: &[UnitPlan],
     env: &UnitEnv,
     scratches: &mut [UnitScratch],
-) -> Result<Vec<(Vec<ConvexPolygon>, ReadLog)>, PageIoError> {
+) -> Result<Vec<(Vec<ConvexPolygon>, ReadLog, Duration)>, PageIoError> {
     let refined = run_ordered_scratch(scratches, plans.len(), |u, scratch| {
         let missing = &plans[u].missing;
         if missing.is_empty() {
-            return (Vec::new(), ReadLog::default());
+            return Default::default();
         }
+        let mut lap = Lap::start();
         let mut reader = acct.reader(tree);
         let vor = &mut scratch.vor;
         let cells = batch_voronoi(&mut reader, missing, &env.domain, &mut NoCache, vor);
-        (cells, reader.finish())
+        (cells, reader.finish(), lap.lap())
     });
-    gate(refined.iter().map(|(_, log)| log))?;
+    gate(refined.iter().map(|(_, log, _)| log))?;
     Ok(refined)
 }
 
@@ -667,13 +662,15 @@ pub(crate) struct UnitCells {
     pub(crate) cells: Vec<ConvexPolygon>,
     /// Deferred read accounting of the unit's refinement.
     pub(crate) log: ReadLog,
-    pub(crate) tally: CacheTally,
+    /// What the unit's candidates did to the cache.
+    pub(crate) counts: CellCounts,
 }
 
 /// Phases 2–4 for one tree and its cache: the exact cells of every unit's
 /// candidates (`units` in leaf order), served through `cache` with the
 /// hit/miss/eviction sequence — and therefore the set of cells actually
-/// computed — of a one-unit-at-a-time run.
+/// computed — of a one-unit-at-a-time run. Its time goes to the
+/// coordinator's `lap` as [`Phase::Refine`].
 pub(crate) fn refine_through_cache(
     acct: &Accounting<'_>,
     tree: usize,
@@ -681,19 +678,23 @@ pub(crate) fn refine_through_cache(
     units: &[&[PointObject]],
     env: &UnitEnv,
     scratches: &mut [UnitScratch],
+    lap: &mut Lap,
 ) -> Result<Vec<UnitCells>, PageIoError> {
     let plans: Vec<UnitPlan> = units.iter().map(|c| policy_pass(cache, c)).collect();
+    lap.charge(Phase::Refine);
     let refined = refine_missing(acct, tree, &plans, env, scratches)?;
-    Ok(units
-        .iter()
-        .zip(plans)
-        .zip(refined)
-        .map(|((candidates, plan), (fresh, log))| UnitCells {
+    lap.lap();
+    let mut resolved = Vec::with_capacity(units.len());
+    for ((candidates, plan), (fresh, log, time)) in units.iter().zip(plans).zip(refined) {
+        lap.times[Phase::Refine] += time;
+        resolved.push(UnitCells {
             cells: resolve_unit(cache, candidates, &plan, fresh),
             log,
-            tally: plan.tally,
-        })
-        .collect())
+            counts: plan.counts,
+        });
+    }
+    lap.charge(Phase::Refine);
+    Ok(resolved)
 }
 
 #[cfg(test)]
@@ -757,12 +758,19 @@ mod tests {
         }
         let log = reader.finish();
         assert_eq!(log.trace, pattern);
-        assert_eq!(acct.page_accesses(), 0, "nothing is paid before settling");
+        assert_eq!(
+            acct.join_io().page_accesses(),
+            0,
+            "nothing is paid before settling"
+        );
         acct.settle(0, &log).unwrap();
 
         assert_eq!(live.stats.snapshot(), stats.snapshot());
         assert_eq!(acct.join_io(), stats.snapshot());
-        assert_eq!(acct.page_accesses(), live.stats.snapshot().page_accesses());
+        assert_eq!(
+            acct.join_io().page_accesses(),
+            live.stats.snapshot().page_accesses()
+        );
         // Metered backend bytes match; the reader's cold peeks are
         // unmetered traffic the direct reads never caused.
         let (a, b) = (live.backend_io(), deferred.backend_io());
@@ -799,7 +807,7 @@ mod tests {
             assert!(log.trace.is_empty(), "fast readers record no trace");
             acct.settle(0, &log).unwrap();
             let expected = pattern.len() as u64;
-            assert_eq!(acct.page_accesses(), expected);
+            assert_eq!(acct.join_io().page_accesses(), expected);
             assert_eq!(acct.join_io().logical_reads, expected);
             assert_eq!(stats.snapshot(), Default::default());
         }
@@ -820,7 +828,7 @@ mod tests {
         let fast = workload();
         let mut acct = Accounting::shared(fast.trees.iter().collect());
         assert_eq!(acct.leaf_order(0, &domain).unwrap(), counted);
-        assert_eq!(acct.page_accesses(), counted_reads);
+        assert_eq!(acct.join_io().page_accesses(), counted_reads);
         assert_eq!(fast.stats.snapshot(), Default::default());
     }
 
@@ -867,15 +875,14 @@ mod tests {
         let mut seen = Vec::new();
         let mut widths = Vec::new();
         while !cursor.is_exhausted() {
-            let (first, chunk) = cursor.next_chunk(3);
-            assert_eq!(first, seen.len());
+            let chunk = cursor.next_chunk(3);
             widths.push(chunk.len());
             seen.extend(chunk);
         }
         assert_eq!(seen, leaves);
         assert_eq!(widths, [1, 3, 12, 12, 2]);
         let mut cursor = LeafCursor::new(leaves);
-        assert_eq!(cursor.next_chunk(3), (0, vec![PageId(0)]));
+        assert_eq!(cursor.next_chunk(3), [PageId(0)]);
         cursor.abandon();
         assert!(cursor.is_exhausted());
     }

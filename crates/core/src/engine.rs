@@ -18,11 +18,11 @@
 //!   and the benchmark harness instead of reaching into per-algorithm
 //!   functions.
 //!
-//! Progress samples ([`ProgressSample`]), watermarks and NM counters
-//! accumulate in the stream itself while the consumer pulls (a lazy stream
-//! owns its ledger by value, exactly as the multiway [`TupleStream`] does),
-//! so a caller can observe "pairs so far vs page accesses so far" mid-join —
-//! the progressiveness measurement of Figure 9b.
+//! Progress samples ([`ProgressSample`]), watermarks and the query's
+//! [`QueryProfile`] accumulate in the stream itself while the consumer
+//! pulls (a lazy stream owns its ledger by value, exactly as the multiway
+//! [`TupleStream`] does), so a caller can observe "pairs so far vs page
+//! accesses so far" mid-join — the progressiveness measurement of Figure 9b.
 //!
 //! # The two execution modes
 //!
@@ -41,7 +41,7 @@
 //!   no trace recording, no coordinator replay, no shared-counter traffic —
 //!   each query keeps a private logical-read count instead, and "page
 //!   accesses" are reinterpreted as logical snapshot reads. Pairs/tuples
-//!   (set *and* order) and every NM/multiway counter are identical to
+//!   (set *and* order) and every work count of the profile are identical to
 //!   metered by construction; only the I/O accounting currency changes.
 //!   Because it needs only `&RTree`, many simultaneous queries can share
 //!   one `Arc`-held snapshot — the basis of the [`crate::service`] request
@@ -60,7 +60,7 @@ use crate::grouped::{grouped_nn_via_cij, GroupCounts};
 use crate::multiway::{multiway_cij, MultiwayOutcome, TupleStream};
 use crate::nm::NmPairIter;
 use crate::service::{CijService, EngineSnapshot, ServiceConfig};
-use crate::stats::{CijOutcome, LeafWatermark, NmCounters, ProgressSample};
+use crate::stats::{CijOutcome, LeafWatermark, ProgressSample, QueryProfile};
 use crate::workload::{MultiwayWorkload, Workload};
 use crate::Algorithm;
 use cij_geom::Point;
@@ -79,7 +79,7 @@ enum Source<'a> {
 ///
 /// Obtained from [`QueryEngine::stream`] or [`Algorithm::stream`]. Pairs
 /// are produced on demand; [`PairStream::progress_so_far`] and
-/// [`PairStream::counters_so_far`] expose the incremental measurements, and
+/// [`PairStream::profile_so_far`] expose the incremental measurements, and
 /// [`PairStream::try_into_outcome`] drains the remainder into a
 /// [`CijOutcome`] or the error that stopped it ([`QueryEngine::run`] is the
 /// collect-all call). The stream owns its state outright, so it is `Send`:
@@ -138,11 +138,12 @@ impl<'a> PairStream<'a> {
         }
     }
 
-    /// The NM-specific counters accumulated so far (zeroed for FM/PM).
-    pub fn counters_so_far(&self) -> NmCounters {
+    /// The query's profile so far: the lazy NM-CIJ stream's work counts
+    /// are exact at its last watermark; FM/PM's is the eager outcome's.
+    pub fn profile_so_far(&self) -> QueryProfile {
         match &self.source {
-            Source::Lazy(iter) => iter.counters(),
-            Source::Eager(outcome) => outcome.nm,
+            Source::Lazy(iter) => iter.ledger().profile.clone(),
+            Source::Eager(outcome) => outcome.profile.clone(),
         }
     }
 
@@ -352,7 +353,6 @@ mod tests {
             };
             let mut streamed_sorted = streamed;
             streamed_sorted.sort_unstable();
-            streamed_sorted.dedup();
             let blocking = engine.join(&p, &q, alg).sorted_pairs();
             assert_eq!(streamed_sorted, blocking, "{} stream differs", alg.name());
         }
@@ -395,8 +395,8 @@ mod tests {
         assert!(!early.is_empty(), "progress recorded by the first pair");
         let outcome = stream.try_into_outcome().unwrap();
         assert!(outcome.progress.len() >= early.len());
-        // Counters flowed through the stream.
-        assert!(outcome.nm.q_cells_computed > 0);
+        // Work counts flowed through the stream.
+        assert!(outcome.profile.work.cells[1].computed > 0);
     }
 
     #[test]
@@ -447,7 +447,7 @@ mod tests {
 
         // Total cost of a complete run, for reference.
         let blocking = engine.multiway(&sets);
-        let total = blocking.page_accesses;
+        let total = blocking.profile.page_accesses();
 
         let mut w = engine.multiway_workload(&sets);
         let stats = w.stats.clone();

@@ -8,18 +8,17 @@
 //! blocking (no result pair is produced before both trees are built).
 
 use crate::config::CijConfig;
-use crate::stats::{CijOutcome, CostBreakdown, ProgressSample};
+use crate::stats::{CijOutcome, Lap, Phase, ProgressSample};
 use crate::vor_rtree::materialize_voronoi_rtree;
 use crate::workload::Workload;
 use cij_rtree::intersection_join;
-use std::time::Instant;
 
 /// Granularity of FM-CIJ's progressive-output trace: the join phase records
 /// a sample every this many result pairs, plus one when it ends.
 const PROGRESS_SAMPLE_PAIRS: u64 = 1_000;
 
-/// Runs FM-CIJ on a workload, returning the result pairs and the MAT/JOIN
-/// cost breakdown.
+/// Runs FM-CIJ on a workload, returning the result pairs and the profile:
+/// MAT ([`Phase::Materialise`]) and JOIN ([`Phase::Report`]) time and I/O.
 ///
 /// FM-CIJ is inherently blocking — nothing flows before both Voronoi
 /// R-trees are materialised, which is the point of comparing it against
@@ -31,17 +30,14 @@ pub fn fm_cij(workload: &mut Workload, config: &CijConfig) -> CijOutcome {
     let start_io = stats.snapshot();
 
     // ---- Materialisation phase: build R'P and R'Q. ----
-    // Both phase clocks feed elapsed-time stats only, never pairs or
-    // counters (allowlisted CIJ-D101).
-    let mat_start = Instant::now();
+    let mut lap = Lap::start();
     let mut vor_p = materialize_voronoi_rtree(&mut workload.rp, config);
     let mut vor_q = materialize_voronoi_rtree(&mut workload.rq, config);
-    let mat_cpu = mat_start.elapsed();
+    lap.charge(Phase::Materialise);
     let mat_io = stats.snapshot().since(&start_io);
 
     // ---- Join phase: intersection join of the two Voronoi R-trees. ----
     let join_start_io = stats.snapshot();
-    let join_start = Instant::now();
     let mut pairs: Vec<(u64, u64)> = Vec::new();
     let mut progress: Vec<ProgressSample> = Vec::new();
     intersection_join(
@@ -58,28 +54,13 @@ pub fn fm_cij(workload: &mut Workload, config: &CijConfig) -> CijOutcome {
             }
         },
     );
-    let join_cpu = join_start.elapsed();
+    lap.charge(Phase::Report);
     let join_io = stats.snapshot().since(&join_start_io);
     progress.push(ProgressSample {
         page_accesses: stats.snapshot().since(&start_io).page_accesses(),
         pairs: pairs.len() as u64,
     });
-
-    CijOutcome {
-        pairs,
-        breakdown: CostBreakdown {
-            mat_io,
-            join_io,
-            mat_cpu,
-            join_cpu,
-        },
-        progress,
-        nm: Default::default(),
-        // Blocking algorithms checkpoint nothing mid-run: the stream
-        // replays an eager result, so no leaf-granular watermark is ever
-        // meaningful (see `LeafWatermark`).
-        watermarks: Vec::new(),
-    }
+    CijOutcome::blocking(pairs, progress, mat_io, join_io, lap)
 }
 
 #[cfg(test)]
@@ -142,13 +123,13 @@ mod tests {
         let outcome = fm_cij(&mut w, &config);
         // FM materialises two trees: MAT must dominate reads+writes, and the
         // join phase must still read pages.
-        assert!(outcome.breakdown.mat_io.physical_writes > 0);
-        assert!(outcome.breakdown.mat_io.physical_reads > 0);
-        assert!(outcome.breakdown.join_io.physical_reads > 0);
+        assert!(outcome.profile.mat_io.physical_writes > 0);
+        assert!(outcome.profile.mat_io.physical_reads > 0);
+        assert!(outcome.profile.join_io.physical_reads > 0);
         assert!(outcome.page_accesses() >= w.lower_bound_io());
         // Progressive behaviour: FM is blocking, so the first sample appears
         // only after the MAT cost has been paid.
         let first = outcome.progress.first().unwrap();
-        assert!(first.page_accesses >= outcome.breakdown.mat_io.page_accesses());
+        assert!(first.page_accesses >= outcome.profile.mat_io.page_accesses());
     }
 }

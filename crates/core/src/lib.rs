@@ -63,7 +63,15 @@
 //! [`multiway`] / [`grouped`] extensions through the cache-aware
 //! [`cij_voronoi::batch_voronoi`] API. Its capacity is bounded by
 //! [`CijConfig::cell_cache_capacity`]; hit/miss/eviction counts surface
-//! through [`NmCounters`] and the shared [`cij_pagestore::IoStats`].
+//! through each query's [`QueryProfile`] and the shared
+//! [`cij_pagestore::IoStats`].
+//!
+//! ## What a query reports about itself
+//!
+//! Every join kind reports one [`QueryProfile`] ([`CijOutcome`],
+//! [`MultiwayOutcome`], `profile_so_far()` mid-stream): time per [`Phase`]
+//! — Figure 7's MAT is [`Phase::Materialise`] — MAT/JOIN I/O, and the
+//! deterministic [`WorkCounts`] of Figures 10 and 11.
 //!
 //! ## Quick example
 //!
@@ -123,7 +131,8 @@ pub use service::{
     ResponseHandle, ServiceClock, ServiceConfig, SystemClock,
 };
 pub use stats::{
-    CijOutcome, CostBreakdown, LeafWatermark, MultiwayCounters, NmCounters, ProgressSample,
+    CellCounts, CijOutcome, LeafWatermark, Phase, PhaseTimes, ProgressSample, QueryProfile,
+    WorkCounts,
 };
 pub use vor_rtree::{build_voronoi_rtree, compute_all_cells, materialize_voronoi_rtree};
 pub use workload::{MultiwayWorkload, Workload};

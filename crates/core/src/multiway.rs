@@ -24,9 +24,9 @@
 //! * **Seed (round 0)**: the Voronoi cells of the leaf's points are computed
 //!   with BatchVoronoi *through the driver set's [`CellCache`]* — the
 //!   seeding phase uses the same reuse buffer as every extension round, so
-//!   `cells_computed[i]` has the same meaning ("exact cells computed",
-//!   i.e. cache misses) for every slot and duplicate seed work would be
-//!   served from the buffer.
+//!   the profile's `cells[i].computed` has the same meaning ("exact cells
+//!   computed", i.e. cache misses) for every set and duplicate seed work
+//!   would be served from the buffer.
 //! * **Extend (rounds 1 … k−1)**: each leaf with live partial tuples issues
 //!   *one* [`batch_conditional_filter`] call carrying all of its partial
 //!   regions — the same redundant-traversal cut that batching the cells of
@@ -40,7 +40,7 @@
 //! **bbox-disjoint** combinations outright — boxes farther apart than their
 //! tolerance ([`cij_geom::tolerance::widened`]), whose polygon intersection
 //! would be empty anyway — observable as
-//! [`MultiwayCounters::narrowings_skipped`].
+//! [`WorkCounts::narrowings_skipped`].
 //!
 //! The partial tuples of one leaf stay spatially close through every round
 //! (they are intersections of neighbouring cells), which is what makes the
@@ -103,7 +103,7 @@
 //! narrowing), with every read's deferred accounting settled leaf-major at
 //! emit time. The sequential run is that protocol at worker
 //! count 1 (the pool degenerates to inline calls), so tuples (set *and*
-//! order), all [`MultiwayCounters`], page-access totals, progress samples
+//! order), the profile's [`WorkCounts`], page-access totals, progress samples
 //! and watermarks are identical at any thread count by construction — and
 //! asserted by `tests/multiway.rs`.
 //! The determinism argument, the fail-stop gates and what the two
@@ -120,11 +120,11 @@
 use crate::cell_cache::CellCache;
 use crate::chunk::{
     gate, refine_through_cache, run_ordered, run_ordered_scratch, run_ordered_units, Accounting,
-    CacheTally, LeafStream, StreamLedger, UnitEnv, UnitScratch,
+    LeafStream, StreamLedger, UnitEnv, UnitScratch,
 };
 use crate::config::CijConfig;
 use crate::filter::{batch_conditional_filter_scratch, FilterOptions, FilterStats};
-use crate::stats::{LeafWatermark, MultiwayCounters, ProgressSample};
+use crate::stats::{Lap, LeafWatermark, Phase, ProgressSample, QueryProfile, WorkCounts};
 use crate::workload::{pick_driver, MultiwayWorkload};
 use cij_geom::tolerance::widened;
 use cij_geom::{ClipScratch, ConvexPolygon, Point, Rect};
@@ -132,6 +132,7 @@ use cij_pagestore::PageIoError;
 use cij_rtree::{NodeReader, PointObject, RTree, ReadLog};
 use cij_voronoi::brute_force_diagram;
 use std::collections::VecDeque;
+use std::time::Duration;
 
 /// One result tuple of a multiway CIJ: the ids of the joined points (one per
 /// input set, in input order) and the common influence region they share.
@@ -148,27 +149,19 @@ pub struct MultiwayTuple {
 pub struct MultiwayOutcome {
     /// All result tuples, in emission order (leaf-major, deterministic).
     pub tuples: Vec<MultiwayTuple>,
-    /// Cell, filter and cache counters (see [`MultiwayCounters`]).
-    pub counters: MultiwayCounters,
+    /// What the evaluation cost and did; its cells are per input set.
+    pub profile: QueryProfile,
     /// Progressive-output samples, one per productive leaf of the driving
     /// tree (`pairs` counts result *tuples* here).
     pub progress: Vec<ProgressSample>,
     /// Per-leaf watermarks, one per leaf of the driving tree.
     pub watermarks: Vec<LeafWatermark>,
-    /// Total physical page accesses of the evaluation.
-    pub page_accesses: u64,
     /// The input-set index whose tree drove the evaluation (see
     /// [`MultiwayWorkload::pick_driver`]).
     pub driver: usize,
 }
 
 impl MultiwayOutcome {
-    /// Exact Voronoi cells computed per input set — shorthand for
-    /// [`MultiwayCounters::cells_computed`].
-    pub fn cells_computed(&self) -> &[u64] {
-        &self.counters.cells_computed
-    }
-
     /// The id tuples, sorted lexicographically (for comparisons in tests).
     ///
     /// Deliberately does **not** dedup: the stream must never emit the same
@@ -184,36 +177,6 @@ impl MultiwayOutcome {
             "duplicate multiway tuples must never be emitted"
         );
         v
-    }
-}
-
-/// What one leaf unit accumulates on its way through the rounds, folded
-/// into the stream at the leaf's sequential emit position (so
-/// `counters_so_far` and the watermarks are leaf-exact).
-struct LeafLedger {
-    /// The unit's deferred read accounting, `(tree index, log)` in the
-    /// sequential interleaving: scan, seed refine, then per round filter
-    /// and refine. Settled leaf-major, so every tree's buffer sees the
-    /// access sequence of a width-1 run (buffers are per-tree; the per-tree
-    /// subsequence is what matters).
-    logs: Vec<(usize, ReadLog)>,
-    /// Per input set (each is visited in exactly one round): what the
-    /// leaf's candidates did to the set's reuse buffer.
-    cache: Vec<CacheTally>,
-    probes: u64,
-    fstats: FilterStats,
-    narrowings_skipped: u64,
-}
-
-impl LeafLedger {
-    fn new(k: usize) -> Self {
-        LeafLedger {
-            logs: Vec::new(),
-            cache: vec![CacheTally::default(); k],
-            probes: 0,
-            fstats: FilterStats::default(),
-            narrowings_skipped: 0,
-        }
     }
 }
 
@@ -311,7 +274,7 @@ fn extend_into(
 /// [`TupleStream::driver`] exposes the choice.
 /// Leaf units of the driver set's tree are processed only as tuples are
 /// demanded; [`TupleStream::progress_so_far`],
-/// [`TupleStream::counters_so_far`] and [`TupleStream::watermarks_so_far`]
+/// [`TupleStream::profile_so_far`] and [`TupleStream::watermarks_so_far`]
 /// expose the incremental measurements, and
 /// [`TupleStream::try_into_outcome`] drains the remainder into a
 /// [`MultiwayOutcome`] or the storage error that stopped it (for the
@@ -342,14 +305,11 @@ pub struct TupleStream<'a> {
     pending: VecDeque<Partials>,
     /// Tuples of `pending`'s front table already pulled.
     pulled: usize,
-    counters: MultiwayCounters,
-    /// Leaves to come, progress samples, watermarks and the fail-stop latch:
-    /// once an error is latched no further leaves run, nothing from the
-    /// failing leaf or chunk was emitted, and everything emitted stays valid.
+    /// Leaves to come, progress samples, watermarks, the profile and the
+    /// fail-stop latch: once an error is latched no further leaves run,
+    /// nothing from the failing leaf or chunk was emitted, and everything
+    /// emitted stays valid.
     ledger: StreamLedger,
-    /// Tuples of every table pushed into `pending` so far (cumulative, ahead
-    /// of `emitted` by the buffered tuples).
-    produced: u64,
     /// Tuples pulled by the consumer so far.
     emitted: u64,
     /// Debug-build guard: every emitted id tuple must be unique.
@@ -439,9 +399,7 @@ impl<'a> TupleStream<'a> {
             spare: Vec::new(),
             pending: VecDeque::new(),
             pulled: 0,
-            counters: MultiwayCounters::for_sets(k),
             ledger,
-            produced: 0,
             emitted: 0,
             #[cfg(debug_assertions)]
             seen_ids: std::collections::HashSet::new(),
@@ -464,9 +422,11 @@ impl<'a> TupleStream<'a> {
         self.ledger.progress.clone()
     }
 
-    /// The multiway counters accumulated so far (exact at leaf boundaries).
-    pub fn counters_so_far(&self) -> MultiwayCounters {
-        self.counters.clone()
+    /// The profile so far: its work counts are exact at leaf boundaries and
+    /// count rows ahead of what the consumer has pulled by the buffered
+    /// tuples.
+    pub fn profile_so_far(&self) -> QueryProfile {
+        self.ledger.profile.clone()
     }
 
     /// The per-leaf watermarks recorded so far. Everything up to the last
@@ -488,42 +448,58 @@ impl<'a> TupleStream<'a> {
     /// [`MultiwayOutcome`] (tuples already pulled through the iterator are
     /// *not* replayed); `Err` when the stream fail-stopped.
     pub fn try_into_outcome(mut self) -> Result<MultiwayOutcome, PageIoError> {
+        // The drain's time outside its chunks is the hand-off of the tuples.
+        let (mut lap, before) = (Lap::start(), self.ledger.profile.elapsed.total());
         let tuples = self.by_ref().collect();
-        let (progress, watermarks) = self.ledger.finish()?;
+        let chunks = self.ledger.profile.elapsed.total() - before;
+        self.ledger.profile.elapsed[Phase::Emit] += lap.lap().saturating_sub(chunks);
+        let (progress, watermarks, profile) = self.ledger.finish()?;
         Ok(MultiwayOutcome {
             tuples,
-            counters: self.counters,
+            profile,
             progress,
             watermarks,
-            page_accesses: self.acct.page_accesses(),
             driver: self.eval_order[0],
         })
     }
 
     /// Processes the next bounded chunk of leaf units — the phases of
     /// [`crate::chunk`], once per round — and appends the resulting tuples
-    /// to `pending` in leaf order. `Err` fail-stops the stream.
+    /// to `pending` in leaf order, charging each phase's time to the
+    /// profile. `Err` fail-stops the stream.
     fn run_chunk(&mut self) -> Result<(), PageIoError> {
         let env = self.env;
-        let (first_leaf_index, chunk) = self.ledger.cursor.next_chunk(env.workers);
+        let mut lap = Lap::start();
+        let chunk = self.ledger.cursor.next_chunk(env.workers);
         let k = self.acct.k();
         let n = chunk.len();
         let driver = self.eval_order[0];
         let acct = &self.acct;
-        let mut ledgers: Vec<LeafLedger> = (0..n).map(|_| LeafLedger::new(k)).collect();
+        // Per leaf, folded at its sequential emit position (so the profile
+        // and the watermarks are leaf-exact): its work counts — each set is
+        // visited in exactly one round — and its deferred read accounting,
+        // `(tree index, log)` in the sequential interleaving: scan, seed
+        // refine, then per round filter and refine. Settled leaf-major, so
+        // every tree's buffer sees the access sequence of a width-1 run
+        // (buffers are per-tree; the per-tree subsequence is what matters).
+        let mut leaves: Vec<(WorkCounts, Vec<(usize, ReadLog)>)> =
+            vec![(WorkCounts::for_sets(k), Vec::new()); n];
 
         // Scan (parallel): read each chunk leaf of the driving tree. The
         // gate discards the chunk before any cache state advances.
-        let scans: Vec<(Vec<PointObject>, ReadLog)> = run_ordered(env.workers, n, |i| {
+        let scans: Vec<(Vec<PointObject>, ReadLog, Duration)> = run_ordered(env.workers, n, |i| {
+            let mut lap = Lap::start();
             let mut reader = acct.reader(driver);
-            (reader.read(chunk[i]).objects, reader.finish())
+            (reader.read(chunk[i]).objects, reader.finish(), lap.lap())
         });
-        gate(scans.iter().map(|(_, log)| log))?;
+        lap.lap();
+        gate(scans.iter().map(|(_, log, _)| log))?;
         let groups: Vec<Vec<PointObject>> = scans
             .into_iter()
-            .zip(&mut ledgers)
-            .map(|((group, log), ledger)| {
-                ledger.logs.push((driver, log));
+            .zip(&mut leaves)
+            .map(|((group, log, time), (_, logs))| {
+                lap.times[Phase::Scan] += time;
+                logs.push((driver, log));
                 group
             })
             .collect();
@@ -539,17 +515,19 @@ impl<'a> TupleStream<'a> {
             &units,
             &env,
             scratches,
+            &mut lap,
         )?;
         let mut partials: Vec<Partials> = groups
             .iter()
             .zip(seeded)
-            .zip(&mut ledgers)
-            .map(|((group, unit), ledger)| {
-                ledger.cache[driver] = unit.tally;
-                ledger.logs.push((driver, unit.log));
+            .zip(&mut leaves)
+            .map(|((group, unit), (work, logs))| {
+                work.cells[driver] = unit.counts;
+                logs.push((driver, unit.log));
                 Partials::seeded(group, unit.cells)
             })
             .collect();
+        lap.charge(Phase::Refine);
 
         // Extension rounds: one per remaining set, in evaluation order.
         for &set_idx in &self.eval_order[1..] {
@@ -557,12 +535,13 @@ impl<'a> TupleStream<'a> {
             // batch_conditional_filter call borrowing every region of the
             // leaf. The gate keeps a failed pass's partial candidate lists
             // out of the policy.
-            let filtered: Vec<(Vec<PointObject>, FilterStats, ReadLog)> =
+            let filtered: Vec<(Vec<PointObject>, FilterStats, ReadLog, Duration)> =
                 run_ordered_scratch(scratches, n, |i, scratch| {
                     let regions = partials[i].regions();
                     if regions.is_empty() {
                         return Default::default();
                     }
+                    let mut lap = Lap::start();
                     let mut reader = acct.reader(set_idx);
                     let (candidates, stats) = batch_conditional_filter_scratch(
                         &mut reader,
@@ -571,13 +550,14 @@ impl<'a> TupleStream<'a> {
                         &FilterOptions::default(),
                         &mut scratch.filter,
                     );
-                    (candidates, stats, reader.finish())
+                    (candidates, stats, reader.finish(), lap.lap())
                 });
-            gate(filtered.iter().map(|(_, _, log)| log))?;
+            lap.lap();
+            lap.times[Phase::Filter] += filtered.iter().map(|f| f.3).sum::<Duration>();
+            gate(filtered.iter().map(|(_, _, log, _)| log))?;
 
             // Cache policy → refine → resolve on the set's cache. A leaf
-            // with no live partials has no candidates: its unit is a no-op
-            // that still captures the eviction count at its position.
+            // with no live partials has no candidates: its unit is a no-op.
             let units: Vec<&[PointObject]> = filtered.iter().map(|f| &f.0[..]).collect();
             let cells = refine_through_cache(
                 acct,
@@ -586,6 +566,7 @@ impl<'a> TupleStream<'a> {
                 &units,
                 &env,
                 scratches,
+                &mut lap,
             )?;
 
             // Extend (parallel, per leaf): narrow each partial region by
@@ -594,58 +575,52 @@ impl<'a> TupleStream<'a> {
             let mut next: Vec<Partials> = (0..n)
                 .map(|_| self.spare.pop().unwrap_or_default())
                 .collect();
-            let skipped: Vec<u64> = run_ordered_units(scratches, &mut next, |i, next, scratch| {
-                let clip = &mut scratch.clip;
-                extend_into(&partials[i], units[i], &cells[i].cells, clip, next)
-            });
+            lap.charge(Phase::Report);
+            let skipped: Vec<(u64, Duration)> =
+                run_ordered_units(scratches, &mut next, |i, next, scratch| {
+                    let mut lap = Lap::start();
+                    let clip = &mut scratch.clip;
+                    let skipped = extend_into(&partials[i], units[i], &cells[i].cells, clip, next);
+                    (skipped, lap.lap())
+                });
+            lap.lap();
 
-            // Fold the round into the ledgers, filter before refine.
-            for (i, (((_, fstats, flog), unit), skipped)) in
+            // Fold the round into the leaves' records, filter before refine.
+            for (i, (((candidates, fstats, flog, _), unit), (skipped, time))) in
                 filtered.into_iter().zip(cells).zip(skipped).enumerate()
             {
-                let ledger = &mut ledgers[i];
-                ledger.probes += u64::from(partials[i].len > 0);
-                ledger.fstats.absorb(&fstats);
-                ledger.narrowings_skipped += skipped;
-                ledger.cache[set_idx] = unit.tally;
-                ledger.logs.push((set_idx, flog));
-                ledger.logs.push((set_idx, unit.log));
+                lap.times[Phase::Report] += time;
+                let (work, logs) = &mut leaves[i];
+                work.filter_calls += u64::from(partials[i].len > 0);
+                work.filter_candidates += candidates.len() as u64;
+                work.filter.absorb(&fstats);
+                work.narrowings_skipped += skipped;
+                work.cells[set_idx] = unit.counts;
+                logs.push((set_idx, flog));
+                logs.push((set_idx, unit.log));
             }
             // The superseded tables go back on the free list.
             for table in std::mem::replace(&mut partials, next) {
                 recycle(&mut self.spare, table);
             }
+            lap.charge(Phase::Report);
         }
 
-        // Emit (coordinator, leaf order): settle the leaf's logs, fold in
-        // its counter deltas, record progress + watermark and queue the
-        // leaf's final table for the consumer.
-        for (i, (table, ledger)) in partials.into_iter().zip(ledgers).enumerate() {
-            for (tree, log) in &ledger.logs {
+        // Emit (coordinator, leaf order): settle the leaf's logs, fold its
+        // work counts into the profile with its progress sample and
+        // watermark, and queue the leaf's final table for the consumer.
+        for ((table, (mut work, logs)), group) in partials.into_iter().zip(leaves).zip(&groups) {
+            for (tree, log) in &logs {
                 self.acct.settle(*tree, log)?;
             }
-            for (s, tally) in ledger.cache.iter().enumerate() {
-                self.counters.cells_reused[s] += tally.reused;
-                self.counters.cells_computed[s] += tally.computed;
-                self.counters.cell_cache_evictions[s] = tally.evictions_after;
-            }
-            self.counters.filter_probes += ledger.probes;
-            self.counters.filter_points_examined += ledger.fstats.points_examined;
-            self.counters.filter_entries_pruned += ledger.fstats.entries_pruned;
-            self.counters.filter_clip_ops += ledger.fstats.clip_ops;
-            self.counters.filter_clip_attempts += ledger.fstats.clip_attempts;
-            self.counters.filter_poly_tests_skipped += ledger.fstats.poly_tests_skipped;
-            self.counters.narrowings_skipped += ledger.narrowings_skipped;
-            self.produced += table.len as u64;
-            self.counters.tuples_produced = self.produced;
-            self.ledger.record_leaf(
-                first_leaf_index + i,
-                self.produced,
-                self.acct.page_accesses(),
-                !groups[i].is_empty(),
-            );
+            work.rows = table.len as u64;
+            let productive = !group.is_empty();
+            self.ledger
+                .record_leaf(self.acct.join_io(), productive, &work);
             self.pending.push_back(table);
         }
+        lap.charge(Phase::Emit);
+        self.ledger.profile.elapsed += lap.times;
         Ok(())
     }
 
@@ -870,18 +845,15 @@ mod tests {
         // cache each seed cell is computed exactly once and never re-served:
         // the uniform "exact cells computed = cache misses" semantics.
         assert_eq!(
-            outcome.counters.cells_computed[driver],
+            outcome.profile.work.cells[driver].computed,
             sets[driver].len() as u64
         );
-        assert_eq!(outcome.counters.cells_reused[driver], 0);
+        assert_eq!(outcome.profile.work.cells[driver].reused, 0);
         // The extension set's candidates overlap across leaves, so reuse
         // kicks in there.
-        assert!(outcome.counters.cells_computed[extension] > 0);
-        assert!(outcome.counters.cells_reused[extension] > 0);
-        assert_eq!(
-            outcome.counters.tuples_produced,
-            outcome.tuples.len() as u64
-        );
+        assert!(outcome.profile.work.cells[extension].computed > 0);
+        assert!(outcome.profile.work.cells[extension].reused > 0);
+        assert_eq!(outcome.profile.work.rows, outcome.tuples.len() as u64);
     }
 
     #[test]
@@ -899,7 +871,7 @@ mod tests {
         }
         let last = outcome.watermarks.last().unwrap();
         assert_eq!(last.rows, outcome.tuples.len() as u64);
-        assert_eq!(last.page_accesses, outcome.page_accesses);
+        assert_eq!(last.page_accesses, outcome.profile.page_accesses());
     }
 
     #[test]
@@ -1045,20 +1017,122 @@ mod tests {
             assert_ne!(planned.driver, 0, "k = {k}");
             assert_eq!(planned.sorted_ids(), zero.sorted_ids(), "k = {k}");
             assert!(
-                planned.counters.filter_probes < zero.counters.filter_probes,
+                planned.profile.work.filter_calls < zero.profile.work.filter_calls,
                 "k = {k}: {} probes planned vs {} driving with set 0",
-                planned.counters.filter_probes,
-                zero.counters.filter_probes
+                planned.profile.work.filter_calls,
+                zero.profile.work.filter_calls
             );
-            assert!(planned.counters.narrowings_skipped > 0, "k = {k}");
+            assert!(planned.profile.work.narrowings_skipped > 0, "k = {k}");
 
             let parallel = multiway_cij(&sets, &config.with_worker_threads(4));
             let ids = |o: &MultiwayOutcome| -> Vec<Vec<u64>> {
                 o.tuples.iter().map(|t| t.ids.clone()).collect()
             };
             assert_eq!(ids(&parallel), ids(&planned), "k = {k}");
-            assert_eq!(parallel.counters, planned.counters, "k = {k}");
-            assert_eq!(parallel.page_accesses, planned.page_accesses, "k = {k}");
+            assert_eq!(parallel.profile.work, planned.profile.work, "k = {k}");
+            assert_eq!(
+                parallel.profile.page_accesses(),
+                planned.profile.page_accesses(),
+                "k = {k}"
+            );
+        }
+    }
+
+    /// The join one driver leaf at a time, every read a counted read
+    /// through the trees' own buffers, every cell through its set's cache as
+    /// a `CellStore`, every extension through [`extend_partials`]: the work
+    /// counts as of each driver leaf.
+    fn work_leaf_by_leaf(sets: &[Vec<Point>], config: &CijConfig) -> Vec<WorkCounts> {
+        let mut w = MultiwayWorkload::build(sets, config);
+        let (driver, k, domain) = (w.pick_driver(), w.k(), config.domain);
+        let capacity = config.cell_cache_capacity;
+        let mut caches: Vec<CellCache> = (0..k).map(|_| CellCache::new(capacity)).collect();
+        let UnitScratch { vor, filter, .. } = &mut UnitScratch::default();
+        let mut order = vec![driver];
+        order.extend((0..k).filter(|&s| s != driver));
+        let (mut work, mut per_leaf) = (WorkCounts::for_sets(k), Vec::new());
+        for leaf in w.trees[driver].leaf_pages_hilbert_order(&domain) {
+            let group = NodeReader::read(&mut w.trees[driver], leaf).objects;
+            let mut partials = Vec::new();
+            for (round, &s) in order.iter().enumerate() {
+                let (tree, cache) = (&mut w.trees[s], &mut caches[s]);
+                let candidates = if round == 0 {
+                    group.clone()
+                } else if partials.is_empty() {
+                    Vec::new()
+                } else {
+                    let regions: Vec<ConvexPolygon> = partials
+                        .iter()
+                        .map(|t: &MultiwayTuple| t.region.clone())
+                        .collect();
+                    let options = FilterOptions::default();
+                    let (candidates, stats) =
+                        batch_conditional_filter_scratch(tree, &regions, &domain, &options, filter);
+                    work.filter_calls += 1;
+                    work.filter_candidates += candidates.len() as u64;
+                    work.filter.absorb(&stats);
+                    candidates
+                };
+                let (hits, misses) = (cache.hits(), cache.misses());
+                let cells = cij_voronoi::batch_voronoi(tree, &candidates, &domain, cache, vor);
+                let counts = &mut work.cells[s];
+                counts.computed += cache.misses() - misses;
+                counts.reused += cache.hits() - hits;
+                counts.evicted = cache.evictions();
+                partials = if round == 0 {
+                    let seeds = candidates.iter().zip(cells);
+                    let seeds = seeds.map(|(obj, region)| MultiwayTuple {
+                        ids: vec![obj.id.0],
+                        region,
+                    });
+                    seeds.collect()
+                } else {
+                    let (next, skipped) = extend_partials(&partials, &candidates, &cells);
+                    work.narrowings_skipped += skipped;
+                    next
+                };
+            }
+            work.rows += partials.len() as u64;
+            per_leaf.push(work.clone());
+        }
+        per_leaf
+    }
+
+    /// Pulled tuple by tuple, the stream's profile is checked each time a
+    /// watermark appears: its work counts are the leaf-by-leaf reference's
+    /// as of that leaf, at one and three workers, metered and fast — the
+    /// fold is exact per leaf, not only at the end.
+    #[test]
+    fn the_profile_is_the_leaf_by_leaf_reference_at_every_watermark() {
+        let sets = vec![
+            random_points(300, 294),
+            random_points(260, 295),
+            random_points(220, 296),
+        ];
+        let base = small_config().with_cell_cache_capacity(24);
+        let reference = work_leaf_by_leaf(&sets, &base);
+        let last = reference.last().unwrap();
+        assert!(last.cells.iter().all(|c| c.evicted > 0) && last.narrowings_skipped > 0);
+        for threads in [1, 3] {
+            for mode in [ExecMode::Metered, ExecMode::Fast] {
+                let config = base.with_worker_threads(threads).with_exec_mode(mode);
+                let mut w = MultiwayWorkload::build(&sets, &config);
+                let mut stream = TupleStream::new(&mut w, config);
+                let mut checked = 0;
+                loop {
+                    let marks = stream.watermarks_so_far().len();
+                    if marks > checked {
+                        let at = format!("{threads} workers, {}, leaf {marks}", mode.name());
+                        let work = stream.profile_so_far().work;
+                        assert_eq!(work, reference[marks - 1], "{at}");
+                        checked = marks;
+                    }
+                    if stream.next().is_none() {
+                        break;
+                    }
+                }
+                assert_eq!(checked, reference.len());
+            }
         }
     }
 
@@ -1140,12 +1214,15 @@ mod tests {
             let fast_ids: Vec<Vec<u64>> = fast.tuples.iter().map(|t| t.ids.clone()).collect();
             let metered_ids: Vec<Vec<u64>> = metered.tuples.iter().map(|t| t.ids.clone()).collect();
             assert_eq!(fast_ids, metered_ids, "tuple set and order must match");
-            assert_eq!(fast.counters, metered.counters);
+            assert_eq!(fast.profile.work, metered.profile.work);
             assert_eq!(fast.driver, metered.driver);
-            assert!(fast.page_accesses > 0, "local reads are accounted");
+            assert!(
+                fast.profile.page_accesses() > 0,
+                "local reads are accounted"
+            );
             assert_eq!(
                 fast.watermarks.last().unwrap().page_accesses,
-                fast.page_accesses
+                fast.profile.page_accesses()
             );
             assert_eq!(
                 w.stats.snapshot().page_accesses(),
@@ -1168,11 +1245,8 @@ mod tests {
             .try_into_outcome()
             .unwrap();
         assert_eq!(snap.sorted_ids(), metered.sorted_ids());
-        assert_eq!(
-            snap.counters.tuples_produced,
-            metered.counters.tuples_produced
-        );
-        assert!(snap.page_accesses > 0);
+        assert_eq!(snap.profile.work.rows, metered.profile.work.rows);
+        assert!(snap.profile.page_accesses() > 0);
     }
 
     #[test]
@@ -1243,9 +1317,10 @@ mod tests {
                     let (faulty, recovered) = run(Some((tree, profile)));
                     let label = format!("{threads} workers, tree {tree}, read {at}");
                     assert_eq!(clean.sorted_ids(), faulty.sorted_ids(), "{label}");
-                    assert_eq!(clean.counters, faulty.counters, "{label}");
+                    assert_eq!(clean.profile.work, faulty.profile.work, "{label}");
                     assert_eq!(
-                        clean.page_accesses, faulty.page_accesses,
+                        clean.profile.page_accesses(),
+                        faulty.profile.page_accesses(),
                         "{label}: retried transients recover inside the store and stay invisible"
                     );
                     if recovered == 0 {

@@ -17,7 +17,7 @@
 //! The algorithm is implemented as a stream: the crate-internal `NmPairIter`
 //! processes leaves of `RQ` only when the consumer pulls and the pairs of
 //! previous leaves are exhausted, and owns everything it has on record —
-//! ledger, counters, cost breakdown, reuse buffer — by value. It is the
+//! ledger, profile, reuse buffer — by value. It is the
 //! single construction path of every binary NM-CIJ evaluation: the public
 //! [`PairStream`] wraps it, the classic blocking [`nm_cij`] drains it, and
 //! [`crate::service`] drives it directly. The non-blocking property —
@@ -33,8 +33,8 @@
 //! `chunk` module (`crates/core/src/chunk.rs`): steps 1–2 are its scan,
 //! step 3 its cache-policy / refine / resolve stage, step 4 its report.
 //! The sequential run is that protocol at worker count 1 (the pool
-//! degenerates to inline calls), so pairs (set *and* order), the NM
-//! counters and — under metered accounting — page accesses and per-leaf
+//! degenerates to inline calls), so pairs (set *and* order), the profile's
+//! work counts and — under metered accounting — page accesses and per-leaf
 //! [`ProgressSample`]s are identical at any thread count by construction;
 //! "metered" and "fast" differ only in the chunk module's `Accounting`
 //! value. The determinism argument, the fail-stop gates and the accounting
@@ -63,20 +63,20 @@
 
 use crate::cell_cache::CellCache;
 use crate::chunk::{
-    gate, refine_through_cache, run_ordered_scratch, Accounting, CacheTally, LeafStream,
-    StreamLedger, UnitEnv, UnitScratch,
+    gate, refine_through_cache, run_ordered_scratch, Accounting, LeafStream, StreamLedger, UnitEnv,
+    UnitScratch,
 };
 use crate::config::CijConfig;
 use crate::filter::{batch_conditional_filter_scratch, FilterOptions, FilterStats};
 use crate::grouped::{GroupCounts, LocationProbe};
-use crate::stats::{CijOutcome, CostBreakdown, NmCounters};
+use crate::stats::{CijOutcome, Lap, Phase, PhaseTimes, WorkCounts};
 use crate::workload::Workload;
 use cij_geom::{ConvexPolygon, Point};
 use cij_pagestore::{PageId, PageIoError};
 use cij_rtree::{NodeReader, PointObject, RTree, ReadLog};
 use cij_voronoi::{batch_voronoi, NoCache};
 use std::collections::VecDeque;
-use std::time::Instant;
+use std::time::Duration;
 
 /// Index of the `P` tree (filter + refinement side) in the iterator's
 /// [`Accounting`].
@@ -84,9 +84,9 @@ const P: usize = 0;
 /// Index of the `Q` tree (driving side).
 const Q: usize = 1;
 
-/// Runs NM-CIJ on a workload to completion, returning the result pairs, the
-/// cost breakdown (all cost is JOIN cost — there is no materialisation
-/// phase) and the NM-specific counters used by Figures 10 and 11.
+/// Runs NM-CIJ on a workload to completion, returning the result pairs and
+/// the profile (all cost is JOIN cost — there is no materialisation phase —
+/// and its work counts are those of Figures 10 and 11).
 ///
 /// This is a thin blocking wrapper: it drains the lazy pair stream. Use
 /// [`QueryEngine::stream`] to consume pairs incrementally instead.
@@ -106,7 +106,8 @@ pub fn nm_cij(workload: &mut Workload, config: &CijConfig) -> CijOutcome {
 /// Everything the scan of one `RQ` leaf produces: the leaf's points, their
 /// Voronoi cells, the filter's candidate set, and the deferred read
 /// accounting of the two trees (an error latched in either log means the
-/// scan produced garbage — the chunk's gate discards it).
+/// scan produced garbage — the chunk's gate discards it), and the time of
+/// its scan and filter.
 struct LeafScan {
     group: Vec<PointObject>,
     cells_q: Vec<ConvexPolygon>,
@@ -114,6 +115,7 @@ struct LeafScan {
     fstats: FilterStats,
     log_rq: ReadLog,
     log_rp: ReadLog,
+    times: PhaseTimes,
 }
 
 /// What step 4 reports for one leaf ([`report_leaf`]).
@@ -123,15 +125,7 @@ struct LeafReport {
     true_hits: u64,
     /// A grouped-NN run's `(location, p, q)` claims, in report order.
     claims: Vec<(usize, u64, u64)>,
-}
-
-/// One productive leaf's contribution to the NM counters.
-struct LeafTally {
-    q_cells: u64,
-    candidates: u64,
-    true_hits: u64,
-    cache: CacheTally,
-    fstats: FilterStats,
+    time: Duration,
 }
 
 /// The lazy leaf-by-leaf pair producer behind the NM-CIJ stream.
@@ -148,9 +142,9 @@ pub(crate) struct NmPairIter<'a> {
     cache: CellCache,
     pending: VecDeque<(u64, u64)>,
     ledger: StreamLedger,
-    nm: NmCounters,
-    breakdown: CostBreakdown,
-    pairs_produced: u64,
+    /// One leaf's work counts on their way to the ledger, rewritten per
+    /// leaf so the fold allocates nothing.
+    leaf: WorkCounts,
     /// One unit scratch (arenas, clip buffers, filter state) per pool
     /// worker, reused across every leaf and chunk of the stream.
     scratches: Vec<UnitScratch>,
@@ -197,9 +191,7 @@ impl<'a> NmPairIter<'a> {
             cache,
             pending: VecDeque::new(),
             ledger,
-            nm: NmCounters::default(),
-            breakdown: CostBreakdown::default(),
-            pairs_produced: 0,
+            leaf: WorkCounts::for_sets(2),
             scratches: UnitScratch::per_worker(&env),
             probe: None,
         }
@@ -209,11 +201,6 @@ impl<'a> NmPairIter<'a> {
     pub(crate) fn with_locations(mut self, locations: &[Point]) -> Self {
         self.probe = Some(Box::new(LocationProbe::new(locations, &self.env.domain)));
         self
-    }
-
-    /// The NM counters accumulated so far (exact at leaf boundaries).
-    pub(crate) fn counters(&self) -> NmCounters {
-        self.nm
     }
 
     /// Drains the stream: its locations' counts, or `Err` if it fail-stopped.
@@ -227,77 +214,41 @@ impl<'a> NmPairIter<'a> {
     /// [`CijOutcome`]; `Err` when the stream fail-stopped.
     pub(crate) fn try_into_outcome(mut self) -> Result<CijOutcome, PageIoError> {
         let pairs = self.by_ref().collect();
-        let (progress, watermarks) = self.ledger.finish()?;
+        let (progress, watermarks, profile) = self.ledger.finish()?;
         Ok(CijOutcome {
             pairs,
-            breakdown: self.breakdown,
+            profile,
             progress,
-            nm: self.nm,
             watermarks,
         })
     }
 
-    /// Folds one processed leaf into the stream's records at its sequential
-    /// position: the NM counters when the leaf was productive (`tally`),
-    /// and always the ledger's checkpoint. Counters, sample and watermark
-    /// all draw their page accesses from the one
-    /// [`Accounting::page_accesses`] figure.
-    fn record_leaf(&mut self, leaf_index: usize, tally: Option<LeafTally>) {
-        if let Some(t) = &tally {
-            self.nm.q_cells_computed += t.q_cells;
-            self.nm.filter_candidates += t.candidates;
-            self.nm.filter_true_hits += t.true_hits;
-            self.nm.p_cells_reused += t.cache.reused;
-            self.nm.p_cells_computed += t.cache.computed;
-            self.nm.cell_cache_evictions = t.cache.evictions_after;
-            self.nm.filter_points_examined += t.fstats.points_examined;
-            self.nm.filter_entries_pruned += t.fstats.entries_pruned;
-            self.nm.filter_clip_ops += t.fstats.clip_ops;
-            self.nm.filter_clip_attempts += t.fstats.clip_attempts;
-            self.nm.filter_poly_tests_skipped += t.fstats.poly_tests_skipped;
-        }
-        let (rows, page_accesses) = (self.pairs_produced, self.acct.page_accesses());
-        self.ledger
-            .record_leaf(leaf_index, rows, page_accesses, tally.is_some());
-    }
-
-    /// Processes the next chunk of leaves and folds the elapsed CPU time and
-    /// the I/O so far into the cost breakdown (NM has no materialisation
-    /// phase, so all cost is JOIN cost). A storage error fail-stops the
-    /// stream: nothing from the failing chunk is emitted, pairs already
-    /// emitted (all covered by a watermark) stay valid.
-    fn step(&mut self) {
-        // Wall-clock feeds `CijOutcome` elapsed-time stats only, never
-        // pairs or counters (allowlisted CIJ-D101).
-        let start = Instant::now();
-        if let Err(e) = self.run_chunk() {
-            self.ledger.fail(e);
-        }
-        self.breakdown.join_cpu += start.elapsed();
-        self.breakdown.join_io = self.acct.join_io();
-    }
-
     /// Processes the next bounded chunk of leaves — the phases of
     /// `crate::chunk` — on the worker pool and appends their pairs to
-    /// `pending` in Hilbert leaf order.
+    /// `pending` in Hilbert leaf order, charging each phase's time to the
+    /// profile. NM has no materialisation phase: all cost is JOIN cost.
     fn run_chunk(&mut self) -> Result<(), PageIoError> {
         let env = self.env;
-        let (first_leaf_index, chunk) = self.ledger.cursor.next_chunk(env.workers);
+        let mut lap = Lap::start();
+        let chunk = self.ledger.cursor.next_chunk(env.workers);
 
         // Scan (parallel): leaf read, Q cells, conditional filter, each
-        // worker on its own unit scratch. The gate keeps the cache policy
-        // off a failed scan's garbage candidates.
+        // worker on its own unit scratch and clock. The gate keeps the
+        // cache policy off a failed scan's garbage candidates.
         let acct = &self.acct;
         let scratches = &mut self.scratches[..];
         let scans: Vec<LeafScan> = run_ordered_scratch(scratches, chunk.len(), |i, scratch| {
             scan_leaf(acct, chunk[i], &env, scratch)
         });
+        lap.lap();
+        scans.iter().for_each(|scan| lap.times += scan.times);
         gate(scans.iter().flat_map(|s| [&s.log_rq, &s.log_rp]))?;
 
         // Cache policy → refine → resolve: each leaf's aligned exact
         // candidate cells through the reuse buffer.
         let candidates: Vec<&[PointObject]> = scans.iter().map(|s| &s.candidates[..]).collect();
-        let refined = refine_through_cache(acct, P, &mut self.cache, &candidates, &env, scratches)?;
+        let cache = &mut self.cache;
+        let refined = refine_through_cache(acct, P, cache, &candidates, &env, scratches, &mut lap)?;
 
         // Report (parallel): pairs, true hits and claims of each leaf, each
         // worker building its edge tables in its own unit scratch.
@@ -305,27 +256,37 @@ impl<'a> NmPairIter<'a> {
         let reported = run_ordered_scratch(scratches, scans.len(), |i, scratch| {
             report_leaf(probe, &scans[i], &refined[i].cells, scratch)
         });
+        lap.lap();
+        reported
+            .iter()
+            .for_each(|r| lap.times[Phase::Report] += r.time);
 
         // Settle + emit (coordinator, leaf order), in the sequential
         // interleaving of the leaf's reads: Q scan, P filter, P refine.
-        for (i, ((scan, unit), report)) in scans.iter().zip(&refined).zip(reported).enumerate() {
+        for ((scan, unit), report) in scans.iter().zip(&refined).zip(reported) {
             self.acct.settle(Q, &scan.log_rq)?;
             self.acct.settle(P, &scan.log_rp)?;
             self.acct.settle(P, &unit.log)?;
             if let Some(probe) = &mut self.probe {
                 probe.settle(&report.claims);
             }
-            self.pairs_produced += report.pairs.len() as u64;
-            let tally = (!scan.group.is_empty()).then_some(LeafTally {
-                q_cells: scan.group.len() as u64,
-                candidates: scan.candidates.len() as u64,
-                true_hits: report.true_hits,
-                cache: unit.tally,
-                fstats: scan.fstats,
-            });
-            self.record_leaf(first_leaf_index + i, tally);
+            let productive = !scan.group.is_empty();
+            let leaf = &mut self.leaf;
+            leaf.rows = report.pairs.len() as u64;
+            leaf.cells[P] = unit.counts;
+            leaf.cells[Q].computed = scan.group.len() as u64;
+            leaf.filter = scan.fstats;
+            leaf.filter_calls = u64::from(productive);
+            leaf.filter_candidates = scan.candidates.len() as u64;
+            leaf.true_hits = report.true_hits;
+            self.ledger
+                .record_leaf(self.acct.join_io(), productive, leaf);
             self.pending.extend(report.pairs);
         }
+        // The chunk's cells and candidates are freed inside the clock.
+        drop((scans, refined));
+        lap.charge(Phase::Emit);
+        self.ledger.profile.elapsed += lap.times;
         Ok(())
     }
 }
@@ -357,6 +318,7 @@ fn report_leaf(
         candidates,
         ..
     } = scan;
+    let mut lap = Lap::start();
     let UnitScratch { edges, marked, .. } = scratch;
     edges.clear();
     for cell in cells_q.iter().chain(cells_p) {
@@ -383,6 +345,7 @@ fn report_leaf(
         pairs,
         true_hits,
         claims,
+        time: lap.lap(),
     }
 }
 
@@ -396,6 +359,7 @@ fn scan_leaf(
     env: &UnitEnv,
     scratch: &mut UnitScratch,
 ) -> LeafScan {
+    let mut lap = Lap::start();
     let mut rq = acct.reader(Q);
     let mut rp = acct.reader(P);
     let group = rq.read(leaf).objects;
@@ -403,6 +367,7 @@ fn scan_leaf(
         Default::default()
     } else {
         let cells_q = batch_voronoi(&mut rq, &group, &env.domain, &mut NoCache, &mut scratch.vor);
+        lap.charge(Phase::Scan);
         let filtered = batch_conditional_filter_scratch(
             &mut rp,
             &cells_q,
@@ -410,8 +375,10 @@ fn scan_leaf(
             &FilterOptions::default(),
             &mut scratch.filter,
         );
+        lap.charge(Phase::Filter);
         (cells_q, filtered)
     };
+    lap.charge(Phase::Scan);
     LeafScan {
         group,
         cells_q,
@@ -419,6 +386,7 @@ fn scan_leaf(
         fstats,
         log_rq: rq.finish(),
         log_rp: rp.finish(),
+        times: lap.times,
     }
 }
 
@@ -433,7 +401,10 @@ impl Iterator for NmPairIter<'_> {
             if self.ledger.cursor.is_exhausted() {
                 return None;
             }
-            self.step();
+            if let Err(e) = self.run_chunk() {
+                // Pairs already emitted (all watermarked) stay valid.
+                self.ledger.fail(e);
+            }
         }
     }
 }
@@ -523,13 +494,14 @@ mod tests {
         };
         assert_eq!(with_reuse.sorted_pairs(), without_reuse.sorted_pairs());
         assert!(
-            with_reuse.nm.p_cells_computed < without_reuse.nm.p_cells_computed,
+            with_reuse.profile.work.cells[P].computed
+                < without_reuse.profile.work.cells[P].computed,
             "REUSE ({}) must compute fewer exact P cells than NO-REUSE ({})",
-            with_reuse.nm.p_cells_computed,
-            without_reuse.nm.p_cells_computed
+            with_reuse.profile.work.cells[P].computed,
+            without_reuse.profile.work.cells[P].computed
         );
-        assert!(with_reuse.nm.p_cells_reused > 0);
-        assert_eq!(without_reuse.nm.p_cells_reused, 0);
+        assert!(with_reuse.profile.work.cells[P].reused > 0);
+        assert_eq!(without_reuse.profile.work.cells[P].reused, 0);
     }
 
     #[test]
@@ -550,7 +522,7 @@ mod tests {
             let lb = w.lower_bound_io();
             (nm_cij(&mut w, &config), lb)
         };
-        assert_eq!(nm.breakdown.mat_io.page_accesses(), 0);
+        assert_eq!(nm.profile.mat_io.page_accesses(), 0);
         assert!(
             nm.page_accesses() < pm.page_accesses(),
             "NM ({}) must beat PM ({})",
@@ -597,12 +569,12 @@ mod tests {
         let q = random_points(500, 112);
         let mut w = Workload::build(&p, &q, &config);
         let outcome = nm_cij(&mut w, &config);
-        let fhr = outcome.nm.false_hit_ratio();
+        let fhr = outcome.profile.false_hit_ratio();
         assert!(
             fhr < 0.25,
             "false hit ratio {fhr} should be small (paper reports < 0.1)"
         );
-        assert!(outcome.nm.filter_candidates >= outcome.nm.filter_true_hits);
+        assert!(outcome.profile.work.filter_candidates >= outcome.profile.work.true_hits);
     }
 
     #[test]
@@ -638,11 +610,11 @@ mod tests {
         };
         assert_eq!(roomy.sorted_pairs(), tiny.sorted_pairs());
         assert!(
-            tiny.nm.cell_cache_evictions > 0,
+            tiny.profile.work.cells[P].evicted > 0,
             "capacity 4 must evict on this workload"
         );
         assert!(
-            tiny.nm.p_cells_computed >= roomy.nm.p_cells_computed,
+            tiny.profile.work.cells[P].computed >= roomy.profile.work.cells[P].computed,
             "evictions can only force recomputation, never remove it"
         );
     }
@@ -673,7 +645,10 @@ mod tests {
                 "pair sequence diverged at {threads} threads"
             );
             // NM counters match exactly.
-            assert_eq!(parallel.nm, sequential.nm, "counters diverged");
+            assert_eq!(
+                parallel.profile.work, sequential.profile.work,
+                "counters diverged"
+            );
             // Page-access totals and per-leaf progress match exactly.
             assert_eq!(
                 parallel.page_accesses(),
@@ -694,8 +669,8 @@ mod tests {
         let sequential = run_with_threads(&p, &q, &base, 1);
         let parallel = run_with_threads(&p, &q, &base, 4);
         assert_eq!(parallel.pairs, sequential.pairs);
-        assert_eq!(parallel.nm, sequential.nm);
-        assert!(parallel.nm.cell_cache_evictions > 0);
+        assert_eq!(parallel.profile.work, sequential.profile.work);
+        assert!(parallel.profile.work.cells[P].evicted > 0);
         assert_eq!(parallel.page_accesses(), sequential.page_accesses());
     }
 
@@ -716,7 +691,7 @@ mod tests {
             let fast = nm_cij(&mut w, &fast_config);
             // Pairs: same set AND same order; counters identical.
             assert_eq!(fast.pairs, metered.pairs, "{threads} threads");
-            assert_eq!(fast.nm, metered.nm, "{threads} threads");
+            assert_eq!(fast.profile.work, metered.profile.work, "{threads} threads");
             // Fast accounting is logical snapshot reads — nonzero, with the
             // final watermark agreeing with the outcome total, and the
             // workload's shared page counters untouched.
@@ -860,7 +835,7 @@ mod tests {
                     let (faulty, recovered) = run(Some((tree, profile)));
                     let label = format!("{threads} workers, tree {tree}, read {at}");
                     assert_eq!(clean.sorted_pairs(), faulty.sorted_pairs(), "{label}");
-                    assert_eq!(clean.nm, faulty.nm, "{label}");
+                    assert_eq!(clean.profile.work, faulty.profile.work, "{label}");
                     assert_eq!(
                         clean.page_accesses(),
                         faulty.page_accesses(),
@@ -878,7 +853,8 @@ mod tests {
     /// What [`algorithm_6`] returns.
     struct Reference {
         pairs: Vec<(u64, u64)>,
-        nm: NmCounters,
+        /// The work counts as of each leaf of `RQ`, empty leaves included.
+        work: Vec<WorkCounts>,
         progress: Vec<ProgressSample>,
         page_accesses: u64,
     }
@@ -896,13 +872,14 @@ mod tests {
         let start = stats.snapshot();
         let page_accesses = || stats.snapshot().since(&start).page_accesses();
         let mut pairs = Vec::new();
-        let mut nm = NmCounters::default();
+        let (mut work, mut per_leaf) = (WorkCounts::for_sets(2), Vec::new());
         let mut progress = Vec::new();
         let leaves = w.rq.leaf_pages_hilbert_order(&domain);
         let (rp, rq) = (&mut w.rp, &mut w.rq);
         for leaf in leaves {
             let group = NodeReader::read(rq, leaf).objects;
             if group.is_empty() {
+                per_leaf.push(work.clone());
                 continue;
             }
             // (1) Q cells, (2) filter RP, (3) refine through the cache.
@@ -923,17 +900,16 @@ mod tests {
                     }
                 }
             }
-            nm.q_cells_computed += group.len() as u64;
-            nm.filter_candidates += candidates.len() as u64;
-            nm.filter_true_hits += true_hits.len() as u64;
-            nm.p_cells_reused += cache.hits() - hits;
-            nm.p_cells_computed += cache.misses() - misses;
-            nm.cell_cache_evictions = cache.evictions();
-            nm.filter_points_examined += fstats.points_examined;
-            nm.filter_entries_pruned += fstats.entries_pruned;
-            nm.filter_clip_ops += fstats.clip_ops;
-            nm.filter_clip_attempts += fstats.clip_attempts;
-            nm.filter_poly_tests_skipped += fstats.poly_tests_skipped;
+            work.rows = pairs.len() as u64;
+            work.cells[Q].computed += group.len() as u64;
+            work.cells[P].reused += cache.hits() - hits;
+            work.cells[P].computed += cache.misses() - misses;
+            work.cells[P].evicted = cache.evictions();
+            work.filter.absorb(&fstats);
+            work.filter_calls += 1;
+            work.filter_candidates += candidates.len() as u64;
+            work.true_hits += true_hits.len() as u64;
+            per_leaf.push(work.clone());
             progress.push(ProgressSample {
                 page_accesses: page_accesses(),
                 pairs: pairs.len() as u64,
@@ -942,7 +918,7 @@ mod tests {
         Reference {
             page_accesses: page_accesses(),
             pairs,
-            nm,
+            work: per_leaf,
             progress,
         }
     }
@@ -957,20 +933,55 @@ mod tests {
         for base in [small, small.with_cell_cache_capacity(4)] {
             let cap = base.cell_cache_capacity;
             let reference = algorithm_6(&mut Workload::build(&p, &q, &base), &base);
+            let work = reference.work.last().unwrap();
             assert!(reference.progress.len() > 8, "the chunk ramp must widen");
-            assert_eq!(reference.nm.cell_cache_evictions > 0, cap == 4);
+            assert_eq!(work.cells[P].evicted > 0, cap == 4);
             for threads in 1..=4 {
                 for mode in [ExecMode::Metered, ExecMode::Fast] {
                     let config = base.with_worker_threads(threads).with_exec_mode(mode);
                     let run = nm_cij(&mut Workload::build(&p, &q, &config), &config);
                     let at = format!("{threads} workers, {}, capacity {cap}", mode.name());
                     assert_eq!(run.pairs, reference.pairs, "{at}");
-                    assert_eq!(run.nm, reference.nm, "{at}");
+                    assert_eq!(&run.profile.work, work, "{at}");
                     if mode == ExecMode::Metered {
                         assert_eq!(run.progress, reference.progress, "{at}");
                         assert_eq!(run.page_accesses(), reference.page_accesses, "{at}");
                     }
                 }
+            }
+        }
+    }
+
+    /// Pulled pair by pair, the stream's profile is checked each time a
+    /// watermark appears: its work counts are Algorithm 6's as of that
+    /// leaf, at one and three workers, metered and fast — the fold is
+    /// exact per leaf, not only at the end.
+    #[test]
+    fn the_profile_is_algorithm_6_at_every_watermark() {
+        let p = random_points(450, 133);
+        let q = random_points(450, 134);
+        let base = small_config().with_cell_cache_capacity(16);
+        let reference = algorithm_6(&mut Workload::build(&p, &q, &base), &base);
+        assert!(reference.work.last().unwrap().cells[P].evicted > 0);
+        for threads in [1, 3] {
+            for mode in [ExecMode::Metered, ExecMode::Fast] {
+                let config = base.with_worker_threads(threads).with_exec_mode(mode);
+                let mut w = Workload::build(&p, &q, &config);
+                let mut stream = crate::Algorithm::NmCij.stream(&mut w, &config);
+                let mut checked = 0;
+                loop {
+                    let marks = stream.watermarks_so_far().len();
+                    if marks > checked {
+                        let at = format!("{threads} workers, {}, leaf {marks}", mode.name());
+                        let work = stream.profile_so_far().work;
+                        assert_eq!(work, reference.work[marks - 1], "{at}");
+                        checked = marks;
+                    }
+                    if stream.next().is_none() {
+                        break;
+                    }
+                }
+                assert_eq!(checked, reference.work.len());
             }
         }
     }

@@ -8,16 +8,15 @@
 //! an LRU buffer PM-CIJ is cheaper than FM-CIJ.
 
 use crate::config::CijConfig;
-use crate::stats::{CijOutcome, CostBreakdown, ProgressSample};
+use crate::stats::{CijOutcome, Lap, Phase, ProgressSample};
 use crate::vor_rtree::materialize_voronoi_rtree;
 use crate::workload::Workload;
 use cij_geom::{tolerance::widened, Rect};
 use cij_rtree::NodeReader;
 use cij_voronoi::{batch_voronoi, NoCache, VorScratch};
-use std::time::Instant;
 
-/// Runs PM-CIJ on a workload, returning the result pairs and the MAT/JOIN
-/// cost breakdown.
+/// Runs PM-CIJ on a workload, returning the result pairs and the profile:
+/// MAT ([`Phase::Materialise`]) and JOIN ([`Phase::Report`]) time and I/O.
 ///
 /// PM-CIJ is blocking — nothing flows before `R'P` is materialised — so its
 /// [`PairStream`](crate::engine::PairStream) replays this eager outcome.
@@ -28,16 +27,13 @@ pub fn pm_cij(workload: &mut Workload, config: &CijConfig) -> CijOutcome {
     let start_io = stats.snapshot();
 
     // ---- Materialisation phase: build R'P only. ----
-    // Both phase clocks feed elapsed-time stats only, never pairs or
-    // counters (allowlisted CIJ-D101).
-    let mat_start = Instant::now();
+    let mut lap = Lap::start();
     let mut vor_p = materialize_voronoi_rtree(&mut workload.rp, config);
-    let mat_cpu = mat_start.elapsed();
+    lap.charge(Phase::Materialise);
     let mat_io = stats.snapshot().since(&start_io);
 
     // ---- Join phase: block index nested loops over the leaves of RQ. ----
     let join_start_io = stats.snapshot();
-    let join_start = Instant::now();
     let mut pairs: Vec<(u64, u64)> = Vec::new();
     let mut progress: Vec<ProgressSample> = Vec::new();
 
@@ -87,24 +83,9 @@ pub fn pm_cij(workload: &mut Workload, config: &CijConfig) -> CijOutcome {
             pairs: pairs.len() as u64,
         });
     }
-    let join_cpu = join_start.elapsed();
+    lap.charge(Phase::Report);
     let join_io = stats.snapshot().since(&join_start_io);
-
-    CijOutcome {
-        pairs,
-        breakdown: CostBreakdown {
-            mat_io,
-            join_io,
-            mat_cpu,
-            join_cpu,
-        },
-        progress,
-        nm: Default::default(),
-        // Blocking algorithms checkpoint nothing mid-run: the stream
-        // replays an eager result, so no leaf-granular watermark is ever
-        // meaningful (see `LeafWatermark`).
-        watermarks: Vec::new(),
-    }
+    CijOutcome::blocking(pairs, progress, mat_io, join_io, lap)
 }
 
 #[cfg(test)]
@@ -216,11 +197,11 @@ mod tests {
         let q = random_points(400, 16);
         let fm_mat = {
             let mut w = Workload::build(&p, &q, &config);
-            fm_cij(&mut w, &config).breakdown.mat_io.page_accesses()
+            fm_cij(&mut w, &config).profile.mat_io.page_accesses()
         };
         let pm_mat = {
             let mut w = Workload::build(&p, &q, &config);
-            pm_cij(&mut w, &config).breakdown.mat_io.page_accesses()
+            pm_cij(&mut w, &config).profile.mat_io.page_accesses()
         };
         assert!(
             pm_mat < fm_mat,

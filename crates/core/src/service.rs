@@ -785,7 +785,7 @@ fn drive<T, S: LeafStream<Item = T>>(
     let ledger = stream.ledger();
     let summary = Completion {
         rows,
-        page_accesses: ledger.page_accesses(),
+        page_accesses: ledger.profile.page_accesses(),
         watermarks: ledger.watermarks.len(),
         ..Completion::default()
     };
@@ -892,7 +892,6 @@ mod tests {
         assert!(completion.watermarks > 0);
         assert!(!completion.failed);
         pairs.sort_unstable();
-        pairs.dedup();
         assert_eq!(pairs, oracle);
         service.shutdown();
     }
@@ -914,7 +913,6 @@ mod tests {
         for handle in handles {
             let mut pairs = handle.collect_pairs();
             pairs.sort_unstable();
-            pairs.dedup();
             assert_eq!(pairs, oracle);
         }
         service.shutdown();
@@ -1191,7 +1189,6 @@ mod tests {
             // The concurrent clean query is oracle-identical and unaffected.
             let mut pairs = clean.collect_pairs();
             pairs.sort_unstable();
-            pairs.dedup();
             assert_eq!(pairs, oracle);
             assert!(!clean.completion().failed);
         }

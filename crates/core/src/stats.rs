@@ -1,8 +1,222 @@
-//! Cost accounting for CIJ evaluations: MAT/JOIN breakdown, progressive
-//! output traces, filter effectiveness and cell-reuse counters.
+//! What a CIJ evaluation reports about itself: one [`QueryProfile`] per
+//! query — time per [`Phase`], Figure 7's MAT/JOIN I/O and the work counts
+//! of Figures 10 and 11, exact at every watermark — beside the
+//! progressive-output trace of Figure 9b and the per-leaf watermarks. Time
+//! comes from one stopwatch, `Lap`, the crate's only clock besides the
+//! request server's deadlines; it never feeds a row, a count or an access.
 
+use crate::filter::FilterStats;
 use cij_pagestore::IoSnapshot;
-use std::time::Duration;
+use std::ops::{AddAssign, Index, IndexMut};
+use std::time::{Duration, Instant};
+
+/// Where a query spends its time. Figure 7's MAT is [`Phase::Materialise`];
+/// its JOIN is every other phase. A phase's time is summed over the units
+/// that did its work, so above one worker the phases can add up to more
+/// than the wall time; at one worker they partition it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// FM/PM building their Voronoi R-trees.
+    Materialise,
+    /// The leaf-order walk and the leaf reads, plus NM's `Q` cells.
+    Scan,
+    /// Conditional-filter calls.
+    Filter,
+    /// Cache policy, refinement and resolution of exact cells, multiway
+    /// seeding included.
+    Refine,
+    /// NM's pair report and grouped-NN claims, the multiway extension,
+    /// FM/PM's join loop.
+    Report,
+    /// Settling reads, folding the profile, watermarks and the hand-off of
+    /// rows.
+    Emit,
+}
+
+impl Phase {
+    /// Every phase, in pipeline order.
+    pub const ALL: [Phase; 6] = [
+        Phase::Materialise,
+        Phase::Scan,
+        Phase::Filter,
+        Phase::Refine,
+        Phase::Report,
+        Phase::Emit,
+    ];
+}
+
+/// Elapsed time per [`Phase`], indexed by the phase.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseTimes([Duration; 6]);
+
+impl PhaseTimes {
+    /// The time of every phase together.
+    pub fn total(&self) -> Duration {
+        self.0.iter().sum()
+    }
+}
+
+impl Index<Phase> for PhaseTimes {
+    type Output = Duration;
+    fn index(&self, phase: Phase) -> &Duration {
+        &self.0[phase as usize]
+    }
+}
+
+impl IndexMut<Phase> for PhaseTimes {
+    fn index_mut(&mut self, phase: Phase) -> &mut Duration {
+        &mut self.0[phase as usize]
+    }
+}
+
+impl AddAssign for PhaseTimes {
+    fn add_assign(&mut self, other: PhaseTimes) {
+        for (mine, theirs) in self.0.iter_mut().zip(other.0) {
+            *mine += theirs;
+        }
+    }
+}
+
+/// The one stopwatch: after the start, each [`Lap::lap`] returns the time
+/// since the previous read and each [`Lap::charge`] adds it to a phase.
+pub(crate) struct Lap {
+    last: Instant,
+    pub(crate) times: PhaseTimes,
+}
+
+impl Lap {
+    pub(crate) fn start() -> Self {
+        Lap {
+            last: Instant::now(),
+            times: PhaseTimes::default(),
+        }
+    }
+
+    /// The time since the previous read (or the start), restarting the lap.
+    pub(crate) fn lap(&mut self) -> Duration {
+        let now = Lap::start().last;
+        now - std::mem::replace(&mut self.last, now)
+    }
+
+    /// Charges the time since the previous read to `phase`.
+    pub(crate) fn charge(&mut self, phase: Phase) {
+        let lap = self.lap();
+        self.times[phase] += lap;
+    }
+}
+
+/// What one query did to the exact Voronoi cells of one input set.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CellCounts {
+    /// Cells computed (reuse-buffer misses; NM's `Q` cells, computed
+    /// without the buffer, count here too).
+    pub computed: u64,
+    /// Cells served from the reuse buffer without recomputation.
+    pub reused: u64,
+    /// Cells evicted from the set's bounded reuse buffer.
+    pub evicted: u64,
+}
+
+/// The deterministic part of a [`QueryProfile`]: counts that repeat exactly
+/// for an input and configuration, at any worker count and in either
+/// execution mode, so parity tests compare them with `==`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WorkCounts {
+    /// Result rows: pairs of a binary join, tuples of the multiway join.
+    pub rows: u64,
+    /// Per input set: NM's `P` is set 0 and `Q` set 1 (its cells are
+    /// computed, never reused); the multiway join's sets are in input order.
+    pub cells: Vec<CellCounts>,
+    /// The conditional filter's work over every call.
+    pub filter: FilterStats,
+    /// Conditional-filter calls: one per productive leaf (NM), one per round
+    /// and leaf with live partial tuples (multiway).
+    pub filter_calls: u64,
+    /// Σ sᵢ — candidates the filter calls returned.
+    pub filter_candidates: u64,
+    /// Σ s'ᵢ — NM's candidates that join at least one cell of their leaf.
+    pub true_hits: u64,
+    /// Multiway candidate×partial narrowings skipped because the two
+    /// bounding boxes are disjoint.
+    pub narrowings_skipped: u64,
+}
+
+impl WorkCounts {
+    /// Zero counts over `k` input sets.
+    pub(crate) fn for_sets(k: usize) -> Self {
+        WorkCounts {
+            cells: vec![CellCounts::default(); k],
+            ..WorkCounts::default()
+        }
+    }
+
+    /// Adds the counts of `other` (over as many sets) to these.
+    pub(crate) fn absorb(&mut self, other: &WorkCounts) {
+        self.rows += other.rows;
+        for (mine, theirs) in self.cells.iter_mut().zip(&other.cells) {
+            mine.computed += theirs.computed;
+            mine.reused += theirs.reused;
+            mine.evicted += theirs.evicted;
+        }
+        self.filter.absorb(&other.filter);
+        self.filter_calls += other.filter_calls;
+        self.filter_candidates += other.filter_candidates;
+        self.true_hits += other.true_hits;
+        self.narrowings_skipped += other.narrowings_skipped;
+    }
+}
+
+/// What one query cost and did: every join kind reports one
+/// ([`CijOutcome::profile`], [`MultiwayOutcome::profile`], and
+/// `profile_so_far()` on the two streams mid-join).
+///
+/// [`MultiwayOutcome::profile`]: crate::multiway::MultiwayOutcome::profile
+#[derive(Debug, Clone, Default)]
+pub struct QueryProfile {
+    /// The deterministic counts.
+    pub work: WorkCounts,
+    /// I/O of the materialisation phase (FM/PM; zero for the streams).
+    pub mat_io: IoSnapshot,
+    /// I/O of the join phase, in the stream's accounting currency.
+    pub join_io: IoSnapshot,
+    /// Elapsed time per phase.
+    pub elapsed: PhaseTimes,
+}
+
+impl QueryProfile {
+    /// Page accesses of both phases.
+    pub fn page_accesses(&self) -> u64 {
+        self.mat_io.page_accesses() + self.join_io.page_accesses()
+    }
+
+    /// The false-hit ratio of the filter step, as defined in Section V-B:
+    /// `FHR = (Σ sᵢ − Σ s'ᵢ) / Σ s'ᵢ` (zero without true hits).
+    pub fn false_hit_ratio(&self) -> f64 {
+        let (candidates, hits) = (self.work.filter_candidates, self.work.true_hits);
+        if hits == 0 {
+            0.0
+        } else {
+            (candidates - hits) as f64 / hits as f64
+        }
+    }
+
+    /// Exact cells computed across all sets.
+    pub fn total_cells_computed(&self) -> u64 {
+        self.work.cells.iter().map(|c| c.computed).sum()
+    }
+
+    /// Cells reused / cells requested, across all sets; zero when no cell
+    /// was requested.
+    pub fn cell_cache_hit_ratio(&self) -> f64 {
+        let reused: u64 = self.work.cells.iter().map(|c| c.reused).sum();
+        let total = reused + self.total_cells_computed();
+        if total == 0 {
+            0.0
+        } else {
+            reused as f64 / total as f64
+        }
+    }
+}
 
 /// A sample of the progressive-output curve of Figure 9b: how many result
 /// pairs had been produced after a given number of page accesses.
@@ -12,99 +226,6 @@ pub struct ProgressSample {
     pub page_accesses: u64,
     /// Cumulative result pairs produced at the time of the sample.
     pub pairs: u64,
-}
-
-/// Cost breakdown of one CIJ evaluation (Figure 7): the materialisation
-/// phase (MAT — computing and indexing Voronoi diagrams) and the join phase
-/// (JOIN — producing result pairs).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CostBreakdown {
-    /// I/O of the materialisation phase.
-    pub mat_io: IoSnapshot,
-    /// I/O of the join phase.
-    pub join_io: IoSnapshot,
-    /// CPU time of the materialisation phase.
-    pub mat_cpu: Duration,
-    /// CPU time of the join phase.
-    pub join_cpu: Duration,
-}
-
-impl CostBreakdown {
-    /// Total physical page accesses across both phases.
-    pub fn total_page_accesses(&self) -> u64 {
-        self.mat_io.page_accesses() + self.join_io.page_accesses()
-    }
-
-    /// Total CPU time across both phases.
-    pub fn total_cpu(&self) -> Duration {
-        self.mat_cpu + self.join_cpu
-    }
-}
-
-/// Counters specific to NM-CIJ: filter effectiveness (Figure 10) and exact
-/// Voronoi-cell computations of `P` points (Figure 11).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NmCounters {
-    /// Σ sᵢ — total number of candidates produced by the filter phase over
-    /// all leaves of `RQ`.
-    pub filter_candidates: u64,
-    /// Σ s'ᵢ — total number of candidates that actually join with at least
-    /// one Voronoi cell of the current leaf's points.
-    pub filter_true_hits: u64,
-    /// Number of exact Voronoi cells of `P` points computed (with REUSE,
-    /// buffered cells are not recomputed and not recounted).
-    pub p_cells_computed: u64,
-    /// Number of candidate occurrences whose exact cell was served from the
-    /// reuse buffer (the [`CellCache`](crate::cell_cache::CellCache) hit
-    /// count).
-    pub p_cells_reused: u64,
-    /// Number of exact Voronoi cells of `Q` points computed (one per point).
-    pub q_cells_computed: u64,
-    /// Number of cells evicted from the bounded reuse buffer during the
-    /// evaluation (zero when the working set fits in
-    /// [`cell_cache_capacity`](crate::config::CijConfig::cell_cache_capacity)).
-    pub cell_cache_evictions: u64,
-    /// Points examined (heap pops) across all conditional-filter
-    /// invocations — the [`FilterStats::points_examined`] total.
-    ///
-    /// [`FilterStats::points_examined`]: crate::filter::FilterStats::points_examined
-    pub filter_points_examined: u64,
-    /// Non-leaf entries pruned by the Φ rule across all filter invocations.
-    pub filter_entries_pruned: u64,
-    /// Bisector clip operations across all filter invocations — the CPU
-    /// term the filter's candidate triangulation shrinks (see
-    /// [`crate::filter`]).
-    pub filter_clip_ops: u64,
-    /// Bisectors offered to approximate cells across all filter
-    /// invocations, whether they cut or not (see
-    /// [`FilterStats::clip_attempts`](crate::filter::FilterStats::clip_attempts)).
-    pub filter_clip_attempts: u64,
-    /// Probe-polygon tests the filter's bbox index avoided across all
-    /// filter invocations.
-    pub filter_poly_tests_skipped: u64,
-}
-
-impl NmCounters {
-    /// The false-hit ratio of the filter step, as defined in Section V-B:
-    /// `FHR = (Σ sᵢ − Σ s'ᵢ) / Σ s'ᵢ`.
-    pub fn false_hit_ratio(&self) -> f64 {
-        if self.filter_true_hits == 0 {
-            0.0
-        } else {
-            (self.filter_candidates - self.filter_true_hits) as f64 / self.filter_true_hits as f64
-        }
-    }
-
-    /// Hit ratio of the cell reuse buffer: reused / (reused + computed).
-    /// Zero when no exact `P` cell was ever requested.
-    pub fn cell_cache_hit_ratio(&self) -> f64 {
-        let total = self.p_cells_reused + self.p_cells_computed;
-        if total == 0 {
-            0.0
-        } else {
-            self.p_cells_reused as f64 / total as f64
-        }
-    }
 }
 
 /// Per-leaf checkpoint of a streaming join: everything emitted up to a
@@ -132,88 +253,15 @@ pub struct LeafWatermark {
     pub page_accesses: u64,
 }
 
-/// Counters of one multiway CIJ evaluation — the k-way analogue of
-/// [`NmCounters`], with one slot per input set where the quantity is
-/// per-set.
-///
-/// `cells_computed[i]` uniformly means "exact Voronoi cells of set `i`
-/// computed", i.e. the reuse-buffer misses of that set's
-/// [`CellCache`](crate::cell_cache::CellCache) — including set 0, whose
-/// seeding phase routes through a cache like every extension round.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MultiwayCounters {
-    /// Exact Voronoi cells computed per input set (cache misses).
-    pub cells_computed: Vec<u64>,
-    /// Cell-cache hits per input set (cells served without recomputation).
-    pub cells_reused: Vec<u64>,
-    /// Cells evicted from each set's bounded reuse buffer.
-    pub cell_cache_evictions: Vec<u64>,
-    /// Conditional-filter invocations across all extension rounds (one per
-    /// round and leaf unit that still has live partial tuples).
-    pub filter_probes: u64,
-    /// Points examined (heap pops) across all filter invocations.
-    pub filter_points_examined: u64,
-    /// Non-leaf entries pruned by the Φ rule across all filter invocations.
-    pub filter_entries_pruned: u64,
-    /// Bisector clip operations across all filter invocations (see
-    /// [`FilterStats::clip_ops`](crate::filter::FilterStats::clip_ops)).
-    pub filter_clip_ops: u64,
-    /// Bisectors offered to approximate cells across all filter
-    /// invocations, whether they cut or not (see
-    /// [`FilterStats::clip_attempts`](crate::filter::FilterStats::clip_attempts)).
-    pub filter_clip_attempts: u64,
-    /// Probe-polygon tests the filter's bbox index avoided across all
-    /// filter invocations.
-    pub filter_poly_tests_skipped: u64,
-    /// Candidate×partial narrowings skipped because the two bounding boxes
-    /// are disjoint (their polygon intersection would be empty).
-    pub narrowings_skipped: u64,
-    /// Result tuples produced so far (equals the final tuple count once the
-    /// stream is drained; mid-stream it runs ahead of what the consumer has
-    /// pulled by the buffered tuples).
-    pub tuples_produced: u64,
-}
-
-impl MultiwayCounters {
-    /// A zeroed counter set for `k` input sets.
-    pub fn for_sets(k: usize) -> Self {
-        MultiwayCounters {
-            cells_computed: vec![0; k],
-            cells_reused: vec![0; k],
-            cell_cache_evictions: vec![0; k],
-            ..Default::default()
-        }
-    }
-
-    /// Total exact cells computed across all sets.
-    pub fn total_cells_computed(&self) -> u64 {
-        self.cells_computed.iter().sum()
-    }
-
-    /// Hit ratio of the reuse buffers across all sets: reused / (reused +
-    /// computed). Zero when no cell was ever requested.
-    pub fn cell_cache_hit_ratio(&self) -> f64 {
-        let reused: u64 = self.cells_reused.iter().sum();
-        let total = reused + self.total_cells_computed();
-        if total == 0 {
-            0.0
-        } else {
-            reused as f64 / total as f64
-        }
-    }
-}
-
 /// The result of one CIJ evaluation.
 #[derive(Debug, Clone, Default)]
 pub struct CijOutcome {
     /// Result pairs as `(p_id, q_id)`.
     pub pairs: Vec<(u64, u64)>,
-    /// MAT/JOIN cost breakdown.
-    pub breakdown: CostBreakdown,
+    /// What the evaluation cost and did.
+    pub profile: QueryProfile,
     /// Progressive-output samples (page accesses vs pairs produced).
     pub progress: Vec<ProgressSample>,
-    /// NM-CIJ specific counters (zeroed for FM/PM).
-    pub nm: NmCounters,
     /// Per-leaf watermarks of the streaming NM-CIJ evaluation (empty for
     /// the blocking FM/PM algorithms; see [`LeafWatermark`]).
     pub watermarks: Vec<LeafWatermark>,
@@ -232,16 +280,45 @@ impl CijOutcome {
 
     /// Result pairs sorted lexicographically — convenient for comparing the
     /// outputs of different algorithms and of the brute-force oracle.
+    ///
+    /// Deliberately does **not** dedup: no join may emit a pair twice, so a
+    /// duplicate must surface in the comparison.
     pub fn sorted_pairs(&self) -> Vec<(u64, u64)> {
         let mut v = self.pairs.clone();
         v.sort_unstable();
-        v.dedup();
         v
     }
 
     /// Total page accesses of the evaluation.
     pub fn page_accesses(&self) -> u64 {
-        self.breakdown.total_page_accesses()
+        self.profile.page_accesses()
+    }
+
+    /// The outcome of a blocking FM/PM run, `lap` holding its two phases'
+    /// times. Its rows are its pairs, and it checkpoints nothing mid-run:
+    /// its stream replays an eager result, so no leaf-granular watermark is
+    /// ever meaningful.
+    pub(crate) fn blocking(
+        pairs: Vec<(u64, u64)>,
+        progress: Vec<ProgressSample>,
+        mat_io: IoSnapshot,
+        join_io: IoSnapshot,
+        lap: Lap,
+    ) -> Self {
+        let mut work = WorkCounts::for_sets(2);
+        work.rows = pairs.len() as u64;
+        let profile = QueryProfile {
+            work,
+            mat_io,
+            join_io,
+            elapsed: lap.times,
+        };
+        CijOutcome {
+            pairs,
+            profile,
+            progress,
+            watermarks: Vec::new(),
+        }
     }
 }
 
@@ -251,47 +328,75 @@ mod tests {
 
     #[test]
     fn false_hit_ratio_definition() {
-        let c = NmCounters {
-            filter_candidates: 120,
-            filter_true_hits: 100,
-            ..Default::default()
-        };
-        assert!((c.false_hit_ratio() - 0.2).abs() < 1e-12);
-        let zero = NmCounters::default();
-        assert_eq!(zero.false_hit_ratio(), 0.0);
+        let mut profile = QueryProfile::default();
+        assert_eq!(profile.false_hit_ratio(), 0.0);
+        profile.work.filter_candidates = 120;
+        profile.work.true_hits = 100;
+        assert!((profile.false_hit_ratio() - 0.2).abs() < 1e-12);
     }
 
     #[test]
-    fn sorted_pairs_dedups_and_orders() {
+    fn sorted_pairs_orders_and_keeps_duplicates() {
         let outcome = CijOutcome {
             pairs: vec![(2, 1), (1, 1), (2, 1), (1, 0)],
             ..Default::default()
         };
-        assert_eq!(outcome.sorted_pairs(), vec![(1, 0), (1, 1), (2, 1)]);
+        assert_eq!(outcome.sorted_pairs(), [(1, 0), (1, 1), (2, 1), (2, 1)]);
         assert_eq!(outcome.len(), 4);
         assert!(!outcome.is_empty());
     }
 
     #[test]
-    fn multiway_counters_for_sets_and_ratios() {
-        let mut c = MultiwayCounters::for_sets(3);
-        assert_eq!(c.cells_computed.len(), 3);
-        assert_eq!(c.cell_cache_hit_ratio(), 0.0);
-        c.cells_computed = vec![10, 20, 30];
-        c.cells_reused = vec![0, 20, 20];
-        assert_eq!(c.total_cells_computed(), 60);
-        assert!((c.cell_cache_hit_ratio() - 0.4).abs() < 1e-12);
+    fn work_counts_absorb_and_the_views_read_them() {
+        let mut profile = QueryProfile {
+            work: WorkCounts::for_sets(3),
+            ..Default::default()
+        };
+        assert_eq!(profile.cell_cache_hit_ratio(), 0.0);
+        let cell = |computed, reused| CellCounts {
+            computed,
+            reused,
+            evicted: 1,
+        };
+        let delta = WorkCounts {
+            rows: 2,
+            cells: vec![cell(10, 0), cell(20, 20), cell(30, 20)],
+            filter_calls: 1,
+            ..Default::default()
+        };
+        profile.work.absorb(&delta);
+        profile.work.absorb(&delta);
+        assert_eq!((profile.work.rows, profile.work.filter_calls), (4, 2));
+        assert_eq!(
+            profile.work.cells[2],
+            CellCounts {
+                computed: 60,
+                reused: 40,
+                evicted: 2
+            }
+        );
+        assert_eq!(profile.total_cells_computed(), 120);
+        assert!((profile.cell_cache_hit_ratio() - 0.4).abs() < 1e-12);
     }
 
     #[test]
-    fn breakdown_totals() {
-        let mut b = CostBreakdown::default();
-        b.mat_io.physical_reads = 10;
-        b.mat_io.physical_writes = 5;
-        b.join_io.physical_reads = 20;
-        b.mat_cpu = Duration::from_millis(10);
-        b.join_cpu = Duration::from_millis(30);
-        assert_eq!(b.total_page_accesses(), 35);
-        assert_eq!(b.total_cpu(), Duration::from_millis(40));
+    fn page_accesses_span_both_phases_and_laps_partition_the_clock() {
+        let mut profile = QueryProfile::default();
+        profile.mat_io.physical_reads = 10;
+        profile.mat_io.physical_writes = 5;
+        profile.join_io.physical_reads = 20;
+        assert_eq!(profile.page_accesses(), 35);
+        let outer = Lap::start();
+        let mut lap = Lap::start();
+        std::thread::sleep(Duration::from_millis(2));
+        lap.charge(Phase::Scan);
+        let dropped = lap.lap();
+        lap.charge(Phase::Emit);
+        let mut outer = outer;
+        let wall = outer.lap();
+        let times = lap.times;
+        assert!(times[Phase::Scan] >= Duration::from_millis(2));
+        assert_eq!(times[Phase::Filter], Duration::ZERO);
+        assert!(times.total() + dropped <= wall);
     }
 }

@@ -27,34 +27,11 @@ pub use uniform::uniform_points;
 
 use cij_geom::{Point, Rect};
 
-/// The normalised space domain used by all paper experiments.
-pub fn paper_domain() -> Rect {
-    Rect::DOMAIN
-}
-
 /// Clamps every point into the domain (guards against Gaussian tails).
 pub fn clamp_to_domain(points: &mut [Point], domain: &Rect) {
     for p in points.iter_mut() {
         p.x = p.x.clamp(domain.lo.x, domain.hi.x);
         p.y = p.y.clamp(domain.lo.y, domain.hi.y);
-    }
-}
-
-/// Summary statistics of a generated dataset, used by the experiment
-/// harness to print Table I-style descriptions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DatasetSummary {
-    /// Number of points.
-    pub cardinality: usize,
-    /// Bounding rectangle of the data.
-    pub extent: Rect,
-}
-
-/// Computes a [`DatasetSummary`] for a pointset.
-pub fn summarize(points: &[Point]) -> DatasetSummary {
-    DatasetSummary {
-        cardinality: points.len(),
-        extent: Rect::bounding(points).unwrap_or_else(Rect::empty),
     }
 }
 
@@ -70,13 +47,5 @@ mod tests {
         for p in &pts {
             assert!(domain.contains_point(p));
         }
-    }
-
-    #[test]
-    fn summary_reports_cardinality_and_extent() {
-        let pts = vec![Point::new(1.0, 2.0), Point::new(5.0, 8.0)];
-        let s = summarize(&pts);
-        assert_eq!(s.cardinality, 2);
-        assert_eq!(s.extent, Rect::from_coords(1.0, 2.0, 5.0, 8.0));
     }
 }

@@ -83,14 +83,6 @@ impl HalfPlane {
     pub fn on_boundary(&self, a: &Point) -> bool {
         self.signed_slack(a).abs() <= self.tolerance
     }
-
-    /// Whether this halfplane is degenerate (zero normal, the bisector of a
-    /// site and itself), i.e. covers the whole plane and can never refine a
-    /// Voronoi cell.
-    #[inline]
-    pub fn is_degenerate(&self) -> bool {
-        self.normal.x == 0.0 && self.normal.y == 0.0
-    }
 }
 
 #[cfg(test)]
@@ -134,11 +126,13 @@ mod tests {
         }
     }
 
+    /// The bisector of a site with itself keeps every point, so it cuts
+    /// nothing — what the filter's "a degenerate bisector cuts nothing"
+    /// rests on.
     #[test]
     fn degenerate_bisector_of_identical_points() {
         let p = Point::new(1.0, 1.0);
         let hp = HalfPlane::bisector(&p, &p);
-        assert!(hp.is_degenerate());
         assert!(hp.contains(&Point::new(100.0, -50.0)));
     }
 

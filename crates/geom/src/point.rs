@@ -104,19 +104,6 @@ impl Point {
     pub fn is_finite(&self) -> bool {
         self.x.is_finite() && self.y.is_finite()
     }
-
-    /// Lexicographic comparison (by `x`, then `y`), a total order usable for
-    /// sorting and deduplication of finite points.
-    pub fn lex_cmp(&self, other: &Point) -> std::cmp::Ordering {
-        self.x
-            .partial_cmp(&other.x)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| {
-                self.y
-                    .partial_cmp(&other.y)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-    }
 }
 
 impl Add for Point {
@@ -209,16 +196,6 @@ mod tests {
         assert_eq!(a + b, Point::new(4.0, 7.0));
         assert_eq!(b - a, Point::new(2.0, 3.0));
         assert_eq!(a * 2.0, Point::new(2.0, 4.0));
-    }
-
-    #[test]
-    fn lex_cmp_orders_by_x_then_y() {
-        let a = Point::new(1.0, 5.0);
-        let b = Point::new(2.0, 0.0);
-        let c = Point::new(1.0, 6.0);
-        assert_eq!(a.lex_cmp(&b), std::cmp::Ordering::Less);
-        assert_eq!(a.lex_cmp(&c), std::cmp::Ordering::Less);
-        assert_eq!(a.lex_cmp(&a), std::cmp::Ordering::Equal);
     }
 
     #[test]

@@ -62,10 +62,10 @@ fn main() {
     );
     println!(
         "filter false-hit ratio: {:.3}, exact P-cells computed: {}, reused: {} ({} evictions)",
-        result.nm.false_hit_ratio(),
-        result.nm.p_cells_computed,
-        result.nm.p_cells_reused,
-        result.nm.cell_cache_evictions
+        result.profile.false_hit_ratio(),
+        result.profile.work.cells[0].computed,
+        result.profile.work.cells[0].reused,
+        result.profile.work.cells[0].evicted
     );
 
     // Contrast: an ε-distance join needs a distance threshold, and its result

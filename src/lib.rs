@@ -81,10 +81,10 @@ pub mod prelude {
         batch_conditional_filter_scratch, brute_force_cij, brute_force_multiway_cij, fm_cij,
         multiway_cij, nm_cij, pm_cij, Algorithm, Batch, CacheBudget, CacheLease, CellCache,
         CijConfig, CijOutcome, CijService, Completion, EngineSnapshot, ExecMode, FilterOptions,
-        FilterScratch, FilterStats, LeafWatermark, ManualClock, MultiwayCounters, MultiwayOutcome,
-        MultiwayTuple, MultiwayWorkload, PairStream, QueryEngine, QueryError, QueueFull, Request,
-        ResponseHandle, ServiceClock, ServiceConfig, StorageBackend, SystemClock, TupleStream,
-        Workload,
+        FilterScratch, FilterStats, LeafWatermark, ManualClock, MultiwayOutcome, MultiwayTuple,
+        MultiwayWorkload, PairStream, Phase, QueryEngine, QueryError, QueryProfile, QueueFull,
+        Request, ResponseHandle, ServiceClock, ServiceConfig, StorageBackend, SystemClock,
+        TupleStream, WorkCounts, Workload,
     };
     pub use cij_datagen::{clustered_points, uniform_points, ClusterSpec, RealDataset};
     pub use cij_geom::{ConvexPolygon, Point, Rect};

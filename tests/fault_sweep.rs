@@ -26,7 +26,7 @@
 //! the poll (`NodeReader::take_error`). Their sweep covers the reads of
 //! the two input trees, not of the Voronoi R-trees they build inside.
 
-use cij::core::{NmCounters, ProgressSample};
+use cij::core::ProgressSample;
 use cij::pagestore::{BackendIo, IoOp, IoSnapshot};
 use cij::prelude::*;
 use cij::rtree::RTreeConfig;
@@ -184,11 +184,11 @@ fn nm_fail_stops_at_a_watermark_or_retries_invisibly_at_every_fault_point() {
             let mut stream = engine.stream(&mut w, Algorithm::NmCij);
             let rows: Vec<(u64, u64)> = stream.by_ref().collect();
             let (error, watermarks) = (stream.io_error(), stream.watermarks_so_far());
-            let (progress, counters) = (stream.progress_so_far(), stream.counters_so_far());
+            let (progress, counters) = (stream.progress_so_far(), stream.profile_so_far().work);
             let drained = stream.try_into_outcome().err();
             assert_eq!(drained, error, "the outcome carries the streamed error");
             let faults = armed.map(|(tree, _)| [&w.rp, &w.rq][tree].fault_stats());
-            let observed: Observed<_, NmCounters> = Observed {
+            let observed: Observed<_, WorkCounts> = Observed {
                 rows,
                 error,
                 watermarks,
@@ -235,9 +235,9 @@ fn multiway_fail_stops_at_a_watermark_or_retries_invisibly_at_every_fault_point(
         let mut stream = engine.multiway_stream(&mut w);
         let rows: Vec<Vec<u64>> = stream.by_ref().map(|t| t.ids).collect();
         let (error, watermarks) = (stream.io_error(), stream.watermarks_so_far());
-        let (progress, counters) = (stream.progress_so_far(), stream.counters_so_far());
+        let (progress, counters) = (stream.progress_so_far(), stream.profile_so_far().work);
         let faults = armed.map(|(tree, _)| w.trees[tree].fault_stats());
-        let observed: Observed<_, MultiwayCounters> = Observed {
+        let observed: Observed<_, WorkCounts> = Observed {
             rows,
             error,
             watermarks,

@@ -83,7 +83,6 @@ fn shutdown_drains_queries_still_in_flight() {
     for handle in handles {
         let mut pairs = handle.collect_pairs();
         pairs.sort_unstable();
-        pairs.dedup();
         assert_eq!(pairs, oracle);
         assert!(!handle.completion().failed);
     }
@@ -163,7 +162,7 @@ proptest! {
         };
         prop_assert_eq!(faults.recoveries, faults.injected_read_faults);
         prop_assert_eq!(clean.sorted_pairs(), faulty.sorted_pairs());
-        prop_assert_eq!(clean.nm, faulty.nm);
+        prop_assert_eq!(clean.profile.work, faulty.profile.work);
         prop_assert_eq!(clean.page_accesses(), faulty.page_accesses());
     }
 }

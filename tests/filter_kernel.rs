@@ -35,19 +35,21 @@ fn indexed_kernel_clips_a_handful_of_bisectors_per_examined_point() {
     let q = uniform_points(4_000, &Rect::DOMAIN, 18_402);
     let nm = QueryEngine::new(CijConfig::default())
         .join(&p, &q, Algorithm::NmCij)
-        .nm;
-    assert!(nm.filter_points_examined > 0);
+        .profile
+        .work
+        .filter;
+    assert!(nm.points_examined > 0);
     assert!(
-        nm.filter_clip_ops <= 8 * nm.filter_points_examined,
+        nm.clip_ops <= 8 * nm.points_examined,
         "{} clip ops over {} examined points",
-        nm.filter_clip_ops,
-        nm.filter_points_examined
+        nm.clip_ops,
+        nm.points_examined
     );
     assert!(
-        nm.filter_clip_attempts <= MAX_CLIP_ATTEMPTS_PER_POINT * nm.filter_points_examined,
+        nm.clip_attempts <= MAX_CLIP_ATTEMPTS_PER_POINT * nm.points_examined,
         "{} bisectors offered over {} examined points",
-        nm.filter_clip_attempts,
-        nm.filter_points_examined
+        nm.clip_attempts,
+        nm.points_examined
     );
 }
 
@@ -56,14 +58,17 @@ fn indexed_kernel_clips_a_handful_of_bisectors_per_examined_point() {
 #[test]
 fn clustered_multiway_offers_a_handful_of_bisectors_per_examined_point() {
     let config = CijConfig::default().with_rtree(tree_config());
-    let counters = QueryEngine::new(config).multiway(&pinned_sets()).counters;
-    assert!(counters.filter_points_examined > 0);
+    let counters = QueryEngine::new(config)
+        .multiway(&pinned_sets())
+        .profile
+        .work
+        .filter;
+    assert!(counters.points_examined > 0);
     assert!(
-        counters.filter_clip_attempts
-            <= MAX_CLIP_ATTEMPTS_PER_POINT * counters.filter_points_examined,
+        counters.clip_attempts <= MAX_CLIP_ATTEMPTS_PER_POINT * counters.points_examined,
         "{} bisectors offered over {} examined points",
-        counters.filter_clip_attempts,
-        counters.filter_points_examined
+        counters.clip_attempts,
+        counters.points_examined
     );
 }
 
@@ -91,8 +96,8 @@ fn shield_decisions_match_the_values_pinned_before_the_bound_table() {
     // Fixed configuration (no env overrides): the pins are per plan.
     let config = CijConfig::default().with_rtree(tree_config());
     let outcome = QueryEngine::new(config).multiway(&sets);
-    assert_eq!(outcome.counters.filter_entries_pruned, PINNED.0);
-    assert_eq!(outcome.counters.filter_points_examined, PINNED.1);
+    assert_eq!(outcome.profile.work.filter.entries_pruned, PINNED.0);
+    assert_eq!(outcome.profile.work.filter.points_examined, PINNED.1);
     assert_eq!(outcome.tuples.len(), PINNED.2);
 
     // One direct call per extension set, probing with the cells of a slice

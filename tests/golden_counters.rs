@@ -24,7 +24,7 @@
 //! order). Quantities a worker pool's schedule can move — unmetered
 //! cold-peek bytes, residency peaks — are recorded for one-worker runs only.
 
-use cij::core::ProgressSample;
+use cij::core::{CellCounts, ProgressSample};
 use cij::pagestore::IoSnapshot;
 use cij::prelude::*;
 use std::collections::BTreeMap;
@@ -146,22 +146,24 @@ fn join_case(t: &mut Table, case: &str, p: &[Point], q: &[Point], c: &CijConfig,
     t.put(case, "pairs", out.pairs.len());
     t.put(case, "pairs_hash", pairs_hash(&out.pairs));
     t.put(case, "page_accesses", out.page_accesses());
-    t.io(case, "mat_io", &out.breakdown.mat_io);
-    t.io(case, "join_io", &out.breakdown.join_io);
+    t.io(case, "mat_io", &out.profile.mat_io);
+    t.io(case, "join_io", &out.profile.join_io);
     t.samples(case, &out.progress, &out.watermarks);
-    let nm = out.nm;
+    let work = &out.profile.work;
+    let ([p_cells, q_cells], filter) = ([work.cells[0], work.cells[1]], &work.filter);
     for (metric, value) in [
-        ("filter_candidates", nm.filter_candidates),
-        ("filter_true_hits", nm.filter_true_hits),
-        ("p_cells_computed", nm.p_cells_computed),
-        ("p_cells_reused", nm.p_cells_reused),
-        ("q_cells_computed", nm.q_cells_computed),
-        ("cell_cache_evictions", nm.cell_cache_evictions),
-        ("filter_points_examined", nm.filter_points_examined),
-        ("filter_entries_pruned", nm.filter_entries_pruned),
-        ("filter_clip_ops", nm.filter_clip_ops),
-        ("filter_clip_attempts", nm.filter_clip_attempts),
-        ("filter_poly_tests_skipped", nm.filter_poly_tests_skipped),
+        ("filter_calls", work.filter_calls),
+        ("filter_candidates", work.filter_candidates),
+        ("filter_true_hits", work.true_hits),
+        ("p_cells_computed", p_cells.computed),
+        ("p_cells_reused", p_cells.reused),
+        ("q_cells_computed", q_cells.computed),
+        ("cell_cache_evictions", p_cells.evicted),
+        ("filter_points_examined", filter.points_examined),
+        ("filter_entries_pruned", filter.entries_pruned),
+        ("filter_clip_ops", filter.clip_ops),
+        ("filter_clip_attempts", filter.clip_attempts),
+        ("filter_poly_tests_skipped", filter.poly_tests_skipped),
     ] {
         t.put(case, &format!("nm.{metric}"), value);
     }
@@ -188,23 +190,27 @@ fn multiway_case(t: &mut Table, sets: &[Vec<Point>], config: &CijConfig) {
         .iter()
         .flat_map(|tuple| tuple.ids.iter().copied());
     t.put(case, "tuple_ids_hash", hash(ids));
-    t.put(case, "page_accesses", out.page_accesses);
+    t.put(case, "page_accesses", out.profile.page_accesses());
     t.put(case, "driver", out.driver);
     t.samples(case, &out.progress, &out.watermarks);
-    let c = &out.counters;
-    let list = |v: &[u64]| v.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
-    t.put(case, "cells_computed", list(&c.cells_computed));
-    t.put(case, "cells_reused", list(&c.cells_reused));
-    t.put(case, "cell_cache_evictions", list(&c.cell_cache_evictions));
+    let (work, filter) = (&out.profile.work, &out.profile.work.filter);
+    let list = |count: fn(&CellCounts) -> u64| {
+        let counts = work.cells.iter().map(|c| count(c).to_string());
+        counts.collect::<Vec<_>>().join(",")
+    };
+    t.put(case, "cells_computed", list(|c| c.computed));
+    t.put(case, "cells_reused", list(|c| c.reused));
+    t.put(case, "cell_cache_evictions", list(|c| c.evicted));
     for (metric, value) in [
-        ("filter_probes", c.filter_probes),
-        ("filter_points_examined", c.filter_points_examined),
-        ("filter_entries_pruned", c.filter_entries_pruned),
-        ("filter_clip_ops", c.filter_clip_ops),
-        ("filter_clip_attempts", c.filter_clip_attempts),
-        ("filter_poly_tests_skipped", c.filter_poly_tests_skipped),
-        ("narrowings_skipped", c.narrowings_skipped),
-        ("tuples_produced", c.tuples_produced),
+        ("filter_probes", work.filter_calls),
+        ("filter_candidates", work.filter_candidates),
+        ("filter_points_examined", filter.points_examined),
+        ("filter_entries_pruned", filter.entries_pruned),
+        ("filter_clip_ops", filter.clip_ops),
+        ("filter_clip_attempts", filter.clip_attempts),
+        ("filter_poly_tests_skipped", filter.poly_tests_skipped),
+        ("narrowings_skipped", work.narrowings_skipped),
+        ("tuples_produced", work.rows),
     ] {
         t.put(case, metric, value);
     }

@@ -60,9 +60,10 @@ fn assert_parity(a: &MultiwayOutcome, b: &MultiwayOutcome, label: &str) {
         region_bits(b),
         "{label}: region vertices diverged"
     );
-    assert_eq!(a.counters, b.counters, "{label}: counters diverged");
+    assert_eq!(a.profile.work, b.profile.work, "{label}: counters diverged");
     assert_eq!(
-        a.page_accesses, b.page_accesses,
+        a.profile.page_accesses(),
+        b.profile.page_accesses(),
         "{label}: page-access totals diverged"
     );
     assert_eq!(a.progress, b.progress, "{label}: progress samples diverged");
@@ -130,7 +131,14 @@ fn thread_parity_holds_under_cache_eviction_pressure() {
     let parallel = run_multiway(&sets, &base.with_worker_threads(4));
     assert_parity(&parallel, &sequential, "squeezed caches, T=4");
     assert!(
-        sequential.counters.cell_cache_evictions.iter().sum::<u64>() > 0,
+        sequential
+            .profile
+            .work
+            .cells
+            .iter()
+            .map(|c| c.evicted)
+            .sum::<u64>()
+            > 0,
         "capacity 4 must evict on this workload"
     );
     // Eviction pressure never changes the result set.
@@ -231,7 +239,7 @@ fn stream_is_lazy_and_watermarks_are_final() {
     let engine = QueryEngine::new(config);
 
     let blocking = engine.multiway(&sets);
-    let total = blocking.page_accesses;
+    let total = blocking.profile.page_accesses();
 
     let mut w = engine.multiway_workload(&sets);
     let stats = w.stats.clone();
@@ -295,7 +303,7 @@ proptest! {
         let seq_ids: Vec<&Vec<u64>> = sequential.tuples.iter().map(|t| &t.ids).collect();
         let par_ids: Vec<&Vec<u64>> = parallel.tuples.iter().map(|t| &t.ids).collect();
         prop_assert_eq!(par_ids, seq_ids);
-        prop_assert_eq!(&parallel.counters, &sequential.counters);
-        prop_assert_eq!(parallel.page_accesses, sequential.page_accesses);
+        prop_assert_eq!(&parallel.profile.work, &sequential.profile.work);
+        prop_assert_eq!(parallel.profile.page_accesses(), sequential.profile.page_accesses());
     }
 }

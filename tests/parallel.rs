@@ -47,7 +47,10 @@ fn assert_parity(parallel: &CijOutcome, sequential: &CijOutcome, label: &str) {
         parallel.pairs, sequential.pairs,
         "{label}: pair sequence (set or order) diverged"
     );
-    assert_eq!(parallel.nm, sequential.nm, "{label}: NM counters diverged");
+    assert_eq!(
+        parallel.profile.work, sequential.profile.work,
+        "{label}: NM counters diverged"
+    );
     assert_eq!(
         parallel.page_accesses(),
         sequential.page_accesses(),
@@ -177,7 +180,7 @@ proptest! {
         let sequential = run_nm(&p, &q, &squeezed.with_worker_threads(1));
         let parallel = run_nm(&p, &q, &squeezed.with_worker_threads(threads));
         prop_assert_eq!(&parallel.pairs, &sequential.pairs);
-        prop_assert_eq!(parallel.nm, sequential.nm);
+        prop_assert_eq!(parallel.profile.work, sequential.profile.work);
         prop_assert_eq!(parallel.page_accesses(), sequential.page_accesses());
         // And eviction pressure itself never perturbs the join result.
         let roomy = run_nm(&p, &q, &test_config().with_worker_threads(threads));

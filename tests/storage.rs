@@ -73,7 +73,10 @@ fn backend_matrix_matches_the_metered_heap_baseline_exactly() {
                         run.pairs, baseline.pairs,
                         "{label}: pair sequence (set or order) diverged"
                     );
-                    assert_eq!(run.nm, baseline.nm, "{label}: NM counters diverged");
+                    assert_eq!(
+                        run.profile.work, baseline.profile.work,
+                        "{label}: NM counters diverged"
+                    );
                     if mode == ExecMode::Metered {
                         assert_eq!(
                             run.page_accesses(),

@@ -31,11 +31,10 @@ fn clustered(n: usize, seed: u64) -> Vec<Point> {
     )
 }
 
-/// Collects a stream into the canonical sorted/deduped pair list.
+/// Collects a stream into the canonical sorted pair list.
 fn collect_sorted(mut stream: PairStream<'_>) -> Vec<(u64, u64)> {
     let mut pairs: Vec<(u64, u64)> = stream.by_ref().collect();
     pairs.sort_unstable();
-    pairs.dedup();
     pairs
 }
 
@@ -82,7 +81,7 @@ fn cell_cache_eviction_never_changes_join_results() {
         );
         if capacity <= 8 {
             assert!(
-                outcome.nm.cell_cache_evictions > 0,
+                outcome.profile.work.cells[0].evicted > 0,
                 "capacity {capacity} should be under eviction pressure on this workload"
             );
         }
@@ -97,7 +96,7 @@ fn bounded_cache_stays_within_capacity_while_still_reusing() {
     let outcome = engine.join(&p, &q, Algorithm::NmCij);
     // Reuse still happens under a tight bound...
     assert!(
-        outcome.nm.p_cells_reused > 0,
+        outcome.profile.work.cells[0].reused > 0,
         "no reuse despite neighbouring leaves"
     );
     // ...and the workload-wide stats expose the same cache events.
@@ -105,8 +104,8 @@ fn bounded_cache_stays_within_capacity_while_still_reusing() {
     let stats = w.stats.clone();
     let _ = engine.run(&mut w, Algorithm::NmCij);
     let snap = stats.snapshot();
-    assert_eq!(snap.cell_cache_hits, outcome.nm.p_cells_reused);
-    assert!(snap.cell_cache_misses >= outcome.nm.p_cells_computed);
+    assert_eq!(snap.cell_cache_hits, outcome.profile.work.cells[0].reused);
+    assert!(snap.cell_cache_misses >= outcome.profile.work.cells[0].computed);
 }
 
 /// The non-blocking guard: pulling the first pair from the NM-CIJ stream
