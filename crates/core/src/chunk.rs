@@ -413,9 +413,9 @@ pub(crate) trait LeafStream: Iterator {
 }
 
 /// The per-worker scratch of one join unit: the Voronoi traversal's decode
-/// arena + clip buffers, the conditional filter's, the clip buffers of the
-/// unit's own polygon work (multiway narrowing), and the binary report's
-/// edge tables and join marks. A stream allocates **one per pool worker at
+/// arena + clip buffers, the conditional filter's, the clip buffers and
+/// candidate-cell boxes of the unit's own polygon work (multiway
+/// narrowing), and the binary report's edge tables and join marks. A stream allocates **one per pool worker at
 /// construction** ([`UnitScratch::per_worker`]) and lends them to every
 /// parallel phase, so the SoA hot loops run allocation-free at steady state.
 #[derive(Debug, Default)]
@@ -423,6 +423,9 @@ pub(crate) struct UnitScratch {
     pub(crate) vor: VorScratch,
     pub(crate) filter: FilterScratch,
     pub(crate) clip: ClipScratch,
+    /// The widened boxes of the candidate cells a leaf's partial regions
+    /// are narrowed by (`crate::multiway`).
+    pub(crate) cell_boxes: Vec<Rect>,
     /// One row per cell of the leaf being reported (`crate::nm`).
     pub(crate) edges: EdgeTable,
     /// Per candidate of that leaf: whether it has joined yet.

@@ -73,9 +73,20 @@
 //!   each of its corners is a neighbour. They are clipped first, nearest
 //!   first. If the cell empties, `p` is rejected and no cavity is dug —
 //!   far points, whose cells leave the seed after a cut or two, are most of
-//!   the points examined. Otherwise the cavity is dug and the other
-//!   neighbours are clipped, nearest first, ties by location number, until
-//!   the cell empties or they run out.
+//!   the points examined. If the *corner cell* left is open but meets no
+//!   probe polygon under the very test the final cell gets, `p` is
+//!   rejected there too: no dig, no undig, no moved-bisector pass, no
+//!   further clip. The corner cell is the seed cut by a subset of the final
+//!   cell's bisectors, so it contains the final cell up to the rounding of
+//!   the crossings, far below the tolerance, and a cell inside one that
+//!   misses every probe misses them too. A decision could differ only for
+//!   a near miss at the edge of the tolerance band, which the contract of
+//!   `cij_geom` ("Tolerance policy") leaves open, and never on lattice
+//!   inputs, whose contacts are exact. On the uniform join of
+//!   `tests/filter_kernel.rs` the bisectors offered per examined point fell
+//!   from 2.35 to 1.79. Otherwise the cavity is dug, the other neighbours
+//!   are clipped, nearest first, ties by location number, until the cell
+//!   empties or they run out, and the final cell is tested.
 //! * **A joiner is inserted; a rejected point is not.** A point that joins
 //!   commits the cavity already dug ([`Delaunay::commit`]); a rejected one
 //!   drops it ([`Delaunay::undig`]). A point that joins by the inside-point
@@ -167,10 +178,12 @@
 //!
 //!    * *The last shield first.* Each probe polygon remembers the
 //!      candidate that shielded it last, and the per-polygon rule tries
-//!      that one first: consecutive entries are neighbours in the tree, and
-//!      a candidate that shielded a polygon from one usually shields it from
-//!      the next. The rule only asks whether *some* candidate shields, so
-//!      the order of the tries decides nothing.
+//!      that one first; the group-level test likewise remembers the
+//!      candidate that last shielded the whole group. Consecutive entries
+//!      are neighbours in the tree, and a candidate that shielded a polygon
+//!      — or the group — from one usually shields it from the next. Both
+//!      rules only ask whether *some* candidate shields, so the order of the
+//!      tries decides nothing and no counter moves.
 //!
 //!    [`FilterStats::entries_pruned`] and the traversal are unchanged by
 //!    all three; the four-sided rule is the reference the tests compare
@@ -271,6 +284,8 @@ pub struct FilterScratch {
     shield_bounds: Vec<f64>,
     /// Per usable polygon, the candidate that shielded it last.
     last_shields: Vec<Cell<u32>>,
+    /// The candidate that last shielded the whole group at once.
+    last_group_shield: Cell<u32>,
 }
 
 impl FilterScratch {
@@ -346,6 +361,7 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
         polyidx,
         shield_bounds,
         last_shields,
+        last_group_shield,
     } = scratch;
     usable.clear();
     usable.extend((0..polys.len() as u32).filter(|&i| !polys[i as usize].is_empty()));
@@ -354,6 +370,7 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
     }
     last_shields.clear();
     last_shields.resize(usable.len(), Cell::new(u32::MAX));
+    last_group_shield.set(u32::MAX);
     let probes = Probes {
         polys,
         usable,
@@ -409,11 +426,15 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
                 let mut dug = false;
                 let joins = inside || {
                     cell.clone_from(&seed);
-                    dug = mesh.cut_cell(at, &candidates, &mut stats, cell, clip);
-                    let cbb = widened(&cell.bbox());
-                    any_indexed(polyidx, &cbb, &mut stats, |i| {
-                        cbb.intersects(&poly_bboxes[i]) && cell.intersects(probes.get(i))
-                    })
+                    let meets = |cell: &ConvexPolygon, stats: &mut FilterStats| {
+                        let cbb = widened(&cell.bbox());
+                        any_indexed(polyidx, &cbb, stats, |i| {
+                            cbb.intersects(&poly_bboxes[i]) && cell.intersects(probes.get(i))
+                        })
+                    };
+                    let joins;
+                    (joins, dug) = mesh.decide(at, &candidates, &mut stats, cell, clip, meets);
+                    joins
                 };
                 if joins {
                     candidates.push(p);
@@ -430,7 +451,14 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
                     reach.intersects(&poly_bboxes[i]) && probes.get(i).intersects_rect(&mbr)
                 });
                 if !touches_some_poly
-                    && is_shielded(&mbr, &group_bbox, probes, &candidates, shield_bounds)
+                    && is_shielded(
+                        &mbr,
+                        &group_bbox,
+                        probes,
+                        &candidates,
+                        shield_bounds,
+                        last_group_shield,
+                    )
                 {
                     stats.entries_pruned += 1;
                     continue;
@@ -504,26 +532,30 @@ impl CandidateMesh {
         &mut self.starts[octant]
     }
 
-    /// Cuts `cell`, holding the seed, down to the approximate cell of `p`
-    /// among `candidates`. Returns whether `p`'s cavity is left dug, for
-    /// [`CandidateMesh::join`] to commit or the caller to undig.
-    fn cut_cell(
+    /// Whether `p` joins: cuts `cell`, holding the seed, down to the
+    /// approximate cell of `p` among `candidates` and asks `meets` whether
+    /// it meets a probe polygon — first of the corner cell, which rejects
+    /// `p` without a cavity when it meets none (module docs, "Corners
+    /// first"). Returns that answer, and whether `p`'s cavity is left dug,
+    /// for [`CandidateMesh::join`] to commit or the caller to undig.
+    fn decide(
         &mut self,
         p: &Point,
         candidates: &[PointObject],
         stats: &mut FilterStats,
         cell: &mut ConvexPolygon,
         clip: &mut ClipScratch,
-    ) -> bool {
+        mut meets: impl FnMut(&ConvexPolygon, &mut FilterStats) -> bool,
+    ) -> (bool, bool) {
         if cell.is_empty() || candidates.is_empty() {
-            return false;
+            return (meets(cell, stats), false);
         }
         if self.delaunay.location_count() == 0 {
             // Every candidate, until the cell empties.
             candidates
                 .iter()
                 .any(|c| offer(cell, p, &c.point, stats, clip));
-            return false;
+            return (meets(cell, stats), false);
         }
         self.reached.clear();
         let start = *self.start(p);
@@ -535,8 +567,8 @@ impl CandidateMesh {
             Err(t) => {
                 *self.start(p) = t;
                 self.reached.extend(self.delaunay.corners(t));
-                if self.clip_nearest_first(0, p, stats, cell, clip) {
-                    return false;
+                if self.clip_nearest_first(0, p, stats, cell, clip) || !meets(cell, stats) {
+                    return (false, false);
                 }
                 let corners = self.reached.len();
                 for w in self.delaunay.dig(p, t) {
@@ -549,7 +581,7 @@ impl CandidateMesh {
         };
         (self.delaunay).extend_past_moved_bisectors(p, vertex, &mut self.reached);
         self.clip_nearest_first(applied, p, stats, cell, clip);
-        vertex.is_none()
+        (meets(cell, stats), vertex.is_none())
     }
 
     /// Clips `cell` with the bisectors of `p` and the locations
@@ -662,14 +694,16 @@ fn any_indexed(
 ///
 /// One candidate whose four Φ regions hold all four corners of `group`
 /// shields the whole group at once (module docs, invariant 2) — the common
-/// case for entries far from the group; otherwise the per-polygon rule
-/// decides.
+/// case for entries far from the group; the one `last` names, which did so
+/// last, is tried first, and `last` is set to the one that does. Otherwise
+/// the per-polygon rule decides.
 fn is_shielded(
     mbr: &Rect,
     group: &Rect,
     probes: Probes<'_>,
     candidates: &[PointObject],
     bounds: &mut Vec<f64>,
+    last: &Cell<u32>,
 ) -> bool {
     if candidates.is_empty() {
         return false;
@@ -681,10 +715,28 @@ fn is_shielded(
     // same for every candidate — stands for the four.
     let corners = group.corners();
     let to_entry = corners.map(|b| entry_mindist_sq(&sides, &b) - 2.0 * margin);
-    let group_shielded = candidates
-        .iter()
-        .any(|p| (corners.iter().zip(&to_entry)).all(|(b, &bound)| b.dist_sq(&p.point) < bound));
-    group_shielded || is_shielded_per_polygon(&sides, margin, probes, candidates, bounds)
+    let shields_group = |p: &PointObject| {
+        (corners.iter().zip(&to_entry)).all(|(b, &bound)| b.dist_sq(&p.point) < bound)
+    };
+    any_remembered_first(candidates, last, shields_group)
+        || is_shielded_per_polygon(&sides, margin, probes, candidates, bounds)
+}
+
+/// Whether some candidate passes `test`, trying first the one `last` names
+/// — a hint only, any value will do — and setting `last` to the one found.
+fn any_remembered_first(
+    candidates: &[PointObject],
+    last: &Cell<u32>,
+    test: impl Fn(&PointObject) -> bool,
+) -> bool {
+    if candidates.get(last.get() as usize).is_some_and(&test) {
+        return true;
+    }
+    let found = candidates.iter().position(test);
+    if let Some(i) = found {
+        last.set(i as u32);
+    }
+    found.is_some()
 }
 
 /// The margin `μ` of the shield decisions about the entry `mbr` and the
@@ -746,14 +798,7 @@ fn polygon_shielded(
     let shields = |p: &PointObject| {
         (vertices.iter().zip(bounds.iter())).all(|(v, &bound)| v.dist_sq(&p.point) < bound)
     };
-    if candidates.get(last.get() as usize).is_some_and(shields) {
-        return true;
-    }
-    let found = candidates.iter().position(shields);
-    if let Some(i) = found {
-        last.set(i as u32);
-    }
-    found.is_some()
+    any_remembered_first(candidates, last, shields)
 }
 
 /// The four-sided per-polygon rule as the paper states it — the reference
@@ -1089,10 +1134,10 @@ mod tests {
         let group = t.bbox();
         let polys = [t];
         let probes = all_probes(&polys, &[0]);
-        let bounds = &mut Vec::new();
-        assert!(!is_shielded(&mbr, &group, probes, &[], bounds));
+        let (bounds, last) = (&mut Vec::new(), &Cell::new(u32::MAX));
+        assert!(!is_shielded(&mbr, &group, probes, &[], bounds, last));
         let shield = PointObject::new(0, Point::new(4_000.0, 4_000.0));
-        assert!(is_shielded(&mbr, &group, probes, &[shield], bounds));
+        assert!(is_shielded(&mbr, &group, probes, &[shield], bounds, last));
     }
 
     /// Every polygon of `polys` as a probe, empty ones included (`usable`
@@ -1268,6 +1313,7 @@ mod tests {
                 all_probes(&polys, &usable),
                 &candidates,
                 &mut Vec::new(),
+                &Cell::new(u32::MAX),
             );
             let refs: Vec<&ConvexPolygon> = polys.iter().collect();
             let margin = shield_margin(&mbr, &group);
@@ -1335,11 +1381,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// The last-shield memory never changes a shield decision: over a
-        /// sequence of entries sharing one memory — whatever earlier
-        /// entries and candidate lists that grow and shrink left in it, and
-        /// garbage to start with — `is_shielded` and the per-polygon rule
-        /// both equal the four-sided rule.
+        /// The last-shield memories — per polygon and for the whole group —
+        /// never change a shield decision: over a sequence of entries
+        /// sharing them — whatever earlier entries and candidate lists that
+        /// grow and shrink left in them, and garbage to start with —
+        /// `is_shielded` and the per-polygon rule both equal the four-sided
+        /// rule.
         #[test]
         fn remembered_shields_equal_the_four_sided_rule(
             seed in 0u64..1_000_000,
@@ -1356,9 +1403,10 @@ mod tests {
             let refs: Vec<&ConvexPolygon> = polys.iter().collect();
             let group = polys.iter().fold(Rect::empty(), |acc, t| acc.union(&t.bbox()));
             let bounds = &mut Vec::new();
+            let last_group = &Cell::new(rng.gen_range(0..20));
             for step in 0..steps {
-                // Every other entry is the first again, where the memory
-                // names the candidates that shielded it.
+                // Every other entry is the first again, where the memories
+                // name the candidates that shielded it.
                 let mbr = match step % 2 {
                     0 => mbr,
                     _ => shield_instance(seed + step as u64, n_polys, 0, rng.gen_range(0..4)).0,
@@ -1368,7 +1416,8 @@ mod tests {
                 let plain = is_shielded_four_sided(&sides, margin, &refs, cands);
                 let per_polygon = is_shielded_per_polygon(&sides, margin, probes, cands, bounds);
                 prop_assert_eq!(per_polygon, plain);
-                prop_assert_eq!(is_shielded(&mbr, &group, probes, cands, bounds), plain);
+                let shielded = is_shielded(&mbr, &group, probes, cands, bounds, last_group);
+                prop_assert_eq!(shielded, plain);
             }
         }
     }

@@ -228,22 +228,25 @@ impl Partials {
 /// overwritten, its outline buffers reused — and returns the number of
 /// narrowings skipped: bbox-disjoint combinations, whose polygon
 /// intersection would be empty anyway (the boxes are widened by their
-/// tolerance, so degenerate contacts take the clipping path).
+/// tolerance, so degenerate contacts take the clipping path). `cell_boxes`
+/// is working storage.
 fn extend_into(
     cur: &Partials,
     candidates: &[PointObject],
     cells: &[ConvexPolygon],
     clip: &mut ClipScratch,
+    cell_boxes: &mut Vec<Rect>,
     next: &mut Partials,
 ) -> u64 {
     next.stride = cur.stride + 1;
     next.len = 0;
     next.ids.clear();
-    let cell_bboxes: Vec<Rect> = cells.iter().map(|c| widened(&c.bbox())).collect();
+    cell_boxes.clear();
+    cell_boxes.extend(cells.iter().map(|c| widened(&c.bbox())));
     let mut skipped = 0u64;
     for (j, region) in cur.regions().iter().enumerate() {
         let region_bbox = widened(&region.bbox());
-        for ((cand, cell), cell_bbox) in candidates.iter().zip(cells).zip(&cell_bboxes) {
+        for ((cand, cell), cell_bbox) in candidates.iter().zip(cells).zip(&*cell_boxes) {
             if !region_bbox.intersects(cell_bbox) {
                 skipped += 1;
                 continue;
@@ -579,8 +582,12 @@ impl<'a> TupleStream<'a> {
             let skipped: Vec<(u64, Duration)> =
                 run_ordered_units(scratches, &mut next, |i, next, scratch| {
                     let mut lap = Lap::start();
-                    let clip = &mut scratch.clip;
-                    let skipped = extend_into(&partials[i], units[i], &cells[i].cells, clip, next);
+                    let UnitScratch {
+                        clip, cell_boxes, ..
+                    } = scratch;
+                    let cells = &cells[i].cells;
+                    let skipped =
+                        extend_into(&partials[i], units[i], cells, clip, cell_boxes, next);
                     (skipped, lap.lap())
                 });
             lap.lap();
@@ -1167,8 +1174,15 @@ mod tests {
         // unrelated extension — and the two tables swap every round, like a
         // table coming off the stream's free list.
         let mut next = Partials::default();
-        let mut clip = ClipScratch::new();
-        extend_into(&cur, &objects[2], &diagrams[2], &mut clip, &mut next);
+        let (mut clip, mut boxes) = (ClipScratch::new(), Vec::new());
+        extend_into(
+            &cur,
+            &objects[2],
+            &diagrams[2],
+            &mut clip,
+            &mut boxes,
+            &mut next,
+        );
         assert!(next.len > 0 && next.stride == 2);
         for round in 1..sets.len() {
             let (expected, disjoint) =
@@ -1178,6 +1192,7 @@ mod tests {
                 &objects[round],
                 &diagrams[round],
                 &mut clip,
+                &mut boxes,
                 &mut next,
             );
             assert_eq!(skipped, disjoint, "round {round}");

@@ -37,6 +37,18 @@
 //!   strictly outside the edge's line, or on the open edge itself. Points
 //!   outside the hull need no special case, and collinear points on the hull
 //!   boundary keep their own edges.
+//! * **Cells off the circumcentres.** Each triangle is dual to a Voronoi
+//!   vertex, its circumcentre, so the Voronoi cell of a location strictly
+//!   inside the hull is the convex polygon of the circumcentres of the
+//!   triangles around it: [`Delaunay::voronoi_cell`] writes them in one
+//!   walk of the star, no clip. It refuses ([`Refusal`]) a location on the
+//!   hull (a ghost in its star: the cell is unbounded), a collinear group
+//!   (no triangles), a star holding a triangle too flat for its
+//!   circumcentre ([`FLAT_TRIANGLE`]), and a location with a neighbour
+//!   whose rounded bisector misses the sites' midpoint — where clipping
+//!   reaches past that neighbour
+//!   ([`Delaunay::extend_past_moved_bisectors`]) and the circumcentres
+//!   would not.
 //! * **Degenerate groups.** With one location there are no neighbours; when
 //!   every triple of locations is collinear (exact `orient2d` zero), the
 //!   neighbours are the consecutive locations along the line.
@@ -217,6 +229,39 @@ impl Delaunay {
                 }
             }
             k += 1;
+        }
+    }
+
+    /// Writes into `out` the Voronoi cell of location `v` among the
+    /// triangulated locations, unbounded by any domain: the circumcentres
+    /// of the triangles around `v`, counter-clockwise, in one walk of its
+    /// star (module docs, "Cells off the circumcentres"). Refuses, `out`
+    /// then unspecified, where the cell must be built by clipping instead.
+    pub fn voronoi_cell(&self, v: u32, out: &mut Vec<Point>) -> Result<(), Refusal> {
+        out.clear();
+        if self.triangles.is_empty() {
+            return Err(Refusal::Collinear);
+        }
+        let site = self.locations[v as usize];
+        let start = self.corner[v as usize];
+        let mut t = start;
+        loop {
+            let tri = self.triangles[t as usize];
+            if tri[2] == GHOST {
+                return Err(Refusal::Hull);
+            }
+            let i = (0..3).find(|&i| tri[i] == v).expect("a triangle around v");
+            let [b, c] = [tri[(i + 1) % 3], tri[(i + 2) % 3]].map(|w| self.locations[w as usize]);
+            // Each neighbour is the `b` of exactly one triangle of the star.
+            if !HalfPlane::bisector(&site, &b).on_boundary(&site.midpoint(&b)) {
+                return Err(Refusal::MovedBisector);
+            }
+            out.push(circumcentre(&site, &b, &c).ok_or(Refusal::Flat)?);
+            // Across the edge `c → v`: the next triangle counter-clockwise.
+            t = self.adjacent[t as usize][(i + 1) % 3];
+            if t == start {
+                return Ok(());
+            }
         }
     }
 
@@ -492,6 +537,55 @@ impl Delaunay {
             .expect("the edge belongs to the triangle");
         self.adjacent[t as usize][i] = neighbour;
     }
+}
+
+/// Why [`Delaunay::voronoi_cell`] refused a location (module docs, "Cells
+/// off the circumcentres").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// The location is on the hull: a ghost triangle is in its star, and
+    /// its cell is unbounded.
+    Hull,
+    /// Every location is on one line: there are no triangles.
+    Collinear,
+    /// A triangle of the star is too flat for its circumcentre to be
+    /// trusted ([`FLAT_TRIANGLE`]).
+    Flat,
+    /// Some neighbour's rounded bisector with the location misses the two
+    /// sites' midpoint ([`HalfPlane::on_boundary`]), so the clipped cell
+    /// reaches past that neighbour
+    /// ([`Delaunay::extend_past_moved_bisectors`]).
+    MovedBisector,
+}
+
+/// A triangle `a b c` of a star around `a` is too flat for its circumcentre
+/// when `2·cross(b − a, c − a) < FLAT_TRIANGLE · (|b − a|² + |c − a|²)`.
+///
+/// The circumcentre's offset from `a` is a quotient by `2·cross`, whose
+/// operands carry a few ulps of `|b − a|²·|c − a|`: above the bound the
+/// quotient magnifies them by at most about a thousand, so the offset is
+/// good to a few thousand ulps of its length — near `1e-12` of it, a tenth
+/// of the relative threshold [`crate::tolerance::TAU`] every later decision
+/// about the cell allows. Below it the circumcentre can lie arbitrarily far
+/// out, and its bits mean nothing. The bound selects a path, not a
+/// decision: a refused location is clipped instead, and both paths build
+/// the same set — the location's Voronoi cell — so it is no tolerance of
+/// the crate's policy.
+pub const FLAT_TRIANGLE: f64 = 1e-3;
+
+/// The circumcentre of the counter-clockwise triangle `a b c`, computed
+/// from `a`; `None` when the triangle is too flat ([`FLAT_TRIANGLE`]).
+fn circumcentre(a: &Point, b: &Point, c: &Point) -> Option<Point> {
+    let (bx, by, cx, cy) = (b.x - a.x, b.y - a.y, c.x - a.x, c.y - a.y);
+    let (b2, c2) = (bx * bx + by * by, cx * cx + cy * cy);
+    let d = 2.0 * (bx * cy - by * cx);
+    if d < FLAT_TRIANGLE * (b2 + c2) {
+        return None;
+    }
+    Some(Point::new(
+        a.x + (cy * b2 - by * c2) / d,
+        a.y + (bx * c2 - cx * b2) / d,
+    ))
 }
 
 /// Whether `p`, collinear with `a` and `b`, lies strictly between them.

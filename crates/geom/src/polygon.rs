@@ -120,6 +120,16 @@ impl ConvexPolygon {
         ConvexPolygon::new(r.corners().to_vec())
     }
 
+    /// Replaces the outline by `vertices`, assumed convex and in
+    /// counter-clockwise order, in the polygon's own buffer: what
+    /// [`ConvexPolygon::new`] builds, consecutive duplicates removed alike,
+    /// without an allocation once the buffer holds that many vertices.
+    pub fn refill(&mut self, vertices: &[Point]) {
+        self.vertices.clear();
+        self.vertices.extend_from_slice(vertices);
+        self.dedup();
+    }
+
     /// The vertices of the polygon in counter-clockwise order.
     ///
     /// For a Voronoi cell approximation `Vc(p)` these are the vertex set
@@ -858,6 +868,15 @@ mod tests {
             Point::new(0.0, 0.0),
         ]);
         assert_eq!(p.len(), 3);
+        // A refill builds what `new` builds, whatever the buffer held.
+        let mut refilled = ConvexPolygon::from_rect(&Rect::DOMAIN);
+        refilled.refill(&[
+            Point::new(0.0, 0.0),
+            Point::new(1.0, 0.0),
+            Point::new(1.0, 0.0),
+            Point::new(1.0, 1.0),
+        ]);
+        assert_eq!(refilled, p);
     }
 
     /// Coordinate scales the equivalence properties run at (every threshold

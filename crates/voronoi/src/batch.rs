@@ -98,14 +98,38 @@
 //! # Delaunay seeding
 //!
 //! The members are data points of `P` like any other and are known before
-//! the first node read, so every cell is first clipped with the *other
-//! members*: those at the locations that share an edge with the member's
-//! own in the Delaunay triangulation of the group's locations
-//! ([`Delaunay`]), nearest first, ties by index. One triangulation per
-//! group — expected O(|G| log |G|), for the several-hundred-point groups of
-//! a multiway extension unit too — replaces a search per member, and a
-//! member meets its handful of neighbours, nearly every one of them a cut.
+//! the first node read, so every cell first becomes the member's cell
+//! within the group, `V(site, G) ∩ domain`, from the Delaunay triangulation
+//! of the group's locations ([`Delaunay`]). One triangulation per group —
+//! expected O(|G| log |G|), for the several-hundred-point groups of a
+//! multiway extension unit too — replaces a search per member.
 //!
+//! * **Cells off the circumcentres.** Each triangle is dual to a Voronoi
+//!   vertex, its circumcentre, where the bisectors of each corner with the
+//!   other two meet — the triple of generators a meshless Voronoi
+//!   construction records as a vertex's `dual`. So the cell of a location
+//!   strictly inside the group's hull is the convex polygon of the
+//!   circumcentres of the triangles around it, which
+//!   [`Delaunay::voronoi_cell`] reads off in one walk of the star. The
+//!   members there take that polygon, written into their own outline
+//!   buffers ([`ConvexPolygon::refill`]) and cut only by the domain edges
+//!   it crosses: no bisector is clipped. In exact arithmetic that is
+//!   `V(site, G) ∩ domain`, the set clipping builds, so only the vertices'
+//!   last bits differ, as they did when the clip order changed. On the
+//!   uniform 20 k tree, leaf by leaf, this cut the bisector clips per cell
+//!   from 8.76 to 4.49.
+//! * **Clipped cells.** The triangulation refuses four kinds of location
+//!   ([`Refusal`](cij_geom::delaunay::Refusal)): one on the hull, whose
+//!   cell is unbounded; any of a collinear group, which has no triangles;
+//!   one whose star holds a triangle too flat for its circumcentre to be
+//!   trusted ([`FLAT_TRIANGLE`](cij_geom::delaunay::FLAT_TRIANGLE), a
+//!   bound that picks a path, not a decision: both paths build the same
+//!   set); and one with a neighbour whose rounded bisector misses the
+//!   sites' midpoint, where clipping reaches past that neighbour (below)
+//!   and the circumcentres would not. The members there are clipped with
+//!   the *other members* at the locations that share an edge with theirs,
+//!   nearest first, ties by index — a handful of neighbours, nearly every
+//!   one of them a cut — exactly as before the circumcentres were read.
 //! * **The same sets.** In exact arithmetic a member's cell within `G` is
 //!   the domain cut by the bisectors of its Delaunay neighbours: every
 //!   Voronoi edge of positive length separates two sites that share a
@@ -143,20 +167,22 @@
 //! * **Repeated locations.** Members at an identical location are one
 //!   vertex of the triangulation (as separate vertices they would make
 //!   triangles of zero area). Their common bisector is degenerate and cuts
-//!   nothing, they share their neighbours, and each of them is clipped with
-//!   every member at a neighbouring location.
+//!   nothing, they share their neighbours and take the same polygon: each
+//!   of them is read off the same circumcentres, or clipped with every
+//!   member at a neighbouring location.
 //! * **Degenerate groups.** Two locations neighbour each other; when every
 //!   location lies on one line, the consecutive ones along it do.
 //!
 //! What this may and may not change, compared with clipping in storage
 //! order: the *order* in which a cell's bisectors are applied differs, and a
-//! vertex computed through different intermediate outlines may differ in
-//! its last bits. The traversal itself — heap keys, the Lemma-2 gate before
-//! each node read — is untouched, but its gates compare against those
-//! vertices, so a borderline gate could in principle flip and cost or save a
-//! node read; none has been observed (page accesses equal the ring walk's
-//! that seeded before, on every benchmark seed). The join pairs cannot
-//! change: they are decided on exact cells.
+//! vertex computed through different intermediate outlines — or read off a
+//! circumcentre — may differ in its last bits. The traversal itself — heap
+//! keys, the Lemma-2 gate before each node read — is untouched, but its
+//! gates compare against those vertices, so a borderline gate could in
+//! principle flip and cost or save a node read; none has been observed
+//! (page accesses equal the clipped seeding's on every benchmark seed, as
+//! they equalled the ring walk's that seeded before it). The join pairs
+//! cannot change: they are decided on exact cells.
 
 use crate::single::can_refine;
 use cij_geom::tolerance::{magnitude, sq_margin};
@@ -236,6 +262,8 @@ struct GroupTables {
     /// The locations whose members seed the location at hand: its
     /// neighbours, and theirs behind a bisector that rounding moved.
     reached: Vec<u32>,
+    /// The cell of the location at hand, read off the circumcentres.
+    outline: Vec<Point>,
 }
 
 /// The gate of a cell: no point farther than this (squared) from `site`,
@@ -311,12 +339,18 @@ pub fn batch_voronoi_cached_with<T: NodeReader<PointObject>, C: CellStore>(
 /// discovered point concerns), separate from the tree traversal.
 struct GroupCells<'a> {
     group: &'a [PointObject],
+    /// The domain's edges, interior side kept: the cuts a cell read off
+    /// the circumcentres may need.
+    domain_edges: [HalfPlane; 4],
     cells: Vec<ConvexPolygon>,
     clip: &'a mut ClipScratch,
     tables: &'a mut GroupTables,
     clips: u64,
     vertex_loops: u64,
     refine_calls: u64,
+    /// Members whose seeded cell was read off the circumcentres, no
+    /// bisector clipped: the seeding stress range holds both paths to fire.
+    read_off: u64,
 }
 
 impl<'a> GroupCells<'a> {
@@ -348,12 +382,17 @@ impl<'a> GroupCells<'a> {
         tables.ids.sort_unstable();
         GroupCells {
             group,
+            domain_edges: {
+                let c = domain.corners();
+                [0, 1, 2, 3].map(|k| HalfPlane::edge(&c[k], &c[(k + 1) % 4]))
+            },
             cells,
             clip,
             tables,
             clips: 0,
             vertex_loops: 0,
             refine_calls: 0,
+            read_off: 0,
         }
     }
 
@@ -446,42 +485,75 @@ impl<'a> GroupCells<'a> {
         false
     }
 
-    /// Clips every member's cell with the members at the neighbouring
-    /// locations of the group's Delaunay triangulation, nearest first, ties
-    /// by index (module docs, "Delaunay seeding"). The traversal starts from
-    /// these tight cells, and it never offers a member again: this pass is
-    /// the only one that applies the members' bisectors.
+    /// Seeds every member's cell with the rest of the group (module docs,
+    /// "Delaunay seeding"): the members at a location strictly inside the
+    /// hull take the circumcentres of the triangles around it, cut to the
+    /// domain; the others are clipped with the members at the neighbouring
+    /// locations. The traversal starts from these tight cells, and it never
+    /// offers a member again: this pass is the only one that applies the
+    /// members' bisectors.
     fn seed(&mut self) {
         if self.group.len() < 2 {
             return;
         }
         // Taken out of the tables (no allocation) while the cells are
-        // clipped, and put back for the next group.
+        // seeded, and put back for the next group.
         let mut delaunay = std::mem::take(&mut self.tables.delaunay);
-        let mut by_distance = std::mem::take(&mut self.tables.by_distance);
-        let mut reached = std::mem::take(&mut self.tables.reached);
         delaunay.triangulate(&self.tables.xs, &self.tables.ys);
         for v in 0..delaunay.location_count() as u32 {
-            let site = delaunay.location(v);
-            by_distance.clear();
-            reached.clear();
-            reached.extend(delaunay.neighbours(v));
-            delaunay.extend_past_moved_bisectors(&site, Some(v), &mut reached);
-            for &w in &reached {
-                let d = delaunay.location(w).dist_sq(&site);
-                by_distance.extend(delaunay.members(w).iter().map(|&j| (d, j)));
-            }
-            by_distance.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            // Members at one location get the same bisectors in the same
-            // order.
-            for &i in delaunay.members(v) {
-                self.refine_calls += 1;
-                for &(_, j) in &by_distance {
-                    self.refine_member(i as usize, &self.group[j as usize].point);
-                }
+            if !self.seed_off_circumcentres(&delaunay, v) {
+                self.seed_by_clipping(&delaunay, v);
             }
         }
         self.tables.delaunay = delaunay;
+    }
+
+    /// Gives the members at location `v` the cell [`Delaunay::voronoi_cell`]
+    /// reads off the triangulation, cut by the domain edges it crosses, and
+    /// returns whether it did; it does nothing where the triangulation
+    /// refuses.
+    fn seed_off_circumcentres(&mut self, delaunay: &Delaunay, v: u32) -> bool {
+        let outline = &mut self.tables.outline;
+        if delaunay.voronoi_cell(v, outline).is_err() {
+            return false;
+        }
+        // Members at one location take the same polygon.
+        for &i in delaunay.members(v) {
+            let (i, cell) = (i as usize, &mut self.cells[i as usize]);
+            self.refine_calls += 1;
+            self.read_off += 1;
+            cell.refill(&self.tables.outline);
+            for edge in &self.domain_edges {
+                cell.clip_in_place(edge, self.clip);
+            }
+            self.tables.gate[i] = reach_gate(&self.group[i].point, cell);
+        }
+        true
+    }
+
+    /// Clips the cells of the members at location `v` with the members at
+    /// the neighbouring locations, and theirs behind a bisector that
+    /// rounding moved, nearest first, ties by index.
+    fn seed_by_clipping(&mut self, delaunay: &Delaunay, v: u32) {
+        let mut by_distance = std::mem::take(&mut self.tables.by_distance);
+        let mut reached = std::mem::take(&mut self.tables.reached);
+        let site = delaunay.location(v);
+        by_distance.clear();
+        reached.clear();
+        reached.extend(delaunay.neighbours(v));
+        delaunay.extend_past_moved_bisectors(&site, Some(v), &mut reached);
+        for &w in &reached {
+            let d = delaunay.location(w).dist_sq(&site);
+            by_distance.extend(delaunay.members(w).iter().map(|&j| (d, j)));
+        }
+        by_distance.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        // Members at one location get the same bisectors in the same order.
+        for &i in delaunay.members(v) {
+            self.refine_calls += 1;
+            for &(_, j) in &by_distance {
+                self.refine_member(i as usize, &self.group[j as usize].point);
+            }
+        }
         self.tables.by_distance = by_distance;
         self.tables.reached = reached;
     }
@@ -611,6 +683,7 @@ mod tests {
     use super::*;
     use crate::brute::brute_force_cell;
     use crate::single::single_voronoi;
+    use cij_geom::delaunay::Refusal;
     use cij_pagestore::PageId;
     use cij_rtree::{RTree, RTreeConfig, RTreeObject};
     use proptest::prelude::*;
@@ -1235,8 +1308,9 @@ mod tests {
     }
 
     /// The seeded cells of `group` in `domain` are the brute-force cells
-    /// within the group, compared at the domain's scale.
-    fn assert_seeding_matches_brute_force(group: &[PointObject], domain: &Rect) {
+    /// within the group, compared at the domain's scale; returns how many
+    /// were read off the circumcentres.
+    fn assert_seeding_matches_brute_force(group: &[PointObject], domain: &Rect) -> u64 {
         let points: Vec<Point> = group.iter().map(|o| o.point).collect();
         let (mut clip, mut tables) = (ClipScratch::default(), GroupTables::default());
         let mut g = GroupCells::new(group, domain, &mut clip, &mut tables);
@@ -1247,6 +1321,102 @@ mod tests {
             let what = format!("seeded cell {i} of {}", group.len());
             assert_same_cell_at(cell, &expected, unit, &what);
         }
+        g.read_off
+    }
+
+    /// Per path, the locations of a group's triangulation `delaunay` (none
+    /// for a group seeding skips) that take it: read off the
+    /// circumcentres, then clipped because of each [`Refusal`] in turn.
+    fn seeding_paths(delaunay: &Delaunay) -> [u64; 5] {
+        let mut tally = [0u64; 5];
+        let outline = &mut Vec::new();
+        for v in 0..delaunay.location_count() as u32 {
+            tally[match delaunay.voronoi_cell(v, outline) {
+                Ok(()) => 0,
+                Err(Refusal::Hull) => 1,
+                Err(Refusal::Collinear) => 2,
+                Err(Refusal::Flat) => 3,
+                Err(Refusal::MovedBisector) => 4,
+            }] += 1;
+        }
+        tally
+    }
+
+    /// Seeds `group` in `domain` as the product does and, separately, every
+    /// location by clipping, and holds each member of a location read off
+    /// the circumcentres to its clipped cell at the domain's scale; returns
+    /// the [`seeding_paths`] tally.
+    fn assert_circumcentre_cells_are_the_clipped_cells(
+        group: &[PointObject],
+        domain: &Rect,
+    ) -> [u64; 5] {
+        let (mut clip, mut tables) = (ClipScratch::default(), GroupTables::default());
+        let mut g = GroupCells::new(group, domain, &mut clip, &mut tables);
+        g.seed();
+        let seeded = g.cells;
+        let (mut clip, mut spare) = (ClipScratch::default(), GroupTables::default());
+        let mut clipped = GroupCells::new(group, domain, &mut clip, &mut spare);
+        let delaunay = &tables.delaunay;
+        let unit = domain.width() / Rect::DOMAIN.width();
+        let outline = &mut Vec::new();
+        for v in 0..delaunay.location_count() as u32 {
+            if delaunay.voronoi_cell(v, outline).is_err() {
+                continue;
+            }
+            clipped.seed_by_clipping(delaunay, v);
+            for &i in delaunay.members(v) {
+                let i = i as usize;
+                let what = format!("cell {i} of {} off the circumcentres", group.len());
+                assert_same_cell_at(&seeded[i], &clipped.cells[i], unit, &what);
+            }
+        }
+        seeding_paths(delaunay)
+    }
+
+    /// `group` and the domain scaled by `s`.
+    fn scaled(group: &[PointObject], s: f64) -> (Vec<PointObject>, Rect) {
+        let group = (group.iter())
+            .map(|o| PointObject::new(o.id.0, o.point * s))
+            .collect();
+        (group, Rect::new(Rect::DOMAIN.lo * s, Rect::DOMAIN.hi * s))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A location the triangulation reads a cell off seeds its members
+        /// with the cells clipping gives them, on adversarial groups at
+        /// every scale `2^k`, `|k| ≤ 40`.
+        #[test]
+        fn cells_off_the_circumcentres_are_the_clipped_cells(
+            seed in 0u64..1_000_000,
+            shape in 0usize..6,
+            n in 1usize..48,
+            k in -40i32..41,
+        ) {
+            let (group, domain) = scaled(&adversarial_group(seed, shape, n), 2f64.powi(k));
+            assert_circumcentre_cells_are_the_clipped_cells(&group, &domain);
+        }
+    }
+
+    /// Over a fixed sweep of the adversarial shapes and scales, every
+    /// location read off the circumcentres gets its clipped cell, and each
+    /// path fires: the circumcentres and every one of the four refusals.
+    #[test]
+    fn every_seeding_path_fires_on_the_adversarial_groups() {
+        let mut tally = [0u64; 5];
+        for (seed, shape) in (0..60u64).flat_map(|seed| (0..6).map(move |shape| (seed, shape))) {
+            let k = (seed % 5) as i32 * 20 - 40;
+            let n = 2 + (seed as usize * 7) % 46;
+            let (group, domain) = scaled(&adversarial_group(seed, shape, n), 2f64.powi(k));
+            let paths = assert_circumcentre_cells_are_the_clipped_cells(&group, &domain);
+            (0..5).for_each(|p| tally[p] += paths[p]);
+        }
+        assert!(
+            tally.iter().all(|&c| c > 0),
+            "locations read off, then refused on the hull, collinear, flat, \
+             behind a moved bisector: {tally:?}"
+        );
     }
 
     #[test]
@@ -1266,10 +1436,13 @@ mod tests {
     /// domain boundary, mixed, perturbed lattices — with the group and the
     /// domain scaled by 1e-6 … 1e9 (inexactly, so exact degeneracies turn
     /// into near ones), each seeded cell compared with the brute-force cell.
+    /// Both seeding paths must fire: the members whose cells are read off
+    /// the circumcentres and those clipped are counted.
     #[test]
     #[ignore = "stress range; run with --release"]
     fn seeding_matches_brute_force_on_20000_near_degenerate_groups_at_every_scale() {
         let scales = [1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9];
+        let (mut read_off, mut clipped) = (0u64, 0u64);
         for k in 0..20_000u64 {
             let s = scales[(k % 6) as usize];
             let shape = 1 + (k / 6 % 5) as usize;
@@ -1279,8 +1452,13 @@ mod tests {
                 .map(|o| PointObject::new(o.id.0, o.point * s))
                 .collect();
             let domain = Rect::new(Rect::DOMAIN.lo * s, Rect::DOMAIN.hi * s);
-            assert_seeding_matches_brute_force(&group, &domain);
+            let off = assert_seeding_matches_brute_force(&group, &domain);
+            (read_off, clipped) = (read_off + off, clipped + n as u64 - off);
         }
+        assert!(
+            read_off > 0 && clipped > 0,
+            "{read_off} read off, {clipped} clipped"
+        );
     }
 
     /// Algorithm 2 read literally: one best-first queue of nodes *and*
@@ -1367,15 +1545,18 @@ mod tests {
     }
 
     /// Work guard on the uniform 20 k tree walked leaf by leaf (the Q-cell
-    /// step of NM-CIJ). Delaunay seeding clips a member with its Delaunay
-    /// neighbours only — about six, nearly all of them cuts — so a seeded
-    /// member costs a vertex loop per neighbour and no more; the reach gate
-    /// keeps the members that run a vertex loop for a leaf point offered to
-    /// the group to the handful the point can concern, and the leaf step
-    /// offers each point once, in centroid order, and members never.
-    /// Measured: 8.76 clips per cell and 4.65 vertex loops per refinement
-    /// pass (a member seeded, or a leaf point offered); the ring walk that
-    /// seeded before made 9.62 and 6.96, above the loop bound.
+    /// step of NM-CIJ). Delaunay seeding reads the cell of a member inside
+    /// the group's hull off the circumcentres, no clip, and clips a member
+    /// on the hull with its Delaunay neighbours only — about six, nearly
+    /// all of them cuts — so a seeded member costs a vertex loop per
+    /// neighbour at most; the reach gate keeps the members that run a
+    /// vertex loop for a leaf point offered to the group to the handful the
+    /// point can concern, and the leaf step offers each point once, in
+    /// centroid order, and members never. Measured: 4.49 clips per cell and
+    /// 4.08 vertex loops per refinement pass (a member seeded, or a leaf
+    /// point offered); clipping every member, as seeding did before, made
+    /// 8.76 and 4.65, above the clip bound; the ring walk that seeded before
+    /// that made 9.62 and 6.96, above both.
     #[test]
     fn seeding_and_reach_gate_bound_the_work_per_cell() {
         let (mut tree, leaves) = uniform_20k();
@@ -1389,7 +1570,7 @@ mod tests {
         assert_eq!(cells, 20_000);
         let clips_per_cell = scratch.clips as f64 / cells as f64;
         let loops_per_call = scratch.vertex_loops as f64 / scratch.refine_calls as f64;
-        assert!(clips_per_cell <= 10.0, "{clips_per_cell} clips per cell");
+        assert!(clips_per_cell <= 6.0, "{clips_per_cell} clips per cell");
         assert!(
             loops_per_call <= 6.0,
             "{loops_per_call} member vertex loops per refinement pass"

@@ -2,7 +2,7 @@
 # Alternating parent/change pairs of the repo benchmark (BENCHMARK.json).
 #
 #   scripts/bench_pairs.sh <parent-ref> [--pairs 10] [--workloads a,b,...] [--out DIR]
-#                          [--seconds N]
+#                          [--seconds N] [--first-seed 11]
 #
 # `git archive`s <parent-ref> into a temporary directory (under $TMPDIR),
 # builds its cij_benchmark and the working tree's with separate
@@ -12,7 +12,9 @@
 # how many pairs the change won (ties count for neither side). Workloads,
 # metrics, their better-direction and the run length come from BENCHMARK.json;
 # --seconds N overrides its run_seconds (short exploratory pairs), and the
-# report header names the run length used.
+# report header names the run length used. --first-seed N starts the seeds
+# at N instead of 11: a claim should also hold on seeds nobody looked at
+# while the change was written.
 # After the table it says, per workload, on how many seeds
 # page_accesses_per_op was identical — the line a decision-preserving claim
 # rests on — or lists the seeds that differ with both values.
@@ -25,7 +27,7 @@
 set -euo pipefail
 
 usage() {
-    sed -n '2,24p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,26p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 }
 
@@ -36,12 +38,14 @@ pairs=10
 workloads=
 out=
 seconds=
+first_seed=11
 while [ $# -gt 1 ]; do
     case $1 in
     --pairs) pairs=$2 ;;
     --workloads) workloads=$2 ;;
     --out) out=$2 ;;
     --seconds) seconds=$2 ;;
+    --first-seed) first_seed=$2 ;;
     *) usage ;;
     esac
     shift 2
@@ -87,19 +91,20 @@ run() { # <side> <workload> <seed>: appends the run's result line and exit statu
 }
 for workload in ${workloads//,/ }; do
     for ((i = 0; i < pairs; i++)); do
-        seed=$((11 + i))
+        seed=$((first_seed + i))
         echo "$workload: pair $((i + 1))/$pairs (seed $seed)" >&2
         if ((i % 2 == 0)); then order="parent change"; else order="change parent"; fi
         for side in $order; do run "$side" "$workload" "$seed"; done
     done
 done
 
-python3 - "$logs" "$workloads" "$pairs" "$seconds" <<'EOF'
+python3 - "$logs" "$workloads" "$pairs" "$seconds" "$first_seed" <<'EOF'
 import json, statistics, sys
 
 logs, workloads = sys.argv[1], sys.argv[2].split(",")
 better = {m["name"]: m["better"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
-print(f"{sys.argv[3]} pairs per workload, {sys.argv[4]} s per run")
+pairs, first = int(sys.argv[3]), int(sys.argv[5])
+print(f"{pairs} pairs per workload (seeds {first}-{first + pairs - 1}), {sys.argv[4]} s per run")
 
 def load(workload, side):
     """One (seed, result) per run; the result is None when the run exited

@@ -17,18 +17,21 @@ fn tree_config() -> RTreeConfig {
 /// Bisectors the filter may offer an approximate cell per examined point,
 /// whether they cut or not. The ring walk over the candidate grid that the
 /// triangulation replaced offered 5.19 per examined point on the uniform
-/// join below and 5.56 on the clustered one; the triangulation offers 2.35
-/// and 2.00.
-const MAX_CLIP_ATTEMPTS_PER_POINT: u64 = 3;
+/// join below and 5.56 on the clustered one; the triangulation offered 2.35
+/// and 2.00 while it dug every cavity the corners left open, and offers
+/// 1.79 and 1.56 since a corner cell that meets no probe rejects the point
+/// first.
+const MAX_CLIP_ATTEMPTS_PER_POINT: u64 = 2;
 
 /// Work-counter guard for the triangulated cells: a Voronoi cell has ~6
 /// neighbours, and an approximate cell that starts from the probe group's
 /// bounds is offered the corners of the examined point's located triangle
 /// first and the rest of its would-be Delaunay neighbours only if the
-/// corners leave it open — most far points are rejected by a corner. Cells
-/// seeded from the whole domain and a grid framed on it needed 18.5 clips
-/// per examined point on this join, the ring walk 2.12, the triangulation
-/// 1.75. The counters are deterministic, so the gain cannot silently rot.
+/// corner cell is open and still meets a probe — most far points are
+/// rejected by a corner. Cells seeded from the whole domain and a grid
+/// framed on it needed 18.5 clips per examined point on this join, the
+/// ring walk 2.12, the triangulation 1.75 and 1.50 with the corner-cell
+/// test. The counters are deterministic, so the gain cannot silently rot.
 #[test]
 fn indexed_kernel_clips_a_handful_of_bisectors_per_examined_point() {
     let p = uniform_points(4_000, &Rect::DOMAIN, 18_401);
