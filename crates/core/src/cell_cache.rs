@@ -95,25 +95,9 @@ impl CacheBudget {
         self.inner.state.lock().unwrap().high_water
     }
 
-    /// Attempts to reserve `cells` without blocking. Requests larger than
-    /// the whole budget are clamped to it (they could otherwise never be
-    /// admitted). Returns `None` when the remaining budget is insufficient.
-    pub fn try_reserve(&self, cells: usize) -> Option<CacheLease> {
-        let cells = cells.min(self.inner.total);
-        let mut state = self.inner.state.lock().unwrap();
-        if state.reserved + cells > self.inner.total {
-            return None;
-        }
-        state.reserved += cells;
-        state.high_water = state.high_water.max(state.reserved);
-        Some(CacheLease {
-            budget: Arc::clone(&self.inner),
-            cells,
-        })
-    }
-
     /// Reserves `cells`, blocking until enough budget is free (admission
-    /// control). Requests larger than the whole budget are clamped to it.
+    /// control). Requests larger than the whole budget are clamped to it
+    /// (they could otherwise never be admitted).
     pub fn reserve(&self, cells: usize) -> CacheLease {
         let cells = cells.min(self.inner.total);
         let mut state = self.inner.state.lock().unwrap();
@@ -506,13 +490,12 @@ mod tests {
     }
 
     #[test]
-    fn budget_reserves_all_or_nothing_and_returns_on_drop() {
+    fn budget_reserve_fits_returns_on_drop_and_clamps() {
         let budget = CacheBudget::new(100);
-        let a = budget.try_reserve(60).expect("fits");
+        let a = budget.reserve(60);
         assert_eq!(a.cells(), 60);
         assert_eq!(budget.reserved(), 60);
-        assert!(budget.try_reserve(60).is_none(), "only 40 left");
-        let b = budget.try_reserve(40).expect("exactly fits");
+        let b = budget.reserve(40); // exactly fits: returns without waiting
         assert_eq!(budget.reserved(), 100);
         assert_eq!(budget.high_water(), 100);
         drop(a);
@@ -523,7 +506,7 @@ mod tests {
         assert_eq!(budget.reserved(), 0);
         // Oversized requests clamp to the whole budget instead of
         // deadlocking forever.
-        let c = budget.try_reserve(1_000_000).expect("clamped");
+        let c = budget.reserve(1_000_000);
         assert_eq!(c.cells(), 100);
         assert_eq!(c.new_cache().capacity(), 100);
     }

@@ -50,20 +50,6 @@ impl ExecMode {
     }
 }
 
-impl std::str::FromStr for ExecMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "metered" => Ok(ExecMode::Metered),
-            "fast" => Ok(ExecMode::Fast),
-            other => Err(format!(
-                "unknown exec mode {other:?} (expected \"metered\" or \"fast\")"
-            )),
-        }
-    }
-}
-
 /// Configuration of a CIJ evaluation.
 #[derive(Debug, Clone, Copy)]
 pub struct CijConfig {
@@ -220,66 +206,6 @@ impl CijConfig {
         self
     }
 
-    /// Applies environment overrides, one knob per variable:
-    ///
-    /// | Variable | Field | Values |
-    /// |---|---|---|
-    /// | `CIJ_WORKER_THREADS` | [`CijConfig::worker_threads`] | integer ≥ 1 |
-    /// | `CIJ_STORAGE` | [`CijConfig::storage_backend`] | `heap` \| `file` \| `mmap` |
-    /// | `CIJ_EXEC_MODE` | [`CijConfig::exec_mode`] | `metered` \| `fast` |
-    ///
-    /// Intended for harnesses (CI reruns the whole test suite with
-    /// `CIJ_WORKER_THREADS=4`, `CIJ_STORAGE=file`, `CIJ_STORAGE=mmap` and
-    /// `CIJ_EXEC_MODE=fast`). These three are the only environment
-    /// variables the workspace reads — page stores read none, and storage
-    /// faults are armed only by tests, through `inject_fault` — so library
-    /// behaviour never depends on the environment unless a caller opts in
-    /// through this method.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a variable is set but invalid — a harness that asks for
-    /// the parallel path or the file backend must never silently fall back
-    /// to the default one.
-    pub fn with_env_overrides(self) -> Self {
-        self.with_overrides_from(|name| std::env::var(name).ok())
-    }
-
-    /// The [`with_env_overrides`](CijConfig::with_env_overrides) knob table,
-    /// driven by an arbitrary `name -> value` source so tests can feed knob
-    /// values without mutating the real (process-global, racy) environment.
-    fn with_overrides_from(mut self, get: impl Fn(&str) -> Option<String>) -> Self {
-        // Every knob parses through its type's `FromStr` and panics with a
-        // uniform "<VAR>: <err>" message on invalid input; the thread-count
-        // knob additionally rejects 0, which would silently degrade to one
-        // worker (the `with_worker_threads` builder still accepts 0 for
-        // callers who explicitly want one).
-        type Apply = fn(&mut CijConfig, &str, &str);
-        fn parsed<T: std::str::FromStr<Err = String>>(name: &str, value: &str) -> T {
-            value.parse().unwrap_or_else(|err| panic!("{name}: {err}"))
-        }
-        const KNOBS: &[(&str, Apply)] = &[
-            ("CIJ_WORKER_THREADS", |c, name, value| {
-                match value.parse::<usize>() {
-                    Ok(threads) if threads >= 1 => c.worker_threads = threads,
-                    _ => panic!("{name}: must be a thread count >= 1, got {value:?}"),
-                }
-            }),
-            ("CIJ_STORAGE", |c, name, value| {
-                c.storage_backend = parsed(name, value);
-            }),
-            ("CIJ_EXEC_MODE", |c, name, value| {
-                c.exec_mode = parsed(name, value);
-            }),
-        ];
-        for (name, apply) in KNOBS {
-            if let Some(value) = get(name) {
-                apply(&mut self, name, &value);
-            }
-        }
-        self
-    }
-
     /// The effective number of worker threads (at least one).
     pub fn effective_worker_threads(&self) -> usize {
         self.worker_threads.max(1)
@@ -343,72 +269,13 @@ mod tests {
     }
 
     #[test]
-    fn exec_mode_default_builder_and_parsing() {
+    fn exec_mode_default_and_builder() {
         let c = CijConfig::default();
         assert_eq!(c.exec_mode, ExecMode::Metered, "metered is the oracle");
         assert_eq!(c.exec_mode.name(), "metered");
         let c = c.with_exec_mode(ExecMode::Fast);
         assert_eq!(c.exec_mode, ExecMode::Fast);
         assert_eq!(c.exec_mode.name(), "fast");
-        assert_eq!("metered".parse::<ExecMode>(), Ok(ExecMode::Metered));
-        assert_eq!("Fast".parse::<ExecMode>(), Ok(ExecMode::Fast));
-        assert!("turbo".parse::<ExecMode>().is_err());
-    }
-
-    /// Drives the override table with an explicit map instead of the real
-    /// environment (process-global and racy under the parallel test runner).
-    fn overridden(pairs: &[(&str, &str)]) -> CijConfig {
-        CijConfig::default().with_overrides_from(|name| {
-            pairs
-                .iter()
-                .find(|(k, _)| *k == name)
-                .map(|(_, v)| v.to_string())
-        })
-    }
-
-    #[test]
-    fn override_table_applies_every_knob() {
-        let c = overridden(&[
-            ("CIJ_WORKER_THREADS", "4"),
-            ("CIJ_STORAGE", "file"),
-            ("CIJ_EXEC_MODE", "fast"),
-        ]);
-        assert_eq!(c.worker_threads, 4);
-        assert_eq!(c.storage_backend, StorageBackend::File);
-        assert_eq!(c.exec_mode, ExecMode::Fast);
-        // Every storage backend name round-trips through the knob.
-        let m = overridden(&[("CIJ_STORAGE", "mmap")]);
-        assert_eq!(m.storage_backend, StorageBackend::Mmap);
-        let h = overridden(&[("CIJ_STORAGE", "heap")]);
-        assert_eq!(h.storage_backend, StorageBackend::Heap);
-        // Unset knobs keep their configured values.
-        let d = overridden(&[]);
-        assert_eq!(d.worker_threads, 1);
-        assert_eq!(d.exec_mode, ExecMode::Metered);
-    }
-
-    #[test]
-    fn override_table_rejects_invalid_values_uniformly() {
-        // Every knob panics (never silently falls back) on an invalid value,
-        // and the message names the offending variable.
-        let invalid = [
-            ("CIJ_WORKER_THREADS", "0"),
-            ("CIJ_WORKER_THREADS", "many"),
-            ("CIJ_STORAGE", "tape"),
-            ("CIJ_EXEC_MODE", "turbo"),
-        ];
-        for (name, value) in invalid {
-            let result = std::panic::catch_unwind(|| overridden(&[(name, value)]));
-            let err = result.expect_err(&format!("{name}={value} must panic"));
-            let message = err
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_else(|| err.downcast_ref::<&str>().unwrap_or(&"").to_string());
-            assert!(
-                message.contains(name),
-                "panic for {name}={value} names the variable: {message:?}"
-            );
-        }
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //! ## Execution modes and the request server
 //!
 //! NM-CIJ and the multiway join run in one of two modes
-//! ([`CijConfig::exec_mode`], env `CIJ_EXEC_MODE`): **Metered**, the
+//! ([`CijConfig::exec_mode`]): **Metered**, the
 //! byte-exact counted oracle used by every experiment and test, and
 //! **Fast**, a lock-light serving mode in which read-only snapshot readers
 //! replace the trace/replay machinery and many concurrent queries share one

@@ -313,8 +313,6 @@ pub struct TupleStream<'a> {
     /// nothing from the failing leaf or chunk was emitted, and everything
     /// emitted stays valid.
     ledger: StreamLedger,
-    /// Tuples pulled by the consumer so far.
-    emitted: u64,
     /// Debug-build guard: every emitted id tuple must be unique.
     /// Membership-only (the `insert` return value is the whole check; never
     /// iterated), so `HashSet` order cannot leak (allowlisted CIJ-D102).
@@ -326,7 +324,6 @@ impl std::fmt::Debug for TupleStream<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TupleStream")
             .field("k", &self.acct.k())
-            .field("emitted", &self.emitted)
             .finish_non_exhaustive()
     }
 }
@@ -403,15 +400,9 @@ impl<'a> TupleStream<'a> {
             pending: VecDeque::new(),
             pulled: 0,
             ledger,
-            emitted: 0,
             #[cfg(debug_assertions)]
             seen_ids: std::collections::HashSet::new(),
         }
-    }
-
-    /// Number of tuples this stream has yielded so far.
-    pub fn tuples_emitted(&self) -> u64 {
-        self.emitted
     }
 
     /// The input-set index whose tree drives this evaluation.
@@ -697,7 +688,6 @@ impl Iterator for TupleStream<'_> {
                 if self.pulled < table.len {
                     let tuple = self.tuple_of(table, self.pulled);
                     self.pulled += 1;
-                    self.emitted += 1;
                     #[cfg(debug_assertions)]
                     debug_assert!(
                         self.seen_ids.insert(tuple.ids.clone()),

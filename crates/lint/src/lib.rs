@@ -24,6 +24,7 @@
 //! |----|----------|---------------|
 //! | `CIJ-D101` | **Determinism — entropy sources.** `SystemTime::now`, `Instant::now` and `thread_rng` are forbidden outside `crates/bench`, `crates/datagen` and test code. Result paths must be a pure function of inputs + config; a clock read that leaks into emission or counters breaks the replay parity the whole evaluation rests on. | PR 2 (trace/replay parity) |
 //! | `CIJ-D102` | **Determinism — iteration order.** `HashMap`/`HashSet` are forbidden in the result-emitting modules (`core::{engine,chunk,nm,multiway,filter,service}`, `cij_voronoi`): anything iterated there must have deterministic order (`BTreeMap`, sorted `Vec`). Membership-only uses (never iterated) may be allowlisted with a reason. | PR 1–4 (ordered streams) |
+//! | `CIJ-D103` | **Determinism — the environment.** `env::var`, `env::var_os`, `env::vars` and `env::vars_os` are forbidden outside `crates/bench`, `crates/datagen` and test code. A run is its inputs and its `CijConfig`; the parity guarantee (same rows and counters on every backend, worker count and mode) is checked by tests that name each cell, not by rerunning the suite under environment overrides. `env::temp_dir` (where anonymous page files go) stays legal. | the environment overrides' removal |
 //! | `CIJ-U201` | **Unsafe audit — justification.** Every `unsafe` block/fn/impl must be immediately preceded by a `// SAFETY:` comment stating the invariant that makes it sound (contiguous comment/attribute lines above it are searched). | PR 8 (raw `mmap` bindings) |
 //! | `CIJ-U202` | **Unsafe audit — budget.** Every `unsafe` occurrence must be covered by an exact per-file count in `lint.toml`, so any new unsafe (or removed unsafe that leaves the budget stale) shows up as a reviewable `lint.toml` diff. | PR 8 |
 //! | `CIJ-I301` | **I/O accounting.** Every `PageBackend::read`/`write` call site (and every `write_back` call) must pass a *literal* `IoClass::Metered`/`IoClass::Unmetered` — classifying through a variable would let a call site launder metered traffic past review. | PR 8 (`BackendIo` metered/unmetered split) |

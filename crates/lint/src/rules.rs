@@ -38,6 +38,8 @@ impl std::fmt::Display for Diagnostic {
 pub const D101: &str = "CIJ-D101";
 /// Determinism: hash-ordered collections in result-emitting modules.
 pub const D102: &str = "CIJ-D102";
+/// Determinism: environment variables read by product code.
+pub const D103: &str = "CIJ-D103";
 /// Unsafe audit: `// SAFETY:` comment required.
 pub const U201: &str = "CIJ-U201";
 /// Unsafe audit: per-file budget in `lint.toml`.
@@ -59,12 +61,13 @@ pub const X901: &str = "CIJ-X901";
 
 /// Every real rule ID (everything an allowlist entry may name), plus the
 /// meta rule last.
-pub const ALL_RULES: [&str; 11] = [
-    D101, D102, U201, U202, I301, I302, A401, C501, C502, G601, X901,
+pub const ALL_RULES: [&str; 12] = [
+    D101, D102, D103, U201, U202, I301, I302, A401, C501, C502, G601, X901,
 ];
 
 /// Crates whose code is *supposed* to read clocks and RNGs: the bench
 /// harness measures wall time and the data generators are seeded RNG users.
+/// `CIJ-D103` exempts the same two.
 const D101_EXEMPT_PREFIXES: [&str; 2] = ["crates/bench/", "crates/datagen/"];
 
 /// The result-emitting modules (paths) where pair/tuple/counter emission
@@ -107,6 +110,7 @@ pub fn scan_file(path: &str, scan: &FileScan) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     rule_d101(path, scan, &mut out);
     rule_d102(path, scan, &mut out);
+    rule_d103(path, scan, &mut out);
     rule_u201(path, scan, &mut out);
     rule_u202(path, scan, &mut out);
     rule_i301(path, scan, &mut out);
@@ -187,6 +191,38 @@ fn rule_d102(path: &str, scan: &FileScan, out: &mut Vec<Diagnostic>) {
                     "{w} in a result-emitting module: iteration order is \
                      nondeterministic — use BTreeMap/BTreeSet or a sorted Vec, \
                      or allowlist a membership-only use with a reason"
+                ),
+            );
+        }
+    }
+}
+
+/// CIJ-D103: `env::var`, `env::var_os`, `env::vars` and `env::vars_os` are
+/// forbidden outside `crates/bench`, `crates/datagen` and test code — a
+/// result or a counter must never depend on how the process was started, and
+/// a configuration is set through `CijConfig`, by the caller. Other `env`
+/// items (`env::temp_dir`, `env::args`) stay legal.
+fn rule_d103(path: &str, scan: &FileScan, out: &mut Vec<Diagnostic>) {
+    if D101_EXEMPT_PREFIXES.iter().any(|p| path.starts_with(p)) {
+        return;
+    }
+    for i in 0..scan.tokens.len() {
+        if scan.in_test[i] {
+            continue;
+        }
+        if let Some(item) = ["var", "var_os", "vars", "vars_os"]
+            .into_iter()
+            .find(|item| scan.path2(i, "env", item))
+        {
+            diag(
+                out,
+                D103,
+                path,
+                scan.tokens[i].line,
+                format!(
+                    "env::{item} in product code: nothing may depend on the \
+                     environment (set the value through CijConfig, or move the \
+                     read to crates/bench / crates/datagen / tests)"
                 ),
             );
         }

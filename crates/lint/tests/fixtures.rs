@@ -97,8 +97,8 @@ fn every_rule_family_has_a_seeded_violation() {
     }
     seeded.sort();
     let want = [
-        "CIJ-A401", "CIJ-C501", "CIJ-C502", "CIJ-D101", "CIJ-D102", "CIJ-G601", "CIJ-I301",
-        "CIJ-I302", "CIJ-U201", "CIJ-U202",
+        "CIJ-A401", "CIJ-C501", "CIJ-C502", "CIJ-D101", "CIJ-D102", "CIJ-D103", "CIJ-G601",
+        "CIJ-I301", "CIJ-I302", "CIJ-U201", "CIJ-U202",
     ];
     assert_eq!(seeded, want, "rule families missing a seeded violation");
 }

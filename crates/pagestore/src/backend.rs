@@ -51,7 +51,6 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::{IoOp, PageIoError};
@@ -61,9 +60,8 @@ use crate::fault::FaultStats;
 /// frames.
 ///
 /// This is the configuration-level knob ([`PageStoreConfig::backend`],
-/// threaded up through `cij_core::CijConfig::storage_backend` and the
-/// `CIJ_STORAGE` environment override); the trait object itself is created
-/// by [`StorageBackend::create`].
+/// threaded up through `cij_core::CijConfig::storage_backend`); the trait
+/// object itself is created by [`StorageBackend::create`].
 ///
 /// [`PageStoreConfig::backend`]: crate::PageStoreConfig
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -92,8 +90,7 @@ impl StorageBackend {
         StorageBackend::Mmap,
     ];
 
-    /// Short lowercase name, the same token [`StorageBackend::from_str`]
-    /// parses.
+    /// Short lowercase name, used by tables and test labels.
     pub fn name(&self) -> &'static str {
         match self {
             StorageBackend::Heap => "heap",
@@ -116,21 +113,6 @@ impl StorageBackend {
 impl fmt::Display for StorageBackend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl FromStr for StorageBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "heap" | "mem" | "memory" => Ok(StorageBackend::Heap),
-            "file" | "disk" => Ok(StorageBackend::File),
-            "mmap" | "map" => Ok(StorageBackend::Mmap),
-            other => Err(format!(
-                "unknown storage backend {other:?} (expected \"heap\", \"file\" or \"mmap\")"
-            )),
-        }
     }
 }
 
@@ -668,13 +650,7 @@ mod tests {
     }
 
     #[test]
-    fn storage_backend_parses_and_prints() {
-        assert_eq!("heap".parse::<StorageBackend>(), Ok(StorageBackend::Heap));
-        assert_eq!("FILE".parse::<StorageBackend>(), Ok(StorageBackend::File));
-        assert_eq!(" disk ".parse::<StorageBackend>(), Ok(StorageBackend::File));
-        assert_eq!("mmap".parse::<StorageBackend>(), Ok(StorageBackend::Mmap));
-        assert_eq!(" Map ".parse::<StorageBackend>(), Ok(StorageBackend::Mmap));
-        assert!("floppy".parse::<StorageBackend>().is_err());
+    fn storage_backend_prints() {
         assert_eq!(StorageBackend::File.to_string(), "file");
         assert_eq!(StorageBackend::Mmap.to_string(), "mmap");
         assert_eq!(StorageBackend::default(), StorageBackend::Heap);

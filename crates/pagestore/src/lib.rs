@@ -48,11 +48,12 @@
 //! counters and even [`BackendIo`] byte counts. The backends differ only in
 //! whether the frames actually hit storage. This is asserted at the store
 //! level here, and end-to-end (identical join results and page-access
-//! totals under `CIJ_STORAGE=file` / `CIJ_STORAGE=mmap`) by the workspace's
-//! integration tests — which is what finally lets the paper's counted page
-//! accesses be validated against real I/O (`bytes_read == physical_reads ×
-//! page_size`, see `file_bytes_read_match_counted_physical_reads` in the
-//! workspace's `tests/storage.rs`).
+//! totals on every backend, each test naming the backends it runs) by the
+//! workspace's integration tests — which is what finally lets the paper's
+//! counted page accesses be validated against real I/O (`bytes_read ==
+//! physical_reads × page_size`, see
+//! `file_bytes_read_match_counted_physical_reads` in the workspace's
+//! `tests/storage.rs`).
 //!
 //! ## The failure model
 //!

@@ -51,10 +51,14 @@ const MAX_ALLOCATIONS_PER_METERED_PAIR: f64 = 2.65;
 
 /// Allocations a second `batch_voronoi` over one 41-point leaf group
 /// may spend on the scratch the first call warmed: what the returned cells
-/// need and nothing else. Measured 98 — the vector of cells, one seed
-/// outline per member and 56 outline growths, 2.4 per member — and 99 under
-/// the transient fault profile; the traversal heap the call used to build
-/// and regrow for every group made it 105.
+/// need, and the nodes the traversal reads through this tree's zero-page
+/// buffer. Measured 99, debug and `--release` alike: the vector of cells,
+/// one seed outline per member (41), 41 outline growths (35 while seeding,
+/// 6 while refining with leaves; 39 from four vertices to eight, 2 from
+/// eight to sixteen), and 16 for the 8 cold node reads (the root, one inner
+/// node and six leaves, each decoded into an `Arc` and one entry vector).
+/// The traversal heap the call used to build and regrow for every group
+/// made it 105.
 const MAX_WARM_ALLOCATIONS_PER_LEAF_GROUP: u64 = 100;
 
 /// Allocations a second `batch_voronoi` over one 1 000-member clustered

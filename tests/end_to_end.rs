@@ -5,16 +5,12 @@
 use cij::prelude::*;
 use cij::rtree::RTreeConfig;
 
-/// Small pages so even modest datasets produce multi-level trees; honours
-/// the `CIJ_WORKER_THREADS` / `CIJ_STORAGE` overrides CI uses to rerun
-/// this suite over the parallel path and the file storage backend.
+/// Small pages so even modest datasets produce multi-level trees.
 fn test_config() -> CijConfig {
-    CijConfig::default()
-        .with_rtree(RTreeConfig {
-            page_size: 512,
-            max_entries: 64,
-        })
-        .with_env_overrides()
+    CijConfig::default().with_rtree(RTreeConfig {
+        page_size: 512,
+        max_entries: 64,
+    })
 }
 
 /// The unified entry point every integration test goes through.
@@ -128,8 +124,7 @@ fn cost_ordering_matches_the_paper() {
     // accesses, and NM-CIJ stays above (but close to) the LB lower bound.
     // Pinned to metered execution: it is the measurement oracle, and fast
     // mode deliberately reports logical snapshot reads instead of buffered
-    // physical page accesses, which would skew this comparison under the
-    // `CIJ_EXEC_MODE=fast` CI pass.
+    // physical page accesses, which would skew this comparison.
     let p = uniform_points(1_500, &Rect::DOMAIN, 6001);
     let q = uniform_points(1_500, &Rect::DOMAIN, 6002);
     let engine = QueryEngine::new(test_config().with_exec_mode(ExecMode::Metered));

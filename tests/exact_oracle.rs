@@ -18,7 +18,7 @@
 //! same test over three constraint sets.
 //!
 //! Every configuration is pinned (backend, mode, workers, pages), as
-//! `tests/golden_counters.rs` does, so no `CIJ_*` rerun changes a case.
+//! `tests/golden_counters.rs` does.
 
 use cij::prelude::*;
 use rand::rngs::StdRng;

@@ -36,15 +36,15 @@ use std::sync::Arc;
 
 const REGIMES: [FaultKind; 2] = [FaultKind::Persistent, FaultKind::Transient];
 
-/// Small pages, so a few hundred points make trees of several levels, on
-/// whatever storage backend the environment selects.
+/// Small pages, so a few hundred points make trees of several levels. The
+/// store arms a fault in a wrapper around its backend, so the default heap
+/// backend stands for all three.
 fn sweep_config(mode: ExecMode, workers: usize) -> CijConfig {
     CijConfig::default()
         .with_rtree(RTreeConfig {
             page_size: 512,
             max_entries: 64,
         })
-        .with_env_overrides()
         .with_exec_mode(mode)
         .with_worker_threads(workers)
 }

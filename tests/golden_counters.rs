@@ -14,9 +14,9 @@
 //! and names each moved line in its change notes.
 //!
 //! Every case pins its whole configuration — storage backend, execution
-//! mode, worker count, buffer size, cache capacity — and never reads the
-//! `CIJ_*` overrides (page stores read no environment at all), so none of
-//! CI's whole-suite reruns can move a line. Only
+//! mode, worker count, buffer size, cache capacity — and the workspace
+//! reads no environment variable, so nothing outside the file can move a
+//! line. Only
 //! quantities that repeat exactly are recorded: counts, byte totals, and an
 //! order-sensitive FNV-1a hash of each emitted sequence (pairs, tuples with
 //! their region vertices' bits and without them, progress samples,

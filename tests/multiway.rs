@@ -1,23 +1,19 @@
 //! Integration tests for the leaf-batched, streaming, parallel multiway
 //! CIJ: oracle parity on uniform and clustered data, cost-driven
 //! driver-tree selection, exact thread parity at `worker_threads` ∈ {1, 4},
-//! heap-vs-file storage parity, streaming laziness/watermarks, and a
-//! proptest over random workloads.
+//! file and mmap storage parity with the heap, streaming
+//! laziness/watermarks, and a proptest over random workloads.
 
 use cij::prelude::*;
 use cij::rtree::RTreeConfig;
 use proptest::prelude::*;
 
-/// Small pages so even modest datasets produce multi-level trees; honours
-/// the `CIJ_WORKER_THREADS` / `CIJ_STORAGE` overrides CI uses for its
-/// second and third test passes.
+/// Small pages so even modest datasets produce multi-level trees.
 fn test_config() -> CijConfig {
-    CijConfig::default()
-        .with_rtree(RTreeConfig {
-            page_size: 512,
-            max_entries: 64,
-        })
-        .with_env_overrides()
+    CijConfig::default().with_rtree(RTreeConfig {
+        page_size: 512,
+        max_entries: 64,
+    })
 }
 
 fn clustered(n: usize, seed: u64) -> Vec<Point> {
@@ -155,8 +151,6 @@ fn storage_backends_are_observably_identical() {
         clustered(200, 15_017),
     ];
     let heap = run_multiway(&sets, &base.with_storage_backend(StorageBackend::Heap));
-    let file = run_multiway(&sets, &base.with_storage_backend(StorageBackend::File));
-    assert_parity(&file, &heap, "file vs heap backend");
     // And the same holds with the parallel path on top.
     let heap4 = run_multiway(
         &sets,
@@ -164,13 +158,15 @@ fn storage_backends_are_observably_identical() {
             .with_storage_backend(StorageBackend::Heap)
             .with_worker_threads(4),
     );
-    let file4 = run_multiway(
-        &sets,
-        &base
-            .with_storage_backend(StorageBackend::File)
-            .with_worker_threads(4),
-    );
-    assert_parity(&file4, &heap4, "file vs heap backend, T=4");
+    for backend in [StorageBackend::File, StorageBackend::Mmap] {
+        let other = run_multiway(&sets, &base.with_storage_backend(backend));
+        assert_parity(&other, &heap, &format!("{backend} vs heap backend"));
+        let other4 = run_multiway(
+            &sets,
+            &base.with_storage_backend(backend).with_worker_threads(4),
+        );
+        assert_parity(&other4, &heap4, &format!("{backend} vs heap backend, T=4"));
+    }
     assert_parity(&heap4, &heap, "heap T=4 vs T=1");
 }
 
@@ -189,8 +185,14 @@ fn thread_and_backend_parity_hold_at_a_fixed_nonzero_driver() {
     assert_ne!(sequential.driver, 0);
     let parallel = run_multiway(&sets, &base.with_worker_threads(4));
     assert_parity(&parallel, &sequential, "nonzero driver, T=4 vs T=1");
-    let file = run_multiway(&sets, &base.with_storage_backend(StorageBackend::File));
-    assert_parity(&file, &sequential, "nonzero driver, file vs heap");
+    for backend in [StorageBackend::File, StorageBackend::Mmap] {
+        let other = run_multiway(&sets, &base.with_storage_backend(backend));
+        assert_parity(
+            &other,
+            &sequential,
+            &format!("nonzero driver, {backend} vs heap"),
+        );
+    }
 }
 
 #[test]
@@ -208,9 +210,15 @@ fn cost_driven_plan_parity_holds_across_threads_and_backends() {
     let parallel = run_multiway(&sets, &base.with_worker_threads(4));
     assert_eq!(parallel.driver, sequential.driver);
     assert_parity(&parallel, &sequential, "cost-driven plan, T=4 vs T=1");
-    let file = run_multiway(&sets, &base.with_storage_backend(StorageBackend::File));
-    assert_eq!(file.driver, sequential.driver);
-    assert_parity(&file, &sequential, "cost-driven plan, file vs heap");
+    for backend in [StorageBackend::File, StorageBackend::Mmap] {
+        let other = run_multiway(&sets, &base.with_storage_backend(backend));
+        assert_eq!(other.driver, sequential.driver);
+        assert_parity(
+            &other,
+            &sequential,
+            &format!("cost-driven plan, {backend} vs heap"),
+        );
+    }
 }
 
 #[test]

@@ -10,15 +10,12 @@ use cij::rtree::RTreeConfig;
 use cij::voronoi::brute_force_diagram;
 use proptest::prelude::*;
 
-/// Small pages so even modest datasets produce multi-level trees; honours
-/// the `CIJ_WORKER_THREADS` override CI uses for its second test pass.
+/// Small pages so even modest datasets produce multi-level trees.
 fn test_config() -> CijConfig {
-    CijConfig::default()
-        .with_rtree(RTreeConfig {
-            page_size: 512,
-            max_entries: 64,
-        })
-        .with_env_overrides()
+    CijConfig::default().with_rtree(RTreeConfig {
+        page_size: 512,
+        max_entries: 64,
+    })
 }
 
 fn clustered(n: usize, seed: u64) -> Vec<Point> {

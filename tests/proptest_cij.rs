@@ -8,15 +8,12 @@ use cij::voronoi::{brute_force_diagram, nearest_index};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
-/// Honours the `CIJ_WORKER_THREADS` / `CIJ_STORAGE` overrides CI uses to
-/// rerun this suite over the parallel path and the file storage backend.
+/// Small pages so even modest datasets produce multi-level trees.
 fn test_config() -> CijConfig {
-    CijConfig::default()
-        .with_rtree(RTreeConfig {
-            page_size: 512,
-            max_entries: 64,
-        })
-        .with_env_overrides()
+    CijConfig::default().with_rtree(RTreeConfig {
+        page_size: 512,
+        max_entries: 64,
+    })
 }
 
 fn pointset(max_len: usize) -> impl Strategy<Value = Vec<Point>> {

@@ -3,8 +3,8 @@
 //! under below (a flip either way is red), and the committed
 //! `REPRODUCTION.md` held to the generated report — regenerate it with
 //! `cargo run --release -p cij-bench --bin reproduce -- --report REPRODUCTION.md`.
-//! The experiments pin their configs (no `CIJ_*` override is read), so no
-//! CI rerun moves a verdict.
+//! The experiments pin their configs, so nothing outside them moves a
+//! verdict.
 
 use cij_bench::experiments::{self, TIER};
 use cij_bench::util::Status::{self, *};

@@ -95,18 +95,23 @@ fn backend_matrix_matches_the_metered_heap_baseline_exactly() {
 }
 
 /// All three algorithms (including the Voronoi-tree-materialising FM/PM)
-/// agree with the brute-force oracle when every tree lives on the file
-/// backend.
+/// agree with the brute-force oracle when every tree lives on each backend.
 #[test]
-fn every_algorithm_is_correct_over_the_file_backend() {
-    let config = test_config().with_storage_backend(StorageBackend::File);
-    let engine = QueryEngine::new(config);
+fn every_algorithm_is_correct_over_every_backend() {
     let p = uniform_points(150, &Rect::DOMAIN, 9405);
     let q = clustered(150, 9406);
-    let oracle = brute_force_cij(&p, &q, &config.domain);
-    for alg in Algorithm::ALL {
-        let outcome = engine.join(&p, &q, alg);
-        assert_eq!(outcome.sorted_pairs(), oracle, "{} diverged", alg.name());
+    let oracle = brute_force_cij(&p, &q, &Rect::DOMAIN);
+    for backend in StorageBackend::ALL {
+        let engine = QueryEngine::new(test_config().with_storage_backend(backend));
+        for alg in Algorithm::ALL {
+            let outcome = engine.join(&p, &q, alg);
+            assert_eq!(
+                outcome.sorted_pairs(),
+                oracle,
+                "{backend}: {} diverged",
+                alg.name()
+            );
+        }
     }
 }
 

@@ -5,16 +5,12 @@
 use cij::prelude::*;
 use cij::rtree::RTreeConfig;
 
-/// Small pages so even modest datasets produce multi-level trees; honours
-/// the `CIJ_WORKER_THREADS` override CI uses to run this suite a second
-/// time over the parallel NM-CIJ path.
+/// Small pages so even modest datasets produce multi-level trees.
 fn test_config() -> CijConfig {
-    CijConfig::default()
-        .with_rtree(RTreeConfig {
-            page_size: 512,
-            max_entries: 64,
-        })
-        .with_env_overrides()
+    CijConfig::default().with_rtree(RTreeConfig {
+        page_size: 512,
+        max_entries: 64,
+    })
 }
 
 fn clustered(n: usize, seed: u64) -> Vec<Point> {
