@@ -8,6 +8,7 @@
 //! release table adds the time of every other phase — where NM-CIJ's JOIN
 //! time goes.
 
+use super::sweeps::agreed_pairs;
 use super::sweeps::sets;
 use crate::util::{row, scaled, Section, Table};
 use cij_core::{Algorithm, CijConfig, CijOutcome, Phase, QueryEngine};
@@ -18,6 +19,8 @@ pub fn run(scale: f64) -> Vec<Section> {
     let (p, q) = sets(n, n);
     let engine = QueryEngine::new(CijConfig::default());
     let [fm, pm, nm] = Algorithm::ALL.map(|alg| engine.join(&p, &q, alg));
+    let sets = [&fm, &pm, &nm].map(|o| o.sorted_pairs());
+    let (_, digest) = agreed_pairs("the default setting", &sets);
     let total = |o: &CijOutcome| o.page_accesses();
     let mat = |o: &CijOutcome| o.profile.mat_io.page_accesses();
     let first = |o: &CijOutcome| o.progress.first().map_or(0, |s| s.page_accesses);
@@ -39,6 +42,7 @@ pub fn run(scale: f64) -> Vec<Section> {
     let mut breakdown = Table::new(&columns, 7);
     let columns = ["method", "first pair at", "pairs then", "pairs", "samples"];
     let mut progress = Table::new(&columns, 0);
+    progress.columns.push("pair digest");
     for (alg, o) in Algorithm::ALL.iter().zip([&fm, &pm, &nm]) {
         let (profile, name, pairs) = (&o.profile, alg.name(), o.pairs.len());
         let mat_time = profile.elapsed[Phase::Materialise];
@@ -52,7 +56,7 @@ pub fn run(scale: f64) -> Vec<Section> {
         let (head, samples) = (o.progress.first().map_or(0, |s| s.pairs), o.progress.len());
         progress
             .rows
-            .push(row![name, first(o), head, pairs, samples]);
+            .push(row![name, first(o), head, pairs, samples, digest]);
     }
     let mut fig7 = Section::new("fig7", "Figure 7: cost breakdown", breakdown);
     let claim = "NM-CIJ has no materialisation cost (MAT I/O = 0)";

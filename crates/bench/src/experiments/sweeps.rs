@@ -25,14 +25,16 @@ pub(crate) fn sets(np: usize, nq: usize) -> (Vec<Point>, Vec<Point>) {
 }
 
 /// One labelled input pair and what FM-, PM- and NM-CIJ do on it, each on
-/// a fresh workload.
+/// a fresh workload; [`run_all`] holds the three to one pair set.
 pub(crate) struct Run {
     pub label: String,
     pub np: usize,
     /// Page accesses of FM-, PM- and NM-CIJ.
     pub io: [u64; 3],
     pub lb: u64,
+    /// The size and digest of the pair set all three returned.
     pub pairs: usize,
+    pub digest: String,
     /// NM-CIJ's profile.
     pub nm: QueryProfile,
     /// Exact `P` cells NM-CIJ computes without the reuse buffer (datasize
@@ -42,14 +44,16 @@ pub(crate) struct Run {
 
 pub(crate) fn run_all(label: String, p: &[Point], q: &[Point], config: CijConfig) -> Run {
     let engine = QueryEngine::new(config);
-    let (mut lb, mut pairs, mut nm) = (0, 0, QueryProfile::default());
+    let (mut lb, mut nm, mut sets) = (0, QueryProfile::default(), Vec::new());
     let io = Algorithm::ALL.map(|alg| {
         let mut w = engine.build_workload(p, q);
         lb = w.lower_bound_io();
         let outcome = engine.run(&mut w, alg);
-        (pairs, nm) = (outcome.pairs.len(), outcome.profile);
+        sets.push(outcome.sorted_pairs());
+        nm = outcome.profile;
         nm.page_accesses()
     });
+    let (pairs, digest) = agreed_pairs(&label, &sets);
     let (np, no_reuse) = (p.len(), 0);
     Run {
         label,
@@ -57,15 +61,48 @@ pub(crate) fn run_all(label: String, p: &[Point], q: &[Point], config: CijConfig
         io,
         lb,
         pairs,
+        digest,
         nm,
         no_reuse,
     }
 }
 
-/// A page-access table: `first`, then FM-, PM-, NM-CIJ and LB per run.
+/// Holds the algorithms of one unit to one pair set: `sets[i]`, the sorted
+/// pairs of `Algorithm::ALL[i]`, is duplicate-free, and all are the same
+/// set. Panics naming the unit and the algorithms otherwise — a
+/// disagreement is a bug in one of them, not a verdict. Returns the set's
+/// size and [`pair_digest`].
+pub(crate) fn agreed_pairs(unit: &str, sets: &[Vec<(u64, u64)>]) -> (usize, String) {
+    let first = Algorithm::ALL[0].name();
+    for (alg, set) in Algorithm::ALL.iter().zip(sets) {
+        let name = alg.name();
+        if let Some(twice) = set.windows(2).find(|w| w[0] == w[1]) {
+            panic!("{unit}: {name} returned the pair {:?} twice", twice[0]);
+        }
+        if *set != sets[0] {
+            panic!("{unit}: {first} and {name} returned different pair sets");
+        }
+    }
+    (sets[0].len(), pair_digest(&sets[0]))
+}
+
+/// 64-bit FNV-1a over the little-endian bytes of the sorted pairs' ids:
+/// the same on every platform and toolchain, unlike `DefaultHasher`.
+pub(crate) fn pair_digest(sorted: &[(u64, u64)]) -> String {
+    let words = sorted.iter().flat_map(|&(p, q)| [p, q]);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in words.flat_map(u64::to_le_bytes) {
+        h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+/// A page-access table: `first`, then FM-, PM-, NM-CIJ and LB per run, and
+/// the digest of the pair set all three returned.
 pub(crate) fn io_table(first: &'static str, runs: &[Run]) -> Table {
-    let mut table = Table::new(&[first, "FM-CIJ", "PM-CIJ", "NM-CIJ", "LB"], 0);
-    let row = |r: &Run| row![r.label, r.io[0], r.io[1], r.io[2], r.lb];
+    let columns = [first, "FM-CIJ", "PM-CIJ", "NM-CIJ", "LB", "pair digest"];
+    let mut table = Table::new(&columns, 0);
+    let row = |r: &Run| row![r.label, r.io[0], r.io[1], r.io[2], r.lb, r.digest];
     table.rows = runs.iter().map(row).collect();
     table
 }
@@ -250,4 +287,26 @@ pub fn capacity(scale: f64) -> Vec<Section> {
         format!("working set {working_set} cells; larger capacities that evict: [{evicting}]");
     fig11c.check(claim, holds, evidence);
     vec![fig11c]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn agreed_pairs_digest_one_set_and_name_a_disagreement() {
+        let set = vec![(1, 2), (3, 4)];
+        let three = [set.clone(), set.clone(), set.clone()];
+        assert_eq!(agreed_pairs("u", &three), (2, pair_digest(&set)));
+        assert_ne!(pair_digest(&set), pair_digest(&set[..1]));
+        let message = |sets: [Vec<(u64, u64)>; 3]| {
+            let caught = std::panic::catch_unwind(|| agreed_pairs("u", &sets));
+            *caught.unwrap_err().downcast::<String>().unwrap()
+        };
+        let differ = [set.clone(), set.clone(), set[..1].to_vec()];
+        let expected = "u: FM-CIJ and NM-CIJ returned different pair sets";
+        assert_eq!(message(differ), expected);
+        let twice = [set.clone(), vec![(1, 2), (1, 2)], set];
+        assert_eq!(message(twice), "u: PM-CIJ returned the pair (1, 2) twice");
+    }
 }

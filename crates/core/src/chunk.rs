@@ -57,15 +57,16 @@
 //!   read-only, so every parallel phase reads through a
 //!   [`SnapshotReader`] handed out by [`Accounting::reader`] and returns a
 //!   [`ReadLog`]. What the log is worth is decided once, at stream
-//!   construction: [`Accounting::Metered`] readers record the page trace
-//!   and the coordinator **replays** it through the real buffer + shared
-//!   [`IoStats`] in leaf order — the exact access sequence of a one-leaf-
-//!   at-a-time run, hence identical page-access totals, buffer state and
-//!   per-leaf samples at any worker count; [`Accounting::Fast`] readers
-//!   only count, and the coordinator adds the count to a per-query-local
-//!   counter — no trace, no replay, no shared-counter traffic, and only
-//!   `&RTree` needed, which is what lets concurrent queries share one
-//!   snapshot ([`crate::service`]). Rows, their order and every counter are
+//!   construction: [`Accounting::Metered`] readers keep the pinned page of
+//!   every read and the coordinator **replays** them through the real
+//!   buffer + shared [`IoStats`] in leaf order — the exact access sequence
+//!   of a one-leaf-at-a-time run, hence identical page-access totals,
+//!   buffer state and per-leaf samples at any worker count, with each page
+//!   read once, by the worker; [`Accounting::Fast`] readers only count, and
+//!   the coordinator adds the count to a per-query-local counter — no
+//!   trace, no replay, no shared-counter traffic, and only `&RTree` needed,
+//!   which is what lets concurrent queries share one snapshot
+//!   ([`crate::service`]). Rows, their order and every counter are
 //!   identical in both states; only the currency of "page accesses" differs
 //!   (buffer-simulated physical accesses vs logical snapshot reads).
 //! * **Cache policy is sequential on ids, payloads are computed in
@@ -84,14 +85,14 @@
 //! it is garbage. Every parallel phase is therefore followed by a gate
 //! ([`gate`], built into [`refine_missing`]) that turns the first latched
 //! error in leaf order into `Err` *before* its outputs feed the next
-//! phase; settling a log can fail too (a replayed miss is a real transfer).
-//! On `Err` the stream latches the error ([`StreamLedger::fail`]), abandons
-//! its remaining leaves and ends: everything emitted is covered by a
-//! watermark, nothing of the failing leaf (or, for a phase failure, of the
-//! failing chunk) was emitted — no row and, in a grouped-NN run, no settled
-//! claim — and the reuse buffer, whose policy state may have advanced past
-//! payloads that were never filled, ends with the stream: nothing hands it
-//! on. The leaf-order walk at construction goes through the same
+//! phase. Settling a log reads nothing and cannot fail, so a join's storage
+//! errors arise only at a worker's read, behind a gate. On `Err` the stream
+//! latches the error ([`StreamLedger::fail`]), abandons its remaining
+//! leaves and ends: everything emitted is covered by a watermark, nothing
+//! of the failing chunk was emitted — no row and, in a grouped-NN run, no
+//! settled claim — and the reuse buffer, whose policy state may have
+//! advanced past payloads that were never filled, ends with the stream:
+//! nothing hands it on. The leaf-order walk at construction goes through the same
 //! latch ([`StreamLedger::start`] over [`Accounting::leaf_order`]), so a
 //! stream whose walk fails is born fail-stopped instead of panicking.
 //!
@@ -125,6 +126,9 @@ use cij_voronoi::{batch_voronoi, NoCache, VorScratch};
 use std::sync::Mutex;
 use std::time::Duration;
 
+/// The deferred read accounting of one reader over a stream's trees.
+pub(crate) type Log = ReadLog<PointObject>;
+
 /// Steady-state chunk width, as a multiple of the worker count (see
 /// [`LeafCursor::next_chunk`]).
 const CHUNK_RAMP: usize = 4;
@@ -132,7 +136,7 @@ const CHUNK_RAMP: usize = 4;
 /// How a stream's tree reads are paid for — chosen once, at stream
 /// construction, together with the access to the trees that choice needs.
 pub(crate) enum Accounting<'a> {
-    /// Byte-exact: parallel phases record page traces which
+    /// Byte-exact: parallel phases keep page traces which
     /// [`settle`](Accounting::settle) replays through the real LRU buffers
     /// and the shared [`IoStats`]. Needs the trees exclusively.
     Metered {
@@ -191,8 +195,8 @@ impl<'a> Accounting<'a> {
     }
 
     /// A snapshot reader over tree `i` whose finished [`ReadLog`] carries
-    /// what [`settle`](Accounting::settle) needs: the page trace (metered)
-    /// or just the count (fast).
+    /// what [`settle`](Accounting::settle) needs: the pinned page trace
+    /// (metered) or just the count (fast).
     pub(crate) fn reader(&self, i: usize) -> SnapshotReader<'_, PointObject> {
         match self {
             Accounting::Metered { trees, .. } => SnapshotReader::traced(&*trees[i]),
@@ -202,18 +206,14 @@ impl<'a> Accounting<'a> {
 
     /// Settles the deferred accounting of one finished reader over tree
     /// `i`: replays the trace through the tree's real buffer (metered — a
-    /// replayed miss is a metered transfer and can fail), or adds the read
-    /// count to the local counter (fast — infallible).
-    pub(crate) fn settle(&mut self, i: usize, log: &ReadLog) -> Result<(), PageIoError> {
+    /// replayed miss admits the page the trace pins, reading nothing), or
+    /// adds the read count to the local counter (fast). Neither can fail.
+    pub(crate) fn settle(&mut self, i: usize, log: &Log) {
         match self {
-            Accounting::Metered { trees, .. } => log
-                .trace
-                .iter()
-                .try_for_each(|&page| trees[i].replay_read(page)),
-            Accounting::Fast { reads, .. } => {
-                *reads += log.reads;
-                Ok(())
+            Accounting::Metered { trees, .. } => {
+                log.trace.iter().for_each(|page| trees[i].replay_read(page));
             }
+            Accounting::Fast { reads, .. } => *reads += log.reads,
         }
     }
 
@@ -545,7 +545,7 @@ where
 
 /// The fail-stop gate after a parallel phase: the first error latched in
 /// any of the phase's logs (in the given — leaf — order), as `Err`.
-pub(crate) fn gate<'l>(logs: impl IntoIterator<Item = &'l ReadLog>) -> Result<(), PageIoError> {
+pub(crate) fn gate<'l>(logs: impl IntoIterator<Item = &'l Log>) -> Result<(), PageIoError> {
     logs.into_iter()
         .find_map(|log| log.error.clone())
         .map_or(Ok(()), Err)
@@ -601,7 +601,7 @@ fn refine_missing(
     plans: &[UnitPlan],
     env: &UnitEnv,
     scratches: &mut [UnitScratch],
-) -> Result<Vec<(Vec<ConvexPolygon>, ReadLog, Duration)>, PageIoError> {
+) -> Result<Vec<(Vec<ConvexPolygon>, Log, Duration)>, PageIoError> {
     let refined = run_ordered_scratch(scratches, plans.len(), |u, scratch| {
         let missing = &plans[u].missing;
         if missing.is_empty() {
@@ -664,7 +664,7 @@ pub(crate) struct UnitCells {
     /// Exact cells, aligned with the unit's candidates.
     pub(crate) cells: Vec<ConvexPolygon>,
     /// Deferred read accounting of the unit's refinement.
-    pub(crate) log: ReadLog,
+    pub(crate) log: Log,
     /// What the unit's candidates did to the cache.
     pub(crate) counts: CellCounts,
 }
@@ -743,8 +743,12 @@ mod tests {
         pattern
     }
 
-    #[test]
-    fn metered_settle_equals_performing_the_reads_directly() {
+    /// Counted reads of `pattern` on one workload, and a metered settle of
+    /// a traced reader's log of the same reads on another; `arm` runs on
+    /// the second workload's tree between finishing the reader and
+    /// settling. The settle must pay exactly what the direct reads paid —
+    /// the same `IoStats` and buffer MRU order — and transfer nothing.
+    fn settle_against_direct_reads(arm: impl FnOnce(&mut RTree<PointObject>)) {
         let mut live = workload();
         let mut deferred = workload();
         let pattern = access_pattern(&live.trees[0]);
@@ -752,42 +756,51 @@ mod tests {
             live.trees[0].try_read_node(page).unwrap();
         }
 
-        let stats = deferred.stats.clone();
-        let trees = deferred.trees.iter_mut().collect();
-        let mut acct = Accounting::exclusive(ExecMode::Metered, trees, &stats);
-        let mut reader = acct.reader(0);
+        let mut reader = SnapshotReader::traced(&deferred.trees[0]);
         for &page in &pattern {
             reader.visit(page, &mut |_| {});
         }
         let log = reader.finish();
-        assert_eq!(log.trace, pattern);
+        let traced: Vec<PageId> = log.trace.iter().map(|page| page.id()).collect();
+        assert_eq!(traced, pattern);
+        arm(&mut deferred.trees[0]);
+        let io_before = deferred.backend_io();
+        let stats = deferred.stats.clone();
+        let trees = deferred.trees.iter_mut().collect();
+        let mut acct = Accounting::exclusive(ExecMode::Metered, trees, &stats);
         assert_eq!(
             acct.join_io().page_accesses(),
             0,
             "nothing is paid before settling"
         );
-        acct.settle(0, &log).unwrap();
-
+        acct.settle(0, &log);
         assert_eq!(live.stats.snapshot(), stats.snapshot());
         assert_eq!(acct.join_io(), stats.snapshot());
+        drop((acct, log));
+
         assert_eq!(
-            acct.join_io().page_accesses(),
-            live.stats.snapshot().page_accesses()
+            live.trees[0].buffered_pages_mru_to_lru(),
+            deferred.trees[0].buffered_pages_mru_to_lru()
         );
-        // Metered backend bytes match; the reader's cold peeks are
-        // unmetered traffic the direct reads never caused.
-        let (a, b) = (live.backend_io(), deferred.backend_io());
+        let moved = deferred.backend_io().since(&io_before);
         assert_eq!(
-            (a.bytes_read, a.bytes_written),
-            (b.bytes_read, b.bytes_written)
+            moved,
+            Default::default(),
+            "the settle transferred {moved:?}"
         );
-        // Buffer MRU order, observed: the same follow-up hits and evicts
-        // identically, step by step.
-        for &page in pattern.iter().rev() {
-            live.trees[0].try_read_node(page).unwrap();
-            deferred.trees[0].try_read_node(page).unwrap();
-            assert_eq!(live.stats.snapshot(), deferred.stats.snapshot());
-        }
+        assert_eq!(deferred.trees[0].fault_stats().injected_read_faults, 0);
+    }
+
+    #[test]
+    fn metered_settle_equals_performing_the_reads_directly() {
+        settle_against_direct_reads(|_| {});
+    }
+
+    #[test]
+    fn a_metered_settle_reads_nothing_so_a_fault_armed_after_the_reads_cannot_fail_it() {
+        settle_against_direct_reads(|tree| {
+            tree.inject_fault(FaultProfile::fail_read(0, FaultKind::Persistent));
+        });
     }
 
     #[test]
@@ -807,8 +820,8 @@ mod tests {
                 reader.visit(page, &mut |_| {});
             }
             let log = reader.finish();
-            assert!(log.trace.is_empty(), "fast readers record no trace");
-            acct.settle(0, &log).unwrap();
+            assert!(log.trace.is_empty(), "fast readers keep no trace");
+            acct.settle(0, &log);
             let expected = pattern.len() as u64;
             assert_eq!(acct.join_io().page_accesses(), expected);
             assert_eq!(acct.join_io().logical_reads, expected);
@@ -836,26 +849,16 @@ mod tests {
     }
 
     #[test]
-    fn settle_and_leaf_order_surface_storage_errors_instead_of_panicking() {
+    fn leaf_order_and_the_gate_surface_storage_errors_instead_of_panicking() {
         let domain = config().domain;
         let mut w = workload();
         let root = w.trees[0].root_page();
         let stats = w.stats.clone();
-        // The reader still gets the page; by replay time its frame rots.
-        let log = {
-            let acct = Accounting::shared(w.trees.iter().collect());
-            let mut reader = SnapshotReader::traced(acct.tree(0));
-            reader.visit(root, &mut |_| {});
-            reader.finish()
-        };
-        assert_eq!((log.reads, &log.error), (1, &None));
         w.trees[0].inject_fault(FaultProfile::CorruptFrame(root.0));
         let trees = w.trees.iter_mut().collect();
         let mut acct = Accounting::exclusive(ExecMode::Metered, trees, &stats);
-        let err = acct.settle(0, &log).unwrap_err();
-        assert_eq!((err.kind, err.page), (FaultKind::Corrupt, Some(root.0)));
         let err = acct.leaf_order(0, &domain).unwrap_err();
-        assert_eq!(err.kind, FaultKind::Corrupt);
+        assert_eq!((err.kind, err.page), (FaultKind::Corrupt, Some(root.0)));
         // Same walk, fast currency.
         let mut acct = Accounting::shared(w.trees.iter().collect());
         assert_eq!(
@@ -863,12 +866,15 @@ mod tests {
             FaultKind::Corrupt
         );
         // And the gate reports the first latched error in log order.
-        let failed = ReadLog {
-            error: Some(err.clone()),
-            ..ReadLog::default()
-        };
-        assert_eq!(gate([&log, &failed, &log]), Err(err));
-        assert_eq!(gate([&log, &log]), Ok(()));
+        let (clean, failed) = (
+            Log::default(),
+            Log {
+                error: Some(err.clone()),
+                ..Log::default()
+            },
+        );
+        assert_eq!(gate([&clean, &failed, &clean]), Err(err));
+        assert_eq!(gate([&clean, &clean]), Ok(()));
     }
 
     #[test]

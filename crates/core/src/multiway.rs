@@ -120,7 +120,7 @@
 use crate::cell_cache::CellCache;
 use crate::chunk::{
     gate, refine_through_cache, run_ordered, run_ordered_scratch, run_ordered_units, Accounting,
-    LeafStream, StreamLedger, UnitEnv, UnitScratch,
+    LeafStream, Log, StreamLedger, UnitEnv, UnitScratch,
 };
 use crate::config::CijConfig;
 use crate::filter::{batch_conditional_filter_scratch, FilterOptions, FilterStats};
@@ -129,7 +129,7 @@ use crate::workload::{pick_driver, MultiwayWorkload};
 use cij_geom::tolerance::widened;
 use cij_geom::{ClipScratch, ConvexPolygon, Point, Rect};
 use cij_pagestore::PageIoError;
-use cij_rtree::{NodeReader, PointObject, RTree, ReadLog};
+use cij_rtree::{NodeReader, PointObject, RTree};
 use cij_voronoi::brute_force_diagram;
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -476,12 +476,13 @@ impl<'a> TupleStream<'a> {
         // refine, then per round filter and refine. Settled leaf-major, so
         // every tree's buffer sees the access sequence of a width-1 run
         // (buffers are per-tree; the per-tree subsequence is what matters).
-        let mut leaves: Vec<(WorkCounts, Vec<(usize, ReadLog)>)> =
-            vec![(WorkCounts::for_sets(k), Vec::new()); n];
+        let mut leaves: Vec<(WorkCounts, Vec<(usize, Log)>)> = (0..n)
+            .map(|_| (WorkCounts::for_sets(k), Vec::new()))
+            .collect();
 
         // Scan (parallel): read each chunk leaf of the driving tree. The
         // gate discards the chunk before any cache state advances.
-        let scans: Vec<(Vec<PointObject>, ReadLog, Duration)> = run_ordered(env.workers, n, |i| {
+        let scans: Vec<(Vec<PointObject>, Log, Duration)> = run_ordered(env.workers, n, |i| {
             let mut lap = Lap::start();
             let mut reader = acct.reader(driver);
             (reader.read(chunk[i]).objects, reader.finish(), lap.lap())
@@ -529,7 +530,7 @@ impl<'a> TupleStream<'a> {
             // batch_conditional_filter call borrowing every region of the
             // leaf. The gate keeps a failed pass's partial candidate lists
             // out of the policy.
-            let filtered: Vec<(Vec<PointObject>, FilterStats, ReadLog, Duration)> =
+            let filtered: Vec<(Vec<PointObject>, FilterStats, Log, Duration)> =
                 run_ordered_scratch(scratches, n, |i, scratch| {
                     let regions = partials[i].regions();
                     if regions.is_empty() {
@@ -609,7 +610,7 @@ impl<'a> TupleStream<'a> {
         // watermark, and queue the leaf's final table for the consumer.
         for ((table, (mut work, logs)), group) in partials.into_iter().zip(leaves).zip(&groups) {
             for (tree, log) in &logs {
-                self.acct.settle(*tree, log)?;
+                self.acct.settle(*tree, log);
             }
             work.rows = table.len as u64;
             let productive = !group.is_empty();
@@ -1297,9 +1298,9 @@ mod tests {
     fn transient_faults_never_change_the_multiway_result() {
         use cij_pagestore::{FaultKind, FaultProfile};
         let sets = vec![
-            random_points(80, 233),
-            random_points(70, 234),
-            random_points(60, 235),
+            random_points(140, 233),
+            random_points(130, 234),
+            random_points(120, 235),
         ];
         for threads in [1usize, 4] {
             let config = small_config().with_worker_threads(threads);

@@ -63,8 +63,8 @@
 
 use crate::cell_cache::CellCache;
 use crate::chunk::{
-    gate, refine_through_cache, run_ordered_scratch, Accounting, LeafStream, StreamLedger, UnitEnv,
-    UnitScratch,
+    gate, refine_through_cache, run_ordered_scratch, Accounting, LeafStream, Log, StreamLedger,
+    UnitEnv, UnitScratch,
 };
 use crate::config::CijConfig;
 use crate::filter::{batch_conditional_filter_scratch, FilterOptions, FilterStats};
@@ -73,7 +73,7 @@ use crate::stats::{CijOutcome, Lap, Phase, PhaseTimes, WorkCounts};
 use crate::workload::Workload;
 use cij_geom::{ConvexPolygon, Point};
 use cij_pagestore::{PageId, PageIoError};
-use cij_rtree::{NodeReader, PointObject, RTree, ReadLog};
+use cij_rtree::{NodeReader, PointObject, RTree};
 use cij_voronoi::{batch_voronoi, NoCache};
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -113,8 +113,8 @@ struct LeafScan {
     cells_q: Vec<ConvexPolygon>,
     candidates: Vec<PointObject>,
     fstats: FilterStats,
-    log_rq: ReadLog,
-    log_rp: ReadLog,
+    log_rq: Log,
+    log_rp: Log,
     times: PhaseTimes,
 }
 
@@ -264,9 +264,9 @@ impl<'a> NmPairIter<'a> {
         // Settle + emit (coordinator, leaf order), in the sequential
         // interleaving of the leaf's reads: Q scan, P filter, P refine.
         for ((scan, unit), report) in scans.iter().zip(&refined).zip(reported) {
-            self.acct.settle(Q, &scan.log_rq)?;
-            self.acct.settle(P, &scan.log_rp)?;
-            self.acct.settle(P, &unit.log)?;
+            self.acct.settle(Q, &scan.log_rq);
+            self.acct.settle(P, &scan.log_rp);
+            self.acct.settle(P, &unit.log);
             if let Some(probe) = &mut self.probe {
                 probe.settle(&report.claims);
             }
@@ -774,9 +774,10 @@ mod tests {
         };
         assert_eq!(clean.values().sum::<u64>(), 1_000);
         let mut failed_midway = 0;
-        // Every read attempt of either tree in turn fails for good — in
-        // worker reads and in the coordinator's replays alike — until the
-        // attempt lies past the run's last read.
+        // Every read attempt of either tree in turn fails for good — all of
+        // them worker reads or the leaf-order walk (the coordinator's
+        // replays read nothing) — until the attempt lies past the run's
+        // last read.
         for tree in 0..2 {
             for at in 0.. {
                 let label = format!("tree {tree}, read {at}");
@@ -812,8 +813,8 @@ mod tests {
     #[test]
     fn transient_faults_never_change_the_join_result() {
         use cij_pagestore::{FaultKind, FaultProfile};
-        let p = random_points(120, 117);
-        let q = random_points(120, 118);
+        let p = random_points(200, 117);
+        let q = random_points(200, 118);
         for threads in [1usize, 4] {
             let config = small_config().with_worker_threads(threads);
             // Every workload starts cold so metered physical reads agree.

@@ -179,14 +179,6 @@ impl BackendIo {
         }
     }
 
-    /// Every byte moved, metered or not.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes_read
-            + self.bytes_written
-            + self.unmetered_bytes_read
-            + self.unmetered_bytes_written
-    }
-
     /// Records `n` read bytes under `class` (backend-implementation helper).
     pub fn record_read(&mut self, class: IoClass, n: u64) {
         match class {
@@ -593,7 +585,11 @@ mod tests {
                 (32, 32),
                 "{kind}: unmetered bucket"
             );
-            assert_eq!(io.total_bytes(), 128, "{kind}: no byte dropped");
+            let moved = io.bytes_read
+                + io.bytes_written
+                + io.unmetered_bytes_read
+                + io.unmetered_bytes_written;
+            assert_eq!(moved, 128, "{kind}: no byte dropped");
         }
     }
 
@@ -688,6 +684,8 @@ mod tests {
                 unmetered_bytes_written: 2,
             }
         );
-        assert_eq!(a.total_bytes(), 17);
+        let moved =
+            a.bytes_read + a.bytes_written + a.unmetered_bytes_read + a.unmetered_bytes_written;
+        assert_eq!(moved, 17);
     }
 }

@@ -27,9 +27,9 @@
 //!   accessed with positioned I/O, [`MmapBackend`] memory-maps an unlinked
 //!   temp file in growable segments so the kernel manages frame residency,
 //! * [`LruBuffer`] — an O(1) least-recently-used buffer pool with
-//!   write-back semantics and pin/unpin refcounts (pinned pages are exempt
-//!   from eviction), indexed by hash for sparse keys or by subscript for
-//!   dense ones such as the store's page ids,
+//!   write-back semantics, indexed by hash for sparse keys or by subscript
+//!   for dense ones such as the store's page ids; the store's
+//!   [`PageRef`] pins keep payloads resident, not pages in the buffer,
 //! * [`IoStats`] — counters for physical reads/writes, logical accesses and
 //!   buffer hits, with snapshot/delta helpers used by the experiment harness
 //!   to attribute cost to materialisation vs join phases; [`BackendIo`]
@@ -82,11 +82,12 @@
 //! so the two directions fail differently:
 //!
 //! * *Read errors are query-fatal*: a read ([`PageStore::try_read`],
-//!   [`PageStore::try_read_with`], [`PageStore::try_peek`],
-//!   [`PageStore::note_read`]) is a `Result` and nothing else — no
-//!   panicking twin; it panics only on a `PageId` never allocated, a logic
-//!   error. The executor fails the one affected query with a structured
-//!   terminal frame while the service keeps serving others. Where the
+//!   [`PageStore::try_read_with`], [`PageStore::try_peek`]) is a `Result`
+//!   and nothing else — no panicking twin; it panics only on a `PageId`
+//!   never allocated, a logic error. A replayed read
+//!   ([`PageStore::note_read`]) reads nothing, so it cannot fail. The
+//!   executor fails the one affected query with a structured terminal
+//!   frame while the service keeps serving others. Where the
 //!   error may become a panic instead is decided above this crate, at the
 //!   blocking edges the `cij-rtree` crate docs list.
 //! * *Write and flush errors are service-fatal*: write-backs happen during

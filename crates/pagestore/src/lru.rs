@@ -1,4 +1,4 @@
-//! An O(1) least-recently-used buffer pool with pin/unpin refcounts.
+//! An O(1) least-recently-used buffer pool.
 //!
 //! The buffer tracks which [`PageId`](crate::PageId)s are memory-resident and
 //! whether they are dirty. Page *payloads* live in the
@@ -7,21 +7,16 @@
 //! paper's experiments vary (Figure 8a sweeps the buffer size from 0.5 % to
 //! 10 % of the data size).
 //!
-//! Pages can additionally be **pinned** ([`LruBuffer::pin`] /
-//! [`LruBuffer::unpin`]): a pinned page is never chosen by the eviction
-//! scan, whether or not it is currently a buffer member. Pins are reference
-//! counts — the store's [`PageRef`](crate::PageRef) guards pin on creation
-//! and unpin on drop — and they deliberately survive [`LruBuffer::clear`]
-//! and [`LruBuffer::resize`], because clearing the *replacement state* must
-//! not invalidate outstanding page references. Pinning does **not** touch
-//! recency or membership: peeking at a page leaves the measured buffer state
-//! byte-identical, which is what the parity machinery relies on.
+//! Membership is the buffer's alone: every member is evictable, and a full
+//! buffer's next admission evicts the least-recently-used member. Keeping a
+//! payload alive past its eviction — a [`PageRef`](crate::PageRef) guard's
+//! pin — is the store's business, not a replacement decision.
 //!
 //! # Two indexes, one buffer
 //!
-//! The recency list, the eviction scan and the pin rules exist once. What
-//! differs by caller is only how a key finds its list slot and its pin
-//! count — a private two-variant table:
+//! The recency list and the eviction rule exist once. What differs by
+//! caller is only how a key finds its list slot — a private two-variant
+//! table:
 //!
 //! * [`LruBuffer::new`] — a **hash** table, for keys that are sparse. The
 //!   reuse buffer (`cij_core::CellCache`) keys this buffer by
@@ -29,13 +24,12 @@
 //! * [`LruBuffer::with_dense_keys`] — a **vector** indexed by the key
 //!   itself, for keys that are small and dense. The page store uses it:
 //!   page ids are handed out consecutively from 0 by
-//!   `PageBackend::allocate`, so a counted read finds its slot and its pin
-//!   count with two array loads and no hashing. It costs 8 bytes per key up
-//!   to the largest one seen (a `u32` slot and a `u32` pin count), whether
-//!   or not the key is buffered.
+//!   `PageBackend::allocate`, so a counted read finds its slot with one
+//!   array load and no hashing. It costs 4 bytes per key up to the largest
+//!   one seen (a `u32` slot), whether or not the key is buffered.
 //!
-//! Both keep a live count beside the table, so [`LruBuffer::len`] and
-//! [`LruBuffer::pinned_pages`] are O(1) either way.
+//! Both keep a live count beside the table, so [`LruBuffer::len`] is O(1)
+//! either way.
 
 use std::collections::HashMap;
 
@@ -52,8 +46,8 @@ struct Slot {
     next: SlotIdx,
 }
 
-/// A `key → u32` table: the slot index of a member, or the pin count of a
-/// pinned key. See the [module docs](self) for who uses which variant.
+/// A `key → u32` table: the slot index of each member. See the
+/// [module docs](self) for who uses which variant.
 #[derive(Debug, Clone)]
 enum Table {
     Hash(HashMap<u64, u32>),
@@ -65,8 +59,7 @@ enum Table {
     },
 }
 
-/// The dense table's "no entry". No slot index reaches it (`NIL`), and a
-/// pin count would need 2³² − 1 live guards on one page.
+/// The dense table's "no entry". No slot index reaches it (`NIL`).
 const ABSENT: u32 = u32::MAX;
 
 impl Table {
@@ -120,12 +113,11 @@ impl Table {
     }
 }
 
-/// A fixed-capacity LRU buffer with write-back semantics and pin refcounts.
+/// A fixed-capacity LRU buffer with write-back semantics.
 ///
 /// Keys are raw `u64` page identifiers so the buffer stays independent of the
-/// page-store types. All operations are O(1) except an eviction scan that
-/// has to step over pinned frames (O(pinned members) worst case), and
-/// [`LruBuffer::clear`], which is O(members).
+/// page-store types. All operations are O(1) except [`LruBuffer::clear`],
+/// which is O(members).
 #[derive(Debug, Clone)]
 pub struct LruBuffer {
     capacity: usize,
@@ -135,13 +127,6 @@ pub struct LruBuffer {
     free: Vec<SlotIdx>,
     head: SlotIdx, // most recently used
     tail: SlotIdx, // least recently used
-    /// Pin refcounts by key. Pinned keys are exempt from eviction; the
-    /// table is independent of LRU membership (a key can be pinned while
-    /// not resident) and survives `clear`/`resize`.
-    pins: Table,
-    /// High-water mark of `pins.len()` — the most distinct keys ever pinned
-    /// at once.
-    peak_pinned: usize,
 }
 
 /// Result of touching a page in the buffer.
@@ -163,22 +148,22 @@ impl LruBuffer {
     /// entirely (every access is a miss and nothing is retained).
     pub fn new(capacity: usize) -> Self {
         let index = Table::Hash(HashMap::with_capacity(capacity.min(1 << 20)));
-        Self::over(capacity, index, Table::Hash(HashMap::new()))
+        Self::over(capacity, index)
     }
 
-    /// Like [`LruBuffer::new`], indexed by vectors the key subscripts: for
+    /// Like [`LruBuffer::new`], indexed by a vector the key subscripts: for
     /// keys handed out densely from 0, as page ids are. Memory grows with
-    /// the largest key touched or pinned (8 bytes each), not with the
-    /// capacity — see the [module docs](self).
+    /// the largest key touched (4 bytes each), not with the capacity — see
+    /// the [module docs](self).
     pub fn with_dense_keys(capacity: usize) -> Self {
-        let empty = || Table::Dense {
+        let index = Table::Dense {
             cells: Vec::new(),
             live: 0,
         };
-        Self::over(capacity, empty(), empty())
+        Self::over(capacity, index)
     }
 
-    fn over(capacity: usize, index: Table, pins: Table) -> Self {
+    fn over(capacity: usize, index: Table) -> Self {
         LruBuffer {
             capacity,
             index,
@@ -186,15 +171,10 @@ impl LruBuffer {
             free: Vec::new(),
             head: NIL,
             tail: NIL,
-            pins,
-            peak_pinned: 0,
         }
     }
 
-    /// Maximum number of resident pages. Pinned pages can push the actual
-    /// membership above this transiently (an admission that finds every
-    /// member pinned still admits), but unpinned membership never exceeds
-    /// it.
+    /// Maximum number of resident pages; membership never exceeds it.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -214,64 +194,11 @@ impl LruBuffer {
         self.index.get(key).is_some()
     }
 
-    /// Increments the pin count of `key`, exempting it from eviction until
-    /// the matching [`LruBuffer::unpin`]. Recency and membership are not
-    /// touched.
-    pub fn pin(&mut self, key: u64) {
-        self.pins.set(key, self.pin_count(key) + 1);
-        self.peak_pinned = self.peak_pinned.max(self.pins.len());
-    }
-
-    /// Decrements the pin count of `key`; returns `true` when this released
-    /// the last pin (the key is no longer pinned).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key is not pinned — an unpaired unpin means a refcount
-    /// bug in the caller.
-    pub fn unpin(&mut self, key: u64) -> bool {
-        match self.pin_count(key) {
-            0 => panic!("unpin of page {key} that holds no pin"),
-            1 => {
-                self.pins.remove(key);
-                true
-            }
-            count => {
-                self.pins.set(key, count - 1);
-                false
-            }
-        }
-    }
-
-    /// Current pin count of `key` (0 when unpinned).
-    pub fn pin_count(&self, key: u64) -> u32 {
-        self.pins.get(key).unwrap_or(0)
-    }
-
-    /// Number of distinct keys currently pinned.
-    pub fn pinned_pages(&self) -> usize {
-        self.pins.len()
-    }
-
-    /// High-water mark of distinct keys pinned at once.
-    pub fn peak_pinned(&self) -> usize {
-        self.peak_pinned
-    }
-
-    /// Restarts the pinned high-water mark from the current pin set, so a
-    /// new measurement phase tracks its own peak.
-    pub fn reset_peak_pinned(&mut self) {
-        self.peak_pinned = self.pins.len();
-    }
-
     /// Touches a page for reading or writing, admitting it if necessary and
-    /// evicting the least-recently-used *unpinned* page when the buffer is
-    /// full.
+    /// evicting the least-recently-used page when the buffer is full.
     ///
     /// `dirty` marks the page as modified (a write access); dirtiness is
-    /// sticky until the page is evicted or the buffer is cleared. When every
-    /// member is pinned, the page is admitted over capacity with no
-    /// eviction — unpinned membership stays bounded by the capacity.
+    /// sticky until the page is evicted or the buffer is cleared.
     pub fn touch(&mut self, key: u64, dirty: bool) -> Admission {
         if self.capacity == 0 {
             // Unbuffered mode: every access is a miss; a dirty access is
@@ -285,11 +212,7 @@ impl LruBuffer {
             self.move_to_front(slot);
             return Admission::Hit;
         }
-        let evicted = if self.len() >= self.capacity {
-            self.evict_lru()
-        } else {
-            None
-        };
+        let evicted = (self.len() >= self.capacity).then(|| self.evict_lru());
         let slot = self.alloc_slot(key, dirty);
         self.push_front(slot);
         self.index.set(key, slot);
@@ -309,10 +232,8 @@ impl LruBuffer {
         }
     }
 
-    /// Drops every resident page — pinned or not; pins protect against
-    /// *capacity* eviction, not against the owner discarding its buffer —
-    /// returning `(key, was_dirty)` for each so the caller can write back
-    /// the dirty ones and release the clean ones. Pin refcounts survive.
+    /// Drops every resident page, returning `(key, was_dirty)` for each so
+    /// the caller can write back the dirty ones and release the clean ones.
     pub fn clear(&mut self) -> Vec<(u64, bool)> {
         // A recycled slot still carries its last key: the index tells the
         // members apart, and forgets each as it is reported.
@@ -331,20 +252,12 @@ impl LruBuffer {
         dropped
     }
 
-    /// Changes the capacity. Shrinking evicts LRU pages (skipping pinned
-    /// ones); the evicted `(key, was_dirty)` pairs are returned for
-    /// write-back accounting.
+    /// Changes the capacity. Shrinking evicts LRU pages; the evicted
+    /// `(key, was_dirty)` pairs are returned for write-back accounting.
     pub fn resize(&mut self, capacity: usize) -> Vec<(u64, bool)> {
         self.capacity = capacity;
-        let mut evicted = Vec::new();
-        while self.len() > self.capacity {
-            if let Some(entry) = self.evict_lru() {
-                evicted.push(entry);
-            } else {
-                break;
-            }
-        }
-        evicted
+        let excess = self.len().saturating_sub(capacity);
+        (0..excess).map(|_| self.evict_lru()).collect()
     }
 
     /// The resident keys ordered from most- to least-recently used.
@@ -412,24 +325,15 @@ impl LruBuffer {
         self.push_front(slot);
     }
 
-    /// Evicts the least-recently-used page whose key holds no pin, walking
-    /// from the tail towards the head. Returns `None` when every member is
-    /// pinned.
-    fn evict_lru(&mut self) -> Option<(u64, bool)> {
-        let mut cur = self.tail;
-        while cur != NIL {
-            let Slot {
-                key, dirty, prev, ..
-            } = self.slots[cur as usize];
-            if self.pin_count(key) == 0 {
-                self.unlink(cur);
-                self.index.remove(key);
-                self.free.push(cur);
-                return Some((key, dirty));
-            }
-            cur = prev;
-        }
-        None
+    /// Evicts the least-recently-used member: unlinks the tail. Called only
+    /// on a non-empty buffer.
+    fn evict_lru(&mut self) -> (u64, bool) {
+        let tail = self.tail;
+        let Slot { key, dirty, .. } = self.slots[tail as usize];
+        self.unlink(tail);
+        self.index.remove(key);
+        self.free.push(tail);
+        (key, dirty)
     }
 }
 
@@ -444,25 +348,9 @@ mod tests {
         capacity: usize,
         /// `(key, dirty)`, most recently used first.
         members: Vec<(u64, bool)>,
-        /// `(key, count)`, counts ≥ 1.
-        pins: Vec<(u64, u32)>,
-        peak_pinned: usize,
     }
 
     impl Model {
-        fn pin_count(&self, key: u64) -> u32 {
-            let pin = self.pins.iter().find(|&&(k, _)| k == key);
-            pin.map_or(0, |&(_, count)| count)
-        }
-
-        fn evict_lru(&mut self) -> Option<(u64, bool)> {
-            let victim = self
-                .members
-                .iter()
-                .rposition(|&(k, _)| self.pin_count(k) == 0)?;
-            Some(self.members.remove(victim))
-        }
-
         fn touch(&mut self, key: u64, dirty: bool) -> Admission {
             if self.capacity == 0 {
                 return Admission::Miss {
@@ -474,42 +362,17 @@ mod tests {
                 self.members.insert(0, (key, was_dirty | dirty));
                 return Admission::Hit;
             }
-            let evicted = if self.members.len() >= self.capacity {
-                self.evict_lru()
-            } else {
-                None
-            };
+            let evicted = (self.members.len() >= self.capacity).then(|| self.members.pop());
             self.members.insert(0, (key, dirty));
-            Admission::Miss { evicted }
-        }
-
-        fn pin(&mut self, key: u64) {
-            match self.pins.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, count)) => *count += 1,
-                None => self.pins.push((key, 1)),
+            Admission::Miss {
+                evicted: evicted.flatten(),
             }
-            self.peak_pinned = self.peak_pinned.max(self.pins.len());
-        }
-
-        fn unpin(&mut self, key: u64) -> bool {
-            let at = self.pins.iter().position(|&(k, _)| k == key).unwrap();
-            self.pins[at].1 -= 1;
-            if self.pins[at].1 == 0 {
-                self.pins.remove(at);
-            }
-            self.pin_count(key) == 0
         }
 
         fn resize(&mut self, capacity: usize) -> Vec<(u64, bool)> {
             self.capacity = capacity;
-            let mut evicted = Vec::new();
-            while self.members.len() > capacity {
-                match self.evict_lru() {
-                    Some(entry) => evicted.push(entry),
-                    None => break,
-                }
-            }
-            evicted
+            let excess = self.members.len().saturating_sub(capacity);
+            (0..excess).filter_map(|_| self.members.pop()).collect()
         }
     }
 
@@ -519,37 +382,29 @@ mod tests {
         Admission(Admission),
         Flag(bool),
         Dropped(Vec<(u64, bool)>),
-        Nothing,
     }
 
     proptest! {
-        /// One list, one eviction scan, one set of pin rules behind both
-        /// indexes: fed the same calls, the hash-indexed buffer, the
-        /// dense-indexed one and the vector model answer and end alike.
+        /// One list and one eviction rule behind both indexes: fed the same
+        /// calls, the hash-indexed buffer, the dense-indexed one and the
+        /// vector model answer and end alike.
         #[test]
         fn both_indexes_behave_like_the_vector_model(
             capacity in 0usize..6,
-            ops in proptest::collection::vec((0u8..16, 0u64..12, 0usize..7), 1..400),
+            ops in proptest::collection::vec((0u8..12, 0u64..12, 0usize..7), 1..400),
         ) {
             let mut model = Model { capacity, ..Model::default() };
             let mut buffers = [LruBuffer::new(capacity), LruBuffer::with_dense_keys(capacity)];
             for (step, &(op, key, size)) in ops.iter().enumerate() {
-                // An unpin is only legal on a pinned key.
-                let op = if matches!(op, 11 | 12) && model.pin_count(key) == 0 { 9 } else { op };
                 let expected = match op {
                     // Reads and writes, over half of the calls.
                     0..=8 => Answer::Admission(model.touch(key, op > 5)),
-                    9 | 10 => {
-                        model.pin(key);
-                        Answer::Nothing
-                    }
-                    11 | 12 => Answer::Flag(model.unpin(key)),
-                    13 => {
+                    9 => {
                         let before = model.members.len();
                         model.members.retain(|&(k, _)| k != key);
                         Answer::Flag(model.members.len() < before)
                     }
-                    14 => Answer::Dropped(model.resize(size)),
+                    10 => Answer::Dropped(model.resize(size)),
                     _ => {
                         let mut dropped = std::mem::take(&mut model.members);
                         dropped.sort_unstable();
@@ -560,13 +415,8 @@ mod tests {
                 for buffer in &mut buffers {
                     let got = match op {
                         0..=8 => Answer::Admission(buffer.touch(key, op > 5)),
-                        9 | 10 => {
-                            buffer.pin(key);
-                            Answer::Nothing
-                        }
-                        11 | 12 => Answer::Flag(buffer.unpin(key)),
-                        13 => Answer::Flag(buffer.remove(key)),
-                        14 => Answer::Dropped(buffer.resize(size)),
+                        9 => Answer::Flag(buffer.remove(key)),
+                        10 => Answer::Dropped(buffer.resize(size)),
                         _ => {
                             let mut dropped = buffer.clear();
                             dropped.sort_unstable();
@@ -576,13 +426,11 @@ mod tests {
                     prop_assert_eq!(&got, &expected, "step {}, op {}", step, op);
                     prop_assert_eq!(buffer.keys_mru_to_lru(), members.clone(), "step {}", step);
                     prop_assert_eq!(buffer.len(), members.len());
+                    prop_assert!(buffer.len() <= buffer.capacity());
                     prop_assert_eq!(buffer.is_empty(), members.is_empty());
                     prop_assert_eq!(buffer.capacity(), model.capacity);
-                    prop_assert_eq!(buffer.pinned_pages(), model.pins.len());
-                    prop_assert_eq!(buffer.peak_pinned(), model.peak_pinned);
                     for probe in 0..12 {
                         prop_assert_eq!(buffer.contains(probe), members.contains(&probe));
-                        prop_assert_eq!(buffer.pin_count(probe), model.pin_count(probe));
                     }
                 }
             }
@@ -715,81 +563,5 @@ mod tests {
                 assert_eq!(b.touch(k, false), Admission::Hit);
             }
         }
-    }
-
-    #[test]
-    fn pinned_page_is_skipped_by_eviction() {
-        let mut b = LruBuffer::new(2);
-        b.touch(1, false);
-        b.touch(2, false);
-        b.pin(1); // 1 is the LRU member but pinned
-        match b.touch(3, false) {
-            Admission::Miss {
-                evicted: Some((2, false)),
-            } => {}
-            other => panic!("expected eviction to skip pinned 1 and take 2, got {other:?}"),
-        }
-        assert!(b.contains(1) && b.contains(3));
-    }
-
-    #[test]
-    fn fully_pinned_buffer_admits_over_capacity() {
-        let mut b = LruBuffer::new(2);
-        b.touch(1, false);
-        b.touch(2, false);
-        b.pin(1);
-        b.pin(2);
-        assert_eq!(b.touch(3, false), Admission::Miss { evicted: None });
-        assert_eq!(b.len(), 3, "admitted over capacity, nothing evictable");
-        // The unpinned newcomer is the next victim.
-        match b.touch(4, false) {
-            Admission::Miss {
-                evicted: Some((3, false)),
-            } => {}
-            other => panic!("expected eviction of the unpinned page 3, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn pin_counts_nest_and_unpin_releases() {
-        let mut b = LruBuffer::new(1);
-        b.touch(5, false);
-        b.pin(5);
-        b.pin(5);
-        assert_eq!(b.pin_count(5), 2);
-        assert!(!b.unpin(5), "one pin still outstanding");
-        assert_eq!(b.touch(6, false), Admission::Miss { evicted: None });
-        assert!(b.unpin(5), "last pin released");
-        assert_eq!(b.pin_count(5), 0);
-        // Now 5 is evictable again.
-        match b.touch(7, false) {
-            Admission::Miss { evicted: Some(_) } => {}
-            other => panic!("expected an eviction, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn pins_survive_clear_and_resize_and_track_the_peak() {
-        let mut b = LruBuffer::new(4);
-        b.touch(1, true);
-        b.pin(1);
-        b.pin(2); // pinned while not even a member
-        assert_eq!(b.peak_pinned(), 2);
-        let dropped = b.clear();
-        assert_eq!(dropped, vec![(1, true)]);
-        assert_eq!(b.pin_count(1), 1);
-        assert_eq!(b.pin_count(2), 1);
-        b.touch(1, false);
-        let evicted = b.resize(0);
-        // capacity 0: resize evicts members, but 1 is pinned.
-        assert!(evicted.is_empty());
-        assert!(b.contains(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "holds no pin")]
-    fn unpaired_unpin_panics() {
-        let mut b = LruBuffer::new(1);
-        b.unpin(9);
     }
 }

@@ -12,13 +12,20 @@
 //!   their decoded payload is the in-memory image a buffer hit serves, and
 //!   it is dropped when the page is evicted (after a write-back if dirty);
 //! * **pinned pages** — pages with outstanding [`PageRef`] guards from
-//!   [`PageStore::try_peek`]. A peek pins the page (refcounted on the
-//!   [`LruBuffer`], which exempts it from eviction) **without touching
-//!   recency, membership or any counter**, so snapshot reads leave the
-//!   measured buffer state byte-identical. A peek of a non-resident page
-//!   decodes it through the backend as an [`IoClass::Unmetered`] transfer
-//!   and holds it in the resident table — *not* admitted to the buffer —
-//!   until the last guard drops.
+//!   [`PageStore::try_peek`]. A peek pins the page (a refcount in the
+//!   resident table, beside the payload) **without touching recency,
+//!   membership or any counter**, so snapshot reads leave the measured
+//!   buffer state byte-identical. A peek of a non-resident page decodes it
+//!   through the backend as an [`IoClass::Unmetered`] transfer and holds it
+//!   in the resident table — *not* admitted to the buffer — until the last
+//!   guard drops.
+//!
+//! A pin keeps the decoded payload resident; it does not keep the page in
+//! the buffer. Membership is the [`LruBuffer`]'s alone, so a pinned member
+//! is evicted like any other, and only its payload outlives the eviction
+//! until the last guard drops. That is what lets a pinned page be replayed
+//! ([`PageStore::note_read`]) with the buffer deciding exactly what it
+//! would have decided had the page been read there.
 //!
 //! Everything else decodes on miss through the backend and is dropped on
 //! eviction, so peak decoded residency is bounded by `buffer capacity +
@@ -39,12 +46,11 @@
 //! consecutively from 0 and freed ids are not recycled. Everything the
 //! store keeps per page is therefore a vector indexed by the id, never a
 //! map: the allocation flag (1 byte), the resident payload slot (an
-//! `Option<Arc<T>>`, 8 bytes) and, inside the buffer
-//! ([`LruBuffer::with_dense_keys`]), the list slot and the pin count (4
-//! bytes each) — 17 bytes per id ever allocated, whether or not the page is
-//! resident, against a page of `page_size` bytes on the backend. A counted
-//! read reaches its buffer slot, its pin count and its payload by
-//! subscript; [`PageStore::num_pages`], [`PageStore::resident_pages`] and
+//! `Option<Arc<T>>`, 8 bytes), the pin count (4 bytes) and, inside the
+//! buffer ([`LruBuffer::with_dense_keys`]), the list slot (4 bytes) — 17
+//! bytes per id ever allocated, whether or not the page is resident,
+//! against a page of `page_size` bytes on the backend. A counted read
+//! reaches its buffer slot, its pin count and its payload by subscript; [`PageStore::num_pages`], [`PageStore::resident_pages`] and
 //! [`PageStore::pinned_pages`] read counts kept beside the vectors, so none
 //! of them scans. (The hash-indexed [`LruBuffer::new`] stays for callers
 //! whose keys are sparse — the reuse buffer's object ids.)
@@ -54,6 +60,9 @@
 //! * Logical reads go through the LRU buffer: a **hit** is served from the
 //!   resident payload, a **miss** transfers the frame from the backend
 //!   ([`IoClass::Metered`]) and decodes it.
+//! * A replayed read ([`PageStore::note_read`]) goes through the buffer
+//!   too, but its page is pinned by the guard it replays: a miss admits
+//!   that payload, with no transfer and nothing that can fail.
 //! * Writes are **write-back**: `allocate` dirties the buffered page; the
 //!   frame is encoded and written to the backend when the page is evicted
 //!   or on [`PageStore::flush`] (both metered); [`PageStore::drop_buffer`]
@@ -152,12 +161,6 @@ impl Default for PageStoreConfig {
 }
 
 impl PageStoreConfig {
-    /// Sets the buffer capacity in pages.
-    pub fn with_buffer_pages(mut self, pages: usize) -> Self {
-        self.buffer_pages = pages;
-        self
-    }
-
     /// Sets the page size in bytes.
     pub fn with_page_size(mut self, bytes: usize) -> Self {
         self.page_size = bytes;
@@ -195,6 +198,14 @@ struct StoreInner<T: PagePayload> {
     resident: Vec<Option<Arc<T>>>,
     /// How many slots of `resident` are `Some`.
     resident_count: usize,
+    /// Outstanding [`PageRef`] guards per page (index = page id). A pinned
+    /// page keeps its `resident` payload whether or not it is a buffer
+    /// member.
+    pins: Vec<u32>,
+    /// How many entries of `pins` are non-zero.
+    pinned_count: usize,
+    /// High-water mark of `pinned_count`.
+    peak_pinned: usize,
     /// Which page ids are currently allocated (index = page id).
     allocated: Vec<bool>,
     /// How many flags of `allocated` are set.
@@ -265,6 +276,9 @@ impl<T: PagePayload> PageStore<T> {
             inner: Arc::new(Mutex::new(StoreInner {
                 resident: Vec::new(),
                 resident_count: 0,
+                pins: Vec::new(),
+                pinned_count: 0,
+                peak_pinned: 0,
                 allocated: Vec::new(),
                 allocated_count: 0,
                 backend,
@@ -334,12 +348,12 @@ impl<T: PagePayload> PageStore<T> {
 
     /// Number of distinct pages currently pinned by [`PageRef`] guards.
     pub fn pinned_pages(&self) -> usize {
-        self.lock().buffer.pinned_pages()
+        self.lock().pinned_count
     }
 
     /// High-water mark of [`PageStore::pinned_pages`].
     pub fn peak_pinned_pages(&self) -> usize {
-        self.lock().buffer.peak_pinned()
+        self.lock().peak_pinned
     }
 
     /// Restarts the residency high-water marks from the current state, so a
@@ -347,7 +361,7 @@ impl<T: PagePayload> PageStore<T> {
     pub fn reset_residency_peaks(&mut self) {
         let mut inner = self.lock();
         inner.peak_resident = inner.resident_count;
-        inner.buffer.reset_peak_pinned();
+        inner.peak_pinned = inner.pinned_count;
     }
 
     /// Allocates a new page containing `payload` and returns its id.
@@ -372,6 +386,7 @@ impl<T: PagePayload> PageStore<T> {
         inner.allocated.push(true);
         inner.allocated_count += 1;
         inner.resident.push(None);
+        inner.pins.push(0);
         let id = PageId(index);
         inner.stats.record_logical_write();
         let key = id.as_key();
@@ -426,35 +441,36 @@ impl<T: PagePayload> PageStore<T> {
         Ok(f(&arc))
     }
 
-    /// Accounts for a logical read of `id` **without** returning the
-    /// payload: the buffer is touched and the hit or miss recorded exactly
-    /// as [`PageStore::try_read`] would — including the physical frame
-    /// transfer on a miss, so backend byte counters replay identically too.
+    /// Accounts for a logical read of the page `page` pins **without**
+    /// reading it: the buffer is touched and the hit or miss recorded
+    /// exactly as [`PageStore::try_read`] would, and a miss admits the
+    /// payload the guard already holds — no backend transfer, checksum or
+    /// decode, so nothing here can fail. Buffer state and [`IoStats`] end
+    /// as a counted read leaves them; backend bytes move only where the
+    /// page was actually read, at its peek.
     ///
-    /// This is the deferred-accounting hook of the parallel NM-CIJ path:
-    /// workers read from pinned snapshots ([`PageStore::try_peek`]) and
-    /// record page ids; the coordinator replays each trace here in
-    /// sequential leaf order (through `RTree::replay_read` in `cij-rtree`,
-    /// a thin wrapper over this method — this doc is the authoritative one).
-    ///
-    /// In debug builds, when the replayed page still holds a pinned resident
-    /// payload, the transferred frame is compared against its re-encoding —
-    /// catching trace/snapshot drift at the first diverging page.
-    ///
-    /// A replayed miss is a real metered transfer, so it can fail like any
-    /// read — error contract of [`PageStore::try_read`].
+    /// This is the deferred-accounting hook of the chunked NM-CIJ and
+    /// multiway paths: workers read through pinned snapshots
+    /// ([`PageStore::try_peek`]) and keep each guard in their log; the
+    /// coordinator replays each log here in sequential leaf order (through
+    /// `RTree::replay_read` in `cij-rtree`, a thin wrapper over this method
+    /// — this doc is the authoritative one), then drops the guards.
     ///
     /// # Panics
     ///
-    /// Panics if the replayed page id does not exist: that is trace drift,
-    /// a logic error like a dangling id in [`PageStore::try_read`], not I/O.
-    pub fn note_read(&mut self, id: PageId) -> Result<(), PageIoError> {
-        self.lock().try_read_arc(id).map(drop)
+    /// Panics if `page` is a guard of another store, or of a page freed
+    /// since its peek: both are trace drift, a logic error, not I/O.
+    pub fn note_read(&mut self, page: &PageRef<T>) {
+        let inner = &mut *self.lock();
+        let ours = Arc::ptr_eq(&self.inner, &page.store) && inner.is_allocated(page.id());
+        assert!(ours, "replay of a page this store does not hold");
+        inner.touch_counted(page.key);
     }
 
     /// Reads a page **without** touching the buffer recency, the metered
     /// counters or the [`IoStats`] — returning a [`PageRef`] guard that
-    /// pins the page for its lifetime.
+    /// pins the page for its lifetime: its decoded payload stays resident
+    /// until the last guard drops, whatever the buffer evicts meanwhile.
     ///
     /// A resident page (buffer member or already pinned) is served from its
     /// decoded payload with zero I/O. A cold page is decoded through the
@@ -482,7 +498,7 @@ impl<T: PagePayload> PageStore<T> {
                 arc
             }
         };
-        inner.buffer.pin(key);
+        inner.pin(key);
         inner.note_peak();
         drop(guard);
         Ok(PageRef {
@@ -669,6 +685,22 @@ impl<T: PagePayload> StoreInner<T> {
         self.peak_resident = self.peak_resident.max(self.resident_count);
     }
 
+    fn pin(&mut self, key: u64) {
+        let count = &mut self.pins[key as usize];
+        self.pinned_count += usize::from(*count == 0);
+        *count += 1;
+        self.peak_pinned = self.peak_pinned.max(self.pinned_count);
+    }
+
+    /// Drops one pin of `key`; `true` when that was the last one. Only a
+    /// guard's drop unpins, and every guard pinned once.
+    fn unpin(&mut self, key: u64) -> bool {
+        let count = &mut self.pins[key as usize];
+        *count -= 1;
+        self.pinned_count -= usize::from(*count == 0);
+        *count == 0
+    }
+
     /// Transfers frame `index` into the scratch buffer, retrying transient
     /// faults under the bounded [`RetryPolicy`] with exponential backoff on
     /// the virtual clock. Quarantined frames fail fast with a `Corrupt`
@@ -716,7 +748,7 @@ impl<T: PagePayload> StoreInner<T> {
         }
     }
 
-    /// The shared counted-read path of `try_read`, `try_read_with` and `note_read`:
+    /// The shared counted-read path of `try_read` and `try_read_with`:
     /// touch the buffer, record hit/miss, transfer + verify + decode on
     /// miss, keep the residency invariant (resident = members ∪ pinned).
     ///
@@ -726,48 +758,41 @@ impl<T: PagePayload> StoreInner<T> {
     fn try_read_arc(&mut self, id: PageId) -> Result<Arc<T>, PageIoError> {
         assert!(self.is_allocated(id), "read of unallocated page");
         let key = id.as_key();
-        match self.buffer.touch(key, false) {
-            Admission::Hit => {
-                self.stats.record_hit();
-                Ok(Arc::clone(
-                    self.resident(key)
-                        .expect("buffer member without a decoded payload"),
-                ))
-            }
-            Admission::Miss { evicted } => {
-                self.stats.record_miss();
-                self.handle_eviction(evicted);
-                let outcome = match self.read_frame_retrying(id.0, IoClass::Metered) {
-                    Ok(()) => self.verify_or_quarantine(id.0),
-                    Err(e) => Err(e),
-                };
-                if let Err(e) = outcome {
-                    // Back the admission out: a buffer member must always
-                    // carry a decoded payload.
-                    self.buffer.remove(key);
-                    self.release_if_unreferenced(key);
-                    return Err(e);
-                }
-                #[cfg(debug_assertions)]
-                if let Some(pinned) = self.resident(key) {
-                    // The page still holds a pinned snapshot payload: the
-                    // transferred frame must re-encode it exactly, or the
-                    // trace/replay machinery has drifted.
-                    let expected = pinned.encode();
-                    assert_eq!(
-                        &self.frame[..expected.len()],
-                        &expected[..],
-                        "transferred frame of page {id:?} drifted from the pinned snapshot"
-                    );
-                }
-                let payload = Arc::new(T::decode(&self.frame));
-                if self.buffer.contains(key) {
-                    self.set_resident(key, Arc::clone(&payload));
-                }
-                self.note_peak();
-                Ok(payload)
-            }
+        if self.touch_counted(key) {
+            let payload = self
+                .resident(key)
+                .expect("buffer member without a decoded payload");
+            return Ok(Arc::clone(payload));
         }
+        let outcome = self.read_frame_retrying(id.0, IoClass::Metered);
+        if let Err(e) = outcome.and_then(|()| self.verify_or_quarantine(id.0)) {
+            // Back the admission out: a buffer member must always carry a
+            // decoded payload.
+            self.buffer.remove(key);
+            self.release_if_unreferenced(key);
+            return Err(e);
+        }
+        let payload = Arc::new(T::decode(&self.frame));
+        if self.buffer.contains(key) {
+            self.set_resident(key, Arc::clone(&payload));
+        }
+        self.note_peak();
+        Ok(payload)
+    }
+
+    /// The buffer side of a counted read of `key`, shared by the read paths
+    /// and [`PageStore::note_read`]: touch the buffer, record the hit or
+    /// miss, write back and release what the admission evicted. `true` on a
+    /// hit. On a miss the page may now be a member without a payload: the
+    /// caller makes it resident.
+    fn touch_counted(&mut self, key: u64) -> bool {
+        let Admission::Miss { evicted } = self.buffer.touch(key, false) else {
+            self.stats.record_hit();
+            return true;
+        };
+        self.stats.record_miss();
+        self.handle_eviction(evicted);
+        false
     }
 
     /// Admits `key` as dirty, handling whatever the admission evicted
@@ -794,7 +819,7 @@ impl<T: PagePayload> StoreInner<T> {
     /// references it — the single place the residency invariant
     /// (resident = members ∪ pinned) is enforced on the release side.
     fn release_if_unreferenced(&mut self, key: u64) {
-        if !self.buffer.contains(key) && self.buffer.pin_count(key) == 0 {
+        if !self.buffer.contains(key) && self.pins[key as usize] == 0 {
             self.drop_resident(key);
         }
     }
@@ -842,14 +867,23 @@ impl<T: PagePayload> StoreInner<T> {
 /// [`PageStore::try_peek`].
 ///
 /// Dereferences to the payload. While any guard for a page is alive the
-/// page is pinned: the LRU buffer will not evict it and the store keeps its
-/// decoded payload resident. Dropping the last guard unpins the page and —
-/// if it is not also a buffer member — releases the payload.
+/// page is pinned: the store keeps its decoded payload resident, whether or
+/// not the LRU buffer keeps the page (a pin is no eviction exemption).
+/// Dropping the last guard unpins the page and — if it is not also a buffer
+/// member — releases the payload. A guard is also the receipt of a read
+/// whose accounting is deferred: [`PageStore::note_read`] replays it.
 #[derive(Debug)]
 pub struct PageRef<T: PagePayload> {
     store: Arc<Mutex<StoreInner<T>>>,
     key: u64,
     payload: Arc<T>,
+}
+
+impl<T: PagePayload> PageRef<T> {
+    /// The page this guard pins.
+    pub fn id(&self) -> PageId {
+        PageId(self.key as u32)
+    }
 }
 
 impl<T: PagePayload> Deref for PageRef<T> {
@@ -863,7 +897,7 @@ impl<T: PagePayload> Deref for PageRef<T> {
 impl<T: PagePayload> Drop for PageRef<T> {
     fn drop(&mut self) {
         let mut inner = self.store.lock().unwrap_or_else(PoisonError::into_inner);
-        if inner.buffer.unpin(self.key) {
+        if inner.unpin(self.key) {
             inner.release_if_unreferenced(self.key);
         }
     }
@@ -878,11 +912,9 @@ mod tests {
     }
 
     fn store_on(buffer_pages: usize, backend: StorageBackend) -> PageStore<u32> {
-        PageStore::new(
-            PageStoreConfig::default()
-                .with_buffer_pages(buffer_pages)
-                .with_backend(backend),
-        )
+        let mut store = PageStore::new(PageStoreConfig::default().with_backend(backend));
+        store.set_buffer_pages(buffer_pages);
+        store
     }
 
     #[test]
@@ -968,10 +1000,12 @@ mod tests {
     }
 
     #[test]
-    fn note_read_replays_exactly_like_read() {
-        // Two stores with identical contents: replaying a page-id trace via
-        // note_read must leave counters, buffer state and backend byte
-        // counters identical to performing the reads directly.
+    fn note_read_replays_exactly_like_read_and_reads_nothing() {
+        // Two stores with identical contents: peeking a trace, then
+        // replaying its guards via note_read while they are still pinned,
+        // must leave counters, buffer state and write-backs identical to
+        // performing the reads directly — and transfer no metered byte: a
+        // replayed miss admits the pinned payload.
         for backend in StorageBackend::ALL {
             let mut live = store_on(2, backend);
             let mut replay = store_on(2, backend);
@@ -985,15 +1019,47 @@ mod tests {
             for &id in &trace {
                 let _ = live.try_read(id).unwrap();
             }
-            for &id in &trace {
-                replay.note_read(id).unwrap();
+            let guards: Vec<PageRef<u32>> = trace
+                .iter()
+                .map(|&id| replay.try_peek(id).unwrap())
+                .collect();
+            let peeked = replay.backend_io();
+            for guard in &guards {
+                replay.note_read(guard);
             }
             assert_eq!(live.stats().snapshot(), replay.stats().snapshot());
             assert_eq!(
                 live.buffered_pages_mru_to_lru(),
                 replay.buffered_pages_mru_to_lru()
             );
-            assert_eq!(live.backend_io(), replay.backend_io());
+            let (a, b) = (live.backend_io(), replay.backend_io());
+            assert_eq!(a.bytes_written, b.bytes_written, "{backend}: write-backs");
+            assert_eq!(b.bytes_read, 0, "{backend}: the replay read nothing");
+            assert_eq!(b.unmetered_bytes_read, peeked.unmetered_bytes_read);
+            drop(guards);
+            assert_eq!(replay.resident_pages(), 2, "{backend}: only the members");
+        }
+    }
+
+    #[test]
+    fn a_pinned_member_is_evicted_like_any_other_and_keeps_its_payload() {
+        for backend in StorageBackend::ALL {
+            let mut s = store_on(2, backend);
+            let ids: Vec<PageId> = (0..3u32).map(|i| s.allocate(i + 40)).collect();
+            s.flush();
+            let _ = s.try_read(ids[0]).unwrap();
+            let guard = s.try_peek(ids[0]).unwrap();
+            let _ = s.try_read(ids[1]).unwrap();
+            let _ = s.try_read(ids[2]).unwrap();
+            // The pin is no exemption: the LRU member went.
+            assert_eq!(s.buffered_pages_mru_to_lru(), [ids[2], ids[1]]);
+            assert_eq!((*guard, s.resident_pages()), (40, 3), "{backend}");
+            drop(guard);
+            assert_eq!(
+                s.resident_pages(),
+                2,
+                "{backend}: released on the last drop"
+            );
         }
     }
 
@@ -1026,11 +1092,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unallocated")]
+    #[should_panic(expected = "does not hold")]
     fn note_read_of_unallocated_page_panics() {
         let mut s = store(2);
         let a = s.allocate(1);
-        let _ = s.note_read(PageId(a.0 + 9));
+        let guard = s.try_peek(a).unwrap();
+        s.free(a);
+        s.note_read(&guard);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not hold")]
+    fn note_read_of_another_stores_page_panics() {
+        let (mut s, mut other) = (store(2), store(2));
+        s.allocate(1);
+        let page = other.allocate(1);
+        let guard = other.try_peek(page).unwrap();
+        s.note_read(&guard);
     }
 
     #[test]
@@ -1286,8 +1364,8 @@ mod tests {
             let guard = s.try_peek(ids[0]).unwrap();
             assert_eq!(*guard, 0);
             assert_eq!(s.pinned_pages(), 1);
-            // Thrash the buffer: the pinned page must keep its payload and
-            // stay exempt from eviction throughout.
+            // Thrash the buffer: the pinned page must keep its payload
+            // throughout.
             for round in 0..3 {
                 for &id in &ids[1..] {
                     let _ = s.try_read(id).unwrap();
@@ -1385,9 +1463,11 @@ mod tests {
         // byte — the one retry is invisible to results.
         use crate::error::{FaultKind, IoOp};
         let run = |backend, fault: Option<FaultProfile>| {
-            let mut config = PageStoreConfig::default()
-                .with_buffer_pages(2)
-                .with_backend(backend);
+            let mut config = PageStoreConfig {
+                buffer_pages: 2,
+                ..PageStoreConfig::default()
+            }
+            .with_backend(backend);
             if let Some(profile) = fault {
                 config = config.with_fault(profile);
             }

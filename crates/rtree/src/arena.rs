@@ -247,7 +247,8 @@ mod tests {
         arena.load(&mut traced, root);
         let first_child = arena.children()[0].page;
         arena.load(&mut traced, first_child);
-        assert_eq!(traced.finish().trace, [root, first_child]);
+        let log = traced.finish();
+        assert_eq!(crate::reader::tests::pages(&log), [root, first_child]);
         assert_eq!(tree.stats().snapshot().logical_reads, 0);
     }
 }

@@ -36,9 +36,10 @@
 //! ## Reading nodes: two contracts, one rule
 //!
 //! A storage failure reaches a caller in one of two forms. **`Result`**:
-//! [`RTree::try_read_node`], [`RTree::try_visit_node`],
-//! [`RTree::try_peek_node`] and [`RTree::replay_read`] return it — no
-//! panicking twin; a read panics only on a page id that does not exist.
+//! [`RTree::try_read_node`], [`RTree::try_visit_node`] and
+//! [`RTree::try_peek_node`] return it — no panicking twin; a read panics
+//! only on a page id that does not exist. [`RTree::replay_read`] is no
+//! read: it admits a page a traced read already pinned, and cannot fail.
 //! **The latch**: traversal kernels (BatchVoronoi, the conditional filter,
 //! the leaf-order walk) read through [`NodeReader`], whose failed read
 //! serves an empty leaf and keeps its error until

@@ -13,12 +13,14 @@
 //!   touch, no shared counter — so any number of workers and queries can
 //!   traverse one (read-only during a join) tree concurrently. It always
 //!   *counts* its reads in a local integer; built with
-//!   [`SnapshotReader::traced`] it also *records* the page-id sequence.
-//!   Either way it finishes into one [`ReadLog`], and what happens to the
-//!   log is the caller's accounting decision: **replay** the trace through
-//!   the real buffer in sequential order via [`RTree::replay_read`]
-//!   (reproducing the single-threaded buffer behaviour and page-access
-//!   counts exactly), or just add the count to a per-query-local counter.
+//!   [`SnapshotReader::traced`] it also *keeps* the pinned [`PageRef`] of
+//!   every read, in access order. Either way it finishes into one
+//!   [`ReadLog`], and what happens to the log is the caller's accounting
+//!   decision: **replay** the trace through the real buffer in sequential
+//!   order via [`RTree::replay_read`] (reproducing the single-threaded
+//!   buffer behaviour and page-access counts exactly — a replayed miss
+//!   admits the pinned page, so the replay reads nothing and cannot fail),
+//!   or just add the count to a per-query-local counter.
 //!
 //! Every reader **latches** the first storage error instead of returning
 //! it, serving an empty leaf in the failed node's place; see
@@ -197,14 +199,15 @@ where
 
 /// What a finished [`SnapshotReader`] hands back: the deferred accounting
 /// of every read it served.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ReadLog {
+#[derive(Debug)]
+pub struct ReadLog<D: RTreeObject> {
     /// Number of successful node reads (failed reads are not counted).
     pub reads: u64,
-    /// The page ids read, in access order — filled only by a
+    /// The guard of every page read, in access order — filled only by a
     /// [`SnapshotReader::traced`] reader (then `trace.len() == reads`),
-    /// empty otherwise.
-    pub trace: Vec<PageId>,
+    /// empty otherwise. Each guard pins its page until the log drops, so
+    /// [`RTree::replay_read`] admits the payload the read already decoded.
+    pub trace: Vec<PageRef<Node<D>>>,
     /// The first storage error the reader latched and nobody
     /// [took](NodeReader::take_error), if any. A log that carries an error
     /// describes a traversal that produced garbage (failed reads serve
@@ -212,22 +215,32 @@ pub struct ReadLog {
     pub error: Option<PageIoError>,
 }
 
+impl<D: RTreeObject> Default for ReadLog<D> {
+    fn default() -> Self {
+        ReadLog {
+            reads: 0,
+            trace: Vec::new(),
+            error: None,
+        }
+    }
+}
+
 /// A [`NodeReader`] over a shared tree snapshot: reads touch neither the
 /// buffer nor any shared counter, are **counted** in a local integer and —
 /// when the reader was built [`traced`](SnapshotReader::traced) — also
-/// **recorded** as a page-id trace that preserves the exact access order of
-/// the traversal.
+/// **kept** as a trace of pinned pages that preserves the exact access
+/// order of the traversal.
 ///
 /// Requires only `&RTree`, so any number of readers can traverse one tree
 /// concurrently. The count is the number of *logical snapshot reads*: with
 /// no buffer in the loop there is no hit/miss distinction to simulate;
-/// replaying a recorded trace through [`RTree::replay_read`] performs that
+/// replaying a kept trace through [`RTree::replay_read`] performs that
 /// simulation after the fact.
 #[derive(Debug)]
 pub struct SnapshotReader<'a, D: RTreeObject> {
     tree: &'a RTree<D>,
     traced: bool,
-    log: ReadLog,
+    log: ReadLog<D>,
 }
 
 impl<'a, D: RTreeObject> SnapshotReader<'a, D> {
@@ -240,8 +253,8 @@ impl<'a, D: RTreeObject> SnapshotReader<'a, D> {
         }
     }
 
-    /// Creates a snapshot reader over `tree` that also records the page-id
-    /// trace of its reads for a later [`RTree::replay_read`].
+    /// Creates a snapshot reader over `tree` that also keeps the guard of
+    /// every read, in order, for a later [`RTree::replay_read`].
     pub fn traced(tree: &'a RTree<D>) -> Self {
         SnapshotReader {
             traced: true,
@@ -255,7 +268,7 @@ impl<'a, D: RTreeObject> SnapshotReader<'a, D> {
     }
 
     /// Consumes the reader, returning its [`ReadLog`].
-    pub fn finish(self) -> ReadLog {
+    pub fn finish(self) -> ReadLog<D> {
         self.log
     }
 
@@ -266,23 +279,25 @@ impl<'a, D: RTreeObject> SnapshotReader<'a, D> {
         leaf_pages_hilbert_order(self, self.tree.root_level(), domain)
     }
 
-    /// The one read path: pin the page, account for it, or latch the
-    /// error. A failed read is neither counted nor traced — replaying it
-    /// would either re-fail or drift from the counted run, and the executor
-    /// discards the whole failed chunk (log included) anyway.
-    fn peek(&mut self, page: PageId) -> Option<PageRef<Node<D>>> {
+    /// The one read path: pin the page, serve it to `f`, account for it —
+    /// a traced reader keeps the guard — or latch the error and serve an
+    /// empty leaf. A failed read is neither counted nor traced: there is
+    /// nothing to replay, and the executor discards the whole failed chunk
+    /// (log included) anyway.
+    fn serve<R>(&mut self, page: PageId, f: impl FnOnce(&Node<D>) -> R) -> R {
         match self.tree.try_peek_node(page) {
             Ok(guard) => {
                 self.log.reads += 1;
+                let served = f(&guard);
                 if self.traced {
                     probe::note_trace_record();
-                    self.log.trace.push(page);
+                    self.log.trace.push(guard);
                 }
-                Some(guard)
+                served
             }
             Err(e) => {
                 self.log.error.get_or_insert(e);
-                None
+                f(&Node::new_leaf())
             }
         }
     }
@@ -298,15 +313,11 @@ impl<D: RTreeObject> NodeReader<D> for SnapshotReader<'_, D> {
     }
 
     fn read(&mut self, page: PageId) -> Node<D> {
-        self.peek(page)
-            .map_or_else(Node::new_leaf, |guard| guard.clone())
+        self.serve(page, Node::clone)
     }
 
     fn visit(&mut self, page: PageId, f: &mut dyn FnMut(&Node<D>)) {
-        match self.peek(page) {
-            Some(guard) => f(&guard),
-            None => f(&Node::new_leaf()),
-        }
+        self.serve(page, f)
     }
 
     fn take_error(&mut self) -> Option<PageIoError> {
@@ -338,6 +349,11 @@ pub(crate) mod tests {
         let point = |i: u64| Point::new(i as f64 * 7.0 % 100.0, i as f64);
         let objects = (0..200).map(|i| PointObject::new(i, point(i)));
         RTree::bulk_load(config, objects.collect())
+    }
+
+    /// The pages a log's trace pins, in access order.
+    pub(crate) fn pages(log: &ReadLog<PointObject>) -> Vec<PageId> {
+        log.trace.iter().map(PageRef::id).collect()
     }
 
     /// Root, every child of it, then the root again (a buffer hit).
@@ -413,11 +429,11 @@ pub(crate) mod tests {
             }
         }
         let log = traced.finish();
-        assert_eq!(log.trace, pattern);
+        assert_eq!(pages(&log), pattern);
         assert_eq!(log.reads, pattern.len() as u64);
         assert_eq!(replayed.stats().snapshot(), Default::default());
-        for &page in &log.trace {
-            replayed.replay_read(page).unwrap();
+        for page in &log.trace {
+            replayed.replay_read(page);
         }
         let n = pattern.len() as u64;
         assert_eq!(probe::trace_records(), traces + n);
@@ -430,6 +446,30 @@ pub(crate) mod tests {
             replayed.try_read_node(page).unwrap();
             assert_eq!(live.stats().snapshot(), replayed.stats().snapshot());
         }
+    }
+
+    #[test]
+    fn a_traced_read_transfers_its_page_once_and_pins_it_until_the_log_drops() {
+        let _probes = probe_guard();
+        let mut tree = sample_tree();
+        tree.flush();
+        tree.drop_buffer();
+        let pattern = access_pattern(&tree);
+        let before = tree.backend_io();
+        let mut traced = SnapshotReader::traced(&tree);
+        for &page in &pattern {
+            traced.visit(page, &mut |_| {});
+        }
+        let log = traced.finish();
+        // The root comes twice; the second read is served from its pin.
+        let distinct = pattern.len() - 1;
+        assert_eq!(tree.pinned_pages(), distinct);
+        let moved = tree.backend_io().since(&before);
+        let page_size = tree.config().page_size as u64;
+        assert_eq!(moved.unmetered_bytes_read, distinct as u64 * page_size);
+        assert_eq!(moved.bytes_read, 0);
+        drop(log);
+        assert_eq!((tree.pinned_pages(), tree.resident_pages()), (0, 0));
     }
 
     #[test]
@@ -447,7 +487,7 @@ pub(crate) mod tests {
         assert!(counted_order.len() > 1);
         // Same non-leaf reads, in number and (via the trace) in order.
         assert_eq!(tree.stats().snapshot().logical_reads, log.reads);
-        assert_eq!(log.trace[0], tree.root_page());
+        assert_eq!(log.trace[0].id(), tree.root_page());
         assert_eq!(log.error, None);
     }
 

@@ -168,28 +168,28 @@ impl<D: RTreeObject> RTree<D> {
     /// whose accounting is deferred to [`RTree::replay_read`]).
     ///
     /// Returns a [`PageRef`] guard that **pins** the page in the store for
-    /// its lifetime: the LRU buffer will not evict it, and a non-resident
-    /// page is decoded through the backend as unmetered traffic — no
-    /// counter, recency or membership the metered runs observe changes.
+    /// its lifetime: its decoded payload stays resident whatever the LRU
+    /// buffer evicts, and a non-resident page is decoded through the
+    /// backend as unmetered traffic — no counter, recency or membership the
+    /// metered runs observe changes.
     pub fn try_peek_node(&self, page: PageId) -> Result<PageRef<Node<D>>, PageIoError> {
         self.store.try_peek(page)
     }
 
     /// Replays one recorded page access: thin wrapper over
     /// [`PageStore::note_read`], which carries the authoritative description
-    /// of the accounting (buffer touch, hit/miss recording, backend frame
-    /// transfer on a miss, and the debug-build trace-drift assertion).
+    /// of the accounting (buffer touch and hit/miss recording; a miss admits
+    /// the payload `page` pins, with no backend transfer).
     ///
-    /// Replays the access traces recorded by a traced
+    /// Replays the traces kept by a traced
     /// [`SnapshotReader`](crate::reader::SnapshotReader) in sequential
     /// order, so the chunked execution path reports the same page accesses
     /// and leaves the same buffer state as a single-threaded run. The
-    /// replayed miss is a real metered transfer and can fail like any read
-    /// (error contract of [`RTree::try_read_node`]); a replayed id that
-    /// does not exist is trace drift, not I/O, and panics.
-    pub fn replay_read(&mut self, page: PageId) -> Result<(), PageIoError> {
+    /// replay reads nothing, so it cannot fail; a guard of another tree or
+    /// of a freed page is trace drift and panics.
+    pub fn replay_read(&mut self, page: &PageRef<Node<D>>) {
         crate::reader::probe::note_replay();
-        self.store.note_read(page)
+        self.store.note_read(page);
     }
 
     /// Takes the storage error latched by the

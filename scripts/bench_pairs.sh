@@ -2,7 +2,7 @@
 # Alternating parent/change pairs of the repo benchmark (BENCHMARK.json).
 #
 #   scripts/bench_pairs.sh <parent-ref> [--pairs 10] [--workloads a,b,...] [--out DIR]
-#                          [--seconds N] [--first-seed 11]
+#                          [--seconds N] [--first-seed 11] [--traced-seed N]
 #
 # `git archive`s <parent-ref> into a temporary directory (under $TMPDIR),
 # builds its cij_benchmark and the working tree's with separate
@@ -24,10 +24,16 @@
 # `failed p/c` column counts it and the script exits 1 after the report.
 # --out DIR keeps every run's result line (<workload>.<side>.jsonl, beside a
 # .status file of `seed exit-status` lines) instead of deleting them.
+#
+# --traced-seed N runs no pairs: each side runs once per workload with
+# --trace 1 on seed N, and the script prints, per workload, the parent's and
+# the change's value of every BENCHMARK.json per-layer metric whose unit is
+# `count` or `bytes` — the deterministic counters a small claim rests on —
+# marking each that differs with `*`. It exits 1 if a traced run fails.
 set -euo pipefail
 
 usage() {
-    sed -n '2,26p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,32p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 }
 
@@ -39,6 +45,7 @@ workloads=
 out=
 seconds=
 first_seed=11
+traced_seed=
 while [ $# -gt 1 ]; do
     case $1 in
     --pairs) pairs=$2 ;;
@@ -46,6 +53,7 @@ while [ $# -gt 1 ]; do
     --out) out=$2 ;;
     --seconds) seconds=$2 ;;
     --first-seed) first_seed=$2 ;;
+    --traced-seed) traced_seed=$2 ;;
     *) usage ;;
     esac
     shift 2
@@ -78,6 +86,48 @@ if [ -z "$seconds" ]; then
 fi
 if [ -z "$workloads" ]; then
     workloads=$(python3 -c 'import json; print(",".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+fi
+
+if [ -n "$traced_seed" ]; then
+    status=0
+    for workload in ${workloads//,/ }; do
+        for side in parent change; do
+            echo "$workload: traced $side (seed $traced_seed)" >&2
+            "$work/$side-target/release/cij_benchmark" --workload "$workload" \
+                --seed "$traced_seed" --seconds "$seconds" --trace 1 |
+                tail -n 1 >"$logs/$workload.$side.traced.json" || status=1
+        done
+    done
+    python3 - "$logs" "$workloads" "$traced_seed" <<'EOF' || status=1
+import json, sys
+
+logs, workloads, seed = sys.argv[1], sys.argv[2].split(","), sys.argv[3]
+units = {m["name"]: m["unit"] for m in json.load(open("BENCHMARK.json"))["per_layer"]}
+counters = [name for name, unit in units.items() if unit in ("count", "bytes")]
+print(f"traced runs on seed {seed}; * marks a counter that differs")
+print(f"{'workload':<14} {'metric':<36} {'parent':>14} {'change':>14}")
+failed = False
+for workload in workloads:
+    runs = []
+    for side in ("parent", "change"):
+        try:
+            runs.append(json.load(open(f"{logs}/{workload}.{side}.traced.json"))["metrics"])
+        except (ValueError, KeyError):
+            runs.append(None)
+    if None in runs:
+        print(f"{workload:<14} a traced run printed no result")
+        failed = True
+        continue
+    for name in counters:
+        values = [run.get(name, {}).get("value") for run in runs]
+        if values == [None, None]:
+            continue
+        mark = "" if values[0] == values[1] else " *"
+        shown = [f"{'-' if v is None else f'{v:.12g}':>14}" for v in values]
+        print(f"{workload:<14} {name:<36} {shown[0]} {shown[1]}{mark}")
+sys.exit(1 if failed else 0)
+EOF
+    exit $status
 fi
 
 run() { # <side> <workload> <seed>: appends the run's result line and exit status to its logs

@@ -46,8 +46,10 @@ const MAX_ALLOCATIONS_PER_PAIR: f64 = 3.5;
 /// this run became the chunk protocol too: 2.62 (debug and `--release`
 /// alike, 2.62 under the transient fault profile); the sequential leaf loop
 /// it replaced spent 2.41.
-/// With the report's edge tables: 2.63 (all three alike).
-const MAX_ALLOCATIONS_PER_METERED_PAIR: f64 = 2.65;
+/// With the report's edge tables: 2.63 (all three alike). Since a replayed
+/// miss admits the page its reader pinned instead of decoding it again
+/// (PR 42): 2.30, debug and `--release` alike.
+const MAX_ALLOCATIONS_PER_METERED_PAIR: f64 = 2.35;
 
 /// Allocations a second `batch_voronoi` over one 41-point leaf group
 /// may spend on the scratch the first call warmed: what the returned cells

@@ -175,7 +175,12 @@ fn nm_fail_stops_at_a_watermark_or_retries_invisibly_at_every_fault_point() {
         (ExecMode::Metered, 2),
         (ExecMode::Fast, 2),
     ] {
-        let engine = QueryEngine::new(sweep_config(mode, workers));
+        // Two-page buffers: a metered join reads each page once, at a
+        // worker's peek of a page the buffer does not hold (its replays
+        // read nothing), so only a tight buffer gives the sweep enough
+        // read attempts on inputs this small.
+        let config = sweep_config(mode, workers).with_min_buffer_pages(2);
+        let engine = QueryEngine::new(config);
         let run = |armed: Option<(usize, FaultProfile)>| {
             let mut w = engine.build_workload(&p, &q);
             if let Some((tree, profile)) = armed {

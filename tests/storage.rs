@@ -2,11 +2,12 @@
 //! real-file and memory-mapped `PageBackend`s must be observably
 //! indistinguishable from the heap-backed run (same pairs in the same
 //! order, same NM counters, same page-access totals — across worker-thread
-//! counts and execution modes), pinned buffer pages must never be evicted
-//! under cache pressure, and the `PagePayload` node codec must round-trip
-//! losslessly while rejecting frames that exceed the page size.
+//! counts and execution modes), a pinned page's payload must stay resident
+//! under cache pressure while the buffer alone decides membership, and the
+//! `PagePayload` node codec must round-trip losslessly while rejecting
+//! frames that exceed the page size.
 
-use cij::pagestore::{Admission, BackendIo, LruBuffer, PageId, PagePayload};
+use cij::pagestore::{PageId, PagePayload, PageRef, PageStore, PageStoreConfig};
 use cij::prelude::*;
 use cij::rtree::{
     CellObject, Node, PointObject, RTree, RTreeConfig, RTreeObject, NODE_HEADER_BYTES,
@@ -39,6 +40,37 @@ fn clustered(n: usize, seed: u64) -> Vec<Point> {
 
 fn run_nm(p: &[Point], q: &[Point], config: &CijConfig) -> CijOutcome {
     QueryEngine::new(*config).join(p, q, Algorithm::NmCij)
+}
+
+/// Runs metered NM-CIJ on `w` as a stream and checks the bytes it moved:
+/// every transfer is one whole frame, and the metered bytes are exactly
+/// the misses of the leaf-order walk the stream's construction performs —
+/// the join's only counted reads. Workers read through pinned snapshots
+/// (unmetered) and the coordinator's replay admits those pins, moving no
+/// byte. Returns the join's counted misses and its outcome.
+fn run_nm_checking_transfers(
+    config: &CijConfig,
+    w: &mut Workload,
+    label: &str,
+) -> (u64, CijOutcome) {
+    let frame = config.rtree.page_size as u64;
+    let (stats, io_before) = (w.stats.clone(), w.backend_io());
+    let before = stats.snapshot();
+    let stream = QueryEngine::new(*config).stream(w, Algorithm::NmCij);
+    let walk_misses = stats.snapshot().since(&before).physical_reads;
+    let outcome = stream.try_into_outcome().expect("a clean run");
+    let io = w.backend_io().since(&io_before);
+    assert_eq!(
+        (io.bytes_read % frame, io.unmetered_bytes_read % frame),
+        (0, 0),
+        "{label}: a transfer moved a partial frame"
+    );
+    assert_eq!(
+        io.bytes_read,
+        walk_misses * frame,
+        "{label}: metered bytes other than the leaf-order walk's misses"
+    );
+    (stats.snapshot().since(&before).physical_reads, outcome)
 }
 
 /// The acceptance contract, as a full matrix: for uniform and clustered
@@ -115,10 +147,13 @@ fn every_algorithm_is_correct_over_every_backend() {
     }
 }
 
-/// Counted physical reads translate 1:1 into frame-sized transfers on every
-/// backend, on a cold buffer and on the warm one a second run over the same
-/// workload finds; the warm run misses less, and both phases return the heap
-/// backend's pairs for the heap backend's misses.
+/// Every transfer of a metered NM-CIJ moves one whole frame on every
+/// backend, and its metered bytes are exactly the counted misses of the
+/// leaf-order walk — on a cold buffer and on the warm one a second run over
+/// the same workload finds; the warm run misses less, and both phases
+/// return the heap backend's pairs for the heap backend's misses. (The
+/// counted read paths' `bytes_read == physical_reads × page_size` is
+/// `by_reference_queries_account_exactly_like_the_owned_walk`'s.)
 #[test]
 fn file_bytes_read_match_counted_physical_reads() {
     let p = uniform_points(400, &Rect::DOMAIN, 9407);
@@ -126,20 +161,12 @@ fn file_bytes_read_match_counted_physical_reads() {
     let mut reference = None;
     for backend in StorageBackend::ALL {
         let config = test_config().with_storage_backend(backend);
-        let engine = QueryEngine::new(config);
-        let mut w = engine.build_workload(&p, &q);
+        let mut w = QueryEngine::new(config).build_workload(&p, &q);
         let mut phases = Vec::new();
         for phase in ["cold", "warm"] {
-            let stats_before = w.stats.snapshot();
-            let io_before: BackendIo = w.backend_io();
-            let outcome = engine.run(&mut w, Algorithm::NmCij);
+            let label = format!("{backend}, {phase}");
+            let (misses, outcome) = run_nm_checking_transfers(&config, &mut w, &label);
             assert!(!outcome.pairs.is_empty());
-            let misses = w.stats.snapshot().since(&stats_before).physical_reads;
-            assert_eq!(
-                w.backend_io().since(&io_before).bytes_read,
-                misses * config.rtree.page_size as u64,
-                "{backend}, {phase}: every counted miss must move exactly one page-sized frame"
-            );
             phases.push((misses, outcome.pairs));
         }
         let (cold, warm) = (phases[0].0, phases[1].0);
@@ -154,9 +181,10 @@ fn file_bytes_read_match_counted_physical_reads() {
 
 /// NM-CIJ over trees built out of core (external merge sort, a dozen runs)
 /// and joined through buffers an eighth of each tree, sequentially and on
-/// four workers: on every backend the pairs are the heap backend's, and no
-/// tree ever holds more decoded pages than its buffer plus its pins — there
-/// is no mirror for the dataset to hide in.
+/// four workers: on every backend the pairs are the heap backend's, every
+/// transfer is a whole frame and the metered bytes are the leaf-order
+/// walk's misses, and no tree ever holds more decoded pages than its buffer
+/// plus its pins — there is no mirror for the dataset to hide in.
 #[test]
 fn out_of_core_join_stays_within_buffer_plus_pins() {
     let p = uniform_points(1_200, &Rect::DOMAIN, 9413);
@@ -185,14 +213,8 @@ fn out_of_core_join_stays_within_buffer_plus_pins() {
             };
             let (rp, rq) = (build(&p), build(&q));
             let mut w = Workload { rp, rq, stats };
-            let (stats_before, io_before) = (w.stats.snapshot(), w.backend_io());
-            let outcome = QueryEngine::new(config).run(&mut w, Algorithm::NmCij);
-            assert_eq!(
-                w.backend_io().since(&io_before).bytes_read,
-                w.stats.snapshot().since(&stats_before).physical_reads
-                    * config.rtree.page_size as u64,
-                "{backend}, T={threads}: a miss under cache pressure moved a partial frame"
-            );
+            let label = format!("{backend}, T={threads}");
+            let (_, outcome) = run_nm_checking_transfers(&config, &mut w, &label);
             for (name, tree) in [("RP", &w.rp), ("RQ", &w.rq)] {
                 let (buffer, pinned) = (tree.buffer_pages(), tree.peak_pinned_pages());
                 assert!(buffer > 0 && 4 * buffer <= tree.num_pages());
@@ -493,63 +515,60 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Pinned pages are never evicted, no matter the cache pressure: over
-    /// arbitrary interleavings of touches (reads/writes causing evictions),
-    /// pins and unpins against a small `LruBuffer`, no eviction victim is
-    /// ever pinned, and every page that was a buffer member when pinned is
-    /// still a member after arbitrary pressure.
+    /// A pin keeps a page's payload resident; membership is the buffer's
+    /// alone. Over arbitrary interleavings of counted reads (which evict),
+    /// peeks, replays of live guards and guard drops against a small store:
+    /// every live guard still reads its payload, the resident pages are
+    /// exactly the buffer members and the pinned pages after every step,
+    /// and peak residency stays within the buffer plus the peak pin count.
     #[test]
-    fn pinned_pages_are_never_evicted_under_pressure(
+    fn resident_pages_are_the_buffer_members_and_the_pinned_under_pressure(
         capacity in 1usize..6,
-        ops in proptest::collection::vec((0u64..20, 0u8..4), 1..300),
+        ops in proptest::collection::vec((0u32..20, 0u8..5), 1..300),
     ) {
-        let mut buf = LruBuffer::new(capacity);
-        let mut pins: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
-        let mut pinned_members: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        for (key, op) in ops {
+        let payload = |page: u32| page * 7 + 3;
+        let mut store: PageStore<u32> = PageStore::new(PageStoreConfig::default());
+        let ids: Vec<PageId> = (0..20).map(|page| store.allocate(payload(page))).collect();
+        store.flush();
+        store.set_buffer_pages(capacity);
+        store.reset_residency_peaks();
+        let mut guards: Vec<PageRef<u32>> = Vec::new();
+        for (step, (page, op)) in ops.into_iter().enumerate() {
+            let id = ids[page as usize];
             match op {
-                // Touch (read or write): the only operation that evicts.
-                0 | 1 => {
-                    if let Admission::Miss { evicted: Some((victim, _)) } =
-                        buf.touch(key, op == 1)
-                    {
-                        prop_assert!(
-                            !pins.contains_key(&victim),
-                            "evicted page {victim} holds {} pins",
-                            pins.get(&victim).copied().unwrap_or(0)
-                        );
-                        prop_assert!(victim != key || !pins.contains_key(&key));
-                    }
-                    if pins.contains_key(&key) {
-                        pinned_members.insert(key);
-                    }
+                // Counted reads: the only operation that evicts.
+                0 | 1 => prop_assert_eq!(store.try_read(id).unwrap(), payload(page)),
+                2 => guards.push(store.try_peek(id).unwrap()),
+                3 if !guards.is_empty() => {
+                    store.note_read(&guards[page as usize % guards.len()]);
                 }
-                2 => {
-                    buf.pin(key);
-                    *pins.entry(key).or_insert(0) += 1;
-                    if buf.contains(key) {
-                        pinned_members.insert(key);
-                    }
+                _ if !guards.is_empty() => {
+                    guards.swap_remove(page as usize % guards.len());
                 }
-                _ => {
-                    if let Some(count) = pins.get_mut(&key) {
-                        buf.unpin(key);
-                        *count -= 1;
-                        if *count == 0 {
-                            pins.remove(&key);
-                            pinned_members.remove(&key);
-                        }
-                    }
-                }
+                _ => {}
             }
-            for &member in &pinned_members {
-                prop_assert!(
-                    buf.contains(member),
-                    "pinned member {member} vanished from the buffer"
-                );
+            for guard in &guards {
+                prop_assert_eq!(**guard, payload(guard.id().0), "step {}", step);
             }
+            let members = store.buffered_pages_mru_to_lru();
+            prop_assert!(members.len() <= capacity);
+            let pinned: std::collections::BTreeSet<PageId> =
+                guards.iter().map(PageRef::id).collect();
+            prop_assert_eq!(store.pinned_pages(), pinned.len(), "step {}", step);
+            let mut resident = pinned;
+            resident.extend(members);
+            prop_assert_eq!(store.resident_pages(), resident.len(), "step {}", step);
+            prop_assert!(
+                store.peak_resident_pages() <= capacity + store.peak_pinned_pages(),
+                "step {}: peak resident {} > buffer {} + peak pinned {}",
+                step,
+                store.peak_resident_pages(),
+                capacity,
+                store.peak_pinned_pages()
+            );
         }
-        prop_assert_eq!(buf.pinned_pages(), pins.len());
+        drop(guards);
+        prop_assert_eq!(store.resident_pages(), store.buffered_pages_mru_to_lru().len());
     }
 }
 
