@@ -208,7 +208,8 @@ impl<'a> Accounting<'a> {
     /// `i`: replays the trace through the tree's real buffer (metered — a
     /// replayed miss admits the page the trace pins, reading nothing), or
     /// adds the read count to the local counter (fast). Neither can fail.
-    pub(crate) fn settle(&mut self, i: usize, log: &Log) {
+    /// The log is consumed: its pins are released as soon as it is settled.
+    pub(crate) fn settle(&mut self, i: usize, log: Log) {
         match self {
             Accounting::Metered { trees, .. } => {
                 log.trace.iter().for_each(|page| trees[i].replay_read(page));
@@ -747,7 +748,8 @@ mod tests {
     /// a traced reader's log of the same reads on another; `arm` runs on
     /// the second workload's tree between finishing the reader and
     /// settling. The settle must pay exactly what the direct reads paid —
-    /// the same `IoStats` and buffer MRU order — and transfer nothing.
+    /// the same `IoStats` and buffer MRU order — transfer nothing, and
+    /// release the log's pins.
     fn settle_against_direct_reads(arm: impl FnOnce(&mut RTree<PointObject>)) {
         let mut live = workload();
         let mut deferred = workload();
@@ -773,10 +775,15 @@ mod tests {
             0,
             "nothing is paid before settling"
         );
-        acct.settle(0, &log);
+        acct.settle(0, log);
+        assert_eq!(
+            acct.tree(0).pinned_pages(),
+            0,
+            "the settled log kept its pins"
+        );
         assert_eq!(live.stats.snapshot(), stats.snapshot());
         assert_eq!(acct.join_io(), stats.snapshot());
-        drop((acct, log));
+        drop(acct);
 
         assert_eq!(
             live.trees[0].buffered_pages_mru_to_lru(),
@@ -821,7 +828,7 @@ mod tests {
             }
             let log = reader.finish();
             assert!(log.trace.is_empty(), "fast readers keep no trace");
-            acct.settle(0, &log);
+            acct.settle(0, log);
             let expected = pattern.len() as u64;
             assert_eq!(acct.join_io().page_accesses(), expected);
             assert_eq!(acct.join_io().logical_reads, expected);

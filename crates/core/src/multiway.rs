@@ -609,8 +609,8 @@ impl<'a> TupleStream<'a> {
         // work counts into the profile with its progress sample and
         // watermark, and queue the leaf's final table for the consumer.
         for ((table, (mut work, logs)), group) in partials.into_iter().zip(leaves).zip(&groups) {
-            for (tree, log) in &logs {
-                self.acct.settle(*tree, log);
+            for (tree, log) in logs {
+                self.acct.settle(tree, log);
             }
             work.rows = table.len as u64;
             let productive = !group.is_empty();

@@ -262,11 +262,12 @@ impl<'a> NmPairIter<'a> {
             .for_each(|r| lap.times[Phase::Report] += r.time);
 
         // Settle + emit (coordinator, leaf order), in the sequential
-        // interleaving of the leaf's reads: Q scan, P filter, P refine.
-        for ((scan, unit), report) in scans.iter().zip(&refined).zip(reported) {
-            self.acct.settle(Q, &scan.log_rq);
-            self.acct.settle(P, &scan.log_rp);
-            self.acct.settle(P, &unit.log);
+        // interleaving of the leaf's reads: Q scan, P filter, P refine. Each
+        // log is consumed by its settle, so a leaf's pins go with it.
+        for ((scan, unit), report) in scans.into_iter().zip(refined).zip(reported) {
+            self.acct.settle(Q, scan.log_rq);
+            self.acct.settle(P, scan.log_rp);
+            self.acct.settle(P, unit.log);
             if let Some(probe) = &mut self.probe {
                 probe.settle(&report.claims);
             }
@@ -282,9 +283,8 @@ impl<'a> NmPairIter<'a> {
             self.ledger
                 .record_leaf(self.acct.join_io(), productive, leaf);
             self.pending.extend(report.pairs);
+            // The leaf's cells and candidates are freed inside the clock.
         }
-        // The chunk's cells and candidates are freed inside the clock.
-        drop((scans, refined));
         lap.charge(Phase::Emit);
         self.ledger.profile.elapsed += lap.times;
         Ok(())

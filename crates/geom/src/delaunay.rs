@@ -601,23 +601,8 @@ fn strictly_between(a: &Point, b: &Point, p: &Point) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TestRng as Rng;
     use proptest::prelude::*;
-
-    /// A deterministic stream of uniform integers (SplitMix64).
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, n: u64) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            (z ^ (z >> 31)) % n
-        }
-        fn unit(&mut self) -> f64 {
-            self.below(1 << 53) as f64 / (1u64 << 53) as f64
-        }
-    }
 
     fn triangulate(d: &mut Delaunay, points: &[Point]) {
         let xs: Vec<f64> = points.iter().map(|p| p.x).collect();

@@ -60,11 +60,15 @@ impl GridFrame {
         &self.bounds
     }
 
+    /// The column of `coord` along an axis from `lo` with buckets `extent`
+    /// wide. The cast truncates rather than floors: the two differ only on
+    /// negative non-integers, which both clamp to column 0, and NaN and ±∞
+    /// saturate alike — so the libm `floor` call is not needed.
     fn axis_bucket(&self, coord: f64, lo: f64, extent: f64) -> usize {
         if extent <= 0.0 {
             return 0;
         }
-        (((coord - lo) / extent).floor() as isize).clamp(0, self.res as isize - 1) as usize
+        (((coord - lo) / extent) as isize).clamp(0, self.res as isize - 1) as usize
     }
 
     /// The bucket containing `p` (coordinates outside the bounds clamp to
@@ -232,6 +236,52 @@ mod tests {
             .is_none());
         // A far-away coordinate clamps to the border bucket on its side.
         assert_eq!(frame.bucket_of(&Point::new(-1.0e6, 1.0e6)), (0, 9));
+    }
+
+    #[test]
+    fn truncated_bucketing_equals_floored_bucketing() {
+        let floored = |v: f64, res: usize| (v.floor() as isize).clamp(0, res as isize - 1) as usize;
+        let mut values = vec![
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            0.0,
+            -0.0,
+            isize::MAX as f64,
+            isize::MIN as f64,
+        ];
+        for k in [-2.0, -1.0, 0.0, 1.0, 6.0, 7.0, 8.0, 511.0, 512.0, 513.0] {
+            let (mut below, mut above) = (k, k);
+            for _ in 0..3 {
+                below = f64::next_down(below);
+                above = f64::next_up(above);
+                values.extend([below, above]);
+            }
+            values.extend([k, k - 0.5, k + 0.5]);
+        }
+        // A seeded sample: uniform around the grid, then raw bit patterns.
+        let mut rng = crate::TestRng(0x5eed);
+        for _ in 0..100_000 {
+            values.push(rng.unit() * 2_048.0 - 1_024.0);
+            values.push(f64::from_bits(rng.next()));
+        }
+        for res in [1, 7, MAX_GRID_RESOLUTION] {
+            // A unit-width frame from 0, so the bucket coordinate is `v`.
+            let frame = GridFrame::new(&Rect::from_coords(0.0, 0.0, res as f64, res as f64), res);
+            for &v in &values {
+                assert_eq!(
+                    frame.bucket_of(&Point::new(v, v)).0,
+                    floored(v, res),
+                    "{v:e} at {res}"
+                );
+            }
+        }
     }
 
     #[test]

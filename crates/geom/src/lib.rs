@@ -101,3 +101,28 @@ pub use polygon::{ClipScratch, ConvexPolygon, EdgeTable};
 pub use predicates::{incircle, orient2d};
 pub use rect::Rect;
 pub use segment::Segment;
+
+/// A deterministic stream of uniform integers (SplitMix64): the unit tests'
+/// seeded samples.
+#[cfg(test)]
+pub(crate) struct TestRng(pub(crate) u64);
+
+#[cfg(test)]
+impl TestRng {
+    pub(crate) fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    /// Uniform in `[0, 1)`.
+    pub(crate) fn unit(&mut self) -> f64 {
+        self.below(1 << 53) as f64 / (1u64 << 53) as f64
+    }
+}

@@ -15,22 +15,29 @@
 //!   Hilbert key in bounded-memory runs spilled through a *scratch* backend
 //!   of the same [`StorageBackend`] kind, then k-way-merges the runs
 //!   straight into the leaf packer. Tree construction never materialises
-//!   the full dataset: at most `run_capacity` objects plus one spill frame
-//!   per run are decoded at any moment (and, while a run is being sorted,
-//!   one `(key, index)` pair per object of that run). The merge is ordered by
+//!   the full dataset: its memory bound is **`run_capacity` objects plus
+//!   one spill frame per run** (and, while a run is being sorted, one
+//!   `(key, index)` pair per object of that run). The merge is ordered by
 //!   `(hilbert key, run index)` and the runs are contiguous input chunks,
 //!   so the merged order equals the in-memory stable sort — the two loaders
 //!   produce **byte-identical trees**. Spill traffic goes through a scratch
 //!   backend instance (unmetered), never the tree's own store, so the
 //!   "construction writes every page exactly once and reads none" property
-//!   is preserved.
+//!   is preserved. Spill frames are 16 KiB, capped at `run_capacity` pages
+//!   and at least one page (`spill_frame_bytes`): they are no page of the
+//!   tree, so they are sized for the transfer, while the tree's own pages
+//!   stay `page_size`.
 //!
-//! Both loaders sort with `sort_by_cached_key`: the Hilbert key of an object
-//! is computed **once** rather than twice per comparison, at the price of
+//! Both loaders compute each object's Hilbert key **once**, at the price of
 //! one `(u64 key, index)` pair per object being sorted — the whole input for
 //! the in-memory loader, one run for the external one, so its
-//! O(`run_capacity`) bound stands. The sort is stable, like the merge
-//! tie-break above, which is what keeps the two loaders byte-identical.
+//! O(`run_capacity`) bound stands. The in-memory loader sorts with
+//! `sort_by_cached_key`; the external one sorts a `(key, index)`
+//! permutation of each run (the same footprint), writes the run through it
+//! with each key in front of its object's entry, and the merge reads the
+//! keys back instead of computing them again. Both orders are stable, like
+//! the merge tie-break above, which is what keeps the two loaders
+//! byte-identical.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -131,7 +138,7 @@ impl<D: RTreeObject> RTree<D> {
 
         // Pass 0: spill everything in arrival order, folding the Hilbert
         // domain over the exact same sequence the in-memory loader folds.
-        let mut scratch = storage.create(config.page_size);
+        let mut scratch = storage.create(spill_frame_bytes(config.page_size, run_capacity));
         let mut domain = Rect::empty();
         let mut total = 0usize;
         let mut spill = SpillWriter::new(&mut *scratch);
@@ -143,7 +150,10 @@ impl<D: RTreeObject> RTree<D> {
         let unsorted = spill.finish();
 
         // Pass 1: re-read in run-sized chunks, sort each chunk by Hilbert
-        // key (stable, like the in-memory loader), spill the sorted runs.
+        // key (stable, like the in-memory loader) and spill the sorted runs
+        // with each object's key in front of its entry. The sort orders a
+        // `(key, index)` permutation — `sort_by_cached_key`'s footprint —
+        // and the run is written through it.
         let mut frame_buf = Vec::new();
         let mut cursor: RunCursor<D> = RunCursor::new(unsorted);
         let mut runs: Vec<Vec<u32>> = Vec::new();
@@ -158,40 +168,38 @@ impl<D: RTreeObject> RTree<D> {
             if chunk.is_empty() {
                 break;
             }
-            chunk.sort_by_cached_key(|o| hilbert::hilbert_value(&o.mbr().center(), &domain));
+            let mut order: Vec<(u64, usize)> = (chunk.iter().enumerate())
+                .map(|(i, o)| (hilbert::hilbert_value(&o.mbr().center(), &domain), i))
+                .collect();
+            // Distinct indices make the unstable sort stable.
+            order.sort_unstable();
             let mut writer = SpillWriter::new(&mut *scratch);
-            for o in &chunk {
-                writer.push(o);
+            for &(key, i) in &order {
+                writer.push_keyed(key, &chunk[i]);
             }
             runs.push(writer.finish());
         }
         debug_assert!(runs.len() >= 2, "single-run inputs take the fast path");
 
-        // Merge: k-way by (hilbert key, run index). Runs are contiguous
-        // input chunks in order, so this tie-break makes the merge equal to
-        // one global stable sort.
+        // Merge: k-way by (hilbert key, run index), the keys read back from
+        // the runs. Runs are contiguous input chunks in order, so this
+        // tie-break makes the merge equal to one global stable sort.
         let mut tree = RTree::with_stats_on(config, stats, storage);
-        let mut cursors: Vec<RunCursor<D>> = runs.into_iter().map(RunCursor::new).collect();
+        let mut cursors: Vec<RunCursor<Keyed<D>>> = runs.into_iter().map(RunCursor::new).collect();
         let mut heads: Vec<Option<D>> = Vec::with_capacity(cursors.len());
         let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
         for (i, c) in cursors.iter_mut().enumerate() {
-            let o = c.next(&mut *scratch, &mut frame_buf);
-            if let Some(o) = &o {
-                heap.push(Reverse((
-                    hilbert::hilbert_value(&o.mbr().center(), &domain),
-                    i,
-                )));
-            }
-            heads.push(o);
+            let head = c.next(&mut *scratch, &mut frame_buf).map(|Keyed(key, o)| {
+                heap.push(Reverse((key, i)));
+                o
+            });
+            heads.push(head);
         }
         let merged = std::iter::from_fn(move || {
             let Reverse((_, i)) = heap.pop()?;
             let out = heads[i].take().expect("heap entry without a run head");
-            if let Some(next) = cursors[i].next(&mut *scratch, &mut frame_buf) {
-                heap.push(Reverse((
-                    hilbert::hilbert_value(&next.mbr().center(), &domain),
-                    i,
-                )));
+            if let Some(Keyed(key, next)) = cursors[i].next(&mut *scratch, &mut frame_buf) {
+                heap.push(Reverse((key, i)));
                 heads[i] = Some(next);
             }
             Some(out)
@@ -271,14 +279,37 @@ fn pack_sorted<D: RTreeObject>(
     total
 }
 
+/// Bytes of one spill frame of the external sort (see
+/// [`spill_frame_bytes`]). The spill is unmetered and lives on its own
+/// scratch backend, so its frames need not be tree pages: 16 KiB moves
+/// sixteen 1 KiB pages' worth of entries per transfer.
+const SPILL_FRAME_BYTES: usize = 16 << 10;
+
+/// The spill frame of an external sort in runs of `run_capacity` objects
+/// on `page_size`-byte tree pages: [`SPILL_FRAME_BYTES`], but no more than
+/// `run_capacity` pages and no less than one page. A run's last frame is
+/// partly empty, so the cap keeps the spill of many tiny runs within what
+/// page-sized frames of one object each would take; the floor keeps every
+/// record of an object that fits a leaf within a frame.
+fn spill_frame_bytes(page_size: usize, run_capacity: usize) -> usize {
+    SPILL_FRAME_BYTES
+        .min(run_capacity.saturating_mul(page_size))
+        .max(page_size)
+}
+
 /// Bytes of the `u32` entry count that opens every spill frame.
 const SPILL_HEADER_BYTES: usize = 4;
 
-/// Appends self-delimiting object entries to spill frames of the scratch
-/// backend: `[u32 count][entries back-to-back]`, zero-padded to the frame
-/// size, entries never spanning frames. All traffic is
-/// [`IoClass::Unmetered`] — spill is maintenance I/O, not a measured page
-/// access.
+/// Bytes of the Hilbert key in front of each entry of a sorted run.
+const KEY_BYTES: usize = 8;
+
+/// Appends self-delimiting records to spill frames of the scratch backend:
+/// `[u32 count][records back-to-back]`, zero-padded to the frame size,
+/// records never spanning frames. A record is an object entry
+/// ([`SpillWriter::push`], the arrival-order spill) or its `u64` Hilbert
+/// key followed by the entry ([`SpillWriter::push_keyed`], a sorted run).
+/// All traffic is [`IoClass::Unmetered`] — spill is maintenance I/O, not a
+/// measured page access.
 struct SpillWriter<'a> {
     backend: &'a mut dyn PageBackend,
     /// The frame under assembly, reused across flushes: the count header
@@ -305,17 +336,27 @@ impl<'a> SpillWriter<'a> {
     }
 
     fn push<D: RTreeObject>(&mut self, object: &D) {
+        self.push_record(object.entry_bytes(), |w| object.encode_entry(w));
+    }
+
+    fn push_keyed<D: RTreeObject>(&mut self, key: u64, object: &D) {
+        self.push_record(KEY_BYTES + object.entry_bytes(), |w| {
+            w.put_u64(key);
+            object.encode_entry(w);
+        });
+    }
+
+    fn push_record(&mut self, bytes: usize, encode: impl FnOnce(&mut FrameWriter)) {
         let frame_size = self.backend.frame_size();
-        let bytes = object.entry_bytes();
         assert!(
             SPILL_HEADER_BYTES + bytes <= frame_size,
-            "object entry ({bytes} B) exceeds a spill frame ({} B)",
+            "spill record ({bytes} B) exceeds a spill frame ({} B)",
             frame_size - SPILL_HEADER_BYTES
         );
         if self.count > 0 && self.frame.len() + bytes > frame_size {
             self.flush_frame();
         }
-        object.encode_entry(&mut self.frame);
+        encode(&mut self.frame);
         self.count += 1;
     }
 
@@ -346,16 +387,39 @@ impl<'a> SpillWriter<'a> {
     }
 }
 
-/// Streams the objects of one spilled run back, decoding one frame at a
-/// time (the per-run memory bound of the merge) into a pending queue whose
+/// A record of a spill frame, as [`RunCursor`] decodes it.
+trait SpillRecord: Sized {
+    fn decode(r: &mut FrameReader<'_>) -> Self;
+}
+
+/// An arrival-order record: the object entry alone.
+impl<D: RTreeObject> SpillRecord for D {
+    fn decode(r: &mut FrameReader<'_>) -> Self {
+        D::decode_entry(r)
+    }
+}
+
+/// A sorted-run record: the object behind the Hilbert key the run sort
+/// computed, so the merge orders by it without computing it again.
+struct Keyed<D>(u64, D);
+
+impl<D: RTreeObject> SpillRecord for Keyed<D> {
+    fn decode(r: &mut FrameReader<'_>) -> Self {
+        let key = r.take_u64();
+        Keyed(key, D::decode_entry(r))
+    }
+}
+
+/// Streams the records of one spill back, decoding one frame at a time
+/// (the per-run memory bound of the merge) into a pending queue whose
 /// allocation is reused from frame to frame, and freeing each frame after
 /// its single read.
-struct RunCursor<D: RTreeObject> {
+struct RunCursor<D: SpillRecord> {
     frames: std::vec::IntoIter<u32>,
     pending: VecDeque<D>,
 }
 
-impl<D: RTreeObject> RunCursor<D> {
+impl<D: SpillRecord> RunCursor<D> {
     fn new(frames: Vec<u32>) -> Self {
         RunCursor {
             frames: frames.into_iter(),
@@ -376,8 +440,7 @@ impl<D: RTreeObject> RunCursor<D> {
             backend.free(frame);
             let mut r = FrameReader::new(frame_buf);
             let count = r.take_u32();
-            self.pending
-                .extend((0..count).map(|_| D::decode_entry(&mut r)));
+            self.pending.extend((0..count).map(|_| D::decode(&mut r)));
         }
     }
 }
@@ -654,6 +717,79 @@ mod tests {
         }
     }
 
+    /// `n` seeded cells: squares around random sites, cut by a few random
+    /// bisectors, so their entries vary in size.
+    fn random_cells(n: usize, seed: u64) -> Vec<CellObject> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n as u64)
+            .map(|i| {
+                let site = Point::new(rng.gen_range(100.0..9_900.0), rng.gen_range(100.0..9_900.0));
+                let square =
+                    Rect::from_coords(site.x - 40.0, site.y - 40.0, site.x + 40.0, site.y + 40.0);
+                let mut cell = ConvexPolygon::from_rect(&square);
+                for _ in 0..rng.gen_range(0..5) {
+                    let dx = rng.gen_range(-70.0..70.0);
+                    let other = Point::new(site.x + dx, site.y + rng.gen_range(-70.0..70.0));
+                    if other.dist(&site) > 1.0 {
+                        cell = cell.clip_bisector(&site, &other);
+                    }
+                }
+                CellObject::new(i, site, cell)
+            })
+            .collect()
+    }
+
+    /// The in-memory tree of `objects` and the external one at each run
+    /// capacity, on every backend, compared page by page.
+    fn assert_external_equals_in_memory<D>(objects: &[D], run_capacities: &[usize])
+    where
+        D: RTreeObject + Clone + PartialEq + std::fmt::Debug,
+    {
+        for storage in StorageBackend::ALL {
+            let mut in_memory = RTree::bulk_load_with_stats_on(
+                config(),
+                IoStats::new(),
+                objects.to_vec(),
+                1.0,
+                storage,
+            );
+            for &run_capacity in run_capacities {
+                let mut external = RTree::bulk_load_external_on(
+                    config(),
+                    IoStats::new(),
+                    objects.iter().cloned(),
+                    1.0,
+                    storage,
+                    run_capacity,
+                );
+                assert_trees_identical(&mut in_memory, &mut external);
+            }
+        }
+    }
+
+    #[test]
+    fn keyed_runs_merge_into_the_in_memory_tree_for_points_and_cells() {
+        // Past the default run capacity, so runs of 8 192 spill too (two
+        // runs, 16 KiB frames); runs of 1 and 3 spill a frame of one and
+        // of three pages per run.
+        let n = DEFAULT_RUN_CAPACITY + 1_808;
+        let capacities = [1, 3, DEFAULT_RUN_CAPACITY];
+        assert_external_equals_in_memory(
+            &PointObject::from_points(&random_points(n, 67)),
+            &capacities,
+        );
+        assert_external_equals_in_memory(&random_cells(n, 71), &capacities);
+    }
+
+    #[test]
+    fn spill_frames_are_16_kib_within_one_page_and_run_capacity_pages() {
+        assert_eq!(spill_frame_bytes(1024, DEFAULT_RUN_CAPACITY), 16 << 10);
+        assert_eq!(spill_frame_bytes(256, 1), 256);
+        assert_eq!(spill_frame_bytes(256, 3), 768);
+        assert_eq!(spill_frame_bytes(64 << 10, 2), 64 << 10);
+        assert_eq!(spill_frame_bytes(1024, usize::MAX), 16 << 10);
+    }
+
     #[test]
     fn external_bulk_load_small_input_takes_the_in_memory_path() {
         let pts = random_points(300, 23);
@@ -839,9 +975,9 @@ mod tests {
 
     #[test]
     fn loaders_compute_each_hilbert_key_once() {
-        // 3·n (in memory) or 4·n (external) `mbr()` calls: domain fold,
-        // one sort key, one merge key, the leaf MBR. A key function that
-        // runs per comparison costs 2·n·log2(n) ≈ 28·n here.
+        // 3·n `mbr()` calls on either loader: domain fold, one sort key,
+        // the leaf MBR (the merge reads its keys back from the runs). A key
+        // function that runs per comparison costs 2·n·log2(n) ≈ 28·n here.
         let n = 20_000;
         let pts = random_points(n, 53);
         let calls_of = |load: &dyn Fn(Vec<CountedPoint>) -> RTree<CountedPoint>| {

@@ -226,7 +226,11 @@ fn nm_fail_stops_at_a_watermark_or_retries_invisibly_at_every_fault_point() {
 
 #[test]
 fn multiway_fail_stops_at_a_watermark_or_retries_invisibly_at_every_fault_point() {
-    let engine = QueryEngine::new(sweep_config(ExecMode::Metered, 2));
+    // Two-page buffers, as in the NM sweep: a metered join reads a page only
+    // at a worker's peek of a page the buffer does not hold, so a tight
+    // buffer is what gives these small sets enough read attempts.
+    let config = sweep_config(ExecMode::Metered, 2).with_min_buffer_pages(2);
+    let engine = QueryEngine::new(config);
     let sets = vec![
         uniform_points(140, &Rect::DOMAIN, 9_103),
         uniform_points(130, &Rect::DOMAIN, 9_104),
