@@ -11,12 +11,11 @@
 //!   NM-CIJ the stream is genuinely lazy (leaves of `RQ` are processed only
 //!   as pairs are demanded); for the blocking FM/PM algorithms the stream
 //!   replays an eagerly computed result, preserving one uniform API.
-//! * [`Algorithm::stream`] — the one dispatch from an [`Algorithm`] to its
-//!   stream construction; `nm_cij` drains that stream, `fm_cij` and `pm_cij`
-//!   are the eager evaluations it wraps.
-//! * [`QueryEngine`] — the facade-level entry point used by examples, tests
-//!   and the benchmark harness instead of reaching into per-algorithm
-//!   functions.
+//! * [`QueryEngine`] — the one front door: examples, tests, the
+//!   reproduction and the benchmark harness run every join through it.
+//!   [`QueryEngine::stream`] holds the one dispatch from an [`Algorithm`]
+//!   to its evaluation (the lazy NM-CIJ stream, or the eager FM/PM outcome
+//!   replayed); [`QueryEngine::run`] drains that stream.
 //!
 //! Progress samples ([`ProgressSample`]), watermarks and the query's
 //! [`QueryProfile`] accumulate in the stream itself while the consumer
@@ -56,9 +55,11 @@
 
 use crate::chunk::LeafStream;
 use crate::config::CijConfig;
-use crate::grouped::{grouped_nn_via_cij, GroupCounts};
-use crate::multiway::{multiway_cij, MultiwayOutcome, TupleStream};
+use crate::fm::fm_cij;
+use crate::grouped::GroupCounts;
+use crate::multiway::{MultiwayOutcome, TupleStream};
 use crate::nm::NmPairIter;
+use crate::pm::pm_cij;
 use crate::service::{CijService, EngineSnapshot, ServiceConfig};
 use crate::stats::{CijOutcome, LeafWatermark, ProgressSample, QueryProfile};
 use crate::workload::{MultiwayWorkload, Workload};
@@ -77,7 +78,7 @@ enum Source<'a> {
 
 /// A pull-based stream of CIJ result pairs.
 ///
-/// Obtained from [`QueryEngine::stream`] or [`Algorithm::stream`]. Pairs
+/// Obtained from [`QueryEngine::stream`]. Pairs
 /// are produced on demand; [`PairStream::progress_so_far`] and
 /// [`PairStream::profile_so_far`] expose the incremental measurements, and
 /// [`PairStream::try_into_outcome`] drains the remainder into a
@@ -202,8 +203,15 @@ impl Iterator for PairStream<'_> {
 /// A `QueryEngine` owns a [`CijConfig`] and exposes every operation of the
 /// workspace behind one API: building workloads, running or streaming any
 /// of the three join algorithms, and the multiway / grouped-NN extensions.
-/// Examples, integration tests and the benchmark harness go through this
-/// type instead of calling per-algorithm functions.
+/// It is the only public way to run a join: examples, integration tests,
+/// the reproduction and the benchmark harness all go through it.
+///
+/// The blocking calls ([`run`](Self::run), [`join`](Self::join),
+/// [`multiway`](Self::multiway), [`grouped_nn`](Self::grouped_nn)) panic
+/// `"CIJ storage failure: …"` when a read fails for good — they have no
+/// partial-result channel. To handle the failure instead, drain
+/// [`stream`](Self::stream) or [`multiway_stream`](Self::multiway_stream)
+/// and poll the stream's `io_error`.
 ///
 /// ```
 /// use cij_core::{Algorithm, CijConfig, QueryEngine};
@@ -237,19 +245,26 @@ impl QueryEngine {
         Workload::build(p, q, &self.config)
     }
 
-    /// Starts `algorithm` on `workload` and returns the pair stream.
+    /// Starts `algorithm` on `workload` and returns the pair stream — the
+    /// one dispatch from an [`Algorithm`] to its evaluation.
     ///
     /// For [`Algorithm::NmCij`] the stream is lazy: pulling the first pair
     /// performs only the page accesses needed for the first productive leaf
-    /// of `RQ`.
+    /// of `RQ`. The blocking FM-CIJ and PM-CIJ run to completion here and
+    /// the stream replays their outcome.
     pub fn stream<'a>(&self, workload: &'a mut Workload, algorithm: Algorithm) -> PairStream<'a> {
-        algorithm.stream(workload, &self.config)
+        match algorithm {
+            Algorithm::FmCij => PairStream::from_outcome(algorithm, fm_cij(workload, &self.config)),
+            Algorithm::PmCij => PairStream::from_outcome(algorithm, pm_cij(workload, &self.config)),
+            Algorithm::NmCij => PairStream::nm(workload, &self.config),
+        }
     }
 
-    /// Runs `algorithm` on `workload` to completion — the collect-all front
-    /// door; a storage failure panics (see [`Algorithm::run`]).
+    /// Runs `algorithm` on `workload` to completion: the result pairs and
+    /// the query's profile (for NM-CIJ all cost is JOIN cost, and its work
+    /// counts are those of Figures 10 and 11).
     pub fn run(&self, workload: &mut Workload, algorithm: Algorithm) -> CijOutcome {
-        algorithm.run(workload, &self.config)
+        blocking(self.stream(workload, algorithm).try_into_outcome())
     }
 
     /// Convenience: builds the workload for `p` and `q` and runs
@@ -274,16 +289,29 @@ impl QueryEngine {
         TupleStream::new(workload, self.config)
     }
 
-    /// Runs the multiway CIJ over `sets` to completion: [`multiway_cij`]
-    /// under this engine's configuration, blocking panic included.
+    /// Runs the multiway CIJ over `sets` to completion: builds the
+    /// workload and drains its [`TupleStream`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sets` is empty.
     pub fn multiway(&self, sets: &[Vec<Point>]) -> MultiwayOutcome {
-        multiway_cij(sets, &self.config)
+        let mut workload = self.multiway_workload(sets);
+        blocking(self.multiway_stream(&mut workload).try_into_outcome())
     }
 
-    /// Runs the CIJ-based grouped nearest-neighbour analysis (see
-    /// [`grouped_nn_via_cij`]).
+    /// Runs the CIJ-based grouped nearest-neighbour plan (see
+    /// [`crate::grouped`]): joins `p` and `q`, reading exactly the pages of
+    /// the NM-CIJ [`run`](Self::run) of the same workload, and counts each
+    /// location of `locations` inside [`CijConfig::domain`] for the first
+    /// reported pair whose two cells hold it (ties on a region boundary have
+    /// measure zero for continuous data).
     pub fn grouped_nn(&self, p: &[Point], q: &[Point], locations: &[Point]) -> GroupCounts {
-        grouped_nn_via_cij(p, q, locations, &self.config)
+        blocking(
+            NmPairIter::new(&mut self.build_workload(p, q), self.config)
+                .with_locations(locations)
+                .into_group_counts(),
+        )
     }
 
     /// Builds an immutable, shareable [`EngineSnapshot`] of `sets` under
@@ -300,6 +328,11 @@ impl QueryEngine {
     pub fn serve(&self, sets: &[Vec<Point>], service: ServiceConfig) -> CijService {
         CijService::start(Arc::new(self.snapshot(sets)), service)
     }
+}
+
+/// The blocking calls' end: a storage failure panics, naming the read.
+fn blocking<T>(result: Result<T, PageIoError>) -> T {
+    result.unwrap_or_else(|e| panic!("CIJ storage failure: {e}"))
 }
 
 #[cfg(test)]
@@ -334,6 +367,34 @@ mod tests {
             let outcome = engine.join(&p, &q, alg);
             assert_eq!(outcome.sorted_pairs(), oracle, "{} disagrees", alg.name());
         }
+    }
+
+    #[test]
+    fn run_dispatches_to_the_right_algorithm() {
+        // Collinear inputs: every P point on one horizontal line, every Q
+        // point on one vertical line.
+        let engine = QueryEngine::new(small_config());
+        let p: Vec<Point> = (0..30)
+            .map(|i| Point::new(100.0 * i as f64 + 50.0, 5_000.0))
+            .collect();
+        let q: Vec<Point> = (0..30)
+            .map(|i| Point::new(5_000.0, 100.0 * i as f64 + 50.0))
+            .collect();
+        let mut results = Vec::new();
+        let mut materialised = Vec::new();
+        for alg in Algorithm::ALL {
+            let mut w = engine.build_workload(&p, &q);
+            let outcome = engine.run(&mut w, alg);
+            materialised.push(outcome.profile.mat_io.page_accesses());
+            results.push(outcome.sorted_pairs());
+        }
+        assert_eq!(results[0], results[1]);
+        assert_eq!(results[1], results[2]);
+        // FM materialises both Voronoi R-trees, PM one, NM none.
+        assert!(
+            materialised[0] > materialised[1] && materialised[1] > 0 && materialised[2] == 0,
+            "MAT page accesses FM / PM / NM: {materialised:?}"
+        );
     }
 
     #[test]

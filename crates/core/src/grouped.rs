@@ -19,7 +19,7 @@
 //! is never built,
 //! and no cell is computed that the join did not compute anyway. A grouped
 //! run is the join's own stream with a `LocationProbe` attached and reads
-//! exactly the pages of `nm_cij` / `Request::Join` over the same sets.
+//! exactly the pages of the NM-CIJ join / `Request::Join` over the same sets.
 //!
 //! * **Claim** (per leaf, on the thread that reports it): the probe's grid
 //!   yields the locations inside each `V(q)`; only where there are any,
@@ -31,14 +31,12 @@
 //!   first matching pair of the join's pair sequence, which no thread
 //!   count, execution mode or backend changes.
 //!
-//! A location outside [`CijConfig::domain`] lies in no cell and is not
-//! counted; a fail-stopped stream hands out no counts at all. Beside the
-//! join this costs `O(|L| + reported pairs)`, where materialised regions
-//! cost a second Voronoi pass and `O(|L| · |CIJ|)` point-in-region tests.
+//! A location outside [`CijConfig::domain`](crate::CijConfig::domain) lies
+//! in no cell and is not counted; a fail-stopped stream hands out no counts
+//! at all. Beside the join this costs `O(|L| + reported pairs)`, where
+//! materialised regions cost a second Voronoi pass and `O(|L| · |CIJ|)`
+//! point-in-region tests.
 
-use crate::config::CijConfig;
-use crate::nm::NmPairIter;
-use crate::workload::Workload;
 use cij_geom::tolerance::widened;
 use cij_geom::{ConvexPolygon, GridFrame, Point, Rect};
 use cij_voronoi::nearest_index;
@@ -111,31 +109,9 @@ impl LocationProbe {
     }
 }
 
-/// Runs the CIJ-based grouped nearest-neighbour plan (module docs): joins
-/// `P` and `Q`, reading exactly the pages of [`nm_cij`](crate::nm::nm_cij),
-/// and counts each location of `l` inside [`CijConfig::domain`] for the
-/// first reported pair whose two cells hold it (ties on a region boundary
-/// have measure zero for continuous data).
-///
-/// # Panics
-///
-/// Panics on a storage failure, like `nm_cij` — the blocking API has no
-/// partial-result channel.
-pub fn grouped_nn_via_cij(
-    p: &[Point],
-    q: &[Point],
-    locations: &[Point],
-    config: &CijConfig,
-) -> GroupCounts {
-    NmPairIter::new(&mut Workload::build(p, q, config), *config)
-        .with_locations(locations)
-        .into_group_counts()
-        .unwrap_or_else(|e| panic!("CIJ storage failure: {e}"))
-}
-
 /// The naive plan: for every location, look up its nearest `P` point and its
 /// nearest `Q` point directly (two all-NN joins). Used as the oracle for
-/// [`grouped_nn_via_cij`].
+/// [`QueryEngine::grouped_nn`](crate::QueryEngine::grouped_nn).
 pub fn grouped_nn_via_all_nn(p: &[Point], q: &[Point], locations: &[Point]) -> GroupCounts {
     let mut counts: GroupCounts = HashMap::new();
     for loc in locations {
@@ -150,8 +126,10 @@ pub fn grouped_nn_via_all_nn(p: &[Point], q: &[Point], locations: &[Point]) -> G
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ExecMode;
-    use crate::nm::nm_cij;
+    use crate::config::{CijConfig, ExecMode};
+    use crate::nm::NmPairIter;
+    use crate::workload::Workload;
+    use crate::{Algorithm, QueryEngine};
     use cij_rtree::RTreeConfig;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -176,7 +154,7 @@ mod tests {
         let p = random_points(25, 301);
         let q = random_points(30, 302);
         let locations = random_points(2_000, 303);
-        let via_cij = grouped_nn_via_cij(&p, &q, &locations, &config);
+        let via_cij = QueryEngine::new(config).grouped_nn(&p, &q, &locations);
         let via_all_nn = grouped_nn_via_all_nn(&p, &q, &locations);
         // Totals match exactly (every location is counted once by both).
         assert_eq!(
@@ -195,7 +173,9 @@ mod tests {
         let q = random_points(18, 312);
         let locations = random_points(500, 313);
         let mut workload = Workload::build(&p, &q, &config);
-        let cij_pairs = nm_cij(&mut workload, &config).sorted_pairs();
+        let cij_pairs = QueryEngine::new(config)
+            .run(&mut workload, Algorithm::NmCij)
+            .sorted_pairs();
         for key in grouped_nn_via_all_nn(&p, &q, &locations).keys() {
             assert!(
                 cij_pairs.binary_search(key).is_ok(),
@@ -207,7 +187,7 @@ mod tests {
     #[test]
     fn the_plan_reads_exactly_the_pages_of_the_join() {
         // Metered, cold, both ways through a leaf: whatever the number of
-        // locations, counting them costs no page beyond `nm_cij`'s.
+        // locations, counting them costs no page beyond the join's.
         let p = random_points(400, 331);
         let q = random_points(400, 332);
         for threads in [1usize, 2] {
@@ -217,7 +197,9 @@ mod tests {
             let join = {
                 let mut w = Workload::build(&p, &q, &config);
                 w.reset_measurement();
-                nm_cij(&mut w, &config).page_accesses()
+                QueryEngine::new(config)
+                    .run(&mut w, Algorithm::NmCij)
+                    .page_accesses()
             };
             for n in [0usize, 1, 500, 5_000] {
                 let locations = random_points(n, 333);
@@ -259,7 +241,7 @@ mod tests {
         let config = small_config();
         let p = random_points(10, 321);
         let q = random_points(10, 322);
-        assert!(grouped_nn_via_cij(&p, &q, &[], &config).is_empty());
+        assert!(QueryEngine::new(config).grouped_nn(&p, &q, &[]).is_empty());
         assert!(grouped_nn_via_all_nn(&p, &q, &[]).is_empty());
     }
 }

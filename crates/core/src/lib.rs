@@ -14,14 +14,13 @@
 //!
 //! All evaluation goes through the [`engine`] module:
 //!
-//! * [`QueryEngine`] — the unified entry point: build a workload once, then
-//!   run or **stream** any algorithm against it.
+//! * [`QueryEngine`] — the one front door: build a workload once, then
+//!   run or **stream** any algorithm against it. [`QueryEngine::stream`]
+//!   holds the one dispatch from an [`Algorithm`] to its evaluation.
 //! * [`PairStream`] — a pull-based iterator of result pairs. NM-CIJ is
 //!   implemented natively as this stream (one `RQ` leaf is processed per
 //!   demand), which makes the paper's *non-blocking* claim an observable
 //!   property: the first pair costs only a handful of page accesses.
-//! * [`Algorithm::stream`] / [`Algorithm::run`] — the one dispatch from an
-//!   [`Algorithm`] to its evaluation, which `QueryEngine` delegates to.
 //!
 //! NM-CIJ executes leaf units in chunks on a worker pool of
 //! [`CijConfig::worker_threads`] (inline calls at one worker, a
@@ -33,13 +32,13 @@
 //!
 //! In increasing order of sophistication and decreasing order of I/O cost:
 //!
-//! * [`fm_cij`] — **FM-CIJ** (Algorithm 3): materialise both Voronoi
+//! * [`fm`] — **FM-CIJ** (Algorithm 3): materialise both Voronoi
 //!   diagrams into Hilbert-packed R-trees and intersection-join them.
 //!   Blocking.
-//! * [`pm_cij`] — **PM-CIJ** (Algorithm 4): materialise only `Vor(P)`;
+//! * [`pm`] — **PM-CIJ** (Algorithm 4): materialise only `Vor(P)`;
 //!   probe batches of `Q` cells against it (block index nested loops).
 //!   Blocking.
-//! * [`nm_cij`] — **NM-CIJ** (Algorithm 6): materialise nothing; per leaf of
+//! * [`nm`] — **NM-CIJ** (Algorithm 6): materialise nothing; per leaf of
 //!   `RQ`, filter `RP` with the [`filter`] module's conditional filter
 //!   (Algorithm 5) and verify candidates with on-demand cell computation.
 //!   Non-blocking and nearly I/O-optimal.
@@ -110,7 +109,7 @@ pub mod nm;
 pub mod pm;
 pub mod service;
 pub mod stats;
-pub mod vor_rtree;
+mod vor_rtree;
 pub mod workload;
 
 pub use brute::brute_force_cij;
@@ -119,13 +118,8 @@ pub use cij_pagestore::StorageBackend;
 pub use config::{CijConfig, ExecMode};
 pub use engine::{PairStream, QueryEngine};
 pub use filter::{batch_conditional_filter_scratch, FilterOptions, FilterScratch, FilterStats};
-pub use fm::fm_cij;
-pub use grouped::{grouped_nn_via_all_nn, grouped_nn_via_cij, GroupCounts};
-pub use multiway::{
-    brute_force_multiway_cij, multiway_cij, MultiwayOutcome, MultiwayTuple, TupleStream,
-};
-pub use nm::nm_cij;
-pub use pm::pm_cij;
+pub use grouped::{grouped_nn_via_all_nn, GroupCounts};
+pub use multiway::{brute_force_multiway_cij, MultiwayOutcome, MultiwayTuple, TupleStream};
 pub use service::{
     Batch, CijService, Completion, EngineSnapshot, ManualClock, QueryError, QueueFull, Request,
     ResponseHandle, ServiceClock, ServiceConfig, SystemClock,
@@ -134,10 +128,10 @@ pub use stats::{
     CellCounts, CijOutcome, LeafWatermark, Phase, PhaseTimes, ProgressSample, QueryProfile,
     WorkCounts,
 };
-pub use vor_rtree::{build_voronoi_rtree, compute_all_cells, materialize_voronoi_rtree};
 pub use workload::{MultiwayWorkload, Workload};
 
-/// The three CIJ evaluation algorithms, for harnesses that sweep over them.
+/// The three CIJ evaluation algorithms, for harnesses that sweep over them;
+/// [`QueryEngine::stream`] and [`QueryEngine::run`] evaluate one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Full materialisation (Algorithm 3).
@@ -160,30 +154,6 @@ impl Algorithm {
             Algorithm::NmCij => "NM-CIJ",
         }
     }
-
-    /// Starts this algorithm on a workload and returns the stream of result
-    /// pairs: lazy for NM-CIJ (leaves of `RQ` are processed as pairs are
-    /// demanded), a replay of the eager outcome for the blocking FM/PM.
-    pub fn stream<'a>(&self, workload: &'a mut Workload, config: &CijConfig) -> PairStream<'a> {
-        match self {
-            Algorithm::FmCij => PairStream::from_outcome(*self, fm_cij(workload, config)),
-            Algorithm::PmCij => PairStream::from_outcome(*self, pm_cij(workload, config)),
-            Algorithm::NmCij => PairStream::nm(workload, config),
-        }
-    }
-
-    /// Runs this algorithm on a workload to completion. FM/PM return their
-    /// eager outcome directly instead of wrapping it in a stream and
-    /// draining it again. A storage failure panics (`"CIJ storage failure:
-    /// …"`) — none of the three returns past one; to handle it instead, drain
-    /// [`Algorithm::stream`] and poll [`PairStream::io_error`].
-    pub fn run(&self, workload: &mut Workload, config: &CijConfig) -> CijOutcome {
-        match self {
-            Algorithm::FmCij => fm_cij(workload, config),
-            Algorithm::PmCij => pm_cij(workload, config),
-            Algorithm::NmCij => nm_cij(workload, config),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -196,27 +166,5 @@ mod tests {
         assert_eq!(Algorithm::PmCij.name(), "PM-CIJ");
         assert_eq!(Algorithm::NmCij.name(), "NM-CIJ");
         assert_eq!(Algorithm::ALL.len(), 3);
-    }
-
-    #[test]
-    fn run_dispatches_to_the_right_algorithm() {
-        use cij_geom::Point;
-        let config = CijConfig::default().with_rtree(cij_rtree::RTreeConfig {
-            page_size: 512,
-            max_entries: 64,
-        });
-        let p: Vec<Point> = (0..30)
-            .map(|i| Point::new(100.0 * i as f64 + 50.0, 5_000.0))
-            .collect();
-        let q: Vec<Point> = (0..30)
-            .map(|i| Point::new(5_000.0, 100.0 * i as f64 + 50.0))
-            .collect();
-        let mut results = Vec::new();
-        for alg in Algorithm::ALL {
-            let mut w = Workload::build(&p, &q, &config);
-            results.push(alg.run(&mut w, &config).sorted_pairs());
-        }
-        assert_eq!(results[0], results[1]);
-        assert_eq!(results[1], results[2]);
     }
 }

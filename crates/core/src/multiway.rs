@@ -86,10 +86,11 @@
 //! demands tuples, progress samples accumulate per productive leaf, and a
 //! [`LeafWatermark`] is recorded per completed leaf — everything emitted up
 //! to a watermark is final, so downstream operators can checkpoint at leaf
-//! granularity. The blocking [`multiway_cij`] is a thin
-//! [`TupleStream::try_into_outcome`] wrapper, and
+//! granularity. The blocking
+//! [`QueryEngine::multiway`](crate::engine::QueryEngine::multiway) drains
+//! the stream, and
 //! [`QueryEngine::multiway_stream`](crate::engine::QueryEngine::multiway_stream)
-//! exposes the stream directly.
+//! exposes it directly.
 //!
 //! # One execution path
 //!
@@ -719,25 +720,6 @@ impl LeafStream for TupleStream<'_> {
     }
 }
 
-/// Evaluates the multiway CIJ over `sets` to completion.
-///
-/// This is a thin blocking wrapper: it builds a [`MultiwayWorkload`] under
-/// `config` and drains the lazy [`TupleStream`]. Use
-/// [`QueryEngine::multiway_stream`](crate::engine::QueryEngine::multiway_stream)
-/// to consume tuples incrementally, or build the workload once and stream
-/// several evaluations against it.
-///
-/// # Panics
-///
-/// Panics if `sets` is empty, and if the stream fail-stopped on a storage
-/// error — the blocking API has no partial-result channel.
-pub fn multiway_cij(sets: &[Vec<Point>], config: &CijConfig) -> MultiwayOutcome {
-    let mut workload = MultiwayWorkload::build(sets, config);
-    TupleStream::new(&mut workload, *config)
-        .try_into_outcome()
-        .unwrap_or_else(|e| panic!("CIJ storage failure: {e}"))
-}
-
 /// Brute-force multiway CIJ oracle: builds every Voronoi diagram by halfplane
 /// intersection and enumerates all id combinations whose cells share a
 /// common region. Exponential in the number of sets — test-sized inputs only.
@@ -777,6 +759,7 @@ mod tests {
     use super::*;
     use crate::brute::brute_force_cij;
     use crate::config::ExecMode;
+    use crate::QueryEngine;
     use cij_datagen::{clustered_points, ClusterSpec};
     use cij_rtree::{RTreeConfig, SnapshotReader};
     use rand::rngs::StdRng;
@@ -796,6 +779,11 @@ mod tests {
             .collect()
     }
 
+    /// The multiway join of `sets` to completion, through the front door.
+    fn multiway_join(sets: &[Vec<Point>], config: &CijConfig) -> MultiwayOutcome {
+        QueryEngine::new(*config).multiway(sets)
+    }
+
     /// The join of `sets` driven by set `driver`, whatever the cost model
     /// would pick.
     fn pinned(sets: &[Vec<Point>], driver: usize, config: &CijConfig) -> MultiwayOutcome {
@@ -810,7 +798,7 @@ mod tests {
         let config = small_config();
         let p = random_points(50, 201);
         let q = random_points(60, 202);
-        let outcome = multiway_cij(&[p.clone(), q.clone()], &config);
+        let outcome = multiway_join(&[p.clone(), q.clone()], &config);
         let binary: Vec<Vec<u64>> = brute_force_cij(&p, &q, &config.domain)
             .into_iter()
             .map(|(a, b)| vec![a, b])
@@ -826,7 +814,7 @@ mod tests {
             random_points(30, 212),
             random_points(20, 213),
         ];
-        let outcome = multiway_cij(&sets, &config);
+        let outcome = multiway_join(&sets, &config);
         let oracle = brute_force_multiway_cij(&sets, &config.domain);
         assert_eq!(outcome.sorted_ids(), oracle);
         assert!(!outcome.tuples.is_empty());
@@ -835,7 +823,7 @@ mod tests {
     #[test]
     fn seeding_counts_cells_through_the_cache() {
         let sets = vec![random_points(40, 217), random_points(45, 218)];
-        let outcome = multiway_cij(&sets, &small_config());
+        let outcome = multiway_join(&sets, &small_config());
         // The assertions are about the *driver's* seeding semantics,
         // whichever set the cost model drives with.
         let (driver, extension) = (outcome.driver, 1 - outcome.driver);
@@ -858,7 +846,7 @@ mod tests {
     fn watermarks_checkpoint_every_leaf() {
         let config = small_config();
         let sets = vec![random_points(120, 219), random_points(120, 220)];
-        let outcome = multiway_cij(&sets, &config);
+        let outcome = multiway_join(&sets, &config);
         assert!(!outcome.watermarks.is_empty());
         for (i, w) in outcome.watermarks.iter().enumerate() {
             assert_eq!(w.leaf_index, i, "watermarks are dense and ordered");
@@ -923,7 +911,7 @@ mod tests {
     fn single_set_returns_one_tuple_per_point() {
         let config = small_config();
         let p = random_points(40, 231);
-        let outcome = multiway_cij(std::slice::from_ref(&p), &config);
+        let outcome = multiway_join(std::slice::from_ref(&p), &config);
         assert_eq!(outcome.tuples.len(), p.len());
         // The regions are the Voronoi cells and tile the domain.
         let total: f64 = outcome.tuples.iter().map(|t| t.region.area()).sum();
@@ -942,7 +930,7 @@ mod tests {
             .iter()
             .map(|s| brute_force_diagram(s, &config.domain))
             .collect();
-        let outcome = multiway_cij(&sets, &config);
+        let outcome = multiway_join(&sets, &config);
         assert!(!outcome.tuples.is_empty());
         for tuple in &outcome.tuples {
             let c = tuple
@@ -984,7 +972,7 @@ mod tests {
             assert_eq!(outcome.driver, d);
             assert_eq!(outcome.sorted_ids(), oracle, "driver {d} diverged");
         }
-        let cost_based = multiway_cij(&sets, &config);
+        let cost_based = multiway_join(&sets, &config);
         assert_eq!(cost_based.sorted_ids(), oracle);
         // The cost-based choice matches the workload's own ranking.
         let w = MultiwayWorkload::build(&sets, &config);
@@ -1010,7 +998,7 @@ mod tests {
             let sets: Vec<Vec<Point>> = (0..k)
                 .map(|i| clustered_points(&spec(600 / (i + 1)), &config.domain, 14_001 + i as u64))
                 .collect();
-            let planned = multiway_cij(&sets, &config);
+            let planned = multiway_join(&sets, &config);
             let zero = pinned(&sets, 0, &config);
             assert_ne!(planned.driver, 0, "k = {k}");
             assert_eq!(planned.sorted_ids(), zero.sorted_ids(), "k = {k}");
@@ -1022,7 +1010,7 @@ mod tests {
             );
             assert!(planned.profile.work.narrowings_skipped > 0, "k = {k}");
 
-            let parallel = multiway_cij(&sets, &config.with_worker_threads(4));
+            let parallel = multiway_join(&sets, &config.with_worker_threads(4));
             let ids = |o: &MultiwayOutcome| -> Vec<Vec<u64>> {
                 o.tuples.iter().map(|t| t.ids.clone()).collect()
             };
@@ -1208,7 +1196,7 @@ mod tests {
             random_points(50, 282),
             random_points(40, 283),
         ];
-        let metered = multiway_cij(&sets, &config);
+        let metered = multiway_join(&sets, &config);
         for threads in [1, 4] {
             let fast_cfg = config
                 .with_exec_mode(ExecMode::Fast)
@@ -1243,7 +1231,7 @@ mod tests {
         let config = small_config();
         let sets = vec![random_points(45, 284), random_points(35, 285)];
         let w = MultiwayWorkload::build(&sets, &config);
-        let metered = multiway_cij(&sets, &config);
+        let metered = multiway_join(&sets, &config);
         let caches = (0..w.k())
             .map(|_| CellCache::new(config.cell_cache_capacity))
             .collect();
@@ -1258,7 +1246,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one pointset")]
     fn empty_input_panics() {
-        let _ = multiway_cij(&[], &small_config());
+        let _ = multiway_join(&[], &small_config());
     }
 
     #[test]

@@ -19,11 +19,14 @@
 //! previous leaves are exhausted, and owns everything it has on record —
 //! ledger, profile, reuse buffer — by value. It is the
 //! single construction path of every binary NM-CIJ evaluation: the public
-//! [`PairStream`] wraps it, the classic blocking [`nm_cij`] drains it, and
+//! [`PairStream`] wraps it, the blocking [`QueryEngine::run`] drains it, and
 //! [`crate::service`] drives it directly. The non-blocking property —
 //! result pairs after only a few page accesses — is directly observable by
 //! pulling a [`PairStream`] obtained from
-//! [`QueryEngine::stream`](crate::engine::QueryEngine::stream).
+//! [`QueryEngine::stream`].
+//!
+//! [`QueryEngine::run`]: crate::engine::QueryEngine::run
+//! [`QueryEngine::stream`]: crate::engine::QueryEngine::stream
 //!
 //! # One execution path
 //!
@@ -83,25 +86,6 @@ use std::time::Duration;
 const P: usize = 0;
 /// Index of the `Q` tree (driving side).
 const Q: usize = 1;
-
-/// Runs NM-CIJ on a workload to completion, returning the result pairs and
-/// the profile (all cost is JOIN cost — there is no materialisation phase —
-/// and its work counts are those of Figures 10 and 11).
-///
-/// This is a thin blocking wrapper: it drains the lazy pair stream. Use
-/// [`QueryEngine::stream`] to consume pairs incrementally instead.
-///
-/// # Panics
-///
-/// Panics if the stream fail-stopped on a storage error — the blocking API
-/// has no partial-result channel.
-///
-/// [`QueryEngine::stream`]: crate::engine::QueryEngine::stream
-pub fn nm_cij(workload: &mut Workload, config: &CijConfig) -> CijOutcome {
-    NmPairIter::new(workload, *config)
-        .try_into_outcome()
-        .unwrap_or_else(|e| panic!("CIJ storage failure: {e}"))
-}
 
 /// Everything the scan of one `RQ` leaf produces: the leaf's points, their
 /// Voronoi cells, the filter's candidate set, and the deferred read
@@ -423,6 +407,7 @@ mod tests {
     use crate::fm::fm_cij;
     use crate::pm::pm_cij;
     use crate::stats::ProgressSample;
+    use crate::{Algorithm, QueryEngine};
     use cij_geom::Point;
     use cij_rtree::{RTreeConfig, SnapshotReader};
     use rand::rngs::StdRng;
@@ -434,6 +419,11 @@ mod tests {
             page_size: 512,
             max_entries: 64,
         })
+    }
+
+    /// NM-CIJ on `w` to completion, through the front door.
+    fn nm_join(w: &mut Workload, config: &CijConfig) -> CijOutcome {
+        QueryEngine::new(*config).run(w, Algorithm::NmCij)
     }
 
     fn random_points(n: usize, seed: u64) -> Vec<Point> {
@@ -449,7 +439,7 @@ mod tests {
         let p = random_points(75, 101);
         let q = random_points(65, 102);
         let mut w = Workload::build(&p, &q, &config);
-        let outcome = nm_cij(&mut w, &config);
+        let outcome = nm_join(&mut w, &config);
         assert_eq!(
             outcome.sorted_pairs(),
             brute_force_cij(&p, &q, &config.domain)
@@ -471,7 +461,7 @@ mod tests {
         };
         let nm = {
             let mut w = Workload::build(&p, &q, &config);
-            nm_cij(&mut w, &config).sorted_pairs()
+            nm_join(&mut w, &config).sorted_pairs()
         };
         assert_eq!(fm, pm);
         assert_eq!(pm, nm);
@@ -485,12 +475,12 @@ mod tests {
         let with_reuse = {
             let config = small_config();
             let mut w = Workload::build(&p, &q, &config);
-            nm_cij(&mut w, &config)
+            nm_join(&mut w, &config)
         };
         let without_reuse = {
             let config = small_config().with_cell_cache_capacity(0);
             let mut w = Workload::build(&p, &q, &config);
-            nm_cij(&mut w, &config)
+            nm_join(&mut w, &config)
         };
         assert_eq!(with_reuse.sorted_pairs(), without_reuse.sorted_pairs());
         assert!(
@@ -520,7 +510,7 @@ mod tests {
         let (nm, lb) = {
             let mut w = Workload::build(&p, &q, &config);
             let lb = w.lower_bound_io();
-            (nm_cij(&mut w, &config), lb)
+            (nm_join(&mut w, &config), lb)
         };
         assert_eq!(nm.profile.mat_io.page_accesses(), 0);
         assert!(
@@ -549,7 +539,7 @@ mod tests {
         };
         let nm = {
             let mut w = Workload::build(&p, &q, &config);
-            nm_cij(&mut w, &config)
+            nm_join(&mut w, &config)
         };
         let nm_first = nm.progress.first().unwrap();
         let fm_first = fm.progress.first().unwrap();
@@ -568,7 +558,7 @@ mod tests {
         let p = random_points(500, 111);
         let q = random_points(500, 112);
         let mut w = Workload::build(&p, &q, &config);
-        let outcome = nm_cij(&mut w, &config);
+        let outcome = nm_join(&mut w, &config);
         let fhr = outcome.profile.false_hit_ratio();
         assert!(
             fhr < 0.25,
@@ -583,7 +573,7 @@ mod tests {
         let p = random_points(100, 113);
         let q = random_points(120, 114);
         let mut w = Workload::build(&p, &q, &config);
-        let outcome = nm_cij(&mut w, &config);
+        let outcome = nm_join(&mut w, &config);
         for i in 0..p.len() as u64 {
             assert!(outcome.pairs.iter().any(|&(a, _)| a == i), "p{i} missing");
         }
@@ -601,12 +591,12 @@ mod tests {
         let roomy = {
             let config = small_config();
             let mut w = Workload::build(&p, &q, &config);
-            nm_cij(&mut w, &config)
+            nm_join(&mut w, &config)
         };
         let tiny = {
             let config = small_config().with_cell_cache_capacity(4);
             let mut w = Workload::build(&p, &q, &config);
-            nm_cij(&mut w, &config)
+            nm_join(&mut w, &config)
         };
         assert_eq!(roomy.sorted_pairs(), tiny.sorted_pairs());
         assert!(
@@ -628,7 +618,7 @@ mod tests {
     ) -> CijOutcome {
         let config = config.with_worker_threads(threads);
         let mut w = Workload::build(p, q, &config);
-        nm_cij(&mut w, &config)
+        nm_join(&mut w, &config)
     }
 
     #[test]
@@ -681,14 +671,14 @@ mod tests {
         let q = random_points(400, 124);
         let metered = {
             let mut w = Workload::build(&p, &q, &base);
-            nm_cij(&mut w, &base)
+            nm_join(&mut w, &base)
         };
         for threads in [1usize, 4] {
             let fast_config = base
                 .with_exec_mode(ExecMode::Fast)
                 .with_worker_threads(threads);
             let mut w = Workload::build(&p, &q, &fast_config);
-            let fast = nm_cij(&mut w, &fast_config);
+            let fast = nm_join(&mut w, &fast_config);
             // Pairs: same set AND same order; counters identical.
             assert_eq!(fast.pairs, metered.pairs, "{threads} threads");
             assert_eq!(fast.profile.work, metered.profile.work, "{threads} threads");
@@ -720,7 +710,7 @@ mod tests {
         // test meaningful under a parallel test runner we only assert that
         // the join's own accounting shows zero replay activity via the
         // shared stats (a replay would move the page counters).
-        let outcome = nm_cij(&mut w, &config);
+        let outcome = nm_join(&mut w, &config);
         assert!(!outcome.pairs.is_empty());
         assert_eq!(
             w.stats.snapshot().page_accesses(),
@@ -742,7 +732,7 @@ mod tests {
         w.rq.flush();
         w.rq.drop_buffer();
         w.rq.inject_fault(FaultProfile::CorruptFrame(target.0));
-        let mut stream = crate::Algorithm::NmCij.stream(&mut w, &config);
+        let mut stream = QueryEngine::new(config).stream(&mut w, Algorithm::NmCij);
         let drained: Vec<(u64, u64)> = stream.by_ref().collect();
         let error = stream.io_error().expect("corrupt frame surfaces an error");
         assert_eq!(error.kind, FaultKind::Corrupt);
@@ -824,7 +814,7 @@ mod tests {
                 if let Some((tree, profile)) = armed {
                     [&mut w.rp, &mut w.rq][tree].inject_fault(profile);
                 }
-                let outcome = nm_cij(&mut w, &config);
+                let outcome = nm_join(&mut w, &config);
                 let recovered = [w.rp.fault_stats(), w.rq.fault_stats()].map(|f| f.recoveries);
                 (outcome, recovered.iter().sum::<u64>())
             };
@@ -940,7 +930,7 @@ mod tests {
             for threads in 1..=4 {
                 for mode in [ExecMode::Metered, ExecMode::Fast] {
                     let config = base.with_worker_threads(threads).with_exec_mode(mode);
-                    let run = nm_cij(&mut Workload::build(&p, &q, &config), &config);
+                    let run = nm_join(&mut Workload::build(&p, &q, &config), &config);
                     let at = format!("{threads} workers, {}, capacity {cap}", mode.name());
                     assert_eq!(run.pairs, reference.pairs, "{at}");
                     assert_eq!(&run.profile.work, work, "{at}");
@@ -968,7 +958,7 @@ mod tests {
             for mode in [ExecMode::Metered, ExecMode::Fast] {
                 let config = base.with_worker_threads(threads).with_exec_mode(mode);
                 let mut w = Workload::build(&p, &q, &config);
-                let mut stream = crate::Algorithm::NmCij.stream(&mut w, &config);
+                let mut stream = QueryEngine::new(config).stream(&mut w, Algorithm::NmCij);
                 let mut checked = 0;
                 loop {
                     let marks = stream.watermarks_so_far().len();

@@ -20,9 +20,9 @@ use cij_voronoi::{batch_voronoi, NoCache, VorScratch};
 ///
 /// PM-CIJ is blocking — nothing flows before `R'P` is materialised — so its
 /// [`PairStream`](crate::engine::PairStream) replays this eager outcome.
-/// A storage failure panics (see [`Algorithm::run`](crate::Algorithm::run)):
+/// A storage failure panics (see [`QueryEngine`](crate::QueryEngine)):
 /// the latch of `RQ` is taken per leaf, before the leaf's pairs are kept.
-pub fn pm_cij(workload: &mut Workload, config: &CijConfig) -> CijOutcome {
+pub(crate) fn pm_cij(workload: &mut Workload, config: &CijConfig) -> CijOutcome {
     let stats = workload.stats.clone();
     let start_io = stats.snapshot();
 

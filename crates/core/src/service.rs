@@ -854,6 +854,7 @@ mod tests {
     use crate::cell_cache::CellCache;
     use crate::config::CijConfig;
     use crate::grouped::grouped_nn_via_all_nn;
+    use crate::QueryEngine;
     use cij_rtree::{RTreeConfig, SnapshotReader};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -925,7 +926,7 @@ mod tests {
             random_points(35, 606),
             random_points(30, 607),
         ];
-        let blocking = crate::multiway::multiway_cij(&sets, &small_config());
+        let blocking = QueryEngine::new(small_config()).multiway(&sets);
         let service = service_over(&sets, ServiceConfig::default());
         let handle = service
             .submit(Request::Multiway {

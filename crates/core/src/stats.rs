@@ -199,23 +199,6 @@ impl QueryProfile {
             (candidates - hits) as f64 / hits as f64
         }
     }
-
-    /// Exact cells computed across all sets.
-    pub fn total_cells_computed(&self) -> u64 {
-        self.work.cells.iter().map(|c| c.computed).sum()
-    }
-
-    /// Cells reused / cells requested, across all sets; zero when no cell
-    /// was requested.
-    pub fn cell_cache_hit_ratio(&self) -> f64 {
-        let reused: u64 = self.work.cells.iter().map(|c| c.reused).sum();
-        let total = reused + self.total_cells_computed();
-        if total == 0 {
-            0.0
-        } else {
-            reused as f64 / total as f64
-        }
-    }
 }
 
 /// A sample of the progressive-output curve of Figure 9b: how many result
@@ -352,7 +335,6 @@ mod tests {
             work: WorkCounts::for_sets(3),
             ..Default::default()
         };
-        assert_eq!(profile.cell_cache_hit_ratio(), 0.0);
         let cell = |computed, reused| CellCounts {
             computed,
             reused,
@@ -375,8 +357,8 @@ mod tests {
                 evicted: 2
             }
         );
-        assert_eq!(profile.total_cells_computed(), 120);
-        assert!((profile.cell_cache_hit_ratio() - 0.4).abs() < 1e-12);
+        let computed: u64 = profile.work.cells.iter().map(|c| c.computed).sum();
+        assert_eq!(computed, 120);
     }
 
     #[test]

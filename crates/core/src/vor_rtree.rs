@@ -14,14 +14,14 @@ use cij_voronoi::{compute_diagram, DiagramMethod};
 /// Computes the full Voronoi diagram of the points indexed by `tree`
 /// (batched per leaf, leaves in Hilbert order) and returns the cells in
 /// traversal order; panics on a storage failure, like [`compute_diagram`].
-pub fn compute_all_cells(tree: &mut RTree<PointObject>, config: &CijConfig) -> Vec<CellObject> {
+fn compute_all_cells(tree: &mut RTree<PointObject>, config: &CijConfig) -> Vec<CellObject> {
     compute_diagram(tree, &config.domain, DiagramMethod::Batch).cells
 }
 
 /// Builds the Voronoi R-tree over `cells` (Hilbert-packed bulk load), flushes
 /// it so every node write is accounted, and applies the configured buffer
 /// fraction.
-pub fn build_voronoi_rtree(
+fn build_voronoi_rtree(
     cells: Vec<CellObject>,
     config: &CijConfig,
     stats: IoStats,
@@ -37,7 +37,7 @@ pub fn build_voronoi_rtree(
 /// Convenience composition: computes all cells of `tree` and materialises the
 /// Voronoi R-tree in one go (the per-dataset materialisation step of FM-CIJ
 /// and PM-CIJ).
-pub fn materialize_voronoi_rtree(
+pub(crate) fn materialize_voronoi_rtree(
     tree: &mut RTree<PointObject>,
     config: &CijConfig,
 ) -> RTree<CellObject> {

@@ -59,7 +59,7 @@ impl RealDataset {
     }
 
     /// Cardinality from Table I of the paper.
-    pub fn cardinality(&self) -> usize {
+    fn cardinality(&self) -> usize {
         match self {
             RealDataset::PP => 177_983,
             RealDataset::SC => 172_188,
@@ -125,11 +125,6 @@ impl RealDataset {
             RealDataset::LO => 0x4C4F,
             RealDataset::PA => 0x5041,
         }
-    }
-
-    /// Generates the stand-in dataset at full Table-I cardinality.
-    pub fn generate(&self) -> Vec<Point> {
-        self.generate_scaled(1.0)
     }
 
     /// Generates the stand-in dataset scaled to `scale * cardinality` points

@@ -98,35 +98,6 @@ pub fn xy_to_hilbert(order: u32, x: u32, y: u32) -> u64 {
     d
 }
 
-/// Converts a Hilbert curve index back to grid coordinates on a `2^order`
-/// grid. Inverse of [`xy_to_hilbert`].
-pub fn hilbert_to_xy(order: u32, d: u64) -> (u32, u32) {
-    let n: u64 = 1 << order;
-    let mut rx: u64;
-    let mut ry: u64;
-    let mut x: u64 = 0;
-    let mut y: u64 = 0;
-    let mut t = d;
-    let mut s: u64 = 1;
-    while s < n {
-        rx = 1 & (t / 2);
-        ry = 1 & (t ^ rx);
-        // Rotate back.
-        if ry == 0 {
-            if rx == 1 {
-                x = s - 1 - x;
-                y = s - 1 - y;
-            }
-            std::mem::swap(&mut x, &mut y);
-        }
-        x += s * rx;
-        y += s * ry;
-        t /= 4;
-        s *= 2;
-    }
-    (x as u32, y as u32)
-}
-
 /// Hilbert value of a real-valued point within a domain rectangle, using the
 /// default curve order.
 ///
@@ -166,6 +137,35 @@ fn round_half_away(v: f64) -> u32 {
 mod tests {
     use super::*;
     use crate::TestRng;
+
+    /// Converts a Hilbert curve index back to grid coordinates on a `2^order`
+    /// grid. Inverse of [`xy_to_hilbert`].
+    fn hilbert_to_xy(order: u32, d: u64) -> (u32, u32) {
+        let n: u64 = 1 << order;
+        let mut rx: u64;
+        let mut ry: u64;
+        let mut x: u64 = 0;
+        let mut y: u64 = 0;
+        let mut t = d;
+        let mut s: u64 = 1;
+        while s < n {
+            rx = 1 & (t / 2);
+            ry = 1 & (t ^ rx);
+            // Rotate back.
+            if ry == 0 {
+                if rx == 1 {
+                    x = s - 1 - x;
+                    y = s - 1 - y;
+                }
+                std::mem::swap(&mut x, &mut y);
+            }
+            x += s * rx;
+            y += s * ry;
+            t /= 4;
+            s *= 2;
+        }
+        (x as u32, y as u32)
+    }
 
     /// The classic bit-at-a-time `xy2d` loop the kernel replaced, with its
     /// reflection over the full grid: the reference [`xy_to_hilbert`] is
@@ -297,14 +297,15 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_small_grid() {
-        let order = 4;
-        let n = 1u32 << order;
-        for x in 0..n {
-            for y in 0..n {
-                let d = xy_to_hilbert(order, x, y);
-                let (rx, ry) = hilbert_to_xy(order, d);
-                assert_eq!((x, y), (rx, ry), "roundtrip failed at ({x}, {y})");
+    fn roundtrip_every_cell_up_to_order_10() {
+        for order in 0..=10 {
+            let n = 1u32 << order;
+            for x in 0..n {
+                for y in 0..n {
+                    let d = xy_to_hilbert(order, x, y);
+                    let (rx, ry) = hilbert_to_xy(order, d);
+                    assert_eq!((x, y), (rx, ry), "order {order}: ({x}, {y})");
+                }
             }
         }
     }

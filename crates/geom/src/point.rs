@@ -23,9 +23,6 @@ impl Point {
         Point { x, y }
     }
 
-    /// The origin `(0, 0)`.
-    pub const ORIGIN: Point = Point::new(0.0, 0.0);
-
     /// Euclidean distance to another point.
     #[inline]
     pub fn dist(&self, other: &Point) -> f64 {
@@ -69,12 +66,6 @@ impl Point {
         self.x * self.x + self.y * self.y
     }
 
-    /// Length of the vector from the origin to this point.
-    #[inline]
-    pub fn norm(&self) -> f64 {
-        self.norm_sq().sqrt()
-    }
-
     /// Centroid (arithmetic mean) of a non-empty slice of points.
     ///
     /// Returns `None` for an empty slice. Used by BatchVoronoi (Algorithm 2)
@@ -97,12 +88,6 @@ impl Point {
             n += 1;
         }
         (n > 0).then(|| Point::new(sx / n as f64, sy / n as f64))
-    }
-
-    /// Returns `true` when both coordinates are finite.
-    #[inline]
-    pub fn is_finite(&self) -> bool {
-        self.x.is_finite() && self.y.is_finite()
     }
 }
 

@@ -10,7 +10,7 @@
 //! ## Clipping APIs and the scratch-buffer ownership contract
 //!
 //! Halfplane clipping has one kernel,
-//! [`ConvexPolygon::clip_in_place`] (with [`ConvexPolygon::clip_into`] and
+//! [`ConvexPolygon::clip_in_place`] (with
 //! [`ConvexPolygon::clip_bisector_in_place`] around it), the form the hot
 //! loops use: one pass over the outline computes every vertex slack (the
 //! expression [`HalfPlane::signed_slack`] evaluates, so the same bits) and
@@ -78,7 +78,7 @@ impl Clone for ConvexPolygon {
 }
 
 /// Caller-owned scratch buffers for the in-place clipping APIs
-/// ([`ConvexPolygon::clip_in_place`], [`ConvexPolygon::clip_into`]).
+/// ([`ConvexPolygon::clip_in_place`], [`ConvexPolygon::clip_bisector_in_place`]).
 ///
 /// Holds the vertex slacks of the outline being clipped, the ping-pong
 /// vertex buffer the clipped outline is built in, and the working polygon
@@ -237,14 +237,6 @@ impl ConvexPolygon {
         // Ping-pong: the old outline becomes the next call's build buffer.
         std::mem::swap(&mut self.vertices, &mut scratch.out);
         self.dedup();
-    }
-
-    /// Clips `self` by `hp` into `out` (reusing `out`'s vertex allocation),
-    /// leaving `self` untouched. Equivalent to `*out = self.clip(hp)`
-    /// without the allocation.
-    pub fn clip_into(&self, hp: &HalfPlane, scratch: &mut ClipScratch, out: &mut ConvexPolygon) {
-        out.clone_from(self);
-        out.clip_in_place(hp, scratch);
     }
 
     /// Clips the polygon with the perpendicular bisector `⊥p(p, q)`, keeping
@@ -711,7 +703,7 @@ mod tests {
         let e = ConvexPolygon::empty();
         assert!(!e.intersects(&unit_square()));
         assert!(!unit_square().intersects(&e));
-        assert!(!e.contains_point(&Point::ORIGIN));
+        assert!(!e.contains_point(&Point::new(0.0, 0.0)));
         assert!(e.centroid().is_none());
     }
 
@@ -828,20 +820,6 @@ mod tests {
             );
             assert_eq!(in_place, reference, "diverged after clipping vs {other}");
         }
-    }
-
-    #[test]
-    fn clip_into_leaves_source_untouched() {
-        let sq = ConvexPolygon::from_rect(&Rect::from_coords(0.0, 0.0, 10.0, 10.0));
-        let hp = HalfPlane::bisector(&Point::new(2.0, 5.0), &Point::new(8.0, 5.0));
-        let mut scratch = ClipScratch::new();
-        let mut out = ConvexPolygon::empty();
-        sq.clip_into(&hp, &mut scratch, &mut out);
-        assert_eq!(out, sutherland_hodgman(&sq, &hp));
-        assert_eq!(sq.len(), 4, "source polygon must not change");
-        // A second clip into the same buffer reuses it.
-        sq.clip_into(&hp, &mut scratch, &mut out);
-        assert_eq!(out, sutherland_hodgman(&sq, &hp));
     }
 
     #[test]
@@ -963,7 +941,7 @@ mod tests {
             3 if n >= 3 => {
                 let (p0, p1) = (a.vertices()[pick % n], a.vertices()[(pick + 1) % n]);
                 let edge = p1 - p0;
-                let len = edge.norm();
+                let len = edge.norm_sq().sqrt();
                 let outward = Point::new(edge.y / len, -edge.x / len);
                 let m = tolerance::magnitude(&p0).max(tolerance::magnitude(&p1));
                 let gap = f * tolerance::distance(m) * (edge.x.abs() + edge.y.abs()) / len;
@@ -985,7 +963,7 @@ mod tests {
                 let dir = Point::new(
                     away.x * turn.cos() - away.y * turn.sin(),
                     away.x * turn.sin() + away.y * turn.cos(),
-                ) * (1.0 / away.norm());
+                ) * (1.0 / away.norm_sq().sqrt());
                 let gap =
                     tolerance::distance(tolerance::magnitude(&corner)) * 10f64.powf(2.0 * f - 1.0);
                 let b = mirrored(&a, corner);
@@ -998,7 +976,7 @@ mod tests {
                 // moved along the axis: the edge normals barely see the gap.
                 let tip = a.vertices()[pick % n];
                 let axis = tip - a.centroid().unwrap();
-                let (len, u) = (axis.norm(), axis * (1.0 / axis.norm()));
+                let (len, u) = (axis.norm_sq().sqrt(), axis * (1.0 / axis.norm_sq().sqrt()));
                 let half_angle = std::f64::consts::FRAC_PI_4 * 10f64.powf(-2.0 * f);
                 let side = Point::new(-u.y, u.x) * (len * half_angle.tan());
                 let back = tip - axis;
@@ -1131,7 +1109,7 @@ mod tests {
                     // A bisector between the outline's centroid and a point
                     // `site` away from it.
                     0 => {
-                        let centroid = in_place.centroid().unwrap_or(Point::ORIGIN);
+                        let centroid = in_place.centroid().unwrap_or(Point::new(0.0, 0.0));
                         HalfPlane::bisector(&centroid, &(centroid + site))
                     }
                     // A degenerate halfplane: it clips nothing.

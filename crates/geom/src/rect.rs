@@ -161,15 +161,6 @@ impl Rect {
         dx * dx + dy * dy
     }
 
-    /// Maximum distance from any point of the rectangle to `p`.
-    ///
-    /// Used to upper-bound distances during pruning.
-    pub fn maxdist_point(&self, p: &Point) -> f64 {
-        let dx = (p.x - self.lo.x).abs().max((p.x - self.hi.x).abs());
-        let dy = (p.y - self.lo.y).abs().max((p.y - self.hi.y).abs());
-        (dx * dx + dy * dy).sqrt()
-    }
-
     /// Minimum distance between two rectangles (`mindist(eP, eQ)`), the lower
     /// bound used by the synchronous-traversal distance join.
     pub fn mindist_rect(&self, other: &Rect) -> f64 {
@@ -307,7 +298,6 @@ mod tests {
             Point::new(20.0, 30.0),
         ] {
             assert!(a.mindist_point(&q) <= q.dist(&p) + 1e-12);
-            assert!(a.maxdist_point(&q) >= q.dist(&p) - 1e-12);
         }
     }
 

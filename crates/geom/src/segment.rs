@@ -21,12 +21,6 @@ impl Segment {
         Segment { a, b }
     }
 
-    /// Length of the segment.
-    #[inline]
-    pub fn length(&self) -> f64 {
-        self.a.dist(&self.b)
-    }
-
     /// Midpoint of the segment.
     #[inline]
     pub fn midpoint(&self) -> Point {
@@ -37,7 +31,7 @@ impl Segment {
     ///
     /// For a degenerate segment (both endpoints equal, so an exactly zero
     /// length) this is the endpoint.
-    pub fn closest_point(&self, p: &Point) -> Point {
+    fn closest_point(&self, p: &Point) -> Point {
         let d = self.b - self.a;
         let len_sq = d.norm_sq();
         if len_sq == 0.0 {
@@ -85,7 +79,6 @@ mod tests {
     #[test]
     fn degenerate_segment_acts_as_point() {
         let s = Segment::new(Point::new(2.0, 2.0), Point::new(2.0, 2.0));
-        assert_eq!(s.length(), 0.0);
         assert!((s.mindist_point(&Point::new(5.0, 6.0)) - 5.0).abs() < 1e-12);
     }
 
@@ -98,10 +91,9 @@ mod tests {
     }
 
     #[test]
-    fn midpoint_and_length() {
+    fn midpoint_is_the_mean_of_the_endpoints() {
         let s = Segment::new(Point::new(0.0, 0.0), Point::new(6.0, 8.0));
         assert_eq!(s.midpoint(), Point::new(3.0, 4.0));
-        assert!((s.length() - 10.0).abs() < 1e-12);
     }
 
     #[test]

@@ -140,8 +140,8 @@ mod tests {
             let (e, f) = (Point::new(7.0, 7.0), Point::new(9.0, 7.0));
             assert!(!segments_touch(&at(&c), &at(&d), &at(&e), &at(&f)));
             assert!(!segments_touch(&at(&f), &at(&e), &at(&d), &at(&c)));
-            let sliver = Rect::new(at(&Point::ORIGIN), at(&Point::new(4.0, 1e-12)));
-            let square = Rect::new(at(&Point::ORIGIN), at(&Point::new(4.0, 4.0)));
+            let sliver = Rect::new(at(&Point::new(0.0, 0.0)), at(&Point::new(4.0, 1e-12)));
+            let square = Rect::new(at(&Point::new(0.0, 0.0)), at(&Point::new(4.0, 4.0)));
             assert!(flat(2.0 * sliver.area(), &sliver) && !flat(2.0 * square.area(), &square));
         }
     }

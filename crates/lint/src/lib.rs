@@ -15,8 +15,9 @@
 //!   diagnostics and exiting nonzero on any finding (the dedicated CI step);
 //! * `tests/lint.rs` in the workspace root — the same scan as a test, so
 //!   plain tier-1 `cargo test -q` enforces the invariants;
-//! * [`rules::scan_file`] directly — what the fixture and property tests
-//!   use to feed synthetic sources through the rules.
+//! * [`rules::scan_file`] and [`surface::scan_workspace`] directly — what
+//!   the fixture and property tests use to feed synthetic sources through
+//!   the rules.
 //!
 //! # Rule catalogue
 //!
@@ -33,16 +34,28 @@
 //! | `CIJ-C501` | **Concurrency discipline.** `thread::spawn` is forbidden outside the scoped worker pool (`run_ordered_scratch`, `core::chunk`) and the `service` worker pool — free threads bypass both the determinism protocol and panic isolation. | PR 2 / PR 7 |
 //! | `CIJ-C502` | **Concurrency discipline.** `unwrap()`/`expect()` are forbidden in non-test `core::service` code: worker paths must stay `catch_unwind`-recoverable, and a poisoned lock must not cascade panics across workers (use the poison-recovering lock helpers). | PR 7 (worker isolation) |
 //! | `CIJ-G601` | **One tolerance policy.** Every geometric threshold comes from `cij_geom::tolerance` (one constant, scaled with the operands): non-test code elsewhere may not name a tolerance — no non-zero float literal of magnitude ≤ `1e-6`, no `f64::EPSILON` / `f32::EPSILON`. | ROADMAP item 5(b) |
+//! | `CIJ-S601` | **Surface that pays rent.** Every bare-`pub` fn, method, type, trait, const and static of a product crate (`crates/{core,rtree,voronoi,pagestore,geom,datagen}/src`) needs a reference by name somewhere outside its own definition, its own type's impl blocks, `pub use` re-exports and the product crates' `#[cfg(test)]` / `#[test]` code: in product code, in the facade's consumers (`src/`, root `tests/`, `examples/`, `crates/bench/`) or in `cij_benchmark/src/`. An item with none is dead surface: delete it, narrow it, or allowlist it with a reason (a test seam another crate's tests need). The check is name-based and so conservative: a name shared with anything else (`len`, `path`, `name`, a local) counts that thing's tokens and can hide a dead item, but a reported item really has no caller by that name. See [`surface`]. | ROADMAP item 12 |
+//! | `CIJ-S602` | **Surface that pays rent — benchmark only.** The same count, for items whose only references are in `cij_benchmark/src/`: surface the product keeps alive for the benchmark alone (ROADMAP item 4 Step 0's inert names). Allowlisted with exact per-file counts; zero is the goal. | ROADMAP item 12 |
 //! | `CIJ-X901` | **Meta.** An allowlist entry whose count does not exactly match the diagnostics it suppresses — stale suppressions (zero matches) and out-of-date budgets both fail, so `lint.toml` can never rot. Not allowlistable. | this PR |
 //!
 //! # Scope
 //!
-//! The scan covers `src/` and `crates/*/src/` — the production code.
-//! `vendor/` (third-party stand-ins), `tests/`, `benches/`, `examples/`
-//! and fixture directories are excluded, and tokens inside `#[cfg(test)]`
-//! items or `#[test]` fns are skipped by the determinism and concurrency
-//! rules (`CIJ-U201`/`U202` still apply there: the unsafe audit covers
-//! whole files).
+//! The per-file rules cover `src/` and `crates/*/src/` — the production
+//! code. `vendor/` (third-party stand-ins), `tests/`, `benches/`,
+//! `examples/` and fixture directories are excluded, and tokens inside
+//! `#[cfg(test)]` items or `#[test]` fns are skipped by the determinism and
+//! concurrency rules (`CIJ-U201`/`U202` still apply there: the unsafe audit
+//! covers whole files).
+//!
+//! The surface rules (`CIJ-S601` / `CIJ-S602`) check the public items of
+//! the six product crates, and read three more trees as sources of
+//! references only: root `tests/`, `examples/` and `cij_benchmark/src/`
+//! (no per-file rule runs on them). Their diagnostics always name a
+//! product file. In the product crates a reference inside test code does
+//! not count; in the trees read for references every token does, test
+//! functions included. A product crate's own `tests/` directory is not
+//! read: like its unit tests, it does not make the crate's surface pay
+//! rent.
 //!
 //! # Allowlisting a violation
 //!
@@ -65,10 +78,15 @@
 pub mod config;
 pub mod lexer;
 pub mod rules;
+pub mod surface;
 
 use config::AllowEntry;
 use rules::Diagnostic;
 use std::path::{Path, PathBuf};
+
+/// Trees read only as sources of references for the surface rules
+/// (`CIJ-S601` / `CIJ-S602`): no per-file rule runs on them.
+const REFERENCE_DIRS: [&str; 3] = ["tests", "examples", "cij_benchmark/src"];
 
 /// Directory names never descended into during the workspace walk.
 const SKIP_DIRS: [&str; 7] = [
@@ -80,8 +98,11 @@ const SKIP_DIRS: [&str; 7] = [
 pub struct Report {
     /// Diagnostics that survived the allowlist, sorted by (path, line, rule).
     pub diagnostics: Vec<Diagnostic>,
-    /// Number of `.rs` files scanned.
+    /// Number of `.rs` files scanned (production files and the trees read
+    /// only for references).
     pub files_scanned: usize,
+    /// Number of public product items the surface rules checked.
+    pub public_items: usize,
     /// Number of diagnostics suppressed by `lint.toml` entries.
     pub suppressed: usize,
 }
@@ -93,8 +114,9 @@ impl std::fmt::Display for Report {
         }
         write!(
             f,
-            "cij_lint: {} file(s) scanned, {} diagnostic(s), {} suppressed",
+            "cij_lint: {} file(s) scanned, {} public item(s), {} diagnostic(s), {} suppressed",
             self.files_scanned,
+            self.public_items,
             self.diagnostics.len(),
             self.suppressed
         )
@@ -115,19 +137,31 @@ pub fn run(root: &Path) -> Result<Report, String> {
     } else {
         Vec::new()
     };
-    let files = collect_rs_files(root)?;
-    let files_scanned = files.len();
+    let production = collect_rs_files(root, &["src", "crates"])?;
+    let references = collect_rs_files(root, &REFERENCE_DIRS)?;
+    let files_scanned = production.len() + references.len();
     let mut diagnostics = Vec::new();
-    for (rel, abs) in files {
+    let mut scans = Vec::with_capacity(files_scanned);
+    for (is_production, (rel, abs)) in production
+        .into_iter()
+        .map(|f| (true, f))
+        .chain(references.into_iter().map(|f| (false, f)))
+    {
         let source =
             std::fs::read_to_string(&abs).map_err(|e| format!("read {}: {e}", abs.display()))?;
         let scan = lexer::scan(&source);
-        diagnostics.extend(rules::scan_file(&rel, &scan));
+        if is_production {
+            diagnostics.extend(rules::scan_file(&rel, &scan));
+        }
+        scans.push((rel, scan));
     }
+    let (surface_diagnostics, public_items) = surface::scan_workspace(&scans);
+    diagnostics.extend(surface_diagnostics);
     let (diagnostics, suppressed) = apply_allowlist(diagnostics, &allow);
     Ok(Report {
         diagnostics,
         files_scanned,
+        public_items,
         suppressed,
     })
 }
@@ -202,13 +236,13 @@ pub fn apply_allowlist(diags: Vec<Diagnostic>, allow: &[AllowEntry]) -> (Vec<Dia
     (out, suppressed)
 }
 
-/// Collects the production `.rs` files: `src/` and `crates/*/src/` under
-/// `root`, skipping [`SKIP_DIRS`]. Paths come back workspace-relative with
-/// `/` separators, sorted — the scan order (and therefore the diagnostic
-/// order) is deterministic, as this tool preaches.
-fn collect_rs_files(root: &Path) -> Result<Vec<(String, PathBuf)>, String> {
+/// Collects the `.rs` files under each of `tops` (directories relative to
+/// `root`), skipping [`SKIP_DIRS`] below them. Paths come back
+/// workspace-relative with `/` separators, sorted — the scan order (and
+/// therefore the diagnostic order) is deterministic, as this tool preaches.
+fn collect_rs_files(root: &Path, tops: &[&str]) -> Result<Vec<(String, PathBuf)>, String> {
     let mut out = Vec::new();
-    for top in ["src", "crates"] {
+    for top in tops {
         let dir = root.join(top);
         if dir.is_dir() {
             walk(root, &dir, &mut out)?;

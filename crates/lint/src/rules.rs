@@ -56,13 +56,18 @@ pub const C501: &str = "CIJ-C501";
 pub const C502: &str = "CIJ-C502";
 /// Geometry: a tolerance literal outside the tolerance module.
 pub const G601: &str = "CIJ-G601";
+/// Surface: a public item with no reference outside itself and its tests
+/// (workspace-wide, see [`crate::surface`]).
+pub const S601: &str = "CIJ-S601";
+/// Surface: a public item only the benchmark package references.
+pub const S602: &str = "CIJ-S602";
 /// Meta: allowlist entry stale or its budget out of date.
 pub const X901: &str = "CIJ-X901";
 
 /// Every real rule ID (everything an allowlist entry may name), plus the
 /// meta rule last.
-pub const ALL_RULES: [&str; 12] = [
-    D101, D102, D103, U201, U202, I301, I302, A401, C501, C502, G601, X901,
+pub const ALL_RULES: [&str; 14] = [
+    D101, D102, D103, U201, U202, I301, I302, A401, C501, C502, G601, S601, S602, X901,
 ];
 
 /// Crates whose code is *supposed* to read clocks and RNGs: the bench

@@ -8,6 +8,12 @@
 //! `(rule, line)` multiset against the markers — extra *and* missing
 //! diagnostics both fail, so the fixtures pin down false positives as
 //! tightly as false negatives.
+//!
+//! A fixture with several `//@ path:` lines is a small workspace: each line
+//! starts a file that runs to the next one. The per-file rules run on every
+//! file, and the workspace rules (`CIJ-S601` / `CIJ-S602`) over all of them.
+//! Every file keeps the fixture's line numbers (the other files' lines are
+//! blank in it), so markers and diagnostics share one numbering.
 
 use std::path::Path;
 
@@ -27,32 +33,64 @@ fn expected_findings(source: &str) -> Vec<(String, usize)> {
     expected
 }
 
+/// The pretend files of a fixture: `(path, source)`, each source the whole
+/// fixture with every line outside the file blanked.
+fn pretend_files(file: &Path, source: &str) -> Vec<(String, String)> {
+    let lines: Vec<&str> = source.lines().collect();
+    let starts: Vec<(usize, &str)> = lines
+        .iter()
+        .enumerate()
+        .filter_map(|(i, l)| Some((i, l.strip_prefix("//@ path:")?.trim())))
+        .collect();
+    assert!(
+        starts.first().is_some_and(|&(i, _)| i == 0),
+        "{}: first line must be `//@ path: <pretend workspace path>`",
+        file.display()
+    );
+    starts
+        .iter()
+        .enumerate()
+        .map(|(k, &(from, path))| {
+            let to = starts.get(k + 1).map_or(lines.len(), |&(i, _)| i);
+            let text: Vec<&str> = (0..lines.len())
+                .map(|i| {
+                    if (from..to).contains(&i) {
+                        lines[i]
+                    } else {
+                        ""
+                    }
+                })
+                .collect();
+            (path.to_string(), text.join("\n"))
+        })
+        .collect()
+}
+
 fn check_fixture(file: &Path) {
     let source = std::fs::read_to_string(file).unwrap();
-    let pretend_path = source
-        .lines()
-        .next()
-        .and_then(|l| l.strip_prefix("//@ path:"))
-        .unwrap_or_else(|| {
-            panic!(
-                "{}: first line must be `//@ path: <pretend workspace path>`",
-                file.display()
-            )
-        })
-        .trim();
-    let mut expected = expected_findings(&source);
-    let scan = cij_lint::lexer::scan(&source);
-    let mut actual: Vec<(String, usize)> = cij_lint::rules::scan_file(pretend_path, &scan)
+    let files: Vec<(String, cij_lint::lexer::FileScan)> = pretend_files(file, &source)
         .into_iter()
-        .map(|d| (d.rule.to_string(), d.line))
+        .map(|(path, text)| (path, cij_lint::lexer::scan(&text)))
         .collect();
+    let mut expected = expected_findings(&source);
+    let mut actual: Vec<(String, usize)> = Vec::new();
+    for (path, scan) in &files {
+        actual.extend(
+            cij_lint::rules::scan_file(path, scan)
+                .into_iter()
+                .map(|d| (d.rule.to_string(), d.line)),
+        );
+    }
+    if files.len() > 1 {
+        let (surface, _) = cij_lint::surface::scan_workspace(&files);
+        actual.extend(surface.into_iter().map(|d| (d.rule.to_string(), d.line)));
+    }
     expected.sort();
     actual.sort();
     assert_eq!(
         actual,
         expected,
-        "fixture {} (pretend path {pretend_path}): engine findings (left) \
-         disagree with //~ markers (right)",
+        "fixture {}: engine findings (left) disagree with //~ markers (right)",
         file.display()
     );
 }
@@ -98,7 +136,7 @@ fn every_rule_family_has_a_seeded_violation() {
     seeded.sort();
     let want = [
         "CIJ-A401", "CIJ-C501", "CIJ-C502", "CIJ-D101", "CIJ-D102", "CIJ-D103", "CIJ-G601",
-        "CIJ-I301", "CIJ-I302", "CIJ-U201", "CIJ-U202",
+        "CIJ-I301", "CIJ-I302", "CIJ-S601", "CIJ-S602", "CIJ-U201", "CIJ-U202",
     ];
     assert_eq!(seeded, want, "rule families missing a seeded violation");
 }

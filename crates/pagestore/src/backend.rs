@@ -50,7 +50,6 @@
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::{IoOp, PageIoError};
@@ -350,7 +349,6 @@ pub(crate) fn anonymous_file(tag: &str) -> File {
 /// [`FileBackend::anonymous`] creates the file in the system temp directory
 /// and immediately unlinks it, so the data lives exactly as long as the
 /// backend (kernel cleanup on drop or crash, nothing to clean up by hand).
-/// [`FileBackend::at_path`] keeps the file visible for inspection.
 ///
 /// The `written` bitmap tracks which slots hold valid frames; reading a
 /// never-written slot panics instead of returning uninitialized file bytes,
@@ -358,9 +356,6 @@ pub(crate) fn anonymous_file(tag: &str) -> File {
 #[derive(Debug)]
 pub struct FileBackend {
     file: File,
-    /// `Some` only for [`FileBackend::at_path`] backends (anonymous files
-    /// have no path once unlinked).
-    path: Option<PathBuf>,
     frame_size: usize,
     written: Vec<bool>,
     io: BackendIo,
@@ -373,37 +368,10 @@ impl FileBackend {
         assert!(frame_size > 0, "frame size must be positive");
         FileBackend {
             file: anonymous_file("pagestore"),
-            path: None,
             frame_size,
             written: Vec::new(),
             io: BackendIo::default(),
         }
-    }
-
-    /// Creates a backend over a visible file at `path` (truncated if it
-    /// exists). The file is *not* removed on drop.
-    pub fn at_path<P: AsRef<Path>>(path: P, frame_size: usize) -> Self {
-        assert!(frame_size > 0, "frame size must be positive");
-        let path = path.as_ref();
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)
-            .unwrap_or_else(|e| panic!("create pagestore file {}: {e}", path.display()));
-        FileBackend {
-            file,
-            path: Some(path.to_path_buf()),
-            frame_size,
-            written: Vec::new(),
-            io: BackendIo::default(),
-        }
-    }
-
-    /// The backing file's path, when it has one ([`FileBackend::at_path`]).
-    pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
     }
 
     fn offset(&self, index: u32) -> u64 {
@@ -591,29 +559,6 @@ mod tests {
                 + io.unmetered_bytes_written;
             assert_eq!(moved, 128, "{kind}: no byte dropped");
         }
-    }
-
-    #[test]
-    fn file_backend_at_path_is_visible_and_frames_land_at_offsets() {
-        let path = std::env::temp_dir().join(format!(
-            "cij-backend-test-{}-{}.pages",
-            std::process::id(),
-            FILE_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        {
-            let mut b = FileBackend::at_path(&path, 16);
-            assert_eq!(b.path(), Some(path.as_path()));
-            let i0 = b.allocate();
-            let i1 = b.allocate();
-            b.write(i1, &[1u8; 16], IoClass::Metered).unwrap();
-            b.write(i0, &[2u8; 16], IoClass::Metered).unwrap();
-            b.flush().unwrap();
-        }
-        let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(bytes.len(), 32);
-        assert!(bytes[..16].iter().all(|&x| x == 2));
-        assert!(bytes[16..].iter().all(|&x| x == 1));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -84,16 +84,6 @@ pub struct PageIoError {
 }
 
 impl PageIoError {
-    /// A retryable failure.
-    pub fn transient(op: IoOp, page: Option<u32>, detail: impl Into<String>) -> Self {
-        PageIoError {
-            kind: FaultKind::Transient,
-            op,
-            page,
-            detail: detail.into(),
-        }
-    }
-
     /// A non-retryable failure.
     pub fn persistent(op: IoOp, page: Option<u32>, detail: impl Into<String>) -> Self {
         PageIoError {
@@ -156,7 +146,12 @@ mod tests {
 
     #[test]
     fn display_names_kind_op_and_frame() {
-        let e = PageIoError::transient(IoOp::Read, Some(7), "injected");
+        let e = PageIoError {
+            kind: FaultKind::Transient,
+            op: IoOp::Read,
+            page: Some(7),
+            detail: "injected".to_string(),
+        };
         assert_eq!(e.to_string(), "transient read error on frame 7: injected");
         assert!(e.is_transient());
         let e = PageIoError::corrupt(IoOp::Read, Some(3), "checksum mismatch");

@@ -77,15 +77,6 @@ impl FaultProfile {
             kind,
         }
     }
-
-    /// Write attempt `at` fails with `kind`.
-    pub fn fail_write(at: u64, kind: FaultKind) -> Self {
-        FaultProfile::FailAt {
-            op: IoOp::Write,
-            at,
-            kind,
-        }
-    }
 }
 
 /// The fault-injecting wrapper backend — see the [module docs](self).
@@ -236,7 +227,11 @@ mod tests {
     fn injected_faults_move_no_bytes() {
         for profile in [
             FaultProfile::fail_read(3, FaultKind::Transient),
-            FaultProfile::fail_write(6, FaultKind::Persistent),
+            FaultProfile::FailAt {
+                op: IoOp::Write,
+                at: 6,
+                kind: FaultKind::Persistent,
+            },
         ] {
             let mut b = over_heap(profile);
             assert_eq!(drive(&mut b).len(), 1);

@@ -64,9 +64,8 @@
 //!   operations that may succeed when repeated. Two layers absorb them
 //!   before any caller notices: [`FileBackend`] loops its positioned I/O on
 //!   short transfers and `EINTR`, and [`PageStore`] retries whole frame
-//!   transfers under a bounded [`RetryPolicy`] with exponential backoff
-//!   charged in **virtual ticks** ([`PageStore::retry_clock_ticks`] —
-//!   deterministic, never a wall clock, never a sleep). Only an exhausted
+//!   transfers under a bounded [`RetryPolicy`], repeating a failed
+//!   attempt at once (no backoff, no clock, no sleep). Only an exhausted
 //!   retry budget surfaces a transient error.
 //! * **Persistent** ([`FaultKind::Persistent`]) — the medium or syscall
 //!   failed for good; surfaced immediately, never retried.
@@ -100,10 +99,9 @@
 //! [`BackendIo`]. The whole model is testable deterministically through
 //! [`FaultBackend`], a wrapper backend that fails one chosen read or write
 //! attempt, or bit-rots one frame ([`FaultProfile`], see the
-//! [fault module](fault)); a test arms it with [`PageStore::inject_fault`]
-//! or [`PageStoreConfig::with_fault`], and nothing else does. A transient
-//! fault at any attempt is retried and leaves results byte-identical to a
-//! clean run.
+//! [fault module](fault)); a test arms it with [`PageStore::inject_fault`],
+//! and nothing else does. A transient fault at any attempt is retried and
+//! leaves results byte-identical to a clean run.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

@@ -111,17 +111,6 @@ impl IoSnapshot {
         }
     }
 
-    /// Hit ratio of the Voronoi-cell reuse buffer (0 when it was never
-    /// consulted).
-    pub fn cell_cache_hit_ratio(&self) -> f64 {
-        let total = self.cell_cache_hits + self.cell_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cell_cache_hits as f64 / total as f64
-        }
-    }
-
     /// Buffer hit ratio over logical reads (0 when there were none).
     pub fn hit_ratio(&self) -> f64 {
         if self.logical_reads == 0 {
@@ -230,11 +219,6 @@ impl IoStats {
         self.inner.cell_cache_misses.store(0, Ordering::Relaxed);
         self.inner.cell_cache_evictions.store(0, Ordering::Relaxed);
     }
-
-    /// Whether two handles share the same underlying counters.
-    pub fn same_counters(&self, other: &IoStats) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
 }
 
 impl fmt::Display for IoSnapshot {
@@ -276,7 +260,6 @@ mod tests {
     fn clones_share_counters() {
         let a = IoStats::new();
         let b = a.clone();
-        assert!(a.same_counters(&b));
         b.record_miss();
         assert_eq!(a.snapshot().physical_reads, 1);
     }
@@ -332,11 +315,9 @@ mod tests {
         assert_eq!(snap.cell_cache_evictions, 1);
         // Cell-cache traffic never counts as page accesses.
         assert_eq!(snap.page_accesses(), 0);
-        assert!((snap.cell_cache_hit_ratio() - 0.5).abs() < 1e-12);
         let delta = snap.since(&before);
         assert_eq!(delta.cell_cache_misses, 1);
         assert_eq!(delta.cell_cache_hits, 2);
-        assert_eq!(IoSnapshot::default().cell_cache_hit_ratio(), 0.0);
     }
 
     #[test]

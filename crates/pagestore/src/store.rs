@@ -91,30 +91,23 @@ use crate::frame::{seal_frame, verify_frame, PagePayload, FRAME_TRAILER_BYTES};
 use crate::lru::{Admission, LruBuffer};
 use crate::stats::IoStats;
 
-/// Bounded retry-with-backoff policy for transient backend faults.
+/// Bounded retry policy for transient backend faults.
 ///
-/// Attempt `k` (1-based) that fails with a transient error charges
-/// `backoff_base_ticks << (k - 1)` virtual ticks and retries, up to
+/// An attempt that fails with a transient error is repeated at once, up to
 /// `max_attempts` total attempts; persistent and corrupt errors are never
-/// retried. The ticks are recorded ([`PageStore::retry_clock_ticks`]), never
-/// slept: no thread blocks and no wall clock is read. The default budget of
-/// 4 attempts is generous: an injected transient fails one attempt only,
-/// and real `EINTR`-class transients are already absorbed inside
-/// `FileBackend`.
+/// retried. Nothing waits between attempts: no thread blocks and no clock
+/// is read. The default budget of 4 attempts is generous: an injected
+/// transient fails one attempt only, and real `EINTR`-class transients are
+/// already absorbed inside `FileBackend`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per operation (first try included). Minimum 1.
     pub max_attempts: u32,
-    /// Virtual ticks charged by the first backoff; doubles per retry.
-    pub backoff_base_ticks: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            backoff_base_ticks: 1,
-        }
+        RetryPolicy { max_attempts: 4 }
     }
 }
 
@@ -138,10 +131,6 @@ pub struct PageStoreConfig {
     pub buffer_pages: usize,
     /// Which storage backend holds the page frames.
     pub backend: StorageBackend,
-    /// Optional fault-injection schedule: when set, the created backend is
-    /// wrapped in a [`FaultBackend`]. `None` by default; nothing in the
-    /// environment sets it.
-    pub fault: Option<FaultProfile>,
 }
 
 impl Default for PageStoreConfig {
@@ -155,7 +144,6 @@ impl Default for PageStoreConfig {
             page_size: 4096,
             buffer_pages: 0,
             backend: StorageBackend::Heap,
-            fault: None,
         }
     }
 }
@@ -173,17 +161,11 @@ impl PageStoreConfig {
         self
     }
 
-    /// Wraps the store's backend in a [`FaultBackend`] running `profile`
-    /// from the first operation on.
-    pub fn with_fault(mut self, profile: FaultProfile) -> Self {
-        self.fault = Some(profile);
-        self
-    }
-
-    /// Clears a schedule set by [`with_fault`](Self::with_fault) — the
-    /// store runs clean.
-    pub fn without_faults(mut self) -> Self {
-        self.fault = None;
+    // Inert: `cij_benchmark/src/layers.rs` is its only reader. A
+    // configuration holds no fault schedule; a test arms one on a built
+    // store with `PageStore::inject_fault`.
+    #[doc(hidden)]
+    pub fn without_faults(self) -> Self {
         self
     }
 }
@@ -218,10 +200,8 @@ struct StoreInner<T: PagePayload> {
     /// High-water mark of `resident.len()`, sampled at operation
     /// boundaries (steady states, not mid-operation transients).
     peak_resident: usize,
-    /// Bounded retry-with-backoff policy for transient backend faults.
+    /// Bounded retry policy for transient backend faults.
     retry: RetryPolicy,
-    /// Virtual backoff ticks charged so far.
-    backoff_ticks: u64,
     /// Frames that failed checksum verification: reads of these fail fast
     /// with a `Corrupt` error instead of re-transferring known-bad bytes.
     /// Ordered set so diagnostics enumerate deterministically.
@@ -268,10 +248,7 @@ impl<T: PagePayload> PageStore<T> {
     /// one counter set.
     pub fn with_stats(config: PageStoreConfig, stats: IoStats) -> Self {
         assert!(config.page_size > 0, "page size must be positive");
-        let mut backend = config.backend.create(config.page_size);
-        if let Some(profile) = config.fault {
-            backend = Box::new(FaultBackend::new(backend, profile));
-        }
+        let backend = config.backend.create(config.page_size);
         PageStore {
             inner: Arc::new(Mutex::new(StoreInner {
                 resident: Vec::new(),
@@ -287,7 +264,6 @@ impl<T: PagePayload> PageStore<T> {
                 frame: vec![0u8; config.page_size],
                 peak_resident: 0,
                 retry: RetryPolicy::default(),
-                backoff_ticks: 0,
                 quarantined: BTreeSet::new(),
                 fault_retries: 0,
                 fault_recoveries: 0,
@@ -620,18 +596,11 @@ impl<T: PagePayload> PageStore<T> {
         inner.backend = Box::new(FaultBackend::new(current, profile));
     }
 
-    /// Replaces the retry policy (default: 4 attempts, exponential backoff
-    /// from 1 virtual tick).
+    /// Replaces the retry policy (default: 4 attempts).
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.lock().retry = RetryPolicy {
             max_attempts: policy.max_attempts.max(1),
-            ..policy
         };
-    }
-
-    /// Total virtual backoff ticks charged so far.
-    pub fn retry_clock_ticks(&self) -> u64 {
-        self.lock().backoff_ticks
     }
 
     /// Frame indices currently quarantined after checksum failures, in
@@ -702,9 +671,8 @@ impl<T: PagePayload> StoreInner<T> {
     }
 
     /// Transfers frame `index` into the scratch buffer, retrying transient
-    /// faults under the bounded [`RetryPolicy`] with exponential backoff on
-    /// the virtual clock. Quarantined frames fail fast with a `Corrupt`
-    /// error before touching the backend.
+    /// faults under the bounded [`RetryPolicy`]. Quarantined frames fail
+    /// fast with a `Corrupt` error before touching the backend.
     ///
     /// This is the one sanctioned read-side `IoClass` funnel (allowlisted
     /// `CIJ-I301` in `lint.toml`, like `write_back` on the write side).
@@ -728,7 +696,6 @@ impl<T: PagePayload> StoreInner<T> {
                 }
                 Err(e) if e.is_transient() && attempt < self.retry.max_attempts => {
                     self.fault_retries += 1;
-                    self.backoff_ticks += self.retry.backoff_base_ticks << (attempt - 1).min(16);
                 }
                 Err(e) => return Err(e),
             }
@@ -854,7 +821,6 @@ impl<T: PagePayload> StoreInner<T> {
                 Ok(()) => break,
                 Err(e) if e.is_transient() && attempt < self.retry.max_attempts => {
                     self.fault_write_retries += 1;
-                    self.backoff_ticks += self.retry.backoff_base_ticks << (attempt - 1).min(16);
                 }
                 Err(e) => panic!("write-back of frame {key} failed: {e}"),
             }
@@ -1463,15 +1429,17 @@ mod tests {
         // byte — the one retry is invisible to results.
         use crate::error::{FaultKind, IoOp};
         let run = |backend, fault: Option<FaultProfile>| {
-            let mut config = PageStoreConfig {
+            let config = PageStoreConfig {
                 buffer_pages: 2,
                 ..PageStoreConfig::default()
             }
             .with_backend(backend);
-            if let Some(profile) = fault {
-                config = config.with_fault(profile);
-            }
             let mut s: PageStore<u32> = PageStore::new(config);
+            // Attempts count from the injection, so the schedule covers the
+            // store's first operation on.
+            if let Some(profile) = fault {
+                s.inject_fault(profile);
+            }
             let ids: Vec<PageId> = (0..16u32).map(|i| s.allocate(i * 13 + 1)).collect();
             s.flush();
             s.drop_buffer();
@@ -1514,7 +1482,6 @@ mod tests {
                         (stats.injected_write_faults, stats.write_retries, 1)
                     };
                     assert_eq!(retried, (1, 1, 1), "{label}: {stats:?}");
-                    assert_eq!(faulty.retry_clock_ticks(), 1, "{label}: one backoff");
                 }
             }
         }
@@ -1558,10 +1525,7 @@ mod tests {
         ];
         for (kind, max_attempts) in policies {
             let mut s: PageStore<u32> = PageStore::new(PageStoreConfig::default());
-            s.set_retry_policy(RetryPolicy {
-                max_attempts,
-                backoff_base_ticks: 1,
-            });
+            s.set_retry_policy(RetryPolicy { max_attempts });
             let id = s.allocate(7);
             s.flush();
             s.drop_buffer();

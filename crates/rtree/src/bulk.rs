@@ -587,7 +587,7 @@ mod tests {
 
     #[test]
     fn a_write_fault_at_every_attempt_of_a_build_is_retried_invisibly_or_panics_naming_the_frame() {
-        use cij_pagestore::{FaultKind, FaultProfile};
+        use cij_pagestore::{FaultKind, FaultProfile, IoOp};
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let objects = PointObject::from_points(&random_points(300, 77));
         // Packs through a 4-page buffer, so the build writes pages at
@@ -608,7 +608,11 @@ mod tests {
             let (counted, moved) = (clean.stats().snapshot(), clean.backend_io());
             for at in 0.. {
                 let label = format!("{backend}, write attempt {at}");
-                let profile = FaultProfile::fail_write(at, FaultKind::Transient);
+                let profile = FaultProfile::FailAt {
+                    op: IoOp::Write,
+                    at,
+                    kind: FaultKind::Transient,
+                };
                 let mut faulty = build(backend, Some(profile));
                 let fs = faulty.fault_stats();
                 assert_eq!(faulty.stats().snapshot(), counted, "{label}");
@@ -623,7 +627,11 @@ mod tests {
                 faulty.drop_buffer();
                 assert_trees_identical(&mut clean, &mut faulty);
 
-                let profile = FaultProfile::fail_write(at, FaultKind::Persistent);
+                let profile = FaultProfile::FailAt {
+                    op: IoOp::Write,
+                    at,
+                    kind: FaultKind::Persistent,
+                };
                 let payload = catch_unwind(AssertUnwindSafe(|| build(backend, Some(profile))))
                     .expect_err(&label);
                 let message = payload.downcast_ref::<String>().expect("a formatted panic");

@@ -48,14 +48,14 @@
 //!
 //! A storage failure becomes a *panic* only at a **blocking edge**, an
 //! operation whose return type has no error channel: the standalone
-//! operators here ([`RTree::range_query`] / `scan_all` / `bounding_rect`,
+//! operators here ([`RTree::range_query`] / `scan_all`,
 //! [`RTree::nearest_iter`] / `k_nearest`,
 //! [`RTree::leaf_pages_hilbert_order`], [`RTree::check_invariants`],
 //! [`intersection_join`], [`distance_join`]), `cij-voronoi`'s
 //! `single_voronoi` and `compute_diagram`, and `cij-core`'s collect-all
-//! front doors (`QueryEngine::{run, join, multiway, grouped_nn}`,
-//! `Algorithm::run`, `nm_cij`, `multiway_cij`, `grouped_nn_via_cij`,
-//! `fm_cij`, `pm_cij`: `"CIJ storage failure: …"`). Streams and the request
+//! front doors (`QueryEngine::{run, join, multiway, grouped_nn}`, and
+//! `QueryEngine::stream` of the eager FM-CIJ / PM-CIJ:
+//! `"CIJ storage failure: …"`). Streams and the request
 //! server fail-stop with the error in hand.
 
 #![deny(missing_docs)]

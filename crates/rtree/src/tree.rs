@@ -338,11 +338,6 @@ impl<D: RTreeObject> RTree<D> {
         ))
     }
 
-    /// MBR of the whole dataset (reads only the root node).
-    pub fn bounding_rect(&mut self) -> Rect {
-        expect_read(self.store.try_read_with(self.root, |node| node.mbr()))
-    }
-
     /// Leaf page ids in the Hilbert-ordered depth-first traversal of
     /// Section III-C, walked through **counted** reads (every non-leaf node
     /// once; leaf pages are read by the caller when it processes them) —
@@ -638,11 +633,6 @@ mod tests {
             tree
         };
         let (mut by_ref, mut owned) = (build(), build());
-        let root = owned.root_page();
-        assert_eq!(
-            by_ref.bounding_rect(),
-            owned.try_read_node(root).unwrap().mbr()
-        );
         let everything = Rect::from_coords(-1.0, -1.0, 30.0, 30.0);
         assert_eq!(
             by_ref.scan_all(),

@@ -32,13 +32,13 @@ fn pointset(max_len: usize) -> impl Strategy<Value = Vec<Point>> {
 
 /// Emission-ordered pairs of a solo NM-CIJ run under the given mode.
 fn solo_pairs(p: &[Point], q: &[Point], config: &CijConfig) -> Vec<(u64, u64)> {
-    let mut w = Workload::build(p, q, config);
-    nm_cij(&mut w, config).pairs
+    QueryEngine::new(*config).join(p, q, Algorithm::NmCij).pairs
 }
 
 /// Emission-ordered tuple ids of a solo multiway run under the given mode.
 fn solo_tuple_ids(sets: &[Vec<Point>], config: &CijConfig) -> Vec<Vec<u64>> {
-    multiway_cij(sets, config)
+    QueryEngine::new(*config)
+        .multiway(sets)
         .tuples
         .into_iter()
         .map(|t| t.ids)

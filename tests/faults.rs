@@ -147,14 +147,14 @@ proptest! {
         let clean = {
             let mut w = Workload::build(&p, &q, &config);
             w.reset_measurement();
-            nm_cij(&mut w, &config)
+            QueryEngine::new(config).run(&mut w, Algorithm::NmCij)
         };
         let (faulty, faults) = {
             let mut w = Workload::build(&p, &q, &config);
             w.reset_measurement();
             let profile = FaultProfile::fail_read(at, FaultKind::Transient);
             [&mut w.rp, &mut w.rq][tree].inject_fault(profile);
-            let outcome = nm_cij(&mut w, &config);
+            let outcome = QueryEngine::new(config).run(&mut w, Algorithm::NmCij);
             (outcome, [&w.rp, &w.rq][tree].fault_stats())
         };
         prop_assert_eq!(faults.recoveries, faults.injected_read_faults);

@@ -1,10 +1,11 @@
 //! Tier-1 gate: the workspace must be lint-clean.
 //!
 //! Runs the `cij_lint` invariant checker (determinism, unsafe audit, I/O
-//! classification, atomics, concurrency — see `crates/lint/src/lib.rs` for
-//! the rule catalogue) over the whole workspace in-process, applying the
-//! `lint.toml` allowlist. Any surviving diagnostic fails plain
-//! `cargo test -q`, so the contracts hold on every change, not just in CI.
+//! classification, atomics, concurrency, public surface — see
+//! `crates/lint/src/lib.rs` for the rule catalogue) over the whole workspace
+//! in-process, applying the `lint.toml` allowlist. Any surviving diagnostic
+//! fails plain `cargo test -q`, so the contracts hold on every change, not
+//! just in CI.
 
 use std::path::Path;
 

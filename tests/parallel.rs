@@ -4,7 +4,6 @@
 //! same page-access totals — on uniform and clustered workloads, under
 //! cache-eviction pressure, and through the streaming interface.
 
-use cij::core::grouped_nn_via_cij;
 use cij::prelude::*;
 use cij::rtree::RTreeConfig;
 use cij::voronoi::brute_force_diagram;
@@ -139,7 +138,7 @@ fn grouped_counts_are_identical_in_every_mode() {
             locations.extend([v[0], v[1], v[0].midpoint(&v[1]), v[0]]);
         }
     }
-    let reference = grouped_nn_via_cij(&p, &q, &locations, &test_config());
+    let reference = QueryEngine::new(test_config()).grouped_nn(&p, &q, &locations);
     assert_eq!(reference.values().sum::<u64>(), locations.len() as u64);
     for mode in [ExecMode::Metered, ExecMode::Fast] {
         for threads in [1usize, 2, 4] {
@@ -149,7 +148,7 @@ fn grouped_counts_are_identical_in_every_mode() {
                     .with_worker_threads(threads)
                     .with_storage_backend(backend);
                 assert_eq!(
-                    grouped_nn_via_cij(&p, &q, &locations, &config),
+                    QueryEngine::new(config).grouped_nn(&p, &q, &locations),
                     reference,
                     "{mode:?}, {threads} threads, {backend:?}"
                 );

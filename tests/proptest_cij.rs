@@ -116,22 +116,15 @@ proptest! {
     fn nm_cij_matches_oracle(p in pointset(40), q in pointset(40)) {
         let config = test_config();
         let oracle = brute_force_cij(&p, &q, &config.domain);
-        let mut w = Workload::build(&p, &q, &config);
-        let outcome = nm_cij(&mut w, &config);
+        let outcome = QueryEngine::new(config).join(&p, &q, Algorithm::NmCij);
         prop_assert_eq!(outcome.sorted_pairs(), oracle);
     }
 
     #[test]
     fn fm_and_pm_agree(p in pointset(35), q in pointset(35)) {
         let config = test_config();
-        let fm = {
-            let mut w = Workload::build(&p, &q, &config);
-            fm_cij(&mut w, &config).sorted_pairs()
-        };
-        let pm = {
-            let mut w = Workload::build(&p, &q, &config);
-            pm_cij(&mut w, &config).sorted_pairs()
-        };
+        let fm = QueryEngine::new(config).join(&p, &q, Algorithm::FmCij).sorted_pairs();
+        let pm = QueryEngine::new(config).join(&p, &q, Algorithm::PmCij).sorted_pairs();
         prop_assert_eq!(fm, pm);
     }
 
@@ -140,8 +133,7 @@ proptest! {
         // Footnote 3 of the paper: each p ∈ P is contained in some cell of
         // Vor(Q) and vice versa, so every point appears in the result.
         let config = test_config();
-        let mut w = Workload::build(&p, &q, &config);
-        let pairs = nm_cij(&mut w, &config).pairs;
+        let pairs = QueryEngine::new(config).join(&p, &q, Algorithm::NmCij).pairs;
         for i in 0..p.len() as u64 {
             prop_assert!(pairs.iter().any(|&(a, _)| a == i));
         }
@@ -153,14 +145,8 @@ proptest! {
     #[test]
     fn join_is_symmetric_under_input_swap(p in pointset(25), q in pointset(25)) {
         let config = test_config();
-        let forward = {
-            let mut w = Workload::build(&p, &q, &config);
-            nm_cij(&mut w, &config).sorted_pairs()
-        };
-        let backward = {
-            let mut w = Workload::build(&q, &p, &config);
-            nm_cij(&mut w, &config).sorted_pairs()
-        };
+        let forward = QueryEngine::new(config).join(&p, &q, Algorithm::NmCij).sorted_pairs();
+        let backward = QueryEngine::new(config).join(&q, &p, Algorithm::NmCij).sorted_pairs();
         let mut swapped: Vec<(u64, u64)> = backward.into_iter().map(|(a, b)| (b, a)).collect();
         swapped.sort_unstable();
         prop_assert_eq!(forward, swapped);
@@ -175,8 +161,7 @@ proptest! {
         // (`cij_geom`, "Tolerance policy"). `tests/exact_oracle.rs` holds
         // lattice self-joins to the exact answer at every scale.
         let config = test_config();
-        let mut w = Workload::build(&p, &p, &config);
-        let pairs = nm_cij(&mut w, &config).sorted_pairs();
+        let pairs = QueryEngine::new(config).join(&p, &p, Algorithm::NmCij).sorted_pairs();
         for i in 0..p.len() as u64 {
             prop_assert!(pairs.binary_search(&(i, i)).is_ok(), "missing ({i},{i})");
         }
