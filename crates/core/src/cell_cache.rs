@@ -12,23 +12,22 @@
 //! next request, so join results never change (covered by the eviction
 //! tests).
 //!
-//! Replacement policy and payload storage are separate concerns: recency
-//! and eviction are delegated to the already-tested O(1)
+//! Recency and eviction are delegated to the already-tested O(1)
 //! [`cij_pagestore::LruBuffer`] (the same component backing the page
-//! buffer), while this type only keeps the polygon payloads in a map that
-//! mirrors the buffer's resident set.
+//! buffer), and each resident cell is kept in the buffer slot its id
+//! occupies: one table, nothing mirrored.
 //!
-//! The cache implements [`cij_voronoi::CellStore`], so it plugs directly
-//! into [`cij_voronoi::batch_voronoi`]. Hit/miss/eviction counts are
-//! exposed both through the cache itself (and from there through the
-//! query's [`QueryProfile`](crate::stats::QueryProfile)) and, when
-//! constructed with [`CellCache::with_stats`], through the workload-wide
-//! [`cij_pagestore::IoStats`] counters.
+//! The product joins reach the cache through the chunk protocol's policy,
+//! refine and resolve stages (NM-CIJ and the multiway extension; PM-CIJ
+//! keeps no cells, see [`crate::pm`]). The cache also implements
+//! [`cij_voronoi::CellStore`], the one-lookup-at-a-time get/put of
+//! Algorithm 6 as [`cij_voronoi::batch_voronoi`] takes it. The cache counts
+//! its own hits, misses and evictions; a query's
+//! [`QueryProfile`](crate::stats::QueryProfile) reports them per set.
 
 use cij_geom::ConvexPolygon;
 use cij_pagestore::{Admission, IoStats, LruBuffer};
 use cij_voronoi::CellStore;
-use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
 /// A global budget of cell-cache capacity, carved into per-query quotas.
@@ -159,14 +158,15 @@ impl Drop for CacheLease {
 /// A bounded LRU cache of exact Voronoi cells, keyed by point id.
 #[derive(Debug)]
 pub struct CellCache {
-    /// Replacement policy: tracks residency and recency of point ids.
+    /// Replacement policy: residency and recency of point ids, and the slot
+    /// each resident id occupies.
     lru: LruBuffer,
-    /// Payloads of the resident ids (always mirrors `lru`'s resident set).
-    cells: HashMap<u64, ConvexPolygon>,
+    /// `cells[slot]`: the cell the put that claimed `slot` wrote. A slot's
+    /// outline buffer outlives the ids that pass through it.
+    cells: Vec<ConvexPolygon>,
     hits: u64,
     misses: u64,
     evictions: u64,
-    stats: Option<IoStats>,
 }
 
 impl CellCache {
@@ -175,22 +175,18 @@ impl CellCache {
     pub fn new(capacity: usize) -> Self {
         CellCache {
             lru: LruBuffer::new(capacity),
-            cells: HashMap::new(),
+            cells: Vec::new(),
             hits: 0,
             misses: 0,
             evictions: 0,
-            stats: None,
         }
     }
 
-    /// Like [`CellCache::new`], but also mirrors hit/miss/eviction events
-    /// into the shared I/O statistics so experiment harnesses see cache
-    /// behaviour alongside page accesses.
-    pub fn with_stats(capacity: usize, stats: IoStats) -> Self {
-        CellCache {
-            stats: Some(stats),
-            ..CellCache::new(capacity)
-        }
+    // Inert: `cij_benchmark/src/layers.rs` is its only reader. The cache
+    // counts its own events; the page store's statistics keep none.
+    #[doc(hidden)]
+    pub fn with_stats(capacity: usize, _stats: IoStats) -> Self {
+        CellCache::new(capacity)
     }
 
     /// Maximum number of cells held.
@@ -200,12 +196,12 @@ impl CellCache {
 
     /// Number of cells currently held.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.lru.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.lru.is_empty()
     }
 
     /// Lookups served from the cache so far.
@@ -223,115 +219,73 @@ impl CellCache {
         self.evictions
     }
 
-    /// Drops every cached cell (counters are kept).
-    pub fn clear(&mut self) {
-        let _ = self.lru.clear();
-        self.cells.clear();
-    }
-
     // ------------------------------------------------------------------
-    // Split policy/payload API — the one cache policy, used by the chunk
-    // coordinator and, with nothing deferred, by `CellStore`.
+    // The one cache policy, by slot — used by the chunk coordinator and,
+    // with each put filled at once, by `CellStore`.
     //
-    // The chunk protocol must reproduce the sequential cache behaviour
-    // exactly, but at the time the coordinator decides hits and misses (in
-    // Hilbert leaf order) the freshly computed cells of the in-flight chunk
-    // do not exist yet. The replacement-policy decisions depend only on the
-    // *id sequence*, so they are taken up front (`policy_get`/`policy_put`,
-    // which also keep the hit/miss/eviction counters exact), while payloads
-    // are attached (`fill_payload`) and victims dropped (`drop_payload`)
-    // later, once the workers have produced the cells — still in leaf
-    // order, so every resolved hit serves the same polygon the sequential
-    // run would. Between a policy op and its deferred payload op the
-    // `cells` map intentionally lags the LRU resident set.
+    // Policy and payload are one table: a resident id's cell lives in the
+    // slot `lru` gives the id. `policy_get` / `policy_put` take every
+    // replacement decision from the id sequence alone (and keep the
+    // counters exact) and return the slot; `cell` reads a slot and `fill`
+    // writes one. The chunk coordinator takes the decisions of a whole
+    // chunk before its cells exist, then resolves its units in leaf order,
+    // each unit reading its hits' slots before filling its puts'. A slot is
+    // written only by the put that claimed it, so a hit reads the cell of
+    // the put it hit: an earlier unit filled it, and the put that next
+    // claims the slot — after evicting the hit's id, so in this unit or a
+    // later one — fills it only after the hit has been read.
     // ------------------------------------------------------------------
 
-    /// Policy-only counterpart of [`CellStore::get`]: records the hit or
-    /// miss (touching recency on a hit) without cloning a payload. Returns
-    /// `true` on a hit.
-    pub(crate) fn policy_get(&mut self, id: u64) -> bool {
-        if self.lru.contains(id) {
+    /// Records a lookup of `id`: on a hit, touches its recency and returns
+    /// the slot that holds its cell; on a miss, `None`.
+    pub(crate) fn policy_get(&mut self, id: u64) -> Option<u32> {
+        let slot = self.lru.slot_of(id);
+        if slot.is_some() {
             let _ = self.lru.touch(id, false);
             self.hits += 1;
-            if let Some(stats) = &self.stats {
-                stats.record_cell_cache_hit();
-            }
-            true
         } else {
             self.misses += 1;
-            if let Some(stats) = &self.stats {
-                stats.record_cell_cache_miss();
-            }
-            false
         }
+        slot
     }
 
-    /// Policy-only counterpart of [`CellStore::put`]: admits `id`, counts
-    /// an eviction when one happens and returns the victim id — the caller
-    /// drops the victim's payload later via [`CellCache::drop_payload`]
-    /// (deferred so that hits recorded *before* the eviction can still
-    /// resolve the victim's cell).
-    pub(crate) fn policy_put(&mut self, id: u64) -> Option<u64> {
-        if self.lru.capacity() == 0 {
-            return None;
-        }
-        if let Admission::Miss {
-            evicted: Some((victim, _)),
-        } = self.lru.touch(id, false)
-        {
+    /// Admits `id`, counting the eviction it causes, and returns the slot
+    /// its cell must be [`fill`](CellCache::fill)ed into (`None` at
+    /// capacity 0: nothing is kept).
+    pub(crate) fn policy_put(&mut self, id: u64) -> Option<u32> {
+        if let Admission::Miss { evicted: Some(_) } = self.lru.touch(id, false) {
             self.evictions += 1;
-            if let Some(stats) = &self.stats {
-                stats.record_cell_cache_eviction();
-            }
-            Some(victim)
-        } else {
-            None
         }
+        self.lru.slot_of(id)
     }
 
-    /// Attaches the payload for an id previously admitted with
-    /// [`CellCache::policy_put`].
-    pub(crate) fn fill_payload(&mut self, id: u64, cell: &ConvexPolygon) {
-        if self.lru.capacity() == 0 {
-            return;
+    /// Writes `cell` into `slot`, reusing the outline buffer the slot
+    /// already holds.
+    pub(crate) fn fill(&mut self, slot: u32, cell: &ConvexPolygon) {
+        let slot = slot as usize;
+        if slot >= self.cells.len() {
+            self.cells.resize_with(slot + 1, ConvexPolygon::default);
         }
-        self.cells.insert(id, cell.clone());
+        self.cells[slot].clone_from(cell);
     }
 
-    /// Drops the payload of a victim returned by [`CellCache::policy_put`].
-    pub(crate) fn drop_payload(&mut self, id: u64) {
-        self.cells.remove(&id);
-    }
-
-    /// Resolves the payload of an id that [`CellCache::policy_get`]
-    /// reported as a hit (no counters move).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the payload is absent — the coordinator resolves hits in
-    /// leaf order after filling the producing leaf's cells, so a missing
-    /// payload is a violated invariant, not a runtime condition.
-    pub(crate) fn resolved_payload(&self, id: u64) -> ConvexPolygon {
-        self.cells
-            .get(&id)
-            .expect("hit on a resident cell whose payload was never filled")
-            .clone()
+    /// The cell in `slot`: the one its last [`fill`](CellCache::fill)
+    /// wrote.
+    pub(crate) fn cell(&self, slot: u32) -> &ConvexPolygon {
+        &self.cells[slot as usize]
     }
 }
 
-// The sequential protocol is the split one with nothing deferred: a hit's
-// payload is resolved at once, a put's victim dropped before its payload is
-// filled.
 impl CellStore for CellCache {
     fn get(&mut self, id: u64) -> Option<ConvexPolygon> {
-        self.policy_get(id).then(|| self.resolved_payload(id))
+        let slot = self.policy_get(id)?;
+        Some(self.cell(slot).clone())
     }
 
     fn put(&mut self, id: u64, cell: &ConvexPolygon) {
-        if let Some(victim) = self.policy_put(id) {
-            self.drop_payload(victim);
+        if let Some(slot) = self.policy_put(id) {
+            self.fill(slot, cell);
         }
-        self.fill_payload(id, cell);
     }
 }
 
@@ -392,22 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_mirroring_reaches_io_counters() {
-        let stats = IoStats::new();
-        let mut c = CellCache::with_stats(1, stats.clone());
-        assert!(c.get(7).is_none());
-        c.put(7, &poly(1.0));
-        assert!(c.get(7).is_some());
-        c.put(8, &poly(2.0)); // evicts 7
-        let snap = stats.snapshot();
-        assert_eq!(snap.cell_cache_hits, 1);
-        assert_eq!(snap.cell_cache_misses, 1);
-        assert_eq!(snap.cell_cache_evictions, 1);
-        // Cache events never masquerade as page I/O.
-        assert_eq!(snap.page_accesses(), 0);
-    }
-
-    #[test]
     fn hit_heavy_load_then_new_puts_keep_admitting() {
         // Regression guard for the recency-bookkeeping bug class: a long
         // run of hits followed by new insertions must keep the cache fully
@@ -447,9 +385,9 @@ mod tests {
     #[test]
     fn policy_split_mirrors_sequential_get_put_exactly() {
         // Drive the same id sequence through the classic get/put API and
-        // through the split policy/fill API (the parallel coordinator's
-        // protocol): hit/miss/eviction counters and resident payloads must
-        // agree at every step.
+        // through the slot API (the chunk coordinator's protocol):
+        // hit/miss/eviction counters and resident cells must agree at every
+        // step.
         let mut seq = CellCache::new(3);
         let mut par = CellCache::new(3);
         let ids = [1u64, 2, 3, 1, 4, 2, 5, 1, 1, 6, 7, 3, 4];
@@ -460,16 +398,12 @@ mod tests {
             }
 
             let par_hit = par.policy_get(id);
-            assert_eq!(par_hit, seq_hit, "id {id} hit/miss diverged");
-            if par_hit {
-                let cell = par.resolved_payload(id);
+            assert_eq!(par_hit.is_some(), seq_hit, "id {id} hit/miss diverged");
+            if let Some(slot) = par_hit {
+                let cell = par.cell(slot);
                 assert!((cell.area() - poly(id as f64).area()).abs() < 1e-9);
-            } else {
-                let victim = par.policy_put(id);
-                if let Some(v) = victim {
-                    par.drop_payload(v);
-                }
-                par.fill_payload(id, &poly(id as f64));
+            } else if let Some(slot) = par.policy_put(id) {
+                par.fill(slot, &poly(id as f64));
             }
             assert_eq!(par.hits(), seq.hits());
             assert_eq!(par.misses(), seq.misses());
@@ -481,10 +415,9 @@ mod tests {
     #[test]
     fn policy_split_with_zero_capacity_never_admits() {
         let mut c = CellCache::new(0);
-        assert!(!c.policy_get(1));
+        assert_eq!(c.policy_get(1), None);
         assert_eq!(c.policy_put(1), None);
-        c.fill_payload(1, &poly(1.0));
-        assert!(!c.policy_get(1));
+        assert_eq!(c.policy_get(1), None);
         assert_eq!(c.len(), 0);
         assert_eq!(c.misses(), 2);
     }
@@ -527,16 +460,5 @@ mod tests {
         assert_eq!(waiter.join().unwrap(), 5);
         assert_eq!(budget.reserved(), 0);
         assert!(budget.high_water() <= budget.total());
-    }
-
-    #[test]
-    fn clear_keeps_counters_but_drops_cells() {
-        let mut c = CellCache::new(4);
-        c.put(1, &poly(1.0));
-        assert!(c.get(1).is_some());
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.hits(), 1);
-        assert!(c.get(1).is_none());
     }
 }

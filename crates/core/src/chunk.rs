@@ -21,8 +21,8 @@
 //!    must compute.
 //! 3. **Refine** (parallel) — [`refine_missing`] computes those cells.
 //! 4. **Resolve** (coordinator, leaf order) — [`resolve_unit`] aligns each
-//!    leaf's candidate cells (hits from the cache payloads, misses from the
-//!    leaf's own refinement) and applies the deferred payload updates.
+//!    leaf's candidate cells (hits read from their cache slots, misses from
+//!    the leaf's own refinement) and fills the slots its puts claimed.
 //!    [`refine_through_cache`] is phases 2–4 as one stage.
 //! 5. **Report** (parallel) — the stream's own kernel (pair reporting,
 //!    tuple extension).
@@ -90,9 +90,9 @@
 //! latches the error ([`StreamLedger::fail`]), abandons its remaining
 //! leaves and ends: everything emitted is covered by a watermark, nothing
 //! of the failing chunk was emitted — no row and, in a grouped-NN run, no
-//! settled claim — and the reuse buffer, whose policy state may have
-//! advanced past payloads that were never filled, ends with the stream:
-//! nothing hands it on. The leaf-order walk at construction goes through the same
+//! settled claim — and the reuse buffer, whose slots the failing chunk's
+//! puts may have claimed without filling, ends with the stream: nothing
+//! hands it on. The leaf-order walk at construction goes through the same
 //! latch ([`StreamLedger::start`] over [`Accounting::leaf_order`]), so a
 //! stream whose walk fails is born fail-stopped instead of panicking.
 //!
@@ -553,17 +553,18 @@ pub(crate) fn gate<'l>(logs: impl IntoIterator<Item = &'l Log>) -> Result<(), Pa
 }
 
 /// The coordinator's replacement-policy verdict for one unit: which
-/// candidates hit the reuse buffer, which must be computed (`missing`, in
-/// candidate order — exactly the cells a one-unit-at-a-time run would
-/// compute), and the deferred payload bookkeeping of the puts.
-#[derive(Default)]
+/// candidates hit the reuse buffer and in which slot, which must be computed
+/// (`missing`, in candidate order — exactly the cells a one-unit-at-a-time
+/// run would compute), and the slot each of those is kept in.
 struct UnitPlan {
-    /// Aligned with the unit's candidates: `true` when the cell was a hit.
-    hit: Vec<bool>,
+    /// Aligned with the unit's candidates: the slot of a hit, `None` for a
+    /// miss.
+    hit: Vec<Option<u32>>,
     /// Candidates whose exact cells this unit computes, in candidate order.
     missing: Vec<PointObject>,
-    /// One entry per `missing` member: `(id, evicted victim)`.
-    puts: Vec<(u64, Option<u64>)>,
+    /// Aligned with `missing`: the slot its put claimed (`None` at capacity
+    /// 0).
+    puts: Vec<Option<u32>>,
     /// What the unit's candidates did to the cache.
     counts: CellCounts,
 }
@@ -572,23 +573,28 @@ struct UnitPlan {
 /// the real cache (coordinator only, unit order) — the exact
 /// hit/miss/eviction sequence a one-unit-at-a-time run would produce.
 fn policy_pass(cache: &mut CellCache, candidates: &[PointObject]) -> UnitPlan {
-    let mut plan = UnitPlan::default();
     let evictions = cache.evictions();
-    for cand in candidates {
-        let hit = cache.policy_get(cand.id.0);
-        plan.hit.push(hit);
-        if hit {
-            plan.counts.reused += 1;
-        } else {
-            plan.counts.computed += 1;
-            plan.missing.push(*cand);
-        }
+    let hit: Vec<Option<u32>> = (candidates.iter())
+        .map(|cand| cache.policy_get(cand.id.0))
+        .collect();
+    let missing: Vec<PointObject> = (candidates.iter().zip(&hit))
+        .filter(|(_, hit)| hit.is_none())
+        .map(|(cand, _)| *cand)
+        .collect();
+    let puts = (missing.iter())
+        .map(|cand| cache.policy_put(cand.id.0))
+        .collect();
+    let counts = CellCounts {
+        computed: missing.len() as u64,
+        reused: (candidates.len() - missing.len()) as u64,
+        evicted: cache.evictions() - evictions,
+    };
+    UnitPlan {
+        hit,
+        missing,
+        puts,
+        counts,
     }
-    for m in &plan.missing {
-        plan.puts.push((m.id.0, cache.policy_put(m.id.0)));
-    }
-    plan.counts.evicted = cache.evictions() - evictions;
-    plan
 }
 
 /// Phase 3: the exact cells of every unit's `missing` candidates, computed
@@ -618,45 +624,29 @@ fn refine_missing(
     Ok(refined)
 }
 
-/// Phase 4: resolves one unit's aligned candidate cells — hits from the
-/// cache payloads, misses from the unit's freshly refined cells — applying
-/// the deferred payload updates of the unit's puts (coordinator only, unit
-/// order).
+/// Phase 4: resolves one unit's aligned candidate cells — hits from their
+/// cache slots, misses from the unit's freshly refined cells, each of which
+/// is also filled into its put's slot (coordinator only, unit order).
 fn resolve_unit(
     cache: &mut CellCache,
-    candidates: &[PointObject],
     plan: &UnitPlan,
     refined: Vec<ConvexPolygon>,
 ) -> Vec<ConvexPolygon> {
-    // Hits first: sequential gets all happen before any put, so a payload
-    // this unit's own puts evict must still serve the hits recorded before
-    // them.
-    let mut aligned: Vec<Option<ConvexPolygon>> = candidates
-        .iter()
-        .zip(&plan.hit)
-        .map(|(cand, hit)| hit.then(|| cache.resolved_payload(cand.id.0)))
+    // Hits first: sequential gets all happen before any put, so a slot this
+    // unit's own puts claim must still serve the hits recorded before them.
+    let hits: Vec<Option<ConvexPolygon>> = (plan.hit.iter())
+        .map(|hit| hit.map(|slot| cache.cell(slot).clone()))
         .collect();
-    // Apply the puts in order (victim payload drops were deferred by the
-    // policy pass), then move — not clone — each fresh cell into its slot:
-    // the cache holds the only other copy.
-    let mut fresh = refined.into_iter();
-    let mut puts = plan.puts.iter();
-    for slot in aligned.iter_mut() {
-        if slot.is_none() {
-            let cell = fresh
-                .next()
-                .expect("one refined cell per missing candidate");
-            let (id, victim) = puts.next().expect("one put per missing candidate");
-            if let Some(v) = victim {
-                cache.drop_payload(*v);
-            }
-            cache.fill_payload(*id, &cell);
-            *slot = Some(cell);
+    // Then each miss fills its put's slot and takes its fresh cell — moved,
+    // not cloned.
+    let mut fresh = refined.into_iter().zip(&plan.puts).map(|(cell, put)| {
+        if let Some(slot) = *put {
+            cache.fill(slot, &cell);
         }
-    }
-    aligned
-        .into_iter()
-        .map(|cell| cell.expect("every slot filled"))
+        cell
+    });
+    hits.into_iter()
+        .map(|hit| hit.unwrap_or_else(|| fresh.next().expect("one refined cell per miss")))
         .collect()
 }
 
@@ -689,10 +679,10 @@ pub(crate) fn refine_through_cache(
     let refined = refine_missing(acct, tree, &plans, env, scratches)?;
     lap.lap();
     let mut resolved = Vec::with_capacity(units.len());
-    for ((candidates, plan), (fresh, log, time)) in units.iter().zip(plans).zip(refined) {
+    for (plan, (fresh, log, time)) in plans.into_iter().zip(refined) {
         lap.times[Phase::Refine] += time;
         resolved.push(UnitCells {
-            cells: resolve_unit(cache, candidates, &plan, fresh),
+            cells: resolve_unit(cache, &plan, fresh),
             log,
             counts: plan.counts,
         });
@@ -708,6 +698,8 @@ mod tests {
     use cij_geom::Point;
     use cij_pagestore::{FaultKind, FaultProfile};
     use cij_rtree::RTreeConfig;
+    use cij_voronoi::CellStore;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -901,5 +893,58 @@ mod tests {
         assert_eq!(cursor.next_chunk(3), [PageId(0)]);
         cursor.abandon();
         assert!(cursor.is_exhausted());
+    }
+
+    /// A cell that names its point: the square of side `id + 1`.
+    fn tagged(id: u64) -> ConvexPolygon {
+        let side = (id + 1) as f64;
+        ConvexPolygon::from_rect(&Rect::from_coords(0.0, 0.0, side, side))
+    }
+
+    proptest! {
+        /// One chunk — every unit's policy pass, then every unit resolved in
+        /// order — serves each candidate its own cell and counts exactly
+        /// what units run one at a time through `CellStore` get/put count.
+        /// Small caches over 16 ids reach the cross-unit cases: a hit whose
+        /// id a later unit of the chunk evicts, and a unit whose own put
+        /// reclaims the slot one of its hits reads.
+        #[test]
+        fn a_chunk_serves_every_candidate_its_own_cell_and_counts_like_get_put(
+            capacity in 0usize..=5,
+            ids in proptest::collection::vec(proptest::collection::vec(0u64..16, 0..8), 1..7),
+        ) {
+            let units: Vec<Vec<PointObject>> = ids
+                .iter()
+                .map(|unit| unit.iter().map(|&id| PointObject::new(id, Point::new(0.0, 0.0))).collect())
+                .collect();
+            let mut chunked = CellCache::new(capacity);
+            let plans: Vec<UnitPlan> = units.iter().map(|unit| policy_pass(&mut chunked, unit)).collect();
+            let mut one_at_a_time = CellCache::new(capacity);
+            for (u, (unit, plan)) in units.iter().zip(&plans).enumerate() {
+                let refined = plan.missing.iter().map(|cand| tagged(cand.id.0)).collect();
+                let cells = resolve_unit(&mut chunked, plan, refined);
+                prop_assert_eq!(cells.len(), unit.len());
+                for (cand, cell) in unit.iter().zip(&cells) {
+                    prop_assert_eq!(cell, &tagged(cand.id.0), "unit {}, id {}", u, cand.id.0);
+                }
+
+                let before = (one_at_a_time.hits(), one_at_a_time.misses(), one_at_a_time.evictions());
+                let missing: Vec<u64> = unit
+                    .iter()
+                    .map(|cand| cand.id.0)
+                    .filter(|&id| one_at_a_time.get(id).is_none())
+                    .collect();
+                for id in missing {
+                    one_at_a_time.put(id, &tagged(id));
+                }
+                let counts = CellCounts {
+                    reused: one_at_a_time.hits() - before.0,
+                    computed: one_at_a_time.misses() - before.1,
+                    evicted: one_at_a_time.evictions() - before.2,
+                };
+                prop_assert_eq!(plan.counts, counts, "unit {}", u);
+            }
+            prop_assert_eq!(chunked.len(), one_at_a_time.len());
+        }
     }
 }

@@ -57,13 +57,14 @@
 //!
 //! ## The shared cell cache
 //!
-//! The Section IV-B *reuse buffer* is the bounded LRU
-//! [`CellCache`], shared by NM-CIJ, PM-CIJ and the
-//! [`multiway`] / [`grouped`] extensions through the cache-aware
-//! [`cij_voronoi::batch_voronoi`] API. Its capacity is bounded by
-//! [`CijConfig::cell_cache_capacity`]; hit/miss/eviction counts surface
-//! through each query's [`QueryProfile`] and the shared
-//! [`cij_pagestore::IoStats`].
+//! The Section IV-B *reuse buffer* is the bounded LRU [`CellCache`], one
+//! per query and input set. NM-CIJ and the [`multiway`] / [`grouped`]
+//! extensions reach it through the chunk protocol's policy, refine and
+//! resolve stages; PM-CIJ keeps none, because it never asks for a cell
+//! twice (see [`pm`]). Its capacity is bounded by
+//! [`CijConfig::cell_cache_capacity`]; the cache counts its own
+//! hits, misses and evictions, and each query's [`QueryProfile`] reports
+//! them per input set.
 //!
 //! ## What a query reports about itself
 //!

@@ -16,10 +16,9 @@
 //! Evaluation is driven by the leaves of the **driver** set's R-tree,
 //! walked in Hilbert order exactly like the outer loop of binary NM-CIJ.
 //! The driver is picked by a cost model over tree metadata —
-//! [`MultiwayWorkload::estimated_driver_cost`], estimated leaves of the
-//! driver × summed fan-out of the extension sets; cost ties fall to the
-//! lowest set index. The remaining sets are probed in input order. One leaf
-//! unit flows through `k` rounds:
+//! [`pick_driver`], estimated leaves of the driver × summed fan-out of the
+//! extension sets; cost ties fall to the lowest set index. The remaining
+//! sets are probed in input order. One leaf unit flows through `k` rounds:
 //!
 //! * **Seed (round 0)**: the Voronoi cells of the leaf's points are computed
 //!   with BatchVoronoi *through the driver set's [`CellCache`]* — the
@@ -116,7 +115,7 @@
 //! [`CellCache`]: crate::cell_cache::CellCache
 //! [`ClipScratch`]: cij_geom::ClipScratch
 //! [`CijConfig::worker_threads`]: crate::config::CijConfig::worker_threads
-//! [`MultiwayWorkload::estimated_driver_cost`]: crate::workload::MultiwayWorkload::estimated_driver_cost
+//! [`pick_driver`]: crate::workload::pick_driver
 
 use crate::cell_cache::CellCache;
 use crate::chunk::{
@@ -158,7 +157,7 @@ pub struct MultiwayOutcome {
     /// Per-leaf watermarks, one per leaf of the driving tree.
     pub watermarks: Vec<LeafWatermark>,
     /// The input-set index whose tree drove the evaluation (see
-    /// [`MultiwayWorkload::pick_driver`]).
+    /// [`pick_driver`]).
     pub driver: usize,
 }
 
@@ -333,18 +332,16 @@ impl<'a> TupleStream<'a> {
     /// Stream over an exclusive workload, in the configured execution mode,
     /// driven by the cost model's pick.
     pub(crate) fn new(workload: &'a mut MultiwayWorkload, config: CijConfig) -> Self {
-        let driver = workload.pick_driver();
+        let driver = pick_driver(&workload.trees.iter().collect::<Vec<_>>());
         Self::with_driver(workload, driver, config)
     }
 
     /// [`TupleStream::new`] at a given driver set — also the pin for tests
-    /// that compare plans. Cell-cache hit/miss/eviction events are CPU-side
-    /// bookkeeping, not page I/O — both modes mirror them into the
-    /// workload's shared stats so cache behaviour stays harness-observable.
+    /// that compare plans.
     fn with_driver(workload: &'a mut MultiwayWorkload, driver: usize, config: CijConfig) -> Self {
         let stats = workload.stats.clone();
         let caches = (0..workload.k())
-            .map(|_| CellCache::with_stats(config.cell_cache_capacity, stats.clone()))
+            .map(|_| CellCache::new(config.cell_cache_capacity))
             .collect();
         let trees = workload.trees.iter_mut().collect();
         let acct = Accounting::exclusive(config.exec_mode, trees, &stats);
@@ -976,7 +973,10 @@ mod tests {
         assert_eq!(cost_based.sorted_ids(), oracle);
         // The cost-based choice matches the workload's own ranking.
         let w = MultiwayWorkload::build(&sets, &config);
-        assert_eq!(cost_based.driver, w.pick_driver());
+        assert_eq!(
+            cost_based.driver,
+            pick_driver(&w.trees.iter().collect::<Vec<_>>())
+        );
     }
 
     /// On asymmetric clustered sets (set `i` holds `n / (i + 1)` points, so
@@ -1030,7 +1030,11 @@ mod tests {
     /// counts as of each driver leaf.
     fn work_leaf_by_leaf(sets: &[Vec<Point>], config: &CijConfig) -> Vec<WorkCounts> {
         let mut w = MultiwayWorkload::build(sets, config);
-        let (driver, k, domain) = (w.pick_driver(), w.k(), config.domain);
+        let (driver, k, domain) = (
+            pick_driver(&w.trees.iter().collect::<Vec<_>>()),
+            w.k(),
+            config.domain,
+        );
         let capacity = config.cell_cache_capacity;
         let mut caches: Vec<CellCache> = (0..k).map(|_| CellCache::new(capacity)).collect();
         let UnitScratch { vor, filter, .. } = &mut UnitScratch::default();
@@ -1257,7 +1261,7 @@ mod tests {
         let mut w = MultiwayWorkload::build(&sets, &config);
         // Corrupt a mid-run driver leaf so some tuples flow before the
         // failure.
-        let driver = w.pick_driver();
+        let driver = pick_driver(&w.trees.iter().collect::<Vec<_>>());
         let driver = &mut w.trees[driver];
         let leaves = SnapshotReader::new(driver).leaf_pages_hilbert_order(&config.domain);
         let target = leaves[leaves.len() / 2];

@@ -44,9 +44,10 @@
 //! states live there. What is specific to pairs is the unit itself: one
 //! `RQ` leaf, two trees, one cache, and the false-hit bookkeeping of
 //! Figure 10. Algorithm 6 verbatim — counted reads through the two trees'
-//! LRU buffers, one leaf at a time, cells through the cache's `CellStore`
-//! get/put — lives on in this module's tests as the reference every
-//! configuration is compared against.
+//! LRU buffers, one leaf at a time, each cell through the cache's
+//! `CellStore` get/put as it is needed — lives on in this module's tests
+//! as the reference every configuration is compared against; the stream
+//! takes the same cache decisions by slot, a chunk at a time.
 //!
 //! A grouped-NN run ([`crate::grouped`]: the same stream `with_locations`)
 //! gathers its claims in the same report walk (`report_leaf`): an ordered
@@ -138,13 +139,10 @@ pub(crate) struct NmPairIter<'a> {
 
 impl<'a> NmPairIter<'a> {
     /// Builds the iterator over an exclusive workload, in the configured
-    /// execution mode. The reuse buffer mirrors its hit/miss/eviction
-    /// events into the workload's shared stats in both modes: cache traffic
-    /// is a CPU-side resource, not page I/O, so it stays harness-visible
-    /// without touching any buffer.
+    /// execution mode.
     pub(crate) fn new(workload: &'a mut Workload, config: CijConfig) -> Self {
         let stats = workload.stats.clone();
-        let cache = CellCache::with_stats(config.cell_cache_capacity, stats.clone());
+        let cache = CellCache::new(config.cell_cache_capacity);
         let trees = vec![&mut workload.rp, &mut workload.rq];
         let acct = Accounting::exclusive(config.exec_mode, trees, &stats);
         Self::start(acct, cache, &config)

@@ -37,12 +37,10 @@ pub(crate) fn pm_cij(workload: &mut Workload, config: &CijConfig) -> CijOutcome 
     let mut pairs: Vec<(u64, u64)> = Vec::new();
     let mut progress: Vec<ProgressSample> = Vec::new();
 
-    // PM goes through the same cache-aware batch API as NM and the
-    // extensions, but with `NoCache`: leaf groups of RQ are disjoint, so no
-    // cell is ever requested twice — exactly like NM's own Q-cell step,
-    // which is also uncached. Keeping the store out of the stats avoids
-    // recording structurally-unavoidable computations as reuse-buffer
-    // misses.
+    // PM computes Q's cells with `NoCache`: leaf groups of RQ are
+    // disjoint, so no cell is ever requested twice — exactly like NM's own
+    // Q-cell step, which is also uncached. A reuse buffer here would only
+    // count structurally unavoidable computations as misses.
     let mut cell_cache = NoCache;
     let mut scratch = VorScratch::for_budget(workload.rq.config().node_byte_budget());
 

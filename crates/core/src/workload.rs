@@ -104,8 +104,8 @@ fn build_input_tree(points: &[Point], config: &CijConfig, stats: &IoStats) -> RT
 #[derive(Debug)]
 pub struct MultiwayWorkload {
     /// One R-tree per input pointset, in input order. The driver tree —
-    /// picked by [`MultiwayWorkload::pick_driver`] — drives the leaf units
-    /// of the multiway evaluation.
+    /// picked by [`pick_driver`] — drives the leaf units of the multiway
+    /// evaluation.
     pub trees: Vec<RTree<PointObject>>,
     /// Shared I/O counters of all trees.
     pub stats: IoStats,
@@ -136,33 +136,6 @@ impl MultiwayWorkload {
         self.trees.len()
     }
 
-    /// Estimated evaluation cost of driving the multiway join with set
-    /// `driver` — see [`estimated_driver_cost`], the free function this
-    /// delegates to (it also serves shared-snapshot evaluations that have
-    /// only a tree slice, no workload).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `driver >= k`.
-    pub fn estimated_driver_cost(&self, driver: usize) -> f64 {
-        let refs: Vec<&RTree<PointObject>> = self.trees.iter().collect();
-        estimated_driver_cost(&refs, driver)
-    }
-
-    /// The cheapest driver under [`MultiwayWorkload::estimated_driver_cost`];
-    /// ties resolve to the lowest set index, so symmetric workloads pick
-    /// set 0. Delegates to [`pick_driver`].
-    pub fn pick_driver(&self) -> usize {
-        let refs: Vec<&RTree<PointObject>> = self.trees.iter().collect();
-        pick_driver(&refs)
-    }
-
-    /// The traversal lower bound for the multiway CIJ on this workload:
-    /// reading every tree exactly once.
-    pub fn lower_bound_io(&self) -> u64 {
-        self.trees.iter().map(|t| t.num_pages() as u64).sum()
-    }
-
     /// Combined backend byte counters of all input trees: the bytes
     /// actually transferred by their storage backends. The multiway join
     /// touches only these trees, so `bytes_read == physical_reads ×
@@ -185,27 +158,12 @@ impl MultiwayWorkload {
 }
 
 /// Estimated evaluation cost of driving a multiway join over `trees` with
-/// set `driver`: the driver contributes one leaf unit per leaf of its tree,
-/// and every unit pays one probe round per extension set whose work scales
-/// with that set's fan-out (average entries per page — the candidate volume
-/// a localised batch probe returns).
-///
-/// `cost(d) = leaves(d) × (1 + Σ_{i≠d} fanout(i))` — the `1` is the unit's
-/// own seed round — using `num_pages` as the leaf-count estimate (leaves
-/// dominate a bulk-loaded tree): pure O(1) tree metadata, no page accesses.
-/// The model only needs to *rank* drivers: what matters is that a tree with
-/// fewer leaves seeds fewer units and that large sets are cheaper to drive
-/// than to probe.
-///
-/// A free function over borrowed trees (rather than a [`MultiwayWorkload`]
-/// method) so shared-snapshot evaluations — which hold only references
-/// into a snapshot, possibly a non-contiguous subset of its sets — plan
-/// with the identical model.
+/// set `driver`: the model [`pick_driver`] ranks drivers by.
 ///
 /// # Panics
 ///
 /// Panics if `driver >= trees.len()`.
-pub fn estimated_driver_cost(trees: &[&RTree<PointObject>], driver: usize) -> f64 {
+fn estimated_driver_cost(trees: &[&RTree<PointObject>], driver: usize) -> f64 {
     assert!(driver < trees.len(), "driver index {driver} out of range");
     let leaves = trees[driver].num_pages() as f64;
     let extension_fanout: f64 = trees
@@ -217,8 +175,24 @@ pub fn estimated_driver_cost(trees: &[&RTree<PointObject>], driver: usize) -> f6
     leaves * (1.0 + extension_fanout)
 }
 
-/// The cheapest driver for `trees` under [`estimated_driver_cost`]; ties
-/// resolve to the lowest set index.
+/// The cheapest driver for `trees` under an estimated evaluation cost;
+/// ties resolve to the lowest set index.
+///
+/// The driver contributes one leaf unit per leaf of its tree, and every
+/// unit pays one probe round per extension set whose work scales with that
+/// set's fan-out (average entries per page — the candidate volume a
+/// localised batch probe returns):
+/// `cost(d) = leaves(d) × (1 + Σ_{i≠d} fanout(i))` — the `1` is the unit's
+/// own seed round — using `num_pages` as the leaf-count estimate (leaves
+/// dominate a bulk-loaded tree): pure O(1) tree metadata, no page accesses.
+/// The model only needs to *rank* drivers: what matters is that a tree with
+/// fewer leaves seeds fewer units and that large sets are cheaper to drive
+/// than to probe.
+///
+/// A function over borrowed trees (rather than a [`MultiwayWorkload`]
+/// method) so shared-snapshot evaluations — which hold only references
+/// into a snapshot, possibly a non-contiguous subset of its sets — plan
+/// with the identical model.
 ///
 /// # Panics
 ///
@@ -325,10 +299,7 @@ mod tests {
             w.trees[0].buffer_pages(),
             config.buffer_pages_for(w.trees[0].num_pages())
         );
-        assert_eq!(
-            w.lower_bound_io(),
-            w.trees.iter().map(|t| t.num_pages() as u64).sum::<u64>()
-        );
+        assert!(w.trees.iter().all(|t| cij_voronoi::lower_bound_io(t) > 0));
     }
 
     #[test]
@@ -349,12 +320,13 @@ mod tests {
             random_points(200, 23),
         ];
         let w = MultiwayWorkload::build(&sets, &config);
+        let trees: Vec<&RTree<PointObject>> = w.trees.iter().collect();
         assert_eq!(
-            w.pick_driver(),
+            pick_driver(&trees),
             2,
             "the set with the fewest leaves is the cheapest driver"
         );
-        assert!(w.estimated_driver_cost(2) < w.estimated_driver_cost(0));
+        assert!(estimated_driver_cost(&trees, 2) < estimated_driver_cost(&trees, 0));
         // The choice costs no page accesses: pure metadata.
         assert_eq!(w.stats.snapshot().page_accesses(), 0);
     }
@@ -368,7 +340,7 @@ mod tests {
         // Identical sets → identical costs → lowest index wins.
         let points = random_points(400, 24);
         let w = MultiwayWorkload::build(&[points.clone(), points.clone(), points], &config);
-        assert_eq!(w.pick_driver(), 0);
+        assert_eq!(pick_driver(&w.trees.iter().collect::<Vec<_>>()), 0);
     }
 
     #[test]

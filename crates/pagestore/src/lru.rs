@@ -194,6 +194,14 @@ impl LruBuffer {
         self.index.get(key).is_some()
     }
 
+    /// The slot a resident key occupies (does not update recency): fixed
+    /// from the key's admission to its eviction, then handed to the key
+    /// admitted in its place. A caller keeping payloads beside the buffer
+    /// indexes them by it.
+    pub fn slot_of(&self, key: u64) -> Option<u32> {
+        self.index.get(key)
+    }
+
     /// Touches a page for reading or writing, admitting it if necessary and
     /// evicting the least-recently-used page when the buffer is full.
     ///
@@ -431,6 +439,7 @@ mod tests {
                     prop_assert_eq!(buffer.capacity(), model.capacity);
                     for probe in 0..12 {
                         prop_assert_eq!(buffer.contains(probe), members.contains(&probe));
+                        prop_assert_eq!(buffer.slot_of(probe).is_some(), members.contains(&probe));
                     }
                 }
             }

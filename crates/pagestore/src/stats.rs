@@ -12,7 +12,7 @@
 //!   has a single total modification order, so relaxed read-modify-writes
 //!   never lose events — per-counter totals are exact regardless of thread
 //!   interleaving (exercised by `stats_handles_are_send_and_sync`).
-//! * **Snapshot loads** ([`IoStats::snapshot`], eight relaxed loads): the
+//! * **Snapshot loads** ([`IoStats::snapshot`], five relaxed loads): the
 //!   snapshot is *not* an atomic cut — it may tear across counters while
 //!   writers are active (a `logical_reads` increment visible while its
 //!   paired `buffer_hits` increment is not). Each value is still exact and
@@ -58,9 +58,6 @@ struct Counters {
     logical_reads: AtomicU64,
     logical_writes: AtomicU64,
     buffer_hits: AtomicU64,
-    cell_cache_hits: AtomicU64,
-    cell_cache_misses: AtomicU64,
-    cell_cache_evictions: AtomicU64,
 }
 
 /// A point-in-time copy of the counters, used to compute per-phase deltas.
@@ -76,14 +73,6 @@ pub struct IoSnapshot {
     pub logical_writes: u64,
     /// Logical reads served from the buffer.
     pub buffer_hits: u64,
-    /// Voronoi-cell requests served from a `CellCache`-style reuse buffer
-    /// (cells are a CPU-side resource, so these do not count as page
-    /// accesses — they *avoid* them).
-    pub cell_cache_hits: u64,
-    /// Voronoi-cell requests that required an exact cell computation.
-    pub cell_cache_misses: u64,
-    /// Cells evicted from the bounded reuse buffer.
-    pub cell_cache_evictions: u64,
 }
 
 impl IoSnapshot {
@@ -101,13 +90,6 @@ impl IoSnapshot {
             logical_reads: self.logical_reads.saturating_sub(earlier.logical_reads),
             logical_writes: self.logical_writes.saturating_sub(earlier.logical_writes),
             buffer_hits: self.buffer_hits.saturating_sub(earlier.buffer_hits),
-            cell_cache_hits: self.cell_cache_hits.saturating_sub(earlier.cell_cache_hits),
-            cell_cache_misses: self
-                .cell_cache_misses
-                .saturating_sub(earlier.cell_cache_misses),
-            cell_cache_evictions: self
-                .cell_cache_evictions
-                .saturating_sub(earlier.cell_cache_evictions),
         }
     }
 
@@ -149,28 +131,11 @@ impl IoStats {
         self.inner.physical_writes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a Voronoi cell served from a reuse buffer.
-    pub fn record_cell_cache_hit(&self) {
-        self.inner.cell_cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a Voronoi-cell request that had to be computed.
-    pub fn record_cell_cache_miss(&self) {
-        self.inner.cell_cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a cell evicted from a bounded reuse buffer.
-    pub fn record_cell_cache_eviction(&self) {
-        self.inner
-            .cell_cache_evictions
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Current counter values.
     ///
     /// # Consistency contract
     ///
-    /// The snapshot is built from eight independent relaxed loads, **not**
+    /// The snapshot is built from five independent relaxed loads, **not**
     /// an atomic cut across all counters: if other threads are recording
     /// events concurrently, the copy may mix "before" and "after" values of
     /// different counters (e.g. a `logical_reads` increment visible while
@@ -192,15 +157,7 @@ impl IoStats {
             logical_reads: self.inner.logical_reads.load(Ordering::Relaxed),
             logical_writes: self.inner.logical_writes.load(Ordering::Relaxed),
             buffer_hits: self.inner.buffer_hits.load(Ordering::Relaxed),
-            cell_cache_hits: self.inner.cell_cache_hits.load(Ordering::Relaxed),
-            cell_cache_misses: self.inner.cell_cache_misses.load(Ordering::Relaxed),
-            cell_cache_evictions: self.inner.cell_cache_evictions.load(Ordering::Relaxed),
         }
-    }
-
-    /// Total physical page accesses so far.
-    pub fn page_accesses(&self) -> u64 {
-        self.snapshot().page_accesses()
     }
 
     /// Resets every counter to zero.
@@ -215,9 +172,6 @@ impl IoStats {
         self.inner.logical_reads.store(0, Ordering::Relaxed);
         self.inner.logical_writes.store(0, Ordering::Relaxed);
         self.inner.buffer_hits.store(0, Ordering::Relaxed);
-        self.inner.cell_cache_hits.store(0, Ordering::Relaxed);
-        self.inner.cell_cache_misses.store(0, Ordering::Relaxed);
-        self.inner.cell_cache_evictions.store(0, Ordering::Relaxed);
     }
 }
 
@@ -295,29 +249,8 @@ mod tests {
         let s = IoStats::new();
         s.record_miss();
         s.record_physical_write();
-        s.record_cell_cache_hit();
         s.reset();
         assert_eq!(s.snapshot(), IoSnapshot::default());
-    }
-
-    #[test]
-    fn cell_cache_counters_accumulate_and_delta() {
-        let s = IoStats::new();
-        s.record_cell_cache_miss();
-        let before = s.snapshot();
-        s.record_cell_cache_hit();
-        s.record_cell_cache_hit();
-        s.record_cell_cache_miss();
-        s.record_cell_cache_eviction();
-        let snap = s.snapshot();
-        assert_eq!(snap.cell_cache_hits, 2);
-        assert_eq!(snap.cell_cache_misses, 2);
-        assert_eq!(snap.cell_cache_evictions, 1);
-        // Cell-cache traffic never counts as page accesses.
-        assert_eq!(snap.page_accesses(), 0);
-        let delta = snap.since(&before);
-        assert_eq!(delta.cell_cache_misses, 1);
-        assert_eq!(delta.cell_cache_hits, 2);
     }
 
     #[test]

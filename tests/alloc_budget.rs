@@ -24,8 +24,10 @@ use cij_bench::allocations;
 /// uniqueness guard. Re-measured in PR 22 the join spends 6.87 here (5.87
 /// with `--release`, 6.88 under the transient fault profile); the per-tuple
 /// `Vec`s and per-clip outlines of the allocating extension step it
-/// replaced measured 22.9.
-const MAX_ALLOCATIONS_PER_TUPLE: f64 = 8.0;
+/// replaced measured 22.9. Since the reuse buffers keep their cells in the
+/// LRU's slots, with no id-keyed map beside them, and each unit's cache plan
+/// is collected at its exact size: 6.60 (5.60 with `--release`).
+const MAX_ALLOCATIONS_PER_TUPLE: f64 = 7.0;
 
 /// Allocations per emitted pair binary NM-CIJ may spend. The floor is the
 /// exact cells BatchVoronoi returns and the copies the reuse buffer keeps,
@@ -38,7 +40,9 @@ const MAX_ALLOCATIONS_PER_TUPLE: f64 = 8.0;
 /// 2.79 (debug and `--release` alike, 2.80 under the transient fault
 /// profile): the tables' and join marks' growth to their high-water mark,
 /// less the per-leaf box vector they replaced, over this run's 15 leaves.
-const MAX_ALLOCATIONS_PER_PAIR: f64 = 3.5;
+/// With the reuse buffer's cells in its LRU slots and exact-size cache
+/// plans: 2.48, debug and `--release` alike.
+const MAX_ALLOCATIONS_PER_PAIR: f64 = 3.0;
 
 /// Allocations per emitted pair the same binary join may spend metered at
 /// one worker: the fast floor less the cold decodes of pages the buffer
@@ -49,7 +53,9 @@ const MAX_ALLOCATIONS_PER_PAIR: f64 = 3.5;
 /// With the report's edge tables: 2.63 (all three alike). Since a replayed
 /// miss admits the page its reader pinned instead of decoding it again
 /// (PR 42): 2.30, debug and `--release` alike.
-const MAX_ALLOCATIONS_PER_METERED_PAIR: f64 = 2.35;
+/// With the reuse buffer's cells in its LRU slots and exact-size cache
+/// plans: 2.28.
+const MAX_ALLOCATIONS_PER_METERED_PAIR: f64 = 2.3;
 
 /// Allocations a second `batch_voronoi` over one 41-point leaf group
 /// may spend on the scratch the first call warmed: what the returned cells

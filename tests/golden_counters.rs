@@ -351,9 +351,6 @@ impl Table {
             ("logical_reads", io.logical_reads),
             ("logical_writes", io.logical_writes),
             ("buffer_hits", io.buffer_hits),
-            ("cell_cache_hits", io.cell_cache_hits),
-            ("cell_cache_misses", io.cell_cache_misses),
-            ("cell_cache_evictions", io.cell_cache_evictions),
         ] {
             self.put(case, &format!("{what}.{metric}"), value);
         }

@@ -90,18 +90,11 @@ fn bounded_cache_stays_within_capacity_while_still_reusing() {
     let p = uniform_points(400, &Rect::DOMAIN, 9007);
     let q = uniform_points(400, &Rect::DOMAIN, 9008);
     let outcome = engine.join(&p, &q, Algorithm::NmCij);
-    // Reuse still happens under a tight bound...
+    // Reuse still happens under a tight bound.
     assert!(
         outcome.profile.work.cells[0].reused > 0,
         "no reuse despite neighbouring leaves"
     );
-    // ...and the workload-wide stats expose the same cache events.
-    let mut w = engine.build_workload(&p, &q);
-    let stats = w.stats.clone();
-    let _ = engine.run(&mut w, Algorithm::NmCij);
-    let snap = stats.snapshot();
-    assert_eq!(snap.cell_cache_hits, outcome.profile.work.cells[0].reused);
-    assert!(snap.cell_cache_misses >= outcome.profile.work.cells[0].computed);
 }
 
 /// The non-blocking guard: pulling the first pair from the NM-CIJ stream
