@@ -17,12 +17,13 @@
 //! buffer), and each resident cell is kept in the buffer slot its id
 //! occupies: one table, nothing mirrored.
 //!
-//! The product joins reach the cache through the chunk protocol's policy,
-//! refine and resolve stages (NM-CIJ and the multiway extension; PM-CIJ
-//! keeps no cells, see [`crate::pm`]). The cache also implements
-//! [`cij_voronoi::CellStore`], the one-lookup-at-a-time get/put of
-//! Algorithm 6 as [`cij_voronoi::batch_voronoi`] takes it. The cache counts
-//! its own hits, misses and evictions; a query's
+//! The product joins reach the cache through the chunk protocol's probe
+//! stage, one cache per probed set (NM-CIJ's `P`, the multiway join's
+//! extension sets; a driving set's cells are computed once each and need
+//! no buffer, and PM-CIJ keeps no cells, see [`crate::pm`]). The cache
+//! also implements [`cij_voronoi::CellStore`], the one-lookup-at-a-time
+//! get/put of Algorithm 6 as [`cij_voronoi::batch_voronoi`] takes it. The
+//! cache counts its own hits, misses and evictions; a query's
 //! [`QueryProfile`](crate::stats::QueryProfile) reports them per set.
 
 use cij_geom::ConvexPolygon;
@@ -130,19 +131,6 @@ impl CacheLease {
     /// Builds the private cache this lease pays for.
     pub fn new_cache(&self) -> CellCache {
         CellCache::new(self.cells)
-    }
-
-    /// Splits this lease's capacity into `k` private caches — one per input
-    /// set of a multiway query — each receiving an equal `cells / k` share.
-    /// The shares sum to at most [`CacheLease::cells`], so the aggregate
-    /// residency bound is preserved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero.
-    pub fn split_caches(&self, k: usize) -> Vec<CellCache> {
-        assert!(k > 0, "a multiway query has at least one set");
-        (0..k).map(|_| CellCache::new(self.cells / k)).collect()
     }
 }
 

@@ -12,24 +12,36 @@
 //!
 //! # Phases of one chunk
 //!
-//! 1. **Scan** (parallel, per leaf) — read the leaf and run the traversals
-//!    that need no cache (nm: Q cells + conditional filter; multiway: the
-//!    leaf read, then per extension round one filter call per leaf).
-//! 2. **Cache policy** (coordinator, leaf order) — [`policy_pass`] decides
-//!    every hit, miss and eviction on the real [`CellCache`] from the
-//!    candidate *ids* alone, which fixes the exact set of cells each leaf
-//!    must compute.
-//! 3. **Refine** (parallel) — [`refine_missing`] computes those cells.
-//! 4. **Resolve** (coordinator, leaf order) — [`resolve_unit`] aligns each
-//!    leaf's candidate cells (hits read from their cache slots, misses from
-//!    the leaf's own refinement) and fills the slots its puts claimed.
-//!    [`refine_through_cache`] is phases 2–4 as one stage.
-//! 5. **Report** (parallel) — the stream's own kernel (pair reporting,
+//! Two stages hold every step both streams take; the streams keep only
+//! their own kernel and the order they call the stages in (nm: seed `RQ`,
+//! probe `RP`, report pairs; multiway: seed the driver, then per extension
+//! set probe it and narrow the tuples).
+//!
+//! 1. **Seed** ([`seed_leaves`], parallel, per leaf) — read the leaf of the
+//!    driving tree and compute its points' exact cells without the reuse
+//!    buffer: every point of the driving tree lies in exactly one leaf, so a
+//!    buffer there would never hit.
+//! 2. **Probe** ([`probe_round`], once per probed set) — the leaves' regions
+//!    (nm: the seed cells; multiway: the live partial regions) against one
+//!    more tree:
+//!    * *filter* (parallel, per leaf with regions) — one batch conditional
+//!      filter call carrying all of the leaf's regions;
+//!    * *cache policy* (coordinator, leaf order) — [`policy_pass`] decides
+//!      every hit, miss and eviction on the set's real [`CellCache`] from
+//!      the candidate *ids* alone, which fixes the exact set of cells each
+//!      leaf must compute;
+//!    * *refine* (parallel) — [`refine_missing`] computes those cells;
+//!    * *resolve* (coordinator, leaf order) — [`resolve_unit`] aligns each
+//!      leaf's candidate cells (hits read from their cache slots, misses
+//!      from the leaf's own refinement) and fills the slots its puts
+//!      claimed.
+//! 3. **Report** (parallel) — the stream's own kernel (pair reporting,
 //!    tuple extension).
-//! 6. **Settle + emit** (coordinator, leaf order) — each leaf's deferred
+//! 4. **Settle + emit** (coordinator, leaf order) — each leaf's deferred
 //!    read accounting is settled ([`Accounting::settle`]), its work counts
-//!    folded and its checkpoint recorded ([`StreamLedger::record_leaf`]),
-//!    and its rows enqueued.
+//!    folded (a seed's cells all computed, [`LeafProbe::fold`]) and its
+//!    checkpoint recorded ([`StreamLedger::record_leaf`]), and its rows
+//!    enqueued.
 //!
 //! Both streams hold one [`StreamLedger`] by value — progress samples,
 //! watermarks, the query's [`QueryProfile`], the fail-stop latch — and
@@ -71,19 +83,19 @@
 //!   (buffer-simulated physical accesses vs logical snapshot reads).
 //! * **Cache policy is sequential on ids, payloads are computed in
 //!   parallel.** Which candidates hit depends only on the id sequence in
-//!   leaf order, never on the polygons, so phase 2 reproduces the
-//!   sequential hit/miss/evict sequence and phase 3 computes the same cells
-//!   (through the same traversals, hence the same logs) a sequential run
-//!   would.
+//!   leaf order, never on the polygons, so the policy pass reproduces the
+//!   sequential hit/miss/evict sequence and the refine computes the same
+//!   cells (through the same traversals, hence the same logs) a sequential
+//!   run would.
 //! * **Ordered reassembly.** [`run_ordered_units`] returns results in
-//!   unit order and phase 6 walks leaves in order.
+//!   unit order and the emit walks leaves in order.
 //!
 //! # Fail-stop gates
 //!
 //! Readers never return errors: a failed read latches into the reader's
 //! log and serves an empty leaf, so whatever the traversal computed after
 //! it is garbage. Every parallel phase is therefore followed by a gate
-//! ([`gate`], built into [`refine_missing`]) that turns the first latched
+//! ([`gate`], built into both stages) that turns the first latched
 //! error in leaf order into `Err` *before* its outputs feed the next
 //! phase. Settling a log reads nothing and cannot fail, so a join's storage
 //! errors arise only at a worker's read, behind a gate. On `Err` the stream
@@ -114,7 +126,7 @@
 
 use crate::cell_cache::CellCache;
 use crate::config::{CijConfig, ExecMode};
-use crate::filter::FilterScratch;
+use crate::filter::{batch_conditional_filter_scratch, FilterOptions, FilterScratch, FilterStats};
 use crate::stats::{
     CellCounts, Lap, LeafWatermark, Phase, ProgressSample, QueryProfile, WorkCounts,
 };
@@ -452,18 +464,6 @@ impl UnitScratch {
     }
 }
 
-/// Runs `f(0..n)` on a scoped pool of at most `workers` threads and returns
-/// the results in index order — [`run_ordered_scratch`] for phases that
-/// need no scratch.
-pub(crate) fn run_ordered<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    // Zero-sized elements: the vector does not allocate.
-    run_ordered_scratch(&mut vec![(); workers.max(1)], n, |i, ()| f(i))
-}
-
 /// Runs `f(i, scratch)` for `i` in `0..n` on a scoped pool of at most
 /// `scratches.len()` threads and returns the results in index order —
 /// [`run_ordered_units`] for phases whose units carry no slot of their own.
@@ -569,7 +569,7 @@ struct UnitPlan {
     counts: CellCounts,
 }
 
-/// Phase 2: runs the replacement policy of one unit over `candidates` on
+/// Cache policy: runs the replacement policy of one unit over `candidates` on
 /// the real cache (coordinator only, unit order) — the exact
 /// hit/miss/eviction sequence a one-unit-at-a-time run would produce.
 fn policy_pass(cache: &mut CellCache, candidates: &[PointObject]) -> UnitPlan {
@@ -597,7 +597,7 @@ fn policy_pass(cache: &mut CellCache, candidates: &[PointObject]) -> UnitPlan {
     }
 }
 
-/// Phase 3: the exact cells of every unit's `missing` candidates, computed
+/// Refine: the exact cells of every unit's `missing` candidates, computed
 /// in parallel over snapshot readers of tree `tree` (each worker on its own
 /// Voronoi scratch), each with the unit's time, and the phase's fail-stop
 /// gate: cells refined from an error-empty read would be geometrically
@@ -624,7 +624,7 @@ fn refine_missing(
     Ok(refined)
 }
 
-/// Phase 4: resolves one unit's aligned candidate cells — hits from their
+/// Resolve: one unit's aligned candidate cells — hits from their
 /// cache slots, misses from the unit's freshly refined cells, each of which
 /// is also filled into its put's slot (coordinator only, unit order).
 fn resolve_unit(
@@ -650,45 +650,144 @@ fn resolve_unit(
         .collect()
 }
 
-/// One unit's outcome of [`refine_through_cache`].
-pub(crate) struct UnitCells {
-    /// Exact cells, aligned with the unit's candidates.
+/// One leaf of a driving tree after [`seed_leaves`].
+pub(crate) struct Seed {
+    /// The leaf's points.
+    pub(crate) group: Vec<PointObject>,
+    /// Their exact cells, aligned with `group`.
     pub(crate) cells: Vec<ConvexPolygon>,
-    /// Deferred read accounting of the unit's refinement.
+    /// Deferred read accounting of the leaf read and the cells.
     pub(crate) log: Log,
-    /// What the unit's candidates did to the cache.
-    pub(crate) counts: CellCounts,
+    time: Duration,
 }
 
-/// Phases 2–4 for one tree and its cache: the exact cells of every unit's
-/// candidates (`units` in leaf order), served through `cache` with the
-/// hit/miss/eviction sequence — and therefore the set of cells actually
-/// computed — of a one-unit-at-a-time run. Its time goes to the
-/// coordinator's `lap` as [`Phase::Refine`].
-pub(crate) fn refine_through_cache(
+/// The seed stage: reads each leaf of `chunk` from tree `tree` and computes
+/// its points' exact cells with [`NoCache`], in parallel, then the gate.
+/// Every point of a driving tree lies in exactly one leaf, so a reuse
+/// buffer would never hit. Its time goes to `lap` as [`Phase::Scan`].
+pub(crate) fn seed_leaves(
     acct: &Accounting<'_>,
     tree: usize,
-    cache: &mut CellCache,
-    units: &[&[PointObject]],
+    chunk: &[PageId],
     env: &UnitEnv,
     scratches: &mut [UnitScratch],
     lap: &mut Lap,
-) -> Result<Vec<UnitCells>, PageIoError> {
-    let plans: Vec<UnitPlan> = units.iter().map(|c| policy_pass(cache, c)).collect();
+) -> Result<Vec<Seed>, PageIoError> {
+    let seeds: Vec<Seed> = run_ordered_scratch(scratches, chunk.len(), |i, scratch| {
+        let mut unit = Lap::start();
+        let mut reader = acct.reader(tree);
+        let group = reader.read(chunk[i]).objects;
+        let cells = if group.is_empty() {
+            Vec::new()
+        } else {
+            batch_voronoi(
+                &mut reader,
+                &group,
+                &env.domain,
+                &mut NoCache,
+                &mut scratch.vor,
+            )
+        };
+        Seed {
+            group,
+            cells,
+            log: reader.finish(),
+            time: unit.lap(),
+        }
+    });
+    lap.lap();
+    seeds
+        .iter()
+        .for_each(|seed| lap.times[Phase::Scan] += seed.time);
+    gate(seeds.iter().map(|seed| &seed.log))?;
+    Ok(seeds)
+}
+
+/// One leaf's probe of one set ([`probe_round`]).
+#[derive(Default)]
+pub(crate) struct LeafProbe {
+    /// Whether the leaf had regions, and so made a filter call.
+    probed: bool,
+    /// The filter's candidates.
+    pub(crate) candidates: Vec<PointObject>,
+    /// Their exact cells, aligned with `candidates`.
+    pub(crate) cells: Vec<ConvexPolygon>,
+    filter: FilterStats,
+    /// What the candidates did to the set's reuse buffer.
+    counts: CellCounts,
+    /// Deferred read accounting of the filter call, then of the refinement.
+    pub(crate) filter_log: Log,
+    pub(crate) refine_log: Log,
+    time: Duration,
+}
+
+impl LeafProbe {
+    /// Folds the probe into the work counts of its leaf as set `set`'s.
+    pub(crate) fn fold(&self, set: usize, work: &mut WorkCounts) {
+        work.filter_calls += u64::from(self.probed);
+        work.filter_candidates += self.candidates.len() as u64;
+        work.filter.absorb(&self.filter);
+        work.cells[set] = self.counts;
+    }
+}
+
+/// The probe stage: one batch conditional filter call per leaf that has
+/// `regions` (aligned with the chunk's leaves) against tree `tree`, in
+/// parallel, then the gate; then the candidates' exact cells through
+/// `cache` — cache policy, refine, resolve — with the hit/miss/eviction
+/// sequence, and so the set of cells computed, of a one-leaf-at-a-time run.
+/// Its time goes to `lap` as [`Phase::Filter`] and [`Phase::Refine`].
+pub(crate) fn probe_round(
+    acct: &Accounting<'_>,
+    tree: usize,
+    cache: &mut CellCache,
+    regions: &[&[ConvexPolygon]],
+    env: &UnitEnv,
+    scratches: &mut [UnitScratch],
+    lap: &mut Lap,
+) -> Result<Vec<LeafProbe>, PageIoError> {
+    let mut probes: Vec<LeafProbe> = run_ordered_scratch(scratches, regions.len(), |i, scratch| {
+        if regions[i].is_empty() {
+            return LeafProbe::default();
+        }
+        let mut unit = Lap::start();
+        let mut reader = acct.reader(tree);
+        let (candidates, filter) = batch_conditional_filter_scratch(
+            &mut reader,
+            regions[i],
+            &env.domain,
+            &FilterOptions::default(),
+            &mut scratch.filter,
+        );
+        LeafProbe {
+            probed: true,
+            candidates,
+            filter,
+            filter_log: reader.finish(),
+            time: unit.lap(),
+            ..LeafProbe::default()
+        }
+    });
+    lap.lap();
+    probes
+        .iter()
+        .for_each(|probe| lap.times[Phase::Filter] += probe.time);
+    gate(probes.iter().map(|probe| &probe.filter_log))?;
+
+    let plans: Vec<UnitPlan> = (probes.iter())
+        .map(|probe| policy_pass(cache, &probe.candidates))
+        .collect();
     lap.charge(Phase::Refine);
     let refined = refine_missing(acct, tree, &plans, env, scratches)?;
     lap.lap();
-    let mut resolved = Vec::with_capacity(units.len());
-    for (plan, (fresh, log, time)) in plans.into_iter().zip(refined) {
+    for ((probe, plan), (fresh, log, time)) in probes.iter_mut().zip(plans).zip(refined) {
         lap.times[Phase::Refine] += time;
-        resolved.push(UnitCells {
-            cells: resolve_unit(cache, &plan, fresh),
-            log,
-            counts: plan.counts,
-        });
+        probe.cells = resolve_unit(cache, &plan, fresh);
+        probe.counts = plan.counts;
+        probe.refine_log = log;
     }
     lap.charge(Phase::Refine);
-    Ok(resolved)
+    Ok(probes)
 }
 
 #[cfg(test)]

@@ -58,9 +58,10 @@
 //! ## The shared cell cache
 //!
 //! The Section IV-B *reuse buffer* is the bounded LRU [`CellCache`], one
-//! per query and input set. NM-CIJ and the [`multiway`] / [`grouped`]
-//! extensions reach it through the chunk protocol's policy, refine and
-//! resolve stages; PM-CIJ keeps none, because it never asks for a cell
+//! per query and probed input set. NM-CIJ and the [`multiway`] /
+//! [`grouped`] extensions reach it through the chunk protocol's probe
+//! stage; the driving set needs none, since each of its cells is computed
+//! once. PM-CIJ keeps none, because it never asks for a cell
 //! twice (see [`pm`]). Its capacity is bounded by
 //! [`CijConfig::cell_cache_capacity`]; the cache counts its own
 //! hits, misses and evictions, and each query's [`QueryProfile`] reports

@@ -21,11 +21,10 @@
 //! sets are probed in input order. One leaf unit flows through `k` rounds:
 //!
 //! * **Seed (round 0)**: the Voronoi cells of the leaf's points are computed
-//!   with BatchVoronoi *through the driver set's [`CellCache`]* — the
-//!   seeding phase uses the same reuse buffer as every extension round, so
-//!   the profile's `cells[i].computed` has the same meaning ("exact cells
-//!   computed", i.e. cache misses) for every set and duplicate seed work
-//!   would be served from the buffer.
+//!   with BatchVoronoi once, without a reuse buffer, like NM-CIJ's `Q`
+//!   cells: every driver point lies in exactly one leaf, so a buffer would
+//!   never hit. The driver's `cells[i].computed` is its point count, and it
+//!   reuses and evicts nothing.
 //! * **Extend (rounds 1 … k−1)**: each leaf with live partial tuples issues
 //!   *one* [`batch_conditional_filter`] call carrying all of its partial
 //!   regions — the same redundant-traversal cut that batching the cells of
@@ -66,8 +65,8 @@
 //!   so the list tracks what recent leaves needed rather than the largest
 //!   leaf ever seen. At most two tables per leaf of a chunk are in flight,
 //!   so the list is bounded by the chunk width. Seed tables are the one
-//!   exception: their regions are the exact-size cells refinement returned,
-//!   and they are dropped after round 1.
+//!   exception: their regions are the exact-size cells the seed stage
+//!   returned, and they are dropped after round 1.
 //!
 //! An owned [`MultiwayTuple`] — two heap objects by its public shape — is
 //! built in exactly one place, [`Iterator::next`]: a finished leaf queues
@@ -96,12 +95,11 @@
 //! Every run — any [`CijConfig::worker_threads`], either
 //! [`CijConfig::exec_mode`](crate::config::CijConfig::exec_mode) — is the
 //! chunk protocol of the crate-private `chunk` module (described once, in
-//! `crates/core/src/chunk.rs`), generalised to `k` trees and `k` caches: a
-//! leaf unit's scan is the driver-leaf read, and each of its `k` rounds is
-//! one cache-policy / refine / resolve stage (preceded, in extension
-//! rounds, by the per-leaf filter phase and followed by the per-leaf
-//! narrowing), with every read's deferred accounting settled leaf-major at
-//! emit time. The sequential run is that protocol at worker
+//! `crates/core/src/chunk.rs`), over `k` trees and `k − 1` caches: round 0
+//! is its seed stage over the driver, and each extension round its probe
+//! stage over one more set followed by the per-leaf narrowing — the same
+//! two stages NM-CIJ runs — with every read's deferred accounting settled
+//! leaf-major at emit time. The sequential run is that protocol at worker
 //! count 1 (the pool degenerates to inline calls), so tuples (set *and*
 //! order), the profile's [`WorkCounts`], page-access totals, progress samples
 //! and watermarks are identical at any thread count by construction — and
@@ -119,17 +117,16 @@
 
 use crate::cell_cache::CellCache;
 use crate::chunk::{
-    gate, refine_through_cache, run_ordered, run_ordered_scratch, run_ordered_units, Accounting,
-    LeafStream, Log, StreamLedger, UnitEnv, UnitScratch,
+    probe_round, run_ordered_units, seed_leaves, Accounting, LeafStream, Log, StreamLedger,
+    UnitEnv, UnitScratch,
 };
 use crate::config::CijConfig;
-use crate::filter::{batch_conditional_filter_scratch, FilterOptions, FilterStats};
 use crate::stats::{Lap, LeafWatermark, Phase, ProgressSample, QueryProfile, WorkCounts};
 use crate::workload::{pick_driver, MultiwayWorkload};
 use cij_geom::tolerance::widened;
 use cij_geom::{ClipScratch, ConvexPolygon, Point, Rect};
 use cij_pagestore::PageIoError;
-use cij_rtree::{NodeReader, PointObject, RTree};
+use cij_rtree::{PointObject, RTree};
 use cij_voronoi::brute_force_diagram;
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -292,8 +289,9 @@ pub struct TupleStream<'a> {
     /// extension sets in input order. Tuple ids are permuted back to input
     /// order on emission.
     eval_order: Vec<usize>,
-    /// One reuse buffer per input set (the driver included: seeding goes
-    /// through the cache like every extension round).
+    /// One reuse buffer per extension set, aligned with
+    /// `eval_order[1..]`: the driver's cells are computed once each and
+    /// need none.
     caches: Vec<CellCache>,
     /// One unit scratch per pool worker, lent to every parallel phase of
     /// every chunk.
@@ -340,18 +338,15 @@ impl<'a> TupleStream<'a> {
     /// that compare plans.
     fn with_driver(workload: &'a mut MultiwayWorkload, driver: usize, config: CijConfig) -> Self {
         let stats = workload.stats.clone();
-        let caches = (0..workload.k())
-            .map(|_| CellCache::new(config.cell_cache_capacity))
-            .collect();
         let trees = workload.trees.iter_mut().collect();
         let acct = Accounting::exclusive(config.exec_mode, trees, &stats);
-        Self::start(acct, driver, caches, &config)
+        Self::start(acct, driver, config.cell_cache_capacity, &config)
     }
 
     /// Fast-mode stream over shared read-only `trees` — the constructor the
     /// concurrent request server uses: many queries can hold streams over
-    /// the same snapshot simultaneously. `caches` provides one reuse buffer
-    /// per input set (typically carved from a
+    /// the same snapshot simultaneously. Each extension set gets a reuse
+    /// buffer of `capacity` cells (typically a share of a
     /// [`CacheBudget`](crate::cell_cache::CacheBudget) lease).
     ///
     /// Accounting is fast regardless of `config.exec_mode`: metered
@@ -359,30 +354,25 @@ impl<'a> TupleStream<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `trees` is empty or `caches.len() != trees.len()`.
+    /// Panics if `trees` is empty.
     pub(crate) fn over_snapshot(
         trees: Vec<&'a RTree<PointObject>>,
-        caches: Vec<CellCache>,
+        capacity: usize,
         config: CijConfig,
     ) -> Self {
         assert!(
             !trees.is_empty(),
             "multiway CIJ needs at least one pointset"
         );
-        assert_eq!(caches.len(), trees.len(), "one cell cache per input set");
         let driver = pick_driver(&trees);
-        Self::start(Accounting::shared(trees), driver, caches, &config)
+        Self::start(Accounting::shared(trees), driver, capacity, &config)
     }
 
     /// The one constructor body: walks the driver's leaf order in the
-    /// accounting's currency. A failed walk yields a stream that is born
-    /// fail-stopped: no leaves, the error latched.
-    fn start(
-        mut acct: Accounting<'a>,
-        driver: usize,
-        caches: Vec<CellCache>,
-        config: &CijConfig,
-    ) -> Self {
+    /// accounting's currency (a failed walk yields a stream that is born
+    /// fail-stopped: no leaves, the error latched) and gives each extension
+    /// set a reuse buffer of `capacity` cells.
+    fn start(mut acct: Accounting<'a>, driver: usize, capacity: usize, config: &CijConfig) -> Self {
         let k = acct.k();
         let mut eval_order = vec![driver];
         eval_order.extend((0..k).filter(|&s| s != driver));
@@ -392,7 +382,7 @@ impl<'a> TupleStream<'a> {
             env,
             acct,
             eval_order,
-            caches,
+            caches: (1..k).map(|_| CellCache::new(capacity)).collect(),
             scratches: UnitScratch::per_worker(&env),
             spare: Vec::new(),
             pending: VecDeque::new(),
@@ -455,117 +445,52 @@ impl<'a> TupleStream<'a> {
         })
     }
 
-    /// Processes the next bounded chunk of leaf units — the phases of
-    /// [`crate::chunk`], once per round — and appends the resulting tuples
-    /// to `pending` in leaf order, charging each phase's time to the
-    /// profile. `Err` fail-stops the stream.
+    /// Processes the next bounded chunk of leaf units — the stages of
+    /// [`crate::chunk`]: one seed, then one probe per extension set — and
+    /// appends the resulting tuples to `pending` in leaf order, charging
+    /// each phase's time to the profile. `Err` fail-stops the stream.
     fn run_chunk(&mut self) -> Result<(), PageIoError> {
         let env = self.env;
         let mut lap = Lap::start();
         let chunk = self.ledger.cursor.next_chunk(env.workers);
         let k = self.acct.k();
-        let n = chunk.len();
         let driver = self.eval_order[0];
-        let acct = &self.acct;
-        // Per leaf, folded at its sequential emit position (so the profile
-        // and the watermarks are leaf-exact): its work counts — each set is
-        // visited in exactly one round — and its deferred read accounting,
-        // `(tree index, log)` in the sequential interleaving: scan, seed
-        // refine, then per round filter and refine. Settled leaf-major, so
-        // every tree's buffer sees the access sequence of a width-1 run
-        // (buffers are per-tree; the per-tree subsequence is what matters).
-        let mut leaves: Vec<(WorkCounts, Vec<(usize, Log)>)> = (0..n)
-            .map(|_| (WorkCounts::for_sets(k), Vec::new()))
-            .collect();
+        let (acct, scratches) = (&self.acct, &mut self.scratches[..]);
 
-        // Scan (parallel): read each chunk leaf of the driving tree. The
-        // gate discards the chunk before any cache state advances.
-        let scans: Vec<(Vec<PointObject>, Log, Duration)> = run_ordered(env.workers, n, |i| {
-            let mut lap = Lap::start();
-            let mut reader = acct.reader(driver);
-            (reader.read(chunk[i]).objects, reader.finish(), lap.lap())
-        });
-        lap.lap();
-        gate(scans.iter().map(|(_, log, _)| log))?;
-        let groups: Vec<Vec<PointObject>> = scans
-            .into_iter()
-            .zip(&mut leaves)
-            .map(|((group, log, time), (_, logs))| {
-                lap.times[Phase::Scan] += time;
-                logs.push((driver, log));
-                group
-            })
-            .collect();
-
-        // Seed (round 0): the leaf's own cells through the driver's cache —
-        // one unit per leaf whose candidates are the leaf's points.
-        let scratches = &mut self.scratches[..];
-        let units: Vec<&[PointObject]> = groups.iter().map(|g| &g[..]).collect();
-        let seeded = refine_through_cache(
-            acct,
-            driver,
-            &mut self.caches[driver],
-            &units,
-            &env,
-            scratches,
-            &mut lap,
-        )?;
-        let mut partials: Vec<Partials> = groups
-            .iter()
-            .zip(seeded)
-            .zip(&mut leaves)
-            .map(|((group, unit), (work, logs))| {
-                work.cells[driver] = unit.counts;
-                logs.push((driver, unit.log));
-                Partials::seeded(group, unit.cells)
-            })
-            .collect();
-        lap.charge(Phase::Refine);
+        // Seed (round 0): each driver leaf's points and their cells, as
+        // single-id partial tuples. Per leaf, folded at its sequential emit
+        // position (so the profile and the watermarks are leaf-exact): its
+        // work counts — each set is visited in exactly one round — and its
+        // deferred read accounting, `(tree index, log)` in the sequential
+        // interleaving: seed, then per round filter and refine. Settled
+        // leaf-major, so every tree's buffer sees the access sequence of a
+        // width-1 run (buffers are per-tree; the per-tree subsequence is
+        // what matters).
+        let seeds = seed_leaves(acct, driver, &chunk, &env, scratches, &mut lap)?;
+        let mut leaves: Vec<(WorkCounts, Vec<(usize, Log)>)> = Vec::with_capacity(seeds.len());
+        let mut partials: Vec<Partials> = Vec::with_capacity(seeds.len());
+        for seed in seeds {
+            let mut work = WorkCounts::for_sets(k);
+            work.cells[driver].computed = seed.group.len() as u64;
+            let mut logs = Vec::with_capacity(2 * k - 1);
+            logs.push((driver, seed.log));
+            leaves.push((work, logs));
+            partials.push(Partials::seeded(&seed.group, seed.cells));
+        }
+        lap.charge(Phase::Scan);
 
         // Extension rounds: one per remaining set, in evaluation order.
-        for &set_idx in &self.eval_order[1..] {
-            // Filter (parallel, per leaf with live partials): ONE
-            // batch_conditional_filter call borrowing every region of the
-            // leaf. The gate keeps a failed pass's partial candidate lists
-            // out of the policy.
-            let filtered: Vec<(Vec<PointObject>, FilterStats, Log, Duration)> =
-                run_ordered_scratch(scratches, n, |i, scratch| {
-                    let regions = partials[i].regions();
-                    if regions.is_empty() {
-                        return Default::default();
-                    }
-                    let mut lap = Lap::start();
-                    let mut reader = acct.reader(set_idx);
-                    let (candidates, stats) = batch_conditional_filter_scratch(
-                        &mut reader,
-                        regions,
-                        &env.domain,
-                        &FilterOptions::default(),
-                        &mut scratch.filter,
-                    );
-                    (candidates, stats, reader.finish(), lap.lap())
-                });
-            lap.lap();
-            lap.times[Phase::Filter] += filtered.iter().map(|f| f.3).sum::<Duration>();
-            gate(filtered.iter().map(|(_, _, log, _)| log))?;
-
-            // Cache policy → refine → resolve on the set's cache. A leaf
-            // with no live partials has no candidates: its unit is a no-op.
-            let units: Vec<&[PointObject]> = filtered.iter().map(|f| &f.0[..]).collect();
-            let cells = refine_through_cache(
-                acct,
-                set_idx,
-                &mut self.caches[set_idx],
-                &units,
-                &env,
-                scratches,
-                &mut lap,
-            )?;
+        for (&set_idx, cache) in self.eval_order[1..].iter().zip(&mut self.caches) {
+            // Probe: ONE filter call per leaf with live partials, borrowing
+            // every region of the leaf, then the candidates' exact cells
+            // through the set's cache.
+            let regions: Vec<&[ConvexPolygon]> = partials.iter().map(Partials::regions).collect();
+            let probes = probe_round(acct, set_idx, cache, &regions, &env, scratches, &mut lap)?;
 
             // Extend (parallel, per leaf): narrow each partial region by
             // every candidate cell into a table off the free list, dropping
             // empty intersections.
-            let mut next: Vec<Partials> = (0..n)
+            let mut next: Vec<Partials> = (0..partials.len())
                 .map(|_| self.spare.pop().unwrap_or_default())
                 .collect();
             lap.charge(Phase::Report);
@@ -575,26 +500,22 @@ impl<'a> TupleStream<'a> {
                     let UnitScratch {
                         clip, cell_boxes, ..
                     } = scratch;
-                    let cells = &cells[i].cells;
+                    let (candidates, cells) = (&probes[i].candidates, &probes[i].cells);
                     let skipped =
-                        extend_into(&partials[i], units[i], cells, clip, cell_boxes, next);
+                        extend_into(&partials[i], candidates, cells, clip, cell_boxes, next);
                     (skipped, lap.lap())
                 });
             lap.lap();
 
             // Fold the round into the leaves' records, filter before refine.
-            for (i, (((candidates, fstats, flog, _), unit), (skipped, time))) in
-                filtered.into_iter().zip(cells).zip(skipped).enumerate()
+            for ((probe, (skipped, time)), (work, logs)) in
+                probes.into_iter().zip(skipped).zip(&mut leaves)
             {
                 lap.times[Phase::Report] += time;
-                let (work, logs) = &mut leaves[i];
-                work.filter_calls += u64::from(partials[i].len > 0);
-                work.filter_candidates += candidates.len() as u64;
-                work.filter.absorb(&fstats);
+                probe.fold(set_idx, work);
                 work.narrowings_skipped += skipped;
-                work.cells[set_idx] = unit.counts;
-                logs.push((set_idx, flog));
-                logs.push((set_idx, unit.log));
+                logs.push((set_idx, probe.filter_log));
+                logs.push((set_idx, probe.refine_log));
             }
             // The superseded tables go back on the free list.
             for table in std::mem::replace(&mut partials, next) {
@@ -606,12 +527,13 @@ impl<'a> TupleStream<'a> {
         // Emit (coordinator, leaf order): settle the leaf's logs, fold its
         // work counts into the profile with its progress sample and
         // watermark, and queue the leaf's final table for the consumer.
-        for ((table, (mut work, logs)), group) in partials.into_iter().zip(leaves).zip(&groups) {
+        for (table, (mut work, logs)) in partials.into_iter().zip(leaves) {
             for (tree, log) in logs {
                 self.acct.settle(tree, log);
             }
             work.rows = table.len as u64;
-            let productive = !group.is_empty();
+            // A leaf with points seeded cells.
+            let productive = work.cells[driver].computed > 0;
             self.ledger
                 .record_leaf(self.acct.join_io(), productive, &work);
             self.pending.push_back(table);
@@ -638,7 +560,7 @@ impl<'a> TupleStream<'a> {
 }
 
 /// Puts a table nobody reads any more on the free list `spare`. Seed tables
-/// (stride 1) are dropped instead: their regions are the refinement's
+/// (stride 1) are dropped instead: their regions are the seed stage's
 /// exact-size cells rather than grown outline buffers, and keeping one per
 /// leaf would grow the list without bound.
 fn recycle(spare: &mut Vec<Partials>, mut table: Partials) {
@@ -756,9 +678,11 @@ mod tests {
     use super::*;
     use crate::brute::brute_force_cij;
     use crate::config::ExecMode;
+    use crate::filter::{batch_conditional_filter_scratch, FilterOptions};
     use crate::QueryEngine;
     use cij_datagen::{clustered_points, ClusterSpec};
-    use cij_rtree::{RTreeConfig, SnapshotReader};
+    use cij_rtree::{NodeReader, RTreeConfig, SnapshotReader};
+    use cij_voronoi::NoCache;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -818,20 +742,18 @@ mod tests {
     }
 
     #[test]
-    fn seeding_counts_cells_through_the_cache() {
+    fn seeding_computes_each_driver_cell_once() {
         let sets = vec![random_points(40, 217), random_points(45, 218)];
-        let outcome = multiway_join(&sets, &small_config());
+        let outcome = multiway_join(&sets, &small_config().with_cell_cache_capacity(4));
         // The assertions are about the *driver's* seeding semantics,
         // whichever set the cost model drives with.
         let (driver, extension) = (outcome.driver, 1 - outcome.driver);
-        // Every driver point lives in exactly one leaf, so with a roomy
-        // cache each seed cell is computed exactly once and never re-served:
-        // the uniform "exact cells computed = cache misses" semantics.
-        assert_eq!(
-            outcome.profile.work.cells[driver].computed,
-            sets[driver].len() as u64
-        );
-        assert_eq!(outcome.profile.work.cells[driver].reused, 0);
+        // Every driver point lives in exactly one leaf, so each seed cell is
+        // computed exactly once, without a reuse buffer: even a tiny one
+        // evicts nothing of the driver's.
+        let seeds = outcome.profile.work.cells[driver];
+        assert_eq!(seeds.computed, sets[driver].len() as u64);
+        assert_eq!((seeds.reused, seeds.evicted), (0, 0));
         // The extension set's candidates overlap across leaves, so reuse
         // kicks in there.
         assert!(outcome.profile.work.cells[extension].computed > 0);
@@ -1025,8 +947,9 @@ mod tests {
     }
 
     /// The join one driver leaf at a time, every read a counted read
-    /// through the trees' own buffers, every cell through its set's cache as
-    /// a `CellStore`, every extension through [`extend_partials`]: the work
+    /// through the trees' own buffers, every seed cell computed without a
+    /// cache and every candidate cell through its set's cache as a
+    /// `CellStore`, every extension through [`extend_partials`]: the work
     /// counts as of each driver leaf.
     fn work_leaf_by_leaf(sets: &[Vec<Point>], config: &CijConfig) -> Vec<WorkCounts> {
         let mut w = MultiwayWorkload::build(sets, config);
@@ -1064,7 +987,12 @@ mod tests {
                     candidates
                 };
                 let (hits, misses) = (cache.hits(), cache.misses());
-                let cells = cij_voronoi::batch_voronoi(tree, &candidates, &domain, cache, vor);
+                let cells = if round == 0 {
+                    work.cells[s].computed += candidates.len() as u64;
+                    cij_voronoi::batch_voronoi(tree, &candidates, &domain, &mut NoCache, vor)
+                } else {
+                    cij_voronoi::batch_voronoi(tree, &candidates, &domain, cache, vor)
+                };
                 let counts = &mut work.cells[s];
                 counts.computed += cache.misses() - misses;
                 counts.reused += cache.hits() - hits;
@@ -1102,7 +1030,16 @@ mod tests {
         let base = small_config().with_cell_cache_capacity(24);
         let reference = work_leaf_by_leaf(&sets, &base);
         let last = reference.last().unwrap();
-        assert!(last.cells.iter().all(|c| c.evicted > 0) && last.narrowings_skipped > 0);
+        let driver = pick_driver(
+            &MultiwayWorkload::build(&sets, &base)
+                .trees
+                .iter()
+                .collect::<Vec<_>>(),
+        );
+        for (set, cells) in last.cells.iter().enumerate() {
+            assert_eq!(cells.evicted > 0, set != driver, "set {set}");
+        }
+        assert!(last.narrowings_skipped > 0);
         for threads in [1, 3] {
             for mode in [ExecMode::Metered, ExecMode::Fast] {
                 let config = base.with_worker_threads(threads).with_exec_mode(mode);
@@ -1236,10 +1173,8 @@ mod tests {
         let sets = vec![random_points(45, 284), random_points(35, 285)];
         let w = MultiwayWorkload::build(&sets, &config);
         let metered = multiway_join(&sets, &config);
-        let caches = (0..w.k())
-            .map(|_| CellCache::new(config.cell_cache_capacity))
-            .collect();
-        let snap = TupleStream::over_snapshot(w.trees.iter().collect(), caches, config)
+        let capacity = config.cell_cache_capacity;
+        let snap = TupleStream::over_snapshot(w.trees.iter().collect(), capacity, config)
             .try_into_outcome()
             .unwrap();
         assert_eq!(snap.sorted_ids(), metered.sorted_ids());

@@ -5,7 +5,8 @@
 //! Hilbert order; for each leaf it
 //!
 //! 1. computes the Voronoi cells of the leaf's points in batch
-//!    (Algorithm 2),
+//!    (Algorithm 2), once each and without the reuse buffer (every point of
+//!    `RQ` lies in exactly one leaf),
 //! 2. runs the **BatchConditionalFilter** (Algorithm 5) against `RP` to find
 //!    the candidate points of `P` whose cells may intersect any of those
 //!    cells,
@@ -33,8 +34,9 @@
 //! Every run — metered or fast, any [`CijConfig::worker_threads`], join or
 //! grouped, over a workload or a shared snapshot — runs the four steps as
 //! the phases of the chunk protocol, described once in the crate-private
-//! `chunk` module (`crates/core/src/chunk.rs`): steps 1–2 are its scan,
-//! step 3 its cache-policy / refine / resolve stage, step 4 its report.
+//! `chunk` module (`crates/core/src/chunk.rs`): step 1 is its seed stage
+//! over `RQ`, steps 2–3 its probe stage over `RP` — the two stages the
+//! multiway join runs too — and step 4 its report.
 //! The sequential run is that protocol at worker count 1 (the pool
 //! degenerates to inline calls), so pairs (set *and* order), the profile's
 //! work counts and — under metered accounting — page accesses and per-leaf
@@ -67,18 +69,16 @@
 
 use crate::cell_cache::CellCache;
 use crate::chunk::{
-    gate, refine_through_cache, run_ordered_scratch, Accounting, LeafStream, Log, StreamLedger,
-    UnitEnv, UnitScratch,
+    probe_round, run_ordered_scratch, seed_leaves, Accounting, LeafProbe, LeafStream, Seed,
+    StreamLedger, UnitEnv, UnitScratch,
 };
 use crate::config::CijConfig;
-use crate::filter::{batch_conditional_filter_scratch, FilterOptions, FilterStats};
 use crate::grouped::{GroupCounts, LocationProbe};
-use crate::stats::{CijOutcome, Lap, Phase, PhaseTimes, WorkCounts};
+use crate::stats::{CijOutcome, Lap, Phase, WorkCounts};
 use crate::workload::Workload;
 use cij_geom::{ConvexPolygon, Point};
-use cij_pagestore::{PageId, PageIoError};
-use cij_rtree::{NodeReader, PointObject, RTree};
-use cij_voronoi::{batch_voronoi, NoCache};
+use cij_pagestore::PageIoError;
+use cij_rtree::{PointObject, RTree};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -87,21 +87,6 @@ use std::time::Duration;
 const P: usize = 0;
 /// Index of the `Q` tree (driving side).
 const Q: usize = 1;
-
-/// Everything the scan of one `RQ` leaf produces: the leaf's points, their
-/// Voronoi cells, the filter's candidate set, and the deferred read
-/// accounting of the two trees (an error latched in either log means the
-/// scan produced garbage — the chunk's gate discards it), and the time of
-/// its scan and filter.
-struct LeafScan {
-    group: Vec<PointObject>,
-    cells_q: Vec<ConvexPolygon>,
-    candidates: Vec<PointObject>,
-    fstats: FilterStats,
-    log_rq: Log,
-    log_rp: Log,
-    times: PhaseTimes,
-}
 
 /// What step 4 reports for one leaf ([`report_leaf`]).
 struct LeafReport {
@@ -205,7 +190,7 @@ impl<'a> NmPairIter<'a> {
         })
     }
 
-    /// Processes the next bounded chunk of leaves — the phases of
+    /// Processes the next bounded chunk of leaves — the stages of
     /// `crate::chunk` — on the worker pool and appends their pairs to
     /// `pending` in Hilbert leaf order, charging each phase's time to the
     /// profile. NM has no materialisation phase: all cost is JOIN cost.
@@ -214,29 +199,18 @@ impl<'a> NmPairIter<'a> {
         let mut lap = Lap::start();
         let chunk = self.ledger.cursor.next_chunk(env.workers);
 
-        // Scan (parallel): leaf read, Q cells, conditional filter, each
-        // worker on its own unit scratch and clock. The gate keeps the
-        // cache policy off a failed scan's garbage candidates.
-        let acct = &self.acct;
-        let scratches = &mut self.scratches[..];
-        let scans: Vec<LeafScan> = run_ordered_scratch(scratches, chunk.len(), |i, scratch| {
-            scan_leaf(acct, chunk[i], &env, scratch)
-        });
-        lap.lap();
-        scans.iter().for_each(|scan| lap.times += scan.times);
-        gate(scans.iter().flat_map(|s| [&s.log_rq, &s.log_rp]))?;
-
-        // Cache policy → refine → resolve: each leaf's aligned exact
-        // candidate cells through the reuse buffer.
-        let candidates: Vec<&[PointObject]> = scans.iter().map(|s| &s.candidates[..]).collect();
-        let cache = &mut self.cache;
-        let refined = refine_through_cache(acct, P, cache, &candidates, &env, scratches, &mut lap)?;
+        // Steps 1–3: the Q cells of each leaf, then the P candidates they
+        // filter and those candidates' exact cells through the reuse buffer.
+        let (acct, cache, scratches) = (&self.acct, &mut self.cache, &mut self.scratches[..]);
+        let seeds = seed_leaves(acct, Q, &chunk, &env, scratches, &mut lap)?;
+        let regions: Vec<&[ConvexPolygon]> = seeds.iter().map(|s| &s.cells[..]).collect();
+        let probes = probe_round(acct, P, cache, &regions, &env, scratches, &mut lap)?;
 
         // Report (parallel): pairs, true hits and claims of each leaf, each
         // worker building its edge tables in its own unit scratch.
-        let probe = self.probe.as_deref();
-        let reported = run_ordered_scratch(scratches, scans.len(), |i, scratch| {
-            report_leaf(probe, &scans[i], &refined[i].cells, scratch)
+        let locations = self.probe.as_deref();
+        let reported = run_ordered_scratch(scratches, seeds.len(), |i, scratch| {
+            report_leaf(locations, &seeds[i], &probes[i], scratch)
         });
         lap.lap();
         reported
@@ -244,26 +218,24 @@ impl<'a> NmPairIter<'a> {
             .for_each(|r| lap.times[Phase::Report] += r.time);
 
         // Settle + emit (coordinator, leaf order), in the sequential
-        // interleaving of the leaf's reads: Q scan, P filter, P refine. Each
+        // interleaving of the leaf's reads: Q seed, P filter, P refine. Each
         // log is consumed by its settle, so a leaf's pins go with it.
-        for ((scan, unit), report) in scans.into_iter().zip(refined).zip(reported) {
-            self.acct.settle(Q, scan.log_rq);
-            self.acct.settle(P, scan.log_rp);
-            self.acct.settle(P, unit.log);
-            if let Some(probe) = &mut self.probe {
-                probe.settle(&report.claims);
-            }
-            let productive = !scan.group.is_empty();
+        for ((seed, probe), report) in seeds.into_iter().zip(probes).zip(reported) {
             let leaf = &mut self.leaf;
+            leaf.clear();
+            leaf.cells[Q].computed = seed.group.len() as u64;
+            probe.fold(P, leaf);
             leaf.rows = report.pairs.len() as u64;
-            leaf.cells[P] = unit.counts;
-            leaf.cells[Q].computed = scan.group.len() as u64;
-            leaf.filter = scan.fstats;
-            leaf.filter_calls = u64::from(productive);
-            leaf.filter_candidates = scan.candidates.len() as u64;
             leaf.true_hits = report.true_hits;
+            self.acct.settle(Q, seed.log);
+            self.acct.settle(P, probe.filter_log);
+            self.acct.settle(P, probe.refine_log);
+            if let Some(located) = &mut self.probe {
+                located.settle(&report.claims);
+            }
+            let productive = !seed.group.is_empty();
             self.ledger
-                .record_leaf(self.acct.join_io(), productive, leaf);
+                .record_leaf(self.acct.join_io(), productive, &self.leaf);
             self.pending.extend(report.pairs);
             // The leaf's cells and candidates are freed inside the clock.
         }
@@ -273,8 +245,8 @@ impl<'a> NmPairIter<'a> {
     }
 }
 
-/// Step 4 of Algorithm 6 for one leaf, in one walk of the scan's
-/// `group × candidates` (`cells_p` aligned with the candidates): every
+/// Step 4 of Algorithm 6 for one leaf, in one walk of the seed's
+/// `group × candidates` of its probe of `P`: every
 /// `(p, q)` whose exact cells intersect, the distinct joining `P` ids and,
 /// in a grouped-NN run, the claims — every location a `q` cell holds
 /// claims, in report order, each reported `(p, q)` whose `p` cell holds it
@@ -290,16 +262,12 @@ impl<'a> NmPairIter<'a> {
 /// the walk allocates nothing but what it returns.
 fn report_leaf(
     probe: Option<&LocationProbe>,
-    scan: &LeafScan,
-    cells_p: &[ConvexPolygon],
+    seed: &Seed,
+    p: &LeafProbe,
     scratch: &mut UnitScratch,
 ) -> LeafReport {
-    let LeafScan {
-        group,
-        cells_q,
-        candidates,
-        ..
-    } = scan;
+    let (group, cells_q) = (&seed.group, &seed.cells);
+    let (candidates, cells_p) = (&p.candidates, &p.cells);
     let mut lap = Lap::start();
     let UnitScratch { edges, marked, .. } = scratch;
     edges.clear();
@@ -328,47 +296,6 @@ fn report_leaf(
         true_hits,
         claims,
         time: lap.lap(),
-    }
-}
-
-/// The scan of one leaf — steps 1–2 of Algorithm 6 through snapshot readers
-/// (so the page sequences match what a sequential run would access for this
-/// leaf): read the leaf node, compute its points' Voronoi cells, run the
-/// conditional filter.
-fn scan_leaf(
-    acct: &Accounting<'_>,
-    leaf: PageId,
-    env: &UnitEnv,
-    scratch: &mut UnitScratch,
-) -> LeafScan {
-    let mut lap = Lap::start();
-    let mut rq = acct.reader(Q);
-    let mut rp = acct.reader(P);
-    let group = rq.read(leaf).objects;
-    let (cells_q, (candidates, fstats)) = if group.is_empty() {
-        Default::default()
-    } else {
-        let cells_q = batch_voronoi(&mut rq, &group, &env.domain, &mut NoCache, &mut scratch.vor);
-        lap.charge(Phase::Scan);
-        let filtered = batch_conditional_filter_scratch(
-            &mut rp,
-            &cells_q,
-            &env.domain,
-            &FilterOptions::default(),
-            &mut scratch.filter,
-        );
-        lap.charge(Phase::Filter);
-        (cells_q, filtered)
-    };
-    lap.charge(Phase::Scan);
-    LeafScan {
-        group,
-        cells_q,
-        candidates,
-        fstats,
-        log_rq: rq.finish(),
-        log_rp: rp.finish(),
-        times: lap.times,
     }
 }
 
@@ -402,12 +329,14 @@ mod tests {
     use super::*;
     use crate::brute::brute_force_cij;
     use crate::config::ExecMode;
+    use crate::filter::{batch_conditional_filter_scratch, FilterOptions};
     use crate::fm::fm_cij;
     use crate::pm::pm_cij;
     use crate::stats::ProgressSample;
     use crate::{Algorithm, QueryEngine};
     use cij_geom::Point;
-    use cij_rtree::{RTreeConfig, SnapshotReader};
+    use cij_rtree::{NodeReader, RTreeConfig, SnapshotReader};
+    use cij_voronoi::{batch_voronoi, NoCache};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::HashSet;

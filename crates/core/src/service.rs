@@ -25,7 +25,10 @@
 //!   budget is exhausted the worker blocks until a running query returns
 //!   its lease — so aggregate cache residency never exceeds the budget, and
 //!   each query's private cache makes cross-query eviction structurally
-//!   impossible.
+//!   impossible. A binary query's one cache gets the whole quota; a
+//!   multiway query over `k` sets gives each of its `k − 1` probed sets
+//!   `quota / k` cells — the driving set needs no cache, and its share goes
+//!   unused — which is what a direct run at that per-set capacity holds.
 //! * **Incremental streaming**: results flow back through the handle in
 //!   batches cut at the underlying stream's [`LeafWatermark`] boundaries —
 //!   everything in a delivered batch is final, exactly the checkpointing
@@ -822,8 +825,8 @@ fn execute(
         Request::Multiway { sets } => {
             let trees: Vec<&RTree<PointObject>> =
                 sets.iter().map(|&s| &snapshot.trees[s]).collect();
-            let caches = lease.split_caches(trees.len());
-            let mut stream = TupleStream::over_snapshot(trees, caches, config);
+            let share = lease.cells() / trees.len();
+            let mut stream = TupleStream::over_snapshot(trees, share, config);
             if let Some(done) = drive(&mut stream, job, clock, Some(Batch::Tuples)) {
                 mark_done(shared, done);
             }
@@ -1240,8 +1243,7 @@ mod tests {
         let config = *snapshot.config();
         let mut pairs = NmPairIter::over_snapshot(rp, rq, CellCache::new(64), config);
         pairs.by_ref().for_each(drop);
-        let caches = vec![CellCache::new(64), CellCache::new(64)];
-        let mut tuples = TupleStream::over_snapshot(vec![rp, rq], caches, config);
+        let mut tuples = TupleStream::over_snapshot(vec![rp, rq], 64, config);
         tuples.by_ref().for_each(drop);
         let service = CijService::start(Arc::clone(&snapshot), ServiceConfig::default());
         for (request, ledger) in [

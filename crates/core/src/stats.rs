@@ -18,12 +18,12 @@ use std::time::{Duration, Instant};
 pub enum Phase {
     /// FM/PM building their Voronoi R-trees.
     Materialise,
-    /// The leaf-order walk and the leaf reads, plus NM's `Q` cells.
+    /// The leaf-order walk, the leaf reads and the driving set's cells.
     Scan,
     /// Conditional-filter calls.
     Filter,
-    /// Cache policy, refinement and resolution of exact cells, multiway
-    /// seeding included.
+    /// Cache policy, refinement and resolution of a probed set's exact
+    /// cells.
     Refine,
     /// NM's pair report and grouped-NN claims, the multiway extension,
     /// FM/PM's join loop.
@@ -108,8 +108,9 @@ impl Lap {
 /// What one query did to the exact Voronoi cells of one input set.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CellCounts {
-    /// Cells computed (reuse-buffer misses; NM's `Q` cells, computed
-    /// without the buffer, count here too).
+    /// Cells computed: a probed set's reuse-buffer misses, or every cell
+    /// of the driving set (NM's `Q`, the multiway driver), each computed
+    /// once and without the buffer.
     pub computed: u64,
     /// Cells served from the reuse buffer without recomputation.
     pub reused: u64,
@@ -124,8 +125,9 @@ pub struct CellCounts {
 pub struct WorkCounts {
     /// Result rows: pairs of a binary join, tuples of the multiway join.
     pub rows: u64,
-    /// Per input set: NM's `P` is set 0 and `Q` set 1 (its cells are
-    /// computed, never reused); the multiway join's sets are in input order.
+    /// Per input set: NM's `P` is set 0 and `Q` set 1; the multiway join's
+    /// sets are in input order. In both joins the driving set's cells are
+    /// computed, never reused or evicted.
     pub cells: Vec<CellCounts>,
     /// The conditional filter's work over every call.
     pub filter: FilterStats,
@@ -148,6 +150,16 @@ impl WorkCounts {
             cells: vec![CellCounts::default(); k],
             ..WorkCounts::default()
         }
+    }
+
+    /// Zeroes every count, keeping the per-set vector.
+    pub(crate) fn clear(&mut self) {
+        let mut cells = std::mem::take(&mut self.cells);
+        cells.fill(CellCounts::default());
+        *self = WorkCounts {
+            cells,
+            ..WorkCounts::default()
+        };
     }
 
     /// Adds the counts of `other` (over as many sets) to these.

@@ -189,15 +189,10 @@ impl LruBuffer {
         self.len() == 0
     }
 
-    /// Whether the page is currently resident (does not update recency).
-    pub fn contains(&self, key: u64) -> bool {
-        self.index.get(key).is_some()
-    }
-
-    /// The slot a resident key occupies (does not update recency): fixed
-    /// from the key's admission to its eviction, then handed to the key
-    /// admitted in its place. A caller keeping payloads beside the buffer
-    /// indexes them by it.
+    /// The slot a resident key occupies, `None` when the key is not resident
+    /// (does not update recency). A key's slot is fixed from its admission
+    /// to its eviction, then handed to the key admitted in its place. A
+    /// caller keeping payloads beside the buffer indexes them by it.
     pub fn slot_of(&self, key: u64) -> Option<u32> {
         self.index.get(key)
     }
@@ -438,7 +433,6 @@ mod tests {
                     prop_assert_eq!(buffer.is_empty(), members.is_empty());
                     prop_assert_eq!(buffer.capacity(), model.capacity);
                     for probe in 0..12 {
-                        prop_assert_eq!(buffer.contains(probe), members.contains(&probe));
                         prop_assert_eq!(buffer.slot_of(probe).is_some(), members.contains(&probe));
                     }
                 }
@@ -467,9 +461,9 @@ mod tests {
             } => {}
             other => panic!("expected eviction of page 2, got {other:?}"),
         }
-        assert!(b.contains(1));
-        assert!(b.contains(3));
-        assert!(!b.contains(2));
+        assert!(b.slot_of(1).is_some());
+        assert!(b.slot_of(3).is_some());
+        assert!(b.slot_of(2).is_none());
     }
 
     #[test]
@@ -510,8 +504,8 @@ mod tests {
         b.touch(2, false);
         assert!(b.remove(1));
         assert!(!b.remove(1));
-        assert!(!b.contains(1));
-        assert!(b.contains(2));
+        assert!(b.slot_of(1).is_none());
+        assert!(b.slot_of(2).is_some());
         assert_eq!(b.len(), 1);
         // Freed slot is recycled.
         b.touch(3, false);
@@ -542,7 +536,7 @@ mod tests {
         assert_eq!(b.len(), 2);
         // Pages 0 and 1 are the LRU ones; page 0 was dirty.
         assert_eq!(evicted, vec![(0, true), (1, false)]);
-        assert!(b.contains(2) && b.contains(3));
+        assert!(b.slot_of(2).is_some() && b.slot_of(3).is_some());
     }
 
     #[test]

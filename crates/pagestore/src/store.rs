@@ -740,7 +740,7 @@ impl<T: PagePayload> StoreInner<T> {
             return Err(e);
         }
         let payload = Arc::new(T::decode(&self.frame));
-        if self.buffer.contains(key) {
+        if self.buffer.slot_of(key).is_some() {
             self.set_resident(key, Arc::clone(&payload));
         }
         self.note_peak();
@@ -786,7 +786,7 @@ impl<T: PagePayload> StoreInner<T> {
     /// references it — the single place the residency invariant
     /// (resident = members ∪ pinned) is enforced on the release side.
     fn release_if_unreferenced(&mut self, key: u64) {
-        if !self.buffer.contains(key) && self.pins[key as usize] == 0 {
+        if self.buffer.slot_of(key).is_none() && self.pins[key as usize] == 0 {
             self.drop_resident(key);
         }
     }

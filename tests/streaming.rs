@@ -84,17 +84,70 @@ fn cell_cache_eviction_never_changes_join_results() {
     }
 }
 
+/// The reuse-buffer bound on one watermark's work counts: every computed
+/// cell of a probed set is put into the set's reuse buffer, so
+/// `computed − evicted` is what the buffer holds, and it never exceeds
+/// `capacity`; the `driver` set, whose cells are computed once each and
+/// without a buffer, reuses and evicts nothing.
+fn assert_within_capacity(work: &WorkCounts, driver: usize, capacity: u64, at: &str) {
+    for (set, cells) in work.cells.iter().enumerate() {
+        if set == driver {
+            assert_eq!((cells.reused, cells.evicted), (0, 0), "{at}, driver {set}");
+        } else {
+            let resident = cells.computed - cells.evicted;
+            assert!(resident <= capacity, "{at}, set {set}: {resident} resident");
+        }
+    }
+}
+
 #[test]
 fn bounded_cache_stays_within_capacity_while_still_reusing() {
-    let engine = QueryEngine::new(test_config().with_cell_cache_capacity(32));
+    // Pulled row by row, an NM stream and a 3-way stream are held to the
+    // bound each time a watermark appears.
     let p = uniform_points(400, &Rect::DOMAIN, 9007);
     let q = uniform_points(400, &Rect::DOMAIN, 9008);
-    let outcome = engine.join(&p, &q, Algorithm::NmCij);
-    // Reuse still happens under a tight bound.
-    assert!(
-        outcome.profile.work.cells[0].reused > 0,
-        "no reuse despite neighbouring leaves"
-    );
+    let sets = [p.clone(), q.clone(), clustered(300, 9009)];
+    for capacity in [4u64, 32] {
+        let engine = QueryEngine::new(test_config().with_cell_cache_capacity(capacity as usize));
+
+        // NM: `P` is set 0, the driving `Q` set 1.
+        let mut w = engine.build_workload(&p, &q);
+        let mut stream = engine.stream(&mut w, Algorithm::NmCij);
+        let mut checked = 0;
+        loop {
+            let marks = stream.watermarks_so_far().len();
+            if marks > checked {
+                let at = format!("nm, capacity {capacity}, watermark {marks}");
+                assert_within_capacity(&stream.profile_so_far().work, 1, capacity, &at);
+                checked = marks;
+            }
+            if stream.next().is_none() {
+                break;
+            }
+        }
+        // Reuse still happens under a tight bound, and the bound is met.
+        let work = stream.profile_so_far().work;
+        assert!(checked > 8 && work.cells[0].reused > 0 && work.cells[0].evicted > 0);
+
+        let mut w = engine.multiway_workload(&sets);
+        let mut stream = engine.multiway_stream(&mut w);
+        let driver = stream.driver();
+        let mut checked = 0;
+        loop {
+            let marks = stream.watermarks_so_far().len();
+            if marks > checked {
+                let at = format!("3-way, capacity {capacity}, watermark {marks}");
+                assert_within_capacity(&stream.profile_so_far().work, driver, capacity, &at);
+                checked = marks;
+            }
+            if stream.next().is_none() {
+                break;
+            }
+        }
+        let work = stream.profile_so_far().work;
+        let mut probed = (0..3).filter(|&set| set != driver);
+        assert!(checked > 8 && probed.all(|set| work.cells[set].evicted > 0));
+    }
 }
 
 /// The non-blocking guard: pulling the first pair from the NM-CIJ stream
