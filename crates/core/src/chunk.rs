@@ -22,10 +22,13 @@
 //!    buffer: every point of the driving tree lies in exactly one leaf, so a
 //!    buffer there would never hit.
 //! 2. **Probe** ([`probe_round`], once per probed set) — the leaves' regions
-//!    (nm: the seed cells; multiway: the live partial regions) against one
-//!    more tree:
-//!    * *filter* (parallel, per leaf with regions) — one batch conditional
-//!      filter call carrying all of the leaf's regions;
+//!    against one more tree. The regions are the seed cells, in both
+//!    streams; from its second extension round on, a multiway leaf adds
+//!    its live partial regions as their pieces:
+//!    * *filter* (parallel, per leaf with regions, or with pieces when it
+//!      has any) — one batch conditional filter call carrying all of the
+//!      leaf's regions and pieces (`crates/core/src/filter.rs`, "Regions
+//!      and their pieces");
 //!    * *cache policy* (coordinator, leaf order) — [`policy_pass`] decides
 //!      every hit, miss and eviction on the set's real [`CellCache`] from
 //!      the candidate *ids* alone, which fixes the exact set of cells each
@@ -126,7 +129,7 @@
 
 use crate::cell_cache::CellCache;
 use crate::config::{CijConfig, ExecMode};
-use crate::filter::{batch_conditional_filter_scratch, FilterOptions, FilterScratch, FilterStats};
+use crate::filter::{two_level_filter, FilterScratch, FilterStats, Pieces};
 use crate::stats::{
     CellCounts, Lap, LeafWatermark, Phase, ProgressSample, QueryProfile, WorkCounts,
 };
@@ -732,31 +735,33 @@ impl LeafProbe {
 }
 
 /// The probe stage: one batch conditional filter call per leaf that has
-/// `regions` (aligned with the chunk's leaves) against tree `tree`, in
-/// parallel, then the gate; then the candidates' exact cells through
-/// `cache` — cache policy, refine, resolve — with the hit/miss/eviction
-/// sequence, and so the set of cells computed, of a one-leaf-at-a-time run.
+/// `regions` — or pieces, when it passes any (each entry aligned with the
+/// chunk's leaves) — against tree `tree`, in parallel, then the gate; then
+/// the candidates' exact cells through `cache` — cache policy, refine,
+/// resolve — with the hit/miss/eviction sequence, and so the set of cells
+/// computed, of a one-leaf-at-a-time run.
 /// Its time goes to `lap` as [`Phase::Filter`] and [`Phase::Refine`].
 pub(crate) fn probe_round(
     acct: &Accounting<'_>,
     tree: usize,
     cache: &mut CellCache,
-    regions: &[&[ConvexPolygon]],
+    regions: &[(&[ConvexPolygon], Option<Pieces<'_>>)],
     env: &UnitEnv,
     scratches: &mut [UnitScratch],
     lap: &mut Lap,
 ) -> Result<Vec<LeafProbe>, PageIoError> {
     let mut probes: Vec<LeafProbe> = run_ordered_scratch(scratches, regions.len(), |i, scratch| {
-        if regions[i].is_empty() {
+        let (leaf_regions, pieces) = regions[i];
+        if pieces.map_or(leaf_regions, |p| p.polys).is_empty() {
             return LeafProbe::default();
         }
         let mut unit = Lap::start();
         let mut reader = acct.reader(tree);
-        let (candidates, filter) = batch_conditional_filter_scratch(
+        let (candidates, filter) = two_level_filter(
             &mut reader,
-            regions[i],
+            leaf_regions,
+            pieces,
             &env.domain,
-            &FilterOptions::default(),
             &mut scratch.filter,
         );
         LeafProbe {

@@ -188,6 +188,51 @@
 //!    [`FilterStats::entries_pruned`] and the traversal are unchanged by
 //!    all three; the four-sided rule is the reference the tests compare
 //!    against.
+//!
+//! # Regions and their pieces
+//!
+//! From its second extension round on, a multiway leaf probes its live
+//! partial regions: each driver member's seed cell cut into one piece per
+//! tuple the member still leads — many more polygons than members. The
+//! two-level entry takes the seed cells of the members with live partials
+//! as its **regions** and the partial regions as their **pieces**
+//! (`Pieces`: contiguous per region, each run naming its region).
+//!
+//! *The covering argument.* In exact arithmetic a region is the union of
+//! its pieces. The pieces were cut from it by the cells of the sets probed
+//! so far; those cells tile the domain, the filter returned every cell that
+//! meets a piece, and narrowing kept every non-empty intersection. So a
+//! point lies strictly inside some region exactly when it lies inside
+//! some piece, up to the pieces' shared boundaries; a cell or a node meets
+//! a region exactly when it meets one of its pieces; and the regions'
+//! boxes have the pieces' union for their union. Every question
+//! the pieces answered is therefore asked of the regions: the inside-point
+//! rule, the cell's "meets a probe" and the node's "touches a probe" tests,
+//! the polygon index, the seed box `B` and the group-level shield corners
+//! are the regions'. An answer can differ only inside the tolerance band of
+//! a boundary.
+//!
+//! Two things stay with the pieces, and they keep the result the one the
+//! pieces alone would give:
+//!
+//! * **The traversal centroid** is the centroid of the pieces' centroids,
+//!   as before. The pop order, and with it the order of the candidates and
+//!   of the tuples narrowed from them, is therefore unchanged; the regions'
+//!   centroid would move it.
+//! * **The shield's fallback.** A region is shielded when one candidate
+//!   holds each of its vertices `v` at `dist²(v, p) < fl(m(v) − 2μ)`: this
+//!   is the group-level argument of invariant 2. The accepted set is
+//!   convex and each piece lies in its region up to the rounding of its
+//!   clips, far below `μ`, so every vertex of every piece then passes the
+//!   per-polygon rule at `μ`. A region that fails falls back to its
+//!   pieces, each of which must pass that rule on its own, each with its
+//!   own last-shield hint. A shield decision is thus the pieces' own.
+//!
+//! So the candidates can differ from the pieces' own only by false hits
+//! decided inside the tolerance band, which narrowing drops; the
+//! statistics move only there, except [`FilterStats::poly_tests_skipped`],
+//! which always falls because the index holds fewer polygons. NM-CIJ and
+//! the first extension round pass no pieces and run the one-level filter.
 
 use crate::config::FilterKernel;
 use cij_geom::tolerance::{rect_magnitude, sq_margin, widened};
@@ -286,6 +331,8 @@ pub struct FilterScratch {
     last_shields: Vec<Cell<u32>>,
     /// The candidate that last shielded the whole group at once.
     last_group_shield: Cell<u32>,
+    /// Per piece of a two-level call, the candidate that shielded it last.
+    piece_shields: Vec<Cell<u32>>,
 }
 
 impl FilterScratch {
@@ -300,9 +347,21 @@ impl FilterScratch {
     }
 }
 
+/// The pieces of a two-level probe (module docs, "Regions and their
+/// pieces"): polygons that are contiguous per region, each run lying in
+/// the region it names.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pieces<'a> {
+    pub(crate) polys: &'a [ConvexPolygon],
+    /// Per run, in `polys` order: the index of its region in the call's
+    /// region slice, and the end of the run in `polys` (each run starts
+    /// where the one before it ends, the first at 0).
+    pub(crate) runs: &'a [(u32, u32)],
+}
+
 /// The non-empty probe polygons of one call: the caller's slice seen
 /// through the positions of its usable members, with the shield test's
-/// memory of each.
+/// memory of each, and the pieces of each when the call has them.
 #[derive(Clone, Copy)]
 struct Probes<'a> {
     polys: &'a [ConvexPolygon],
@@ -311,6 +370,13 @@ struct Probes<'a> {
     /// (module docs, invariant 2); a hint only. The test helpers pass none,
     /// and each polygon then gets a throwaway one.
     last_shields: &'a [Cell<u32>],
+    /// The pieces of a two-level call, or no polygons.
+    pieces: &'a [ConvexPolygon],
+    /// [`Pieces::runs`], aligned with `usable`; empty when the call has no
+    /// pieces.
+    runs: &'a [(u32, u32)],
+    /// Per piece, the candidate that shielded it last.
+    piece_shields: &'a [Cell<u32>],
 }
 
 impl<'a> Probes<'a> {
@@ -321,6 +387,24 @@ impl<'a> Probes<'a> {
     fn iter(&self) -> impl Iterator<Item = &'a ConvexPolygon> + 'a {
         let polys = self.polys;
         self.usable.iter().map(move |&i| &polys[i as usize])
+    }
+
+    /// The pieces of usable polygon `i` with their last-shield hints, or
+    /// `None` when the call has no pieces.
+    fn pieces_of(&self, i: usize) -> Option<(&'a [ConvexPolygon], &'a [Cell<u32>])> {
+        let &(_, end) = self.runs.get(i)?;
+        let start = i.checked_sub(1).map_or(0, |before| self.runs[before].1);
+        let run = start as usize..end as usize;
+        Some((&self.pieces[run.clone()], &self.piece_shields[run]))
+    }
+
+    /// The polygons the traversal centroid is taken from: each usable
+    /// polygon's pieces, or the polygon itself when the call has none.
+    fn walk_polys(&self) -> impl Iterator<Item = &'a ConvexPolygon> + '_ {
+        (0..self.usable.len()).flat_map(move |i| match self.pieces_of(i) {
+            Some((pieces, _)) => pieces,
+            None => std::slice::from_ref(self.get(i)),
+        })
     }
 }
 
@@ -347,6 +431,23 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
     _options: &FilterOptions,
     scratch: &mut FilterScratch,
 ) -> (Vec<PointObject>, FilterStats) {
+    two_level_filter(rp, polys, None, domain, scratch)
+}
+
+/// The filter of [`batch_conditional_filter_scratch`] over `regions`, each
+/// standing for its own `pieces` when there are any (module docs, "Regions
+/// and their pieces"): every piece must lie in the region its run names,
+/// and the pieces of each region must cover it. Returns the candidates the
+/// pieces would get, up to decisions in the tolerance band, in the order
+/// they would get them. Without pieces it is
+/// [`batch_conditional_filter_scratch`] itself.
+pub(crate) fn two_level_filter<T: NodeReader<PointObject>>(
+    rp: &mut T,
+    regions: &[ConvexPolygon],
+    pieces: Option<Pieces<'_>>,
+    domain: &Rect,
+    scratch: &mut FilterScratch,
+) -> (Vec<PointObject>, FilterStats) {
     let mut stats = FilterStats::default();
     let mut candidates: Vec<PointObject> = Vec::new();
     let FilterScratch {
@@ -362,9 +463,21 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
         shield_bounds,
         last_shields,
         last_group_shield,
+        piece_shields,
     } = scratch;
     usable.clear();
-    usable.extend((0..polys.len() as u32).filter(|&i| !polys[i as usize].is_empty()));
+    piece_shields.clear();
+    match pieces {
+        None => {
+            usable.extend((0..regions.len() as u32).filter(|&r| !regions[r as usize].is_empty()))
+        }
+        Some(pieces) => {
+            // A region with pieces is not empty: they lie in it.
+            usable.extend(pieces.runs.iter().map(|&(r, _)| r));
+            debug_assert!(usable.iter().all(|&r| !regions[r as usize].is_empty()));
+            piece_shields.resize(pieces.polys.len(), Cell::new(u32::MAX));
+        }
+    }
     if rp.is_empty() || usable.is_empty() {
         return (candidates, stats);
     }
@@ -372,15 +485,18 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
     last_shields.resize(usable.len(), Cell::new(u32::MAX));
     last_group_shield.set(u32::MAX);
     let probes = Probes {
-        polys,
+        polys: regions,
         usable,
         last_shields,
+        pieces: pieces.map_or(&[], |p| p.polys),
+        runs: pieces.map_or(&[], |p| p.runs),
+        piece_shields,
     };
 
     // Reference point for the traversal order: centroid of the polygons'
-    // centroids.
+    // centroids — the pieces' when there are any.
     centers.clear();
-    centers.extend(probes.iter().filter_map(|t| t.centroid()));
+    centers.extend(probes.walk_polys().filter_map(|t| t.centroid()));
     let centroid = Point::centroid(centers).unwrap_or_else(|| domain.center());
 
     // Widened bounding boxes of the polygons, for the cheap "does e
@@ -756,8 +872,11 @@ fn entry_mindist_sq(sides: &[Segment; 4], b: &Point) -> f64 {
 
 /// The per-polygon shield rule [`is_shielded`] falls through to: every
 /// polygon has *some* candidate, not necessarily the same one, whose Φ
-/// regions of all `sides` contain it by `margin`. `bounds` is working
-/// storage.
+/// regions of all `sides` contain it by `margin`. A region with pieces is
+/// shielded when one candidate holds it by `2 · margin`, which implies
+/// that each of its pieces is held by `margin`, or else when each piece is
+/// held by `margin` on its own (module docs, "Regions and their pieces").
+/// `bounds` is working storage.
 fn is_shielded_per_polygon(
     sides: &[Segment; 4],
     margin: f64,
@@ -769,7 +888,13 @@ fn is_shielded_per_polygon(
     let spare = Cell::new(u32::MAX);
     (probes.iter().enumerate()).all(|(i, t)| {
         let last = probes.last_shields.get(i).unwrap_or(&spare);
-        polygon_shielded(sides, margin, t, candidates, bounds, last)
+        let Some((pieces, hints)) = probes.pieces_of(i) else {
+            return polygon_shielded(sides, margin, t, candidates, bounds, last);
+        };
+        polygon_shielded(sides, 2.0 * margin, t, candidates, bounds, last)
+            || (pieces.iter().zip(hints)).all(|(piece, hint)| {
+                polygon_shielded(sides, margin, piece, candidates, bounds, hint)
+            })
     })
 }
 
@@ -954,6 +1079,49 @@ fn reference_filter<T: NodeReader<PointObject>>(
         }
     }
     (candidates, stats)
+}
+
+/// A near-degenerate site set at scale `s` over the domain
+/// `[0, 64·s]²`: lattice sites nudged by a few ulps, and by `kind`
+/// nothing more (0), repeats of some sites under fresh ids (1), first a
+/// collinear run through `centre`, some of it repeated (2) — with
+/// `centre` the probes' centroid, the filter's first candidates — or up
+/// to four nudged copies of each lattice site (3), whose bisectors
+/// rounding moves off their sites' midpoints. The filter's and the
+/// multiway join's stress ranges draw from it.
+#[cfg(test)]
+pub(crate) fn near_degenerate_sites(
+    rng: &mut rand::rngs::StdRng,
+    s: f64,
+    n: usize,
+    kind: usize,
+    centre: Point,
+) -> Vec<Point> {
+    use rand::{rngs::StdRng, Rng};
+    let nudge = |rng: &mut StdRng, v: f64| match rng.gen_range(0..3) {
+        0 if v != 0.0 => f64::from_bits(v.to_bits() + rng.gen_range(1..4u64)),
+        1 if v != 0.0 => f64::from_bits(v.to_bits() - rng.gen_range(1..4u64)),
+        _ => v,
+    };
+    let lattice = |rng: &mut StdRng| f64::from(rng.gen_range(0..=64u32)) * s;
+    let mut p: Vec<Point> = Vec::with_capacity(n + n / 4);
+    if kind == 2 {
+        let run = rng.gen_range(3..12);
+        p.extend((0..run).map(|i| Point::new(centre.x + f64::from(i % 5) * 0.25 * s, centre.y)));
+    }
+    while p.len() < n {
+        let (x, y) = (lattice(rng), lattice(rng));
+        let copies = if kind == 3 { rng.gen_range(1..5) } else { 1 };
+        for _ in 0..copies {
+            p.push(Point::new(nudge(rng, x), nudge(rng, y)));
+        }
+    }
+    if kind == 1 {
+        for _ in 0..n / 4 {
+            p.push(p[rng.gen_range(0..p.len())]);
+        }
+    }
+    p
 }
 
 #[cfg(test)]
@@ -1148,6 +1316,9 @@ mod tests {
             polys,
             usable,
             last_shields: &[],
+            pieces: &[],
+            runs: &[],
+            piece_shields: &[],
         }
     }
 
@@ -1399,7 +1570,7 @@ mod tests {
             let usable: Vec<u32> = (0..polys.len() as u32).collect();
             let last_shields: Vec<Cell<u32>> =
                 polys.iter().map(|_| Cell::new(rng.gen_range(0..20))).collect();
-            let probes = Probes { polys: &polys, usable: &usable, last_shields: &last_shields };
+            let probes = Probes { last_shields: &last_shields, ..all_probes(&polys, &usable) };
             let refs: Vec<&ConvexPolygon> = polys.iter().collect();
             let group = polys.iter().fold(Rect::empty(), |acc, t| acc.union(&t.bbox()));
             let bounds = &mut Vec::new();
@@ -1569,48 +1740,6 @@ mod tests {
             prop_assert_eq!(stats.points_examined, ref_stats.points_examined);
             prop_assert_eq!(stats.entries_pruned, ref_stats.entries_pruned);
         }
-    }
-
-    /// A near-degenerate site set at scale `s` over the domain
-    /// `[0, 64·s]²`: lattice sites nudged by a few ulps, and by `kind`
-    /// nothing more (0), repeats of some sites under fresh ids (1), first a
-    /// collinear run through `centre`, some of it repeated (2) — with
-    /// `centre` the probes' centroid, the filter's first candidates — or up
-    /// to four nudged copies of each lattice site (3), whose bisectors
-    /// rounding moves off their sites' midpoints.
-    fn near_degenerate_sites(
-        rng: &mut StdRng,
-        s: f64,
-        n: usize,
-        kind: usize,
-        centre: Point,
-    ) -> Vec<Point> {
-        let nudge = |rng: &mut StdRng, v: f64| match rng.gen_range(0..3) {
-            0 if v != 0.0 => f64::from_bits(v.to_bits() + rng.gen_range(1..4u64)),
-            1 if v != 0.0 => f64::from_bits(v.to_bits() - rng.gen_range(1..4u64)),
-            _ => v,
-        };
-        let lattice = |rng: &mut StdRng| f64::from(rng.gen_range(0..=64u32)) * s;
-        let mut p: Vec<Point> = Vec::with_capacity(n + n / 4);
-        if kind == 2 {
-            let run = rng.gen_range(3..12);
-            p.extend(
-                (0..run).map(|i| Point::new(centre.x + f64::from(i % 5) * 0.25 * s, centre.y)),
-            );
-        }
-        while p.len() < n {
-            let (x, y) = (lattice(rng), lattice(rng));
-            let copies = if kind == 3 { rng.gen_range(1..5) } else { 1 };
-            for _ in 0..copies {
-                p.push(Point::new(nudge(rng, x), nudge(rng, y)));
-            }
-        }
-        if kind == 1 {
-            for _ in 0..n / 4 {
-                p.push(p[rng.gen_range(0..p.len())]);
-            }
-        }
-        p
     }
 
     /// The stress range of the triangulated cells: on near-degenerate

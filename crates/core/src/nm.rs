@@ -203,7 +203,8 @@ impl<'a> NmPairIter<'a> {
         // filter and those candidates' exact cells through the reuse buffer.
         let (acct, cache, scratches) = (&self.acct, &mut self.cache, &mut self.scratches[..]);
         let seeds = seed_leaves(acct, Q, &chunk, &env, scratches, &mut lap)?;
-        let regions: Vec<&[ConvexPolygon]> = seeds.iter().map(|s| &s.cells[..]).collect();
+        let regions: Vec<(&[ConvexPolygon], _)> =
+            seeds.iter().map(|s| (&s.cells[..], None)).collect();
         let probes = probe_round(acct, P, cache, &regions, &env, scratches, &mut lap)?;
 
         // Report (parallel): pairs, true hits and claims of each leaf, each

@@ -20,15 +20,17 @@
 //!   CIJ or grouped-NN) and returns immediately with a [`ResponseHandle`];
 //!   when the queue is full the submit fails fast with [`QueueFull`]
 //!   (back-pressure at the door, not inside the engine).
-//! * **Admission control**: before executing, a worker reserves the query's
-//!   cell-cache quota from the service's global [`CacheBudget`]. When the
-//!   budget is exhausted the worker blocks until a running query returns
-//!   its lease — so aggregate cache residency never exceeds the budget, and
-//!   each query's private cache makes cross-query eviction structurally
-//!   impossible. A binary query's one cache gets the whole quota; a
+//! * **Admission control**: before executing, a worker reserves what the
+//!   query's caches will hold from the service's global [`CacheBudget`].
+//!   When the budget is exhausted the worker blocks until a running query
+//!   returns its lease — so aggregate cache residency never exceeds the
+//!   budget, and each query's private cache makes cross-query eviction
+//!   structurally impossible. The query cache quota, clamped to the budget,
+//!   is `quota`. A binary query's one cache gets and reserves all of it; a
 //!   multiway query over `k` sets gives each of its `k − 1` probed sets
-//!   `quota / k` cells — the driving set needs no cache, and its share goes
-//!   unused — which is what a direct run at that per-set capacity holds.
+//!   `quota / k` cells — what a direct run at that per-set capacity holds —
+//!   and reserves their sum, `(k − 1) · (quota / k)`: the driving set needs
+//!   no cache, and its share is never reserved.
 //! * **Incremental streaming**: results flow back through the handle in
 //!   batches cut at the underlying stream's [`LeafWatermark`] boundaries —
 //!   everything in a delivered batch is final, exactly the checkpointing
@@ -811,7 +813,14 @@ fn execute(
     clock: &dyn ServiceClock,
     job: &Job,
 ) {
-    let lease = budget.reserve(quota);
+    // A multiway query's caches hold `k − 1` shares of `quota / k` cells
+    // (the shares a direct run at that per-set capacity holds), and it
+    // reserves exactly those.
+    let quota = quota.min(budget.total());
+    let lease = match &job.request {
+        Request::Multiway { sets } => budget.reserve((sets.len() - 1) * (quota / sets.len())),
+        Request::Join { .. } | Request::GroupedNn { .. } => budget.reserve(quota),
+    };
     let config = snapshot.config;
     let shared = &job.shared;
     match &job.request {
@@ -825,7 +834,7 @@ fn execute(
         Request::Multiway { sets } => {
             let trees: Vec<&RTree<PointObject>> =
                 sets.iter().map(|&s| &snapshot.trees[s]).collect();
-            let share = lease.cells() / trees.len();
+            let share = quota / trees.len();
             let mut stream = TupleStream::over_snapshot(trees, share, config);
             if let Some(done) = drive(&mut stream, job, clock, Some(Batch::Tuples)) {
                 mark_done(shared, done);
@@ -855,7 +864,7 @@ mod tests {
     use super::*;
     use crate::brute::brute_force_cij;
     use crate::cell_cache::CellCache;
-    use crate::config::CijConfig;
+    use crate::config::{CijConfig, ExecMode};
     use crate::grouped::grouped_nn_via_all_nn;
     use crate::QueryEngine;
     use cij_rtree::{RTreeConfig, SnapshotReader};
@@ -941,6 +950,49 @@ mod tests {
         ids.sort();
         assert_eq!(ids, blocking.sorted_ids());
         service.shutdown();
+    }
+
+    /// On an idle service a 3-way request reserves what its two probed
+    /// sets' caches hold, `2 · (quota / 3)` of the quota clamped to the
+    /// budget, and returns the tuples and page accesses of a direct run at
+    /// `quota / 3` cells per set.
+    #[test]
+    fn a_multiway_lease_reserves_only_what_its_caches_hold() {
+        let sets: Vec<Vec<Point>> = (0..3).map(|i| random_points(150, 651 + i)).collect();
+        for (budget_cells, quota) in [(4_096, 64), (30, 64)] {
+            let service = service_over(
+                &sets,
+                ServiceConfig {
+                    workers: 1,
+                    cache_budget_cells: budget_cells,
+                    query_cache_quota: quota,
+                    ..ServiceConfig::default()
+                },
+            );
+            let handle = service
+                .submit(Request::Multiway {
+                    sets: vec![0, 1, 2],
+                })
+                .unwrap();
+            let tuples = handle.collect_tuples();
+            let completion = handle.completion();
+            let budget = service.budget().clone();
+            service.shutdown();
+            let share = quota.min(budget_cells) / 3;
+            assert_eq!(budget.high_water(), 2 * share, "budget {budget_cells}");
+            assert_eq!(budget.reserved(), 0);
+
+            let direct = small_config()
+                .with_exec_mode(ExecMode::Fast)
+                .with_cell_cache_capacity(share);
+            let direct = QueryEngine::new(direct).multiway(&sets);
+            assert!(direct.profile.work.cells.iter().any(|c| c.evicted > 0));
+            let ids = |tuples: &[MultiwayTuple]| -> Vec<Vec<u64>> {
+                tuples.iter().map(|t| t.ids.clone()).collect()
+            };
+            assert_eq!(ids(&tuples), ids(&direct.tuples), "budget {budget_cells}");
+            assert_eq!(completion.page_accesses, direct.profile.page_accesses());
+        }
     }
 
     #[test]

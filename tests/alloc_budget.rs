@@ -26,8 +26,11 @@ use cij_bench::allocations;
 /// `Vec`s and per-clip outlines of the allocating extension step it
 /// replaced measured 22.9. Since the reuse buffers keep their cells in the
 /// LRU's slots, with no id-keyed map beside them, and each unit's cache plan
-/// is collected at its exact size: 6.60 (5.60 with `--release`).
-const MAX_ALLOCATIONS_PER_TUPLE: f64 = 7.0;
+/// is collected at its exact size: 6.60 (5.60 with `--release`). With the
+/// driver's reuse buffer gone, 6.38; since the stream keeps each leaf's
+/// work counts and read logs in books it rewrites per leaf, 6.12 (5.12 with
+/// `--release`).
+const MAX_ALLOCATIONS_PER_TUPLE: f64 = 6.2;
 
 /// Allocations per emitted pair binary NM-CIJ may spend. The floor is the
 /// exact cells BatchVoronoi returns and the copies the reuse buffer keeps,
