@@ -65,11 +65,9 @@ pub struct CijConfig {
     ///
     /// [`StorageBackend::Heap`] (default) keeps page frames in memory, a
     /// simulated disk; [`StorageBackend::File`] keeps them in a real file
-    /// accessed with positioned I/O; [`StorageBackend::Mmap`] memory-maps an
-    /// unlinked temp file so the kernel manages frame residency. The choice
-    /// cannot affect results or page-access counts (the backend parity
-    /// guarantee of `cij_pagestore`) — it decides whether the counted
-    /// accesses move real bytes, which
+    /// accessed with positioned I/O. The choice cannot affect results or
+    /// page-access counts (the backend parity guarantee of `cij_pagestore`)
+    /// — it decides whether the counted accesses move real bytes, which
     /// `tests/storage.rs::file_bytes_read_match_counted_physical_reads`
     /// cross-checks.
     pub storage_backend: StorageBackend,

@@ -95,6 +95,7 @@
 //! assert!(first.is_some());
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

@@ -14,6 +14,7 @@
 //! skewed generators are also provided for the synthetic experiments and for
 //! tests.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

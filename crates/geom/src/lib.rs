@@ -77,6 +77,7 @@
 //!     lies within 45° of the gap and its test — an edge's threshold or the
 //!     widened boxes — bounds it by `2√2·τ·M`.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

@@ -97,9 +97,9 @@ fn parse_accepts_the_shipped_format() {
 # comment
 [[allow]]
 rule = "CIJ-U202"
-path = "crates/pagestore/src/mmap.rs"
+path = "crates/bench/src/lib.rs"
 count = 9
-reason = "mmap raw surface"
+reason = "CountingAlloc's GlobalAlloc impl"
 "#,
     )
     .expect("parses");

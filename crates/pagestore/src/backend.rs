@@ -1,8 +1,7 @@
-//! Pluggable page-frame storage: the [`PageBackend`] trait and its three
+//! Pluggable page-frame storage: the [`PageBackend`] trait and its two
 //! implementations, [`HeapBackend`] (in-memory frames, the historical
-//! simulated disk), [`FileBackend`] (a real file accessed with positioned
-//! reads and writes) and [`MmapBackend`](crate::MmapBackend) (memory-mapped
-//! frames over an unlinked temp file).
+//! simulated disk) and [`FileBackend`] (a real file accessed with positioned
+//! reads and writes).
 //!
 //! The backend sits *below* the LRU buffer and the [`IoStats`]
 //! accounting of [`PageStore`](crate::PageStore): it only moves fixed-size
@@ -24,7 +23,7 @@
 //!   physical_reads × page_size` **and** `bytes_written == physical_writes ×
 //!   page_size` — the two invariants
 //!   `metered_byte_contract_holds_for_every_backend` checks (and, for reads
-//!   under a join, the workspace's `tests/storage.rs`). All three
+//!   under a join, the workspace's `tests/storage.rs`). Both
 //!   backends count metered transfers identically; historically
 //!   `drop_buffer`'s write-backs were "uncounted-but-real" (bytes moved,
 //!   `physical_writes` did not), which broke the written-byte half of the
@@ -74,27 +73,22 @@ pub enum StorageBackend {
     /// accessed with `read_at`/`write_at`, so every buffer miss and
     /// write-back is an actual positioned disk I/O.
     File,
-    /// Frames live in memory-mapped segments of an unlinked temp file
-    /// ([`MmapBackend`](crate::MmapBackend)): transfers are `memcpy`s into
-    /// the kernel page cache, residency is the kernel's to manage, so
-    /// datasets can exceed the configured buffer (and eventually RAM).
-    Mmap,
 }
 
 impl StorageBackend {
     /// Every selectable backend, for sweeps and tests.
-    pub const ALL: [StorageBackend; 3] = [
-        StorageBackend::Heap,
-        StorageBackend::File,
-        StorageBackend::Mmap,
-    ];
+    pub const ALL: [StorageBackend; 2] = [StorageBackend::Heap, StorageBackend::File];
+
+    // Inert: `cij_benchmark/src/workloads.rs` is its only reader.
+    #[doc(hidden)]
+    #[allow(non_upper_case_globals)]
+    pub const Mmap: StorageBackend = StorageBackend::File;
 
     /// Short lowercase name, used by tables and test labels.
     pub fn name(&self) -> &'static str {
         match self {
             StorageBackend::Heap => "heap",
             StorageBackend::File => "file",
-            StorageBackend::Mmap => "mmap",
         }
     }
 
@@ -104,7 +98,6 @@ impl StorageBackend {
         match self {
             StorageBackend::Heap => Box::new(HeapBackend::new(frame_size)),
             StorageBackend::File => Box::new(FileBackend::anonymous(frame_size)),
-            StorageBackend::Mmap => Box::new(crate::MmapBackend::anonymous(frame_size)),
         }
     }
 }
@@ -324,24 +317,7 @@ impl PageBackend for HeapBackend {
 
 /// Monotonic discriminator for anonymous backing-file names (several stores
 /// are routinely alive at once — `RP`, `RQ`, Voronoi trees).
-pub(crate) static FILE_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// Creates, opens and immediately unlinks a fresh anonymous file in the
-/// system temp directory — shared by the file and mmap backends.
-pub(crate) fn anonymous_file(tag: &str) -> File {
-    let serial = FILE_COUNTER.fetch_add(1, Ordering::Relaxed);
-    let name = format!("cij-{tag}-{}-{}.pages", std::process::id(), serial);
-    let path = std::env::temp_dir().join(name);
-    let file = OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(&path)
-        .unwrap_or_else(|e| panic!("create pagestore file {}: {e}", path.display()));
-    std::fs::remove_file(&path).expect("unlink anonymous pagestore file");
-    file
-}
+static FILE_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// The real-file backend: one frame per `page_size`-byte slot of a file,
 /// accessed with positioned I/O (`FileExt::read_at` / `write_at`).
@@ -366,8 +342,19 @@ impl FileBackend {
     /// directory (created, opened, unlinked).
     pub fn anonymous(frame_size: usize) -> Self {
         assert!(frame_size > 0, "frame size must be positive");
+        let serial = FILE_COUNTER.fetch_add(1, Ordering::Relaxed);
+        let name = format!("cij-pagestore-{}-{}.pages", std::process::id(), serial);
+        let path = std::env::temp_dir().join(name);
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&path)
+            .unwrap_or_else(|e| panic!("create pagestore file {}: {e}", path.display()));
+        std::fs::remove_file(&path).expect("unlink anonymous pagestore file");
         FileBackend {
-            file: anonymous_file("pagestore"),
+            file,
             frame_size,
             written: Vec::new(),
             io: BackendIo::default(),
@@ -523,15 +510,9 @@ mod tests {
     }
 
     #[test]
-    fn mmap_backend_roundtrip_and_counters() {
-        let b = exercise(Box::new(crate::MmapBackend::anonymous(64)));
-        assert_eq!(b.kind(), StorageBackend::Mmap);
-    }
-
-    #[test]
     fn every_backend_routes_bytes_by_io_class() {
         // The counting contract: each transfer lands in exactly one bucket,
-        // chosen by the store-assigned IoClass — identically on all three
+        // chosen by the store-assigned IoClass — identically on both
         // backends.
         for kind in StorageBackend::ALL {
             let mut b = kind.create(32);
@@ -593,7 +574,6 @@ mod tests {
     #[test]
     fn storage_backend_prints() {
         assert_eq!(StorageBackend::File.to_string(), "file");
-        assert_eq!(StorageBackend::Mmap.to_string(), "mmap");
         assert_eq!(StorageBackend::default(), StorageBackend::Heap);
     }
 

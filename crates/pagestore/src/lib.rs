@@ -2,7 +2,7 @@
 //!
 //! The storage substrate of the CIJ reproduction: fixed-size disk pages, an
 //! LRU buffer pool with pinning, I/O accounting — and **pluggable
-//! page-frame backends**, including an out-of-core memory-mapped one.
+//! page-frame backends**: frames live on the heap or in a file.
 //!
 //! The paper's evaluation is I/O-centric: every dataset is indexed by an
 //! R-tree with a **1 KB page size**, algorithms run on top of an **LRU
@@ -24,8 +24,7 @@
 //! * [`PageBackend`] — the frame-storage trait, selected by
 //!   [`StorageBackend`]: [`HeapBackend`] keeps frames in memory (the
 //!   historical simulated disk), [`FileBackend`] keeps them in a real file
-//!   accessed with positioned I/O, [`MmapBackend`] memory-maps an unlinked
-//!   temp file in growable segments so the kernel manages frame residency,
+//!   accessed with positioned I/O,
 //! * [`LruBuffer`] — an O(1) least-recently-used buffer pool with
 //!   write-back semantics, indexed by hash for sparse keys or by subscript
 //!   for dense ones such as the store's page ids; the store's
@@ -43,7 +42,7 @@
 //!
 //! All accounting decisions — what is a hit, what gets evicted, which
 //! counter moves — are made **above** the backend, and the [`PagePayload`]
-//! codec is lossless, so heap-, file- and mmap-backed stores driven by the
+//! codec is lossless, so heap- and file-backed stores driven by the
 //! same operations produce *identical* payloads, buffer states, [`IoStats`]
 //! counters and even [`BackendIo`] byte counts. The backends differ only in
 //! whether the frames actually hit storage. This is asserted at the store
@@ -103,6 +102,7 @@
 //! and nothing else does. A transient fault at any attempt is retried and
 //! leaves results byte-identical to a clean run.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
@@ -111,7 +111,6 @@ pub mod error;
 pub mod fault;
 pub mod frame;
 pub mod lru;
-pub mod mmap;
 pub mod stats;
 pub mod store;
 
@@ -120,7 +119,6 @@ pub use error::{FaultKind, IoOp, PageIoError};
 pub use fault::{FaultBackend, FaultProfile, FaultStats};
 pub use frame::{FrameOverflow, FrameReader, FrameWriter, PagePayload, FRAME_TRAILER_BYTES};
 pub use lru::{Admission, LruBuffer};
-pub use mmap::MmapBackend;
 pub use stats::{IoSnapshot, IoStats};
 pub use store::{PageId, PageRef, PageStore, PageStoreConfig, RetryPolicy};
 

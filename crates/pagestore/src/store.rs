@@ -71,8 +71,8 @@
 //!
 //! All accounting ([`IoStats`], buffer state, eviction decisions) happens
 //! *above* the backend, so swapping [`StorageBackend::Heap`] for
-//! [`StorageBackend::File`] or [`StorageBackend::Mmap`] changes no counter
-//! and no result — only whether the frames actually hit storage, measured
+//! [`StorageBackend::File`] changes no counter and no result — only
+//! whether the frames actually hit storage, measured
 //! by [`PageStore::backend_io`].
 //!
 //! The store is internally synchronized (a mutex around the residency
@@ -1270,7 +1270,7 @@ mod tests {
 
     #[test]
     fn metered_byte_contract_holds_for_every_backend() {
-        // Both halves of the counting contract, all three backends: after a
+        // Both halves of the counting contract, both backends: after a
         // mixed workload with evictions, flushes and drop_buffer resets,
         // bytes_read == physical_reads × page_size and bytes_written ==
         // physical_writes × page_size.

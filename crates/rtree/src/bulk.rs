@@ -103,7 +103,7 @@ impl<D: RTreeObject> RTree<D> {
     /// external merge sort by Hilbert key with at most `run_capacity`
     /// objects held in RAM at once, spilled through a scratch backend of
     /// the same `storage` kind (so the spill is genuinely out-of-core under
-    /// `file`/`mmap`).
+    /// `file`).
     ///
     /// Produces a tree **byte-identical** to
     /// [`RTree::bulk_load_with_stats_on`] on the same input sequence — the
@@ -827,7 +827,7 @@ mod tests {
             stats.clone(),
             PointObject::from_points(&pts),
             1.0,
-            StorageBackend::Mmap,
+            StorageBackend::File,
             150,
         );
         tree.flush();
@@ -852,7 +852,7 @@ mod tests {
 
     #[test]
     fn external_bulk_load_bounds_resident_pages() {
-        // With a genuinely cold scratch path (mmap) and a small run
+        // With a genuinely cold scratch path (file) and a small run
         // capacity, the tree store never holds more decoded pages than its
         // buffer + pins allow — there is no mirror to hide in.
         let pts = random_points(2000, 37);
@@ -861,7 +861,7 @@ mod tests {
             IoStats::new(),
             PointObject::from_points(&pts),
             1.0,
-            StorageBackend::Mmap,
+            StorageBackend::File,
             128,
         );
         assert!(

@@ -58,6 +58,7 @@
 //! `"CIJ storage failure: …"`). Streams and the request
 //! server fail-stop with the error in hand.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

@@ -18,6 +18,7 @@
 //!   Section V-A, plus the [`lower_bound_io`] traversal bound LB.
 //! * [`brute`] — O(n²) oracles implementing Eq. (2) literally, for tests.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

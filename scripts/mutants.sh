@@ -16,15 +16,18 @@
 # on interrupt. Refuses to start on a dirty tree, so `git status` is as clean
 # afterwards as before; build outputs go to target/ as usual.
 #
-# --check only runs `git apply --check` on every diff (seconds): a change
-# that rots a diff is caught without running anything.
+# --check only runs `git apply --check -v` on every diff (seconds): a change
+# that rots a diff is caught without running anything. A diff whose hunk
+# applies only at an offset from its recorded lines fails too, naming the
+# hunk and the offset: re-make it on its current lines, since a drifted
+# hunk whose context recurs can land on the wrong lines.
 #
 # Exits 1 if any mutant survives, fails to apply or fails to build; each
 # failing command's output is kept in a log under $TMPDIR and named.
 set -euo pipefail
 
 usage() {
-    sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,26p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 }
 
@@ -48,12 +51,17 @@ if [ $check -eq 1 ]; then
         if [ -z "$(header "$diff" Red)$(header "$diff" Equivalent)" ]; then
             echo "$diff: no '# Red:' or '# Equivalent:' header" >&2
             status=1
-        elif ! git apply --check "$diff"; then
+        elif ! out=$(git apply --check -v "$diff" 2>&1); then
+            echo "$out" >&2
             echo "$diff: no longer applies" >&2
+            status=1
+        elif offsets=$(sed -n 's/^Hunk #\([0-9]*\) succeeded at \([0-9]*\) (offset \(-\{0,1\}[0-9]*\) lines\{0,1\})\./hunk #\1 at offset \3 (line \2)/p' <<<"$out") &&
+            [ -n "$offsets" ]; then
+            echo "$diff: applies off its recorded lines: $(paste -sd, - <<<"$offsets" | sed 's/,/, /g')" >&2
             status=1
         fi
     done
-    [ $status -eq 0 ] && echo "mutants.sh: all ${#mutants[@]} diffs apply"
+    [ $status -eq 0 ] && echo "mutants.sh: all ${#mutants[@]} diffs apply at their recorded lines"
     exit $status
 fi
 

@@ -61,6 +61,7 @@
 //!   (metered/fast) executor, the shared bounded [`CellCache`] and the
 //!   concurrent request server ([`core::service`]).
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

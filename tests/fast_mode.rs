@@ -10,7 +10,7 @@ use cij::rtree::RTreeConfig;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-const BACKENDS: [StorageBackend; 3] = StorageBackend::ALL;
+const BACKENDS: [StorageBackend; 2] = StorageBackend::ALL;
 const THREADS: [usize; 2] = [1, 4];
 const QUERY_COUNTS: [usize; 3] = [1, 4, 16];
 

@@ -38,7 +38,7 @@ const REGIMES: [FaultKind; 2] = [FaultKind::Persistent, FaultKind::Transient];
 
 /// Small pages, so a few hundred points make trees of several levels. The
 /// store arms a fault in a wrapper around its backend, so the default heap
-/// backend stands for all three.
+/// backend stands for both.
 fn sweep_config(mode: ExecMode, workers: usize) -> CijConfig {
     CijConfig::default()
         .with_rtree(RTreeConfig {

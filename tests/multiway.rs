@@ -1,7 +1,7 @@
 //! Integration tests for the leaf-batched, streaming, parallel multiway
 //! CIJ: oracle parity on uniform and clustered data, cost-driven
 //! driver-tree selection, exact thread parity at `worker_threads` ∈ {1, 4},
-//! file and mmap storage parity with the heap, streaming
+//! file storage parity with the heap, streaming
 //! laziness/watermarks, and a proptest over random workloads.
 
 use cij::prelude::*;
@@ -158,15 +158,14 @@ fn storage_backends_are_observably_identical() {
             .with_storage_backend(StorageBackend::Heap)
             .with_worker_threads(4),
     );
-    for backend in [StorageBackend::File, StorageBackend::Mmap] {
-        let other = run_multiway(&sets, &base.with_storage_backend(backend));
-        assert_parity(&other, &heap, &format!("{backend} vs heap backend"));
-        let other4 = run_multiway(
-            &sets,
-            &base.with_storage_backend(backend).with_worker_threads(4),
-        );
-        assert_parity(&other4, &heap4, &format!("{backend} vs heap backend, T=4"));
-    }
+    let file = base.with_storage_backend(StorageBackend::File);
+    assert_parity(&run_multiway(&sets, &file), &heap, "file vs heap backend");
+    let file4 = file.with_worker_threads(4);
+    assert_parity(
+        &run_multiway(&sets, &file4),
+        &heap4,
+        "file vs heap backend, T=4",
+    );
     assert_parity(&heap4, &heap, "heap T=4 vs T=1");
 }
 
@@ -185,14 +184,8 @@ fn thread_and_backend_parity_hold_at_a_fixed_nonzero_driver() {
     assert_ne!(sequential.driver, 0);
     let parallel = run_multiway(&sets, &base.with_worker_threads(4));
     assert_parity(&parallel, &sequential, "nonzero driver, T=4 vs T=1");
-    for backend in [StorageBackend::File, StorageBackend::Mmap] {
-        let other = run_multiway(&sets, &base.with_storage_backend(backend));
-        assert_parity(
-            &other,
-            &sequential,
-            &format!("nonzero driver, {backend} vs heap"),
-        );
-    }
+    let file = run_multiway(&sets, &base.with_storage_backend(StorageBackend::File));
+    assert_parity(&file, &sequential, "nonzero driver, file vs heap");
 }
 
 #[test]
@@ -210,15 +203,9 @@ fn cost_driven_plan_parity_holds_across_threads_and_backends() {
     let parallel = run_multiway(&sets, &base.with_worker_threads(4));
     assert_eq!(parallel.driver, sequential.driver);
     assert_parity(&parallel, &sequential, "cost-driven plan, T=4 vs T=1");
-    for backend in [StorageBackend::File, StorageBackend::Mmap] {
-        let other = run_multiway(&sets, &base.with_storage_backend(backend));
-        assert_eq!(other.driver, sequential.driver);
-        assert_parity(
-            &other,
-            &sequential,
-            &format!("cost-driven plan, {backend} vs heap"),
-        );
-    }
+    let file = run_multiway(&sets, &base.with_storage_backend(StorageBackend::File));
+    assert_eq!(file.driver, sequential.driver);
+    assert_parity(&file, &sequential, "cost-driven plan, file vs heap");
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Integration tests for the pluggable storage backends: NM-CIJ over the
-//! real-file and memory-mapped `PageBackend`s must be observably
-//! indistinguishable from the heap-backed run (same pairs in the same
+//! real-file `PageBackend` must be observably indistinguishable from the
+//! heap-backed run (same pairs in the same
 //! order, same NM counters, same page-access totals — across worker-thread
 //! counts and execution modes), a pinned page's payload must stay resident
 //! under cache pressure while the buffer alone decides membership, and the
@@ -74,7 +74,7 @@ fn run_nm_checking_transfers(
 }
 
 /// The acceptance contract, as a full matrix: for uniform and clustered
-/// workloads, NM-CIJ over every backend {heap, file, mmap} × threads
+/// workloads, NM-CIJ over every backend {heap, file} × threads
 /// {1, 4} × execution mode {metered, fast} produces identical pairs (set
 /// *and* order) and NM counters as the metered single-threaded heap
 /// baseline; metered cells additionally reproduce its page-access totals
