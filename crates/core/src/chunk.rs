@@ -115,8 +115,9 @@
 //!
 //! A stream owns one [`UnitScratch`] per pool worker for its whole life and
 //! lends the set to every parallel phase ([`run_ordered_units`]): decode
-//! arenas, clip buffers, the filter's traversal heap and grids, the binary
-//! report's edge tables grow to their high-water mark during the first
+//! arenas, clip buffers, the filter's traversal heap and grids, the edge
+//! table and box-kernel hits of both joins' candidate × region scans grow
+//! to their high-water mark during the first
 //! leaves and are then reused by every later phase, round and chunk. A
 //! scratch carries no information from one unit to the next — contents
 //! between calls are unspecified — so which worker picks up which unit
@@ -429,9 +430,10 @@ pub(crate) trait LeafStream: Iterator {
 }
 
 /// The per-worker scratch of one join unit: the Voronoi traversal's decode
-/// arena + clip buffers, the conditional filter's, the clip buffers and
-/// candidate-cell boxes of the unit's own polygon work (multiway
-/// narrowing), and the binary report's edge tables and join marks. A stream allocates **one per pool worker at
+/// arena + clip buffers, the conditional filter's, the clip buffers of the
+/// unit's own polygon work (multiway narrowing), and the one edge table
+/// and box-kernel hits both joins' leaf scans share, with the binary
+/// report's join marks. A stream allocates **one per pool worker at
 /// construction** ([`UnitScratch::per_worker`]) and lends them to every
 /// parallel phase, so the SoA hot loops run allocation-free at steady state.
 #[derive(Debug, Default)]
@@ -439,11 +441,12 @@ pub(crate) struct UnitScratch {
     pub(crate) vor: VorScratch,
     pub(crate) filter: FilterScratch,
     pub(crate) clip: ClipScratch,
-    /// The widened boxes of the candidate cells a leaf's partial regions
-    /// are narrowed by (`crate::multiway`).
-    pub(crate) cell_boxes: Vec<Rect>,
-    /// One row per cell of the leaf being reported (`crate::nm`).
+    /// One row per cell of the leaf being reported (`crate::nm`), or one
+    /// box-only row per candidate cell a leaf's partial regions are
+    /// narrowed by (`crate::multiway`).
     pub(crate) edges: EdgeTable,
+    /// The rows [`EdgeTable::overlapping`] returned for the last query box.
+    pub(crate) hits: Vec<u32>,
     /// Per candidate of that leaf: whether it has joined yet.
     pub(crate) marked: Vec<bool>,
 }

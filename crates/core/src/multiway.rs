@@ -38,13 +38,22 @@
 //!   shield decisions (`crates/core/src/filter.rs`, "Regions and their
 //!   pieces"). Candidate cells are then resolved through the set's
 //!   [`CellCache`] and each partial region is narrowed by polygon
-//!   intersection; empty intersections drop the candidate tuple.
+//!   intersection with the candidate cells whose boxes meet its own — one
+//!   box-kernel call per region, below — and empty intersections drop the
+//!   candidate tuple.
 //!
-//! The candidate×partial narrowing of every extension round skips
-//! **bbox-disjoint** combinations outright — boxes farther apart than their
-//! tolerance ([`cij_geom::tolerance::widened`]), whose polygon intersection
-//! would be empty anyway — observable as
-//! [`WorkCounts::narrowings_skipped`].
+//! The candidate×partial narrowing of every extension round goes
+//! **box-first**: the leaf's candidate cells are box-only rows of the
+//! worker's [`EdgeTable`], and one call of its branch-free box kernel
+//! ([`EdgeTable::overlapping`], the one NM's report runs too) per partial
+//! region returns the candidates whose boxes meet the region's, ascending.
+//! Only those are clipped; the **bbox-disjoint** rest — boxes farther
+//! apart than their tolerance ([`cij_geom::tolerance::widened`]), whose
+//! polygon intersection would be empty anyway — are skipped outright,
+//! observable as [`WorkCounts::narrowings_skipped`]. The kernel lets
+//! through exactly the combinations a per-pair box test did, in the same
+//! order, so tuples and counts are those of the per-pair loop (held to it
+//! by this module's tests).
 //!
 //! The partial tuples of one leaf stay spatially close through every round
 //! (they are intersections of neighbouring cells), which is what makes the
@@ -80,6 +89,15 @@
 //!   regions of its probes, and are dropped after its last;
 //! * each leaf's work counts and read logs are kept in a stream-owned book,
 //!   one per leaf of the widest chunk, rewritten per leaf.
+//!
+//! A tuple's region bits depend on the candidate set the filter returned,
+//! not only on its ids: BatchVoronoi computes a candidate group's cells
+//! together, so one extra false hit can round a neighbour's cell — and so
+//! a region — differently in its last bits. A parity test across a change
+//! to the *filter* therefore compares tuple ids, not region bits (the
+//! two-level probe's stress range does). A change that leaves every
+//! candidate set as it was, such as the box kernel in front of the
+//! narrowing, must keep the region bits too.
 //!
 //! An owned [`MultiwayTuple`] — two heap objects by its public shape — is
 //! built in exactly one place, [`Iterator::next`]: a finished leaf queues
@@ -125,6 +143,8 @@
 //! [`batch_conditional_filter`]: crate::filter::batch_conditional_filter_scratch
 //! [`CellCache`]: crate::cell_cache::CellCache
 //! [`ClipScratch`]: cij_geom::ClipScratch
+//! [`EdgeTable`]: cij_geom::EdgeTable
+//! [`EdgeTable::overlapping`]: cij_geom::EdgeTable::overlapping
 //! [`CijConfig::worker_threads`]: crate::config::CijConfig::worker_threads
 //! [`pick_driver`]: crate::workload::pick_driver
 
@@ -138,7 +158,7 @@ use crate::filter::Pieces;
 use crate::stats::{Lap, LeafWatermark, Phase, ProgressSample, QueryProfile, WorkCounts};
 use crate::workload::{pick_driver, MultiwayWorkload};
 use cij_geom::tolerance::widened;
-use cij_geom::{ClipScratch, ConvexPolygon, Point, Rect};
+use cij_geom::{ConvexPolygon, Point, Rect};
 use cij_pagestore::PageIoError;
 use cij_rtree::{PointObject, RTree};
 use cij_voronoi::brute_force_diagram;
@@ -264,44 +284,50 @@ impl Partials {
 /// overwritten, its outline buffers reused — and returns the number of
 /// narrowings skipped: bbox-disjoint combinations, whose polygon
 /// intersection would be empty anyway (the boxes are widened by their
-/// tolerance, so degenerate contacts take the clipping path). `cell_boxes`
-/// is working storage.
+/// tolerance, so degenerate contacts take the clipping path).
+///
+/// Box-first: the candidate cells go into the scratch's
+/// [`EdgeTable`](cij_geom::EdgeTable) as box-only rows, its kernel returns
+/// per region the candidates whose boxes meet the region's, ascending, and
+/// only those are clipped — the combinations, in the order, that the
+/// per-pair box test let through.
 fn extend_into(
     cur: &Partials,
     candidates: &[PointObject],
     cells: &[ConvexPolygon],
-    clip: &mut ClipScratch,
-    cell_boxes: &mut Vec<Rect>,
+    scratch: &mut UnitScratch,
     next: &mut Partials,
 ) -> u64 {
     next.stride = cur.stride + 1;
     next.len = 0;
     next.ids.clear();
     next.runs.clear();
-    cell_boxes.clear();
-    cell_boxes.extend(cells.iter().map(|c| widened(&c.bbox())));
+    let UnitScratch {
+        clip, edges, hits, ..
+    } = scratch;
+    edges.clear();
+    for cell in cells {
+        edges.push_bounds(cell);
+    }
     let mut skipped = 0u64;
     let mut start = 0;
     for (member, end) in cur.runs() {
         let before = next.len;
         for j in start as usize..end as usize {
             let region = &cur.outlines[j];
-            let region_bbox = widened(&region.bbox());
-            for ((cand, cell), cell_bbox) in candidates.iter().zip(cells).zip(&*cell_boxes) {
-                if !region_bbox.intersects(cell_bbox) {
-                    skipped += 1;
-                    continue;
-                }
+            edges.overlapping(&widened(&region.bbox()), 0..cells.len(), hits);
+            skipped += (cells.len() - hits.len()) as u64;
+            for &c in hits.iter() {
                 if next.outlines.len() == next.len {
                     next.outlines.push(ConvexPolygon::empty());
                 }
                 // A narrowing that comes out empty leaves its buffer to the
                 // next attempt.
                 let out = &mut next.outlines[next.len];
-                region.intersection_into(cell, clip, out);
+                region.intersection_into(&cells[c as usize], clip, out);
                 if !out.is_empty() {
                     next.ids.extend_from_slice(cur.ids_of(j));
-                    next.ids.push(cand.id.0);
+                    next.ids.push(candidates[c as usize].id.0);
                     next.len += 1;
                 }
             }
@@ -562,8 +588,8 @@ impl<'a> TupleStream<'a> {
             let probes = probe_round(acct, set_idx, cache, &regions, &env, scratches, &mut lap)?;
 
             // Extend (parallel, per leaf): narrow each partial region by
-            // every candidate cell into a table off the free list, dropping
-            // empty intersections.
+            // the candidate cells whose boxes meet its own into a table off
+            // the free list, dropping empty intersections.
             let mut next: Vec<Partials> = (0..cur.len())
                 .map(|_| self.spare.pop().unwrap_or_default())
                 .collect();
@@ -571,11 +597,8 @@ impl<'a> TupleStream<'a> {
             let skipped: Vec<(u64, Duration)> =
                 run_ordered_units(scratches, &mut next, |i, next, scratch| {
                     let mut lap = Lap::start();
-                    let UnitScratch {
-                        clip, cell_boxes, ..
-                    } = scratch;
                     let (candidates, cells) = (&probes[i].candidates, &probes[i].cells);
-                    let skipped = extend_into(&cur[i], candidates, cells, clip, cell_boxes, next);
+                    let skipped = extend_into(&cur[i], candidates, cells, scratch, next);
                     (skipped, lap.lap())
                 });
             lap.lap();
@@ -760,6 +783,9 @@ mod tests {
         batch_conditional_filter_scratch, near_degenerate_sites, two_level_filter, FilterOptions,
         FilterScratch, FilterStats,
     };
+    use crate::grouped::LocationProbe;
+    use crate::nm::assert_report_is_per_pair;
+    use crate::workload::Workload;
     use crate::QueryEngine;
     use cij_datagen::{clustered_points, ClusterSpec};
     use cij_rtree::{NodeReader, RTreeConfig, SnapshotReader};
@@ -1087,6 +1113,7 @@ mod tests {
         let capacity = config.cell_cache_capacity;
         let mut caches: Vec<CellCache> = (0..k).map(|_| CellCache::new(capacity)).collect();
         let UnitScratch { vor, filter, .. } = &mut UnitScratch::default();
+        let narrow = &mut UnitScratch::default();
         let mut order = vec![driver];
         order.extend((0..k).filter(|&s| s != driver));
         let (mut work, mut per_leaf, mut tuples) =
@@ -1142,6 +1169,8 @@ mod tests {
                     seeds.collect()
                 } else {
                     let (next, skipped) = extend_partials(&partials, &candidates, &cells);
+                    let step = (&partials[..], &candidates[..], &cells[..]);
+                    assert_narrowing_is_per_pair(&group, step, (&next, skipped), narrow);
                     work.narrowings_skipped += skipped;
                     next
                 };
@@ -1175,6 +1204,142 @@ mod tests {
             }
         }
         runs
+    }
+
+    /// `partials`, led by members of the driver leaf `group`, as the table
+    /// the stream narrows.
+    fn table_of(group: &[PointObject], partials: &[MultiwayTuple]) -> Partials {
+        let stride = partials.first().map_or(1, |t| t.ids.len());
+        Partials {
+            stride,
+            len: partials.len(),
+            ids: partials
+                .iter()
+                .flat_map(|t| t.ids.iter().copied())
+                .collect(),
+            outlines: partials.iter().map(|t| t.region.clone()).collect(),
+            runs: match stride {
+                1 => Vec::new(),
+                _ => member_runs(group, partials),
+            },
+        }
+    }
+
+    /// Ids and region bits of every tuple of `table`, in order.
+    fn table_bits(table: &Partials) -> Vec<(Vec<u64>, Vec<u64>)> {
+        let bits = |v: &Point| [v.x.to_bits(), v.y.to_bits()];
+        (0..table.len)
+            .map(|j| {
+                let region = table.regions()[j].vertices();
+                (
+                    table.ids_of(j).to_vec(),
+                    region.iter().flat_map(bits).collect(),
+                )
+            })
+            .collect()
+    }
+
+    /// Narrows `partials` (of the driver leaf `group`) by the candidate
+    /// cells through [`extend_into`]'s box kernel, into a dirty table, and
+    /// holds it to the literal per-pair step's tuples (ids and region
+    /// bits, in order), member runs and skip count.
+    fn assert_narrowing_is_per_pair(
+        group: &[PointObject],
+        (partials, candidates, cells): (&[MultiwayTuple], &[PointObject], &[ConvexPolygon]),
+        (expected, skipped): (&[MultiwayTuple], u64),
+        scratch: &mut UnitScratch,
+    ) {
+        let mut next = table_of(group, partials);
+        let found = extend_into(
+            &table_of(group, partials),
+            candidates,
+            cells,
+            scratch,
+            &mut next,
+        );
+        assert_eq!(found, skipped, "narrowings skipped");
+        assert_eq!(table_bits(&next), tuple_bits(expected), "tuples");
+        assert_eq!(next.runs, member_runs(group, expected), "member runs");
+    }
+
+    /// NM's report and multiway's narrowing of stress case `case` at scale
+    /// `2^e` ([`stress_case`]), each through the box kernel and through a
+    /// per-pair loop kept as its reference, on the same inputs: the binary
+    /// join of the case's second set by its first, every leaf of `RQ`
+    /// reported with the third set as grouped-NN locations
+    /// ([`crate::nm::assert_report_is_per_pair`]), and the k-way join
+    /// driven leaf by leaf as the stream probes, every extension step held
+    /// to the literal per-pair step, [`extend_partials`]
+    /// ([`assert_narrowing_is_per_pair`]). Returns the pairs, claims,
+    /// tuples and narrowings skipped.
+    fn assert_box_kernel_is_per_pair(e: i32, case: u64) -> [u64; 4] {
+        let (sets, config) = stress_case(e, case);
+        let domain = config.domain;
+        let what = format!("e {e}, case {case}");
+        let mut w = Workload::build(&sets[1], &sets[0], &config);
+        let locations = LocationProbe::new(&sets[2], &domain);
+        let UnitScratch { vor, filter, .. } = &mut UnitScratch::default();
+        let scratch = &mut UnitScratch::default();
+        let (mut pairs, mut claims) = (0, 0);
+        for leaf in w.rq.leaf_pages_hilbert_order(&domain) {
+            let group = NodeReader::read(&mut w.rq, leaf).objects;
+            let cells_q = batch_voronoi(&mut w.rq, &group, &domain, &mut NoCache, vor);
+            let options = FilterOptions::default();
+            let (candidates, _) =
+                batch_conditional_filter_scratch(&mut w.rp, &cells_q, &domain, &options, filter);
+            let cells_p = batch_voronoi(&mut w.rp, &candidates, &domain, &mut NoCache, vor);
+            let (q, p) = ((&group[..], &cells_q[..]), (&candidates[..], &cells_p[..]));
+            let (leaf_pairs, leaf_claims) =
+                assert_report_is_per_pair(Some(&locations), q, p, scratch, &what);
+            pairs += leaf_pairs as u64;
+            claims += leaf_claims as u64;
+        }
+        let join = join_leaf_by_leaf(&sets, &config, |mut call| call.as_the_stream());
+        let skipped = join.work.last().map_or(0, |w| w.narrowings_skipped);
+        [pairs, claims, join.tuples.len() as u64, skipped]
+    }
+
+    /// The box kernel reports and narrows as the per-pair loops do
+    /// ([`assert_box_kernel_is_per_pair`]) on the stress range's first
+    /// sixteen cases at scale 1.
+    #[test]
+    fn the_box_kernel_reports_and_narrows_as_the_per_pair_loops() {
+        let mut totals = [0; 4];
+        for case in 0..16 {
+            let counts = assert_box_kernel_is_per_pair(0, case);
+            totals.iter_mut().zip(counts).for_each(|(t, c)| *t += c);
+        }
+        assert!(totals.iter().all(|&t| t > 0), "{totals:?}");
+    }
+
+    /// The stress range of the box kernel: [`assert_box_kernel_is_per_pair`]
+    /// on the two-level probe's 816 3- and 4-way cases — the exact oracle's
+    /// lattice sets (collinear, cocircular, on the domain boundary, with
+    /// repeats) and the filter stress range's ulp-nudged ones — at every
+    /// scale `2^e`, `|e| ≤ 40`: pairs, claims, true hits, tuples (ids and
+    /// region bits) and narrowings skipped identical. A CI step of its own,
+    /// in release (≈ 3 s):
+    /// `cargo test --release -p cij-core --lib
+    /// the_box_kernel_equals_the_per_pair_loops_on_lattice_and_near_degenerate_sets_at_every_scale
+    /// -- --ignored`.
+    #[test]
+    #[ignore = "stress range: its own CI step, in release"]
+    fn the_box_kernel_equals_the_per_pair_loops_on_lattice_and_near_degenerate_sets_at_every_scale()
+    {
+        let (mut joins, mut totals) = (0, [0; 4]);
+        for e in (-40..=40).step_by(5) {
+            for case in 0..48u64 {
+                let counts = assert_box_kernel_is_per_pair(e, case);
+                totals.iter_mut().zip(counts).for_each(|(t, c)| *t += c);
+                joins += 1;
+            }
+        }
+        let [pairs, claims, tuples, skipped] = totals;
+        assert!(totals.iter().all(|&t| t > 0), "{totals:?}");
+        eprintln!(
+            "{joins} cases: {pairs} pairs, {claims} claims, {tuples} tuples and \
+             {skipped} narrowings skipped, each identical through the box kernel"
+        );
     }
 
     /// The work counts as of each driver leaf of the join probing as the
@@ -1515,27 +1680,13 @@ mod tests {
         // unrelated extension — and the two tables swap every round, like a
         // table coming off the stream's free list.
         let mut next = Partials::default();
-        let (mut clip, mut boxes) = (ClipScratch::new(), Vec::new());
-        extend_into(
-            &cur,
-            &objects[2],
-            &diagrams[2],
-            &mut clip,
-            &mut boxes,
-            &mut next,
-        );
+        let scratch = &mut UnitScratch::default();
+        extend_into(&cur, &objects[2], &diagrams[2], scratch, &mut next);
         assert!(next.len > 0 && next.stride == 2);
         for round in 1..sets.len() {
             let (expected, disjoint) =
                 extend_partials(&reference, &objects[round], &diagrams[round]);
-            let skipped = extend_into(
-                &cur,
-                &objects[round],
-                &diagrams[round],
-                &mut clip,
-                &mut boxes,
-                &mut next,
-            );
+            let skipped = extend_into(&cur, &objects[round], &diagrams[round], scratch, &mut next);
             assert_eq!(skipped, disjoint, "round {round}");
             assert!(skipped > 0);
             assert_eq!(next.stride, round + 1);

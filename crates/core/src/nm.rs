@@ -69,13 +69,14 @@
 
 use crate::cell_cache::CellCache;
 use crate::chunk::{
-    probe_round, run_ordered_scratch, seed_leaves, Accounting, LeafProbe, LeafStream, Seed,
-    StreamLedger, UnitEnv, UnitScratch,
+    probe_round, run_ordered_scratch, seed_leaves, Accounting, LeafStream, StreamLedger, UnitEnv,
+    UnitScratch,
 };
 use crate::config::CijConfig;
 use crate::grouped::{GroupCounts, LocationProbe};
 use crate::stats::{CijOutcome, Lap, Phase, WorkCounts};
 use crate::workload::Workload;
+use cij_geom::tolerance::widened;
 use cij_geom::{ConvexPolygon, Point};
 use cij_pagestore::PageIoError;
 use cij_rtree::{PointObject, RTree};
@@ -208,10 +209,13 @@ impl<'a> NmPairIter<'a> {
         let probes = probe_round(acct, P, cache, &regions, &env, scratches, &mut lap)?;
 
         // Report (parallel): pairs, true hits and claims of each leaf, each
-        // worker building its edge tables in its own unit scratch.
+        // worker building its edge table in its own unit scratch and
+        // testing box-first.
         let locations = self.probe.as_deref();
         let reported = run_ordered_scratch(scratches, seeds.len(), |i, scratch| {
-            report_leaf(locations, &seeds[i], &probes[i], scratch)
+            let (seed, probe) = (&seeds[i], &probes[i]);
+            let q = (&seed.group[..], &seed.cells[..]);
+            report_leaf(locations, q, (&probe.candidates, &probe.cells), scratch)
         });
         lap.lap();
         reported
@@ -247,7 +251,8 @@ impl<'a> NmPairIter<'a> {
 }
 
 /// Step 4 of Algorithm 6 for one leaf, in one walk of the seed's
-/// `group × candidates` of its probe of `P`: every
+/// `group × candidates` of its probe of `P` (`q` the leaf's points and
+/// cells, `p` the candidates and theirs): every
 /// `(p, q)` whose exact cells intersect, the distinct joining `P` ids and,
 /// in a grouped-NN run, the claims — every location a `q` cell holds
 /// claims, in report order, each reported `(p, q)` whose `p` cell holds it
@@ -256,35 +261,46 @@ impl<'a> NmPairIter<'a> {
 /// marked at least once.
 ///
 /// Each cell's bounding box and edge constraints are computed once per
-/// leaf into the scratch's [`EdgeTable`](cij_geom::EdgeTable) — `q` cells
-/// first, then the candidates' — and every pair is tested against the two
-/// rows, which answers exactly what `ConvexPolygon::intersects` answers.
-/// The table and the marks live in the scratch, so after the first leaves
-/// the walk allocates nothing but what it returns.
+/// leaf into the scratch's [`EdgeTable`](cij_geom::EdgeTable) — the
+/// candidates' cells as rows `0..`, then the `q` cells. Per non-empty `q`
+/// cell, the table's box kernel returns the candidate rows whose boxes meet
+/// the cell's, ascending, and only those take the separating-axis test:
+/// together exactly what `ConvexPolygon::intersects` answers, pair by pair
+/// and in the order the per-pair walk tested them. The table, the hits and
+/// the marks live in the scratch, so after the first leaves the walk
+/// allocates nothing but what it returns.
 fn report_leaf(
     probe: Option<&LocationProbe>,
-    seed: &Seed,
-    p: &LeafProbe,
+    (group, cells_q): (&[PointObject], &[ConvexPolygon]),
+    (candidates, cells_p): (&[PointObject], &[ConvexPolygon]),
     scratch: &mut UnitScratch,
 ) -> LeafReport {
-    let (group, cells_q) = (&seed.group, &seed.cells);
-    let (candidates, cells_p) = (&p.candidates, &p.cells);
     let mut lap = Lap::start();
-    let UnitScratch { edges, marked, .. } = scratch;
+    let UnitScratch {
+        edges,
+        hits,
+        marked,
+        ..
+    } = scratch;
     edges.clear();
-    for cell in cells_q.iter().chain(cells_p) {
+    for cell in cells_p.iter().chain(cells_q) {
         edges.push(cell);
     }
     marked.clear();
     marked.resize(cells_p.len(), false);
     let (mut pairs, mut claims) = (Vec::new(), Vec::new());
     for (qi, (q_obj, q_cell)) in group.iter().zip(cells_q).enumerate() {
+        if q_cell.is_empty() {
+            continue;
+        }
         let inside = probe.map_or_else(Vec::new, |probe| probe.locations_in(q_cell));
-        let rows = (cells_q.len()..).zip(candidates.iter().zip(cells_p));
-        for ((pi, (p_obj, p_cell)), hit) in rows.zip(marked.iter_mut()) {
-            if edges.intersects(pi, p_cell, qi, q_cell) {
-                let (p, q) = (p_obj.id.0, q_obj.id.0);
-                *hit = true;
+        let q_row = cells_p.len() + qi;
+        edges.overlapping(&widened(&q_cell.bbox()), 0..cells_p.len(), hits);
+        for pi in hits.iter().map(|&row| row as usize) {
+            let p_cell = &cells_p[pi];
+            if edges.meets(pi, p_cell, q_row, q_cell) {
+                let (p, q) = (candidates[pi].id.0, q_obj.id.0);
+                marked[pi] = true;
                 pairs.push((p, q));
                 let held = inside.iter().filter(|(_, at)| p_cell.contains_point(at));
                 claims.extend(held.map(|&(l, _)| (l, p, q)));
@@ -298,6 +314,57 @@ fn report_leaf(
         claims,
         time: lap.lap(),
     }
+}
+
+/// [`report_leaf`] as a walk of every `(p, q)` through
+/// `ConvexPolygon::intersects` — the per-pair loop the box kernel replaced,
+/// the reference it is held to.
+#[cfg(test)]
+fn report_leaf_per_pair(
+    probe: Option<&LocationProbe>,
+    (group, cells_q): (&[PointObject], &[ConvexPolygon]),
+    (candidates, cells_p): (&[PointObject], &[ConvexPolygon]),
+) -> LeafReport {
+    let mut marked = vec![false; cells_p.len()];
+    let (mut pairs, mut claims) = (Vec::new(), Vec::new());
+    for (q_obj, q_cell) in group.iter().zip(cells_q) {
+        let inside = probe.map_or_else(Vec::new, |probe| probe.locations_in(q_cell));
+        let rows = candidates.iter().zip(cells_p);
+        for ((p_obj, p_cell), hit) in rows.zip(marked.iter_mut()) {
+            if p_cell.intersects(q_cell) {
+                let (p, q) = (p_obj.id.0, q_obj.id.0);
+                *hit = true;
+                pairs.push((p, q));
+                let held = inside.iter().filter(|(_, at)| p_cell.contains_point(at));
+                claims.extend(held.map(|&(l, _)| (l, p, q)));
+            }
+        }
+    }
+    LeafReport {
+        true_hits: marked.iter().filter(|&&hit| hit).count() as u64,
+        pairs,
+        claims,
+        time: Duration::ZERO,
+    }
+}
+
+/// Reports one leaf through [`report_leaf`] and through
+/// [`report_leaf_per_pair`], asserts that pairs (in order), true hits and
+/// claims agree, and returns how many pairs and claims there were.
+#[cfg(test)]
+pub(crate) fn assert_report_is_per_pair(
+    probe: Option<&LocationProbe>,
+    q: (&[PointObject], &[ConvexPolygon]),
+    p: (&[PointObject], &[ConvexPolygon]),
+    scratch: &mut UnitScratch,
+    what: &str,
+) -> (usize, usize) {
+    let kernel = report_leaf(probe, q, p, scratch);
+    let reference = report_leaf_per_pair(probe, q, p);
+    assert_eq!(kernel.pairs, reference.pairs, "{what}: pairs");
+    assert_eq!(kernel.true_hits, reference.true_hits, "{what}: true hits");
+    assert_eq!(kernel.claims, reference.claims, "{what}: claims");
+    (kernel.pairs.len(), kernel.claims.len())
 }
 
 impl Iterator for NmPairIter<'_> {

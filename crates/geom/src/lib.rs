@@ -15,7 +15,11 @@
 //!   the paper),
 //! * [`ConvexPolygon`] convex polygons with halfplane clipping — the
 //!   representation of Voronoi cells (Eq. 2) — and [`EdgeTable`], their
-//!   intersection test's per-polygon half built once for a batch,
+//!   intersection test's per-polygon half built once for a batch: tolerant
+//!   boxes in four coordinate arrays behind one branch-free box kernel
+//!   ([`EdgeTable::overlapping`], 64 rows to a bitmask) that both joins'
+//!   candidate × region scans run, and the edges [`EdgeTable::meets`]
+//!   tests the rows it returns with,
 //! * the Φ(L, p) region predicate of Section IV-A (Lemma 3),
 //! * a [`hilbert`] space-filling curve used for bulk-loading and for the
 //!   Hilbert-ordered traversals of Section III-C,

@@ -42,14 +42,18 @@
 //! sidedness test, [`HalfPlane::contains`], so touching polygons are never
 //! separated. An edge depends on its own polygon alone, so a caller that
 //! tests one polygon against many builds it once: an [`EdgeTable`] holds the
-//! edges and tolerant bounding boxes of a batch of polygons, and
-//! [`EdgeTable::intersects`] answers exactly what `intersects` answers.
+//! edges and tolerant bounding boxes of a batch of polygons. Its one box
+//! kernel, [`EdgeTable::overlapping`], finds the rows whose boxes meet a
+//! query box — branch-free, 64 rows to a bitmask — and
+//! [`EdgeTable::meets`] runs the separating-axis test on a row it found:
+//! the two together answer exactly what `intersects` answers.
 
 use crate::halfplane::HalfPlane;
 use crate::point::Point;
 use crate::rect::Rect;
 use crate::segment::Segment;
 use crate::tolerance;
+use std::ops::Range;
 
 /// A convex polygon with vertices in counter-clockwise order.
 ///
@@ -445,18 +449,28 @@ fn separated(hp: &HalfPlane, b: &[Point]) -> bool {
     !b.iter().any(|v| hp.contains(v))
 }
 
+/// Rows per bitmask of [`EdgeTable::overlapping`].
+const CHUNK: usize = 64;
+
 /// The tolerant bounding boxes and edge halfplanes of a batch of convex
 /// polygons, built once so that testing each against many others pays for
 /// neither again — everything [`ConvexPolygon::intersects`] computes about
 /// one polygon without looking at the other.
 ///
-/// Rows are numbered in the order their polygons were pushed; the edges of
-/// every row sit in one flat array, row `k`'s at `ends[k]..ends[k + 1]`.
-/// Meant to live in a per-worker scratch: [`EdgeTable::clear`] keeps every
+/// Rows are numbered in the order their polygons were pushed. The widened
+/// boxes sit in four coordinate arrays, an empty row's (an empty polygon or
+/// an empty box) as NaN, which no comparison passes; the edges of every row
+/// sit in one flat array, row `k`'s at `ends[k]..ends[k + 1]`. A test runs
+/// box-first: [`EdgeTable::overlapping`] scans a run of rows against a
+/// query box, and [`EdgeTable::meets`] decides each row it returns. Meant
+/// to live in a per-worker scratch: [`EdgeTable::clear`] keeps every
 /// allocation.
 #[derive(Debug)]
 pub struct EdgeTable {
-    boxes: Vec<Rect>,
+    lo_x: Vec<f64>,
+    lo_y: Vec<f64>,
+    hi_x: Vec<f64>,
+    hi_y: Vec<f64>,
     edges: Vec<HalfPlane>,
     /// One more entry than there are rows; starts at `[0]`.
     ends: Vec<usize>,
@@ -465,7 +479,10 @@ pub struct EdgeTable {
 impl Default for EdgeTable {
     fn default() -> Self {
         EdgeTable {
-            boxes: Vec::new(),
+            lo_x: Vec::new(),
+            lo_y: Vec::new(),
+            hi_x: Vec::new(),
+            hi_y: Vec::new(),
             edges: Vec::new(),
             ends: vec![0],
         }
@@ -475,7 +492,10 @@ impl Default for EdgeTable {
 impl EdgeTable {
     /// Removes every row, keeping the allocations.
     pub fn clear(&mut self) {
-        self.boxes.clear();
+        self.lo_x.clear();
+        self.lo_y.clear();
+        self.hi_x.clear();
+        self.hi_y.clear();
         self.edges.clear();
         self.ends.truncate(1);
     }
@@ -483,20 +503,77 @@ impl EdgeTable {
     /// Appends `polygon` as the next row: its widened bounding box and,
     /// when it has at least three vertices, the halfplane of each edge.
     pub fn push(&mut self, polygon: &ConvexPolygon) {
-        self.boxes.push(tolerance::widened(&polygon.bbox()));
         if polygon.len() >= 3 {
             self.edges.extend(polygon.edges());
         }
+        self.push_bounds(polygon);
+    }
+
+    /// Appends `polygon` as the next row with its widened bounding box
+    /// only: a row for [`EdgeTable::overlapping`] alone, which
+    /// [`EdgeTable::meets`] must not be asked about.
+    pub fn push_bounds(&mut self, polygon: &ConvexPolygon) {
+        let b = tolerance::widened(&polygon.bbox());
+        let (lo, hi) = if polygon.is_empty() || b.is_empty() {
+            (
+                Point::new(f64::NAN, f64::NAN),
+                Point::new(f64::NAN, f64::NAN),
+            )
+        } else {
+            (b.lo, b.hi)
+        };
+        self.lo_x.push(lo.x);
+        self.lo_y.push(lo.y);
+        self.hi_x.push(hi.x);
+        self.hi_y.push(hi.y);
         self.ends.push(self.edges.len());
     }
 
-    /// Whether `a` (pushed as row `i`) and `b` (row `j`) intersect: exactly
-    /// `a.intersects(b)`, the boxes and edges read from the table instead
-    /// of recomputed.
-    pub fn intersects(&self, i: usize, a: &ConvexPolygon, j: usize, b: &ConvexPolygon) -> bool {
-        if a.is_empty() || b.is_empty() || !self.boxes[i].intersects(&self.boxes[j]) {
-            return false;
+    /// Writes into `hits`, ascending, the rows of `rows` whose polygon is
+    /// non-empty and whose widened box [`Rect::intersects`] `query`:
+    /// exactly that, for empty, NaN and ±∞ boxes too. `hits` is cleared
+    /// first and reused by the caller.
+    ///
+    /// Branch-free per row: each chunk of 64 rows is compared with `<=`
+    /// only, into a bitmask whose set bits are walked with
+    /// `trailing_zeros`. A NaN row fails every comparison, and an empty
+    /// query is answered before the scan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` reaches past the table.
+    pub fn overlapping(&self, query: &Rect, rows: Range<usize>, hits: &mut Vec<u32>) {
+        hits.clear();
+        if query.is_empty() {
+            return;
         }
+        let Rect { lo, hi } = *query;
+        let chunks = (self.lo_x[rows.clone()].chunks(CHUNK))
+            .zip(self.lo_y[rows.clone()].chunks(CHUNK))
+            .zip(self.hi_x[rows.clone()].chunks(CHUNK))
+            .zip(self.hi_y[rows.clone()].chunks(CHUNK));
+        let mut base = u32::try_from(rows.start).expect("rows fit in u32");
+        for (((lo_x, lo_y), hi_x), hi_y) in chunks {
+            let mut mask = 0u64;
+            let boxes = lo_x.iter().zip(lo_y).zip(hi_x).zip(hi_y);
+            for (k, (((&lx, &ly), &hx), &hy)) in boxes.enumerate() {
+                let meets = (lx <= hi.x) & (lo.x <= hx) & (ly <= hi.y) & (lo.y <= hy);
+                mask |= u64::from(meets) << k;
+            }
+            while mask != 0 {
+                hits.push(base + mask.trailing_zeros());
+                mask &= mask - 1;
+            }
+            base += lo_x.len() as u32;
+        }
+    }
+
+    /// Whether `a` (pushed as row `i`) and `b` (row `j`) intersect, given
+    /// that their boxes meet — `i` was among the rows
+    /// [`EdgeTable::overlapping`] returned for `j`'s box, or the other way
+    /// round: then exactly `a.intersects(b)`, the edges read from the table
+    /// instead of recomputed.
+    pub fn meets(&self, i: usize, a: &ConvexPolygon, j: usize, b: &ConvexPolygon) -> bool {
         if a.vertices.len() < 3 {
             return b.touches_low_dim(a);
         }
@@ -1021,8 +1098,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
-        /// The table path and `intersects` agree as a `bool`, both ways
-        /// round, on rows that do not start at zero.
+        /// The table path — the box kernel on one row, then `meets` — and
+        /// `intersects` agree as a `bool`, both ways round, on rows that do
+        /// not start at zero.
         #[test]
         fn edge_tables_answer_exactly_what_intersects_answers(
             specs in (outline_spec(), outline_spec(), outline_spec()),
@@ -1039,7 +1117,12 @@ mod tests {
             for polygon in [&first, &a, &b] {
                 table.push(polygon);
             }
-            let (ab, ba) = (table.intersects(1, &a, 2, &b), table.intersects(2, &b, 1, &a));
+            let mut hits = Vec::new();
+            let mut hit = |i: usize, a: &ConvexPolygon, j: usize, b: &ConvexPolygon| {
+                table.overlapping(&tolerance::widened(&b.bbox()), i..i + 1, &mut hits);
+                hits == [i as u32] && table.meets(i, a, j, b)
+            };
+            let (ab, ba) = (hit(1, &a, 2, &b), hit(2, &b, 1, &a));
             prop_assert_eq!(ab, a.intersects(&b), "{:?} vs {:?}", a, b);
             prop_assert_eq!(ba, b.intersects(&a), "{:?} vs {:?}", b, a);
         }
@@ -1132,6 +1215,167 @@ mod tests {
                     for (v, slack) in before.vertices().iter().zip(&scratch.slacks) {
                         prop_assert_eq!(slack.to_bits(), hp.signed_slack(v).to_bits());
                     }
+                }
+            }
+        }
+    }
+
+    /// A row of the box kernel's tables: its kind, an outline and a pick.
+    type RowSpec = (usize, OutlineSpec, usize);
+
+    /// The row counts the kernel is tried at: none, one, and either side of
+    /// its 64-row chunk.
+    const ROW_COUNTS: [usize; 6] = [0, 1, 63, 64, 65, 200];
+
+    /// Every row spec a table can take, and which of [`ROW_COUNTS`] to
+    /// keep.
+    fn rows_spec() -> impl Strategy<Value = (usize, Vec<RowSpec>)> {
+        let row = (0usize..8, outline_spec(), 0usize..16);
+        (
+            0..ROW_COUNTS.len(),
+            proptest::collection::vec(row, 200..201),
+        )
+    }
+
+    /// `x` moved `k` ulps away from zero.
+    fn ulps(x: f64, k: u64) -> f64 {
+        f64::from_bits(x.to_bits().wrapping_add(k))
+    }
+
+    /// The polygon of row spec `(kind, spec, pick)` after the rows `before`:
+    /// 0–1 a random outline, 2 the empty polygon, 3 a point, 4 a segment,
+    /// 5 the previous row's outline nudged `pick % 3 + 1` ulps, 6 an outline
+    /// with a NaN coordinate, 7 one with a `±∞` coordinate.
+    fn kernel_row((kind, spec, pick): &RowSpec, before: &[ConvexPolygon]) -> ConvexPolygon {
+        let p = outline(spec, SCALES[pick % SCALES.len()]);
+        let v = p.vertices().to_vec();
+        let with = |i: usize, at: Point| {
+            let mut v = v.clone();
+            let n = v.len().max(1);
+            if let Some(vi) = v.get_mut(i % n) {
+                *vi = at;
+            }
+            ConvexPolygon::new(v)
+        };
+        match kind {
+            2 => ConvexPolygon::empty(),
+            3 => ConvexPolygon::new(v.into_iter().take(1).collect()),
+            4 => ConvexPolygon::new(v.into_iter().take(2).collect()),
+            5 => {
+                let prev = before.last().map_or(&[][..], |b| b.vertices());
+                let k = *pick as u64 % 3 + 1;
+                let nudged = prev.iter().map(|q| Point::new(ulps(q.x, k), ulps(q.y, k)));
+                ConvexPolygon::new(nudged.collect())
+            }
+            6 => with(*pick, Point::new(f64::NAN, 1.0)),
+            7 => {
+                let inf = [f64::INFINITY, f64::NEG_INFINITY][pick % 2];
+                with(*pick, Point::new(inf, inf * 0.5))
+            }
+            _ => p,
+        }
+    }
+
+    /// The query boxes tried against a table of `rows`: the widened box of
+    /// every fourth row, the boxes touching it exactly on each edge and at
+    /// each corner, and the same one ulp away; then the empty box, a NaN
+    /// box and the whole plane.
+    fn kernel_queries(rows: &[ConvexPolygon]) -> Vec<Rect> {
+        let mut queries = Vec::new();
+        for b in rows
+            .iter()
+            .step_by(4)
+            .map(|r| tolerance::widened(&r.bbox()))
+        {
+            queries.push(b);
+            let (w, h) = (b.width().max(1.0), b.height().max(1.0));
+            // Per axis, a side `d` of `b`: past its high end (1), its low
+            // end (−1) or across it (0) — touching it exactly, or one ulp
+            // further out.
+            let touching = |d: i32, lo: f64, hi: f64, len: f64| match d {
+                1 => (hi, hi + len),
+                -1 => (lo - len, lo),
+                _ => (lo, hi),
+            };
+            let apart = |d: i32, (lo, hi): (f64, f64)| match d {
+                1 => (lo.next_up(), hi),
+                -1 => (lo, hi.next_down()),
+                _ => (lo, hi),
+            };
+            for (dx, dy) in [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1)] {
+                let x = touching(dx, b.lo.x, b.hi.x, w);
+                let y = touching(dy, b.lo.y, b.hi.y, h);
+                let (ax, ay) = (apart(dx, x), apart(dy, y));
+                queries.extend([
+                    Rect {
+                        lo: Point::new(x.0, y.0),
+                        hi: Point::new(x.1, y.1),
+                    },
+                    Rect {
+                        lo: Point::new(ax.0, ay.0),
+                        hi: Point::new(ax.1, ay.1),
+                    },
+                ]);
+            }
+        }
+        let nan = Point::new(f64::NAN, f64::NAN);
+        let all = Rect {
+            lo: Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
+            hi: Point::new(f64::INFINITY, f64::INFINITY),
+        };
+        queries.extend([Rect::empty(), Rect { lo: nan, hi: nan }, all]);
+        queries
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The box kernel returns, ascending, exactly the rows whose
+        /// polygon is non-empty and whose widened box `Rect::intersects`
+        /// the query — over the whole table and over a run of rows not
+        /// starting at zero, on a table rebuilt after `clear` — and for
+        /// every pair of rows, the kernel followed by `meets` answers what
+        /// `ConvexPolygon::intersects` answers.
+        #[test]
+        fn the_box_kernel_returns_exactly_the_rows_whose_boxes_intersect(
+            (count, specs) in rows_spec(),
+            cut in (0usize..=200, 0usize..=200),
+        ) {
+            let mut rows: Vec<ConvexPolygon> = Vec::new();
+            for spec in &specs[..ROW_COUNTS[count]] {
+                let row = kernel_row(spec, &rows);
+                rows.push(row);
+            }
+            let mut table = EdgeTable::default();
+            table.push(&unit_square());
+            table.clear();
+            for row in &rows {
+                table.push(row);
+            }
+            let n = rows.len();
+            let (a, b) = (cut.0.min(n), cut.1.min(n));
+            let runs = [0..n, a.min(b)..a.max(b)];
+            let mut hits = vec![7u32];
+            for query in kernel_queries(&rows) {
+                for run in runs.clone() {
+                    table.overlapping(&query, run.clone(), &mut hits);
+                    let want: Vec<u32> = run
+                        .filter(|&r| {
+                            !rows[r].is_empty()
+                                && tolerance::widened(&rows[r].bbox()).intersects(&query)
+                        })
+                        .map(|r| r as u32)
+                        .collect();
+                    prop_assert_eq!(&hits, &want, "query {:?}", query);
+                }
+            }
+            for (j, b) in rows.iter().enumerate() {
+                table.overlapping(&tolerance::widened(&b.bbox()), 0..n, &mut hits);
+                for (i, a) in rows.iter().enumerate() {
+                    let found =
+                        hits.binary_search(&(i as u32)).is_ok() && table.meets(i, a, j, b);
+                    let what = format!("row {i} {a:?} vs row {j} {b:?}");
+                    prop_assert_eq!(found, a.intersects(b), "{}", what);
                 }
             }
         }

@@ -3,6 +3,7 @@
 #
 #   scripts/bench_pairs.sh <parent-ref> [--pairs 10] [--workloads a,b,...] [--out DIR]
 #                          [--seconds N] [--first-seed 11] [--traced-seed N]
+#                          [--record FILE [--pr N]]
 #
 # `git archive`s <parent-ref> into a temporary directory (under $TMPDIR),
 # builds its cij_benchmark and the working tree's with separate
@@ -30,14 +31,28 @@
 # the change's value of every BENCHMARK.json per-layer metric whose unit is
 # `count` or `bytes` — the deterministic counters a small claim rests on —
 # marking each that differs with `*`. It exits 1 if a traced run fails.
+#
+# --record FILE appends one record of the pairs just run to the JSON
+# trajectory FILE (created if missing; BENCH_TRAJECTORY.json at the root is
+# the committed one): per workload x end-to-end metric both medians and
+# quartiles and the wins out of the decided pairs, per workload and seed
+# whether page_accesses_per_op was identical, the seeds and run seconds,
+# the parent commit, the command (less --out DIR), and the change's PR
+# number — --pr N, or one more than the file's last record's.
 set -euo pipefail
 
 usage() {
-    sed -n '2,32p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,41p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 }
 
 [ $# -ge 1 ] || usage
+# The command a record names: every argument but where the logs went.
+command=scripts/bench_pairs.sh
+skip=0
+for arg in "$@"; do
+    if [ "$skip" -eq 1 ]; then skip=0; elif [ "$arg" = --out ]; then skip=1; else command+=" $arg"; fi
+done
 parent_ref=$1
 shift
 pairs=10
@@ -46,6 +61,8 @@ out=
 seconds=
 first_seed=11
 traced_seed=
+record=
+pr=
 while [ $# -gt 1 ]; do
     case $1 in
     --pairs) pairs=$2 ;;
@@ -54,14 +71,22 @@ while [ $# -gt 1 ]; do
     --seconds) seconds=$2 ;;
     --first-seed) first_seed=$2 ;;
     --traced-seed) traced_seed=$2 ;;
+    --record) record=$2 ;;
+    --pr) pr=$2 ;;
     *) usage ;;
     esac
     shift 2
 done
 [ $# -eq 0 ] || usage
+[ -z "$pr" ] || [ -n "$record" ] || usage
+[ -z "$record" ] || [ -z "$traced_seed" ] || usage
 
+if [ -n "$record" ]; then
+    case $record in /*) ;; *) record=$PWD/$record ;; esac
+fi
 repo=$(git rev-parse --show-toplevel)
 cd "$repo"
+parent_commit=$(git rev-parse --verify "$parent_ref^{commit}")
 work=$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs.XXXXXX")
 trap 'rm -rf "$work"' EXIT
 logs=$work
@@ -148,13 +173,24 @@ for workload in ${workloads//,/ }; do
     done
 done
 
-python3 - "$logs" "$workloads" "$pairs" "$seconds" "$first_seed" <<'EOF'
-import json, statistics, sys
+python3 - "$logs" "$workloads" "$pairs" "$seconds" "$first_seed" "$record" "$pr" \
+    "$parent_commit" "$command" <<'EOF'
+import json, os, statistics, sys
 
 logs, workloads = sys.argv[1], sys.argv[2].split(",")
 better = {m["name"]: m["better"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
 pairs, first = int(sys.argv[3]), int(sys.argv[5])
+record_path, pr, parent_commit, command = sys.argv[6:10]
 print(f"{pairs} pairs per workload (seeds {first}-{first + pairs - 1}), {sys.argv[4]} s per run")
+record = {
+    "pr": None,
+    "parent": parent_commit,
+    "command": command,
+    "pairs": pairs,
+    "seeds": list(range(first, first + pairs)),
+    "run_seconds": float(sys.argv[4]),
+    "workloads": {},
+}
 
 def load(workload, side):
     """One (seed, result) per run; the result is None when the run exited
@@ -186,6 +222,11 @@ for workload in workloads:
         continue
     counts = [(seed, *(r["metrics"]["page_accesses_per_op"]["value"] for r in (p, c)))
               for seed, p, c in good]
+    entry = record["workloads"][workload] = {
+        "failed": [int(n) for n in failed.split("/")],
+        "page_accesses_identical": {seed: pv == cv for seed, pv, cv in counts},
+        "metrics": {},
+    }
     differing = [f"seed {seed}: {pv:g} -> {cv:g}" for seed, pv, cv in counts if pv != cv]
     accesses.append(f"{workload}: page_accesses_per_op " + (
         f"differs on {len(differing)}/{len(counts)} seeds ({'; '.join(differing)})"
@@ -197,12 +238,35 @@ for workload in workloads:
         sign = -1 if direction == "lower" else 1
         wins = sum(sign * (cv - pv) > 0 for pv, cv in zip(p, c))
         ties = sum(cv == pv for pv, cv in zip(p, c))
-        q1, _, q3 = statistics.quantiles(p, n=4) if len(p) > 1 else (p[0], p[0], p[0])
+        quartiles = lambda v: statistics.quantiles(v, n=4) if len(v) > 1 else (v[0],) * 3
+        (q1, _, q3), (cq1, _, cq3) = quartiles(p), quartiles(c)
         pm, cm = statistics.median(p), statistics.median(c)
+        entry["metrics"][metric] = {
+            "parent": {"p50": pm, "q1": q1, "q3": q3},
+            "change": {"p50": cm, "q1": cq1, "q3": cq3},
+            "wins": wins,
+            "decided": len(p) - ties,
+        }
         delta = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
         print(f"{workload:<14} {metric:<21} {pm:>11.5g} {q1:>11.5g} {q3:>11.5g} "
               f"{cm:>11.5g} {delta:>8}  {wins}/{len(p) - ties}  {failed}")
 print()
 print("\n".join(accesses))
+if record_path:
+    trajectory = {"records": []}
+    if os.path.exists(record_path):
+        trajectory = json.load(open(record_path))
+    last = trajectory["records"][-1]["pr"] if trajectory["records"] else None
+    if pr:
+        record["pr"] = int(pr)
+    elif last is not None:
+        record["pr"] = last + 1
+    else:
+        sys.exit(f"--record {record_path}: the file has no record to count on; pass --pr N")
+    trajectory["records"].append(record)
+    with open(record_path, "w") as out:
+        json.dump(trajectory, out, indent=2)
+        out.write("\n")
+    print(f"recorded PR {record['pr']} in {record_path}")
 sys.exit(1 if any_failed else 0)
 EOF
